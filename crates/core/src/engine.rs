@@ -36,6 +36,18 @@
 //!
 //! Both conditions together guarantee the returned top-k equals the
 //! exhaustive answer — property-tested against the brute-force oracle.
+//!
+//! ## Retirement
+//!
+//! The same per-trajectory bound also prunes *locally*: whenever a
+//! partly-scanned trajectory is re-bounded and `ub < kth` holds
+//! **strictly**, it is retired on the spot ([`Engine::retire`]) — no
+//! bound-heap entry, no further per-source bookkeeping, no exact
+//! evaluation. Sound because `sim ≤ ub < kth` and `kth` only rises, so a
+//! retired trajectory could never have entered the collector; a bound
+//! that merely *ties* `kth` stays live (it may still win the slot on the
+//! ascending-id tie-break). The sweeps walk a compact list of live slots,
+//! so the loop pays only for state that can still matter.
 
 use crate::budget::{Completeness, Gate, RunControl};
 use crate::distcache::{CachedSource, SearchContext};
@@ -81,7 +93,8 @@ struct ScanTable {
     t_remaining: Vec<u32>,
     /// Exact textual similarity (computed on first sight).
     textual: Vec<f64>,
-    /// Finalized: exact similarity computed and offered to the top-k.
+    /// Finalized (exact similarity computed and offered to the collector)
+    /// or retired (bound strictly below the pruning threshold).
     done: Vec<bool>,
     /// Spatial sources per trajectory.
     m: usize,
@@ -103,11 +116,6 @@ impl ScanTable {
             m,
             qt,
         }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.tids.len()
     }
 
     #[inline]
@@ -467,6 +475,13 @@ pub fn threshold_search_ctx(
     Ok(result)
 }
 
+// Test-only switch compiling retirement out of the current thread's
+// runs, so a test can compare against the engine without it.
+#[cfg(test)]
+thread_local! {
+    static RETIREMENT_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 struct Engine<'a, 'q, 'r> {
     db: &'a Database<'a>,
     query: &'q UotsQuery,
@@ -476,6 +491,14 @@ struct Engine<'a, 'q, 'r> {
     ctx: &'q SearchContext,
     temporal: Vec<TimeExpansion<'a, TrajectoryId>>,
     states: ScanTable,
+    /// Slots touched and not yet seen done, in first-sighting order. A slot
+    /// finalized or retired at a settle site stays listed until the next
+    /// sweep walks past it; the sweeps compact in place, keeping the order
+    /// (and so the label sums and the offer order) deterministic.
+    live: Vec<u32>,
+    /// Pending Dijkstra heap entries summed over the spatial sources, kept
+    /// current by [`Engine::step`] for the peak-frontier metric.
+    frontier: usize,
     /// Cached per-source unsettled lower bounds (`s_lb`/`t_lb`) and their
     /// decay exponentials. A radius moves only inside [`Engine::step`], so
     /// refreshing the touched source there (and all of them once at
@@ -579,6 +602,8 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             ctx,
             temporal,
             states: ScanTable::new(db.store.len(), m, qt),
+            live: Vec::new(),
+            frontier: 0,
             // NaN sentinels: the first refresh always writes (a real lower
             // bound is never NaN), filling the exponentials
             s_lb: vec![f64::NAN; m],
@@ -600,6 +625,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             text_rank_usable,
             rec,
         };
+        engine.frontier = engine.spatial.iter().map(CachedSource::frontier_len).sum();
         for i in 0..engine.spatial.len() {
             engine.refresh_spatial_lb(i);
         }
@@ -738,6 +764,11 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// Returns `Some(bound_gap)` when `gate` tripped first — the certified
     /// slack of the best-effort answer — and `None` for exact ends.
     fn run(&mut self, gate: &mut Gate) -> Option<f64> {
+        // a source can be born exhausted (a cached prefix resumed onto an
+        // empty frontier); after this, exhaustion only happens in `step`
+        for s in 0..self.num_sources() {
+            self.note_exhaustion(s);
+        }
         loop {
             // gate check, source scheduling, termination test, and the
             // interrupt-gap certificate are all heap/bookkeeping work;
@@ -749,13 +780,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             ) {
                 return Some(self.interrupt_gap());
             }
-            // A source can exhaust without ever delivering a final `None`
-            // settle: the heap may empty on the very pop that finished the
-            // component (no stale entries behind it), and a replayed cache
-            // prefix can resume onto an already-empty frontier. Detect the
-            // transition here so touched-but-pending trajectories still get
-            // their exact `∞` distances and finalize.
-            self.sweep_exhausted();
             let Some(src) = self.pick_source() else {
                 // all sources exhausted
                 self.exhausted_end = true;
@@ -769,7 +793,13 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             });
             self.step(src);
             self.rec.enter(Phase::HeapMaintenance);
-            self.sweep_exhausted();
+            // A source can exhaust without ever delivering a final `None`
+            // settle: the heap may empty on the very pop that finished the
+            // component (no stale entries behind it). Only the stepped
+            // source can have made that transition, so test it alone — the
+            // touched-but-pending trajectories then get their exact `∞`
+            // distances and finalize.
+            self.note_exhaustion(src);
             if self.terminated() {
                 return None;
             }
@@ -809,9 +839,11 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// One settle/scan step on source `src`.
     fn step(&mut self, src: usize) {
         if src < self.num_spatial() {
-            // a `None` here means exhaustion: sweep_exhausted finalizes
+            // a `None` here means exhaustion: note_exhaustion finalizes
             // the pending states, nothing to do at the settle site
+            let before = self.spatial[src].frontier_len();
             let settled = self.spatial[src].next_settled();
+            self.frontier = self.frontier + self.spatial[src].frontier_len() - before;
             // the settle (or the final `None`) moved this source's radius:
             // refresh its cached bound before any `ub_of` below reads it
             self.refresh_spatial_lb(src);
@@ -833,8 +865,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 self.record_temporal(scanned.value, j, scanned.dt);
             }
         }
-        let frontier: usize = self.spatial.iter().map(CachedSource::frontier_len).sum();
-        self.metrics.peak_frontier = self.metrics.peak_frontier.max(frontier);
+        self.metrics.peak_frontier = self.metrics.peak_frontier.max(self.frontier);
     }
 
     /// Appends a fresh scan-state row for `tid` and returns its slot.
@@ -843,6 +874,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let slot = self.states.tids.len();
         self.states.slot[tid.index()] = slot as u32 + 1;
         self.states.tids.push(tid);
+        self.live.push(slot as u32);
         let mut s_remaining = 0u32;
         for i in 0..self.states.m {
             if self.spatial[i].is_exhausted() {
@@ -930,12 +962,8 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
 
     /// Landmark admission, applied once at a trajectory's first sighting:
     /// when the ALT-tightened similarity upper bound already proves the
-    /// trajectory cannot reach the pruning threshold, retire it on the
-    /// spot — no bound-heap entry, no further per-source bookkeeping, no
-    /// exact evaluation. Exact under ties: the prune fires only when
-    /// `ub < kth` *strictly*, so a retired trajectory satisfies
-    /// `sim ≤ ub < kth`, and `kth` only increases — it can never enter the
-    /// answer, not even via the id tie-break.
+    /// trajectory cannot reach the pruning threshold, retire it before it
+    /// is ever bounded by radii (see [`Engine::retire`]).
     fn try_landmark_prune(&mut self, slot: usize, tid: TrajectoryId) -> bool {
         let Some(lm) = self.ctx.landmarks() else {
             return false;
@@ -946,7 +974,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         }
         let ub = self.alt_ub_of(slot, tid, lm);
         if ub < kth {
-            self.states.done[slot] = true;
+            self.retire(slot);
             if let Some(cache) = self.ctx.cache() {
                 cache.note_bound_prune();
             }
@@ -1014,7 +1042,32 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         }
     }
 
-    /// Finalizes or re-bounds a trajectory after a scan-state update.
+    /// Marks a trajectory whose upper bound fell **strictly** below the
+    /// pruning threshold as done: no bound-heap entry, no further
+    /// per-source bookkeeping, no exact evaluation. Exact under ties: a
+    /// retired trajectory satisfies `sim ≤ ub < kth`, and `kth` only
+    /// increases — it can never enter the answer, not even via the id
+    /// tie-break. A bound that *equals* `kth` must stay live.
+    #[inline]
+    fn retire(&mut self, slot: usize) {
+        self.states.done[slot] = true;
+        self.metrics.retired += 1;
+    }
+
+    /// Whether `ub` proves a partly-scanned trajectory irrelevant (see
+    /// [`Engine::retire`]). With an unfilled top-k the threshold is `-∞`
+    /// and nothing retires.
+    #[inline]
+    fn retirable(&self, ub: f64) -> bool {
+        #[cfg(test)]
+        if RETIREMENT_OFF.with(std::cell::Cell::get) {
+            return false;
+        }
+        ub < self.collector.pruning_threshold()
+    }
+
+    /// Finalizes, retires or re-bounds a trajectory after a scan-state
+    /// update.
     fn after_update(&mut self, slot: usize, tid: TrajectoryId) {
         if self.states.fully_scanned(slot) {
             // every call site is inside a network/temporal settle step, so
@@ -1024,6 +1077,10 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             self.rec.enter(Phase::NetworkExpansion);
         } else {
             let ub = self.ub_of(slot);
+            if self.retirable(ub) {
+                self.retire(slot);
+                return;
+            }
             self.metrics.heap_pushes += 1;
             self.bound_heap.push(BoundEntry {
                 ub: TotalF64(ub),
@@ -1059,56 +1116,43 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         });
     }
 
-    /// Processes every source whose exhaustion transition has not been
-    /// handled yet. Called at the top of the search loop and after each
-    /// step, because exhaustion is observable *between* settles (empty
-    /// heap, empty resumed frontier) — waiting for a `None` settle event
-    /// would miss sources that never deliver one.
-    fn sweep_exhausted(&mut self) {
-        for i in 0..self.num_spatial() {
-            if !self.source_swept[i] && self.spatial[i].is_exhausted() {
-                self.source_swept[i] = true;
-                self.on_spatial_exhausted(i);
-            }
+    /// Processes source `s`'s exhaustion transition, once: every live
+    /// trajectory it never scanned is exactly unreachable from it (`∞`,
+    /// contribution 0), which finalizes, retires or re-bounds it.
+    fn note_exhaustion(&mut self, s: usize) {
+        if self.source_swept[s] || self.source_live(s) {
+            return;
         }
-        for j in 0..self.temporal.len() {
-            let s = self.num_spatial() + j;
-            if !self.source_swept[s] && self.temporal[j].is_exhausted() {
-                self.source_swept[s] = true;
-                self.on_temporal_exhausted(j);
+        self.source_swept[s] = true;
+        let spatial = s < self.num_spatial();
+        let (stride, i) = if spatial {
+            (self.states.m, s)
+        } else {
+            (self.states.qt, s - self.num_spatial())
+        };
+        // live order = first-sighting order: a deterministic walk, so
+        // best-effort outputs are reproducible. Nothing below creates
+        // states, so the list can be detached for the walk.
+        let mut live = std::mem::take(&mut self.live);
+        live.retain(|&slot| {
+            let slot = slot as usize;
+            if self.states.done[slot] {
+                return false;
             }
-        }
-    }
-
-    /// A spatial source exhausted its component: every trajectory it never
-    /// scanned is exactly unreachable from it.
-    fn on_spatial_exhausted(&mut self, i: usize) {
-        // slot order = first-sighting order: a deterministic walk (the
-        // legacy HashMap iterated arbitrarily; exact answers never
-        // depended on the order, best-effort ones are now reproducible).
-        // Nothing below creates states or touches another slot's
-        // distances, so iterating in place is safe.
-        let m = self.states.m;
-        for slot in 0..self.states.len() {
-            if self.states.done[slot] || !self.states.sdists[slot * m + i].is_nan() {
-                continue;
+            let idx = slot * stride + i;
+            if spatial && self.states.sdists[idx].is_nan() {
+                self.states.sdists[idx] = f64::INFINITY;
+                self.states.s_remaining[slot] -= 1;
+            } else if !spatial && self.states.tdists[idx].is_nan() {
+                self.states.tdists[idx] = f64::INFINITY;
+                self.states.t_remaining[slot] -= 1;
+            } else {
+                return true; // already scanned by this source
             }
-            self.states.sdists[slot * m + i] = f64::INFINITY;
-            self.states.s_remaining[slot] -= 1;
             self.after_update(slot, self.states.tids[slot]);
-        }
-    }
-
-    fn on_temporal_exhausted(&mut self, j: usize) {
-        let qt = self.states.qt;
-        for slot in 0..self.states.len() {
-            if self.states.done[slot] || !self.states.tdists[slot * qt + j].is_nan() {
-                continue;
-            }
-            self.states.tdists[slot * qt + j] = f64::INFINITY;
-            self.states.t_remaining[slot] -= 1;
-            self.after_update(slot, self.states.tids[slot]);
-        }
+            !self.states.done[slot]
+        });
+        self.live = live;
     }
 
     /// Degenerate end (disconnected network or k > |P|): evaluate every
@@ -1189,7 +1233,11 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                         return false;
                     }
                     // permanently prunable: bounds only decrease, kth only
-                    // increases
+                    // increases (`retirable` holds here unless a test
+                    // switched retirement off)
+                    if self.retirable(cur) {
+                        self.retire(slot);
+                    }
                     self.bound_heap.pop();
                 }
                 _ => {
@@ -1244,32 +1292,39 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     }
 
     /// Recomputes the heuristic priority labels:
-    /// `label(s) = Σ over partly-scanned τ not scanned by s of ub(τ)`.
+    /// `label(s) = Σ over partly-scanned τ not scanned by s of ub(τ)`,
+    /// retiring every trajectory the fresh bound proves irrelevant.
     fn sweep_labels(&mut self) {
-        let n = self.num_sources();
         let m = self.num_spatial();
         let kth = self.collector.pruning_threshold();
-        let mut labels = vec![0.0f64; n];
-        for slot in 0..self.states.len() {
+        self.labels.fill(0.0);
+        let mut live = std::mem::take(&mut self.live);
+        live.retain(|&slot| {
+            let slot = slot as usize;
             if self.states.done[slot] {
-                continue;
+                return false;
             }
             let ub = self.ub_of(slot);
+            if self.retirable(ub) {
+                self.retire(slot);
+                return false;
+            }
             if ub <= kth {
-                continue; // already prunable: converting it has no value
+                return true; // ties kth: stays live, but converting it has no value
             }
             for (i, d) in self.states.sdists(slot).iter().enumerate() {
                 if d.is_nan() {
-                    labels[i] += ub;
+                    self.labels[i] += ub;
                 }
             }
             for (j, d) in self.states.tdists(slot).iter().enumerate() {
                 if d.is_nan() {
-                    labels[m + j] += ub;
+                    self.labels[m + j] += ub;
                 }
             }
-        }
-        self.labels = labels;
+            true
+        });
+        self.live = live;
     }
 
     /// Consumes the engine; `interrupt` is [`Engine::run`]'s return value.
@@ -1296,6 +1351,10 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "engine_retirement_tests.rs"]
+mod retirement_tests;
 
 #[cfg(test)]
 mod tests {

@@ -26,6 +26,12 @@ pub struct SearchMetrics {
     /// Trajectories that became candidates (fully scanned / exactly
     /// evaluated).
     pub candidates: usize,
+    /// Partly-scanned trajectories the expansion engine retired because
+    /// their similarity upper bound fell strictly below the pruning
+    /// threshold — visited, never exactly evaluated. For the engine,
+    /// `visited_trajectories = candidates + retired +` those still partly
+    /// scanned when the search stopped; the baselines retire nothing.
+    pub retired: usize,
     /// Queries that ended best-effort (budget exhausted, deadline hit, or
     /// cancelled) instead of proving exactness.
     pub interrupted: usize,
@@ -109,6 +115,7 @@ impl SearchMetrics {
         self.settled_vertices += other.settled_vertices;
         self.scanned_timestamps += other.scanned_timestamps;
         self.candidates += other.candidates;
+        self.retired += other.retired;
         self.interrupted += other.interrupted;
         self.heap_pushes += other.heap_pushes;
         self.peak_frontier = self.peak_frontier.max(other.peak_frontier);
@@ -156,6 +163,7 @@ mod tests {
             settled_vertices: 100,
             scanned_timestamps: 5,
             candidates: 3,
+            retired: 4,
             interrupted: 1,
             heap_pushes: 12,
             peak_frontier: 40,
@@ -168,6 +176,7 @@ mod tests {
             settled_vertices: 50,
             scanned_timestamps: 0,
             candidates: 7,
+            retired: 2,
             interrupted: 0,
             heap_pushes: 8,
             peak_frontier: 25,
@@ -179,6 +188,7 @@ mod tests {
         assert_eq!(a.visited_trajectories, 40);
         assert_eq!(a.settled_vertices, 150);
         assert_eq!(a.candidates, 10);
+        assert_eq!(a.retired, 6);
         assert_eq!(a.interrupted, 1);
         assert_eq!(a.heap_pushes, 20);
         // peak is a max, not a sum: two queries never share a frontier

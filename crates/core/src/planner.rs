@@ -136,6 +136,16 @@ pub const UBIQUITOUS_SELECTIVITY: f64 = 0.5;
 pub const RARE_SELECTIVITY: f64 = 0.05;
 /// λ at or below which the ranking is textually dominated.
 pub const TEXT_LAMBDA: f64 = 0.25;
+/// Text-first drains one full Dijkstra tree per query location before it
+/// refines anything, so it pays `m · |V|` settles whatever the keywords
+/// are; the expansion pays per *visited trajectory* instead. The route is
+/// taken only while the drain is at most this many settles per live
+/// trajectory. Calibrated against forced expansion on the m = 3, λ = 0.1
+/// shape: on the 900-vertex city (1.35 and 0.27 settles per trajectory at
+/// 2k and 10k trips) text-first wins 1.8× and 4×; on the 28k-vertex city
+/// (42 and 8.5 at 2k and 10k) it loses 2.7× and 2×, with the break-even
+/// extrapolating to ≈ 2.2.
+pub const DRAIN_PER_LIVE: usize = 2;
 
 /// A planning decision: the chosen algorithm, the statistics it was based
 /// on, and a static reason string for logs/metrics.
@@ -198,9 +208,11 @@ impl Planner {
     /// 2. `live ≤` [`TINY_LIVE`] → [`AlgorithmKind::BruteForce`] (one
     ///    full drain is cheaper than any pruning setup);
     /// 3. `λ ≤` [`TEXT_LAMBDA`] *and* selectivity `≤` [`RARE_SELECTIVITY`]
-    ///    (keyword index present) → [`AlgorithmKind::TextFirst`] — rare
-    ///    keywords + textually-dominated ranking make filter-and-refine
-    ///    touch almost nothing;
+    ///    (keyword index present) *and* `m · |V| ≤` [`DRAIN_PER_LIVE`]
+    ///    `· live` → [`AlgorithmKind::TextFirst`] — rare keywords +
+    ///    textually-dominated ranking make filter-and-refine touch almost
+    ///    nothing, provided its up-front drain is small next to the live
+    ///    set the expansion would visit;
     /// 4. `m ≥` [`FULL_DRAIN_M`] *and* selectivity `≥`
     ///    [`UBIQUITOUS_SELECTIVITY`] → [`AlgorithmKind::BruteForce`] —
     ///    the full-drain shape: many sources, no textual filter power,
@@ -229,6 +241,7 @@ impl Planner {
             && stats.selectivity <= RARE_SELECTIVITY
             && db.keyword_index.is_some()
             && !query.keywords().is_empty()
+            && stats.m * db.network.num_nodes() <= DRAIN_PER_LIVE * stats.live
         {
             (AlgorithmKind::TextFirst, "rare-keywords-text-dominated")
         } else if stats.m >= FULL_DRAIN_M && stats.selectivity >= UBIQUITOUS_SELECTIVITY {
@@ -401,8 +414,18 @@ mod tests {
                 AlgorithmKind::BruteForce,
                 "m=10 ubiquitous",
             ),
-            // rare keyword + λ→0: textually dominated filter-and-refine
-            (4, vec![rare], 0.1, AlgorithmKind::TextFirst, "rare λ→0"),
+            // rare keyword + λ→0 + a drain (1 · 400 settles) small next to
+            // the live set: textually dominated filter-and-refine
+            (1, vec![rare], 0.1, AlgorithmKind::TextFirst, "rare λ→0"),
+            // same keywords and λ, but four full trees (1600 settles) for
+            // 200 live trajectories: the drain outweighs the filter
+            (
+                4,
+                vec![rare],
+                0.1,
+                AlgorithmKind::Expansion,
+                "rare λ→0, big drain",
+            ),
             // λ→1: spatially dominated — the paper's expansion
             (4, vec![rare], 0.9, AlgorithmKind::Expansion, "λ→1"),
             // m=10 but rare keywords: bounds still prune → expansion
@@ -491,7 +514,7 @@ mod tests {
         let planner = Planner::new();
         let q = |kws: Vec<KeywordId>| {
             UotsQuery::with_options(
-                (0..4u32).map(NodeId).collect(),
+                vec![NodeId(0)],
                 KeywordSet::from_ids(kws),
                 vec![],
                 QueryOptions {

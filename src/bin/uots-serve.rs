@@ -186,16 +186,15 @@ fn run() -> Result<(), String> {
                 };
                 QueryService::start_sharded_durable(listen, cluster, registry, obs, cfg)
             } else {
-                let mut durable = DurableIngest::create(
-                    Arc::new(ds.network.clone()),
-                    ds.store.clone(),
-                    ds.vocab.clone(),
-                    dir,
-                    config,
-                    None,
-                    Some(&registry),
-                )
-                .map_err(|e| format!("opening wal in {dir}: {e}"))?;
+                let (mut durable, recovery) =
+                    DurableIngest::open(&ds, dir, config, None, Some(&registry))
+                        .map_err(|e| format!("opening wal in {dir}: {e}"))?;
+                if let Some(report) = recovery {
+                    println!(
+                        "uots-serve: recovered {} batches in {} us",
+                        report.replayed_batches, report.micros
+                    );
+                }
                 durable.set_journal(journal.clone());
                 QueryService::start_durable(listen, durable, registry, obs, cfg)
             }

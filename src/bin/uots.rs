@@ -618,6 +618,18 @@ fn cmd_query(args: &[String]) -> i32 {
                 .add(result.metrics.visited_trajectories as u64);
             registry
                 .counter(
+                    "uots_query_candidates_total",
+                    "Trajectories exactly evaluated by queries",
+                )
+                .add(result.metrics.candidates as u64);
+            registry
+                .counter(
+                    "uots_query_retired_total",
+                    "Visited trajectories retired on their bound, never evaluated",
+                )
+                .add(result.metrics.retired as u64);
+            registry
+                .counter(
                     "uots_query_heap_pushes_total",
                     "Candidate-heap pushes by queries",
                 )

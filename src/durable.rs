@@ -418,6 +418,39 @@ impl DurableIngest {
         })
     }
 
+    /// Opens `dir` for a server seeded from `base`: resumes from the
+    /// durable state ([`recover`] ⊕ [`resume`](Self::resume), returning
+    /// the recovery report) when the directory already holds a WAL
+    /// segment or a checkpoint, and [`create`](Self::create)s a fresh
+    /// session otherwise. A restart must take the first branch — creating
+    /// over an existing log serves the base dataset without the
+    /// acknowledged writes.
+    pub fn open(
+        base: &Dataset,
+        dir: impl AsRef<Path>,
+        config: WalConfig,
+        checkpoint_every: Option<u64>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Result<(Self, Option<RecoveryReport>), DurableError> {
+        let dir = dir.as_ref();
+        if wal::list_segments(dir)?.is_empty() && list_checkpoints(dir).is_empty() {
+            let fresh = Self::create(
+                Arc::new(base.network.clone()),
+                base.store.clone(),
+                base.vocab.clone(),
+                dir,
+                config,
+                checkpoint_every,
+                registry,
+            )?;
+            return Ok((fresh, None));
+        }
+        let recovered = recover(dir, Some(base), registry)?;
+        let report = recovered.report.clone();
+        let resumed = Self::resume(recovered, dir, config, checkpoint_every, registry)?;
+        Ok((resumed, Some(report)))
+    }
+
     /// Attaches an operational [`EventJournal`] to this ingest and to its
     /// WAL writer and epoch manager, so retries, degradations, checkpoint
     /// outcomes, seals, and snapshot swaps all land in one timeline.

@@ -1003,6 +1003,31 @@ fn cluster_join(
 
 // ---------- /ingest ----------
 
+/// The first insert naming a vertex or keyword outside the pinned
+/// network / vocabulary, as a client-facing message.
+fn out_of_range(inserts: &[Trajectory], pinned: &Pinned) -> Option<String> {
+    let snapshot = match pinned {
+        Pinned::Single(s) => s,
+        Pinned::Cluster(c) => c.shard(0),
+    };
+    let db = snapshot.database();
+    let vertices = db.network.num_nodes();
+    let vocab = db.keyword_index.map_or(usize::MAX, |k| k.vocab_len());
+    inserts.iter().enumerate().find_map(|(i, t)| {
+        if let Some(v) = t.nodes().find(|v| v.index() >= vertices) {
+            return Some(format!(
+                "insert {i}: vertex {} outside the network ({vertices} vertices)",
+                v.0
+            ));
+        }
+        let k = t.keywords().iter().find(|k| k.index() >= vocab)?;
+        Some(format!(
+            "insert {i}: keyword {} outside the vocabulary ({vocab} keywords)",
+            k.0
+        ))
+    })
+}
+
 fn handle_ingest(
     stream: &mut TcpStream,
     req: &HttpRequest,
@@ -1035,6 +1060,13 @@ fn handle_ingest(
             return json_error(stream, 400, "`insert` must be an array of trajectories");
         }
     };
+    // Reject ids the served network / vocabulary does not have before
+    // anything is logged: an out-of-range insert would panic the index
+    // build at publish, and from the WAL again at every recovery.
+    if let Some(e) = out_of_range(&inserts, &shared.backend.pin()) {
+        shared.metrics.errors.inc();
+        return json_error(stream, 400, &e);
+    }
     let retires: Vec<TrajectoryId> = match field_ids(&body, "retire") {
         Ok(ids) => ids.into_iter().map(TrajectoryId).collect(),
         Err(e) => {

@@ -45,6 +45,14 @@ fn full_pipeline_all_algorithms_agree() {
             for a in &algos {
                 let got = a.run(&db, &q).expect("algorithm runs");
                 assert_eq!(got.ids(), oracle.ids(), "{} k={k}", a.name());
+                // every visited trajectory is exactly evaluated, retired on
+                // its bound, or still partly scanned at the stop
+                let m = &got.metrics;
+                assert!(
+                    m.candidates + m.retired <= m.visited_trajectories,
+                    "{} k={k}: {m:?}",
+                    a.name()
+                );
             }
         }
     }
@@ -74,6 +82,7 @@ fn results_serialize_and_deserialize() {
         r.metrics.visited_trajectories,
         back.metrics.visited_trajectories
     );
+    assert_eq!(r.metrics.retired, back.metrics.retired);
 }
 
 #[test]

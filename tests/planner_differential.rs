@@ -99,8 +99,11 @@ fn shaped_queries(net: &uots::RoadNetwork) -> Vec<(&'static str, UotsQuery)> {
     vec![
         // m = 1 → single-source baseline route.
         ("single-source", q(locs(1), vec![2, 3], 0.5, 3)),
-        // rare keyword, text-dominated λ → text-first route.
-        ("rare-text", q(locs(2), vec![1], 0.1, 3)),
+        // rare keyword, text-dominated λ, one tree to drain (484 settles
+        // for 300 live) → text-first route.
+        ("rare-text", q(locs(1), vec![1], 0.1, 3)),
+        // same, but three trees: the drain gate sends it to expansion.
+        ("rare-text-big-drain", q(locs(3), vec![1], 0.1, 3)),
         // high m × ubiquitous keyword → the full-drain route
         // (multi-source shared-frontier drain, satellite 3).
         ("full-drain", q(locs(10), vec![0], 0.5, 5)),
@@ -126,6 +129,12 @@ fn planner_routes_cover_every_branch_and_match_all_forced_algorithms() {
     for (label, q) in shaped_queries(&fx.net) {
         let decision = planner.decide(&db, &q);
         reasons.insert(decision.reason);
+        // the drain gate is the only thing separating these two shapes
+        match label {
+            "rare-text" => assert_eq!(decision.kind, AlgorithmKind::TextFirst),
+            "rare-text-big-drain" => assert_eq!(decision.kind, AlgorithmKind::Expansion),
+            _ => {}
+        }
         let planned = planner.run(&db, &q).expect("planner run");
         let want = fingerprint(&planned);
         assert!(!want.is_empty(), "{label}: no matches at all");

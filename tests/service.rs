@@ -11,10 +11,13 @@ use std::time::Duration;
 
 use serde::{Content, Serialize};
 use uots::core::planner::Planner;
+use uots::durable::DurableIngest;
 use uots::obs::{MetricsRegistry, ObsState};
 use uots::prelude::*;
 use uots::serve::{QueryService, ServiceConfig};
-use uots::{workload, Dataset, DatasetConfig, EpochManager, KeywordSet, QueryOptions, UotsQuery};
+use uots::{
+    workload, Dataset, DatasetConfig, EpochManager, KeywordSet, QueryOptions, UotsQuery, WalConfig,
+};
 use uots_core::algorithms::Algorithm;
 use uots_core::{Partitioner, ShardedCluster};
 use uots_text::KeywordId;
@@ -318,14 +321,10 @@ fn hard_overload_sheds_with_429_never_hangs() {
     assert!(shed > 0, "a 1-slot ring under 12×4 queries must shed");
 }
 
-#[test]
-fn ingest_publishes_epochs_visible_to_search() {
-    let (service, ds) = start_service(100, 13, ServiceConfig::default());
-    let addr = service.local_addr();
-    let epoch0 = service.current_epoch();
-
-    // A trajectory with a brand-new rare keyword, sitting exactly on the
-    // queried vertex: it must win a k=1 text-heavy search after ingest.
+/// A trajectory (as `/ingest` JSON) tagged with the vocabulary's last,
+/// rare keyword and starting exactly on the returned vertex: once
+/// ingested it must win a k=1 text-heavy search for that keyword there.
+fn marker_trajectory(ds: &Dataset) -> (KeywordId, NodeId, Content) {
     let marker = KeywordId(u32::try_from(ds.vocab.len()).unwrap() - 1);
     let node = NodeId(0);
     let t = Trajectory::new(
@@ -339,8 +338,18 @@ fn ingest_publishes_epochs_visible_to_search() {
         KeywordSet::from_ids([marker]),
     )
     .expect("valid trajectory");
+    (marker, node, t.serialize())
+}
+
+#[test]
+fn ingest_publishes_epochs_visible_to_search() {
+    let (service, ds) = start_service(100, 13, ServiceConfig::default());
+    let addr = service.local_addr();
+    let epoch0 = service.current_epoch();
+
+    let (marker, node, t) = marker_trajectory(&ds);
     let ingest_body = serde_json::to_string(&Content::Map(vec![
-        ("insert".to_string(), Content::Seq(vec![t.serialize()])),
+        ("insert".to_string(), Content::Seq(vec![t])),
         ("retire".to_string(), Content::Seq(vec![Content::U64(0)])),
     ]))
     .unwrap();
@@ -376,6 +385,67 @@ fn ingest_publishes_epochs_visible_to_search() {
         top.contains(&format!("{new_id}")),
         "ingested trajectory must win its own query: {top}"
     );
+}
+
+/// Regression: an unsharded `uots-serve --wal-dir` restart used to
+/// `create` over the existing log and serve the base dataset without the
+/// acknowledged writes. The server now goes through
+/// [`DurableIngest::open`], which resumes when the directory holds a WAL.
+#[test]
+fn durable_restart_keeps_acknowledged_writes() {
+    let ds = Dataset::build(&DatasetConfig::small(100, 23)).expect("dataset");
+    let dir = std::env::temp_dir().join(format!("uots_service_restart-{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    let start = |expect_resume: bool| {
+        let registry = MetricsRegistry::new();
+        let (durable, recovery) =
+            DurableIngest::open(&ds, &dir, WalConfig::default(), None, Some(&registry))
+                .expect("open wal dir");
+        assert_eq!(recovery.is_some(), expect_resume);
+        let obs = ObsState::new().with_registry(registry.clone());
+        let cfg = ServiceConfig::default();
+        let service = QueryService::start_durable("127.0.0.1:0", durable, registry, obs, cfg)
+            .expect("bind service");
+        (service, recovery)
+    };
+
+    let (marker, node, t) = marker_trajectory(&ds);
+    let ingest_body = serde_json::to_string(&Content::Map(vec![(
+        "insert".to_string(),
+        Content::Seq(vec![t]),
+    )]))
+    .unwrap();
+    let query = format!(
+        r#"{{"locations":[{}],"keywords":[{}],"lambda":0.2,"k":1}}"#,
+        node.0, marker.0
+    );
+    let top_id = |addr| {
+        let (code, body) = post(addr, "/topk", &query);
+        assert_eq!(code, 200, "{body:?}");
+        let result = body.get("result").unwrap();
+        let top = &result.get("matches").unwrap().as_seq().unwrap()[0];
+        as_u64(top.get("id")).expect("match id")
+    };
+
+    let (service, _) = start(false);
+    let (code, reply) = post(service.local_addr(), "/ingest", &ingest_body);
+    assert_eq!(code, 200, "{reply:?}");
+    let inserted = reply.get("inserted").unwrap().as_seq().unwrap();
+    let acked = as_u64(Some(&inserted[0])).expect("inserted id");
+    assert_eq!(top_id(service.local_addr()), acked);
+    drop(service);
+
+    let (service, recovery) = start(true);
+    assert_eq!(recovery.unwrap().replayed_batches, 1);
+    assert_eq!(
+        top_id(service.local_addr()),
+        acked,
+        "the acknowledged insert must survive the restart"
+    );
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -457,6 +527,21 @@ fn malformed_requests_get_bounded_clean_json_errors() {
         content.get("error").is_some(),
         "GET 404 carries a JSON error"
     );
+
+    // Inserts naming a keyword or vertex the dataset does not have: a
+    // JSON 400 before anything is logged or applied — and the service
+    // keeps answering (such an insert used to panic the publish).
+    for bad in [
+        r#"{"insert":[{"samples":[{"node":0,"time":1.0}],"keywords":[4000000]}]}"#,
+        r#"{"insert":[{"samples":[{"node":4000000,"time":1.0}],"keywords":[]}]}"#,
+    ] {
+        let (code, content) = post(addr, "/ingest", bad);
+        assert_eq!(code, 400, "{content:?}");
+        let err = serde_json::to_string(content.get("error").expect("error field")).unwrap();
+        assert!(err.contains("insert 0") && err.contains("4000000"), "{err}");
+    }
+    let (code, _) = post(addr, "/topk", r#"{"locations":[0],"keywords":[],"k":1}"#);
+    assert_eq!(code, 200);
 
     // Unsupported methods: a JSON 405 naming the method.
     let (code, text) = http(addr, "DELETE", "/search", "{}");
