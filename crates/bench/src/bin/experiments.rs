@@ -1219,20 +1219,20 @@ fn main() {
             build_start.elapsed()
         );
 
-        // Selective "needle" queries, built to make threshold push-back
-        // *provably* fire: each query pairs a rare keyword `a` (2 ≤ df ≤ 8)
-        // with a common co-keyword `b` from a holder trajectory carrying
-        // ≤ 3 tags, λ = 0.1, k = 1, locations on the holder. The holder's
-        // score is ≥ λ + (1−λ)·2/3 ≈ 0.7 (both keywords, jaccard ≥ 2/3,
-        // on-route locations), while a shard holding only `b` bounds at
-        // λ + (1−λ)/2 = 0.55 — strictly below the threshold, so the
-        // coordinator cuts it. Crucially those `b`-only shards are the
-        // EXPENSIVE ones: their local text bound (0.45) exceeds any local
-        // best, so without the push-back they must grind through all of
-        // `b`'s postings. Single-keyword needles cannot show this — a
-        // shard missing the only keyword has a zero local text bound and
-        // its expansion self-terminates in microseconds, finishing exact
-        // long before any threshold arrives.
+        // Selective "needle" queries, built so that the carried floor
+        // *provably* cuts shards: each query pairs a rare keyword `a`
+        // (2 ≤ df ≤ 8) with a common co-keyword `b` from a holder
+        // trajectory carrying ≤ 3 tags, λ = 0.1, k = 1, locations on the
+        // holder. The holder's score is ≥ λ + (1−λ)·2/3 ≈ 0.7 (both
+        // keywords, jaccard ≥ 2/3, on-route locations), while a shard
+        // holding only `b` bounds at λ + (1−λ)/2 = 0.55 — strictly below
+        // the floor the holder's shard leaves, so it is never run.
+        // Crucially those `b`-only shards are the EXPENSIVE ones: their
+        // local text bound (0.45) exceeds any local best, so on their own
+        // they would grind through all of `b`'s postings. Single-keyword
+        // needles save nothing worth measuring — a shard missing the only
+        // keyword has a zero local text bound and its expansion
+        // self-terminates in microseconds anyway.
         let d5_queries: Vec<UotsQuery> = {
             let df = |k: uots_text::KeywordId| d5_ds.keyword_index.values_for(k).len();
             let rare: Vec<uots_text::KeywordId> = (0..d5_ds.vocab.len() as u32)

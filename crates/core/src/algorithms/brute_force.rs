@@ -20,7 +20,10 @@ use uots_obs::{Phase, Recorder};
 /// replayed, the full component is settled either way, and the drained
 /// (exhausted) prefixes are published back, making the brute force an
 /// ideal cache warmer. Distances and results are bit-identical to the
-/// tree path.
+/// tree path. As one shard run of a scattered query
+/// ([`SearchContext::scattered`]) it drains the query's shared
+/// [`crate::SettleLogs`] the same way — one drain per query, replayed by
+/// the other shards — and ignores the floor.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BruteForce;
 
@@ -40,7 +43,10 @@ impl Algorithm for BruteForce {
         let start = std::time::Instant::now();
         let mut gate = Gate::new(&query.options().budget, ctl);
         let mut metrics = SearchMetrics::for_one_query();
-        let cached = ctx.cache().is_some();
+        // drained through `CachedSource`s whenever someone else reads the
+        // drain: a distance cache, or the other shard runs of a scattered
+        // query (who then replay it instead of draining again)
+        let cached = ctx.cache().is_some() || ctx.is_scattered();
 
         let textual = TextualEval::new(
             query.options().text_measure,
@@ -75,7 +81,7 @@ impl Algorithm for BruteForce {
             }
             multi = Some(ms);
         } else {
-            for &v in query.locations() {
+            for (i, &v) in query.locations().iter().enumerate() {
                 // a tree settles its whole component at once, so count it
                 // against the budget before paying for the next one
                 if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
@@ -83,7 +89,7 @@ impl Algorithm for BruteForce {
                     break;
                 }
                 if cached {
-                    let mut src = CachedSource::start(db.network, v, ctx.cache());
+                    let mut src = CachedSource::for_location(db.network, ctx, i, v);
                     rec.enter(Phase::CacheReplay);
                     while src.in_replay() {
                         src.next_settled();
@@ -126,12 +132,8 @@ impl Algorithm for BruteForce {
         rec.leave();
         // fully drained prefixes are ideal cache content, but an
         // interrupted run publishes nothing (poison-on-cancel)
-        for src in &mut sources {
-            if interrupted {
-                src.poison();
-            } else {
-                src.publish();
-            }
+        for src in sources {
+            src.settle(!interrupted);
         }
         // conservative certificate: with no per-trajectory bounds, an
         // unevaluated trajectory could score up to 1 (gap 1.0 when nothing

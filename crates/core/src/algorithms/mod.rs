@@ -51,6 +51,10 @@ pub trait Algorithm {
     /// state the result must be identical to a run under the empty context
     /// (enforced by `tests/differential.rs`). A run that is interrupted
     /// must not publish partial expansion state to the shared cache.
+    /// The one exception is a [`SearchContext::scattered`] context, whose
+    /// floor lets a shard run leave out what provably cannot reach the
+    /// cluster's merged answer; an implementation may also ignore the
+    /// floor and the settle logs and answer in full.
     ///
     /// Use one recorder per query: the implementation publishes
     /// `rec.phases_snapshot()` into the result's `metrics.phases`, so a

@@ -35,7 +35,11 @@ use uots_trajectory::TrajectoryId;
 /// With a [`SearchContext`] cache the up-front per-location trees are
 /// acquired by draining [`CachedSource`]s to exhaustion (replaying cached
 /// prefixes) and the drained prefixes are published back on clean
-/// completion; distances and results are bit-identical either way.
+/// completion; distances and results are bit-identical either way. As
+/// one shard run of a scattered query ([`SearchContext::scattered`]) the
+/// drain goes through the query's shared [`crate::SettleLogs`] — one drain
+/// per query, replayed by the other shards — and the refine loop stops at
+/// `max(k-th best, floor)`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextFirst;
 
@@ -109,7 +113,10 @@ impl Algorithm for TextFirst {
 
         // ---- refine: exact evaluation in bound order ----
         rec.enter(Phase::NetworkExpansion);
-        let cached = ctx.cache().is_some();
+        // drained through `CachedSource`s whenever someone else reads the
+        // drain: a distance cache, or the other shard runs of a scattered
+        // query (who then replay it instead of draining again)
+        let cached = ctx.cache().is_some() || ctx.is_scattered();
         let mut trees = Vec::new();
         let mut sources: Vec<CachedSource<'_>> = Vec::new();
         let mut multi: Option<MultiSourceExpansion<'_>> = None;
@@ -132,13 +139,13 @@ impl Algorithm for TextFirst {
             }
             multi = Some(ms);
         } else {
-            for &v in query.locations() {
+            for (i, &v) in query.locations().iter().enumerate() {
                 if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
                     interrupted = true;
                     break;
                 }
                 if cached {
-                    let mut src = CachedSource::start(db.network, v, ctx.cache());
+                    let mut src = CachedSource::for_location(db.network, ctx, i, v);
                     rec.enter(Phase::CacheReplay);
                     while src.in_replay() {
                         src.next_settled();
@@ -159,6 +166,7 @@ impl Algorithm for TextFirst {
 
         rec.enter(Phase::CandidateRefine);
         let mut topk = TopK::new(opts.k);
+        let floor = ctx.floor();
         // index of the first bound not yet refined — the interruption
         // certificate: every unrefined trajectory scores at most its bound,
         // and bounds are sorted descending
@@ -168,8 +176,10 @@ impl Algorithm for TextFirst {
                 next_bound = ub;
                 // strict: a trajectory whose bound ties the k-th best could
                 // still realize exactly that similarity and win the id
-                // tie-break, so only `kth > ub` proves it irrelevant
-                if topk.threshold() > ub {
+                // tie-break, so only `kth > ub` proves it irrelevant (the
+                // floor of a scattered run stands in for a k-th best held
+                // elsewhere)
+                if topk.threshold().max(floor) > ub {
                     next_bound = 0.0;
                     break; // no later trajectory can beat the k-th best
                 }
@@ -195,18 +205,14 @@ impl Algorithm for TextFirst {
             }
         }
         rec.leave();
-        for src in &mut sources {
-            if interrupted {
-                src.poison();
-            } else {
-                src.publish();
-            }
+        for src in sources {
+            src.settle(!interrupted);
         }
 
         let completeness = if interrupted {
             metrics.interrupted = 1;
             Completeness::BestEffort {
-                bound_gap: (next_bound - topk.threshold().max(0.0)).clamp(0.0, 1.0),
+                bound_gap: (next_bound - topk.threshold().max(floor).max(0.0)).clamp(0.0, 1.0),
             }
         } else {
             Completeness::Exact

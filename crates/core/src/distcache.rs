@@ -50,7 +50,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use uots_network::expansion::{NetworkExpansion, Settled};
+use uots_network::expansion::{ExpansionState, NetworkExpansion, Settled};
 use uots_network::landmarks::Landmarks;
 use uots_network::{NodeId, RoadNetwork};
 use uots_obs::{Counter, EventJournal, MetricsRegistry};
@@ -443,10 +443,15 @@ impl DistanceCache {
 /// shared [`DistanceCache`] and optional ALT [`Landmarks`] for admission
 /// pruning. `Default` is the empty context (no cache, no landmarks) —
 /// exactly the pre-cache behavior.
+///
+/// A cluster scatter additionally hands each shard run the query's
+/// [`SettleLogs`] and a similarity floor ([`scattered`](Self::scattered)).
 #[derive(Debug, Clone, Default)]
 pub struct SearchContext {
     cache: Option<Arc<DistanceCache>>,
     landmarks: Option<Arc<Landmarks>>,
+    /// The scattered query's logs and this run's floor.
+    scatter: Option<(Arc<SettleLogs>, f64)>,
 }
 
 impl SearchContext {
@@ -459,7 +464,7 @@ impl SearchContext {
     pub fn with_cache(cache: Arc<DistanceCache>) -> Self {
         SearchContext {
             cache: Some(cache),
-            landmarks: None,
+            ..Self::default()
         }
     }
 
@@ -490,6 +495,31 @@ impl SearchContext {
         self.landmarks.as_deref()
     }
 
+    /// This context for one shard run of a scattered query: the engine
+    /// shares `logs` with the query's other shard runs (one expansion per
+    /// query location, see [`SettleLogs`]) and prunes against
+    /// `max(local k-th, floor)`. The caller guarantees that at least `k`
+    /// trajectories outside this run score `floor` or more, so nothing
+    /// strictly below it can enter the merged answer.
+    pub fn scattered(&self, logs: &Arc<SettleLogs>, floor: f64) -> Self {
+        SearchContext {
+            scatter: Some((Arc::clone(logs), floor)),
+            ..self.clone()
+        }
+    }
+
+    /// Whether this is the context of one shard run of a scattered query.
+    pub fn is_scattered(&self) -> bool {
+        self.scatter.is_some()
+    }
+
+    /// The similarity floor of a scattered run; `-∞` otherwise.
+    pub fn floor(&self) -> f64 {
+        self.scatter
+            .as_ref()
+            .map_or(f64::NEG_INFINITY, |&(_, floor)| floor)
+    }
+
     /// Whether the context carries neither cache nor landmarks.
     pub fn is_empty(&self) -> bool {
         self.cache.is_none() && self.landmarks.is_none()
@@ -503,23 +533,94 @@ pub fn no_cache_env() -> bool {
     std::env::var_os("UOTS_NO_CACHE").is_some_and(|v| v != *"0")
 }
 
+/// One query location's expansion, parked between the shard runs of a
+/// scattered query: the cached prefix it was seeded from, every vertex
+/// settled live since, and the expansion that settled them.
+#[derive(Debug)]
+struct SourceLog {
+    exp: ExpansionState,
+    base: Option<Arc<SourcePrefix>>,
+    fresh: Vec<Settled>,
+}
+
+/// The settle logs of one scattered query, one slot per query location.
+///
+/// Every shard of a cluster serves the same road network, so the shard
+/// runs of one query would each repeat the same Dijkstra from the same
+/// sources. Instead the first run to need location `i` starts the
+/// expansion (probing the [`DistanceCache`] once); when it ends it parks
+/// the expansion here together with what it settled, and each later run
+/// picks it up through [`CachedSource::for_location`], replays the log
+/// from the start and only then settles further. Runs take turns — a slot
+/// is empty while a run holds its log.
+#[derive(Debug)]
+pub struct SettleLogs {
+    slots: Vec<Mutex<Option<SourceLog>>>,
+    replayed: AtomicU64,
+}
+
+impl SettleLogs {
+    /// Empty logs for a query with `locations` query locations.
+    pub fn new(locations: usize) -> Self {
+        SettleLogs {
+            slots: (0..locations).map(|_| Mutex::new(None)).collect(),
+            replayed: AtomicU64::new(0),
+        }
+    }
+
+    /// Ends the query: each location's extended prefix is published to
+    /// `cache` once, or — when some run was interrupted (`clean == false`)
+    /// — poisoned once. Returns how many vertices the runs were delivered
+    /// from a log instead of settling them.
+    pub fn finish(
+        &self,
+        net: &RoadNetwork,
+        cache: Option<&Arc<DistanceCache>>,
+        clean: bool,
+    ) -> u64 {
+        for slot in &self.slots {
+            let (Some(log), Some(cache)) = (lock_ok(slot).take(), cache) else {
+                continue;
+            };
+            let mut src = CachedSource::resumed(net, log, Some(cache));
+            if clean {
+                src.publish();
+            } else {
+                src.poison();
+            }
+        }
+        self.replayed.load(Ordering::Relaxed)
+    }
+}
+
 /// A cache-aware expansion source: replays a cached prefix (if the cache
 /// holds one for the source), then continues live Dijkstra, recording the
 /// newly settled vertices so the *extended* prefix can be published back
-/// on clean completion.
+/// on clean completion. Within a scattered query
+/// ([`for_location`](Self::for_location)) it also replays what the query's
+/// earlier shard runs settled.
 ///
 /// The interface mirrors [`NetworkExpansion`] where the engine consumes
 /// it; during replay, `radius()` / `unsettled_lower_bound()` report the
-/// **last replayed distance** (not the cached prefix's final radius):
-/// vertices later in the prefix have not been delivered yet, so only the
+/// **last replayed distance** (not the radius the producer reached):
+/// vertices later in the replay have not been delivered yet, so only the
 /// replay-local radius is a sound lower bound for the consumer.
 pub struct CachedSource<'a> {
     exp: NetworkExpansion<'a>,
     cache: Option<Arc<DistanceCache>>,
+    /// Where [`settle`](Self::settle) parks the expansion (scattered
+    /// queries only).
+    park: Option<(Arc<SettleLogs>, usize)>,
     base: Option<Arc<SourcePrefix>>,
+    /// Vertices settled live since `base`, oldest first — kept only when
+    /// a cache or a later shard run will read them.
+    fresh: Vec<Settled>,
+    record: bool,
+    /// The replay: `base`'s settled vertices, then the `fresh` ones that
+    /// were already there when this consumer started.
+    replay_len: usize,
     cursor: usize,
     replay_radius: f64,
-    fresh: Vec<Settled>,
     finished: bool,
 }
 
@@ -529,15 +630,60 @@ impl<'a> CachedSource<'a> {
     pub fn start(net: &'a RoadNetwork, source: NodeId, cache: Option<&Arc<DistanceCache>>) -> Self {
         let mut s = CachedSource {
             exp: NetworkExpansion::new(net),
+            record: cache.is_some(),
             cache: cache.cloned(),
+            park: None,
             base: None,
+            fresh: Vec::new(),
+            replay_len: 0,
             cursor: 0,
             replay_radius: 0.0,
-            fresh: Vec::new(),
             finished: false,
         };
         s.begin(source);
         s
+    }
+
+    /// The source for query location `i` (`source`) of the query `ctx`
+    /// belongs to. Outside a scattered query this is [`start`](Self::start)
+    /// on the context's cache. Inside one, the first shard run to ask
+    /// starts the expansion and every later one resumes it behind a replay
+    /// of the location's log; either way [`settle`](Self::settle) parks it
+    /// for the next run.
+    pub fn for_location(
+        net: &'a RoadNetwork,
+        ctx: &SearchContext,
+        i: usize,
+        source: NodeId,
+    ) -> Self {
+        let Some((logs, _)) = &ctx.scatter else {
+            return Self::start(net, source, ctx.cache());
+        };
+        let mut s = match lock_ok(&logs.slots[i]).take() {
+            Some(log) => Self::resumed(net, log, None),
+            None => Self::start(net, source, ctx.cache()),
+        };
+        debug_assert_eq!(s.source(), source);
+        s.park = Some((Arc::clone(logs), i));
+        s.record = true;
+        s
+    }
+
+    /// A consumer at the start of a parked log.
+    fn resumed(net: &'a RoadNetwork, log: SourceLog, cache: Option<&Arc<DistanceCache>>) -> Self {
+        let base_len = log.base.as_ref().map_or(0, |b| b.settled.len());
+        CachedSource {
+            exp: NetworkExpansion::attach(net, log.exp),
+            record: cache.is_some(),
+            cache: cache.cloned(),
+            park: None,
+            replay_len: base_len + log.fresh.len(),
+            base: log.base,
+            fresh: log.fresh,
+            cursor: 0,
+            replay_radius: 0.0,
+            finished: false,
+        }
     }
 
     /// Restarts from a new source, reusing the scratch buffers (for join
@@ -556,9 +702,13 @@ impl<'a> CachedSource<'a> {
         self.base = self.cache.as_ref().and_then(|c| c.probe(source));
         match &self.base {
             Some(prefix) => {
+                self.replay_len = prefix.settled.len();
                 self.exp.resume(source, &prefix.settled, &prefix.frontier);
             }
-            None => self.exp.start(source),
+            None => {
+                self.replay_len = 0;
+                self.exp.start(source);
+            }
         }
     }
 
@@ -567,12 +717,10 @@ impl<'a> CachedSource<'a> {
         self.exp.source()
     }
 
-    /// Whether a cached prefix is still being replayed.
+    /// Whether a cached prefix or a shared log is still being replayed.
     #[inline]
     pub fn in_replay(&self) -> bool {
-        self.base
-            .as_ref()
-            .is_some_and(|b| self.cursor < b.settled.len())
+        self.cursor < self.replay_len
     }
 
     /// Whether this source started from a cache hit.
@@ -580,20 +728,22 @@ impl<'a> CachedSource<'a> {
         self.base.is_some()
     }
 
-    /// Next settled vertex: replayed from the cached prefix while one is
-    /// pending, then live Dijkstra.
+    /// Next settled vertex: replayed while a replay is pending, then live
+    /// Dijkstra.
     #[inline]
     pub fn next_settled(&mut self) -> Option<Settled> {
-        if let Some(base) = &self.base {
-            if self.cursor < base.settled.len() {
-                let s = base.settled[self.cursor];
-                self.cursor += 1;
-                self.replay_radius = s.dist;
-                return Some(s);
-            }
+        if self.cursor < self.replay_len {
+            let base = self.base.as_ref().map_or(&[][..], |b| &b.settled);
+            let s = match base.get(self.cursor) {
+                Some(&s) => s,
+                None => self.fresh[self.cursor - base.len()],
+            };
+            self.cursor += 1;
+            self.replay_radius = s.dist;
+            return Some(s);
         }
         let s = self.exp.next_settled();
-        if let Some(s) = s {
+        if let (Some(s), true) = (s, self.record) {
             self.fresh.push(s);
         }
         s
@@ -698,6 +848,28 @@ impl<'a> CachedSource<'a> {
             }
         }
     }
+
+    /// Ends this consumer's run. Inside a scattered query the expansion is
+    /// parked for the query's next shard run, whether or not this run was
+    /// interrupted — its settles are final either way, and
+    /// [`SettleLogs::finish`] decides about the cache once for the whole
+    /// query. Otherwise [`publish`](Self::publish) when `clean`, else
+    /// [`poison`](Self::poison).
+    pub fn settle(mut self, clean: bool) {
+        if let Some((logs, i)) = self.park.take() {
+            logs.replayed
+                .fetch_add(self.cursor as u64, Ordering::Relaxed);
+            *lock_ok(&logs.slots[i]) = Some(SourceLog {
+                exp: self.exp.detach(),
+                base: self.base,
+                fresh: self.fresh,
+            });
+        } else if clean {
+            self.publish();
+        } else {
+            self.poison();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -778,6 +950,66 @@ mod tests {
             }
         }
         assert!(second.is_exhausted());
+    }
+
+    #[test]
+    fn settles_are_recorded_only_for_a_reader() {
+        let net = net();
+        let mut alone = CachedSource::start(&net, NodeId(2), None);
+        drain(&mut alone);
+        assert!(alone.fresh.is_empty(), "no cache, no log: nothing to keep");
+        let cache = Arc::new(DistanceCache::new(1 << 16));
+        let mut cached = CachedSource::start(&net, NodeId(2), Some(&cache));
+        drain(&mut cached);
+        assert_eq!(cached.fresh.len(), net.num_nodes());
+    }
+
+    /// The shard runs of a scattered query take turns on one expansion:
+    /// each replays what its predecessors settled — with a radius that
+    /// trails its *own* cursor — before settling further, and together
+    /// they deliver exactly a lone run's sequence.
+    #[test]
+    fn scattered_runs_share_one_expansion_per_location() {
+        let net = net();
+        let whole = drain(&mut CachedSource::start(&net, NodeId(4), None));
+        let cache = Arc::new(DistanceCache::new(1 << 16));
+        let logs = Arc::new(SettleLogs::new(1));
+        let ctx = SearchContext::with_cache(Arc::clone(&cache)).scattered(&logs, 0.25);
+        assert_eq!(ctx.floor(), 0.25);
+        assert_eq!(SearchContext::new().floor(), f64::NEG_INFINITY);
+
+        let mut first = CachedSource::for_location(&net, &ctx, 0, NodeId(4));
+        for want in &whole[..10] {
+            assert!(!first.in_replay());
+            assert_eq!(first.next_settled().as_ref(), Some(want));
+        }
+        first.settle(true);
+        assert_eq!(cache.stats().inserts, 0, "parked, not published");
+
+        // an interrupted run in the middle costs the log nothing
+        let mut second = CachedSource::for_location(&net, &ctx, 0, NodeId(4));
+        for want in &whole[..10] {
+            assert!(second.in_replay() && !second.is_exhausted());
+            assert_eq!(second.next_settled().as_ref(), Some(want));
+            assert_eq!(second.radius(), want.dist);
+            assert_eq!(second.unsettled_lower_bound(), want.dist);
+        }
+        assert!(!second.in_replay());
+        assert_eq!(second.next_settled().as_ref(), Some(&whole[10]));
+        second.settle(false);
+
+        let mut third = CachedSource::for_location(&net, &ctx, 0, NodeId(4));
+        assert_eq!(drain(&mut third), whole);
+        assert!(third.is_exhausted());
+        third.settle(true);
+
+        // 10 + 11 replayed deliveries; one probe, one publication
+        assert_eq!(logs.finish(&net, ctx.cache(), true), 21);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.inserts), (1, 0, 1));
+        let published = cache.probe(NodeId(4)).unwrap();
+        assert_eq!(published.settled(), &whole[..]);
+        assert!(published.is_exhausted());
     }
 
     #[test]

@@ -48,6 +48,16 @@
 //! that merely *ties* `kth` stays live (it may still win the slot on the
 //! ascending-id tie-break). The sweeps walk a compact list of live slots,
 //! so the loop pays only for state that can still matter.
+//!
+//! ## Running as one shard of a scattered query
+//!
+//! Under a [`SearchContext::scattered`] context `kth` above reads
+//! `max(kth, floor)` everywhere — retirement, termination, the interrupt
+//! gap — where the floor is the k-th score the cluster's other shards
+//! already hold: the run stops as soon as nothing local can still beat
+//! it, and reports what it found (possibly fewer than `k` matches). Its
+//! spatial sources come from the query's [`crate::SettleLogs`], so the
+//! shards of one query share one expansion per query location.
 
 use crate::budget::{Completeness, Gate, RunControl};
 use crate::distcache::{CachedSource, SearchContext};
@@ -173,15 +183,24 @@ impl Ord for BoundEntry {
 /// What the search collects: the best `k` matches, or every match reaching
 /// a fixed similarity threshold.
 enum Collector {
-    TopK(TopK),
-    Threshold { theta: f64, matches: Vec<Match> },
+    /// `floor` is the scattered run's similarity floor
+    /// ([`SearchContext::floor`]; `-∞` outside a cluster scatter): `k`
+    /// trajectories this run never sees already score that much.
+    TopK {
+        top: TopK,
+        floor: f64,
+    },
+    Threshold {
+        theta: f64,
+        matches: Vec<Match>,
+    },
 }
 
 impl Collector {
     fn offer(&mut self, m: Match) {
         match self {
-            Collector::TopK(t) => {
-                t.offer(m);
+            Collector::TopK { top, .. } => {
+                top.offer(m);
             }
             Collector::Threshold { theta, matches } => {
                 if m.similarity >= *theta {
@@ -192,18 +211,20 @@ impl Collector {
     }
 
     /// The similarity every still-unseen trajectory must beat to matter:
-    /// the k-th best so far (top-k mode; `-∞` until `k` found) or the fixed
-    /// threshold.
+    /// the k-th best so far or the floor, whichever is higher (top-k mode;
+    /// `-∞` until `k` found and without a floor), or the fixed threshold.
+    /// The floor never exceeds the final k-th of the merged answer, so
+    /// the strict `ub < threshold` tests stay exact under it.
     fn pruning_threshold(&self) -> f64 {
         match self {
-            Collector::TopK(t) => t.threshold(),
+            Collector::TopK { top, floor } => top.threshold().max(*floor),
             Collector::Threshold { theta, .. } => *theta,
         }
     }
 
     fn into_sorted(self) -> Vec<Match> {
         match self {
-            Collector::TopK(t) => t.into_sorted(),
+            Collector::TopK { top, .. } => top.into_sorted(),
             Collector::Threshold { mut matches, .. } => {
                 matches.sort_by(Match::ranking_cmp);
                 matches
@@ -212,14 +233,12 @@ impl Collector {
     }
 
     /// Whether a zero interrupt gap proves exactness: it does once the
-    /// pruning threshold is real (top-k full, or any fixed θ). With an
-    /// unfilled top-k even a zero-bound unseen trajectory still belongs in
-    /// the answer, so the interrupted result must stay best-effort.
+    /// pruning threshold is real (top-k full, a finite floor, or any fixed
+    /// θ). With an unfilled top-k and no floor even a zero-bound unseen
+    /// trajectory still belongs in the answer, so the interrupted result
+    /// must stay best-effort.
     fn zero_gap_is_exact(&self) -> bool {
-        match self {
-            Collector::TopK(t) => t.threshold() != f64::NEG_INFINITY,
-            Collector::Threshold { .. } => true,
-        }
+        self.pruning_threshold() != f64::NEG_INFINITY
     }
 }
 
@@ -302,7 +321,10 @@ pub fn expansion_search_ctx(
     }
     let start = std::time::Instant::now();
     let mut gate = Gate::new(&query.options().budget, ctl);
-    let collector = Collector::TopK(TopK::new(query.options().k));
+    let collector = Collector::TopK {
+        top: TopK::new(query.options().k),
+        floor: ctx.floor(),
+    };
     let mut engine = Engine::new(db, query, scheduler, collector, rec, ctx);
     let interrupt = engine.run(&mut gate);
     engine.settle_cache(interrupt.is_none());
@@ -559,7 +581,8 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let spatial: Vec<CachedSource<'a>> = query
             .locations()
             .iter()
-            .map(|&v| CachedSource::start(db.network, v, ctx.cache()))
+            .enumerate()
+            .map(|(i, &v)| CachedSource::for_location(db.network, ctx, i, v))
             .collect();
         let temporal: Vec<TimeExpansion<'a, TrajectoryId>> =
             if query.options().weights.uses_temporal() {
@@ -1028,17 +1051,15 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         w.spatial * spatial_ub + w.textual * self.states.textual[slot] + w.temporal * temporal_ub
     }
 
-    /// Publishes every spatial source's (possibly extended) prefix to the
-    /// shared cache on clean completion, or poisons them all after an
-    /// interruption — a budget-tripped or cancelled run must never publish
-    /// state a later query would replay as finalized.
+    /// Ends every spatial source's run ([`CachedSource::settle`]): the
+    /// (possibly extended) prefixes are published to the shared cache on
+    /// clean completion and poisoned after an interruption — a
+    /// budget-tripped or cancelled run must never publish state a later
+    /// query would replay as finalized — or, inside a scattered query,
+    /// parked for the next shard run.
     fn settle_cache(&mut self, clean: bool) {
-        for s in &mut self.spatial {
-            if clean {
-                s.publish();
-            } else {
-                s.poison();
-            }
+        for s in std::mem::take(&mut self.spatial) {
+            s.settle(clean);
         }
     }
 

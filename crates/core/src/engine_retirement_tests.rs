@@ -256,3 +256,78 @@ proptest! {
         }
     }
 }
+
+/// Runs the plateau query as one shard of a scattered query under `floor`.
+fn floored(db: &Database<'_>, q: &UotsQuery, s: Scheduler, floor: f64) -> QueryResult {
+    let logs = std::sync::Arc::new(crate::SettleLogs::new(q.num_locations()));
+    let ctx = SearchContext::new().scattered(&logs, floor);
+    let ctl = RunControl::unbounded();
+    expansion_search_ctx(db, q, s, &ctl, &mut Recorder::disabled(), &ctx).unwrap()
+}
+
+/// A floor is a pruning threshold like the k-th score: a trajectory whose
+/// bound *equals* it stays live and is reported (it may win the merged
+/// tie-break), one strictly below it is never evaluated, and once nothing
+/// can reach it the run ends — exact, with an unfilled top-k.
+#[test]
+fn a_floor_prunes_strictly_and_terminates_an_unfilled_run() {
+    let (net, store) = plateau(3);
+    let vidx = store.build_vertex_index(net.num_nodes());
+    let db = Database::new(&net, &store, &vidx);
+    let q = plateau_query(16);
+    let oracle = BruteForce.run(&db, &q).unwrap();
+    let tie = oracle.matches[0].similarity;
+    assert_eq!(tie.to_bits(), oracle.matches[15].similarity.to_bits());
+    for s in SCHEDULERS {
+        let free = expansion_search(&db, &q, s).unwrap();
+
+        // floor == the plateau: all sixteen survive, the badly tagged
+        // neighbours are retired instead of evaluated, and the run stops
+        // by bound although its own top-k never fills past the plateau
+        let at = floored(&db, &plateau_query(20), s, tie);
+        assert!(at.completeness.is_exact(), "{s:?}");
+        assert_eq!(bits(&at), bits(&oracle), "{s:?}");
+        assert!(at.metrics.candidates <= free.metrics.candidates, "{s:?}");
+
+        // one ulp above it: nothing here can matter. As soon as the
+        // centre's radius reaches the ring, every trajectory — seen or not
+        // — is bounded at the plateau, strictly below the floor, and the
+        // run stops with most of its top-k empty
+        let above = floored(&db, &q, s, f64::from_bits(tie.to_bits() + 1));
+        assert!(above.completeness.is_exact(), "{s:?}");
+        assert!(above.matches.len() < 16, "{s:?}");
+        assert!(above.metrics.candidates < free.metrics.candidates, "{s:?}");
+        assert!(
+            above.metrics.settled_vertices < free.metrics.settled_vertices,
+            "{s:?}: {} vs {}",
+            above.metrics.settled_vertices,
+            free.metrics.settled_vertices
+        );
+    }
+}
+
+/// Interrupted under a floor, the run measures its gap from the floor (its
+/// pruning threshold), and a gap of zero there is an exact answer even
+/// though fewer than `k` matches were found.
+#[test]
+fn an_interrupted_floored_run_certifies_from_its_floor() {
+    let (net, store) = plateau(0);
+    let vidx = store.build_vertex_index(net.num_nodes());
+    let db = Database::new(&net, &store, &vidx);
+    let budgeted = |max_settled| {
+        let mut opts = plateau_query(16).options().clone();
+        opts.budget = ExecutionBudget::default().with_max_settled(max_settled);
+        plateau_query(16).reoptioned(opts).unwrap()
+    };
+    let s = Scheduler::RoundRobin;
+    // no floor: one settle in, nothing is certified below similarity 1
+    let bare = expansion_search(&db, &budgeted(1), s).unwrap();
+    let bare_gap = bare.completeness.bound_gap();
+    assert!(!bare.completeness.is_exact() && bare.matches.is_empty());
+    // a floor of 0.9 is the base the same interruption measures from
+    let run = floored(&db, &budgeted(1), s, 0.9);
+    assert!(run.matches.is_empty());
+    assert!((run.completeness.bound_gap() - (bare_gap - 0.9)).abs() < 1e-12);
+    // and with the floor at the top of the scale the gap is zero: exact
+    assert!(floored(&db, &budgeted(1), s, 1.0).completeness.is_exact());
+}

@@ -82,7 +82,7 @@ pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
 pub use csr::{CsrError, CsrGraph, MsSettled, MultiSourceExpansion};
 pub use db::{Database, LayoutTables};
 pub use distcache::{
-    no_cache_env, CacheStats, CachedSource, DistanceCache, SearchContext, SourcePrefix,
+    no_cache_env, CacheStats, CachedSource, DistanceCache, SearchContext, SettleLogs, SourcePrefix,
     DEFAULT_CACHE_CAPACITY,
 };
 pub use engine::{

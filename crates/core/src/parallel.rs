@@ -24,6 +24,7 @@ use crate::algorithms::Algorithm;
 use crate::budget::{CancellationToken, RunControl};
 use crate::distcache::SearchContext;
 use crate::epoch::{EpochManager, EpochSnapshot};
+use crate::shard::{ClusterSnapshot, ShardedAnswer};
 use crate::{CoreError, Database, QueryResult, SearchMetrics, UotsQuery};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -209,6 +210,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs one query's work, turning a panic into that query's
+/// [`CoreError::QueryPanicked`].
+fn isolated<T>(run: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    catch_unwind(AssertUnwindSafe(run))
+        .unwrap_or_else(|payload| Err(CoreError::QueryPanicked(panic_message(payload))))
+}
+
 fn run_isolated<A: Algorithm + ?Sized>(
     db: &Database<'_>,
     algorithm: &A,
@@ -216,11 +224,7 @@ fn run_isolated<A: Algorithm + ?Sized>(
     ctl: &RunControl,
     ctx: &SearchContext,
 ) -> Result<QueryResult, CoreError> {
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut rec = Recorder::disabled();
-        algorithm.run_ctx(db, query, ctl, &mut rec, ctx)
-    }))
-    .unwrap_or_else(|payload| Err(CoreError::QueryPanicked(panic_message(payload))))
+    isolated(|| algorithm.run_ctx(db, query, ctl, &mut Recorder::disabled(), ctx))
 }
 
 /// [`run_isolated`], optionally reporting to an observer. Observed queries
@@ -366,7 +370,28 @@ pub fn run_batch_observed_ctx<A: Algorithm + Sync>(
     run_batch_inner(db, algorithm, queries, opts, token, Some(obs), ctx)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// [`run_batch_ctx`] over a sharded cut: each query is one
+/// [`ClusterSnapshot::search_ctx`] walk, sequential across its shards, so
+/// the batch's parallelism comes from running whole queries on the pool —
+/// exactly as on a single store. Same admission bound, deadline, token,
+/// panic isolation and input-order slots.
+///
+/// # Errors
+///
+/// See [`run_batch_with`].
+pub fn run_batch_cluster<A: Algorithm + Sync>(
+    cut: &ClusterSnapshot,
+    algorithm: &A,
+    queries: &[UotsQuery],
+    opts: &BatchOptions,
+    token: &CancellationToken,
+    ctx: &SearchContext,
+) -> Result<Vec<Result<ShardedAnswer, CoreError>>, CoreError> {
+    fan_out(queries, opts, token, None, |q, ctl| {
+        isolated(|| cut.search_ctx(algorithm, q, ctl, ctx))
+    })
+}
+
 fn run_batch_inner<A: Algorithm + Sync>(
     db: &Database<'_>,
     algorithm: &A,
@@ -376,6 +401,20 @@ fn run_batch_inner<A: Algorithm + Sync>(
     obs: Option<&BatchObserver>,
     ctx: &SearchContext,
 ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
+    fan_out(queries, opts, token, obs, |q, ctl| {
+        run_observed(db, algorithm, q, ctl, obs, ctx)
+    })
+}
+
+/// The batch executor proper: admission bound, pool, the batch's
+/// [`RunControl`], one `run` per query in input order, fail-fast policy.
+fn fan_out<T: Send>(
+    queries: &[UotsQuery],
+    opts: &BatchOptions,
+    token: &CancellationToken,
+    obs: Option<&BatchObserver>,
+    run: impl Fn(&UotsQuery, &RunControl) -> Result<T, CoreError> + Sync,
+) -> Result<Vec<Result<T, CoreError>>, CoreError> {
     if let Some(cap) = opts.max_batch {
         if queries.len() > cap {
             if let Some(o) = obs {
@@ -398,12 +437,8 @@ fn run_batch_inner<A: Algorithm + Sync>(
     if let Some(d) = opts.deadline {
         ctl = ctl.with_deadline(Instant::now() + d);
     }
-    let results: Vec<Result<QueryResult, CoreError>> = pool.install(|| {
-        queries
-            .par_iter()
-            .map(|q| run_observed(db, algorithm, q, &ctl, obs, ctx))
-            .collect()
-    });
+    let results: Vec<Result<T, CoreError>> =
+        pool.install(|| queries.par_iter().map(|q| run(q, &ctl)).collect());
     if opts.policy == BatchPolicy::FailFast {
         if let Some(err) = results.iter().find_map(|r| r.as_ref().err()) {
             return Err(err.clone());

@@ -24,58 +24,68 @@
 //! similarity search). Routing is table-based (explicit global ↔ local
 //! maps, frozen per publish).
 //!
-//! ## Scatter-gather with threshold push-back
+//! ## Scatter-gather: one expansion per query, a carried floor
 //!
-//! [`ClusterSnapshot::search_ctx`] scatters one query to every shard;
-//! each shard runs its own per-query plan against its own snapshot. The
-//! coordinator maintains a global k-th-score threshold over the shards
-//! that have already completed exactly; whenever it tightens, the
-//! coordinator *pushes it back* to lagging shards by cancelling any shard
-//! whose **per-shard upper bound** falls below it. The upper bound
-//! ([`shard_upper_bound`]) is the only sound one available without
-//! touching trajectory data: `w_s·1 + w_tm·1 + w_tx·SimT_ub`, where for
-//! Jaccard `SimT_ub = |{q ∈ Q : df_shard(q) > 0}| / |Q|` (a trajectory of
-//! the shard can only intersect `Q` on keywords with local postings, and
-//! `|Q ∪ T| ≥ |Q|`). Non-Jaccard measures fall back to the trivial `1.0`.
+//! [`ClusterSnapshot::search_ctx`] walks the shards **one after another
+//! on the calling thread, by descending per-shard upper bound**; each
+//! shard runs its own per-query plan against its own snapshot. Two things
+//! travel along the walk:
 //!
-//! ## Determinism contract
+//! * **The settle logs.** Every shard serves the same road network, so
+//!   the query owns *one* network expansion per query location
+//!   ([`SettleLogs`]): the first shard run extends it, every later run
+//!   replays what was settled before settling further. The cluster pays
+//!   for the farthest radius any shard needs, not for the sum of them.
+//! * **The floor.** The coordinator's running global [`TopK`] holds real
+//!   matches of the shards already walked; its k-th score goes into the
+//!   next run as a floor ([`SearchContext::scattered`]) and the engine
+//!   prunes, retires and terminates against `max(local k-th, floor)`. A
+//!   shard whose **upper bound** is strictly below the floor at its turn
+//!   is not run at all.
 //!
-//! The gather is computed from the complete per-shard outcomes, never
-//! from the cancellation race:
+//! The upper bound ([`shard_upper_bound`]) is the only sound one available
+//! without touching trajectory data: `w_s·1 + w_tm·1 + w_tx·SimT_ub`,
+//! where for Jaccard `SimT_ub = |{q ∈ Q : df_shard(q) > 0}| / |Q|` (a
+//! trajectory of the shard can only intersect `Q` on keywords with local
+//! postings, and `|Q ∪ T| ≥ |Q|`). Non-Jaccard measures fall back to the
+//! trivial `1.0`.
 //!
-//! * every shard that completed **exactly** is merged (through
-//!   [`TopK`], i.e. the same total order as everywhere else:
-//!   [`Match::ranking_cmp`], ties by ascending *global* id);
-//! * the exact-merge threshold `T` then classifies every best-effort
-//!   shard: if its upper bound is strictly below `T` the shard is **cut**
-//!   — discarded entirely, *without* degrading the completeness
-//!   certificate, because the bound proves nothing above `T` lives there;
-//!   otherwise its partial matches merge and the answer's certified gap
-//!   widens accordingly.
+//! ## Exactness and determinism
 //!
-//! A shard cancelled by push-back either finished exactly anyway (its
-//! matches merge but all sit below `T`, so they change nothing) or
-//! returns best-effort with its bound below `T` (it is cut). Either way
-//! the *answer* — matches and completeness — is identical, so results are
-//! bit-identical to the unsharded engine for exact runs at any shard
-//! count, and a 1-shard cluster is bit-identical always (interrupted runs
-//! included, via the single-shard passthrough). Only the effort
-//! diagnostics ([`ShardedAnswer::shards_cut`] /
-//! [`ShardedAnswer::shards_cancelled`], per-shard metrics) depend on
-//! timing.
+//! The floor is the k-th score of `k` real trajectories, so it never
+//! exceeds the final global k-th. Whatever a run leaves unreported under
+//! it — retired, never expanded to, or on a skipped shard — satisfies
+//! `sim ≤ ub < floor ≤ kth_final` and cannot enter the answer, not even on
+//! the id tie-break; both comparisons are strict, so a bound that *equals*
+//! the floor stays live and a shard whose bound equals it still runs. The
+//! merged answer is the [`TopK`] of everything reported (the same total
+//! order as everywhere else: [`crate::Match::ranking_cmp`], ties by ascending
+//! *global* id), hence bit-identical to the unsharded engine for exact
+//! runs at any shard count, and a 1-shard cluster is the same walk with
+//! one step, no floor and a log nobody else reads — bit-identical always,
+//! interrupted runs and their certificates included.
+//!
+//! A shard interrupted by its budget reports real matches plus a gap
+//! measured from *its* pruning threshold `max(local k-th, floor)`; the
+//! merge certifies its unreported trajectories at `max(worst reported,
+//! floor given) + gap`, unless its upper bound ends strictly below the
+//! final threshold — then it is **cut** and the certificate does not
+//! widen. The walk is sequential, so the floors, the effort counters
+//! ([`ShardedAnswer::shards_cut`] / [`ShardedAnswer::shards_cancelled`],
+//! per-shard metrics) and every count-budgeted answer are functions of
+//! the query and the cut alone.
 
 use crate::algorithms::Algorithm;
-use crate::budget::{CancellationToken, Completeness, RunControl};
-use crate::distcache::SearchContext;
+use crate::budget::{Completeness, RunControl};
+use crate::distcache::{SearchContext, SettleLogs};
 use crate::epoch::{EpochManager, EpochSnapshot, Mutation};
 use crate::result::QueryResult;
 use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics, UotsQuery};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::Instant;
 use uots_network::{Point, RoadNetwork};
-use uots_obs::{Counter, Gauge, MetricsRegistry};
+use uots_obs::{Counter, Gauge, MetricsRegistry, Recorder};
 use uots_text::TextSimilarity;
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
@@ -182,33 +192,56 @@ impl ShardMap {
 #[derive(Debug)]
 struct ClusterMetrics {
     queries: Counter,
+    settles_live: Counter,
+    settles_replayed: Counter,
+    shards: Vec<ShardMetrics>,
+}
+
+/// The `shard="<s>"`-labelled series of one shard.
+#[derive(Debug)]
+struct ShardMetrics {
     cutoffs: Counter,
     cancellations: Counter,
-    shard_live: Vec<Gauge>,
+    live: Gauge,
 }
 
 impl ClusterMetrics {
     fn register(registry: &MetricsRegistry, shards: usize) -> Self {
+        let settles = |kind| {
+            registry.counter_with(
+                "uots_cluster_settles_total",
+                "Vertices delivered to shard runs: settled live, or replayed from a log or cache",
+                &[("kind", kind)],
+            )
+        };
         ClusterMetrics {
             queries: registry.counter(
                 "uots_cluster_queries_total",
                 "Scatter-gather queries coordinated",
             ),
-            cutoffs: registry.counter(
-                "uots_cluster_shard_cutoffs_total",
-                "Best-effort shards cut off by the global threshold",
-            ),
-            cancellations: registry.counter(
-                "uots_cluster_shard_cancellations_total",
-                "Shards cancelled by threshold push-back",
-            ),
-            shard_live: (0..shards)
+            settles_live: settles("live"),
+            settles_replayed: settles("replayed"),
+            shards: (0..shards)
                 .map(|s| {
-                    registry.gauge_with(
-                        "uots_cluster_shard_live",
-                        "Live trajectories per shard",
-                        &[("shard", &s.to_string())],
-                    )
+                    let label = s.to_string();
+                    let shard = [("shard", label.as_str())];
+                    ShardMetrics {
+                        cutoffs: registry.counter_with(
+                            "uots_cluster_shard_cutoffs_total",
+                            "Shards whose upper bound proved them irrelevant to a query",
+                            &shard,
+                        ),
+                        cancellations: registry.counter_with(
+                            "uots_cluster_shard_cancellations_total",
+                            "Shards not run because the floor already exceeded their bound",
+                            &shard,
+                        ),
+                        live: registry.gauge_with(
+                            "uots_cluster_shard_live",
+                            "Live trajectories per shard",
+                            &shard,
+                        ),
+                    }
                 })
                 .collect(),
         }
@@ -359,8 +392,8 @@ impl ShardedCluster {
 
     fn update_live_gauges(&self) {
         if let Some(m) = &self.metrics {
-            for (s, g) in m.shard_live.iter().enumerate() {
-                g.set(self.shards[s].snapshot().stats().live as i64);
+            for (shard, series) in self.shards.iter().zip(&m.shards) {
+                series.live.set(shard.snapshot().stats().live as i64);
             }
         }
     }
@@ -548,8 +581,8 @@ impl ShardedCluster {
     }
 }
 
-/// The sound per-shard similarity upper bound used for threshold
-/// push-back and cut classification: `w_s·1 + w_tm·1 + w_tx·SimT_ub`.
+/// The sound per-shard similarity upper bound used for the walk order,
+/// the skip test and cut classification: `w_s·1 + w_tm·1 + w_tx·SimT_ub`.
 ///
 /// For the Jaccard measure with a non-empty query keyword set,
 /// `SimT_ub = |{q ∈ Q : df_shard(q) > 0}| / |Q|`: a live trajectory of
@@ -581,19 +614,20 @@ pub fn shard_upper_bound(snap: &EpochSnapshot, query: &UotsQuery) -> f64 {
 }
 
 /// A coordinated answer: the merged result plus the coordinator's effort
-/// diagnostics.
+/// diagnostics (deterministic for a given query and cut).
 #[derive(Debug, Clone)]
 pub struct ShardedAnswer {
     /// The merged top-k (global ids), with metrics aggregated across all
-    /// shards and the soundly widened completeness certificate.
+    /// shards (`runtime` is the scatter's wall clock) and the soundly
+    /// widened completeness certificate.
     pub result: QueryResult,
-    /// Best-effort shards discarded because their upper bound proved they
-    /// hold nothing above the global threshold. Timing-dependent (a
-    /// cancelled shard may still race to an exact finish); the *answer*
-    /// is not.
+    /// Shards whose upper bound proved they hold nothing above the global
+    /// threshold: the [`shards_cancelled`](Self::shards_cancelled) ones
+    /// plus every interrupted shard whose bound ended strictly below the
+    /// final threshold (its certificate is not needed).
     pub shards_cut: usize,
-    /// Shards cancelled by threshold push-back (diagnostic, timing-
-    /// dependent).
+    /// Shards not run at all: at their turn the floor already exceeded
+    /// their upper bound.
     pub shards_cancelled: usize,
     /// The per-shard upper bounds the coordinator worked with.
     pub shard_bounds: Vec<f64>,
@@ -664,7 +698,7 @@ impl ClusterSnapshot {
     ///
     /// # Errors
     ///
-    /// The lowest-shard error, if any shard rejects the query.
+    /// The first shard (in walk order) to reject the query.
     pub fn search<A: Algorithm + Sync>(
         &self,
         algorithm: &A,
@@ -678,18 +712,20 @@ impl ClusterSnapshot {
         )
     }
 
-    /// Scatter-gather top-k: each shard runs `algorithm` (typically a
-    /// [`crate::Planner`], deciding per-shard) against its own snapshot
-    /// under its own cancellation token; the coordinator pushes the
-    /// tightening global threshold back to lagging shards and merges the
-    /// outcomes deterministically (see the [module docs](self)).
+    /// Scatter-gather top-k: the shards run `algorithm` (typically a
+    /// [`crate::Planner`], deciding per-shard) one after another by
+    /// descending upper bound (ties by index), sharing one expansion per
+    /// query location and each pruning against the k-th score of what the
+    /// earlier ones found (see the [module docs](self)). An algorithm may
+    /// ignore either (the iknn baseline does); its answer merges the same.
     ///
-    /// `ctl`'s deadline is forwarded to every shard; cancelling `ctl`'s
-    /// token cancels all shards.
+    /// Every shard runs under `ctl` itself: its deadline and token apply
+    /// to the walk as a whole. `ctx`'s cache is probed and published to
+    /// once per query location, not once per shard.
     ///
     /// # Errors
     ///
-    /// The lowest-shard error, if any shard rejects the query.
+    /// The first shard (in walk order) to reject the query.
     pub fn search_ctx<A: Algorithm + Sync>(
         &self,
         algorithm: &A,
@@ -697,186 +733,119 @@ impl ClusterSnapshot {
         ctl: &RunControl,
         ctx: &SearchContext,
     ) -> Result<ShardedAnswer, CoreError> {
+        let start = Instant::now();
         let n = self.shards.len();
-        let k = query.options().k;
         let bounds: Vec<f64> = self
             .shards
             .iter()
             .map(|s| shard_upper_bound(s, query))
             .collect();
-        let tokens: Vec<CancellationToken> = (0..n).map(|_| CancellationToken::new()).collect();
-        if ctl.is_cancelled() {
-            for t in &tokens {
-                t.cancel();
-            }
-        }
-        let cancelled: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let done = AtomicUsize::new(0);
-        let running = Mutex::new(TopK::new(k));
-        let outcomes: Vec<Mutex<Option<Result<QueryResult, CoreError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
-        // Impact-ordered scatter: spawn shards by descending upper bound
-        // (ties by index), so the shards that can raise the global
-        // threshold run first and low-bound shards start after the
-        // threshold already proves them irrelevant — their up-front
-        // cancellation check then cuts them before they do any work.
-        // Spawn order never affects the merged answer (the gather runs
-        // over complete per-shard outcomes); it only decides how much
-        // wasted work the push-back saves.
-        let mut spawn_order: Vec<usize> = (0..n).collect();
-        spawn_order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
-        std::thread::scope(|scope| {
-            for s in spawn_order {
-                let snap = &self.shards[s];
-                let map = &self.maps[s];
-                let token = tokens[s].clone();
-                let (bounds, tokens, cancelled) = (&bounds, &tokens, &cancelled);
-                let (running, outcomes, done) = (&running, &outcomes, &done);
-                scope.spawn(move || {
-                    let mut shard_ctl = RunControl::with_token(token);
-                    if let Some(d) = ctl.deadline() {
-                        shard_ctl = shard_ctl.with_deadline(d);
-                    }
-                    let db = snap.database();
-                    let mut rec = uots_obs::Recorder::disabled();
-                    let r = algorithm
-                        .run_ctx(&db, query, &shard_ctl, &mut rec, ctx)
-                        .map(|mut qr| {
-                            for m in &mut qr.matches {
-                                m.id = map.global_of(m.id);
-                            }
-                            qr
-                        });
-                    if let Ok(qr) = &r {
-                        if qr.completeness.is_exact() {
-                            // Exact completion: fold into the running
-                            // threshold and push it back to every lagging
-                            // shard whose bound now proves irrelevance.
-                            let mut g = lock_ok(running);
-                            for m in &qr.matches {
-                                g.offer(*m);
-                            }
-                            let t = g.threshold();
-                            drop(g);
-                            if t > f64::NEG_INFINITY {
-                                for s2 in 0..n {
-                                    if s2 != s && bounds[s2] < t && !tokens[s2].is_cancelled() {
-                                        tokens[s2].cancel();
-                                        cancelled[s2].store(true, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    *lock_ok(&outcomes[s]) = Some(r);
-                    done.fetch_add(1, Ordering::Release);
-                });
+        let logs = Arc::new(SettleLogs::new(query.num_locations()));
+        let mut running = TopK::new(query.options().k);
+        let mut runs: Vec<ShardRun> = Vec::with_capacity(n);
+        let mut cancelled: Vec<usize> = Vec::new();
+        for s in order {
+            let floor = running.threshold();
+            if bounds[s] < floor {
+                cancelled.push(s);
+                continue;
             }
-            // Coordinator loop: wait for the fan-in, forwarding an
-            // external cancellation to every shard as soon as it lands.
-            while done.load(Ordering::Acquire) < n {
-                if ctl.is_cancelled() {
-                    for t in &tokens {
-                        t.cancel();
-                    }
-                }
-                std::thread::sleep(Duration::from_micros(200));
+            let db = self.shards[s].database();
+            let shard_ctx = ctx.scattered(&logs, floor);
+            let mut result =
+                algorithm.run_ctx(&db, query, ctl, &mut Recorder::disabled(), &shard_ctx)?;
+            for m in &mut result.matches {
+                m.id = self.maps[s].global_of(m.id);
+                running.offer(*m);
             }
-        });
-
-        let mut results = Vec::with_capacity(n);
-        for o in outcomes {
-            results.push(lock_ok(&o).take().expect("every shard reports")?);
+            runs.push(ShardRun {
+                shard: s,
+                floor,
+                result,
+            });
         }
-        let shards_cancelled = cancelled
-            .iter()
-            .filter(|c| c.load(Ordering::Relaxed))
-            .count();
-        let (result, shards_cut) = merge_shard_results(k, &bounds, results);
+        let clean = runs.iter().all(|r| r.result.completeness.is_exact());
+        let replayed = logs.finish(self.shards[0].network(), ctx.cache(), clean);
+
+        let (mut result, mut cut) = merge_shard_runs(running, &bounds, runs);
+        cut.extend_from_slice(&cancelled);
+        result.metrics.runtime = start.elapsed();
         if let Some(m) = &self.metrics {
             m.queries.inc();
-            m.cutoffs.add(shards_cut as u64);
-            m.cancellations.add(shards_cancelled as u64);
+            m.settles_replayed.add(replayed);
+            m.settles_live
+                .add((result.metrics.settled_vertices as u64).saturating_sub(replayed));
+            for &s in &cut {
+                m.shards[s].cutoffs.inc();
+            }
+            for &s in &cancelled {
+                m.shards[s].cancellations.inc();
+            }
         }
         Ok(ShardedAnswer {
             result,
-            shards_cut,
-            shards_cancelled,
+            shards_cut: cut.len(),
+            shards_cancelled: cancelled.len(),
             shard_bounds: bounds,
         })
     }
 }
 
-/// The deterministic gather. Merges exact shards first (fixing the global
-/// threshold `T`), then classifies each best-effort shard: **cut** when
-/// its upper bound sits strictly below `T` (provably irrelevant — the
-/// certificate does not widen), merged with a soundly recomputed global
-/// gap otherwise. A single-shard cluster passes its result through
+/// One shard's turn in the walk: what it reported (global ids) under which
+/// floor.
+struct ShardRun {
+    shard: usize,
+    floor: f64,
+    result: QueryResult,
+}
+
+/// The gather: `running` already holds every reported match, `runs` the
+/// per-shard results in walk order. Classifies each interrupted shard —
+/// **cut** (returned by index) when its upper bound sits strictly below
+/// the final threshold, which proves the certificate need not widen;
+/// otherwise its unreported trajectories are certified at `max(worst
+/// reported, floor given) + gap`, the gap being measured from the run's
+/// own pruning threshold. A single-shard cluster passes its result through
 /// untouched (bit-identity with the unsharded engine, interrupted runs
 /// included).
-fn merge_shard_results(
-    k: usize,
+fn merge_shard_runs(
+    running: TopK,
     bounds: &[f64],
-    mut results: Vec<QueryResult>,
-) -> (QueryResult, usize) {
-    debug_assert_eq!(bounds.len(), results.len());
-    if results.len() == 1 {
-        return (results.pop().expect("one result"), 0);
+    mut runs: Vec<ShardRun>,
+) -> (QueryResult, Vec<usize>) {
+    if bounds.len() == 1 {
+        if let Some(only) = runs.pop() {
+            return (only.result, Vec::new());
+        }
     }
-    let mut metrics = SearchMetrics::default();
-    for r in &results {
-        metrics.merge(&r.metrics);
-    }
+    let mut metrics = SearchMetrics::aggregate(runs.iter().map(|r| &r.result.metrics));
     // one logical query, whatever the fan-out
     metrics.queries = 1;
 
-    let mut topk = TopK::new(k);
-    for r in results.iter().filter(|r| r.completeness.is_exact()) {
-        for m in &r.matches {
-            topk.offer(*m);
-        }
-    }
-    let t_exact = topk.threshold();
-    let mut shards_cut = 0usize;
-    let mut included_best_effort = Vec::new();
-    for (s, r) in results.iter().enumerate() {
-        if r.completeness.is_exact() {
-            continue;
-        }
-        if bounds[s] < t_exact {
-            shards_cut += 1;
-            continue;
-        }
-        for m in &r.matches {
-            topk.offer(*m);
-        }
-        included_best_effort.push(s);
-    }
-    let matches = topk.into_sorted();
-    // The global certificate: every unreported trajectory lives on some
-    // shard; on shard s it is bounded by that shard's own certificate
-    // (worst reported + gap). Cut shards are bounded by ub < T ≤ kth.
-    let kth = matches.last().map_or(0.0, |m| m.similarity);
+    // an unfilled answer certifies against 0: every missing rank counts
+    let threshold = running.threshold();
+    let kth = threshold.max(0.0);
+    let mut cut = Vec::new();
     let mut gap = 0.0f64;
-    for &s in &included_best_effort {
-        let r = &results[s];
-        let worst = r.matches.last().map_or(0.0, |m| m.similarity);
-        let certified = worst + r.completeness.bound_gap();
-        gap = gap.max((certified - kth).max(0.0));
+    for r in runs.iter().filter(|r| !r.result.completeness.is_exact()) {
+        if bounds[r.shard] < threshold {
+            cut.push(r.shard);
+            continue;
+        }
+        let worst = r.result.matches.last().map_or(0.0, |m| m.similarity);
+        let certified = worst.max(r.floor) + r.result.completeness.bound_gap();
+        gap = gap.max(certified - kth);
     }
-    let completeness = if included_best_effort.is_empty() {
-        Completeness::Exact
-    } else {
-        Completeness::from_gap(gap)
-    };
     (
         QueryResult {
-            matches,
+            matches: running.into_sorted(),
             metrics,
-            completeness,
+            completeness: Completeness::from_gap(gap),
         },
-        shards_cut,
+        cut,
     )
 }
 
@@ -1069,10 +1038,40 @@ mod tests {
         }
     }
 
+    /// Gathers hand-made per-shard results the way the walk does: in the
+    /// given order, each under the floor its predecessors left.
+    fn merge(k: usize, bounds: &[f64], results: Vec<QueryResult>) -> (QueryResult, usize) {
+        let mut running = TopK::new(k);
+        let runs = results
+            .into_iter()
+            .enumerate()
+            .map(|(shard, result)| {
+                let floor = running.threshold();
+                for m in &result.matches {
+                    running.offer(*m);
+                }
+                ShardRun {
+                    shard,
+                    floor,
+                    result,
+                }
+            })
+            .collect();
+        let (merged, cut) = merge_shard_runs(running, bounds, runs);
+        (merged, cut.len())
+    }
+
+    fn gap_of(r: &QueryResult) -> f64 {
+        match r.completeness {
+            Completeness::BestEffort { bound_gap } => bound_gap,
+            Completeness::Exact => panic!("the certificate must widen"),
+        }
+    }
+
     #[test]
     fn merge_single_shard_is_bitwise_passthrough() {
         let r = best_effort(vec![m(3, 0.625), m(1, 0.5)], 0.037);
-        let (merged, cut) = merge_shard_results(2, &[0.9], vec![r.clone()]);
+        let (merged, cut) = merge(2, &[0.9], vec![r.clone()]);
         assert_eq!(cut, 0);
         assert_eq!(merged.completeness, r.completeness);
         assert_eq!(merged.matches, r.matches);
@@ -1087,13 +1086,11 @@ mod tests {
         // k-boundary (three 0.5s fighting for two remaining slots)
         let a = exact(vec![m(0, 0.9), m(6, 0.5), m(2, 0.5)]);
         let b = exact(vec![m(5, 0.5), m(1, 0.5), m(9, 0.1)]);
-        let (merged, _) = merge_shard_results(3, &[1.0, 1.0], vec![a, b]);
+        let (merged, _) = merge(3, &[1.0, 1.0], vec![a.clone(), b.clone()]);
         let ids: Vec<u32> = merged.matches.iter().map(|x| x.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2], "ties at k resolve by ascending id");
         // swapping shard order changes nothing
-        let a = exact(vec![m(0, 0.9), m(6, 0.5), m(2, 0.5)]);
-        let b = exact(vec![m(5, 0.5), m(1, 0.5), m(9, 0.1)]);
-        let (swapped, _) = merge_shard_results(3, &[1.0, 1.0], vec![b, a]);
+        let (swapped, _) = merge(3, &[1.0, 1.0], vec![b, a]);
         let ids: Vec<u32> = swapped.matches.iter().map(|x| x.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
     }
@@ -1104,44 +1101,50 @@ mod tests {
         // interrupted but bounded at 0.4 < 0.6 → cut, answer stays Exact
         let a = exact(vec![m(0, 0.9), m(2, 0.6)]);
         let b = best_effort(vec![m(1, 0.3)], 1.0);
-        let (merged, cut) = merge_shard_results(2, &[1.0, 0.4], vec![a, b]);
+        let (merged, cut) = merge(2, &[1.0, 0.4], vec![a, b]);
         assert_eq!(cut, 1);
         assert!(merged.completeness.is_exact());
         let ids: Vec<u32> = merged.matches.iter().map(|x| x.id.0).collect();
         assert_eq!(ids, vec![0, 2]);
     }
 
+    /// The certificate fix: an interrupted shard measures its gap from
+    /// `max(local k-th, floor)`, so the merge has to certify it from there
+    /// too. Certifying from the shard's worst reported match alone (0.3 +
+    /// 0.15 = 0.45 ≤ kth) would call this answer exact while a trajectory
+    /// scoring up to 0.75 may be missing.
     #[test]
-    fn merge_widens_gap_for_included_best_effort_shards() {
-        // shard 1's bound (0.8) exceeds the exact threshold (0.6): its
-        // partials merge and the certificate widens to cover what it may
-        // have missed (its own worst 0.3 + gap 0.2 = 0.5 ≤ new kth 0.6 →
-        // actually certified exact); raise its gap so it genuinely widens
+    fn merge_certifies_a_floored_shard_from_its_floor() {
         let a = exact(vec![m(0, 0.9), m(2, 0.6)]);
-        let b = best_effort(vec![m(1, 0.3)], 0.45);
-        let (merged, cut) = merge_shard_results(2, &[1.0, 0.8], vec![a, b]);
+        let b = best_effort(vec![m(1, 0.3)], 0.15); // ran under floor 0.6
+        let (merged, cut) = merge(2, &[1.0, 0.8], vec![a.clone(), b]);
         assert_eq!(cut, 0);
-        // certified = 0.3 + 0.45 = 0.75; kth = 0.6 → gap 0.15
-        match merged.completeness {
-            Completeness::BestEffort { bound_gap } => {
-                assert!((bound_gap - 0.15).abs() < 1e-12, "{bound_gap}")
-            }
-            Completeness::Exact => panic!("gap must widen"),
-        }
-        // a best-effort shard whose certificate sits below the global kth
+        // certified = max(0.3, 0.6) + 0.15 = 0.75; kth = 0.6 → gap 0.15
+        assert!((gap_of(&merged) - 0.15).abs() < 1e-12);
+        // walked first, the same shard has no floor: its certificate
+        // (0.3 + 0.2 = 0.5) sits below the global kth and the answer
         // collapses back to Exact
-        let a = exact(vec![m(0, 0.9), m(2, 0.6)]);
         let b = best_effort(vec![m(1, 0.3)], 0.2);
-        let (merged, _) = merge_shard_results(2, &[1.0, 0.8], vec![a, b]);
+        let (merged, _) = merge(2, &[0.8, 1.0], vec![b, a]);
         assert!(merged.completeness.is_exact());
     }
 
+    /// An answer with fewer than `k` matches certifies against 0, not
+    /// against its last match: every missing rank counts as similarity 0.
     #[test]
-    fn threshold_pushback_cancels_irrelevant_shards_safely() {
+    fn merge_certifies_an_unfilled_answer_against_zero() {
+        let a = exact(vec![m(0, 0.9)]);
+        let b = best_effort(vec![], 0.5);
+        let (merged, cut) = merge(3, &[1.0, 1.0], vec![a, b]);
+        assert_eq!(cut, 0);
+        assert!((gap_of(&merged) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shards_bounded_below_the_floor_are_not_run() {
         // one shard holds the only trajectories with keyword 6; a pure
-        // textual query (λ = 0) bounds every other shard at 0. Whatever
-        // the race outcome — cancelled mid-run or finished exact — the
-        // answer must equal the unsharded oracle and stay Exact.
+        // textual query (λ = 0) bounds every other shard at 0, strictly
+        // below the floor the first shard leaves: none of them runs.
         let net = Arc::new(grid_city(&GridCityConfig::tiny(8)).unwrap());
         let mut store = TrajectoryStore::new();
         for i in 0..64u32 {
@@ -1164,11 +1167,59 @@ mod tests {
         .unwrap();
         let reference = BruteForce.run(&db, &q).unwrap();
         let cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
-        for _ in 0..8 {
-            let answer = cluster.snapshot().search(&BruteForce, &q).unwrap();
-            assert!(answer.result.completeness.is_exact());
-            assert_eq!(answer.result.ids(), reference.ids());
+        let answer = cluster.snapshot().search(&BruteForce, &q).unwrap();
+        assert!(answer.result.completeness.is_exact());
+        assert_eq!(answer.result.ids(), reference.ids());
+        assert_eq!((answer.shards_cut, answer.shards_cancelled), (3, 3));
+        // only shard 0's sixteen trajectories were ever touched
+        assert_eq!(answer.result.metrics.visited_trajectories, 16);
+    }
+
+    /// With a distance cache in the context, a 4-shard query probes and
+    /// publishes each query location once — not once per shard — whichever
+    /// route drains or expands it, and a repeat replays the published
+    /// prefixes.
+    #[test]
+    fn scattered_query_touches_the_cache_once_per_location() {
+        use crate::algorithms::{Expansion, TextFirst};
+        use crate::distcache::DistanceCache;
+        fn check<A: Algorithm + Sync>(cut: &ClusterSnapshot, q: &UotsQuery, algo: &A) {
+            let name = algo.name();
+            let want = cut.search(&BruteForce, q).unwrap().result.matches;
+            let cache = Arc::new(DistanceCache::new(1 << 16));
+            let ctx = SearchContext::with_cache(Arc::clone(&cache));
+            let ctl = RunControl::unbounded();
+            let cold = cut.search_ctx(algo, q, &ctl, &ctx).unwrap();
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.misses, stats.hits, stats.inserts),
+                (3, 0, 3),
+                "{name}"
+            );
+            let warm = cut.search_ctx(algo, q, &ctl, &ctx).unwrap();
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.hits), (3, 3), "{name}: one probe each");
+            assert_eq!(stats.poisoned, 0, "{name}");
+            assert_eq!(cold.result.matches, want, "{name}");
+            assert_eq!(warm.result.matches, want, "{name}");
         }
+        let (net, store) = fixture(60);
+        let cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
+        let cut = cluster.snapshot();
+        let q = UotsQuery::with_options(
+            vec![NodeId(3), NodeId(17), NodeId(40)],
+            KeywordSet::from_ids([KeywordId(2)]),
+            vec![],
+            QueryOptions {
+                weights: Weights::lambda(0.4).unwrap(),
+                k: 5,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        check(&cut, &q, &Expansion::default());
+        check(&cut, &q, &TextFirst);
+        check(&cut, &q, &BruteForce);
     }
 
     #[test]

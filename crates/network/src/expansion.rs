@@ -67,7 +67,65 @@ pub struct NetworkExpansion<'a> {
     started: bool,
 }
 
+/// A [`NetworkExpansion`] parked without its network borrow
+/// ([`NetworkExpansion::detach`]), so a running expansion can be stored
+/// past the borrow and later continued by
+/// [`NetworkExpansion::attach`] over the same network.
+#[derive(Debug)]
+pub struct ExpansionState {
+    source: NodeId,
+    dist: Vec<f64>,
+    settled: Vec<bool>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    heap: BinaryHeap<HeapEntry>,
+    radius: f64,
+    settled_count: usize,
+    started: bool,
+}
+
 impl<'a> NetworkExpansion<'a> {
+    /// Parks the expansion: everything but the network borrow.
+    pub fn detach(self) -> ExpansionState {
+        ExpansionState {
+            source: self.source,
+            dist: self.dist,
+            settled: self.settled,
+            stamp: self.stamp,
+            epoch: self.epoch,
+            heap: self.heap,
+            radius: self.radius,
+            settled_count: self.settled_count,
+            started: self.started,
+        }
+    }
+
+    /// Continues a parked expansion exactly where it stopped. `net` must
+    /// be the network it ran over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` was sized for another vertex count.
+    pub fn attach(net: &'a RoadNetwork, state: ExpansionState) -> Self {
+        assert_eq!(
+            state.dist.len(),
+            net.num_nodes(),
+            "expansion state belongs to another network"
+        );
+        NetworkExpansion {
+            net,
+            source: state.source,
+            dist: state.dist,
+            settled: state.settled,
+            stamp: state.stamp,
+            epoch: state.epoch,
+            heap: state.heap,
+            radius: state.radius,
+            settled_count: state.settled_count,
+            started: state.started,
+        }
+    }
+
     /// Allocates scratch state for expansions over `net`. Call
     /// [`start`](Self::start) before advancing.
     pub fn new(net: &'a RoadNetwork) -> Self {
@@ -375,6 +433,28 @@ mod tests {
                 assert!(tree.distance(v).unwrap() >= r);
             }
         }
+    }
+
+    #[test]
+    fn detach_attach_continues_where_it_stopped() {
+        let net = line(9);
+        let mut whole = NetworkExpansion::from_source(&net, NodeId(3));
+        let mut parked = NetworkExpansion::from_source(&net, NodeId(3));
+        for _ in 0..4 {
+            assert_eq!(parked.next_settled(), whole.next_settled());
+        }
+        let mut resumed = NetworkExpansion::attach(&net, parked.detach());
+        assert_eq!(resumed.source(), NodeId(3));
+        assert_eq!(resumed.radius(), whole.radius());
+        assert_eq!(resumed.settled_count(), 4);
+        loop {
+            let (a, b) = (resumed.next_settled(), whole.next_settled());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        assert!(resumed.is_exhausted());
     }
 
     #[test]

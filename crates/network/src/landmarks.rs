@@ -16,6 +16,11 @@
 use crate::dijkstra::shortest_path_tree;
 use crate::{NodeId, RoadNetwork};
 
+/// Relative slack [`Landmarks::lower_bound`] gives up per leg: far above
+/// the rounding error of any path sum (≈ `path edges × 1.1e-16`), far below
+/// anything that costs pruning power.
+pub const ROUNDING_SLACK: f64 = 1e-9;
+
 /// Precomputed landmark distance tables.
 #[derive(Debug, Clone)]
 pub struct Landmarks {
@@ -85,6 +90,13 @@ impl Landmarks {
     /// disconnected network, which silently poisons every downstream
     /// comparison (`NaN` fails both `<` and `>=`). The result is therefore
     /// always a finite, non-negative, non-`NaN` lower bound.
+    ///
+    /// It is also a lower bound on the distance *as computed*: the two
+    /// legs and `sd(a, b)` are floating-point sums along different paths,
+    /// so the exact-arithmetic inequality can fail by a few ulps of the
+    /// longer leg. Each leg bound gives up [`ROUNDING_SLACK`] of that leg,
+    /// which keeps callers that compare bounds strictly (the engine
+    /// retires on `ub < kth`, where a tie must survive) sound.
     #[inline]
     pub fn lower_bound(&self, a: NodeId, b: NodeId) -> f64 {
         let mut best = 0.0f64;
@@ -92,7 +104,7 @@ impl Landmarks {
             let (da, db) = (table[a.index()], table[b.index()]);
             // both legs finite — the only case where the subtraction is safe
             if da.is_finite() && db.is_finite() {
-                best = best.max((da - db).abs());
+                best = best.max((da - db).abs() - ROUNDING_SLACK * da.max(db));
             }
         }
         debug_assert!(best.is_finite() && best >= 0.0);

@@ -19,8 +19,10 @@
 //!
 //! With `--shards N` (N ≥ 2) the store is partitioned across `N` shards
 //! and every endpoint routes through the scatter-gather coordinator
-//! (`uots_core::shard`): searches fan out with global-threshold
-//! push-back, `/ingest` routes each mutation to its owning shard, and
+//! (`uots_core::shard`): a search walks the shards by descending upper
+//! bound on the request's own thread, sharing one network expansion per
+//! query location and carrying the running top-k threshold into each
+//! shard; `/ingest` routes each mutation to its owning shard, and
 //! responses gain per-shard `epochs`. Combined with `--wal-dir`, each
 //! shard owns its own WAL + checkpoint lineage under `DIR/shard-<s>/`
 //! and recovery parallelizes across shards (the directory layout decides

@@ -327,7 +327,7 @@ impl QueryService {
 
     /// Starts the service over a [`ShardedCluster`] (volatile sharded
     /// ingest): `/search` and `/topk` scatter-gather across every shard
-    /// with threshold push-back, `/ingest` routes through the coordinator
+    /// under a carried top-k floor, `/ingest` routes through the coordinator
     /// (global ids), `/join` answers over the merged live cut.
     ///
     /// # Errors
@@ -738,33 +738,15 @@ fn handle_search(
             let db = snapshot.database();
             parallel::run_batch_ctx(&db, &planner, &queries, &opts, &token, &shared.ctx)
         }
+        // A query walks its shards on one thread, so a cluster batch
+        // spreads over the batch workers query by query, like any other.
         Pinned::Cluster(cut) => {
-            if queries.len() > shared.cfg.max_batch {
-                drop(guard);
-                shared.metrics.shed.inc();
-                return json_error(
-                    stream,
-                    429,
-                    &format!(
-                        "batch of {} exceeds admission bound {}",
-                        queries.len(),
-                        shared.cfg.max_batch
-                    ),
-                );
-            }
-            // The shard fan-out supplies the parallelism; queries run in
-            // submission order so outcomes line up with the request.
-            let mut out = Vec::with_capacity(queries.len());
-            for q in &queries {
-                match cut.search_ctx(&planner, q, &RunControl::unbounded(), &shared.ctx) {
-                    Ok(ans) => {
-                        shards_cut_total += ans.shards_cut as u64;
-                        out.push(Ok(ans.result));
-                    }
-                    Err(e) => out.push(Err(e)),
-                }
-            }
-            Ok(out)
+            parallel::run_batch_cluster(cut, &planner, &queries, &opts, &token, &shared.ctx).map(
+                |answers| {
+                    shards_cut_total = answers.iter().flatten().map(|a| a.shards_cut as u64).sum();
+                    answers.into_iter().map(|a| a.map(|a| a.result)).collect()
+                },
+            )
         }
     };
     drop(guard);

@@ -140,7 +140,8 @@ fn check_case<'a>(
 
 /// Shard counts every differential case replays through: one shard must
 /// be a bitwise passthrough of the unsharded engine, four shards
-/// exercise the scatter-gather merge and threshold push-back.
+/// exercise the scatter-gather walk: shared settle logs, carried floor,
+/// merge.
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// Consistent cuts of `store` hash-partitioned across each of

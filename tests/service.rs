@@ -622,6 +622,72 @@ fn sharded_service_answers_bit_identically_and_reports_shard_epochs() {
     }
 }
 
+/// A cluster `/search` batch runs its queries across the batch workers
+/// (each query walks its shards on one thread): results come back in
+/// submission order, a batch past `max_batch` is shed whole with 429, the
+/// same request twice reports the same coordinator effort, and `/metrics`
+/// carries the per-shard outcome counters and the sharing ratio.
+#[test]
+fn sharded_batches_run_on_the_batch_workers_in_submission_order() {
+    let cfg = ServiceConfig {
+        batch_threads: 3,
+        max_batch: 8,
+        ..ServiceConfig::default()
+    };
+    let (service, ds) = start_sharded_service(150, 11, 4, cfg);
+    let addr = service.local_addr();
+    let specs = workload::generate(
+        &ds,
+        &workload::WorkloadConfig {
+            num_queries: 9,
+            ..Default::default()
+        },
+    );
+    let (mut bodies, mut wants) = (Vec::new(), Vec::new());
+    for (i, s) in specs.into_iter().enumerate() {
+        let k = 1 + i % 3;
+        bodies.push(query_json(&s.locations, s.keywords.ids(), 0.3, k));
+        let opts = QueryOptions {
+            weights: uots::Weights::lambda(0.3).unwrap(),
+            k,
+            ..QueryOptions::default()
+        };
+        let q = UotsQuery::with_options(s.locations, s.keywords, Vec::new(), opts).unwrap();
+        wants.push(direct_matches(&ds, &q));
+    }
+    let batch = format!(r#"{{"queries":[{}]}}"#, bodies[..8].join(","));
+    let (code, first) = post(addr, "/search", &batch);
+    assert_eq!(code, 200, "{first:?}");
+    let results = first.get("results").unwrap().as_seq().unwrap();
+    assert_eq!(results.len(), 8);
+    for (i, r) in results.iter().enumerate() {
+        assert_eq!(Some(&wants[i]), r.get("matches"), "slot {i} out of order");
+    }
+    let (_, second) = post(addr, "/search", &batch);
+    assert_eq!(
+        as_u64(first.get("shards_cut")),
+        as_u64(second.get("shards_cut")),
+        "identical requests must report identical effort"
+    );
+
+    let over = format!(r#"{{"queries":[{}]}}"#, bodies.join(","));
+    let (code, reply) = post(addr, "/search", &over);
+    assert_eq!(code, 429, "{reply:?}");
+    assert!(reply.get("error").is_some());
+
+    let (code, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(code, 200);
+    for needle in [
+        "uots_cluster_queries_total 16",
+        r#"uots_cluster_settles_total{kind="live"}"#,
+        r#"uots_cluster_settles_total{kind="replayed"}"#,
+        r#"uots_cluster_shard_cutoffs_total{shard="0"}"#,
+        r#"uots_cluster_shard_cancellations_total{shard="3"}"#,
+    ] {
+        assert!(metrics.contains(needle), "missing {needle}:\n{metrics}");
+    }
+}
+
 #[test]
 fn sharded_ingest_publishes_cut_visible_to_search_and_join() {
     let (service, ds) = start_sharded_service(100, 13, 4, ServiceConfig::default());
