@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use uots::core::shard::{Partitioner, ShardedCluster};
 use uots::obs::{MetricsRegistry, ObsState};
 use uots::serve::{QueryService, ServiceConfig};
-use uots::EpochManager;
 use uots_bench::{make_queries, render_table, LatencyStats, Row, Scale};
 use uots_core::planner::AlgorithmKind;
 use uots_core::UotsQuery;
@@ -324,10 +324,12 @@ fn open_loop(addr: SocketAddr, pool: &[String], qps: f64, duration: Duration) ->
 
 fn start_service(ds: &Dataset, force: Option<AlgorithmKind>) -> QueryService {
     let registry = MetricsRegistry::new();
-    let manager = EpochManager::with_metrics(
+    let cluster = ShardedCluster::with_metrics(
         Arc::new(ds.network.clone()),
-        ds.store.clone(),
+        &ds.store,
         ds.vocab.len(),
+        1,
+        Partitioner::Hash,
         &registry,
     );
     let obs = ObsState::new().with_registry(registry.clone());
@@ -335,7 +337,7 @@ fn start_service(ds: &Dataset, force: Option<AlgorithmKind>) -> QueryService {
         force,
         ..ServiceConfig::default()
     };
-    QueryService::start("127.0.0.1:0", Arc::new(manager), registry, obs, cfg)
+    QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg)
         .expect("bind loopback service")
 }
 

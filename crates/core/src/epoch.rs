@@ -409,6 +409,12 @@ impl EpochManager {
         lock_ok(&self.writer).pending
     }
 
+    /// Ids issued so far: the master store's length, unpublished ingests
+    /// included. [`retire`](Self::retire) accepts exactly the ids below it.
+    pub fn issued(&self) -> usize {
+        lock_ok(&self.writer).store.len()
+    }
+
     /// Appends a trajectory to the ingest batch and returns its (stable)
     /// id. Invisible to queries until the next [`publish`](Self::publish).
     pub fn ingest(&self, t: Trajectory) -> TrajectoryId {

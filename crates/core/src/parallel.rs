@@ -23,12 +23,10 @@
 use crate::algorithms::Algorithm;
 use crate::budget::{CancellationToken, RunControl};
 use crate::distcache::SearchContext;
-use crate::epoch::{EpochManager, EpochSnapshot};
 use crate::shard::{ClusterSnapshot, ShardedAnswer};
 use crate::{CoreError, Database, QueryResult, SearchMetrics, UotsQuery};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uots_obs::{Counter, Gauge, Histogram, MetricsRegistry, Recorder, TailSampler};
 
@@ -83,8 +81,8 @@ impl BatchOptions {
 /// Telemetry hooks for batch execution, backed by a shared
 /// [`MetricsRegistry`].
 ///
-/// Construct one per registry and pass it to [`run_batch_observed`] /
-/// [`run_batch_crossbeam_observed`]. The observer registers:
+/// Construct one per registry and pass it to [`run_batch_observed`]. The
+/// observer registers:
 ///
 /// - `uots_batch_pending_queries` (gauge) — admitted queries a worker has
 ///   not picked up yet (the queue depth);
@@ -161,11 +159,6 @@ impl BatchObserver {
     /// The attached tail sampler, if any.
     pub fn sampler(&self) -> Option<&TailSampler> {
         self.sampler.as_ref()
-    }
-
-    /// The registry this observer records into.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     fn on_admitted(&self, n: usize) {
@@ -350,26 +343,6 @@ pub fn run_batch_observed<A: Algorithm + Sync>(
     )
 }
 
-/// [`run_batch_observed`] under a shared [`SearchContext`] — the observed
-/// counterpart of [`run_batch_ctx`]. Bind the context's cache to the same
-/// registry (via [`crate::DistanceCache::with_metrics`]) to export hit/miss
-/// counters alongside the batch gauges.
-///
-/// # Errors
-///
-/// See [`run_batch_with`].
-pub fn run_batch_observed_ctx<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-    obs: &BatchObserver,
-    ctx: &SearchContext,
-) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-    run_batch_inner(db, algorithm, queries, opts, token, Some(obs), ctx)
-}
-
 /// [`run_batch_ctx`] over a sharded cut: each query is one
 /// [`ClusterSnapshot::search_ctx`] walk, sequential across its shards, so
 /// the batch's parallelism comes from running whole queries on the pool —
@@ -476,218 +449,6 @@ pub fn run_batch<A: Algorithm + Sync>(
     .collect()
 }
 
-/// Alternative executor on crossbeam scoped threads with a shared atomic
-/// work cursor (no rayon): demonstrates that the per-query searches need
-/// no coordination beyond handing out indices. Produces exactly the same
-/// results as [`run_batch`]; useful as a dependency-light baseline and for
-/// measuring scheduler overhead differences.
-///
-/// # Errors
-///
-/// Returns the first query error encountered (by input order). A panicking
-/// query is caught inside its worker and surfaced as
-/// [`CoreError::QueryPanicked`]; it cannot take the other workers down.
-pub fn run_batch_crossbeam<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_crossbeam_inner(
-        db,
-        algorithm,
-        queries,
-        threads,
-        None,
-        &SearchContext::default(),
-    )
-}
-
-/// [`run_batch_crossbeam`] under a shared [`SearchContext`] — one distance
-/// cache across all scoped workers, exercising the cache's concurrent
-/// publish/probe path without rayon in the loop.
-///
-/// # Errors
-///
-/// See [`run_batch_crossbeam`].
-pub fn run_batch_crossbeam_ctx<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    ctx: &SearchContext,
-) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_crossbeam_inner(db, algorithm, queries, threads, None, ctx)
-}
-
-/// [`run_batch_crossbeam`] reporting to `obs`, with one additional
-/// `uots_worker_queries_total{worker="<i>"}` counter per scoped worker —
-/// the per-worker share of the batch, which makes work-stealing imbalance
-/// (or a worker wedged on one pathological query) visible in the export.
-///
-/// # Errors
-///
-/// See [`run_batch_crossbeam`].
-pub fn run_batch_crossbeam_observed<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    obs: &BatchObserver,
-) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_crossbeam_inner(
-        db,
-        algorithm,
-        queries,
-        threads,
-        Some(obs),
-        &SearchContext::default(),
-    )
-}
-
-fn run_batch_crossbeam_inner<A: Algorithm + Sync>(
-    db: &Database<'_>,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    obs: Option<&BatchObserver>,
-    ctx: &SearchContext,
-) -> Result<Vec<QueryResult>, CoreError> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let threads = threads.max(1).min(queries.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<QueryResult, CoreError>>> = Vec::new();
-    slots.resize_with(queries.len(), || None);
-    let ctl = RunControl::unbounded();
-    if let Some(o) = obs {
-        o.on_admitted(queries.len());
-    }
-
-    // Collect per-thread (index, result) pairs and scatter afterwards —
-    // simpler than sharing &mut slots across threads.
-    let gathered: Vec<Vec<(usize, Result<QueryResult, CoreError>)>> =
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let cursor = &cursor;
-                    let ctl = &ctl;
-                    let per_worker = obs.map(|o| {
-                        let label = w.to_string();
-                        o.registry().counter_with(
-                            "uots_worker_queries_total",
-                            "Queries executed by each batch worker",
-                            &[("worker", label.as_str())],
-                        )
-                    });
-                    scope.spawn(move |_| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= queries.len() {
-                                break;
-                            }
-                            if let Some(c) = &per_worker {
-                                c.inc();
-                            }
-                            mine.push((i, run_observed(db, algorithm, &queries[i], ctl, obs, ctx)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        // run_isolated catches query panics, so reaching
-                        // this means the worker loop itself died; report
-                        // it rather than poisoning the whole process.
-                        vec![(
-                            usize::MAX,
-                            Err(CoreError::QueryPanicked(panic_message(payload))),
-                        )]
-                    })
-                })
-                .collect()
-        })
-        .map_err(|payload| CoreError::QueryPanicked(panic_message(payload)))?;
-
-    let mut stray: Option<CoreError> = None;
-    for per_thread in gathered {
-        for (i, r) in per_thread {
-            if i == usize::MAX {
-                stray = Some(r.expect_err("sentinel slot always carries an error"));
-            } else {
-                slots[i] = Some(r);
-            }
-        }
-    }
-    if let Some(err) = stray {
-        return Err(err);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every query index was dispatched"))
-        .collect()
-}
-
-/// The snapshot a batch was pinned to, alongside its per-query outcomes.
-pub type EpochBatch = (Arc<EpochSnapshot>, Vec<Result<QueryResult, CoreError>>);
-
-/// Runs a batch against a live [`EpochManager`]: resolves **one** snapshot
-/// up front and answers every query of the batch against it, so the whole
-/// batch observes a single consistent epoch even while the ingest path
-/// keeps publishing. The pinned snapshot is returned alongside the results
-/// so callers can attribute answers to an epoch (and re-run against it for
-/// verification). Concurrent publishes never invalidate the batch — the
-/// `Arc` keeps the snapshot alive until the last result is collected.
-///
-/// Pass a [`SearchContext`] with a shared cache to keep distance prefixes
-/// warm *across* epochs: the cache is keyed on the road network, which the
-/// manager never swaps out (see [`crate::epoch`]).
-///
-/// # Errors
-///
-/// See [`run_batch_with`].
-pub fn run_batch_epoch<A: Algorithm + Sync>(
-    manager: &EpochManager,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    opts: &BatchOptions,
-    token: &CancellationToken,
-    ctx: &SearchContext,
-) -> Result<EpochBatch, CoreError> {
-    let snapshot = manager.snapshot();
-    let results = {
-        let db = snapshot.database();
-        run_batch_inner(&db, algorithm, queries, opts, token, None, ctx)?
-    };
-    Ok((snapshot, results))
-}
-
-/// The crossbeam counterpart of [`run_batch_epoch`]: one snapshot pinned
-/// for the whole batch, executed on scoped threads with a shared work
-/// cursor.
-///
-/// # Errors
-///
-/// See [`run_batch_crossbeam`].
-pub fn run_batch_crossbeam_epoch<A: Algorithm + Sync>(
-    manager: &EpochManager,
-    algorithm: &A,
-    queries: &[UotsQuery],
-    threads: usize,
-    ctx: &SearchContext,
-) -> Result<(Arc<EpochSnapshot>, Vec<QueryResult>), CoreError> {
-    let snapshot = manager.snapshot();
-    let results = {
-        let db = snapshot.database();
-        run_batch_crossbeam_inner(&db, algorithm, queries, threads, None, ctx)?
-    };
-    Ok((snapshot, results))
-}
-
 /// Convenience: runs a batch and aggregates the per-query metrics.
 ///
 /// # Errors
@@ -708,7 +469,9 @@ pub fn run_batch_aggregated<A: Algorithm + Sync>(
 mod tests {
     use super::*;
     use crate::algorithms::Expansion;
+    use crate::epoch::{EpochManager, EpochSnapshot};
     use crate::testing::{FaultyAlgorithm, SlowAlgorithm};
+    use std::sync::Arc;
     use uots_datagen::{workload, Dataset, DatasetConfig};
 
     fn setup() -> (Dataset, Vec<UotsQuery>) {
@@ -743,34 +506,6 @@ mod tests {
                 b.metrics.visited_trajectories
             );
         }
-    }
-
-    #[test]
-    fn crossbeam_executor_matches_rayon() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
-            .with_keyword_index(&ds.keyword_index);
-        let algo = Expansion::default();
-        let rayon_results = run_batch(&db, &algo, &queries, 3).unwrap();
-        let crossbeam_results = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap();
-        assert_eq!(rayon_results.len(), crossbeam_results.len());
-        for (a, b) in rayon_results.iter().zip(crossbeam_results.iter()) {
-            assert_eq!(a.ids(), b.ids());
-            assert_eq!(
-                a.metrics.visited_trajectories,
-                b.metrics.visited_trajectories
-            );
-        }
-    }
-
-    #[test]
-    fn crossbeam_executor_handles_more_threads_than_queries() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
-        let algo = Expansion::default();
-        let one = &queries[..1];
-        let r = run_batch_crossbeam(&db, &algo, one, 16).unwrap();
-        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -832,17 +567,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::QueryPanicked(ref m) if m.contains("injected")));
-    }
-
-    #[test]
-    fn crossbeam_executor_survives_a_panicking_query() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
-        let algo = FaultyAlgorithm::new(Expansion::default(), 2, "boom");
-        let err = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap_err();
-        assert!(matches!(err, CoreError::QueryPanicked(ref m) if m.contains("boom")));
-        // every query was still dispatched despite the panic
-        assert_eq!(algo.calls(), queries.len());
     }
 
     #[test]
@@ -1037,33 +761,8 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_observed_attributes_work_to_workers() {
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
-        let registry = uots_obs::MetricsRegistry::default();
-        let obs = BatchObserver::new(&registry);
-        let threads = 3;
-        let results =
-            run_batch_crossbeam_observed(&db, &Expansion::default(), &queries, threads, &obs)
-                .unwrap();
-        assert_eq!(results.len(), queries.len());
-        let snap = registry.snapshot();
-        let per_worker: u64 = (0..threads)
-            .filter_map(|w| {
-                snap.counter(
-                    "uots_worker_queries_total",
-                    &[("worker", w.to_string().as_str())],
-                )
-            })
-            .sum();
-        assert_eq!(per_worker, queries.len() as u64);
-        assert_eq!(snap.gauge("uots_batch_pending_queries", &[]), Some(0));
-    }
-
-    #[test]
     fn shared_cache_batches_return_identical_results() {
         use crate::distcache::DistanceCache;
-        use std::sync::Arc;
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
             .with_keyword_index(&ds.keyword_index);
@@ -1094,24 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn crossbeam_shared_cache_matches_uncached() {
-        use crate::distcache::DistanceCache;
-        use std::sync::Arc;
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
-            .with_keyword_index(&ds.keyword_index);
-        let algo = Expansion::default();
-        let baseline = run_batch_crossbeam(&db, &algo, &queries, 3).unwrap();
-        let cache = Arc::new(DistanceCache::new(1 << 16));
-        let ctx = SearchContext::with_cache(cache);
-        let cached = run_batch_crossbeam_ctx(&db, &algo, &queries, 3, &ctx).unwrap();
-        for (a, b) in baseline.iter().zip(cached.iter()) {
-            assert_eq!(a.ids(), b.ids());
-        }
-    }
-
-    #[test]
-    fn epoch_batches_pin_one_snapshot_across_both_executors() {
+    fn a_pinned_snapshot_answers_unchanged_across_publishes() {
         let (ds, queries) = setup();
         let mgr = EpochManager::new(
             Arc::new(ds.network.clone()),
@@ -1120,24 +802,32 @@ mod tests {
         );
         let algo = Expansion::default();
         let ctx = SearchContext::default();
-        let (snap0, out0) = run_batch_epoch(
-            &mgr,
-            &algo,
-            &queries,
-            &BatchOptions::fail_fast(3),
-            &CancellationToken::new(),
-            &ctx,
-        )
-        .unwrap();
+        let batch = |snap: &EpochSnapshot| {
+            run_batch_ctx(
+                &snap.database(),
+                &algo,
+                &queries,
+                &BatchOptions::fail_fast(3),
+                &CancellationToken::new(),
+                &ctx,
+            )
+            .unwrap()
+        };
+        let snap0 = mgr.snapshot();
         assert_eq!(snap0.epoch(), 0);
+        let out0 = batch(&snap0);
 
         // churn: retire the top answer of the first query, publish
         let victim = out0[0].as_ref().unwrap().ids()[0];
         mgr.retire(victim);
         mgr.publish();
-        let (snap1, out1) = run_batch_crossbeam_epoch(&mgr, &algo, &queries, 3, &ctx).unwrap();
+        let snap1 = mgr.snapshot();
         assert_eq!(snap1.epoch(), 1);
-        assert!(!out1[0].ids().contains(&victim), "retired id served");
+        let out1 = batch(&snap1);
+        assert!(
+            !out1[0].as_ref().unwrap().ids().contains(&victim),
+            "retired id served"
+        );
 
         // the pinned pre-churn snapshot still answers exactly as before —
         // publishes never invalidate a batch's epoch

@@ -25,7 +25,7 @@
 //! Dijkstra instead of `m` scheduled single-source expansions.
 //!
 //! [`Planner`] implements [`Algorithm`], so it drops into every existing
-//! execution funnel ([`crate::parallel::run_batch_epoch`] and friends)
+//! execution funnel ([`crate::parallel::run_batch_ctx`] and friends)
 //! unchanged; `--force-algorithm` style overrides are carried by
 //! [`Planner::forced`]. Result preservation is structural (any choice
 //! returns the same ranking) and additionally pinned bit-exactly by

@@ -61,9 +61,10 @@
 //! merged answer is the [`TopK`] of everything reported (the same total
 //! order as everywhere else: [`crate::Match::ranking_cmp`], ties by ascending
 //! *global* id), hence bit-identical to the unsharded engine for exact
-//! runs at any shard count, and a 1-shard cluster is the same walk with
-//! one step, no floor and a log nobody else reads — bit-identical always,
-//! interrupted runs and their certificates included.
+//! runs at any shard count. A 1-shard cut is that walk with one step, no
+//! floor and no second reader of the logs, so it skips them: the lone
+//! shard runs under the caller's context and its result passes through —
+//! bit-identical always, interrupted runs and their certificates included.
 //!
 //! A shard interrupted by its budget reports real matches plus a gap
 //! measured from *its* pruning threshold `max(local k-th, floor)`; the
@@ -85,7 +86,7 @@ use crate::{CoreError, SearchMetrics, UotsQuery};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 use uots_network::{Point, RoadNetwork};
-use uots_obs::{Counter, Gauge, MetricsRegistry, Recorder};
+use uots_obs::{Counter, EventJournal, Gauge, MetricsRegistry, Recorder};
 use uots_text::TextSimilarity;
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
@@ -282,7 +283,9 @@ impl ShardedCluster {
     }
 
     /// [`new`](Self::new) plus `uots_cluster_*` metrics (per-shard live
-    /// gauges labeled `shard="<s>"`, scatter-gather outcome counters).
+    /// gauges labeled `shard="<s>"`, scatter-gather outcome counters) and
+    /// every shard's `uots_epoch_*` metrics — one family shared by all
+    /// shards, as the durable cluster's shards share theirs.
     pub fn with_metrics(
         network: Arc<RoadNetwork>,
         store: &TrajectoryStore,
@@ -297,7 +300,7 @@ impl ShardedCluster {
             vocab_len,
             num_shards,
             partitioner,
-            Some(Arc::new(ClusterMetrics::register(registry, num_shards))),
+            Some(registry),
         )
     }
 
@@ -341,7 +344,7 @@ impl ShardedCluster {
         vocab_len: usize,
         num_shards: usize,
         partitioner: Partitioner,
-        metrics: Option<Arc<ClusterMetrics>>,
+        registry: Option<&MetricsRegistry>,
     ) -> Self {
         assert!(num_shards >= 1, "a cluster needs at least one shard");
         let mut per_shard: Vec<TrajectoryStore> =
@@ -377,14 +380,17 @@ impl ShardedCluster {
         let next_local = per_shard.iter().map(|s| s.len() as u32).collect();
         let shards: Vec<EpochManager> = per_shard
             .into_iter()
-            .map(|s| EpochManager::new(Arc::clone(&network), s, vocab_len))
+            .map(|s| match registry {
+                Some(r) => EpochManager::with_metrics(Arc::clone(&network), s, vocab_len, r),
+                None => EpochManager::new(Arc::clone(&network), s, vocab_len),
+            })
             .collect();
         let cluster = ShardedCluster {
             shards,
             partitioner,
             network,
             routing: Mutex::new(Routing { next_local, tables }),
-            metrics,
+            metrics: registry.map(|r| Arc::new(ClusterMetrics::register(r, num_shards))),
         };
         cluster.update_live_gauges();
         cluster
@@ -395,6 +401,14 @@ impl ShardedCluster {
             for (shard, series) in self.shards.iter().zip(&m.shards) {
                 series.live.set(shard.snapshot().stats().live as i64);
             }
+        }
+    }
+
+    /// Attaches an operational [`EventJournal`] to every shard's manager
+    /// (see [`EpochManager::set_journal`]).
+    pub fn set_journal(&mut self, journal: EventJournal) {
+        for s in &mut self.shards {
+            s.set_journal(journal.clone());
         }
     }
 
@@ -740,6 +754,29 @@ impl ClusterSnapshot {
             .iter()
             .map(|s| shard_upper_bound(s, query))
             .collect();
+        if n == 1 {
+            // The one-shard cut *is* the unsharded search: no floor to
+            // carry, nobody to share a settle log with. The caller's `ctx`
+            // goes through as is and the result — interrupted runs and
+            // their certificates included — comes back with only the ids
+            // mapped. Every settle counts as live; what a distance cache
+            // replayed is in the cache's own series.
+            let db = self.shards[0].database();
+            let mut result = algorithm.run_ctx(&db, query, ctl, &mut Recorder::disabled(), ctx)?;
+            for m in &mut result.matches {
+                m.id = self.maps[0].global_of(m.id);
+            }
+            if let Some(m) = &self.metrics {
+                m.queries.inc();
+                m.settles_live.add(result.metrics.settled_vertices as u64);
+            }
+            return Ok(ShardedAnswer {
+                result,
+                shards_cut: 0,
+                shards_cancelled: 0,
+                shard_bounds: bounds,
+            });
+        }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
 
@@ -808,19 +845,12 @@ struct ShardRun {
 /// the final threshold, which proves the certificate need not widen;
 /// otherwise its unreported trajectories are certified at `max(worst
 /// reported, floor given) + gap`, the gap being measured from the run's
-/// own pruning threshold. A single-shard cluster passes its result through
-/// untouched (bit-identity with the unsharded engine, interrupted runs
-/// included).
+/// own pruning threshold.
 fn merge_shard_runs(
     running: TopK,
     bounds: &[f64],
-    mut runs: Vec<ShardRun>,
+    runs: Vec<ShardRun>,
 ) -> (QueryResult, Vec<usize>) {
-    if bounds.len() == 1 {
-        if let Some(only) = runs.pop() {
-            return (only.result, Vec::new());
-        }
-    }
     let mut metrics = SearchMetrics::aggregate(runs.iter().map(|r| &r.result.metrics));
     // one logical query, whatever the fan-out
     metrics.queries = 1;
@@ -1068,13 +1098,39 @@ mod tests {
         }
     }
 
+    /// A one-shard cut hands the caller's context through: the answer of
+    /// an interrupted run is the direct run's, certificate and effort
+    /// included.
     #[test]
-    fn merge_single_shard_is_bitwise_passthrough() {
-        let r = best_effort(vec![m(3, 0.625), m(1, 0.5)], 0.037);
-        let (merged, cut) = merge(2, &[0.9], vec![r.clone()]);
-        assert_eq!(cut, 0);
-        assert_eq!(merged.completeness, r.completeness);
-        assert_eq!(merged.matches, r.matches);
+    fn single_shard_cut_is_a_bitwise_passthrough() {
+        use crate::algorithms::Expansion;
+        use crate::ExecutionBudget;
+        let (net, store) = fixture(60);
+        let cluster = ShardedCluster::new(net, &store, 8, 1, Partitioner::Hash);
+        let cut = cluster.snapshot();
+        let q = UotsQuery::with_options(
+            vec![NodeId(3), NodeId(17)],
+            KeywordSet::from_ids([KeywordId(2)]),
+            vec![],
+            QueryOptions {
+                k: 5,
+                budget: ExecutionBudget::default().with_max_visited(4),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let algo = Expansion::default();
+        let direct = algo.run(&cut.shard(0).database(), &q).unwrap();
+        assert!(!direct.completeness.is_exact(), "the budget must bite");
+        let answer = cut.search(&algo, &q).unwrap();
+        assert_eq!(answer.result.completeness, direct.completeness);
+        assert_eq!(answer.result.matches, direct.matches);
+        assert_eq!(
+            answer.result.metrics.settled_vertices,
+            direct.metrics.settled_vertices
+        );
+        assert_eq!((answer.shards_cut, answer.shards_cancelled), (0, 0));
+        assert_eq!(answer.shard_bounds.len(), 1);
     }
 
     /// Satellite: tie-breaking at the k boundary with duplicated scores

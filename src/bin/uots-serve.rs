@@ -10,24 +10,32 @@
 //!            [--shards N] [--partitioner hash|grid:CELLS]
 //! ```
 //!
-//! Loads a dataset (the binary format of `uots generate`), publishes it
-//! through an epoch manager, and serves `POST /search`, `/topk`, `/join`
-//! and `/ingest` plus the full observability surface (`GET /metrics`,
-//! `/status`, `/journal`, `/traces`) on one port. With `--wal-dir`,
-//! `/ingest` goes through the durable WAL-backed path (created fresh, or
-//! resumed when the directory already holds segments).
+//! Loads a dataset (the binary format of `uots generate`) and serves
+//! `POST /search`, `/topk`, `/join` and `/ingest` plus the full
+//! observability surface (`GET /metrics`, `/status`, `/journal`,
+//! `/traces`) on one port.
 //!
-//! With `--shards N` (N ≥ 2) the store is partitioned across `N` shards
-//! and every endpoint routes through the scatter-gather coordinator
+//! Every server is a cluster of `--shards N` shards, `N = 1` by default
 //! (`uots_core::shard`): a search walks the shards by descending upper
 //! bound on the request's own thread, sharing one network expansion per
 //! query location and carrying the running top-k threshold into each
-//! shard; `/ingest` routes each mutation to its owning shard, and
-//! responses gain per-shard `epochs`. Combined with `--wal-dir`, each
-//! shard owns its own WAL + checkpoint lineage under `DIR/shard-<s>/`
-//! and recovery parallelizes across shards (the directory layout decides
-//! fresh-vs-resume). `--partitioner grid:CELLS` selects the spatial-grid
-//! partitioner (volatile backend only; the durable facade is hash-only).
+//! shard — with one shard, exactly the unsharded search. `/ingest` routes
+//! each mutation to its owning shard; responses carry the per-shard
+//! `epochs` at every `N`. `--partitioner grid:CELLS` selects the
+//! spatial-grid partitioner (volatile only; the durable cluster is
+//! hash-only).
+//!
+//! With `--wal-dir`, `/ingest` goes through the durable WAL-backed path,
+//! created fresh or resumed by what the directory holds. One shard keeps
+//! its WAL segments and checkpoints directly in `DIR` (the layout of
+//! `uots ingest | recover | scrub --wal-dir`; the dataset stays the
+//! recovery base); `N ≥ 2` shards each own a self-contained lineage under
+//! `DIR/shard-<s>/`, recovered in parallel. A directory written with
+//! another shard count is refused: the global ids `g = l·N + s` only mean
+//! anything under the `N` they were issued with.
+//!
+//! Every shard reports to the one event journal, so `GET /journal` shows
+//! epoch swaps, WAL seals, retries and degradations at any `N`.
 //!
 //! The process runs until `POST /admin/shutdown` (or SIGKILL); shutdown
 //! drains the worker threads and exits 0 — CI asserts this.
@@ -36,17 +44,18 @@
 //! (`uots_core::planner`); `--force-algorithm` pins every query to one
 //! algorithm, the escape hatch when the planner misjudges a workload.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use uots::cluster::{shard_dir, ShardedDurable};
+use uots::cluster::{shards_on_disk, ShardedDurable};
 use uots::core::planner::AlgorithmKind;
 use uots::core::shard::{Partitioner, ShardedCluster};
 use uots::datagen::persist;
 use uots::durable::DurableIngest;
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
 use uots::serve::{QueryService, ServiceConfig};
-use uots::{EpochManager, ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
+use uots::{Dataset, ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
 
 struct Flags {
     pairs: Vec<(String, String)>,
@@ -92,6 +101,60 @@ fn parse_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Resul
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad value `{v}`")),
     }
+}
+
+/// Opens the durable cluster under `dir` — resumed when the directory
+/// holds a lineage, created from `ds` otherwise — with every shard
+/// reporting to `journal`. The layout on disk must agree with `shards`.
+fn open_or_create(
+    ds: &Dataset,
+    dir: &Path,
+    shards: usize,
+    config: WalConfig,
+    registry: &MetricsRegistry,
+    journal: EventJournal,
+) -> Result<ShardedDurable, String> {
+    let at = dir.display();
+    let on_disk = shards_on_disk(dir).map_err(|e| format!("reading {at}: {e}"))?;
+    if let Some(n) = on_disk.filter(|&n| n != shards) {
+        return Err(format!(
+            "--wal-dir {at} holds a {n}-shard lineage but --shards is {shards}: \
+             restart with --shards {n}"
+        ));
+    }
+    let mut cluster = if shards == 1 {
+        // flat layout; `open` itself resumes or creates
+        let (durable, recovery) = DurableIngest::open(ds, dir, config, None, Some(registry))
+            .map_err(|e| format!("opening wal in {at}: {e}"))?;
+        if let Some(report) = recovery {
+            println!(
+                "uots-serve: recovered {} batches in {} us",
+                report.replayed_batches, report.micros
+            );
+        }
+        ShardedDurable::single(durable)
+    } else if on_disk.is_some() {
+        let (cluster, reports) = ShardedDurable::open(dir, shards, config, None, Some(registry))
+            .map_err(|e| format!("recovering {shards} shards in {at}: {e}"))?;
+        let slowest = reports.iter().map(|r| r.micros).max().unwrap_or(0);
+        println!("uots-serve: recovered {shards} shards in {slowest} us (max over shards)");
+        cluster
+    } else {
+        let network = Arc::new(ds.network.clone());
+        ShardedDurable::create(
+            network,
+            &ds.store,
+            &ds.vocab,
+            dir,
+            shards,
+            config,
+            None,
+            Some(registry),
+        )
+        .map_err(|e| format!("creating {shards} shard wals in {at}: {e}"))?
+    };
+    cluster.set_journal(journal);
+    Ok(cluster)
 }
 
 fn run() -> Result<(), String> {
@@ -151,76 +214,31 @@ fn run() -> Result<(), String> {
             }
         },
     };
-    let mut service = match (flags.get("wal-dir"), shards) {
-        (Some(dir), n) => {
+    let mut service = match flags.get("wal-dir") {
+        Some(dir) => {
+            if partitioner != Partitioner::Hash {
+                return Err("--partitioner: the durable backend is hash-only".to_string());
+            }
             let fsync = FsyncPolicy::parse(flags.get("fsync").unwrap_or("batch"))
                 .map_err(|e| format!("--fsync: {e}"))?;
             let config = WalConfig {
                 fsync,
                 ..WalConfig::default()
             };
-            if n >= 2 {
-                if partitioner != Partitioner::Hash {
-                    return Err("--partitioner: the durable backend is hash-only".to_string());
-                }
-                // The directory layout decides fresh-vs-resume, exactly
-                // like the unsharded durable path.
-                let resumes = shard_dir(std::path::Path::new(dir), 0).exists();
-                let cluster = if resumes {
-                    let (cluster, reports) =
-                        ShardedDurable::open(dir, n, config, None, Some(&registry))
-                            .map_err(|e| format!("recovering {n} shards in {dir}: {e}"))?;
-                    let slowest = reports.iter().map(|r| r.micros).max().unwrap_or(0);
-                    println!("uots-serve: recovered {n} shards in {slowest} us (max over shards)");
-                    cluster
-                } else {
-                    ShardedDurable::create(
-                        Arc::new(ds.network.clone()),
-                        &ds.store,
-                        &ds.vocab,
-                        dir,
-                        n,
-                        config,
-                        None,
-                        Some(&registry),
-                    )
-                    .map_err(|e| format!("creating {n} shard wals in {dir}: {e}"))?
-                };
-                QueryService::start_sharded_durable(listen, cluster, registry, obs, cfg)
-            } else {
-                let (mut durable, recovery) =
-                    DurableIngest::open(&ds, dir, config, None, Some(&registry))
-                        .map_err(|e| format!("opening wal in {dir}: {e}"))?;
-                if let Some(report) = recovery {
-                    println!(
-                        "uots-serve: recovered {} batches in {} us",
-                        report.replayed_batches, report.micros
-                    );
-                }
-                durable.set_journal(journal.clone());
-                QueryService::start_durable(listen, durable, registry, obs, cfg)
-            }
+            let cluster = open_or_create(&ds, Path::new(dir), shards, config, &registry, journal)?;
+            QueryService::start_durable(listen, cluster, registry, obs, cfg)
         }
-        (None, n) if n >= 2 => {
-            let cluster = ShardedCluster::with_metrics(
+        None => {
+            let mut cluster = ShardedCluster::with_metrics(
                 Arc::new(ds.network.clone()),
                 &ds.store,
                 ds.vocab.len(),
-                n,
+                shards,
                 partitioner,
                 &registry,
             );
-            QueryService::start_sharded(listen, Arc::new(cluster), registry, obs, cfg)
-        }
-        (None, _) => {
-            let mut manager = EpochManager::with_metrics(
-                Arc::new(ds.network.clone()),
-                ds.store.clone(),
-                ds.vocab.len(),
-                &registry,
-            );
-            manager.set_journal(journal.clone());
-            QueryService::start(listen, Arc::new(manager), registry, obs, cfg)
+            cluster.set_journal(journal);
+            QueryService::start(listen, Arc::new(cluster), registry, obs, cfg)
         }
     }
     .map_err(|e| format!("binding {listen}: {e}"))?;

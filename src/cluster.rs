@@ -31,16 +31,27 @@
 //! [`create`](ShardedDurable::create) seeds every shard with an initial
 //! checkpoint of its partition, so cluster recovery never needs the base
 //! dataset: a shard directory is self-contained from birth.
+//!
+//! ## The one-shard cluster
+//!
+//! A directory whose root holds WAL segments and checkpoints directly is a
+//! one-shard lineage: [`single`](ShardedDurable::single) wraps the
+//! [`DurableIngest`] opened over it (global id = local id under `N = 1`),
+//! so an unsharded `--wal-dir` keeps its flat layout and its
+//! base-dataset recovery. `shard-<s>/` is the layout of `N ≥ 2`;
+//! [`shards_on_disk`] tells the two apart.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::durable::{recover, DurableError, DurableIngest, DurableStatus, RecoveryReport};
+use crate::durable::{
+    list_checkpoints, recover, DurableError, DurableIngest, DurableStatus, RecoveryReport,
+};
 use uots_core::shard::ClusterSnapshot;
-use uots_core::wal::{WalConfig, WalError};
+use uots_core::wal::{self, WalConfig, WalError};
 use uots_core::Mutation;
 use uots_network::RoadNetwork;
-use uots_obs::MetricsRegistry;
+use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
@@ -49,17 +60,50 @@ pub fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard}"))
 }
 
+/// How many shards the lineage under `root` was written with: `Some(1)`
+/// for the flat layout (WAL segments or checkpoints directly in `root`),
+/// else the number of `shard-<s>` directories, `None` when `root` holds
+/// neither (nothing to resume).
+pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
+    if !wal::list_segments(root)?.is_empty() || !list_checkpoints(root).is_empty() {
+        return Ok(Some(1));
+    }
+    let Ok(entries) = std::fs::read_dir(root) else {
+        return Ok(None); // not created yet
+    };
+    let n = entries
+        .flatten()
+        .filter(|e| e.path().is_dir() && e.file_name().to_string_lossy().starts_with("shard-"))
+        .count();
+    Ok((n > 0).then_some(n))
+}
+
 /// `N` hash-partitioned [`DurableIngest`]s behind one global-id facade.
 /// Single-writer like its unsharded counterpart: mutating methods take
-/// `&mut self`.
+/// `&mut self`. Each shard's master-store length
+/// ([`EpochManager::issued`](uots_core::EpochManager::issued)) is the
+/// global-id assignment source of truth.
 pub struct ShardedDurable {
     shards: Vec<DurableIngest>,
-    /// Master-store length per shard (pending ingests included): the
-    /// global-id assignment source of truth.
-    next_local: Vec<u32>,
 }
 
 impl ShardedDurable {
+    /// The one-shard cluster over an already opened ingest (see the
+    /// [module docs](self)).
+    pub fn single(ingest: DurableIngest) -> Self {
+        ShardedDurable {
+            shards: vec![ingest],
+        }
+    }
+
+    /// Attaches an operational [`EventJournal`] to every shard (see
+    /// [`DurableIngest::set_journal`]).
+    pub fn set_journal(&mut self, journal: EventJournal) {
+        for s in &mut self.shards {
+            s.set_journal(journal.clone());
+        }
+    }
+
     /// Creates a fresh cluster under `root`: partitions `store` by hash
     /// (seed trajectory `g` → shard `g % num_shards`), opens one WAL per
     /// shard, and seeds each shard with an initial checkpoint of its
@@ -102,11 +146,7 @@ impl ShardedDurable {
             ingest.checkpoint_now()?;
             shards.push(ingest);
         }
-        let next_local = shards
-            .iter()
-            .map(|i| i.snapshot().store().len() as u32)
-            .collect();
-        Ok(ShardedDurable { shards, next_local })
+        Ok(ShardedDurable { shards })
     }
 
     /// Recovers every shard under `root` **in parallel** and resumes
@@ -160,11 +200,7 @@ impl ShardedDurable {
             shards.push(ingest);
             reports.push(report);
         }
-        let next_local = shards
-            .iter()
-            .map(|i| i.snapshot().store().len() as u32)
-            .collect();
-        Ok((ShardedDurable { shards, next_local }, reports))
+        Ok((ShardedDurable { shards }, reports))
     }
 
     /// Number of shards.
@@ -204,25 +240,42 @@ impl ShardedDurable {
         ClusterSnapshot::from_hash_shards(self.shards.iter().map(|s| s.snapshot()).collect())
     }
 
+    /// Master-store length per shard, pending ingests included.
+    fn issued(&self) -> Vec<u32> {
+        self.shards
+            .iter()
+            .map(|s| s.manager().issued() as u32)
+            .collect()
+    }
+
+    /// Whether `global` is an id this cluster has issued (seeded or
+    /// ingested; retired ids remain known).
+    pub fn contains(&self, global: TrajectoryId) -> bool {
+        self.locate(global).is_ok()
+    }
+
     /// Routes `global` to `(shard, local)`.
     fn locate(&self, global: TrajectoryId) -> Result<(usize, TrajectoryId), DurableError> {
         let n = self.shards.len() as u32;
-        let (s, l) = (global.0 % n, global.0 / n);
-        if l >= self.next_local[s as usize] {
+        let (s, l) = ((global.0 % n) as usize, global.0 / n);
+        if l as usize >= self.shards[s].manager().issued() {
             return Err(DurableError::Inconsistent(format!(
                 "unknown global trajectory id {global}"
             )));
         }
-        Ok((s as usize, TrajectoryId(l)))
+        Ok((s, TrajectoryId(l)))
     }
 
-    /// Healthy shards, ordered by the global id their next insert would
-    /// receive (ascending): the routing order for inserts.
-    fn insert_order(&self) -> Vec<usize> {
-        let n = self.shards.len();
-        let mut order: Vec<usize> = (0..n).filter(|&s| !self.shards[s].is_degraded()).collect();
-        order.sort_by_key(|&s| self.next_local[s] as u64 * n as u64 + s as u64);
-        order
+    /// The healthy shard whose next insert receives the smallest global
+    /// id, given each shard's next local id.
+    fn next_insert_shard(&self, next_local: &[u32]) -> Result<usize, DurableError> {
+        let n = self.shards.len() as u64;
+        (0..self.shards.len())
+            .filter(|&s| !self.shards[s].is_degraded())
+            .min_by_key(|&s| next_local[s] as u64 * n + s as u64)
+            .ok_or_else(|| DurableError::ReadOnly {
+                reason: "every shard is degraded to read-only".into(),
+            })
     }
 
     /// Logs and applies one insert; returns its **global** id. Routes to
@@ -235,14 +288,8 @@ impl ShardedDurable {
     /// next call routes around the newly degraded shard).
     pub fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
         let n = self.shards.len() as u32;
-        let Some(&s) = self.insert_order().first() else {
-            return Err(DurableError::ReadOnly {
-                reason: "every shard is degraded to read-only".into(),
-            });
-        };
+        let s = self.next_insert_shard(&self.issued())?;
         let local = self.shards[s].ingest(t)?;
-        debug_assert_eq!(local.0, self.next_local[s]);
-        self.next_local[s] += 1;
         Ok(TrajectoryId(local.0 * n + s as u32))
     }
 
@@ -265,18 +312,13 @@ impl ShardedDurable {
     /// that failed.
     pub fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, DurableError> {
         let n = self.shards.len() as u32;
-        let mut projected = self.next_local.clone();
+        let mut projected = self.issued();
         let mut sub: Vec<Vec<Mutation>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         let mut insert_ids = Vec::new();
         for m in batch {
             match m {
                 Mutation::Insert(t) => {
-                    let s = (0..self.shards.len())
-                        .filter(|&s| !self.shards[s].is_degraded())
-                        .min_by_key(|&s| projected[s] as u64 * n as u64 + s as u64)
-                        .ok_or_else(|| DurableError::ReadOnly {
-                            reason: "every shard is degraded to read-only".into(),
-                        })?;
+                    let s = self.next_insert_shard(&projected)?;
                     insert_ids.push(TrajectoryId(projected[s] * n + s as u32));
                     projected[s] += 1;
                     sub[s].push(Mutation::Insert(t));
@@ -292,7 +334,6 @@ impl ShardedDurable {
                 continue;
             }
             self.shards[s].apply(sub_batch)?;
-            self.next_local[s] = projected[s];
         }
         Ok(insert_ids)
     }

@@ -589,16 +589,40 @@ impl DurableIngest {
         }
     }
 
+    /// Refuses a batch that retires an id the master store has not issued
+    /// (ids the batch's own earlier inserts receive count as issued).
+    /// Runs before anything is logged: once in the WAL such a record fails
+    /// every later recovery, and applied it panics the manager.
+    fn check_retires(&self, batch: &[Mutation]) -> Result<(), DurableError> {
+        let mut issued = self.manager.issued();
+        for m in batch {
+            match m {
+                Mutation::Insert(_) => issued += 1,
+                Mutation::Retire(id) if id.index() >= issued => {
+                    return Err(DurableError::Inconsistent(format!(
+                        "retire of id {id} the store never issued"
+                    )));
+                }
+                Mutation::Retire(_) => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Logs `batch` as one WAL record, then applies it to the manager.
-    /// Returns the batch's LSN and the ids assigned to its inserts. On a
-    /// WAL error nothing is applied — the in-memory state never runs
-    /// ahead of the log. Storage errors are retried per the
-    /// [`RetryPolicy`]; exhaustion degrades the ingest to read-only
-    /// (subsequent calls fail fast with [`DurableError::ReadOnly`]).
+    /// Returns the batch's LSN and the ids assigned to its inserts. A
+    /// batch retiring an unknown id is refused with
+    /// [`DurableError::Inconsistent`] — nothing logged, nothing applied,
+    /// the ingest not degraded. On a WAL error nothing is applied — the
+    /// in-memory state never runs ahead of the log. Storage errors are
+    /// retried per the [`RetryPolicy`]; exhaustion degrades the ingest to
+    /// read-only (subsequent calls fail fast with
+    /// [`DurableError::ReadOnly`]).
     pub fn apply(
         &mut self,
         batch: Vec<Mutation>,
     ) -> Result<(u64, Vec<TrajectoryId>), DurableError> {
+        self.check_retires(&batch)?;
         let lsn = self.append_with_retry(&batch)?;
         let inserted = self.manager.apply(batch);
         self.batches_since_checkpoint += 1;
@@ -613,9 +637,12 @@ impl DurableIngest {
 
     /// Logs and applies a single retire; returns whether `id` was live
     /// (a retire of an already-retired id is logged but replays as the
-    /// same no-op it was).
+    /// same no-op it was). An unknown id is refused like in
+    /// [`apply`](Self::apply).
     pub fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
-        self.append_with_retry(&[Mutation::Retire(id)])?;
+        let record = [Mutation::Retire(id)];
+        self.check_retires(&record)?;
+        self.append_with_retry(&record)?;
         self.batches_since_checkpoint += 1;
         Ok(self.manager.retire(id))
     }
@@ -1309,5 +1336,53 @@ mod tests {
         // retrying explicitly now succeeds
         ingest.checkpoint_now().unwrap();
         assert_eq!(ingest.status().last_checkpoint_lsn, 1);
+    }
+
+    /// Regression: an unknown-id retire used to be appended to the WAL
+    /// first and then panic the manager — with the record already durable,
+    /// every later open of the directory failed on it.
+    #[test]
+    fn unknown_retire_is_refused_before_it_reaches_the_log() {
+        let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
+        let dir = tmpdir("unknown_retire");
+        let wal_bytes = |dir: &Path| -> u64 {
+            wal::list_segments(dir)
+                .unwrap()
+                .iter()
+                .map(|p| std::fs::metadata(p).unwrap().len())
+                .sum()
+        };
+        let mut ingest = ingest_over(&ds, &dir, Arc::new(StdFs), None);
+        let (lsn, _) = ingest.apply(vec![Mutation::Insert(donor(&ds, 0))]).unwrap();
+        let before = wal_bytes(&dir);
+
+        let err = ingest.retire(TrajectoryId(999_999)).unwrap_err();
+        assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        // an id the batch's own insert receives is known; the one after is not
+        let next = TrajectoryId(ds.store.len() as u32 + 1);
+        let err = ingest
+            .apply(vec![
+                Mutation::Insert(donor(&ds, 1)),
+                Mutation::Retire(TrajectoryId(next.0 + 1)),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        assert_eq!(wal_bytes(&dir), before, "nothing was logged");
+        assert_eq!(ingest.manager().issued(), ds.store.len() + 1);
+        assert!(!ingest.is_degraded());
+
+        let (next_lsn, ids) = ingest
+            .apply(vec![
+                Mutation::Insert(donor(&ds, 1)),
+                Mutation::Retire(next),
+            ])
+            .unwrap();
+        assert_eq!(next_lsn, lsn + 1, "the refused batches took no lsn");
+        assert_eq!(ids, vec![next]);
+        drop(ingest);
+        let (reopened, report) =
+            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None).unwrap();
+        assert_eq!(report.unwrap().replayed_batches, 2);
+        assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 1);
     }
 }

@@ -25,13 +25,23 @@
 //! consistency) and malformed requests answer `400` with the engine's
 //! own error text.
 //!
+//! ## One backend: a cluster of `N ≥ 1` shards
+//!
+//! The service always answers from a sharded cluster — volatile
+//! ([`ShardedCluster`]) or WAL-backed ([`ShardedDurable`]) — and the
+//! unsharded server is the cluster with one shard, not a second code
+//! path: a one-shard cut hands the query to its lone shard untouched
+//! (see [`ClusterSnapshot::search_ctx`]). Responses therefore have one
+//! shape at every `N`: the scalar `epoch` (the maximum per-shard epoch)
+//! beside the per-shard `epochs`, `shards_cut`, and per-shard plans.
+//!
 //! ## Epoch pinning
 //!
-//! Every search batch runs through [`parallel::run_batch_epoch`]: one
-//! snapshot is resolved up front and the whole batch answers against it,
-//! so results are attributable to a single `epoch` (returned in the
-//! response) even while `/ingest` keeps publishing. Concurrent publishes
-//! never invalidate an in-flight batch.
+//! Every request pins one consistent cut up front and the whole batch
+//! runs against it through [`parallel::run_batch_cluster`], so results
+//! are attributable to one set of `epochs` (returned in the response)
+//! even while `/ingest` keeps publishing. Concurrent publishes never
+//! invalidate an in-flight batch.
 //!
 //! ## Overload: degrade, then shed — never hang
 //!
@@ -56,9 +66,10 @@
 //! algorithm dispatch of [`uots_core::planner`] — unless the operator
 //! forced an algorithm (`--force-algorithm`, [`ServiceConfig::force`])
 //! or the request asked for one (`"algorithm": "expansion"`; the
-//! operator's force wins). The response's `planned` array reports the
-//! decision and reason per query, recomputed against the pinned
-//! snapshot, so clients can see *why* an algorithm ran.
+//! operator's force wins). The response's `planned` array reports, per
+//! query, `{"shards": [{algorithm, reason}, …]}` — the decision each
+//! shard took (planner statistics are per-shard by design), recomputed
+//! against the pinned cut, so clients can see *why* an algorithm ran.
 
 use std::collections::HashMap;
 use std::io;
@@ -73,9 +84,10 @@ use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
 use uots_core::shard::{ClusterSnapshot, ShardedCluster};
 use uots_core::{
-    CancellationToken, Completeness, CoreError, Database, EpochManager, EpochSnapshot,
-    ExecutionBudget, QueryOptions, QueryResult, RunControl, SearchContext, UotsQuery, Weights,
+    CancellationToken, Completeness, CoreError, ExecutionBudget, QueryOptions, RunControl,
+    SearchContext, UotsQuery, Weights,
 };
+use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
 use uots_network::NodeId;
 use uots_obs::{
@@ -85,7 +97,7 @@ use uots_text::{KeywordId, KeywordSet};
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
 use crate::cluster::ShardedDurable;
-use crate::durable::DurableIngest;
+use crate::durable::DurableError;
 
 /// How the service admits, degrades and sheds work.
 #[derive(Debug, Clone)]
@@ -158,60 +170,41 @@ impl ServiceMetrics {
     }
 }
 
-/// The state the service answers from: a live [`EpochManager`]
-/// (volatile ingest), the WAL-backed [`DurableIngest`] facade, or their
-/// sharded counterparts (`--shards N`). All hand out epoch-pinned
-/// snapshot cuts; only `/ingest` differs.
+/// The state the service answers from: a cluster of `N ≥ 1` shards,
+/// volatile or WAL-backed. Both hand out epoch-pinned cuts and expose the
+/// same write quartet ([`Coordinator`]); only durability differs.
 enum Backend {
-    Volatile(Arc<EpochManager>),
-    Durable(Box<Mutex<DurableIngest>>),
-    Sharded(Arc<ShardedCluster>),
-    ShardedDurable(Box<Mutex<ShardedDurable>>),
-}
-
-/// One pinned read handle: a single snapshot, or a consistent cut across
-/// every shard. Queries of one request always answer against one pin.
-enum Pinned {
-    Single(Arc<EpochSnapshot>),
-    Cluster(ClusterSnapshot),
-}
-
-impl Pinned {
-    /// The epoch attributable to this pin: the snapshot's epoch, or the
-    /// maximum per-shard epoch of the cut (per-shard epochs are reported
-    /// separately in sharded responses).
-    fn epoch(&self) -> u64 {
-        match self {
-            Pinned::Single(s) => s.epoch(),
-            Pinned::Cluster(c) => c.epochs().into_iter().max().unwrap_or(0),
-        }
-    }
-
-    /// Per-shard epochs (`None` for a single snapshot).
-    fn shard_epochs(&self) -> Option<Vec<u64>> {
-        match self {
-            Pinned::Single(_) => None,
-            Pinned::Cluster(c) => Some(c.epochs()),
-        }
-    }
+    Volatile(Arc<ShardedCluster>),
+    Durable(Mutex<ShardedDurable>),
 }
 
 impl Backend {
-    /// The current pinned read handle. The durable locks are held only
-    /// for the snapshot clone, never across query execution, so searches
-    /// and ingest proceed concurrently.
-    fn pin(&self) -> Pinned {
+    /// The current consistent cut; queries of one request always answer
+    /// against one pin. The durable lock is held only for the snapshot
+    /// clone, never across query execution, so searches and ingest
+    /// proceed concurrently.
+    fn pin(&self) -> ClusterSnapshot {
         match self {
-            Backend::Volatile(m) => Pinned::Single(m.snapshot()),
-            Backend::Durable(d) => {
-                Pinned::Single(d.lock().expect("durable facade poisoned").snapshot())
-            }
-            Backend::Sharded(c) => Pinned::Cluster(c.snapshot()),
-            Backend::ShardedDurable(d) => {
-                Pinned::Cluster(d.lock().expect("durable facade poisoned").snapshot())
-            }
+            Backend::Volatile(c) => c.snapshot(),
+            Backend::Durable(d) => d.lock().expect("durable facade poisoned").snapshot(),
         }
     }
+}
+
+/// The scalar epoch of a cut: the maximum per-shard epoch.
+fn max_epoch(epochs: &[u64]) -> u64 {
+    epochs.iter().copied().max().unwrap_or(0)
+}
+
+/// The `epoch` and `epochs` fields every data-plane response carries.
+fn epoch_fields(epochs: &[u64]) -> [(String, Content); 2] {
+    [
+        ("epoch".to_string(), Content::U64(max_epoch(epochs))),
+        (
+            "epochs".to_string(),
+            Content::Seq(epochs.iter().copied().map(Content::U64).collect()),
+        ),
+    ]
 }
 
 /// Shared state behind every worker thread.
@@ -286,85 +279,42 @@ impl std::fmt::Debug for QueryService {
 }
 
 impl QueryService {
-    /// Starts the service over a live [`EpochManager`] (volatile ingest:
-    /// mutations apply to the manager without a WAL).
+    /// Starts the service over a volatile [`ShardedCluster`]: `/search`
+    /// and `/topk` walk the shards under a carried top-k floor (one shard:
+    /// the plain search), `/ingest` routes through the coordinator (global
+    /// ids, no WAL), `/join` answers over the merged live cut.
     ///
     /// # Errors
     ///
     /// Binding the listener.
     pub fn start(
         addr: &str,
-        manager: Arc<EpochManager>,
-        registry: MetricsRegistry,
-        obs: ObsState,
-        cfg: ServiceConfig,
-    ) -> io::Result<QueryService> {
-        Self::start_inner(addr, Backend::Volatile(manager), registry, obs, cfg)
-    }
-
-    /// Starts the service over a [`DurableIngest`]: `/ingest` goes through
-    /// the WAL-backed path (acked writes survive crashes), queries read
-    /// the facade's published snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Binding the listener.
-    pub fn start_durable(
-        addr: &str,
-        durable: DurableIngest,
-        registry: MetricsRegistry,
-        obs: ObsState,
-        cfg: ServiceConfig,
-    ) -> io::Result<QueryService> {
-        Self::start_inner(
-            addr,
-            Backend::Durable(Box::new(Mutex::new(durable))),
-            registry,
-            obs,
-            cfg,
-        )
-    }
-
-    /// Starts the service over a [`ShardedCluster`] (volatile sharded
-    /// ingest): `/search` and `/topk` scatter-gather across every shard
-    /// under a carried top-k floor, `/ingest` routes through the coordinator
-    /// (global ids), `/join` answers over the merged live cut.
-    ///
-    /// # Errors
-    ///
-    /// Binding the listener.
-    pub fn start_sharded(
-        addr: &str,
         cluster: Arc<ShardedCluster>,
         registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, Backend::Sharded(cluster), registry, obs, cfg)
+        Self::start_inner(addr, Backend::Volatile(cluster), registry, obs, cfg)
     }
 
-    /// Starts the service over a [`ShardedDurable`] cluster: per-shard
-    /// WAL-backed `/ingest`, scatter-gather reads. A degraded shard
+    /// Starts the service over a [`ShardedDurable`] cluster: `/ingest`
+    /// goes through each shard's WAL (acked writes survive crashes),
+    /// reads are the same as on the volatile cluster. A degraded shard
     /// rejects its mutations while every other shard — and all reads —
     /// keep serving.
     ///
     /// # Errors
     ///
     /// Binding the listener.
-    pub fn start_sharded_durable(
+    pub fn start_durable(
         addr: &str,
         cluster: ShardedDurable,
         registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(
-            addr,
-            Backend::ShardedDurable(Box::new(Mutex::new(cluster))),
-            registry,
-            obs,
-            cfg,
-        )
+        let backend = Backend::Durable(Mutex::new(cluster));
+        Self::start_inner(addr, backend, registry, obs, cfg)
     }
 
     fn start_inner(
@@ -415,10 +365,10 @@ impl QueryService {
         self.local_addr
     }
 
-    /// The epoch of the currently published snapshot (for sharded
-    /// backends: the maximum per-shard epoch).
+    /// The epoch of the currently published cut: the maximum per-shard
+    /// epoch.
     pub fn current_epoch(&self) -> u64 {
-        self.shared.backend.pin().epoch()
+        max_epoch(&self.shared.backend.pin().epochs())
     }
 
     /// `true` once an operator requested shutdown (`POST
@@ -469,23 +419,13 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) -> io::Result
     let req = match read_request(stream) {
         Ok(req) => req,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            shared.metrics.errors.inc();
             // `read_request` refuses bodies past MAX_BODY_BYTES up front.
-            return if e.to_string().contains("too large") {
-                respond(
-                    stream,
-                    413,
-                    "application/json",
-                    "{\"error\":\"body too large\"}\n",
-                )
+            let (code, msg) = if e.to_string().contains("too large") {
+                (413, "body too large")
             } else {
-                respond(
-                    stream,
-                    400,
-                    "application/json",
-                    "{\"error\":\"bad request\"}\n",
-                )
+                (400, "bad request")
             };
+            return client_error(stream, shared, code, msg);
         }
         Err(e) => return Err(e),
     };
@@ -502,10 +442,7 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) -> io::Result
                     "uots-serve: POST /search /topk /join /ingest /admin/shutdown; \
                      GET /metrics /status /journal /traces\n",
                 ),
-                _ => {
-                    shared.metrics.errors.inc();
-                    json_error(stream, 404, &format!("no such path: {}", req.path))
-                }
+                _ => client_error(stream, shared, 404, &format!("no such path: {}", req.path)),
             }
         }
         "POST" => match req.path.as_str() {
@@ -517,15 +454,9 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) -> io::Result
                 shared.stop.store(true, Ordering::SeqCst);
                 respond(stream, 200, "application/json", "{\"stopping\":true}\n")
             }
-            _ => {
-                shared.metrics.errors.inc();
-                json_error(stream, 404, &format!("no such path: {}", req.path))
-            }
+            _ => client_error(stream, shared, 404, &format!("no such path: {}", req.path)),
         },
-        m => {
-            shared.metrics.errors.inc();
-            json_error(stream, 405, &format!("method {m} not allowed"))
-        }
+        m => client_error(stream, shared, 405, &format!("method {m} not allowed")),
     }
 }
 
@@ -633,6 +564,12 @@ fn tighten(own: ExecutionBudget, cap: ExecutionBudget) -> ExecutionBudget {
     }
 }
 
+/// Answers a client error (4xx other than the 429 sheds) and counts it.
+fn client_error(stream: &mut TcpStream, shared: &Shared, code: u16, msg: &str) -> io::Result<()> {
+    shared.metrics.errors.inc();
+    json_error(stream, code, msg)
+}
+
 fn json_error(stream: &mut TcpStream, code: u16, msg: &str) -> io::Result<()> {
     let body = serde_json::to_string(&Content::Map(vec![(
         "error".to_string(),
@@ -652,30 +589,21 @@ fn handle_search(
 ) -> io::Result<()> {
     let body = match body_content(req) {
         Ok(b) => b,
-        Err(e) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, &e);
-        }
+        Err(e) => return client_error(stream, shared, 400, &e),
     };
     let query_objects: Vec<&Content> = if single {
         vec![&body]
     } else {
         match body.get("queries") {
             Some(Content::Seq(items)) if !items.is_empty() => items.iter().collect(),
-            _ => {
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, "`queries` must be a non-empty array");
-            }
+            _ => return client_error(stream, shared, 400, "`queries` must be a non-empty array"),
         }
     };
     let mut queries = Vec::with_capacity(query_objects.len());
     for (i, qc) in query_objects.iter().enumerate() {
         match parse_query(qc) {
             Ok(q) => queries.push(q),
-            Err(e) => {
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, &format!("query {i}: {e}"));
-            }
+            Err(e) => return client_error(stream, shared, 400, &format!("query {i}: {e}")),
         }
     }
 
@@ -714,8 +642,7 @@ fn handle_search(
             Some(kind) => Planner::forced(kind),
             None => {
                 drop(guard);
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, &format!("unknown algorithm `{name}`"));
+                return client_error(stream, shared, 400, &format!("unknown algorithm `{name}`"));
             }
         },
         (None, None) => Planner::new(),
@@ -728,30 +655,15 @@ fn handle_search(
         threads: shared.cfg.batch_threads,
     };
     let token = CancellationToken::new();
-    // Pin one snapshot — or one consistent cluster cut — for the whole
-    // batch (the `Arc`s keep every shard epoch alive while `/ingest`
-    // publishes), exactly like `parallel::run_batch_epoch`.
-    let pinned = shared.backend.pin();
-    let mut shards_cut_total = 0u64;
-    let outcome: Result<Vec<Result<QueryResult, CoreError>>, CoreError> = match &pinned {
-        Pinned::Single(snapshot) => {
-            let db = snapshot.database();
-            parallel::run_batch_ctx(&db, &planner, &queries, &opts, &token, &shared.ctx)
-        }
-        // A query walks its shards on one thread, so a cluster batch
-        // spreads over the batch workers query by query, like any other.
-        Pinned::Cluster(cut) => {
-            parallel::run_batch_cluster(cut, &planner, &queries, &opts, &token, &shared.ctx).map(
-                |answers| {
-                    shards_cut_total = answers.iter().flatten().map(|a| a.shards_cut as u64).sum();
-                    answers.into_iter().map(|a| a.map(|a| a.result)).collect()
-                },
-            )
-        }
-    };
+    // Pin one consistent cut for the whole batch (the `Arc`s keep every
+    // shard epoch alive while `/ingest` publishes). A query walks its
+    // shards on one thread, so the batch spreads over the batch workers
+    // query by query.
+    let cut = shared.backend.pin();
+    let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token, &shared.ctx);
     drop(guard);
 
-    let results = match outcome {
+    let answers = match outcome {
         Ok(batch) => batch,
         Err(CoreError::Overloaded {
             submitted,
@@ -764,60 +676,45 @@ fn handle_search(
                 &format!("batch of {submitted} exceeds admission bound {capacity}"),
             );
         }
-        Err(e) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, &e.to_string());
-        }
+        Err(e) => return client_error(stream, shared, 400, &e.to_string()),
     };
 
-    // Report the plan per query, recomputed against the pinned snapshot
-    // (decide() is deterministic and cheap). A cluster reports the plan
-    // each shard chose — planner statistics are per-shard by design.
-    let plan_entry = |db: &Database<'_>, q: &UotsQuery| {
-        let d = planner.decide(db, q);
-        Content::Map(vec![
-            (
-                "algorithm".to_string(),
-                Content::Str(d.kind.name().to_string()),
-            ),
-            ("reason".to_string(), Content::Str(d.reason.to_string())),
-        ])
-    };
-    let planned: Vec<Content> = match &pinned {
-        Pinned::Single(snapshot) => {
-            let db = snapshot.database();
-            queries.iter().map(|q| plan_entry(&db, q)).collect()
-        }
-        Pinned::Cluster(cut) => queries
-            .iter()
-            .map(|q| {
-                let shards: Vec<Content> = (0..cut.num_shards())
-                    .map(|s| plan_entry(&cut.shard(s).database(), q))
-                    .collect();
-                Content::Map(vec![("shards".to_string(), Content::Seq(shards))])
-            })
-            .collect(),
-    };
+    // Report the plan per query, recomputed against the pinned cut
+    // (decide() is deterministic and cheap): the plan each shard chose —
+    // planner statistics are per-shard by design.
+    let planned: Vec<Content> = queries
+        .iter()
+        .map(|q| {
+            let shards: Vec<Content> = (0..cut.num_shards())
+                .map(|s| {
+                    let d = planner.decide(&cut.shard(s).database(), q);
+                    Content::Map(vec![
+                        (
+                            "algorithm".to_string(),
+                            Content::Str(d.kind.name().to_string()),
+                        ),
+                        ("reason".to_string(), Content::Str(d.reason.to_string())),
+                    ])
+                })
+                .collect();
+            Content::Map(vec![("shards".to_string(), Content::Seq(shards))])
+        })
+        .collect();
 
-    let rendered: Vec<Content> = results
+    let shards_cut: u64 = answers.iter().flatten().map(|a| a.shards_cut as u64).sum();
+    let rendered: Vec<Content> = answers
         .iter()
         .map(|r| match r {
-            Ok(qr) => qr.serialize(),
+            Ok(a) => a.result.serialize(),
             Err(e) => Content::Map(vec![("error".to_string(), Content::Str(e.to_string()))]),
         })
         .collect();
-    let mut top = vec![
-        ("epoch".to_string(), Content::U64(pinned.epoch())),
+    let mut top = Vec::from(epoch_fields(&cut.epochs()));
+    top.extend([
         ("degraded".to_string(), Content::Bool(degraded)),
         ("planned".to_string(), Content::Seq(planned)),
-    ];
-    if let Some(epochs) = pinned.shard_epochs() {
-        top.push((
-            "epochs".to_string(),
-            Content::Seq(epochs.into_iter().map(Content::U64).collect()),
-        ));
-        top.push(("shards_cut".to_string(), Content::U64(shards_cut_total)));
-    }
+        ("shards_cut".to_string(), Content::U64(shards_cut)),
+    ]);
     if single {
         top.push((
             "result".to_string(),
@@ -835,40 +732,27 @@ fn handle_search(
 fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) -> io::Result<()> {
     let body = match body_content(req) {
         Ok(b) => b,
-        Err(e) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, &e);
-        }
+        Err(e) => return client_error(stream, shared, 400, &e),
     };
     let defaults = JoinConfig::default();
     let cfg = JoinConfig {
         theta: match field_f64(&body, "theta", defaults.theta) {
             Ok(v) => v,
-            Err(e) => {
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, &e);
-            }
+            Err(e) => return client_error(stream, shared, 400, &e),
         },
         lambda: match field_f64(&body, "lambda", defaults.lambda) {
             Ok(v) => v,
-            Err(e) => {
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, &e);
-            }
+            Err(e) => return client_error(stream, shared, 400, &e),
         },
         decay_km: field_f64(&body, "decay_km", defaults.decay_km).unwrap_or(defaults.decay_km),
         decay_s: field_f64(&body, "decay_s", defaults.decay_s).unwrap_or(defaults.decay_s),
         ..defaults
     };
     let tenant = field_str(&body, "tenant").unwrap_or("default").to_string();
-    let pinned = shared.backend.pin();
+    let cut = shared.backend.pin();
     // A join is a whole-dataset scan; weigh it as one tenant-ring slot
     // per live trajectory probe, capped to keep the arithmetic sane.
-    let num_live = match &pinned {
-        Pinned::Single(s) => s.live().num_live(),
-        Pinned::Cluster(c) => c.num_live(),
-    };
-    let weight = num_live.min(shared.cfg.tenant_inflight);
+    let weight = cut.num_live().min(shared.cfg.tenant_inflight);
     let (guard, degraded) = match shared.admit(&tenant, weight.max(1)) {
         Ok(ok) => ok,
         Err(()) => {
@@ -883,39 +767,16 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
         ExecutionBudget::UNLIMITED
     };
 
-    let outcome = match &pinned {
-        Pinned::Single(snapshot) => {
-            let db = snapshot.database();
-            let Some(ts_index) = db.timestamp_index else {
-                drop(guard);
-                shared.metrics.errors.inc();
-                return json_error(stream, 400, "snapshot has no timestamp index");
-            };
-            ts_join_with(
-                snapshot.network(),
-                snapshot.store(),
-                db.vertex_index,
-                ts_index,
-                &cfg,
-                shared.cfg.batch_threads,
-                &budget,
-                &RunControl::unbounded(),
-            )
-        }
-        Pinned::Cluster(cut) => cluster_join(cut, &cfg, shared.cfg.batch_threads, &budget),
-    };
+    let outcome = cluster_join(&cut, &cfg, shared.cfg.batch_threads, &budget);
     drop(guard);
 
     let join = match outcome {
         Ok(j) => j,
-        Err(e) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, &e.to_string());
-        }
+        Err(e) => return client_error(stream, shared, 400, &e.to_string()),
     };
     let pairs: Vec<Content> = join.pairs.iter().map(|p| p.serialize()).collect();
-    let mut top = vec![
-        ("epoch".to_string(), Content::U64(pinned.epoch())),
+    let mut top = Vec::from(epoch_fields(&cut.epochs()));
+    top.extend([
         ("degraded".to_string(), Content::Bool(degraded)),
         ("pairs".to_string(), Content::Seq(pairs)),
         (
@@ -927,28 +788,52 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
             "runtime_ms".to_string(),
             Content::F64(join.runtime.as_secs_f64() * 1e3),
         ),
-    ];
-    if let Some(epochs) = pinned.shard_epochs() {
-        top.push((
-            "epochs".to_string(),
-            Content::Seq(epochs.into_iter().map(Content::U64).collect()),
-        ));
-    }
+    ]);
     let body = serde_json::to_string(&Content::Map(top)).expect("join response renders");
     respond(stream, 200, "application/json", &body)
 }
 
-/// Runs the similarity self-join over a sharded cluster cut by
-/// materializing every live trajectory into one compact store in
-/// ascending **global** id order (so the mapping back is stable), then
-/// remapping pair ids to global before answering. The network is shared
-/// by construction, so any shard's copy serves the scan.
+/// Runs the similarity self-join over a cluster cut and answers in
+/// **global** ids. The network is shared by construction, so shard 0's
+/// copy serves the scan. A one-shard cut *is* the merged live cut: its
+/// store and live-built indexes are borrowed as they stand. More shards
+/// are materialized into one compact store in ascending global id order
+/// (so the mapping back is stable and `a < b` is preserved).
 fn cluster_join(
     cut: &ClusterSnapshot,
     cfg: &JoinConfig,
     threads: usize,
     budget: &ExecutionBudget,
 ) -> Result<JoinResult, JoinError> {
+    let join_over = |store: &TrajectoryStore,
+                     vertex_index: &VertexInvertedIndex<TrajectoryId>,
+                     ts_index: &TimestampIndex<TrajectoryId>,
+                     global_of: &dyn Fn(TrajectoryId) -> TrajectoryId| {
+        let mut join = ts_join_with(
+            cut.shard(0).network(),
+            store,
+            vertex_index,
+            ts_index,
+            cfg,
+            threads,
+            budget,
+            &RunControl::unbounded(),
+        )?;
+        for p in &mut join.pairs {
+            p.a = global_of(p.a);
+            p.b = global_of(p.b);
+        }
+        Ok(join)
+    };
+    if cut.num_shards() == 1 {
+        let db = cut.shard(0).database();
+        let ts_index = db
+            .timestamp_index
+            .expect("an epoch snapshot carries its timestamp index");
+        return join_over(db.store, db.vertex_index, ts_index, &|local| {
+            cut.global_of(0, local)
+        });
+    }
     let mut rows: Vec<(TrajectoryId, usize, TrajectoryId)> = Vec::new();
     for s in 0..cut.num_shards() {
         for local in cut.shard(s).live().iter_live() {
@@ -962,37 +847,20 @@ fn cluster_join(
         store.push(cut.shard(s).store().get(local).clone());
         globals.push(g);
     }
-    let net = cut.shard(0).network().clone();
-    let vertex_index = store.build_vertex_index(net.num_nodes());
+    let vertex_index = store.build_vertex_index(cut.shard(0).network().num_nodes());
     let ts_index = store.build_timestamp_index();
-    let mut join = ts_join_with(
-        &net,
-        &store,
-        &vertex_index,
-        &ts_index,
-        cfg,
-        threads,
-        budget,
-        &RunControl::unbounded(),
-    )?;
-    // Compact ids are ascending in global order, so `a < b` is preserved.
-    for p in &mut join.pairs {
-        p.a = globals[p.a.index()];
-        p.b = globals[p.b.index()];
-    }
-    Ok(join)
+    join_over(&store, &vertex_index, &ts_index, &|compact| {
+        globals[compact.index()]
+    })
 }
 
 // ---------- /ingest ----------
 
 /// The first insert naming a vertex or keyword outside the pinned
-/// network / vocabulary, as a client-facing message.
-fn out_of_range(inserts: &[Trajectory], pinned: &Pinned) -> Option<String> {
-    let snapshot = match pinned {
-        Pinned::Single(s) => s,
-        Pinned::Cluster(c) => c.shard(0),
-    };
-    let db = snapshot.database();
+/// network / vocabulary (every shard serves the same ones), as a
+/// client-facing message.
+fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String> {
+    let db = cut.shard(0).database();
     let vertices = db.network.num_nodes();
     let vocab = db.keyword_index.map_or(usize::MAX, |k| k.vocab_len());
     inserts.iter().enumerate().find_map(|(i, t)| {
@@ -1017,10 +885,7 @@ fn handle_ingest(
 ) -> io::Result<()> {
     let body = match body_content(req) {
         Ok(b) => b,
-        Err(e) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, &e);
-        }
+        Err(e) => return client_error(stream, shared, 400, &e),
     };
     let inserts: Vec<Trajectory> = match body.get("insert") {
         None | Some(Content::Null) => Vec::new(),
@@ -1030,167 +895,137 @@ fn handle_ingest(
                 match <Trajectory as serde::Deserialize>::deserialize(c) {
                     Ok(t) => out.push(t),
                     Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &format!("insert {i}: {e}"));
+                        return client_error(stream, shared, 400, &format!("insert {i}: {e}"))
                     }
                 }
             }
             out
         }
         Some(_) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, "`insert` must be an array of trajectories");
+            return client_error(
+                stream,
+                shared,
+                400,
+                "`insert` must be an array of trajectories",
+            )
         }
     };
     // Reject ids the served network / vocabulary does not have before
     // anything is logged: an out-of-range insert would panic the index
     // build at publish, and from the WAL again at every recovery.
     if let Some(e) = out_of_range(&inserts, &shared.backend.pin()) {
-        shared.metrics.errors.inc();
-        return json_error(stream, 400, &e);
+        return client_error(stream, shared, 400, &e);
     }
     let retires: Vec<TrajectoryId> = match field_ids(&body, "retire") {
         Ok(ids) => ids.into_iter().map(TrajectoryId).collect(),
-        Err(e) => {
-            shared.metrics.errors.inc();
-            return json_error(stream, 400, &e);
-        }
+        Err(e) => return client_error(stream, shared, 400, &e),
     };
     let publish = !matches!(body.get("publish"), Some(Content::Bool(false)));
 
-    let mut assigned: Vec<u64> = Vec::with_capacity(inserts.len());
-    let mut retired = 0u64;
-    let mut shard_epochs: Option<Vec<u64>> = None;
-    let epoch = match &shared.backend {
-        Backend::Durable(durable) => {
-            let mut durable = durable.lock().expect("durable facade poisoned");
-            for t in inserts {
-                match durable.ingest(t) {
-                    Ok(id) => assigned.push(u64::from(id.0)),
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            for id in retires {
-                match durable.retire(id) {
-                    Ok(true) => retired += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            if publish {
-                match durable.publish() {
-                    Ok(snap) => snap.epoch(),
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            } else {
-                durable.snapshot().epoch()
-            }
+    let applied = match &shared.backend {
+        Backend::Volatile(cluster) => {
+            let mut cluster: &ShardedCluster = cluster;
+            apply_ingest(&mut cluster, inserts, &retires, publish)
         }
-        Backend::Volatile(manager) => {
-            for t in inserts {
-                assigned.push(u64::from(manager.ingest(t).0));
-            }
-            for id in retires {
-                if manager.retire(id) {
-                    retired += 1;
-                }
-            }
-            if publish {
-                manager.publish().epoch()
-            } else {
-                manager.snapshot().epoch()
-            }
-        }
-        Backend::Sharded(cluster) => {
-            for t in inserts {
-                assigned.push(u64::from(cluster.ingest(t).0));
-            }
-            for id in retires {
-                // `EpochManager::retire` panics on an unknown id; the
-                // cluster router turns that into a clean client error.
-                if !cluster.contains(id) {
-                    shared.metrics.errors.inc();
-                    return json_error(stream, 400, &format!("unknown trajectory id {}", id.0));
-                }
-                if cluster.retire(id) {
-                    retired += 1;
-                }
-            }
-            let cut = if publish {
-                cluster.publish_all()
-            } else {
-                cluster.snapshot()
-            };
-            let epochs = cut.epochs();
-            let max = epochs.iter().copied().max().unwrap_or(0);
-            shard_epochs = Some(epochs);
-            max
-        }
-        Backend::ShardedDurable(cluster) => {
-            let mut cluster = cluster.lock().expect("sharded durable facade poisoned");
-            for t in inserts {
-                match cluster.ingest(t) {
-                    Ok(id) => assigned.push(u64::from(id.0)),
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            for id in retires {
-                match cluster.retire(id) {
-                    Ok(true) => retired += 1,
-                    Ok(false) => {}
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            }
-            let cut = if publish {
-                match cluster.publish_all() {
-                    Ok(cut) => cut,
-                    Err(e) => {
-                        shared.metrics.errors.inc();
-                        return json_error(stream, 400, &e.to_string());
-                    }
-                }
-            } else {
-                cluster.snapshot()
-            };
-            let epochs = cut.epochs();
-            let max = epochs.iter().copied().max().unwrap_or(0);
-            shard_epochs = Some(epochs);
-            max
+        Backend::Durable(cluster) => {
+            let mut cluster = cluster.lock().expect("durable facade poisoned");
+            apply_ingest(&mut *cluster, inserts, &retires, publish)
         }
     };
+    let (assigned, retired, cut) = match applied {
+        Ok(applied) => applied,
+        Err(e) => return client_error(stream, shared, 400, &e),
+    };
 
-    let mut top = vec![
-        ("epoch".to_string(), Content::U64(epoch)),
+    let mut top = Vec::from(epoch_fields(&cut.epochs()));
+    top.extend([
         (
             "inserted".to_string(),
             Content::Seq(assigned.into_iter().map(Content::U64).collect()),
         ),
         ("retired".to_string(), Content::U64(retired)),
         ("published".to_string(), Content::Bool(publish)),
-    ];
-    if let Some(epochs) = shard_epochs {
-        top.push((
-            "epochs".to_string(),
-            Content::Seq(epochs.into_iter().map(Content::U64).collect()),
-        ));
-    }
+    ]);
     let body = serde_json::to_string(&Content::Map(top)).expect("ingest response renders");
     respond(stream, 200, "application/json", &body)
+}
+
+/// The write quartet both coordinators expose under the same names. The
+/// volatile cluster cannot fail; it reports in the durable one's terms.
+trait Coordinator {
+    fn contains(&self, id: TrajectoryId) -> bool;
+    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError>;
+    fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError>;
+    fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError>;
+    fn snapshot(&self) -> ClusterSnapshot;
+}
+
+impl Coordinator for &ShardedCluster {
+    fn contains(&self, id: TrajectoryId) -> bool {
+        ShardedCluster::contains(self, id)
+    }
+    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
+        Ok(ShardedCluster::ingest(self, t))
+    }
+    fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
+        Ok(ShardedCluster::retire(self, id))
+    }
+    fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
+        Ok(ShardedCluster::publish_all(self))
+    }
+    fn snapshot(&self) -> ClusterSnapshot {
+        ShardedCluster::snapshot(self)
+    }
+}
+
+impl Coordinator for ShardedDurable {
+    fn contains(&self, id: TrajectoryId) -> bool {
+        ShardedDurable::contains(self, id)
+    }
+    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
+        ShardedDurable::ingest(self, t)
+    }
+    fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
+        ShardedDurable::retire(self, id)
+    }
+    fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
+        ShardedDurable::publish_all(self)
+    }
+    fn snapshot(&self) -> ClusterSnapshot {
+        ShardedDurable::snapshot(self)
+    }
+}
+
+/// The one `/ingest` body: every retire id must already be issued —
+/// checked before anything is applied, since the volatile coordinator
+/// panics on an unknown id and a durable one would have logged the
+/// inserts by then. Returns the inserts' global ids, how many retires hit
+/// a live trajectory, and the cut the reply reports (fresh when
+/// `publish`).
+fn apply_ingest(
+    cluster: &mut impl Coordinator,
+    inserts: Vec<Trajectory>,
+    retires: &[TrajectoryId],
+    publish: bool,
+) -> Result<(Vec<u64>, u64, ClusterSnapshot), String> {
+    if let Some(id) = retires.iter().find(|&&id| !cluster.contains(id)) {
+        return Err(format!("unknown trajectory id {}", id.0));
+    }
+    let mut assigned = Vec::with_capacity(inserts.len());
+    for t in inserts {
+        let id = cluster.ingest(t).map_err(|e| e.to_string())?;
+        assigned.push(u64::from(id.0));
+    }
+    let mut retired = 0u64;
+    for &id in retires {
+        retired += u64::from(cluster.retire(id).map_err(|e| e.to_string())?);
+    }
+    let cut = if publish {
+        cluster.publish_all().map_err(|e| e.to_string())?
+    } else {
+        cluster.snapshot()
+    };
+    Ok((assigned, retired, cut))
 }
 
 /// Result completeness digest used by clients and the load generator:

@@ -4,20 +4,21 @@
 //! never a 5xx, never a hang — and `/ingest` must publish epochs that
 //! subsequent searches observe.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
 use serde::{Content, Serialize};
+use uots::cluster::ShardedDurable;
 use uots::core::planner::Planner;
 use uots::durable::DurableIngest;
-use uots::obs::{MetricsRegistry, ObsState};
+use uots::obs::{EventJournal, MetricsRegistry, ObsState};
 use uots::prelude::*;
 use uots::serve::{QueryService, ServiceConfig};
-use uots::{
-    workload, Dataset, DatasetConfig, EpochManager, KeywordSet, QueryOptions, UotsQuery, WalConfig,
-};
+use uots::{workload, Dataset, DatasetConfig, KeywordSet, QueryOptions, UotsQuery, WalConfig};
 use uots_core::algorithms::Algorithm;
 use uots_core::{Partitioner, ShardedCluster};
 use uots_text::KeywordId;
@@ -64,19 +65,9 @@ fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, Content) {
     (code, content)
 }
 
+/// The default server: a one-shard volatile cluster.
 fn start_service(trips: usize, seed: u64, cfg: ServiceConfig) -> (QueryService, Dataset) {
-    let ds = Dataset::build(&DatasetConfig::small(trips, seed)).expect("dataset");
-    let registry = MetricsRegistry::new();
-    let manager = EpochManager::with_metrics(
-        Arc::new(ds.network.clone()),
-        ds.store.clone(),
-        ds.vocab.len(),
-        &registry,
-    );
-    let obs = ObsState::new().with_registry(registry.clone());
-    let service = QueryService::start("127.0.0.1:0", Arc::new(manager), registry, obs, cfg)
-        .expect("bind service");
-    (service, ds)
+    start_cluster_service(trips, seed, 1, cfg)
 }
 
 /// One query's JSON for the wire, from a workload spec.
@@ -191,8 +182,14 @@ fn concurrent_http_results_are_bit_identical_to_direct_engine_calls() {
     assert_eq!(body.get("degraded"), Some(&Content::Bool(false)));
     assert!(body.get("epoch").is_some());
     let planned = body.get("planned").unwrap().as_seq().unwrap();
-    assert!(planned[0].get("algorithm").is_some());
-    assert!(planned[0].get("reason").is_some());
+    let plans = planned[0].get("shards").unwrap().as_seq().unwrap();
+    assert_eq!(plans.len(), 1, "one plan per shard, one shard");
+    assert!(plans[0].get("algorithm").is_some());
+    assert!(plans[0].get("reason").is_some());
+    // one response shape at every shard count
+    let epochs = body.get("epochs").expect("epochs").as_seq().unwrap();
+    assert_eq!(epochs.len(), 1);
+    assert_eq!(as_u64(body.get("shards_cut")), Some(0));
 }
 
 #[test]
@@ -222,12 +219,10 @@ fn request_level_force_matches_the_planner_through_http() {
             .unwrap();
         assert_eq!(&want, got, "forced {algo} diverged over HTTP");
         let planned = body.get("planned").unwrap().as_seq().unwrap();
+        let plan = &planned[0].get("shards").unwrap().as_seq().unwrap()[0];
+        assert_eq!(plan.get("algorithm"), Some(&Content::Str(algo.to_string())));
         assert_eq!(
-            planned[0].get("algorithm"),
-            Some(&Content::Str(algo.to_string()))
-        );
-        assert_eq!(
-            planned[0].get("reason"),
+            plan.get("reason"),
             Some(&Content::Str("forced".to_string()))
         );
     }
@@ -387,6 +382,37 @@ fn ingest_publishes_epochs_visible_to_search() {
     );
 }
 
+/// A fresh scratch directory for one test of this process.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("uots_service_{name}-{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    dir
+}
+
+/// The default durable server over `dir`: the flat one-shard lineage,
+/// resumed when the directory holds one (returning the recovery report).
+fn start_durable_service(
+    ds: &Dataset,
+    dir: &Path,
+) -> (QueryService, Option<uots::durable::RecoveryReport>) {
+    let registry = MetricsRegistry::new();
+    let (durable, recovery) =
+        DurableIngest::open(ds, dir, WalConfig::default(), None, Some(&registry))
+            .expect("open wal dir");
+    let obs = ObsState::new().with_registry(registry.clone());
+    let service = QueryService::start_durable(
+        "127.0.0.1:0",
+        ShardedDurable::single(durable),
+        registry,
+        obs,
+        ServiceConfig::default(),
+    )
+    .expect("bind service");
+    (service, recovery)
+}
+
 /// Regression: an unsharded `uots-serve --wal-dir` restart used to
 /// `create` over the existing log and serve the base dataset without the
 /// acknowledged writes. The server now goes through
@@ -394,20 +420,10 @@ fn ingest_publishes_epochs_visible_to_search() {
 #[test]
 fn durable_restart_keeps_acknowledged_writes() {
     let ds = Dataset::build(&DatasetConfig::small(100, 23)).expect("dataset");
-    let dir = std::env::temp_dir().join(format!("uots_service_restart-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    let dir = scratch_dir("restart");
     let start = |expect_resume: bool| {
-        let registry = MetricsRegistry::new();
-        let (durable, recovery) =
-            DurableIngest::open(&ds, &dir, WalConfig::default(), None, Some(&registry))
-                .expect("open wal dir");
+        let (service, recovery) = start_durable_service(&ds, &dir);
         assert_eq!(recovery.is_some(), expect_resume);
-        let obs = ObsState::new().with_registry(registry.clone());
-        let cfg = ServiceConfig::default();
-        let service = QueryService::start_durable("127.0.0.1:0", durable, registry, obs, cfg)
-            .expect("bind service");
         (service, recovery)
     };
 
@@ -444,6 +460,78 @@ fn durable_restart_keeps_acknowledged_writes() {
         acked,
         "the acknowledged insert must survive the restart"
     );
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: retiring an id the store never issued used to reach
+/// `assert!` in `EpochManager::retire` on the default server and kill the
+/// HTTP worker; with `--wal-dir` the record was logged first, the panic
+/// poisoned the facade, and the directory never reopened. Now it is a 400
+/// before anything is applied, on every backend.
+#[test]
+fn unknown_retire_is_a_clean_400_on_the_default_servers() {
+    let check = |addr: SocketAddr, ds: &Dataset| -> u64 {
+        // more bad requests than there are HTTP workers to lose
+        for _ in 0..6 {
+            let (code, reply) = post(addr, "/ingest", r#"{"retire":[999999]}"#);
+            assert_eq!(code, 400, "{reply:?}");
+            let err = serde_json::to_string(reply.get("error").expect("error field")).unwrap();
+            assert!(err.contains("999999"), "{err}");
+        }
+        // an unknown id rejects the whole request: its insert is not applied
+        let (_, _, t) = marker_trajectory(ds);
+        let body = serde_json::to_string(&Content::Map(vec![
+            ("insert".to_string(), Content::Seq(vec![t.clone()])),
+            (
+                "retire".to_string(),
+                Content::Seq(vec![Content::U64(999_999)]),
+            ),
+        ]))
+        .unwrap();
+        let (code, reply) = post(addr, "/ingest", &body);
+        assert_eq!(code, 400, "{reply:?}");
+        // the service keeps answering and keeps ingesting
+        let (code, body) = post(addr, "/topk", r#"{"locations":[0],"keywords":[],"k":1}"#);
+        assert_eq!(code, 200, "{body:?}");
+        let body = serde_json::to_string(&Content::Map(vec![
+            ("insert".to_string(), Content::Seq(vec![t])),
+            ("retire".to_string(), Content::Seq(vec![Content::U64(1)])),
+        ]))
+        .unwrap();
+        let (code, reply) = post(addr, "/ingest", &body);
+        assert_eq!(code, 200, "{reply:?}");
+        assert_eq!(as_u64(reply.get("retired")), Some(1));
+        let inserted = reply.get("inserted").unwrap().as_seq().unwrap();
+        assert_eq!(
+            as_u64(Some(&inserted[0])),
+            Some(ds.store.len() as u64),
+            "the rejected request's insert took no id"
+        );
+        as_u64(Some(&inserted[0])).unwrap()
+    };
+
+    let (service, ds) = start_service(60, 41, ServiceConfig::default());
+    check(service.local_addr(), &ds);
+    drop(service);
+
+    let dir = scratch_dir("unknown_retire");
+    let (service, _) = start_durable_service(&ds, &dir);
+    let acked = check(service.local_addr(), &ds);
+    drop(service);
+    // nothing unreplayable reached the log: the directory reopens with
+    // the acknowledged batch
+    let (service, recovery) = start_durable_service(&ds, &dir);
+    assert_eq!(recovery.expect("resumes").replayed_batches, 2);
+    let (marker, node, _) = marker_trajectory(&ds);
+    let query = format!(
+        r#"{{"locations":[{}],"keywords":[{}],"lambda":0.2,"k":1}}"#,
+        node.0, marker.0
+    );
+    let (code, body) = post(service.local_addr(), "/topk", &query);
+    assert_eq!(code, 200, "{body:?}");
+    let top = &body.get("result").unwrap().get("matches").unwrap();
+    assert_eq!(as_u64(top.as_seq().unwrap()[0].get("id")), Some(acked));
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -551,7 +639,7 @@ fn malformed_requests_get_bounded_clean_json_errors() {
     assert!(err.contains("DELETE"), "405 names the method: {err}");
 }
 
-fn start_sharded_service(
+fn start_cluster_service(
     trips: usize,
     seed: u64,
     shards: usize,
@@ -559,7 +647,8 @@ fn start_sharded_service(
 ) -> (QueryService, Dataset) {
     let ds = Dataset::build(&DatasetConfig::small(trips, seed)).expect("dataset");
     let registry = MetricsRegistry::new();
-    let cluster = ShardedCluster::with_metrics(
+    let journal = EventJournal::default();
+    let mut cluster = ShardedCluster::with_metrics(
         Arc::new(ds.network.clone()),
         &ds.store,
         ds.vocab.len(),
@@ -567,15 +656,18 @@ fn start_sharded_service(
         Partitioner::Hash,
         &registry,
     );
-    let obs = ObsState::new().with_registry(registry.clone());
-    let service = QueryService::start_sharded("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg)
-        .expect("bind sharded service");
+    cluster.set_journal(journal.clone());
+    let obs = ObsState::new()
+        .with_registry(registry.clone())
+        .with_journal(journal);
+    let service = QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg)
+        .expect("bind service");
     (service, ds)
 }
 
 #[test]
 fn sharded_service_answers_bit_identically_and_reports_shard_epochs() {
-    let (service, ds) = start_sharded_service(150, 7, 4, ServiceConfig::default());
+    let (service, ds) = start_cluster_service(150, 7, 4, ServiceConfig::default());
     let addr = service.local_addr();
     let specs = workload::generate(
         &ds,
@@ -634,7 +726,7 @@ fn sharded_batches_run_on_the_batch_workers_in_submission_order() {
         max_batch: 8,
         ..ServiceConfig::default()
     };
-    let (service, ds) = start_sharded_service(150, 11, 4, cfg);
+    let (service, ds) = start_cluster_service(150, 11, 4, cfg);
     let addr = service.local_addr();
     let specs = workload::generate(
         &ds,
@@ -690,7 +782,7 @@ fn sharded_batches_run_on_the_batch_workers_in_submission_order() {
 
 #[test]
 fn sharded_ingest_publishes_cut_visible_to_search_and_join() {
-    let (service, ds) = start_sharded_service(100, 13, 4, ServiceConfig::default());
+    let (service, ds) = start_cluster_service(100, 13, 4, ServiceConfig::default());
     let addr = service.local_addr();
     let epoch0 = service.current_epoch();
 
@@ -720,6 +812,14 @@ fn sharded_ingest_publishes_cut_visible_to_search_and_join() {
     // the coordinator assigns the unsharded engine's sequential global id
     assert_eq!(as_u64(Some(&inserted[0])), Some(ds.store.len() as u64));
     assert!(reply.get("epochs").is_some(), "ingest reports the new cut");
+    // every shard reports its swap to the one journal
+    let (code, journal) = http(addr, "GET", "/journal?n=200", "");
+    assert_eq!(code, 200);
+    assert_eq!(
+        journal.matches(r#""name":"snapshot_published""#).count(),
+        4,
+        "one epoch swap per shard:\n{journal}"
+    );
 
     // the ingested trajectory wins its own query through the coordinator
     let query = format!(
@@ -773,4 +873,151 @@ fn admin_shutdown_drains_the_workers() {
     assert_eq!(body.get("stopping"), Some(&Content::Bool(true)));
     service.shutdown();
     assert!(service.is_stopped());
+}
+
+// ---------- the `uots-serve` binary: start-up over a `--wal-dir` ----------
+
+/// A spawned `uots-serve`, killed on drop.
+struct ServeProc {
+    child: Child,
+    /// Kept open: the server prints after it started listening too.
+    stdout: BufReader<ChildStdout>,
+    /// What the server printed before it started listening.
+    preamble: String,
+}
+
+impl ServeProc {
+    /// Reads the preamble up to the listening line; the bound address.
+    fn wait_listening(&mut self) -> SocketAddr {
+        loop {
+            let mut line = String::new();
+            let n = self.stdout.read_line(&mut line).expect("read stdout");
+            assert!(n > 0, "uots-serve exited early:\n{}", self.preamble);
+            if let Some(addr) = line.trim().strip_prefix("uots-serve: listening on http://") {
+                return addr.parse().expect("listen address");
+            }
+            self.preamble.push_str(&line);
+        }
+    }
+}
+
+impl Drop for ServeProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+fn serve_command(data: &Path, wal_dir: &Path, shards: Option<usize>) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_uots-serve"));
+    cmd.arg("--data").arg(data).arg("--wal-dir").arg(wal_dir);
+    cmd.args(["--listen", "127.0.0.1:0", "--http-threads", "2"]);
+    if let Some(n) = shards {
+        cmd.args(["--shards", &n.to_string()]);
+    }
+    cmd
+}
+
+fn spawn_serve(data: &Path, wal_dir: &Path, shards: Option<usize>) -> (ServeProc, SocketAddr) {
+    let mut child = serve_command(data, wal_dir, shards)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("uots-serve spawns");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let mut server = ServeProc {
+        child,
+        stdout,
+        preamble: String::new(),
+    };
+    let addr = server.wait_listening();
+    (server, addr)
+}
+
+/// Start-up must refuse the directory: non-zero exit, both shard counts
+/// named, nothing created beside the lineage already there.
+fn assert_refuses(data: &Path, wal_dir: &Path, shards: Option<usize>, on_disk: usize) {
+    let before = std::fs::read_dir(wal_dir).unwrap().count();
+    let out = serve_command(data, wal_dir, shards)
+        .output()
+        .expect("uots-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "must exit non-zero: {stderr}");
+    assert!(
+        stderr.contains(&format!("{on_disk}-shard lineage"))
+            && stderr.contains(&format!("--shards is {}", shards.unwrap_or(1))),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read_dir(wal_dir).unwrap().count(), before);
+}
+
+/// A flat `--wal-dir` as the unsharded server has always written it
+/// resumes under the default (`--shards 1`) start-up with its acked
+/// writes; any other `--shards` over it is refused, and so is a
+/// `shard-<s>/` directory opened with another count — which used to serve
+/// half the data under the wrong global ids, or start a fresh lineage
+/// beside the acknowledged one.
+#[test]
+fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
+    let cfg = DatasetConfig::small(100, 23);
+    let ds = Dataset::build(&cfg).expect("dataset");
+    let root = scratch_dir("layout");
+    std::fs::create_dir_all(&root).unwrap();
+    let data = root.join("city.uotsds");
+    uots::datagen::persist::save_file(&ds, &cfg, &data).expect("save dataset");
+
+    // the flat layout, written the way the unsharded server writes it
+    let flat = root.join("flat");
+    let (marker, node, t) = marker_trajectory(&ds);
+    let acked = {
+        let (mut durable, recovery) =
+            DurableIngest::open(&ds, &flat, WalConfig::default(), None, None).expect("create");
+        assert!(recovery.is_none());
+        let t = <Trajectory as serde::Deserialize>::deserialize(&t).expect("round-trips");
+        let id = durable.ingest(t).expect("ingest");
+        durable.publish().expect("publish");
+        u64::from(id.0)
+    };
+    assert_refuses(&data, &flat, Some(2), 1);
+    assert!(!flat.join("shard-0").exists());
+
+    let (server, addr) = spawn_serve(&data, &flat, None);
+    assert!(
+        server.preamble.contains("recovered 1 batches"),
+        "{}",
+        server.preamble
+    );
+    let query = format!(
+        r#"{{"locations":[{}],"keywords":[{}],"lambda":0.2,"k":1}}"#,
+        node.0, marker.0
+    );
+    let (code, body) = post(addr, "/topk", &query);
+    assert_eq!(code, 200, "{body:?}");
+    let top = &body.get("result").unwrap().get("matches").unwrap();
+    assert_eq!(as_u64(top.as_seq().unwrap()[0].get("id")), Some(acked));
+    assert_eq!(body.get("epochs").unwrap().as_seq().unwrap().len(), 1);
+    drop(server);
+
+    // a sharded lineage: created by the server itself, journal attached
+    let sharded = root.join("sharded");
+    let (server, addr) = spawn_serve(&data, &sharded, Some(4));
+    let (code, reply) = post(addr, "/ingest", r#"{"retire":[0]}"#);
+    assert_eq!(code, 200, "{reply:?}");
+    let (code, journal) = http(addr, "GET", "/journal?n=200", "");
+    assert_eq!(code, 200);
+    assert!(
+        journal.contains(r#""name":"snapshot_published""#),
+        "a sharded durable server journals its epoch swaps:\n{journal}"
+    );
+    drop(server);
+    for wrong in [None, Some(2), Some(8)] {
+        assert_refuses(&data, &sharded, wrong, 4);
+    }
+    let (server, _) = spawn_serve(&data, &sharded, Some(4));
+    assert!(
+        server.preamble.contains("recovered 4 shards"),
+        "{}",
+        server.preamble
+    );
+    drop(server);
+    std::fs::remove_dir_all(&root).unwrap();
 }
