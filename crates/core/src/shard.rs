@@ -83,7 +83,7 @@ use crate::epoch::{EpochManager, EpochSnapshot, Mutation};
 use crate::result::QueryResult;
 use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics, UotsQuery};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 use uots_network::{Point, RoadNetwork};
 use uots_obs::{Counter, EventJournal, Gauge, MetricsRegistry, Recorder};
@@ -161,10 +161,8 @@ struct RoutingTables {
     router: SpatialRouter,
     /// global id → (shard, local id)
     globals: Vec<(u32, TrajectoryId)>,
-    /// per shard: local id → global id
+    /// per shard: local id → global id (frozen into each published cut)
     locals: Vec<Vec<TrajectoryId>>,
-    /// Frozen per-publish copies handed to snapshots.
-    published: Vec<Arc<Vec<TrajectoryId>>>,
 }
 
 /// Per-shard local-to-global id mapping carried by a [`ClusterSnapshot`].
@@ -253,6 +251,55 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The last **completely** published cut of a coordinator — what readers
+/// pin. It is replaced by whole-value assignment once per publish, after
+/// every shard of the batch has swapped, so a reader pays a read-lock and
+/// an `Arc` clone, never waits out a writer's critical section, and
+/// observes the cut before a publish or the one after it — never the
+/// per-shard swaps in between. The coordinator owns the cell and alone
+/// writes it; [`reader`](Self::reader) hands out read handles.
+#[derive(Debug)]
+pub struct CutCell(CutReader);
+
+/// A cloneable read handle to a coordinator's [`CutCell`] — usable
+/// without the coordinator, e.g. beside the lock a writer sits behind.
+#[derive(Debug, Clone)]
+pub struct CutReader(Arc<RwLock<Arc<ClusterSnapshot>>>);
+
+impl CutReader {
+    /// The published cut. The content is always a whole cut, so a
+    /// poisoned lock is read through.
+    pub fn get(&self) -> Arc<ClusterSnapshot> {
+        Arc::clone(&self.0.read().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl CutCell {
+    /// A cell holding `cut`.
+    pub fn new(cut: ClusterSnapshot) -> Self {
+        CutCell(CutReader(Arc::new(RwLock::new(Arc::new(cut)))))
+    }
+
+    /// A read handle to this cell.
+    pub fn reader(&self) -> CutReader {
+        self.0.clone()
+    }
+
+    /// The published cut (see [`CutReader::get`]).
+    pub fn get(&self) -> Arc<ClusterSnapshot> {
+        self.0.get()
+    }
+
+    /// Replaces the published cut.
+    pub fn set(&self, cut: ClusterSnapshot) {
+        let mut cell = (self.0).0.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *cell, Arc::new(cut));
+        drop(cell);
+        // outside the lock: the last reference to a generation frees it
+        drop(old);
+    }
+}
+
 /// `N` independent epoch-managed shards behind one ingest/search facade.
 /// See the [module docs](self) for the partitioning and gather contracts.
 pub struct ShardedCluster {
@@ -260,6 +307,7 @@ pub struct ShardedCluster {
     partitioner: Partitioner,
     network: Arc<RoadNetwork>,
     routing: Mutex<Routing>,
+    cut: CutCell,
     metrics: Option<Arc<ClusterMetrics>>,
 }
 
@@ -325,16 +373,31 @@ impl ShardedCluster {
             .iter()
             .map(|s| s.snapshot().store().len() as u32)
             .collect();
-        let n = shards.len();
+        let routing = Routing {
+            next_local,
+            tables: None,
+        };
+        Self::assemble(shards, Partitioner::Hash, network, routing, metrics)
+    }
+
+    /// The cluster over `shards`, its cut cell seeded with their current
+    /// snapshots.
+    fn assemble(
+        shards: Vec<EpochManager>,
+        partitioner: Partitioner,
+        network: Arc<RoadNetwork>,
+        routing: Routing,
+        registry: Option<&MetricsRegistry>,
+    ) -> Self {
+        let metrics = registry.map(|r| Arc::new(ClusterMetrics::register(r, shards.len())));
+        let snaps = shards.iter().map(|s| s.snapshot()).collect();
         ShardedCluster {
+            cut: CutCell::new(cut_with(snaps, &routing, &metrics)),
             shards,
-            partitioner: Partitioner::Hash,
+            partitioner,
             network,
-            routing: Mutex::new(Routing {
-                next_local,
-                tables: None,
-            }),
-            metrics: metrics.map(|r| Arc::new(ClusterMetrics::register(r, n))),
+            routing: Mutex::new(routing),
+            metrics,
         }
     }
 
@@ -355,7 +418,6 @@ impl ShardedCluster {
                 router: SpatialRouter::new(&network, cells_per_axis),
                 globals: Vec::with_capacity(store.len()),
                 locals: vec![Vec::new(); num_shards],
-                published: (0..num_shards).map(|_| Arc::new(Vec::new())).collect(),
             }),
         };
         for (global, t) in store.iter() {
@@ -374,9 +436,6 @@ impl ShardedCluster {
                 debug_assert_eq!(local.index(), global.index() / num_shards);
             }
         }
-        if let Some(tb) = &mut tables {
-            tb.published = tb.locals.iter().map(|l| Arc::new(l.clone())).collect();
-        }
         let next_local = per_shard.iter().map(|s| s.len() as u32).collect();
         let shards: Vec<EpochManager> = per_shard
             .into_iter()
@@ -385,13 +444,8 @@ impl ShardedCluster {
                 None => EpochManager::new(Arc::clone(&network), s, vocab_len),
             })
             .collect();
-        let cluster = ShardedCluster {
-            shards,
-            partitioner,
-            network,
-            routing: Mutex::new(Routing { next_local, tables }),
-            metrics: registry.map(|r| Arc::new(ClusterMetrics::register(r, num_shards))),
-        };
+        let routing = Routing { next_local, tables };
+        let cluster = Self::assemble(shards, partitioner, network, routing, registry);
         cluster.update_live_gauges();
         cluster
     }
@@ -535,14 +589,13 @@ impl ShardedCluster {
 
     /// Publishes every shard (in parallel — index building is per-shard
     /// independent) and returns the consistent cut of the freshly
-    /// published snapshots. Serialized against
-    /// [`snapshot`](Self::snapshot) by the routing lock, so readers never
-    /// observe a torn cut.
+    /// published snapshots. The build runs under the routing lock — the
+    /// writers' lock, which keeps the frozen id maps in step with the
+    /// shard snapshots and concurrent publishes in order — and the cut
+    /// cell is swapped last: [`snapshot`](Self::snapshot) waits for none
+    /// of it and never observes a torn cut.
     pub fn publish_all(&self) -> ClusterSnapshot {
-        let mut r = lock_ok(&self.routing);
-        if let Some(tb) = &mut r.tables {
-            tb.published = tb.locals.iter().map(|l| Arc::new(l.clone())).collect();
-        }
+        let r = lock_ok(&self.routing);
         let snaps: Vec<Arc<EpochSnapshot>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
@@ -557,41 +610,52 @@ impl ShardedCluster {
                 })
                 .collect()
         });
-        let cut = self.cut_with(snaps, &r);
+        let cut = cut_with(snaps, &r, &self.metrics);
+        self.cut.set(cut.clone());
         drop(r);
         self.update_live_gauges();
         cut
     }
 
-    /// The current consistent cut: one snapshot per shard plus the frozen
-    /// id maps. Taken under the routing lock, so it never interleaves
-    /// with a concurrent [`publish_all`](Self::publish_all).
+    /// The current consistent cut — one snapshot per shard plus the
+    /// frozen id maps, as the last [`publish_all`](Self::publish_all)
+    /// left it. A read of the [cut cell](CutCell): no coordinator lock.
     pub fn snapshot(&self) -> ClusterSnapshot {
-        let r = lock_ok(&self.routing);
-        let snaps = self.shards.iter().map(|s| s.snapshot()).collect();
-        self.cut_with(snaps, &r)
+        ClusterSnapshot::clone(&self.cut.get())
     }
 
-    fn cut_with(&self, snaps: Vec<Arc<EpochSnapshot>>, r: &Routing) -> ClusterSnapshot {
-        let n = self.shards.len() as u32;
-        let maps = match &r.tables {
-            None => (0..n)
-                .map(|s| ShardMap::Hash {
-                    shard: s,
-                    shards: n,
-                })
-                .collect(),
-            Some(tb) => tb
-                .published
-                .iter()
-                .map(|p| ShardMap::Table(Arc::clone(p)))
-                .collect(),
-        };
-        ClusterSnapshot {
-            shards: snaps,
-            maps,
-            metrics: self.metrics.clone(),
-        }
+    /// A read handle to the published cut (what
+    /// [`snapshot`](Self::snapshot) reads).
+    pub fn cut(&self) -> CutReader {
+        self.cut.reader()
+    }
+}
+
+/// Assembles a cut from per-shard snapshots taken under the routing
+/// lock, freezing the table partitioner's id maps as they stand.
+fn cut_with(
+    snaps: Vec<Arc<EpochSnapshot>>,
+    r: &Routing,
+    metrics: &Option<Arc<ClusterMetrics>>,
+) -> ClusterSnapshot {
+    let n = snaps.len() as u32;
+    let maps = match &r.tables {
+        None => (0..n)
+            .map(|s| ShardMap::Hash {
+                shard: s,
+                shards: n,
+            })
+            .collect(),
+        Some(tb) => tb
+            .locals
+            .iter()
+            .map(|l| ShardMap::Table(Arc::new(l.clone())))
+            .collect(),
+    };
+    ClusterSnapshot {
+        shards: snaps,
+        maps,
+        metrics: metrics.clone(),
     }
 }
 

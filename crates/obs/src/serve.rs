@@ -22,18 +22,20 @@
 //!
 //! The server holds only cheap `Arc` clones of the handles: it never
 //! blocks the instrumented hot path, and components the caller did not
-//! install answer 404. One connection is served at a time (requests are
-//! a few hundred bytes and responses are built in memory, so a scrape is
-//! microseconds; an idle keep-alive peer cannot starve others because
-//! every response closes the connection and reads carry a timeout).
+//! install answer 404. It is an [`AcceptLoop`] of one worker — the loop
+//! the query service runs with `http_threads` of them: blocking
+//! `accept()`, one request per connection (every response closes it and
+//! reads carry a timeout, so an idle peer cannot starve others).
 
 use crate::journal::EventJournal;
-use crate::registry::{validate_prometheus_text, MetricsRegistry};
+use crate::registry::{validate_prometheus_text, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::sampler::TailSampler;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Produces the `/status` JSON document on demand. Installed by the
@@ -98,74 +100,199 @@ impl ObsState {
     }
 }
 
-/// A running exposition server. Dropping it (or calling
-/// [`shutdown`](Self::shutdown)) stops the accept thread and releases the
-/// port.
-pub struct ObsServer {
-    local_addr: SocketAddr,
+/// Stop flag and wake of an [`AcceptLoop`], handed to every handler call
+/// (`POST /admin/shutdown` stops the loop it arrived on).
+#[derive(Debug, Clone)]
+pub struct Stopper {
+    addr: SocketAddr,
+    workers: usize,
     stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for ObsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsServer")
-            .field("local_addr", &self.local_addr)
-            .finish()
+impl Stopper {
+    /// `true` once [`stop`](Self::stop) ran.
+    pub fn is_stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag and self-connects once per worker: a worker blocked
+    /// in `accept()` sees the flag only when `accept` returns, and exits
+    /// whatever it returned — a poke or a real client.
+    pub fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        (0..self.workers).for_each(|_| self.poke());
+    }
+
+    fn poke(&self) {
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(100));
     }
 }
 
-impl ObsServer {
+/// What the workers of one loop share.
+struct Worker<H> {
+    handler: H,
+    stopper: Stopper,
+    journal: Option<EventJournal>,
+    requests: Counter,
+    errors: Counter,
+    busy: Gauge,
+    panics: Counter,
+    latency_us: Histogram,
+}
+
+/// The one accept loop: `workers` threads blocked in `accept()` on clones
+/// of one **blocking** listener — an idle server burns nothing and a
+/// connection is picked up the moment it lands; there is no poll interval
+/// for a request to wait out. Each request is read with [`read_request`]
+/// (an unreadable one is answered 400 / 413 on the spot) and handled
+/// under `catch_unwind`: a panic costs its connection, never a worker.
+/// Dropping the loop [`shutdown`](Self::shutdown)s it.
+#[derive(Debug)]
+pub struct AcceptLoop {
+    stopper: Stopper,
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// A running exposition server: an [`AcceptLoop`] of one worker that
+/// serves an [`ObsState`] and nothing else.
+pub type ObsServer = AcceptLoop;
+
+impl AcceptLoop {
     /// Binds `addr` (e.g. `"127.0.0.1:9184"`, port 0 for ephemeral) and
     /// starts the accept thread serving `state`.
     pub fn start(addr: &str, state: ObsState) -> std::io::Result<ObsServer> {
+        let obs = state.clone();
+        let handler = move |stream: &mut TcpStream, req: &HttpRequest, _: &Stopper| {
+            // one bad peer must not take the endpoint down
+            let _ = handle_obs(stream, req, &state);
+        };
+        AcceptLoop::serve(addr, 1, "uots-obs-serve", &obs, handler)
+    }
+
+    /// Binds `addr` and starts `workers` (≥ 1) threads named
+    /// `<name>-<i>` running `handler`. The loop's own series
+    /// (`uots_serve_*`, below) and its `serve` / `handler_panicked` events
+    /// go to the registry and journal of `obs`. Fails when the listener
+    /// cannot be bound or cloned, or a worker not spawned.
+    pub fn serve(
+        addr: &str,
+        workers: usize,
+        name: &str,
+        obs: &ObsState,
+        handler: impl Fn(&mut TcpStream, &HttpRequest, &Stopper) + Send + Sync + 'static,
+    ) -> std::io::Result<AcceptLoop> {
         let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("uots-obs-serve".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if thread_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        // one bad peer must not take the endpoint down
-                        let _ = handle_connection(stream, &state);
-                    }
-                }
-            })?;
-        Ok(ObsServer {
-            local_addr,
-            stop,
-            handle: Some(handle),
-        })
+        let stopper = Stopper {
+            addr: listener.local_addr()?,
+            workers: workers.max(1),
+            stop: Arc::default(),
+        };
+        let r = obs.registry.clone().unwrap_or_default();
+        let worker = Arc::new(Worker {
+            handler,
+            stopper: stopper.clone(),
+            journal: obs.journal.clone(),
+            requests: r.counter("uots_serve_requests_total", "HTTP requests accepted"),
+            errors: r.counter("uots_serve_errors_total", "Requests answered 4xx"),
+            busy: r.gauge("uots_serve_http_workers_busy", "HTTP workers in a request"),
+            panics: r.counter("uots_serve_worker_panics_total", "Handler panics caught"),
+            latency_us: r.histogram("uots_serve_request_microseconds", "Request service time"),
+        });
+        // filled in place: an early `?` drops (stops) the workers started
+        let mut accept = AcceptLoop {
+            stopper,
+            workers: Vec::new(),
+        };
+        for i in 0..accept.stopper.workers {
+            let (listener, worker) = (listener.try_clone()?, Arc::clone(&worker));
+            let thread = std::thread::Builder::new().name(format!("{name}-{i}"));
+            let handle = thread.spawn(move || worker.run(&listener))?;
+            accept.workers.push(handle);
+        }
+        Ok(accept)
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.stopper.addr
     }
 
-    /// Stops the accept thread and releases the port. Idempotent; also
-    /// runs on drop.
-    pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
+    /// Blocks until every worker has exited — after some handler called
+    /// [`Stopper::stop`].
+    pub fn join(&mut self) {
+        for h in self.workers.drain(..) {
+            let _ = h.join();
         }
-        // the accept loop blocks in accept(); poke it awake so it can
-        // observe the stop flag
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.handle.take() {
+    }
+
+    /// Stops and joins every worker, releasing the port. A poke can be
+    /// lost (full backlog) and a worker inside a handler needs none, so
+    /// each is poked again until it is gone. Idempotent; runs on drop.
+    pub fn shutdown(&mut self) {
+        if self.workers.is_empty() {
+            return; // already joined: the port may be someone else's by now
+        }
+        self.stopper.stop();
+        for h in self.workers.drain(..) {
+            while !h.is_finished() {
+                std::thread::park_timeout(Duration::from_millis(5));
+                self.stopper.poke();
+            }
             let _ = h.join();
         }
     }
 }
 
-impl Drop for ObsServer {
+impl Drop for AcceptLoop {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+impl<H: Fn(&mut TcpStream, &HttpRequest, &Stopper)> Worker<H> {
+    fn run(&self, listener: &TcpListener) {
+        while !self.stopper.is_stopped() {
+            let conn = listener.accept();
+            if self.stopper.is_stopped() {
+                return;
+            }
+            let Ok((mut stream, _)) = conn else {
+                std::thread::yield_now(); // e.g. EMFILE: nothing to answer on
+                continue;
+            };
+            let start = Instant::now();
+            self.requests.inc();
+            self.busy.inc();
+            match read_request(&mut stream) {
+                Ok(req) => self.handle(&mut stream, &req),
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    // `read_request` refuses bodies past MAX_BODY_BYTES up front
+                    let code = if e.to_string().contains("too large") {
+                        413
+                    } else {
+                        400
+                    };
+                    self.errors.inc();
+                    let body = format!("{{\"error\":\"{e}\"}}");
+                    let _ = respond(&mut stream, code, "application/json", &body);
+                }
+                Err(_) => {} // the peer stalled or left: nothing to answer
+            }
+            self.busy.dec();
+            let micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            self.latency_us.record(micros);
+        }
+    }
+
+    fn handle(&self, stream: &mut TcpStream, req: &HttpRequest) {
+        let run = AssertUnwindSafe(|| (self.handler)(stream, req, &self.stopper));
+        if catch_unwind(run).is_err() {
+            self.panics.inc();
+            if let Some(j) = &self.journal {
+                let fields = [("method", req.method.clone()), ("path", req.path.clone())];
+                j.error("serve", "handler_panicked", &fields);
+            }
+        }
     }
 }
 
@@ -312,9 +439,7 @@ pub fn dispatch_obs(
     req: &HttpRequest,
     state: &ObsState,
 ) -> std::io::Result<bool> {
-    let path = req.path.as_str();
-    let query = req.query.as_deref();
-    match path {
+    match req.path.as_str() {
         "/metrics" => match &state.registry {
             Some(r) => {
                 let text = r.render_prometheus();
@@ -341,13 +466,8 @@ pub fn dispatch_obs(
         },
         "/journal" => match &state.journal {
             Some(j) => {
-                let n = query
-                    .and_then(|q| {
-                        q.split('&')
-                            .find_map(|kv| kv.strip_prefix("n="))
-                            .and_then(|v| v.parse::<usize>().ok())
-                    })
-                    .unwrap_or(DEFAULT_JOURNAL_TAIL);
+                let n = req.query_param("n").and_then(|v| v.parse::<usize>().ok());
+                let n = n.unwrap_or(DEFAULT_JOURNAL_TAIL);
                 respond(stream, 200, "application/x-ndjson", &j.export_jsonl(n))?;
             }
             None => respond(stream, 404, "text/plain", "no event journal\n")?,
@@ -361,23 +481,16 @@ pub fn dispatch_obs(
     Ok(true)
 }
 
-fn handle_connection(mut stream: TcpStream, state: &ObsState) -> std::io::Result<()> {
-    let req = match read_request(&mut stream) {
-        Ok(r) => r,
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return respond(&mut stream, 400, "text/plain", "bad request\n")
-        }
-        Err(e) => return Err(e),
-    };
+fn handle_obs(stream: &mut TcpStream, req: &HttpRequest, state: &ObsState) -> std::io::Result<()> {
     if req.method != "GET" {
-        return respond(&mut stream, 405, "text/plain", "only GET is supported\n");
+        return respond(stream, 405, "text/plain", "only GET is supported\n");
     }
-    if dispatch_obs(&mut stream, &req, state)? {
+    if dispatch_obs(stream, req, state)? {
         return Ok(());
     }
     match req.path.as_str() {
         "/" => respond(
-            &mut stream,
+            stream,
             200,
             "text/plain",
             "uots observability endpoints:\n\
@@ -386,7 +499,7 @@ fn handle_connection(mut stream: TcpStream, state: &ObsState) -> std::io::Result
              /journal?n=K  recent operational events (JSON lines)\n\
              /traces   slow-query exemplars (JSON)\n",
         ),
-        _ => respond(&mut stream, 404, "text/plain", "unknown path\n"),
+        _ => respond(stream, 404, "text/plain", "unknown path\n"),
     }
 }
 
@@ -429,11 +542,15 @@ pub fn respond(
 mod tests {
     use super::*;
     use crate::journal::Severity;
+    use std::sync::mpsc;
 
     /// Minimal blocking HTTP GET against the test server; returns
     /// (status code, body).
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
+        // a lost worker must fail the test, not hang it
+        let patience = Duration::from_secs(20);
+        stream.set_read_timeout(Some(patience)).unwrap();
         write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
         let mut raw = String::new();
         stream.read_to_string(&mut raw).expect("read response");
@@ -538,6 +655,104 @@ mod tests {
                 TcpListener::bind(addr).is_ok()
             },
             "port must be released after shutdown"
+        );
+    }
+
+    /// A two-worker loop. `/meet` requests complete only in pairs — proof
+    /// that two workers are alive; `/boom` panics; `/hold` reports on the
+    /// returned receiver that it is inside the handler and stays there
+    /// until the returned sender releases it.
+    fn test_loop(state: &ObsState) -> (AcceptLoop, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let meet = std::sync::Barrier::new(2);
+        let (entered, entered_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        let handler = move |stream: &mut TcpStream, req: &HttpRequest, _: &Stopper| {
+            match req.path.as_str() {
+                "/boom" => panic!("handler bug (the test expects it)"),
+                "/meet" => drop(meet.wait()),
+                _ => {
+                    entered.send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                }
+            }
+            let _ = respond(stream, 200, "text/plain", "done\n");
+        };
+        let server = AcceptLoop::serve("127.0.0.1:0", 2, "uots-test", state, handler);
+        (server.expect("bind"), entered_rx, release)
+    }
+
+    fn meet_twice(addr: SocketAddr) {
+        let other = std::thread::spawn(move || http_get(addr, "/meet").0);
+        assert_eq!(http_get(addr, "/meet").0, 200);
+        assert_eq!(other.join().expect("second client"), 200);
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_its_connection_not_a_worker() {
+        let (state, registry, journal, _s) = full_state();
+        let (server, ..) = test_loop(&state);
+        let addr = server.local_addr();
+        // more panics than there are workers to lose
+        for _ in 0..5 {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write!(stream, "GET /boom HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+            let mut raw = String::new();
+            let _ = stream.read_to_string(&mut raw);
+            assert!(
+                raw.is_empty(),
+                "the connection is dropped unanswered: {raw}"
+            );
+        }
+        meet_twice(addr);
+        let snapshot = registry.snapshot();
+        let counter = |name| snapshot.counter(name, &[]);
+        assert_eq!(counter("uots_serve_worker_panics_total"), Some(5));
+        assert_eq!(counter("uots_serve_requests_total"), Some(7));
+        assert_eq!(snapshot.gauge("uots_serve_http_workers_busy", &[]), Some(0));
+        let events = journal.export_jsonl(16);
+        assert_eq!(events.matches(r#""name":"handler_panicked""#).count(), 5);
+        assert!(
+            events.contains("/boom") && events.contains("GET"),
+            "{events}"
+        );
+    }
+
+    #[test]
+    fn shutdown_joins_an_idle_loop_within_a_second() {
+        let (mut server, ..) = test_loop(&ObsState::new());
+        let addr = server.local_addr();
+        // every worker has served once and is back in `accept()`
+        meet_twice(addr);
+        let start = Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        TcpListener::bind(addr).expect("the port is released");
+    }
+
+    /// A worker inside a handler when the stop comes finishes its request,
+    /// sees the flag and leaves; the poke meant for it is left over.
+    #[test]
+    fn shutdown_waits_for_a_busy_worker_and_its_answer() {
+        let (mut server, entered, release) = test_loop(&ObsState::new());
+        let addr = server.local_addr();
+        let held = std::thread::spawn(move || http_get(addr, "/hold").0);
+        entered.recv().expect("the handler is running");
+        let stopper = server.stopper.clone();
+        let stopping = std::thread::spawn(move || server.shutdown());
+        while !stopper.is_stopped() {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        stopping.join().expect("shutdown returns");
+        assert_eq!(
+            held.join().expect("client"),
+            200,
+            "in-flight work is answered"
         );
     }
 

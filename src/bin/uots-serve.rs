@@ -37,8 +37,17 @@
 //! Every shard reports to the one event journal, so `GET /journal` shows
 //! epoch swaps, WAL seals, retries and degradations at any `N`.
 //!
-//! The process runs until `POST /admin/shutdown` (or SIGKILL); shutdown
-//! drains the worker threads and exits 0 — CI asserts this.
+//! `--http-threads N` workers block in `accept()` on the one listener, so
+//! a connection is served the moment it lands and an idle server burns
+//! nothing; every request pins the last completely published cut with a
+//! read-lock, so `/topk` never queues behind an `/ingest` (`--wal-dir`
+//! included: append, fsync and publish happen behind the writer's lock,
+//! which readers never take).
+//!
+//! The process runs until `POST /admin/shutdown` (or SIGKILL): the
+//! handler sets the stop flag and wakes every blocked worker with a
+//! self-connect, the main thread joins them and exits 0 — CI asserts
+//! this, with a timeout.
 //!
 //! By default the per-query algorithm is chosen by the adaptive planner
 //! (`uots_core::planner`); `--force-algorithm` pins every query to one
@@ -46,7 +55,6 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use uots::cluster::{shards_on_disk, ShardedDurable};
 use uots::core::planner::AlgorithmKind;
@@ -252,10 +260,7 @@ fn run() -> Result<(), String> {
         }
     );
 
-    while !service.is_stopped() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    service.shutdown();
+    service.join();
     println!("uots-serve: shutdown complete");
     Ok(())
 }

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use crate::durable::{
     list_checkpoints, recover, DurableError, DurableIngest, DurableStatus, RecoveryReport,
 };
-use uots_core::shard::ClusterSnapshot;
+use uots_core::shard::{ClusterSnapshot, CutCell, CutReader};
 use uots_core::wal::{self, WalConfig, WalError};
 use uots_core::Mutation;
 use uots_network::RoadNetwork;
@@ -83,17 +83,52 @@ pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
 /// `&mut self`. Each shard's master-store length
 /// ([`EpochManager::issued`](uots_core::EpochManager::issued)) is the
 /// global-id assignment source of truth.
+///
+/// Readers do not need the writer: [`cut`](Self::cut) hands out a
+/// [`CutReader`] on the facade's [`CutCell`], which holds the last
+/// *completely* published cut and is refreshed at the end of every
+/// constructor, [`publish_all`](Self::publish_all) and
+/// [`checkpoint_now`](Self::checkpoint_now). A server keeps that handle
+/// beside the lock it puts this facade behind, so a query never queues
+/// behind a batch's append + fsync + per-shard publishes.
 pub struct ShardedDurable {
     shards: Vec<DurableIngest>,
+    cut: CutCell,
 }
 
 impl ShardedDurable {
     /// The one-shard cluster over an already opened ingest (see the
     /// [module docs](self)).
     pub fn single(ingest: DurableIngest) -> Self {
+        Self::over(vec![ingest])
+    }
+
+    /// The facade over opened shards, its cut cell seeded with their
+    /// current snapshots.
+    fn over(shards: Vec<DurableIngest>) -> Self {
+        let cut = ClusterSnapshot::from_hash_shards(shards.iter().map(|s| s.snapshot()).collect());
         ShardedDurable {
-            shards: vec![ingest],
+            shards,
+            cut: CutCell::new(cut),
         }
+    }
+
+    /// A read handle to the published cut, usable without the facade.
+    pub fn cut(&self) -> CutReader {
+        self.cut.reader()
+    }
+
+    /// The tail of every multi-shard publish: points the cell at the
+    /// shards' current snapshots and returns that cut — unless the publish
+    /// failed midway, when the cell still moves, so that readers see
+    /// exactly what *was* published.
+    fn published(
+        &self,
+        outcome: Result<(), DurableError>,
+    ) -> Result<ClusterSnapshot, DurableError> {
+        let cut = self.snapshot();
+        self.cut.set(cut.clone());
+        outcome.map(|()| cut)
     }
 
     /// Attaches an operational [`EventJournal`] to every shard (see
@@ -146,7 +181,7 @@ impl ShardedDurable {
             ingest.checkpoint_now()?;
             shards.push(ingest);
         }
-        Ok(ShardedDurable { shards })
+        Ok(Self::over(shards))
     }
 
     /// Recovers every shard under `root` **in parallel** and resumes
@@ -200,7 +235,7 @@ impl ShardedDurable {
             shards.push(ingest);
             reports.push(report);
         }
-        Ok((ShardedDurable { shards }, reports))
+        Ok((Self::over(shards), reports))
     }
 
     /// Number of shards.
@@ -235,7 +270,9 @@ impl ShardedDurable {
         self.shards.iter().map(|s| s.manager().pending()).sum()
     }
 
-    /// The consistent cut of current per-shard snapshots.
+    /// The consistent cut of current per-shard snapshots (what the
+    /// [`cut`](Self::cut) cell holds, except after a shard was published
+    /// behind the facade's back through [`shard_mut`](Self::shard_mut)).
     pub fn snapshot(&self) -> ClusterSnapshot {
         ClusterSnapshot::from_hash_shards(self.shards.iter().map(|s| s.snapshot()).collect())
     }
@@ -339,23 +376,25 @@ impl ShardedDurable {
     }
 
     /// Publishes every shard (cutting per-shard checkpoints when their
-    /// cadence is due) and returns the fresh consistent cut.
+    /// cadence is due) and returns the fresh consistent cut, which
+    /// readers of the [`cut`](Self::cut) cell see from here on — all of
+    /// it at once, not shard by shard.
     pub fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        let mut snaps = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            snaps.push(s.publish()?);
-        }
-        Ok(ClusterSnapshot::from_hash_shards(snaps))
+        let outcome = self
+            .shards
+            .iter_mut()
+            .try_for_each(|s| s.publish().map(drop));
+        self.published(outcome)
     }
 
     /// Cuts a checkpoint on every shard unconditionally (publishing
     /// pending mutations first). Propagates the first failure.
     pub fn checkpoint_now(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        let mut snaps = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            snaps.push(s.checkpoint_now()?);
-        }
-        Ok(ClusterSnapshot::from_hash_shards(snaps))
+        let outcome = self
+            .shards
+            .iter_mut()
+            .try_for_each(|s| s.checkpoint_now().map(drop));
+        self.published(outcome)
     }
 }
 

@@ -590,14 +590,20 @@ impl DurableIngest {
     }
 
     /// Refuses a batch that retires an id the master store has not issued
-    /// (ids the batch's own earlier inserts receive count as issued).
-    /// Runs before anything is logged: once in the WAL such a record fails
-    /// every later recovery, and applied it panics the manager.
-    fn check_retires(&self, batch: &[Mutation]) -> Result<(), DurableError> {
+    /// (ids the batch's own earlier inserts receive count as issued) or
+    /// inserts a trajectory naming a vertex outside the network or a
+    /// keyword outside the vocabulary. Runs before anything is logged:
+    /// once in the WAL such a record fails every later recovery, and
+    /// applied it panics the manager.
+    fn check_batch(&self, batch: &[Mutation]) -> Result<(), DurableError> {
         let mut issued = self.manager.issued();
         for m in batch {
             match m {
-                Mutation::Insert(_) => issued += 1,
+                Mutation::Insert(t) => {
+                    check_insert(self.manager.network(), self.vocab.len(), t)
+                        .map_err(|e| DurableError::Inconsistent(format!("insert: {e}")))?;
+                    issued += 1;
+                }
                 Mutation::Retire(id) if id.index() >= issued => {
                     return Err(DurableError::Inconsistent(format!(
                         "retire of id {id} the store never issued"
@@ -611,18 +617,19 @@ impl DurableIngest {
 
     /// Logs `batch` as one WAL record, then applies it to the manager.
     /// Returns the batch's LSN and the ids assigned to its inserts. A
-    /// batch retiring an unknown id is refused with
-    /// [`DurableError::Inconsistent`] — nothing logged, nothing applied,
-    /// the ingest not degraded. On a WAL error nothing is applied — the
-    /// in-memory state never runs ahead of the log. Storage errors are
-    /// retried per the [`RetryPolicy`]; exhaustion degrades the ingest to
-    /// read-only (subsequent calls fail fast with
+    /// batch retiring an unknown id, or inserting a trajectory with a
+    /// vertex outside the network or a keyword outside the vocabulary, is
+    /// refused with [`DurableError::Inconsistent`] — nothing logged,
+    /// nothing applied, the ingest not degraded. On a WAL error nothing is
+    /// applied — the in-memory state never runs ahead of the log. Storage
+    /// errors are retried per the [`RetryPolicy`]; exhaustion degrades the
+    /// ingest to read-only (subsequent calls fail fast with
     /// [`DurableError::ReadOnly`]).
     pub fn apply(
         &mut self,
         batch: Vec<Mutation>,
     ) -> Result<(u64, Vec<TrajectoryId>), DurableError> {
-        self.check_retires(&batch)?;
+        self.check_batch(&batch)?;
         let lsn = self.append_with_retry(&batch)?;
         let inserted = self.manager.apply(batch);
         self.batches_since_checkpoint += 1;
@@ -641,7 +648,7 @@ impl DurableIngest {
     /// [`apply`](Self::apply).
     pub fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
         let record = [Mutation::Retire(id)];
-        self.check_retires(&record)?;
+        self.check_batch(&record)?;
         self.append_with_retry(&record)?;
         self.batches_since_checkpoint += 1;
         Ok(self.manager.retire(id))
@@ -771,6 +778,28 @@ impl DurableIngest {
         }
         Ok(())
     }
+}
+
+/// Why `t` cannot be stored over `network` with a `vocab_len`-keyword
+/// vocabulary: the vertex index and the keyword index are sized by those
+/// two and panic on an id past them — at the next publish, and for a
+/// logged insert again at every recovery.
+pub(crate) fn check_insert(
+    network: &RoadNetwork,
+    vocab_len: usize,
+    t: &Trajectory,
+) -> Result<(), String> {
+    if let Some(v) = t.nodes().find(|&v| !network.contains_node(v)) {
+        let n = network.num_nodes();
+        return Err(format!("vertex {} outside the network ({n} vertices)", v.0));
+    }
+    if let Some(k) = t.keywords().iter().find(|k| k.index() >= vocab_len) {
+        let k = k.0;
+        return Err(format!(
+            "keyword {k} outside the vocabulary ({vocab_len} keywords)"
+        ));
+    }
+    Ok(())
 }
 
 fn checkpoint_path(dir: &Path, lsn: u64) -> PathBuf {
@@ -998,15 +1027,11 @@ pub fn recover_with_journal(
             mutations += 1;
             match m {
                 Mutation::Insert(t) => {
+                    check_insert(&network, vocab.len(), &t).map_err(|e| {
+                        DurableError::Inconsistent(format!("wal lsn {lsn}: insert: {e}"))
+                    })?;
                     // ids must stay dense/stable: an insert lands at the
                     // next id, exactly as the original ingest assigned it
-                    for v in t.nodes() {
-                        if !network.contains_node(v) {
-                            return Err(DurableError::Inconsistent(format!(
-                                "wal lsn {lsn}: insert references unknown vertex {v}"
-                            )));
-                        }
-                    }
                     store.push(t);
                     live.grow_to(store.len());
                 }
@@ -1137,6 +1162,15 @@ mod tests {
 
     fn donor(ds: &Dataset, i: u32) -> Trajectory {
         ds.store.get(TrajectoryId(i)).clone()
+    }
+
+    /// Bytes in the WAL segments under `dir`.
+    fn wal_bytes(dir: &Path) -> u64 {
+        let segments = wal::list_segments(dir).unwrap();
+        segments
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .sum()
     }
 
     #[test]
@@ -1345,13 +1379,6 @@ mod tests {
     fn unknown_retire_is_refused_before_it_reaches_the_log() {
         let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
         let dir = tmpdir("unknown_retire");
-        let wal_bytes = |dir: &Path| -> u64 {
-            wal::list_segments(dir)
-                .unwrap()
-                .iter()
-                .map(|p| std::fs::metadata(p).unwrap().len())
-                .sum()
-        };
         let mut ingest = ingest_over(&ds, &dir, Arc::new(StdFs), None);
         let (lsn, _) = ingest.apply(vec![Mutation::Insert(donor(&ds, 0))]).unwrap();
         let before = wal_bytes(&dir);
@@ -1384,5 +1411,83 @@ mod tests {
             DurableIngest::open(&ds, &dir, WalConfig::default(), None, None).unwrap();
         assert_eq!(report.unwrap().replayed_batches, 2);
         assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 1);
+    }
+
+    /// A one-sample trajectory on `node` tagged `keyword`.
+    fn probe(node: u32, keyword: u32) -> Trajectory {
+        use uots_network::NodeId;
+        use uots_text::{KeywordId, KeywordSet};
+        let sample = uots_trajectory::Sample {
+            node: NodeId(node),
+            time: 60.0,
+        };
+        Trajectory::new(vec![sample], KeywordSet::from_ids([KeywordId(keyword)])).unwrap()
+    }
+
+    /// Regression: an insert naming a vertex outside the network was
+    /// appended to the WAL first and then panicked the manager's vertex
+    /// index (an out-of-vocabulary keyword: the index build of the next
+    /// publish) — logged before the panic, so the directory never
+    /// reopened. `uots ingest` had nothing in front of it.
+    #[test]
+    fn out_of_range_insert_is_refused_before_it_reaches_the_log() {
+        let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
+        let dir = tmpdir("bad_insert");
+        let mut ingest = ingest_over(&ds, &dir, Arc::new(StdFs), None);
+        let (lsn, _) = ingest.apply(vec![Mutation::Insert(donor(&ds, 0))]).unwrap();
+        let before = wal_bytes(&dir);
+
+        let bad_vertex = probe(ds.network.num_nodes() as u32, 0);
+        let bad_keyword = probe(0, ds.vocab.len() as u32);
+        for bad in [&bad_vertex, &bad_keyword] {
+            let err = ingest.ingest(bad.clone()).unwrap_err();
+            assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+            // one bad insert refuses the whole batch, valid ones included
+            let err = ingest
+                .apply(vec![
+                    Mutation::Insert(donor(&ds, 1)),
+                    Mutation::Insert(bad.clone()),
+                ])
+                .unwrap_err();
+            assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        }
+        assert_eq!(wal_bytes(&dir), before, "nothing was logged");
+        assert_eq!(ingest.manager().issued(), ds.store.len() + 1);
+        assert!(!ingest.is_degraded());
+
+        // the last valid ids are accepted
+        let edge = probe(ds.network.num_nodes() as u32 - 1, ds.vocab.len() as u32 - 1);
+        let (next_lsn, _) = ingest.apply(vec![Mutation::Insert(edge)]).unwrap();
+        assert_eq!(next_lsn, lsn + 1, "the refused batches took no lsn");
+        ingest
+            .publish()
+            .expect("the index build accepts what the check let through");
+        drop(ingest);
+        let (reopened, report) =
+            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None).unwrap();
+        assert_eq!(report.unwrap().replayed_batches, 2);
+        assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 2);
+    }
+
+    /// A log that already holds an out-of-vocabulary insert (written
+    /// before the check above existed) fails recovery with a typed error;
+    /// it used to pass replay — which looked at vertices only — and panic
+    /// in the keyword-index build of the first snapshot.
+    #[test]
+    fn replay_refuses_an_out_of_vocabulary_insert_with_a_typed_error() {
+        let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
+        let dir = tmpdir("bad_replay");
+        let mut log = wal::WalWriter::open(&dir, WalConfig::default()).unwrap();
+        log.append(&[Mutation::Insert(donor(&ds, 0))]).unwrap();
+        log.append(&[Mutation::Insert(probe(0, ds.vocab.len() as u32))])
+            .unwrap();
+        drop(log);
+        let err = match recover(&dir, Some(&ds), None) {
+            Err(e) => e,
+            Ok(_) => panic!("an out-of-vocabulary insert must fail recovery"),
+        };
+        assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
+        let text = err.to_string();
+        assert!(text.contains("lsn 2") && text.contains("keyword"), "{text}");
     }
 }

@@ -1,10 +1,10 @@
 //! The UOTS query service: an HTTP front-end over epoch-pinned snapshots.
 //!
 //! [`QueryService`] layers four POST endpoints on the dependency-free
-//! HTTP plumbing of [`uots_obs::serve`] (same wire format, same
-//! `Connection: close` discipline) and reuses the whole observability
-//! surface (`/metrics`, `/status`, `/journal`, `/traces`) verbatim via
-//! [`uots_obs::dispatch_obs`]:
+//! HTTP plumbing of [`uots_obs::serve`] (its [`AcceptLoop`] of workers
+//! blocked in `accept()`, its wire format and `Connection: close`) and
+//! reuses the whole observability surface (`/metrics`, `/status`,
+//! `/journal`, `/traces`) verbatim via [`uots_obs::dispatch_obs`]:
 //!
 //! | Endpoint | Body | Answer |
 //! |---|---|---|
@@ -12,7 +12,7 @@
 //! | `POST /topk`    | one query object | single result |
 //! | `POST /join`    | `{theta?, lambda?, ...}` | similarity self-join pairs |
 //! | `POST /ingest`  | `{insert: [...], retire: [...], publish?}` | new epoch |
-//! | `POST /admin/shutdown` | — | drains workers, frees the port |
+//! | `POST /admin/shutdown` | — | stops and wakes every worker, frees the port |
 //!
 //! ## Query shape
 //!
@@ -37,11 +37,13 @@
 //!
 //! ## Epoch pinning
 //!
-//! Every request pins one consistent cut up front and the whole batch
-//! runs against it through [`parallel::run_batch_cluster`], so results
-//! are attributable to one set of `epochs` (returned in the response)
-//! even while `/ingest` keeps publishing. Concurrent publishes never
-//! invalidate an in-flight batch.
+//! Every request pins one consistent cut up front — the coordinator's
+//! [`CutReader`], a read-lock and an `Arc` clone, never the writer's lock —
+//! and the whole batch runs against it through
+//! [`parallel::run_batch_cluster`], so results are attributable to one
+//! set of `epochs` (returned in the response) while `/ingest` keeps
+//! publishing: a reader sees the cut before a publish or the cut after
+//! it, never the per-shard swaps in between, and waits for neither.
 //!
 //! ## Overload: degrade, then shed — never hang
 //!
@@ -50,7 +52,7 @@
 //! 1. **Per-tenant soft ring** (`tenant_inflight`): a tenant exceeding
 //!    its inflight allowance keeps getting answers, but its queries run
 //!    under the degraded [`ExecutionBudget`] — the engine returns the
-//!    current top-k tagged [`Completeness::BestEffort`] with a certified
+//!    current top-k tagged [`uots_core::Completeness::BestEffort`] with a certified
 //!    `bound_gap`. HTTP 200, `"degraded": true`.
 //! 2. **Global hard ring** (`max_inflight`): beyond it the request is
 //!    shed immediately with `429 Too Many Requests` and a JSON body
@@ -73,36 +75,33 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
 
 use serde::{Content, Serialize};
 use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
-use uots_core::shard::{ClusterSnapshot, ShardedCluster};
+use uots_core::shard::{ClusterSnapshot, CutReader, ShardedCluster};
 use uots_core::{
-    CancellationToken, Completeness, CoreError, ExecutionBudget, QueryOptions, RunControl,
-    SearchContext, UotsQuery, Weights,
+    CancellationToken, CoreError, ExecutionBudget, QueryOptions, RunControl, SearchContext,
+    UotsQuery, Weights,
 };
 use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
 use uots_network::NodeId;
-use uots_obs::{
-    dispatch_obs, read_request, respond, Counter, Histogram, HttpRequest, MetricsRegistry, ObsState,
-};
+use uots_obs::serve::{AcceptLoop, Stopper};
+use uots_obs::{dispatch_obs, respond, Counter, HttpRequest, MetricsRegistry, ObsState};
 use uots_text::{KeywordId, KeywordSet};
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
 use crate::cluster::ShardedDurable;
-use crate::durable::DurableError;
+use crate::durable::{check_insert, DurableError};
 
 /// How the service admits, degrades and sheds work.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// HTTP worker threads (each owns a cloned listener handle).
+    /// HTTP worker threads (each blocks in `accept()` on the one listener).
     pub http_threads: usize,
     /// Rayon threads per search batch.
     pub batch_threads: usize,
@@ -140,19 +139,17 @@ impl Default for ServiceConfig {
 }
 
 /// Service metric handles (all registered on the shared registry, so
-/// `/metrics` exports them alongside the engine's).
+/// `/metrics` exports them alongside the engine's and the accept loop's
+/// per-connection series).
 struct ServiceMetrics {
-    requests: Counter,
     errors: Counter,
     shed: Counter,
     degraded: Counter,
-    latency_us: Histogram,
 }
 
 impl ServiceMetrics {
     fn new(registry: &MetricsRegistry) -> ServiceMetrics {
         ServiceMetrics {
-            requests: registry.counter("uots_serve_requests_total", "HTTP requests accepted"),
             errors: registry.counter("uots_serve_errors_total", "Requests answered 4xx"),
             shed: registry.counter(
                 "uots_serve_shed_total",
@@ -162,31 +159,6 @@ impl ServiceMetrics {
                 "uots_serve_degraded_total",
                 "Requests degraded to a best-effort budget by the tenant ring",
             ),
-            latency_us: registry.histogram(
-                "uots_serve_request_microseconds",
-                "End-to-end request service time",
-            ),
-        }
-    }
-}
-
-/// The state the service answers from: a cluster of `N ≥ 1` shards,
-/// volatile or WAL-backed. Both hand out epoch-pinned cuts and expose the
-/// same write quartet ([`Coordinator`]); only durability differs.
-enum Backend {
-    Volatile(Arc<ShardedCluster>),
-    Durable(Mutex<ShardedDurable>),
-}
-
-impl Backend {
-    /// The current consistent cut; queries of one request always answer
-    /// against one pin. The durable lock is held only for the snapshot
-    /// clone, never across query execution, so searches and ingest
-    /// proceed concurrently.
-    fn pin(&self) -> ClusterSnapshot {
-        match self {
-            Backend::Volatile(c) => c.snapshot(),
-            Backend::Durable(d) => d.lock().expect("durable facade poisoned").snapshot(),
         }
     }
 }
@@ -209,14 +181,19 @@ fn epoch_fields(epochs: &[u64]) -> [(String, Content); 2] {
 
 /// Shared state behind every worker thread.
 struct Shared {
-    backend: Backend,
+    /// The coordinator `/ingest` writes through — a cluster of `N ≥ 1`
+    /// shards, volatile or WAL-backed — one request at a time. Reads
+    /// never come here: they pin `cut`.
+    writer: Mutex<Box<dyn Coordinator + Send>>,
+    /// The coordinator's last completely published cut; every request
+    /// pins it once (see the module docs).
+    cut: CutReader,
     cfg: ServiceConfig,
     obs: ObsState,
     metrics: ServiceMetrics,
     ctx: SearchContext,
     inflight: AtomicUsize,
     tenants: Mutex<HashMap<String, Arc<AtomicUsize>>>,
-    stop: Arc<AtomicBool>,
 }
 
 impl Shared {
@@ -263,17 +240,14 @@ impl Drop for AdmissionGuard {
 /// [`shutdown`](Self::shutdown)) stops every worker and releases the
 /// port.
 pub struct QueryService {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handles: Vec<thread::JoinHandle<()>>,
+    accept: AcceptLoop,
     shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
-            .field("local_addr", &self.local_addr)
-            .field("workers", &self.handles.len())
+            .field("accept", &self.accept)
             .finish()
     }
 }
@@ -294,7 +268,7 @@ impl QueryService {
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, Backend::Volatile(cluster), registry, obs, cfg)
+        Self::start_inner(addr, cluster.cut(), Box::new(cluster), registry, obs, cfg)
     }
 
     /// Starts the service over a [`ShardedDurable`] cluster: `/ingest`
@@ -313,125 +287,68 @@ impl QueryService {
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        let backend = Backend::Durable(Mutex::new(cluster));
-        Self::start_inner(addr, backend, registry, obs, cfg)
+        Self::start_inner(addr, cluster.cut(), Box::new(cluster), registry, obs, cfg)
     }
 
     fn start_inner(
         addr: &str,
-        backend: Backend,
+        cut: CutReader,
+        writer: Box<dyn Coordinator + Send>,
         registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let metrics = ServiceMetrics::new(&registry);
+        let workers = cfg.http_threads;
         let shared = Arc::new(Shared {
-            backend,
-            cfg: cfg.clone(),
-            obs,
-            metrics,
+            writer: Mutex::new(writer),
+            cut,
+            cfg,
+            metrics: ServiceMetrics::new(&registry),
             ctx: SearchContext::new(),
             inflight: AtomicUsize::new(0),
             tenants: Mutex::new(HashMap::new()),
-            stop: Arc::clone(&stop),
+            obs,
         });
-        let workers = cfg.http_threads.max(1);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let listener = listener.try_clone()?;
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("uots-serve-{i}"))
-                    .spawn(move || worker_loop(listener, shared, stop))
-                    .expect("spawn http worker"),
-            );
-        }
-        Ok(QueryService {
-            local_addr,
-            stop,
-            handles,
-            shared,
-        })
+        let state = Arc::clone(&shared);
+        let handler = move |stream: &mut TcpStream, req: &HttpRequest, stopper: &Stopper| {
+            // an error here is the client gone mid-response: nothing to answer
+            let _ = handle_connection(stream, req, &state, stopper);
+        };
+        let accept = AcceptLoop::serve(addr, workers, "uots-serve", &shared.obs, handler)?;
+        Ok(QueryService { accept, shared })
     }
 
     /// The bound address (useful with `:0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.accept.local_addr()
     }
 
     /// The epoch of the currently published cut: the maximum per-shard
     /// epoch.
     pub fn current_epoch(&self) -> u64 {
-        max_epoch(&self.shared.backend.pin().epochs())
+        max_epoch(&self.shared.cut.get().epochs())
     }
 
-    /// `true` once an operator requested shutdown (`POST
-    /// /admin/shutdown`) or [`shutdown`](Self::shutdown) ran.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+    /// Blocks until `POST /admin/shutdown` has made every worker exit.
+    pub fn join(&mut self) {
+        self.accept.join();
     }
 
-    /// Stops every worker and joins them. Idempotent.
+    /// Stops every worker and joins them (also on drop). Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.accept.shutdown();
     }
 }
 
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let start = Instant::now();
-                shared.metrics.requests.inc();
-                if let Err(e) = handle_connection(&mut stream, &shared) {
-                    // Client went away mid-response; nothing to answer.
-                    let _ = e;
-                }
-                shared
-                    .metrics
-                    .latency_us
-                    .record(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    let req = match read_request(stream) {
-        Ok(req) => req,
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-            // `read_request` refuses bodies past MAX_BODY_BYTES up front.
-            let (code, msg) = if e.to_string().contains("too large") {
-                (413, "body too large")
-            } else {
-                (400, "bad request")
-            };
-            return client_error(stream, shared, code, msg);
-        }
-        Err(e) => return Err(e),
-    };
+fn handle_connection(
+    stream: &mut TcpStream,
+    req: &HttpRequest,
+    shared: &Arc<Shared>,
+    stopper: &Stopper,
+) -> io::Result<()> {
     match req.method.as_str() {
         "GET" => {
-            if dispatch_obs(stream, &req, &shared.obs)? {
+            if dispatch_obs(stream, req, &shared.obs)? {
                 return Ok(());
             }
             match req.path.as_str() {
@@ -446,12 +363,12 @@ fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>) -> io::Result
             }
         }
         "POST" => match req.path.as_str() {
-            "/search" => handle_search(stream, &req, shared, false),
-            "/topk" => handle_search(stream, &req, shared, true),
-            "/join" => handle_join(stream, &req, shared),
-            "/ingest" => handle_ingest(stream, &req, shared),
+            "/search" => handle_search(stream, req, shared, false),
+            "/topk" => handle_search(stream, req, shared, true),
+            "/join" => handle_join(stream, req, shared),
+            "/ingest" => handle_ingest(stream, req, shared),
             "/admin/shutdown" => {
-                shared.stop.store(true, Ordering::SeqCst);
+                stopper.stop();
                 respond(stream, 200, "application/json", "{\"stopping\":true}\n")
             }
             _ => client_error(stream, shared, 404, &format!("no such path: {}", req.path)),
@@ -659,7 +576,7 @@ fn handle_search(
     // shard epoch alive while `/ingest` publishes). A query walks its
     // shards on one thread, so the batch spreads over the batch workers
     // query by query.
-    let cut = shared.backend.pin();
+    let cut = shared.cut.get();
     let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token, &shared.ctx);
     drop(guard);
 
@@ -749,7 +666,7 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
         ..defaults
     };
     let tenant = field_str(&body, "tenant").unwrap_or("default").to_string();
-    let cut = shared.backend.pin();
+    let cut = shared.cut.get();
     // A join is a whole-dataset scan; weigh it as one tenant-ring slot
     // per live trajectory probe, capped to keep the arithmetic sane.
     let weight = cut.num_live().min(shared.cfg.tenant_inflight);
@@ -861,20 +778,10 @@ fn cluster_join(
 /// client-facing message.
 fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String> {
     let db = cut.shard(0).database();
-    let vertices = db.network.num_nodes();
     let vocab = db.keyword_index.map_or(usize::MAX, |k| k.vocab_len());
     inserts.iter().enumerate().find_map(|(i, t)| {
-        if let Some(v) = t.nodes().find(|v| v.index() >= vertices) {
-            return Some(format!(
-                "insert {i}: vertex {} outside the network ({vertices} vertices)",
-                v.0
-            ));
-        }
-        let k = t.keywords().iter().find(|k| k.index() >= vocab)?;
-        Some(format!(
-            "insert {i}: keyword {} outside the vocabulary ({vocab} keywords)",
-            k.0
-        ))
+        let refused = check_insert(db.network, vocab, t).err()?;
+        Some(format!("insert {i}: {refused}"))
     })
 }
 
@@ -913,7 +820,7 @@ fn handle_ingest(
     // Reject ids the served network / vocabulary does not have before
     // anything is logged: an out-of-range insert would panic the index
     // build at publish, and from the WAL again at every recovery.
-    if let Some(e) = out_of_range(&inserts, &shared.backend.pin()) {
+    if let Some(e) = out_of_range(&inserts, &shared.cut.get()) {
         return client_error(stream, shared, 400, &e);
     }
     let retires: Vec<TrajectoryId> = match field_ids(&body, "retire") {
@@ -922,22 +829,18 @@ fn handle_ingest(
     };
     let publish = !matches!(body.get("publish"), Some(Content::Bool(false)));
 
-    let applied = match &shared.backend {
-        Backend::Volatile(cluster) => {
-            let mut cluster: &ShardedCluster = cluster;
-            apply_ingest(&mut cluster, inserts, &retires, publish)
-        }
-        Backend::Durable(cluster) => {
-            let mut cluster = cluster.lock().expect("durable facade poisoned");
-            apply_ingest(&mut *cluster, inserts, &retires, publish)
-        }
+    // A poisoned lock: a handler panicked mid-batch and memory may trail
+    // the log, so writes stop until a restart recovers from it. Reads go
+    // on from the published cut.
+    let applied = match shared.writer.lock() {
+        Ok(mut writer) => apply_ingest(&mut **writer, &shared.cut, inserts, &retires, publish),
+        Err(_) => Err("ingest disabled: an earlier /ingest panicked; restart".into()),
     };
-    let (assigned, retired, cut) = match applied {
+    let (assigned, retired, epochs) = match applied {
         Ok(applied) => applied,
         Err(e) => return client_error(stream, shared, 400, &e),
     };
-
-    let mut top = Vec::from(epoch_fields(&cut.epochs()));
+    let mut top = Vec::from(epoch_fields(&epochs));
     top.extend([
         (
             "inserted".to_string(),
@@ -957,10 +860,9 @@ trait Coordinator {
     fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError>;
     fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError>;
     fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError>;
-    fn snapshot(&self) -> ClusterSnapshot;
 }
 
-impl Coordinator for &ShardedCluster {
+impl Coordinator for Arc<ShardedCluster> {
     fn contains(&self, id: TrajectoryId) -> bool {
         ShardedCluster::contains(self, id)
     }
@@ -972,9 +874,6 @@ impl Coordinator for &ShardedCluster {
     }
     fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
         Ok(ShardedCluster::publish_all(self))
-    }
-    fn snapshot(&self) -> ClusterSnapshot {
-        ShardedCluster::snapshot(self)
     }
 }
 
@@ -991,23 +890,21 @@ impl Coordinator for ShardedDurable {
     fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
         ShardedDurable::publish_all(self)
     }
-    fn snapshot(&self) -> ClusterSnapshot {
-        ShardedDurable::snapshot(self)
-    }
 }
 
 /// The one `/ingest` body: every retire id must already be issued —
 /// checked before anything is applied, since the volatile coordinator
 /// panics on an unknown id and a durable one would have logged the
 /// inserts by then. Returns the inserts' global ids, how many retires hit
-/// a live trajectory, and the cut the reply reports (fresh when
-/// `publish`).
+/// a live trajectory, and the epochs of the cut the reply reports (fresh
+/// when `publish`).
 fn apply_ingest(
-    cluster: &mut impl Coordinator,
+    cluster: &mut dyn Coordinator,
+    published: &CutReader,
     inserts: Vec<Trajectory>,
     retires: &[TrajectoryId],
     publish: bool,
-) -> Result<(Vec<u64>, u64, ClusterSnapshot), String> {
+) -> Result<(Vec<u64>, u64, Vec<u64>), String> {
     if let Some(id) = retires.iter().find(|&&id| !cluster.contains(id)) {
         return Err(format!("unknown trajectory id {}", id.0));
     }
@@ -1020,26 +917,17 @@ fn apply_ingest(
     for &id in retires {
         retired += u64::from(cluster.retire(id).map_err(|e| e.to_string())?);
     }
-    let cut = if publish {
-        cluster.publish_all().map_err(|e| e.to_string())?
-    } else {
-        cluster.snapshot()
+    let epochs = match publish {
+        true => cluster.publish_all().map_err(|e| e.to_string())?.epochs(),
+        false => published.get().epochs(),
     };
-    Ok((assigned, retired, cut))
-}
-
-/// Result completeness digest used by clients and the load generator:
-/// `Exact` or the certified `bound_gap`.
-pub fn completeness_tag(c: &Completeness) -> &'static str {
-    match c {
-        Completeness::Exact => "exact",
-        Completeness::BestEffort { .. } => "best-effort",
-    }
+    Ok((assigned, retired, epochs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn query_parsing_validates_through_the_engine() {
@@ -1057,6 +945,60 @@ mod tests {
         let bad_lambda: Content =
             serde_json::from_str(r#"{"locations":[1],"keywords":[],"lambda":1.5}"#).unwrap();
         assert!(parse_query(&bad_lambda).is_err());
+    }
+
+    /// A handler that panics inside `/ingest` poisons the durable writer's
+    /// lock with memory possibly behind the log. From then on `/ingest`
+    /// answers the documented JSON error — it neither hangs nor panics a
+    /// second worker — and reads go on from the published cut.
+    #[test]
+    fn a_poisoned_writer_refuses_ingest_and_keeps_serving_reads() {
+        use std::io::{Read, Write};
+        let ds = uots_datagen::Dataset::build(&uots_datagen::DatasetConfig::small(40, 3)).unwrap();
+        let dir = std::env::temp_dir().join(format!("uots_serve_poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let network = Arc::new(ds.network.clone());
+        let config = uots_core::wal::WalConfig::default();
+        let cluster =
+            ShardedDurable::create(network, &ds.store, &ds.vocab, &dir, 2, config, None, None)
+                .unwrap();
+        let registry = MetricsRegistry::new();
+        let obs = ObsState::new().with_registry(registry.clone());
+        let cfg = ServiceConfig::default();
+        let service =
+            QueryService::start_durable("127.0.0.1:0", cluster, registry, obs, cfg).expect("bind");
+        let post = |path: &str, body: &str| -> String {
+            let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+            let len = body.len();
+            write!(
+                stream,
+                "POST {path} HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}"
+            )
+            .unwrap();
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).expect("read response");
+            raw
+        };
+        let retire = r#"{"retire":[0]}"#;
+        assert!(post("/ingest", retire).starts_with("HTTP/1.1 200"));
+
+        let shared = Arc::clone(&service.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _held = shared.writer.lock().unwrap();
+            panic!("mid-batch panic (the test expects it)");
+        });
+        assert!(poisoner.join().is_err());
+
+        for _ in 0..6 {
+            let reply = post("/ingest", retire);
+            assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+            assert!(reply.contains(r#"{"error":"ingest disabled"#), "{reply}");
+        }
+        let reply = post("/topk", r#"{"locations":[0],"keywords":[],"k":1}"#);
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert!(reply.contains(r#""epochs":[1,1]"#), "{reply}");
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

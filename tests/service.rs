@@ -864,6 +864,9 @@ fn join_endpoint_answers_with_pairs_and_certificate() {
     assert!(body.get("epoch").is_some());
 }
 
+/// `POST /admin/shutdown` alone — no `shutdown()` after it — stops the
+/// service: the handler wakes every worker blocked in `accept()`, and
+/// `join` (what `uots-serve`'s main thread sits in) returns.
 #[test]
 fn admin_shutdown_drains_the_workers() {
     let (mut service, _ds) = start_service(60, 19, ServiceConfig::default());
@@ -871,8 +874,214 @@ fn admin_shutdown_drains_the_workers() {
     let (code, body) = post(addr, "/admin/shutdown", "");
     assert_eq!(code, 200, "{body:?}");
     assert_eq!(body.get("stopping"), Some(&Content::Bool(true)));
+    service.join();
+    std::net::TcpListener::bind(addr).expect("every worker exited: the port is free");
+    service.shutdown(); // idempotent after the fact
+}
+
+/// All workers of an idle service sit in a blocking `accept()`; `shutdown`
+/// must wake and join them promptly (the sleep-poll this replaced noticed
+/// the flag within 2 ms; a blocked worker notices nothing unless woken).
+#[test]
+fn shutdown_of_an_idle_service_joins_within_a_second() {
+    let (mut service, _ds) = start_service(40, 19, ServiceConfig::default());
+    let addr = service.local_addr();
+    let (code, _) = post(addr, "/topk", r#"{"locations":[0],"keywords":[],"k":1}"#);
+    assert_eq!(code, 200);
+    let start = std::time::Instant::now();
     service.shutdown();
-    assert!(service.is_stopped());
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    std::net::TcpListener::bind(addr).expect("the port is released");
+}
+
+/// More simultaneous connections than workers: the surplus waits in the
+/// listener's backlog and every one is answered — no wake-up is lost.
+#[test]
+fn more_simultaneous_connections_than_workers_are_all_answered() {
+    let cfg = ServiceConfig {
+        http_threads: 2,
+        ..ServiceConfig::default()
+    };
+    let (service, _ds) = start_service(60, 37, cfg);
+    let addr = service.local_addr();
+    let clients = 2 + 3;
+    let gate = Arc::new(std::sync::Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                // every client is connected before any of them sends
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                gate.wait();
+                let body = r#"{"locations":[0,5],"keywords":[1],"k":2}"#;
+                write!(
+                    stream,
+                    "POST /topk HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .expect("send");
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let mut raw = String::new();
+                stream.read_to_string(&mut raw).expect("read response");
+                raw
+            })
+        })
+        .collect();
+    for h in handles {
+        let raw = h.join().expect("client thread");
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    }
+}
+
+// ---------- the consistent cut under concurrent cross-shard ingest ----------
+
+fn epochs_of(reply: &Content) -> Vec<u64> {
+    let epochs = reply.get("epochs").expect("epochs").as_seq().unwrap();
+    epochs.iter().map(|e| as_u64(Some(e)).unwrap()).collect()
+}
+
+/// One writer posts 40 eight-insert batches — sequential global ids, so
+/// every batch touches every shard and every shard publishes — while two
+/// readers loop `/topk`. A reader must only ever see the seed cut or a cut
+/// some `/ingest` reply reported, never the per-shard swaps in between;
+/// its cuts must not go backwards; and what it is answered must be
+/// `BruteForce` over exactly the cut it names. An implementation that
+/// reads the shards' snapshot pointers one by one fails the first.
+fn readers_see_whole_cuts_under_concurrent_ingest(service: &QueryService, ds: &Dataset) {
+    const BATCHES: usize = 40;
+    let addr = service.local_addr();
+    let donors: Vec<Trajectory> = (0..BATCHES * 8)
+        .map(|i| {
+            ds.store
+                .get(TrajectoryId((i % ds.store.len()) as u32))
+                .clone()
+        })
+        .collect();
+    // the unsharded twin: `twin[i]` is the state after `i` batches
+    let manager = uots::EpochManager::new(
+        Arc::new(ds.network.clone()),
+        ds.store.clone(),
+        ds.vocab.len(),
+    );
+    let mut twin = vec![manager.snapshot()];
+    for batch in donors.chunks(8) {
+        manager.apply(batch.iter().cloned().map(uots::Mutation::Insert));
+        twin.push(manager.publish());
+    }
+    let specs = workload::generate(
+        ds,
+        &workload::WorkloadConfig {
+            num_queries: 4,
+            ..Default::default()
+        },
+    );
+    let queries: Vec<(String, UotsQuery)> = specs
+        .into_iter()
+        .map(|s| {
+            let json = query_json(&s.locations, s.keywords.ids(), 0.5, 3);
+            let opts = QueryOptions {
+                k: 3,
+                ..QueryOptions::default()
+            };
+            let q = UotsQuery::with_options(s.locations, s.keywords, Vec::new(), opts).unwrap();
+            (json, q)
+        })
+        .collect();
+
+    let seed_cut = epochs_of(&post(addr, "/topk", &queries[0].0).1);
+    let writing = std::sync::atomic::AtomicBool::new(true);
+    let (reported, seen) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                let (queries, writing) = (&queries, &writing);
+                scope.spawn(move || {
+                    // (cut, query, matches) of every reply
+                    let mut seen: Vec<(Vec<u64>, usize, Content)> = Vec::new();
+                    let mut last_round = false;
+                    while !last_round {
+                        last_round = !writing.load(std::sync::atomic::Ordering::SeqCst);
+                        let i = (seen.len() + r) % queries.len();
+                        let (code, reply) = post(addr, "/topk", &queries[i].0);
+                        assert_eq!(code, 200, "{reply:?}");
+                        let matches = reply.get("result").unwrap().get("matches").unwrap();
+                        seen.push((epochs_of(&reply), i, matches.clone()));
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let mut reported = vec![seed_cut.clone()];
+        for (b, batch) in donors.chunks(8).enumerate() {
+            let inserts = batch.iter().map(|t| t.serialize()).collect();
+            let body = Content::Map(vec![("insert".to_string(), Content::Seq(inserts))]);
+            let (code, reply) = post(addr, "/ingest", &serde_json::to_string(&body).unwrap());
+            assert_eq!(code, 200, "{reply:?}");
+            let ids = reply.get("inserted").unwrap().as_seq().unwrap();
+            let first = (ds.store.len() + 8 * b) as u64;
+            assert_eq!(as_u64(ids.first()), Some(first), "sequential global ids");
+            reported.push(epochs_of(&reply));
+        }
+        writing.store(false, std::sync::atomic::Ordering::SeqCst);
+        let seen: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+        (reported, seen)
+    });
+
+    for (r, seen) in seen.iter().enumerate() {
+        assert!(seen.len() >= 2, "reader {r} never got to read");
+        assert_eq!(
+            seen.last().unwrap().0,
+            reported[BATCHES],
+            "reader {r}: final cut"
+        );
+        let mut at = 0; // cuts are reported in order and never repeat
+        for (n, (cut, query, matches)) in seen.iter().enumerate() {
+            let Some(ahead) = reported[at..].iter().position(|c| c == cut) else {
+                panic!("reader {r}, reply {n}: cut {cut:?} is torn or went backwards (last {at})");
+            };
+            at += ahead;
+            // every 7th reply, and every one that saw a fresh cut
+            if n % 7 == 0 || ahead > 0 {
+                let db = twin[at].database();
+                let want = BruteForce.run(&db, &queries[*query].1).expect("oracle");
+                let want = normalized(want.serialize().get("matches").unwrap());
+                assert_eq!(&want, matches, "reader {r}, reply {n}, cut {cut:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn volatile_readers_see_whole_cuts_under_concurrent_ingest() {
+    let (service, ds) = start_cluster_service(120, 43, 4, ServiceConfig::default());
+    readers_see_whole_cuts_under_concurrent_ingest(&service, &ds);
+}
+
+#[test]
+fn durable_readers_see_whole_cuts_under_concurrent_ingest() {
+    let ds = Dataset::build(&DatasetConfig::small(120, 43)).expect("dataset");
+    let dir = scratch_dir("whole_cuts");
+    let registry = MetricsRegistry::new();
+    let cluster = ShardedDurable::create(
+        Arc::new(ds.network.clone()),
+        &ds.store,
+        &ds.vocab,
+        &dir,
+        2,
+        WalConfig::default(),
+        None,
+        Some(&registry),
+    )
+    .expect("create cluster");
+    let obs = ObsState::new().with_registry(registry.clone());
+    let cfg = ServiceConfig::default();
+    let service = QueryService::start_durable("127.0.0.1:0", cluster, registry, obs, cfg)
+        .expect("bind service");
+    readers_see_whole_cuts_under_concurrent_ingest(&service, &ds);
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------- the `uots-serve` binary: start-up over a `--wal-dir` ----------
