@@ -106,6 +106,11 @@ struct ScanTable {
     /// Finalized (exact similarity computed and offered to the collector)
     /// or retired (bound strictly below the pruning threshold).
     done: Vec<bool>,
+    /// `done`, one bit per store row. Most postings of a long run land on
+    /// finished trajectories; the posting loop drops those on this bit —
+    /// one load from a table a thirty-second of `slot`'s size — instead of
+    /// on the dependent `slot` → `done` pair.
+    dead: Vec<u64>,
     /// Spatial sources per trajectory.
     m: usize,
     /// Temporal sources per trajectory.
@@ -123,9 +128,25 @@ impl ScanTable {
             t_remaining: Vec::new(),
             textual: Vec::new(),
             done: Vec::new(),
+            dead: vec![0; store_len.div_ceil(64)],
             m,
             qt,
         }
+    }
+
+    /// Marks `slot` finalized or retired, in both `done` and `dead`.
+    #[inline]
+    fn mark_done(&mut self, slot: usize) {
+        self.done[slot] = true;
+        let row = self.tids[slot].index();
+        self.dead[row / 64] |= 1 << (row % 64);
+    }
+
+    /// `true` when `tid` has a slot and it is done.
+    #[inline]
+    fn is_dead(&self, tid: TrajectoryId) -> bool {
+        let row = tid.index();
+        self.dead[row / 64] >> (row % 64) & 1 != 0
     }
 
     #[inline]
@@ -497,11 +518,13 @@ pub fn threshold_search_ctx(
     Ok(result)
 }
 
-// Test-only switch compiling retirement out of the current thread's
-// runs, so a test can compare against the engine without it.
+// Test-only switches compiling retirement, or the posting loop's `dead`
+// test, out of the current thread's runs, so a test can compare against
+// the engine without it.
 #[cfg(test)]
 thread_local! {
     static RETIREMENT_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static DEAD_SKIP_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 struct Engine<'a, 'q, 'r> {
@@ -876,6 +899,11 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 // `self`, so no copy is needed on this hot path
                 let tids: &'a [TrajectoryId] = self.db.vertex_index.values_at(settled.node);
                 for &tid in tids {
+                    // a no-op inside `record_spatial` too (`done[slot]`),
+                    // so skipping here moves no answer and no counter
+                    if self.is_dead(tid) {
+                        continue;
+                    }
                     self.record_spatial(tid, src, settled.dist);
                 }
             }
@@ -1071,8 +1099,19 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// tie-break. A bound that *equals* `kth` must stay live.
     #[inline]
     fn retire(&mut self, slot: usize) {
-        self.states.done[slot] = true;
+        self.states.mark_done(slot);
         self.metrics.retired += 1;
+    }
+
+    /// [`ScanTable::is_dead`], as the posting loop asks it — `false` when
+    /// a test switched the skip off.
+    #[inline]
+    fn is_dead(&self, tid: TrajectoryId) -> bool {
+        #[cfg(test)]
+        if DEAD_SKIP_OFF.with(std::cell::Cell::get) {
+            return false;
+        }
+        self.states.is_dead(tid)
     }
 
     /// Whether `ub` proves a partly-scanned trajectory irrelevant (see
@@ -1124,7 +1163,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             similarity::temporal_component(tdists, o.decay_s)
         };
         let textual = self.states.textual[slot];
-        self.states.done[slot] = true;
+        self.states.mark_done(slot);
         self.metrics.candidates += 1;
         self.metrics.heap_pushes += 1; // top-k (or threshold) offer
         self.collector.offer(Match {

@@ -1,7 +1,8 @@
 //! Edge cases of bound-driven candidate retirement (see the engine's
 //! module docs): exact-tie plateaus, the threshold collector, interrupted
-//! runs against the engine with retirement switched off, and source
-//! exhaustion over a live list that holds retired states.
+//! runs against the engine with retirement switched off, source
+//! exhaustion over a live list that holds retired states, and the posting
+//! loop's `dead` skip against the engine without it.
 
 use super::*;
 use crate::algorithms::{Algorithm, BruteForce};
@@ -47,11 +48,15 @@ fn bits(r: &QueryResult) -> Vec<(TrajectoryId, u64)> {
         .collect()
 }
 
-/// Runs `f` with retirement compiled out of this thread's engine runs.
-fn without_retirement<T>(f: impl FnOnce() -> T) -> T {
-    RETIREMENT_OFF.with(|off| off.set(true));
+/// Runs `f` with one of the engine's test-only switches — `RETIREMENT_OFF`
+/// or `DEAD_SKIP_OFF` — set for this thread's engine runs.
+fn with_off<T>(
+    switch: &'static std::thread::LocalKey<std::cell::Cell<bool>>,
+    f: impl FnOnce() -> T,
+) -> T {
+    switch.with(|off| off.set(true));
     let out = f();
-    RETIREMENT_OFF.with(|off| off.set(false));
+    switch.with(|off| off.set(false));
     out
 }
 
@@ -189,12 +194,61 @@ fn a_source_exhausting_over_retired_states_finalizes_only_the_live_ones() {
             m.candidates + m.retired <= m.visited_trajectories,
             "{s:?}: {m:?}"
         );
-        let plain = without_retirement(|| expansion_search(&db, &q, s).unwrap());
+        let plain = with_off(&RETIREMENT_OFF, || expansion_search(&db, &q, s).unwrap());
         assert_eq!(bits(&plain), bits(&oracle), "{s:?}");
         assert_eq!(plain.metrics.retired, 0);
         assert_eq!(plain.metrics.visited_trajectories, m.visited_trajectories);
         assert_eq!(plain.metrics.settled_vertices, m.settled_vertices);
         assert!(plain.metrics.candidates >= m.candidates, "{s:?}");
+    }
+}
+
+/// A 10-vertex path with the two query places at its ends, in threshold
+/// mode (θ = 0.3 from the first step, so nothing waits on a top-k filling).
+/// `all` lies on every vertex with both keywords: finalized once each end
+/// has settled its own vertex, and posted again by every later settle.
+/// `bad` = `[a2, a3, a4]` shares no keyword: first sighted at radius 2 with
+/// the other end at radius ≥ 1, its bound is at most `¼(e⁻² + e⁻¹) ≈ 0.13
+/// < θ` — retired on the spot, then posted at `a3` and `a4`. `mid` at `a5`
+/// holds both keywords and keeps the unscanned bound above θ until both
+/// ends have reached it, so the run walks past all of those postings.
+#[test]
+fn later_postings_of_finished_trajectories_move_no_counter() {
+    let mut b = NetworkBuilder::new();
+    let a: Vec<_> = (0..10)
+        .map(|i| b.add_node(Point::new(f64::from(i), 0.0)))
+        .collect();
+    for w in a.windows(2) {
+        b.add_edge(w[0], w[1], None).unwrap();
+    }
+    let net = b.build().unwrap();
+    let mut store = TrajectoryStore::new();
+    store.push(traj(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], &[1, 2])); // all
+    store.push(traj(&[2, 3, 4], &[9])); // bad
+    store.push(traj(&[5], &[1, 2])); // mid
+    let vidx = store.build_vertex_index(net.num_nodes());
+    let db = Database::new(&net, &store, &vidx);
+    let q = UotsQuery::new(vec![a[0], a[9]], kws(&[1, 2])).unwrap();
+    for s in SCHEDULERS {
+        let got = threshold_search(&db, &q, 0.3, s).unwrap();
+        let plain = with_off(&DEAD_SKIP_OFF, || {
+            threshold_search(&db, &q, 0.3, s).unwrap()
+        });
+        assert_eq!(bits(&got), bits(&plain), "{s:?}");
+        assert_eq!(
+            got.ids(),
+            vec![TrajectoryId(0), TrajectoryId(2)],
+            "{s:?}: all and mid reach θ"
+        );
+        let m = &got.metrics;
+        // both ends walked to `mid`, past every vertex of `bad`
+        assert!(m.settled_vertices >= 11, "{s:?}: {m:?}");
+        assert_eq!((m.candidates, m.retired), (2, 1), "{s:?}: {m:?}");
+        let timeless = |m: &SearchMetrics| SearchMetrics {
+            runtime: Default::default(),
+            ..m.clone()
+        };
+        assert_eq!(timeless(m), timeless(&plain.metrics), "{s:?}");
     }
 }
 
@@ -236,7 +290,8 @@ proptest! {
         let budgeted = query(options(k, ExecutionBudget::default().with_max_visited(max_visited)));
 
         let with = expansion_search(&db, &budgeted, scheduler).unwrap();
-        let without = without_retirement(|| expansion_search(&db, &budgeted, scheduler).unwrap());
+        let without =
+            with_off(&RETIREMENT_OFF, || expansion_search(&db, &budgeted, scheduler).unwrap());
         prop_assert_eq!(bits(&with), bits(&without));
         prop_assert_eq!(with.metrics.visited_trajectories, without.metrics.visited_trajectories);
         prop_assert_eq!(with.metrics.settled_vertices, without.metrics.settled_vertices);

@@ -188,6 +188,8 @@ impl AcceptLoop {
             stop: Arc::default(),
         };
         let r = obs.registry.clone().unwrap_or_default();
+        r.gauge("uots_serve_http_workers", "HTTP workers of the loop")
+            .set(stopper.workers as i64);
         let worker = Arc::new(Worker {
             handler,
             stopper: stopper.clone(),
@@ -528,13 +530,15 @@ pub fn respond(
         429 => "Too Many Requests",
         _ => "Internal Server Error",
     };
-    let head = format!(
+    // head and body leave in one write: two would be two segments, and
+    // two wake-ups of a client blocked in `read_to_end`
+    let mut out = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -710,6 +714,7 @@ mod tests {
         assert_eq!(counter("uots_serve_worker_panics_total"), Some(5));
         assert_eq!(counter("uots_serve_requests_total"), Some(7));
         assert_eq!(snapshot.gauge("uots_serve_http_workers_busy", &[]), Some(0));
+        assert_eq!(snapshot.gauge("uots_serve_http_workers", &[]), Some(2));
         let events = journal.export_jsonl(16);
         assert_eq!(events.matches(r#""name":"handler_panicked""#).count(), 5);
         assert!(

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! uots-serve --data data.uotsds [--listen 127.0.0.1:8080]
-//!            [--http-threads N] [--batch-threads N]
+//!            [--http-threads N (default: one per core, at least 2)]
+//!            [--batch-threads N]
 //!            [--max-batch N] [--max-inflight N] [--tenant-inflight N]
 //!            [--degraded-deadline-ms MS] [--degraded-max-visited N]
 //!            [--force-algorithm expansion|iknn-baseline|text-first|brute-force]
@@ -42,7 +43,14 @@
 //! nothing; every request pins the last completely published cut with a
 //! read-lock, so `/topk` never queues behind an `/ingest` (`--wal-dir`
 //! included: append, fsync and publish happen behind the writer's lock,
-//! which readers never take).
+//! which readers never take). `N` defaults to the number of cores the
+//! process may run on, at least 2 (`uots_serve_http_workers` on `/metrics`
+//! shows the size in effect): requests are short and CPU-bound, so workers
+//! beyond the cores answer no more of them and — woken FIFO, each onto the
+//! CPU it last ran on — cost throughput (4 workers on 2 cores served a
+//! quarter fewer `/topk` per second than 2). Raise `N` when peers are slow
+//! or idle: a connection that sends nothing holds its worker for up to the
+//! 2 s read timeout.
 //!
 //! The process runs until `POST /admin/shutdown` (or SIGKILL): the
 //! handler sets the stop flag and wakes every blocked worker with a
@@ -171,13 +179,14 @@ fn run() -> Result<(), String> {
     let path = flags.require("data")?;
     let ds = persist::load_file(path).map_err(|e| format!("loading {path}: {e}"))?;
 
+    let defaults = ServiceConfig::default();
     let mut cfg = ServiceConfig {
-        http_threads: parse_or(&flags, "http-threads", 4)?,
+        http_threads: parse_or(&flags, "http-threads", defaults.http_threads)?,
         batch_threads: parse_or(&flags, "batch-threads", 0)?,
         max_batch: parse_or(&flags, "max-batch", 1024)?,
         max_inflight: parse_or(&flags, "max-inflight", 4096)?,
         tenant_inflight: parse_or(&flags, "tenant-inflight", 64)?,
-        ..ServiceConfig::default()
+        ..defaults
     };
     cfg.degraded_budget = ExecutionBudget::default()
         .with_deadline_ms(parse_or(&flags, "degraded-deadline-ms", 50u64)?)

@@ -102,6 +102,14 @@ use crate::durable::{check_insert, DurableError};
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// HTTP worker threads (each blocks in `accept()` on the one listener).
+    /// Default: one per core the process may run on, at least 2. A `/topk`
+    /// is short and CPU-bound, so more workers than cores serve no more of
+    /// them — the kernel wakes blocked accepters FIFO, and a surplus
+    /// worker wakes on the CPU it last ran on, beside a running request,
+    /// while another core idles (DESIGN §13.3). The floor of 2 keeps one
+    /// silent peer or one `fsync` from holding the only worker. Raise it
+    /// when peers are slow or idle: each holds a worker for up to the 2 s
+    /// read timeout.
     pub http_threads: usize,
     /// Rayon threads per search batch.
     pub batch_threads: usize,
@@ -124,7 +132,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            http_threads: 4,
+            http_threads: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
             batch_threads: 0,
             max_batch: 1024,
             max_inflight: 4096,

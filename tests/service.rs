@@ -564,6 +564,13 @@ fn observability_and_error_paths_surface_over_http() {
         metrics.contains("uots_serve_errors_total"),
         "error counter exported"
     );
+    // the default sizes the accept loop to the machine, and says so
+    assert_eq!(ServiceConfig::default().http_threads, cores_at_least_two());
+    let workers = format!("uots_serve_http_workers {}", cores_at_least_two());
+    assert!(
+        metrics.lines().any(|l| l == workers),
+        "{workers}:\n{metrics}"
+    );
 
     let (code, index) = http(addr, "GET", "/", "");
     assert_eq!(code, 200);
@@ -895,45 +902,80 @@ fn shutdown_of_an_idle_service_joins_within_a_second() {
     std::net::TcpListener::bind(addr).expect("the port is released");
 }
 
+/// What `http_threads` defaults to: one worker per core the process may
+/// run on, never fewer than two.
+fn cores_at_least_two() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
+}
+
 /// More simultaneous connections than workers: the surplus waits in the
-/// listener's backlog and every one is answered — no wake-up is lost.
+/// listener's backlog and every one is answered — no wake-up is lost, at
+/// one worker, at two, and at the default.
 #[test]
 fn more_simultaneous_connections_than_workers_are_all_answered() {
-    let cfg = ServiceConfig {
-        http_threads: 2,
-        ..ServiceConfig::default()
-    };
+    let mut sizes = vec![1, 2, cores_at_least_two()];
+    sizes.dedup();
+    for http_threads in sizes {
+        let cfg = ServiceConfig {
+            http_threads,
+            ..ServiceConfig::default()
+        };
+        let (service, _ds) = start_service(60, 37, cfg);
+        let addr = service.local_addr();
+        let clients = http_threads + 3;
+        let gate = Arc::new(std::sync::Barrier::new(clients));
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || {
+                    // every client is connected before any of them sends
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    gate.wait();
+                    let body = r#"{"locations":[0,5],"keywords":[1],"k":2}"#;
+                    write!(
+                        stream,
+                        "POST /topk HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    )
+                    .expect("send");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    let mut raw = String::new();
+                    stream.read_to_string(&mut raw).expect("read response");
+                    raw
+                })
+            })
+            .collect();
+        for h in handles {
+            let raw = h.join().expect("client thread");
+            assert!(raw.starts_with("HTTP/1.1 200"), "{http_threads}: {raw}");
+        }
+    }
+}
+
+/// One worker per core leaves no spare for a peer that connects and says
+/// nothing. The backlog is first in, first out, so with a silent peer
+/// queued per worker ahead of it, a real request is accepted only once a
+/// read timeout (2 s) has given a worker back — and is then answered, not
+/// dropped and not refused.
+#[test]
+fn a_request_behind_silent_peers_is_answered_once_a_read_times_out() {
+    let cfg = ServiceConfig::default();
+    let workers = cfg.http_threads;
     let (service, _ds) = start_service(60, 37, cfg);
     let addr = service.local_addr();
-    let clients = 2 + 3;
-    let gate = Arc::new(std::sync::Barrier::new(clients));
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                // every client is connected before any of them sends
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                gate.wait();
-                let body = r#"{"locations":[0,5],"keywords":[1],"k":2}"#;
-                write!(
-                    stream,
-                    "POST /topk HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-                .expect("send");
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(30)))
-                    .unwrap();
-                let mut raw = String::new();
-                stream.read_to_string(&mut raw).expect("read response");
-                raw
-            })
-        })
+    let silent: Vec<TcpStream> = (0..workers)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
         .collect();
-    for h in handles {
-        let raw = h.join().expect("client thread");
-        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-    }
+    let start = std::time::Instant::now();
+    let (code, reply) = post(addr, "/topk", r#"{"locations":[0,5],"keywords":[1],"k":2}"#);
+    let waited = start.elapsed();
+    assert_eq!(code, 200, "{reply:?}");
+    assert!(reply.get("result").is_some(), "{reply:?}");
+    // it did wait for a worker: every one was inside a silent peer's read
+    assert!(waited >= Duration::from_millis(1500), "{waited:?}");
+    drop(silent);
 }
 
 // ---------- the consistent cut under concurrent cross-shard ingest ----------
