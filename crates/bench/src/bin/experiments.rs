@@ -32,10 +32,11 @@ use std::sync::Arc;
 use uots_bench::{algorithms, make_queries, measure, render_table, time, LatencyStats, Row, Scale};
 use uots_core::algorithms::{Algorithm, Expansion};
 use uots_core::{
-    parallel, Database, DistanceCache, EpochManager, ExecutionBudget, QueryOptions, Scheduler,
-    SearchContext, UotsQuery, Weights, DEFAULT_CACHE_CAPACITY,
+    parallel, Database, DistanceCache, EpochManager, ExecutionBudget, QueryOptions, RunControl,
+    Scheduler, SearchContext, UotsQuery, Weights, DEFAULT_CACHE_CAPACITY,
 };
 use uots_datagen::{Dataset, DatasetConfig};
+use uots_obs::Recorder;
 
 struct Args {
     scale: Scale,
@@ -710,7 +711,15 @@ fn main() {
             let start = std::time::Instant::now();
             for q in &queries {
                 let q_start = std::time::Instant::now();
-                let r = algo.run_with_cache(&db, q, ctx).expect("d2 run");
+                let r = algo
+                    .run_ctx(
+                        &db,
+                        q,
+                        &RunControl::unbounded(),
+                        &mut Recorder::disabled(),
+                        ctx,
+                    )
+                    .expect("d2 run");
                 latencies.record(q_start.elapsed());
                 results.push(
                     r.matches

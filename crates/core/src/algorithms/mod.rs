@@ -35,11 +35,11 @@ use uots_obs::Recorder;
 /// gap instead of failing.
 ///
 /// Every implementation is also **observable**: the required entry point
-/// [`Algorithm::run_recorded`] takes a [`Recorder`] and attributes its
+/// [`Algorithm::run_ctx`] takes a [`Recorder`] and attributes its
 /// wall-clock time to the phase taxonomy of [`uots_obs::Phase`], filling
-/// `metrics.phases`. The plain [`Algorithm::run_with`] / [`Algorithm::run`]
-/// paths pass [`Recorder::disabled`] — the no-op sink, one branch per phase
-/// mark — so uninstrumented callers pay nothing.
+/// `metrics.phases`. [`Algorithm::run`] passes [`Recorder::disabled`] — the
+/// no-op sink, one branch per phase mark — so uninstrumented callers pay
+/// nothing.
 pub trait Algorithm {
     /// Answers `query` over `db` under explicit run control and a
     /// [`SearchContext`] (shared cross-query distance cache + landmark
@@ -77,7 +77,7 @@ pub trait Algorithm {
     ) -> Result<QueryResult, CoreError>;
 
     /// [`Algorithm::run_ctx`] under the empty context (no cache, no
-    /// landmarks) — the pre-cache behavior.
+    /// landmarks).
     ///
     /// # Errors
     ///
@@ -92,49 +92,19 @@ pub trait Algorithm {
         self.run_ctx(db, query, ctl, rec, &SearchContext::default())
     }
 
-    /// [`Algorithm::run_recorded`] with the disabled (no-op) recorder.
-    ///
-    /// # Errors
-    ///
-    /// See [`Algorithm::run_recorded`].
-    fn run_with(
-        &self,
-        db: &Database<'_>,
-        query: &UotsQuery,
-        ctl: &RunControl,
-    ) -> Result<QueryResult, CoreError> {
-        self.run_recorded(db, query, ctl, &mut Recorder::disabled())
-    }
-
-    /// [`Algorithm::run_ctx`] unbounded and unrecorded: the convenience
-    /// entry point for answering a query stream over one shared cache.
+    /// Answers `query` over `db` with no external control (the query's own
+    /// budget, if any, still applies), no recorder and the empty context.
     ///
     /// # Errors
     ///
     /// See [`Algorithm::run_ctx`].
-    fn run_with_cache(
-        &self,
-        db: &Database<'_>,
-        query: &UotsQuery,
-        ctx: &SearchContext,
-    ) -> Result<QueryResult, CoreError> {
-        self.run_ctx(
+    fn run(&self, db: &Database<'_>, query: &UotsQuery) -> Result<QueryResult, CoreError> {
+        self.run_recorded(
             db,
             query,
             &RunControl::unbounded(),
             &mut Recorder::disabled(),
-            ctx,
         )
-    }
-
-    /// Answers `query` over `db` with no external control (the query's own
-    /// budget, if any, still applies).
-    ///
-    /// # Errors
-    ///
-    /// See [`Algorithm::run_with`].
-    fn run(&self, db: &Database<'_>, query: &UotsQuery) -> Result<QueryResult, CoreError> {
-        self.run_with(db, query, &RunControl::unbounded())
     }
 
     /// Display name used in experiment output.

@@ -468,17 +468,6 @@ impl SearchContext {
         }
     }
 
-    /// Convenience: a context with a fresh cache of `capacity` entries —
-    /// unless the `UOTS_NO_CACHE` environment variable disables caching,
-    /// in which case the empty context is returned.
-    pub fn cached(capacity: usize) -> Self {
-        if no_cache_env() {
-            Self::new()
-        } else {
-            Self::with_cache(Arc::new(DistanceCache::new(capacity)))
-        }
-    }
-
     /// Adds ALT landmarks for admission pruning.
     pub fn with_landmarks(mut self, landmarks: Arc<Landmarks>) -> Self {
         self.landmarks = Some(landmarks);
@@ -524,13 +513,6 @@ impl SearchContext {
     pub fn is_empty(&self) -> bool {
         self.cache.is_none() && self.landmarks.is_none()
     }
-}
-
-/// Whether the `UOTS_NO_CACHE` environment variable requests cache-free
-/// execution (any value except `0` counts). Used by the CLI and CI to run
-/// the uncached path.
-pub fn no_cache_env() -> bool {
-    std::env::var_os("UOTS_NO_CACHE").is_some_and(|v| v != *"0")
 }
 
 /// One query location's expansion, parked between the shard runs of a
@@ -1096,10 +1078,7 @@ mod tests {
     }
 
     #[test]
-    fn env_gate_parsing() {
-        // no_cache_env reads the live environment; just assert it does not
-        // panic and returns a bool either way.
-        let _ = no_cache_env();
+    fn context_emptiness_tracks_the_cache() {
         let ctx = SearchContext::new();
         assert!(ctx.is_empty());
         let ctx = SearchContext::with_cache(Arc::new(DistanceCache::new(64)));

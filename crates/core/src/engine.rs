@@ -72,7 +72,7 @@ use std::collections::BinaryHeap;
 use uots_index::TimeExpansion;
 use uots_network::landmarks::Landmarks;
 use uots_network::TotalF64;
-use uots_obs::{Phase, Recorder, TailSampler};
+use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
 
 /// Dense struct-of-arrays scan-state table.
@@ -263,67 +263,28 @@ impl Collector {
     }
 }
 
-/// Runs the expansion search for `query` over `db` under `scheduler`.
-///
-/// This is the engine shared by [`crate::algorithms::Expansion`] (heuristic
+/// Runs the expansion search for `query` over `db` under `scheduler` —
+/// the engine shared by [`crate::algorithms::Expansion`] (heuristic
 /// scheduling — the paper's algorithm) and its ablations (round-robin /
 /// min-radius scheduling).
 ///
-/// # Errors
+/// `ctl` is the run's cancellation token and/or external deadline,
+/// combined with the query's own [`crate::ExecutionBudget`]. Interruption
+/// is not an error — the current top-k comes back tagged
+/// [`Completeness::BestEffort`] with a certified bound gap; a run
+/// cancelled before its first step returns the empty best-effort answer
+/// (`bound_gap = 1.0`).
 ///
-/// Propagates [`Database::validate`] failures.
-pub fn expansion_search(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    scheduler: Scheduler,
-) -> Result<QueryResult, CoreError> {
-    expansion_search_with(db, query, scheduler, &RunControl::unbounded())
-}
-
-/// [`expansion_search`] under explicit run control: a cancellation token
-/// and/or an external deadline, combined with the query's own
-/// [`crate::ExecutionBudget`]. Interruption is not an error — the current
-/// top-k comes back tagged [`Completeness::BestEffort`] with a certified
-/// bound gap. A run cancelled before its first step returns the empty
-/// best-effort answer (`bound_gap = 1.0`).
+/// Phase time is attributed to `rec` (use one recorder per query; the
+/// accumulated breakdown is published into the result's
+/// `metrics.phases`). With [`Recorder::disabled`] each phase mark costs
+/// one branch.
 ///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures.
-pub fn expansion_search_with(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    scheduler: Scheduler,
-    ctl: &RunControl,
-) -> Result<QueryResult, CoreError> {
-    expansion_search_recorded(db, query, scheduler, ctl, &mut Recorder::disabled())
-}
-
-/// [`expansion_search_with`] attributing phase time to `rec` (use one
-/// recorder per query; the accumulated breakdown is published into the
-/// result's `metrics.phases`). With [`Recorder::disabled`] this *is*
-/// `expansion_search_with` — each phase mark costs one branch.
-///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures.
-pub fn expansion_search_recorded(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    scheduler: Scheduler,
-    ctl: &RunControl,
-    rec: &mut Recorder,
-) -> Result<QueryResult, CoreError> {
-    expansion_search_ctx(db, query, scheduler, ctl, rec, &SearchContext::default())
-}
-
-/// [`expansion_search_recorded`] under a [`SearchContext`]: an optional
-/// shared cross-query [`crate::DistanceCache`] (per-source expansion
-/// prefixes are replayed on a hit and published back on clean completion)
-/// and optional ALT landmarks used as an admission filter. With the empty
-/// context this *is* `expansion_search_recorded` — the cached and
-/// uncached paths return identical results (see `tests/differential.rs`);
-/// only the work differs.
+/// `ctx` carries an optional shared cross-query [`crate::DistanceCache`]
+/// (per-source expansion prefixes are replayed on a hit and published back
+/// on clean completion) and optional ALT landmarks used as an admission
+/// filter. The cached and uncached paths return identical results (see
+/// `tests/differential.rs`); only the work differs.
 ///
 /// # Errors
 ///
@@ -356,129 +317,16 @@ pub fn expansion_search_ctx(
     Ok(result)
 }
 
-/// [`expansion_search_ctx`] feeding a [`TailSampler`]: the query runs
-/// under a tracing recorder when the sampler keeps traces (see
-/// [`TailSampler::with_tracing`]) and its latency/outcome are observed
-/// either way, so slow, best-effort, and errored queries leave full
-/// exemplars while the fast majority costs only a histogram update.
-///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures.
-pub fn expansion_search_sampled(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    scheduler: Scheduler,
-    ctl: &RunControl,
-    ctx: &SearchContext,
-    sampler: &TailSampler,
-) -> Result<QueryResult, CoreError> {
-    let mut rec = match sampler.trace_spans() {
-        Some(cap) => Recorder::tracing("expansion", cap),
-        None => Recorder::disabled(),
-    };
-    let result = expansion_search_ctx(db, query, scheduler, ctl, &mut rec, ctx);
-    let trace = rec.finish().and_then(|report| report.trace);
-    let (latency_us, best_effort, errored) = match &result {
-        Ok(r) => (
-            u64::try_from(r.metrics.runtime.as_micros()).unwrap_or(u64::MAX),
-            !r.completeness.is_exact(),
-            false,
-        ),
-        Err(_) => (0, false, true),
-    };
-    sampler.observe(&query.summary(), latency_us, best_effort, errored, trace);
-    result
-}
-
-/// Convenience: [`expansion_search`] sharing the caller's [`SearchContext`]
-/// (typically one cache across a query stream), unbounded and unrecorded.
-///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures.
-pub fn expansion_search_with_cache(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    scheduler: Scheduler,
-    ctx: &SearchContext,
-) -> Result<QueryResult, CoreError> {
-    expansion_search_ctx(
-        db,
-        query,
-        scheduler,
-        &RunControl::unbounded(),
-        &mut Recorder::disabled(),
-        ctx,
-    )
-}
-
 /// Threshold (range) variant of the expansion search: returns **every**
 /// trajectory whose similarity reaches `theta ∈ (0, 1]`, ranked best first.
 /// The query's `k` is ignored. This is the UOTS-side analogue of the join's
 /// per-probe search and useful on its own (alerting, candidate
 /// materialization).
 ///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures and rejects `theta` outside
-/// `(0, 1]`.
-pub fn threshold_search(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    theta: f64,
-    scheduler: Scheduler,
-) -> Result<QueryResult, CoreError> {
-    threshold_search_with(db, query, theta, scheduler, &RunControl::unbounded())
-}
-
-/// [`threshold_search`] under explicit run control; see
-/// [`expansion_search_with`]. An interrupted threshold search returns the
-/// qualifying matches found so far; its `bound_gap` certifies how far
-/// above `θ` a missed trajectory could score.
-///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures and rejects `theta` outside
-/// `(0, 1]`.
-pub fn threshold_search_with(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    theta: f64,
-    scheduler: Scheduler,
-    ctl: &RunControl,
-) -> Result<QueryResult, CoreError> {
-    threshold_search_recorded(db, query, theta, scheduler, ctl, &mut Recorder::disabled())
-}
-
-/// [`threshold_search_with`] attributing phase time to `rec`; see
-/// [`expansion_search_recorded`] for the recorder contract.
-///
-/// # Errors
-///
-/// Propagates [`Database::validate`] failures and rejects `theta` outside
-/// `(0, 1]`.
-pub fn threshold_search_recorded(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    theta: f64,
-    scheduler: Scheduler,
-    ctl: &RunControl,
-    rec: &mut Recorder,
-) -> Result<QueryResult, CoreError> {
-    threshold_search_ctx(
-        db,
-        query,
-        theta,
-        scheduler,
-        ctl,
-        rec,
-        &SearchContext::default(),
-    )
-}
-
-/// [`threshold_search_recorded`] under a [`SearchContext`]; see
-/// [`expansion_search_ctx`] for the cache contract.
+/// `ctl`, `rec` and `ctx` are as for [`expansion_search_ctx`]. An
+/// interrupted threshold search returns the qualifying matches found so
+/// far; its `bound_gap` certifies how far above `θ` a missed trajectory
+/// could score.
 ///
 /// # Errors
 ///
@@ -1425,6 +1273,28 @@ mod tests {
     use uots_text::{KeywordId, KeywordSet};
     use uots_trajectory::{Sample, Trajectory, TrajectoryStore};
 
+    /// [`expansion_search_ctx`] unbounded, unrecorded, under the empty
+    /// context.
+    pub(super) fn search_plain(
+        db: &Database<'_>,
+        q: &UotsQuery,
+        s: Scheduler,
+    ) -> Result<QueryResult, CoreError> {
+        let (ctl, ctx) = (RunControl::unbounded(), SearchContext::new());
+        expansion_search_ctx(db, q, s, &ctl, &mut Recorder::disabled(), &ctx)
+    }
+
+    /// [`threshold_search_ctx`] likewise.
+    pub(super) fn threshold_plain(
+        db: &Database<'_>,
+        q: &UotsQuery,
+        theta: f64,
+        s: Scheduler,
+    ) -> Result<QueryResult, CoreError> {
+        let (ctl, ctx) = (RunControl::unbounded(), SearchContext::new());
+        threshold_search_ctx(db, q, theta, s, &ctl, &mut Recorder::disabled(), &ctx)
+    }
+
     fn kws(ids: &[u32]) -> KeywordSet {
         KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
     }
@@ -1464,7 +1334,7 @@ mod tests {
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
         let db = Database::new(net, store, &vidx).with_timestamp_index(&tidx);
-        expansion_search(&db, q, s).unwrap()
+        search_plain(&db, q, s).unwrap()
     }
 
     #[test]
@@ -1696,9 +1566,9 @@ mod tests {
             Scheduler::MinRadius,
             Scheduler::Heuristic { recompute_every: 1 },
         ] {
-            let r = expansion_search(&db, &q, s).unwrap();
+            let r = search_plain(&db, &q, s).unwrap();
             assert_eq!(r.matches.len(), 3, "{s:?}");
-            let t = threshold_search(&db, &q, 0.01, s).unwrap();
+            let t = threshold_plain(&db, &q, 0.01, s).unwrap();
             assert!(t.is_ranked(), "{s:?}");
         }
     }
@@ -1720,7 +1590,7 @@ mod tests {
             crate::algorithms::Algorithm::run(&crate::algorithms::BruteForce, &db, &q_all).unwrap()
         };
         for theta in [0.2, 0.5, 0.8] {
-            let got = threshold_search(&db, &q, theta, Scheduler::heuristic()).unwrap();
+            let got = threshold_plain(&db, &q, theta, Scheduler::heuristic()).unwrap();
             let expect: Vec<TrajectoryId> = all
                 .matches
                 .iter()
@@ -1741,8 +1611,8 @@ mod tests {
         let vidx = store.build_vertex_index(net.num_nodes());
         let db = Database::new(&net, &store, &vidx);
         let q = UotsQuery::new(vec![NodeId(0)], kws(&[])).unwrap();
-        assert!(threshold_search(&db, &q, 0.0, Scheduler::heuristic()).is_err());
-        assert!(threshold_search(&db, &q, 1.5, Scheduler::heuristic()).is_err());
+        assert!(threshold_plain(&db, &q, 0.0, Scheduler::heuristic()).is_err());
+        assert!(threshold_plain(&db, &q, 1.5, Scheduler::heuristic()).is_err());
     }
 
     #[test]
@@ -1762,7 +1632,7 @@ mod tests {
             },
         )
         .unwrap();
-        let r = threshold_search(&db, &q, 0.999, Scheduler::heuristic()).unwrap();
+        let r = threshold_plain(&db, &q, 0.999, Scheduler::heuristic()).unwrap();
         assert!(r.matches.is_empty());
         assert!(
             r.metrics.settled_vertices < net.num_nodes(),
@@ -1792,14 +1662,15 @@ mod tests {
         let tidx = store.build_timestamp_index();
         let db = Database::new(&net, &store, &vidx).with_timestamp_index(&tidx);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(7)], kws(&[1, 2])).unwrap();
-        let plain = expansion_search(&db, &q, Scheduler::heuristic()).unwrap();
+        let plain = search_plain(&db, &q, Scheduler::heuristic()).unwrap();
         let mut rec = Recorder::phases_only("engine-test");
-        let r = expansion_search_recorded(
+        let r = expansion_search_ctx(
             &db,
             &q,
             Scheduler::heuristic(),
             &RunControl::unbounded(),
             &mut rec,
+            &SearchContext::new(),
         )
         .unwrap();
         assert_eq!(r.ids(), plain.ids());

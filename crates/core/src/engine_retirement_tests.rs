@@ -4,6 +4,7 @@
 //! exhaustion over a live list that holds retired states, and the posting
 //! loop's `dead` skip against the engine without it.
 
+use super::tests::{search_plain, threshold_plain};
 use super::*;
 use crate::algorithms::{Algorithm, BruteForce};
 use crate::query::{QueryOptions, Weights};
@@ -118,7 +119,7 @@ fn a_bound_equal_to_kth_is_not_retired_and_wins_the_id_tie_break() {
                 want.iter().map(|&i| TrajectoryId(i)).collect::<Vec<_>>()
             );
             for s in SCHEDULERS {
-                let got = expansion_search(&db, &q, s).unwrap();
+                let got = search_plain(&db, &q, s).unwrap();
                 assert_eq!(bits(&got), bits(&oracle), "rotation {rotation} k={k} {s:?}");
             }
         }
@@ -133,7 +134,7 @@ fn threshold_mode_reports_similarity_exactly_theta() {
     let q = plateau_query(1);
     let theta = BruteForce.run(&db, &q).unwrap().matches[0].similarity;
     for s in SCHEDULERS {
-        let got = threshold_search(&db, &q, theta, s).unwrap();
+        let got = threshold_plain(&db, &q, theta, s).unwrap();
         let ids: Vec<u32> = got.matches.iter().map(|m| m.id.0).collect();
         assert_eq!(ids, (0..16).collect::<Vec<u32>>(), "{s:?}");
         assert!(got.matches.iter().all(|m| m.similarity == theta));
@@ -183,7 +184,7 @@ fn a_source_exhausting_over_retired_states_finalizes_only_the_live_ones() {
     let oracle = BruteForce.run(&db, &q).unwrap();
     assert_eq!(oracle.ids(), vec![TrajectoryId(3)]);
     for s in SCHEDULERS {
-        let got = expansion_search(&db, &q, s).unwrap();
+        let got = search_plain(&db, &q, s).unwrap();
         assert_eq!(bits(&got), bits(&oracle), "{s:?}");
         let m = &got.metrics;
         // round-robin alternates the two places, so B exhausts after both
@@ -194,7 +195,7 @@ fn a_source_exhausting_over_retired_states_finalizes_only_the_live_ones() {
             m.candidates + m.retired <= m.visited_trajectories,
             "{s:?}: {m:?}"
         );
-        let plain = with_off(&RETIREMENT_OFF, || expansion_search(&db, &q, s).unwrap());
+        let plain = with_off(&RETIREMENT_OFF, || search_plain(&db, &q, s).unwrap());
         assert_eq!(bits(&plain), bits(&oracle), "{s:?}");
         assert_eq!(plain.metrics.retired, 0);
         assert_eq!(plain.metrics.visited_trajectories, m.visited_trajectories);
@@ -230,10 +231,8 @@ fn later_postings_of_finished_trajectories_move_no_counter() {
     let db = Database::new(&net, &store, &vidx);
     let q = UotsQuery::new(vec![a[0], a[9]], kws(&[1, 2])).unwrap();
     for s in SCHEDULERS {
-        let got = threshold_search(&db, &q, 0.3, s).unwrap();
-        let plain = with_off(&DEAD_SKIP_OFF, || {
-            threshold_search(&db, &q, 0.3, s).unwrap()
-        });
+        let got = threshold_plain(&db, &q, 0.3, s).unwrap();
+        let plain = with_off(&DEAD_SKIP_OFF, || threshold_plain(&db, &q, 0.3, s).unwrap());
         assert_eq!(bits(&got), bits(&plain), "{s:?}");
         assert_eq!(
             got.ids(),
@@ -289,9 +288,9 @@ proptest! {
         let scheduler = if heuristic { Scheduler::heuristic() } else { Scheduler::RoundRobin };
         let budgeted = query(options(k, ExecutionBudget::default().with_max_visited(max_visited)));
 
-        let with = expansion_search(&db, &budgeted, scheduler).unwrap();
+        let with = search_plain(&db, &budgeted, scheduler).unwrap();
         let without =
-            with_off(&RETIREMENT_OFF, || expansion_search(&db, &budgeted, scheduler).unwrap());
+            with_off(&RETIREMENT_OFF, || search_plain(&db, &budgeted, scheduler).unwrap());
         prop_assert_eq!(bits(&with), bits(&without));
         prop_assert_eq!(with.metrics.visited_trajectories, without.metrics.visited_trajectories);
         prop_assert_eq!(with.metrics.settled_vertices, without.metrics.settled_vertices);
@@ -334,7 +333,7 @@ fn a_floor_prunes_strictly_and_terminates_an_unfilled_run() {
     let tie = oracle.matches[0].similarity;
     assert_eq!(tie.to_bits(), oracle.matches[15].similarity.to_bits());
     for s in SCHEDULERS {
-        let free = expansion_search(&db, &q, s).unwrap();
+        let free = search_plain(&db, &q, s).unwrap();
 
         // floor == the plateau: all sixteen survive, the badly tagged
         // neighbours are retired instead of evaluated, and the run stops
@@ -376,7 +375,7 @@ fn an_interrupted_floored_run_certifies_from_its_floor() {
     };
     let s = Scheduler::RoundRobin;
     // no floor: one settle in, nothing is certified below similarity 1
-    let bare = expansion_search(&db, &budgeted(1), s).unwrap();
+    let bare = search_plain(&db, &budgeted(1), s).unwrap();
     let bare_gap = bare.completeness.bound_gap();
     assert!(!bare.completeness.is_exact() && bare.matches.is_empty());
     // a floor of 0.9 is the base the same interruption measures from

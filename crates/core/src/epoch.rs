@@ -555,9 +555,10 @@ impl EpochManager {
 mod tests {
     use super::*;
     use crate::algorithms::{Algorithm, BruteForce, Expansion};
-    use crate::{DistanceCache, UotsQuery};
+    use crate::{DistanceCache, RunControl, UotsQuery};
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NodeId;
+    use uots_obs::Recorder;
     use uots_text::KeywordSet;
     use uots_trajectory::Sample;
 
@@ -660,19 +661,21 @@ mod tests {
         )
         .unwrap();
 
+        let cached = |snap: &EpochSnapshot| {
+            let (ctl, mut rec) = (RunControl::unbounded(), Recorder::disabled());
+            Expansion::default()
+                .run_ctx(&snap.database(), &q, &ctl, &mut rec, &ctx)
+                .unwrap()
+        };
         let snap0 = mgr.snapshot();
-        let r0 = Expansion::default()
-            .run_with_cache(&snap0.database(), &q, &ctx)
-            .unwrap();
+        let r0 = cached(&snap0);
         assert!(cache.stats().inserts > 0, "first run warms the cache");
 
         mgr.ingest(traj(&[20, 21], &[4]));
         mgr.retire(TrajectoryId(1));
         let snap1 = mgr.publish();
         let hits_before = cache.stats().hits;
-        let r1 = Expansion::default()
-            .run_with_cache(&snap1.database(), &q, &ctx)
-            .unwrap();
+        let r1 = cached(&snap1);
         assert!(
             cache.stats().hits > hits_before,
             "the post-swap query must replay pre-swap prefixes"

@@ -38,14 +38,15 @@
 //!
 //! All algorithms return identical rankings; the evaluation compares their
 //! cost ([`SearchMetrics`]). Batches of queries run in parallel via
-//! [`parallel::run_batch`].
+//! [`parallel::run_batch`] (or [`parallel::run_batch_ctx`] /
+//! [`parallel::run_batch_cluster`] under explicit options).
 //!
 //! ## Anytime execution
 //!
 //! Every algorithm honors an [`ExecutionBudget`] (wall clock, visited
 //! trajectories, settled vertices — carried in [`QueryOptions`]) and a
 //! [`CancellationToken`]/deadline pair ([`RunControl`], passed to
-//! [`algorithms::Algorithm::run_with`]). Interrupted runs are not errors:
+//! [`algorithms::Algorithm::run_ctx`]). Interrupted runs are not errors:
 //! they return the current top-k tagged [`Completeness::BestEffort`] with
 //! a certified `bound_gap` — see [`budget`].
 
@@ -82,14 +83,10 @@ pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
 pub use csr::{CsrError, CsrGraph, MsSettled, MultiSourceExpansion};
 pub use db::{Database, LayoutTables};
 pub use distcache::{
-    no_cache_env, CacheStats, CachedSource, DistanceCache, SearchContext, SettleLogs, SourcePrefix,
+    CacheStats, CachedSource, DistanceCache, SearchContext, SettleLogs, SourcePrefix,
     DEFAULT_CACHE_CAPACITY,
 };
-pub use engine::{
-    expansion_search, expansion_search_ctx, expansion_search_recorded, expansion_search_sampled,
-    expansion_search_with, expansion_search_with_cache, threshold_search, threshold_search_ctx,
-    threshold_search_with,
-};
+pub use engine::{expansion_search_ctx, threshold_search_ctx};
 pub use epoch::{EpochManager, EpochSnapshot, EpochStats, Mutation};
 pub use error::CoreError;
 pub use keywords::{KeywordBlocks, PreparedQuery, TextualEval, MAX_BITSET_BITS};

@@ -24,9 +24,9 @@
 //! [`crate::MultiSourceExpansion`] when a layout is attached: one batched
 //! Dijkstra instead of `m` scheduled single-source expansions.
 //!
-//! [`Planner`] implements [`Algorithm`], so it drops into every existing
-//! execution funnel ([`crate::parallel::run_batch_ctx`] and friends)
-//! unchanged; `--force-algorithm` style overrides are carried by
+//! [`Planner`] implements [`Algorithm`], so it drops into the batch
+//! executors ([`crate::parallel::run_batch_ctx`],
+//! [`crate::parallel::run_batch_cluster`]) unchanged; `--force-algorithm` style overrides are carried by
 //! [`Planner::forced`]. Result preservation is structural (any choice
 //! returns the same ranking) and additionally pinned bit-exactly by
 //! `tests/planner_differential.rs`.

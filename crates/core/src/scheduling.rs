@@ -183,6 +183,7 @@ mod tests {
     /// terminate a real search (the engine normalizes on entry).
     #[test]
     fn zero_period_scheduler_still_terminates_searches() {
+        use crate::algorithms::{Algorithm, Expansion};
         use crate::{Database, UotsQuery};
         use uots_network::generators::{grid_city, GridCityConfig};
         use uots_network::NodeId;
@@ -207,8 +208,10 @@ mod tests {
         let db = Database::new(&net, &store, &vidx);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(24)], KeywordSet::empty()).unwrap();
         let hostile = Scheduler::Heuristic { recompute_every: 0 };
-        let r = crate::engine::expansion_search(&db, &q, hostile).expect("must terminate");
-        let sane = crate::engine::expansion_search(&db, &q, Scheduler::heuristic()).unwrap();
+        let r = Expansion::new(hostile)
+            .run(&db, &q)
+            .expect("must terminate");
+        let sane = Expansion::default().run(&db, &q).unwrap();
         assert_eq!(r.ids(), sane.ids());
     }
 }

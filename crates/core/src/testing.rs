@@ -210,7 +210,12 @@ mod tests {
         let token = CancellationToken::new();
         token.cancel();
         let r = algo
-            .run_with(&db, &q, &RunControl::with_token(token))
+            .run_recorded(
+                &db,
+                &q,
+                &RunControl::with_token(token),
+                &mut Recorder::disabled(),
+            )
             .unwrap();
         assert!(!r.completeness.is_exact());
         assert!(r.matches.is_empty());

@@ -212,9 +212,10 @@ impl Dataset {
     /// independently by mixing the chunk ordinal into the configured trip
     /// seed, and concatenated in chunk order — so the output is
     /// deterministic for a given configuration **regardless of thread
-    /// count**. The stream differs from the sequential [`build`] (each
-    /// chunk restarts its RNG lineage), which is why this is a separate
-    /// entry point rather than a transparent speedup.
+    /// count**. The stream differs from the sequential
+    /// [`build`](Self::build) (each chunk restarts its RNG lineage), which
+    /// is why this is a separate entry point rather than a transparent
+    /// speedup.
     ///
     /// This is the path for million-trajectory datasets: routing one A*
     /// per trip dominates the cost and parallelizes embarrassingly.

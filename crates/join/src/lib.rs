@@ -271,7 +271,7 @@ fn validate(cfg: &JoinConfig, store: &TrajectoryStore) -> Result<(), JoinError> 
     Ok(())
 }
 
-/// The two-phase trajectory similarity self-join, unbudgeted.
+/// The two-phase trajectory similarity self-join, unbudgeted and uncached.
 ///
 /// `threads` sizes the rayon pool for the search phase (`1` = sequential).
 /// Equivalent to [`ts_join_with`] under an unlimited budget; the result is
@@ -297,10 +297,12 @@ pub fn ts_join(
         threads,
         &ExecutionBudget::UNLIMITED,
         &RunControl::unbounded(),
+        None,
     )
 }
 
-/// The two-phase trajectory similarity self-join under a budget.
+/// The two-phase trajectory similarity self-join under a budget, with an
+/// optional shared distance cache.
 ///
 /// The gate is consulted before each probe (one probe = one trajectory's
 /// candidate search): on cancellation, deadline expiry, or an exhausted
@@ -311,70 +313,21 @@ pub fn ts_join(
 /// exceeds `θ` by at most `1 − θ`, hence
 /// `BestEffort { bound_gap: 1 − θ }` whenever any probe was skipped.
 ///
-/// # Errors
-///
-/// See [`JoinError`]. Budget exhaustion is **not** an error.
-#[allow(clippy::too_many_arguments)]
-pub fn ts_join_with(
-    net: &RoadNetwork,
-    store: &TrajectoryStore,
-    vertex_index: &VertexInvertedIndex<TrajectoryId>,
-    timestamp_index: &TimestampIndex<TrajectoryId>,
-    cfg: &JoinConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-    ctl: &RunControl,
-) -> Result<JoinResult, JoinError> {
-    ts_join_inner(
-        net,
-        store,
-        vertex_index,
-        timestamp_index,
-        cfg,
-        threads,
-        budget,
-        ctl,
-        None,
-    )
-}
-
-/// [`ts_join_with`] sharing one [`DistanceCache`] across every search
+/// With `cache`, one [`DistanceCache`] is shared across every search
 /// worker: each probe's spatial expansions replay cached prefixes and
 /// publish their own back, so trajectories sharing sample vertices (the
 /// common case — popular POIs) skip the shared head of each other's
 /// Dijkstra work. The pair set is **identical** to the uncached join; the
 /// cache trades settled-vertex work, never answers.
 ///
+/// The outcome reaches a [`MetricsRegistry`] through
+/// [`record_join_metrics`].
+///
 /// # Errors
 ///
-/// See [`JoinError`].
+/// See [`JoinError`]. Budget exhaustion is **not** an error.
 #[allow(clippy::too_many_arguments)]
-pub fn ts_join_cached(
-    net: &RoadNetwork,
-    store: &TrajectoryStore,
-    vertex_index: &VertexInvertedIndex<TrajectoryId>,
-    timestamp_index: &TimestampIndex<TrajectoryId>,
-    cfg: &JoinConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-    ctl: &RunControl,
-    cache: &Arc<DistanceCache>,
-) -> Result<JoinResult, JoinError> {
-    ts_join_inner(
-        net,
-        store,
-        vertex_index,
-        timestamp_index,
-        cfg,
-        threads,
-        budget,
-        ctl,
-        Some(cache),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ts_join_inner(
+pub fn ts_join_with(
     net: &RoadNetwork,
     store: &TrajectoryStore,
     vertex_index: &VertexInvertedIndex<TrajectoryId>,
@@ -497,48 +450,13 @@ fn ts_join_inner(
     })
 }
 
-/// [`ts_join_with`], additionally recording the outcome into `registry`:
-/// per-phase duration histograms (`uots_join_phase_duration_ns`, labeled by
-/// phase), a whole-join latency histogram (`uots_join_latency_us`), and
-/// counters for pairs emitted, candidates generated, trajectories visited,
-/// and interrupted joins. Use one registry across many joins to accumulate
-/// quantiles; export with
-/// [`MetricsRegistry::render_prometheus`] or
+/// Records a finished join's outcome into `registry`: per-phase duration
+/// histograms (`uots_join_phase_duration_ns`, labeled by phase), a
+/// whole-join latency histogram (`uots_join_latency_us`), and counters for
+/// pairs emitted, candidates generated, trajectories visited, and
+/// interrupted joins. Use one registry across many joins to accumulate
+/// quantiles; export with [`MetricsRegistry::render_prometheus`] or
 /// [`MetricsRegistry::render_json`].
-///
-/// # Errors
-///
-/// See [`JoinError`].
-#[allow(clippy::too_many_arguments)]
-pub fn ts_join_instrumented(
-    net: &RoadNetwork,
-    store: &TrajectoryStore,
-    vertex_index: &VertexInvertedIndex<TrajectoryId>,
-    timestamp_index: &TimestampIndex<TrajectoryId>,
-    cfg: &JoinConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-    ctl: &RunControl,
-    registry: &MetricsRegistry,
-) -> Result<JoinResult, JoinError> {
-    let r = ts_join_with(
-        net,
-        store,
-        vertex_index,
-        timestamp_index,
-        cfg,
-        threads,
-        budget,
-        ctl,
-    )?;
-    record_join_metrics(registry, &r);
-    Ok(r)
-}
-
-/// Records a finished join's outcome into `registry` — the same counters and
-/// histograms [`ts_join_instrumented`] emits. Use when the join itself ran
-/// through another entry point (e.g. [`ts_join_cached`]) but the metrics
-/// should still land in a shared registry.
 pub fn record_join_metrics(registry: &MetricsRegistry, r: &JoinResult) {
     registry
         .counter("uots_join_pairs_total", "Qualifying pairs emitted by joins")
@@ -799,6 +717,7 @@ mod tests {
             1,
             &budget,
             &RunControl::unbounded(),
+            None,
         )
         .unwrap();
         assert!(!r.completeness.is_exact(), "tiny budget must interrupt");
@@ -829,6 +748,7 @@ mod tests {
             2,
             &ExecutionBudget::UNLIMITED,
             &RunControl::with_token(token),
+            None,
         )
         .unwrap();
         assert!(r.pairs.is_empty());
@@ -855,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_join_records_into_the_registry() {
+    fn recorded_join_lands_in_the_registry() {
         let ds = Dataset::build(&DatasetConfig::small(40, 25)).unwrap();
         let tidx = ds.store.build_timestamp_index();
         let cfg = JoinConfig {
@@ -863,18 +783,8 @@ mod tests {
             ..Default::default()
         };
         let registry = MetricsRegistry::default();
-        let r = ts_join_instrumented(
-            &ds.network,
-            &ds.store,
-            &ds.vertex_index,
-            &tidx,
-            &cfg,
-            2,
-            &ExecutionBudget::UNLIMITED,
-            &RunControl::unbounded(),
-            &registry,
-        )
-        .unwrap();
+        let r = ts_join(&ds.network, &ds.store, &ds.vertex_index, &tidx, &cfg, 2).unwrap();
+        record_join_metrics(&registry, &r);
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter("uots_join_pairs_total", &[]),
@@ -907,7 +817,7 @@ mod tests {
         let plain = ts_join(&ds.network, &ds.store, &ds.vertex_index, &tidx, &cfg, 2).unwrap();
         let cache = Arc::new(DistanceCache::new(1 << 16));
         for round in 0..2 {
-            let cached = ts_join_cached(
+            let cached = ts_join_with(
                 &ds.network,
                 &ds.store,
                 &ds.vertex_index,
@@ -916,7 +826,7 @@ mod tests {
                 2,
                 &ExecutionBudget::UNLIMITED,
                 &RunControl::unbounded(),
-                &cache,
+                Some(&cache),
             )
             .unwrap();
             assert_eq!(plain.pairs.len(), cached.pairs.len(), "round {round}");

@@ -162,8 +162,8 @@ fn run_side(
 }
 
 /// The non-self trajectory similarity join between sets `P` and `Q` over
-/// one shared road network, unbudgeted. Equivalent to [`ts_join_two_with`]
-/// under an unlimited budget.
+/// one shared road network, unbudgeted and uncached. Equivalent to
+/// [`ts_join_two_with`] under an unlimited budget.
 ///
 /// # Errors
 ///
@@ -183,6 +183,7 @@ pub fn ts_join_two(
         threads,
         &ExecutionBudget::UNLIMITED,
         &RunControl::unbounded(),
+        None,
     )
 }
 
@@ -190,22 +191,7 @@ pub fn ts_join_two(
 /// the same subset semantics and conservative `1 − θ` certificate as
 /// [`crate::ts_join_with`]. The budget spans both probe directions.
 ///
-/// # Errors
-///
-/// See [`JoinError`]. Budget exhaustion is **not** an error.
-pub fn ts_join_two_with(
-    net: &RoadNetwork,
-    p: JoinSide<'_>,
-    q: JoinSide<'_>,
-    cfg: &JoinConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-    ctl: &RunControl,
-) -> Result<CrossJoinResult, JoinError> {
-    ts_join_two_inner(net, p, q, cfg, threads, budget, ctl, None)
-}
-
-/// [`ts_join_two_with`] with one shared [`DistanceCache`] **per probe
+/// With `caches`, one shared [`DistanceCache`] serves **each probe
 /// direction**: `caches.0` serves `P`'s probes (expansions from `P`'s
 /// sample vertices), `caches.1` serves `Q`'s. Distances depend only on the
 /// shared network, so the split is a sizing/locality choice, not a
@@ -214,23 +200,9 @@ pub fn ts_join_two_with(
 ///
 /// # Errors
 ///
-/// See [`JoinError`].
+/// See [`JoinError`]. Budget exhaustion is **not** an error.
 #[allow(clippy::too_many_arguments)]
-pub fn ts_join_two_cached(
-    net: &RoadNetwork,
-    p: JoinSide<'_>,
-    q: JoinSide<'_>,
-    cfg: &JoinConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-    ctl: &RunControl,
-    caches: (&Arc<DistanceCache>, &Arc<DistanceCache>),
-) -> Result<CrossJoinResult, JoinError> {
-    ts_join_two_inner(net, p, q, cfg, threads, budget, ctl, Some(caches))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ts_join_two_inner(
+pub fn ts_join_two_with(
     net: &RoadNetwork,
     p: JoinSide<'_>,
     q: JoinSide<'_>,
@@ -493,6 +465,7 @@ mod tests {
             1,
             &budget,
             &RunControl::unbounded(),
+            None,
         )
         .unwrap();
         assert!(!r.completeness.is_exact());
@@ -532,7 +505,7 @@ mod tests {
         .unwrap();
         let p_cache = Arc::new(DistanceCache::new(1 << 16));
         let q_cache = Arc::new(DistanceCache::new(1 << 16));
-        let cached = ts_join_two_cached(
+        let cached = ts_join_two_with(
             &ds.network,
             JoinSide::new(&p, &pv, &pt),
             JoinSide::new(&q, &qv, &qt),
@@ -540,7 +513,7 @@ mod tests {
             2,
             &ExecutionBudget::UNLIMITED,
             &RunControl::unbounded(),
-            (&p_cache, &q_cache),
+            Some((&p_cache, &q_cache)),
         )
         .unwrap();
         assert_eq!(plain.pairs.len(), cached.pairs.len());

@@ -88,6 +88,11 @@ impl ObsState {
         self
     }
 
+    /// The sampler served at `/traces`, for the embedder to feed.
+    pub fn sampler(&self) -> Option<&TailSampler> {
+        self.sampler.as_ref()
+    }
+
     /// Serves `provider()` at `/status`. The provider must return a JSON
     /// document; it is called once per request, so it always reflects the
     /// live state.

@@ -11,7 +11,7 @@ use crate::{KeywordId, KeywordSet};
 use serde::{Deserialize, Serialize};
 
 /// Inverse-document-frequency weights for a keyword corpus, used by
-/// [`TextSimilarity::WeightedJaccard`].
+/// [`weighted_jaccard`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IdfWeights {
     weights: Vec<f64>,

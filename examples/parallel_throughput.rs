@@ -9,7 +9,7 @@
 //! ```
 
 use std::time::Instant;
-use uots::parallel::run_batch_aggregated;
+use uots::parallel::run_batch;
 use uots::prelude::*;
 
 fn main() {
@@ -45,9 +45,9 @@ fn main() {
         .unwrap_or(1);
     for threads in [1usize, 2, 4, hw.max(4) * 2] {
         let start = Instant::now();
-        let (results, agg) =
-            run_batch_aggregated(&db, &algo, &queries, threads).expect("batch runs");
+        let results = run_batch(&db, &algo, &queries, threads).expect("batch runs");
         let wall = start.elapsed();
+        let agg = SearchMetrics::aggregate(results.iter().map(|r| &r.metrics));
         let ids: Vec<Vec<TrajectoryId>> = results.iter().map(|r| r.ids()).collect();
         match &reference {
             None => reference = Some(ids),

@@ -51,9 +51,7 @@
 use std::sync::{Arc, Mutex};
 use uots::datagen::persist;
 use uots::durable::{recover_with_journal, DurableError, DurableIngest, RecoverySource};
-use uots::join::{
-    record_join_metrics, ts_join_cached, ts_join_instrumented, ts_join_with, JoinConfig,
-};
+use uots::join::{record_join_metrics, ts_join_with, JoinConfig};
 use uots::obs::{
     validate_prometheus_text, EventJournal, ObsServer, ObsState, TailSampler,
     DEFAULT_EXEMPLAR_CAPACITY, DEFAULT_SLOW_QUANTILE,
@@ -129,8 +127,8 @@ fn print_usage() {
          --deadline-ms / --max-visited bound the work; when a bound trips,\n\
          the best results found so far are returned with a certified gap.\n\
          network distances are memoized in a shared cache by default;\n\
-         --cache-capacity N sizes it (0 disables), --no-cache or the\n\
-         UOTS_NO_CACHE env var turns it off. results are identical either way.\n\
+         --cache-capacity N sizes it (0 disables), --no-cache turns it\n\
+         off. results are identical either way.\n\
          --metrics-out writes a Prometheus text exposition, --trace a JSON\n\
          span timeline; check-metrics validates an exposition file.\n\
          --obs-listen ADDR serves live observability over HTTP while the\n\
@@ -229,14 +227,12 @@ fn parse_budget(flags: &Flags) -> Result<ExecutionBudget, String> {
 }
 
 /// Parses `--cache-capacity` / `--no-cache` into an optional shared
-/// distance cache, wired to `registry` for hit/miss counters. The
-/// `UOTS_NO_CACHE` environment variable (any value but `0`) disables the
-/// cache regardless of flags, so CI can force the uncached path.
+/// distance cache, wired to `registry` for hit/miss counters.
 fn parse_cache(
     flags: &Flags,
     registry: &MetricsRegistry,
 ) -> Result<Option<Arc<DistanceCache>>, String> {
-    if flags.get("no-cache").is_some() || uots::no_cache_env() {
+    if flags.get("no-cache").is_some() {
         return Ok(None);
     }
     let capacity: usize = match flags.get("cache-capacity") {
@@ -700,49 +696,21 @@ fn cmd_join(args: &[String]) -> i32 {
         Ok(c) => c,
         Err(e) => return fail(e),
     };
-    let result = if let Some(cache) = &cache {
-        ts_join_cached(
-            &ds.network,
-            &ds.store,
-            &ds.vertex_index,
-            &tidx,
-            &cfg,
-            threads,
-            &budget,
-            &RunControl::unbounded(),
-            cache,
-        )
-    } else if metrics_out.is_some() {
-        ts_join_instrumented(
-            &ds.network,
-            &ds.store,
-            &ds.vertex_index,
-            &tidx,
-            &cfg,
-            threads,
-            &budget,
-            &RunControl::unbounded(),
-            &registry,
-        )
-    } else {
-        ts_join_with(
-            &ds.network,
-            &ds.store,
-            &ds.vertex_index,
-            &tidx,
-            &cfg,
-            threads,
-            &budget,
-            &RunControl::unbounded(),
-        )
-    };
-    let result = match result {
+    let result = match ts_join_with(
+        &ds.network,
+        &ds.store,
+        &ds.vertex_index,
+        &tidx,
+        &cfg,
+        threads,
+        &budget,
+        &RunControl::unbounded(),
+        cache.as_ref(),
+    ) {
         Ok(r) => r,
         Err(e) => return fail(e),
     };
-    // the cached entry point bypasses ts_join_instrumented; record its
-    // outcome here so --metrics-out sees join counters either way
-    if cache.is_some() && metrics_out.is_some() {
+    if metrics_out.is_some() {
         record_join_metrics(&registry, &result);
     }
     println!(

@@ -62,11 +62,11 @@ pub use uots_trajectory as trajectory;
 
 pub use uots_core::wal::{FsyncPolicy, WalConfig, WalError, WalWriter};
 pub use uots_core::{
-    algorithms, epoch, expansion_search, no_cache_env, order, parallel, similarity,
-    threshold_search, BatchOptions, BatchPolicy, CacheStats, CancellationToken, Completeness,
-    CoreError, Database, DistanceCache, EpochManager, EpochSnapshot, ExecutionBudget, LayoutTables,
-    Match, Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext,
-    SearchMetrics, TopK, UotsQuery, Weights, DEFAULT_CACHE_CAPACITY,
+    algorithms, epoch, expansion_search_ctx, order, parallel, similarity, threshold_search_ctx,
+    BatchOptions, BatchPolicy, CacheStats, CancellationToken, Completeness, CoreError, Database,
+    DistanceCache, EpochManager, EpochSnapshot, ExecutionBudget, LayoutTables, Match, Mutation,
+    QueryOptions, QueryResult, RunControl, Scheduler, SearchContext, SearchMetrics, TopK,
+    UotsQuery, Weights, DEFAULT_CACHE_CAPACITY,
 };
 pub use uots_datagen::{workload, Dataset, DatasetConfig};
 pub use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};

@@ -60,7 +60,8 @@
 //!    answers 5xx under load.
 //!
 //! The same rings govern `/join` (probe-level budget, subset-certified)
-//! and oversized bodies are cut off at [`MAX_BODY_BYTES`] with `413`.
+//! and oversized bodies are cut off at [`uots_obs::MAX_BODY_BYTES`] with
+//! `413`.
 //!
 //! ## Planning
 //!
@@ -78,6 +79,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use serde::{Content, Serialize};
 use uots_core::parallel::{self, BatchOptions, BatchPolicy};
@@ -201,46 +203,60 @@ struct Shared {
     metrics: ServiceMetrics,
     ctx: SearchContext,
     inflight: AtomicUsize,
-    tenants: Mutex<HashMap<String, Arc<AtomicUsize>>>,
+    /// Queries in flight per tenant. An entry lives exactly as long as its
+    /// count is non-zero, so the map is bounded by the requests in flight,
+    /// not by the tenant names clients have ever sent.
+    tenants: Mutex<HashMap<String, usize>>,
 }
 
 impl Shared {
     /// Reserves `n` query slots. `Err(())` means the global hard ring is
     /// full and the request must be shed; `Ok((guard, degraded))` carries
     /// whether the tenant crossed its soft ring.
-    fn admit(self: &Arc<Self>, tenant: &str, n: usize) -> Result<(AdmissionGuard, bool), ()> {
+    fn admit<'a>(&'a self, tenant: &'a str, n: usize) -> Result<(AdmissionGuard<'a>, bool), ()> {
         let prev = self.inflight.fetch_add(n, Ordering::SeqCst);
         if prev + n > self.cfg.max_inflight {
             self.inflight.fetch_sub(n, Ordering::SeqCst);
             return Err(());
         }
-        let counter = {
-            let mut map = self.tenants.lock().expect("tenant map poisoned");
-            Arc::clone(map.entry(tenant.to_string()).or_default())
+        let mut map = self.tenants.lock().expect("tenant map poisoned");
+        let count = map.entry(tenant.to_string()).or_default();
+        *count += n;
+        let degraded = *count > self.cfg.tenant_inflight;
+        drop(map);
+        let guard = AdmissionGuard {
+            shared: self,
+            tenant,
+            n,
         };
-        let tprev = counter.fetch_add(n, Ordering::SeqCst);
-        let degraded = tprev + n > self.cfg.tenant_inflight;
-        Ok((
-            AdmissionGuard {
-                shared: Arc::clone(self),
-                tenant: counter,
-                n,
-            },
-            degraded,
-        ))
+        Ok((guard, degraded))
     }
 }
 
-struct AdmissionGuard {
-    shared: Arc<Shared>,
-    tenant: Arc<AtomicUsize>,
+struct AdmissionGuard<'a> {
+    shared: &'a Shared,
+    tenant: &'a str,
     n: usize,
 }
 
-impl Drop for AdmissionGuard {
+impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
         self.shared.inflight.fetch_sub(self.n, Ordering::SeqCst);
-        self.tenant.fetch_sub(self.n, Ordering::SeqCst);
+        // Decrement and remove under the one lock `admit` increments
+        // under: a concurrent request of this tenant either still finds
+        // the entry or starts a fresh one, never a counter already orphaned.
+        // A poisoned map is still consistent (every update is one step).
+        let mut map = self
+            .shared
+            .tenants
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(count) = map.get_mut(self.tenant) {
+            *count -= self.n;
+            if *count == 0 {
+                map.remove(self.tenant);
+            }
+        }
     }
 }
 
@@ -532,8 +548,8 @@ fn handle_search(
         }
     }
 
-    let tenant = field_str(&body, "tenant").unwrap_or("default").to_string();
-    let (guard, degraded) = match shared.admit(&tenant, queries.len()) {
+    let tenant = field_str(&body, "tenant").unwrap_or("default");
+    let (guard, degraded) = match shared.admit(tenant, queries.len()) {
         Ok(ok) => ok,
         Err(()) => {
             shared.metrics.shed.inc();
@@ -587,6 +603,18 @@ fn handle_search(
     let cut = shared.cut.get();
     let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token, &shared.ctx);
     drop(guard);
+    if let (Some(sampler), Ok(answers)) = (shared.obs.sampler(), &outcome) {
+        // metadata only: what `/traces` keeps of a served query is its
+        // shape, its engine runtime and its outcome
+        for (q, answer) in queries.iter().zip(answers) {
+            let (runtime, best_effort) = match answer {
+                Ok(a) => (a.result.metrics.runtime, !a.result.completeness.is_exact()),
+                Err(_) => (Duration::ZERO, false),
+            };
+            let latency_us = u64::try_from(runtime.as_micros()).unwrap_or(u64::MAX);
+            sampler.observe(&q.summary(), latency_us, best_effort, answer.is_err(), None);
+        }
+    }
 
     let answers = match outcome {
         Ok(batch) => batch,
@@ -673,12 +701,12 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
         decay_s: field_f64(&body, "decay_s", defaults.decay_s).unwrap_or(defaults.decay_s),
         ..defaults
     };
-    let tenant = field_str(&body, "tenant").unwrap_or("default").to_string();
+    let tenant = field_str(&body, "tenant").unwrap_or("default");
     let cut = shared.cut.get();
     // A join is a whole-dataset scan; weigh it as one tenant-ring slot
     // per live trajectory probe, capped to keep the arithmetic sane.
     let weight = cut.num_live().min(shared.cfg.tenant_inflight);
-    let (guard, degraded) = match shared.admit(&tenant, weight.max(1)) {
+    let (guard, degraded) = match shared.admit(tenant, weight.max(1)) {
         Ok(ok) => ok,
         Err(()) => {
             shared.metrics.shed.inc();
@@ -743,6 +771,7 @@ fn cluster_join(
             threads,
             budget,
             &RunControl::unbounded(),
+            None,
         )?;
         for p in &mut join.pairs {
             p.a = global_of(p.a);
@@ -935,7 +964,6 @@ fn apply_ingest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn query_parsing_validates_through_the_engine() {
@@ -1007,6 +1035,67 @@ mod tests {
         assert!(reply.contains(r#""epochs":[1,1]"#), "{reply}");
         drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn volatile_service(cfg: ServiceConfig) -> QueryService {
+        let ds = uots_datagen::Dataset::build(&uots_datagen::DatasetConfig::small(40, 3)).unwrap();
+        let cluster = ShardedCluster::new(
+            Arc::new(ds.network.clone()),
+            &ds.store,
+            ds.vocab.len(),
+            1,
+            uots_core::Partitioner::Hash,
+        );
+        let registry = MetricsRegistry::new();
+        let obs = ObsState::new().with_registry(registry.clone());
+        QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg).expect("bind")
+    }
+
+    /// The tenant map holds the tenants with queries in flight, not every
+    /// tenant name a client ever sent.
+    #[test]
+    fn finished_requests_leave_no_tenant_behind() {
+        use std::io::{Read, Write};
+        let service = volatile_service(ServiceConfig::default());
+        for i in 0..1_000 {
+            let body = format!(r#"{{"locations":[0],"keywords":[],"tenant":"tenant-{i}"}}"#);
+            let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
+            let len = body.len();
+            write!(
+                stream,
+                "POST /topk HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}"
+            )
+            .unwrap();
+            let mut raw = String::new();
+            stream.read_to_string(&mut raw).expect("read response");
+            assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+        }
+        let tenants = service.shared.tenants.lock().unwrap();
+        assert!(tenants.is_empty(), "{} tenants left", tenants.len());
+    }
+
+    #[test]
+    fn overlapping_requests_of_one_tenant_share_one_count() {
+        let service = volatile_service(ServiceConfig {
+            tenant_inflight: 1,
+            ..ServiceConfig::default()
+        });
+        let shared = &service.shared;
+        let (first, degraded) = shared.admit("t", 1).unwrap();
+        assert!(!degraded);
+        let (second, degraded) = shared.admit("t", 1).unwrap();
+        assert!(degraded, "the second overlapping query is over the ring");
+        // the entry outlives the first guard: a third request still counts
+        // on the second's slot
+        drop(first);
+        let (third, degraded) = shared.admit("t", 1).unwrap();
+        assert!(degraded);
+        drop((second, third));
+        assert!(shared.tenants.lock().unwrap().is_empty());
+        assert!(
+            !shared.admit("t", 1).unwrap().1,
+            "a fresh entry starts at 0"
+        );
     }
 
     #[test]

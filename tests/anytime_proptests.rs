@@ -155,7 +155,7 @@ fn pre_cancelled_token_yields_empty_best_effort_for_every_algorithm() {
         token.cancel();
         let ctl = RunControl::with_token(token);
         let r = algo
-            .run_with(&db, &q, &ctl)
+            .run_recorded(&db, &q, &ctl, &mut Recorder::disabled())
             .unwrap_or_else(|e| panic!("{}: cancellation must not error: {e}", algo.name()));
         assert!(r.matches.is_empty(), "{}: no matches", algo.name());
         assert!(
@@ -232,7 +232,11 @@ fn warm_cache_survives_a_cancelled_run_bit_exactly() {
     let ctx = SearchContext::with_cache(Arc::clone(&cache));
     let algo = Expansion::default();
 
-    let clean = algo.run_with_cache(&db, &q, &ctx).unwrap();
+    let unbounded = || {
+        let (ctl, mut rec) = (RunControl::unbounded(), Recorder::disabled());
+        algo.run_ctx(&db, &q, &ctl, &mut rec, &ctx).unwrap()
+    };
+    let clean = unbounded();
     let published = cache.stats().inserts;
     assert!(published > 0, "clean completion must publish");
 
@@ -256,7 +260,7 @@ fn warm_cache_survives_a_cancelled_run_bit_exactly() {
     );
 
     // the warm entries still serve the exact answer, bit for bit
-    let again = algo.run_with_cache(&db, &q, &ctx).unwrap();
+    let again = unbounded();
     assert_eq!(clean.ids(), again.ids());
     for (a, b) in clean.matches.iter().zip(again.matches.iter()) {
         assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());

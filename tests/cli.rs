@@ -306,6 +306,67 @@ fn metrics_and_trace_outputs_are_valid() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// `--no-cache` changes the work, never the output: the join goes through
+/// the same entry point and writes the same metric families either way,
+/// and a query ranks the same trips.
+#[test]
+fn no_cache_flag_changes_work_not_answers() {
+    let path = temp_dataset("nocache.uotsds");
+    generate(&path);
+    let run = |args: &[&str], extra: &[&str]| -> String {
+        let out = uots()
+            .args(args)
+            .args(extra)
+            .arg("--data")
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let lines_with = |text: &str, needle: &str| -> Vec<String> {
+        let hits = text.lines().filter(|l| l.contains(needle));
+        hits.map(str::to_string).collect()
+    };
+
+    let mut pair_lines = Vec::new();
+    for (name, extra) in [("cached", &[][..]), ("uncached", &["--no-cache"][..])] {
+        let prom = temp_dataset(&format!("nocache-{name}.prom"));
+        let prom_arg = prom.to_str().unwrap();
+        let text = run(
+            &["join", "--theta", "0.9", "--metrics-out", prom_arg],
+            extra,
+        );
+        assert_eq!(text.contains("distance cache:"), name == "cached", "{text}");
+        let prom_text = std::fs::read_to_string(&prom).unwrap();
+        for family in [
+            "uots_join_pairs_total",
+            "uots_join_latency_us",
+            "uots_join_phase_duration_ns",
+        ] {
+            assert!(prom_text.contains(family), "{name}: {family}\n{prom_text}");
+        }
+        pair_lines.push(lines_with(&text, " ↔ "));
+        std::fs::remove_file(&prom).ok();
+    }
+    assert!(!pair_lines[0].is_empty(), "θ = 0.9 joins some pairs");
+    assert_eq!(pair_lines[0], pair_lines[1]);
+
+    let query = ["query", "--at", "2.0,2.0", "--at", "5.0,3.0", "--k", "3"];
+    let cached = run(&query, &[]);
+    let uncached = run(&query, &["--no-cache"]);
+    assert!(cached.contains("distance cache:"), "{cached}");
+    assert!(!uncached.contains("distance cache:"), "{uncached}");
+    assert!(cached.contains("  #1 "), "{cached}");
+    assert_eq!(lines_with(&cached, "  #"), lines_with(&uncached, "  #"));
+
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn durable_ingest_and_recover_round_trip() {
     let path = temp_dataset("durable.uotsds");

@@ -39,7 +39,7 @@ use uots::network::landmarks::Landmarks;
 use uots::prelude::*;
 use uots::{
     DistanceCache, EpochManager, EpochSnapshot, KeywordSet, LayoutTables, NetworkBuilder,
-    QueryResult, SearchContext, TrajectoryStore, UotsQuery,
+    QueryResult, Recorder, SearchContext, TrajectoryStore, UotsQuery,
 };
 use uots_core::algorithms::{BruteForce, Expansion, IknnBaseline, TextFirst};
 use uots_core::{ClusterSnapshot, Partitioner, Planner, ShardedCluster};
@@ -66,6 +66,23 @@ fn fingerprint(r: &QueryResult) -> Vec<(TrajectoryId, u64, u64, u64, u64)> {
 
 /// The four algorithms under differential test (the brute force is the
 /// oracle and additionally tested against itself cached-vs-uncached).
+/// `algo` under `ctx`, unbounded and unrecorded.
+fn run_under(
+    algo: &(impl Algorithm + ?Sized),
+    db: &Database<'_>,
+    q: &UotsQuery,
+    ctx: &SearchContext,
+) -> QueryResult {
+    algo.run_ctx(
+        db,
+        q,
+        &RunControl::unbounded(),
+        &mut Recorder::disabled(),
+        ctx,
+    )
+    .expect("run under a context")
+}
+
 fn lineup() -> Vec<(&'static str, Box<dyn Algorithm>)> {
     vec![
         ("expansion", Box::new(Expansion::default())),
@@ -110,9 +127,7 @@ fn check_case<'a>(
             );
             comparisons += 1;
         }
-        let oracle_cached = BruteForce
-            .run_with_cache(&rdb, q, ctx)
-            .expect("oracle cached");
+        let oracle_cached = run_under(&BruteForce, &rdb, q, ctx);
         assert_eq!(
             want,
             fingerprint(&oracle_cached),
@@ -126,7 +141,7 @@ fn check_case<'a>(
                 fingerprint(&uncached),
                 "{label}: uncached {rep} {name} diverged from oracle"
             );
-            let cached = algo.run_with_cache(&rdb, q, ctx).expect("cached run");
+            let cached = run_under(algo.as_ref(), &rdb, q, ctx);
             assert_eq!(
                 want,
                 fingerprint(&cached),
@@ -476,7 +491,7 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext
                 map_fp(&uncached),
                 "{label}: live {rep} {name} diverged from rebuild"
             );
-            let cached = algo.run_with_cache(&rdb, q, ctx).expect("live cached run");
+            let cached = run_under(algo.as_ref(), &rdb, q, ctx);
             assert_eq!(
                 want,
                 map_fp(&cached),
@@ -718,7 +733,7 @@ fn differential_cancellation_mid_swap_stays_epoch_consistent() {
             token.cancel();
             let ctl = RunControl::with_token(token);
             let r = Expansion::default()
-                .run_with(&snapshot.database(), &q, &ctl)
+                .run_recorded(&snapshot.database(), &q, &ctl, &mut Recorder::disabled())
                 .expect("cancelled run still returns");
             assert!(
                 !r.completeness.is_exact(),

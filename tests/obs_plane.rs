@@ -1,28 +1,24 @@
 //! Integration tests for the operational observability plane: the event
 //! journal's causal chain under storage faults, the live exposition
-//! endpoint's agreement with in-process state, concurrent registry
-//! exposition under mutation, and the overhead guard for the always-on
-//! (tracing-disabled) configuration.
+//! endpoint's agreement with in-process state, and concurrent registry
+//! exposition under mutation.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 
-use uots::core::parallel::{run_batch, run_batch_observed, BatchObserver, BatchOptions};
 use uots::core::wal::WalConfig;
 use uots::durable::{DurableIngest, IngestState};
 use uots::obs::{
     validate_prometheus_text, EventJournal, JournalEvent, MetricsRegistry, ObsServer, ObsState,
-    TailSampler,
 };
 use uots::prelude::*;
 use uots::storage::fault::{Fault, FaultFs, OpKind, ScriptedFault};
 use uots::storage::{RetryPolicy, StdFs, StorageBackend};
-use uots::{Mutation, Trajectory};
+use uots::{Mutation, Recorder, Trajectory};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -207,7 +203,7 @@ fn degraded_transition_journals_causal_chain_and_serves_it_live() {
 }
 
 /// Satellite: exposition snapshots must stay internally consistent while
-/// batch executors and a durable ingest mutate the same registry.
+/// a query stream and a durable ingest mutate the same registry.
 #[test]
 fn concurrent_exposition_always_validates() {
     let ds = Dataset::build(&DatasetConfig::small(40, 7)).unwrap();
@@ -230,20 +226,18 @@ fn concurrent_exposition_always_validates() {
             renders
         });
 
-        let batches = s.spawn(|| {
-            let obs = BatchObserver::new(&registry).with_sampler(TailSampler::new(32));
+        let searches = s.spawn(|| {
             let algo = Expansion::default();
-            for _ in 0..4 {
-                let results = run_batch_observed(
-                    &db,
-                    &algo,
-                    &queries,
-                    &BatchOptions::fail_fast(2),
-                    &CancellationToken::new(),
-                    &obs,
-                )
-                .expect("batch admits");
-                assert_eq!(results.len(), queries.len());
+            for q in queries.iter().cycle().take(4 * queries.len()) {
+                let mut rec = Recorder::phases_only(algo.name());
+                let result = algo
+                    .run_recorded(&db, q, &RunControl::unbounded(), &mut rec)
+                    .expect("query runs");
+                registry.observe_phases(
+                    "uots_query_phase_duration_ns",
+                    "Per-query time attributed to each search phase (ns)",
+                    &result.metrics.phases,
+                );
             }
         });
 
@@ -259,7 +253,7 @@ fn concurrent_exposition_always_validates() {
             }
         });
 
-        batches.join().expect("batch thread");
+        searches.join().expect("search thread");
         ingest.join().expect("ingest thread");
         done.store(true, Ordering::Relaxed);
         let renders = renderer.join().expect("renderer thread");
@@ -269,69 +263,6 @@ fn concurrent_exposition_always_validates() {
     // the final snapshot still validates and saw both mutators
     let text = registry.render_prometheus();
     validate_prometheus_text(&text).unwrap();
-    assert!(text.contains("uots_batch_queries_total"), "{text}");
+    assert!(text.contains("uots_query_phase_duration_ns"), "{text}");
     assert!(text.contains("uots_durable_retries_total"), "{text}");
-}
-
-/// Satellite: the always-on configuration (journal + metadata-only
-/// sampler attached, tracing disabled) must not meaningfully slow the
-/// defaults-row query workload.
-#[test]
-fn tracing_disabled_overhead_is_bounded() {
-    let ds = Dataset::build(&DatasetConfig::small(48, 3)).unwrap();
-    let db = uots::db(&ds);
-    let queries = queries_for(&ds, 32);
-    let algo = Expansion::default();
-
-    // warm caches and code paths before timing anything
-    run_batch(&db, &algo, &queries, 1).expect("warmup");
-
-    let repeats = 5;
-    let baseline = (0..repeats)
-        .map(|_| {
-            let t0 = Instant::now();
-            run_batch(&db, &algo, &queries, 1).expect("baseline batch");
-            t0.elapsed()
-        })
-        .min()
-        .unwrap();
-
-    let registry = MetricsRegistry::new();
-    let journal = EventJournal::default();
-    // metadata-only sampler: trace_spans = None, so recorders stay in
-    // the phases-only mode and no span ring is allocated per query
-    let obs = BatchObserver::new(&registry).with_sampler(TailSampler::new(64));
-    let dir = tmpdir("overhead");
-    let mut durable = durable_over(&ds, &dir, Arc::new(StdFs), &registry);
-    durable.set_journal(journal.clone());
-    let observed = (0..repeats)
-        .map(|_| {
-            let t0 = Instant::now();
-            let results = run_batch_observed(
-                &db,
-                &algo,
-                &queries,
-                &BatchOptions::fail_fast(1),
-                &CancellationToken::new(),
-                &obs,
-            )
-            .expect("observed batch");
-            assert_eq!(results.len(), queries.len());
-            t0.elapsed()
-        })
-        .min()
-        .unwrap();
-
-    let per_query_slack = Duration::from_micros(500) * queries.len() as u32;
-    let bound = baseline * 5 / 2 + per_query_slack;
-    assert!(
-        observed <= bound,
-        "observed plane overhead too high: baseline {baseline:?}, observed {observed:?}, \
-         bound {bound:?} over {} queries",
-        queries.len()
-    );
-    // the plane actually saw the work it was attached to
-    assert!(registry
-        .render_prometheus()
-        .contains("uots_batch_queries_total"));
 }

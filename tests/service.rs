@@ -15,7 +15,7 @@ use serde::{Content, Serialize};
 use uots::cluster::ShardedDurable;
 use uots::core::planner::Planner;
 use uots::durable::DurableIngest;
-use uots::obs::{EventJournal, MetricsRegistry, ObsState};
+use uots::obs::{EventJournal, MetricsRegistry, ObsState, TailSampler};
 use uots::prelude::*;
 use uots::serve::{QueryService, ServiceConfig};
 use uots::{workload, Dataset, DatasetConfig, KeywordSet, QueryOptions, UotsQuery, WalConfig};
@@ -249,9 +249,16 @@ fn overload_degrades_to_certified_best_effort_and_never_5xx() {
             ..Default::default()
         },
     );
-    let mut best_effort = 0;
+    let mut best_effort = Vec::new();
     for s in specs {
         let json = query_json(&s.locations, s.keywords.ids(), 0.5, 3);
+        let options = QueryOptions {
+            k: 3,
+            ..Default::default()
+        };
+        let summary = UotsQuery::with_options(s.locations, s.keywords, vec![], options)
+            .unwrap()
+            .summary();
         let (code, body) = post(addr, "/search", &format!(r#"{{"queries":[{json}]}}"#));
         assert_eq!(code, 200, "degraded requests still answer 200: {body:?}");
         assert_eq!(body.get("degraded"), Some(&Content::Bool(true)));
@@ -268,14 +275,34 @@ fn overload_degrades_to_certified_best_effort_and_never_5xx() {
                     rendered.contains("BestEffort") && rendered.contains("bound_gap"),
                     "unexpected completeness: {rendered}"
                 );
-                best_effort += 1;
+                best_effort.push(summary);
             }
         }
     }
     assert!(
-        best_effort > 0,
+        !best_effort.is_empty(),
         "a 1-visited-trajectory budget must interrupt at least one query"
     );
+
+    // every served query reached the tail sampler, and each best-effort
+    // one left a metadata-only exemplar under its own summary
+    let (code, text) = http(addr, "GET", "/traces", "");
+    assert_eq!(code, 200, "{text}");
+    let traces: Content = serde_json::from_str(&text).expect("/traces is JSON");
+    let stats = traces.get("stats").expect("sampler stats");
+    assert_eq!(as_u64(stats.get("observed")), Some(6), "{text}");
+    let kept: Vec<&Content> = traces
+        .get("exemplars")
+        .and_then(Content::as_seq)
+        .expect("exemplar list")
+        .iter()
+        .filter(|e| e.get("reason") == Some(&Content::Str("best_effort".into())))
+        .collect();
+    assert_eq!(kept.len(), best_effort.len(), "{text}");
+    for (exemplar, summary) in kept.iter().zip(&best_effort) {
+        assert_eq!(exemplar.get("query"), Some(&Content::Str(summary.clone())));
+        assert_eq!(exemplar.get("trace"), Some(&Content::Null));
+    }
 }
 
 #[test]
@@ -666,7 +693,8 @@ fn start_cluster_service(
     cluster.set_journal(journal.clone());
     let obs = ObsState::new()
         .with_registry(registry.clone())
-        .with_journal(journal);
+        .with_journal(journal)
+        .with_sampler(TailSampler::new(64));
     let service = QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg)
         .expect("bind service");
     (service, ds)
