@@ -330,15 +330,15 @@ fn start_service(ds: &Dataset, force: Option<AlgorithmKind>) -> QueryService {
         ds.vocab.len(),
         1,
         Partitioner::Hash,
-        &registry,
+        Some(&registry),
+        None,
     );
-    let obs = ObsState::new().with_registry(registry.clone());
+    let obs = ObsState::new().with_registry(registry);
     let cfg = ServiceConfig {
         force,
         ..ServiceConfig::default()
     };
-    QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg)
-        .expect("bind loopback service")
+    QueryService::start("127.0.0.1:0", Arc::new(cluster), obs, cfg).expect("bind loopback service")
 }
 
 fn main() {

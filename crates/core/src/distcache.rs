@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use uots_network::expansion::{ExpansionState, NetworkExpansion, Settled};
 use uots_network::landmarks::Landmarks;
 use uots_network::{NodeId, RoadNetwork};
-use uots_obs::{Counter, EventJournal, MetricsRegistry};
+use uots_obs::{Counter, MetricsRegistry};
 
 /// A finalized single-source Dijkstra prefix: everything needed to replay
 /// and resume an expansion from `source`.
@@ -178,7 +178,6 @@ pub struct DistanceCache {
     bound_prunes: AtomicU64,
     poisoned: AtomicU64,
     bound: Option<BoundCounters>,
-    journal: Option<EventJournal>,
 }
 
 /// Default capacity: one million settled/frontier entries (~16 MiB of
@@ -220,14 +219,7 @@ impl DistanceCache {
             bound_prunes: AtomicU64::new(0),
             poisoned: AtomicU64::new(0),
             bound: None,
-            journal: None,
         }
-    }
-
-    /// Attaches an operational [`EventJournal`]; cache clears and
-    /// poison-on-cancel events are recorded there.
-    pub fn set_journal(&mut self, journal: EventJournal) {
-        self.journal = Some(journal);
     }
 
     /// Like [`new`](Self::new), additionally registering
@@ -381,19 +373,10 @@ impl DistanceCache {
     /// performance event, never a correctness one — see the mid-batch
     /// clear property test.
     pub fn clear(&self) {
-        let mut dropped = 0usize;
         for s in self.shards.iter() {
             let mut shard = lock_ok(s);
-            dropped += shard.map.len();
             shard.map.clear();
             shard.cost = 0;
-        }
-        if let Some(j) = &self.journal {
-            j.info(
-                "distcache",
-                "cache_cleared",
-                &[("dropped_prefixes", dropped.to_string())],
-            );
         }
     }
 
@@ -412,9 +395,6 @@ impl DistanceCache {
         self.poisoned.fetch_add(1, Ordering::Relaxed);
         if let Some(b) = &self.bound {
             b.poisoned.inc();
-        }
-        if let Some(j) = &self.journal {
-            j.warn("distcache", "publication_poisoned", &[]);
         }
     }
 

@@ -20,7 +20,7 @@
 //!
 //! ## Interaction with the distance cache
 //!
-//! The [`crate::DistanceCache`] of a [`SearchContext`] memoizes Dijkstra
+//! The [`crate::DistanceCache`] of a [`crate::SearchContext`] memoizes Dijkstra
 //! prefixes keyed **only on the immutable road network** — no trajectory
 //! data enters a [`crate::SourcePrefix`]. Every snapshot of one manager
 //! shares the *same* `Arc<RoadNetwork>` (publish asserts pointer
@@ -42,7 +42,6 @@
 
 use crate::csr::CsrGraph;
 use crate::db::LayoutTables;
-use crate::distcache::SearchContext;
 use crate::Database;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
@@ -245,8 +244,8 @@ pub struct EpochManager {
     /// snapshot this manager publishes.
     csr: Arc<CsrGraph>,
     vocab_len: usize,
-    metrics: Option<EpochMetrics>,
-    journal: Option<EventJournal>,
+    metrics: EpochMetrics,
+    journal: EventJournal,
 }
 
 fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -254,93 +253,40 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl EpochManager {
-    /// Seeds a manager with epoch 0 = the given store, everything live.
-    /// `vocab_len` sizes the keyword index (as in
-    /// [`TrajectoryStore::build_keyword_index`]).
+    /// Seeds a manager with epoch 0 = the given store, everything live,
+    /// with detached instruments. `vocab_len` sizes the keyword index (as
+    /// in [`TrajectoryStore::build_keyword_index`]).
     pub fn new(network: Arc<RoadNetwork>, store: TrajectoryStore, vocab_len: usize) -> Self {
-        Self::build(network, store, vocab_len, None)
+        let live = LiveSet::all_live(store.len());
+        Self::from_parts(network, store, live, vocab_len, 0, None, None)
     }
 
-    /// [`new`](Self::new) plus `uots_epoch_*` metrics registered in
-    /// `registry` (epoch counter, live/pending gauges, ingest throughput,
-    /// swap latency histogram).
-    pub fn with_metrics(
-        network: Arc<RoadNetwork>,
-        store: TrajectoryStore,
-        vocab_len: usize,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        Self::build(
-            network,
-            store,
-            vocab_len,
-            Some(EpochMetrics::register(registry)),
-        )
-    }
-
-    /// Seeds a manager from recovered state: a master store with its
-    /// liveness mask (retired slots preserved so ids stay stable) and the
-    /// epoch number to resume from. This is the crash-recovery constructor:
-    /// checkpoint + WAL replay reconstruct `(store, live)`, and the first
-    /// snapshot must serve exactly the durable state. Only live
-    /// trajectories enter the vertex index — retired ones stay invisible.
+    /// Seeds a manager with every input: a master store with its liveness
+    /// mask (retired slots preserved so ids stay stable), the epoch number
+    /// to start from, the `registry` the `uots_epoch_*` series (epoch
+    /// counter, live/pending gauges, ingest throughput, swap latency
+    /// histogram) are registered in, and the `journal` every snapshot swap
+    /// is recorded in. A `None` instrument is a detached one nothing reads.
+    ///
+    /// This is also the crash-recovery constructor: checkpoint + WAL
+    /// replay reconstruct `(store, live)`, and the first snapshot must
+    /// serve exactly the durable state. Only live trajectories enter the
+    /// vertex index — retired ones stay invisible.
     pub fn from_parts(
         network: Arc<RoadNetwork>,
         store: TrajectoryStore,
         live: LiveSet,
         vocab_len: usize,
         epoch: u64,
+        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
     ) -> Self {
         assert_eq!(
             live.len(),
             store.len(),
             "liveness mask must cover the master store"
         );
-        Self::build_with(network, store, live, vocab_len, epoch, None)
-    }
-
-    /// [`from_parts`](Self::from_parts) plus `uots_epoch_*` metrics.
-    pub fn from_parts_with_metrics(
-        network: Arc<RoadNetwork>,
-        store: TrajectoryStore,
-        live: LiveSet,
-        vocab_len: usize,
-        epoch: u64,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        assert_eq!(
-            live.len(),
-            store.len(),
-            "liveness mask must cover the master store"
-        );
-        Self::build_with(
-            network,
-            store,
-            live,
-            vocab_len,
-            epoch,
-            Some(EpochMetrics::register(registry)),
-        )
-    }
-
-    fn build(
-        network: Arc<RoadNetwork>,
-        store: TrajectoryStore,
-        vocab_len: usize,
-        metrics: Option<EpochMetrics>,
-    ) -> Self {
-        let live = LiveSet::all_live(store.len());
-        Self::build_with(network, store, live, vocab_len, 0, metrics)
-    }
-
-    fn build_with(
-        network: Arc<RoadNetwork>,
-        store: TrajectoryStore,
-        live: LiveSet,
-        vocab_len: usize,
-        epoch: u64,
-        metrics: Option<EpochMetrics>,
-    ) -> Self {
+        let metrics = EpochMetrics::register(&registry.cloned().unwrap_or_default());
         let mut dynamic = DynamicVertexIndex::new(network.num_nodes());
         for (id, t) in store.iter() {
             if live.is_live(id) {
@@ -360,11 +306,9 @@ impl EpochManager {
             dynamic.freeze(),
             0,
         );
-        if let Some(m) = &metrics {
-            m.current_epoch.set(epoch as i64);
-            m.live_trajectories.set(seed.stats.live as i64);
-            m.pending_mutations.set(0);
-        }
+        metrics.current_epoch.set(epoch as i64);
+        metrics.live_trajectories.set(seed.stats.live as i64);
+        metrics.pending_mutations.set(0);
         EpochManager {
             current: RwLock::new(Arc::new(seed)),
             writer: Mutex::new(WriterState {
@@ -378,14 +322,8 @@ impl EpochManager {
             csr,
             vocab_len,
             metrics,
-            journal: None,
+            journal: journal.cloned().unwrap_or_default(),
         }
-    }
-
-    /// Attaches an operational [`EventJournal`]; every snapshot swap is
-    /// recorded there with its epoch, batch size, and swap latency.
-    pub fn set_journal(&mut self, journal: EventJournal) {
-        self.journal = Some(journal);
     }
 
     /// The current serving snapshot. In-flight queries keep whatever `Arc`
@@ -427,10 +365,8 @@ impl EpochManager {
             w.dynamic.insert(v, id);
         }
         w.pending += 1;
-        if let Some(m) = &self.metrics {
-            m.ingested.inc();
-            m.pending_mutations.set(w.pending as i64);
-        }
+        self.metrics.ingested.inc();
+        self.metrics.pending_mutations.set(w.pending as i64);
         id
     }
 
@@ -450,10 +386,8 @@ impl EpochManager {
                 w.dynamic.remove(v, id);
             }
             w.pending += 1;
-            if let Some(m) = &self.metrics {
-                m.retired.inc();
-                m.pending_mutations.set(w.pending as i64);
-            }
+            self.metrics.retired.inc();
+            self.metrics.pending_mutations.set(w.pending as i64);
         }
         was_live
     }
@@ -512,42 +446,32 @@ impl EpochManager {
             );
             *cur = Arc::clone(&snapshot);
         }
-        if let Some(m) = &self.metrics {
-            m.publishes.inc();
-            m.current_epoch.set(epoch as i64);
-            m.live_trajectories.set(snapshot.stats.live as i64);
-            m.pending_mutations.set(0);
-            m.swap_micros.record(started.elapsed().as_micros() as u64);
-            let secs = interval.as_secs_f64();
-            if secs > 0.0 {
-                m.ingest_throughput.set((mutations as f64 / secs) as i64);
-            }
+        self.metrics.publishes.inc();
+        self.metrics.current_epoch.set(epoch as i64);
+        self.metrics
+            .live_trajectories
+            .set(snapshot.stats.live as i64);
+        self.metrics.pending_mutations.set(0);
+        self.metrics
+            .swap_micros
+            .record(started.elapsed().as_micros() as u64);
+        let secs = interval.as_secs_f64();
+        if secs > 0.0 {
+            self.metrics
+                .ingest_throughput
+                .set((mutations as f64 / secs) as i64);
         }
-        if let Some(j) = &self.journal {
-            j.info(
-                "epoch",
-                "snapshot_published",
-                &[
-                    ("epoch", epoch.to_string()),
-                    ("mutations", mutations.to_string()),
-                    ("live", snapshot.stats.live.to_string()),
-                    ("swap_micros", started.elapsed().as_micros().to_string()),
-                ],
-            );
-        }
+        self.journal.info(
+            "epoch",
+            "snapshot_published",
+            &[
+                ("epoch", epoch.to_string()),
+                ("mutations", mutations.to_string()),
+                ("live", snapshot.stats.live.to_string()),
+                ("swap_micros", started.elapsed().as_micros().to_string()),
+            ],
+        );
         snapshot
-    }
-
-    /// Asserts that `ctx`'s distance cache may be shared across this
-    /// manager's epochs: the cache is keyed on source vertices of the road
-    /// network, which publish never replaces. Debug aid for callers wiring
-    /// their own contexts; always true for caches used only with this
-    /// manager's snapshots.
-    pub fn assert_cache_compatible(&self, _ctx: &SearchContext) {
-        // The compile-time shape of `SourcePrefix` (source vertex, settled
-        // distances, frontier — no trajectory ids) plus the publish-time
-        // `Arc::ptr_eq` assertion are the real guarantee; nothing dynamic
-        // to check beyond them.
     }
 }
 
@@ -555,7 +479,7 @@ impl EpochManager {
 mod tests {
     use super::*;
     use crate::algorithms::{Algorithm, BruteForce, Expansion};
-    use crate::{DistanceCache, RunControl, UotsQuery};
+    use crate::{DistanceCache, RunControl, SearchContext, UotsQuery};
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NodeId;
     use uots_obs::Recorder;
@@ -648,7 +572,6 @@ mod tests {
         let mgr = manager();
         let cache = Arc::new(DistanceCache::new(1 << 14));
         let ctx = SearchContext::with_cache(Arc::clone(&cache));
-        mgr.assert_cache_compatible(&ctx);
         let opts = crate::QueryOptions {
             k: 4,
             ..Default::default()
@@ -710,7 +633,8 @@ mod tests {
         let net = Arc::new(grid_city(&GridCityConfig::tiny(4)).unwrap());
         let mut store = TrajectoryStore::new();
         store.push(traj(&[0, 1], &[1]));
-        let mgr = EpochManager::with_metrics(net, store, 4, &registry);
+        let live = LiveSet::all_live(store.len());
+        let mgr = EpochManager::from_parts(net, store, live, 4, 0, Some(&registry), None);
         mgr.ingest(traj(&[2, 3], &[2]));
         mgr.ingest(traj(&[4], &[]));
         mgr.retire(TrajectoryId(0));
@@ -742,6 +666,8 @@ mod tests {
             snap.live().clone(),
             8,
             snap.epoch(),
+            None,
+            None,
         );
         let rsnap = recovered.snapshot();
         assert_eq!(rsnap.epoch(), 1);

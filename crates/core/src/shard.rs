@@ -88,7 +88,7 @@ use std::time::Instant;
 use uots_network::{Point, RoadNetwork};
 use uots_obs::{Counter, EventJournal, Gauge, MetricsRegistry, Recorder};
 use uots_text::TextSimilarity;
-use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
+use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
 
 /// How trajectories are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,14 +308,14 @@ pub struct ShardedCluster {
     network: Arc<RoadNetwork>,
     routing: Mutex<Routing>,
     cut: CutCell,
-    metrics: Option<Arc<ClusterMetrics>>,
+    metrics: Arc<ClusterMetrics>,
 }
 
 impl ShardedCluster {
     /// Seeds a cluster from `store`, partitioned across `num_shards`
-    /// shards. With [`Partitioner::Hash`], seed trajectory `g` lands on
-    /// shard `g % N` at local id `g / N`, so global ids reproduce the
-    /// unsharded store's ids exactly.
+    /// shards, with detached instruments. With [`Partitioner::Hash`], seed
+    /// trajectory `g` lands on shard `g % N` at local id `g / N`, so global
+    /// ids reproduce the unsharded store's ids exactly.
     ///
     /// # Panics
     ///
@@ -327,87 +327,32 @@ impl ShardedCluster {
         num_shards: usize,
         partitioner: Partitioner,
     ) -> Self {
-        Self::build(network, store, vocab_len, num_shards, partitioner, None)
+        Self::with_metrics(
+            network,
+            store,
+            vocab_len,
+            num_shards,
+            partitioner,
+            None,
+            None,
+        )
     }
 
-    /// [`new`](Self::new) plus `uots_cluster_*` metrics (per-shard live
-    /// gauges labeled `shard="<s>"`, scatter-gather outcome counters) and
-    /// every shard's `uots_epoch_*` metrics — one family shared by all
-    /// shards, as the durable cluster's shards share theirs.
+    /// [`new`](Self::new) with every input: the `registry` that takes the
+    /// `uots_cluster_*` series (per-shard live gauges labeled
+    /// `shard="<s>"`, scatter-gather outcome counters) and every shard's
+    /// `uots_epoch_*` series — one family shared by all shards, as the
+    /// durable cluster's shards share theirs — and the `journal` every
+    /// shard's manager records its swaps in. A `None` instrument is one
+    /// detached instrument shared by all shards.
     pub fn with_metrics(
         network: Arc<RoadNetwork>,
         store: &TrajectoryStore,
         vocab_len: usize,
         num_shards: usize,
         partitioner: Partitioner,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        Self::build(
-            network,
-            store,
-            vocab_len,
-            num_shards,
-            partitioner,
-            Some(registry),
-        )
-    }
-
-    /// Assembles a cluster from per-shard recovered managers (hash
-    /// partitioning only — the durable facade's constructor). Shard `s`'s
-    /// manager must hold exactly the trajectories whose global id is
-    /// `≡ s (mod N)`, at local id `g / N`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty shard vector or mismatched network `Arc`s.
-    pub fn from_shards(shards: Vec<EpochManager>, metrics: Option<&MetricsRegistry>) -> Self {
-        assert!(!shards.is_empty(), "a cluster needs at least one shard");
-        let network = Arc::clone(shards[0].network());
-        for s in &shards {
-            assert!(
-                Arc::ptr_eq(s.network(), &network),
-                "every shard must serve the same road network"
-            );
-        }
-        let next_local = shards
-            .iter()
-            .map(|s| s.snapshot().store().len() as u32)
-            .collect();
-        let routing = Routing {
-            next_local,
-            tables: None,
-        };
-        Self::assemble(shards, Partitioner::Hash, network, routing, metrics)
-    }
-
-    /// The cluster over `shards`, its cut cell seeded with their current
-    /// snapshots.
-    fn assemble(
-        shards: Vec<EpochManager>,
-        partitioner: Partitioner,
-        network: Arc<RoadNetwork>,
-        routing: Routing,
         registry: Option<&MetricsRegistry>,
-    ) -> Self {
-        let metrics = registry.map(|r| Arc::new(ClusterMetrics::register(r, shards.len())));
-        let snaps = shards.iter().map(|s| s.snapshot()).collect();
-        ShardedCluster {
-            cut: CutCell::new(cut_with(snaps, &routing, &metrics)),
-            shards,
-            partitioner,
-            network,
-            routing: Mutex::new(routing),
-            metrics,
-        }
-    }
-
-    fn build(
-        network: Arc<RoadNetwork>,
-        store: &TrajectoryStore,
-        vocab_len: usize,
-        num_shards: usize,
-        partitioner: Partitioner,
-        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
     ) -> Self {
         assert!(num_shards >= 1, "a cluster needs at least one shard");
         let mut per_shard: Vec<TrajectoryStore> =
@@ -437,32 +382,26 @@ impl ShardedCluster {
             }
         }
         let next_local = per_shard.iter().map(|s| s.len() as u32).collect();
+        let registry = registry.cloned().unwrap_or_default();
+        let journal = journal.cloned().unwrap_or_default();
+        let (r, j) = (Some(&registry), Some(&journal));
         let shards: Vec<EpochManager> = per_shard
             .into_iter()
-            .map(|s| match registry {
-                Some(r) => EpochManager::with_metrics(Arc::clone(&network), s, vocab_len, r),
-                None => EpochManager::new(Arc::clone(&network), s, vocab_len),
+            .map(|s| {
+                let live = LiveSet::all_live(s.len());
+                EpochManager::from_parts(Arc::clone(&network), s, live, vocab_len, 0, r, j)
             })
             .collect();
         let routing = Routing { next_local, tables };
-        let cluster = Self::assemble(shards, partitioner, network, routing, registry);
-        cluster.update_live_gauges();
-        cluster
-    }
-
-    fn update_live_gauges(&self) {
-        if let Some(m) = &self.metrics {
-            for (shard, series) in self.shards.iter().zip(&m.shards) {
-                series.live.set(shard.snapshot().stats().live as i64);
-            }
-        }
-    }
-
-    /// Attaches an operational [`EventJournal`] to every shard's manager
-    /// (see [`EpochManager::set_journal`]).
-    pub fn set_journal(&mut self, journal: EventJournal) {
-        for s in &mut self.shards {
-            s.set_journal(journal.clone());
+        let metrics = Arc::new(ClusterMetrics::register(&registry, num_shards));
+        let snaps = shards.iter().map(|s| s.snapshot()).collect();
+        ShardedCluster {
+            cut: CutCell::new(cut_with(snaps, &routing, &metrics)),
+            shards,
+            partitioner,
+            network,
+            routing: Mutex::new(routing),
+            metrics,
         }
     }
 
@@ -612,8 +551,6 @@ impl ShardedCluster {
         });
         let cut = cut_with(snaps, &r, &self.metrics);
         self.cut.set(cut.clone());
-        drop(r);
-        self.update_live_gauges();
         cut
     }
 
@@ -636,7 +573,7 @@ impl ShardedCluster {
 fn cut_with(
     snaps: Vec<Arc<EpochSnapshot>>,
     r: &Routing,
-    metrics: &Option<Arc<ClusterMetrics>>,
+    metrics: &Arc<ClusterMetrics>,
 ) -> ClusterSnapshot {
     let n = snaps.len() as u32;
     let maps = match &r.tables {
@@ -652,11 +589,7 @@ fn cut_with(
             .map(|l| ShardMap::Table(Arc::new(l.clone())))
             .collect(),
     };
-    ClusterSnapshot {
-        shards: snaps,
-        maps,
-        metrics: metrics.clone(),
-    }
+    ClusterSnapshot::assemble(snaps, maps, Arc::clone(metrics))
 }
 
 /// The sound per-shard similarity upper bound used for the walk order,
@@ -718,32 +651,53 @@ pub struct ShardedAnswer {
 pub struct ClusterSnapshot {
     shards: Vec<Arc<EpochSnapshot>>,
     maps: Vec<ShardMap>,
-    metrics: Option<Arc<ClusterMetrics>>,
+    metrics: Arc<ClusterMetrics>,
 }
 
 impl ClusterSnapshot {
+    /// The cut over `shards`, whose live counts it publishes to the
+    /// per-shard gauges.
+    fn assemble(
+        shards: Vec<Arc<EpochSnapshot>>,
+        maps: Vec<ShardMap>,
+        metrics: Arc<ClusterMetrics>,
+    ) -> Self {
+        for (snap, series) in shards.iter().zip(&metrics.shards) {
+            series.live.set(snap.stats().live as i64);
+        }
+        ClusterSnapshot {
+            shards,
+            maps,
+            metrics,
+        }
+    }
+
     /// Assembles a cut from per-shard snapshots under **hash**
     /// partitioning (shard `s` holds the trajectories whose global id is
     /// `≡ s (mod N)` at local id `g / N`). This is the constructor for
     /// externally managed shards — e.g. the durable facade, where each
-    /// shard is owned by its own WAL-backed ingest.
+    /// shard is owned by its own WAL-backed ingest. Searches of the cut
+    /// count into the `uots_cluster_*` series of `registry`, the ones a
+    /// [`ShardedCluster`]'s cuts report to (`None`: detached).
     ///
     /// # Panics
     ///
     /// Panics on an empty shard vector.
-    pub fn from_hash_shards(shards: Vec<Arc<EpochSnapshot>>) -> Self {
+    pub fn from_hash_shards(
+        shards: Vec<Arc<EpochSnapshot>>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Self {
         let n = shards.len() as u32;
         assert!(n >= 1, "a cluster needs at least one shard");
-        ClusterSnapshot {
-            maps: (0..n)
-                .map(|s| ShardMap::Hash {
-                    shard: s,
-                    shards: n,
-                })
-                .collect(),
-            shards,
-            metrics: None,
-        }
+        let maps = (0..n)
+            .map(|s| ShardMap::Hash {
+                shard: s,
+                shards: n,
+            })
+            .collect();
+        let registry = registry.cloned().unwrap_or_default();
+        let metrics = ClusterMetrics::register(&registry, shards.len());
+        Self::assemble(shards, maps, Arc::new(metrics))
     }
 
     /// Number of shards in the cut.
@@ -830,10 +784,10 @@ impl ClusterSnapshot {
             for m in &mut result.matches {
                 m.id = self.maps[0].global_of(m.id);
             }
-            if let Some(m) = &self.metrics {
-                m.queries.inc();
-                m.settles_live.add(result.metrics.settled_vertices as u64);
-            }
+            self.metrics.queries.inc();
+            self.metrics
+                .settles_live
+                .add(result.metrics.settled_vertices as u64);
             return Ok(ShardedAnswer {
                 result,
                 shards_cut: 0,
@@ -874,17 +828,16 @@ impl ClusterSnapshot {
         let (mut result, mut cut) = merge_shard_runs(running, &bounds, runs);
         cut.extend_from_slice(&cancelled);
         result.metrics.runtime = start.elapsed();
-        if let Some(m) = &self.metrics {
-            m.queries.inc();
-            m.settles_replayed.add(replayed);
-            m.settles_live
-                .add((result.metrics.settled_vertices as u64).saturating_sub(replayed));
-            for &s in &cut {
-                m.shards[s].cutoffs.inc();
-            }
-            for &s in &cancelled {
-                m.shards[s].cancellations.inc();
-            }
+        self.metrics.queries.inc();
+        self.metrics.settles_replayed.add(replayed);
+        self.metrics
+            .settles_live
+            .add((result.metrics.settled_vertices as u64).saturating_sub(replayed));
+        for &s in &cut {
+            self.metrics.shards[s].cutoffs.inc();
+        }
+        for &s in &cancelled {
+            self.metrics.shards[s].cancellations.inc();
         }
         Ok(ShardedAnswer {
             result,

@@ -254,8 +254,8 @@ pub struct WalWriter {
     /// every segment after it — including acked, durable records.
     stray_segment: Option<PathBuf>,
     last_sync: Instant,
-    metrics: Option<WalMetrics>,
-    journal: Option<EventJournal>,
+    metrics: WalMetrics,
+    journal: EventJournal,
 }
 
 /// The deferred-seal state: truncate the poisoned segment at the durable
@@ -268,57 +268,24 @@ struct SealPlan {
 
 impl WalWriter {
     /// Opens (creating if needed) the log directory for appending, on the
-    /// production [`StdFs`] backend.
+    /// production [`StdFs`] backend with detached instruments.
     pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self, WalError> {
-        Self::open_inner(dir.as_ref(), config, Arc::new(StdFs), None)
+        Self::open_with_backend(dir, config, Arc::new(StdFs), None, None)
     }
 
-    /// [`open`](Self::open) plus `uots_wal_*` metrics registered in
-    /// `registry`.
-    pub fn open_with_metrics(
-        dir: impl AsRef<Path>,
-        config: WalConfig,
-        registry: &MetricsRegistry,
-    ) -> Result<Self, WalError> {
-        Self::open_inner(
-            dir.as_ref(),
-            config,
-            Arc::new(StdFs),
-            Some(WalMetrics::register(registry)),
-        )
-    }
-
-    /// [`open`](Self::open) on an explicit storage backend (fault
-    /// injection goes through here).
+    /// [`open`](Self::open) with every input: an explicit storage backend
+    /// (fault injection goes through here), the `registry` the
+    /// `uots_wal_*` series are registered in, and the `journal` rotation,
+    /// sealing, stray-segment removal and fsync failures are recorded in.
+    /// A `None` instrument is a detached one nothing reads.
     pub fn open_with_backend(
         dir: impl AsRef<Path>,
         config: WalConfig,
         backend: Arc<dyn StorageBackend>,
+        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
     ) -> Result<Self, WalError> {
-        Self::open_inner(dir.as_ref(), config, backend, None)
-    }
-
-    /// [`open_with_backend`](Self::open_with_backend) plus metrics.
-    pub fn open_with_backend_and_metrics(
-        dir: impl AsRef<Path>,
-        config: WalConfig,
-        backend: Arc<dyn StorageBackend>,
-        registry: &MetricsRegistry,
-    ) -> Result<Self, WalError> {
-        Self::open_inner(
-            dir.as_ref(),
-            config,
-            backend,
-            Some(WalMetrics::register(registry)),
-        )
-    }
-
-    fn open_inner(
-        dir: &Path,
-        config: WalConfig,
-        backend: Arc<dyn StorageBackend>,
-        metrics: Option<WalMetrics>,
-    ) -> Result<Self, WalError> {
+        let dir = dir.as_ref();
         backend.create_dir_all(dir)?;
         let scan = replay_with(&*backend, dir, u64::MAX)?; // parse everything, keep nothing
         if let Some(c) = &scan.corruption {
@@ -353,15 +320,9 @@ impl WalWriter {
             pending_seal: None,
             stray_segment: None,
             last_sync: Instant::now(),
-            metrics,
-            journal: None,
+            metrics: WalMetrics::register(&registry.cloned().unwrap_or_default()),
+            journal: journal.cloned().unwrap_or_default(),
         })
-    }
-
-    /// Attaches an operational [`EventJournal`]; rotation, sealing,
-    /// stray-segment removal, and fsync failures are recorded there.
-    pub fn set_journal(&mut self, journal: EventJournal) {
-        self.journal = Some(journal);
     }
 
     /// The LSN the next appended batch will receive.
@@ -453,12 +414,12 @@ impl WalWriter {
             // duplicate). Sealing machinery recovers on the next call.
             let _ = self.rotate();
         }
-        if let Some(m) = &self.metrics {
-            m.appends.inc();
-            m.bytes.add(record.len() as u64);
-            m.last_lsn.set(lsn as i64);
-            m.append_micros.record(started.elapsed().as_micros() as u64);
-        }
+        self.metrics.appends.inc();
+        self.metrics.bytes.add(record.len() as u64);
+        self.metrics.last_lsn.set(lsn as i64);
+        self.metrics
+            .append_micros
+            .record(started.elapsed().as_micros() as u64);
         Ok(lsn)
     }
 
@@ -485,25 +446,19 @@ impl WalWriter {
         match self.file.sync_data() {
             Ok(()) => {
                 self.last_sync = Instant::now();
-                if let Some(m) = &self.metrics {
-                    m.fsyncs.inc();
-                }
+                self.metrics.fsyncs.inc();
                 Ok(())
             }
             Err(e) => {
-                if let Some(m) = &self.metrics {
-                    m.fsync_failures.inc();
-                }
-                if let Some(j) = &self.journal {
-                    j.error(
-                        "wal",
-                        "fsync_failure",
-                        &[
-                            ("segment", self.segment_path.display().to_string()),
-                            ("error", e.to_string()),
-                        ],
-                    );
-                }
+                self.metrics.fsync_failures.inc();
+                self.journal.error(
+                    "wal",
+                    "fsync_failure",
+                    &[
+                        ("segment", self.segment_path.display().to_string()),
+                        ("error", e.to_string()),
+                    ],
+                );
                 Err(e)
             }
         }
@@ -513,9 +468,7 @@ impl WalWriter {
         self.durable_len = len;
         self.durable_next_lsn = next;
         self.unsynced.clear();
-        if let Some(m) = &self.metrics {
-            m.durable_lsn.set(next.saturating_sub(1) as i64);
-        }
+        self.metrics.durable_lsn.set(next.saturating_sub(1) as i64);
     }
 
     fn plan_seal(&mut self, truncate_at: u64, reopen_at: u64, rewrite: Vec<(u64, Vec<u8>)>) {
@@ -539,13 +492,11 @@ impl WalWriter {
         match self.backend.remove_file(&path) {
             Ok(()) => {
                 self.stray_segment = None;
-                if let Some(j) = &self.journal {
-                    j.warn(
-                        "wal",
-                        "stray_segment_removed",
-                        &[("segment", path.display().to_string())],
-                    );
-                }
+                self.journal.warn(
+                    "wal",
+                    "stray_segment_removed",
+                    &[("segment", path.display().to_string())],
+                );
                 Ok(())
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -589,21 +540,17 @@ impl WalWriter {
                 self.file = file;
                 self.segment_len = len;
                 self.mark_durable_to(len, self.next_lsn);
-                if let Some(m) = &self.metrics {
-                    m.sealed_segments.inc();
-                }
-                if let Some(j) = &self.journal {
-                    j.warn(
-                        "wal",
-                        "segment_sealed",
-                        &[
-                            ("segment", sealed.display().to_string()),
-                            ("truncate_at", plan.truncate_at.to_string()),
-                            ("reopen_lsn", plan.reopen_at.to_string()),
-                            ("rewritten_records", plan.rewrite.len().to_string()),
-                        ],
-                    );
-                }
+                self.metrics.sealed_segments.inc();
+                self.journal.warn(
+                    "wal",
+                    "segment_sealed",
+                    &[
+                        ("segment", sealed.display().to_string()),
+                        ("truncate_at", plan.truncate_at.to_string()),
+                        ("reopen_lsn", plan.reopen_at.to_string()),
+                        ("rewritten_records", plan.rewrite.len().to_string()),
+                    ],
+                );
                 Ok(())
             }
             Err(e) => {
@@ -627,19 +574,15 @@ impl WalWriter {
                 self.segment_path = path;
                 self.segment_len = HEADER_LEN;
                 self.durable_len = HEADER_LEN;
-                if let Some(m) = &self.metrics {
-                    m.rotations.inc();
-                }
-                if let Some(j) = &self.journal {
-                    j.info(
-                        "wal",
-                        "segment_rotated",
-                        &[
-                            ("segment", self.segment_path.display().to_string()),
-                            ("first_lsn", self.next_lsn.to_string()),
-                        ],
-                    );
-                }
+                self.metrics.rotations.inc();
+                self.journal.info(
+                    "wal",
+                    "segment_rotated",
+                    &[
+                        ("segment", self.segment_path.display().to_string()),
+                        ("first_lsn", self.next_lsn.to_string()),
+                    ],
+                );
                 Ok(())
             }
             Err(e) => {
@@ -648,19 +591,17 @@ impl WalWriter {
                 // name, replay stops at its bad header. Remove it — now if
                 // possible, else before the next segment is created.
                 self.stray_segment = Some(segment_path(&self.dir, self.next_lsn));
-                if let Some(j) = &self.journal {
-                    j.warn(
-                        "wal",
-                        "rotation_failed",
-                        &[
-                            (
-                                "stray",
-                                segment_path(&self.dir, self.next_lsn).display().to_string(),
-                            ),
-                            ("error", e.to_string()),
-                        ],
-                    );
-                }
+                self.journal.warn(
+                    "wal",
+                    "rotation_failed",
+                    &[
+                        (
+                            "stray",
+                            segment_path(&self.dir, self.next_lsn).display().to_string(),
+                        ),
+                        ("error", e.to_string()),
+                    ],
+                );
                 let _ = self.remove_stray(); // best effort; retried later
                 Err(e)
             }
@@ -1290,7 +1231,8 @@ mod tests {
                 fault: Fault::FsyncLoss,
             }],
         );
-        let mut w = WalWriter::open_with_backend(&dir, WalConfig::default(), fs).unwrap();
+        let mut w =
+            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         let err = w.append(&batches()[1]).unwrap_err();
         assert!(matches!(err, WalError::Io(_)), "{err}");
@@ -1351,7 +1293,7 @@ mod tests {
                 },
             ],
         );
-        let mut w = WalWriter::open_with_backend(&dir, cfg, fs).unwrap();
+        let mut w = WalWriter::open_with_backend(&dir, cfg, fs, None, None).unwrap();
         // four appends of the large batch (its record tops segment_bytes,
         // so every append rotates); the rotation failure after lsn 2 must
         // stay invisible (the batch was already durable when it struck)
@@ -1387,7 +1329,8 @@ mod tests {
                 fault: Fault::ShortWrite,
             }],
         );
-        let mut w = WalWriter::open_with_backend(&dir, WalConfig::default(), fs).unwrap();
+        let mut w =
+            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         assert!(w.append(&batches()[1]).is_err());
         assert_eq!(w.next_lsn(), 2, "failed append must not consume the LSN");
@@ -1420,7 +1363,7 @@ mod tests {
                 fault: Fault::FsyncLoss,
             }],
         );
-        let mut w = WalWriter::open_with_backend(&dir, cfg, fs).unwrap();
+        let mut w = WalWriter::open_with_backend(&dir, cfg, fs, None, None).unwrap();
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         assert_eq!(w.append(&batches()[1]).unwrap(), 2);
         assert_eq!(w.durable_lsn(), 0, "nothing synced yet");
@@ -1455,7 +1398,8 @@ mod tests {
                 },
             ],
         );
-        let mut w = WalWriter::open_with_backend(&dir, WalConfig::default(), fs).unwrap();
+        let mut w =
+            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
         // both injected failures reject one call; immediate retry works
         let mut appended = 0u64;
         for b in batches() {
@@ -1481,7 +1425,8 @@ mod tests {
     fn writer_under_quiet_fault_backend_matches_stdfs() {
         let dir = tmpdir("quiet_backend");
         let fs = FaultFs::random(FaultConfig::quiet(1));
-        let mut w = WalWriter::open_with_backend(&dir, WalConfig::default(), fs).unwrap();
+        let mut w =
+            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
         for b in batches() {
             w.append(&b).unwrap();
         }

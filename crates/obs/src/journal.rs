@@ -206,11 +206,14 @@ impl Default for EventJournal {
 
 impl EventJournal {
     /// Creates a journal holding at most `capacity` events (minimum 1).
+    /// The ring grows with what is recorded, so a journal nothing reads —
+    /// the detached default of every write-path constructor — costs nothing
+    /// up front.
     pub fn new(capacity: usize) -> EventJournal {
         let capacity = capacity.max(1);
         EventJournal {
             inner: Arc::new(Inner {
-                ring: Mutex::new(VecDeque::with_capacity(capacity)),
+                ring: Mutex::new(VecDeque::new()),
                 capacity,
                 next_seq: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),

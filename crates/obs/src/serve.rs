@@ -88,6 +88,12 @@ impl ObsState {
         self
     }
 
+    /// The registry served at `/metrics`, for the embedder's own series —
+    /// a detached one when none is attached.
+    pub fn registry(&self) -> MetricsRegistry {
+        self.registry.clone().unwrap_or_default()
+    }
+
     /// The sampler served at `/traces`, for the embedder to feed.
     pub fn sampler(&self) -> Option<&TailSampler> {
         self.sampler.as_ref()
@@ -192,7 +198,7 @@ impl AcceptLoop {
             workers: workers.max(1),
             stop: Arc::default(),
         };
-        let r = obs.registry.clone().unwrap_or_default();
+        let r = obs.registry();
         r.gauge("uots_serve_http_workers", "HTTP workers of the loop")
             .set(stopper.workers as i64);
         let worker = Arc::new(Worker {

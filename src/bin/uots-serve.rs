@@ -35,8 +35,10 @@
 //! another shard count is refused: the global ids `g = l·N + s` only mean
 //! anything under the `N` they were issued with.
 //!
-//! Every shard reports to the one event journal, so `GET /journal` shows
-//! epoch swaps, WAL seals, retries and degradations at any `N`.
+//! Every shard — its recovery included — is constructed with the one
+//! registry and the one event journal, so `GET /journal` shows what a
+//! restart recovered from, then epoch swaps, WAL seals, retries and
+//! degradations, at any `N`.
 //!
 //! `--http-threads N` workers block in `accept()` on the one listener, so
 //! a connection is served the moment it lands and an idle server burns
@@ -61,17 +63,15 @@
 //! (`uots_core::planner`); `--force-algorithm` pins every query to one
 //! algorithm, the escape hatch when the planner misjudges a workload.
 
-use std::path::Path;
 use std::sync::Arc;
 
-use uots::cluster::{shards_on_disk, ShardedDurable};
+use uots::cluster::ShardedDurable;
 use uots::core::planner::AlgorithmKind;
 use uots::core::shard::{Partitioner, ShardedCluster};
 use uots::datagen::persist;
-use uots::durable::DurableIngest;
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
 use uots::serve::{QueryService, ServiceConfig};
-use uots::{Dataset, ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
+use uots::{ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
 
 struct Flags {
     pairs: Vec<(String, String)>,
@@ -117,60 +117,6 @@ fn parse_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Resul
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad value `{v}`")),
     }
-}
-
-/// Opens the durable cluster under `dir` — resumed when the directory
-/// holds a lineage, created from `ds` otherwise — with every shard
-/// reporting to `journal`. The layout on disk must agree with `shards`.
-fn open_or_create(
-    ds: &Dataset,
-    dir: &Path,
-    shards: usize,
-    config: WalConfig,
-    registry: &MetricsRegistry,
-    journal: EventJournal,
-) -> Result<ShardedDurable, String> {
-    let at = dir.display();
-    let on_disk = shards_on_disk(dir).map_err(|e| format!("reading {at}: {e}"))?;
-    if let Some(n) = on_disk.filter(|&n| n != shards) {
-        return Err(format!(
-            "--wal-dir {at} holds a {n}-shard lineage but --shards is {shards}: \
-             restart with --shards {n}"
-        ));
-    }
-    let mut cluster = if shards == 1 {
-        // flat layout; `open` itself resumes or creates
-        let (durable, recovery) = DurableIngest::open(ds, dir, config, None, Some(registry))
-            .map_err(|e| format!("opening wal in {at}: {e}"))?;
-        if let Some(report) = recovery {
-            println!(
-                "uots-serve: recovered {} batches in {} us",
-                report.replayed_batches, report.micros
-            );
-        }
-        ShardedDurable::single(durable)
-    } else if on_disk.is_some() {
-        let (cluster, reports) = ShardedDurable::open(dir, shards, config, None, Some(registry))
-            .map_err(|e| format!("recovering {shards} shards in {at}: {e}"))?;
-        let slowest = reports.iter().map(|r| r.micros).max().unwrap_or(0);
-        println!("uots-serve: recovered {shards} shards in {slowest} us (max over shards)");
-        cluster
-    } else {
-        let network = Arc::new(ds.network.clone());
-        ShardedDurable::create(
-            network,
-            &ds.store,
-            &ds.vocab,
-            dir,
-            shards,
-            config,
-            None,
-            Some(registry),
-        )
-        .map_err(|e| format!("creating {shards} shard wals in {at}: {e}"))?
-    };
-    cluster.set_journal(journal);
-    Ok(cluster)
 }
 
 fn run() -> Result<(), String> {
@@ -242,20 +188,39 @@ fn run() -> Result<(), String> {
                 fsync,
                 ..WalConfig::default()
             };
-            let cluster = open_or_create(&ds, Path::new(dir), shards, config, &registry, journal)?;
-            QueryService::start_durable(listen, cluster, registry, obs, cfg)
+            let (cluster, reports) = ShardedDurable::open_or_create(
+                &ds,
+                dir,
+                shards,
+                config,
+                None,
+                Some(&registry),
+                Some(&journal),
+            )
+            .map_err(|e| format!("--wal-dir {dir}, --shards is {shards}: {e}"))?;
+            if let Some(slowest) = reports.iter().map(|r| r.micros).max() {
+                if shards == 1 {
+                    let batches = reports[0].replayed_batches;
+                    println!("uots-serve: recovered {batches} batches in {slowest} us");
+                } else {
+                    println!(
+                        "uots-serve: recovered {shards} shards in {slowest} us (max over shards)"
+                    );
+                }
+            }
+            QueryService::start_durable(listen, cluster, obs, cfg)
         }
         None => {
-            let mut cluster = ShardedCluster::with_metrics(
+            let cluster = ShardedCluster::with_metrics(
                 Arc::new(ds.network.clone()),
                 &ds.store,
                 ds.vocab.len(),
                 shards,
                 partitioner,
-                &registry,
+                Some(&registry),
+                Some(&journal),
             );
-            cluster.set_journal(journal);
-            QueryService::start(listen, Arc::new(cluster), registry, obs, cfg)
+            QueryService::start(listen, Arc::new(cluster), obs, cfg)
         }
     }
     .map_err(|e| format!("binding {listen}: {e}"))?;

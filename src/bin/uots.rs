@@ -60,8 +60,8 @@ use uots::prelude::*;
 use uots::scrub::{self, ScrubReport};
 use uots::storage::StdFs;
 use uots::{
-    DistanceCache, EpochManager, FsyncPolicy, MetricsRegistry, PhaseNanos, Recorder, RunControl,
-    Sample, SearchContext, Trajectory, WalConfig, DEFAULT_CACHE_CAPACITY,
+    DistanceCache, EpochManager, FsyncPolicy, LiveSet, MetricsRegistry, PhaseNanos, Recorder,
+    RunControl, Sample, SearchContext, Trajectory, WalConfig, DEFAULT_CACHE_CAPACITY,
 };
 
 fn main() {
@@ -120,7 +120,8 @@ fn print_usage() {
          --wal-dir makes ingest durable: every mutation hits a checksummed\n\
          write-ahead log before it is applied (--fsync picks the sync\n\
          policy, default batch), and --checkpoint-every N cuts a checkpoint\n\
-         after every N logged batches. recover rebuilds the serving state\n\
+         after every N logged batches; a directory an earlier run wrote is\n\
+         recovered first and continued. recover rebuilds the serving state\n\
          from the newest valid checkpoint plus the durable WAL tail\n\
          (--data supplies the base dataset when no checkpoint exists);\n\
          its --verify differentially checks the recovered snapshot.\n\
@@ -897,37 +898,41 @@ fn cmd_ingest(args: &[String]) -> i32 {
                 fsync,
                 ..WalConfig::default()
             };
-            let mut durable = match DurableIngest::create(
-                Arc::new(ds.network.clone()),
-                ds.store.clone(),
-                ds.vocab.clone(),
+            // resume or create, like the server: a second run on one
+            // directory continues its lineage instead of logging over it
+            let (durable, recovery) = match DurableIngest::open(
+                &ds,
                 dir,
                 config,
                 checkpoint_every,
                 Some(&registry),
+                plane.as_ref().map(|p| &p.journal),
             ) {
-                Ok(d) => d,
+                Ok(opened) => opened,
                 Err(e) => return fail(format!("opening wal in {dir}: {e}")),
             };
-            if let Some(p) = &plane {
-                durable.set_journal(p.journal.clone());
-            }
             println!(
                 "durable ingest: wal in {dir} (fsync {fsync}, checkpoint every {})",
                 checkpoint_every.map_or("never".to_string(), |n| format!("{n} batches")),
             );
+            if let Some(report) = recovery {
+                println!(
+                    "resumed: replayed {} wal batches, continuing at lsn {}",
+                    report.replayed_batches, report.next_lsn
+                );
+            }
             Ingestor::Durable(Box::new(durable))
         }
         None => {
-            let mut manager = EpochManager::with_metrics(
+            let manager = EpochManager::from_parts(
                 Arc::new(ds.network.clone()),
                 ds.store.clone(),
+                LiveSet::all_live(ds.store.len()),
                 vocab_len,
-                &registry,
+                0,
+                Some(&registry),
+                plane.as_ref().map(|p| &p.journal),
             );
-            if let Some(p) = &plane {
-                manager.set_journal(p.journal.clone());
-            }
             Ingestor::Plain(Box::new(manager))
         }
     };
@@ -952,7 +957,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
         .collect();
 
     let started = std::time::Instant::now();
-    let mut next_id = ds.store.len();
+    let mut next_id = sink.snapshot().stats().total;
     let mut ingested = 0u64;
     let mut retired = 0u64;
     let mut published = 0u64;

@@ -35,9 +35,9 @@
 //! ## The one-shard cluster
 //!
 //! A directory whose root holds WAL segments and checkpoints directly is a
-//! one-shard lineage: [`single`](ShardedDurable::single) wraps the
-//! [`DurableIngest`] opened over it (global id = local id under `N = 1`),
-//! so an unsharded `--wal-dir` keeps its flat layout and its
+//! one-shard lineage: [`open_or_create`](ShardedDurable::open_or_create)
+//! at `N = 1` wraps the [`DurableIngest`] opened over it (global id =
+//! local id), so an unsharded `--wal-dir` keeps its flat layout and its
 //! base-dataset recovery. `shard-<s>/` is the layout of `N ≥ 2`;
 //! [`shards_on_disk`] tells the two apart.
 
@@ -45,11 +45,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::durable::{
-    list_checkpoints, recover, DurableError, DurableIngest, DurableStatus, RecoveryReport,
+    list_checkpoints, recover_with_journal, DurableError, DurableIngest, DurableStatus,
+    RecoveryReport,
 };
 use uots_core::shard::{ClusterSnapshot, CutCell, CutReader};
+use uots_core::storage::{RetryPolicy, StdFs};
 use uots_core::wal::{self, WalConfig, WalError};
 use uots_core::Mutation;
+use uots_datagen::Dataset;
 use uots_network::RoadNetwork;
 use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
@@ -94,22 +97,20 @@ pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
 pub struct ShardedDurable {
     shards: Vec<DurableIngest>,
     cut: CutCell,
+    /// Takes the `uots_cluster_*` series of every cut published here.
+    registry: MetricsRegistry,
 }
 
 impl ShardedDurable {
-    /// The one-shard cluster over an already opened ingest (see the
-    /// [module docs](self)).
-    pub fn single(ingest: DurableIngest) -> Self {
-        Self::over(vec![ingest])
-    }
-
     /// The facade over opened shards, its cut cell seeded with their
     /// current snapshots.
-    fn over(shards: Vec<DurableIngest>) -> Self {
-        let cut = ClusterSnapshot::from_hash_shards(shards.iter().map(|s| s.snapshot()).collect());
+    fn over(shards: Vec<DurableIngest>, registry: MetricsRegistry) -> Self {
+        let snaps = shards.iter().map(|s| s.snapshot()).collect();
+        let cut = ClusterSnapshot::from_hash_shards(snaps, Some(&registry));
         ShardedDurable {
             shards,
             cut: CutCell::new(cut),
+            registry,
         }
     }
 
@@ -126,23 +127,18 @@ impl ShardedDurable {
         &self,
         outcome: Result<(), DurableError>,
     ) -> Result<ClusterSnapshot, DurableError> {
-        let cut = self.snapshot();
+        let snaps = self.shards.iter().map(|s| s.snapshot()).collect();
+        let cut = ClusterSnapshot::from_hash_shards(snaps, Some(&self.registry));
         self.cut.set(cut.clone());
         outcome.map(|()| cut)
-    }
-
-    /// Attaches an operational [`EventJournal`] to every shard (see
-    /// [`DurableIngest::set_journal`]).
-    pub fn set_journal(&mut self, journal: EventJournal) {
-        for s in &mut self.shards {
-            s.set_journal(journal.clone());
-        }
     }
 
     /// Creates a fresh cluster under `root`: partitions `store` by hash
     /// (seed trajectory `g` → shard `g % num_shards`), opens one WAL per
     /// shard, and seeds each shard with an initial checkpoint of its
-    /// partition so recovery is self-contained.
+    /// partition so recovery is self-contained. Every shard reports to
+    /// `registry` — one detached registry when `None` — and to one
+    /// detached journal.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         network: Arc<RoadNetwork>,
@@ -154,8 +150,35 @@ impl ShardedDurable {
         checkpoint_every: Option<u64>,
         registry: Option<&MetricsRegistry>,
     ) -> Result<Self, DurableError> {
+        Self::seed(
+            network,
+            store,
+            vocab,
+            root.as_ref(),
+            num_shards,
+            config,
+            checkpoint_every,
+            registry,
+            None,
+        )
+    }
+
+    /// [`create`](Self::create) with every shard reporting to `journal`.
+    #[allow(clippy::too_many_arguments)]
+    fn seed(
+        network: Arc<RoadNetwork>,
+        store: &TrajectoryStore,
+        vocab: &Vocabulary,
+        root: &Path,
+        num_shards: usize,
+        config: WalConfig,
+        checkpoint_every: Option<u64>,
+        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
+    ) -> Result<Self, DurableError> {
         assert!(num_shards >= 1, "a cluster needs at least one shard");
-        let root = root.as_ref();
+        let registry = registry.cloned().unwrap_or_default();
+        let journal = journal.cloned().unwrap_or_default();
         let mut per_shard: Vec<TrajectoryStore> =
             (0..num_shards).map(|_| TrajectoryStore::new()).collect();
         for (g, t) in store.iter() {
@@ -167,26 +190,31 @@ impl ShardedDurable {
         for (s, partition) in per_shard.into_iter().enumerate() {
             let dir = shard_dir(root, s);
             std::fs::create_dir_all(&dir).map_err(|e| DurableError::Wal(WalError::Io(e)))?;
-            let mut ingest = DurableIngest::create(
+            let mut ingest = DurableIngest::create_with_backend(
                 Arc::clone(&network),
                 partition,
                 vocab.clone(),
                 &dir,
                 config,
                 checkpoint_every,
-                registry,
+                Some(&registry),
+                Arc::new(StdFs),
+                RetryPolicy::default(),
+                Some(&journal),
             )?;
             // self-contained lineage: recovery of this directory must
             // never need the base dataset
             ingest.checkpoint_now()?;
             shards.push(ingest);
         }
-        Ok(Self::over(shards))
+        Ok(Self::over(shards, registry))
     }
 
     /// Recovers every shard under `root` **in parallel** and resumes
-    /// ingest. Returns the cluster plus the per-shard recovery reports
-    /// (wall-clock recovery is their maximum, not their sum).
+    /// ingest, every shard reporting to `registry` — one detached registry
+    /// when `None` — and to one detached journal. Returns the cluster plus
+    /// the per-shard recovery reports (wall-clock recovery is their
+    /// maximum, not their sum).
     ///
     /// Recovery is checkpoint-based: every shard directory carries its own
     /// lineage (seeded at [`create`](Self::create)), so no base dataset is
@@ -199,22 +227,47 @@ impl ShardedDurable {
         checkpoint_every: Option<u64>,
         registry: Option<&MetricsRegistry>,
     ) -> Result<(Self, Vec<RecoveryReport>), DurableError> {
+        Self::resume(
+            root.as_ref(),
+            num_shards,
+            config,
+            checkpoint_every,
+            registry,
+            None,
+        )
+    }
+
+    /// [`open`](Self::open) with every shard's recovery and ingest
+    /// reporting to `journal`.
+    fn resume(
+        root: &Path,
+        num_shards: usize,
+        config: WalConfig,
+        checkpoint_every: Option<u64>,
+        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
+    ) -> Result<(Self, Vec<RecoveryReport>), DurableError> {
         assert!(num_shards >= 1, "a cluster needs at least one shard");
-        let root = root.as_ref();
+        let registry = registry.cloned().unwrap_or_default();
+        let journal = journal.cloned().unwrap_or_default();
+        let (reg, jrn) = (Some(&registry), Some(&journal));
         let recovered: Vec<Result<(DurableIngest, RecoveryReport), DurableError>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..num_shards)
                     .map(|s| {
                         let dir = shard_dir(root, s);
                         scope.spawn(move || {
-                            let rec = recover(&dir, None, registry)?;
+                            let rec = recover_with_journal(&StdFs, &dir, None, reg, jrn)?;
                             let report = rec.report.clone();
                             let ingest = DurableIngest::resume(
                                 rec,
                                 &dir,
                                 config,
                                 checkpoint_every,
-                                registry,
+                                reg,
+                                Arc::new(StdFs),
+                                RetryPolicy::default(),
+                                jrn,
                             )?;
                             Ok((ingest, report))
                         })
@@ -235,7 +288,57 @@ impl ShardedDurable {
             shards.push(ingest);
             reports.push(report);
         }
-        Ok((Self::over(shards), reports))
+        Ok((Self::over(shards, registry), reports))
+    }
+
+    /// Opens the `shards`-shard cluster under `root` for a server seeded
+    /// from `base` — resumed when the directory holds a lineage (returning
+    /// one recovery report per shard), created otherwise (no reports) —
+    /// with every shard, its recovery included, reporting to `registry`
+    /// and `journal` (`None`: detached). One shard keeps the flat layout of
+    /// [`DurableIngest::open`], with `base` as its recovery base; `N ≥ 2`
+    /// is [`open`](Self::open) or [`create`](Self::create) over
+    /// `shard-<s>/`. A lineage written with another shard count is refused
+    /// with [`DurableError::Inconsistent`]: the global ids `g = l·N + s`
+    /// only mean anything under the `N` they were issued with.
+    pub fn open_or_create(
+        base: &Dataset,
+        root: impl AsRef<Path>,
+        shards: usize,
+        config: WalConfig,
+        checkpoint_every: Option<u64>,
+        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
+    ) -> Result<(Self, Vec<RecoveryReport>), DurableError> {
+        let root = root.as_ref();
+        let on_disk = shards_on_disk(root)?;
+        if let Some(n) = on_disk.filter(|&n| n != shards) {
+            return Err(DurableError::Inconsistent(format!(
+                "{} holds a {n}-shard lineage, not a {shards}-shard one",
+                root.display()
+            )));
+        }
+        if shards == 1 {
+            let (ingest, report) =
+                DurableIngest::open(base, root, config, checkpoint_every, registry, journal)?;
+            let registry = registry.cloned().unwrap_or_default();
+            return Ok((Self::over(vec![ingest], registry), Vec::from_iter(report)));
+        }
+        if on_disk.is_some() {
+            return Self::resume(root, shards, config, checkpoint_every, registry, journal);
+        }
+        Self::seed(
+            Arc::new(base.network.clone()),
+            &base.store,
+            &base.vocab,
+            root,
+            shards,
+            config,
+            checkpoint_every,
+            registry,
+            journal,
+        )
+        .map(|fresh| (fresh, Vec::new()))
     }
 
     /// Number of shards.
@@ -246,11 +349,6 @@ impl ShardedDurable {
     /// Shard `s`'s ingest (status, snapshots, chaos tests).
     pub fn shard(&self, s: usize) -> &DurableIngest {
         &self.shards[s]
-    }
-
-    /// Mutable access to shard `s` (tests and repair tooling).
-    pub fn shard_mut(&mut self, s: usize) -> &mut DurableIngest {
-        &mut self.shards[s]
     }
 
     /// Per-shard health summaries.
@@ -271,10 +369,9 @@ impl ShardedDurable {
     }
 
     /// The consistent cut of current per-shard snapshots (what the
-    /// [`cut`](Self::cut) cell holds, except after a shard was published
-    /// behind the facade's back through [`shard_mut`](Self::shard_mut)).
+    /// [`cut`](Self::cut) cell holds).
     pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot::from_hash_shards(self.shards.iter().map(|s| s.snapshot()).collect())
+        ClusterSnapshot::clone(&self.cut.get())
     }
 
     /// Master-store length per shard, pending ingests included.

@@ -271,16 +271,17 @@ pub struct DurableIngest {
     last_checkpoint_error: Option<String>,
     prune_failures: u64,
     last_prune_error: Option<String>,
-    metrics: Option<DurableMetrics>,
-    journal: Option<EventJournal>,
+    metrics: DurableMetrics,
+    journal: EventJournal,
 }
 
 impl DurableIngest {
     /// Opens a durable ingest session over `dir` for a manager seeded with
-    /// `(network, store, vocab)`, everything live. `dir` holds both the
-    /// WAL segments and the checkpoints. The *base* state is **not**
-    /// logged: callers must retain it (or rely on checkpoints) for
-    /// recovery.
+    /// `(network, store, vocab)`, everything live, on the production
+    /// [`StdFs`] backend with the default retry policy and a detached
+    /// journal. `dir` holds both the WAL segments and the checkpoints. The
+    /// *base* state is **not** logged: callers must retain it (or rely on
+    /// checkpoints) for recovery.
     pub fn create(
         network: Arc<RoadNetwork>,
         store: TrajectoryStore,
@@ -300,11 +301,17 @@ impl DurableIngest {
             registry,
             Arc::new(StdFs),
             RetryPolicy::default(),
+            None,
         )
     }
 
-    /// [`create`](Self::create) on an explicit storage backend and retry
-    /// policy (fault injection goes through here).
+    /// [`create`](Self::create) with every input: an explicit storage
+    /// backend and retry policy (fault injection goes through here), the
+    /// `registry` that takes the `uots_durable_*`, `uots_wal_*` and
+    /// `uots_epoch_*` series, and the `journal` that retries,
+    /// degradations, checkpoint outcomes, seals and snapshot swaps land in
+    /// as one timeline. A `None` instrument is a detached one nothing
+    /// reads.
     #[allow(clippy::too_many_arguments)]
     pub fn create_with_backend(
         network: Arc<RoadNetwork>,
@@ -316,19 +323,14 @@ impl DurableIngest {
         registry: Option<&MetricsRegistry>,
         backend: Arc<dyn StorageBackend>,
         retry: RetryPolicy,
+        journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
         let dir = dir.as_ref().to_path_buf();
-        let wal = match registry {
-            Some(r) => {
-                WalWriter::open_with_backend_and_metrics(&dir, config, Arc::clone(&backend), r)?
-            }
-            None => WalWriter::open_with_backend(&dir, config, Arc::clone(&backend))?,
-        };
-        let vocab_len = vocab.len();
-        let manager = match registry {
-            Some(r) => EpochManager::with_metrics(network, store, vocab_len, r),
-            None => EpochManager::new(network, store, vocab_len),
-        };
+        let wal =
+            WalWriter::open_with_backend(&dir, config, Arc::clone(&backend), registry, journal)?;
+        let live = LiveSet::all_live(store.len());
+        let manager =
+            EpochManager::from_parts(network, store, live, vocab.len(), 0, registry, journal);
         Ok(DurableIngest {
             manager,
             wal,
@@ -344,34 +346,17 @@ impl DurableIngest {
             last_checkpoint_error: None,
             prune_failures: 0,
             last_prune_error: None,
-            metrics: registry.map(DurableMetrics::register),
-            journal: None,
+            metrics: DurableMetrics::register(&registry.cloned().unwrap_or_default()),
+            journal: journal.cloned().unwrap_or_default(),
         })
     }
 
     /// Resumes a durable ingest session from a recovered manager (see
-    /// [`recover`]); the WAL writer continues at the durable prefix's end.
+    /// [`recover_with_journal`], which takes the same `backend`,
+    /// `registry` and `journal`); the WAL writer continues at the durable
+    /// prefix's end.
+    #[allow(clippy::too_many_arguments)]
     pub fn resume(
-        recovered: Recovered,
-        dir: impl AsRef<Path>,
-        config: WalConfig,
-        checkpoint_every: Option<u64>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<Self, DurableError> {
-        Self::resume_with_backend(
-            recovered,
-            dir,
-            config,
-            checkpoint_every,
-            registry,
-            Arc::new(StdFs),
-            RetryPolicy::default(),
-        )
-    }
-
-    /// [`resume`](Self::resume) on an explicit storage backend and retry
-    /// policy.
-    pub fn resume_with_backend(
         recovered: Recovered,
         dir: impl AsRef<Path>,
         config: WalConfig,
@@ -379,14 +364,11 @@ impl DurableIngest {
         registry: Option<&MetricsRegistry>,
         backend: Arc<dyn StorageBackend>,
         retry: RetryPolicy,
+        journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
         let dir = dir.as_ref().to_path_buf();
-        let wal = match registry {
-            Some(r) => {
-                WalWriter::open_with_backend_and_metrics(&dir, config, Arc::clone(&backend), r)?
-            }
-            None => WalWriter::open_with_backend(&dir, config, Arc::clone(&backend))?,
-        };
+        let wal =
+            WalWriter::open_with_backend(&dir, config, Arc::clone(&backend), registry, journal)?;
         // refuse to reissue LSNs an existing checkpoint already covers —
         // replay would skip the duplicates, silently dropping new batches
         // at the next recovery
@@ -413,28 +395,31 @@ impl DurableIngest {
             last_checkpoint_error: None,
             prune_failures: 0,
             last_prune_error: None,
-            metrics: registry.map(DurableMetrics::register),
-            journal: None,
+            metrics: DurableMetrics::register(&registry.cloned().unwrap_or_default()),
+            journal: journal.cloned().unwrap_or_default(),
         })
     }
 
     /// Opens `dir` for a server seeded from `base`: resumes from the
-    /// durable state ([`recover`] ⊕ [`resume`](Self::resume), returning
-    /// the recovery report) when the directory already holds a WAL
-    /// segment or a checkpoint, and [`create`](Self::create)s a fresh
-    /// session otherwise. A restart must take the first branch — creating
-    /// over an existing log serves the base dataset without the
-    /// acknowledged writes.
+    /// durable state ([`recover_with_journal`] ⊕ [`resume`](Self::resume),
+    /// returning the recovery report) when the directory already holds a
+    /// WAL segment or a checkpoint, and
+    /// [`create`](Self::create_with_backend)s a fresh session otherwise —
+    /// on [`StdFs`] with the default retry policy either way. A restart
+    /// must take the first branch — creating over an existing log serves
+    /// the base dataset without the acknowledged writes. The recovery's
+    /// events go to `journal` like everything after them.
     pub fn open(
         base: &Dataset,
         dir: impl AsRef<Path>,
         config: WalConfig,
         checkpoint_every: Option<u64>,
         registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
     ) -> Result<(Self, Option<RecoveryReport>), DurableError> {
         let dir = dir.as_ref();
         if wal::list_segments(dir)?.is_empty() && list_checkpoints(dir).is_empty() {
-            let fresh = Self::create(
+            let fresh = Self::create_with_backend(
                 Arc::new(base.network.clone()),
                 base.store.clone(),
                 base.vocab.clone(),
@@ -442,22 +427,25 @@ impl DurableIngest {
                 config,
                 checkpoint_every,
                 registry,
+                Arc::new(StdFs),
+                RetryPolicy::default(),
+                journal,
             )?;
             return Ok((fresh, None));
         }
-        let recovered = recover(dir, Some(base), registry)?;
+        let recovered = recover_with_journal(&StdFs, dir, Some(base), registry, journal)?;
         let report = recovered.report.clone();
-        let resumed = Self::resume(recovered, dir, config, checkpoint_every, registry)?;
+        let resumed = Self::resume(
+            recovered,
+            dir,
+            config,
+            checkpoint_every,
+            registry,
+            Arc::new(StdFs),
+            RetryPolicy::default(),
+            journal,
+        )?;
         Ok((resumed, Some(report)))
-    }
-
-    /// Attaches an operational [`EventJournal`] to this ingest and to its
-    /// WAL writer and epoch manager, so retries, degradations, checkpoint
-    /// outcomes, seals, and snapshot swaps all land in one timeline.
-    pub fn set_journal(&mut self, journal: EventJournal) {
-        self.wal.set_journal(journal.clone());
-        self.manager.set_journal(journal.clone());
-        self.journal = Some(journal);
     }
 
     /// The underlying manager (snapshots, stats).
@@ -508,17 +496,13 @@ impl DurableIngest {
 
     fn degrade(&mut self, reason: String) {
         if self.degraded.is_none() {
-            if let Some(j) = &self.journal {
-                j.error(
-                    "durable",
-                    "degraded_read_only",
-                    &[("reason", reason.clone())],
-                );
-            }
+            self.journal.error(
+                "durable",
+                "degraded_read_only",
+                &[("reason", reason.clone())],
+            );
             self.degraded = Some(reason);
-            if let Some(m) = &self.metrics {
-                m.degraded.set(1);
-            }
+            self.metrics.degraded.set(1);
         }
     }
 
@@ -528,9 +512,9 @@ impl DurableIngest {
     /// exhaustion degrades the ingest and returns the final error.
     fn append_with_retry(&mut self, batch: &[Mutation]) -> Result<u64, DurableError> {
         if let Some(reason) = &self.degraded {
-            if let Some(m) = &self.metrics {
-                m.rejected_mutations.add(batch.len().max(1) as u64);
-            }
+            self.metrics
+                .rejected_mutations
+                .add(batch.len().max(1) as u64);
             return Err(DurableError::ReadOnly {
                 reason: reason.clone(),
             });
@@ -548,40 +532,32 @@ impl DurableIngest {
                 WalError::Corrupt(_) => ErrorClass::Permanent,
             };
             if self.retry.allows_retry(class, attempts) {
-                if let Some(m) = &self.metrics {
-                    m.retries.inc();
-                }
-                if let Some(j) = &self.journal {
-                    j.warn(
-                        "durable",
-                        "append_retry",
-                        &[
-                            ("attempt", attempts.to_string()),
-                            ("class", format!("{class:?}")),
-                            ("error", err.to_string()),
-                        ],
-                    );
-                }
+                self.metrics.retries.inc();
+                self.journal.warn(
+                    "durable",
+                    "append_retry",
+                    &[
+                        ("attempt", attempts.to_string()),
+                        ("class", format!("{class:?}")),
+                        ("error", err.to_string()),
+                    ],
+                );
                 let backoff = self.retry.backoff(attempts);
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
                 continue;
             }
-            if let Some(m) = &self.metrics {
-                m.append_failures.inc();
-            }
-            if let Some(j) = &self.journal {
-                j.error(
-                    "durable",
-                    "retries_exhausted",
-                    &[
-                        ("attempts", attempts.to_string()),
-                        ("class", format!("{class:?}")),
-                        ("error", err.to_string()),
-                    ],
-                );
-            }
+            self.metrics.append_failures.inc();
+            self.journal.error(
+                "durable",
+                "retries_exhausted",
+                &[
+                    ("attempts", attempts.to_string()),
+                    ("class", format!("{class:?}")),
+                    ("error", err.to_string()),
+                ],
+            );
             self.degrade(format!(
                 "wal append failed after {attempts} attempt(s) ({class:?}): {err}"
             ));
@@ -701,12 +677,9 @@ impl DurableIngest {
     fn note_checkpoint_failure(&mut self, e: &DurableError) {
         self.checkpoint_failures += 1;
         self.last_checkpoint_error = Some(e.to_string());
-        if let Some(m) = &self.metrics {
-            m.checkpoint_failures.inc();
-        }
-        if let Some(j) = &self.journal {
-            j.error("durable", "checkpoint_failed", &[("error", e.to_string())]);
-        }
+        self.metrics.checkpoint_failures.inc();
+        self.journal
+            .error("durable", "checkpoint_failed", &[("error", e.to_string())]);
     }
 
     fn checkpoint_snapshot(
@@ -750,32 +723,26 @@ impl DurableIngest {
             Err(e) => {
                 self.prune_failures += 1;
                 self.last_prune_error = Some(e.to_string());
-                if let Some(m) = &self.metrics {
-                    m.prune_failures.inc();
-                }
-                if let Some(j) = &self.journal {
-                    j.warn("durable", "prune_failed", &[("error", e.to_string())]);
-                }
+                self.metrics.prune_failures.inc();
+                self.journal
+                    .warn("durable", "prune_failed", &[("error", e.to_string())]);
                 0
             }
         };
-        if let Some(m) = &self.metrics {
-            m.checkpoints.inc();
-            m.checkpoint_micros
-                .record(started.elapsed().as_micros() as u64);
-            m.pruned_segments.add(pruned);
-        }
-        if let Some(j) = &self.journal {
-            j.info(
-                "durable",
-                "checkpoint_written",
-                &[
-                    ("lsn", high_water.to_string()),
-                    ("pruned_segments", pruned.to_string()),
-                    ("micros", started.elapsed().as_micros().to_string()),
-                ],
-            );
-        }
+        self.metrics.checkpoints.inc();
+        self.metrics
+            .checkpoint_micros
+            .record(started.elapsed().as_micros() as u64);
+        self.metrics.pruned_segments.add(pruned);
+        self.journal.info(
+            "durable",
+            "checkpoint_written",
+            &[
+                ("lsn", high_water.to_string()),
+                ("pruned_segments", pruned.to_string()),
+                ("micros", started.elapsed().as_micros().to_string()),
+            ],
+        );
         Ok(())
     }
 }
@@ -875,28 +842,21 @@ pub struct Recovered {
 /// must survive exactly the failures it exists for), plus the durable WAL
 /// tail. `base` seeds recovery when no checkpoint is usable; recovery
 /// fails only if neither exists. When `registry` is given, recovery
-/// counters/latency land in `uots_recovery_*`.
+/// counters/latency land in `uots_recovery_*` and the manager's series in
+/// `uots_epoch_*`. Reads through [`StdFs`], with a detached journal.
 pub fn recover(
     dir: impl AsRef<Path>,
     base: Option<&Dataset>,
     registry: Option<&MetricsRegistry>,
 ) -> Result<Recovered, DurableError> {
-    recover_with(&StdFs, dir.as_ref(), base, registry)
+    recover_with_journal(&StdFs, dir.as_ref(), base, registry, None)
 }
 
-/// [`recover`] through an explicit storage backend.
-pub fn recover_with(
-    backend: &dyn StorageBackend,
-    dir: &Path,
-    base: Option<&Dataset>,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Recovered, DurableError> {
-    recover_with_journal(backend, dir, base, registry, None)
-}
-
-/// [`recover_with`] plus an operational [`EventJournal`]: the chosen
-/// recovery plan (source, replayed tail, truncation) and every rejected
-/// checkpoint are recorded as events.
+/// [`recover`] with every input: an explicit storage backend, and the
+/// `journal` the chosen recovery plan (source, replayed tail, truncation)
+/// and every rejected checkpoint are recorded in — and, after them, the
+/// recovered manager's snapshot swaps. A `None` instrument is a detached
+/// one nothing reads.
 pub fn recover_with_journal(
     backend: &dyn StorageBackend,
     dir: &Path,
@@ -904,6 +864,8 @@ pub fn recover_with_journal(
     registry: Option<&MetricsRegistry>,
     journal: Option<&EventJournal>,
 ) -> Result<Recovered, DurableError> {
+    let r = registry.cloned().unwrap_or_default();
+    let j = journal.cloned().unwrap_or_default();
     let started = Instant::now();
 
     // One scan of the whole durable log up front: the replay guarantees
@@ -982,39 +944,37 @@ pub fn recover_with_journal(
         }
     };
 
-    if let Some(j) = journal {
-        for path in &rejected {
-            j.warn(
-                "recovery",
-                "checkpoint_rejected",
-                &[("checkpoint", path.display().to_string())],
-            );
-        }
-        if let Some(c) = &replayed.corruption {
-            j.warn(
-                "recovery",
-                "wal_tail_truncated",
-                &[
-                    ("segment", c.segment.display().to_string()),
-                    ("offset", c.offset.to_string()),
-                ],
-            );
-        }
-        j.info(
+    for path in &rejected {
+        j.warn(
             "recovery",
-            "plan_chosen",
+            "checkpoint_rejected",
+            &[("checkpoint", path.display().to_string())],
+        );
+    }
+    if let Some(c) = &replayed.corruption {
+        j.warn(
+            "recovery",
+            "wal_tail_truncated",
             &[
-                (
-                    "source",
-                    match &source {
-                        RecoverySource::Checkpoint(p) => format!("checkpoint:{}", p.display()),
-                        RecoverySource::BaseDataset => "base_dataset".to_string(),
-                    },
-                ),
-                ("checkpoint_lsn", after_lsn.to_string()),
+                ("segment", c.segment.display().to_string()),
+                ("offset", c.offset.to_string()),
             ],
         );
     }
+    j.info(
+        "recovery",
+        "plan_chosen",
+        &[
+            (
+                "source",
+                match &source {
+                    RecoverySource::Checkpoint(p) => format!("checkpoint:{}", p.display()),
+                    RecoverySource::BaseDataset => "base_dataset".to_string(),
+                },
+            ),
+            ("checkpoint_lsn", after_lsn.to_string()),
+        ],
+    );
 
     let mut mutations = 0u64;
     let mut batches = 0u64;
@@ -1048,63 +1008,57 @@ pub fn recover_with_journal(
     }
 
     let vocab_len = vocab.len();
-    let manager = match registry {
-        Some(r) => EpochManager::from_parts_with_metrics(
-            Arc::clone(&network),
-            store,
-            live,
-            vocab_len,
-            epoch,
-            r,
-        ),
-        None => EpochManager::from_parts(Arc::clone(&network), store, live, vocab_len, epoch),
-    };
+    let manager = EpochManager::from_parts(
+        Arc::clone(&network),
+        store,
+        live,
+        vocab_len,
+        epoch,
+        Some(&r),
+        Some(&j),
+    );
 
     let micros = started.elapsed().as_micros() as u64;
-    if let Some(r) = registry {
-        r.counter("uots_recovery_total", "Crash recoveries performed")
-            .inc();
+    r.counter("uots_recovery_total", "Crash recoveries performed")
+        .inc();
+    r.counter(
+        "uots_recovery_replayed_batches_total",
+        "WAL batches replayed during recovery",
+    )
+    .add(batches);
+    r.counter(
+        "uots_recovery_replayed_mutations_total",
+        "Mutations replayed during recovery",
+    )
+    .add(mutations);
+    if replayed.corruption.is_some() {
         r.counter(
-            "uots_recovery_replayed_batches_total",
-            "WAL batches replayed during recovery",
+            "uots_recovery_truncations_total",
+            "Recoveries that found a torn/corrupt WAL tail",
         )
-        .add(batches);
-        r.counter(
-            "uots_recovery_replayed_mutations_total",
-            "Mutations replayed during recovery",
-        )
-        .add(mutations);
-        if replayed.corruption.is_some() {
-            r.counter(
-                "uots_recovery_truncations_total",
-                "Recoveries that found a torn/corrupt WAL tail",
-            )
-            .inc();
-        }
-        r.counter(
-            "uots_recovery_rejected_checkpoints_total",
-            "Checkpoint files skipped as corrupt during recovery",
-        )
-        .add(rejected.len() as u64);
-        r.histogram(
-            "uots_recovery_micros",
-            "Crash recovery wall time (checkpoint load + WAL replay + index build), microseconds",
-        )
-        .record(micros);
+        .inc();
     }
+    r.counter(
+        "uots_recovery_rejected_checkpoints_total",
+        "Checkpoint files skipped as corrupt during recovery",
+    )
+    .add(rejected.len() as u64);
+    r.histogram(
+        "uots_recovery_micros",
+        "Crash recovery wall time (checkpoint load + WAL replay + index build), microseconds",
+    )
+    .record(micros);
 
-    if let Some(j) = journal {
-        j.info(
-            "recovery",
-            "recovery_completed",
-            &[
-                ("replayed_batches", batches.to_string()),
-                ("replayed_mutations", mutations.to_string()),
-                ("next_lsn", replayed.next_lsn.max(after_lsn + 1).to_string()),
-                ("micros", micros.to_string()),
-            ],
-        );
-    }
+    j.info(
+        "recovery",
+        "recovery_completed",
+        &[
+            ("replayed_batches", batches.to_string()),
+            ("replayed_mutations", mutations.to_string()),
+            ("next_lsn", replayed.next_lsn.max(after_lsn + 1).to_string()),
+            ("micros", micros.to_string()),
+        ],
+    );
 
     Ok(Recovered {
         manager,
@@ -1156,6 +1110,7 @@ mod tests {
             None,
             backend,
             RetryPolicy::without_backoff(),
+            None,
         )
         .unwrap()
     }
@@ -1315,6 +1270,7 @@ mod tests {
             None,
             fs,
             RetryPolicy::without_backoff(),
+            None,
         )
         .unwrap();
         ingest.apply(vec![Mutation::Insert(donor(&ds, 0))]).unwrap();
@@ -1408,7 +1364,7 @@ mod tests {
         assert_eq!(ids, vec![next]);
         drop(ingest);
         let (reopened, report) =
-            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None).unwrap();
+            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None, None).unwrap();
         assert_eq!(report.unwrap().replayed_batches, 2);
         assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 1);
     }
@@ -1464,7 +1420,7 @@ mod tests {
             .expect("the index build accepts what the check let through");
         drop(ingest);
         let (reopened, report) =
-            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None).unwrap();
+            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None, None).unwrap();
         assert_eq!(report.unwrap().replayed_batches, 2);
         assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 2);
     }

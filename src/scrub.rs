@@ -32,7 +32,6 @@ use crate::durable::list_checkpoints_with;
 use uots_core::storage::{write_atomic, StorageBackend};
 use uots_core::wal::{self, Corruption};
 use uots_datagen::persist;
-use uots_obs::EventJournal;
 
 /// Name of the quarantine subdirectory.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -188,18 +187,7 @@ impl serde::Serialize for ScrubReport {
 /// Read-only integrity walk: validates checkpoints and the WAL, reports
 /// what recovery would do. Moves nothing.
 pub fn inspect(backend: &dyn StorageBackend, dir: &Path) -> Result<ScrubReport, std::io::Error> {
-    walk(backend, dir, false, None)
-}
-
-/// [`inspect`] plus an operational [`EventJournal`]: every per-file
-/// verdict (invalid checkpoint, unusable segment, torn tail) is recorded
-/// as an event.
-pub fn inspect_with_journal(
-    backend: &dyn StorageBackend,
-    dir: &Path,
-    journal: &EventJournal,
-) -> Result<ScrubReport, std::io::Error> {
-    walk(backend, dir, false, Some(journal))
+    walk(backend, dir, false)
 }
 
 /// The `uots fsck` pass: like [`inspect`], but moves wholly-unusable files
@@ -207,24 +195,13 @@ pub fn inspect_with_journal(
 /// manifest. Returns the report *after* the moves, so its plan reflects
 /// the directory recovery would now see.
 pub fn scrub(backend: &dyn StorageBackend, dir: &Path) -> Result<ScrubReport, std::io::Error> {
-    walk(backend, dir, true, None)
-}
-
-/// [`scrub`] plus an operational [`EventJournal`]: per-file verdicts and
-/// every quarantine move are recorded as events.
-pub fn scrub_with_journal(
-    backend: &dyn StorageBackend,
-    dir: &Path,
-    journal: &EventJournal,
-) -> Result<ScrubReport, std::io::Error> {
-    walk(backend, dir, true, Some(journal))
+    walk(backend, dir, true)
 }
 
 fn walk(
     backend: &dyn StorageBackend,
     dir: &Path,
     quarantine: bool,
-    journal: Option<&EventJournal>,
 ) -> Result<ScrubReport, std::io::Error> {
     // -- checkpoints: every one is CRC-validated independently. Only
     //    *validation* failures mark a checkpoint corrupt — an I/O error
@@ -274,40 +251,6 @@ fn walk(
         }
     }
 
-    if let Some(j) = journal {
-        for (path, reason) in &invalid_checkpoints {
-            j.warn(
-                "scrub",
-                "invalid_checkpoint",
-                &[
-                    ("file", path.display().to_string()),
-                    ("reason", reason.clone()),
-                ],
-            );
-        }
-        for (path, reason) in &unusable_segments {
-            j.warn(
-                "scrub",
-                "unusable_segment",
-                &[
-                    ("file", path.display().to_string()),
-                    ("reason", reason.clone()),
-                ],
-            );
-        }
-        if let Some(c) = &torn_tail {
-            j.warn(
-                "scrub",
-                "torn_tail",
-                &[
-                    ("file", c.segment.display().to_string()),
-                    ("offset", c.offset.to_string()),
-                    ("reason", c.reason.clone()),
-                ],
-            );
-        }
-    }
-
     // -- quarantine pass
     let mut quarantined = Vec::new();
     if quarantine {
@@ -316,19 +259,6 @@ fn walk(
         moves.extend(unusable_segments.iter().cloned());
         if !moves.is_empty() {
             quarantined = quarantine_files(backend, dir, &moves)?;
-            if let Some(j) = journal {
-                for q in &quarantined {
-                    j.warn(
-                        "scrub",
-                        "file_quarantined",
-                        &[
-                            ("original", q.original.display().to_string()),
-                            ("quarantined", q.quarantined.display().to_string()),
-                            ("reason", q.reason.clone()),
-                        ],
-                    );
-                }
-            }
         }
     }
 
@@ -362,7 +292,7 @@ fn walk(
         next_lsn: plan_scan.next_lsn,
     };
 
-    let report = ScrubReport {
+    Ok(ScrubReport {
         segments,
         checkpoints,
         invalid_checkpoints,
@@ -370,24 +300,7 @@ fn walk(
         torn_tail,
         quarantined,
         plan,
-    };
-    if let Some(j) = journal {
-        j.info(
-            "scrub",
-            "walk_completed",
-            &[
-                (
-                    "mode",
-                    if quarantine { "scrub" } else { "inspect" }.to_string(),
-                ),
-                ("segments", report.segments.to_string()),
-                ("checkpoints", report.checkpoints.to_string()),
-                ("clean", report.is_clean().to_string()),
-                ("quarantined", report.quarantined.len().to_string()),
-            ],
-        );
-    }
-    Ok(report)
+    })
 }
 
 fn wal_io(e: wal::WalError) -> std::io::Error {

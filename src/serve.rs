@@ -280,7 +280,9 @@ impl QueryService {
     /// Starts the service over a volatile [`ShardedCluster`]: `/search`
     /// and `/topk` walk the shards under a carried top-k floor (one shard:
     /// the plain search), `/ingest` routes through the coordinator (global
-    /// ids, no WAL), `/join` answers over the merged live cut.
+    /// ids, no WAL), `/join` answers over the merged live cut. The
+    /// service's own series go to the registry `obs` serves at `/metrics`
+    /// (the one the accept loop counts into; detached when `obs` has none).
     ///
     /// # Errors
     ///
@@ -288,11 +290,10 @@ impl QueryService {
     pub fn start(
         addr: &str,
         cluster: Arc<ShardedCluster>,
-        registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, cluster.cut(), Box::new(cluster), registry, obs, cfg)
+        Self::start_inner(addr, cluster.cut(), Box::new(cluster), obs, cfg)
     }
 
     /// Starts the service over a [`ShardedDurable`] cluster: `/ingest`
@@ -307,18 +308,16 @@ impl QueryService {
     pub fn start_durable(
         addr: &str,
         cluster: ShardedDurable,
-        registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, cluster.cut(), Box::new(cluster), registry, obs, cfg)
+        Self::start_inner(addr, cluster.cut(), Box::new(cluster), obs, cfg)
     }
 
     fn start_inner(
         addr: &str,
         cut: CutReader,
         writer: Box<dyn Coordinator + Send>,
-        registry: MetricsRegistry,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
@@ -327,7 +326,7 @@ impl QueryService {
             writer: Mutex::new(writer),
             cut,
             cfg,
-            metrics: ServiceMetrics::new(&registry),
+            metrics: ServiceMetrics::new(&obs.registry()),
             ctx: SearchContext::new(),
             inflight: AtomicUsize::new(0),
             tenants: Mutex::new(HashMap::new()),
@@ -998,11 +997,9 @@ mod tests {
         let cluster =
             ShardedDurable::create(network, &ds.store, &ds.vocab, &dir, 2, config, None, None)
                 .unwrap();
-        let registry = MetricsRegistry::new();
-        let obs = ObsState::new().with_registry(registry.clone());
+        let obs = ObsState::new().with_registry(MetricsRegistry::new());
         let cfg = ServiceConfig::default();
-        let service =
-            QueryService::start_durable("127.0.0.1:0", cluster, registry, obs, cfg).expect("bind");
+        let service = QueryService::start_durable("127.0.0.1:0", cluster, obs, cfg).expect("bind");
         let post = |path: &str, body: &str| -> String {
             let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
             let len = body.len();
@@ -1046,9 +1043,8 @@ mod tests {
             1,
             uots_core::Partitioner::Hash,
         );
-        let registry = MetricsRegistry::new();
-        let obs = ObsState::new().with_registry(registry.clone());
-        QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg).expect("bind")
+        let obs = ObsState::new().with_registry(MetricsRegistry::new());
+        QueryService::start("127.0.0.1:0", Arc::new(cluster), obs, cfg).expect("bind")
     }
 
     /// The tenant map holds the tenants with queries in flight, not every

@@ -230,6 +230,7 @@ fn run_seed(
             None,
             Arc::clone(&fs) as Arc<dyn uots::storage::StorageBackend>,
             RetryPolicy::without_backoff(),
+            None,
         ) {
             Ok(i) => {
                 ingest = Some(i);

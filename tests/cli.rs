@@ -477,6 +477,74 @@ fn durable_ingest_and_recover_round_trip() {
     std::fs::remove_dir_all(&empty).ok();
 }
 
+/// Regression: `uots ingest --wal-dir DIR` over a directory an earlier run
+/// wrote used to `create` over it — the log went on from the earlier
+/// run's LSNs while memory restarted from the base dataset, so the second
+/// run reissued the first run's ids. It now resumes, like the server: what
+/// the second run serves is what recovery rebuilds from the directory.
+#[test]
+fn ingest_twice_on_one_wal_dir_continues_the_lineage() {
+    let path = temp_dataset("twice.uotsds");
+    generate(&path);
+    let wal_dir = temp_dataset("twice.wal");
+    std::fs::remove_dir_all(&wal_dir).ok();
+    let script = temp_dataset("twice.script");
+    let run = |mutations: &str| -> String {
+        std::fs::write(&script, mutations).unwrap();
+        let out = uots()
+            .args(["ingest", "--data"])
+            .arg(&path)
+            .arg("--script")
+            .arg(&script)
+            .arg("--wal-dir")
+            .arg(&wal_dir)
+            .arg("--verify")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // `<live> live / <total>` of the last state a command printed
+    let state = |text: &str| -> String {
+        let line = text.lines().rfind(|l| l.contains(" live / "));
+        let line = line.unwrap_or_else(|| panic!("no state line in: {text}"));
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let at = words.iter().position(|w| *w == "live").unwrap();
+        words[at - 1..at + 3].join(" ")
+    };
+
+    // 120 base trips: the first run's insert is id 120, the second's 121
+    let first = run("ingest 0 1 2\nretire 0\npublish\n");
+    assert!(!first.contains("resumed"), "{first}");
+    assert_eq!(state(&first), "120 live / 121");
+    let second = run("ingest 3 4 5\nretire 120\npublish\n");
+    assert!(
+        second.contains("resumed: replayed 2 wal batches"),
+        "{second}"
+    );
+    assert!(second.contains("wal durable through lsn 4"), "{second}");
+    assert_eq!(state(&second), "120 live / 122");
+
+    let out = uots()
+        .args(["recover", "--wal-dir"])
+        .arg(&wal_dir)
+        .args(["--data"])
+        .arg(&path)
+        .arg("--verify")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("replayed 4 wal batches"), "{text}");
+    assert_eq!(state(&text), state(&second), "{text}");
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&script).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
+}
+
 #[test]
 fn generate_rejects_unknown_preset() {
     let out = uots()

@@ -38,6 +38,7 @@ fn durable_over(
     dir: &std::path::Path,
     backend: Arc<dyn StorageBackend>,
     registry: &MetricsRegistry,
+    journal: Option<&EventJournal>,
 ) -> DurableIngest {
     DurableIngest::create_with_backend(
         Arc::new(ds.network.clone()),
@@ -49,6 +50,7 @@ fn durable_over(
         Some(registry),
         backend,
         RetryPolicy::without_backoff(),
+        journal,
     )
     .unwrap()
 }
@@ -108,8 +110,7 @@ fn degraded_transition_journals_causal_chain_and_serves_it_live() {
     );
     let registry = MetricsRegistry::new();
     let journal = EventJournal::default();
-    let mut ingest = durable_over(&ds, &dir, fs, &registry);
-    ingest.set_journal(journal.clone());
+    let mut ingest = durable_over(&ds, &dir, fs, &registry, Some(&journal));
 
     // live endpoint over the same registry + journal, with a status
     // document the test updates the way the CLI does after each publish
@@ -242,7 +243,7 @@ fn concurrent_exposition_always_validates() {
         });
 
         let ingest = s.spawn(|| {
-            let mut durable = durable_over(&ds, &dir, Arc::new(StdFs), &registry);
+            let mut durable = durable_over(&ds, &dir, Arc::new(StdFs), &registry, None);
             for i in 0..12 {
                 durable
                     .apply(vec![Mutation::Insert(donor(&ds, i % 8))])

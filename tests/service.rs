@@ -418,39 +418,73 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// The default durable server over `dir`: the flat one-shard lineage,
-/// resumed when the directory holds one (returning the recovery report).
+/// A durable server of `shards` shards over `dir`, opened the binary's own
+/// way — [`ShardedDurable::open_or_create`]: resumed when the directory
+/// holds a lineage (returning one recovery report per shard), created
+/// otherwise. Registry and journal are the ones `/metrics` and `/journal`
+/// serve.
 fn start_durable_service(
     ds: &Dataset,
     dir: &Path,
-) -> (QueryService, Option<uots::durable::RecoveryReport>) {
+    shards: usize,
+) -> (QueryService, Vec<uots::durable::RecoveryReport>) {
     let registry = MetricsRegistry::new();
-    let (durable, recovery) =
-        DurableIngest::open(ds, dir, WalConfig::default(), None, Some(&registry))
-            .expect("open wal dir");
-    let obs = ObsState::new().with_registry(registry.clone());
-    let service = QueryService::start_durable(
-        "127.0.0.1:0",
-        ShardedDurable::single(durable),
-        registry,
-        obs,
-        ServiceConfig::default(),
+    let journal = EventJournal::default();
+    let (cluster, recovery) = ShardedDurable::open_or_create(
+        ds,
+        dir,
+        shards,
+        WalConfig::default(),
+        None,
+        Some(&registry),
+        Some(&journal),
     )
-    .expect("bind service");
+    .expect("open wal dir");
+    let obs = ObsState::new()
+        .with_registry(registry)
+        .with_journal(journal);
+    let service =
+        QueryService::start_durable("127.0.0.1:0", cluster, obs, ServiceConfig::default())
+            .expect("bind service");
     (service, recovery)
+}
+
+/// The event names `GET /journal` holds, oldest first.
+fn journal_names(addr: SocketAddr) -> Vec<String> {
+    let (code, body) = http(addr, "GET", "/journal?n=4096", "");
+    assert_eq!(code, 200, "{body}");
+    body.lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| {
+            let event: Content = serde_json::from_str(l).expect("journal line parses");
+            match event.get("name") {
+                Some(Content::Str(name)) => name.clone(),
+                other => panic!("journal line without a name: {other:?}"),
+            }
+        })
+        .collect()
 }
 
 /// Regression: an unsharded `uots-serve --wal-dir` restart used to
 /// `create` over the existing log and serve the base dataset without the
 /// acknowledged writes. The server now goes through
-/// [`DurableIngest::open`], which resumes when the directory holds a WAL.
+/// [`ShardedDurable::open_or_create`], which resumes when the directory
+/// holds a lineage — and hands the recovery the server's own journal, so
+/// the restarted server shows what it recovered from (it used to attach
+/// the journal after recovery had run: `/journal` came up empty).
 #[test]
 fn durable_restart_keeps_acknowledged_writes() {
+    for shards in [1, 2] {
+        durable_restart_keeps_acknowledged_writes_at(shards);
+    }
+}
+
+fn durable_restart_keeps_acknowledged_writes_at(shards: usize) {
     let ds = Dataset::build(&DatasetConfig::small(100, 23)).expect("dataset");
-    let dir = scratch_dir("restart");
+    let dir = scratch_dir(&format!("restart-{shards}"));
     let start = |expect_resume: bool| {
-        let (service, recovery) = start_durable_service(&ds, &dir);
-        assert_eq!(recovery.is_some(), expect_resume);
+        let (service, recovery) = start_durable_service(&ds, &dir, shards);
+        assert_eq!(recovery.len(), if expect_resume { shards } else { 0 });
         (service, recovery)
     };
 
@@ -481,12 +515,25 @@ fn durable_restart_keeps_acknowledged_writes() {
     drop(service);
 
     let (service, recovery) = start(true);
-    assert_eq!(recovery.unwrap().replayed_batches, 1);
+    let replayed: u64 = recovery.iter().map(|r| r.replayed_batches).sum();
+    assert_eq!(replayed, 1);
     assert_eq!(
         top_id(service.local_addr()),
         acked,
         "the acknowledged insert must survive the restart"
     );
+    // every shard's recovery is in the restarted server's journal, ahead
+    // of anything the server did afterwards
+    let (code, reply) = post(service.local_addr(), "/ingest", r#"{"retire":[0]}"#);
+    assert_eq!(code, 200, "{reply:?}");
+    let names = journal_names(service.local_addr());
+    let first_publish = names.iter().position(|n| n == "snapshot_published");
+    let first_publish = first_publish.expect("the ingest published");
+    for event in ["plan_chosen", "recovery_completed"] {
+        let at: Vec<usize> = (0..names.len()).filter(|&i| names[i] == event).collect();
+        assert_eq!(at.len(), shards, "one {event} per shard: {names:?}");
+        assert!(at.iter().all(|&i| i < first_publish), "{names:?}");
+    }
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -543,13 +590,13 @@ fn unknown_retire_is_a_clean_400_on_the_default_servers() {
     drop(service);
 
     let dir = scratch_dir("unknown_retire");
-    let (service, _) = start_durable_service(&ds, &dir);
+    let (service, _) = start_durable_service(&ds, &dir, 1);
     let acked = check(service.local_addr(), &ds);
     drop(service);
     // nothing unreplayable reached the log: the directory reopens with
     // the acknowledged batch
-    let (service, recovery) = start_durable_service(&ds, &dir);
-    assert_eq!(recovery.expect("resumes").replayed_batches, 2);
+    let (service, recovery) = start_durable_service(&ds, &dir, 1);
+    assert_eq!(recovery[0].replayed_batches, 2);
     let (marker, node, _) = marker_trajectory(&ds);
     let query = format!(
         r#"{{"locations":[{}],"keywords":[{}],"lambda":0.2,"k":1}}"#,
@@ -682,21 +729,21 @@ fn start_cluster_service(
     let ds = Dataset::build(&DatasetConfig::small(trips, seed)).expect("dataset");
     let registry = MetricsRegistry::new();
     let journal = EventJournal::default();
-    let mut cluster = ShardedCluster::with_metrics(
+    let cluster = ShardedCluster::with_metrics(
         Arc::new(ds.network.clone()),
         &ds.store,
         ds.vocab.len(),
         shards,
         Partitioner::Hash,
-        &registry,
+        Some(&registry),
+        Some(&journal),
     );
-    cluster.set_journal(journal.clone());
     let obs = ObsState::new()
-        .with_registry(registry.clone())
+        .with_registry(registry)
         .with_journal(journal)
         .with_sampler(TailSampler::new(64));
-    let service = QueryService::start("127.0.0.1:0", Arc::new(cluster), registry, obs, cfg)
-        .expect("bind service");
+    let service =
+        QueryService::start("127.0.0.1:0", Arc::new(cluster), obs, cfg).expect("bind service");
     (service, ds)
 }
 
@@ -1145,12 +1192,60 @@ fn durable_readers_see_whole_cuts_under_concurrent_ingest() {
         Some(&registry),
     )
     .expect("create cluster");
-    let obs = ObsState::new().with_registry(registry.clone());
+    let obs = ObsState::new().with_registry(registry);
     let cfg = ServiceConfig::default();
-    let service = QueryService::start_durable("127.0.0.1:0", cluster, registry, obs, cfg)
-        .expect("bind service");
+    let service =
+        QueryService::start_durable("127.0.0.1:0", cluster, obs, cfg).expect("bind service");
     readers_see_whole_cuts_under_concurrent_ingest(&service, &ds);
     drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A durable cluster's cuts count into the same `uots_cluster_*` series
+/// as a volatile one's. They used to be assembled with no handles at all:
+/// a `--wal-dir` server exported none of them.
+#[test]
+fn durable_service_exports_the_volatile_families_plus_its_own() {
+    let (volatile, ds) = start_cluster_service(100, 23, 2, ServiceConfig::default());
+    let dir = scratch_dir("cluster_metrics");
+    let (durable, _) = start_durable_service(&ds, &dir, 2);
+    let families = |addr: SocketAddr| -> (std::collections::BTreeSet<String>, String) {
+        let query = r#"{"locations":[0,5],"keywords":[1],"lambda":0.5,"k":3}"#;
+        let (code, body) = post(addr, "/topk", query);
+        assert_eq!(code, 200, "{body:?}");
+        let (code, text) = http(addr, "GET", "/metrics", "");
+        assert_eq!(code, 200);
+        let names = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+        let names = names.map(|l| l.split(' ').next().unwrap().to_string());
+        (names.collect(), text)
+    };
+    let (volatile_families, _) = families(volatile.local_addr());
+    let (durable_families, text) = families(durable.local_addr());
+
+    let value = |series: &str| -> u64 {
+        let line = text.lines().find_map(|l| l.strip_prefix(series));
+        let line = line.unwrap_or_else(|| panic!("no {series} in:\n{text}"));
+        line.trim().parse().expect("an integer sample")
+    };
+    assert!(value("uots_cluster_queries_total ") >= 1);
+    assert!(value(r#"uots_cluster_settles_total{kind="live"} "#) > 0);
+    let live: u64 = (0..2)
+        .map(|s| value(&format!(r#"uots_cluster_shard_live{{shard="{s}"}} "#)))
+        .sum();
+    assert_eq!(live, ds.store.len() as u64);
+
+    let own = [
+        "uots_wal_",
+        "uots_durable_",
+        "uots_recovery_",
+        "uots_checkpoint",
+    ];
+    let shared: std::collections::BTreeSet<String> = durable_families
+        .into_iter()
+        .filter(|f| !own.iter().any(|prefix| f.starts_with(prefix)))
+        .collect();
+    assert_eq!(shared, volatile_families);
+    drop((volatile, durable));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1229,6 +1324,13 @@ fn assert_refuses(data: &Path, wal_dir: &Path, shards: Option<usize>, on_disk: u
     assert_eq!(std::fs::read_dir(wal_dir).unwrap().count(), before);
 }
 
+/// How many `recovery_completed` events a restarted server's `/journal`
+/// holds — one per shard; none when the journal is attached too late.
+fn recoveries_journalled(addr: SocketAddr) -> usize {
+    let names = journal_names(addr);
+    names.iter().filter(|n| *n == "recovery_completed").count()
+}
+
 /// A flat `--wal-dir` as the unsharded server has always written it
 /// resumes under the default (`--shards 1`) start-up with its acked
 /// writes; any other `--shards` over it is refused, and so is a
@@ -1249,7 +1351,8 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     let (marker, node, t) = marker_trajectory(&ds);
     let acked = {
         let (mut durable, recovery) =
-            DurableIngest::open(&ds, &flat, WalConfig::default(), None, None).expect("create");
+            DurableIngest::open(&ds, &flat, WalConfig::default(), None, None, None)
+                .expect("create");
         assert!(recovery.is_none());
         let t = <Trajectory as serde::Deserialize>::deserialize(&t).expect("round-trips");
         let id = durable.ingest(t).expect("ingest");
@@ -1265,6 +1368,7 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
         "{}",
         server.preamble
     );
+    assert_eq!(recoveries_journalled(addr), 1);
     let query = format!(
         r#"{{"locations":[{}],"keywords":[{}],"lambda":0.2,"k":1}}"#,
         node.0, marker.0
@@ -1291,12 +1395,13 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     for wrong in [None, Some(2), Some(8)] {
         assert_refuses(&data, &sharded, wrong, 4);
     }
-    let (server, _) = spawn_serve(&data, &sharded, Some(4));
+    let (server, addr) = spawn_serve(&data, &sharded, Some(4));
     assert!(
         server.preamble.contains("recovered 4 shards"),
         "{}",
         server.preamble
     );
+    assert_eq!(recoveries_journalled(addr), 4);
     drop(server);
     std::fs::remove_dir_all(&root).unwrap();
 }

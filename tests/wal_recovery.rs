@@ -660,8 +660,17 @@ fn durable_ingest_round_trip_with_checkpoint_cadence() {
     assert_matches_rebuild(&snap, ds.vocab.len(), &queries, "e2e");
 
     // the recovered manager is a working write path: resume and publish
-    let resumed = DurableIngest::resume(recovered, &wal_dir, WalConfig::default(), None, None);
-    let mut resumed = resumed.expect("resume");
+    let mut resumed = DurableIngest::resume(
+        recovered,
+        &wal_dir,
+        WalConfig::default(),
+        None,
+        None,
+        Arc::new(uots::storage::StdFs),
+        uots::storage::RetryPolicy::default(),
+        None,
+    )
+    .expect("resume");
     let id = resumed
         .ingest(random_traj(
             &mut rng,
