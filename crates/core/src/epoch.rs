@@ -93,10 +93,10 @@ impl EpochSnapshot {
         store: TrajectoryStore,
         live: LiveSet,
         vertex_index: VertexInvertedIndex<TrajectoryId>,
+        timestamp_index: TimestampIndex<TrajectoryId>,
         mutations: u64,
     ) -> Self {
         let keyword_index = store.build_keyword_index_live(vocab_len, &live);
-        let timestamp_index = store.build_timestamp_index_live(&live);
         let layout = LayoutTables::build_shared(csr, &store, vocab_len);
         let stats = EpochStats {
             epoch,
@@ -304,6 +304,7 @@ impl EpochManager {
             store.clone(),
             live.clone(),
             dynamic.freeze(),
+            store.build_timestamp_index_live(&live),
             0,
         );
         metrics.current_epoch.set(epoch as i64);
@@ -415,21 +416,40 @@ impl EpochManager {
     ///
     /// Publishing with an empty batch is a valid (and cheap) no-op epoch
     /// bump; callers typically gate on [`pending`](Self::pending).
+    ///
+    /// The new snapshot is the previous one plus the batch: the store
+    /// clone shares every trajectory with it (block pointers, see
+    /// [`TrajectoryStore`]), the vertex index is the writer's per-vertex
+    /// lists concatenated, and the timestamp index is the previous one's
+    /// survivors merged with the batch's samples — equal entry for entry
+    /// to a full build over the live ids, because every id the batch
+    /// inserted is above every id the previous snapshot holds.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
         let mut w = lock_ok(&self.writer);
         let started = Instant::now();
-        let epoch = {
-            let cur = self.current.read().unwrap_or_else(|e| e.into_inner());
-            cur.epoch + 1
-        };
+        let prev = self.snapshot();
+        let epoch = prev.epoch + 1;
+        let (store, live) = (w.store.clone(), w.live.clone());
+        // nothing revives a retired id, so the survivors of `prev` are
+        // exactly its live ids that `live` still holds
+        debug_assert!(live
+            .iter_live()
+            .take_while(|id| id.index() < prev.store.len())
+            .all(|id| prev.live.is_live(id)));
+        let added = (prev.store.len()..store.len())
+            .map(|i| TrajectoryId(i as u32))
+            .filter(|&id| live.is_live(id))
+            .flat_map(|id| store.get(id).times().map(move |t| (t, id)));
+        let timestamp_index = prev.timestamp_index.merged(|id| live.is_live(id), added);
         let snapshot = Arc::new(EpochSnapshot::build(
             epoch,
             Arc::clone(&self.network),
             Arc::clone(&self.csr),
             self.vocab_len,
-            w.store.clone(),
-            w.live.clone(),
+            store,
+            live,
             w.dynamic.freeze(),
+            timestamp_index,
             w.pending,
         ));
         let mutations = w.pending;

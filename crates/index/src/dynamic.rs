@@ -81,15 +81,18 @@ impl<V: Copy + Ord> DynamicVertexIndex<V> {
     }
 
     /// Freezes into the CSR [`VertexInvertedIndex`] consumed by the query
-    /// engines.
+    /// engines: the per-vertex lists are already sorted and deduplicated
+    /// (by [`insert`](Self::insert) / [`remove`](Self::remove)), so they
+    /// are concatenated as they stand.
     pub fn freeze(&self) -> VertexInvertedIndex<V> {
-        VertexInvertedIndex::build(
-            self.postings.len(),
-            self.postings
-                .iter()
-                .enumerate()
-                .flat_map(|(v, list)| list.iter().map(move |&val| (NodeId(v as u32), val))),
-        )
+        let mut starts = Vec::with_capacity(self.postings.len() + 1);
+        let mut postings = Vec::with_capacity(self.num_postings());
+        starts.push(0u32);
+        for list in &self.postings {
+            postings.extend_from_slice(list);
+            starts.push(postings.len() as u32);
+        }
+        VertexInvertedIndex::from_csr(starts, postings)
     }
 }
 

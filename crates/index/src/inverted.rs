@@ -17,7 +17,7 @@ use uots_text::KeywordId;
 
 /// Maps every vertex of a road network to the sorted list of values (e.g.
 /// trajectory ids) registered on it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VertexInvertedIndex<V> {
     /// CSR offsets, length `num_vertices + 1`.
     starts: Vec<u32>,
@@ -50,6 +50,18 @@ impl<V: Copy + Ord> VertexInvertedIndex<V> {
             postings.extend_from_slice(list);
             starts.push(postings.len() as u32);
         }
+        VertexInvertedIndex { starts, postings }
+    }
+
+    /// The index over CSR arrays whose every vertex slice is already
+    /// sorted and deduplicated.
+    pub(crate) fn from_csr(starts: Vec<u32>, postings: Vec<V>) -> Self {
+        debug_assert_eq!(starts.last().map(|&s| s as usize), Some(postings.len()));
+        debug_assert!(starts
+            .windows(2)
+            .all(|w| postings[w[0] as usize..w[1] as usize]
+                .windows(2)
+                .all(|p| p[0] < p[1])));
         VertexInvertedIndex { starts, postings }
     }
 

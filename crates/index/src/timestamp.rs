@@ -45,6 +45,52 @@ impl<V: Copy> TimestampIndex<V> {
         }
     }
 
+    /// The index over this one's entries whose value `keep` accepts plus
+    /// the `added` registrations, in one linear merge. At equal times the
+    /// kept entries go first and `added` keeps its own order, so when
+    /// every added registration would come after every kept one in
+    /// [`build`](Self::build)'s input (fresh ids above all old ones), the
+    /// result equals that `build` entry for entry: `build` sorts stably.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an added timestamp is not finite or outside `[0, 86400]`.
+    pub fn merged(
+        &self,
+        keep: impl Fn(V) -> bool,
+        added: impl IntoIterator<Item = (f64, V)>,
+    ) -> Self {
+        let fresh = Self::build(added);
+        let cap = self.len() + fresh.len();
+        let (mut times, mut values) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut j = 0;
+        for (&t, &v) in self.times.iter().zip(&self.values) {
+            if !keep(v) {
+                continue;
+            }
+            while j < fresh.len() && fresh.times[j].total_cmp(&t).is_lt() {
+                times.push(fresh.times[j]);
+                values.push(fresh.values[j]);
+                j += 1;
+            }
+            times.push(t);
+            values.push(v);
+        }
+        times.extend_from_slice(&fresh.times[j..]);
+        values.extend_from_slice(&fresh.values[j..]);
+        TimestampIndex { times, values }
+    }
+
+    /// The registered timestamps, ascending by `f64::total_cmp`.
+    pub fn times(&self) -> &[f64] {
+        &self.times
+    }
+
+    /// The registered values, in the order of [`times`](Self::times).
+    pub fn values(&self) -> &[V] {
+        &self.values
+    }
+
     /// Number of registered samples.
     pub fn len(&self) -> usize {
         self.times.len()

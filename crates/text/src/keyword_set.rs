@@ -6,11 +6,19 @@
 //! both memory and speed, and give deterministic iteration for free.
 
 use crate::KeywordId;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 
 /// An immutable, sorted, deduplicated set of keywords.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct KeywordSet(Vec<KeywordId>);
+
+// Hand-written so that every deserialized set is canonical: the textual
+// similarity merge walks assume sorted, duplicate-free ids.
+impl Deserialize for KeywordSet {
+    fn deserialize(content: &Content) -> Result<Self, DeError> {
+        Vec::<KeywordId>::deserialize(content).map(KeywordSet::from_ids)
+    }
+}
 
 impl KeywordSet {
     /// The empty set.
@@ -241,5 +249,11 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: KeywordSet = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn deserialization_canonicalises() {
+        let back: KeywordSet = serde_json::from_str("[7,7,2]").unwrap();
+        assert_eq!(back, set(&[2, 7]));
     }
 }

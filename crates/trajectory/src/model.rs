@@ -7,7 +7,8 @@
 //! attribute set that the UOTS query matches against.
 
 use crate::TrajectoryError;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
+use std::sync::Arc;
 use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex, DAY_SECONDS};
 use uots_network::{NodeId, RoadNetwork};
 use uots_text::KeywordSet;
@@ -42,7 +43,7 @@ pub struct Sample {
 }
 
 /// A validated, immutable trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trajectory {
     samples: Vec<Sample>,
     keywords: KeywordSet,
@@ -141,11 +142,44 @@ impl Trajectory {
     }
 }
 
+// Hand-written so that no deserialization path can skip the validation of
+// `Trajectory::new` (an out-of-day time would panic the timestamp index at
+// the next publish; decreasing times would be logged, then refused by the
+// WAL decoder at recovery).
+impl Deserialize for Trajectory {
+    fn deserialize(content: &Content) -> Result<Self, DeError> {
+        if content.as_map().is_none() {
+            return Err(DeError::invalid_type("map", content));
+        }
+        let field = |name: &str| {
+            content
+                .get(name)
+                .ok_or_else(|| DeError::missing_field(name))
+        };
+        Trajectory::new(
+            Vec::deserialize(field("samples")?)?,
+            KeywordSet::deserialize(field("keywords")?)?,
+        )
+        .map_err(DeError::custom)
+    }
+}
+
+/// `log2` of the trajectories per block of a [`TrajectoryStore`].
+const BLOCK_BITS: usize = 8;
+/// Trajectories per block of a [`TrajectoryStore`].
+const BLOCK_LEN: usize = 1 << BLOCK_BITS;
+
 /// An append-only collection of trajectories with dense ids, plus index
 /// construction.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// The trajectories sit in fixed-size blocks behind `Arc`, so a `clone` is
+/// a copy of block pointers: an epoch snapshot and the writer's store
+/// share every trajectory, and a [`push`](Self::push) copies at most the
+/// partly filled last block, and only while a clone still shares it.
+#[derive(Debug, Clone, Default)]
 pub struct TrajectoryStore {
-    trajectories: Vec<Trajectory>,
+    blocks: Vec<Arc<Vec<Trajectory>>>,
+    len: usize,
 }
 
 impl TrajectoryStore {
@@ -157,14 +191,22 @@ impl TrajectoryStore {
     /// Creates a store with a capacity hint.
     pub fn with_capacity(n: usize) -> Self {
         TrajectoryStore {
-            trajectories: Vec::with_capacity(n),
+            blocks: Vec::with_capacity(n.div_ceil(BLOCK_LEN)),
+            len: 0,
         }
     }
 
     /// Appends a trajectory, returning its id.
     pub fn push(&mut self, t: Trajectory) -> TrajectoryId {
-        let id = TrajectoryId(self.trajectories.len() as u32);
-        self.trajectories.push(t);
+        let id = TrajectoryId(self.len as u32);
+        if self.len.is_multiple_of(BLOCK_LEN) {
+            self.blocks.push(Arc::new(Vec::with_capacity(BLOCK_LEN)));
+        }
+        let block = Arc::make_mut(self.blocks.last_mut().expect("a block has room"));
+        // a block copied off a clone has no spare capacity
+        block.reserve_exact(BLOCK_LEN - block.len());
+        block.push(t);
+        self.len += 1;
         id
     }
 
@@ -175,39 +217,42 @@ impl TrajectoryStore {
     /// Panics for a foreign id.
     #[inline]
     pub fn get(&self, id: TrajectoryId) -> &Trajectory {
-        &self.trajectories[id.index()]
+        let i = id.index();
+        &self.blocks[i >> BLOCK_BITS][i & (BLOCK_LEN - 1)]
     }
 
     /// Number of stored trajectories.
     #[inline]
     pub fn len(&self) -> usize {
-        self.trajectories.len()
+        self.len
     }
 
     /// Whether the store is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
+        self.len == 0
     }
 
     /// Consumes the store, yielding the trajectories in id order (the
     /// bulk-concatenation path of parallel dataset generation — moving
-    /// beats cloning at million-trajectory scale).
+    /// beats cloning at million-trajectory scale; only blocks a clone
+    /// still shares are copied).
     pub fn into_trajectories(self) -> Vec<Trajectory> {
-        self.trajectories
+        let mut out = Vec::with_capacity(self.len);
+        for block in self.blocks {
+            out.extend(Arc::unwrap_or_clone(block));
+        }
+        out
     }
 
     /// Iterator over `(id, trajectory)` pairs in id order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (TrajectoryId, &Trajectory)> {
-        self.trajectories
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TrajectoryId(i as u32), t))
+        self.ids().map(|id| (id, self.get(id)))
     }
 
     /// Iterator over all ids.
     pub fn ids(&self) -> impl ExactSizeIterator<Item = TrajectoryId> {
-        (0..self.trajectories.len() as u32).map(TrajectoryId)
+        (0..self.len as u32).map(TrajectoryId)
     }
 
     /// Builds the vertex → trajectory inverted index the expansion search
@@ -285,6 +330,27 @@ impl std::ops::Index<TrajectoryId> for TrajectoryStore {
 
     fn index(&self, id: TrajectoryId) -> &Trajectory {
         self.get(id)
+    }
+}
+
+// A sequence of trajectories in id order: the blocks are a memory layout,
+// not part of the value (and the vendored serde has no `Arc`).
+impl Serialize for TrajectoryStore {
+    fn serialize(&self) -> Content {
+        Content::Seq(self.iter().map(|(_, t)| t.serialize()).collect())
+    }
+}
+
+impl Deserialize for TrajectoryStore {
+    fn deserialize(content: &Content) -> Result<Self, DeError> {
+        let items = content
+            .as_seq()
+            .ok_or_else(|| DeError::invalid_type("sequence", content))?;
+        let mut store = TrajectoryStore::with_capacity(items.len());
+        for item in items {
+            store.push(Trajectory::deserialize(item)?);
+        }
+        Ok(store)
     }
 }
 
@@ -400,13 +466,113 @@ mod tests {
         assert_eq!(idx.len(), 3);
     }
 
+    /// Trajectory `i` visits vertex `i + offset` once.
+    fn numbered(n: u32, offset: u32) -> impl Iterator<Item = Trajectory> {
+        (0..n).map(move |i| Trajectory::new(vec![sample(i + offset, 0.0)], kws(&[])).unwrap())
+    }
+
+    fn push_all(s: &mut TrajectoryStore, ts: impl Iterator<Item = Trajectory>) {
+        for t in ts {
+            s.push(t);
+        }
+    }
+
+    fn node_of(s: &TrajectoryStore, id: u32) -> u32 {
+        s.get(TrajectoryId(id)).samples()[0].node.0
+    }
+
+    #[test]
+    fn store_ids_cross_block_boundaries() {
+        let mut s = TrajectoryStore::with_capacity(300);
+        for (i, t) in numbered(513, 0).enumerate() {
+            assert_eq!(s.push(t), TrajectoryId(i as u32));
+        }
+        assert_eq!(s.len(), 513);
+        for id in [0, 255, 256, 257, 511, 512] {
+            assert_eq!(node_of(&s, id), id);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn store_get_past_the_end_panics() {
+        let mut s = TrajectoryStore::new();
+        push_all(&mut s, numbered(3, 0));
+        s.get(TrajectoryId(3));
+    }
+
+    #[test]
+    fn a_clone_never_sees_later_pushes() {
+        let mut writer = TrajectoryStore::new();
+        push_all(&mut writer, numbered(300, 0));
+        let snapshot = writer.clone();
+        // the writer fills the shared partial block and opens a new one
+        push_all(&mut writer, numbered(300, 1_000));
+        let mut other = snapshot.clone();
+        push_all(&mut other, numbered(5, 2_000));
+        assert_eq!(snapshot.len(), 300);
+        assert_eq!(writer.len(), 600);
+        assert_eq!(other.len(), 305);
+        for id in [0, 255, 256, 299] {
+            for s in [&snapshot, &writer, &other] {
+                assert_eq!(node_of(s, id), id, "shared trajectory {id} changed");
+            }
+        }
+        assert_eq!(node_of(&writer, 300), 1_000);
+        assert_eq!(node_of(&other, 300), 2_000);
+        // full blocks are shared, not copied
+        assert!(Arc::ptr_eq(&snapshot.blocks[0], &writer.blocks[0]));
+        assert!(!Arc::ptr_eq(&snapshot.blocks[1], &writer.blocks[1]));
+    }
+
+    #[test]
+    fn iteration_and_into_trajectories_keep_id_order() {
+        let mut s = TrajectoryStore::new();
+        push_all(&mut s, numbered(600, 0));
+        let shared = s.clone();
+        let ids: Vec<u32> = s
+            .iter()
+            .map(|(id, t)| {
+                assert_eq!(t.samples()[0].node.0, id.0);
+                id.0
+            })
+            .collect();
+        assert_eq!(ids, (0..600).collect::<Vec<_>>());
+        assert_eq!(s.iter().len(), 600);
+        let owned = s.into_trajectories();
+        let nodes: Vec<u32> = owned.iter().map(|t| t.samples()[0].node.0).collect();
+        assert_eq!(nodes, (0..600).collect::<Vec<_>>());
+        assert_eq!(shared.len(), 600, "a clone outlives the consumed store");
+    }
+
     #[test]
     fn serde_round_trip() {
         let mut s = TrajectoryStore::new();
         s.push(Trajectory::new(vec![sample(0, 1.0), sample(2, 9.0)], kws(&[3])).unwrap());
+        push_all(&mut s, numbered(300, 0));
         let json = serde_json::to_string(&s).unwrap();
+        assert!(json.starts_with('['), "a plain sequence of trajectories");
         let back: TrajectoryStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(s.len(), back.len());
-        assert_eq!(s.get(TrajectoryId(0)), back.get(TrajectoryId(0)));
+        assert_eq!(back.len(), 301);
+        assert!(s.iter().zip(back.iter()).all(|((_, a), (_, b))| a == b));
+    }
+
+    #[test]
+    fn deserialization_validates_through_the_constructors() {
+        let parse = |json: &str| serde_json::from_str::<Trajectory>(json);
+        let ok = parse(r#"{"samples":[{"node":1,"time":5.0}],"keywords":[7,7,2]}"#).unwrap();
+        assert_eq!(ok.keywords(), &kws(&[2, 7]), "keywords are canonicalised");
+        for bad in [
+            r#"{"samples":[],"keywords":[]}"#,
+            r#"{"samples":[{"node":1,"time":-1.0}],"keywords":[]}"#,
+            r#"{"samples":[{"node":1,"time":86400.5}],"keywords":[]}"#,
+            r#"{"samples":[{"node":1,"time":9.0},{"node":2,"time":8.0}],"keywords":[]}"#,
+            r#"{"keywords":[]}"#,
+            r#"[]"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} accepted");
+        }
+        let store = r#"[{"samples":[{"node":1,"time":9.0},{"node":2,"time":8.0}],"keywords":[]}]"#;
+        assert!(serde_json::from_str::<TrajectoryStore>(store).is_err());
     }
 }

@@ -34,6 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use uots::datagen::adversarial::{hub_spike, split_city};
+use uots::index::TimestampIndex;
 use uots::network::landmarks::Landmarks;
 use uots::prelude::*;
 use uots::{
@@ -567,6 +568,33 @@ fn differential_ingest_rebuild_oracle() {
                 assert_eq!(cut.num_live(), live_estimate);
             }
             let live_db = snapshot.database();
+            // publish derives its indexes from the previous epoch plus the
+            // batch; they must be the full rebuilds over the live ids
+            let (store, live) = (snapshot.store(), snapshot.live());
+            assert_eq!(
+                live_db.vertex_index,
+                &store.build_vertex_index_live(net.num_nodes(), live),
+                "ds{ds_i} round{round}: published vertex index"
+            );
+            let (published, rebuilt) = (
+                live_db
+                    .timestamp_index
+                    .expect("a snapshot carries its timestamp index"),
+                store.build_timestamp_index_live(live),
+            );
+            let bits = |idx: &TimestampIndex<TrajectoryId>| -> Vec<u64> {
+                idx.times().iter().map(|t| t.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(published),
+                bits(&rebuilt),
+                "ds{ds_i} round{round}: times"
+            );
+            assert_eq!(
+                published.values(),
+                rebuilt.values(),
+                "ds{ds_i} round{round}: ids"
+            );
             for q_i in 0..4 {
                 let q = random_query(&mut rng, n);
                 let label = format!("ingest ds{ds_i} round{round} q{q_i}");

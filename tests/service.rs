@@ -611,6 +611,116 @@ fn unknown_retire_is_a_clean_400_on_the_default_servers() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The value of the unlabelled counter `name` on `/metrics`.
+fn counter_value(addr: SocketAddr, name: &str) -> u64 {
+    let (code, text) = http(addr, "GET", "/metrics", "");
+    assert_eq!(code, 200);
+    let prefix = format!("{name} ");
+    let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+    let line = line.unwrap_or_else(|| panic!("no {name} in:\n{text}"));
+    line.trim().parse().expect("an integer sample")
+}
+
+/// Regression: `/ingest` deserialized trajectories without
+/// `Trajectory::new`'s checks. An out-of-day time panicked the next
+/// publish (and every later `/ingest` answered "ingest disabled"); on a
+/// durable server decreasing times were acked and logged, then refused by
+/// the WAL decoder at recovery, which cut the log there and lost the
+/// acknowledged writes behind it. Each is now a 400 before anything is
+/// logged, on both default servers.
+#[test]
+fn invalid_trajectories_are_refused_before_the_log() {
+    let bad = [
+        r#"{"samples":[],"keywords":[1]}"#,
+        r#"{"samples":[{"node":0,"time":-1.0}],"keywords":[1]}"#,
+        r#"{"samples":[{"node":0,"time":86400.5}],"keywords":[1]}"#,
+        r#"{"samples":[{"node":0,"time":90.0},{"node":1,"time":30.0}],"keywords":[1]}"#,
+    ];
+    let check = |addr: SocketAddr| {
+        for t in bad {
+            let body = format!(r#"{{"insert":[{t}],"publish":true}}"#);
+            let (code, reply) = post(addr, "/ingest", &body);
+            assert_eq!(code, 400, "{t}: {reply:?}");
+            let err = serde_json::to_string(reply.get("error").expect("error field")).unwrap();
+            assert!(err.contains("insert 0"), "{t}: {err}");
+        }
+        let good = r#"{"insert":[{"samples":[{"node":0,"time":30.0},{"node":1,"time":30.0}],"keywords":[1]}]}"#;
+        let (code, reply) = post(addr, "/ingest", good);
+        assert_eq!(code, 200, "{reply:?}");
+    };
+
+    let (service, ds) = start_service(60, 43, ServiceConfig::default());
+    check(service.local_addr());
+    drop(service);
+
+    let dir = scratch_dir("invalid_inserts");
+    let (service, _) = start_durable_service(&ds, &dir, 2);
+    let addr = service.local_addr();
+    let appends = counter_value(addr, "uots_wal_appends_total");
+    check(addr);
+    assert_eq!(
+        counter_value(addr, "uots_wal_appends_total"),
+        appends + 1,
+        "only the valid insert reached the log"
+    );
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Regression: a keyword list with repeats was stored as sent (the
+/// vendored derive skipped `KeywordSet::from_ids`), so `[7,7,2]` scored
+/// 0.667 against `[7,2]` until a restart canonicalised it through the WAL
+/// decoder. The same `/topk` now answers identically before and after a
+/// restart, and every acknowledged id survives it.
+#[test]
+fn duplicate_keywords_answer_the_same_across_a_durable_restart() {
+    let ds = Dataset::build(&DatasetConfig::small(100, 47)).expect("dataset");
+    assert!(ds.vocab.len() > 7, "keyword 7 is in the vocabulary");
+    let dir = scratch_dir("duplicate_keywords");
+    let insert = |addr, keywords: &str| -> u64 {
+        let body = format!(
+            r#"{{"insert":[{{"samples":[{{"node":0,"time":60.0}},{{"node":1,"time":90.0}}],"keywords":{keywords}}}]}}"#
+        );
+        let (code, reply) = post(addr, "/ingest", &body);
+        assert_eq!(code, 200, "{reply:?}");
+        as_u64(Some(&reply.get("inserted").unwrap().as_seq().unwrap()[0])).expect("id")
+    };
+    let query = r#"{"locations":[0],"keywords":[7,2],"lambda":0.2,"k":3}"#;
+    let matches = |addr| {
+        let (code, body) = post(addr, "/topk", query);
+        assert_eq!(code, 200, "{body:?}");
+        normalized(body.get("result").unwrap().get("matches").unwrap())
+    };
+
+    let (service, _) = start_durable_service(&ds, &dir, 2);
+    let addr = service.local_addr();
+    let acked = [
+        insert(addr, "[7,7,2]"),
+        insert(addr, "[3]"),
+        insert(addr, "[2,7]"),
+    ];
+    let before = matches(addr);
+    let textual =
+        before.as_seq().unwrap().iter().find_map(|m| {
+            (as_u64(m.get("id")) == Some(acked[0])).then(|| m.get("textual").cloned())
+        });
+    assert_eq!(textual.flatten(), Some(Content::F64(1.0)), "{before:?}");
+    drop(service);
+
+    let (service, _) = start_durable_service(&ds, &dir, 2);
+    let addr = service.local_addr();
+    assert_eq!(matches(addr), before, "the restart changed the answer");
+    let retire = format!(r#"{{"retire":{acked:?}}}"#);
+    let (code, reply) = post(addr, "/ingest", &retire);
+    assert_eq!(
+        code, 200,
+        "every acked id is known after the restart: {reply:?}"
+    );
+    assert_eq!(as_u64(reply.get("retired")), Some(acked.len() as u64));
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn observability_and_error_paths_surface_over_http() {
     let (service, _ds) = start_service(80, 3, ServiceConfig::default());
