@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use uots::core::shard::{Partitioner, ShardedCluster};
+use uots::core::shard::ShardedCluster;
 use uots::obs::{MetricsRegistry, ObsState};
 use uots::serve::{QueryService, ServiceConfig};
 use uots_bench::{make_queries, render_table, LatencyStats, Row, Scale};
@@ -329,7 +329,6 @@ fn start_service(ds: &Dataset, force: Option<AlgorithmKind>) -> QueryService {
         &ds.store,
         ds.vocab.len(),
         1,
-        Partitioner::Hash,
         Some(&registry),
         None,
     );
@@ -338,7 +337,7 @@ fn start_service(ds: &Dataset, force: Option<AlgorithmKind>) -> QueryService {
         force,
         ..ServiceConfig::default()
     };
-    QueryService::start("127.0.0.1:0", Arc::new(cluster), obs, cfg).expect("bind loopback service")
+    QueryService::start("127.0.0.1:0", cluster, obs, cfg).expect("bind loopback service")
 }
 
 fn main() {

@@ -190,30 +190,23 @@ impl<'a> Database<'a> {
     }
 }
 
-/// How one part's local trajectory ids map into its [`View`]'s global ids.
-#[derive(Debug, Clone, Copy)]
-pub enum IdMap<'a> {
-    /// `global = local · stride + offset`: hash partitioning over
-    /// `stride` shards, this part being shard `offset`. `(1, 0)` is the
-    /// identity of a lone database.
-    Stride {
-        /// Number of hash shards.
-        stride: u32,
-        /// This part's shard.
-        offset: u32,
-    },
-    /// A frozen local → global table (table-based partitioners).
-    Table(&'a [TrajectoryId]),
+/// How one part's local trajectory ids map into its [`View`]'s global
+/// ids: `global = local · stride + offset` — hash partitioning over
+/// `stride` shards, this part being shard `offset`. `(1, 0)` is the
+/// identity of a lone database.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdMap {
+    /// Number of hash shards.
+    pub stride: u32,
+    /// This part's shard.
+    pub offset: u32,
 }
 
-impl IdMap<'_> {
+impl IdMap {
     /// The global id of local id `local`.
     #[inline]
     pub fn global(&self, local: TrajectoryId) -> TrajectoryId {
-        match *self {
-            IdMap::Stride { stride, offset } => TrajectoryId(local.0 * stride + offset),
-            IdMap::Table(table) => table[local.index()],
-        }
+        TrajectoryId(local.0 * self.stride + self.offset)
     }
 }
 
@@ -224,7 +217,7 @@ pub struct Part<'a> {
     /// The part's store, indexes, live set and layout.
     pub db: Database<'a>,
     /// Local → global trajectory ids.
-    pub ids: IdMap<'a>,
+    pub ids: IdMap,
 }
 
 /// What one run over a [`View`] did with one of its parts: the sharded
@@ -257,7 +250,7 @@ impl<'a> View<'a> {
     /// The one-part view of `db`: global ids are its own.
     pub fn one(db: Database<'a>) -> Self {
         let id_bound = db.store.len();
-        let ids = IdMap::Stride {
+        let ids = IdMap {
             stride: 1,
             offset: 0,
         };

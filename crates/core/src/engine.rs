@@ -863,17 +863,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                         continue;
                     }
                     let locals: &'a [TrajectoryId] = part.db.vertex_index.values_at(settled.node);
-                    let (i, dist) = (src, settled.dist);
-                    match part.ids {
-                        IdMap::Stride { stride, offset } => {
-                            self.walk_postings(p, locals, i, dist, |l| {
-                                TrajectoryId(l.0 * stride + offset)
-                            });
-                        }
-                        IdMap::Table(table) => {
-                            self.walk_postings(p, locals, i, dist, |l| table[l.index()]);
-                        }
-                    }
+                    self.walk_postings(p, part.ids, locals, src, settled.dist);
                 }
             }
         } else {
@@ -891,20 +881,20 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         self.metrics.peak_frontier = self.metrics.peak_frontier.max(self.frontier);
     }
 
-    /// Walks the postings `locals` of part `p` at a vertex settled by
-    /// spatial source `i` at distance `dist`; `global` maps the part's
-    /// local ids (one map per call, so the loop has no branch on it).
+    /// Walks the postings `locals` of part `p`, whose local ids `ids`
+    /// maps to global ones, at a vertex settled by spatial source `i` at
+    /// distance `dist`.
     #[inline]
     fn walk_postings(
         &mut self,
         p: usize,
+        ids: IdMap,
         locals: &[TrajectoryId],
         i: usize,
         dist: f64,
-        global: impl Fn(TrajectoryId) -> TrajectoryId,
     ) {
         for &local in locals {
-            let tid = global(local);
+            let tid = ids.global(local);
             // a no-op inside `record_spatial` too (a done slot, or a
             // farther revisit), so skipping here moves no answer and no
             // counter

@@ -313,10 +313,10 @@ proptest! {
     }
 }
 
-/// The plateau split into two parts by local → global tables: the
-/// sixteen plateau trajectories (ids 0..16) and the four badly tagged
-/// neighbours of the corner (16..20). The second part holds no query
-/// keyword, so its bound is λ — strictly below the plateau: once the
+/// The plateau split into two parts by stride-1 id maps: the sixteen
+/// plateau trajectories (ids 0..16, offset 0) and the four badly tagged
+/// neighbours of the corner (16..20, offset 16). The second part holds no
+/// query keyword, so its bound is λ — strictly below the plateau: once the
 /// top-k fills it is retired, while the plateau part never is, and the
 /// answer is the unsplit engine's whichever part the expansion reached
 /// first.
@@ -328,7 +328,11 @@ fn a_part_bounded_strictly_below_kth_is_retired() {
         for g in ids.clone() {
             part.push(store.get(TrajectoryId(g)).clone());
         }
-        (part, ids.map(TrajectoryId).collect::<Vec<_>>())
+        let map = IdMap {
+            stride: 1,
+            offset: ids.start,
+        };
+        (part, map)
     };
     let ((a, a_ids), (b, b_ids)) = (split(0..16), split(16..20));
     let n = net.num_nodes();
@@ -338,11 +342,11 @@ fn a_part_bounded_strictly_below_kth_is_retired() {
         vec![
             Part {
                 db: Database::new(&net, &a, &va).with_keyword_index(&ka),
-                ids: IdMap::Table(&a_ids),
+                ids: a_ids,
             },
             Part {
                 db: Database::new(&net, &b, &vb).with_keyword_index(&kb),
-                ids: IdMap::Table(&b_ids),
+                ids: b_ids,
             },
         ],
         store.len(),

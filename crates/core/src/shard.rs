@@ -1,28 +1,29 @@
 //! Sharded trajectory store with a lockstep top-k over every shard.
 //!
-//! ROADMAP item 2: horizontal scale past one store. A [`ShardedCluster`]
-//! partitions the trajectory population across `N` independent
-//! [`EpochManager`]s. Each shard keeps its own epoch lineage, its own
-//! live-built indexes, and — crucially — its own *planner statistics*, so
-//! the per-query algorithm choice stays sound shard-locally (a keyword can
-//! be locally absent while globally common; see
-//! `planner::keyword_selectivity`).
+//! ROADMAP item 2: horizontal scale past one store. A [`Cluster`]
+//! partitions the trajectory population across `N` independent shards,
+//! each an [`EpochManager`] — bare in the volatile [`ShardedCluster`], or
+//! behind its own WAL in the root crate's durable cluster. Each shard keeps
+//! its own epoch lineage, its own live-built indexes and its own planner
+//! statistics; the planner decides once per cut, from their sum.
 //!
 //! ## Partitioning
 //!
-//! [`Partitioner::Hash`] assigns global trajectory id `g` to shard
-//! `g % N` at local id `g / N` — the bijection `g = l·N + s`. It is
-//! *map-free*: global ↔ (shard, local) conversions are arithmetic, and a
-//! cluster seeded from an existing store reproduces the unsharded engine's
-//! id sequence exactly (ingest picks the shard holding the smallest unused
-//! global id, which equals round-robin on a fresh cluster and self-heals
-//! deterministically after per-shard gaps).
+//! Global trajectory id `g` lives on shard `g % N` at local id `g / N` —
+//! the bijection `g = l·N + s`. It is *map-free*: global ↔ (shard, local)
+//! conversions are arithmetic, and a cluster seeded from an existing store
+//! reproduces the unsharded engine's id sequence exactly (an insert goes to
+//! the writable shard holding the smallest unused global id, which equals
+//! round-robin on a fresh cluster and self-heals deterministically after
+//! per-shard gaps).
 //!
-//! [`Partitioner::SpatialGrid`] routes a trajectory by the grid cell of
-//! its first sample, keeping spatially close trajectories on the same
-//! shard (the partition-level locality of TISIS-style partitioned
-//! similarity search). Routing is table-based (explicit global ↔ local
-//! maps, frozen per publish).
+//! ## One coordinator
+//!
+//! [`Cluster`] is the coordinator for every kind of shard unit ([`Shard`]):
+//! it alone routes ids ([`Cluster::locate`]), places inserts, splits a
+//! batch into per-shard sub-batches, publishes every shard in parallel and
+//! swaps the cut readers pin. A shard unit only applies what it is routed,
+//! in local ids, and reports whether it still takes inserts.
 //!
 //! ## Lockstep: one run per query over every shard
 //!
@@ -33,9 +34,8 @@
 //! query location and, at each settled vertex, walks the postings of
 //! every part — one scan table, one collector, one bound heap, one
 //! scheduler and one termination test, all keyed by global id
-//! ([`crate::expansion_search_ctx`]). The planner decides once per cut, from statistics
-//! summed over the parts; the query's budget covers the run, not each
-//! part.
+//! ([`crate::expansion_search_ctx`]). The query's budget covers the run,
+//! not each part.
 //!
 //! A part is **retired** — its postings no longer walked — once its upper
 //! bound ([`shard_upper_bound`]) falls strictly below the running k-th
@@ -66,116 +66,96 @@ use crate::distcache::SearchContext;
 use crate::epoch::{EpochManager, EpochSnapshot, Mutation};
 use crate::result::QueryResult;
 use crate::{CoreError, UotsQuery};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
-use uots_network::{Point, RoadNetwork};
+use std::sync::{Arc, PoisonError, RwLock};
+use uots_network::RoadNetwork;
 use uots_obs::{Counter, EventJournal, Gauge, MetricsRegistry, Recorder};
 use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
 
-/// How trajectories are assigned to shards.
+/// How trajectories are assigned to shards: by hash, the one partitioner
+/// (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioner {
-    /// Global id `g` lives on shard `g % N` at local id `g / N`
-    /// (map-free; reproduces unsharded id assignment).
+    /// Global id `g` lives on shard `g % N` at local id `g / N`.
     Hash,
-    /// Route by the grid cell of the trajectory's first sample over the
-    /// network's bounding box (`cells_per_axis²` cells, cell → shard by
-    /// modulo). Table-based routing; keeps spatially close trajectories
-    /// co-resident.
-    SpatialGrid {
-        /// Grid resolution per axis (≥ 1).
-        cells_per_axis: usize,
-    },
 }
 
-/// Cell router for [`Partitioner::SpatialGrid`].
-#[derive(Debug, Clone)]
-struct SpatialRouter {
-    min_x: f64,
-    min_y: f64,
-    inv_w: f64,
-    inv_h: f64,
-    cells: usize,
+/// A write the coordinator refuses before any shard sees it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RouteError {
+    /// A retire named a global id the cluster has not issued.
+    UnknownId(TrajectoryId),
+    /// Every shard is degraded to read-only, so no insert can be placed.
+    NoWritableShard,
 }
 
-impl SpatialRouter {
-    fn new(network: &RoadNetwork, cells_per_axis: usize) -> Self {
-        let cells = cells_per_axis.max(1);
-        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
-        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for p in network.points() {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        let w = (max_x - min_x).max(f64::MIN_POSITIVE);
-        let h = (max_y - min_y).max(f64::MIN_POSITIVE);
-        SpatialRouter {
-            min_x,
-            min_y,
-            inv_w: cells as f64 / w,
-            inv_h: cells as f64 / h,
-            cells,
-        }
-    }
-
-    fn cell_of(&self, p: Point) -> usize {
-        let cx = (((p.x - self.min_x) * self.inv_w) as usize).min(self.cells - 1);
-        let cy = (((p.y - self.min_y) * self.inv_h) as usize).min(self.cells - 1);
-        cy * self.cells + cx
-    }
-}
-
-/// Mutable routing state, serialized under one mutex (single logical
-/// writer, like [`EpochManager`]'s writer path).
-#[derive(Debug)]
-struct Routing {
-    /// Master-store length of each shard (pending ingests included) — the
-    /// id-assignment source of truth.
-    next_local: Vec<u32>,
-    tables: Option<RoutingTables>,
-}
-
-/// Explicit maps for table-based partitioners (spatial grid).
-#[derive(Debug)]
-struct RoutingTables {
-    router: SpatialRouter,
-    /// global id → (shard, local id)
-    globals: Vec<(u32, TrajectoryId)>,
-    /// per shard: local id → global id (frozen into each published cut)
-    locals: Vec<Vec<TrajectoryId>>,
-}
-
-/// Per-shard local-to-global id mapping carried by a [`ClusterSnapshot`].
-#[derive(Debug, Clone)]
-enum ShardMap {
-    Hash {
-        shard: u32,
-        shards: u32,
-    },
-    /// Frozen local → global table (spatial partitioner).
-    Table(Arc<Vec<TrajectoryId>>),
-}
-
-impl ShardMap {
-    /// The map as a view part's [`IdMap`].
-    fn ids(&self) -> IdMap<'_> {
+impl std::fmt::Display for RouteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            &ShardMap::Hash { shard, shards } => IdMap::Stride {
-                stride: shards,
-                offset: shard,
-            },
-            ShardMap::Table(t) => IdMap::Table(t),
+            RouteError::UnknownId(g) => write!(f, "unknown global trajectory id {g}"),
+            RouteError::NoWritableShard => write!(f, "every shard is degraded to read-only"),
         }
     }
+}
 
-    /// One past the largest global id of a shard holding `local_len`
-    /// local ids.
-    fn id_bound(&self, local_len: usize) -> usize {
-        match self {
-            ShardMap::Hash { shards, .. } => local_len * *shards as usize,
-            ShardMap::Table(t) => t.last().map_or(0, |g| g.index() + 1),
-        }
+impl std::error::Error for RouteError {}
+
+/// One shard of a [`Cluster`]: an [`EpochManager`], possibly behind a
+/// durability lineage. It applies what the coordinator routes to it, in
+/// local ids; the coordinator alone knows global ids.
+pub trait Shard: Send {
+    /// What a failed write reports; the coordinator's own refusals
+    /// ([`RouteError`]) convert into it.
+    type Error: std::error::Error + From<RouteError> + Send;
+
+    /// The shard's manager: issued ids and the published snapshot.
+    fn manager(&self) -> &EpochManager;
+
+    /// Whether inserts may be routed here. A shard that cannot take writes
+    /// is routed around; its residue class of global ids stops growing.
+    fn writable(&self) -> bool {
+        true
+    }
+
+    /// Applies a batch in local ids; returns the inserts' local ids.
+    ///
+    /// # Errors
+    ///
+    /// The unit's refusal; nothing of the batch is applied then.
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, Self::Error>;
+
+    /// Retires local id `local`; returns whether it was live.
+    ///
+    /// # Errors
+    ///
+    /// The unit's refusal.
+    fn retire(&mut self, local: TrajectoryId) -> Result<bool, Self::Error>;
+
+    /// Publishes the batched mutations as the shard's next snapshot.
+    ///
+    /// # Errors
+    ///
+    /// The unit's failure to publish.
+    fn publish(&mut self) -> Result<Arc<EpochSnapshot>, Self::Error>;
+}
+
+/// The volatile shard unit: the manager itself, which refuses nothing.
+impl Shard for EpochManager {
+    type Error = RouteError;
+
+    fn manager(&self) -> &EpochManager {
+        self
+    }
+
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, RouteError> {
+        Ok(EpochManager::apply(self, batch))
+    }
+
+    fn retire(&mut self, local: TrajectoryId) -> Result<bool, RouteError> {
+        Ok(EpochManager::retire(self, local))
+    }
+
+    fn publish(&mut self) -> Result<Arc<EpochSnapshot>, RouteError> {
+        Ok(EpochManager::publish(self))
     }
 }
 
@@ -235,10 +215,6 @@ impl ClusterMetrics {
     }
 }
 
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The last **completely** published cut of a coordinator — what readers
 /// pin. It is replaced by whole-value assignment once per publish, after
 /// every shard of the batch has swapped, so a reader pays a read-lock and
@@ -247,9 +223,9 @@ fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// per-shard swaps in between. The coordinator owns the cell and alone
 /// writes it; [`reader`](Self::reader) hands out read handles.
 #[derive(Debug)]
-pub struct CutCell(CutReader);
+struct CutCell(CutReader);
 
-/// A cloneable read handle to a coordinator's [`CutCell`] — usable
+/// A cloneable read handle to a coordinator's published cut — usable
 /// without the coordinator, e.g. beside the lock a writer sits behind.
 #[derive(Debug, Clone)]
 pub struct CutReader(Arc<RwLock<Arc<ClusterSnapshot>>>);
@@ -264,22 +240,17 @@ impl CutReader {
 
 impl CutCell {
     /// A cell holding `cut`.
-    pub fn new(cut: ClusterSnapshot) -> Self {
+    fn new(cut: ClusterSnapshot) -> Self {
         CutCell(CutReader(Arc::new(RwLock::new(Arc::new(cut)))))
     }
 
     /// A read handle to this cell.
-    pub fn reader(&self) -> CutReader {
+    fn reader(&self) -> CutReader {
         self.0.clone()
     }
 
-    /// The published cut (see [`CutReader::get`]).
-    pub fn get(&self) -> Arc<ClusterSnapshot> {
-        self.0.get()
-    }
-
     /// Replaces the published cut.
-    pub fn set(&self, cut: ClusterSnapshot) {
+    fn set(&self, cut: ClusterSnapshot) {
         let mut cell = (self.0).0.write().unwrap_or_else(PoisonError::into_inner);
         let old = std::mem::replace(&mut *cell, Arc::new(cut));
         drop(cell);
@@ -288,22 +259,42 @@ impl CutCell {
     }
 }
 
-/// `N` independent epoch-managed shards behind one ingest/search facade.
-/// See the [module docs](self) for the partitioning and gather contracts.
-pub struct ShardedCluster {
-    shards: Vec<EpochManager>,
-    partitioner: Partitioner,
-    network: Arc<RoadNetwork>,
-    routing: Mutex<Routing>,
+/// `N` hash-partitioned shards behind one global-id coordinator. See the
+/// [module docs](self) for the partitioning and the lockstep.
+///
+/// Single-writer: the writers take `&mut self`. Readers do not need the
+/// writer: [`cut`](Self::cut) hands out a [`CutReader`] on the last
+/// completely published cut, refreshed at the end of every publish, so a
+/// query never queues behind a batch.
+pub struct Cluster<S> {
+    shards: Vec<S>,
     cut: CutCell,
     metrics: Arc<ClusterMetrics>,
 }
 
-impl ShardedCluster {
-    /// Seeds a cluster from `store`, partitioned across `num_shards`
-    /// shards, with detached instruments. With [`Partitioner::Hash`], seed
-    /// trajectory `g` lands on shard `g % N` at local id `g / N`, so global
-    /// ids reproduce the unsharded store's ids exactly.
+/// The volatile cluster: every shard a bare [`EpochManager`].
+pub type ShardedCluster = Cluster<EpochManager>;
+
+/// Splits `store` across `num_shards` hash shards: trajectory `g` goes to
+/// shard `g % N`, where it receives local id `g / N`.
+///
+/// # Panics
+///
+/// Panics when `num_shards == 0`.
+pub fn partition(store: &TrajectoryStore, num_shards: usize) -> Vec<TrajectoryStore> {
+    assert!(num_shards >= 1, "a cluster needs at least one shard");
+    let mut parts: Vec<TrajectoryStore> = (0..num_shards).map(|_| TrajectoryStore::new()).collect();
+    for (global, t) in store.iter() {
+        parts[global.index() % num_shards].push(t.clone());
+    }
+    parts
+}
+
+impl Cluster<EpochManager> {
+    /// Seeds a volatile cluster from `store`, partitioned across
+    /// `num_shards` shards, with detached instruments. Seed trajectory `g`
+    /// lands on shard `g % N` at local id `g / N`, so global ids reproduce
+    /// the unsharded store's ids exactly.
     ///
     /// # Panics
     ///
@@ -313,82 +304,60 @@ impl ShardedCluster {
         store: &TrajectoryStore,
         vocab_len: usize,
         num_shards: usize,
-        partitioner: Partitioner,
+        _: Partitioner,
     ) -> Self {
-        Self::with_metrics(
-            network,
-            store,
-            vocab_len,
-            num_shards,
-            partitioner,
-            None,
-            None,
-        )
+        Self::with_metrics(network, store, vocab_len, num_shards, None, None)
     }
 
     /// [`new`](Self::new) with every input: the `registry` that takes the
-    /// `uots_cluster_*` series (per-shard live gauges labeled
-    /// `shard="<s>"`, query outcome counters) and every shard's
+    /// `uots_cluster_*` series (see [`over`](Self::over)) and every shard's
     /// `uots_epoch_*` series — one family shared by all shards, as the
     /// durable cluster's shards share theirs — and the `journal` every
     /// shard's manager records its swaps in. A `None` instrument is one
     /// detached instrument shared by all shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `num_shards == 0`.
     pub fn with_metrics(
         network: Arc<RoadNetwork>,
         store: &TrajectoryStore,
         vocab_len: usize,
         num_shards: usize,
-        partitioner: Partitioner,
         registry: Option<&MetricsRegistry>,
         journal: Option<&EventJournal>,
     ) -> Self {
-        assert!(num_shards >= 1, "a cluster needs at least one shard");
-        let mut per_shard: Vec<TrajectoryStore> =
-            (0..num_shards).map(|_| TrajectoryStore::new()).collect();
-        let mut tables = match partitioner {
-            Partitioner::Hash => None,
-            Partitioner::SpatialGrid { cells_per_axis } => Some(RoutingTables {
-                router: SpatialRouter::new(&network, cells_per_axis),
-                globals: Vec::with_capacity(store.len()),
-                locals: vec![Vec::new(); num_shards],
-            }),
-        };
-        for (global, t) in store.iter() {
-            let s = match &tables {
-                None => global.index() % num_shards,
-                Some(tb) => {
-                    let p = network.point(t.samples()[0].node);
-                    tb.router.cell_of(p) % num_shards
-                }
-            };
-            let local = per_shard[s].push(t.clone());
-            if let Some(tb) = &mut tables {
-                tb.globals.push((s as u32, local));
-                tb.locals[s].push(global);
-            } else {
-                debug_assert_eq!(local.index(), global.index() / num_shards);
-            }
-        }
-        let next_local = per_shard.iter().map(|s| s.len() as u32).collect();
         let registry = registry.cloned().unwrap_or_default();
         let journal = journal.cloned().unwrap_or_default();
         let (r, j) = (Some(&registry), Some(&journal));
-        let shards: Vec<EpochManager> = per_shard
+        let shards = partition(store, num_shards)
             .into_iter()
             .map(|s| {
                 let live = LiveSet::all_live(s.len());
                 EpochManager::from_parts(Arc::clone(&network), s, live, vocab_len, 0, r, j)
             })
             .collect();
-        let routing = Routing { next_local, tables };
-        let metrics = Arc::new(ClusterMetrics::register(&registry, num_shards));
-        let snaps = shards.iter().map(|s| s.snapshot()).collect();
-        ShardedCluster {
-            cut: CutCell::new(cut_with(snaps, &routing, &metrics)),
+        Self::over(shards, &registry)
+    }
+}
+
+impl<S: Shard> Cluster<S> {
+    /// The coordinator over `shards`, shard `s` holding the global ids
+    /// `≡ s (mod N)` at local id `g / N`. Searches of its cuts count into
+    /// the `uots_cluster_*` series it registers in `registry` (per-shard
+    /// live gauges labeled `shard="<s>"`, query outcome counters); the cut
+    /// readers pin starts at the shards' current snapshots.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty shard vector.
+    pub fn over(shards: Vec<S>, registry: &MetricsRegistry) -> Self {
+        assert!(!shards.is_empty(), "a cluster needs at least one shard");
+        let metrics = Arc::new(ClusterMetrics::register(registry, shards.len()));
+        let cut = CutCell::new(ClusterSnapshot::current(&shards, &metrics));
+        Cluster {
             shards,
-            partitioner,
-            network,
-            routing: Mutex::new(routing),
+            cut,
             metrics,
         }
     }
@@ -398,155 +367,15 @@ impl ShardedCluster {
         self.shards.len()
     }
 
-    /// The partitioning scheme.
-    pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
-    }
-
-    /// The shared road network (pointer-identical across every shard and
-    /// epoch — the distance-cache survival invariant holds cluster-wide).
-    pub fn network(&self) -> &Arc<RoadNetwork> {
-        &self.network
-    }
-
-    /// Direct access to a shard's manager (tests, recovery plumbing).
-    pub fn shard(&self, s: usize) -> &EpochManager {
+    /// Shard `s` (tests, status, recovery plumbing).
+    pub fn shard(&self, s: usize) -> &S {
         &self.shards[s]
     }
 
-    /// Mutations batched across all shards since the last publish.
-    pub fn pending(&self) -> u64 {
-        self.shards.iter().map(|s| s.pending()).sum()
-    }
-
-    /// Whether `global` is an id this cluster has issued (seeded or
-    /// ingested; retired ids remain known).
-    pub fn contains(&self, global: TrajectoryId) -> bool {
-        let r = lock_ok(&self.routing);
-        match &r.tables {
-            None => {
-                let n = self.shards.len() as u32;
-                global.0 / n < r.next_local[(global.0 % n) as usize]
-            }
-            Some(tb) => global.index() < tb.globals.len(),
-        }
-    }
-
-    /// Routes `global` to its shard and local id.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a global id the cluster has never issued.
-    pub fn locate(&self, global: TrajectoryId) -> (usize, TrajectoryId) {
-        let r = lock_ok(&self.routing);
-        match &r.tables {
-            None => {
-                let n = self.shards.len() as u32;
-                let (s, l) = (global.0 % n, global.0 / n);
-                assert!(
-                    l < r.next_local[s as usize],
-                    "unknown global trajectory id {global}"
-                );
-                (s as usize, TrajectoryId(l))
-            }
-            Some(tb) => {
-                let (s, l) = tb.globals[global.index()];
-                (s as usize, l)
-            }
-        }
-    }
-
-    /// Appends a trajectory and returns its **global** id. Invisible to
-    /// queries until the next [`publish_all`](Self::publish_all).
-    ///
-    /// Hash partitioning assigns the smallest unused global id (the shard
-    /// minimizing `l_s·N + s`), which reproduces the unsharded engine's
-    /// sequential ids on any `g % N`-consistent cluster state.
-    pub fn ingest(&self, t: Trajectory) -> TrajectoryId {
-        let mut r = lock_ok(&self.routing);
-        let n = self.shards.len();
-        match &mut r.tables {
-            None => {
-                let s = (0..n)
-                    .min_by_key(|&s| r.next_local[s] as u64 * n as u64 + s as u64)
-                    .expect("at least one shard");
-                let global = TrajectoryId(r.next_local[s] * n as u32 + s as u32);
-                let local = self.shards[s].ingest(t);
-                debug_assert_eq!(local.0, r.next_local[s]);
-                r.next_local[s] += 1;
-                global
-            }
-            Some(tb) => {
-                let s = tb.router.cell_of(self.network.point(t.samples()[0].node)) % n;
-                let global = TrajectoryId(tb.globals.len() as u32);
-                let local = self.shards[s].ingest(t);
-                debug_assert_eq!(local.index(), tb.locals[s].len());
-                tb.globals.push((s as u32, local));
-                tb.locals[s].push(global);
-                r.next_local[s] += 1;
-                global
-            }
-        }
-    }
-
-    /// Retires a trajectory by **global** id; returns whether it was live.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an unknown global id.
-    pub fn retire(&self, global: TrajectoryId) -> bool {
-        let (s, local) = self.locate(global);
-        self.shards[s].retire(local)
-    }
-
-    /// Applies a batch of mutations in order (ids in [`Mutation::Retire`]
-    /// are global). Returns the inserted trajectories' global ids.
-    pub fn apply(&self, mutations: impl IntoIterator<Item = Mutation>) -> Vec<TrajectoryId> {
-        let mut inserted = Vec::new();
-        for m in mutations {
-            match m {
-                Mutation::Insert(t) => inserted.push(self.ingest(t)),
-                Mutation::Retire(id) => {
-                    self.retire(id);
-                }
-            }
-        }
-        inserted
-    }
-
-    /// Publishes every shard (in parallel — index building is per-shard
-    /// independent) and returns the consistent cut of the freshly
-    /// published snapshots. The build runs under the routing lock — the
-    /// writers' lock, which keeps the frozen id maps in step with the
-    /// shard snapshots and concurrent publishes in order — and the cut
-    /// cell is swapped last: [`snapshot`](Self::snapshot) waits for none
-    /// of it and never observes a torn cut.
-    pub fn publish_all(&self) -> ClusterSnapshot {
-        let r = lock_ok(&self.routing);
-        let snaps: Vec<Arc<EpochSnapshot>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|s| scope.spawn(|| s.publish()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(s) => s,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let cut = cut_with(snaps, &r, &self.metrics);
-        self.cut.set(cut.clone());
-        cut
-    }
-
-    /// The current consistent cut — one snapshot per shard plus the
-    /// frozen id maps, as the last [`publish_all`](Self::publish_all)
-    /// left it. A read of the [cut cell](CutCell): no coordinator lock.
+    /// The published cut — one snapshot per shard, as the last publish
+    /// left it. A read of the cut cell: no coordinator lock.
     pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot::clone(&self.cut.get())
+        ClusterSnapshot::clone(&self.cut.0.get())
     }
 
     /// A read handle to the published cut (what
@@ -554,30 +383,163 @@ impl ShardedCluster {
     pub fn cut(&self) -> CutReader {
         self.cut.reader()
     }
+
+    /// Each shard's issued-id count, pending inserts included: the
+    /// id-assignment source of truth.
+    fn issued(&self) -> Vec<u32> {
+        self.shards
+            .iter()
+            .map(|s| s.manager().issued() as u32)
+            .collect()
+    }
+
+    /// Routes `global` to its shard and local id; `None` for an id the
+    /// cluster has not issued.
+    pub fn locate(&self, global: TrajectoryId) -> Option<(usize, TrajectoryId)> {
+        locate_in(&self.issued(), global)
+    }
+
+    /// Whether `global` is an id this cluster has issued (seeded or
+    /// ingested; retired ids remain known).
+    pub fn contains(&self, global: TrajectoryId) -> bool {
+        self.locate(global).is_some()
+    }
+
+    /// The writable shard whose next insert receives the smallest unused
+    /// global id, given each shard's issued count — the unsharded engine's
+    /// sequential assignment while every shard is writable.
+    fn insert_shard(&self, issued: &[u32]) -> Result<usize, RouteError> {
+        let n = self.shards.len() as u64;
+        (0..self.shards.len())
+            .filter(|&s| self.shards[s].writable())
+            .min_by_key(|&s| u64::from(issued[s]) * n + s as u64)
+            .ok_or(RouteError::NoWritableShard)
+    }
+
+    /// Splits `batch` into per-shard sub-batches in local ids and returns
+    /// them with the inserts' global ids, in batch order. A retire is
+    /// checked against the counts that already include the batch's earlier
+    /// inserts, so a batch may retire what it inserts.
+    fn split(
+        &self,
+        batch: Vec<Mutation>,
+    ) -> Result<(Vec<Vec<Mutation>>, Vec<TrajectoryId>), RouteError> {
+        let n = self.shards.len() as u32;
+        let mut issued = self.issued();
+        let mut subs: Vec<Vec<Mutation>> = self.shards.iter().map(|_| Vec::new()).collect();
+        let mut inserted = Vec::new();
+        for m in batch {
+            match m {
+                Mutation::Insert(t) => {
+                    let s = self.insert_shard(&issued)?;
+                    inserted.push(TrajectoryId(issued[s] * n + s as u32));
+                    issued[s] += 1;
+                    subs[s].push(Mutation::Insert(t));
+                }
+                Mutation::Retire(global) => {
+                    let (s, local) =
+                        locate_in(&issued, global).ok_or(RouteError::UnknownId(global))?;
+                    subs[s].push(Mutation::Retire(local));
+                }
+            }
+        }
+        Ok((subs, inserted))
+    }
+
+    /// Applies a batch (ids in [`Mutation::Retire`] are global) as one
+    /// sub-batch per shard it touches; returns the inserts' global ids in
+    /// batch order. Invisible to queries until the next
+    /// [`publish_all`](Self::publish_all).
+    ///
+    /// Each sub-batch is as atomic as its shard unit makes it; the batch
+    /// is not — on an error, sub-batches already applied to other shards
+    /// stay applied, and the error is the first shard's that failed.
+    ///
+    /// # Errors
+    ///
+    /// A [`RouteError`] (nothing applied), or a shard's refusal.
+    pub fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, S::Error> {
+        let (subs, inserted) = self.split(batch)?;
+        for (shard, sub) in self.shards.iter_mut().zip(subs) {
+            if !sub.is_empty() {
+                shard.apply(sub)?;
+            }
+        }
+        Ok(inserted)
+    }
+
+    /// Appends a trajectory and returns its **global** id (see
+    /// [`apply`](Self::apply)).
+    ///
+    /// # Errors
+    ///
+    /// As [`apply`](Self::apply).
+    pub fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, S::Error> {
+        let ids = self.apply(vec![Mutation::Insert(t)])?;
+        Ok(ids[0])
+    }
+
+    /// Retires a trajectory by **global** id; returns whether it was live.
+    ///
+    /// # Errors
+    ///
+    /// [`RouteError::UnknownId`], or the owning shard's refusal — a retire
+    /// cannot be routed around a shard.
+    pub fn retire(&mut self, global: TrajectoryId) -> Result<bool, S::Error> {
+        let (s, local) = self.locate(global).ok_or(RouteError::UnknownId(global))?;
+        self.shards[s].retire(local)
+    }
+
+    /// Publishes every shard ([`Shard::publish`]) and returns the fresh
+    /// cut, which readers of the [`cut`](Self::cut) see from here on.
+    ///
+    /// # Errors
+    ///
+    /// As [`publish_with`](Self::publish_with).
+    pub fn publish_all(&mut self) -> Result<ClusterSnapshot, S::Error> {
+        self.publish_with(S::publish)
+    }
+
+    /// Runs `publish` on every shard in parallel (index building is
+    /// per-shard independent), then points the cut readers pin at what the
+    /// shards actually published — all of it at once, not shard by shard
+    /// — and returns that cut.
+    ///
+    /// # Errors
+    ///
+    /// The first shard's failure; the cut still moves to what the other
+    /// shards published.
+    pub fn publish_with<F>(&mut self, publish: F) -> Result<ClusterSnapshot, S::Error>
+    where
+        F: Fn(&mut S) -> Result<Arc<EpochSnapshot>, S::Error> + Sync,
+    {
+        let publish = &publish;
+        let outcomes: Vec<Result<Arc<EpochSnapshot>, S::Error>> = std::thread::scope(|scope| {
+            let (first, rest) = self.shards.split_first_mut().expect("at least one shard");
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .map(|s| scope.spawn(move || publish(s)))
+                .collect();
+            let mut outcomes = vec![publish(first)];
+            outcomes.extend(handles.into_iter().map(|h| match h.join() {
+                Ok(outcome) => outcome,
+                Err(payload) => std::panic::resume_unwind(payload),
+            }));
+            outcomes
+        });
+        let cut = ClusterSnapshot::current(&self.shards, &self.metrics);
+        self.cut.set(cut.clone());
+        outcomes.into_iter().try_for_each(|o| o.map(drop))?;
+        Ok(cut)
+    }
 }
 
-/// Assembles a cut from per-shard snapshots taken under the routing
-/// lock, freezing the table partitioner's id maps as they stand.
-fn cut_with(
-    snaps: Vec<Arc<EpochSnapshot>>,
-    r: &Routing,
-    metrics: &Arc<ClusterMetrics>,
-) -> ClusterSnapshot {
-    let n = snaps.len() as u32;
-    let maps = match &r.tables {
-        None => (0..n)
-            .map(|s| ShardMap::Hash {
-                shard: s,
-                shards: n,
-            })
-            .collect(),
-        Some(tb) => tb
-            .locals
-            .iter()
-            .map(|l| ShardMap::Table(Arc::new(l.clone())))
-            .collect(),
-    };
-    ClusterSnapshot::assemble(snaps, maps, Arc::clone(metrics))
+/// `global`'s shard and local id under `g = l·N + s`, given each shard's
+/// issued-id count; `None` for an id not issued yet.
+fn locate_in(issued: &[u32], global: TrajectoryId) -> Option<(usize, TrajectoryId)> {
+    let n = issued.len() as u32;
+    let (s, l) = ((global.0 % n) as usize, global.0 / n);
+    (l < issued[s]).then_some((s, TrajectoryId(l)))
 }
 
 /// The sound similarity upper bound of every live trajectory of `snap`
@@ -602,69 +564,32 @@ pub struct ShardedAnswer {
     pub shards_cancelled: usize,
 }
 
-/// One consistent cut across every shard: per-shard [`EpochSnapshot`]s
-/// plus the frozen local → global id maps. Cheap to clone-share; queries
-/// against it are untouched by later publishes.
+/// One consistent cut across every shard: per-shard [`EpochSnapshot`]s,
+/// shard `s` holding the global ids `≡ s (mod N)`. Cheap to clone-share;
+/// queries against it are untouched by later publishes.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
     shards: Vec<Arc<EpochSnapshot>>,
-    maps: Vec<ShardMap>,
     /// One past the largest global id of the cut.
     id_bound: usize,
     metrics: Arc<ClusterMetrics>,
 }
 
 impl ClusterSnapshot {
-    /// The cut over `shards`, whose live counts it publishes to the
-    /// per-shard gauges.
-    fn assemble(
-        shards: Vec<Arc<EpochSnapshot>>,
-        maps: Vec<ShardMap>,
-        metrics: Arc<ClusterMetrics>,
-    ) -> Self {
+    /// The cut of `shards`' current snapshots, whose live counts it
+    /// publishes to the per-shard gauges.
+    fn current<S: Shard>(shards: &[S], metrics: &Arc<ClusterMetrics>) -> Self {
+        let shards: Vec<Arc<EpochSnapshot>> =
+            shards.iter().map(|s| s.manager().snapshot()).collect();
         for (snap, series) in shards.iter().zip(&metrics.shards) {
             series.live.set(snap.stats().live as i64);
         }
-        let id_bound = shards
-            .iter()
-            .zip(&maps)
-            .map(|(snap, map)| map.id_bound(snap.store().len()))
-            .max()
-            .unwrap_or(0);
+        let longest = shards.iter().map(|s| s.store().len()).max().unwrap_or(0);
         ClusterSnapshot {
+            id_bound: longest * shards.len(),
             shards,
-            maps,
-            id_bound,
-            metrics,
+            metrics: Arc::clone(metrics),
         }
-    }
-
-    /// Assembles a cut from per-shard snapshots under **hash**
-    /// partitioning (shard `s` holds the trajectories whose global id is
-    /// `≡ s (mod N)` at local id `g / N`). This is the constructor for
-    /// externally managed shards — e.g. the durable facade, where each
-    /// shard is owned by its own WAL-backed ingest. Searches of the cut
-    /// count into the `uots_cluster_*` series of `registry`, the ones a
-    /// [`ShardedCluster`]'s cuts report to (`None`: detached).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty shard vector.
-    pub fn from_hash_shards(
-        shards: Vec<Arc<EpochSnapshot>>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Self {
-        let n = shards.len() as u32;
-        assert!(n >= 1, "a cluster needs at least one shard");
-        let maps = (0..n)
-            .map(|s| ShardMap::Hash {
-                shard: s,
-                shards: n,
-            })
-            .collect();
-        let registry = registry.cloned().unwrap_or_default();
-        let metrics = ClusterMetrics::register(&registry, shards.len());
-        Self::assemble(shards, maps, Arc::new(metrics))
     }
 
     /// Number of shards in the cut.
@@ -687,9 +612,17 @@ impl ClusterSnapshot {
         self.shards.iter().map(|s| s.stats().live).sum()
     }
 
+    /// Shard `s`'s local → global id map.
+    fn ids(&self, s: usize) -> IdMap {
+        IdMap {
+            stride: self.shards.len() as u32,
+            offset: s as u32,
+        }
+    }
+
     /// Maps a shard-local id to its global id.
     pub fn global_of(&self, shard: usize, local: TrajectoryId) -> TrajectoryId {
-        self.maps[shard].ids().global(local)
+        self.ids(shard).global(local)
     }
 
     /// The read view over the cut: one part per shard, in global ids.
@@ -697,10 +630,10 @@ impl ClusterSnapshot {
         let parts = self
             .shards
             .iter()
-            .zip(&self.maps)
-            .map(|(snap, map)| Part {
+            .enumerate()
+            .map(|(s, snap)| Part {
                 db: snap.database(),
-                ids: map.ids(),
+                ids: self.ids(s),
             })
             .collect();
         View::new(parts, self.id_bound)
@@ -807,7 +740,7 @@ mod tests {
         let (net, store) = fixture(40);
         let cluster = ShardedCluster::new(net, &store, 8, 4, Partitioner::Hash);
         for g in 0..40u32 {
-            let (s, l) = cluster.locate(TrajectoryId(g));
+            let (s, l) = cluster.locate(TrajectoryId(g)).expect("seeded id");
             assert_eq!(s, (g % 4) as usize);
             assert_eq!(l, TrajectoryId(g / 4));
             let snap = cluster.snapshot();
@@ -818,14 +751,14 @@ mod tests {
     #[test]
     fn hash_ingest_reproduces_unsharded_id_sequence() {
         let (net, store) = fixture(13); // deliberately not a multiple of 4
-        let cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
+        let mut cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
         for i in 0..9u32 {
-            let id = cluster.ingest(traj(&[i, i + 1], &[1]));
+            let id = cluster.ingest(traj(&[i, i + 1], &[1])).unwrap();
             assert_eq!(id, TrajectoryId(13 + i), "sequential global ids");
         }
         // and they route back to consistent (shard, local) pairs
         for g in 13..22u32 {
-            let (s, l) = cluster.locate(TrajectoryId(g));
+            let (s, l) = cluster.locate(TrajectoryId(g)).expect("ingested id");
             assert_eq!(g % 4, s as u32);
             assert_eq!(g / 4, l.0);
         }
@@ -849,48 +782,18 @@ mod tests {
         )
         .unwrap();
         let reference = BruteForce.run(&db, &q).unwrap();
-        for (shards, partitioner) in [
-            (1, Partitioner::Hash),
-            (4, Partitioner::Hash),
-            (3, Partitioner::SpatialGrid { cells_per_axis: 4 }),
-        ] {
-            let cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, shards, partitioner);
+        for shards in [1, 3, 4] {
+            let cluster =
+                ShardedCluster::new(Arc::clone(&net), &store, 8, shards, Partitioner::Hash);
             let answer = cluster.snapshot().search(&Planner::new(), &q).unwrap();
             assert!(answer.result.completeness.is_exact());
-            assert_eq!(answer.result.ids(), reference.ids(), "{partitioner:?}");
+            assert_eq!(answer.result.ids(), reference.ids(), "{shards} shard(s)");
             for (a, b) in answer.result.matches.iter().zip(reference.matches.iter()) {
                 assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());
                 assert_eq!(a.spatial.to_bits(), b.spatial.to_bits());
                 assert_eq!(a.textual.to_bits(), b.textual.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn spatial_partitioner_keeps_global_ids_stable_across_ingest() {
-        let (net, store) = fixture(20);
-        let cluster = ShardedCluster::new(
-            Arc::clone(&net),
-            &store,
-            8,
-            3,
-            Partitioner::SpatialGrid { cells_per_axis: 4 },
-        );
-        let id = cluster.ingest(traj(&[40, 41], &[3]));
-        assert_eq!(id, TrajectoryId(20));
-        assert!(cluster.retire(TrajectoryId(5)));
-        let cut = cluster.publish_all();
-        assert_eq!(cut.num_live(), 20); // 20 seed − 1 retired + 1 ingested
-                                        // every live global id is reachable through exactly one shard
-        let mut seen = std::collections::BTreeSet::new();
-        for s in 0..cut.num_shards() {
-            let snap = cut.shard(s);
-            for l in snap.live().iter_live() {
-                assert!(seen.insert(cut.global_of(s, l)));
-            }
-        }
-        assert!(!seen.contains(&TrajectoryId(5)));
-        assert!(seen.contains(&TrajectoryId(20)));
     }
 
     #[test]
@@ -988,22 +891,18 @@ mod tests {
         )
         .unwrap();
         for shards in 1..=4 {
-            for partitioner in [
-                Partitioner::Hash,
-                Partitioner::SpatialGrid { cells_per_axis: 2 },
-            ] {
-                let cluster = ShardedCluster::new(Arc::clone(&net), &store, 4, shards, partitioner);
-                let cut = cluster.snapshot();
-                let runs = [
-                    cut.search(&BruteForce, &q),
-                    cut.search(&Expansion::default(), &q),
-                    cut.search(&TextFirst, &q),
-                    cut.search(&Planner::new(), &q),
-                ];
-                for answer in runs {
-                    let ids: Vec<u32> = answer.unwrap().result.ids().iter().map(|t| t.0).collect();
-                    assert_eq!(ids, [9, 0, 1], "{shards} shard(s), {partitioner:?}");
-                }
+            let cluster =
+                ShardedCluster::new(Arc::clone(&net), &store, 4, shards, Partitioner::Hash);
+            let cut = cluster.snapshot();
+            let runs = [
+                cut.search(&BruteForce, &q),
+                cut.search(&Expansion::default(), &q),
+                cut.search(&TextFirst, &q),
+                cut.search(&Planner::new(), &q),
+            ];
+            for answer in runs {
+                let ids: Vec<u32> = answer.unwrap().result.ids().iter().map(|t| t.0).collect();
+                assert_eq!(ids, [9, 0, 1], "{shards} shard(s)");
             }
         }
     }
@@ -1149,17 +1048,17 @@ mod tests {
     fn cluster_ingest_retire_publish_tracks_unsharded_manager() {
         let (net, store) = fixture(24);
         let unsharded = EpochManager::new(Arc::clone(&net), store.clone(), 8);
-        let cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
+        let mut cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
         for i in 0..6u32 {
             let t = traj(&[i + 2, i + 9], &[2]);
             let a = unsharded.ingest(t.clone());
-            let b = cluster.ingest(t);
+            let b = cluster.ingest(t).unwrap();
             assert_eq!(a, b, "global ids stay in lockstep");
         }
         unsharded.retire(TrajectoryId(3));
-        cluster.retire(TrajectoryId(3));
+        assert!(cluster.retire(TrajectoryId(3)).unwrap());
         let snap = unsharded.publish();
-        let cut = cluster.publish_all();
+        let cut = cluster.publish_all().unwrap();
         assert_eq!(cut.num_live(), snap.stats().live);
         let q = UotsQuery::with_options(
             vec![NodeId(4), NodeId(11)],

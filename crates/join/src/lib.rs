@@ -43,8 +43,6 @@
 
 mod search;
 pub mod similarity;
-pub mod topk;
-pub mod two_set;
 
 use rayon::prelude::*;
 use search::{SearchStats, Worker};
@@ -235,7 +233,7 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// Validates the numeric configuration (shared with the non-self join).
+/// Validates the numeric configuration.
 pub(crate) fn validate_config(cfg: &JoinConfig) -> Result<(), JoinError> {
     if !(cfg.theta > 0.0 && cfg.theta <= 1.0) {
         return Err(JoinError::BadParameter(format!(

@@ -123,19 +123,6 @@ impl<'a> Worker<'a> {
         probe: TrajectoryId,
     ) -> (Vec<Candidate>, SearchStats) {
         let traj = self.store.get(probe);
-        self.search_trajectory(cfg, traj, Some(probe))
-    }
-
-    /// Finds every candidate partner of an arbitrary probe trajectory
-    /// (which need not belong to this worker's target store — the non-self
-    /// join probes one set against the other's indexes). `skip` excludes a
-    /// target id, used by the self-join to avoid the trivial self pair.
-    pub(crate) fn search_trajectory(
-        &mut self,
-        cfg: &JoinConfig,
-        traj: &uots_trajectory::Trajectory,
-        skip: Option<TrajectoryId>,
-    ) -> (Vec<Candidate>, SearchStats) {
         let (nodes, node_weights) = distinct_nodes_weighted(traj);
         let (times, time_weights) = distinct_times_weighted(traj);
         assert!(
@@ -382,7 +369,7 @@ impl<'a> Worker<'a> {
                         stats.settled_vertices += 1;
                         let tids: &'a [TrajectoryId] = self.vertex_index.values_at(settled.node);
                         for &tid in tids {
-                            if Some(tid) == skip {
+                            if tid == probe {
                                 continue;
                             }
                             let created = !states.contains_key(&tid);
@@ -426,7 +413,7 @@ impl<'a> Worker<'a> {
                     Some(scanned) => {
                         stats.scanned_timestamps += 1;
                         let tid = scanned.value;
-                        if Some(tid) != skip {
+                        if tid != probe {
                             let created = !states.contains_key(&tid);
                             let st = states.entry(tid).or_insert_with(|| touch!(tid));
                             let fresh = if st.done {

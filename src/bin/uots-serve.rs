@@ -6,25 +6,26 @@
 //!            [--batch-threads N]
 //!            [--max-batch N] [--max-inflight N] [--tenant-inflight N]
 //!            [--degraded-deadline-ms MS] [--degraded-max-visited N]
+//!            [--degraded-max-settled N]
 //!            [--force-algorithm expansion|iknn-baseline|text-first|brute-force]
 //!            [--wal-dir DIR] [--fsync batch|off|interval:MS]
-//!            [--shards N] [--partitioner hash|grid:CELLS]
+//!            [--shards N]
 //! ```
 //!
 //! Loads a dataset (the binary format of `uots generate`) and serves
 //! `POST /search`, `/topk`, `/join` and `/ingest` plus the full
 //! observability surface (`GET /metrics`, `/status`, `/journal`,
-//! `/traces`) on one port.
+//! `/traces`) on one port. A flag not listed above is refused, naming it.
 //!
-//! Every server is a cluster of `--shards N` shards, `N = 1` by default
-//! (`uots_core::shard`): a search walks the shards by descending upper
-//! bound on the request's own thread, sharing one network expansion per
-//! query location and carrying the running top-k threshold into each
-//! shard — with one shard, exactly the unsharded search. `/ingest` routes
-//! each mutation to its owning shard; responses carry the per-shard
-//! `epochs` at every `N`. `--partitioner grid:CELLS` selects the
-//! spatial-grid partitioner (volatile only; the durable cluster is
-//! hash-only).
+//! Every server is a cluster of `--shards N` hash shards, `N = 1` by
+//! default (`uots_core::shard`): a search is one engine run over every
+//! shard of the pinned cut on the request's own thread — one network
+//! expansion per query location, each settled vertex's postings walked
+//! shard by shard in lockstep, one top-k in global ids — and a shard whose
+//! upper bound falls strictly below the running k-th score stops being
+//! walked. With one shard that run is exactly the unsharded search.
+//! `/ingest` routes each mutation to its owning shard; responses carry the
+//! per-shard `epochs` at every `N`.
 //!
 //! With `--wal-dir`, `/ingest` goes through the durable WAL-backed path,
 //! created fresh or resumed by what the directory holds. One shard keeps
@@ -67,11 +68,30 @@ use std::sync::Arc;
 
 use uots::cluster::ShardedDurable;
 use uots::core::planner::AlgorithmKind;
-use uots::core::shard::{Partitioner, ShardedCluster};
+use uots::core::shard::ShardedCluster;
 use uots::datagen::persist;
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
 use uots::serve::{QueryService, ServiceConfig};
 use uots::{ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
+
+/// Every flag [`run`] reads; [`Flags::parse`] refuses the rest, so a typo
+/// cannot start the server in a configuration nobody asked for.
+const FLAGS: [&str; 14] = [
+    "data",
+    "listen",
+    "http-threads",
+    "batch-threads",
+    "max-batch",
+    "max-inflight",
+    "tenant-inflight",
+    "degraded-deadline-ms",
+    "degraded-max-visited",
+    "degraded-max-settled",
+    "force-algorithm",
+    "wal-dir",
+    "fsync",
+    "shards",
+];
 
 struct Flags {
     pairs: Vec<(String, String)>,
@@ -85,6 +105,9 @@ impl Flags {
             let key = args[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got `{}`", args[i]))?;
+            if !FLAGS.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
+            }
             match args.get(i + 1) {
                 Some(v) if !v.starts_with("--") => {
                     pairs.push((key.to_string(), v.clone()));
@@ -100,6 +123,7 @@ impl Flags {
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(FLAGS.contains(&key), "--{key} is missing from FLAGS");
         self.pairs
             .iter()
             .rev()
@@ -164,24 +188,8 @@ fn run() -> Result<(), String> {
     if shards == 0 {
         return Err("--shards: must be at least 1".to_string());
     }
-    let partitioner = match flags.get("partitioner") {
-        None | Some("hash") => Partitioner::Hash,
-        Some(v) => match v.strip_prefix("grid:").and_then(|c| c.parse().ok()) {
-            Some(cells_per_axis) if cells_per_axis > 0 => {
-                Partitioner::SpatialGrid { cells_per_axis }
-            }
-            _ => {
-                return Err(format!(
-                    "--partitioner: expected hash or grid:CELLS, got `{v}`"
-                ))
-            }
-        },
-    };
     let mut service = match flags.get("wal-dir") {
         Some(dir) => {
-            if partitioner != Partitioner::Hash {
-                return Err("--partitioner: the durable backend is hash-only".to_string());
-            }
             let fsync = FsyncPolicy::parse(flags.get("fsync").unwrap_or("batch"))
                 .map_err(|e| format!("--fsync: {e}"))?;
             let config = WalConfig {
@@ -208,7 +216,7 @@ fn run() -> Result<(), String> {
                     );
                 }
             }
-            QueryService::start_durable(listen, cluster, obs, cfg)
+            QueryService::start(listen, cluster.into(), obs, cfg)
         }
         None => {
             let cluster = ShardedCluster::with_metrics(
@@ -216,11 +224,10 @@ fn run() -> Result<(), String> {
                 &ds.store,
                 ds.vocab.len(),
                 shards,
-                partitioner,
                 Some(&registry),
                 Some(&journal),
             );
-            QueryService::start(listen, Arc::new(cluster), obs, cfg)
+            QueryService::start(listen, cluster, obs, cfg)
         }
     }
     .map_err(|e| format!("binding {listen}: {e}"))?;

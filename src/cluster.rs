@@ -1,11 +1,12 @@
 //! Sharded durable ingest: one WAL + checkpoint lineage **per shard**.
 //!
-//! [`ShardedDurable`] is the durable twin of
-//! [`core::shard::ShardedCluster`](uots_core::shard::ShardedCluster): `N`
-//! independent [`DurableIngest`]s under hash partitioning (global id `g`
-//! lives on shard `g % N` at local id `g / N` — the same map-free
-//! bijection, so a sharded cluster recovered from disk answers queries
-//! bit-identically to the unsharded engine over the same history).
+//! [`ShardedDurable`] is the coordinator of
+//! [`core::shard`](uots_core::shard) — the one [`Cluster`] — over
+//! [`DurableIngest`] shard units: the same map-free bijection `g = l·N + s`,
+//! the same routing, batch split and parallel publish as the volatile
+//! [`ShardedCluster`](uots_core::ShardedCluster), so a sharded cluster
+//! recovered from disk answers queries bit-identically to the unsharded
+//! engine over the same history. What this module adds is the lineage.
 //!
 //! ## Per-shard durability lineage
 //!
@@ -21,12 +22,12 @@
 //!   the other shards keep accepting writes and the whole cluster keeps
 //!   serving reads. New inserts route around degraded shards (their
 //!   global-id residue classes simply stop growing).
-//! * **Acks are per-shard.** A cross-shard [`apply`](ShardedDurable::apply)
+//! * **Acks are per-shard.** A cross-shard [`apply`](Cluster::apply)
 //!   batch is split into per-shard sub-batches, each logged as one WAL
 //!   record in its own log. The sub-batch is atomic; the cross-shard batch
 //!   is not — a crash can persist some shards' sub-batches and not
-//!   others. (Single-mutation [`ingest`](ShardedDurable::ingest) /
-//!   [`retire`](ShardedDurable::retire) are unaffected.)
+//!   others. (Single-mutation [`ingest`](Cluster::ingest) /
+//!   [`retire`](Cluster::retire) are unaffected.)
 //!
 //! [`create`](ShardedDurable::create) seeds every shard with an initial
 //! checkpoint of its partition, so cluster recovery never needs the base
@@ -41,6 +42,7 @@
 //! base-dataset recovery. `shard-<s>/` is the layout of `N ≥ 2`;
 //! [`shards_on_disk`] tells the two apart.
 
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -48,17 +50,17 @@ use crate::durable::{
     list_checkpoints, recover_with_journal, DurableError, DurableIngest, DurableStatus,
     RecoveryReport,
 };
-use uots_core::shard::{ClusterSnapshot, CutCell, CutReader};
+use uots_core::shard::{partition, Cluster, ClusterSnapshot, Shard};
 use uots_core::storage::{RetryPolicy, StdFs};
 use uots_core::wal::{self, WalConfig, WalError};
-use uots_core::Mutation;
+use uots_core::{EpochManager, EpochSnapshot, Mutation};
 use uots_datagen::Dataset;
 use uots_network::RoadNetwork;
 use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
-use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
+use uots_trajectory::{TrajectoryId, TrajectoryStore};
 
-/// The shard subdirectory for shard `s` under a cluster root.
+/// The shard directory for shard `s` under a cluster root.
 pub fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard}"))
 }
@@ -81,58 +83,60 @@ pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
     Ok((n > 0).then_some(n))
 }
 
-/// `N` hash-partitioned [`DurableIngest`]s behind one global-id facade.
-/// Single-writer like its unsharded counterpart: mutating methods take
-/// `&mut self`. Each shard's master-store length
-/// ([`EpochManager::issued`](uots_core::EpochManager::issued)) is the
-/// global-id assignment source of truth.
-///
-/// Readers do not need the writer: [`cut`](Self::cut) hands out a
-/// [`CutReader`] on the facade's [`CutCell`], which holds the last
-/// *completely* published cut and is refreshed at the end of every
-/// constructor, [`publish_all`](Self::publish_all) and
-/// [`checkpoint_now`](Self::checkpoint_now). A server keeps that handle
-/// beside the lock it puts this facade behind, so a query never queues
-/// behind a batch's append + fsync + per-shard publishes.
-pub struct ShardedDurable {
-    shards: Vec<DurableIngest>,
-    cut: CutCell,
-    /// Takes the `uots_cluster_*` series of every cut published here.
-    registry: MetricsRegistry,
+/// The durable shard unit: every mutation is logged before it is applied,
+/// and a shard degraded to read-only takes no inserts.
+impl Shard for DurableIngest {
+    type Error = DurableError;
+
+    fn manager(&self) -> &EpochManager {
+        DurableIngest::manager(self)
+    }
+
+    fn writable(&self) -> bool {
+        !self.is_degraded()
+    }
+
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, DurableError> {
+        DurableIngest::apply(self, batch).map(|(_, ids)| ids)
+    }
+
+    fn retire(&mut self, local: TrajectoryId) -> Result<bool, DurableError> {
+        DurableIngest::retire(self, local)
+    }
+
+    fn publish(&mut self) -> Result<Arc<EpochSnapshot>, DurableError> {
+        DurableIngest::publish(self)
+    }
+}
+
+/// `N` hash-partitioned [`DurableIngest`]s behind the one coordinator: it
+/// dereferences to the [`Cluster`] that routes, applies and publishes, and
+/// adds the lineage — the `shard-<s>/` layout, its constructors, health
+/// and explicit checkpoints.
+pub struct ShardedDurable(Cluster<DurableIngest>);
+
+impl Deref for ShardedDurable {
+    type Target = Cluster<DurableIngest>;
+
+    fn deref(&self) -> &Cluster<DurableIngest> {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardedDurable {
+    fn deref_mut(&mut self) -> &mut Cluster<DurableIngest> {
+        &mut self.0
+    }
+}
+
+/// The coordinator without the lineage's extras, e.g. for a server.
+impl From<ShardedDurable> for Cluster<DurableIngest> {
+    fn from(cluster: ShardedDurable) -> Self {
+        cluster.0
+    }
 }
 
 impl ShardedDurable {
-    /// The facade over opened shards, its cut cell seeded with their
-    /// current snapshots.
-    fn over(shards: Vec<DurableIngest>, registry: MetricsRegistry) -> Self {
-        let snaps = shards.iter().map(|s| s.snapshot()).collect();
-        let cut = ClusterSnapshot::from_hash_shards(snaps, Some(&registry));
-        ShardedDurable {
-            shards,
-            cut: CutCell::new(cut),
-            registry,
-        }
-    }
-
-    /// A read handle to the published cut, usable without the facade.
-    pub fn cut(&self) -> CutReader {
-        self.cut.reader()
-    }
-
-    /// The tail of every multi-shard publish: points the cell at the
-    /// shards' current snapshots and returns that cut — unless the publish
-    /// failed midway, when the cell still moves, so that readers see
-    /// exactly what *was* published.
-    fn published(
-        &self,
-        outcome: Result<(), DurableError>,
-    ) -> Result<ClusterSnapshot, DurableError> {
-        let snaps = self.shards.iter().map(|s| s.snapshot()).collect();
-        let cut = ClusterSnapshot::from_hash_shards(snaps, Some(&self.registry));
-        self.cut.set(cut.clone());
-        outcome.map(|()| cut)
-    }
-
     /// Creates a fresh cluster under `root`: partitions `store` by hash
     /// (seed trajectory `g` → shard `g % num_shards`), opens one WAL per
     /// shard, and seeds each shard with an initial checkpoint of its
@@ -176,23 +180,15 @@ impl ShardedDurable {
         registry: Option<&MetricsRegistry>,
         journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
-        assert!(num_shards >= 1, "a cluster needs at least one shard");
         let registry = registry.cloned().unwrap_or_default();
         let journal = journal.cloned().unwrap_or_default();
-        let mut per_shard: Vec<TrajectoryStore> =
-            (0..num_shards).map(|_| TrajectoryStore::new()).collect();
-        for (g, t) in store.iter() {
-            let s = g.index() % num_shards;
-            let local = per_shard[s].push(t.clone());
-            debug_assert_eq!(local.index(), g.index() / num_shards);
-        }
         let mut shards = Vec::with_capacity(num_shards);
-        for (s, partition) in per_shard.into_iter().enumerate() {
+        for (s, part) in partition(store, num_shards).into_iter().enumerate() {
             let dir = shard_dir(root, s);
             std::fs::create_dir_all(&dir).map_err(|e| DurableError::Wal(WalError::Io(e)))?;
             let mut ingest = DurableIngest::create_with_backend(
                 Arc::clone(&network),
-                partition,
+                part,
                 vocab.clone(),
                 &dir,
                 config,
@@ -207,7 +203,7 @@ impl ShardedDurable {
             ingest.checkpoint_now()?;
             shards.push(ingest);
         }
-        Ok(Self::over(shards, registry))
+        Ok(ShardedDurable(Cluster::over(shards, &registry)))
     }
 
     /// Recovers every shard under `root` **in parallel** and resumes
@@ -247,7 +243,6 @@ impl ShardedDurable {
         registry: Option<&MetricsRegistry>,
         journal: Option<&EventJournal>,
     ) -> Result<(Self, Vec<RecoveryReport>), DurableError> {
-        assert!(num_shards >= 1, "a cluster needs at least one shard");
         let registry = registry.cloned().unwrap_or_default();
         let journal = journal.cloned().unwrap_or_default();
         let (reg, jrn) = (Some(&registry), Some(&journal));
@@ -288,7 +283,7 @@ impl ShardedDurable {
             shards.push(ingest);
             reports.push(report);
         }
-        Ok((Self::over(shards, registry), reports))
+        Ok((ShardedDurable(Cluster::over(shards, &registry)), reports))
     }
 
     /// Opens the `shards`-shard cluster under `root` for a server seeded
@@ -322,7 +317,8 @@ impl ShardedDurable {
             let (ingest, report) =
                 DurableIngest::open(base, root, config, checkpoint_every, registry, journal)?;
             let registry = registry.cloned().unwrap_or_default();
-            return Ok((Self::over(vec![ingest], registry), Vec::from_iter(report)));
+            let cluster = Cluster::over(vec![ingest], &registry);
+            return Ok((ShardedDurable(cluster), Vec::from_iter(report)));
         }
         if on_disk.is_some() {
             return Self::resume(root, shards, config, checkpoint_every, registry, journal);
@@ -341,164 +337,34 @@ impl ShardedDurable {
         .map(|fresh| (fresh, Vec::new()))
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard `s`'s ingest (status, snapshots, chaos tests).
-    pub fn shard(&self, s: usize) -> &DurableIngest {
-        &self.shards[s]
-    }
-
     /// Per-shard health summaries.
     pub fn status(&self) -> Vec<DurableStatus> {
-        self.shards.iter().map(|s| s.status()).collect()
+        (0..self.num_shards())
+            .map(|s| self.shard(s).status())
+            .collect()
     }
 
     /// Indexes of shards currently degraded to read-only.
     pub fn degraded_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&s| self.shards[s].is_degraded())
+        (0..self.num_shards())
+            .filter(|&s| self.shard(s).is_degraded())
             .collect()
-    }
-
-    /// Mutations batched across all shards since the last publish.
-    pub fn pending(&self) -> u64 {
-        self.shards.iter().map(|s| s.manager().pending()).sum()
-    }
-
-    /// The consistent cut of current per-shard snapshots (what the
-    /// [`cut`](Self::cut) cell holds).
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot::clone(&self.cut.get())
-    }
-
-    /// Master-store length per shard, pending ingests included.
-    fn issued(&self) -> Vec<u32> {
-        self.shards
-            .iter()
-            .map(|s| s.manager().issued() as u32)
-            .collect()
-    }
-
-    /// Whether `global` is an id this cluster has issued (seeded or
-    /// ingested; retired ids remain known).
-    pub fn contains(&self, global: TrajectoryId) -> bool {
-        self.locate(global).is_ok()
-    }
-
-    /// Routes `global` to `(shard, local)`.
-    fn locate(&self, global: TrajectoryId) -> Result<(usize, TrajectoryId), DurableError> {
-        let n = self.shards.len() as u32;
-        let (s, l) = ((global.0 % n) as usize, global.0 / n);
-        if l as usize >= self.shards[s].manager().issued() {
-            return Err(DurableError::Inconsistent(format!(
-                "unknown global trajectory id {global}"
-            )));
-        }
-        Ok((s, TrajectoryId(l)))
-    }
-
-    /// The healthy shard whose next insert receives the smallest global
-    /// id, given each shard's next local id.
-    fn next_insert_shard(&self, next_local: &[u32]) -> Result<usize, DurableError> {
-        let n = self.shards.len() as u64;
-        (0..self.shards.len())
-            .filter(|&s| !self.shards[s].is_degraded())
-            .min_by_key(|&s| next_local[s] as u64 * n + s as u64)
-            .ok_or_else(|| DurableError::ReadOnly {
-                reason: "every shard is degraded to read-only".into(),
-            })
-    }
-
-    /// Logs and applies one insert; returns its **global** id. Routes to
-    /// the healthy shard holding the smallest unused global id (identical
-    /// to the unsharded engine's sequential assignment while every shard
-    /// is healthy); shards already degraded are routed around, and only
-    /// with every shard degraded does the cluster refuse with
-    /// [`DurableError::ReadOnly`]. A storage failure *during* the routed
-    /// append surfaces as that shard's error (the write was not acked; the
-    /// next call routes around the newly degraded shard).
-    pub fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
-        let n = self.shards.len() as u32;
-        let s = self.next_insert_shard(&self.issued())?;
-        let local = self.shards[s].ingest(t)?;
-        Ok(TrajectoryId(local.0 * n + s as u32))
-    }
-
-    /// Logs and applies one retire (global id); returns whether it was
-    /// live. A retire routed to a degraded shard fails with
-    /// [`DurableError::ReadOnly`] — retires cannot re-route.
-    pub fn retire(&mut self, global: TrajectoryId) -> Result<bool, DurableError> {
-        let (s, local) = self.locate(global)?;
-        self.shards[s].retire(local)
-    }
-
-    /// Splits `batch` into per-shard sub-batches (inserts routed like
-    /// [`ingest`](Self::ingest), retires to their owning shard), logs each
-    /// sub-batch as one WAL record in its shard's log, and applies them.
-    /// Returns the inserts' global ids in batch order.
-    ///
-    /// Each sub-batch is atomic; the cross-shard batch is **not** — on an
-    /// error, sub-batches already applied to other shards stay applied
-    /// (their acks were per-shard), and the error reports the first shard
-    /// that failed.
-    pub fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, DurableError> {
-        let n = self.shards.len() as u32;
-        let mut projected = self.issued();
-        let mut sub: Vec<Vec<Mutation>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut insert_ids = Vec::new();
-        for m in batch {
-            match m {
-                Mutation::Insert(t) => {
-                    let s = self.next_insert_shard(&projected)?;
-                    insert_ids.push(TrajectoryId(projected[s] * n + s as u32));
-                    projected[s] += 1;
-                    sub[s].push(Mutation::Insert(t));
-                }
-                Mutation::Retire(global) => {
-                    let (s, local) = self.locate(global)?;
-                    sub[s].push(Mutation::Retire(local));
-                }
-            }
-        }
-        for (s, sub_batch) in sub.into_iter().enumerate() {
-            if sub_batch.is_empty() {
-                continue;
-            }
-            self.shards[s].apply(sub_batch)?;
-        }
-        Ok(insert_ids)
-    }
-
-    /// Publishes every shard (cutting per-shard checkpoints when their
-    /// cadence is due) and returns the fresh consistent cut, which
-    /// readers of the [`cut`](Self::cut) cell see from here on — all of
-    /// it at once, not shard by shard.
-    pub fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        let outcome = self
-            .shards
-            .iter_mut()
-            .try_for_each(|s| s.publish().map(drop));
-        self.published(outcome)
     }
 
     /// Cuts a checkpoint on every shard unconditionally (publishing
-    /// pending mutations first). Propagates the first failure.
+    /// pending mutations first), in parallel like
+    /// [`publish_all`](Cluster::publish_all). Propagates the first failure.
     pub fn checkpoint_now(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        let outcome = self
-            .shards
-            .iter_mut()
-            .try_for_each(|s| s.checkpoint_now().map(drop));
-        self.published(outcome)
+        self.0.publish_with(DurableIngest::checkpoint_now)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uots_core::{Partitioner, ShardedCluster};
     use uots_datagen::{Dataset, DatasetConfig};
+    use uots_trajectory::Trajectory;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -573,6 +439,53 @@ mod tests {
         assert_eq!(ids, vec![TrajectoryId(10), TrajectoryId(11)]);
         let cut = cluster.publish_all().unwrap();
         assert_eq!(cut.num_live(), 11); // 10 − 1 retired + 2 inserted
+    }
+
+    /// A batch may retire the id its own insert receives: the retire is
+    /// routed with the batch's earlier inserts counted as issued, by the
+    /// volatile and the durable coordinator alike, and the retire outlives
+    /// a reopen.
+    #[test]
+    fn a_batch_retires_what_it_inserts_at_any_shard_count() {
+        let ds = Dataset::build(&DatasetConfig::small(10, 5)).unwrap();
+        let network = Arc::new(ds.network.clone());
+        let g = TrajectoryId(10);
+        let batch = || vec![Mutation::Insert(donor(&ds, 0)), Mutation::Retire(g)];
+        for n in [1u32, 2, 4] {
+            let retired = |cut: &ClusterSnapshot| {
+                let (s, l) = ((g.0 % n) as usize, TrajectoryId(g.0 / n));
+                cut.shard(s).store().len() > l.index() && !cut.shard(s).live().is_live(l)
+            };
+            let shards = n as usize;
+            let mut volatile = ShardedCluster::new(
+                Arc::clone(&network),
+                &ds.store,
+                ds.vocab.len(),
+                shards,
+                Partitioner::Hash,
+            );
+            assert_eq!(volatile.apply(batch()).unwrap(), [g], "{n} shard(s)");
+            assert!(retired(&volatile.publish_all().unwrap()), "{n} shard(s)");
+
+            let root = tmpdir(&format!("own-insert-{n}"));
+            let config = WalConfig::default();
+            let mut durable = ShardedDurable::create(
+                Arc::clone(&network),
+                &ds.store,
+                &ds.vocab,
+                &root,
+                shards,
+                config,
+                None,
+                None,
+            )
+            .unwrap();
+            assert_eq!(durable.apply(batch()).unwrap(), [g], "{n} shard(s)");
+            assert!(retired(&durable.publish_all().unwrap()), "{n} shard(s)");
+            drop(durable);
+            let (reopened, _) = ShardedDurable::open(&root, shards, config, None, None).unwrap();
+            assert!(retired(&reopened.snapshot()), "{n} shard(s), reopened");
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use uots_core::shard::RouteError;
 use uots_core::storage::{ErrorClass, RetryPolicy, StdFs, StorageBackend};
 use uots_core::wal::{self, Corruption, WalConfig, WalError, WalWriter};
 use uots_core::{EpochManager, EpochSnapshot, Mutation};
@@ -105,6 +106,19 @@ impl From<WalError> for DurableError {
 impl From<PersistError> for DurableError {
     fn from(e: PersistError) -> Self {
         DurableError::Persist(e)
+    }
+}
+
+/// A cluster's routing refusals: an unknown id is an inconsistent request,
+/// a cluster with every shard degraded is read-only.
+impl From<RouteError> for DurableError {
+    fn from(e: RouteError) -> Self {
+        match e {
+            RouteError::UnknownId(_) => DurableError::Inconsistent(e.to_string()),
+            RouteError::NoWritableShard => DurableError::ReadOnly {
+                reason: e.to_string(),
+            },
+        }
     }
 }
 

@@ -27,14 +27,15 @@
 //!
 //! ## One backend: a cluster of `N ≥ 1` shards
 //!
-//! The service always answers from a sharded cluster — volatile
-//! ([`ShardedCluster`]) or WAL-backed ([`ShardedDurable`]) — and the
-//! unsharded server is the cluster with one shard, not a second code
-//! path: every query is one run over all shards of the cut, and a
-//! one-shard cut is that run over one part (see
-//! [`ClusterSnapshot::search_ctx`]). Responses therefore have one shape
-//! at every `N`: the scalar `epoch` (the maximum per-shard epoch) beside
-//! the per-shard `epochs`, `shards_cut`, and per-shard plans.
+//! The service always answers from the one coordinator, a [`Cluster`] of
+//! shard units — volatile ([`uots_core::ShardedCluster`]) or WAL-backed
+//! ([`crate::cluster::ShardedDurable`]) — and the unsharded server is
+//! the cluster with one shard, not a second code path: every query is one
+//! run over all shards of the cut, and a one-shard cut is that run over
+//! one part (see [`ClusterSnapshot::search_ctx`]). `/ingest` goes through the
+//! coordinator's own writers, whatever its shard unit. Responses therefore
+//! have one shape at every `N`: the scalar `epoch` (the maximum per-shard
+//! epoch) beside the per-shard `epochs`, `shards_cut`, and per-shard plans.
 //!
 //! ## Epoch pinning
 //!
@@ -86,7 +87,7 @@ use std::time::Duration;
 use serde::{Content, Serialize};
 use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
-use uots_core::shard::{ClusterSnapshot, CutReader, ShardedCluster};
+use uots_core::shard::{Cluster, ClusterSnapshot, CutReader, Shard};
 use uots_core::{
     CancellationToken, CoreError, ExecutionBudget, QueryOptions, RunControl, SearchContext,
     UotsQuery, Weights,
@@ -99,8 +100,7 @@ use uots_obs::{dispatch_obs, respond, Counter, HttpRequest, MetricsRegistry, Obs
 use uots_text::{KeywordId, KeywordSet};
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
-use crate::cluster::ShardedDurable;
-use crate::durable::{check_insert, DurableError};
+use crate::durable::check_insert;
 
 /// How the service admits, degrades and sheds work.
 #[derive(Debug, Clone)]
@@ -191,12 +191,21 @@ fn epoch_fields(epochs: &[u64]) -> [(String, Content); 2] {
     ]
 }
 
+/// What `/ingest` reports: the inserts' global ids, how many retires hit
+/// a live trajectory, and the epochs of the cut the reply names.
+type Applied = (Vec<u64>, u64, Vec<u64>);
+
+/// `/ingest`'s write path: the coordinator, whatever its shard unit,
+/// inside [`apply_ingest`] — so the handlers are not generic over it.
+type Writer =
+    Box<dyn FnMut(Vec<Trajectory>, &[TrajectoryId], bool) -> Result<Applied, String> + Send>;
+
 /// Shared state behind every worker thread.
 struct Shared {
     /// The coordinator `/ingest` writes through — a cluster of `N ≥ 1`
     /// shards, volatile or WAL-backed — one request at a time. Reads
     /// never come here: they pin `cut`.
-    writer: Mutex<Box<dyn Coordinator + Send>>,
+    writer: Mutex<Writer>,
     /// The coordinator's last completely published cut; every request
     /// pins it once (see the module docs).
     cut: CutReader,
@@ -279,50 +288,29 @@ impl std::fmt::Debug for QueryService {
 }
 
 impl QueryService {
-    /// Starts the service over a volatile [`ShardedCluster`]: `/search`
-    /// and `/topk` run each query once over all shards of the cut (one
-    /// shard: the plain search), `/ingest` routes through the coordinator (global
-    /// ids, no WAL), `/join` answers over the merged live cut. The
-    /// service's own series go to the registry `obs` serves at `/metrics`
-    /// (the one the accept loop counts into; detached when `obs` has none).
+    /// Starts the service over `cluster`: `/search` and `/topk` run each
+    /// query once over all shards of the cut (one shard: the plain
+    /// search), `/ingest` routes through the coordinator in global ids —
+    /// through each shard's WAL when the shard unit is durable, where a
+    /// degraded shard rejects its mutations while every other shard and
+    /// all reads keep serving — and `/join` answers over the merged live
+    /// cut. The service's own series go to the registry `obs` serves at
+    /// `/metrics` (the one the accept loop counts into; detached when
+    /// `obs` has none).
     ///
     /// # Errors
     ///
     /// Binding the listener.
-    pub fn start(
+    pub fn start<S: Shard + 'static>(
         addr: &str,
-        cluster: Arc<ShardedCluster>,
+        mut cluster: Cluster<S>,
         obs: ObsState,
         cfg: ServiceConfig,
     ) -> io::Result<QueryService> {
-        Self::start_inner(addr, cluster.cut(), Box::new(cluster), obs, cfg)
-    }
-
-    /// Starts the service over a [`ShardedDurable`] cluster: `/ingest`
-    /// goes through each shard's WAL (acked writes survive crashes),
-    /// reads are the same as on the volatile cluster. A degraded shard
-    /// rejects its mutations while every other shard — and all reads —
-    /// keep serving.
-    ///
-    /// # Errors
-    ///
-    /// Binding the listener.
-    pub fn start_durable(
-        addr: &str,
-        cluster: ShardedDurable,
-        obs: ObsState,
-        cfg: ServiceConfig,
-    ) -> io::Result<QueryService> {
-        Self::start_inner(addr, cluster.cut(), Box::new(cluster), obs, cfg)
-    }
-
-    fn start_inner(
-        addr: &str,
-        cut: CutReader,
-        writer: Box<dyn Coordinator + Send>,
-        obs: ObsState,
-        cfg: ServiceConfig,
-    ) -> io::Result<QueryService> {
+        let cut = cluster.cut();
+        let writer: Writer = Box::new(move |inserts, retires, publish| {
+            apply_ingest(&mut cluster, inserts, retires, publish)
+        });
         let workers = cfg.http_threads;
         let shared = Arc::new(Shared {
             writer: Mutex::new(writer),
@@ -869,7 +857,7 @@ fn handle_ingest(
     // the log, so writes stop until a restart recovers from it. Reads go
     // on from the published cut.
     let applied = match shared.writer.lock() {
-        Ok(mut writer) => apply_ingest(&mut **writer, &shared.cut, inserts, &retires, publish),
+        Ok(mut writer) => writer(inserts, &retires, publish),
         Err(_) => Err("ingest disabled: an earlier /ingest panicked; restart".into()),
     };
     let (assigned, retired, epochs) = match applied {
@@ -889,58 +877,17 @@ fn handle_ingest(
     respond(stream, 200, "application/json", &body)
 }
 
-/// The write quartet both coordinators expose under the same names. The
-/// volatile cluster cannot fail; it reports in the durable one's terms.
-trait Coordinator {
-    fn contains(&self, id: TrajectoryId) -> bool;
-    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError>;
-    fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError>;
-    fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError>;
-}
-
-impl Coordinator for Arc<ShardedCluster> {
-    fn contains(&self, id: TrajectoryId) -> bool {
-        ShardedCluster::contains(self, id)
-    }
-    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
-        Ok(ShardedCluster::ingest(self, t))
-    }
-    fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
-        Ok(ShardedCluster::retire(self, id))
-    }
-    fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        Ok(ShardedCluster::publish_all(self))
-    }
-}
-
-impl Coordinator for ShardedDurable {
-    fn contains(&self, id: TrajectoryId) -> bool {
-        ShardedDurable::contains(self, id)
-    }
-    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
-        ShardedDurable::ingest(self, t)
-    }
-    fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
-        ShardedDurable::retire(self, id)
-    }
-    fn publish_all(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        ShardedDurable::publish_all(self)
-    }
-}
-
 /// The one `/ingest` body: every retire id must already be issued —
-/// checked before anything is applied, since the volatile coordinator
-/// panics on an unknown id and a durable one would have logged the
-/// inserts by then. Returns the inserts' global ids, how many retires hit
-/// a live trajectory, and the epochs of the cut the reply reports (fresh
-/// when `publish`).
-fn apply_ingest(
-    cluster: &mut dyn Coordinator,
-    published: &CutReader,
+/// checked before anything is applied, since a durable coordinator would
+/// have logged the inserts by then. Returns the inserts' global ids, how
+/// many retires hit a live trajectory, and the epochs of the cut the reply
+/// reports (fresh when `publish`).
+fn apply_ingest<S: Shard>(
+    cluster: &mut Cluster<S>,
     inserts: Vec<Trajectory>,
     retires: &[TrajectoryId],
     publish: bool,
-) -> Result<(Vec<u64>, u64, Vec<u64>), String> {
+) -> Result<Applied, String> {
     if let Some(id) = retires.iter().find(|&&id| !cluster.contains(id)) {
         return Err(format!("unknown trajectory id {}", id.0));
     }
@@ -955,7 +902,7 @@ fn apply_ingest(
     }
     let epochs = match publish {
         true => cluster.publish_all().map_err(|e| e.to_string())?.epochs(),
-        false => published.get().epochs(),
+        false => cluster.snapshot().epochs(),
     };
     Ok((assigned, retired, epochs))
 }
@@ -994,12 +941,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let network = Arc::new(ds.network.clone());
         let config = uots_core::wal::WalConfig::default();
-        let cluster =
-            ShardedDurable::create(network, &ds.store, &ds.vocab, &dir, 2, config, None, None)
-                .unwrap();
+        let cluster = crate::cluster::ShardedDurable::create(
+            network, &ds.store, &ds.vocab, &dir, 2, config, None, None,
+        )
+        .unwrap();
         let obs = ObsState::new().with_registry(MetricsRegistry::new());
         let cfg = ServiceConfig::default();
-        let service = QueryService::start_durable("127.0.0.1:0", cluster, obs, cfg).expect("bind");
+        let service = QueryService::start("127.0.0.1:0", cluster.into(), obs, cfg).expect("bind");
         let post = |path: &str, body: &str| -> String {
             let mut stream = TcpStream::connect(service.local_addr()).expect("connect");
             let len = body.len();
@@ -1036,7 +984,7 @@ mod tests {
 
     fn volatile_service(cfg: ServiceConfig) -> QueryService {
         let ds = uots_datagen::Dataset::build(&uots_datagen::DatasetConfig::small(40, 3)).unwrap();
-        let cluster = ShardedCluster::new(
+        let cluster = uots_core::ShardedCluster::new(
             Arc::new(ds.network.clone()),
             &ds.store,
             ds.vocab.len(),
@@ -1044,7 +992,7 @@ mod tests {
             uots_core::Partitioner::Hash,
         );
         let obs = ObsState::new().with_registry(MetricsRegistry::new());
-        QueryService::start("127.0.0.1:0", Arc::new(cluster), obs, cfg).expect("bind")
+        QueryService::start("127.0.0.1:0", cluster, obs, cfg).expect("bind")
     }
 
     /// The tenant map holds the tenants with queries in flight, not every

@@ -22,28 +22,32 @@
 //! * small cache capacities, so eviction and admission rejection happen
 //!   *during* the differential run;
 //! * landmark-equipped contexts (ALT admission pruning enabled).
-//! * **sharded cuts**: every dataset is also partitioned across 1 and 4
-//!   hash shards and 3 grid shards, and the one run over all shards must
-//!   reproduce the unsharded fingerprint bit-for-bit — Exact runs for all
-//!   four algorithms plus the planner, budget-interrupted best-effort runs
-//!   on one shard (the plain engine), and deterministic replay on four.
+//! * **sharded cuts**: every dataset is also partitioned across 1, 3 and 4
+//!   hash shards, and the one run over all shards must reproduce the
+//!   unsharded fingerprint bit-for-bit — Exact runs for all four
+//!   algorithms plus the planner, budget-interrupted best-effort runs on
+//!   one shard (the plain engine), and deterministic replay on four. The
+//!   ingest replays drive the volatile and the durable coordinator alike.
 //!
 //! Seeds are fixed: CI runs reproduce these exact cases.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::PathBuf;
 use std::sync::Arc;
+use uots::cluster::ShardedDurable;
 use uots::datagen::adversarial::{hub_spike, split_city};
 use uots::index::TimestampIndex;
 use uots::network::landmarks::Landmarks;
 use uots::prelude::*;
 use uots::{
-    DistanceCache, EpochManager, EpochSnapshot, KeywordSet, LayoutTables, NetworkBuilder,
-    QueryResult, Recorder, SearchContext, TrajectoryStore, UotsQuery,
+    DistanceCache, EpochManager, EpochSnapshot, FsyncPolicy, KeywordSet, LayoutTables,
+    NetworkBuilder, QueryResult, Recorder, SearchContext, TrajectoryStore, UotsQuery, WalConfig,
 };
 use uots_core::algorithms::{BruteForce, Expansion, IknnBaseline, TextFirst};
+use uots_core::shard::{Cluster, Shard};
 use uots_core::{ClusterSnapshot, Partitioner, Planner, ShardedCluster};
-use uots_text::KeywordId;
+use uots_text::{KeywordId, Vocabulary};
 use uots_trajectory::{Sample, Trajectory};
 
 /// Everything observable about a result, bit-exact. Two runs are "the
@@ -159,21 +163,118 @@ fn check_case<'a>(
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// Consistent cuts of `store` hash-partitioned across each of
-/// [`SHARD_COUNTS`], plus one over three grid shards (a table id map) —
-/// the sharded counterparts of one dataset.
+/// [`SHARD_COUNTS`] and across three shards, a count that divides neither
+/// of them — the sharded counterparts of one dataset.
 fn cuts_of(
     net: &uots::RoadNetwork,
     store: &TrajectoryStore,
     vocab_len: usize,
 ) -> Vec<ClusterSnapshot> {
     let net = Arc::new(net.clone());
-    let grid = Partitioner::SpatialGrid { cells_per_axis: 4 };
     SHARD_COUNTS
         .iter()
-        .map(|&n| (n, Partitioner::Hash))
-        .chain([(3, grid)])
-        .map(|(n, p)| ShardedCluster::new(Arc::clone(&net), store, vocab_len, n, p).snapshot())
+        .chain(&[3])
+        .map(|&n| ShardedCluster::new(Arc::clone(&net), store, vocab_len, n, Partitioner::Hash))
+        .map(|cluster| cluster.snapshot())
         .collect()
+}
+
+/// The coordinators an ingest replay drives in lockstep with the
+/// unsharded manager: the volatile and the durable one at each of
+/// [`SHARD_COUNTS`], over 12 keywords. Dropping it removes the durable
+/// clusters' directories.
+struct Coordinators {
+    volatile: Vec<ShardedCluster>,
+    durable: Vec<ShardedDurable>,
+    root: PathBuf,
+}
+
+impl Coordinators {
+    fn new(net: &Arc<uots::RoadNetwork>, store: &TrajectoryStore, name: &str) -> Self {
+        let root = std::env::temp_dir()
+            .join("uots_differential")
+            .join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut vocab = Vocabulary::new();
+        for k in 0..12 {
+            vocab.intern(&format!("k{k}"));
+        }
+        let config = WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let durable = SHARD_COUNTS
+            .iter()
+            .map(|&s| {
+                let dir = root.join(format!("{s}-shards"));
+                let net = Arc::clone(net);
+                ShardedDurable::create(net, store, &vocab, dir, s, config, None, None)
+                    .expect("create a durable cluster")
+            })
+            .collect();
+        let volatile = SHARD_COUNTS
+            .iter()
+            .map(|&s| ShardedCluster::new(Arc::clone(net), store, 12, s, Partitioner::Hash))
+            .collect();
+        Coordinators {
+            volatile,
+            durable,
+            root,
+        }
+    }
+
+    /// Every coordinator's global id for an insert of `t`.
+    fn ingest(&mut self, t: &Trajectory) -> Vec<TrajectoryId> {
+        fn one<S: Shard>(c: &mut Cluster<S>, t: &Trajectory) -> TrajectoryId {
+            c.ingest(t.clone()).expect("ingest")
+        }
+        let volatile = self.volatile.iter_mut().map(|c| one(c, t));
+        volatile
+            .chain(self.durable.iter_mut().map(|c| one(c, t)))
+            .collect()
+    }
+
+    /// Every coordinator's answer to whether `victim` was live.
+    fn retire(&mut self, victim: TrajectoryId) -> Vec<bool> {
+        fn one<S: Shard>(c: &mut Cluster<S>, victim: TrajectoryId) -> bool {
+            c.retire(victim).expect("retire")
+        }
+        let volatile = self.volatile.iter_mut().map(|c| one(c, victim));
+        volatile
+            .chain(self.durable.iter_mut().map(|c| one(c, victim)))
+            .collect()
+    }
+
+    /// Publishes every coordinator: the volatile cuts in [`SHARD_COUNTS`]
+    /// order, then the durable ones. A durable cut holds exactly the live
+    /// set of its volatile twin.
+    fn publish_all(&mut self) -> Vec<ClusterSnapshot> {
+        let mut cuts: Vec<ClusterSnapshot> = Vec::new();
+        for c in &mut self.volatile {
+            cuts.push(c.publish_all().expect("volatile publish"));
+        }
+        for c in &mut self.durable {
+            cuts.push(c.publish_all().expect("durable publish"));
+        }
+        let (volatile, durable) = cuts.split_at(SHARD_COUNTS.len());
+        for (v, d) in volatile.iter().zip(durable) {
+            for s in 0..v.num_shards() {
+                assert_eq!(
+                    v.shard(s).live(),
+                    d.shard(s).live(),
+                    "{} shard(s): shard {s}'s durable live set diverged",
+                    v.num_shards()
+                );
+            }
+        }
+        cuts
+    }
+}
+
+impl Drop for Coordinators {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
 }
 
 /// One sharded run: `algo` once over all shards of `cut`, and its answer
@@ -519,10 +620,7 @@ fn differential_ingest_rebuild_oracle() {
         let store = random_store(&mut rng, n, trips, 1);
         // the sharded clusters mirror the unsharded manager's mutation
         // stream: hash partitioning issues the same sequential global ids
-        let clusters: Vec<ShardedCluster> = SHARD_COUNTS
-            .iter()
-            .map(|&s| ShardedCluster::new(Arc::clone(&net), &store, 12, s, Partitioner::Hash))
-            .collect();
+        let mut clusters = Coordinators::new(&net, &store, &format!("ingest-ds{ds_i}"));
         let mgr = EpochManager::new(Arc::clone(&net), store, 12);
         let cache = Arc::new(DistanceCache::new([256usize, 1 << 14][ds_i % 2]));
         let ctx = SearchContext::with_cache(Arc::clone(&cache));
@@ -533,9 +631,9 @@ fn differential_ingest_rebuild_oracle() {
                 if live_estimate <= 2 || rng.gen_bool(0.6) {
                     let t = random_traj(&mut rng, n);
                     mgr.ingest(t.clone());
-                    for cluster in &clusters {
+                    for id in clusters.ingest(&t) {
                         assert_eq!(
-                            cluster.ingest(t.clone()).index(),
+                            id.index(),
                             next_id,
                             "hash partitioning must reproduce sequential global ids"
                         );
@@ -545,12 +643,8 @@ fn differential_ingest_rebuild_oracle() {
                 } else {
                     let victim = TrajectoryId(rng.gen_range(0..next_id) as u32);
                     let was_live = mgr.retire(victim);
-                    for cluster in &clusters {
-                        assert_eq!(
-                            cluster.retire(victim),
-                            was_live,
-                            "sharded retire must agree on liveness"
-                        );
+                    for live in clusters.retire(victim) {
+                        assert_eq!(live, was_live, "sharded retire must agree on liveness");
                     }
                     if was_live {
                         live_estimate -= 1;
@@ -558,7 +652,7 @@ fn differential_ingest_rebuild_oracle() {
                 }
             }
             let snapshot = mgr.publish();
-            let cuts: Vec<ClusterSnapshot> = clusters.iter().map(|c| c.publish_all()).collect();
+            let cuts = clusters.publish_all();
             assert!(
                 Arc::ptr_eq(snapshot.network(), &net),
                 "publish must never replace the network (the cache key space)"
@@ -626,26 +720,19 @@ fn differential_ingest_interrupted_queries_match_rebuild() {
     let (net, _) = random_network(&mut rng, n);
     let net = Arc::new(net);
     let store = random_store(&mut rng, n, 10, 1);
-    let clusters: Vec<ShardedCluster> = SHARD_COUNTS
-        .iter()
-        .map(|&s| ShardedCluster::new(Arc::clone(&net), &store, 12, s, Partitioner::Hash))
-        .collect();
+    let mut clusters = Coordinators::new(&net, &store, "interrupted");
     let mgr = EpochManager::new(Arc::clone(&net), store, 12);
     for _ in 0..6 {
         let t = random_traj(&mut rng, n);
-        mgr.ingest(t.clone());
-        for cluster in &clusters {
-            cluster.ingest(t.clone());
-        }
+        let id = mgr.ingest(t.clone());
+        assert!(clusters.ingest(&t).iter().all(|&g| g == id));
     }
     for victim in [TrajectoryId(1), TrajectoryId(4)] {
-        mgr.retire(victim);
-        for cluster in &clusters {
-            cluster.retire(victim);
-        }
+        let was_live = mgr.retire(victim);
+        assert!(clusters.retire(victim).iter().all(|&live| live == was_live));
     }
     let snapshot = mgr.publish();
-    let cuts: Vec<ClusterSnapshot> = clusters.iter().map(|c| c.publish_all()).collect();
+    let cuts = clusters.publish_all();
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(n);
     let kidx = compacted.build_keyword_index(12);
@@ -691,43 +778,48 @@ fn differential_ingest_interrupted_queries_match_rebuild() {
         );
         // One shard is the plain engine: the interrupted best-effort
         // answer — ids, every similarity channel, the certificate — must
-        // equal the unsharded run exactly.
-        let single = cuts[0]
-            .search(&Expansion::default(), &q)
-            .expect("1-shard budgeted run");
-        assert_eq!(
-            fingerprint(&live),
-            fingerprint(&single.result),
-            "q{q_i}: 1-shard budgeted answer is not the unsharded one"
-        );
-        assert_eq!(
-            live.completeness, single.result.completeness,
-            "q{q_i}: 1-shard certificate drifted"
-        );
+        // equal the unsharded run exactly, volatile or durable.
+        for one in cuts.iter().filter(|c| c.num_shards() == 1) {
+            let single = one
+                .search(&Expansion::default(), &q)
+                .expect("1-shard budgeted run");
+            assert_eq!(
+                fingerprint(&live),
+                fingerprint(&single.result),
+                "q{q_i}: 1-shard budgeted answer is not the unsharded one"
+            );
+            assert_eq!(
+                live.completeness, single.result.completeness,
+                "q{q_i}: 1-shard certificate drifted"
+            );
+        }
         // Four shards walk a vertex's postings part by part, not in
         // ascending id order, so an interrupted answer may differ from the
         // unsharded one (tests/sharded.rs pins when it may not) — but
-        // replaying the same cut must reproduce it bit-for-bit, and every
-        // returned id must be live in the cut.
-        let quad_a = cuts[1]
+        // replaying the same cut, or its durable twin, must reproduce it
+        // bit-for-bit, and every returned id must be live in the cut.
+        let quads: Vec<&ClusterSnapshot> = cuts.iter().filter(|c| c.num_shards() == 4).collect();
+        let quad_a = quads[0]
             .search(&Expansion::default(), &q)
             .expect("4-shard budgeted run");
-        let quad_b = cuts[1]
-            .search(&Expansion::default(), &q)
-            .expect("4-shard budgeted replay");
-        assert_eq!(
-            fingerprint(&quad_a.result),
-            fingerprint(&quad_b.result),
-            "q{q_i}: 4-shard budgeted answer is not deterministic"
-        );
-        assert_eq!(
-            quad_a.result.completeness, quad_b.result.completeness,
-            "q{q_i}: 4-shard certificate is not deterministic"
-        );
+        for quad in &quads {
+            let quad_b = quad
+                .search(&Expansion::default(), &q)
+                .expect("4-shard budgeted replay");
+            assert_eq!(
+                fingerprint(&quad_a.result),
+                fingerprint(&quad_b.result),
+                "q{q_i}: 4-shard budgeted answer is not deterministic"
+            );
+            assert_eq!(
+                quad_a.result.completeness, quad_b.result.completeness,
+                "q{q_i}: 4-shard certificate is not deterministic"
+            );
+        }
         for id in quad_a.result.ids() {
             let (s, local) = (id.index() % 4, TrajectoryId((id.index() / 4) as u32));
             assert!(
-                cuts[1].shard(s).live().is_live(local),
+                quads[0].shard(s).live().is_live(local),
                 "q{q_i}: 4-shard answer served retired {id}"
             );
         }
@@ -791,7 +883,7 @@ fn differential_sharded_cancellation_stays_cut_consistent() {
     let (net, _) = random_network(&mut rng, n);
     let net = Arc::new(net);
     let store = random_store(&mut rng, n, 12, 1);
-    let cluster = ShardedCluster::new(Arc::clone(&net), &store, 12, 4, Partitioner::Hash);
+    let mut cluster = ShardedCluster::new(Arc::clone(&net), &store, 12, 4, Partitioner::Hash);
     let q = random_query(&mut rng, n);
     for round in 0..10 {
         let cut = cluster.snapshot();
@@ -812,7 +904,7 @@ fn differential_sharded_cancellation_stays_cut_consistent() {
                 "round {round}: {id} not live in the pinned cut"
             );
         }
-        cluster.ingest(random_traj(&mut rng, n));
-        cluster.publish_all();
+        cluster.ingest(random_traj(&mut rng, n)).expect("ingest");
+        cluster.publish_all().expect("publish");
     }
 }

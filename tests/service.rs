@@ -21,7 +21,7 @@ use uots::prelude::*;
 use uots::serve::{QueryService, ServiceConfig};
 use uots::{workload, Dataset, DatasetConfig, KeywordSet, QueryOptions, UotsQuery, WalConfig};
 use uots_core::algorithms::Algorithm;
-use uots_core::{Partitioner, ShardedCluster};
+use uots_core::ShardedCluster;
 use uots_text::KeywordId;
 use uots_trajectory::{Sample, Trajectory};
 
@@ -444,9 +444,8 @@ fn start_durable_service(
     let obs = ObsState::new()
         .with_registry(registry)
         .with_journal(journal);
-    let service =
-        QueryService::start_durable("127.0.0.1:0", cluster, obs, ServiceConfig::default())
-            .expect("bind service");
+    let service = QueryService::start("127.0.0.1:0", cluster.into(), obs, ServiceConfig::default())
+        .expect("bind service");
     (service, recovery)
 }
 
@@ -985,7 +984,6 @@ fn start_cluster_service(
         &ds.store,
         ds.vocab.len(),
         shards,
-        Partitioner::Hash,
         Some(&registry),
         Some(&journal),
     );
@@ -993,8 +991,7 @@ fn start_cluster_service(
         .with_registry(registry)
         .with_journal(journal)
         .with_sampler(TailSampler::new(64));
-    let service =
-        QueryService::start("127.0.0.1:0", Arc::new(cluster), obs, cfg).expect("bind service");
+    let service = QueryService::start("127.0.0.1:0", cluster, obs, cfg).expect("bind service");
     (service, ds)
 }
 
@@ -1454,7 +1451,7 @@ fn durable_readers_see_whole_cuts_under_concurrent_ingest() {
     let obs = ObsState::new().with_registry(registry);
     let cfg = ServiceConfig::default();
     let service =
-        QueryService::start_durable("127.0.0.1:0", cluster, obs, cfg).expect("bind service");
+        QueryService::start("127.0.0.1:0", cluster.into(), obs, cfg).expect("bind service");
     readers_see_whole_cuts_under_concurrent_ingest(&service, &ds);
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -1604,6 +1601,20 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     std::fs::create_dir_all(&root).unwrap();
     let data = root.join("city.uotsds");
     uots::datagen::persist::save_file(&ds, &cfg, &data).expect("save dataset");
+
+    // a flag start-up does not read is refused by name before anything is
+    // created: a typo must not start a server nobody asked for
+    let unread = root.join("unread");
+    for (flag, value) in [("--partitioner", "grid:8"), ("--shard", "4")] {
+        let out = serve_command(&data, &unread, None)
+            .args([flag, value])
+            .output()
+            .expect("uots-serve runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} must exit non-zero: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(!unread.exists());
+    }
 
     // the flat layout, written the way the unsharded server writes it
     let flat = root.join("flat");
