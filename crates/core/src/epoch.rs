@@ -354,6 +354,12 @@ impl EpochManager {
         lock_ok(&self.writer).store.len()
     }
 
+    /// Live ids, unpublished ingests and retires included (the published
+    /// count is the snapshot's [`EpochStats::live`]).
+    pub fn num_live(&self) -> usize {
+        lock_ok(&self.writer).live.num_live()
+    }
+
     /// Appends a trajectory to the ingest batch and returns its (stable)
     /// id. Invisible to queries until the next [`publish`](Self::publish).
     pub fn ingest(&self, t: Trajectory) -> TrajectoryId {
@@ -572,6 +578,13 @@ mod tests {
         // double retire is a no-op and does not grow the batch
         assert!(!mgr.retire(TrajectoryId(0)));
         assert_eq!(mgr.pending(), 0);
+        // the pending live count moves with the batch, ahead of a publish
+        assert_eq!(mgr.num_live(), 2);
+        mgr.ingest(traj(&[4], &[]));
+        mgr.ingest(traj(&[5], &[]));
+        mgr.retire(TrajectoryId(1));
+        assert_eq!(mgr.num_live(), 3);
+        assert_eq!(mgr.snapshot().stats().live, 2, "published count unmoved");
     }
 
     #[test]

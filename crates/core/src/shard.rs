@@ -123,13 +123,6 @@ pub trait Shard: Send {
     /// The unit's refusal; nothing of the batch is applied then.
     fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, Self::Error>;
 
-    /// Retires local id `local`; returns whether it was live.
-    ///
-    /// # Errors
-    ///
-    /// The unit's refusal.
-    fn retire(&mut self, local: TrajectoryId) -> Result<bool, Self::Error>;
-
     /// Publishes the batched mutations as the shard's next snapshot.
     ///
     /// # Errors
@@ -148,10 +141,6 @@ impl Shard for EpochManager {
 
     fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, RouteError> {
         Ok(EpochManager::apply(self, batch))
-    }
-
-    fn retire(&mut self, local: TrajectoryId) -> Result<bool, RouteError> {
-        Ok(EpochManager::retire(self, local))
     }
 
     fn publish(&mut self) -> Result<Arc<EpochSnapshot>, RouteError> {
@@ -393,16 +382,18 @@ impl<S: Shard> Cluster<S> {
             .collect()
     }
 
+    /// Live trajectories across all shards, unpublished mutations included
+    /// (the published count is the cut's [`ClusterSnapshot::num_live`]).
+    /// Its move across an [`apply`](Self::apply) is the batch's inserts
+    /// minus the retires that hit a live trajectory.
+    pub fn num_live(&self) -> usize {
+        self.shards.iter().map(|s| s.manager().num_live()).sum()
+    }
+
     /// Routes `global` to its shard and local id; `None` for an id the
     /// cluster has not issued.
     pub fn locate(&self, global: TrajectoryId) -> Option<(usize, TrajectoryId)> {
         locate_in(&self.issued(), global)
-    }
-
-    /// Whether `global` is an id this cluster has issued (seeded or
-    /// ingested; retired ids remain known).
-    pub fn contains(&self, global: TrajectoryId) -> bool {
-        self.locate(global).is_some()
     }
 
     /// The writable shard whose next insert receives the smallest unused
@@ -449,11 +440,15 @@ impl<S: Shard> Cluster<S> {
     /// Applies a batch (ids in [`Mutation::Retire`] are global) as one
     /// sub-batch per shard it touches; returns the inserts' global ids in
     /// batch order. Invisible to queries until the next
-    /// [`publish_all`](Self::publish_all).
+    /// [`publish_all`](Self::publish_all). How many retires hit a live
+    /// trajectory is the move of [`num_live`](Self::num_live) short of the
+    /// inserts.
     ///
-    /// Each sub-batch is as atomic as its shard unit makes it; the batch
-    /// is not — on an error, sub-batches already applied to other shards
-    /// stay applied, and the error is the first shard's that failed.
+    /// Each sub-batch is as atomic as its shard unit makes it — on a
+    /// durable shard, one WAL record written before the shard applies any
+    /// of it; the batch is not — on an error, sub-batches already applied
+    /// to other shards stay applied, and the error is the first shard's
+    /// that failed.
     ///
     /// # Errors
     ///
@@ -479,15 +474,17 @@ impl<S: Shard> Cluster<S> {
         Ok(ids[0])
     }
 
-    /// Retires a trajectory by **global** id; returns whether it was live.
+    /// Retires a trajectory by **global** id (a one-mutation
+    /// [`apply`](Self::apply)); returns whether it was live.
     ///
     /// # Errors
     ///
     /// [`RouteError::UnknownId`], or the owning shard's refusal — a retire
     /// cannot be routed around a shard.
     pub fn retire(&mut self, global: TrajectoryId) -> Result<bool, S::Error> {
-        let (s, local) = self.locate(global).ok_or(RouteError::UnknownId(global))?;
-        self.shards[s].retire(local)
+        let live = self.num_live();
+        self.apply(vec![Mutation::Retire(global)])?;
+        Ok(self.num_live() < live)
     }
 
     /// Publishes every shard ([`Shard::publish`]) and returns the fresh
@@ -1057,6 +1054,8 @@ mod tests {
         }
         unsharded.retire(TrajectoryId(3));
         assert!(cluster.retire(TrajectoryId(3)).unwrap());
+        assert!(!cluster.retire(TrajectoryId(3)).unwrap(), "already retired");
+        assert_eq!(cluster.num_live(), 24 + 6 - 1);
         let snap = unsharded.publish();
         let cut = cluster.publish_all().unwrap();
         assert_eq!(cut.num_live(), snap.stats().live);

@@ -24,8 +24,8 @@
 //! shard by shard in lockstep, one top-k in global ids — and a shard whose
 //! upper bound falls strictly below the running k-th score stops being
 //! walked. With one shard that run is exactly the unsharded search.
-//! `/ingest` routes each mutation to its owning shard; responses carry the
-//! per-shard `epochs` at every `N`.
+//! `/ingest` applies its body as one batch, split into one sub-batch per
+//! shard it touches; responses carry the per-shard `epochs` at every `N`.
 //!
 //! With `--wal-dir`, `/ingest` goes through the durable WAL-backed path,
 //! created fresh or resumed by what the directory holds. One shard keeps

@@ -24,10 +24,10 @@
 //!   global-id residue classes simply stop growing).
 //! * **Acks are per-shard.** A cross-shard [`apply`](Cluster::apply)
 //!   batch is split into per-shard sub-batches, each logged as one WAL
-//!   record in its own log. The sub-batch is atomic; the cross-shard batch
-//!   is not — a crash can persist some shards' sub-batches and not
-//!   others. (Single-mutation [`ingest`](Cluster::ingest) /
-//!   [`retire`](Cluster::retire) are unaffected.)
+//!   record in its own log before its shard applies any of it. The
+//!   sub-batch is atomic; the cross-shard batch is not — a crash can
+//!   persist some shards' sub-batches and not others, but never part of
+//!   one. A served `/ingest` body is one such batch.
 //!
 //! [`create`](ShardedDurable::create) seeds every shard with an initial
 //! checkpoint of its partition, so cluster recovery never needs the base
@@ -83,8 +83,9 @@ pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
     Ok((n > 0).then_some(n))
 }
 
-/// The durable shard unit: every mutation is logged before it is applied,
-/// and a shard degraded to read-only takes no inserts.
+/// The durable shard unit: every sub-batch is logged as one WAL record
+/// before any of it is applied, and a shard degraded to read-only takes no
+/// inserts.
 impl Shard for DurableIngest {
     type Error = DurableError;
 
@@ -98,10 +99,6 @@ impl Shard for DurableIngest {
 
     fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, DurableError> {
         DurableIngest::apply(self, batch).map(|(_, ids)| ids)
-    }
-
-    fn retire(&mut self, local: TrajectoryId) -> Result<bool, DurableError> {
-        DurableIngest::retire(self, local)
     }
 
     fn publish(&mut self) -> Result<Arc<EpochSnapshot>, DurableError> {

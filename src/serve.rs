@@ -32,8 +32,10 @@
 //! ([`crate::cluster::ShardedDurable`]) — and the unsharded server is
 //! the cluster with one shard, not a second code path: every query is one
 //! run over all shards of the cut, and a one-shard cut is that run over
-//! one part (see [`ClusterSnapshot::search_ctx`]). `/ingest` goes through the
-//! coordinator's own writers, whatever its shard unit. Responses therefore
+//! one part (see [`ClusterSnapshot::search_ctx`]). `/ingest` hands its body
+//! to the coordinator's [`Cluster::apply`] as one batch, whatever its shard
+//! unit: a durable shard logs its part of the body as one WAL record, so a
+//! crash keeps all of a shard's part or none of it. Responses therefore
 //! have one shape at every `N`: the scalar `epoch` (the maximum per-shard
 //! epoch) beside the per-shard `epochs`, `shards_cut`, and per-shard plans.
 //!
@@ -89,8 +91,8 @@ use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
 use uots_core::shard::{Cluster, ClusterSnapshot, CutReader, Shard};
 use uots_core::{
-    CancellationToken, CoreError, ExecutionBudget, QueryOptions, RunControl, SearchContext,
-    UotsQuery, Weights,
+    CancellationToken, CoreError, ExecutionBudget, Mutation, QueryOptions, RunControl,
+    SearchContext, UotsQuery, Weights,
 };
 use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
@@ -198,7 +200,7 @@ type Applied = (Vec<u64>, u64, Vec<u64>);
 /// `/ingest`'s write path: the coordinator, whatever its shard unit,
 /// inside [`apply_ingest`] — so the handlers are not generic over it.
 type Writer =
-    Box<dyn FnMut(Vec<Trajectory>, &[TrajectoryId], bool) -> Result<Applied, String> + Send>;
+    Box<dyn FnMut(Vec<Trajectory>, Vec<TrajectoryId>, bool) -> Result<Applied, String> + Send>;
 
 /// Shared state behind every worker thread.
 struct Shared {
@@ -290,13 +292,13 @@ impl std::fmt::Debug for QueryService {
 impl QueryService {
     /// Starts the service over `cluster`: `/search` and `/topk` run each
     /// query once over all shards of the cut (one shard: the plain
-    /// search), `/ingest` routes through the coordinator in global ids —
-    /// through each shard's WAL when the shard unit is durable, where a
-    /// degraded shard rejects its mutations while every other shard and
-    /// all reads keep serving — and `/join` answers over the merged live
-    /// cut. The service's own series go to the registry `obs` serves at
-    /// `/metrics` (the one the accept loop counts into; detached when
-    /// `obs` has none).
+    /// search), `/ingest` applies each body through the coordinator in
+    /// global ids as one batch — one WAL record per shard it touches when
+    /// the shard unit is durable, where a degraded shard rejects its
+    /// mutations while every other shard and all reads keep serving — and
+    /// `/join` answers over the merged live cut. The service's own series
+    /// go to the registry `obs` serves at `/metrics` (the one the accept
+    /// loop counts into; detached when `obs` has none).
     ///
     /// # Errors
     ///
@@ -857,7 +859,7 @@ fn handle_ingest(
     // the log, so writes stop until a restart recovers from it. Reads go
     // on from the published cut.
     let applied = match shared.writer.lock() {
-        Ok(mut writer) => writer(inserts, &retires, publish),
+        Ok(mut writer) => writer(inserts, retires, publish),
         Err(_) => Err("ingest disabled: an earlier /ingest panicked; restart".into()),
     };
     let (assigned, retired, epochs) = match applied {
@@ -877,29 +879,29 @@ fn handle_ingest(
     respond(stream, 200, "application/json", &body)
 }
 
-/// The one `/ingest` body: every retire id must already be issued —
-/// checked before anything is applied, since a durable coordinator would
-/// have logged the inserts by then. Returns the inserts' global ids, how
-/// many retires hit a live trajectory, and the epochs of the cut the reply
-/// reports (fresh when `publish`).
+/// The one `/ingest` body as one [`Cluster::apply`] batch — its inserts
+/// in body order, then its retires — so a durable shard logs one WAL
+/// record for its part of the body before applying any of it. A retire
+/// of an id not issued refuses the whole body before any shard applies
+/// anything; one of an id the body's own insert receives is fine. Returns
+/// the inserts' global ids, how many retires hit a live trajectory (the
+/// inserts less the pending live count's move), and the epochs of the cut
+/// the reply reports (fresh when `publish`).
 fn apply_ingest<S: Shard>(
     cluster: &mut Cluster<S>,
     inserts: Vec<Trajectory>,
-    retires: &[TrajectoryId],
+    retires: Vec<TrajectoryId>,
     publish: bool,
 ) -> Result<Applied, String> {
-    if let Some(id) = retires.iter().find(|&&id| !cluster.contains(id)) {
-        return Err(format!("unknown trajectory id {}", id.0));
-    }
-    let mut assigned = Vec::with_capacity(inserts.len());
-    for t in inserts {
-        let id = cluster.ingest(t).map_err(|e| e.to_string())?;
-        assigned.push(u64::from(id.0));
-    }
-    let mut retired = 0u64;
-    for &id in retires {
-        retired += u64::from(cluster.retire(id).map_err(|e| e.to_string())?);
-    }
+    let batch = inserts
+        .into_iter()
+        .map(Mutation::Insert)
+        .chain(retires.into_iter().map(Mutation::Retire))
+        .collect();
+    let live = cluster.num_live();
+    let ids = cluster.apply(batch).map_err(|e| e.to_string())?;
+    let retired = (live + ids.len() - cluster.num_live()) as u64;
+    let assigned = ids.into_iter().map(|id| u64::from(id.0)).collect();
     let epochs = match publish {
         true => cluster.publish_all().map_err(|e| e.to_string())?.epochs(),
         false => cluster.snapshot().epochs(),

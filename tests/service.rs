@@ -13,8 +13,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use serde::{Content, Serialize};
-use uots::cluster::ShardedDurable;
+use uots::cluster::{shard_dir, ShardedDurable};
 use uots::core::planner::Planner;
+use uots::core::testing::corrupt;
+use uots::core::wal;
 use uots::durable::DurableIngest;
 use uots::obs::{EventJournal, MetricsRegistry, ObsState, TailSampler};
 use uots::prelude::*;
@@ -594,9 +596,9 @@ fn unknown_retire_is_a_clean_400_on_the_default_servers() {
     let acked = check(service.local_addr(), &ds);
     drop(service);
     // nothing unreplayable reached the log: the directory reopens with
-    // the acknowledged batch
+    // the acknowledged body, its insert and its retire one record
     let (service, recovery) = start_durable_service(&ds, &dir, 1);
-    assert_eq!(recovery[0].replayed_batches, 2);
+    assert_eq!(recovery[0].replayed_batches, 1);
     let (marker, node, _) = marker_trajectory(&ds);
     let query = format!(
         r#"{{"locations":[{}],"keywords":[{}],"lambda":0.2,"k":1}}"#,
@@ -664,6 +666,178 @@ fn invalid_trajectories_are_refused_before_the_log() {
     );
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The benchmark's write body: copies of the first 8 dataset trips, and
+/// retires of ids 0 and 1 — on two shards, each shard gets 4 inserts and
+/// 1 retire.
+fn eight_inserts_two_retires(ds: &Dataset) -> String {
+    let inserts = (0..8).map(|i| ds.store.get(TrajectoryId(i)).serialize());
+    serde_json::to_string(&Content::Map(vec![
+        ("insert".to_string(), Content::Seq(inserts.collect())),
+        (
+            "retire".to_string(),
+            Content::Seq(vec![Content::U64(0), Content::U64(1)]),
+        ),
+    ]))
+    .unwrap()
+}
+
+/// A body is one WAL record — and under `--fsync batch` one fsync — per
+/// shard it touches, not one per mutation: the 8-insert + 2-retire body
+/// moves both counters by 2 on two shards and by 1 on one.
+#[test]
+fn an_ingest_body_is_one_wal_record_per_shard_it_touches() {
+    let ds = Dataset::build(&DatasetConfig::small(60, 59)).expect("dataset");
+    let body = eight_inserts_two_retires(&ds);
+    for shards in [1u64, 2] {
+        let dir = scratch_dir(&format!("records-{shards}"));
+        let (service, _) = start_durable_service(&ds, &dir, shards as usize);
+        let addr = service.local_addr();
+        let counters = ["uots_wal_appends_total", "uots_wal_fsyncs_total"];
+        let before = counters.map(|c| counter_value(addr, c));
+        let (code, reply) = post(addr, "/ingest", &body);
+        assert_eq!(code, 200, "{reply:?}");
+        assert_eq!(as_u64(reply.get("retired")), Some(2));
+        for (c, before) in counters.iter().zip(before) {
+            let moved = counter_value(addr, c) - before;
+            assert_eq!(moved, shards, "{c} on {shards} shard(s)");
+        }
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The ids a server's published cut holds live: a `/topk` with a `k`
+/// past the store answers every live trajectory.
+fn live_ids(addr: SocketAddr) -> std::collections::BTreeSet<u64> {
+    let (code, reply) = post(
+        addr,
+        "/topk",
+        r#"{"locations":[0],"keywords":[1],"k":100000}"#,
+    );
+    assert_eq!(code, 200, "{reply:?}");
+    let result = reply.get("result").expect("result");
+    let matches = result.get("matches").and_then(Content::as_seq);
+    let matches = matches.expect("matches");
+    matches
+        .iter()
+        .map(|m| as_u64(m.get("id")).expect("id"))
+        .collect()
+}
+
+/// `/ingest`'s `retired` counts the retires that hit a live trajectory,
+/// at any shard count, volatile or durable: a retire of an id already
+/// retired counts 0, the same id twice in one body counts 1, and a retire
+/// of the id the body's own insert receives counts 1 and leaves that id
+/// dead after the publish — and, durable, after a restart.
+#[test]
+fn ingest_counts_the_retires_that_hit_a_live_trajectory() {
+    fn check(addr: SocketAddr, ds: &Dataset, label: &str) -> std::collections::BTreeSet<u64> {
+        let ingest = |body: &str| {
+            let (code, reply) = post(addr, "/ingest", body);
+            assert_eq!(code, 200, "{label} {body}: {reply:?}");
+            reply
+        };
+        let retired = |body: &str| as_u64(ingest(body).get("retired"));
+        assert_eq!(retired(r#"{"retire":[3]}"#), Some(1), "{label}");
+        assert_eq!(retired(r#"{"retire":[3]}"#), Some(0), "{label}: retired");
+        assert_eq!(retired(r#"{"retire":[5,5]}"#), Some(1), "{label}: twice");
+        // the first insert receives the first id past the seed
+        let own = ds.store.len() as u64;
+        let (_, _, t) = marker_trajectory(ds);
+        let body = serde_json::to_string(&Content::Map(vec![
+            ("insert".to_string(), Content::Seq(vec![t])),
+            ("retire".to_string(), Content::Seq(vec![Content::U64(own)])),
+        ]))
+        .unwrap();
+        let reply = ingest(&body);
+        assert_eq!(as_u64(reply.get("retired")), Some(1), "{label}: own insert");
+        let inserted = reply.get("inserted").and_then(Content::as_seq);
+        assert_eq!(inserted.map(|ids| as_u64(ids.first())), Some(Some(own)));
+        let want = (0..own).filter(|&g| g != 3 && g != 5).collect();
+        assert_eq!(live_ids(addr), want, "{label}");
+        want
+    }
+    for shards in [1, 2, 4] {
+        let (volatile, ds) = start_cluster_service(40, 53, shards, ServiceConfig::default());
+        check(
+            volatile.local_addr(),
+            &ds,
+            &format!("volatile, {shards} shard(s)"),
+        );
+        drop(volatile);
+
+        let dir = scratch_dir(&format!("retired-{shards}"));
+        let (durable, _) = start_durable_service(&ds, &dir, shards);
+        let want = check(
+            durable.local_addr(),
+            &ds,
+            &format!("durable, {shards} shard(s)"),
+        );
+        drop(durable);
+        let (reopened, recovery) = start_durable_service(&ds, &dir, shards);
+        assert_eq!(recovery.len(), shards);
+        assert_eq!(live_ids(reopened.local_addr()), want, "{shards} shard(s)");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// After a crash each shard keeps all of a body's mutations for it or
+/// none of them. One 8-insert + 2-retire `/ingest` over two durable shards
+/// is one WAL record per shard: intact, each shard replays its part as one
+/// record; with the tail of shard 1's log torn, shard 1 loses exactly its
+/// part — 4 inserts and a retire — and shard 0 keeps all of its own.
+#[test]
+fn a_crash_keeps_all_or_none_of_each_shards_part_of_a_body() {
+    let ds = Dataset::build(&DatasetConfig::small(40, 61)).expect("dataset");
+    let body = eight_inserts_two_retires(&ds);
+    // shard s holds seed locals 0..20 and the body's 4 inserts at 20..24;
+    // the body retires local 0 on each
+    let acked = |dir: &Path| {
+        let (service, _) = start_durable_service(&ds, dir, 2);
+        let (code, reply) = post(service.local_addr(), "/ingest", &body);
+        assert_eq!(code, 200, "{reply:?}");
+    };
+    let holds_its_part = |cut: &uots_core::ClusterSnapshot, s: usize| {
+        let shard = cut.shard(s);
+        shard.store().len() == 24 && !shard.live().is_live(TrajectoryId(0))
+    };
+
+    let intact = scratch_dir("atomic-intact");
+    acked(&intact);
+    let (cluster, reports) =
+        ShardedDurable::open(&intact, 2, WalConfig::default(), None, None).expect("reopen");
+    for (s, r) in reports.iter().enumerate() {
+        assert!(r.wal_corruption.is_none(), "shard {s}: {r:?}");
+        assert_eq!(r.replayed_batches, 1, "shard {s}: one record: {r:?}");
+        assert!(holds_its_part(&cluster.snapshot(), s), "shard {s}");
+    }
+    drop(cluster);
+
+    let torn = scratch_dir("atomic-torn");
+    acked(&torn);
+    let segments = wal::list_segments(&shard_dir(&torn, 1)).expect("list segments");
+    let tail = segments.last().expect("shard 1 has a segment");
+    let len = std::fs::metadata(tail).unwrap().len();
+    corrupt::truncate_file(tail, len - 7).unwrap();
+    let (cluster, reports) =
+        ShardedDurable::open(&torn, 2, WalConfig::default(), None, None).expect("reopen");
+    assert!(reports[0].wal_corruption.is_none(), "{:?}", reports[0]);
+    assert_eq!(reports[0].replayed_batches, 1, "{:?}", reports[0]);
+    assert!(reports[1].wal_corruption.is_some(), "{:?}", reports[1]);
+    assert_eq!(reports[1].replayed_batches, 0, "{:?}", reports[1]);
+    let cut = cluster.snapshot();
+    assert!(holds_its_part(&cut, 0), "shard 0 keeps all of its part");
+    let shard1 = cut.shard(1);
+    assert_eq!(shard1.store().len(), 20, "none of shard 1's inserts");
+    assert!(shard1.live().is_live(TrajectoryId(0)), "nor its retire");
+    assert_eq!(cut.num_live(), 40 + 4 - 1);
+    drop(cluster);
+    for dir in [intact, torn] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// Regression: a keyword list with repeats was stored as sent (the
