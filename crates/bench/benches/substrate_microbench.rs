@@ -2,8 +2,7 @@
 //!
 //! * full Dijkstra tree vs A* point-to-point vs incremental expansion;
 //! * grid-index nearest-neighbour snap;
-//! * keyword-set Jaccard;
-//! * ALT landmark lower bounds.
+//! * keyword-set Jaccard.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -12,7 +11,6 @@ use uots_index::GridIndex;
 use uots_network::astar::AStar;
 use uots_network::expansion::NetworkExpansion;
 use uots_network::generators::{grid_city, GridCityConfig};
-use uots_network::landmarks::Landmarks;
 use uots_network::{dijkstra, NodeId, Point};
 use uots_text::{KeywordId, KeywordSet, TextSimilarity};
 
@@ -75,15 +73,6 @@ fn bench(c: &mut Criterion) {
     let bset: KeywordSet = (0..6).map(|i| KeywordId(i * 2)).collect();
     group.bench_function("jaccard_6x6", |b| {
         b.iter(|| criterion::black_box(TextSimilarity::Jaccard.similarity(&a, &bset)))
-    });
-
-    let lm = Landmarks::select(&net, 4, NodeId(0));
-    group.bench_function("landmark_lower_bound", |b| {
-        b.iter(|| {
-            let x = NodeId(rng.gen_range(0..n) as u32);
-            let y = NodeId(rng.gen_range(0..n) as u32);
-            criterion::black_box(lm.lower_bound(x, y))
-        })
     });
 
     group.finish();

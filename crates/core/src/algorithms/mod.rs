@@ -43,8 +43,8 @@ use uots_obs::Recorder;
 pub trait Algorithm {
     /// Answers `query` over `view` — one run over all of its parts, in
     /// the view's global ids — under explicit run control and a
-    /// [`SearchContext`] (shared cross-query distance cache + landmark
-    /// admission), attributing phase time to `rec`. A run whose token is
+    /// [`SearchContext`] (an optional shared cross-query distance cache),
+    /// attributing phase time to `rec`. A run whose token is
     /// already cancelled (or whose deadline already passed) returns the
     /// empty best-effort answer with `bound_gap = 1.0`. The budget covers
     /// the run, not each part; the run records what it did with each part
@@ -76,7 +76,7 @@ pub trait Algorithm {
     ) -> Result<QueryResult, CoreError>;
 
     /// [`Algorithm::run_ctx`] over the one-part view of `db` under the
-    /// empty context (no cache, no landmarks).
+    /// empty context (no cache).
     ///
     /// # Errors
     ///

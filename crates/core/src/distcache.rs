@@ -1,5 +1,4 @@
-//! Shared cross-query network-distance cache with landmark-pruned
-//! admission.
+//! Shared cross-query network-distance cache.
 //!
 //! Every UOTS query expands the network from its query locations, and
 //! concurrent queries over the same road network repeat the bulk of that
@@ -37,21 +36,11 @@
 //! global logical tick. Entries are `Arc`-shared: eviction drops the
 //! shard's reference while live readers keep replaying their own — an
 //! eviction can never corrupt an in-flight query.
-//!
-//! ## Landmark admission
-//!
-//! [`SearchContext`] optionally carries ALT [`Landmarks`]: the engine uses
-//! the triangle-inequality lower bound on `d(o, τ)` as a first-class
-//! admission filter — a candidate trajectory whose landmark bound already
-//! proves it cannot beat the current top-k threshold skips its per-source
-//! distance bookkeeping (the cache-backed expansion tracking) entirely,
-//! counted in [`CacheStats::bound_prunes`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use uots_network::expansion::{NetworkExpansion, Settled};
-use uots_network::landmarks::Landmarks;
 use uots_network::{NodeId, RoadNetwork};
 use uots_obs::{Counter, MetricsRegistry};
 
@@ -115,9 +104,6 @@ pub struct CacheStats {
     pub rejected: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Candidate trajectories pruned by the landmark admission bound
-    /// before any cache/expansion bookkeeping.
-    pub bound_prunes: u64,
     /// Publications skipped because the producing query was interrupted
     /// (poison-on-cancel).
     pub poisoned: u64,
@@ -135,15 +121,15 @@ impl CacheStats {
     }
 }
 
-/// Optional [`MetricsRegistry`] counter handles, bound at construction.
-#[derive(Debug, Clone)]
-struct BoundCounters {
+/// The cache's event counters: detached, or the registry's
+/// `uots_distcache_*_total` handles (see [`DistanceCache::with_metrics`]).
+#[derive(Debug, Clone, Default)]
+struct Counters {
     hits: Counter,
     misses: Counter,
     inserts: Counter,
     rejected: Counter,
     evictions: Counter,
-    bound_prunes: Counter,
     poisoned: Counter,
 }
 
@@ -170,14 +156,7 @@ pub struct DistanceCache {
     shard_capacity: usize,
     capacity: usize,
     tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    rejected: AtomicU64,
-    evictions: AtomicU64,
-    bound_prunes: AtomicU64,
-    poisoned: AtomicU64,
-    bound: Option<BoundCounters>,
+    counters: Counters,
 }
 
 /// Default capacity: one million settled/frontier entries (~16 MiB of
@@ -211,24 +190,17 @@ impl DistanceCache {
             shard_capacity,
             capacity,
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bound_prunes: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            bound: None,
+            counters: Counters::default(),
         }
     }
 
-    /// Like [`new`](Self::new), additionally registering
-    /// `uots_distcache_*_total` counters in `registry`; every cache event
-    /// increments both the internal statistics and the registry handles.
+    /// Like [`new`](Self::new), counting its events in `registry`'s
+    /// `uots_distcache_*_total` counters, which [`stats`](Self::stats)
+    /// then reads: caches sharing one registry share their statistics.
     pub fn with_metrics(capacity: usize, registry: &MetricsRegistry) -> Self {
         let mut cache = Self::new(capacity);
         let c = |name: &str, help: &str| registry.counter(name, help);
-        cache.bound = Some(BoundCounters {
+        cache.counters = Counters {
             hits: c("uots_distcache_hits_total", "Distance-cache probe hits"),
             misses: c("uots_distcache_misses_total", "Distance-cache probe misses"),
             inserts: c(
@@ -243,15 +215,11 @@ impl DistanceCache {
                 "uots_distcache_evictions_total",
                 "Distance-cache entries evicted",
             ),
-            bound_prunes: c(
-                "uots_distcache_bound_prunes_total",
-                "Candidates pruned by the landmark admission bound",
-            ),
             poisoned: c(
                 "uots_distcache_poisoned_total",
                 "Publications skipped because the query was interrupted",
             ),
-        });
+        };
         cache
     }
 
@@ -292,15 +260,9 @@ impl DistanceCache {
         });
         drop(shard);
         if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(b) = &self.bound {
-                b.hits.inc();
-            }
+            self.counters.hits.inc();
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(b) = &self.bound {
-                b.misses.inc();
-            }
+            self.counters.misses.inc();
         }
         hit
     }
@@ -319,7 +281,7 @@ impl DistanceCache {
         );
         let cost = prefix.cost();
         if cost == 0 || cost > self.shard_capacity {
-            self.note_rejected();
+            self.counters.rejected.inc();
             return false;
         }
         let mutex = self.shard_of(prefix.source);
@@ -327,7 +289,7 @@ impl DistanceCache {
         if let Some(existing) = shard.map.get(&prefix.source) {
             if existing.prefix.settled.len() >= prefix.settled.len() {
                 drop(shard);
-                self.note_rejected();
+                self.counters.rejected.inc();
                 return false;
             }
             // the newcomer supersedes the resident entry
@@ -356,16 +318,8 @@ impl DistanceCache {
             },
         );
         drop(shard);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &self.bound {
-            b.inserts.inc();
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            if let Some(b) = &self.bound {
-                b.evictions.add(evicted);
-            }
-        }
+        self.counters.inserts.inc();
+        self.counters.evictions.add(evicted);
         true
     }
 
@@ -380,88 +334,48 @@ impl DistanceCache {
         }
     }
 
-    /// Counts one landmark-bound admission prune.
-    #[inline]
-    pub fn note_bound_prune(&self) {
-        self.bound_prunes.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &self.bound {
-            b.bound_prunes.inc();
-        }
-    }
-
     /// Counts one publication skipped because the query was interrupted.
     #[inline]
     pub fn note_poisoned(&self) {
-        self.poisoned.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &self.bound {
-            b.poisoned.inc();
-        }
-    }
-
-    fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &self.bound {
-            b.rejected.inc();
-        }
+        self.counters.poisoned.inc();
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
+        let c = &self.counters;
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bound_prunes: self.bound_prunes.load(Ordering::Relaxed),
-            poisoned: self.poisoned.load(Ordering::Relaxed),
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            inserts: c.inserts.get(),
+            rejected: c.rejected.get(),
+            evictions: c.evictions.get(),
+            poisoned: c.poisoned.get(),
         }
     }
 }
 
 /// Cross-query context threaded through every algorithm: an optional
-/// shared [`DistanceCache`] and optional ALT [`Landmarks`] for admission
-/// pruning. `Default` is the empty context (no cache, no landmarks) —
+/// shared [`DistanceCache`]. `Default` is the empty context (no cache) —
 /// exactly the pre-cache behavior.
 #[derive(Debug, Clone, Default)]
 pub struct SearchContext {
     cache: Option<Arc<DistanceCache>>,
-    landmarks: Option<Arc<Landmarks>>,
 }
 
 impl SearchContext {
-    /// The empty context: no cache, no landmarks.
+    /// The empty context: no cache.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// A context sharing `cache`.
     pub fn with_cache(cache: Arc<DistanceCache>) -> Self {
-        SearchContext {
-            cache: Some(cache),
-            ..Self::default()
-        }
-    }
-
-    /// Adds ALT landmarks for admission pruning.
-    pub fn with_landmarks(mut self, landmarks: Arc<Landmarks>) -> Self {
-        self.landmarks = Some(landmarks);
-        self
+        SearchContext { cache: Some(cache) }
     }
 
     /// The shared cache, if any.
     pub fn cache(&self) -> Option<&Arc<DistanceCache>> {
         self.cache.as_ref()
-    }
-
-    /// The landmark tables, if any.
-    pub fn landmarks(&self) -> Option<&Landmarks> {
-        self.landmarks.as_deref()
-    }
-
-    /// Whether the context carries neither cache nor landmarks.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_none() && self.landmarks.is_none()
     }
 }
 
@@ -531,11 +445,6 @@ impl<'a> CachedSource<'a> {
                 self.exp.start(source);
             }
         }
-    }
-
-    /// The expansion source.
-    pub fn source(&self) -> NodeId {
-        self.exp.source()
     }
 
     /// Whether a cached prefix is still being replayed.
@@ -855,10 +764,8 @@ mod tests {
 
     #[test]
     fn context_emptiness_tracks_the_cache() {
-        let ctx = SearchContext::new();
-        assert!(ctx.is_empty());
+        assert!(SearchContext::new().cache().is_none());
         let ctx = SearchContext::with_cache(Arc::new(DistanceCache::new(64)));
-        assert!(!ctx.is_empty());
         assert!(ctx.cache().is_some());
     }
 }

@@ -78,10 +78,9 @@ use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics};
 use std::collections::BinaryHeap;
 use uots_index::{TimeExpansion, TimeScanned};
-use uots_network::landmarks::Landmarks;
 use uots_network::TotalF64;
 use uots_obs::{Phase, Recorder};
-use uots_trajectory::{Trajectory, TrajectoryId};
+use uots_trajectory::TrajectoryId;
 
 /// Dense struct-of-arrays scan-state table.
 ///
@@ -115,8 +114,8 @@ struct ScanTable {
     remaining: Vec<u32>,
     /// Exact textual similarity (computed on first sight).
     textual: Vec<f64>,
-    /// Finalized (exact similarity computed and offered to the collector)
-    /// or retired (bound strictly below the pruning threshold).
+    /// Finalized (exact similarity computed and offered to the top-k) or
+    /// retired (bound strictly below the k-th score).
     done: Vec<bool>,
     /// Per spatial source `i`, one bit per global id (row `i`, `words`
     /// words from `i · words`): the source has nothing left to tell about
@@ -233,56 +232,6 @@ impl Ord for BoundEntry {
     }
 }
 
-/// What the search collects: the best `k` matches, or every match reaching
-/// a fixed similarity threshold.
-enum Collector {
-    TopK(TopK),
-    Threshold { theta: f64, matches: Vec<Match> },
-}
-
-impl Collector {
-    fn offer(&mut self, m: Match) {
-        match self {
-            Collector::TopK(top) => {
-                top.offer(m);
-            }
-            Collector::Threshold { theta, matches } => {
-                if m.similarity >= *theta {
-                    matches.push(m);
-                }
-            }
-        }
-    }
-
-    /// The similarity every still-unseen trajectory must beat to matter:
-    /// the k-th best so far (top-k mode; `-∞` until `k` found) or the
-    /// fixed threshold.
-    fn pruning_threshold(&self) -> f64 {
-        match self {
-            Collector::TopK(top) => top.threshold(),
-            Collector::Threshold { theta, .. } => *theta,
-        }
-    }
-
-    fn into_sorted(self) -> Vec<Match> {
-        match self {
-            Collector::TopK(top) => top.into_sorted(),
-            Collector::Threshold { mut matches, .. } => {
-                matches.sort_by(Match::ranking_cmp);
-                matches
-            }
-        }
-    }
-
-    /// Whether a zero interrupt gap proves exactness: it does once the
-    /// pruning threshold is real (top-k full, or any fixed θ). With an
-    /// unfilled top-k even a zero-bound unseen trajectory still belongs in
-    /// the answer, so the interrupted result must stay best-effort.
-    fn zero_gap_is_exact(&self) -> bool {
-        self.pruning_threshold() != f64::NEG_INFINITY
-    }
-}
-
 /// One query time's temporal source over every part of a [`View`]: the
 /// parts' timestamp expansions merged by gap (ties to the lower part), so
 /// entries come out in nondecreasing gap and [`radius`](Self::radius)
@@ -374,70 +323,18 @@ impl<'a> TimeChannel<'a> {
 /// `metrics.phases`). With [`Recorder::disabled`] each phase mark costs
 /// one branch.
 ///
-/// `ctx` carries an optional shared cross-query [`crate::DistanceCache`]
-/// (per-source expansion prefixes are replayed on a hit and published back
-/// on clean completion) and optional ALT landmarks used as an admission
-/// filter. The cached and uncached paths return identical results (see
-/// `tests/differential.rs`); only the work differs.
+/// `ctx` carries an optional shared cross-query [`crate::DistanceCache`]:
+/// per-source expansion prefixes are replayed on a hit and published back
+/// on clean completion. The cached and uncached paths return identical
+/// results (see `tests/differential.rs`); only the work differs.
 ///
 /// # Errors
 ///
 /// Propagates [`View::validate`] failures.
-pub fn expansion_search_ctx(
+pub(crate) fn expansion_search_ctx(
     view: &View<'_>,
     query: &UotsQuery,
     scheduler: Scheduler,
-    ctl: &RunControl,
-    rec: &mut Recorder,
-    ctx: &SearchContext,
-) -> Result<QueryResult, CoreError> {
-    let collector = Collector::TopK(TopK::new(query.options().k));
-    search(view, query, scheduler, collector, ctl, rec, ctx)
-}
-
-/// Threshold (range) variant of the expansion search: returns **every**
-/// trajectory whose similarity reaches `theta ∈ (0, 1]`, ranked best first.
-/// The query's `k` is ignored. This is the UOTS-side analogue of the join's
-/// per-probe search and useful on its own (alerting, candidate
-/// materialization).
-///
-/// `ctl`, `rec` and `ctx` are as for [`expansion_search_ctx`]. An
-/// interrupted threshold search returns the qualifying matches found so
-/// far; its `bound_gap` certifies how far above `θ` a missed trajectory
-/// could score.
-///
-/// # Errors
-///
-/// Propagates [`View::validate`] failures and rejects `theta` outside
-/// `(0, 1]`.
-pub fn threshold_search_ctx(
-    view: &View<'_>,
-    query: &UotsQuery,
-    theta: f64,
-    scheduler: Scheduler,
-    ctl: &RunControl,
-    rec: &mut Recorder,
-    ctx: &SearchContext,
-) -> Result<QueryResult, CoreError> {
-    if !(theta > 0.0 && theta <= 1.0) {
-        return Err(CoreError::BadParameter(format!(
-            "theta must be in (0, 1], got {theta}"
-        )));
-    }
-    let collector = Collector::Threshold {
-        theta,
-        matches: Vec::new(),
-    };
-    search(view, query, scheduler, collector, ctl, rec, ctx)
-}
-
-/// One engine run collecting into `collector`, shared by both entry
-/// points.
-fn search(
-    view: &View<'_>,
-    query: &UotsQuery,
-    scheduler: Scheduler,
-    collector: Collector,
     ctl: &RunControl,
     rec: &mut Recorder,
     ctx: &SearchContext,
@@ -448,7 +345,7 @@ fn search(
     }
     let start = std::time::Instant::now();
     let mut gate = Gate::new(&query.options().budget, ctl);
-    let mut engine = Engine::new(view, query, scheduler, collector, rec, ctx);
+    let mut engine = Engine::new(view, query, scheduler, rec, ctx);
     let interrupt = engine.run(&mut gate);
     engine.settle_cache(interrupt.is_none());
     let mut result = engine.into_result(view, interrupt);
@@ -474,8 +371,6 @@ struct Engine<'a, 'q, 'r> {
     query: &'q UotsQuery,
     scheduler: Scheduler,
     spatial: Vec<CachedSource<'a>>,
-    /// Cross-query context: shared distance cache + landmark admission.
-    ctx: &'q SearchContext,
     temporal: Vec<TimeChannel<'a>>,
     states: ScanTable,
     /// Slots touched and not yet seen done, in first-sighting order. A slot
@@ -502,7 +397,7 @@ struct Engine<'a, 'q, 'r> {
     /// part has a layout attached, legacy merge walk otherwise
     /// (bit-identical).
     textual_eval: Vec<TextualEval<'a>>,
-    collector: Collector,
+    top: TopK,
     bound_heap: BinaryHeap<BoundEntry>,
     metrics: SearchMetrics,
     /// Scheduling state.
@@ -543,9 +438,8 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         view: &'q View<'a>,
         query: &'q UotsQuery,
         scheduler: Scheduler,
-        collector: Collector,
         rec: &'r mut Recorder,
-        ctx: &'q SearchContext,
+        ctx: &SearchContext,
     ) -> Self {
         let parts = view.parts();
         let spatial: Vec<CachedSource<'a>> = query
@@ -602,7 +496,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             // catches directly constructed ones
             scheduler: scheduler.normalized(),
             spatial,
-            ctx,
             temporal,
             states: ScanTable::new(view.id_bound(), m, qt),
             live: Vec::new(),
@@ -614,7 +507,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             t_lb: vec![f64::NAN; qt],
             t_lb_exp: vec![f64::NAN; qt],
             textual_eval,
-            collector,
+            top: TopK::new(query.options().k),
             bound_heap: BinaryHeap::new(),
             metrics: SearchMetrics::for_one_query(),
             current_source: 0,
@@ -635,8 +528,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         for j in 0..engine.temporal.len() {
             engine.refresh_temporal_lb(j);
         }
-        // a fixed threshold can retire parts before the first step
-        engine.retire_parts();
         engine
     }
 
@@ -657,12 +548,12 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         0.0
     }
 
-    /// Retires every part whose bound fell strictly below the pruning
-    /// threshold; the run then walks none of its postings and retires its
-    /// touched trajectories as they come up ([`Engine::after_update`]).
+    /// Retires every part whose bound fell strictly below the k-th score;
+    /// the run then walks none of its postings and retires its touched
+    /// trajectories as they come up ([`Engine::after_update`]).
     #[inline]
     fn retire_parts(&mut self) {
-        self.cut.retire_below(self.collector.pruning_threshold());
+        self.cut.retire_below(self.top.threshold());
     }
 
     #[inline]
@@ -817,7 +708,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     }
 
     /// Certified slack at the moment of interruption: how much similarity
-    /// any unreported trajectory could have above the pruning threshold.
+    /// any unreported trajectory could have above the k-th score.
     ///
     /// Sound because (a) `ub_unscanned` bounds every never-touched
     /// trajectory, (b) the heap's stale top bound over-estimates every
@@ -825,7 +716,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// grow), and (c) entries popped earlier were already `≤` a k-th best
     /// that only increases.
     fn interrupt_gap(&mut self) -> f64 {
-        let base = self.collector.pruning_threshold().max(0.0);
+        let base = self.top.threshold().max(0.0);
         let mut ub = self.ub_unscanned();
         while let Some(entry) = self.bound_heap.peek() {
             let (tid, stale_ub) = (entry.tid, entry.ub.0);
@@ -940,20 +831,11 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     }
 
     /// The slot of `tid` (local id `local` of part `p`), created on first
-    /// sight, and whether it was; `None` when landmark admission retired
-    /// it on the spot.
-    fn slot_for(
-        &mut self,
-        tid: TrajectoryId,
-        p: usize,
-        local: TrajectoryId,
-    ) -> Option<(usize, bool)> {
+    /// sight, and whether it was.
+    fn slot_for(&mut self, tid: TrajectoryId, p: usize, local: TrajectoryId) -> (usize, bool) {
         match self.states.slot_of(tid) {
-            Some(slot) => Some((slot, false)),
-            None => {
-                let slot = self.insert_state(tid, p, local);
-                (!self.try_landmark_prune(slot, p, local)).then_some((slot, true))
-            }
+            Some(slot) => (slot, false),
+            None => (self.insert_state(tid, p, local), true),
         }
     }
 
@@ -965,9 +847,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         i: usize,
         dist: f64,
     ) {
-        let Some((slot, created)) = self.slot_for(tid, p, local) else {
-            return;
-        };
+        let (slot, created) = self.slot_for(tid, p, local);
         if self.states.done[slot] {
             return;
         }
@@ -998,9 +878,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         j: usize,
         dt: f64,
     ) {
-        let Some((slot, created)) = self.slot_for(tid, p, local) else {
-            return;
-        };
+        let (slot, created) = self.slot_for(tid, p, local);
         if self.states.done[slot] {
             return;
         }
@@ -1018,67 +896,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         self.after_update(slot, tid);
     }
 
-    /// Landmark admission, applied once at a trajectory's first sighting:
-    /// when the ALT-tightened similarity upper bound already proves the
-    /// trajectory cannot reach the pruning threshold, retire it before it
-    /// is ever bounded by radii (see [`Engine::retire`]).
-    fn try_landmark_prune(&mut self, slot: usize, p: usize, local: TrajectoryId) -> bool {
-        let Some(lm) = self.ctx.landmarks() else {
-            return false;
-        };
-        let kth = self.collector.pruning_threshold();
-        if kth <= 0.0 {
-            return false; // no threshold to prune against yet
-        }
-        let ub = self.alt_ub_of(slot, self.parts[p].db.store.get(local), lm);
-        if ub < kth {
-            self.retire(slot);
-            if let Some(cache) = self.ctx.cache() {
-                cache.note_bound_prune();
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Like [`ub_of`](Self::ub_of), additionally tightening every unknown
-    /// spatial distance with the ALT landmark lower bound on `d(o_i, τ)` —
-    /// the minimum of the per-vertex bounds over the trajectory's samples,
-    /// since the realized distance is exactly that minimum of exact
-    /// distances.
-    fn alt_ub_of(&self, slot: usize, traj: &Trajectory, lm: &Landmarks) -> f64 {
-        let o = self.query.options();
-        let m = self.num_spatial();
-        let mut acc = 0.0;
-        for (i, &e) in self.states.sterms(slot).iter().enumerate() {
-            acc += if e.is_nan() {
-                let mut alt = f64::INFINITY;
-                for v in traj.nodes() {
-                    alt = alt.min(lm.lower_bound(self.spatial[i].source(), v));
-                }
-                if !alt.is_finite() {
-                    alt = 0.0; // unreachable here: trajectories are non-empty
-                }
-                (-self.s_lb[i].max(alt) / o.decay_km).exp()
-            } else {
-                e
-            };
-        }
-        let spatial_ub = acc / m as f64;
-        let temporal_ub = if self.temporal.is_empty() {
-            0.0
-        } else {
-            let mut acc = 0.0;
-            for (j, &e) in self.states.tterms(slot).iter().enumerate() {
-                acc += if e.is_nan() { self.t_lb_exp[j] } else { e };
-            }
-            acc / self.temporal.len() as f64
-        };
-        let w = o.weights;
-        w.spatial * spatial_ub + w.textual * self.states.textual[slot] + w.temporal * temporal_ub
-    }
-
     /// Ends every spatial source's run ([`CachedSource::settle`]): the
     /// (possibly extended) prefixes are published to the shared cache on
     /// clean completion and poisoned after an interruption — a
@@ -1091,7 +908,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     }
 
     /// Marks a trajectory whose upper bound fell **strictly** below the
-    /// pruning threshold as done: no bound-heap entry, no further
+    /// k-th score as done: no bound-heap entry, no further
     /// per-source bookkeeping, no exact evaluation. Exact under ties: a
     /// retired trajectory satisfies `sim ≤ ub < kth`, and `kth` only
     /// increases — it can never enter the answer, not even via the id
@@ -1122,7 +939,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         if RETIREMENT_OFF.with(std::cell::Cell::get) {
             return false;
         }
-        ub < self.collector.pruning_threshold()
+        ub < self.top.threshold()
     }
 
     /// Finalizes, retires or re-bounds a trajectory after a scan-state
@@ -1163,8 +980,8 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let textual = self.states.textual[slot];
         self.states.mark_done(slot);
         self.metrics.candidates += 1;
-        self.metrics.heap_pushes += 1; // top-k (or threshold) offer
-        self.collector.offer(Match {
+        self.metrics.heap_pushes += 1; // top-k offer
+        self.top.offer(Match {
             id: tid,
             similarity: similarity::combine(self.query, spatial, textual, temporal),
             spatial,
@@ -1247,7 +1064,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 // spatial contribution is exactly 0; its textual score is
                 // bounded by the rank of the best unseen entry and its
                 // temporal score trivially by 1
-                let base = self.collector.pruning_threshold().max(0.0);
+                let base = self.top.threshold().max(0.0);
                 let w = o.weights;
                 let text_ub = self.unscanned_text_bound();
                 let tm_ub = if w.uses_temporal() { 1.0 } else { 0.0 };
@@ -1267,7 +1084,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 )
             };
             self.metrics.heap_pushes += 1;
-            self.collector.offer(Match {
+            self.top.offer(Match {
                 id: tid,
                 similarity: similarity::combine(self.query, 0.0, textual, temporal),
                 spatial: 0.0,
@@ -1283,7 +1100,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// Checks the two-part termination condition, cleaning the bound heap
     /// lazily.
     fn terminated(&mut self) -> bool {
-        let kth = self.collector.pruning_threshold();
+        let kth = self.top.threshold();
         if kth == f64::NEG_INFINITY {
             return false;
         }
@@ -1369,7 +1186,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// drops the bound-heap entries of finished slots.
     fn sweep_labels(&mut self) {
         let m = self.num_spatial();
-        let kth = self.collector.pruning_threshold();
+        let kth = self.top.threshold();
         self.labels.fill(0.0);
         let mut live = std::mem::take(&mut self.live);
         live.retain(|&slot| {
@@ -1409,13 +1226,14 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// Consumes the engine, recording the part fates in `view`;
     /// `interrupt` is [`Engine::run`]'s return value. A gap of zero
     /// certifies the answer exact even when the gate tripped — provided the
-    /// collector's threshold is real (see [`Collector::zero_gap_is_exact`]):
-    /// at that point the normal termination test would have fired on the
-    /// same state.
+    /// top-k is full: the normal termination test would then have fired on
+    /// the same state. With an unfilled top-k even a zero-bound unseen
+    /// trajectory still belongs in the answer, so it stays best-effort.
     fn into_result(self, view: &View<'_>, interrupt: Option<f64>) -> QueryResult {
-        self.cut.report(view, self.collector.pruning_threshold());
+        let kth = self.top.threshold();
+        self.cut.report(view, kth);
         let completeness = match interrupt {
-            Some(gap) if gap <= 0.0 && self.collector.zero_gap_is_exact() => Completeness::Exact,
+            Some(gap) if gap <= 0.0 && kth != f64::NEG_INFINITY => Completeness::Exact,
             Some(gap) => Completeness::BestEffort {
                 bound_gap: gap.clamp(0.0, 1.0),
             },
@@ -1426,7 +1244,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             metrics.interrupted = 1;
         }
         QueryResult {
-            matches: self.collector.into_sorted(),
+            matches: self.top.into_sorted(),
             metrics,
             completeness,
         }
@@ -1456,18 +1274,6 @@ mod tests {
     ) -> Result<QueryResult, CoreError> {
         let (ctl, ctx) = (RunControl::unbounded(), SearchContext::new());
         expansion_search_ctx(&View::one(*db), q, s, &ctl, &mut Recorder::disabled(), &ctx)
-    }
-
-    /// [`threshold_search_ctx`] likewise.
-    pub(super) fn threshold_plain(
-        db: &Database<'_>,
-        q: &UotsQuery,
-        theta: f64,
-        s: Scheduler,
-    ) -> Result<QueryResult, CoreError> {
-        let (ctl, ctx) = (RunControl::unbounded(), SearchContext::new());
-        let view = View::one(*db);
-        threshold_search_ctx(&view, q, theta, s, &ctl, &mut Recorder::disabled(), &ctx)
     }
 
     fn kws(ids: &[u32]) -> KeywordSet {
@@ -1718,9 +1524,9 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_with_temporal_channel_and_threshold_search() {
-        // same fixture, but exercise the threshold driver and a temporal
-        // query, both of which share pick_source
+    fn exhaustion_with_temporal_channel() {
+        // same fixture with a temporal query: the time sources share
+        // pick_source with the network ones and must exhaust beside them
         let (net, store) = exhaustion_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
@@ -1736,6 +1542,8 @@ mod tests {
             },
         )
         .unwrap();
+        let oracle =
+            crate::algorithms::Algorithm::run(&crate::algorithms::BruteForce, &db, &q).unwrap();
         for s in [
             Scheduler::RoundRobin,
             Scheduler::MinRadius,
@@ -1743,76 +1551,9 @@ mod tests {
         ] {
             let r = search_plain(&db, &q, s).unwrap();
             assert_eq!(r.matches.len(), 3, "{s:?}");
-            let t = threshold_plain(&db, &q, 0.01, s).unwrap();
-            assert!(t.is_ranked(), "{s:?}");
+            assert!(r.is_ranked(), "{s:?}");
+            assert_eq!(r.ids(), oracle.ids(), "{s:?}");
         }
-    }
-
-    #[test]
-    fn threshold_search_returns_exactly_the_qualifying_set() {
-        let (net, store) = fixture();
-        let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
-        let q = UotsQuery::new(vec![NodeId(0), NodeId(7)], kws(&[1, 2])).unwrap();
-        // oracle: brute force with a huge k, filtered
-        let all = {
-            let q_all = q
-                .reoptioned(QueryOptions {
-                    k: 100,
-                    ..Default::default()
-                })
-                .unwrap();
-            crate::algorithms::Algorithm::run(&crate::algorithms::BruteForce, &db, &q_all).unwrap()
-        };
-        for theta in [0.2, 0.5, 0.8] {
-            let got = threshold_plain(&db, &q, theta, Scheduler::heuristic()).unwrap();
-            let expect: Vec<TrajectoryId> = all
-                .matches
-                .iter()
-                .filter(|m| m.similarity >= theta)
-                .map(|m| m.id)
-                .collect();
-            assert_eq!(got.ids(), expect, "θ={theta}");
-            assert!(got.is_ranked());
-            for m in &got.matches {
-                assert!(m.similarity >= theta);
-            }
-        }
-    }
-
-    #[test]
-    fn threshold_search_validates_theta() {
-        let (net, store) = fixture();
-        let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
-        let q = UotsQuery::new(vec![NodeId(0)], kws(&[])).unwrap();
-        assert!(threshold_plain(&db, &q, 0.0, Scheduler::heuristic()).is_err());
-        assert!(threshold_plain(&db, &q, 1.5, Scheduler::heuristic()).is_err());
-    }
-
-    #[test]
-    fn high_threshold_terminates_quickly_with_empty_result() {
-        let (net, store) = fixture();
-        let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
-        // locations far from every trajectory, near-1 threshold: nothing
-        // qualifies, and the fixed threshold prunes from the first step
-        let q = UotsQuery::with_options(
-            vec![NodeId(30)],
-            kws(&[]),
-            vec![],
-            QueryOptions {
-                weights: Weights::lambda(1.0).unwrap(),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let r = threshold_plain(&db, &q, 0.999, Scheduler::heuristic()).unwrap();
-        assert!(r.matches.is_empty());
-        assert!(
-            r.metrics.settled_vertices < net.num_nodes(),
-            "threshold pruning should stop the expansion early"
-        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Edge cases of bound-driven candidate retirement (see the engine's
-//! module docs): exact-tie plateaus, the threshold collector, interrupted
-//! runs against the engine with retirement switched off, source
-//! exhaustion over a live list that holds retired states, and the posting
-//! loop's `heard` skip against the engine without it.
+//! module docs): exact-tie plateaus, interrupted runs against the engine
+//! with retirement switched off, source exhaustion over a live list that
+//! holds retired states, and the posting loop's `heard` skip against the
+//! engine without it.
 
-use super::tests::{search_plain, threshold_plain};
+use super::tests::search_plain;
 use super::*;
 use crate::algorithms::{Algorithm, BruteForce};
 use crate::query::{QueryOptions, Weights};
@@ -126,23 +126,6 @@ fn a_bound_equal_to_kth_is_not_retired_and_wins_the_id_tie_break() {
     }
 }
 
-#[test]
-fn threshold_mode_reports_similarity_exactly_theta() {
-    let (net, store) = plateau(3);
-    let vidx = store.build_vertex_index(net.num_nodes());
-    let db = Database::new(&net, &store, &vidx);
-    let q = plateau_query(1);
-    let theta = BruteForce.run(&db, &q).unwrap().matches[0].similarity;
-    for s in SCHEDULERS {
-        let got = threshold_plain(&db, &q, theta, s).unwrap();
-        let ids: Vec<u32> = got.matches.iter().map(|m| m.id.0).collect();
-        assert_eq!(ids, (0..16).collect::<Vec<u32>>(), "{s:?}");
-        assert!(got.matches.iter().all(|m| m.similarity == theta));
-        // the badly tagged ones are bounded strictly below θ: retired
-        assert!(got.metrics.retired > 0, "{s:?}: {:?}", got.metrics);
-    }
-}
-
 /// Two components: A is a 6-vertex path (unit edges), B two vertices 0.1
 /// apart. The query has one place in each. The bridge trajectory sits on
 /// both places with half the keywords, so it finalizes at once and sets
@@ -204,15 +187,17 @@ fn a_source_exhausting_over_retired_states_finalizes_only_the_live_ones() {
     }
 }
 
-/// A 10-vertex path with the two query places at its ends, in threshold
-/// mode (θ = 0.3 from the first step, so nothing waits on a top-k filling).
-/// `all` lies on every vertex with both keywords: finalized once each end
-/// has settled its own vertex, and posted again by every later settle.
-/// `bad` = `[a2, a3, a4]` shares no keyword: first sighted at radius 2 with
-/// the other end at radius ≥ 1, its bound is at most `¼(e⁻² + e⁻¹) ≈ 0.13
-/// < θ` — retired on the spot, then posted at `a3` and `a4`. `mid` at `a5`
-/// holds both keywords and keeps the unscanned bound above θ until both
-/// ends have reached it, so the run walks past all of those postings.
+/// A 10-vertex path with the two query places at its ends, k = 1 and
+/// λ = 0.2. `all` lies on every vertex with one of the two keywords: it is
+/// finalized once each end has settled its own vertex, fills the k-th at
+/// 0.2 + 0.8 · ½ = 0.6, and is posted again by every later settle. `bad` =
+/// `[a2, a3, a4]` shares no keyword, so its bound is at most λ < 0.6:
+/// retired on first sight, then posted at `a3` and `a4`. `mid` at `a5`
+/// holds both keywords, so its bound stays above 0.8 until both ends have
+/// reached it: the run walks past all of those postings, and `mid` wins.
+/// `Heuristic { recompute_every: 128 }` drains the `a9` end first, before
+/// the k-th fills: there `bad` is finalized, not retired, and the skipped
+/// postings are that end's farther revisits.
 #[test]
 fn later_postings_of_finished_trajectories_move_no_counter() {
     let mut b = NetworkBuilder::new();
@@ -224,27 +209,36 @@ fn later_postings_of_finished_trajectories_move_no_counter() {
     }
     let net = b.build().unwrap();
     let mut store = TrajectoryStore::new();
-    store.push(traj(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], &[1, 2])); // all
+    store.push(traj(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], &[1])); // all
     store.push(traj(&[2, 3, 4], &[9])); // bad
     store.push(traj(&[5], &[1, 2])); // mid
     let vidx = store.build_vertex_index(net.num_nodes());
-    let db = Database::new(&net, &store, &vidx);
-    let q = UotsQuery::new(vec![a[0], a[9]], kws(&[1, 2])).unwrap();
+    let kidx = store.build_keyword_index(16);
+    let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+    let q = UotsQuery::with_options(
+        vec![a[0], a[9]],
+        kws(&[1, 2]),
+        vec![],
+        QueryOptions {
+            weights: Weights::lambda(0.2).unwrap(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
     for s in SCHEDULERS {
-        let got = threshold_plain(&db, &q, 0.3, s).unwrap();
-        let plain = with_off(&HEARD_SKIP_OFF, || {
-            threshold_plain(&db, &q, 0.3, s).unwrap()
-        });
+        let got = search_plain(&db, &q, s).unwrap();
+        let plain = with_off(&HEARD_SKIP_OFF, || search_plain(&db, &q, s).unwrap());
         assert_eq!(bits(&got), bits(&plain), "{s:?}");
-        assert_eq!(
-            got.ids(),
-            vec![TrajectoryId(0), TrajectoryId(2)],
-            "{s:?}: all and mid reach θ"
-        );
+        assert_eq!(got.ids(), vec![TrajectoryId(2)], "{s:?}: mid wins");
         let m = &got.metrics;
         // both ends walked to `mid`, past every vertex of `bad`
         assert!(m.settled_vertices >= 11, "{s:?}: {m:?}");
-        assert_eq!((m.candidates, m.retired), (2, 1), "{s:?}: {m:?}");
+        let drains_a9_first = s
+            == Scheduler::Heuristic {
+                recompute_every: 128,
+            };
+        let expect = if drains_a9_first { (3, 0) } else { (2, 1) };
+        assert_eq!((m.candidates, m.retired), expect, "{s:?}: {m:?}");
         let timeless = |m: &SearchMetrics| SearchMetrics {
             runtime: Default::default(),
             ..m.clone()

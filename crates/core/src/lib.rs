@@ -86,7 +86,6 @@ pub use db::{Database, IdMap, LayoutTables, Part, PartFate, View};
 pub use distcache::{
     CacheStats, CachedSource, DistanceCache, SearchContext, SourcePrefix, DEFAULT_CACHE_CAPACITY,
 };
-pub use engine::{expansion_search_ctx, threshold_search_ctx};
 pub use epoch::{EpochManager, EpochSnapshot, EpochStats, Mutation};
 pub use error::CoreError;
 pub use keywords::{KeywordBlocks, PreparedQuery, TextualEval, MAX_BITSET_BITS};

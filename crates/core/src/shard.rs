@@ -34,7 +34,7 @@
 //! query location and, at each settled vertex, walks the postings of
 //! every part — one scan table, one collector, one bound heap, one
 //! scheduler and one termination test, all keyed by global id
-//! ([`crate::expansion_search_ctx`]). The query's budget covers the run,
+//! ([`crate::algorithms::Expansion`]). The query's budget covers the run,
 //! not each part.
 //!
 //! A part is **retired** — its postings no longer walked — once its upper

@@ -2,13 +2,22 @@
 //! eviction-safety, concurrency, and mid-batch-clear invariants the module
 //! docs promise. All of them drive the cache exclusively through its
 //! public surface — [`CachedSource`] runs over random road networks — so
-//! the properties hold for the exact code paths the query engine uses.
+//! the properties hold for the exact code paths the query engine uses. A
+//! last test checks, over a cached query batch, that a registered cache
+//! counts its events in the registry alone.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use uots_core::{CachedSource, DistanceCache};
+use uots_core::algorithms::Expansion;
+use uots_core::parallel::run_batch_ctx;
+use uots_core::{
+    BatchOptions, CacheStats, CachedSource, CancellationToken, Database, DistanceCache,
+    ExecutionBudget, QueryOptions, SearchContext, UotsQuery,
+};
+use uots_datagen::{workload, Dataset, DatasetConfig};
 use uots_network::expansion::Settled;
 use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
+use uots_obs::MetricsRegistry;
 
 /// A connected random network: spanning tree plus chords.
 fn graph_strategy(max_n: usize) -> impl Strategy<Value = RoadNetwork> {
@@ -225,4 +234,75 @@ proptest! {
             "suspended replay diverged across a clear"
         );
     }
+}
+
+/// A registered cache counts every event once, in the registry: after a
+/// cached batch its `stats()` are the registry snapshot's
+/// `uots_distcache_*_total` samples, one for one.
+#[test]
+fn registered_stats_are_the_registry_counters() {
+    let ds = Dataset::build(&DatasetConfig::small(150, 9)).unwrap();
+    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        .with_keyword_index(&ds.keyword_index);
+    let queries = |seed: u64, options: QueryOptions| -> Vec<UotsQuery> {
+        let config = workload::WorkloadConfig {
+            num_queries: 12,
+            seed,
+            ..Default::default()
+        };
+        let specs = workload::generate(&ds, &config);
+        specs
+            .into_iter()
+            .map(|s| {
+                UotsQuery::with_options(s.locations, s.keywords, vec![], options.clone()).unwrap()
+            })
+            .collect()
+    };
+    let registry = MetricsRegistry::default();
+    // small enough that prefixes are evicted and some are rejected
+    let cache = Arc::new(DistanceCache::with_metrics(1 << 12, &registry));
+    let ctx = SearchContext::with_cache(Arc::clone(&cache));
+    let budgeted = QueryOptions {
+        budget: ExecutionBudget::default().with_max_visited(2),
+        ..Default::default()
+    };
+    // an interrupted pass poisons, then a clean pass run twice hits
+    for batch in [
+        queries(1, budgeted),
+        queries(2, QueryOptions::default()),
+        queries(2, QueryOptions::default()),
+    ] {
+        let token = CancellationToken::new();
+        let opts = BatchOptions::fail_fast(2);
+        run_batch_ctx(&db, &Expansion::default(), &batch, &opts, &token, &ctx).unwrap();
+    }
+    let stats = cache.stats();
+    // every counter moved, so no equality below holds at zero alone
+    let CacheStats {
+        hits,
+        misses,
+        inserts,
+        rejected,
+        evictions,
+        poisoned,
+    } = stats;
+    assert!(
+        [hits, misses, inserts, rejected, evictions, poisoned]
+            .iter()
+            .all(|&n| n > 0),
+        "{stats:?}"
+    );
+    let snapshot = registry.snapshot();
+    let total = |event: &str| {
+        let name = format!("uots_distcache_{event}_total");
+        snapshot
+            .counter(&name, &[])
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
+    assert_eq!(total("hits"), stats.hits);
+    assert_eq!(total("misses"), stats.misses);
+    assert_eq!(total("inserts"), stats.inserts);
+    assert_eq!(total("rejected"), stats.rejected);
+    assert_eq!(total("evictions"), stats.evictions);
+    assert_eq!(total("poisoned"), stats.poisoned);
 }

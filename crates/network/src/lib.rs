@@ -16,7 +16,6 @@
 //!   behind the paper's concurrent multi-source expansion search;
 //! * [`astar::AStar`] — fast point-to-point routing for trip generation;
 //! * [`matrix::DistanceMatrix`] — Floyd–Warshall all-pairs oracle;
-//! * [`landmarks::Landmarks`] — optional ALT lower bounds (extension);
 //! * [`generators`] — deterministic synthetic city networks standing in for
 //!   the paper's Beijing road network;
 //! * [`io`] — edge-list text format plus serde support.
@@ -33,7 +32,6 @@ mod geometry;
 mod graph;
 mod heap;
 pub mod io;
-pub mod landmarks;
 pub mod matrix;
 
 pub use error::NetworkError;

@@ -4,8 +4,11 @@
 //! uots generate      --preset small|brn|nrn --trips N --seed S --out data.uotsds
 //! uots stats         --data data.uotsds
 //! uots query         --data data.uotsds --at x,y --at x,y [--tags a,b] [--lambda L] [--k K]
-//!                    [--metrics-out FILE] [--trace FILE] [--obs-listen ADDR]
+//!                    [--deadline-ms MS] [--max-visited N] [--cache-capacity N]
+//!                    [--metrics-out FILE] [--trace FILE]
+//!                    [--obs-listen ADDR] [--obs-linger-ms MS]
 //! uots join          --data data.uotsds --theta T [--lambda L] [--threads N]
+//!                    [--deadline-ms MS] [--max-visited N] [--cache-capacity N]
 //!                    [--metrics-out FILE]
 //! uots ingest        --data data.uotsds --script mut.txt [--batch N] [--verify]
 //!                    [--wal-dir DIR] [--fsync batch|off|interval:MS]
@@ -23,6 +26,8 @@
 //! a preset + seed, the other commands load it. `--metrics-out` writes a
 //! Prometheus text exposition of the run, `--trace` a per-query JSON span
 //! timeline, and `check-metrics` validates an exposition file (used in CI).
+//! A command refuses any flag it does not read (`error: unknown flag
+//! --…`) before it does any work.
 //!
 //! `--obs-listen ADDR` (e.g. `127.0.0.1:0`) starts the live observability
 //! endpoint for the duration of the command: `GET /metrics` serves the
@@ -98,11 +103,12 @@ fn print_usage() {
          \x20 query    --data FILE --at x,y --at x,y ... [--tags a,b,c]\n\
          \x20          [--lambda L=0.5] [--k K=3]\n\
          \x20          [--deadline-ms MS] [--max-visited N]\n\
-         \x20          [--cache-capacity N] [--no-cache]\n\
-         \x20          [--metrics-out FILE] [--trace FILE] [--obs-listen ADDR]\n\
+         \x20          [--cache-capacity N]\n\
+         \x20          [--metrics-out FILE] [--trace FILE]\n\
+         \x20          [--obs-listen ADDR] [--obs-linger-ms MS]\n\
          \x20 join     --data FILE --theta T=0.8 [--lambda L=0.5] [--threads N=2]\n\
          \x20          [--deadline-ms MS] [--max-visited N] [--metrics-out FILE]\n\
-         \x20          [--cache-capacity N] [--no-cache]\n\
+         \x20          [--cache-capacity N]\n\
          \x20 ingest   --data FILE --script FILE [--batch N] [--verify]\n\
          \x20          [--wal-dir DIR] [--fsync batch|off|interval:MS]\n\
          \x20          [--checkpoint-every N] [--metrics-out FILE]\n\
@@ -128,8 +134,8 @@ fn print_usage() {
          --deadline-ms / --max-visited bound the work; when a bound trips,\n\
          the best results found so far are returned with a certified gap.\n\
          network distances are memoized in a shared cache by default;\n\
-         --cache-capacity N sizes it (0 disables), --no-cache turns it\n\
-         off. results are identical either way.\n\
+         --cache-capacity N sizes it (0 disables). results are identical\n\
+         either way.\n\
          --metrics-out writes a Prometheus text exposition, --trace a JSON\n\
          span timeline; check-metrics validates an exposition file.\n\
          --obs-listen ADDR serves live observability over HTTP while the\n\
@@ -143,7 +149,8 @@ fn print_usage() {
          wholly-unusable files into DIR/quarantine/ with a manifest — it\n\
          never deletes anything. recover/status/fsck exit codes: 0 clean,\n\
          1 operational error, 2 usage, 3 recovered-with-fallback,\n\
-         4 corruption found (still recoverable), 5 unrecoverable."
+         4 corruption found (still recoverable), 5 unrecoverable.\n\
+         a flag the command does not read is an error."
     );
 }
 
@@ -154,21 +161,80 @@ const EXIT_RECOVERED_WITH_FALLBACK: i32 = 3;
 const EXIT_CORRUPTION_FOUND: i32 = 4;
 const EXIT_UNRECOVERABLE: i32 = 5;
 
+// The flags each command reads, its shared helpers' included: `load`
+// reads --data, `parse_budget` the budget pair, `parse_cache`
+// --cache-capacity and `start_obs_plane` the --obs-* pair.
+const GENERATE_FLAGS: &[&str] = &["preset", "trips", "seed", "out"];
+const STATS_FLAGS: &[&str] = &["data"];
+const QUERY_FLAGS: &[&str] = &[
+    "data",
+    "at",
+    "tags",
+    "lambda",
+    "k",
+    "deadline-ms",
+    "max-visited",
+    "cache-capacity",
+    "metrics-out",
+    "trace",
+    "obs-listen",
+    "obs-linger-ms",
+];
+const JOIN_FLAGS: &[&str] = &[
+    "data",
+    "theta",
+    "lambda",
+    "threads",
+    "deadline-ms",
+    "max-visited",
+    "cache-capacity",
+    "metrics-out",
+];
+const INGEST_FLAGS: &[&str] = &[
+    "data",
+    "script",
+    "batch",
+    "verify",
+    "wal-dir",
+    "fsync",
+    "checkpoint-every",
+    "metrics-out",
+    "obs-listen",
+    "obs-linger-ms",
+];
+const RECOVER_FLAGS: &[&str] = &[
+    "wal-dir",
+    "data",
+    "verify",
+    "metrics-out",
+    "obs-listen",
+    "obs-linger-ms",
+];
+const STATUS_FLAGS: &[&str] = &["wal-dir", "json"];
+const FSCK_FLAGS: &[&str] = &["wal-dir", "data", "json"];
+const CHECK_METRICS_FLAGS: &[&str] = &["file"];
+
 /// Tiny flag parser: `--name value` pairs, `--at` repeatable. A flag
 /// followed by another `--flag` (or by nothing) is a boolean switch and
-/// parses as `true` — e.g. `--no-cache`.
+/// parses as `true` — e.g. `--verify`. A flag outside the command's list
+/// is refused, so a typo cannot run the command in a configuration nobody
+/// asked for.
 struct Flags {
+    accepted: &'static [&'static str],
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    fn parse(args: &[String], accepted: &'static [&'static str]) -> Result<Flags, String> {
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let key = args[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got `{}`", args[i]))?;
+            if !accepted.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
+            }
             match args.get(i + 1) {
                 Some(v) if !v.starts_with("--") => {
                     pairs.push((key.to_string(), v.clone()));
@@ -180,10 +246,11 @@ impl Flags {
                 }
             }
         }
-        Ok(Flags { pairs })
+        Ok(Flags { accepted, pairs })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(self.accepted.contains(&key), "--{key} is not in the list");
         self.pairs
             .iter()
             .rev()
@@ -192,6 +259,7 @@ impl Flags {
     }
 
     fn get_all(&self, key: &str) -> Vec<&str> {
+        debug_assert!(self.accepted.contains(&key), "--{key} is not in the list");
         self.pairs
             .iter()
             .filter(|(k, _)| k == key)
@@ -227,15 +295,12 @@ fn parse_budget(flags: &Flags) -> Result<ExecutionBudget, String> {
     Ok(budget)
 }
 
-/// Parses `--cache-capacity` / `--no-cache` into an optional shared
-/// distance cache, wired to `registry` for hit/miss counters.
+/// Parses `--cache-capacity` into an optional shared distance cache (none
+/// at 0), wired to `registry` for hit/miss counters.
 fn parse_cache(
     flags: &Flags,
     registry: &MetricsRegistry,
 ) -> Result<Option<Arc<DistanceCache>>, String> {
-    if flags.get("no-cache").is_some() {
-        return Ok(None);
-    }
     let capacity: usize = match flags.get("cache-capacity") {
         Some(v) => v
             .parse()
@@ -255,13 +320,12 @@ fn report_cache(cache: &DistanceCache) {
     let s = cache.stats();
     println!(
         "distance cache: {} hits / {} misses ({:.1}% hit rate), {} inserts, \
-         {} evictions, {} bound prunes",
+         {} evictions",
         s.hits,
         s.misses,
         s.hit_rate() * 100.0,
         s.inserts,
-        s.evictions,
-        s.bound_prunes
+        s.evictions
     );
 }
 
@@ -373,7 +437,7 @@ fn report_completeness(c: &Completeness) {
 }
 
 fn cmd_generate(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, GENERATE_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -418,7 +482,7 @@ fn load(flags: &Flags) -> Result<Dataset, String> {
 }
 
 fn cmd_stats(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, STATS_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -451,7 +515,7 @@ fn cmd_stats(args: &[String]) -> i32 {
 }
 
 fn cmd_query(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, QUERY_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -661,7 +725,7 @@ fn cmd_query(args: &[String]) -> i32 {
 }
 
 fn cmd_join(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, JOIN_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -851,7 +915,7 @@ impl Ingestor {
 }
 
 fn cmd_ingest(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, INGEST_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -1094,7 +1158,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
 }
 
 fn cmd_recover(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, RECOVER_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -1308,7 +1372,7 @@ fn report_scrub_json(r: &ScrubReport, has_base: bool) -> i32 {
 }
 
 fn cmd_status(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, STATUS_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -1331,7 +1395,7 @@ fn cmd_status(args: &[String]) -> i32 {
 }
 
 fn cmd_fsck(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, FSCK_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };
@@ -1369,7 +1433,7 @@ fn cmd_fsck(args: &[String]) -> i32 {
 }
 
 fn cmd_check_metrics(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args) {
+    let flags = match Flags::parse(args, CHECK_METRICS_FLAGS) {
         Ok(f) => f,
         Err(e) => return fail(e),
     };

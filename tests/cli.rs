@@ -306,11 +306,11 @@ fn metrics_and_trace_outputs_are_valid() {
     std::fs::remove_file(&trace).ok();
 }
 
-/// `--no-cache` changes the work, never the output: the join goes through
-/// the same entry point and writes the same metric families either way,
-/// and a query ranks the same trips.
+/// `--cache-capacity 0` changes the work, never the output: the join goes
+/// through the same entry point and writes the same metric families either
+/// way, and a query ranks the same trips.
 #[test]
-fn no_cache_flag_changes_work_not_answers() {
+fn cache_capacity_zero_changes_work_not_answers() {
     let path = temp_dataset("nocache.uotsds");
     generate(&path);
     let run = |args: &[&str], extra: &[&str]| -> String {
@@ -334,7 +334,10 @@ fn no_cache_flag_changes_work_not_answers() {
     };
 
     let mut pair_lines = Vec::new();
-    for (name, extra) in [("cached", &[][..]), ("uncached", &["--no-cache"][..])] {
+    for (name, extra) in [
+        ("cached", &[][..]),
+        ("uncached", &["--cache-capacity", "0"][..]),
+    ] {
         let prom = temp_dataset(&format!("nocache-{name}.prom"));
         let prom_arg = prom.to_str().unwrap();
         let text = run(
@@ -358,13 +361,65 @@ fn no_cache_flag_changes_work_not_answers() {
 
     let query = ["query", "--at", "2.0,2.0", "--at", "5.0,3.0", "--k", "3"];
     let cached = run(&query, &[]);
-    let uncached = run(&query, &["--no-cache"]);
+    let uncached = run(&query, &["--cache-capacity", "0"]);
     assert!(cached.contains("distance cache:"), "{cached}");
     assert!(!uncached.contains("distance cache:"), "{uncached}");
     assert!(cached.contains("  #1 "), "{cached}");
     assert_eq!(lines_with(&cached, "  #"), lines_with(&uncached, "  #"));
 
     std::fs::remove_file(&path).ok();
+}
+
+/// A flag the command does not read fails before any work — a typo such
+/// as `--tag` for `--tags` used to rank without keywords and exit 0 — and
+/// so does the deleted `--no-cache`.
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let path = temp_dataset("unknownflags.uotsds");
+    generate(&path);
+    let script = temp_dataset("unknownflags.script");
+    std::fs::write(&script, "ingest 0 1 2\npublish\n").unwrap();
+    let wal_dir = temp_dataset("unknownflags.wal");
+    std::fs::remove_dir_all(&wal_dir).ok();
+    let (data, script_arg) = (path.to_str().unwrap(), script.to_str().unwrap());
+    let wal_arg = wal_dir.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec!["query", "--data", data, "--at", "2,2", "--tag", "3"],
+            "tag",
+        ),
+        (
+            vec!["query", "--data", data, "--at", "2,2", "--no-cache"],
+            "no-cache",
+        ),
+        (vec!["join", "--data", data, "--no-cache"], "no-cache"),
+        (vec!["join", "--data", data, "--tehta", "0.9"], "tehta"),
+        (
+            vec![
+                "ingest",
+                "--data",
+                data,
+                "--script",
+                script_arg,
+                "--wal-dir",
+                wal_arg,
+                "--batchh",
+                "1",
+            ],
+            "batchh",
+        ),
+    ] {
+        let out = uots().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("error: unknown flag --{flag}");
+        assert_eq!(stderr.trim_end(), want, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: no work before the error");
+    }
+    assert!(!wal_dir.exists(), "the refused ingest opened no wal");
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&script).ok();
 }
 
 #[test]

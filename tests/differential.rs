@@ -21,7 +21,6 @@
 //! * engineered exact ties (duplicated trajectories) at every `k`;
 //! * small cache capacities, so eviction and admission rejection happen
 //!   *during* the differential run;
-//! * landmark-equipped contexts (ALT admission pruning enabled).
 //! * **sharded cuts**: every dataset is also partitioned across 1, 3 and 4
 //!   hash shards, and the one run over all shards must reproduce the
 //!   unsharded fingerprint bit-for-bit — Exact runs for all four
@@ -38,7 +37,6 @@ use std::sync::Arc;
 use uots::cluster::ShardedDurable;
 use uots::datagen::adversarial::{hub_spike, split_city};
 use uots::index::TimestampIndex;
-use uots::network::landmarks::Landmarks;
 use uots::prelude::*;
 use uots::{
     DistanceCache, EpochManager, EpochSnapshot, FsyncPolicy, KeywordSet, LayoutTables,
@@ -410,15 +408,10 @@ fn random_query(rng: &mut StdRng, n: usize) -> UotsQuery {
 }
 
 /// A cache-bearing context for dataset `i`: capacities cycle through
-/// tiny (eviction-heavy), small and ample; odd datasets add landmarks.
-fn context_for(i: usize, net: &uots::RoadNetwork) -> SearchContext {
+/// tiny (eviction-heavy), small and ample.
+fn context_for(i: usize) -> SearchContext {
     let capacity = [64usize, 1 << 10, 1 << 16][i % 3];
-    let ctx = SearchContext::with_cache(Arc::new(DistanceCache::new(capacity)));
-    if i % 2 == 1 {
-        ctx.with_landmarks(Arc::new(Landmarks::select(net, 3, NodeId(0))))
-    } else {
-        ctx
-    }
+    SearchContext::with_cache(Arc::new(DistanceCache::new(capacity)))
 }
 
 /// Uniform random graphs and stores: the bulk of the case count. One
@@ -438,7 +431,7 @@ fn differential_uniform_random() {
         let kidx = store.build_keyword_index(12);
         let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
         let layout = LayoutTables::build(&net, &store, 12);
-        let ctx = context_for(ds_i, &net);
+        let ctx = context_for(ds_i);
         let cuts = cuts_of(&net, &store, 12);
         for q_i in 0..10 {
             let q = random_query(&mut rng, n);
@@ -461,7 +454,7 @@ fn differential_hub_spike() {
             .with_keyword_index(&ds.keyword_index);
         let layout = LayoutTables::build(&ds.network, &ds.store, 12);
         let n = ds.network.num_nodes();
-        let ctx = context_for(ds_i, &ds.network);
+        let ctx = context_for(ds_i);
         let cuts = cuts_of(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
             let mut q = random_query(&mut rng, n);
@@ -495,7 +488,7 @@ fn differential_split_city() {
             .with_keyword_index(&ds.keyword_index);
         let layout = LayoutTables::build(&ds.network, &ds.store, 12);
         let n = ds.network.num_nodes();
-        let ctx = context_for(ds_i, &ds.network);
+        let ctx = context_for(ds_i);
         let cuts = cuts_of(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
             let q = random_query(&mut rng, n);
