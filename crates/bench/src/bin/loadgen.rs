@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use uots::core::shard::ShardedCluster;
-use uots::obs::{MetricsRegistry, ObsState};
+use uots::obs::{EventJournal, MetricsRegistry, ObsState, TailSampler};
 use uots::serve::{QueryService, ServiceConfig};
 use uots_bench::{make_queries, render_table, LatencyStats, Row, Scale};
 use uots_core::planner::AlgorithmKind;
@@ -332,7 +332,8 @@ fn start_service(ds: &Dataset, force: Option<AlgorithmKind>) -> QueryService {
         Some(&registry),
         None,
     );
-    let obs = ObsState::new().with_registry(registry);
+    let (journal, sampler) = (EventJournal::default(), TailSampler::default());
+    let obs = ObsState::new(registry, journal, sampler, || "{}".into());
     let cfg = ServiceConfig {
         force,
         ..ServiceConfig::default()

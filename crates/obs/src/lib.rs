@@ -30,8 +30,10 @@
 //!   JSON-lines export and drop counting;
 //! * [`TailSampler`] — tail-based sampling that keeps full trace
 //!   exemplars only for slow / best-effort / errored queries;
-//! * [`ObsServer`] — a dependency-free `TcpListener` thread serving
-//!   `/metrics`, `/status`, `/journal`, and `/traces` live.
+//! * [`AcceptLoop`] — the one dependency-free HTTP router: `TcpListener`
+//!   workers serving `/metrics`, `/status`, `/journal`, and `/traces` of
+//!   an [`ObsState`] live, beside whatever routes the embedder adds (the
+//!   query service's `POST` endpoints), and writing every response.
 //!
 //! ```
 //! use uots_obs::{MetricsRegistry, Phase, Recorder};
@@ -77,8 +79,5 @@ pub use sampler::{
     KeepReason, SamplerStats, TailSampler, TraceExemplar, DEFAULT_EXEMPLAR_CAPACITY,
     DEFAULT_SLOW_QUANTILE,
 };
-pub use serve::{
-    dispatch_obs, read_request, respond, HttpRequest, ObsServer, ObsState, StatusProvider,
-    MAX_BODY_BYTES,
-};
+pub use serve::{AcceptLoop, HttpRequest, ObsState, Response, Stopper, MAX_BODY_BYTES};
 pub use trace::{EventRecord, QueryTrace, Recorder, RecorderReport, SpanRecord};

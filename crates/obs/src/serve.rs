@@ -1,16 +1,19 @@
-//! Live exposition endpoint: a dependency-free HTTP/1.1 server over
-//! `std::net::TcpListener` on a plain OS thread — no async runtime.
+//! Live exposition and the one HTTP router: a dependency-free HTTP/1.1
+//! server over `std::net::TcpListener` on plain OS threads — no async
+//! runtime.
 //!
 //! A long-running ingest or query batch becomes inspectable *while it
-//! runs*: start an [`ObsServer`] next to the work, hand it clones of the
-//! observability handles, and `curl` the process from outside.
+//! runs*: start an [`AcceptLoop`] next to the work, hand it an
+//! [`ObsState`] of the observability handles, and `curl` the process from
+//! outside. A larger server (the query service) runs the same loop with
+//! its own routes beside these.
 //!
 //! ## Endpoint contract
 //!
 //! | path | payload | source |
 //! |------|---------|--------|
 //! | `GET /metrics` | Prometheus text exposition 0.0.4 | [`MetricsRegistry::render_prometheus`] |
-//! | `GET /status`  | JSON health document | caller-installed provider ([`ObsState::with_status`]) |
+//! | `GET /status`  | JSON health document | the embedder's status closure ([`ObsState::new`]) |
 //! | `GET /journal?n=K` | JSON lines, the `K` (default 128) most recent events | [`EventJournal::export_jsonl`] |
 //! | `GET /traces`  | `{"stats":…,"exemplars":[…]}` JSON | [`TailSampler::export_json`] |
 //! | `GET /` | plain-text index of the above | — |
@@ -20,16 +23,21 @@
 //! leaves the process; a registry that somehow renders an invalid
 //! exposition produces a 500, never a silently-malformed 200.
 //!
-//! The server holds only cheap `Arc` clones of the handles: it never
-//! blocks the instrumented hot path, and components the caller did not
-//! install answer 404. It is an [`AcceptLoop`] of one worker — the loop
-//! the query service runs with `http_threads` of them: blocking
-//! `accept()`, one request per connection (every response closes it and
-//! reads carry a timeout, so an idle peer cannot starve others).
+//! Every other request goes to the embedder's routes, which return a
+//! [`Response`]; one they do not know is a JSON 404, and a method other
+//! than `GET` / `POST` (or any but `GET` on the paths above) a JSON 405.
+//! The loop writes every response itself — route answers, refusals and
+//! its own 4xx alike — so a response leaves the process in one place.
+//!
+//! The loop holds only cheap `Arc` clones of the handles: it never
+//! blocks the instrumented hot path. One request per connection (every
+//! response closes it and reads carry a timeout, so an idle peer cannot
+//! starve others).
 
 use crate::journal::EventJournal;
 use crate::registry::{validate_prometheus_text, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::sampler::TailSampler;
+use serde::Content;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,80 +46,121 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Produces the `/status` JSON document on demand. Installed by the
-/// embedder so the obs crate stays independent of the durable facade's
-/// status types.
-pub type StatusProvider = Arc<dyn Fn() -> String + Send + Sync>;
-
-/// What an [`ObsServer`] exposes: any subset of the observability
-/// handles. Missing components answer 404 on their endpoint.
-#[derive(Clone, Default)]
+/// What an [`AcceptLoop`] exposes: the registry at `/metrics`, the
+/// journal at `/journal`, the sampler at `/traces` and the status
+/// closure's document at `/status`. The loop's own series and events go
+/// to the same registry and journal.
+#[derive(Clone)]
 pub struct ObsState {
-    registry: Option<MetricsRegistry>,
-    journal: Option<EventJournal>,
-    sampler: Option<TailSampler>,
-    status: Option<StatusProvider>,
-}
-
-impl std::fmt::Debug for ObsState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsState")
-            .field("registry", &self.registry.is_some())
-            .field("journal", &self.journal.is_some())
-            .field("sampler", &self.sampler.is_some())
-            .field("status", &self.status.is_some())
-            .finish()
-    }
+    registry: MetricsRegistry,
+    journal: EventJournal,
+    sampler: TailSampler,
+    status: Arc<dyn Fn() -> String + Send + Sync>,
 }
 
 impl ObsState {
-    /// An empty state; add components with the `with_*` builders.
-    pub fn new() -> ObsState {
-        ObsState::default()
+    /// Serves the four handles. `status` must return a JSON document; it
+    /// is called once per `/status` request, so it always reflects the
+    /// live state.
+    pub fn new(
+        registry: MetricsRegistry,
+        journal: EventJournal,
+        sampler: TailSampler,
+        status: impl Fn() -> String + Send + Sync + 'static,
+    ) -> ObsState {
+        ObsState {
+            registry,
+            journal,
+            sampler,
+            status: Arc::new(status),
+        }
     }
 
-    /// Serves `registry` at `/metrics`.
-    pub fn with_registry(mut self, registry: MetricsRegistry) -> ObsState {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Serves `journal` at `/journal`.
-    pub fn with_journal(mut self, journal: EventJournal) -> ObsState {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Serves `sampler` at `/traces`.
-    pub fn with_sampler(mut self, sampler: TailSampler) -> ObsState {
-        self.sampler = Some(sampler);
-        self
-    }
-
-    /// The registry served at `/metrics`, for the embedder's own series —
-    /// a detached one when none is attached.
-    pub fn registry(&self) -> MetricsRegistry {
-        self.registry.clone().unwrap_or_default()
+    /// The registry served at `/metrics`, for the embedder's own series.
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
     /// The sampler served at `/traces`, for the embedder to feed.
-    pub fn sampler(&self) -> Option<&TailSampler> {
-        self.sampler.as_ref()
+    pub fn sampler(&self) -> &TailSampler {
+        &self.sampler
     }
 
-    /// Serves `provider()` at `/status`. The provider must return a JSON
-    /// document; it is called once per request, so it always reflects the
-    /// live state.
-    pub fn with_status(
-        mut self,
-        provider: impl Fn() -> String + Send + Sync + 'static,
-    ) -> ObsState {
-        self.status = Some(Arc::new(provider));
-        self
+    /// The answer to an observability path, or `None` when `path` is not
+    /// one.
+    fn answer(&self, path: &str, req: &HttpRequest) -> Option<Response> {
+        Some(match path {
+            "/metrics" => {
+                let text = self.registry.render_prometheus();
+                match validate_prometheus_text(&text) {
+                    Ok(_) => Response::text(200, "text/plain; version=0.0.4; charset=utf-8", text),
+                    Err(e) => Response::text(
+                        500,
+                        "text/plain",
+                        format!("registry rendered an invalid exposition: {e}\n"),
+                    ),
+                }
+            }
+            "/status" => Response::json(200, (self.status)()),
+            "/journal" => {
+                let n = req.query_param("n").and_then(|v| v.parse::<usize>().ok());
+                let n = n.unwrap_or(DEFAULT_JOURNAL_TAIL);
+                Response::text(200, "application/x-ndjson", self.journal.export_jsonl(n))
+            }
+            "/traces" => Response::json(200, self.sampler.export_json()),
+            "/" => Response::text(
+                200,
+                "text/plain",
+                "uots observability endpoints:\n\
+                 /metrics  Prometheus text exposition\n\
+                 /status   health and progress (JSON)\n\
+                 /journal?n=K  recent operational events (JSON lines)\n\
+                 /traces   slow-query exemplars (JSON)\n"
+                    .to_string(),
+            ),
+            _ => return None,
+        })
     }
 }
 
-/// Stop flag and wake of an [`AcceptLoop`], handed to every handler call
+/// The paths [`ObsState`] answers; they take `GET` only.
+const OBS_PATHS: [&str; 5] = ["/metrics", "/status", "/journal", "/traces", "/"];
+
+/// Default `/journal` tail length when `?n=` is absent.
+const DEFAULT_JOURNAL_TAIL: usize = 128;
+
+/// One HTTP response — status code, content type and body — as a route
+/// returns it. Only the accept loop writes it to the peer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    code: u16,
+    content_type: &'static str,
+    body: String,
+}
+
+impl Response {
+    /// A JSON document answered with `code`.
+    pub fn json(code: u16, body: String) -> Response {
+        Response::text(code, "application/json", body)
+    }
+
+    /// `{"error": msg}` answered with `code`.
+    pub fn error(code: u16, msg: &str) -> Response {
+        let error = Content::Map(vec![("error".to_string(), Content::Str(msg.to_string()))]);
+        let body = serde_json::to_string(&error).expect("error body renders");
+        Response::json(code, body)
+    }
+
+    fn text(code: u16, content_type: &'static str, body: String) -> Response {
+        Response {
+            code,
+            content_type,
+            body,
+        }
+    }
+}
+
+/// Stop flag and wake of an [`AcceptLoop`], handed to every route call
 /// (`POST /admin/shutdown` stops the loop it arrived on).
 #[derive(Debug, Clone)]
 pub struct Stopper {
@@ -140,10 +189,10 @@ impl Stopper {
 }
 
 /// What the workers of one loop share.
-struct Worker<H> {
-    handler: H,
+struct Worker<R> {
+    routes: R,
+    obs: ObsState,
     stopper: Stopper,
-    journal: Option<EventJournal>,
     requests: Counter,
     errors: Counter,
     busy: Gauge,
@@ -151,46 +200,35 @@ struct Worker<H> {
     latency_us: Histogram,
 }
 
-/// The one accept loop: `workers` threads blocked in `accept()` on clones
-/// of one **blocking** listener — an idle server burns nothing and a
-/// connection is picked up the moment it lands; there is no poll interval
-/// for a request to wait out. Each request is read with [`read_request`]
-/// (an unreadable one is answered 400 / 413 on the spot) and handled
-/// under `catch_unwind`: a panic costs its connection, never a worker.
-/// Dropping the loop [`shutdown`](Self::shutdown)s it.
+/// The one accept loop and router: `workers` threads blocked in
+/// `accept()` on clones of one **blocking** listener — an idle server
+/// burns nothing and a connection is picked up the moment it lands; there
+/// is no poll interval for a request to wait out. Each request is read
+/// with a bounded reader that refuses what it cannot frame (400, or 413
+/// past [`MAX_BODY_BYTES`]), routed (see the module docs) and answered;
+/// the embedder's routes run under `catch_unwind`: a panic costs its
+/// connection, never a worker. Dropping the loop
+/// [`shutdown`](Self::shutdown)s it.
 #[derive(Debug)]
 pub struct AcceptLoop {
     stopper: Stopper,
     workers: Vec<JoinHandle<()>>,
 }
 
-/// A running exposition server: an [`AcceptLoop`] of one worker that
-/// serves an [`ObsState`] and nothing else.
-pub type ObsServer = AcceptLoop;
-
 impl AcceptLoop {
     /// Binds `addr` (e.g. `"127.0.0.1:9184"`, port 0 for ephemeral) and
-    /// starts the accept thread serving `state`.
-    pub fn start(addr: &str, state: ObsState) -> std::io::Result<ObsServer> {
-        let obs = state.clone();
-        let handler = move |stream: &mut TcpStream, req: &HttpRequest, _: &Stopper| {
-            // one bad peer must not take the endpoint down
-            let _ = handle_obs(stream, req, &state);
-        };
-        AcceptLoop::serve(addr, 1, "uots-obs-serve", &obs, handler)
-    }
-
-    /// Binds `addr` and starts `workers` (≥ 1) threads named
-    /// `<name>-<i>` running `handler`. The loop's own series
-    /// (`uots_serve_*`, below) and its `serve` / `handler_panicked` events
-    /// go to the registry and journal of `obs`. Fails when the listener
-    /// cannot be bound or cloned, or a worker not spawned.
+    /// starts `workers` (≥ 1) threads named `<name>-<i>` serving `obs` and
+    /// `routes` — a closure answering the requests the loop does not
+    /// (`None`: no such route). The loop's own series (`uots_serve_*`,
+    /// below) and its `serve` / `handler_panicked` events go to the
+    /// registry and journal of `obs`. Fails when the listener cannot be
+    /// bound or cloned, or a worker not spawned.
     pub fn serve(
         addr: &str,
         workers: usize,
         name: &str,
         obs: &ObsState,
-        handler: impl Fn(&mut TcpStream, &HttpRequest, &Stopper) + Send + Sync + 'static,
+        routes: impl Fn(&HttpRequest, &Stopper) -> Option<Response> + Send + Sync + 'static,
     ) -> std::io::Result<AcceptLoop> {
         let listener = TcpListener::bind(addr)?;
         let stopper = Stopper {
@@ -202,9 +240,9 @@ impl AcceptLoop {
         r.gauge("uots_serve_http_workers", "HTTP workers of the loop")
             .set(stopper.workers as i64);
         let worker = Arc::new(Worker {
-            handler,
+            routes,
+            obs: obs.clone(),
             stopper: stopper.clone(),
-            journal: obs.journal.clone(),
             requests: r.counter("uots_serve_requests_total", "HTTP requests accepted"),
             errors: r.counter("uots_serve_errors_total", "Requests answered 4xx"),
             busy: r.gauge("uots_serve_http_workers_busy", "HTTP workers in a request"),
@@ -230,7 +268,7 @@ impl AcceptLoop {
         self.stopper.addr
     }
 
-    /// Blocks until every worker has exited — after some handler called
+    /// Blocks until every worker has exited — after some route called
     /// [`Stopper::stop`].
     pub fn join(&mut self) {
         for h in self.workers.drain(..) {
@@ -239,7 +277,7 @@ impl AcceptLoop {
     }
 
     /// Stops and joins every worker, releasing the port. A poke can be
-    /// lost (full backlog) and a worker inside a handler needs none, so
+    /// lost (full backlog) and a worker inside a route needs none, so
     /// each is poked again until it is gone. Idempotent; runs on drop.
     pub fn shutdown(&mut self) {
         if self.workers.is_empty() {
@@ -262,7 +300,7 @@ impl Drop for AcceptLoop {
     }
 }
 
-impl<H: Fn(&mut TcpStream, &HttpRequest, &Stopper)> Worker<H> {
+impl<R: Fn(&HttpRequest, &Stopper) -> Option<Response>> Worker<R> {
     fn run(&self, listener: &TcpListener) {
         while !self.stopper.is_stopped() {
             let conn = listener.accept();
@@ -276,20 +314,16 @@ impl<H: Fn(&mut TcpStream, &HttpRequest, &Stopper)> Worker<H> {
             let start = Instant::now();
             self.requests.inc();
             self.busy.inc();
-            match read_request(&mut stream) {
-                Ok(req) => self.handle(&mut stream, &req),
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    // `read_request` refuses bodies past MAX_BODY_BYTES up front
-                    let code = if e.to_string().contains("too large") {
-                        413
-                    } else {
-                        400
-                    };
-                    self.errors.inc();
-                    let body = format!("{{\"error\":\"{e}\"}}");
-                    let _ = respond(&mut stream, code, "application/json", &body);
+            // `None`: the peer stalled or left, or a route panicked
+            let response = match read_request(&mut stream) {
+                Ok(req) => self.route(&req),
+                Err(refusal) => refusal,
+            };
+            if let Some(response) = response {
+                if (400..500).contains(&response.code) && response.code != 429 {
+                    self.errors.inc(); // a 429 is a shed, counted by whoever shed it
                 }
-                Err(_) => {} // the peer stalled or left: nothing to answer
+                let _ = respond(&mut stream, &response);
             }
             self.busy.dec();
             let micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -297,13 +331,29 @@ impl<H: Fn(&mut TcpStream, &HttpRequest, &Stopper)> Worker<H> {
         }
     }
 
-    fn handle(&self, stream: &mut TcpStream, req: &HttpRequest) {
-        let run = AssertUnwindSafe(|| (self.handler)(stream, req, &self.stopper));
-        if catch_unwind(run).is_err() {
-            self.panics.inc();
-            if let Some(j) = &self.journal {
+    fn route(&self, req: &HttpRequest) -> Option<Response> {
+        let (method, path) = (req.method.as_str(), req.path.as_str());
+        match method {
+            "GET" => {
+                if let Some(response) = self.obs.answer(path, req) {
+                    return Some(response);
+                }
+            }
+            "POST" if !OBS_PATHS.contains(&path) => {}
+            _ => {
+                let msg = format!("method {method} not allowed on {path}");
+                return Some(Response::error(405, &msg));
+            }
+        }
+        let run = AssertUnwindSafe(|| (self.routes)(req, &self.stopper));
+        let not_found = || Response::error(404, &format!("no such path: {path}"));
+        match catch_unwind(run) {
+            Ok(answer) => Some(answer.unwrap_or_else(not_found)),
+            Err(_) => {
+                self.panics.inc();
                 let fields = [("method", req.method.clone()), ("path", req.path.clone())];
-                j.error("serve", "handler_panicked", &fields);
+                self.obs.journal.error("serve", "handler_panicked", &fields);
+                None
             }
         }
     }
@@ -313,9 +363,8 @@ impl<H: Fn(&mut TcpStream, &HttpRequest, &Stopper)> Worker<H> {
 /// a few hundred KiB even for large ingest batches).
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
-/// One parsed HTTP/1.1 request: start line plus (for `POST`/`PUT`) the
-/// `Content-Length`-framed body. Produced by [`read_request`]; shared by
-/// the obs endpoint and the query service built on top of it.
+/// One parsed HTTP/1.1 request: start line plus the
+/// `Content-Length`-framed body. What the routes of an [`AcceptLoop`] see.
 #[derive(Debug, Clone)]
 pub struct HttpRequest {
     /// Request method (`GET`, `POST`, …), verbatim.
@@ -350,14 +399,19 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// within [`REQUEST_DEADLINE`] — a peer trickling bytes cannot wedge the
 /// serving thread.
 ///
-/// # Errors
-///
-/// I/O errors (including timeouts) from the underlying stream,
-/// `TimedOut` when the overall deadline expires, or `InvalidData` for a
-/// malformed start line / oversized body.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
+/// A request it cannot frame is refused with the response to answer: a
+/// 400 for a malformed start line, an oversized head, a `Content-Length`
+/// that is not a decimal count or disagrees with another, any
+/// `Transfer-Encoding` (no chunked body is decoded) and a body that ends
+/// before its declared length; a 413 for a declared length past
+/// [`MAX_BODY_BYTES`]. `Err(None)` is a peer that stalled, left or
+/// missed the deadline: there is nobody to answer.
+fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, Option<Response>> {
+    let refuse = |code, msg: &str| Some(Response::error(code, msg));
+    let io = |_| None; // nothing to answer on
+    let timeout = Some(Duration::from_secs(2));
+    stream.set_read_timeout(timeout).map_err(io)?;
+    stream.set_write_timeout(timeout).map_err(io)?;
     let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
@@ -366,18 +420,12 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
             break pos + 4;
         }
         if buf.len() >= 8192 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "request head exceeds 8 KiB",
-            ));
+            return Err(refuse(400, "request head exceeds 8 KiB"));
         }
         if Instant::now() >= deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "request head did not arrive within the deadline",
-            ));
+            return Err(None);
         }
-        let n = stream.read(&mut chunk)?;
+        let n = stream.read(&mut chunk).map_err(io)?;
         if n == 0 {
             break buf.len();
         }
@@ -388,39 +436,41 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
     let mut start = lines.next().unwrap_or("").split_whitespace();
     let (method, target) = match (start.next(), start.next()) {
         (Some(m), Some(t)) => (m.to_string(), t.to_string()),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "malformed start line",
-            ))
-        }
+        _ => return Err(refuse(400, "malformed start line")),
     };
-    let content_length = lines
-        .filter_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .next()
-        .unwrap_or(0);
+    let mut content_length = None;
+    for (name, value) in lines.filter_map(|l| l.split_once(':')) {
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(refuse(400, "Transfer-Encoding is not supported"));
+        }
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let digits = value.bytes().all(|b| b.is_ascii_digit()); // no sign
+        let Some(n) = value.parse::<usize>().ok().filter(|_| digits) else {
+            return Err(refuse(400, &format!("bad Content-Length `{value}`")));
+        };
+        if content_length.is_some_and(|m| m != n) {
+            return Err(refuse(400, "conflicting Content-Length headers"));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "request body too large",
-        ));
+        return Err(refuse(413, "request body too large"));
     }
     // any bytes past the head terminator are the body prefix
     let mut body = buf[head_end.min(buf.len())..].to_vec();
     while body.len() < content_length {
         if Instant::now() >= deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "request body did not arrive within the deadline",
-            ));
+            return Err(None);
         }
-        let n = stream.read(&mut chunk)?;
+        let n = stream.read(&mut chunk).map_err(io)?;
         if n == 0 {
-            break;
+            let got = body.len();
+            let msg = format!("request body ended after {got} of {content_length} bytes");
+            return Err(refuse(400, &msg));
         }
         body.extend_from_slice(&chunk[..n]);
     }
@@ -437,102 +487,9 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
     })
 }
 
-/// Serves the observability endpoints (`/metrics`, `/status`,
-/// `/journal`, `/traces`) for an already-parsed `GET` request. Returns
-/// `Ok(true)` when the path was one of them (a response has been
-/// written), `Ok(false)` when the path is not an obs endpoint — the
-/// embedder then routes it itself. Lets a larger server (the query
-/// service) reuse the exposition surface verbatim.
-///
-/// # Errors
-///
-/// I/O errors writing the response.
-pub fn dispatch_obs(
-    stream: &mut TcpStream,
-    req: &HttpRequest,
-    state: &ObsState,
-) -> std::io::Result<bool> {
-    match req.path.as_str() {
-        "/metrics" => match &state.registry {
-            Some(r) => {
-                let text = r.render_prometheus();
-                match validate_prometheus_text(&text) {
-                    Ok(_) => respond(
-                        stream,
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        &text,
-                    )?,
-                    Err(e) => respond(
-                        stream,
-                        500,
-                        "text/plain",
-                        &format!("registry rendered an invalid exposition: {e}\n"),
-                    )?,
-                }
-            }
-            None => respond(stream, 404, "text/plain", "no metrics registry\n")?,
-        },
-        "/status" => match &state.status {
-            Some(provider) => respond(stream, 200, "application/json", &provider())?,
-            None => respond(stream, 404, "text/plain", "no status source\n")?,
-        },
-        "/journal" => match &state.journal {
-            Some(j) => {
-                let n = req.query_param("n").and_then(|v| v.parse::<usize>().ok());
-                let n = n.unwrap_or(DEFAULT_JOURNAL_TAIL);
-                respond(stream, 200, "application/x-ndjson", &j.export_jsonl(n))?;
-            }
-            None => respond(stream, 404, "text/plain", "no event journal\n")?,
-        },
-        "/traces" => match &state.sampler {
-            Some(s) => respond(stream, 200, "application/json", &s.export_json())?,
-            None => respond(stream, 404, "text/plain", "no tail sampler\n")?,
-        },
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
-fn handle_obs(stream: &mut TcpStream, req: &HttpRequest, state: &ObsState) -> std::io::Result<()> {
-    if req.method != "GET" {
-        return respond(stream, 405, "text/plain", "only GET is supported\n");
-    }
-    if dispatch_obs(stream, req, state)? {
-        return Ok(());
-    }
-    match req.path.as_str() {
-        "/" => respond(
-            stream,
-            200,
-            "text/plain",
-            "uots observability endpoints:\n\
-             /metrics  Prometheus text exposition\n\
-             /status   durable ingest health (JSON)\n\
-             /journal?n=K  recent operational events (JSON lines)\n\
-             /traces   slow-query exemplars (JSON)\n",
-        ),
-        _ => respond(stream, 404, "text/plain", "unknown path\n"),
-    }
-}
-
-/// Default `/journal` tail length when `?n=` is absent.
-const DEFAULT_JOURNAL_TAIL: usize = 128;
-
-/// Writes one `Connection: close` HTTP/1.1 response. Public so servers
-/// layered over [`read_request`]/[`dispatch_obs`] (the query service)
-/// answer with the exact same wire format.
-///
-/// # Errors
-///
-/// I/O errors writing to the stream.
-pub fn respond(
-    stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let reason = match code {
+/// Writes `response` as one `Connection: close` HTTP/1.1 response.
+fn respond(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+    let reason = match response.code {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
@@ -543,6 +500,7 @@ pub fn respond(
     };
     // head and body leave in one write: two would be two segments, and
     // two wake-ups of a client blocked in `read_to_end`
+    let (code, content_type, body) = (response.code, response.content_type, &response.body);
     let mut out = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
@@ -557,16 +515,21 @@ pub fn respond(
 mod tests {
     use super::*;
     use crate::journal::Severity;
+    use std::net::Shutdown;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
-    /// Minimal blocking HTTP GET against the test server; returns
-    /// (status code, body).
-    fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
+    /// Sends `raw`, half-closes when asked, and returns (status code,
+    /// body) of the answer.
+    fn exchange(addr: SocketAddr, raw: &[u8], half_close: bool) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
         // a lost worker must fail the test, not hang it
         let patience = Duration::from_secs(20);
         stream.set_read_timeout(Some(patience)).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        stream.write_all(raw).unwrap();
+        if half_close {
+            stream.shutdown(Shutdown::Write).unwrap();
+        }
         let mut raw = String::new();
         stream.read_to_string(&mut raw).expect("read response");
         let code: u16 = raw
@@ -579,6 +542,24 @@ mod tests {
             .map(|(_, b)| b.to_string())
             .unwrap_or_default();
         (code, body)
+    }
+
+    /// Minimal blocking HTTP GET against the test server; returns
+    /// (status code, body).
+    fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
+        let request = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
+        exchange(addr, request.as_bytes(), false)
+    }
+
+    fn detached() -> ObsState {
+        let (registry, journal) = (MetricsRegistry::new(), EventJournal::default());
+        ObsState::new(registry, journal, TailSampler::default(), || "{}".into())
+    }
+
+    /// The `--obs-listen` side server: one worker, no routes of its own.
+    fn obs_loop(state: &ObsState) -> AcceptLoop {
+        let no_routes = |_: &HttpRequest, _: &Stopper| None;
+        AcceptLoop::serve("127.0.0.1:0", 1, "uots-obs-test", state, no_routes).expect("bind")
     }
 
     fn full_state() -> (ObsState, MetricsRegistry, EventJournal, TailSampler) {
@@ -596,18 +577,16 @@ mod tests {
         );
         let sampler = TailSampler::new(8);
         sampler.observe("probe", 10, true, false, None);
-        let state = ObsState::new()
-            .with_registry(registry.clone())
-            .with_journal(journal.clone())
-            .with_sampler(sampler.clone())
-            .with_status(|| r#"{"state":"healthy","next_lsn":4}"#.to_string());
+        let state = ObsState::new(registry.clone(), journal.clone(), sampler.clone(), || {
+            r#"{"state":"healthy","next_lsn":4}"#.to_string()
+        });
         (state, registry, journal, sampler)
     }
 
     #[test]
     fn serves_all_endpoints_with_valid_payloads() {
         let (state, _r, journal, _s) = full_state();
-        let server = ObsServer::start("127.0.0.1:0", state).expect("bind");
+        let server = obs_loop(&state);
         let addr = server.local_addr();
 
         let (code, body) = http_get(addr, "/metrics");
@@ -641,24 +620,95 @@ mod tests {
     }
 
     #[test]
-    fn missing_components_and_bad_requests_are_4xx() {
-        let server = ObsServer::start("127.0.0.1:0", ObsState::new()).expect("bind");
+    fn unknown_paths_and_wrong_methods_are_json_4xx() {
+        let (state, registry, ..) = full_state();
+        let server = obs_loop(&state);
         let addr = server.local_addr();
-        for path in ["/metrics", "/status", "/journal", "/traces", "/nope"] {
-            let (code, _) = http_get(addr, path);
-            assert_eq!(code, 404, "{path}");
+        let cases = [
+            ("GET /nope", 404),
+            ("POST /nope", 404),
+            ("POST /metrics", 405),
+            ("PUT /status", 405),
+            ("DELETE /nope", 405),
+        ];
+        for (start, want) in cases {
+            let (code, body) =
+                exchange(addr, format!("{start} HTTP/1.1\r\n\r\n").as_bytes(), false);
+            assert_eq!(code, want, "{start}");
+            assert!(body.starts_with(r#"{"error":"#), "{start}: {body}");
         }
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "POST /metrics HTTP/1.1\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 405"), "{raw}");
+        let errors = registry.snapshot().counter("uots_serve_errors_total", &[]);
+        assert_eq!(errors, Some(cases.len() as u64));
+    }
+
+    /// What the reader cannot frame is refused with a JSON 400 before any
+    /// route runs, and counted once as an error.
+    #[test]
+    fn unframeable_requests_are_refused_before_the_routes() {
+        let (state, registry, ..) = full_state();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&ran);
+        let routes = move |_: &HttpRequest, _: &Stopper| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Some(Response::json(200, "{}".into()))
+        };
+        let server = AcceptLoop::serve("127.0.0.1:0", 1, "uots-test", &state, routes);
+        let server = server.expect("bind");
+        let addr = server.local_addr();
+        let body = format!(
+            r#"{{"locations":[0],"keywords":[1],"k":3,"pad":"{}"}}"#,
+            "x".repeat(39)
+        );
+        assert_eq!(body.len(), 86);
+        let post =
+            |headers: &str, body: &str| format!("POST /echo HTTP/1.1\r\n{headers}\r\n{body}");
+        let cases = [
+            (
+                "unparsable length",
+                post("Content-Length: abc\r\n", &body),
+                false,
+            ),
+            (
+                "negative length",
+                post("Content-Length: -5\r\n", &body),
+                false,
+            ),
+            (
+                "a 0 before the real length",
+                post("Content-Length: 0\r\nContent-Length: 86\r\n", &body),
+                false,
+            ),
+            (
+                "chunked",
+                post("Transfer-Encoding: chunked\r\n", "2\r\n{}\r\n0\r\n\r\n"),
+                false,
+            ),
+            (
+                "short body",
+                post("Content-Length: 500\r\n", &body[..31]),
+                true,
+            ),
+        ];
+        for (what, raw, half_close) in &cases {
+            let (code, reply) = exchange(addr, raw.as_bytes(), *half_close);
+            assert_eq!(code, 400, "{what}: {reply}");
+            let error: Content = serde_json::from_str(&reply).expect("a JSON body");
+            assert!(error.get("error").is_some(), "{what}: {reply}");
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "no route ran");
+        let errors = registry.snapshot().counter("uots_serve_errors_total", &[]);
+        assert_eq!(errors, Some(cases.len() as u64));
+
+        // the same body framed correctly (two agreeing lengths included)
+        let raw = post("Content-Length: 86\r\nContent-Length: 86\r\n", &body);
+        assert_eq!(exchange(addr, raw.as_bytes(), false).0, 200);
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn shutdown_releases_the_port_and_is_idempotent() {
         let (state, ..) = full_state();
-        let mut server = ObsServer::start("127.0.0.1:0", state).expect("bind");
+        let mut server = obs_loop(&state);
         let addr = server.local_addr();
         assert_eq!(http_get(addr, "/metrics").0, 200);
         server.shutdown();
@@ -675,14 +725,14 @@ mod tests {
 
     /// A two-worker loop. `/meet` requests complete only in pairs — proof
     /// that two workers are alive; `/boom` panics; `/hold` reports on the
-    /// returned receiver that it is inside the handler and stays there
+    /// returned receiver that it is inside the route and stays there
     /// until the returned sender releases it.
     fn test_loop(state: &ObsState) -> (AcceptLoop, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let meet = std::sync::Barrier::new(2);
         let (entered, entered_rx) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let release_rx = std::sync::Mutex::new(release_rx);
-        let handler = move |stream: &mut TcpStream, req: &HttpRequest, _: &Stopper| {
+        let routes = move |req: &HttpRequest, _: &Stopper| {
             match req.path.as_str() {
                 "/boom" => panic!("handler bug (the test expects it)"),
                 "/meet" => drop(meet.wait()),
@@ -691,9 +741,9 @@ mod tests {
                     release_rx.lock().unwrap().recv().unwrap();
                 }
             }
-            let _ = respond(stream, 200, "text/plain", "done\n");
+            Some(Response::text(200, "text/plain", "done\n".into()))
         };
-        let server = AcceptLoop::serve("127.0.0.1:0", 2, "uots-test", state, handler);
+        let server = AcceptLoop::serve("127.0.0.1:0", 2, "uots-test", state, routes);
         (server.expect("bind"), entered_rx, release)
     }
 
@@ -736,7 +786,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_an_idle_loop_within_a_second() {
-        let (mut server, ..) = test_loop(&ObsState::new());
+        let (mut server, ..) = test_loop(&detached());
         let addr = server.local_addr();
         // every worker has served once and is back in `accept()`
         meet_twice(addr);
@@ -750,14 +800,14 @@ mod tests {
         TcpListener::bind(addr).expect("the port is released");
     }
 
-    /// A worker inside a handler when the stop comes finishes its request,
+    /// A worker inside a route when the stop comes finishes its request,
     /// sees the flag and leaves; the poke meant for it is left over.
     #[test]
     fn shutdown_waits_for_a_busy_worker_and_its_answer() {
-        let (mut server, entered, release) = test_loop(&ObsState::new());
+        let (mut server, entered, release) = test_loop(&detached());
         let addr = server.local_addr();
         let held = std::thread::spawn(move || http_get(addr, "/hold").0);
-        entered.recv().expect("the handler is running");
+        entered.recv().expect("the route is running");
         let stopper = server.stopper.clone();
         let stopping = std::thread::spawn(move || server.shutdown());
         while !stopper.is_stopped() {
@@ -774,13 +824,9 @@ mod tests {
 
     #[test]
     fn metrics_reflect_live_mutation_between_scrapes() {
-        let registry = MetricsRegistry::new();
+        let (state, registry, ..) = full_state();
         let c = registry.counter("uots_live_total", "Live counter");
-        let server = ObsServer::start(
-            "127.0.0.1:0",
-            ObsState::new().with_registry(registry.clone()),
-        )
-        .expect("bind");
+        let server = obs_loop(&state);
         let addr = server.local_addr();
         c.add(1);
         let (_, first) = http_get(addr, "/metrics");

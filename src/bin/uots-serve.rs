@@ -15,7 +15,9 @@
 //! Loads a dataset (the binary format of `uots generate`) and serves
 //! `POST /search`, `/topk`, `/join` and `/ingest` plus the full
 //! observability surface (`GET /metrics`, `/status`, `/journal`,
-//! `/traces`) on one port. A flag not listed above is refused, naming it.
+//! `/traces`) on one port. `/status` reports the published cut: live
+//! `trajectories` over all shards, `shards` and per-shard `epochs`. A
+//! flag not listed above is refused, naming it.
 //!
 //! Every server is a cluster of `--shards N` hash shards, `N = 1` by
 //! default (`uots_core::shard`): a search is one engine run over every
@@ -66,9 +68,10 @@
 
 use std::sync::Arc;
 
+use serde::Content;
 use uots::cluster::ShardedDurable;
 use uots::core::planner::AlgorithmKind;
-use uots::core::shard::ShardedCluster;
+use uots::core::shard::{ClusterSnapshot, CutReader, ShardedCluster};
 use uots::datagen::persist;
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
 use uots::serve::{QueryService, ServiceConfig};
@@ -143,6 +146,24 @@ fn parse_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Resul
     }
 }
 
+/// The `/status` document of the cut `cut`: the dataset served, the live
+/// trajectories over all shards, the shard count and the per-shard epochs.
+fn status_json(dataset: &str, cut: &ClusterSnapshot) -> String {
+    let doc = Content::Map(vec![
+        ("dataset".to_string(), Content::Str(dataset.to_string())),
+        (
+            "trajectories".to_string(),
+            Content::U64(cut.num_live() as u64),
+        ),
+        ("shards".to_string(), Content::U64(cut.num_shards() as u64)),
+        (
+            "epochs".to_string(),
+            Content::Seq(cut.epochs().into_iter().map(Content::U64).collect()),
+        ),
+    ]);
+    serde_json::to_string(&doc).expect("status renders")
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = Flags::parse(&args)?;
@@ -174,13 +195,12 @@ fn run() -> Result<(), String> {
     let sampler = TailSampler::new(DEFAULT_EXEMPLAR_CAPACITY);
     let name = ds.name.clone();
     let trajectories = ds.store.len();
-    let obs = ObsState::new()
-        .with_registry(registry.clone())
-        .with_journal(journal.clone())
-        .with_sampler(sampler.clone())
-        .with_status(move || {
-            format!("{{\"dataset\":\"{name}\",\"trajectories\":{trajectories},\"serving\":true}}")
-        });
+    // `/status` reads the published cut the way a request pins it, never
+    // the writer's lock
+    let obs = |cut: CutReader| {
+        let status = move || status_json(&name, &cut.get());
+        ObsState::new(registry.clone(), journal.clone(), sampler.clone(), status)
+    };
 
     let listen = flags.get("listen").unwrap_or("127.0.0.1:8080");
     let forced = cfg.force;
@@ -216,6 +236,7 @@ fn run() -> Result<(), String> {
                     );
                 }
             }
+            let obs = obs(cluster.cut());
             QueryService::start(listen, cluster.into(), obs, cfg)
         }
         None => {
@@ -227,6 +248,7 @@ fn run() -> Result<(), String> {
                 Some(&registry),
                 Some(&journal),
             );
+            let obs = obs(cluster.cut());
             QueryService::start(listen, cluster, obs, cfg)
         }
     }

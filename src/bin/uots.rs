@@ -58,8 +58,8 @@ use uots::datagen::persist;
 use uots::durable::{recover_with_journal, DurableError, DurableIngest, RecoverySource};
 use uots::join::{record_join_metrics, ts_join_with, JoinConfig};
 use uots::obs::{
-    validate_prometheus_text, EventJournal, ObsServer, ObsState, TailSampler,
-    DEFAULT_EXEMPLAR_CAPACITY, DEFAULT_SLOW_QUANTILE,
+    validate_prometheus_text, AcceptLoop, EventJournal, HttpRequest, ObsState, Stopper,
+    TailSampler, DEFAULT_EXEMPLAR_CAPACITY, DEFAULT_SLOW_QUANTILE,
 };
 use uots::prelude::*;
 use uots::scrub::{self, ScrubReport};
@@ -359,7 +359,7 @@ struct ObsPlane {
     journal: EventJournal,
     sampler: TailSampler,
     status: Arc<Mutex<String>>,
-    server: ObsServer,
+    server: AcceptLoop,
     linger_ms: u64,
 }
 
@@ -402,17 +402,20 @@ fn start_obs_plane(flags: &Flags, registry: &MetricsRegistry) -> Result<Option<O
     );
     let status = Arc::new(Mutex::new("{}".to_string()));
     let status_read = Arc::clone(&status);
-    let state = ObsState::new()
-        .with_registry(registry.clone())
-        .with_journal(journal.clone())
-        .with_sampler(sampler.clone())
-        .with_status(move || {
+    let state = ObsState::new(
+        registry.clone(),
+        journal.clone(),
+        sampler.clone(),
+        move || {
             status_read
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .clone()
-        });
-    let server = ObsServer::start(addr, state).map_err(|e| format!("--obs-listen {addr}: {e}"))?;
+        },
+    );
+    let no_routes = |_: &HttpRequest, _: &Stopper| None;
+    let server = AcceptLoop::serve(addr, 1, "uots-obs-serve", &state, no_routes)
+        .map_err(|e| format!("--obs-listen {addr}: {e}"))?;
     println!(
         "obs endpoint listening on http://{} (/metrics /status /journal /traces)",
         server.local_addr()

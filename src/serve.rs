@@ -1,10 +1,11 @@
 //! The UOTS query service: an HTTP front-end over epoch-pinned snapshots.
 //!
-//! [`QueryService`] layers four POST endpoints on the dependency-free
-//! HTTP plumbing of [`uots_obs::serve`] (its [`AcceptLoop`] of workers
-//! blocked in `accept()`, its wire format and `Connection: close`) and
-//! reuses the whole observability surface (`/metrics`, `/status`,
-//! `/journal`, `/traces`) verbatim via [`uots_obs::dispatch_obs`]:
+//! [`QueryService`] hands its POST routes to the one dependency-free HTTP
+//! router of [`uots_obs::serve`]: its [`AcceptLoop`] of workers blocked
+//! in `accept()` answers the observability surface (`/metrics`,
+//! `/status`, `/journal`, `/traces`, `/`), unknown paths (404) and wrong
+//! methods (405) itself, and writes every response — the routes below
+//! only return [`Response`] values:
 //!
 //! | Endpoint | Body | Answer |
 //! |---|---|---|
@@ -63,9 +64,11 @@
 //!    naming both numbers. The server never queues unboundedly and never
 //!    answers 5xx under load.
 //!
-//! The same rings govern `/join` (probe-level budget, subset-certified)
-//! and oversized bodies are cut off at [`uots_obs::MAX_BODY_BYTES`] with
-//! `413`.
+//! The same rings govern `/join` (probe-level budget, subset-certified).
+//! Before any route runs, the router cuts oversized bodies off at
+//! [`uots_obs::MAX_BODY_BYTES`] with `413` and refuses a body it cannot
+//! frame (a bad or conflicting `Content-Length`, any `Transfer-Encoding`,
+//! a body shorter than declared) with `400`.
 //!
 //! ## Planning
 //!
@@ -81,7 +84,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -97,8 +100,9 @@ use uots_core::{
 use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
 use uots_network::NodeId;
-use uots_obs::serve::{AcceptLoop, Stopper};
-use uots_obs::{dispatch_obs, respond, Counter, HttpRequest, MetricsRegistry, ObsState};
+use uots_obs::{
+    AcceptLoop, Counter, HttpRequest, MetricsRegistry, ObsState, Response, Stopper, TailSampler,
+};
 use uots_text::{KeywordId, KeywordSet};
 use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
@@ -154,9 +158,8 @@ impl Default for ServiceConfig {
 
 /// Service metric handles (all registered on the shared registry, so
 /// `/metrics` exports them alongside the engine's and the accept loop's
-/// per-connection series).
+/// per-connection series, `uots_serve_errors_total` among them).
 struct ServiceMetrics {
-    errors: Counter,
     shed: Counter,
     degraded: Counter,
 }
@@ -164,7 +167,6 @@ struct ServiceMetrics {
 impl ServiceMetrics {
     fn new(registry: &MetricsRegistry) -> ServiceMetrics {
         ServiceMetrics {
-            errors: registry.counter("uots_serve_errors_total", "Requests answered 4xx"),
             shed: registry.counter(
                 "uots_serve_shed_total",
                 "Requests shed by the global inflight ring (429)",
@@ -212,7 +214,8 @@ struct Shared {
     /// pins it once (see the module docs).
     cut: CutReader,
     cfg: ServiceConfig,
-    obs: ObsState,
+    /// What `/traces` keeps of the served queries.
+    sampler: TailSampler,
     metrics: ServiceMetrics,
     ctx: SearchContext,
     inflight: AtomicUsize,
@@ -243,6 +246,12 @@ impl Shared {
             n,
         };
         Ok((guard, degraded))
+    }
+
+    /// The 429 of a shed request, counted.
+    fn shed(&self, msg: &str) -> Response {
+        self.metrics.shed.inc();
+        Response::error(429, msg)
     }
 }
 
@@ -298,7 +307,7 @@ impl QueryService {
     /// mutations while every other shard and all reads keep serving — and
     /// `/join` answers over the merged live cut. The service's own series
     /// go to the registry `obs` serves at `/metrics` (the one the accept
-    /// loop counts into; detached when `obs` has none).
+    /// loop counts into), its served queries to the sampler of `obs`.
     ///
     /// # Errors
     ///
@@ -318,18 +327,15 @@ impl QueryService {
             writer: Mutex::new(writer),
             cut,
             cfg,
-            metrics: ServiceMetrics::new(&obs.registry()),
+            sampler: obs.sampler().clone(),
+            metrics: ServiceMetrics::new(obs.registry()),
             ctx: SearchContext::new(),
             inflight: AtomicUsize::new(0),
             tenants: Mutex::new(HashMap::new()),
-            obs,
         });
         let state = Arc::clone(&shared);
-        let handler = move |stream: &mut TcpStream, req: &HttpRequest, stopper: &Stopper| {
-            // an error here is the client gone mid-response: nothing to answer
-            let _ = handle_connection(stream, req, &state, stopper);
-        };
-        let accept = AcceptLoop::serve(addr, workers, "uots-serve", &shared.obs, handler)?;
+        let routes = move |req: &HttpRequest, stopper: &Stopper| route(req, &state, stopper);
+        let accept = AcceptLoop::serve(addr, workers, "uots-serve", &obs, routes)?;
         Ok(QueryService { accept, shared })
     }
 
@@ -355,41 +361,32 @@ impl QueryService {
     }
 }
 
-fn handle_connection(
-    stream: &mut TcpStream,
-    req: &HttpRequest,
-    shared: &Arc<Shared>,
-    stopper: &Stopper,
-) -> io::Result<()> {
-    match req.method.as_str() {
-        "GET" => {
-            if dispatch_obs(stream, req, &shared.obs)? {
-                return Ok(());
-            }
-            match req.path.as_str() {
-                "/" => respond(
-                    stream,
-                    200,
-                    "text/plain",
-                    "uots-serve: POST /search /topk /join /ingest /admin/shutdown; \
-                     GET /metrics /status /journal /traces\n",
-                ),
-                _ => client_error(stream, shared, 404, &format!("no such path: {}", req.path)),
-            }
-        }
-        "POST" => match req.path.as_str() {
-            "/search" => handle_search(stream, req, shared, false),
-            "/topk" => handle_search(stream, req, shared, true),
-            "/join" => handle_join(stream, req, shared),
-            "/ingest" => handle_ingest(stream, req, shared),
-            "/admin/shutdown" => {
-                stopper.stop();
-                respond(stream, 200, "application/json", "{\"stopping\":true}\n")
-            }
-            _ => client_error(stream, shared, 404, &format!("no such path: {}", req.path)),
-        },
-        m => client_error(stream, shared, 405, &format!("method {m} not allowed")),
+/// A route's answer: `Ok` the 200, `Err` the refusal (a JSON 4xx).
+type Reply = Result<Response, Response>;
+
+/// The service's routes, all `POST`; the accept loop answers everything
+/// else (see the module docs).
+fn route(req: &HttpRequest, shared: &Shared, stopper: &Stopper) -> Option<Response> {
+    if req.method != "POST" {
+        return None;
     }
+    let reply = match req.path.as_str() {
+        "/search" => handle_search(req, shared, false),
+        "/topk" => handle_search(req, shared, true),
+        "/join" => handle_join(req, shared),
+        "/ingest" => handle_ingest(req, shared),
+        "/admin/shutdown" => {
+            stopper.stop();
+            Ok(Response::json(200, "{\"stopping\":true}\n".to_string()))
+        }
+        _ => return None,
+    };
+    Some(reply.unwrap_or_else(|refused| refused))
+}
+
+/// A client error: a JSON 400 naming `e`.
+fn bad_request(e: impl std::fmt::Display) -> Response {
+    Response::error(400, &e.to_string())
 }
 
 // ---------- JSON helpers over the vendored `Content` tree ----------
@@ -496,64 +493,30 @@ fn tighten(own: ExecutionBudget, cap: ExecutionBudget) -> ExecutionBudget {
     }
 }
 
-/// Answers a client error (4xx other than the 429 sheds) and counts it.
-fn client_error(stream: &mut TcpStream, shared: &Shared, code: u16, msg: &str) -> io::Result<()> {
-    shared.metrics.errors.inc();
-    json_error(stream, code, msg)
-}
-
-fn json_error(stream: &mut TcpStream, code: u16, msg: &str) -> io::Result<()> {
-    let body = serde_json::to_string(&Content::Map(vec![(
-        "error".to_string(),
-        Content::Str(msg.to_string()),
-    )]))
-    .expect("error body renders");
-    respond(stream, code, "application/json", &body)
-}
-
 // ---------- /search and /topk ----------
 
-fn handle_search(
-    stream: &mut TcpStream,
-    req: &HttpRequest,
-    shared: &Arc<Shared>,
-    single: bool,
-) -> io::Result<()> {
-    let body = match body_content(req) {
-        Ok(b) => b,
-        Err(e) => return client_error(stream, shared, 400, &e),
-    };
+fn handle_search(req: &HttpRequest, shared: &Shared, single: bool) -> Reply {
+    let body = body_content(req).map_err(bad_request)?;
     let query_objects: Vec<&Content> = if single {
         vec![&body]
     } else {
         match body.get("queries") {
             Some(Content::Seq(items)) if !items.is_empty() => items.iter().collect(),
-            _ => return client_error(stream, shared, 400, "`queries` must be a non-empty array"),
+            _ => return Err(bad_request("`queries` must be a non-empty array")),
         }
     };
-    let mut queries = Vec::with_capacity(query_objects.len());
-    for (i, qc) in query_objects.iter().enumerate() {
-        match parse_query(qc) {
-            Ok(q) => queries.push(q),
-            Err(e) => return client_error(stream, shared, 400, &format!("query {i}: {e}")),
-        }
-    }
+    let mut queries = query_objects
+        .iter()
+        .enumerate()
+        .map(|(i, qc)| parse_query(qc).map_err(|e| bad_request(format!("query {i}: {e}"))))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let tenant = field_str(&body, "tenant").unwrap_or("default");
-    let (guard, degraded) = match shared.admit(tenant, queries.len()) {
-        Ok(ok) => ok,
-        Err(()) => {
-            shared.metrics.shed.inc();
-            return json_error(
-                stream,
-                429,
-                &format!(
-                    "overloaded: {} queries in flight (capacity {})",
-                    shared.inflight.load(Ordering::SeqCst),
-                    shared.cfg.max_inflight
-                ),
-            );
-        }
+    let Ok((guard, degraded)) = shared.admit(tenant, queries.len()) else {
+        let inflight = shared.inflight.load(Ordering::SeqCst);
+        let capacity = shared.cfg.max_inflight;
+        let msg = format!("overloaded: {inflight} queries in flight (capacity {capacity})");
+        return Err(shared.shed(&msg));
     };
     if degraded {
         shared.metrics.degraded.inc();
@@ -572,10 +535,7 @@ fn handle_search(
         (Some(kind), _) => Planner::forced(kind),
         (None, Some(name)) => match AlgorithmKind::parse(name) {
             Some(kind) => Planner::forced(kind),
-            None => {
-                drop(guard);
-                return client_error(stream, shared, 400, &format!("unknown algorithm `{name}`"));
-            }
+            None => return Err(bad_request(format!("unknown algorithm `{name}`"))),
         },
         (None, None) => Planner::new(),
     };
@@ -594,7 +554,7 @@ fn handle_search(
     let cut = shared.cut.get();
     let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token, &shared.ctx);
     drop(guard);
-    if let (Some(sampler), Ok(answers)) = (shared.obs.sampler(), &outcome) {
+    if let Ok(answers) = &outcome {
         // metadata only: what `/traces` keeps of a served query is its
         // shape, its engine runtime and its outcome
         for (q, answer) in queries.iter().zip(answers) {
@@ -603,7 +563,10 @@ fn handle_search(
                 Err(_) => (Duration::ZERO, false),
             };
             let latency_us = u64::try_from(runtime.as_micros()).unwrap_or(u64::MAX);
-            sampler.observe(&q.summary(), latency_us, best_effort, answer.is_err(), None);
+            let errored = answer.is_err();
+            shared
+                .sampler
+                .observe(&q.summary(), latency_us, best_effort, errored, None);
         }
     }
 
@@ -613,14 +576,10 @@ fn handle_search(
             submitted,
             capacity,
         }) => {
-            shared.metrics.shed.inc();
-            return json_error(
-                stream,
-                429,
-                &format!("batch of {submitted} exceeds admission bound {capacity}"),
-            );
+            let msg = format!("batch of {submitted} exceeds admission bound {capacity}");
+            return Err(shared.shed(&msg));
         }
-        Err(e) => return client_error(stream, shared, 400, &e.to_string()),
+        Err(e) => return Err(bad_request(e)),
     };
 
     // Report the plan per query, recomputed against the pinned cut
@@ -666,26 +625,17 @@ fn handle_search(
         top.push(("results".to_string(), Content::Seq(rendered)));
     }
     let body = serde_json::to_string(&Content::Map(top)).expect("response renders");
-    respond(stream, 200, "application/json", &body)
+    Ok(Response::json(200, body))
 }
 
 // ---------- /join ----------
 
-fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) -> io::Result<()> {
-    let body = match body_content(req) {
-        Ok(b) => b,
-        Err(e) => return client_error(stream, shared, 400, &e),
-    };
+fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
+    let body = body_content(req).map_err(bad_request)?;
     let defaults = JoinConfig::default();
     let cfg = JoinConfig {
-        theta: match field_f64(&body, "theta", defaults.theta) {
-            Ok(v) => v,
-            Err(e) => return client_error(stream, shared, 400, &e),
-        },
-        lambda: match field_f64(&body, "lambda", defaults.lambda) {
-            Ok(v) => v,
-            Err(e) => return client_error(stream, shared, 400, &e),
-        },
+        theta: field_f64(&body, "theta", defaults.theta).map_err(bad_request)?,
+        lambda: field_f64(&body, "lambda", defaults.lambda).map_err(bad_request)?,
         decay_km: field_f64(&body, "decay_km", defaults.decay_km).unwrap_or(defaults.decay_km),
         decay_s: field_f64(&body, "decay_s", defaults.decay_s).unwrap_or(defaults.decay_s),
         ..defaults
@@ -695,12 +645,8 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
     // A join is a whole-dataset scan; weigh it as one tenant-ring slot
     // per live trajectory probe, capped to keep the arithmetic sane.
     let weight = cut.num_live().min(shared.cfg.tenant_inflight);
-    let (guard, degraded) = match shared.admit(tenant, weight.max(1)) {
-        Ok(ok) => ok,
-        Err(()) => {
-            shared.metrics.shed.inc();
-            return json_error(stream, 429, "overloaded: join shed by the inflight ring");
-        }
+    let Ok((guard, degraded)) = shared.admit(tenant, weight.max(1)) else {
+        return Err(shared.shed("overloaded: join shed by the inflight ring"));
     };
     let budget = if degraded {
         shared.metrics.degraded.inc();
@@ -712,10 +658,7 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
     let outcome = cluster_join(&cut, &cfg, shared.cfg.batch_threads, &budget);
     drop(guard);
 
-    let join = match outcome {
-        Ok(j) => j,
-        Err(e) => return client_error(stream, shared, 400, &e.to_string()),
-    };
+    let join = outcome.map_err(bad_request)?;
     let pairs: Vec<Content> = join.pairs.iter().map(|p| p.serialize()).collect();
     let mut top = Vec::from(epoch_fields(&cut.epochs()));
     top.extend([
@@ -732,7 +675,7 @@ fn handle_join(stream: &mut TcpStream, req: &HttpRequest, shared: &Arc<Shared>) 
         ),
     ]);
     let body = serde_json::to_string(&Content::Map(top)).expect("join response renders");
-    respond(stream, 200, "application/json", &body)
+    Ok(Response::json(200, body))
 }
 
 /// Runs the similarity self-join over a cluster cut and answers in
@@ -811,48 +754,28 @@ fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String>
     })
 }
 
-fn handle_ingest(
-    stream: &mut TcpStream,
-    req: &HttpRequest,
-    shared: &Arc<Shared>,
-) -> io::Result<()> {
-    let body = match body_content(req) {
-        Ok(b) => b,
-        Err(e) => return client_error(stream, shared, 400, &e),
-    };
+fn handle_ingest(req: &HttpRequest, shared: &Shared) -> Reply {
+    let body = body_content(req).map_err(bad_request)?;
     let inserts: Vec<Trajectory> = match body.get("insert") {
         None | Some(Content::Null) => Vec::new(),
-        Some(Content::Seq(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for (i, c) in items.iter().enumerate() {
-                match <Trajectory as serde::Deserialize>::deserialize(c) {
-                    Ok(t) => out.push(t),
-                    Err(e) => {
-                        return client_error(stream, shared, 400, &format!("insert {i}: {e}"))
-                    }
-                }
-            }
-            out
-        }
-        Some(_) => {
-            return client_error(
-                stream,
-                shared,
-                400,
-                "`insert` must be an array of trajectories",
-            )
-        }
+        Some(Content::Seq(items)) => items
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                <Trajectory as serde::Deserialize>::deserialize(c)
+                    .map_err(|e| bad_request(format!("insert {i}: {e}")))
+            })
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err(bad_request("`insert` must be an array of trajectories")),
     };
     // Reject ids the served network / vocabulary does not have before
     // anything is logged: an out-of-range insert would panic the index
     // build at publish, and from the WAL again at every recovery.
     if let Some(e) = out_of_range(&inserts, &shared.cut.get()) {
-        return client_error(stream, shared, 400, &e);
+        return Err(bad_request(e));
     }
-    let retires: Vec<TrajectoryId> = match field_ids(&body, "retire") {
-        Ok(ids) => ids.into_iter().map(TrajectoryId).collect(),
-        Err(e) => return client_error(stream, shared, 400, &e),
-    };
+    let retires = field_ids(&body, "retire").map_err(bad_request)?;
+    let retires: Vec<TrajectoryId> = retires.into_iter().map(TrajectoryId).collect();
     let publish = !matches!(body.get("publish"), Some(Content::Bool(false)));
 
     // A poisoned lock: a handler panicked mid-batch and memory may trail
@@ -862,10 +785,7 @@ fn handle_ingest(
         Ok(mut writer) => writer(inserts, retires, publish),
         Err(_) => Err("ingest disabled: an earlier /ingest panicked; restart".into()),
     };
-    let (assigned, retired, epochs) = match applied {
-        Ok(applied) => applied,
-        Err(e) => return client_error(stream, shared, 400, &e),
-    };
+    let (assigned, retired, epochs) = applied.map_err(bad_request)?;
     let mut top = Vec::from(epoch_fields(&epochs));
     top.extend([
         (
@@ -876,7 +796,7 @@ fn handle_ingest(
         ("published".to_string(), Content::Bool(publish)),
     ]);
     let body = serde_json::to_string(&Content::Map(top)).expect("ingest response renders");
-    respond(stream, 200, "application/json", &body)
+    Ok(Response::json(200, body))
 }
 
 /// The one `/ingest` body as one [`Cluster::apply`] batch — its inserts
@@ -912,6 +832,13 @@ fn apply_ingest<S: Shard>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
+    use uots_obs::EventJournal;
+
+    fn detached_obs() -> ObsState {
+        let (registry, journal) = (MetricsRegistry::new(), EventJournal::default());
+        ObsState::new(registry, journal, TailSampler::default(), || "{}".into())
+    }
 
     #[test]
     fn query_parsing_validates_through_the_engine() {
@@ -947,7 +874,7 @@ mod tests {
             network, &ds.store, &ds.vocab, &dir, 2, config, None, None,
         )
         .unwrap();
-        let obs = ObsState::new().with_registry(MetricsRegistry::new());
+        let obs = detached_obs();
         let cfg = ServiceConfig::default();
         let service = QueryService::start("127.0.0.1:0", cluster.into(), obs, cfg).expect("bind");
         let post = |path: &str, body: &str| -> String {
@@ -993,7 +920,7 @@ mod tests {
             1,
             uots_core::Partitioner::Hash,
         );
-        let obs = ObsState::new().with_registry(MetricsRegistry::new());
+        let obs = detached_obs();
         QueryService::start("127.0.0.1:0", cluster, obs, cfg).expect("bind")
     }
 

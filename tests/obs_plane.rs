@@ -13,7 +13,8 @@ use std::net::{SocketAddr, TcpStream};
 use uots::core::wal::WalConfig;
 use uots::durable::{DurableIngest, IngestState};
 use uots::obs::{
-    validate_prometheus_text, EventJournal, JournalEvent, MetricsRegistry, ObsServer, ObsState,
+    validate_prometheus_text, AcceptLoop, EventJournal, HttpRequest, JournalEvent, MetricsRegistry,
+    ObsState, Stopper, TailSampler,
 };
 use uots::prelude::*;
 use uots::storage::fault::{Fault, FaultFs, OpKind, ScriptedFault};
@@ -116,11 +117,16 @@ fn degraded_transition_journals_causal_chain_and_serves_it_live() {
     // document the test updates the way the CLI does after each publish
     let status_doc = Arc::new(Mutex::new(String::from("{}")));
     let reader = Arc::clone(&status_doc);
-    let state = ObsState::new()
-        .with_registry(registry.clone())
-        .with_journal(journal.clone())
-        .with_status(move || reader.lock().unwrap().clone());
-    let mut server = ObsServer::start("127.0.0.1:0", state).expect("bind obs endpoint");
+    let status = move || reader.lock().unwrap().clone();
+    let state = ObsState::new(
+        registry.clone(),
+        journal.clone(),
+        TailSampler::default(),
+        status,
+    );
+    let no_routes = |_: &HttpRequest, _: &Stopper| None;
+    let mut server = AcceptLoop::serve("127.0.0.1:0", 1, "uots-obs-test", &state, no_routes)
+        .expect("bind obs endpoint");
     let addr = server.local_addr();
 
     // healthy batch: acked, journal quiet, /status agrees

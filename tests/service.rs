@@ -28,17 +28,25 @@ use uots_text::KeywordId;
 use uots_trajectory::{Sample, Trajectory};
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    raw_http(addr, request.as_bytes(), false)
+}
+
+/// Sends `request` verbatim — half-closing after it when asked — and
+/// returns the status code and body of the answer.
+fn raw_http(addr: SocketAddr, request: &[u8], half_close: bool) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .expect("send request");
+    stream.write_all(request).expect("send request");
+    if half_close {
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+    }
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let code: u16 = raw
@@ -443,12 +451,16 @@ fn start_durable_service(
         Some(&journal),
     )
     .expect("open wal dir");
-    let obs = ObsState::new()
-        .with_registry(registry)
-        .with_journal(journal);
+    let obs = obs_state(registry, journal);
     let service = QueryService::start("127.0.0.1:0", cluster.into(), obs, ServiceConfig::default())
         .expect("bind service");
     (service, recovery)
+}
+
+/// What a test server exposes: `registry`, `journal`, a sampler of its
+/// own and an empty `/status` document.
+fn obs_state(registry: MetricsRegistry, journal: EventJournal) -> ObsState {
+    ObsState::new(registry, journal, TailSampler::new(64), || "{}".into())
 }
 
 /// The event names `GET /journal` holds, oldest first.
@@ -930,9 +942,10 @@ fn observability_and_error_paths_surface_over_http() {
         "{workers}:\n{metrics}"
     );
 
+    // the router's own index, the same on every loop
     let (code, index) = http(addr, "GET", "/", "");
     assert_eq!(code, 200);
-    assert!(index.contains("/search"));
+    assert!(index.contains("/metrics"), "{index}");
 }
 
 #[test]
@@ -1002,6 +1015,57 @@ fn malformed_requests_get_bounded_clean_json_errors() {
     let content: Content = serde_json::from_str(text.trim()).expect("405 body is JSON");
     let err = serde_json::to_string(content.get("error").expect("405 error field")).unwrap();
     assert!(err.contains("DELETE"), "405 names the method: {err}");
+}
+
+/// `uots_serve_errors_total` counts every 4xx but a 429 exactly once,
+/// whoever answers it — the reader, the router or a route — and a 429
+/// counts on `uots_serve_shed_total` alone.
+#[test]
+fn every_4xx_but_a_shed_counts_one_error() {
+    let counters = |addr| {
+        let names = ["uots_serve_errors_total", "uots_serve_shed_total"];
+        names.map(|name| counter_value(addr, name))
+    };
+    let (service, _ds) = start_service(40, 31, ServiceConfig::default());
+    let addr = service.local_addr();
+    let oversized = format!("POST /topk HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 8 << 20);
+    let cases = [
+        ("malformed start line", "BOGUS\r\n\r\n".to_string(), 400),
+        ("oversized Content-Length", oversized, 413),
+        (
+            "bad JSON",
+            "POST /topk HTTP/1.1\r\nContent-Length: 5\r\n\r\n{nope".to_string(),
+            400,
+        ),
+        (
+            "unknown path",
+            "GET /nope HTTP/1.1\r\n\r\n".to_string(),
+            404,
+        ),
+        (
+            "wrong method",
+            "PUT /topk HTTP/1.1\r\n\r\n".to_string(),
+            405,
+        ),
+    ];
+    for (what, request, want) in cases {
+        let [errors, shed] = counters(addr);
+        let (code, body) = raw_http(addr, request.as_bytes(), false);
+        assert_eq!(code, want, "{what}: {body}");
+        assert_eq!(counters(addr), [errors + 1, shed], "{what}");
+    }
+    drop(service);
+
+    let cfg = ServiceConfig {
+        max_inflight: 0,
+        ..ServiceConfig::default()
+    };
+    let (service, _ds) = start_service(40, 31, cfg);
+    let addr = service.local_addr();
+    let [errors, shed] = counters(addr);
+    let (code, body) = http(addr, "POST", "/topk", r#"{"locations":[0],"keywords":[]}"#);
+    assert_eq!(code, 429, "{body}");
+    assert_eq!(counters(addr), [errors, shed + 1]);
 }
 
 /// One `/topk` with a huge `k` used to abort the process: the collector
@@ -1161,10 +1225,7 @@ fn start_cluster_service(
         Some(&registry),
         Some(&journal),
     );
-    let obs = ObsState::new()
-        .with_registry(registry)
-        .with_journal(journal)
-        .with_sampler(TailSampler::new(64));
+    let obs = obs_state(registry, journal);
     let service = QueryService::start("127.0.0.1:0", cluster, obs, cfg).expect("bind service");
     (service, ds)
 }
@@ -1622,7 +1683,7 @@ fn durable_readers_see_whole_cuts_under_concurrent_ingest() {
         Some(&registry),
     )
     .expect("create cluster");
-    let obs = ObsState::new().with_registry(registry);
+    let obs = obs_state(registry, EventJournal::default());
     let cfg = ServiceConfig::default();
     let service =
         QueryService::start("127.0.0.1:0", cluster.into(), obs, cfg).expect("bind service");
@@ -1712,9 +1773,13 @@ impl Drop for ServeProc {
     }
 }
 
-fn serve_command(data: &Path, wal_dir: &Path, shards: Option<usize>) -> Command {
+/// `uots-serve` over `data`; volatile when `wal_dir` is `None`.
+fn serve_command(data: &Path, wal_dir: Option<&Path>, shards: Option<usize>) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_uots-serve"));
-    cmd.arg("--data").arg(data).arg("--wal-dir").arg(wal_dir);
+    cmd.arg("--data").arg(data);
+    if let Some(dir) = wal_dir {
+        cmd.arg("--wal-dir").arg(dir);
+    }
     cmd.args(["--listen", "127.0.0.1:0", "--http-threads", "2"]);
     if let Some(n) = shards {
         cmd.args(["--shards", &n.to_string()]);
@@ -1722,7 +1787,11 @@ fn serve_command(data: &Path, wal_dir: &Path, shards: Option<usize>) -> Command 
     cmd
 }
 
-fn spawn_serve(data: &Path, wal_dir: &Path, shards: Option<usize>) -> (ServeProc, SocketAddr) {
+fn spawn_serve(
+    data: &Path,
+    wal_dir: Option<&Path>,
+    shards: Option<usize>,
+) -> (ServeProc, SocketAddr) {
     let mut child = serve_command(data, wal_dir, shards)
         .stdout(Stdio::piped())
         .spawn()
@@ -1741,7 +1810,7 @@ fn spawn_serve(data: &Path, wal_dir: &Path, shards: Option<usize>) -> (ServeProc
 /// named, nothing created beside the lineage already there.
 fn assert_refuses(data: &Path, wal_dir: &Path, shards: Option<usize>, on_disk: usize) {
     let before = std::fs::read_dir(wal_dir).unwrap().count();
-    let out = serve_command(data, wal_dir, shards)
+    let out = serve_command(data, Some(wal_dir), shards)
         .output()
         .expect("uots-serve runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -1780,7 +1849,7 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     // created: a typo must not start a server nobody asked for
     let unread = root.join("unread");
     for (flag, value) in [("--partitioner", "grid:8"), ("--shard", "4")] {
-        let out = serve_command(&data, &unread, None)
+        let out = serve_command(&data, Some(&unread), None)
             .args([flag, value])
             .output()
             .expect("uots-serve runs");
@@ -1806,7 +1875,7 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     assert_refuses(&data, &flat, Some(2), 1);
     assert!(!flat.join("shard-0").exists());
 
-    let (server, addr) = spawn_serve(&data, &flat, None);
+    let (server, addr) = spawn_serve(&data, Some(&flat), None);
     assert!(
         server.preamble.contains("recovered 1 batches"),
         "{}",
@@ -1826,7 +1895,7 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
 
     // a sharded lineage: created by the server itself, journal attached
     let sharded = root.join("sharded");
-    let (server, addr) = spawn_serve(&data, &sharded, Some(4));
+    let (server, addr) = spawn_serve(&data, Some(&sharded), Some(4));
     let (code, reply) = post(addr, "/ingest", r#"{"retire":[0]}"#);
     assert_eq!(code, 200, "{reply:?}");
     let (code, journal) = http(addr, "GET", "/journal?n=200", "");
@@ -1839,7 +1908,7 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     for wrong in [None, Some(2), Some(8)] {
         assert_refuses(&data, &sharded, wrong, 4);
     }
-    let (server, addr) = spawn_serve(&data, &sharded, Some(4));
+    let (server, addr) = spawn_serve(&data, Some(&sharded), Some(4));
     assert!(
         server.preamble.contains("recovered 4 shards"),
         "{}",
@@ -1847,5 +1916,87 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     );
     assert_eq!(recoveries_journalled(addr), 4);
     drop(server);
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `uots-serve`'s `/status` reports the cut it serves — live
+/// trajectories over all shards, the shard count and the per-shard
+/// epochs — not the dataset it started from: at 1 and 2 shards, volatile
+/// and `--wal-dir`, an `/ingest` of two inserts and one live retire moves
+/// `trajectories` by one and `epochs` to what the reply named. An
+/// `/ingest` the server cannot frame answers 400, counts one error and
+/// publishes nothing.
+#[test]
+fn serve_status_reports_the_published_cut_and_unframed_ingests_publish_nothing() {
+    let cfg = DatasetConfig::small(60, 61);
+    let ds = Dataset::build(&cfg).expect("dataset");
+    let root = scratch_dir("status");
+    std::fs::create_dir_all(&root).unwrap();
+    let data = root.join("city.uotsds");
+    uots::datagen::persist::save_file(&ds, &cfg, &data).expect("save dataset");
+    let body = r#"{"insert":[{"samples":[{"node":0,"time":30.0}],"keywords":[1]},{"samples":[{"node":1,"time":60.0}],"keywords":[2]}],"retire":[0]}"#;
+    let live = ds.store.len() as u64;
+    let status = |addr| {
+        let (code, text) = http(addr, "GET", "/status", "");
+        assert_eq!(code, 200, "{text}");
+        serde_json::from_str::<Content>(&text).expect("/status is JSON")
+    };
+    // each fits in the server's first 512-byte read, so nothing is left
+    // unread when it answers and closes (unread bytes would reset the
+    // connection under the answer)
+    let ingest =
+        |headers: String, body: &str| format!("POST /ingest HTTP/1.1\r\n{headers}\r\n{body}");
+    let len = body.len();
+    let unframed = [
+        (ingest("Content-Length: abc\r\n".into(), body), false),
+        (ingest("Content-Length: -5\r\n".into(), body), false),
+        (
+            ingest(
+                format!("Content-Length: 0\r\nContent-Length: {len}\r\n"),
+                body,
+            ),
+            false,
+        ),
+        (
+            ingest(
+                "Transfer-Encoding: chunked\r\n".into(),
+                &format!("{len:x}\r\n{body}\r\n0\r\n\r\n"),
+            ),
+            false,
+        ),
+        (
+            ingest(format!("Content-Length: {}\r\n", len + 100), body),
+            true,
+        ),
+    ];
+    for shards in [1usize, 2] {
+        for durable in [false, true] {
+            let wal = root.join(format!("wal-{shards}"));
+            let what = format!("{shards} shard(s), durable: {durable}");
+            let wal_dir = durable.then_some(wal.as_path());
+            let (server, addr) = spawn_serve(&data, wal_dir, Some(shards));
+            let before = status(addr);
+            assert_eq!(as_u64(before.get("trajectories")), Some(live), "{what}");
+            assert_eq!(as_u64(before.get("shards")), Some(shards as u64), "{what}");
+
+            let (code, reply) = post(addr, "/ingest", body);
+            assert_eq!(code, 200, "{what}: {reply:?}");
+            assert_eq!(as_u64(reply.get("retired")), Some(1), "{what}");
+            let after = status(addr);
+            assert_eq!(as_u64(after.get("trajectories")), Some(live + 1), "{what}");
+            assert_eq!(epochs_of(&after), epochs_of(&reply), "{what}");
+            assert_ne!(epochs_of(&after), epochs_of(&before), "{what}");
+
+            for (request, half_close) in &unframed {
+                let errors = counter_value(addr, "uots_serve_errors_total");
+                let (code, text) = raw_http(addr, request.as_bytes(), *half_close);
+                assert_eq!(code, 400, "{what}: {request}: {text}");
+                let moved = counter_value(addr, "uots_serve_errors_total") - errors;
+                assert_eq!(moved, 1, "{what}: {request}");
+                assert_eq!(status(addr), after, "{what}: {request} published");
+            }
+            drop(server);
+        }
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }
