@@ -1239,7 +1239,7 @@ fn main() {
         // walking it. Those `b`-only shards are the ones whose textual
         // entries would otherwise hold the termination bound up.
         let d5_queries: Vec<UotsQuery> = {
-            let df = |k: uots_text::KeywordId| d5_ds.keyword_index.values_for(k).len();
+            let df = |k: uots_text::KeywordId| d5_ds.keyword_index.values_at(k).len();
             let rare: Vec<uots_text::KeywordId> = (0..d5_ds.vocab.len() as u32)
                 .map(uots_text::KeywordId)
                 .filter(|&k| (2..=8).contains(&df(k)))
@@ -1253,7 +1253,7 @@ fn main() {
             let mut needles: Vec<(uots_text::KeywordId, uots_text::KeywordId, TrajectoryId)> =
                 Vec::new();
             'outer: for &a in &rare {
-                for &h in d5_ds.keyword_index.values_for(a) {
+                for &h in d5_ds.keyword_index.values_at(a) {
                     let tags = d5_ds.store.get(h).keywords().clone();
                     if tags.len() > 3 {
                         continue;
@@ -1281,7 +1281,7 @@ fn main() {
                     // offers too few rare+common pairs (smoke scales)
                     let (kws, holder) = if needles.is_empty() {
                         let a = rare[i % rare.len()];
-                        (vec![a], d5_ds.keyword_index.values_for(a)[0])
+                        (vec![a], d5_ds.keyword_index.values_at(a)[0])
                     } else {
                         let (a, b, h) = needles[i % needles.len()];
                         (vec![a, b], h)

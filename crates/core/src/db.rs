@@ -90,7 +90,7 @@ impl<'a> Database<'a> {
         vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
     ) -> Self {
         assert_eq!(
-            vertex_index.num_vertices(),
+            vertex_index.num_keys(),
             network.num_nodes(),
             "vertex index does not match the network"
         );

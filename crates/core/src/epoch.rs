@@ -4,9 +4,8 @@
 //! The ROADMAP's north star is a service that ingests trajectories
 //! continuously while serving queries. The engine, however, wants frozen
 //! CSR indexes — optimal to probe, impossible to update. This module
-//! implements the classic resolution, the pattern
-//! [`DynamicVertexIndex`] documents: **mutate freely, freeze once per
-//! serving epoch**.
+//! implements the classic resolution: **batch the writes, publish each
+//! batch as a new immutable snapshot derived from the previous one**.
 //!
 //! * [`EpochSnapshot`] — one immutable serving generation: the (append-
 //!   only, stably-numbered) [`TrajectoryStore`], a [`LiveSet`] masking
@@ -14,9 +13,10 @@
 //!   subset. Queries borrow a [`Database`] from a snapshot `Arc` and are
 //!   untouched by later swaps.
 //! * [`EpochManager`] — the single-writer ingest path. Mutations batch
-//!   into a mutable [`DynamicVertexIndex`] plus the master store/mask;
-//!   [`EpochManager::publish`] freezes them into a fresh snapshot and
-//!   swaps it in atomically while in-flight readers keep their old `Arc`.
+//!   into the master store and liveness mask alone;
+//!   [`EpochManager::publish`] derives every index of the next snapshot
+//!   from the previous snapshot plus the batch and swaps it in atomically
+//!   while in-flight readers keep their old `Arc`.
 //!
 //! ## Interaction with the distance cache
 //!
@@ -45,7 +45,7 @@ use crate::db::LayoutTables;
 use crate::Database;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
-use uots_index::{DynamicVertexIndex, KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
+use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
 use uots_network::RoadNetwork;
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
 use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
@@ -84,6 +84,9 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
+    /// The snapshot serving the live ids of `store`. Without `prev` every
+    /// index is built from scratch; with it, each is `prev`'s plus the
+    /// batch since ([`indexes_plus`](Self::indexes_plus)).
     #[allow(clippy::too_many_arguments)]
     fn build(
         epoch: u64,
@@ -92,11 +95,17 @@ impl EpochSnapshot {
         vocab_len: usize,
         store: TrajectoryStore,
         live: LiveSet,
-        vertex_index: VertexInvertedIndex<TrajectoryId>,
-        timestamp_index: TimestampIndex<TrajectoryId>,
+        prev: Option<&EpochSnapshot>,
         mutations: u64,
     ) -> Self {
-        let keyword_index = store.build_keyword_index_live(vocab_len, &live);
+        let (vertex_index, keyword_index, timestamp_index) = match prev {
+            None => (
+                store.build_vertex_index_live(network.num_nodes(), &live),
+                store.build_keyword_index_live(vocab_len, &live),
+                store.build_timestamp_index_live(&live),
+            ),
+            Some(prev) => prev.indexes_plus(&store, &live),
+        };
         let layout = LayoutTables::build_shared(csr, &store, vocab_len);
         let stats = EpochStats {
             epoch,
@@ -116,6 +125,60 @@ impl EpochSnapshot {
             layout,
             stats,
         }
+    }
+
+    /// This snapshot's three indexes with the batch applied that took its
+    /// `(store, live)` to the given ones: the ids it serves and `live` has
+    /// retired since leave every list, and the ids issued since that are
+    /// still live join them (one inserted and retired in the batch does
+    /// neither). Each result equals the full build over `live`, because
+    /// every issued id is above every id this snapshot holds.
+    fn indexes_plus(
+        &self,
+        store: &TrajectoryStore,
+        live: &LiveSet,
+    ) -> (
+        VertexInvertedIndex<TrajectoryId>,
+        KeywordInvertedIndex<TrajectoryId>,
+        TimestampIndex<TrajectoryId>,
+    ) {
+        // nothing revives a retired id, so the survivors of `self` are
+        // exactly its live ids that `live` still holds
+        debug_assert!(live
+            .iter_live()
+            .take_while(|id| id.index() < self.store.len())
+            .all(|id| self.live.is_live(id)));
+        let mut retired = Vec::new();
+        for (w, (&was, &now)) in self.live.words().iter().zip(live.words()).enumerate() {
+            let mut gone = was & !now;
+            while gone != 0 {
+                retired.push(TrajectoryId((w * 64) as u32 + gone.trailing_zeros()));
+                gone &= gone - 1;
+            }
+        }
+        let added: Vec<TrajectoryId> = (self.store.len()..store.len())
+            .map(|i| TrajectoryId(i as u32))
+            .filter(|&id| live.is_live(id))
+            .collect();
+        let nodes = |ids: &[TrajectoryId]| {
+            ids.iter()
+                .flat_map(|&id| store.get(id).nodes().map(move |v| (v, id)))
+                .collect::<Vec<_>>()
+        };
+        let keywords = |ids: &[TrajectoryId]| {
+            ids.iter()
+                .flat_map(|&id| store.get(id).keywords().iter().map(move |k| (k, id)))
+                .collect::<Vec<_>>()
+        };
+        let times = added
+            .iter()
+            .flat_map(|&id| store.get(id).times().map(move |t| (t, id)));
+        (
+            self.vertex_index.merged(nodes(&retired), nodes(&added)),
+            self.keyword_index
+                .merged(keywords(&retired), keywords(&added)),
+            self.timestamp_index.merged(|id| live.is_live(id), times),
+        )
     }
 
     /// The epoch number.
@@ -186,7 +249,6 @@ pub enum Mutation {
 struct WriterState {
     store: TrajectoryStore,
     live: LiveSet,
-    dynamic: DynamicVertexIndex<TrajectoryId>,
     pending: u64,
     last_publish: Instant,
 }
@@ -270,8 +332,8 @@ impl EpochManager {
     ///
     /// This is also the crash-recovery constructor: checkpoint + WAL
     /// replay reconstruct `(store, live)`, and the first snapshot must
-    /// serve exactly the durable state. Only live trajectories enter the
-    /// vertex index — retired ones stay invisible.
+    /// serve exactly the durable state. Its indexes are built from scratch
+    /// over the live trajectories — retired ones stay invisible.
     pub fn from_parts(
         network: Arc<RoadNetwork>,
         store: TrajectoryStore,
@@ -287,14 +349,6 @@ impl EpochManager {
             "liveness mask must cover the master store"
         );
         let metrics = EpochMetrics::register(&registry.cloned().unwrap_or_default());
-        let mut dynamic = DynamicVertexIndex::new(network.num_nodes());
-        for (id, t) in store.iter() {
-            if live.is_live(id) {
-                for v in t.nodes() {
-                    dynamic.insert(v, id);
-                }
-            }
-        }
         let csr = Arc::new(CsrGraph::from_network(&network));
         let seed = EpochSnapshot::build(
             epoch,
@@ -303,8 +357,7 @@ impl EpochManager {
             vocab_len,
             store.clone(),
             live.clone(),
-            dynamic.freeze(),
-            store.build_timestamp_index_live(&live),
+            None,
             0,
         );
         metrics.current_epoch.set(epoch as i64);
@@ -315,7 +368,6 @@ impl EpochManager {
             writer: Mutex::new(WriterState {
                 store,
                 live,
-                dynamic,
                 pending: 0,
                 last_publish: Instant::now(),
             }),
@@ -367,10 +419,6 @@ impl EpochManager {
         let id = w.store.push(t);
         let new_len = w.store.len();
         w.live.grow_to(new_len);
-        let nodes: Vec<_> = w.store.get(id).nodes().collect();
-        for v in nodes {
-            w.dynamic.insert(v, id);
-        }
         w.pending += 1;
         self.metrics.ingested.inc();
         self.metrics.pending_mutations.set(w.pending as i64);
@@ -388,10 +436,6 @@ impl EpochManager {
         assert!(id.index() < w.store.len(), "retire of unknown id {id}");
         let was_live = w.live.retire(id);
         if was_live {
-            let nodes: Vec<_> = w.store.get(id).nodes().collect();
-            for v in nodes {
-                w.dynamic.remove(v, id);
-            }
             w.pending += 1;
             self.metrics.retired.inc();
             self.metrics.pending_mutations.set(w.pending as i64);
@@ -414,7 +458,7 @@ impl EpochManager {
         inserted
     }
 
-    /// Freezes the batched mutations into a fresh immutable snapshot and
+    /// Publishes the batched mutations as a fresh immutable snapshot and
     /// swaps it in. In-flight readers keep the previous snapshot; new
     /// [`snapshot`](Self::snapshot) calls observe the new epoch. The write
     /// lock is held only for the pointer swap — index building happens
@@ -425,37 +469,22 @@ impl EpochManager {
     ///
     /// The new snapshot is the previous one plus the batch: the store
     /// clone shares every trajectory with it (block pointers, see
-    /// [`TrajectoryStore`]), the vertex index is the writer's per-vertex
-    /// lists concatenated, and the timestamp index is the previous one's
-    /// survivors merged with the batch's samples — equal entry for entry
-    /// to a full build over the live ids, because every id the batch
-    /// inserted is above every id the previous snapshot holds.
+    /// [`TrajectoryStore`]), and each index is the previous one's with the
+    /// retired ids taken out and the batch's live inserts put in — equal
+    /// entry for entry to a full build over the live ids.
     pub fn publish(&self) -> Arc<EpochSnapshot> {
         let mut w = lock_ok(&self.writer);
         let started = Instant::now();
         let prev = self.snapshot();
         let epoch = prev.epoch + 1;
-        let (store, live) = (w.store.clone(), w.live.clone());
-        // nothing revives a retired id, so the survivors of `prev` are
-        // exactly its live ids that `live` still holds
-        debug_assert!(live
-            .iter_live()
-            .take_while(|id| id.index() < prev.store.len())
-            .all(|id| prev.live.is_live(id)));
-        let added = (prev.store.len()..store.len())
-            .map(|i| TrajectoryId(i as u32))
-            .filter(|&id| live.is_live(id))
-            .flat_map(|id| store.get(id).times().map(move |t| (t, id)));
-        let timestamp_index = prev.timestamp_index.merged(|id| live.is_live(id), added);
         let snapshot = Arc::new(EpochSnapshot::build(
             epoch,
             Arc::clone(&self.network),
             Arc::clone(&self.csr),
             self.vocab_len,
-            store,
-            live,
-            w.dynamic.freeze(),
-            timestamp_index,
+            w.store.clone(),
+            w.live.clone(),
+            Some(&prev),
             w.pending,
         ));
         let mutations = w.pending;

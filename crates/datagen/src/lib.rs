@@ -327,15 +327,15 @@ mod tests {
         assert_eq!(ds.store.len(), 40);
         assert_eq!(ds.network.num_nodes(), 900);
         assert!(ds.network.is_connected());
-        assert_eq!(ds.vertex_index.num_vertices(), 900);
-        assert_eq!(ds.keyword_index.vocab_len(), ds.vocab.len());
+        assert_eq!(ds.vertex_index.num_keys(), 900);
+        assert_eq!(ds.keyword_index.num_keys(), ds.vocab.len());
         // every trajectory's vertices and keywords are registered
         for (id, t) in ds.store.iter() {
             for v in t.nodes() {
                 assert!(ds.vertex_index.values_at(v).contains(&id));
             }
             for k in t.keywords().iter() {
-                assert!(ds.keyword_index.values_for(k).contains(&id));
+                assert!(ds.keyword_index.values_at(k).contains(&id));
             }
         }
     }

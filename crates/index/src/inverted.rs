@@ -1,152 +1,181 @@
-//! Inverted indexes from graph vertices and keywords to arbitrary values.
+//! Inverted indexes from dense keys (graph vertices, keywords) to values.
 //!
 //! The UOTS expansion search discovers trajectories by settling a vertex and
 //! asking "which trajectories pass through here?" — that is the
 //! [`VertexInvertedIndex`]. The textual-first baseline asks "which
 //! trajectories carry this keyword?" — that is the
-//! [`KeywordInvertedIndex`]. Both are generic over the posting value so the
-//! substrate stays independent of the trajectory crate (which instantiates
+//! [`KeywordInvertedIndex`]. Both are one CSR structure, [`InvertedIndex`],
+//! generic over the key and over the posting value so the substrate stays
+//! independent of the trajectory crate (which instantiates
 //! `V = TrajectoryId`).
 //!
-//! Postings are sorted and deduplicated at freeze time, which makes merges
-//! and membership checks cheap and iteration deterministic.
+//! Postings are sorted and deduplicated, which makes merges and membership
+//! checks cheap and iteration deterministic. A serving epoch derives each
+//! index from the previous one with [`InvertedIndex::merged`] instead of
+//! building it again.
 
 use serde::{Deserialize, Serialize};
+use std::marker::PhantomData;
 use uots_network::NodeId;
 use uots_text::KeywordId;
 
-/// Maps every vertex of a road network to the sorted list of values (e.g.
-/// trajectory ids) registered on it.
+/// A dense key of an [`InvertedIndex`]: `0..num_keys`.
+pub trait PostingKey: Copy {
+    /// The key's position.
+    fn index(self) -> usize;
+}
+
+impl PostingKey for NodeId {
+    fn index(self) -> usize {
+        NodeId::index(self)
+    }
+}
+
+impl PostingKey for KeywordId {
+    fn index(self) -> usize {
+        KeywordId::index(self)
+    }
+}
+
+/// Maps each of `num_keys` dense keys to the sorted, duplicate-free list of
+/// values (e.g. trajectory ids) registered under it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VertexInvertedIndex<V> {
-    /// CSR offsets, length `num_vertices + 1`.
+pub struct InvertedIndex<K, V> {
+    /// CSR offsets, length `num_keys + 1`.
     starts: Vec<u32>,
     postings: Vec<V>,
+    #[serde(skip)]
+    key: PhantomData<K>,
 }
 
-impl<V: Copy + Ord> VertexInvertedIndex<V> {
-    /// Builds the index for a network of `num_vertices` vertices from
-    /// `(vertex, value)` registrations. A value appearing on the same vertex
-    /// multiple times (a trajectory revisiting it) is stored once.
+/// Vertex → values: the structure the network expansion probes on every
+/// settled vertex.
+pub type VertexInvertedIndex<V> = InvertedIndex<NodeId, V>;
+
+/// Keyword → values: the textual-first baseline's candidate source.
+pub type KeywordInvertedIndex<V> = InvertedIndex<KeywordId, V>;
+
+impl<K: PostingKey, V: Copy + Ord> InvertedIndex<K, V> {
+    /// Builds the index over `num_keys` keys from `(key, value)`
+    /// registrations. A value registered under one key several times (a
+    /// trajectory revisiting a vertex) is stored once.
     ///
     /// # Panics
     ///
-    /// Panics when a registration references a vertex `>= num_vertices`.
-    pub fn build(
-        num_vertices: usize,
-        registrations: impl IntoIterator<Item = (NodeId, V)>,
-    ) -> Self {
-        let mut per_vertex: Vec<Vec<V>> = vec![Vec::new(); num_vertices];
-        for (v, val) in registrations {
-            assert!(v.index() < num_vertices, "vertex out of range");
-            per_vertex[v.index()].push(val);
-        }
-        let mut starts = Vec::with_capacity(num_vertices + 1);
-        let mut postings = Vec::new();
-        starts.push(0u32);
-        for list in &mut per_vertex {
-            list.sort_unstable();
-            list.dedup();
-            postings.extend_from_slice(list);
-            starts.push(postings.len() as u32);
-        }
-        VertexInvertedIndex { starts, postings }
-    }
-
-    /// The index over CSR arrays whose every vertex slice is already
-    /// sorted and deduplicated.
-    pub(crate) fn from_csr(starts: Vec<u32>, postings: Vec<V>) -> Self {
-        debug_assert_eq!(starts.last().map(|&s| s as usize), Some(postings.len()));
-        debug_assert!(starts
-            .windows(2)
-            .all(|w| postings[w[0] as usize..w[1] as usize]
-                .windows(2)
-                .all(|p| p[0] < p[1])));
-        VertexInvertedIndex { starts, postings }
-    }
-
-    /// The sorted values registered on vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v` is out of range.
-    #[inline]
-    pub fn values_at(&self, v: NodeId) -> &[V] {
-        let lo = self.starts[v.index()] as usize;
-        let hi = self.starts[v.index() + 1] as usize;
-        &self.postings[lo..hi]
-    }
-
-    /// Number of vertices covered.
-    pub fn num_vertices(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Total number of stored postings.
-    pub fn num_postings(&self) -> usize {
-        self.postings.len()
-    }
-}
-
-/// Maps every keyword to the sorted list of values whose keyword sets
-/// contain it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KeywordInvertedIndex<V> {
-    starts: Vec<u32>,
-    postings: Vec<V>,
-}
-
-impl<V: Copy + Ord> KeywordInvertedIndex<V> {
-    /// Builds the index over a vocabulary of `vocab_len` keywords from
-    /// `(keyword, value)` registrations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a registration references a keyword `>= vocab_len`.
-    pub fn build(
-        vocab_len: usize,
-        registrations: impl IntoIterator<Item = (KeywordId, V)>,
-    ) -> Self {
-        let mut per_kw: Vec<Vec<V>> = vec![Vec::new(); vocab_len];
+    /// Panics when a registration's key is `>= num_keys`.
+    pub fn build(num_keys: usize, registrations: impl IntoIterator<Item = (K, V)>) -> Self {
+        let mut per_key: Vec<Vec<V>> = vec![Vec::new(); num_keys];
         for (k, val) in registrations {
-            assert!(k.index() < vocab_len, "keyword out of range");
-            per_kw[k.index()].push(val);
+            let i = k.index();
+            assert!(i < num_keys, "key {i} out of range ({num_keys} keys)");
+            per_key[i].push(val);
         }
-        let mut starts = Vec::with_capacity(vocab_len + 1);
+        let mut starts = Vec::with_capacity(num_keys + 1);
         let mut postings = Vec::new();
         starts.push(0u32);
-        for list in &mut per_kw {
+        for list in &mut per_key {
             list.sort_unstable();
             list.dedup();
             postings.extend_from_slice(list);
             starts.push(postings.len() as u32);
         }
-        KeywordInvertedIndex { starts, postings }
-    }
-
-    /// The sorted values carrying keyword `k`; empty for out-of-range ids.
-    #[inline]
-    pub fn values_for(&self, k: KeywordId) -> &[V] {
-        if k.index() + 1 >= self.starts.len() {
-            return &[];
+        InvertedIndex {
+            starts,
+            postings,
+            key: PhantomData,
         }
-        let lo = self.starts[k.index()] as usize;
-        let hi = self.starts[k.index() + 1] as usize;
-        &self.postings[lo..hi]
     }
 
-    /// Document frequency of keyword `k`.
-    pub fn document_frequency(&self, k: KeywordId) -> usize {
-        self.values_for(k).len()
+    /// This index with the `removed` registrations taken out and the
+    /// `added` ones put in: each key's list minus its removed values,
+    /// followed by its added values, sorted and deduplicated. A removal
+    /// this index does not hold is ignored.
+    ///
+    /// Every added value must be above every value its key keeps (fresh
+    /// ids, as a serving epoch issues them; checked in debug builds). Then
+    /// the result equals [`build`](Self::build) over the survivors, and a
+    /// key the batch does not touch costs one slice copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an added registration's key is `>= num_keys`.
+    pub fn merged(
+        &self,
+        removed: impl IntoIterator<Item = (K, V)>,
+        added: impl IntoIterator<Item = (K, V)>,
+    ) -> Self {
+        let (removed, added) = (sorted_pairs(removed), sorted_pairs(added));
+        let num_keys = self.num_keys();
+        if let Some(&(i, _)) = added.last() {
+            assert!(i < num_keys, "key {i} out of range ({num_keys} keys)");
+        }
+        let mut starts = Vec::with_capacity(self.starts.len());
+        let mut postings = Vec::with_capacity(self.postings.len() + added.len());
+        starts.push(0u32);
+        let (mut r, mut a) = (0, 0);
+        for i in 0..num_keys {
+            let lo = postings.len();
+            let kept = self.list(i);
+            let gone = run(&removed[r..], i);
+            r += gone.len();
+            if gone.is_empty() {
+                postings.extend_from_slice(kept);
+            } else {
+                // both ascending: step through the removals beside the list
+                let mut gone = gone.iter().map(|p| p.1).peekable();
+                postings.extend(kept.iter().copied().filter(|&v| {
+                    while gone.next_if(|&g| g < v).is_some() {}
+                    gone.next_if_eq(&v).is_none()
+                }));
+            }
+            let fresh = run(&added[a..], i);
+            a += fresh.len();
+            debug_assert!(
+                postings[lo..]
+                    .last()
+                    .zip(fresh.first())
+                    .is_none_or(|(&old, &(_, new))| old < new),
+                "an added value must be above every kept one"
+            );
+            postings.extend(fresh.iter().map(|p| p.1));
+            starts.push(postings.len() as u32);
+        }
+        InvertedIndex {
+            starts,
+            postings,
+            key: PhantomData,
+        }
     }
 
-    /// Union of the posting lists of `keywords`, deduplicated and sorted
-    /// (k-way merge via repeated two-way merges; lists are short in this
-    /// workload).
-    pub fn union_of(&self, keywords: impl IntoIterator<Item = KeywordId>) -> Vec<V> {
+    /// The sorted values registered under `key`; empty for a key past the
+    /// last one.
+    #[inline]
+    pub fn values_at(&self, key: K) -> &[V] {
+        let i = key.index();
+        if i + 1 < self.starts.len() {
+            self.list(i)
+        } else {
+            &[]
+        }
+    }
+
+    #[inline]
+    fn list(&self, i: usize) -> &[V] {
+        &self.postings[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// Number of values registered under `key` (a keyword's document
+    /// frequency).
+    pub fn document_frequency(&self, key: K) -> usize {
+        self.values_at(key).len()
+    }
+
+    /// Union of the lists of `keys`, deduplicated and sorted (k-way merge
+    /// via repeated two-way merges; lists are short in this workload).
+    pub fn union_of(&self, keys: impl IntoIterator<Item = K>) -> Vec<V> {
         let mut out: Vec<V> = Vec::new();
-        for k in keywords {
-            let list = self.values_for(k);
+        for k in keys {
+            let list = self.values_at(k);
             if list.is_empty() {
                 continue;
             }
@@ -180,10 +209,28 @@ impl<V: Copy + Ord> KeywordInvertedIndex<V> {
         out
     }
 
-    /// Number of keywords covered.
-    pub fn vocab_len(&self) -> usize {
+    /// Number of keys covered.
+    pub fn num_keys(&self) -> usize {
         self.starts.len() - 1
     }
+
+    /// Total number of stored postings.
+    pub fn num_postings(&self) -> usize {
+        self.postings.len()
+    }
+}
+
+/// `(key position, value)` pairs, sorted and deduplicated.
+fn sorted_pairs<K: PostingKey, V: Ord>(regs: impl IntoIterator<Item = (K, V)>) -> Vec<(usize, V)> {
+    let mut pairs: Vec<(usize, V)> = regs.into_iter().map(|(k, v)| (k.index(), v)).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// The leading pairs of `pairs` whose key is `i`.
+fn run<V>(pairs: &[(usize, V)], i: usize) -> &[(usize, V)] {
+    &pairs[..pairs.iter().take_while(|p| p.0 == i).count()]
 }
 
 #[cfg(test)]
@@ -204,12 +251,13 @@ mod tests {
         assert_eq!(idx.values_at(NodeId(0)), &[2, 5]);
         assert_eq!(idx.values_at(NodeId(1)), &[] as &[u32]);
         assert_eq!(idx.values_at(NodeId(2)), &[1]);
-        assert_eq!(idx.num_vertices(), 3);
+        assert_eq!(idx.values_at(NodeId(3)), &[] as &[u32]);
+        assert_eq!(idx.num_keys(), 3);
         assert_eq!(idx.num_postings(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "vertex out of range")]
+    #[should_panic(expected = "out of range")]
     fn vertex_index_rejects_out_of_range() {
         VertexInvertedIndex::build(2, vec![(NodeId(5), 1u32)]);
     }
@@ -225,11 +273,11 @@ mod tests {
                 (KeywordId(1), 10),
             ],
         );
-        assert_eq!(idx.values_for(KeywordId(1)), &[7, 10]);
-        assert_eq!(idx.values_for(KeywordId(0)), &[] as &[u32]);
-        assert_eq!(idx.values_for(KeywordId(99)), &[] as &[u32]);
+        assert_eq!(idx.values_at(KeywordId(1)), &[7, 10]);
+        assert_eq!(idx.values_at(KeywordId(0)), &[] as &[u32]);
+        assert_eq!(idx.values_at(KeywordId(99)), &[] as &[u32]);
         assert_eq!(idx.document_frequency(KeywordId(1)), 2);
-        assert_eq!(idx.vocab_len(), 4);
+        assert_eq!(idx.num_keys(), 4);
     }
 
     #[test]
@@ -260,11 +308,60 @@ mod tests {
     }
 
     #[test]
+    fn merged_drops_removed_and_appends_added() {
+        let base = VertexInvertedIndex::build(
+            3,
+            [
+                (NodeId(0), 1u32),
+                (NodeId(0), 2),
+                (NodeId(1), 1),
+                (NodeId(2), 3),
+            ],
+        );
+        let next = base.merged(
+            [
+                (NodeId(0), 1),
+                (NodeId(1), 1),
+                (NodeId(1), 1),
+                (NodeId(2), 9),
+            ],
+            [(NodeId(0), 5), (NodeId(2), 4), (NodeId(0), 5)],
+        );
+        assert_eq!(next.values_at(NodeId(0)), &[2, 5]);
+        assert_eq!(next.values_at(NodeId(1)), &[] as &[u32]);
+        assert_eq!(next.values_at(NodeId(2)), &[3, 4]);
+        assert_eq!(next.num_postings(), 4);
+        assert_eq!(base.num_postings(), 4, "the base is untouched");
+    }
+
+    #[test]
+    fn merged_matches_direct_build() {
+        let old = [
+            (KeywordId(0), 3u32),
+            (KeywordId(0), 1),
+            (KeywordId(2), 7),
+            (KeywordId(3), 1),
+        ];
+        let base = KeywordInvertedIndex::build(4, old);
+        let merged = base.merged([(KeywordId(0), 1), (KeywordId(3), 1)], [(KeywordId(3), 8)]);
+        let direct = KeywordInvertedIndex::build(
+            4,
+            [(KeywordId(0), 3u32), (KeywordId(2), 7), (KeywordId(3), 8)],
+        );
+        assert_eq!(merged, direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn merged_rejects_an_added_key_out_of_range() {
+        VertexInvertedIndex::build(1, [(NodeId(0), 1u32)]).merged([], [(NodeId(5), 2)]);
+    }
+
+    #[test]
     fn serde_round_trip() {
         let idx = VertexInvertedIndex::build(2, vec![(NodeId(0), 1u32), (NodeId(1), 2)]);
         let json = serde_json::to_string(&idx).unwrap();
         let back: VertexInvertedIndex<u32> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.values_at(NodeId(0)), &[1]);
-        assert_eq!(back.values_at(NodeId(1)), &[2]);
+        assert_eq!(back, idx);
     }
 }

@@ -4,24 +4,21 @@
 //!
 //! * [`GridIndex`] — uniform spatial grid over a point set, used to snap raw
 //!   GPS samples and query locations to network vertices;
-//! * [`VertexInvertedIndex`] — vertex → values (trajectory ids), the
-//!   structure the network expansion probes on every settled vertex;
-//! * [`KeywordInvertedIndex`] — keyword → values, driving the textual-first
-//!   baseline and exact textual similarity evaluation;
+//! * [`InvertedIndex`] — dense key → sorted values (trajectory ids), one
+//!   CSR type serving as the [`VertexInvertedIndex`] the network expansion
+//!   probes on every settled vertex and the [`KeywordInvertedIndex`]
+//!   driving the textual-first baseline; [`InvertedIndex::merged`] derives
+//!   a serving epoch's index from the previous one plus a batch;
 //! * [`TimestampIndex`] / [`TimeExpansion`] — sorted-time expansion cursor
-//!   for the temporal extension;
-//! * [`DynamicVertexIndex`] — updatable vertex registry that freezes into
-//!   the CSR index (batched ingestion / deletion workflows).
+//!   for the temporal extension, likewise merged per epoch.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod dynamic;
 mod grid;
 mod inverted;
 mod timestamp;
 
-pub use dynamic::DynamicVertexIndex;
 pub use grid::GridIndex;
-pub use inverted::{KeywordInvertedIndex, VertexInvertedIndex};
+pub use inverted::{InvertedIndex, KeywordInvertedIndex, PostingKey, VertexInvertedIndex};
 pub use timestamp::{TimeExpansion, TimeScanned, TimestampIndex, DAY_SECONDS};

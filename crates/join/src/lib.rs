@@ -52,7 +52,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uots_core::{Completeness, DistanceCache, ExecutionBudget, RunControl};
+use uots_core::{Completeness, Database, DistanceCache, ExecutionBudget, RunControl};
 use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_network::dijkstra::shortest_path_tree;
 use uots_network::RoadNetwork;
@@ -255,10 +255,14 @@ pub(crate) fn validate_config(cfg: &JoinConfig) -> Result<(), JoinError> {
     Ok(())
 }
 
-fn validate(cfg: &JoinConfig, store: &TrajectoryStore) -> Result<(), JoinError> {
+fn validate(
+    cfg: &JoinConfig,
+    store: &TrajectoryStore,
+    ids: &[TrajectoryId],
+) -> Result<(), JoinError> {
     validate_config(cfg)?;
-    for (id, t) in store.iter() {
-        let distinct = similarity::distinct_nodes_weighted(t).0.len();
+    for &id in ids {
+        let distinct = similarity::distinct_nodes_weighted(store.get(id)).0.len();
         if distinct > cfg.max_sources {
             return Err(JoinError::TooManySources {
                 trajectory: id,
@@ -286,21 +290,18 @@ pub fn ts_join(
     cfg: &JoinConfig,
     threads: usize,
 ) -> Result<JoinResult, JoinError> {
-    ts_join_with(
-        net,
-        store,
-        vertex_index,
-        timestamp_index,
-        cfg,
-        threads,
-        &ExecutionBudget::UNLIMITED,
-        &RunControl::unbounded(),
-        None,
-    )
+    let db = Database::new(net, store, vertex_index).with_timestamp_index(timestamp_index);
+    let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
+    ts_join_with(&db, cfg, threads, budget, ctl, None)
 }
 
-/// The two-phase trajectory similarity self-join under a budget, with an
-/// optional shared distance cache.
+/// The two-phase trajectory similarity self-join over the live
+/// trajectories of `db`, under a budget, with an optional shared distance
+/// cache.
+///
+/// Only the ids `db` holds live are validated and probed, and its vertex
+/// and timestamp indexes must cover exactly those (an epoch snapshot's
+/// do), so a retired trajectory is neither a probe nor a partner.
 ///
 /// The gate is consulted before each probe (one probe = one trajectory's
 /// candidate search): on cancellation, deadline expiry, or an exhausted
@@ -323,22 +324,23 @@ pub fn ts_join(
 ///
 /// # Errors
 ///
-/// See [`JoinError`]. Budget exhaustion is **not** an error.
-#[allow(clippy::too_many_arguments)]
+/// See [`JoinError`]; `db` without a timestamp index is a
+/// [`JoinError::BadParameter`]. Budget exhaustion is **not** an error.
 pub fn ts_join_with(
-    net: &RoadNetwork,
-    store: &TrajectoryStore,
-    vertex_index: &VertexInvertedIndex<TrajectoryId>,
-    timestamp_index: &TimestampIndex<TrajectoryId>,
+    db: &Database<'_>,
     cfg: &JoinConfig,
     threads: usize,
     budget: &ExecutionBudget,
     ctl: &RunControl,
     cache: Option<&Arc<DistanceCache>>,
 ) -> Result<JoinResult, JoinError> {
-    validate(cfg, store)?;
+    let store = db.store;
+    let ids: Vec<TrajectoryId> = store.ids().filter(|&id| db.is_live(id)).collect();
+    validate(cfg, store, &ids)?;
+    let timestamp_index = db
+        .timestamp_index
+        .ok_or_else(|| JoinError::BadParameter("the join needs a timestamp index".into()))?;
     let start = Instant::now();
-    let ids: Vec<TrajectoryId> = store.ids().collect();
     let gate = JoinGate::new(budget, ctl);
 
     let pool = rayon::ThreadPoolBuilder::new()
@@ -356,8 +358,13 @@ pub fn ts_join_with(
     let per_chunk: Vec<ChunkOut> = pool.install(|| {
         ids.par_chunks(chunk)
             .map(|probe_chunk| {
-                let mut worker =
-                    Worker::new(net, store, vertex_index, timestamp_index, cache.cloned());
+                let mut worker = Worker::new(
+                    db.network,
+                    store,
+                    db.vertex_index,
+                    timestamp_index,
+                    cache.cloned(),
+                );
                 let mut stats = SearchStats::default();
                 let mut out = Vec::with_capacity(probe_chunk.len());
                 for &probe in probe_chunk {
@@ -497,8 +504,8 @@ pub fn ts_join_brute(
     store: &TrajectoryStore,
     cfg: &JoinConfig,
 ) -> Result<Vec<JoinPair>, JoinError> {
-    validate(cfg, store)?;
     let ids: Vec<TrajectoryId> = store.ids().collect();
+    validate(cfg, store, &ids)?;
     // one directed half per trajectory toward every other
     let halves: Vec<Vec<Half>> = ids
         .iter()
@@ -537,6 +544,10 @@ pub fn ts_join_brute(
 mod tests {
     use super::*;
     use uots_datagen::{Dataset, DatasetConfig};
+
+    fn db_of<'a>(ds: &'a Dataset, tidx: &'a TimestampIndex<TrajectoryId>) -> Database<'a> {
+        Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(tidx)
+    }
 
     fn join_all(ds: &Dataset, cfg: &JoinConfig, threads: usize) -> JoinResult {
         let tidx = ds.store.build_timestamp_index();
@@ -707,10 +718,7 @@ mod tests {
         let budget =
             ExecutionBudget::default().with_max_visited(exact.visited_trajectories / 4 + 1);
         let r = ts_join_with(
-            &ds.network,
-            &ds.store,
-            &ds.vertex_index,
-            &tidx,
+            &db_of(&ds, &tidx),
             &cfg,
             1,
             &budget,
@@ -738,10 +746,7 @@ mod tests {
         let token = uots_core::CancellationToken::new();
         token.cancel();
         let r = ts_join_with(
-            &ds.network,
-            &ds.store,
-            &ds.vertex_index,
-            &tidx,
+            &db_of(&ds, &tidx),
             &cfg,
             2,
             &ExecutionBudget::UNLIMITED,
@@ -816,10 +821,7 @@ mod tests {
         let cache = Arc::new(DistanceCache::new(1 << 16));
         for round in 0..2 {
             let cached = ts_join_with(
-                &ds.network,
-                &ds.store,
-                &ds.vertex_index,
-                &tidx,
+                &db_of(&ds, &tidx),
                 &cfg,
                 2,
                 &ExecutionBudget::UNLIMITED,

@@ -452,9 +452,9 @@ mod tests {
         let a = s.push(Trajectory::new(vec![sample(0, 0.0)], kws(&[1, 2])).unwrap());
         let b = s.push(Trajectory::new(vec![sample(1, 0.0)], kws(&[2])).unwrap());
         let idx = s.build_keyword_index(4);
-        assert_eq!(idx.values_for(KeywordId(1)), &[a]);
-        assert_eq!(idx.values_for(KeywordId(2)), &[a, b]);
-        assert_eq!(idx.values_for(KeywordId(0)), &[] as &[TrajectoryId]);
+        assert_eq!(idx.values_at(KeywordId(1)), &[a]);
+        assert_eq!(idx.values_at(KeywordId(2)), &[a, b]);
+        assert_eq!(idx.values_at(KeywordId(0)), &[] as &[TrajectoryId]);
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! 2. find them with a high-θ similarity self-join,
 //! 3. cluster the pairs (union-find) and keep one representative per
 //!    cluster,
-//! 4. retire the rest through the updatable [`DynamicVertexIndex`], freeze,
-//!    and keep answering UOTS queries over the cleaned database.
+//! 4. retire the rest through an [`EpochManager`], publish, and keep
+//!    answering UOTS queries over the published snapshot.
 //!
 //! ```text
 //! cargo run --release --example data_cleaning
 //! ```
 
-use uots::index::DynamicVertexIndex;
+use std::sync::Arc;
 use uots::join::{ts_join, JoinConfig};
 use uots::prelude::*;
+use uots::{EpochManager, Mutation};
 
 fn main() {
     let ds = Dataset::build(&DatasetConfig::small(250, 64)).expect("dataset builds");
@@ -78,23 +79,12 @@ fn main() {
         .collect();
     println!("retiring {} redundant trajectories", retired.len());
 
-    // 4. retire through the dynamic index, freeze, keep serving
-    let mut dynamic = DynamicVertexIndex::new(ds.network.num_nodes());
-    for (id, t) in store.iter() {
-        for v in t.nodes() {
-            dynamic.insert(v, id);
-        }
-    }
+    // 4. retire through an epoch manager, publish, keep serving
     let retired_set: std::collections::HashSet<TrajectoryId> = retired.iter().copied().collect();
-    for &id in &retired {
-        for v in store.get(id).nodes() {
-            dynamic.remove(v, id);
-        }
-    }
-    let cleaned_vidx = dynamic.freeze();
-
-    let db =
-        Database::new(&ds.network, &store, &cleaned_vidx).with_keyword_index(&ds.keyword_index);
+    let manager = EpochManager::new(Arc::new(ds.network.clone()), store, ds.vocab.len());
+    manager.apply(retired.into_iter().map(Mutation::Retire));
+    let snapshot = manager.publish();
+    let db = snapshot.database();
     let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
     let q = UotsQuery::with_options(
         spec.locations.clone(),

@@ -764,11 +764,9 @@ fn cmd_join(args: &[String]) -> i32 {
         Ok(c) => c,
         Err(e) => return fail(e),
     };
+    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(&tidx);
     let result = match ts_join_with(
-        &ds.network,
-        &ds.store,
-        &ds.vertex_index,
-        &tidx,
+        &db,
         &cfg,
         threads,
         &budget,

@@ -94,10 +94,9 @@ use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
 use uots_core::shard::{Cluster, ClusterSnapshot, CutReader, Shard};
 use uots_core::{
-    CancellationToken, CoreError, ExecutionBudget, Mutation, QueryOptions, RunControl,
+    CancellationToken, CoreError, Database, ExecutionBudget, Mutation, QueryOptions, RunControl,
     SearchContext, UotsQuery, Weights,
 };
-use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
 use uots_network::NodeId;
 use uots_obs::{
@@ -678,33 +677,19 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
     Ok(Response::json(200, body))
 }
 
-/// Runs the similarity self-join over a cluster cut and answers in
-/// **global** ids. The network is shared by construction, so shard 0's
-/// copy serves the scan. A one-shard cut *is* the merged live cut: its
-/// store and live-built indexes are borrowed as they stand. More shards
-/// are materialized into one compact store in ascending global id order
-/// (so the mapping back is stable and `a < b` is preserved).
+/// Runs the similarity self-join over the live trajectories of a cluster
+/// cut and answers in **global** ids. A one-shard cut *is* the merged live
+/// cut: its snapshot's database is joined as it stands. More shards are
+/// materialized into one compact store in ascending global id order (so
+/// the mapping back is stable and `a < b` is preserved).
 fn cluster_join(
     cut: &ClusterSnapshot,
     cfg: &JoinConfig,
     threads: usize,
     budget: &ExecutionBudget,
 ) -> Result<JoinResult, JoinError> {
-    let join_over = |store: &TrajectoryStore,
-                     vertex_index: &VertexInvertedIndex<TrajectoryId>,
-                     ts_index: &TimestampIndex<TrajectoryId>,
-                     global_of: &dyn Fn(TrajectoryId) -> TrajectoryId| {
-        let mut join = ts_join_with(
-            cut.shard(0).network(),
-            store,
-            vertex_index,
-            ts_index,
-            cfg,
-            threads,
-            budget,
-            &RunControl::unbounded(),
-            None,
-        )?;
+    let join_over = |db: &Database<'_>, global_of: &dyn Fn(TrajectoryId) -> TrajectoryId| {
+        let mut join = ts_join_with(db, cfg, threads, budget, &RunControl::unbounded(), None)?;
         for p in &mut join.pairs {
             p.a = global_of(p.a);
             p.b = global_of(p.b);
@@ -712,13 +697,7 @@ fn cluster_join(
         Ok(join)
     };
     if cut.num_shards() == 1 {
-        let db = cut.shard(0).database();
-        let ts_index = db
-            .timestamp_index
-            .expect("an epoch snapshot carries its timestamp index");
-        return join_over(db.store, db.vertex_index, ts_index, &|local| {
-            cut.global_of(0, local)
-        });
+        return join_over(&cut.shard(0).database(), &|local| cut.global_of(0, local));
     }
     let mut rows: Vec<(TrajectoryId, usize, TrajectoryId)> = Vec::new();
     for s in 0..cut.num_shards() {
@@ -735,9 +714,9 @@ fn cluster_join(
     }
     let vertex_index = store.build_vertex_index(cut.shard(0).network().num_nodes());
     let ts_index = store.build_timestamp_index();
-    join_over(&store, &vertex_index, &ts_index, &|compact| {
-        globals[compact.index()]
-    })
+    let db = Database::new(cut.shard(0).network(), &store, &vertex_index)
+        .with_timestamp_index(&ts_index);
+    join_over(&db, &|compact| globals[compact.index()])
 }
 
 // ---------- /ingest ----------
@@ -747,7 +726,7 @@ fn cluster_join(
 /// client-facing message.
 fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String> {
     let db = cut.shard(0).database();
-    let vocab = db.keyword_index.map_or(usize::MAX, |k| k.vocab_len());
+    let vocab = db.keyword_index.map_or(usize::MAX, |k| k.num_keys());
     inserts.iter().enumerate().find_map(|(i, t)| {
         let refused = check_insert(db.network, vocab, t).err()?;
         Some(format!("insert {i}: {refused}"))

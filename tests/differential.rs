@@ -663,6 +663,11 @@ fn differential_ingest_rebuild_oracle() {
                 &store.build_vertex_index_live(net.num_nodes(), live),
                 "ds{ds_i} round{round}: published vertex index"
             );
+            assert_eq!(
+                live_db.keyword_index,
+                Some(&store.build_keyword_index_live(12, live)),
+                "ds{ds_i} round{round}: published keyword index"
+            );
             let (published, rebuilt) = (
                 live_db
                     .timestamp_index

@@ -223,48 +223,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The live-ingest invariant the epoch subsystem leans on:
-    /// `freeze` after an arbitrary interleaving of inserts and removes is
-    /// exactly the CSR index built directly from the surviving postings —
-    /// and the mutation return values agree with a set-semantics model.
-    /// Each op registers one value along a trajectory-shaped path whose
-    /// vertices may repeat, as the epoch writer does for a trip that
-    /// revisits a vertex; the direct build sees the repeats too.
-    #[test]
-    fn dynamic_index_freeze_equals_direct_build(
-        num_vertices in 1usize..12,
-        ops in proptest::collection::vec(
-            (proptest::collection::vec(0u32..12, 1..6), 0u32..20, any::<bool>()), 0..60),
-    ) {
-        use std::collections::BTreeSet;
-        use uots::index::{DynamicVertexIndex, VertexInvertedIndex};
-        let mut dynamic = DynamicVertexIndex::new(num_vertices);
-        let mut surviving: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut registrations: Vec<(u32, u32)> = Vec::new();
-        for (path, val, is_insert) in ops {
-            for v in path {
-                let v = v % num_vertices as u32;
-                if is_insert {
-                    let fresh = dynamic.insert(NodeId(v), val);
-                    prop_assert_eq!(fresh, surviving.insert((v, val)));
-                    registrations.push((v, val));
-                } else {
-                    let removed = dynamic.remove(NodeId(v), val);
-                    prop_assert_eq!(removed, surviving.remove(&(v, val)));
-                    registrations.retain(|&r| r != (v, val));
-                }
-            }
-        }
-        let frozen = dynamic.freeze();
-        let direct = VertexInvertedIndex::build(
-            num_vertices,
-            registrations.iter().map(|&(v, val)| (NodeId(v), val)),
-        );
-        prop_assert_eq!(frozen.num_postings(), surviving.len());
-        prop_assert_eq!(&frozen, &direct);
-    }
-}

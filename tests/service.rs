@@ -1437,6 +1437,47 @@ fn join_endpoint_answers_with_pairs_and_certificate() {
     assert!(body.get("epoch").is_some());
 }
 
+/// A live trip with more distinct vertices than the join's `max_sources`
+/// (128) makes `/join` a 400. Once it is retired it no longer counts: the
+/// join validates and probes only the cut's live trajectories, at one
+/// shard as at two, and both answer the same pairs.
+#[test]
+fn join_skips_retired_trajectories_at_any_shard_count() {
+    let join = r#"{"theta":0.6,"lambda":0.5}"#;
+    let mut answers = Vec::new();
+    for shards in [1, 2] {
+        let (service, ds) = start_cluster_service(40, 29, shards, ServiceConfig::default());
+        let addr = service.local_addr();
+        let wide = Trajectory::new(
+            (0..129)
+                .map(|v| Sample {
+                    node: NodeId(v),
+                    time: 60.0 * f64::from(v),
+                })
+                .collect(),
+            KeywordSet::empty(),
+        )
+        .expect("valid trajectory");
+        let insert = serde_json::to_string(&Content::Map(vec![(
+            "insert".to_string(),
+            Content::Seq(vec![wide.serialize()]),
+        )]))
+        .unwrap();
+        let (code, reply) = post(addr, "/ingest", &insert);
+        assert_eq!(code, 200, "{reply:?}");
+        let (code, reply) = post(addr, "/join", join);
+        assert_eq!(code, 400, "{shards} shard(s), wide trip live: {reply:?}");
+
+        let retire = format!(r#"{{"retire":[{}]}}"#, ds.store.len());
+        let (code, reply) = post(addr, "/ingest", &retire);
+        assert_eq!(code, 200, "{reply:?}");
+        let (code, reply) = post(addr, "/join", join);
+        assert_eq!(code, 200, "{shards} shard(s), wide trip retired: {reply:?}");
+        answers.push(reply.get("pairs").cloned().expect("pairs"));
+    }
+    assert_eq!(answers[0], answers[1], "1 and 2 shards join one live cut");
+}
+
 /// `POST /admin/shutdown` alone — no `shutdown()` after it — stops the
 /// service: the handler wakes every worker blocked in `accept()`, and
 /// `join` (what `uots-serve`'s main thread sits in) returns.

@@ -340,10 +340,10 @@ fn effort_counters_are_deterministic() {
     // without the keyword are bounded at λ and retired
     let needles: Vec<UotsQuery> = (0..ds.vocab.len() as u32)
         .map(KeywordId)
-        .filter(|&kw| (1..=2).contains(&ds.keyword_index.values_for(kw).len()))
+        .filter(|&kw| (1..=2).contains(&ds.keyword_index.values_at(kw).len()))
         .take(10)
         .map(|kw| {
-            let holder = ds.store.get(ds.keyword_index.values_for(kw)[0]);
+            let holder = ds.store.get(ds.keyword_index.values_at(kw)[0]);
             UotsQuery::with_options(
                 holder.nodes().take(1).collect(),
                 KeywordSet::from_ids([kw]),
