@@ -578,6 +578,7 @@ fn main() {
         let join_trips = (args.trips / 10).clamp(200, 2_000);
         let jds = with_trips(&base_cfg, join_trips);
         let tidx = jds.store.build_timestamp_index();
+        let mut pairs_at_08 = Vec::new();
         for theta in [0.7f64, 0.8, 0.9] {
             let cfg = uots_join::JoinConfig {
                 theta,
@@ -587,6 +588,9 @@ fn main() {
                 uots_join::ts_join(&jds.network, &jds.store, &jds.vertex_index, &tidx, &cfg, 2)
                     .expect("join runs")
             });
+            if theta == 0.8 {
+                pairs_at_08.clone_from(&result.pairs);
+            }
             let n = jds.store.len();
             rows.push(Row {
                 experiment: "j1".into(),
@@ -609,6 +613,61 @@ fn main() {
                 recall: 1.0,
             });
         }
+        // The θ = 0.8 join over the view of a 1-, 2- and 4-shard cut of the
+        // same trips: one read path at every shard count, so the pairs
+        // must be the unsharded join's. Runs alternate across shard counts
+        // so drift hits each alike; the line below gives each count's
+        // median and spread.
+        use uots_core::shard::{Partitioner, ShardedCluster};
+        let cfg = uots_join::JoinConfig {
+            theta: 0.8,
+            ..Default::default()
+        };
+        let network = Arc::new(jds.network.clone());
+        let shard_counts = [1usize, 2, 4];
+        let cuts: Vec<_> = shard_counts
+            .iter()
+            .map(|&n| {
+                let cluster = ShardedCluster::new(
+                    Arc::clone(&network),
+                    &jds.store,
+                    jds.vocab.len(),
+                    n,
+                    Partitioner::Hash,
+                );
+                cluster.snapshot()
+            })
+            .collect();
+        let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cuts.len()];
+        for _ in 0..5 {
+            for (cut, cut_walls) in cuts.iter().zip(&mut walls) {
+                let (result, wall) = time(|| {
+                    let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
+                    uots_join::ts_join_with(&cut.view(), &cfg, 2, budget, ctl, None)
+                        .expect("view join runs")
+                });
+                assert_eq!(
+                    result.pairs,
+                    pairs_at_08,
+                    "{} shards: the view join must answer the unsharded pairs",
+                    cut.num_shards()
+                );
+                cut_walls.push(wall.as_secs_f64() * 1_000.0);
+            }
+        }
+        let spread: Vec<String> = shard_counts
+            .iter()
+            .zip(&mut walls)
+            .map(|(n, w)| {
+                w.sort_by(f64::total_cmp);
+                format!("{n} shards={:.1} [{:.1}, {:.1}]", w[2], w[0], w[4])
+            })
+            .collect();
+        println!(
+            "j1 view join θ=0.8, ms median [min, max] of 5: {} ({} pairs at every count)",
+            spread.join(" "),
+            pairs_at_08.len()
+        );
         print!(
             "{}",
             render_table(

@@ -17,9 +17,8 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::db::{Part, PartCut, View};
+use crate::db::{Part, PartCut, TimeChannel, View};
 use crate::distcache::{CachedSource, SearchContext};
-use crate::engine::TimeChannel;
 use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
@@ -148,7 +147,7 @@ impl Algorithm for IknnBaseline {
             query
                 .times()
                 .iter()
-                .map(|&t| TimeChannel::new(view, t))
+                .map(|&t| TimeChannel::new(parts, t))
                 .collect()
         } else {
             Vec::new()

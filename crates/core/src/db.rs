@@ -1,14 +1,17 @@
 //! The read-only handles the algorithms run against: a [`Database`] over
 //! one store and its indexes, and the [`View`] every algorithm takes — one
 //! or more such databases (**parts**, the shards of a cluster cut) sharing
-//! one road network, their trajectories numbered by one global id space.
+//! one road network, their trajectories numbered by one global id space —
+//! with the [`TimeChannel`] that reads a view's timestamp indexes as one.
 
 use crate::csr::CsrGraph;
 use crate::keywords::KeywordBlocks;
 use crate::{similarity, CoreError, UotsQuery};
 use std::cell::Cell;
 use std::sync::Arc;
-use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
+use uots_index::{
+    KeywordInvertedIndex, TimeExpansion, TimeScanned, TimestampIndex, VertexInvertedIndex,
+};
 use uots_network::RoadNetwork;
 use uots_text::TextSimilarity;
 use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
@@ -310,6 +313,91 @@ impl<'a> View<'a> {
     /// What the last run over this view did with each part.
     pub fn fates(&self) -> Vec<PartFate> {
         self.fates.iter().map(Cell::get).collect()
+    }
+}
+
+/// One query time's temporal source over the parts of a [`View`]: their
+/// timestamp expansions merged by gap (ties to the lower part), so
+/// entries come out in nondecreasing gap and [`radius`](Self::radius)
+/// lower-bounds every entry not yet delivered — the contract of a single
+/// [`TimeExpansion`], which a one-part channel reproduces step for step.
+pub struct TimeChannel<'a> {
+    /// Per part: its expansion and the entry it delivered but the merge
+    /// has not yet.
+    heads: Vec<(
+        TimeExpansion<'a, TrajectoryId>,
+        Option<TimeScanned<TrajectoryId>>,
+    )>,
+    /// Gap of the most recently delivered entry, `∞` once every part's
+    /// entries are delivered. Only `new` and `next_scanned` move the
+    /// heads, so they keep it current and the reads stay O(1).
+    radius: f64,
+}
+
+impl<'a> TimeChannel<'a> {
+    /// The channel expanding from time `t` over a view's [`View::parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a part has no timestamp index ([`View::validate`]
+    /// rejects temporal queries over such views).
+    pub fn new(parts: &[Part<'a>], t: f64) -> Self {
+        let heads = parts
+            .iter()
+            .map(|p| {
+                let idx =
+                    p.db.timestamp_index
+                        .expect("validated: temporal channel has its index");
+                (idx.expand_from(t), None)
+            })
+            .collect();
+        let mut channel = TimeChannel { heads, radius: 0.0 };
+        if channel.drained() {
+            channel.radius = f64::INFINITY;
+        }
+        channel
+    }
+
+    /// Whether every part's entries have been delivered.
+    fn drained(&self) -> bool {
+        self.heads
+            .iter()
+            .all(|(exp, head)| head.is_none() && exp.is_exhausted())
+    }
+
+    /// The next-nearest entry in time and the part it belongs to (the
+    /// entry's value is that part's local id).
+    pub fn next_scanned(&mut self) -> Option<(usize, TimeScanned<TrajectoryId>)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (p, (exp, head)) in self.heads.iter_mut().enumerate() {
+            if head.is_none() {
+                *head = exp.next_scanned();
+            }
+            if let Some(h) = head {
+                if best.is_none_or(|(_, dt)| h.dt < dt) {
+                    best = Some((p, h.dt));
+                }
+            }
+        }
+        let (p, _) = best?;
+        let scanned = self.heads[p].1.take()?;
+        self.radius = if self.drained() {
+            f64::INFINITY
+        } else {
+            scanned.dt
+        };
+        Some((p, scanned))
+    }
+
+    /// Whether every part's entries have been delivered.
+    pub fn is_exhausted(&self) -> bool {
+        self.radius == f64::INFINITY
+    }
+
+    /// Gap of the most recently delivered entry: a lower bound on every
+    /// entry not yet delivered (`∞` once exhausted).
+    pub fn radius(&self) -> f64 {
+        self.radius
     }
 }
 

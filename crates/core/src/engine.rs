@@ -67,7 +67,7 @@
 //! plain single-store engine.
 
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::db::{IdMap, Part, PartCut, View};
+use crate::db::{IdMap, Part, PartCut, TimeChannel, View};
 use crate::distcache::{CachedSource, SearchContext};
 use crate::keywords::TextualEval;
 use crate::query::UotsQuery;
@@ -77,7 +77,6 @@ use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics};
 use std::collections::BinaryHeap;
-use uots_index::{TimeExpansion, TimeScanned};
 use uots_network::TotalF64;
 use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
@@ -232,79 +231,6 @@ impl Ord for BoundEntry {
     }
 }
 
-/// One query time's temporal source over every part of a [`View`]: the
-/// parts' timestamp expansions merged by gap (ties to the lower part), so
-/// entries come out in nondecreasing gap and [`radius`](Self::radius)
-/// lower-bounds every entry not yet delivered — the contract of a single
-/// [`TimeExpansion`], which a one-part channel reproduces step for step.
-pub(crate) struct TimeChannel<'a> {
-    /// Per part: its expansion and the entry it delivered but the merge
-    /// has not yet.
-    heads: Vec<(
-        TimeExpansion<'a, TrajectoryId>,
-        Option<TimeScanned<TrajectoryId>>,
-    )>,
-    radius: f64,
-}
-
-impl<'a> TimeChannel<'a> {
-    /// The channel expanding from time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a part has no timestamp index ([`View::validate`]
-    /// rejects temporal queries over such views).
-    pub(crate) fn new(view: &View<'a>, t: f64) -> Self {
-        let heads = view
-            .parts()
-            .iter()
-            .map(|p| {
-                let idx =
-                    p.db.timestamp_index
-                        .expect("validated: temporal channel has its index");
-                (idx.expand_from(t), None)
-            })
-            .collect();
-        TimeChannel { heads, radius: 0.0 }
-    }
-
-    /// The next-nearest entry in time and the part it belongs to.
-    pub(crate) fn next_scanned(&mut self) -> Option<(usize, TimeScanned<TrajectoryId>)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (p, (exp, head)) in self.heads.iter_mut().enumerate() {
-            if head.is_none() {
-                *head = exp.next_scanned();
-            }
-            if let Some(h) = head {
-                if best.is_none_or(|(_, dt)| h.dt < dt) {
-                    best = Some((p, h.dt));
-                }
-            }
-        }
-        let (p, _) = best?;
-        let scanned = self.heads[p].1.take()?;
-        self.radius = scanned.dt;
-        Some((p, scanned))
-    }
-
-    /// Whether every part's entries have been delivered.
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.heads
-            .iter()
-            .all(|(exp, head)| head.is_none() && exp.is_exhausted())
-    }
-
-    /// Gap of the most recently delivered entry: a lower bound on every
-    /// entry not yet delivered (`∞` once exhausted).
-    pub(crate) fn radius(&self) -> f64 {
-        if self.is_exhausted() {
-            f64::INFINITY
-        } else {
-            self.radius
-        }
-    }
-}
-
 /// Runs the expansion search for `query` over `view` under `scheduler` —
 /// the engine shared by [`crate::algorithms::Expansion`] (heuristic
 /// scheduling — the paper's algorithm) and its ablations (round-robin /
@@ -451,7 +377,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             query
                 .times()
                 .iter()
-                .map(|&t| TimeChannel::new(view, t))
+                .map(|&t| TimeChannel::new(parts, t))
                 .collect()
         } else {
             Vec::new()

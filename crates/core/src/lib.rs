@@ -82,7 +82,7 @@ pub use uots_storage as storage;
 
 pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
 pub use csr::{CsrError, CsrGraph, MsSettled, MultiSourceExpansion};
-pub use db::{Database, IdMap, LayoutTables, Part, PartFate, View};
+pub use db::{Database, IdMap, LayoutTables, Part, PartFate, TimeChannel, View};
 pub use distcache::{
     CacheStats, CachedSource, DistanceCache, SearchContext, SourcePrefix, DEFAULT_CACHE_CAPACITY,
 };

@@ -25,6 +25,10 @@
 //!    its exact similarity is simply the sum of the two stored halves — no
 //!    further network distances are computed.
 //!
+//! Both phases read a [`View`], as the engine does: the work partitions by
+//! probe trajectory, so a cluster cut's shards are joined in place, in
+//! global ids. [`ts_join`] joins the one-part view of one store.
+//!
 //! ```
 //! use uots_datagen::{Dataset, DatasetConfig};
 //! use uots_join::{ts_join, JoinConfig};
@@ -52,12 +56,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uots_core::{Completeness, Database, DistanceCache, ExecutionBudget, RunControl};
+use uots_core::{Completeness, Database, DistanceCache, ExecutionBudget, Part, RunControl, View};
 use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_network::dijkstra::shortest_path_tree;
 use uots_network::RoadNetwork;
 use uots_obs::{MetricsRegistry, Phase, PhaseNanos};
-use uots_trajectory::{TrajectoryId, TrajectoryStore};
+use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
 
 /// Join configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -233,8 +237,11 @@ impl std::fmt::Display for JoinError {
 
 impl std::error::Error for JoinError {}
 
-/// Validates the numeric configuration.
-pub(crate) fn validate_config(cfg: &JoinConfig) -> Result<(), JoinError> {
+/// Validates `cfg`, and every probe (global id and trajectory) against it.
+fn validate<'t>(
+    cfg: &JoinConfig,
+    probes: impl IntoIterator<Item = (TrajectoryId, &'t Trajectory)>,
+) -> Result<(), JoinError> {
     if !(cfg.theta > 0.0 && cfg.theta <= 1.0) {
         return Err(JoinError::BadParameter(format!(
             "theta must be in (0, 1], got {}",
@@ -252,17 +259,8 @@ pub(crate) fn validate_config(cfg: &JoinConfig) -> Result<(), JoinError> {
             "decay scales must be positive".into(),
         ));
     }
-    Ok(())
-}
-
-fn validate(
-    cfg: &JoinConfig,
-    store: &TrajectoryStore,
-    ids: &[TrajectoryId],
-) -> Result<(), JoinError> {
-    validate_config(cfg)?;
-    for &id in ids {
-        let distinct = similarity::distinct_nodes_weighted(store.get(id)).0.len();
+    for (id, traj) in probes {
+        let distinct = similarity::distinct_nodes_weighted(traj).0.len();
         if distinct > cfg.max_sources {
             return Err(JoinError::TooManySources {
                 trajectory: id,
@@ -276,8 +274,8 @@ fn validate(
 /// The two-phase trajectory similarity self-join, unbudgeted and uncached.
 ///
 /// `threads` sizes the rayon pool for the search phase (`1` = sequential).
-/// Equivalent to [`ts_join_with`] under an unlimited budget; the result is
-/// always [`Completeness::Exact`].
+/// [`ts_join_with`] over the store's one-part [`View`], unbudgeted; the
+/// result is always [`Completeness::Exact`].
 ///
 /// # Errors
 ///
@@ -292,16 +290,36 @@ pub fn ts_join(
 ) -> Result<JoinResult, JoinError> {
     let db = Database::new(net, store, vertex_index).with_timestamp_index(timestamp_index);
     let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
-    ts_join_with(&db, cfg, threads, budget, ctl, None)
+    ts_join_with(&View::one(db), cfg, threads, budget, ctl, None)
+}
+
+/// The live trajectories of `parts` with their global ids, ascending when
+/// the parts are hash shards (`g = l·N + s`): local index outer, part
+/// inner.
+fn live_probes<'a>(parts: &[Part<'a>]) -> Vec<(TrajectoryId, &'a Trajectory)> {
+    let rows = parts.iter().map(|p| p.db.store.len()).max().unwrap_or(0);
+    (0..rows as u32)
+        .map(TrajectoryId)
+        .flat_map(|local| {
+            parts
+                .iter()
+                .filter(move |p| local.index() < p.db.store.len() && p.db.is_live(local))
+                .map(move |p| (p.ids.global(local), p.db.store.get(local)))
+        })
+        .collect()
 }
 
 /// The two-phase trajectory similarity self-join over the live
-/// trajectories of `db`, under a budget, with an optional shared distance
-/// cache.
+/// trajectories of `view`, under a budget, with an optional shared
+/// distance cache. Pairs are in the view's global ids.
 ///
-/// Only the ids `db` holds live are validated and probed, and its vertex
-/// and timestamp indexes must cover exactly those (an epoch snapshot's
-/// do), so a retired trajectory is neither a probe nor a partner.
+/// Every part's live ids are validated and probed; a spatial settle walks
+/// every part's postings and a probe time's source is a
+/// [`TimeChannel`](uots_core::TimeChannel) over all parts, as in the
+/// engine. Each part's indexes must cover exactly its live ids (an epoch
+/// snapshot's do), so a retired trajectory is neither a probe nor a
+/// partner, and a cluster cut answers the pairs of one store holding its
+/// live trajectories.
 ///
 /// The gate is consulted before each probe (one probe = one trajectory's
 /// candidate search): on cancellation, deadline expiry, or an exhausted
@@ -324,22 +342,25 @@ pub fn ts_join(
 ///
 /// # Errors
 ///
-/// See [`JoinError`]; `db` without a timestamp index is a
-/// [`JoinError::BadParameter`]. Budget exhaustion is **not** an error.
+/// See [`JoinError`] (trajectories named by global id); a part without a
+/// timestamp index is a [`JoinError::BadParameter`]. Budget exhaustion is
+/// **not** an error.
 pub fn ts_join_with(
-    db: &Database<'_>,
+    view: &View<'_>,
     cfg: &JoinConfig,
     threads: usize,
     budget: &ExecutionBudget,
     ctl: &RunControl,
     cache: Option<&Arc<DistanceCache>>,
 ) -> Result<JoinResult, JoinError> {
-    let store = db.store;
-    let ids: Vec<TrajectoryId> = store.ids().filter(|&id| db.is_live(id)).collect();
-    validate(cfg, store, &ids)?;
-    let timestamp_index = db
-        .timestamp_index
-        .ok_or_else(|| JoinError::BadParameter("the join needs a timestamp index".into()))?;
+    // the workers share the parts: the view itself is not `Sync`
+    let parts = view.parts();
+    let probes = live_probes(parts);
+    validate(cfg, probes.iter().copied())?;
+    if parts.iter().any(|p| p.db.timestamp_index.is_none()) {
+        let msg = "the join needs a timestamp index";
+        return Err(JoinError::BadParameter(msg.into()));
+    }
     let start = Instant::now();
     let gate = JoinGate::new(budget, ctl);
 
@@ -353,25 +374,20 @@ pub fn ts_join_with(
     // many searches instead of reallocating network-sized buffers.
     let mut phases = PhaseNanos::ZERO;
     let search_start = Instant::now();
-    let chunk = ids.len().div_ceil(threads.max(1) * 4).max(1);
+    let chunk = probes.len().div_ceil(threads.max(1) * 4).max(1);
     type ChunkOut = (Vec<(TrajectoryId, Vec<search::Candidate>)>, SearchStats);
     let per_chunk: Vec<ChunkOut> = pool.install(|| {
-        ids.par_chunks(chunk)
+        probes
+            .par_chunks(chunk)
             .map(|probe_chunk| {
-                let mut worker = Worker::new(
-                    db.network,
-                    store,
-                    db.vertex_index,
-                    timestamp_index,
-                    cache.cloned(),
-                );
+                let mut worker = Worker::new(parts, cache.cloned());
                 let mut stats = SearchStats::default();
                 let mut out = Vec::with_capacity(probe_chunk.len());
-                for &probe in probe_chunk {
+                for &(probe, traj) in probe_chunk {
                     if !gate.admit() {
                         break;
                     }
-                    let (cands, s) = worker.search(cfg, probe);
+                    let (cands, s) = worker.search(cfg, probe, traj);
                     gate.record(&s);
                     stats.visited += s.visited;
                     stats.settled_vertices += s.settled_vertices;
@@ -391,7 +407,8 @@ pub fn ts_join_with(
 
     // --- phase 2: merge (constant relative to thread count) ---
     let merge_start = Instant::now();
-    let mut candidate_maps: Vec<HashMap<TrajectoryId, Half>> = vec![HashMap::new(); store.len()];
+    let mut candidate_maps: Vec<HashMap<TrajectoryId, Half>> =
+        vec![HashMap::new(); view.id_bound()];
     let mut totals = SearchStats::default();
     for (chunk_out, stats) in per_chunk {
         totals.visited += stats.visited;
@@ -407,7 +424,7 @@ pub fn ts_join_with(
     }
 
     let mut pairs = Vec::new();
-    for &a in &ids {
+    for &(a, _) in &probes {
         for (&b, half_ab) in &candidate_maps[a.index()] {
             if b <= a {
                 continue; // each unordered pair handled once, from its smaller id
@@ -505,7 +522,7 @@ pub fn ts_join_brute(
     cfg: &JoinConfig,
 ) -> Result<Vec<JoinPair>, JoinError> {
     let ids: Vec<TrajectoryId> = store.ids().collect();
-    validate(cfg, store, &ids)?;
+    validate(cfg, ids.iter().map(|&id| (id, store.get(id))))?;
     // one directed half per trajectory toward every other
     let halves: Vec<Vec<Half>> = ids
         .iter()
@@ -545,8 +562,10 @@ mod tests {
     use super::*;
     use uots_datagen::{Dataset, DatasetConfig};
 
-    fn db_of<'a>(ds: &'a Dataset, tidx: &'a TimestampIndex<TrajectoryId>) -> Database<'a> {
-        Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(tidx)
+    fn view_of<'a>(ds: &'a Dataset, tidx: &'a TimestampIndex<TrajectoryId>) -> View<'a> {
+        View::one(
+            Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(tidx),
+        )
     }
 
     fn join_all(ds: &Dataset, cfg: &JoinConfig, threads: usize) -> JoinResult {
@@ -718,7 +737,7 @@ mod tests {
         let budget =
             ExecutionBudget::default().with_max_visited(exact.visited_trajectories / 4 + 1);
         let r = ts_join_with(
-            &db_of(&ds, &tidx),
+            &view_of(&ds, &tidx),
             &cfg,
             1,
             &budget,
@@ -746,7 +765,7 @@ mod tests {
         let token = uots_core::CancellationToken::new();
         token.cancel();
         let r = ts_join_with(
-            &db_of(&ds, &tidx),
+            &view_of(&ds, &tidx),
             &cfg,
             2,
             &ExecutionBudget::UNLIMITED,
@@ -821,7 +840,7 @@ mod tests {
         let cache = Arc::new(DistanceCache::new(1 << 16));
         for round in 0..2 {
             let cached = ts_join_with(
-                &db_of(&ds, &tidx),
+                &view_of(&ds, &tidx),
                 &cfg,
                 2,
                 &ExecutionBudget::UNLIMITED,

@@ -23,6 +23,10 @@
 //! candidate pair — both directions are guaranteed present for every
 //! qualifying pair.
 //!
+//! The worker reads the parts of a view as the engine does, in global
+//! ids: a settle walks every part's postings, and a probe time's source
+//! is a [`TimeChannel`] merging the parts' timestamp expansions by gap.
+//!
 //! Workers own their expansion scratch and are reused across probe
 //! trajectories, so a full join performs no per-search network-sized
 //! allocations after warm-up.
@@ -31,12 +35,12 @@ use crate::similarity::{distinct_nodes_weighted, distinct_times_weighted, Half};
 use crate::{JoinConfig, JoinScheduling};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-use uots_core::{CachedSource, DistanceCache};
-use uots_index::{TimeExpansion, TimestampIndex, VertexInvertedIndex};
-use uots_network::{RoadNetwork, TotalF64};
-use uots_trajectory::{TrajectoryId, TrajectoryStore};
+use uots_core::{CachedSource, DistanceCache, Part, TimeChannel};
+use uots_network::TotalF64;
+use uots_trajectory::{Trajectory, TrajectoryId};
 
-/// A candidate partner with the probe's directed half-contribution.
+/// A candidate partner (global id) with the probe's directed
+/// half-contribution.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
     pub other: TrajectoryId,
@@ -82,47 +86,36 @@ impl Ord for BoundEntry {
     }
 }
 
-/// A reusable join-search worker bound to one dataset. With a shared
-/// [`DistanceCache`], each spatial source probes the cache for a settled
-/// prefix to replay before expanding live, and publishes its (possibly
-/// partial) prefix back after every search — probes sharing sample
-/// vertices then skip the shared head of each other's expansions.
+/// A reusable join-search worker bound to the parts of one view. With a
+/// shared [`DistanceCache`], each spatial source probes the cache for a
+/// settled prefix to replay before expanding live, and publishes its
+/// (possibly partial) prefix back after every search — probes sharing
+/// sample vertices then skip the shared head of each other's expansions.
 pub(crate) struct Worker<'a> {
-    net: &'a RoadNetwork,
-    store: &'a TrajectoryStore,
-    vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
-    timestamp_index: &'a TimestampIndex<TrajectoryId>,
+    parts: &'a [Part<'a>],
     cache: Option<Arc<DistanceCache>>,
     /// Expansion scratch, grown on demand and restarted per search.
     sources: Vec<CachedSource<'a>>,
 }
 
 impl<'a> Worker<'a> {
-    pub(crate) fn new(
-        net: &'a RoadNetwork,
-        store: &'a TrajectoryStore,
-        vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
-        timestamp_index: &'a TimestampIndex<TrajectoryId>,
-        cache: Option<Arc<DistanceCache>>,
-    ) -> Self {
+    pub(crate) fn new(parts: &'a [Part<'a>], cache: Option<Arc<DistanceCache>>) -> Self {
         Worker {
-            net,
-            store,
-            vertex_index,
-            timestamp_index,
+            parts,
             cache,
             sources: Vec::new(),
         }
     }
 
-    /// Finds every candidate partner of the store's own trajectory `probe`
-    /// under `cfg` (self-join direction: the probe id is excluded).
+    /// Finds every candidate partner of the parts' own trajectory `traj`,
+    /// global id `probe`, under `cfg` (self-join direction: the probe id is
+    /// excluded).
     pub(crate) fn search(
         &mut self,
         cfg: &JoinConfig,
         probe: TrajectoryId,
+        traj: &Trajectory,
     ) -> (Vec<Candidate>, SearchStats) {
-        let traj = self.store.get(probe);
         let (nodes, node_weights) = distinct_nodes_weighted(traj);
         let (times, time_weights) = distinct_times_weighted(traj);
         assert!(
@@ -139,18 +132,19 @@ impl<'a> Worker<'a> {
         // spatial sources only when the spatial half matters — a cache
         // probe for a source that will never step would skew hit rates
         if use_spatial {
+            let net = self.parts[0].db.network;
             for (i, &v) in nodes.iter().enumerate() {
                 if let Some(src) = self.sources.get_mut(i) {
                     src.restart(v);
                 } else {
                     self.sources
-                        .push(CachedSource::start(self.net, v, self.cache.as_ref()));
+                        .push(CachedSource::start(net, v, self.cache.as_ref()));
                 }
             }
         }
-        let mut temporal: Vec<TimeExpansion<'a, TrajectoryId>> = times
+        let mut temporal: Vec<TimeChannel<'a>> = times
             .iter()
-            .map(|&t| self.timestamp_index.expand_from(t))
+            .map(|&t| TimeChannel::new(self.parts, t))
             .collect();
 
         let active_t = if use_temporal { nt } else { 0 };
@@ -166,13 +160,7 @@ impl<'a> Worker<'a> {
 
         // distance lower bound of spatial source i for unscanned trajectories
         let s_lb = |exp: &CachedSource<'_>| exp.unsettled_lower_bound();
-        let t_lb = |exp: &TimeExpansion<'_, TrajectoryId>| {
-            if exp.is_exhausted() {
-                f64::INFINITY
-            } else {
-                exp.radius()
-            }
-        };
+        let t_lb = TimeChannel::radius;
 
         macro_rules! ub_of {
             ($st:expr) => {{
@@ -320,15 +308,14 @@ impl<'a> Worker<'a> {
             }
 
             // ---- pick a live source ----
-            let live = |s: usize,
-                        sources: &Vec<CachedSource<'a>>,
-                        temporal: &Vec<TimeExpansion<'a, TrajectoryId>>| {
-                if s < active_s {
-                    !sources[s].is_exhausted()
-                } else {
-                    !temporal[s - active_s].is_exhausted()
-                }
-            };
+            let live =
+                |s: usize, sources: &Vec<CachedSource<'a>>, temporal: &Vec<TimeChannel<'a>>| {
+                    if s < active_s {
+                        !sources[s].is_exhausted()
+                    } else {
+                        !temporal[s - active_s].is_exhausted()
+                    }
+                };
             let src = match cfg.scheduling {
                 JoinScheduling::RoundRobin => {
                     let mut found = None;
@@ -367,8 +354,13 @@ impl<'a> Worker<'a> {
                 match self.sources[src].next_settled() {
                     Some(settled) => {
                         stats.settled_vertices += 1;
-                        let tids: &'a [TrajectoryId] = self.vertex_index.values_at(settled.node);
-                        for &tid in tids {
+                        // every part's postings, in global ids
+                        let parts = self.parts;
+                        let tids = parts.iter().flat_map(|part| {
+                            let locals = part.db.vertex_index.values_at(settled.node);
+                            locals.iter().map(|&local| part.ids.global(local))
+                        });
+                        for tid in tids {
                             if tid == probe {
                                 continue;
                             }
@@ -410,9 +402,9 @@ impl<'a> Worker<'a> {
             } else {
                 let j = src - active_s;
                 match temporal[j].next_scanned() {
-                    Some(scanned) => {
+                    Some((p, scanned)) => {
                         stats.scanned_timestamps += 1;
-                        let tid = scanned.value;
+                        let tid = self.parts[p].ids.global(scanned.value);
                         if tid != probe {
                             let created = !states.contains_key(&tid);
                             let st = states.entry(tid).or_insert_with(|| touch!(tid));

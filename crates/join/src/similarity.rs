@@ -46,7 +46,9 @@ impl Half {
 /// [`distinct_nodes_weighted`]'s order).
 ///
 /// Used by the brute-force oracle; the join search derives the same halves
-/// incrementally from its expansions.
+/// incrementally from its expansions. Both channels sum over distinct
+/// values with their sample-count weights, in the search's order, so the
+/// oracle's halves are bit-identical to the search's.
 pub fn exact_half(
     cfg: &JoinConfig,
     trees: &[ShortestPathTree],
@@ -64,16 +66,16 @@ pub fn exact_half(
             .fold(f64::INFINITY, f64::min);
         half_s += w * (-d / cfg.decay_km).exp();
     }
-    // temporal: mean over from's samples of e^(-min |t - t'|)
+    // temporal: weighted mean over from's distinct times of e^(-min |t - t'|)
+    let (times, time_weights) = distinct_times_weighted(from);
     let mut half_t = 0.0;
-    for t in from.times() {
+    for (&t, &w) in times.iter().zip(&time_weights) {
         let dt = to
             .times()
             .map(|u| (t - u).abs())
             .fold(f64::INFINITY, f64::min);
-        half_t += (-dt / cfg.decay_s).exp();
+        half_t += w * (-dt / cfg.decay_s).exp();
     }
-    half_t /= from.len() as f64;
     Half {
         spatial: cfg.lambda * half_s / 2.0,
         temporal: (1.0 - cfg.lambda) * half_t / 2.0,

@@ -766,7 +766,7 @@ fn cmd_join(args: &[String]) -> i32 {
     };
     let db = Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(&tidx);
     let result = match ts_join_with(
-        &db,
+        &View::one(db),
         &cfg,
         threads,
         &budget,

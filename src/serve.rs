@@ -33,7 +33,9 @@
 //! ([`crate::cluster::ShardedDurable`]) — and the unsharded server is
 //! the cluster with one shard, not a second code path: every query is one
 //! run over all shards of the cut, and a one-shard cut is that run over
-//! one part (see [`ClusterSnapshot::search_ctx`]). `/ingest` hands its body
+//! one part (see [`ClusterSnapshot::search_ctx`]); `/join` likewise runs
+//! the TS-join once over the cut's [`ClusterSnapshot::view`], reading
+//! every shard in place, in global ids. `/ingest` hands its body
 //! to the coordinator's [`Cluster::apply`] as one batch, whatever its shard
 //! unit: a durable shard logs its part of the body as one WAL record, so a
 //! crash keeps all of a shard's part or none of it. Responses therefore
@@ -94,16 +96,16 @@ use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
 use uots_core::shard::{Cluster, ClusterSnapshot, CutReader, Shard};
 use uots_core::{
-    CancellationToken, CoreError, Database, ExecutionBudget, Mutation, QueryOptions, RunControl,
+    CancellationToken, CoreError, ExecutionBudget, Mutation, QueryOptions, RunControl,
     SearchContext, UotsQuery, Weights,
 };
-use uots_join::{ts_join_with, JoinConfig, JoinError, JoinResult};
+use uots_join::{ts_join_with, JoinConfig};
 use uots_network::NodeId;
 use uots_obs::{
     AcceptLoop, Counter, HttpRequest, MetricsRegistry, ObsState, Response, Stopper, TailSampler,
 };
 use uots_text::{KeywordId, KeywordSet};
-use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
+use uots_trajectory::{Trajectory, TrajectoryId};
 
 use crate::durable::check_insert;
 
@@ -304,7 +306,7 @@ impl QueryService {
     /// global ids as one batch — one WAL record per shard it touches when
     /// the shard unit is durable, where a degraded shard rejects its
     /// mutations while every other shard and all reads keep serving — and
-    /// `/join` answers over the merged live cut. The service's own series
+    /// `/join` joins the cut's view in place. The service's own series
     /// go to the registry `obs` serves at `/metrics` (the one the accept
     /// loop counts into), its served queries to the sampler of `obs`.
     ///
@@ -635,8 +637,8 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
     let cfg = JoinConfig {
         theta: field_f64(&body, "theta", defaults.theta).map_err(bad_request)?,
         lambda: field_f64(&body, "lambda", defaults.lambda).map_err(bad_request)?,
-        decay_km: field_f64(&body, "decay_km", defaults.decay_km).unwrap_or(defaults.decay_km),
-        decay_s: field_f64(&body, "decay_s", defaults.decay_s).unwrap_or(defaults.decay_s),
+        decay_km: field_f64(&body, "decay_km", defaults.decay_km).map_err(bad_request)?,
+        decay_s: field_f64(&body, "decay_s", defaults.decay_s).map_err(bad_request)?,
         ..defaults
     };
     let tenant = field_str(&body, "tenant").unwrap_or("default");
@@ -654,7 +656,10 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
         ExecutionBudget::UNLIMITED
     };
 
-    let outcome = cluster_join(&cut, &cfg, shared.cfg.batch_threads, &budget);
+    // the join reads the cut in place, in global ids, at any shard count
+    let threads = shared.cfg.batch_threads;
+    let ctl = RunControl::unbounded();
+    let outcome = ts_join_with(&cut.view(), &cfg, threads, &budget, &ctl, None);
     drop(guard);
 
     let join = outcome.map_err(bad_request)?;
@@ -675,48 +680,6 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
     ]);
     let body = serde_json::to_string(&Content::Map(top)).expect("join response renders");
     Ok(Response::json(200, body))
-}
-
-/// Runs the similarity self-join over the live trajectories of a cluster
-/// cut and answers in **global** ids. A one-shard cut *is* the merged live
-/// cut: its snapshot's database is joined as it stands. More shards are
-/// materialized into one compact store in ascending global id order (so
-/// the mapping back is stable and `a < b` is preserved).
-fn cluster_join(
-    cut: &ClusterSnapshot,
-    cfg: &JoinConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-) -> Result<JoinResult, JoinError> {
-    let join_over = |db: &Database<'_>, global_of: &dyn Fn(TrajectoryId) -> TrajectoryId| {
-        let mut join = ts_join_with(db, cfg, threads, budget, &RunControl::unbounded(), None)?;
-        for p in &mut join.pairs {
-            p.a = global_of(p.a);
-            p.b = global_of(p.b);
-        }
-        Ok(join)
-    };
-    if cut.num_shards() == 1 {
-        return join_over(&cut.shard(0).database(), &|local| cut.global_of(0, local));
-    }
-    let mut rows: Vec<(TrajectoryId, usize, TrajectoryId)> = Vec::new();
-    for s in 0..cut.num_shards() {
-        for local in cut.shard(s).live().iter_live() {
-            rows.push((cut.global_of(s, local), s, local));
-        }
-    }
-    rows.sort_unstable_by_key(|r| r.0 .0);
-    let mut store = TrajectoryStore::new();
-    let mut globals: Vec<TrajectoryId> = Vec::with_capacity(rows.len());
-    for (g, s, local) in rows {
-        store.push(cut.shard(s).store().get(local).clone());
-        globals.push(g);
-    }
-    let vertex_index = store.build_vertex_index(cut.shard(0).network().num_nodes());
-    let ts_index = store.build_timestamp_index();
-    let db = Database::new(cut.shard(0).network(), &store, &vertex_index)
-        .with_timestamp_index(&ts_index);
-    join_over(&db, &|compact| globals[compact.index()])
 }
 
 // ---------- /ingest ----------

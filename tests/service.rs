@@ -1435,19 +1435,28 @@ fn join_endpoint_answers_with_pairs_and_certificate() {
     assert!(body.get("pairs").unwrap().as_seq().is_some());
     assert!(body.get("completeness").is_some());
     assert!(body.get("epoch").is_some());
+    // a malformed decay is a 400, as on /search, not a join at the default
+    for bad in [r#"{"decay_km":"far"}"#, r#"{"decay_s":"long"}"#] {
+        let (code, body) = post(addr, "/join", bad);
+        assert_eq!(code, 400, "{bad}: {body:?}");
+    }
 }
 
 /// A live trip with more distinct vertices than the join's `max_sources`
-/// (128) makes `/join` a 400. Once it is retired it no longer counts: the
-/// join validates and probes only the cut's live trajectories, at one
-/// shard as at two, and both answer the same pairs.
+/// (128) makes `/join` a 400 naming its global id — the id the client's
+/// insert got, at every shard count, also with an earlier id retired.
+/// Once it is retired it no longer counts: the join validates and probes
+/// only the cut's live trajectories, and every shard count answers the
+/// same pairs.
 #[test]
 fn join_skips_retired_trajectories_at_any_shard_count() {
     let join = r#"{"theta":0.6,"lambda":0.5}"#;
     let mut answers = Vec::new();
-    for shards in [1, 2] {
+    for shards in [1, 2, 4] {
         let (service, ds) = start_cluster_service(40, 29, shards, ServiceConfig::default());
         let addr = service.local_addr();
+        let (code, reply) = post(addr, "/ingest", r#"{"retire":[0]}"#);
+        assert_eq!(code, 200, "{reply:?}");
         let wide = Trajectory::new(
             (0..129)
                 .map(|v| Sample {
@@ -1467,6 +1476,11 @@ fn join_skips_retired_trajectories_at_any_shard_count() {
         assert_eq!(code, 200, "{reply:?}");
         let (code, reply) = post(addr, "/join", join);
         assert_eq!(code, 400, "{shards} shard(s), wide trip live: {reply:?}");
+        let Some(Content::Str(error)) = reply.get("error") else {
+            panic!("{shards} shard(s): the 400 carries an error: {reply:?}");
+        };
+        let wide_id = format!("trajectory τ{} ", ds.store.len());
+        assert!(error.contains(&wide_id), "{shards} shard(s): {error}");
 
         let retire = format!(r#"{{"retire":[{}]}}"#, ds.store.len());
         let (code, reply) = post(addr, "/ingest", &retire);
@@ -1476,6 +1490,7 @@ fn join_skips_retired_trajectories_at_any_shard_count() {
         answers.push(reply.get("pairs").cloned().expect("pairs"));
     }
     assert_eq!(answers[0], answers[1], "1 and 2 shards join one live cut");
+    assert_eq!(answers[0], answers[2], "1 and 4 shards join one live cut");
 }
 
 /// `POST /admin/shutdown` alone — no `shutdown()` after it — stops the

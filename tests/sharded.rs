@@ -11,7 +11,8 @@
 //! The second half pins the lockstep itself (DESIGN §16.2): a k-boundary
 //! tie plateau split across shards, the effort of a sharded run against
 //! the unsharded one, the certificate of count-budgeted answers, and the
-//! determinism of the effort counters.
+//! determinism of the effort counters — and the TS-join over a cut's view
+//! against the brute-force oracle.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,6 +23,7 @@ use uots::cluster::{shard_dir, ShardedDurable};
 use uots::core::testing::corrupt;
 use uots::core::wal::{self, WalConfig};
 use uots::datagen::adversarial::{hub_spike, split_city};
+use uots::join::{ts_join, ts_join_brute, ts_join_with, JoinConfig, JoinPair};
 use uots::network::generators::{grid_city, GridCityConfig};
 use uots::prelude::*;
 use uots::{
@@ -29,7 +31,7 @@ use uots::{
     TrajectoryStore, UotsQuery,
 };
 use uots_core::algorithms::BruteForce;
-use uots_core::{ClusterSnapshot, Partitioner, Planner, ShardedAnswer, ShardedCluster};
+use uots_core::{ClusterSnapshot, Mutation, Partitioner, Planner, ShardedAnswer, ShardedCluster};
 use uots_text::KeywordId;
 use uots_trajectory::Trajectory;
 
@@ -538,6 +540,142 @@ fn lockstep_effort_matches_the_unsharded_engine() {
         retired > 0 && retired < compared,
         "{retired} of {compared} runs retired a part"
     );
+}
+
+/// A join's pairs as comparable rows: ids and similarity bits.
+fn join_rows(pairs: &[JoinPair]) -> Vec<(TrajectoryId, TrajectoryId, u64)> {
+    pairs
+        .iter()
+        .map(|p| (p.a, p.b, p.similarity.to_bits()))
+        .collect()
+}
+
+/// The live trajectories of `cut` in one store, in ascending global id
+/// order, beside the global id of each compact one.
+fn live_store(cut: &ClusterSnapshot) -> (TrajectoryStore, Vec<TrajectoryId>) {
+    let mut rows: Vec<(TrajectoryId, Trajectory)> = (0..cut.num_shards())
+        .flat_map(|s| {
+            let shard = cut.shard(s);
+            shard
+                .live()
+                .iter_live()
+                .map(move |local| (cut.global_of(s, local), shard.store().get(local).clone()))
+        })
+        .collect();
+    rows.sort_by_key(|r| r.0);
+    let mut store = TrajectoryStore::new();
+    let globals = rows
+        .into_iter()
+        .map(|(g, t)| {
+            store.push(t);
+            g
+        })
+        .collect();
+    (store, globals)
+}
+
+/// Checks the TS-join over `cut`'s view against the brute-force oracle
+/// and the unsharded join over the same live trajectories; returns how
+/// many pairs it found.
+fn assert_view_join_matches(cut: &ClusterSnapshot, label: &str) -> usize {
+    let (store, globals) = live_store(cut);
+    let to_global = |pairs: Vec<JoinPair>| -> Vec<JoinPair> {
+        pairs
+            .into_iter()
+            .map(|p| JoinPair {
+                a: globals[p.a.index()],
+                b: globals[p.b.index()],
+                similarity: p.similarity,
+            })
+            .collect()
+    };
+    let net = cut.shard(0).network();
+    let vidx = store.build_vertex_index(net.num_nodes());
+    let tidx = store.build_timestamp_index();
+    let mut found = 0;
+    for lambda in [0.0, 0.5, 1.0] {
+        let cfg = JoinConfig {
+            theta: 0.7,
+            lambda,
+            ..Default::default()
+        };
+        let label = format!("{label} λ={lambda}");
+        let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
+        let got = ts_join_with(&cut.view(), &cfg, 2, budget, ctl, None).expect("view join");
+        assert!(got.completeness.is_exact(), "{label}");
+        let brute = to_global(ts_join_brute(net, &store, &cfg).expect("oracle"));
+        assert_eq!(join_rows(&got.pairs), join_rows(&brute), "{label}: oracle");
+        let flat = ts_join(net, &store, &vidx, &tidx, &cfg, 1).expect("unsharded join");
+        let flat = to_global(flat.pairs);
+        assert_eq!(
+            join_rows(&got.pairs),
+            join_rows(&flat),
+            "{label}: unsharded"
+        );
+        found += got.pairs.len();
+    }
+    found
+}
+
+/// The TS-join runs over a cluster cut's [`View`] as it stands: at every
+/// shard count, on a fresh cut, mid-ingest (inserts published, more
+/// pending) and after retires, it answers the brute-force oracle's pairs
+/// over the cut's live trajectories — in global ids, with the same
+/// similarity bits — and the unsharded join's. A budget that trips
+/// mid-join returns a certified subset.
+#[test]
+fn join_over_a_view_equals_the_oracle_at_every_shard_count() {
+    let ds = Dataset::build(&DatasetConfig::small(40, 31)).expect("dataset");
+    let network = Arc::new(ds.network.clone());
+    let mut found = 0;
+    for shards in [1usize, 2, 4, 8] {
+        let mut cluster = ShardedCluster::new(
+            Arc::clone(&network),
+            &ds.store,
+            ds.vocab.len(),
+            shards,
+            Partitioner::Hash,
+        );
+        found += assert_view_join_matches(&cluster.snapshot(), &format!("{shards} fresh"));
+
+        // near-duplicates of seed trips: published, then more pending
+        let inserts = |from: usize| (from..from + 5).map(|i| Mutation::Insert(donor(&ds, i * 3)));
+        cluster.apply(inserts(0).collect()).expect("insert");
+        cluster.publish_all().expect("publish");
+        cluster.apply(inserts(5).collect()).expect("pending insert");
+        let label = format!("{shards} mid-ingest");
+        found += assert_view_join_matches(&cluster.snapshot(), &label);
+
+        let retires = [0u32, 3, 7, 41, 44].map(|g| Mutation::Retire(TrajectoryId(g)));
+        cluster.apply(retires.into()).expect("retire");
+        cluster.publish_all().expect("publish");
+        found += assert_view_join_matches(&cluster.snapshot(), &format!("{shards} retired"));
+
+        if shards == 4 {
+            let cut = cluster.snapshot();
+            let cfg = JoinConfig {
+                theta: 0.6,
+                ..Default::default()
+            };
+            let ctl = &RunControl::unbounded();
+            let exact = ts_join_with(&cut.view(), &cfg, 1, &ExecutionBudget::UNLIMITED, ctl, None)
+                .expect("exact join");
+            let tiny = ExecutionBudget::default().with_max_visited(1);
+            let r = ts_join_with(&cut.view(), &cfg, 1, &tiny, ctl, None).expect("budgeted join");
+            assert_eq!(
+                r.completeness,
+                Completeness::BestEffort {
+                    bound_gap: 1.0 - cfg.theta
+                }
+            );
+            let exact = join_rows(&exact.pairs);
+            for row in join_rows(&r.pairs) {
+                assert!(exact.contains(&row), "budgeted pair {row:?} not exact");
+            }
+            assert!(r.pairs.len() < exact.len(), "the budget cut pairs");
+        }
+    }
+    assert!(found > 0, "no λ and cut produced a pair");
 }
 
 const EPS: f64 = 1e-9;
