@@ -1039,8 +1039,10 @@ fn main() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         use std::time::{Duration, Instant};
+        use uots::cluster::ShardedDurable;
         use uots::core::wal::{FsyncPolicy, WalConfig, WalWriter};
-        use uots::durable::{recover, DurableIngest, RecoverySource};
+        use uots::durable::{recover, RecoverySource};
+        use uots::storage::StdFs;
         use uots_core::Mutation;
         use uots_trajectory::TrajectoryId;
 
@@ -1083,19 +1085,13 @@ fn main() {
         ] {
             let dir = root.join(format!("fsync-{}", name.replace(':', "_")));
             std::fs::create_dir_all(&dir).expect("d4 dir");
-            let mut ingest = DurableIngest::create(
-                Arc::new(ds.network.clone()),
-                ds.store.clone(),
-                ds.vocab.clone(),
-                &dir,
-                WalConfig {
-                    fsync: policy,
-                    ..WalConfig::default()
-                },
-                None,
-                None,
-            )
-            .expect("d4 wal opens");
+            let config = WalConfig {
+                fsync: policy,
+                ..WalConfig::default()
+            };
+            let (mut ingest, _) =
+                ShardedDurable::open_or_create(&ds, &dir, 1, config, None, None, None)
+                    .expect("d4 wal opens");
             let start = Instant::now();
             for batch in &batches {
                 ingest.apply(batch.clone()).expect("d4 apply");
@@ -1142,7 +1138,7 @@ fn main() {
             }
             drop(writer);
             let start = Instant::now();
-            let recovered = recover(&dir, Some(&ds), None).expect("d4 recovery");
+            let recovered = recover(&StdFs, &dir, Some(&ds), None, None).expect("d4 recovery");
             let wall = start.elapsed();
             assert_eq!(recovered.report.replayed_batches as usize, len);
             recovery_summary.push((len, wall));
@@ -1170,28 +1166,22 @@ fn main() {
         // checkpoints collapse replay: same full log, checkpoint cadence on
         let dir = root.join("recover-checkpointed");
         std::fs::create_dir_all(&dir).expect("d4 dir");
-        let mut ingest = DurableIngest::create(
-            Arc::new(ds.network.clone()),
-            ds.store.clone(),
-            ds.vocab.clone(),
-            &dir,
-            WalConfig {
-                fsync: FsyncPolicy::Never,
-                ..WalConfig::default()
-            },
-            Some(64),
-            None,
-        )
-        .expect("d4 wal opens");
+        let config = WalConfig {
+            fsync: FsyncPolicy::Never,
+            ..WalConfig::default()
+        };
+        let (mut ingest, _) =
+            ShardedDurable::open_or_create(&ds, &dir, 1, config, Some(64), None, None)
+                .expect("d4 wal opens");
         for (i, batch) in batches.iter().enumerate() {
             ingest.apply(batch.clone()).expect("d4 apply");
             if (i + 1) % 64 == 0 {
-                ingest.publish().expect("d4 publish");
+                ingest.publish_all().expect("d4 publish");
             }
         }
         drop(ingest);
         let start = Instant::now();
-        let recovered = recover(&dir, Some(&ds), None).expect("d4 recovery");
+        let recovered = recover(&StdFs, &dir, Some(&ds), None, None).expect("d4 recovery");
         let ckpt_wall = start.elapsed();
         assert!(matches!(
             recovered.report.source,

@@ -76,7 +76,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uots_network::NodeId;
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
-use uots_storage::{StdFs, StorageBackend, StorageFile};
+use uots_storage::{crc32, StdFs, StorageBackend, StorageFile};
 use uots_text::{KeywordId, KeywordSet};
 use uots_trajectory::{Sample, Trajectory, TrajectoryId};
 
@@ -911,36 +911,6 @@ fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], String> {
     Ok(head.try_into().expect("split_at(N)"))
 }
 
-/// CRC32 (IEEE 802.3, reflected), nibble-table variant — the workspace
-/// vendors no checksum crate, and record-sized inputs don't need the
-/// byte-table's speed.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xf) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xf) as usize];
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,11 +963,6 @@ mod tests {
             (Mutation::Retire(x), Mutation::Retire(y)) => x == y,
             _ => false,
         }
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use crate::{Dataset, DatasetConfig};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use uots_index::GridIndex;
 use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
+use uots_storage::crc32;
 use uots_text::{KeywordId, KeywordSet, Vocabulary};
 use uots_trajectory::{LiveSet, Sample, TagModelConfig, TagSampler, Trajectory, TrajectoryStore};
 
@@ -439,59 +440,6 @@ pub fn save_file_with(
     Ok(())
 }
 
-/// [`save_file`] for datasets too large to double-buffer: streams the
-/// store section to the `.tmp` sibling in bounded (≈1 MiB) flushes
-/// instead of materializing the whole payload in memory first, then
-/// syncs, renames, and syncs the parent directory — the same atomicity
-/// contract as [`save_file`], byte-identical output, roughly half the
-/// peak memory at million-trajectory scale.
-///
-/// # Errors
-///
-/// I/O errors only; serialization itself is infallible.
-pub fn save_file_streaming(
-    ds: &Dataset,
-    cfg: &DatasetConfig,
-    path: impl AsRef<std::path::Path>,
-) -> Result<(), PersistError> {
-    save_file_streaming_with(&uots_storage::StdFs, ds, cfg, path.as_ref())
-}
-
-/// [`save_file_streaming`] through an explicit storage backend.
-pub fn save_file_streaming_with(
-    backend: &dyn uots_storage::StorageBackend,
-    ds: &Dataset,
-    cfg: &DatasetConfig,
-    path: &std::path::Path,
-) -> Result<(), PersistError> {
-    const FLUSH_BYTES: usize = 1 << 20;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = backend.create(&tmp)?;
-        let mut buf = BytesMut::with_capacity(
-            FLUSH_BYTES + 64 + ds.network.num_nodes() * 16 + ds.network.num_edges() * 16,
-        );
-        write_preamble(&mut buf, ds, &cfg.tags, cfg.tag_seed, true);
-        buf.put_u32_le(ds.store.len() as u32);
-        for (_, t) in ds.store.iter() {
-            write_trajectory(&mut buf, t);
-            if buf.len() >= FLUSH_BYTES {
-                f.write_all(buf.as_slice())?;
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            f.write_all(buf.as_slice())?;
-        }
-        f.sync_all()?;
-    }
-    backend.rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        backend.sync_dir(dir)?;
-    }
-    Ok(())
-}
-
 /// Loads a dataset from `path`.
 ///
 /// # Errors
@@ -647,36 +595,6 @@ pub fn load_checkpoint_file_with(
     load_checkpoint(&raw)
 }
 
-/// CRC32 (IEEE 802.3, reflected) — implemented here because checkpoints
-/// must be self-validating and the workspace vendors no checksum crate.
-/// Nibble-table variant: tiny, and fast enough for checkpoint-sized blobs.
-fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xf) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xf) as usize];
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,34 +697,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_save_is_byte_identical_to_buffered() {
-        let (ds, cfg) = dataset();
-        let dir = std::env::temp_dir().join("uots_persist_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let buffered = dir.join("buffered.uotsds");
-        let streamed = dir.join("streamed.uotsds");
-        save_file(&ds, &cfg, &buffered).unwrap();
-        save_file_streaming(&ds, &cfg, &streamed).unwrap();
-        assert_eq!(
-            std::fs::read(&buffered).unwrap(),
-            std::fs::read(&streamed).unwrap(),
-            "the streaming writer must produce the exact save() payload"
-        );
-        assert!(!streamed.with_extension("tmp").exists(), "tmp renamed away");
-        let back = load_file(&streamed).unwrap();
-        assert_eq!(ds.network, back.network);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn streaming_save_never_damages_the_target_on_write_fault() {
+    fn save_never_damages_the_target_on_write_fault() {
         use uots_storage::fault::{Fault, FaultFs, OpKind, ScriptedFault};
         let (ds, cfg) = dataset();
-        let dir = std::env::temp_dir().join("uots_persist_stream_fault_test");
+        let dir = std::env::temp_dir().join("uots_persist_save_fault_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.uotsds");
-        save_file_streaming(&ds, &cfg, &path).unwrap();
+        save_file(&ds, &cfg, &path).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         let fs = FaultFs::scripted(
             81,
@@ -817,13 +715,13 @@ mod tests {
             }],
         );
         assert!(matches!(
-            save_file_streaming_with(&*fs, &ds, &cfg, &path),
+            save_file_with(&*fs, &ds, &cfg, &path),
             Err(PersistError::Io(_))
         ));
         assert_eq!(
             std::fs::read(&path).unwrap(),
             pristine,
-            "a torn streaming save must only ever touch the .tmp sibling"
+            "a torn save must only ever touch the .tmp sibling"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -917,13 +815,6 @@ mod tests {
             load(&bytes[..vtab_at + 3]),
             Err(PersistError::Truncated(_))
         ));
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // the canonical IEEE 802.3 check value
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     fn checkpoint() -> Checkpoint {

@@ -258,6 +258,37 @@ pub fn write_atomic(backend: &dyn StorageBackend, path: &Path, bytes: &[u8]) -> 
     Ok(())
 }
 
+/// CRC32 (IEEE 802.3, reflected), nibble-table variant: the one checksum
+/// of WAL records, checkpoints and datasets. The workspace vendors no
+/// checksum crate, and the 16-entry table is fast enough for every
+/// payload size the durable path writes.
+pub fn crc32(data: &[u8]) -> u32 {
+    const TABLE: [u32; 16] = [
+        0x0000_0000,
+        0x1db7_1064,
+        0x3b6e_20c8,
+        0x26d9_30ac,
+        0x76dc_4190,
+        0x6b6b_51f4,
+        0x4db2_6158,
+        0x5005_713c,
+        0xedb8_8320,
+        0xf00f_9344,
+        0xd6d6_a3e8,
+        0xcb61_b38c,
+        0x9b64_c2b0,
+        0x86d3_d2d4,
+        0xa00a_e278,
+        0xbdbd_f21c,
+    ];
+    let mut crc = !0u32;
+    for &b in data {
+        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xf) as usize];
+        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xf) as usize];
+    }
+    !crc
+}
+
 /// SplitMix64 — the tiny seeded generator behind fault schedules and
 /// backoff jitter (the workspace vendors `rand`, but this crate stays
 /// dependency-free so every layer can use it).
@@ -315,6 +346,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn crc32_known_vector() {
+        // the canonical IEEE 802.3 check value
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

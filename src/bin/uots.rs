@@ -38,6 +38,12 @@
 //! scrape a completed run. `--json` on `status`/`fsck` switches the report
 //! to machine-readable JSON with the same exit codes.
 //!
+//! `ingest` drives a one-shard [`Cluster`] — the coordinator `uots-serve`
+//! drives — volatile, or with `--wal-dir` the
+//! [`ShardedDurable`] lineage `uots-serve --wal-dir` opens the same way.
+//! `status` and `fsck` report the [`RecoveryPlan`](uots::durable::RecoveryPlan)
+//! that `recover` carries out, so all three agree on what recovery does.
+//!
 //! ## Exit codes
 //!
 //! The durability commands (`recover`, `status`, `fsck`) report what they
@@ -51,11 +57,13 @@
 //! | 2 | usage error (unknown command or malformed flags) |
 //! | 3 | recovered, but with fallback: a corrupt checkpoint was skipped or a torn WAL tail was cut (`recover` only) |
 //! | 4 | corruption found (`status` reports it; `fsck` also quarantined it) but the directory still recovers |
-//! | 5 | unrecoverable: no usable checkpoint and no base dataset |
+//! | 5 | unrecoverable: no usable checkpoint, and no base dataset or a WAL tail that does not continue it — whether or not any file is damaged |
 
 use std::sync::{Arc, Mutex};
+use uots::cluster::ShardedDurable;
+use uots::core::shard::{Cluster, Shard, ShardedCluster};
 use uots::datagen::persist;
-use uots::durable::{recover_with_journal, DurableError, DurableIngest, RecoverySource};
+use uots::durable::{recover, DurableError, DurableIngest, RecoverySource};
 use uots::join::{record_join_metrics, ts_join_with, JoinConfig};
 use uots::obs::{
     validate_prometheus_text, AcceptLoop, EventJournal, HttpRequest, ObsState, Stopper,
@@ -65,8 +73,8 @@ use uots::prelude::*;
 use uots::scrub::{self, ScrubReport};
 use uots::storage::StdFs;
 use uots::{
-    DistanceCache, EpochManager, FsyncPolicy, LiveSet, MetricsRegistry, PhaseNanos, Recorder,
-    RunControl, Sample, SearchContext, Trajectory, WalConfig, DEFAULT_CACHE_CAPACITY,
+    DistanceCache, FsyncPolicy, MetricsRegistry, PhaseNanos, Recorder, RunControl, Sample,
+    SearchContext, Trajectory, WalConfig, DEFAULT_CACHE_CAPACITY,
 };
 
 fn main() {
@@ -145,7 +153,7 @@ fn print_usage() {
          so scripts can scrape a finished run. --json on status/fsck emits\n\
          the report as JSON (same exit codes).\n\
          status is a read-only integrity walk of a durable ingest directory\n\
-         (checkpoint CRCs + WAL durable prefix); fsck additionally moves\n\
+         (checkpoint CRCs + the plan recover carries out); fsck additionally moves\n\
          wholly-unusable files into DIR/quarantine/ with a manifest — it\n\
          never deletes anything. recover/status/fsck exit codes: 0 clean,\n\
          1 operational error, 2 usage, 3 recovered-with-fallback,\n\
@@ -851,67 +859,144 @@ fn verify_epoch(
     Ok(())
 }
 
-/// The ingest sink: a bare [`EpochManager`], or a [`DurableIngest`]
-/// logging every mutation to a WAL (and cutting checkpoints) first.
-enum Ingestor {
-    Plain(Box<EpochManager>),
-    Durable(Box<DurableIngest>),
+/// What one `uots ingest` run replays and how: the script, the dataset
+/// its vertices and tags resolve against, and the publish cadence.
+struct IngestRun<'a> {
+    ds: &'a Dataset,
+    script_path: &'a str,
+    script: &'a str,
+    batch: usize,
+    verify: bool,
+    probes: Vec<UotsQuery>,
+    plane: Option<&'a ObsPlane>,
 }
 
-impl Ingestor {
-    fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, String> {
-        match self {
-            Ingestor::Plain(m) => Ok(m.ingest(t)),
-            Ingestor::Durable(d) => d.ingest(t).map_err(|e| e.to_string()),
+impl IngestRun<'_> {
+    /// Replays the script against `cluster` — a one-shard volatile or
+    /// durable [`Cluster`], the coordinator `uots-serve` drives — keeping
+    /// the obs plane's `/status` at `status(cluster)` after every publish.
+    fn run<S: Shard>(
+        &self,
+        cluster: &mut Cluster<S>,
+        status: impl Fn(&Cluster<S>) -> String,
+    ) -> Result<(), String> {
+        let (ds, script_path) = (self.ds, self.script_path);
+        let num_nodes = ds.network.num_nodes();
+        let err = |e: S::Error| e.to_string();
+        if let Some(p) = self.plane {
+            p.set_status(status(cluster));
         }
-    }
-
-    fn retire(&mut self, id: TrajectoryId) -> Result<bool, String> {
-        match self {
-            Ingestor::Plain(m) => Ok(m.retire(id)),
-            Ingestor::Durable(d) => d.retire(id).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn publish(&mut self) -> Result<Arc<uots::EpochSnapshot>, String> {
-        match self {
-            Ingestor::Plain(m) => Ok(m.publish()),
-            Ingestor::Durable(d) => d.publish().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn pending(&self) -> u64 {
-        match self {
-            Ingestor::Plain(m) => m.pending(),
-            Ingestor::Durable(d) => d.manager().pending(),
-        }
-    }
-
-    fn snapshot(&self) -> Arc<uots::EpochSnapshot> {
-        match self {
-            Ingestor::Plain(m) => m.snapshot(),
-            Ingestor::Durable(d) => d.snapshot(),
-        }
-    }
-
-    /// The `/status` document for this sink: the full [`DurableIngest`]
-    /// health summary when durable, a minimal epoch summary otherwise.
-    fn status_json(&self) -> String {
-        match self {
-            Ingestor::Plain(m) => {
-                let st = m.snapshot().stats();
-                format!(
-                    "{{\"state\":\"healthy\",\"mode\":\"plain\",\"epoch\":{},\
-                     \"live\":{},\"pending\":{}}}",
-                    st.epoch,
-                    st.live,
-                    m.pending()
-                )
+        let started = std::time::Instant::now();
+        let mut next_id = cluster.snapshot().shard(0).stats().total;
+        let mut ingested = 0u64;
+        let mut retired = 0u64;
+        let mut published = 0u64;
+        let mut since_publish = 0usize;
+        let do_publish = |cluster: &mut Cluster<S>, published: &mut u64| -> Result<(), String> {
+            let cut = cluster.publish_all().map_err(err)?;
+            let snap = cut.shard(0);
+            *published += 1;
+            let st = snap.stats();
+            println!(
+                "epoch {}: {} live / {} total, {} postings, {} mutations folded in",
+                st.epoch, st.live, st.total, st.postings, st.mutations
+            );
+            if self.verify {
+                verify_epoch(snap, ds.vocab.len(), &self.probes)?;
+                println!(
+                    "  verified against from-scratch rebuild ({} probes)",
+                    self.probes.len()
+                );
             }
-            Ingestor::Durable(d) => {
-                serde_json::to_string(&d.status()).unwrap_or_else(|_| "{}".to_string())
+            if let Some(p) = self.plane {
+                p.set_status(status(cluster));
+            }
+            Ok(())
+        };
+
+        for (lineno, raw) in self.script.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or("").trim();
+            if line.is_empty() {
+                continue;
+            }
+            let at = |msg: String| format!("{script_path}:{}: {msg}", lineno + 1);
+            let mutated = if let Some(rest) = line.strip_prefix("ingest") {
+                let (nodes_part, tags_part) = match rest.split_once('|') {
+                    Some((n, t)) => (n, Some(t)),
+                    None => (rest, None),
+                };
+                let mut samples = Vec::new();
+                for tok in nodes_part.split_whitespace() {
+                    let v: u32 = match tok.parse() {
+                        Ok(v) if (v as usize) < num_nodes => v,
+                        _ => return Err(at(format!("bad vertex `{tok}`"))),
+                    };
+                    samples.push(Sample {
+                        node: NodeId(v),
+                        time: 60.0 * samples.len() as f64,
+                    });
+                }
+                let mut tags = Vec::new();
+                if let Some(t) = tags_part {
+                    for tag in t.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+                        match ds.vocab.get(tag) {
+                            Some(id) => tags.push(id),
+                            None => {
+                                eprintln!("warning: tag `{tag}` not in the vocabulary; ignored")
+                            }
+                        }
+                    }
+                }
+                let t = Trajectory::new(samples, KeywordSet::from_ids(tags))
+                    .map_err(|e| at(format!("{e}")))?;
+                let id = cluster.ingest(t).map_err(|e| at(err(e)))?;
+                debug_assert_eq!(id.index(), next_id);
+                next_id += 1;
+                ingested += 1;
+                true
+            } else if let Some(rest) = line.strip_prefix("retire") {
+                let id: usize = match rest.trim().parse() {
+                    Ok(v) if v < next_id => v,
+                    _ => return Err(at(format!("bad trajectory id `{}`", rest.trim()))),
+                };
+                if cluster
+                    .retire(TrajectoryId(id as u32))
+                    .map_err(|e| at(err(e)))?
+                {
+                    retired += 1;
+                }
+                true
+            } else if line == "publish" {
+                since_publish = 0;
+                do_publish(cluster, &mut published)?;
+                false
+            } else {
+                return Err(at(format!("unknown directive `{line}`")));
+            };
+            if mutated && self.batch > 0 {
+                since_publish += 1;
+                if since_publish >= self.batch {
+                    since_publish = 0;
+                    do_publish(cluster, &mut published)?;
+                }
             }
         }
+        if cluster.shard(0).manager().pending() > 0 {
+            do_publish(cluster, &mut published)?;
+        }
+
+        let elapsed = started.elapsed();
+        let final_snap = cluster.snapshot();
+        let final_snap = final_snap.shard(0);
+        println!(
+            "replayed {} mutations ({ingested} ingests, {retired} retires) over {published} \
+             epochs in {elapsed:?} ({:.0} mutations/s); serving epoch {} with {} live trips",
+            ingested + retired,
+            (ingested + retired) as f64 / elapsed.as_secs_f64().max(1e-9),
+            final_snap.epoch(),
+            final_snap.stats().live
+        );
+        Ok(())
     }
 }
 
@@ -936,17 +1021,41 @@ fn cmd_ingest(args: &[String]) -> i32 {
         Ok(v) => v,
         Err(_) => return fail("--batch must be an integer"),
     };
-    let verify = flags.get("verify").is_some();
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let registry = MetricsRegistry::default();
     let plane = match start_obs_plane(&flags, &registry) {
         Ok(p) => p,
         Err(e) => return fail(e),
     };
+    let journal = plane.as_ref().map(|p| &p.journal);
+    let probes: Vec<UotsQuery> = workload::generate(&ds, &workload::WorkloadConfig::default())
+        .into_iter()
+        .take(3)
+        .map(|s| {
+            UotsQuery::with_options(
+                s.locations,
+                s.keywords,
+                vec![],
+                QueryOptions {
+                    k: 5,
+                    ..Default::default()
+                },
+            )
+            .expect("workload specs are valid queries")
+        })
+        .collect();
+    let run = IngestRun {
+        ds: &ds,
+        script_path,
+        script: &script,
+        batch,
+        verify: flags.get("verify").is_some(),
+        probes,
+        plane: plane.as_ref(),
+    };
 
-    let num_nodes = ds.network.num_nodes();
-    let vocab_len = ds.vocab.len();
-    let mut sink = match flags.get("wal-dir") {
+    // the `/status` document a run ends with
+    let last_status = match flags.get("wal-dir") {
         Some(dir) => {
             let fsync = match FsyncPolicy::parse(flags.get("fsync").unwrap_or("batch")) {
                 Ok(p) => p,
@@ -965,14 +1074,16 @@ fn cmd_ingest(args: &[String]) -> i32 {
             };
             // resume or create, like the server: a second run on one
             // directory continues its lineage instead of logging over it
-            let (durable, recovery) = match DurableIngest::open(
+            let opened = ShardedDurable::open_or_create(
                 &ds,
                 dir,
+                1,
                 config,
                 checkpoint_every,
                 Some(&registry),
-                plane.as_ref().map(|p| &p.journal),
-            ) {
+                journal,
+            );
+            let (durable, recovery) = match opened {
                 Ok(opened) => opened,
                 Err(e) => return fail(format!("opening wal in {dir}: {e}")),
             };
@@ -980,179 +1091,62 @@ fn cmd_ingest(args: &[String]) -> i32 {
                 "durable ingest: wal in {dir} (fsync {fsync}, checkpoint every {})",
                 checkpoint_every.map_or("never".to_string(), |n| format!("{n} batches")),
             );
-            if let Some(report) = recovery {
+            if let Some(report) = recovery.first() {
                 println!(
                     "resumed: replayed {} wal batches, continuing at lsn {}",
                     report.replayed_batches, report.next_lsn
                 );
             }
-            Ingestor::Durable(Box::new(durable))
-        }
-        None => {
-            let manager = EpochManager::from_parts(
-                Arc::new(ds.network.clone()),
-                ds.store.clone(),
-                LiveSet::all_live(ds.store.len()),
-                vocab_len,
-                0,
-                Some(&registry),
-                plane.as_ref().map(|p| &p.journal),
-            );
-            Ingestor::Plain(Box::new(manager))
-        }
-    };
-    if let Some(p) = &plane {
-        p.set_status(sink.status_json());
-    }
-    let probes: Vec<UotsQuery> = workload::generate(&ds, &workload::WorkloadConfig::default())
-        .into_iter()
-        .take(3)
-        .map(|s| {
-            UotsQuery::with_options(
-                s.locations,
-                s.keywords,
-                vec![],
-                QueryOptions {
-                    k: 5,
-                    ..Default::default()
-                },
-            )
-            .expect("workload specs are valid queries")
-        })
-        .collect();
-
-    let started = std::time::Instant::now();
-    let mut next_id = sink.snapshot().stats().total;
-    let mut ingested = 0u64;
-    let mut retired = 0u64;
-    let mut published = 0u64;
-    let mut since_publish = 0usize;
-    let do_publish = |sink: &mut Ingestor, published: &mut u64| -> Result<(), String> {
-        let snap = sink.publish()?;
-        *published += 1;
-        let st = snap.stats();
-        println!(
-            "epoch {}: {} live / {} total, {} postings, {} mutations folded in",
-            st.epoch, st.live, st.total, st.postings, st.mutations
-        );
-        if verify {
-            verify_epoch(&snap, vocab_len, &probes)?;
-            println!(
-                "  verified against from-scratch rebuild ({} probes)",
-                probes.len()
-            );
-        }
-        if let Some(p) = &plane {
-            p.set_status(sink.status_json());
-        }
-        Ok(())
-    };
-
-    for (lineno, raw) in script.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let at = |msg: String| format!("{script_path}:{}: {msg}", lineno + 1);
-        let mutated = if let Some(rest) = line.strip_prefix("ingest") {
-            let (nodes_part, tags_part) = match rest.split_once('|') {
-                Some((n, t)) => (n, Some(t)),
-                None => (rest, None),
+            let mut cluster = Cluster::from(durable);
+            // the shard's full health summary
+            let status = |c: &Cluster<DurableIngest>| {
+                serde_json::to_string(&c.shard(0).status()).unwrap_or_else(|_| "{}".to_string())
             };
-            let mut samples = Vec::new();
-            for tok in nodes_part.split_whitespace() {
-                let v: u32 = match tok.parse() {
-                    Ok(v) if (v as usize) < num_nodes => v,
-                    _ => return fail(at(format!("bad vertex `{tok}`"))),
-                };
-                samples.push(Sample {
-                    node: NodeId(v),
-                    time: 60.0 * samples.len() as f64,
-                });
-            }
-            let mut tags = Vec::new();
-            if let Some(t) = tags_part {
-                for tag in t.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                    match ds.vocab.get(tag) {
-                        Some(id) => tags.push(id),
-                        None => eprintln!("warning: tag `{tag}` not in the vocabulary; ignored"),
-                    }
-                }
-            }
-            let t = match Trajectory::new(samples, KeywordSet::from_ids(tags)) {
-                Ok(t) => t,
-                Err(e) => return fail(at(format!("{e}"))),
-            };
-            let id = match sink.ingest(t) {
-                Ok(id) => id,
-                Err(e) => return fail(at(e)),
-            };
-            debug_assert_eq!(id.index(), next_id);
-            next_id += 1;
-            ingested += 1;
-            true
-        } else if let Some(rest) = line.strip_prefix("retire") {
-            let id: usize = match rest.trim().parse() {
-                Ok(v) if v < next_id => v,
-                _ => return fail(at(format!("bad trajectory id `{}`", rest.trim()))),
-            };
-            match sink.retire(TrajectoryId(id as u32)) {
-                Ok(true) => retired += 1,
-                Ok(false) => {}
-                Err(e) => return fail(at(e)),
-            }
-            true
-        } else if line == "publish" {
-            since_publish = 0;
-            if let Err(e) = do_publish(&mut sink, &mut published) {
+            if let Err(e) = run.run(&mut cluster, status) {
                 return fail(e);
             }
-            false
-        } else {
-            return fail(at(format!("unknown directive `{line}`")));
-        };
-        if mutated && batch > 0 {
-            since_publish += 1;
-            if since_publish >= batch {
-                since_publish = 0;
-                if let Err(e) = do_publish(&mut sink, &mut published) {
-                    return fail(e);
-                }
+            let log = cluster.shard(0);
+            println!(
+                "wal durable through lsn {} (last checkpoint at lsn {})",
+                log.next_lsn().saturating_sub(1),
+                log.last_checkpoint_lsn()
+            );
+            status(&cluster)
+        }
+        None => {
+            let mut cluster = ShardedCluster::with_metrics(
+                Arc::new(ds.network.clone()),
+                &ds.store,
+                ds.vocab.len(),
+                1,
+                Some(&registry),
+                journal,
+            );
+            // a minimal epoch summary
+            let status = |c: &ShardedCluster| {
+                let m = c.shard(0);
+                let st = m.snapshot().stats();
+                format!(
+                    "{{\"state\":\"healthy\",\"mode\":\"plain\",\"epoch\":{},\
+                     \"live\":{},\"pending\":{}}}",
+                    st.epoch,
+                    st.live,
+                    m.pending()
+                )
+            };
+            if let Err(e) = run.run(&mut cluster, status) {
+                return fail(e);
             }
+            status(&cluster)
         }
-    }
-    if sink.pending() > 0 {
-        if let Err(e) = do_publish(&mut sink, &mut published) {
-            return fail(e);
-        }
-    }
-
-    let elapsed = started.elapsed();
-    let final_snap = sink.snapshot();
-    println!(
-        "replayed {} mutations ({ingested} ingests, {retired} retires) over {published} \
-         epochs in {elapsed:?} ({:.0} mutations/s); serving epoch {} with {} live trips",
-        ingested + retired,
-        (ingested + retired) as f64 / elapsed.as_secs_f64().max(1e-9),
-        final_snap.epoch(),
-        final_snap.stats().live
-    );
-    if let Ingestor::Durable(d) = &sink {
-        println!(
-            "wal durable through lsn {} (last checkpoint at lsn {})",
-            d.next_lsn().saturating_sub(1),
-            d.last_checkpoint_lsn()
-        );
-    }
+    };
     if let Some(path) = metrics_out {
         if let Err(e) = write_metrics(&registry, &path) {
             return fail(e);
         }
     }
-    if let Some(p) = &plane {
-        p.set_status(sink.status_json());
-    }
     if let Some(p) = plane {
+        p.set_status(last_status);
         p.finish();
     }
     0
@@ -1182,7 +1176,7 @@ fn cmd_recover(args: &[String]) -> i32 {
         Err(e) => return fail(e),
     };
 
-    let recovered = match recover_with_journal(
+    let recovered = match recover(
         &StdFs,
         std::path::Path::new(dir),
         base.as_ref(),
@@ -1298,14 +1292,15 @@ fn cmd_recover(args: &[String]) -> i32 {
 }
 
 /// Exit code a `status`/`fsck` report implies — shared by the human and
-/// `--json` renderings so scripts can rely on it either way.
+/// `--json` renderings so scripts can rely on it either way. A directory
+/// `recover` refuses is unrecoverable however clean its files are.
 fn scrub_exit_code(r: &ScrubReport, has_base: bool) -> i32 {
-    if r.is_clean() {
-        EXIT_CLEAN
-    } else if r.recoverable(has_base) {
-        EXIT_CORRUPTION_FOUND
-    } else {
+    if !r.recoverable(has_base) {
         EXIT_UNRECOVERABLE
+    } else if r.is_clean() {
+        EXIT_CLEAN
+    } else {
+        EXIT_CORRUPTION_FOUND
     }
 }
 
@@ -1338,26 +1333,33 @@ fn report_scrub(r: &ScrubReport, has_base: bool) -> i32 {
             q.quarantined.display()
         );
     }
-    match &r.plan.checkpoint {
-        Some((path, lsn)) => println!(
-            "recovery plan: checkpoint {} (lsn {lsn}) + {} wal batch(es) \
-             ({} mutations); writer resumes at lsn {}",
+    let plan = &r.plan;
+    let (batches, mutations, next) = (plan.tail.len(), plan.tail_mutations(), plan.next_lsn);
+    match (&plan.checkpoint, plan.base_gap) {
+        (Some((path, ck)), _) => println!(
+            "recovery plan: checkpoint {} (lsn {}) + {batches} wal batch(es) \
+             ({mutations} mutations); writer resumes at lsn {next}",
             path.display(),
-            r.plan.replayable_batches,
-            r.plan.replayable_mutations,
-            r.plan.next_lsn
+            ck.lsn,
         ),
-        None => println!(
-            "recovery plan: no usable checkpoint — base dataset + {} wal batch(es) \
-             ({} mutations); writer resumes at lsn {}",
-            r.plan.replayable_batches, r.plan.replayable_mutations, r.plan.next_lsn
+        (None, None) => println!(
+            "recovery plan: no usable checkpoint — base dataset + {batches} wal batch(es) \
+             ({mutations} mutations); writer resumes at lsn {next}"
+        ),
+        (None, Some(first)) => println!(
+            "recovery plan: none — no usable checkpoint, and the wal tail starts at \
+             lsn {first}, past the base dataset"
         ),
     }
     let code = scrub_exit_code(r, has_base);
     if code == EXIT_CLEAN {
         println!("clean");
-    } else if code == EXIT_UNRECOVERABLE {
+    } else if code == EXIT_UNRECOVERABLE && plan.base_gap.is_none() {
         println!("unrecoverable: no usable checkpoint (supply --data for a base dataset)");
+    } else if code == EXIT_UNRECOVERABLE {
+        println!(
+            "unrecoverable: no usable checkpoint, and the base dataset cannot continue the wal"
+        );
     }
     code
 }

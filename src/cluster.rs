@@ -6,12 +6,16 @@
 //! the same routing, batch split and parallel publish as the volatile
 //! [`ShardedCluster`](uots_core::ShardedCluster), so a sharded cluster
 //! recovered from disk answers queries bit-identically to the unsharded
-//! engine over the same history. What this module adds is the lineage.
+//! engine over the same history. What this module adds is the lineage, and
+//! it is the only way to create or resume one.
 //!
 //! ## Per-shard durability lineage
 //!
-//! Each shard owns a private directory (`shard-0/ … shard-(N-1)/` under
-//! the cluster root) holding its own WAL segments and checkpoints. The
+//! Each shard owns a private directory holding its own WAL segments and
+//! checkpoints: `shard-0/ … shard-(N-1)/` under the cluster root at
+//! `N ≥ 2`, the root itself at `N = 1` (the flat layout an unsharded
+//! `--wal-dir` has always had; global id = local id).
+//! [`shards_on_disk`] reads the count back from the layout. The
 //! consequences, by design:
 //!
 //! * **Recovery parallelizes.** [`ShardedDurable::open`] recovers every
@@ -30,25 +34,19 @@
 //!   one. A served `/ingest` body is one such batch.
 //!
 //! [`create`](ShardedDurable::create) seeds every shard with an initial
-//! checkpoint of its partition, so cluster recovery never needs the base
-//! dataset: a shard directory is self-contained from birth.
-//!
-//! ## The one-shard cluster
-//!
-//! A directory whose root holds WAL segments and checkpoints directly is a
-//! one-shard lineage: [`open_or_create`](ShardedDurable::open_or_create)
-//! at `N = 1` wraps the [`DurableIngest`] opened over it (global id =
-//! local id), so an unsharded `--wal-dir` keeps its flat layout and its
-//! base-dataset recovery. `shard-<s>/` is the layout of `N ≥ 2`;
-//! [`shards_on_disk`] tells the two apart.
+//! checkpoint of its partition, so [`open`](ShardedDurable::open) never
+//! needs the base dataset: a shard directory is self-contained from birth.
+//! [`open_or_create`](ShardedDurable::open_or_create) — what `uots-serve`
+//! and `uots ingest` call — does the same at `N ≥ 2`; at `N = 1` it skips
+//! the seed checkpoint and keeps the base dataset as the lineage's
+//! recovery base.
 
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::durable::{
-    list_checkpoints, recover_with_journal, DurableError, DurableIngest, DurableStatus,
-    RecoveryReport,
+    list_checkpoints, recover, DurableError, DurableIngest, DurableStatus, RecoveryReport,
 };
 use uots_core::shard::{partition, Cluster, ClusterSnapshot, Shard};
 use uots_core::storage::{RetryPolicy, StdFs};
@@ -60,9 +58,20 @@ use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
 use uots_trajectory::{TrajectoryId, TrajectoryStore};
 
-/// The shard directory for shard `s` under a cluster root.
+/// The shard directory for shard `s` under the root of a lineage of two
+/// shards or more.
 pub fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard}"))
+}
+
+/// Where shard `s` of a `num_shards`-shard lineage lives: the root itself
+/// for one shard, [`shard_dir`] otherwise.
+fn lineage_dir(root: &Path, num_shards: usize, shard: usize) -> PathBuf {
+    if num_shards == 1 {
+        root.to_path_buf()
+    } else {
+        shard_dir(root, shard)
+    }
 }
 
 /// How many shards the lineage under `root` was written with: `Some(1)`
@@ -70,7 +79,7 @@ pub fn shard_dir(root: &Path, shard: usize) -> PathBuf {
 /// else the number of `shard-<s>` directories, `None` when `root` holds
 /// neither (nothing to resume).
 pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
-    if !wal::list_segments(root)?.is_empty() || !list_checkpoints(root).is_empty() {
+    if !wal::list_segments(root)?.is_empty() || !list_checkpoints(&StdFs, root).is_empty() {
         return Ok(Some(1));
     }
     let Ok(entries) = std::fs::read_dir(root) else {
@@ -108,8 +117,8 @@ impl Shard for DurableIngest {
 
 /// `N` hash-partitioned [`DurableIngest`]s behind the one coordinator: it
 /// dereferences to the [`Cluster`] that routes, applies and publishes, and
-/// adds the lineage — the `shard-<s>/` layout, its constructors, health
-/// and explicit checkpoints.
+/// adds the lineage — the directory layout, its constructors, health and
+/// explicit checkpoints.
 pub struct ShardedDurable(Cluster<DurableIngest>);
 
 impl Deref for ShardedDurable {
@@ -151,56 +160,9 @@ impl ShardedDurable {
         checkpoint_every: Option<u64>,
         registry: Option<&MetricsRegistry>,
     ) -> Result<Self, DurableError> {
-        Self::seed(
-            network,
-            store,
-            vocab,
-            root.as_ref(),
-            num_shards,
-            config,
-            checkpoint_every,
-            registry,
-            None,
-        )
-    }
-
-    /// [`create`](Self::create) with every shard reporting to `journal`.
-    #[allow(clippy::too_many_arguments)]
-    fn seed(
-        network: Arc<RoadNetwork>,
-        store: &TrajectoryStore,
-        vocab: &Vocabulary,
-        root: &Path,
-        num_shards: usize,
-        config: WalConfig,
-        checkpoint_every: Option<u64>,
-        registry: Option<&MetricsRegistry>,
-        journal: Option<&EventJournal>,
-    ) -> Result<Self, DurableError> {
-        let registry = registry.cloned().unwrap_or_default();
-        let journal = journal.cloned().unwrap_or_default();
-        let mut shards = Vec::with_capacity(num_shards);
-        for (s, part) in partition(store, num_shards).into_iter().enumerate() {
-            let dir = shard_dir(root, s);
-            std::fs::create_dir_all(&dir).map_err(|e| DurableError::Wal(WalError::Io(e)))?;
-            let mut ingest = DurableIngest::create_with_backend(
-                Arc::clone(&network),
-                part,
-                vocab.clone(),
-                &dir,
-                config,
-                checkpoint_every,
-                Some(&registry),
-                Arc::new(StdFs),
-                RetryPolicy::default(),
-                Some(&journal),
-            )?;
-            // self-contained lineage: recovery of this directory must
-            // never need the base dataset
-            ingest.checkpoint_now()?;
-            shards.push(ingest);
-        }
-        Ok(ShardedDurable(Cluster::over(shards, &registry)))
+        let root = root.as_ref();
+        let lineage = Lineage::new(root, num_shards, config, checkpoint_every, registry, None);
+        lineage.seed(network, store, vocab, true)
     }
 
     /// Recovers every shard under `root` **in parallel** and resumes
@@ -220,79 +182,22 @@ impl ShardedDurable {
         checkpoint_every: Option<u64>,
         registry: Option<&MetricsRegistry>,
     ) -> Result<(Self, Vec<RecoveryReport>), DurableError> {
-        Self::resume(
-            root.as_ref(),
-            num_shards,
-            config,
-            checkpoint_every,
-            registry,
-            None,
-        )
-    }
-
-    /// [`open`](Self::open) with every shard's recovery and ingest
-    /// reporting to `journal`.
-    fn resume(
-        root: &Path,
-        num_shards: usize,
-        config: WalConfig,
-        checkpoint_every: Option<u64>,
-        registry: Option<&MetricsRegistry>,
-        journal: Option<&EventJournal>,
-    ) -> Result<(Self, Vec<RecoveryReport>), DurableError> {
-        let registry = registry.cloned().unwrap_or_default();
-        let journal = journal.cloned().unwrap_or_default();
-        let (reg, jrn) = (Some(&registry), Some(&journal));
-        let recovered: Vec<Result<(DurableIngest, RecoveryReport), DurableError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..num_shards)
-                    .map(|s| {
-                        let dir = shard_dir(root, s);
-                        scope.spawn(move || {
-                            let rec = recover_with_journal(&StdFs, &dir, None, reg, jrn)?;
-                            let report = rec.report.clone();
-                            let ingest = DurableIngest::resume(
-                                rec,
-                                &dir,
-                                config,
-                                checkpoint_every,
-                                reg,
-                                Arc::new(StdFs),
-                                RetryPolicy::default(),
-                                jrn,
-                            )?;
-                            Ok((ingest, report))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-        let mut shards = Vec::with_capacity(num_shards);
-        let mut reports = Vec::with_capacity(num_shards);
-        for r in recovered {
-            let (ingest, report) = r?;
-            shards.push(ingest);
-            reports.push(report);
-        }
-        Ok((ShardedDurable(Cluster::over(shards, &registry)), reports))
+        let root = root.as_ref();
+        let lineage = Lineage::new(root, num_shards, config, checkpoint_every, registry, None);
+        lineage.resume(None)
     }
 
     /// Opens the `shards`-shard cluster under `root` for a server seeded
     /// from `base` — resumed when the directory holds a lineage (returning
     /// one recovery report per shard), created otherwise (no reports) —
     /// with every shard, its recovery included, reporting to `registry`
-    /// and `journal` (`None`: detached). One shard keeps the flat layout of
-    /// [`DurableIngest::open`], with `base` as its recovery base; `N ≥ 2`
-    /// is [`open`](Self::open) or [`create`](Self::create) over
-    /// `shard-<s>/`. A lineage written with another shard count is refused
-    /// with [`DurableError::Inconsistent`]: the global ids `g = l·N + s`
-    /// only mean anything under the `N` they were issued with.
+    /// and `journal` (`None`: detached). At one shard the lineage is flat,
+    /// is not seeded with a checkpoint and recovers with `base` as its
+    /// base; at `N ≥ 2` this is [`open`](Self::open) or
+    /// [`create`](Self::create). A lineage written with another shard
+    /// count is refused with [`DurableError::Inconsistent`]: the global
+    /// ids `g = l·N + s` only mean anything under the `N` they were issued
+    /// with.
     pub fn open_or_create(
         base: &Dataset,
         root: impl AsRef<Path>,
@@ -310,28 +215,14 @@ impl ShardedDurable {
                 root.display()
             )));
         }
-        if shards == 1 {
-            let (ingest, report) =
-                DurableIngest::open(base, root, config, checkpoint_every, registry, journal)?;
-            let registry = registry.cloned().unwrap_or_default();
-            let cluster = Cluster::over(vec![ingest], &registry);
-            return Ok((ShardedDurable(cluster), Vec::from_iter(report)));
-        }
+        let lineage = Lineage::new(root, shards, config, checkpoint_every, registry, journal);
+        let flat = shards == 1;
         if on_disk.is_some() {
-            return Self::resume(root, shards, config, checkpoint_every, registry, journal);
+            return lineage.resume(flat.then_some(base));
         }
-        Self::seed(
-            Arc::new(base.network.clone()),
-            &base.store,
-            &base.vocab,
-            root,
-            shards,
-            config,
-            checkpoint_every,
-            registry,
-            journal,
-        )
-        .map(|fresh| (fresh, Vec::new()))
+        let network = Arc::new(base.network.clone());
+        let fresh = lineage.seed(network, &base.store, &base.vocab, !flat)?;
+        Ok((fresh, Vec::new()))
     }
 
     /// Per-shard health summaries.
@@ -353,6 +244,121 @@ impl ShardedDurable {
     /// [`publish_all`](Cluster::publish_all). Propagates the first failure.
     pub fn checkpoint_now(&mut self) -> Result<ClusterSnapshot, DurableError> {
         self.0.publish_with(DurableIngest::checkpoint_now)
+    }
+}
+
+/// What every shard of one lineage is opened with.
+struct Lineage<'a> {
+    root: &'a Path,
+    num_shards: usize,
+    config: WalConfig,
+    checkpoint_every: Option<u64>,
+    registry: MetricsRegistry,
+    journal: EventJournal,
+}
+
+impl<'a> Lineage<'a> {
+    fn new(
+        root: &'a Path,
+        num_shards: usize,
+        config: WalConfig,
+        checkpoint_every: Option<u64>,
+        registry: Option<&MetricsRegistry>,
+        journal: Option<&EventJournal>,
+    ) -> Self {
+        Lineage {
+            root,
+            num_shards,
+            config,
+            checkpoint_every,
+            registry: registry.cloned().unwrap_or_default(),
+            journal: journal.cloned().unwrap_or_default(),
+        }
+    }
+
+    /// Starts a log per shard over its hash partition of `store`, each
+    /// seeded with a checkpoint of it when `self_contained`.
+    fn seed(
+        self,
+        network: Arc<RoadNetwork>,
+        store: &TrajectoryStore,
+        vocab: &Vocabulary,
+        self_contained: bool,
+    ) -> Result<ShardedDurable, DurableError> {
+        let (reg, jrn) = (Some(&self.registry), Some(&self.journal));
+        let mut shards = Vec::with_capacity(self.num_shards);
+        for (s, part) in partition(store, self.num_shards).into_iter().enumerate() {
+            let dir = lineage_dir(self.root, self.num_shards, s);
+            std::fs::create_dir_all(&dir).map_err(|e| DurableError::Wal(WalError::Io(e)))?;
+            let mut ingest = DurableIngest::create(
+                Arc::clone(&network),
+                part,
+                vocab.clone(),
+                &dir,
+                self.config,
+                self.checkpoint_every,
+                reg,
+                Arc::new(StdFs),
+                RetryPolicy::default(),
+                jrn,
+            )?;
+            if self_contained {
+                ingest.checkpoint_now()?;
+            }
+            shards.push(ingest);
+        }
+        Ok(ShardedDurable(Cluster::over(shards, &self.registry)))
+    }
+
+    /// Recovers every shard in parallel (`base` is the recovery base of a
+    /// one-shard lineage) and resumes its log.
+    fn resume(
+        self,
+        base: Option<&Dataset>,
+    ) -> Result<(ShardedDurable, Vec<RecoveryReport>), DurableError> {
+        let (reg, jrn) = (Some(&self.registry), Some(&self.journal));
+        let this = &self;
+        let recovered: Vec<Result<(DurableIngest, RecoveryReport), DurableError>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..this.num_shards)
+                    .map(|s| {
+                        let dir = lineage_dir(this.root, this.num_shards, s);
+                        scope.spawn(move || {
+                            let rec = recover(&StdFs, &dir, base, reg, jrn)?;
+                            let report = rec.report.clone();
+                            let ingest = DurableIngest::resume(
+                                rec,
+                                &dir,
+                                this.config,
+                                this.checkpoint_every,
+                                reg,
+                                Arc::new(StdFs),
+                                RetryPolicy::default(),
+                                jrn,
+                            )?;
+                            Ok((ingest, report))
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| match h.join() {
+                        Ok(r) => r,
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    })
+                    .collect()
+            });
+        let mut shards = Vec::with_capacity(self.num_shards);
+        let mut reports = Vec::with_capacity(self.num_shards);
+        for r in recovered {
+            let (ingest, report) = r?;
+            shards.push(ingest);
+            reports.push(report);
+        }
+        Ok((
+            ShardedDurable(Cluster::over(shards, &self.registry)),
+            reports,
+        ))
     }
 }
 

@@ -11,6 +11,10 @@
 //! * [`EpochManager::from_parts`] — rebuilding a serving manager from
 //!   checkpoint + WAL tail after a crash.
 //!
+//! [`DurableIngest`] is one lineage directory's shard unit. Nothing opens
+//! it on its own: [`ShardedDurable`](crate::cluster::ShardedDurable) is
+//! the one way to create or resume a lineage, at one shard as at many.
+//!
 //! ## Invariants
 //!
 //! 1. **Log before apply.** [`DurableIngest::apply`] appends (and fsyncs,
@@ -20,12 +24,16 @@
 //!    right after [`DurableIngest::publish`], from the freshly published
 //!    snapshot, stamped with the last LSN appended before the publish —
 //!    at that moment snapshot state ≡ durable state through that LSN.
-//! 3. **Recovery = checkpoint ⊕ WAL tail.** [`recover`] loads the newest
-//!    checkpoint that validates (falling back to older ones, then to the
-//!    base dataset at LSN 0), replays every durable WAL batch with a
-//!    greater LSN, and seeds a manager whose first snapshot answers
-//!    queries bit-identically to a from-scratch rebuild of that prefix —
-//!    the property `tests/wal_recovery.rs` proves at every crash point.
+//! 3. **Recovery = checkpoint ⊕ WAL tail, decided once.**
+//!    [`RecoveryPlan::scan`] is the one decision: it scans the WAL once
+//!    and takes the newest checkpoint that loads *and* whose surviving
+//!    tail continues at its lsn + 1 (falling back to older ones, then to
+//!    the base dataset at LSN 0 unless the tail is gapped there too).
+//!    [`recover`] replays that plan into a manager whose first snapshot
+//!    answers queries bit-identically to a from-scratch rebuild of that
+//!    prefix — the property `tests/wal_recovery.rs` proves at every crash
+//!    point — and [`scrub`](crate::scrub) reports the same plan, so
+//!    `uots status` says what `uots recover` will do.
 //!
 //! ## Failing storage: retry, then degrade — never lie
 //!
@@ -53,7 +61,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use uots_core::shard::RouteError;
-use uots_core::storage::{ErrorClass, RetryPolicy, StdFs, StorageBackend};
+use uots_core::storage::{ErrorClass, RetryPolicy, StorageBackend};
 use uots_core::wal::{self, Corruption, WalConfig, WalError, WalWriter};
 use uots_core::{EpochManager, EpochSnapshot, Mutation};
 use uots_datagen::persist::{self, Checkpoint, PersistError};
@@ -290,44 +298,21 @@ pub struct DurableIngest {
 }
 
 impl DurableIngest {
-    /// Opens a durable ingest session over `dir` for a manager seeded with
-    /// `(network, store, vocab)`, everything live, on the production
-    /// [`StdFs`] backend with the default retry policy and a detached
-    /// journal. `dir` holds both the WAL segments and the checkpoints. The
-    /// *base* state is **not** logged: callers must retain it (or rely on
-    /// checkpoints) for recovery.
-    pub fn create(
-        network: Arc<RoadNetwork>,
-        store: TrajectoryStore,
-        vocab: Vocabulary,
-        dir: impl AsRef<Path>,
-        config: WalConfig,
-        checkpoint_every: Option<u64>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<Self, DurableError> {
-        Self::create_with_backend(
-            network,
-            store,
-            vocab,
-            dir,
-            config,
-            checkpoint_every,
-            registry,
-            Arc::new(StdFs),
-            RetryPolicy::default(),
-            None,
-        )
-    }
-
-    /// [`create`](Self::create) with every input: an explicit storage
-    /// backend and retry policy (fault injection goes through here), the
-    /// `registry` that takes the `uots_durable_*`, `uots_wal_*` and
-    /// `uots_epoch_*` series, and the `journal` that retries,
-    /// degradations, checkpoint outcomes, seals and snapshot swaps land in
-    /// as one timeline. A `None` instrument is a detached one nothing
-    /// reads.
+    /// Starts a fresh log in `dir` for a manager seeded with `(network,
+    /// store, vocab)`, everything live. `dir` holds both the WAL segments
+    /// and the checkpoints. The *base* state is **not** logged: callers
+    /// must retain it or cut a checkpoint (as
+    /// [`ShardedDurable`](crate::cluster::ShardedDurable) does at two
+    /// shards and more) for recovery.
+    ///
+    /// Every file operation goes through `backend` (fault injection goes
+    /// through here), append failures are retried under `retry`, the
+    /// `uots_durable_*`, `uots_wal_*` and `uots_epoch_*` series land in
+    /// `registry`, and retries, degradations, checkpoint outcomes, seals
+    /// and snapshot swaps in `journal` as one timeline. A `None`
+    /// instrument is a detached one nothing reads.
     #[allow(clippy::too_many_arguments)]
-    pub fn create_with_backend(
+    pub fn create(
         network: Arc<RoadNetwork>,
         store: TrajectoryStore,
         vocab: Vocabulary,
@@ -339,36 +324,28 @@ impl DurableIngest {
         retry: RetryPolicy,
         journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
-        let dir = dir.as_ref().to_path_buf();
-        let wal =
-            WalWriter::open_with_backend(&dir, config, Arc::clone(&backend), registry, journal)?;
         let live = LiveSet::all_live(store.len());
         let manager =
             EpochManager::from_parts(network, store, live, vocab.len(), 0, registry, journal);
-        Ok(DurableIngest {
+        let dir = dir.as_ref();
+        Self::over_log(
             manager,
-            wal,
-            dir,
             vocab,
+            0,
+            dir,
+            config,
+            checkpoint_every,
+            registry,
             backend,
             retry,
-            degraded: None,
-            checkpoint_every,
-            batches_since_checkpoint: 0,
-            last_checkpoint_lsn: 0,
-            checkpoint_failures: 0,
-            last_checkpoint_error: None,
-            prune_failures: 0,
-            last_prune_error: None,
-            metrics: DurableMetrics::register(&registry.cloned().unwrap_or_default()),
-            journal: journal.cloned().unwrap_or_default(),
-        })
+            journal,
+        )
     }
 
-    /// Resumes a durable ingest session from a recovered manager (see
-    /// [`recover_with_journal`], which takes the same `backend`,
-    /// `registry` and `journal`); the WAL writer continues at the durable
-    /// prefix's end.
+    /// Continues the log in `dir` from a recovered manager (see
+    /// [`recover`], which reads through the same `backend` and reports to
+    /// the same `registry` and `journal`); the WAL writer continues at the
+    /// durable prefix's end.
     #[allow(clippy::too_many_arguments)]
     pub fn resume(
         recovered: Recovered,
@@ -380,31 +357,65 @@ impl DurableIngest {
         retry: RetryPolicy,
         journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
-        let dir = dir.as_ref().to_path_buf();
+        let Recovered {
+            manager,
+            vocab,
+            report,
+        } = recovered;
+        let (dir, lsn) = (dir.as_ref(), report.checkpoint_lsn);
+        Self::over_log(
+            manager,
+            vocab,
+            lsn,
+            dir,
+            config,
+            checkpoint_every,
+            registry,
+            backend,
+            retry,
+            journal,
+        )
+    }
+
+    /// Opens the WAL writer in `dir` behind `manager`, whose state is
+    /// durable through `checkpoint_lsn` (0: the base state).
+    #[allow(clippy::too_many_arguments)]
+    fn over_log(
+        manager: EpochManager,
+        vocab: Vocabulary,
+        checkpoint_lsn: u64,
+        dir: &Path,
+        config: WalConfig,
+        checkpoint_every: Option<u64>,
+        registry: Option<&MetricsRegistry>,
+        backend: Arc<dyn StorageBackend>,
+        retry: RetryPolicy,
+        journal: Option<&EventJournal>,
+    ) -> Result<Self, DurableError> {
         let wal =
-            WalWriter::open_with_backend(&dir, config, Arc::clone(&backend), registry, journal)?;
+            WalWriter::open_with_backend(dir, config, Arc::clone(&backend), registry, journal)?;
         // refuse to reissue LSNs an existing checkpoint already covers —
         // replay would skip the duplicates, silently dropping new batches
-        // at the next recovery
-        if wal.next_lsn() < recovered.report.next_lsn {
+        // at the next recovery (the writer continues at the log end the
+        // recovery plan scanned, so this is the plan's `next_lsn` rule)
+        if wal.next_lsn() <= checkpoint_lsn {
             return Err(DurableError::Inconsistent(format!(
-                "wal ends at lsn {} but the recovered state covers lsn {}: \
+                "wal ends at lsn {} but the recovered state covers lsn {checkpoint_lsn}: \
                  resuming would reissue checkpoint-covered lsns",
                 wal.next_lsn().saturating_sub(1),
-                recovered.report.next_lsn.saturating_sub(1),
             )));
         }
         Ok(DurableIngest {
-            manager: recovered.manager,
+            manager,
             wal,
-            dir,
-            vocab: recovered.vocab,
+            dir: dir.to_path_buf(),
+            vocab,
             backend,
             retry,
             degraded: None,
             checkpoint_every,
             batches_since_checkpoint: 0,
-            last_checkpoint_lsn: recovered.report.checkpoint_lsn,
+            last_checkpoint_lsn: checkpoint_lsn,
             checkpoint_failures: 0,
             last_checkpoint_error: None,
             prune_failures: 0,
@@ -412,54 +423,6 @@ impl DurableIngest {
             metrics: DurableMetrics::register(&registry.cloned().unwrap_or_default()),
             journal: journal.cloned().unwrap_or_default(),
         })
-    }
-
-    /// Opens `dir` for a server seeded from `base`: resumes from the
-    /// durable state ([`recover_with_journal`] ⊕ [`resume`](Self::resume),
-    /// returning the recovery report) when the directory already holds a
-    /// WAL segment or a checkpoint, and
-    /// [`create`](Self::create_with_backend)s a fresh session otherwise —
-    /// on [`StdFs`] with the default retry policy either way. A restart
-    /// must take the first branch — creating over an existing log serves
-    /// the base dataset without the acknowledged writes. The recovery's
-    /// events go to `journal` like everything after them.
-    pub fn open(
-        base: &Dataset,
-        dir: impl AsRef<Path>,
-        config: WalConfig,
-        checkpoint_every: Option<u64>,
-        registry: Option<&MetricsRegistry>,
-        journal: Option<&EventJournal>,
-    ) -> Result<(Self, Option<RecoveryReport>), DurableError> {
-        let dir = dir.as_ref();
-        if wal::list_segments(dir)?.is_empty() && list_checkpoints(dir).is_empty() {
-            let fresh = Self::create_with_backend(
-                Arc::new(base.network.clone()),
-                base.store.clone(),
-                base.vocab.clone(),
-                dir,
-                config,
-                checkpoint_every,
-                registry,
-                Arc::new(StdFs),
-                RetryPolicy::default(),
-                journal,
-            )?;
-            return Ok((fresh, None));
-        }
-        let recovered = recover_with_journal(&StdFs, dir, Some(base), registry, journal)?;
-        let report = recovered.report.clone();
-        let resumed = Self::resume(
-            recovered,
-            dir,
-            config,
-            checkpoint_every,
-            registry,
-            Arc::new(StdFs),
-            RetryPolicy::default(),
-            journal,
-        )?;
-        Ok((resumed, Some(report)))
     }
 
     /// The underlying manager (snapshots, stats).
@@ -626,24 +589,6 @@ impl DurableIngest {
         Ok((lsn, inserted))
     }
 
-    /// Logs and applies a single insert; returns its stable id.
-    pub fn ingest(&mut self, t: Trajectory) -> Result<TrajectoryId, DurableError> {
-        let (_, ids) = self.apply(vec![Mutation::Insert(t)])?;
-        Ok(ids.into_iter().next().expect("insert assigns an id"))
-    }
-
-    /// Logs and applies a single retire; returns whether `id` was live
-    /// (a retire of an already-retired id is logged but replays as the
-    /// same no-op it was). An unknown id is refused like in
-    /// [`apply`](Self::apply).
-    pub fn retire(&mut self, id: TrajectoryId) -> Result<bool, DurableError> {
-        let record = [Mutation::Retire(id)];
-        self.check_batch(&record)?;
-        self.append_with_retry(&record)?;
-        self.batches_since_checkpoint += 1;
-        Ok(self.manager.retire(id))
-    }
-
     /// Publishes a fresh snapshot (see [`EpochManager::publish`]) and, if
     /// the checkpoint cadence is due, cuts a checkpoint of it.
     ///
@@ -788,12 +733,7 @@ fn checkpoint_path(dir: &Path, lsn: u64) -> PathBuf {
 }
 
 /// Lists checkpoint files in `dir`, newest (highest LSN) first.
-pub fn list_checkpoints(dir: impl AsRef<Path>) -> Vec<PathBuf> {
-    list_checkpoints_with(&StdFs, dir.as_ref())
-}
-
-/// [`list_checkpoints`] through an explicit backend.
-pub fn list_checkpoints_with(backend: &dyn StorageBackend, dir: &Path) -> Vec<PathBuf> {
+pub fn list_checkpoints(backend: &dyn StorageBackend, dir: &Path) -> Vec<PathBuf> {
     let mut out: Vec<PathBuf> = backend
         .read_dir(dir)
         .into_iter()
@@ -807,6 +747,98 @@ pub fn list_checkpoints_with(backend: &dyn StorageBackend, dir: &Path) -> Vec<Pa
     out.sort();
     out.reverse();
     out
+}
+
+/// What recovery of a directory starts from and replays — the one
+/// decision [`recover`] carries out and [`scrub`](crate::scrub) reports.
+#[derive(Debug)]
+pub struct RecoveryPlan {
+    /// The state recovery starts from: the newest checkpoint that loads
+    /// and whose surviving WAL tail continues at its lsn + 1, with its
+    /// file. `None`: the base dataset at lsn 0.
+    pub checkpoint: Option<(PathBuf, Checkpoint)>,
+    /// Checkpoints passed over on the way to it, newest first, with why.
+    pub rejected: Vec<(PathBuf, String)>,
+    /// The durable WAL batches past the starting state, in lsn order.
+    pub tail: Vec<(u64, Vec<Mutation>)>,
+    /// Where a resumed writer continues: past the log's last durable
+    /// record or past the checkpoint, whichever reaches further (the
+    /// checkpoint's segments may have been pruned or lost while it
+    /// survived).
+    pub next_lsn: u64,
+    /// The log's first surviving lsn when it is not 1: the base dataset
+    /// cannot be continued with this log, so without a checkpoint the
+    /// directory is unrecoverable.
+    pub base_gap: Option<u64>,
+    /// Set when the WAL scan stopped at a damaged record; everything
+    /// before it is the durable prefix, everything after discarded.
+    pub wal_corruption: Option<Corruption>,
+}
+
+impl RecoveryPlan {
+    /// Plans recovery of `dir`: one scan of the whole durable log, then
+    /// the checkpoints newest first, each loaded only until one is taken.
+    ///
+    /// # Errors
+    ///
+    /// The WAL scan's; a checkpoint that fails to load is rejected, not
+    /// an error — recovery must survive exactly the failures it exists
+    /// for.
+    pub fn scan(backend: &dyn StorageBackend, dir: &Path) -> Result<Self, WalError> {
+        let log = wal::replay_with(backend, dir, 0)?;
+        // A state durable through `lsn` must be continued *exactly* at
+        // lsn + 1: segments in between may have been pruned against a
+        // newer checkpoint that is now unusable, and replaying a gapped
+        // tail would assign wrong dense ids to inserts and retire wrong
+        // rows — silently.
+        let gap_after = |lsn: u64| {
+            log.batches
+                .iter()
+                .map(|(l, _)| *l)
+                .find(|l| *l > lsn)
+                .filter(|first| *first != lsn + 1)
+        };
+        let mut rejected = Vec::new();
+        let mut checkpoint = None;
+        for path in list_checkpoints(backend, dir) {
+            match persist::load_checkpoint_file_with(backend, &path) {
+                Err(e) => rejected.push((path, e.to_string())),
+                Ok(ck) => match gap_after(ck.lsn) {
+                    Some(first) => rejected.push((
+                        path,
+                        format!(
+                            "wal tail starts at lsn {first}, not {}: segments were pruned \
+                             against a newer checkpoint",
+                            ck.lsn + 1
+                        ),
+                    )),
+                    None => {
+                        checkpoint = Some((path, ck));
+                        break;
+                    }
+                },
+            }
+        }
+        let base_gap = gap_after(0);
+        let after = checkpoint.as_ref().map_or(0, |(_, ck)| ck.lsn);
+        Ok(RecoveryPlan {
+            checkpoint,
+            rejected,
+            tail: log
+                .batches
+                .into_iter()
+                .filter(|(l, _)| *l > after)
+                .collect(),
+            next_lsn: log.next_lsn.max(after + 1),
+            base_gap,
+            wal_corruption: log.corruption,
+        })
+    }
+
+    /// Mutations inside the tail's batches.
+    pub fn tail_mutations(&self) -> u64 {
+        self.tail.iter().map(|(_, batch)| batch.len() as u64).sum()
+    }
 }
 
 /// What [`recover`] rebuilt the manager from.
@@ -826,7 +858,8 @@ pub struct RecoveryReport {
     /// WAL high-water mark of the recovered-from state (0 for the base
     /// dataset).
     pub checkpoint_lsn: u64,
-    /// Checkpoint files that failed validation and were skipped.
+    /// Checkpoint files the plan passed over (see
+    /// [`RecoveryPlan::rejected`]).
     pub rejected_checkpoints: Vec<PathBuf>,
     /// WAL batches replayed on top of the base state.
     pub replayed_batches: u64,
@@ -851,27 +884,16 @@ pub struct Recovered {
     pub report: RecoveryReport,
 }
 
-/// Rebuilds an [`EpochManager`] from the durable state in `dir`: the
-/// newest checkpoint that validates (corrupt ones are skipped — recovery
-/// must survive exactly the failures it exists for), plus the durable WAL
-/// tail. `base` seeds recovery when no checkpoint is usable; recovery
-/// fails only if neither exists. When `registry` is given, recovery
-/// counters/latency land in `uots_recovery_*` and the manager's series in
-/// `uots_epoch_*`. Reads through [`StdFs`], with a detached journal.
+/// Rebuilds an [`EpochManager`] from the durable state in `dir`, read
+/// through `backend`: carries out the [`RecoveryPlan`], seeding from the
+/// base dataset `base` when the plan takes no checkpoint. Fails when that
+/// arm is needed and `base` is missing or the log is gapped behind it.
+/// Recovery counters/latency land in `registry`'s `uots_recovery_*` and
+/// the manager's series in `uots_epoch_*`; the plan (source, rejected
+/// checkpoints with their reasons, truncation) and, after it, the
+/// manager's snapshot swaps in `journal`. A `None` instrument is a
+/// detached one nothing reads.
 pub fn recover(
-    dir: impl AsRef<Path>,
-    base: Option<&Dataset>,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Recovered, DurableError> {
-    recover_with_journal(&StdFs, dir.as_ref(), base, registry, None)
-}
-
-/// [`recover`] with every input: an explicit storage backend, and the
-/// `journal` the chosen recovery plan (source, replayed tail, truncation)
-/// and every rejected checkpoint are recorded in — and, after them, the
-/// recovered manager's snapshot swaps. A `None` instrument is a detached
-/// one nothing reads.
-pub fn recover_with_journal(
     backend: &dyn StorageBackend,
     dir: &Path,
     base: Option<&Dataset>,
@@ -881,42 +903,16 @@ pub fn recover_with_journal(
     let r = registry.cloned().unwrap_or_default();
     let j = journal.cloned().unwrap_or_default();
     let started = Instant::now();
-
-    // One scan of the whole durable log up front: the replay guarantees
-    // the surviving batches form one strictly-sequential LSN run, so a
-    // checkpoint candidate can be checked for tail contiguity below.
-    let replayed = wal::replay_with(backend, dir, 0)?;
-    // The first surviving batch past `after_lsn`, if any. A usable base
-    // state must be continued *exactly* at after_lsn + 1: segments in
-    // between may have been pruned against a newer checkpoint that is now
-    // unusable, and replaying a gapped tail would assign wrong dense ids
-    // to inserts and retire wrong rows — silently.
-    let tail_gap = |after_lsn: u64| -> Option<u64> {
-        replayed
-            .batches
-            .iter()
-            .map(|(l, _)| *l)
-            .find(|l| *l > after_lsn)
-            .filter(|first| *first != after_lsn + 1)
-    };
-
-    // newest validating checkpoint with a contiguous tail wins; damaged
-    // or gapped ones are recorded + skipped
-    let mut rejected = Vec::new();
-    let mut checkpoint: Option<(PathBuf, Checkpoint)> = None;
-    for path in list_checkpoints_with(backend, dir) {
-        match persist::load_checkpoint_file_with(backend, &path) {
-            Ok(ck) => {
-                if tail_gap(ck.lsn).is_some() {
-                    rejected.push(path);
-                    continue;
-                }
-                checkpoint = Some((path, ck));
-                break;
-            }
-            Err(_) => rejected.push(path),
-        }
-    }
+    let plan = RecoveryPlan::scan(backend, dir)?;
+    let mutations = plan.tail_mutations();
+    let RecoveryPlan {
+        checkpoint,
+        rejected,
+        tail,
+        next_lsn,
+        base_gap,
+        wal_corruption,
+    } = plan;
 
     let (source, network, vocab, mut store, mut live, epoch, after_lsn) = match checkpoint {
         Some((path, ck)) => (
@@ -934,10 +930,7 @@ pub fn recover_with_journal(
                     "no usable checkpoint and no base dataset to recover from".into(),
                 )
             })?;
-            if let Some(first) = tail_gap(0) {
-                // the base dataset is the last resort — a gap here cannot
-                // fall back any further, and applying the tail anyway
-                // would corrupt ids silently
+            if let Some(first) = base_gap {
                 return Err(DurableError::Inconsistent(format!(
                     "wal tail starts at lsn {first} but recovery has no checkpoint \
                      covering lsns 1..{first}: segments were pruned against a \
@@ -958,14 +951,17 @@ pub fn recover_with_journal(
         }
     };
 
-    for path in &rejected {
+    for (path, reason) in &rejected {
         j.warn(
             "recovery",
             "checkpoint_rejected",
-            &[("checkpoint", path.display().to_string())],
+            &[
+                ("checkpoint", path.display().to_string()),
+                ("reason", reason.clone()),
+            ],
         );
     }
-    if let Some(c) = &replayed.corruption {
+    if let Some(c) = &wal_corruption {
         j.warn(
             "recovery",
             "wal_tail_truncated",
@@ -990,15 +986,9 @@ pub fn recover_with_journal(
         ],
     );
 
-    let mut mutations = 0u64;
-    let mut batches = 0u64;
-    for (lsn, batch) in replayed.batches {
-        if lsn <= after_lsn {
-            continue; // already contained in the recovered base state
-        }
-        batches += 1;
+    let batches = tail.len() as u64;
+    for (lsn, batch) in tail {
         for m in batch {
-            mutations += 1;
             match m {
                 Mutation::Insert(t) => {
                     check_insert(&network, vocab.len(), &t).map_err(|e| {
@@ -1045,7 +1035,7 @@ pub fn recover_with_journal(
         "Mutations replayed during recovery",
     )
     .add(mutations);
-    if replayed.corruption.is_some() {
+    if wal_corruption.is_some() {
         r.counter(
             "uots_recovery_truncations_total",
             "Recoveries that found a torn/corrupt WAL tail",
@@ -1069,7 +1059,7 @@ pub fn recover_with_journal(
         &[
             ("replayed_batches", batches.to_string()),
             ("replayed_mutations", mutations.to_string()),
-            ("next_lsn", replayed.next_lsn.max(after_lsn + 1).to_string()),
+            ("next_lsn", next_lsn.to_string()),
             ("micros", micros.to_string()),
         ],
     );
@@ -1080,14 +1070,11 @@ pub fn recover_with_journal(
         report: RecoveryReport {
             source,
             checkpoint_lsn: after_lsn,
-            rejected_checkpoints: rejected,
+            rejected_checkpoints: rejected.into_iter().map(|(path, _)| path).collect(),
             replayed_batches: batches,
             replayed_mutations: mutations,
-            // the durable state extends to whichever reaches further: the
-            // log's last replayable record or the checkpoint (whose
-            // segments may have been pruned or lost while it survived)
-            next_lsn: replayed.next_lsn.max(after_lsn + 1),
-            wal_corruption: replayed.corruption,
+            next_lsn,
+            wal_corruption,
             micros,
         },
     })
@@ -1097,6 +1084,7 @@ pub fn recover_with_journal(
 mod tests {
     use super::*;
     use uots_core::storage::fault::{Fault, FaultFs, OpKind, ScriptedFault};
+    use uots_core::storage::StdFs;
     use uots_datagen::DatasetConfig;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1114,7 +1102,7 @@ mod tests {
         backend: Arc<dyn StorageBackend>,
         checkpoint_every: Option<u64>,
     ) -> DurableIngest {
-        DurableIngest::create_with_backend(
+        DurableIngest::create(
             Arc::new(ds.network.clone()),
             ds.store.clone(),
             ds.vocab.clone(),
@@ -1210,9 +1198,13 @@ mod tests {
             s => panic!("expected degraded, got {s:?}"),
         }
         // mutations now fail fast with the structured read-only error
-        let err = ingest.ingest(donor(&ds, 1)).unwrap_err();
+        let err = ingest
+            .apply(vec![Mutation::Insert(donor(&ds, 1))])
+            .unwrap_err();
         assert!(matches!(err, DurableError::ReadOnly { .. }), "{err}");
-        let err = ingest.retire(TrajectoryId(0)).unwrap_err();
+        let err = ingest
+            .apply(vec![Mutation::Retire(TrajectoryId(0))])
+            .unwrap_err();
         assert!(matches!(err, DurableError::ReadOnly { .. }), "{err}");
         // queries keep serving: snapshots and publishes still work
         let snap = ingest.publish().unwrap();
@@ -1254,7 +1246,7 @@ mod tests {
         let status = ingest.status();
         assert_eq!(status.checkpoint_failures, 1, "no new failure");
         assert_eq!(status.last_checkpoint_lsn, 2);
-        assert!(!list_checkpoints(&dir).is_empty());
+        assert!(!list_checkpoints(&StdFs, &dir).is_empty());
     }
 
     #[test]
@@ -1271,7 +1263,7 @@ mod tests {
                 fault: Fault::Permanent,
             }],
         );
-        let mut ingest = DurableIngest::create_with_backend(
+        let mut ingest = DurableIngest::create(
             Arc::new(ds.network.clone()),
             ds.store.clone(),
             ds.vocab.clone(),
@@ -1311,7 +1303,7 @@ mod tests {
         assert_eq!(status.last_checkpoint_lsn, 3);
         // and recovery of the directory is unaffected throughout
         drop(ingest);
-        let recovered = recover(&dir, Some(&ds), None).expect("recovery");
+        let recovered = recover(&StdFs, &dir, Some(&ds), None, None).expect("recovery");
         assert_eq!(recovered.report.checkpoint_lsn, 3);
         assert_eq!(
             recovered.manager.snapshot().store().len(),
@@ -1353,7 +1345,9 @@ mod tests {
         let (lsn, _) = ingest.apply(vec![Mutation::Insert(donor(&ds, 0))]).unwrap();
         let before = wal_bytes(&dir);
 
-        let err = ingest.retire(TrajectoryId(999_999)).unwrap_err();
+        let err = ingest
+            .apply(vec![Mutation::Retire(TrajectoryId(999_999))])
+            .unwrap_err();
         assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
         // an id the batch's own insert receives is known; the one after is not
         let next = TrajectoryId(ds.store.len() as u32 + 1);
@@ -1377,10 +1371,9 @@ mod tests {
         assert_eq!(next_lsn, lsn + 1, "the refused batches took no lsn");
         assert_eq!(ids, vec![next]);
         drop(ingest);
-        let (reopened, report) =
-            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None, None).unwrap();
-        assert_eq!(report.unwrap().replayed_batches, 2);
-        assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 1);
+        let reopened = recover(&StdFs, &dir, Some(&ds), None, None).unwrap();
+        assert_eq!(reopened.report.replayed_batches, 2);
+        assert_eq!(reopened.manager.snapshot().stats().live, ds.store.len() + 1);
     }
 
     /// A one-sample trajectory on `node` tagged `keyword`.
@@ -1410,7 +1403,9 @@ mod tests {
         let bad_vertex = probe(ds.network.num_nodes() as u32, 0);
         let bad_keyword = probe(0, ds.vocab.len() as u32);
         for bad in [&bad_vertex, &bad_keyword] {
-            let err = ingest.ingest(bad.clone()).unwrap_err();
+            let err = ingest
+                .apply(vec![Mutation::Insert(bad.clone())])
+                .unwrap_err();
             assert!(matches!(err, DurableError::Inconsistent(_)), "{err}");
             // one bad insert refuses the whole batch, valid ones included
             let err = ingest
@@ -1433,10 +1428,9 @@ mod tests {
             .publish()
             .expect("the index build accepts what the check let through");
         drop(ingest);
-        let (reopened, report) =
-            DurableIngest::open(&ds, &dir, WalConfig::default(), None, None, None).unwrap();
-        assert_eq!(report.unwrap().replayed_batches, 2);
-        assert_eq!(reopened.snapshot().stats().live, ds.store.len() + 2);
+        let reopened = recover(&StdFs, &dir, Some(&ds), None, None).unwrap();
+        assert_eq!(reopened.report.replayed_batches, 2);
+        assert_eq!(reopened.manager.snapshot().stats().live, ds.store.len() + 2);
     }
 
     /// A log that already holds an out-of-vocabulary insert (written
@@ -1452,7 +1446,7 @@ mod tests {
         log.append(&[Mutation::Insert(probe(0, ds.vocab.len() as u32))])
             .unwrap();
         drop(log);
-        let err = match recover(&dir, Some(&ds), None) {
+        let err = match recover(&StdFs, &dir, Some(&ds), None, None) {
             Err(e) => e,
             Ok(_) => panic!("an out-of-vocabulary insert must fail recovery"),
         };

@@ -3,8 +3,9 @@
 //! Two entry points, both driving the same walk:
 //!
 //! * [`inspect`] — read-only: verifies every checkpoint's CRC and walks
-//!   the WAL's durable prefix, reporting what [`recover`](crate::durable::recover)
-//!   would do. Behind `uots status`.
+//!   the WAL's durable prefix, and reports the [`RecoveryPlan`] that
+//!   [`recover`](crate::durable::recover) carries out — the same plan, not
+//!   a copy of its rules. Behind `uots status`.
 //! * [`scrub`] — the repair pass behind `uots fsck`: additionally **moves**
 //!   wholly-unusable files (checkpoints that fail validation, WAL segments
 //!   that are unreachable because they sit behind a corrupt one or have a
@@ -28,7 +29,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::durable::list_checkpoints_with;
+use crate::durable::{list_checkpoints, RecoveryPlan};
 use uots_core::storage::{write_atomic, StorageBackend};
 use uots_core::wal::{self, Corruption};
 use uots_datagen::persist;
@@ -47,19 +48,6 @@ pub struct QuarantineEntry {
     pub quarantined: PathBuf,
     /// Why it was moved.
     pub reason: String,
-}
-
-/// What a recovery run over the (possibly scrubbed) directory would do.
-#[derive(Debug, Clone)]
-pub struct RecoveryPlan {
-    /// Newest checkpoint that validates, with its high-water LSN.
-    pub checkpoint: Option<(PathBuf, u64)>,
-    /// Durable WAL batches that would replay on top of it.
-    pub replayable_batches: u64,
-    /// Mutations inside those batches.
-    pub replayable_mutations: u64,
-    /// Where a resumed writer would continue.
-    pub next_lsn: u64,
 }
 
 /// Result of an [`inspect`] or [`scrub`] walk.
@@ -83,7 +71,7 @@ pub struct ScrubReport {
     pub torn_tail: Option<Corruption>,
     /// Files actually moved (always empty for [`inspect`]).
     pub quarantined: Vec<QuarantineEntry>,
-    /// What recovery would do with what remains.
+    /// What recovery does with what remains.
     pub plan: RecoveryPlan,
 }
 
@@ -96,10 +84,11 @@ impl ScrubReport {
             && self.torn_tail.is_none()
     }
 
-    /// Whether `recover()` would succeed, given whether the operator can
-    /// supply the base dataset.
+    /// Whether `recover()` succeeds, given whether the operator can supply
+    /// the base dataset: the plan takes a checkpoint, or the base dataset
+    /// is at hand and the log continues it.
     pub fn recoverable(&self, has_base: bool) -> bool {
-        self.plan.checkpoint.is_some() || has_base
+        self.plan.checkpoint.is_some() || (has_base && self.plan.base_gap.is_none())
     }
 }
 
@@ -141,26 +130,31 @@ impl serde::Serialize for ScrubReport {
                 })
                 .collect(),
         );
+        let plan = &self.plan;
         let plan = Content::Map(vec![
             (
                 "checkpoint".to_string(),
-                match &self.plan.checkpoint {
-                    Some((p, lsn)) => Content::Map(vec![
+                match &plan.checkpoint {
+                    Some((p, ck)) => Content::Map(vec![
                         ("file".to_string(), path(p)),
-                        ("lsn".to_string(), Content::U64(*lsn)),
+                        ("lsn".to_string(), Content::U64(ck.lsn)),
                     ]),
                     None => Content::Null,
                 },
             ),
             (
                 "replayable_batches".to_string(),
-                Content::U64(self.plan.replayable_batches),
+                Content::U64(plan.tail.len() as u64),
             ),
             (
                 "replayable_mutations".to_string(),
-                Content::U64(self.plan.replayable_mutations),
+                Content::U64(plan.tail_mutations()),
             ),
-            ("next_lsn".to_string(), Content::U64(self.plan.next_lsn)),
+            ("next_lsn".to_string(), Content::U64(plan.next_lsn)),
+            (
+                "base_gap".to_string(),
+                plan.base_gap.map_or(Content::Null, Content::U64),
+            ),
         ]);
         Content::Map(vec![
             ("segments".to_string(), Content::U64(self.segments as u64)),
@@ -203,31 +197,39 @@ fn walk(
     dir: &Path,
     quarantine: bool,
 ) -> Result<ScrubReport, std::io::Error> {
-    // -- checkpoints: every one is CRC-validated independently. Only
-    //    *validation* failures mark a checkpoint corrupt — an I/O error
-    //    reading it is an operational problem (possibly transient), and
-    //    quarantining a perfectly good checkpoint over a read hiccup
-    //    would demote the recovery plan for nothing.
-    let checkpoint_paths = list_checkpoints_with(backend, dir);
+    let mut plan = RecoveryPlan::scan(backend, dir).map_err(wal_io)?;
+
+    // -- checkpoints: every one is CRC-validated independently (the one
+    //    the plan took has just loaded). Only *validation* failures mark
+    //    a checkpoint corrupt — an I/O error reading it is an operational
+    //    problem (possibly transient), and quarantining a perfectly good
+    //    checkpoint over a read hiccup would demote the recovery plan for
+    //    nothing.
+    let checkpoint_paths = list_checkpoints(backend, dir);
     let checkpoints = checkpoint_paths.len();
     let mut invalid_checkpoints = Vec::new();
-    let mut valid: Vec<(PathBuf, u64)> = Vec::new(); // newest-first
     for path in checkpoint_paths {
+        if plan
+            .checkpoint
+            .as_ref()
+            .is_some_and(|(taken, _)| *taken == path)
+        {
+            continue;
+        }
         match persist::load_checkpoint_file_with(backend, &path) {
-            Ok(ck) => valid.push((path, ck.lsn)),
+            Ok(_) => {}
             Err(persist::PersistError::Io(e)) => return Err(e),
             Err(e) => invalid_checkpoints.push((path, e.to_string())),
         }
     }
 
-    // -- WAL: prefix replay finds the first damage; what lies beyond it
-    //    is unreachable
-    let scan = wal::replay_with(backend, dir, u64::MAX).map_err(wal_io)?;
+    // -- WAL: the plan's scan found the first damage; what lies beyond
+    //    it is unreachable
     let all_segments = wal::list_segments_with(backend, dir).map_err(wal_io)?;
     let segments = all_segments.len();
     let mut unusable_segments: Vec<(PathBuf, String)> = Vec::new();
     let mut torn_tail = None;
-    if let Some(c) = &scan.corruption {
+    if let Some(c) = &plan.wal_corruption {
         if c.offset < wal::HEADER_LEN {
             // header/sequence damage: the whole segment carries nothing
             // prefix replay can use
@@ -251,7 +253,7 @@ fn walk(
         }
     }
 
-    // -- quarantine pass
+    // -- quarantine pass, then the plan over what remains
     let mut quarantined = Vec::new();
     if quarantine {
         let mut moves: Vec<(PathBuf, String)> = Vec::new();
@@ -259,38 +261,9 @@ fn walk(
         moves.extend(unusable_segments.iter().cloned());
         if !moves.is_empty() {
             quarantined = quarantine_files(backend, dir, &moves)?;
+            plan = RecoveryPlan::scan(backend, dir).map_err(wal_io)?;
         }
     }
-
-    // -- recovery plan over what (now) remains
-    // (re-)scan: under scrub the unusable files are gone by now, so the
-    // prefix this sees is exactly what recovery would see
-    let plan_scan = wal::replay_with(backend, dir, 0).map_err(wal_io)?;
-    // recovery refuses a checkpoint whose surviving WAL tail does not
-    // continue exactly at its lsn + 1 (segments in the gap were pruned
-    // against a newer checkpoint that is now unusable) — mirror that
-    // choice here so the plan reports what recover() would really use
-    let chosen = valid.into_iter().find(|(_, lsn)| {
-        plan_scan
-            .batches
-            .iter()
-            .map(|(l, _)| *l)
-            .find(|l| *l > *lsn)
-            .is_none_or(|first| first == lsn + 1)
-    });
-    let after_lsn = chosen.as_ref().map_or(0, |(_, lsn)| *lsn);
-    let tail: Vec<&(u64, Vec<uots_core::Mutation>)> = plan_scan
-        .batches
-        .iter()
-        .filter(|(l, _)| *l > after_lsn)
-        .collect();
-    let replayable_mutations = tail.iter().map(|(_, b)| b.len() as u64).sum();
-    let plan = RecoveryPlan {
-        checkpoint: chosen,
-        replayable_batches: tail.len() as u64,
-        replayable_mutations,
-        next_lsn: plan_scan.next_lsn,
-    };
 
     Ok(ScrubReport {
         segments,
@@ -372,7 +345,8 @@ fn quarantine_files(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::{recover, DurableIngest};
+    use crate::cluster::ShardedDurable;
+    use crate::durable::recover;
     use uots_core::storage::StdFs;
     use uots_core::wal::WalConfig;
     use uots_core::Mutation;
@@ -392,21 +366,14 @@ mod tests {
     fn seeded_dir(name: &str) -> (PathBuf, Dataset) {
         let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
         let dir = tmpdir(name);
-        let mut ingest = DurableIngest::create(
-            std::sync::Arc::new(ds.network.clone()),
-            ds.store.clone(),
-            ds.vocab.clone(),
-            &dir,
-            WalConfig::default(),
-            Some(2),
-            None,
-        )
-        .unwrap();
+        let (mut ingest, _) =
+            ShardedDurable::open_or_create(&ds, &dir, 1, WalConfig::default(), Some(2), None, None)
+                .unwrap();
         let donor: Vec<Trajectory> = (0..6u32).map(|i| ds.store.get(TrajId(i)).clone()).collect();
         for (i, t) in donor.into_iter().enumerate() {
             ingest.apply(vec![Mutation::Insert(t)]).unwrap();
             if i % 2 == 1 {
-                ingest.publish().unwrap();
+                ingest.publish_all().unwrap();
             }
         }
         (dir, ds)
@@ -430,7 +397,7 @@ mod tests {
     #[test]
     fn corrupt_checkpoint_is_quarantined_with_manifest() {
         let (dir, ds) = seeded_dir("bad_ckpt");
-        let cks = crate::durable::list_checkpoints(&dir);
+        let cks = list_checkpoints(&StdFs, &dir);
         assert!(!cks.is_empty());
         // destroy the newest checkpoint's tail
         let victim = &cks[0];
@@ -456,7 +423,7 @@ mod tests {
         );
         assert!(manifest.contains('\t'), "manifest lines are name\\treason");
         // recovery falls back to the older checkpoint and still works
-        let rec = recover(&dir, Some(&ds), None).unwrap();
+        let rec = recover(&StdFs, &dir, Some(&ds), None, None).unwrap();
         assert!(rec.report.rejected_checkpoints.is_empty(), "scrub cleaned");
 
         // a second scrub is a no-op and must not disturb the evidence

@@ -31,7 +31,7 @@ use uots::core::wal::{self, FsyncPolicy, WalConfig};
 use uots::durable::{recover, DurableIngest};
 use uots::prelude::*;
 use uots::storage::fault::{FaultConfig, FaultFs};
-use uots::storage::RetryPolicy;
+use uots::storage::{RetryPolicy, StdFs};
 use uots::{
     EpochSnapshot, KeywordSet, LiveSet, Mutation, QueryResult, Sample, Trajectory, TrajectoryStore,
 };
@@ -217,7 +217,7 @@ fn run_seed(
     // acked nothing, leaving nothing to verify
     let mut ingest = None;
     for _ in 0..3 {
-        match DurableIngest::create_with_backend(
+        match DurableIngest::create(
             Arc::new(ds.network.clone()),
             ds.store.clone(),
             ds.vocab.clone(),
@@ -300,8 +300,8 @@ fn run_seed(
     fs.crash(seed ^ 0x0dd0)
         .map_err(|e| format!("seed {seed}: crash materialization failed: {e}"))?;
 
-    let recovered =
-        recover(&dir, Some(ds), None).map_err(|e| format!("seed {seed}: recovery failed: {e}"))?;
+    let recovered = recover(&StdFs, &dir, Some(ds), None, None)
+        .map_err(|e| format!("seed {seed}: recovery failed: {e}"))?;
     let m = recovered.report.next_lsn.saturating_sub(1);
 
     // invariant 1: everything acked as durable is still there

@@ -800,3 +800,83 @@ fn unrecoverable_directories_exit_5() {
     std::fs::remove_file(&script).ok();
     std::fs::remove_dir_all(&wal_dir).ok();
 }
+
+/// `status` and `fsck --data` exit 5 over a log recovery refuses, as
+/// `recover --data` does: rotated one record per segment, pruned against
+/// a lsn-6 checkpoint that is then damaged, so the lsn-3 checkpoint and
+/// the base dataset would both need pruned lsns replayed.
+#[test]
+fn status_fsck_and_recover_agree_on_a_gapped_log() {
+    use uots::core::wal::{self, FsyncPolicy, WalConfig, WalWriter};
+    use uots::datagen::persist::{self, Checkpoint};
+    use uots::{LiveSet, Mutation, Trajectory, TrajectoryId};
+
+    let path = temp_dataset("gapped.uotsds");
+    generate(&path);
+    let ds = persist::load_file(&path).unwrap();
+    let wal_dir = temp_dataset("gapped.wal");
+    std::fs::remove_dir_all(&wal_dir).ok();
+    let config = WalConfig {
+        fsync: FsyncPolicy::Never,
+        segment_bytes: 1,
+    };
+    let mut writer = WalWriter::open(&wal_dir, config).unwrap();
+    let donors: Vec<Trajectory> = (0..8)
+        .map(|i| ds.store.get(TrajectoryId(i)).clone())
+        .collect();
+    for t in &donors {
+        writer.append(&[Mutation::Insert(t.clone())]).unwrap();
+    }
+    drop(writer);
+    for lsn in [3usize, 6] {
+        let mut store = ds.store.clone();
+        for t in &donors[..lsn] {
+            store.push(t.clone());
+        }
+        let ck = Checkpoint {
+            network: ds.network.clone(),
+            vocab: ds.vocab.clone(),
+            live: LiveSet::all_live(store.len()),
+            store,
+            epoch: lsn as u64,
+            lsn: lsn as u64,
+        };
+        let file = wal_dir.join(format!("ckpt-{lsn:020}.uotsck"));
+        persist::save_checkpoint_file(&ck, file).unwrap();
+    }
+    assert_eq!(wal::prune_segments(&wal_dir, 6).unwrap(), 6);
+    let victim = wal_dir.join(format!("ckpt-{:020}.uotsck", 6));
+    let mut raw = std::fs::read(&victim).unwrap();
+    raw[40] ^= 0x04;
+    std::fs::write(&victim, &raw).unwrap();
+
+    let run = |args: &[&str], with_data: bool| {
+        let mut cmd = uots();
+        cmd.args(args).arg("--wal-dir").arg(&wal_dir);
+        if with_data {
+            cmd.arg("--data").arg(&path);
+        }
+        let out = cmd.output().unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    let (code, text) = run(&["status"], false);
+    assert_eq!(code, Some(5), "{text}");
+    assert!(text.contains("wal tail starts at lsn 7"), "{text}");
+    let (code, text) = run(&["status", "--json"], false);
+    assert_eq!(code, Some(5), "{text}");
+    assert!(text.contains("\"base_gap\": 7"), "{text}");
+    // fsck quarantines the damaged checkpoint; what remains is still gapped
+    let (code, text) = run(&["fsck"], true);
+    assert_eq!(code, Some(5), "{text}");
+    assert!(!victim.exists(), "{text}");
+    let (code, text) = run(&["status"], false);
+    assert_eq!(code, Some(5), "clean is not recoverable: {text}");
+    let (code, _) = run(&["recover"], true);
+    assert_eq!(code, Some(5));
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&wal_dir).ok();
+}

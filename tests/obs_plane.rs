@@ -41,7 +41,7 @@ fn durable_over(
     registry: &MetricsRegistry,
     journal: Option<&EventJournal>,
 ) -> DurableIngest {
-    DurableIngest::create_with_backend(
+    DurableIngest::create(
         Arc::new(ds.network.clone()),
         ds.store.clone(),
         ds.vocab.clone(),

@@ -17,7 +17,6 @@ use uots::cluster::{shard_dir, ShardedDurable};
 use uots::core::planner::Planner;
 use uots::core::testing::corrupt;
 use uots::core::wal;
-use uots::durable::DurableIngest;
 use uots::obs::{EventJournal, MetricsRegistry, ObsState, TailSampler};
 use uots::prelude::*;
 use uots::serve::{QueryService, ServiceConfig};
@@ -1920,12 +1919,12 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     let (marker, node, t) = marker_trajectory(&ds);
     let acked = {
         let (mut durable, recovery) =
-            DurableIngest::open(&ds, &flat, WalConfig::default(), None, None, None)
+            ShardedDurable::open_or_create(&ds, &flat, 1, WalConfig::default(), None, None, None)
                 .expect("create");
-        assert!(recovery.is_none());
+        assert!(recovery.is_empty());
         let t = <Trajectory as serde::Deserialize>::deserialize(&t).expect("round-trips");
         let id = durable.ingest(t).expect("ingest");
-        durable.publish().expect("publish");
+        durable.publish_all().expect("publish");
         u64::from(id.0)
     };
     assert_refuses(&data, &flat, Some(2), 1);

@@ -21,6 +21,8 @@ use uots::core::wal::{self, FsyncPolicy, WalConfig, WalWriter};
 use uots::datagen::persist::{self, Checkpoint};
 use uots::durable::{recover, DurableError, DurableIngest, RecoverySource};
 use uots::prelude::*;
+use uots::scrub;
+use uots::storage::{RetryPolicy, StdFs, StorageBackend};
 use uots::{
     EpochSnapshot, KeywordSet, LiveSet, Mutation, QueryResult, Sample, Trajectory, TrajectoryStore,
 };
@@ -237,8 +239,8 @@ fn check_crash_point(
     queries: &[UotsQuery],
     label: &str,
 ) {
-    let recovered =
-        recover(scene, Some(ds), None).unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+    let recovered = recover(&StdFs, scene, Some(ds), None, None)
+        .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
     let report = &recovered.report;
     assert_eq!(
         report.replayed_batches as usize, m,
@@ -498,7 +500,7 @@ fn checkpoints_shorten_replay_and_corrupt_ones_fall_back() {
 
     let full = batches.len();
     let all = |label: &str, want_replayed: u64, want_rejected: usize| {
-        let recovered = recover(&wal_dir, Some(&ds), None).expect("recovery");
+        let recovered = recover(&StdFs, &wal_dir, Some(&ds), None, None).expect("recovery");
         assert_eq!(
             recovered.report.replayed_batches, want_replayed,
             "{label}: replay length"
@@ -544,11 +546,203 @@ fn checkpoints_shorten_replay_and_corrupt_ones_fall_back() {
 /// [`TrajectoryId`]s silently.
 #[test]
 fn pruned_log_rejects_gapped_checkpoint_fallback() {
-    let dir = tmpdir("gapped");
+    let (wal_dir, ds, batches) = pruned_log("gapped", 0xfa11);
+
+    // with the lsn-6 checkpoint intact the tail is contiguous and recovery
+    // reproduces the full state
+    let recovered = recover(&StdFs, &wal_dir, Some(&ds), None, None).expect("recovery");
+    assert_eq!(recovered.report.replayed_batches, 2);
+    let (want_store, want_live) = expected_state(&ds, &batches, batches.len());
+    let snap = recovered.manager.snapshot();
+    assert_eq!(snap.store().len(), want_store.len());
+    assert_eq!(snap.live(), &want_live);
+
+    // corrupt it: the lsn-3 checkpoint would need lsns 4..=6 replayed but
+    // they are gone, and the base dataset would need 1..=6 — both gapped.
+    // Recovery must refuse, not silently skip the pruned range.
+    corrupt::flip_bit(wal_dir.join(format!("ckpt-{:020}.uotsck", 6)), 40, 2).unwrap();
+    match recover(&StdFs, &wal_dir, Some(&ds), None, None) {
+        Err(DurableError::Inconsistent(msg)) => {
+            assert!(msg.contains("pruned"), "{msg}")
+        }
+        Err(e) => panic!("want Inconsistent, got {e}"),
+        Ok(_) => panic!("gapped fallback must be rejected"),
+    }
+}
+
+/// Regression: `uots status` planned "base dataset + 2 batches" over the
+/// gapped log above and called it recoverable, while recovery refused it.
+/// The inspection now reports recovery's own plan: no checkpoint, a base
+/// arm gapped at lsn 7, unrecoverable even with the base dataset at hand.
+#[test]
+fn inspection_plans_what_recovery_does_on_a_gapped_log() {
+    let (wal_dir, ds, _) = pruned_log("gapped-inspect", 0xfa12);
+    corrupt::flip_bit(wal_dir.join(format!("ckpt-{:020}.uotsck", 6)), 40, 2).unwrap();
+
+    let report = scrub::inspect(&StdFs, &wal_dir).expect("inspect");
+    assert!(
+        report.plan.checkpoint.is_none(),
+        "{:?}",
+        report.plan.rejected
+    );
+    assert_eq!(report.plan.rejected.len(), 2, "{:?}", report.plan.rejected);
+    assert_eq!(report.plan.base_gap, Some(7));
+    assert!(!report.recoverable(true));
+    assert!(matches!(
+        recover(&StdFs, &wal_dir, Some(&ds), None, None),
+        Err(DurableError::Inconsistent(_))
+    ));
+}
+
+/// Regression: over a directory holding only a checkpoint at lsn 8 (its
+/// segments pruned or lost), `uots status` said a resumed writer starts at
+/// lsn 1, reissuing lsns the checkpoint covers; recovery resumes at 9.
+#[test]
+fn inspection_and_recovery_agree_on_next_lsn_past_a_lone_checkpoint() {
+    let dir = tmpdir("lone-checkpoint");
     let wal_dir = dir.join("wal");
     std::fs::create_dir_all(&wal_dir).unwrap();
     let ds = Dataset::build(&DatasetConfig::small(22, 7)).expect("dataset builds");
-    let batches = scripted_batches(&ds, 8, 0xfa11);
+    let batches = scripted_batches(&ds, 8, 0x10e);
+    let (store, live) = expected_state(&ds, &batches, 8);
+    let ck = Checkpoint {
+        network: ds.network.clone(),
+        vocab: ds.vocab.clone(),
+        store,
+        live,
+        epoch: 8,
+        lsn: 8,
+    };
+    persist::save_checkpoint_file(&ck, wal_dir.join(format!("ckpt-{:020}.uotsck", 8)))
+        .expect("checkpoint saves");
+
+    let report = scrub::inspect(&StdFs, &wal_dir).expect("inspect");
+    let recovered = recover(&StdFs, &wal_dir, None, None, None).expect("recovery");
+    assert_eq!(recovered.report.next_lsn, 9);
+    assert_eq!(report.plan.next_lsn, recovered.report.next_lsn);
+}
+
+/// Recovery does its planning work once: every WAL segment is read once,
+/// and checkpoints are loaded newest first only until one is taken —
+/// and the inspection behind `uots status` scans the log once too, on
+/// top of validating every checkpoint.
+#[test]
+fn recovery_reads_each_segment_once_and_checkpoints_until_one_is_taken() {
+    let dir = tmpdir("read-counts");
+    let wal_dir = dir.join("wal");
+    std::fs::create_dir_all(&wal_dir).unwrap();
+    let ds = Dataset::build(&DatasetConfig::small(22, 7)).expect("dataset builds");
+    let batches = scripted_batches(&ds, 8, 0x4ead);
+    let config = WalConfig {
+        fsync: FsyncPolicy::Never,
+        segment_bytes: 1,
+    };
+    let mut writer = WalWriter::open(&wal_dir, config).expect("wal opens");
+    for batch in &batches {
+        writer.append(batch).expect("append");
+    }
+    drop(writer);
+    for lsn in [3u64, 6] {
+        let (store, live) = expected_state(&ds, &batches, lsn as usize);
+        let ck = Checkpoint {
+            network: ds.network.clone(),
+            vocab: ds.vocab.clone(),
+            store,
+            live,
+            epoch: lsn,
+            lsn,
+        };
+        persist::save_checkpoint_file(&ck, wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
+            .expect("checkpoint saves");
+    }
+    let reads_of = |fs: &CountingFs, ext: &str| -> Vec<usize> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&wal_dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == ext))
+            .collect();
+        paths.sort();
+        paths.iter().map(|p| fs.reads(p)).collect()
+    };
+
+    // the newest checkpoint is taken: the older one is never loaded
+    let fs = CountingFs::default();
+    recover(&fs, &wal_dir, Some(&ds), None, None).expect("recovery");
+    assert_eq!(reads_of(&fs, "seg"), vec![1; batches.len() + 1]);
+    assert_eq!(reads_of(&fs, "uotsck"), vec![0, 1]);
+
+    // a damaged newest checkpoint costs one more load, no second scan
+    corrupt::flip_bit(wal_dir.join(format!("ckpt-{:020}.uotsck", 6)), 40, 2).unwrap();
+    let fs = CountingFs::default();
+    recover(&fs, &wal_dir, Some(&ds), None, None).expect("recovery");
+    assert_eq!(reads_of(&fs, "seg"), vec![1; batches.len() + 1]);
+    assert_eq!(reads_of(&fs, "uotsck"), vec![1, 1]);
+
+    // the inspection: the plan's one scan, and every checkpoint loaded
+    // once but the damaged one the plan passed over, which validation
+    // loads again to tell damage from an I/O error
+    let fs = CountingFs::default();
+    scrub::inspect(&fs, &wal_dir).expect("inspect");
+    assert_eq!(reads_of(&fs, "seg"), vec![1; batches.len() + 1]);
+    assert_eq!(reads_of(&fs, "uotsck"), vec![1, 2]);
+    std::fs::remove_file(wal_dir.join(format!("ckpt-{:020}.uotsck", 6))).unwrap();
+    let fs = CountingFs::default();
+    scrub::inspect(&fs, &wal_dir).expect("inspect");
+    assert_eq!(reads_of(&fs, "uotsck"), vec![1]);
+}
+
+/// [`StdFs`] that counts whole-file reads per path.
+#[derive(Default)]
+struct CountingFs(std::sync::Mutex<std::collections::HashMap<PathBuf, usize>>);
+
+impl CountingFs {
+    fn reads(&self, path: &Path) -> usize {
+        self.0.lock().unwrap().get(path).copied().unwrap_or(0)
+    }
+}
+
+impl StorageBackend for CountingFs {
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        StdFs.create_dir_all(dir)
+    }
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn uots::storage::StorageFile>> {
+        StdFs.create(path)
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        *self
+            .0
+            .lock()
+            .unwrap()
+            .entry(path.to_path_buf())
+            .or_default() += 1;
+        StdFs.read(path)
+    }
+    fn read_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+        StdFs.read_dir(dir)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        StdFs.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        StdFs.remove_file(path)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        StdFs.truncate(path, len)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        StdFs.sync_dir(dir)
+    }
+}
+
+/// A log of `8` scripted batches rotated one record per segment, with
+/// checkpoints at lsn 3 and 6 and every segment the lsn-6 one covers
+/// pruned: the surviving tail is lsns 7..=8.
+fn pruned_log(name: &str, seed: u64) -> (PathBuf, Dataset, Vec<Vec<Mutation>>) {
+    let dir = tmpdir(name);
+    let wal_dir = dir.join("wal");
+    std::fs::create_dir_all(&wal_dir).unwrap();
+    let ds = Dataset::build(&DatasetConfig::small(22, 7)).expect("dataset builds");
+    let batches = scripted_batches(&ds, 8, seed);
 
     let mut writer = WalWriter::open(
         &wal_dir,
@@ -580,27 +774,7 @@ fn pruned_log_rejects_gapped_checkpoint_fallback() {
     // the surviving tail starts at lsn 7
     let pruned = wal::prune_segments(&wal_dir, 6).expect("prune");
     assert_eq!(pruned, 6, "one segment per lsn");
-
-    // with the lsn-6 checkpoint intact the tail is contiguous and recovery
-    // reproduces the full state
-    let recovered = recover(&wal_dir, Some(&ds), None).expect("recovery");
-    assert_eq!(recovered.report.replayed_batches, 2);
-    let (want_store, want_live) = expected_state(&ds, &batches, batches.len());
-    let snap = recovered.manager.snapshot();
-    assert_eq!(snap.store().len(), want_store.len());
-    assert_eq!(snap.live(), &want_live);
-
-    // corrupt it: the lsn-3 checkpoint would need lsns 4..=6 replayed but
-    // they are gone, and the base dataset would need 1..=6 — both gapped.
-    // Recovery must refuse, not silently skip the pruned range.
-    corrupt::flip_bit(wal_dir.join(format!("ckpt-{:020}.uotsck", 6)), 40, 2).unwrap();
-    match recover(&wal_dir, Some(&ds), None) {
-        Err(DurableError::Inconsistent(msg)) => {
-            assert!(msg.contains("pruned"), "{msg}")
-        }
-        Err(e) => panic!("want Inconsistent, got {e}"),
-        Ok(_) => panic!("gapped fallback must be rejected"),
-    }
+    (wal_dir, ds, batches)
 }
 
 /// End-to-end through [`DurableIngest`]: the write path cuts checkpoints
@@ -629,6 +803,9 @@ fn durable_ingest_round_trip_with_checkpoint_cadence() {
         },
         Some(2), // checkpoint every second batch (at publish boundaries)
         None,
+        Arc::new(StdFs),
+        RetryPolicy::default(),
+        None,
     )
     .expect("durable ingest opens");
     for (i, batch) in batches.iter().enumerate() {
@@ -644,7 +821,7 @@ fn durable_ingest_round_trip_with_checkpoint_cadence() {
     );
     drop(ingest); // crash: no clean shutdown beyond what's already durable
 
-    let recovered = recover(&wal_dir, Some(&ds), None).expect("recovery");
+    let recovered = recover(&StdFs, &wal_dir, Some(&ds), None, None).expect("recovery");
     assert!(
         matches!(recovered.report.source, RecoverySource::Checkpoint(_)),
         "cadence must have produced checkpoints: {:?}",
@@ -666,18 +843,16 @@ fn durable_ingest_round_trip_with_checkpoint_cadence() {
         WalConfig::default(),
         None,
         None,
-        Arc::new(uots::storage::StdFs),
-        uots::storage::RetryPolicy::default(),
+        Arc::new(StdFs),
+        RetryPolicy::default(),
         None,
     )
     .expect("resume");
-    let id = resumed
-        .ingest(random_traj(
-            &mut rng,
-            ds.network.num_nodes(),
-            ds.vocab.len(),
-        ))
+    let t = random_traj(&mut rng, ds.network.num_nodes(), ds.vocab.len());
+    let (_, ids) = resumed
+        .apply(vec![Mutation::Insert(t)])
         .expect("resumed ingest");
+    let id = ids[0];
     assert_eq!(id.index(), snap.store().len());
     let after = resumed.publish().expect("resumed publish");
     assert!(after.live().is_live(id));
