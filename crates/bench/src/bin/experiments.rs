@@ -1253,10 +1253,11 @@ fn main() {
         use uots_core::Mutation;
         use uots_trajectory::TrajectoryId;
 
-        // The sharded tier targets million-trajectory stores, so this
-        // experiment builds its dataset through the parallel generator
+        // The sharded tier targets million-trajectory stores
         // (`--trips 1000000` is the headline point; smaller trips give
-        // the same curve shapes at smoke scale).
+        // the same curve shapes at smoke scale). `Dataset::build` routes
+        // the trips on every core, so the dataset is the one trip stream
+        // every other experiment uses at this seed.
         // The vocabulary scales with |P| (min 1 keyword per 50 trips):
         // with the preset's fixed vocabulary, a million-trip store gives
         // every keyword hundreds of holders on every shard — every
@@ -1265,14 +1266,14 @@ fn main() {
         // the scaled vocabulary keeps genuinely rare keywords in play.
         let d5_cfg = {
             let mut c = base_cfg.clone();
-            c.name = format!("{} [parallel-gen]", c.name);
+            c.name = format!("{} [scaled-vocab]", c.name);
             c.tags.vocab_size = c.tags.vocab_size.max(args.trips / 50);
             c
         };
         let build_start = Instant::now();
-        let d5_ds = Dataset::build_parallel(&d5_cfg, 0).expect("d5 dataset builds");
+        let d5_ds = Dataset::build(&d5_cfg).expect("d5 dataset builds");
         eprintln!(
-            "[bench] d5 built {} trajectories in {:?} (parallel generator)",
+            "[bench] d5 built {} trajectories in {:?}",
             d5_ds.store.len(),
             build_start.elapsed()
         );

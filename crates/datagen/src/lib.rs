@@ -136,20 +136,6 @@ impl DatasetConfig {
     }
 }
 
-/// Trips per independently-seeded generation chunk in
-/// [`Dataset::build_parallel`]. Fixed (not derived from the thread
-/// count) so the produced dataset is identical however many workers run.
-pub const PARALLEL_CHUNK: usize = 4096;
-
-/// Derives the trip seed for chunk `ordinal` (SplitMix64-style mixing so
-/// neighbouring ordinals produce unrelated streams).
-fn chunk_seed(base: u64, ordinal: u64) -> u64 {
-    let mut x = base ^ ordinal.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A fully built dataset: network, trajectories, vocabulary and all
 /// query-time indexes.
 pub struct Dataset {
@@ -173,8 +159,9 @@ pub struct Dataset {
 
 impl Dataset {
     /// Builds the dataset described by `cfg`. This generates the network,
-    /// all trips, and every index; cost is dominated by routing one A*
-    /// query per trip.
+    /// all trips, and every index. Cost is dominated by routing one A*
+    /// query per trip, which [`TripGenerator::generate`] spreads over every
+    /// available core; the trips are the same at any core count.
     ///
     /// # Errors
     ///
@@ -191,85 +178,6 @@ impl Dataset {
                 TripGenerator::new(&network, cfg.trips.clone()).map_err(BuildError::Trajectory)?;
             generator.generate(&tags)
         };
-        let vertex_index = store.build_vertex_index(network.num_nodes());
-        let keyword_index = store.build_keyword_index(vocab.len());
-        let grid = GridIndex::build(network.points(), 8);
-        Ok(Dataset {
-            name: cfg.name.clone(),
-            network,
-            store,
-            vocab,
-            tags,
-            vertex_index,
-            keyword_index,
-            grid,
-        })
-    }
-
-    /// [`build`](Self::build) with trip generation fanned out across a
-    /// rayon pool (`threads == 0` uses rayon's default). Trips are
-    /// generated in fixed [`PARALLEL_CHUNK`]-sized chunks, each seeded
-    /// independently by mixing the chunk ordinal into the configured trip
-    /// seed, and concatenated in chunk order — so the output is
-    /// deterministic for a given configuration **regardless of thread
-    /// count**. The stream differs from the sequential
-    /// [`build`](Self::build) (each chunk restarts its RNG lineage), which
-    /// is why this is a separate entry point rather than a transparent
-    /// speedup.
-    ///
-    /// This is the path for million-trajectory datasets: routing one A*
-    /// per trip dominates the cost and parallelizes embarrassingly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates generator configuration errors.
-    pub fn build_parallel(cfg: &DatasetConfig, threads: usize) -> Result<Self, BuildError> {
-        use rayon::prelude::*;
-        let network = match &cfg.network {
-            NetworkPreset::GridCity(c) => grid_city(c).map_err(BuildError::Network)?,
-            NetworkPreset::RingRadial(c) => ring_radial(c).map_err(BuildError::Network)?,
-        };
-        let mut tag_rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(cfg.tag_seed);
-        let (tags, vocab) = TagSampler::synthetic(&cfg.tags, &mut tag_rng);
-
-        let total = cfg.trips.num_trips;
-        let chunks: Vec<(u64, usize)> = (0..total.div_ceil(PARALLEL_CHUNK))
-            .map(|i| {
-                let start = i * PARALLEL_CHUNK;
-                (i as u64, PARALLEL_CHUNK.min(total - start))
-            })
-            .collect();
-        let generate = || -> Result<Vec<TrajectoryStore>, BuildError> {
-            chunks
-                .par_iter()
-                .map(|&(ordinal, len)| {
-                    let trip_cfg = cfg
-                        .trips
-                        .clone()
-                        .with_seed(chunk_seed(cfg.trips.seed, ordinal))
-                        .with_num_trips(len);
-                    let mut generator =
-                        TripGenerator::new(&network, trip_cfg).map_err(BuildError::Trajectory)?;
-                    Ok(generator.generate(&tags))
-                })
-                .collect()
-        };
-        let partials = if threads == 0 {
-            generate()?
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("building a rayon pool")
-                .install(generate)?
-        };
-        let mut store = TrajectoryStore::with_capacity(total);
-        for partial in partials {
-            for t in partial.into_trajectories() {
-                store.push(t);
-            }
-        }
-
         let vertex_index = store.build_vertex_index(network.num_nodes());
         let keyword_index = store.build_keyword_index(vocab.len());
         let grid = GridIndex::build(network.points(), 8);
@@ -356,37 +264,6 @@ mod tests {
         let a = Dataset::build(&DatasetConfig::small(10, 1).with_seed(100)).unwrap();
         let b = Dataset::build(&DatasetConfig::small(10, 1).with_seed(200)).unwrap();
         assert_ne!(a.network, b.network);
-    }
-
-    #[test]
-    fn parallel_build_is_deterministic_across_thread_counts() {
-        let cfg = DatasetConfig::small(PARALLEL_CHUNK / 16, 11); // forces ≥1 chunk boundary path
-        let one = Dataset::build_parallel(&cfg, 1).unwrap();
-        let four = Dataset::build_parallel(&cfg, 4).unwrap();
-        assert_eq!(one.store.len(), cfg.trips.num_trips);
-        assert_eq!(one.network, four.network);
-        for (a, b) in one.store.iter().zip(four.store.iter()) {
-            assert_eq!(
-                a.1, b.1,
-                "trajectory {:?} differs across thread counts",
-                a.0
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_build_chunks_independently() {
-        // more trips than one chunk: the concatenation must cover them all
-        let mut cfg = DatasetConfig::small(10, 13);
-        cfg.trips.num_trips = PARALLEL_CHUNK + 3;
-        let ds = Dataset::build_parallel(&cfg, 2).unwrap();
-        assert_eq!(ds.store.len(), PARALLEL_CHUNK + 3);
-        // indexes cover the whole store
-        for (id, t) in ds.store.iter() {
-            for v in t.nodes() {
-                assert!(ds.vertex_index.values_at(v).contains(&id));
-            }
-        }
     }
 
     #[test]

@@ -6,14 +6,21 @@
 //! per-trip speed, and tagged by the category model. The spatial skew
 //! (hotspots), temporal skew (rush hours) and textual skew (Zipf categories)
 //! are what make pruning behave as it does on real data.
+//!
+//! One seed gives one trip stream. [`TripGenerator::generate`] plans trips
+//! on one thread (every RNG draw, in stream order) and routes them on every
+//! core; its store equals a [`TripGenerator::generate_trip`] loop's, byte
+//! for byte, at any core count.
 
 use crate::tags::TagSampler;
 use crate::{Sample, Trajectory, TrajectoryError, TrajectoryStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 use uots_index::{GridIndex, DAY_SECONDS};
-use uots_network::astar::AStar;
+use uots_network::astar::{AStar, Route};
 use uots_network::{NodeId, Point, RoadNetwork};
+use uots_text::KeywordSet;
 
 /// Configuration of the [`TripGenerator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +145,44 @@ fn start_time<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (hours.clamp(0.0, 23.5)) * 3_600.0
 }
 
+/// Trips [`TripGenerator::generate`] plans before it finishes them: bounds
+/// the memory that unfinished plans hold.
+const WINDOW: usize = 4096;
+
+/// Slack (km, scaled by `1 + |min_trip_km|`) by which the straight-line
+/// lower bound must clear `min_trip_km` before a pair is accepted unrouted.
+/// It absorbs the rounding of the bound and of A*'s summed path length,
+/// both many orders of magnitude smaller.
+const BOUND_MARGIN_KM: f64 = 1e-9;
+
+/// The route of a trip as far as [`TripGenerator::plan`] took it.
+enum Leg {
+    /// Routed during planning (a short, undecided or fallback pair).
+    Routed(Route),
+    /// Accepted on the lower bound alone; routed by [`finish`].
+    Deferred(NodeId, NodeId),
+}
+
+/// One trip with every RNG draw made, in the stream's order: everything
+/// [`finish`] needs besides the network.
+struct TripPlan {
+    leg: Leg,
+    speed_kmh: f64,
+    /// Start time before the end-of-day clamp, which needs the distance.
+    start: f64,
+    category: usize,
+    keywords: KeywordSet,
+}
+
 /// Deterministic trip generator over one road network.
+///
+/// Each trip is *planned* on the generator's thread, which makes every RNG
+/// draw, and then *finished* by `finish`, a pure function of the plan and
+/// the network that routes a deferred pair and timestamps the samples.
+/// The route only decides whether a candidate pair is accepted, and a pair
+/// whose straight-line lower bound already clears `min_trip_km` is accepted
+/// without routing, so finishing runs on every core while the output stays
+/// byte-identical to routing every trip in turn.
 pub struct TripGenerator<'a> {
     net: &'a RoadNetwork,
     grid: GridIndex,
@@ -146,6 +190,12 @@ pub struct TripGenerator<'a> {
     cfg: TripGeneratorConfig,
     rng: StdRng,
     astar: AStar<'a>,
+    /// [`RoadNetwork::heuristic_scale`]: `scale × euclid(a, b)` never
+    /// exceeds the network distance from `a` to `b`.
+    scale: f64,
+    /// Lower bound at which a pair is accepted unrouted; infinite on a
+    /// disconnected network, where a pair may have no route at all.
+    defer_km: f64,
 }
 
 impl<'a> TripGenerator<'a> {
@@ -154,14 +204,26 @@ impl<'a> TripGenerator<'a> {
     ///
     /// # Errors
     ///
-    /// [`TrajectoryError::BadGeneratorConfig`] on invalid configuration.
+    /// [`TrajectoryError::BadGeneratorConfig`] on invalid configuration or
+    /// a network with fewer than two vertices (no trip has two endpoints).
     pub fn new(net: &'a RoadNetwork, cfg: TripGeneratorConfig) -> Result<Self, TrajectoryError> {
         cfg.validate()?;
+        if net.num_nodes() < 2 {
+            return Err(TrajectoryError::BadGeneratorConfig(format!(
+                "network has {} vertices; trips need at least 2",
+                net.num_nodes()
+            )));
+        }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let grid = GridIndex::build(net.points(), 8);
         let hotspot_centres = (0..cfg.hotspots)
             .map(|_| net.point(NodeId(rng.gen_range(0..net.num_nodes()) as u32)))
             .collect();
+        let defer_km = if net.is_connected() {
+            cfg.min_trip_km + BOUND_MARGIN_KM * (1.0 + cfg.min_trip_km.abs())
+        } else {
+            f64::INFINITY
+        };
         Ok(TripGenerator {
             net,
             grid,
@@ -169,6 +231,8 @@ impl<'a> TripGenerator<'a> {
             cfg,
             rng,
             astar: AStar::new(net),
+            scale: net.heuristic_scale(),
+            defer_km,
         })
     }
 
@@ -185,97 +249,223 @@ impl<'a> TripGenerator<'a> {
         }
     }
 
-    /// Generates one trip (ground truth included). Endpoint pairs are
-    /// retried until the route meets `min_trip_km`; after 32 failures the
-    /// length requirement is dropped so generation always terminates.
-    pub fn generate_trip(&mut self, tags: &TagSampler) -> GeneratedTrip {
-        let mut best: Option<(Vec<NodeId>, f64)> = None;
+    /// Draws endpoint pairs until one is accepted. A pair is accepted when
+    /// its route meets `min_trip_km`; after 32 failures the length
+    /// requirement is dropped so generation always terminates. Before
+    /// attempt 32 a pair whose lower bound clears `min_trip_km` is accepted
+    /// without routing: its route would meet the length anyway.
+    fn plan_leg(&mut self) -> Leg {
+        let mut longest_reject: Option<Route> = None;
         for attempt in 0..64 {
             let a = self.sample_endpoint();
             let b = self.sample_endpoint();
             if a == b {
                 continue;
             }
+            let bound = self.net.point(a).distance(&self.net.point(b)) * self.scale;
+            if attempt < 32 && bound >= self.defer_km {
+                return Leg::Deferred(a, b);
+            }
             if let Some(route) = self.astar.route(a, b) {
                 if route.distance >= self.cfg.min_trip_km || attempt >= 32 {
-                    best = Some((route.path, route.distance));
-                    break;
+                    return Leg::Routed(route);
                 }
-                // remember the longest reject as a fallback
-                if best.as_ref().is_none_or(|(_, d)| route.distance > *d) {
-                    best = Some((route.path, route.distance));
+                if longest_reject
+                    .as_ref()
+                    .is_none_or(|r| route.distance > r.distance)
+                {
+                    longest_reject = Some(route);
                 }
             }
         }
-        let (route, distance) = best.expect("connected network yields a route");
+        Leg::Routed(longest_reject.expect("connected network yields a route"))
+    }
 
-        // subsample the route into sample points
-        let stride = self.cfg.sample_stride;
-        let mut picks: Vec<usize> = (0..route.len()).step_by(stride).collect();
-        if *picks.last().expect("route non-empty") != route.len() - 1 {
-            picks.push(route.len() - 1);
-        }
-
-        // speed and timestamps from cumulative route distance
+    /// Makes every RNG draw of the next trip, in the stream's order.
+    fn plan(&mut self, tags: &TagSampler) -> TripPlan {
+        let leg = self.plan_leg();
         let speed_kmh = normal(
             &mut self.rng,
             self.cfg.speed_kmh_mean,
             self.cfg.speed_kmh_std,
         )
         .clamp(8.0, 90.0);
-        let duration_s = distance / speed_kmh * 3_600.0;
-        let mut start = start_time(&mut self.rng);
-        if start + duration_s > DAY_SECONDS {
-            start = (DAY_SECONDS - duration_s).max(0.0);
-        }
-
-        // cumulative distances along the route
-        let mut cum = Vec::with_capacity(route.len());
-        cum.push(0.0);
-        for w in route.windows(2) {
-            let weight = self
-                .net
-                .neighbors(w[0])
-                .find(|(u, _)| *u == w[1])
-                .map(|(_, wt)| wt)
-                .expect("route vertices are adjacent");
-            cum.push(cum.last().unwrap() + weight);
-        }
-        let total = *cum.last().unwrap();
-
-        let samples: Vec<Sample> = picks
-            .iter()
-            .map(|&i| {
-                let frac = if total > 0.0 { cum[i] / total } else { 0.0 };
-                Sample {
-                    node: route[i],
-                    time: (start + frac * duration_s).min(DAY_SECONDS),
-                }
-            })
-            .collect();
-
+        let start = start_time(&mut self.rng);
         let category = tags.sample_category(&mut self.rng);
         let count = self
             .rng
             .gen_range(self.cfg.min_tags..=self.cfg.max_tags.max(self.cfg.min_tags));
         let keywords = tags.sample_tags(category, count.max(1), &mut self.rng);
-
-        let trajectory =
-            Trajectory::new(samples, keywords).expect("generator output is valid by construction");
-        GeneratedTrip {
-            trajectory,
-            route,
+        TripPlan {
+            leg,
+            speed_kmh,
+            start,
             category,
+            keywords,
         }
     }
 
-    /// Generates the configured number of trips into a fresh store.
+    /// Generates one trip (ground truth included): the next plan, finished
+    /// on this thread.
+    pub fn generate_trip(&mut self, tags: &TagSampler) -> GeneratedTrip {
+        let plan = self.plan(tags);
+        finish(self.net, &self.cfg, &mut self.astar, plan)
+    }
+
+    /// Generates the configured number of trips into a fresh store, the
+    /// same trips [`generate_trip`](Self::generate_trip) yields one at a
+    /// time. Trips are planned here, 4096 at a time; each window is
+    /// finished on every available core and pushed in order.
     pub fn generate(&mut self, tags: &TagSampler) -> TrajectoryStore {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut helpers: Vec<AStar<'a>> = (1..threads).map(|_| AStar::new(self.net)).collect();
         let mut store = TrajectoryStore::with_capacity(self.cfg.num_trips);
-        for _ in 0..self.cfg.num_trips {
-            store.push(self.generate_trip(tags).trajectory);
+        let mut remaining = self.cfg.num_trips;
+        while remaining > 0 {
+            let window = remaining.min(WINDOW);
+            remaining -= window;
+            let plans: Vec<TripPlan> = (0..window).map(|_| self.plan(tags)).collect();
+            let finished = finish_window(self.net, &self.cfg, &mut self.astar, &mut helpers, plans);
+            for trajectory in finished {
+                store.push(trajectory);
+            }
         }
         store
+    }
+}
+
+/// Plans per unit of work handed to a finishing thread: small enough that
+/// the threads of a window end together, large enough that taking the next
+/// block costs nothing beside routing it.
+const BLOCK: usize = 32;
+
+/// Finishes `plans` on this thread (with `astar`) and one scoped thread per
+/// helper searcher, which take blocks of [`BLOCK`] plans as they go free.
+/// Returns the trajectories in plan order.
+fn finish_window<'a>(
+    net: &'a RoadNetwork,
+    cfg: &TripGeneratorConfig,
+    astar: &mut AStar<'a>,
+    helpers: &mut [AStar<'a>],
+    plans: Vec<TripPlan>,
+) -> Vec<Trajectory> {
+    let mut plans = plans.into_iter();
+    let blocks = Mutex::new(
+        std::iter::from_fn(move || {
+            let block: Vec<TripPlan> = plans.by_ref().take(BLOCK).collect();
+            (!block.is_empty()).then_some(block)
+        })
+        .enumerate(),
+    );
+    let work = |astar: &mut AStar<'a>| {
+        let mut done = Vec::new();
+        loop {
+            let Some((i, block)) = blocks.lock().expect("no holder panics").next() else {
+                return done;
+            };
+            let trips: Vec<Trajectory> = block
+                .into_iter()
+                .map(|plan| finish(net, cfg, astar, plan).trajectory)
+                .collect();
+            done.push((i, trips));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = helpers
+            .iter_mut()
+            .map(|helper| s.spawn(move || work(helper)))
+            .collect();
+        let mut done = work(astar);
+        for handle in handles {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().flat_map(|(_, trips)| trips).collect()
+}
+
+/// Completes a plan: routes a deferred pair, subsamples the route, clamps
+/// the start into the day and timestamps the samples. A pure function of
+/// the plan and the network, so any thread may run it.
+///
+/// # Panics
+///
+/// Panics if a deferred pair's route misses `min_trip_km`, which would
+/// mean the lower bound was unsound and the trip stream had changed.
+fn finish(
+    net: &RoadNetwork,
+    cfg: &TripGeneratorConfig,
+    astar: &mut AStar<'_>,
+    plan: TripPlan,
+) -> GeneratedTrip {
+    let Route {
+        path: route,
+        distance,
+    } = match plan.leg {
+        Leg::Routed(route) => route,
+        Leg::Deferred(a, b) => {
+            let route = astar
+                .route(a, b)
+                .expect("a deferred pair lies on a connected network");
+            assert!(
+                route.distance >= cfg.min_trip_km,
+                "lower bound accepted {a:?}→{b:?} at {} km < min_trip_km {}",
+                route.distance,
+                cfg.min_trip_km
+            );
+            route
+        }
+    };
+
+    // subsample the route into sample points
+    let mut picks: Vec<usize> = (0..route.len()).step_by(cfg.sample_stride).collect();
+    if *picks.last().expect("route non-empty") != route.len() - 1 {
+        picks.push(route.len() - 1);
+    }
+
+    // timestamps from the speed and cumulative route distance
+    let duration_s = distance / plan.speed_kmh * 3_600.0;
+    let mut start = plan.start;
+    if start + duration_s > DAY_SECONDS {
+        start = (DAY_SECONDS - duration_s).max(0.0);
+    }
+
+    // cumulative distances along the route
+    let mut cum = Vec::with_capacity(route.len());
+    cum.push(0.0);
+    for w in route.windows(2) {
+        let weight = net
+            .neighbors(w[0])
+            .find(|(u, _)| *u == w[1])
+            .map(|(_, wt)| wt)
+            .expect("route vertices are adjacent");
+        cum.push(cum.last().unwrap() + weight);
+    }
+    let total = *cum.last().unwrap();
+
+    let samples: Vec<Sample> = picks
+        .iter()
+        .map(|&i| {
+            let frac = if total > 0.0 { cum[i] / total } else { 0.0 };
+            Sample {
+                node: route[i],
+                time: (start + frac * duration_s).min(DAY_SECONDS),
+            }
+        })
+        .collect();
+
+    let trajectory =
+        Trajectory::new(samples, plan.keywords).expect("generator output is valid by construction");
+    GeneratedTrip {
+        trajectory,
+        route,
+        category: plan.category,
     }
 }
 
@@ -284,6 +474,7 @@ mod tests {
     use super::*;
     use crate::tags::{TagModelConfig, TagSampler};
     use uots_network::generators::{grid_city, GridCityConfig};
+    use uots_network::NetworkBuilder;
 
     fn setup() -> (RoadNetwork, TagSampler) {
         let net = grid_city(&GridCityConfig::new(25, 25).with_seed(3)).unwrap();
@@ -438,6 +629,204 @@ mod tests {
             ..Default::default()
         };
         assert!(TripGenerator::new(&net, bad).is_err());
+    }
+
+    /// Two disjoint `side × side` lattices, 0.5 km apart internally and
+    /// 20 km apart from each other. `shortcut` weights every fifth edge at
+    /// half its straight-line length, which pulls `heuristic_scale` below 1.
+    fn lattices(components: usize, side: usize, shortcut: bool) -> RoadNetwork {
+        let mut b = NetworkBuilder::new();
+        let mut edges = 0usize;
+        for c in 0..components {
+            let base = b.num_nodes() as u32;
+            for i in 0..side * side {
+                let (x, y) = ((i % side) as f64, (i / side) as f64);
+                b.add_node(Point::new(20.0 * c as f64 + 0.5 * x, 0.5 * y));
+            }
+            for i in 0..side * side {
+                for j in [i + 1, i + side] {
+                    if (j == i + 1 && j % side == 0) || j >= side * side {
+                        continue;
+                    }
+                    edges += 1;
+                    let weight = (shortcut && edges.is_multiple_of(5)).then_some(0.25);
+                    b.add_edge(NodeId(base + i as u32), NodeId(base + j as u32), weight)
+                        .unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn tight_hotspots() -> TripGeneratorConfig {
+        TripGeneratorConfig {
+            num_trips: 60,
+            hotspots: 1,
+            hotspot_prob: 1.0,
+            hotspot_sigma_km: 0.3,
+            min_trip_km: 1.5,
+            ..Default::default()
+        }
+        .with_seed(21)
+    }
+
+    /// The trips a `generate_trip` loop yields for `cfg`.
+    fn trip_loop(
+        net: &RoadNetwork,
+        tags: &TagSampler,
+        cfg: &TripGeneratorConfig,
+    ) -> Vec<Trajectory> {
+        let mut g = TripGenerator::new(net, cfg.clone()).unwrap();
+        (0..cfg.num_trips)
+            .map(|_| g.generate_trip(tags).trajectory)
+            .collect()
+    }
+
+    /// `generate` must store exactly the trips of a `generate_trip` loop.
+    fn assert_generate_is_trip_loop(
+        net: &RoadNetwork,
+        tags: &TagSampler,
+        cfg: TripGeneratorConfig,
+    ) {
+        let want = trip_loop(net, tags, &cfg);
+        let store = TripGenerator::new(net, cfg).unwrap().generate(tags);
+        assert_eq!(store.len(), want.len());
+        for ((id, got), want) in store.iter().zip(&want) {
+            assert_eq!(got, want, "trajectory {id:?} differs from the trip loop");
+        }
+    }
+
+    /// How many of `cfg`'s trips the lower bound accepted unrouted.
+    fn deferred(net: &RoadNetwork, tags: &TagSampler, cfg: &TripGeneratorConfig) -> usize {
+        let mut g = TripGenerator::new(net, cfg.clone()).unwrap();
+        (0..cfg.num_trips)
+            .filter(|_| matches!(g.plan(tags).leg, Leg::Deferred(..)))
+            .count()
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_on_the_default_fixture() {
+        let (net, tags) = setup();
+        let cfg = TripGeneratorConfig {
+            num_trips: 300,
+            ..Default::default()
+        };
+        assert!(
+            deferred(&net, &tags, &cfg) > 200,
+            "the bound decides most pairs"
+        );
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_when_the_bound_always_decides() {
+        let (net, tags) = setup();
+        let cfg = TripGeneratorConfig {
+            num_trips: 200,
+            min_trip_km: 0.0,
+            ..Default::default()
+        }
+        .with_seed(4);
+        assert_eq!(deferred(&net, &tags, &cfg), 200);
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_when_every_trip_falls_back() {
+        // no route is this long: every trip is the attempt-32 pair
+        let (net, tags) = setup();
+        let cfg = TripGeneratorConfig {
+            num_trips: 40,
+            min_trip_km: 1_000.0,
+            ..Default::default()
+        }
+        .with_seed(5);
+        assert_eq!(deferred(&net, &tags, &cfg), 0);
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_under_tight_hotspots() {
+        let (net, tags) = setup();
+        let cfg = tight_hotspots();
+        assert!(
+            deferred(&net, &tags, &cfg) < cfg.num_trips / 2,
+            "most pairs are routed while planning"
+        );
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_on_a_disconnected_network() {
+        let net = lattices(2, 12, false);
+        assert!(!net.is_connected());
+        let (_, tags) = setup();
+        let cfg = TripGeneratorConfig {
+            num_trips: 150,
+            min_trip_km: 2.0,
+            ..Default::default()
+        }
+        .with_seed(6);
+        assert_eq!(deferred(&net, &tags, &cfg), 0, "no pair skips routing");
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_with_shortcut_weights() {
+        let net = lattices(1, 16, true);
+        assert!(net.heuristic_scale() < 1.0);
+        let (_, tags) = setup();
+        let cfg = TripGeneratorConfig {
+            num_trips: 150,
+            min_trip_km: 1.5,
+            ..Default::default()
+        }
+        .with_seed(8);
+        assert!(deferred(&net, &tags, &cfg) > 0);
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn generate_is_the_trip_loop_across_a_partial_window() {
+        let (net, tags) = setup();
+        let cfg = TripGeneratorConfig {
+            num_trips: WINDOW + BLOCK + 7,
+            ..Default::default()
+        }
+        .with_seed(9);
+        assert_generate_is_trip_loop(&net, &tags, cfg);
+    }
+
+    #[test]
+    fn finishing_is_the_same_at_any_thread_count() {
+        let (net, tags) = setup();
+        for cfg in [
+            TripGeneratorConfig {
+                num_trips: 5 * BLOCK + 3,
+                ..Default::default()
+            },
+            tight_hotspots(),
+        ] {
+            let want = trip_loop(&net, &tags, &cfg);
+            for helpers in [0, 1, 3] {
+                let mut g = TripGenerator::new(&net, cfg.clone()).unwrap();
+                let plans = (0..cfg.num_trips).map(|_| g.plan(&tags)).collect();
+                let mut extra: Vec<AStar<'_>> = (0..helpers).map(|_| AStar::new(&net)).collect();
+                let got = finish_window(&net, &g.cfg, &mut g.astar, &mut extra, plans);
+                assert_eq!(got, want, "{helpers} helper threads");
+            }
+        }
+    }
+
+    #[test]
+    fn networks_below_two_vertices_are_refused() {
+        let mut b = NetworkBuilder::new();
+        b.add_node(Point::ORIGIN);
+        let net = b.build().unwrap();
+        assert!(matches!(
+            TripGenerator::new(&net, TripGeneratorConfig::default()),
+            Err(TrajectoryError::BadGeneratorConfig(_))
+        ));
     }
 
     #[test]

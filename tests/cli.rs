@@ -88,6 +88,40 @@ fn generate_stats_query_join_pipeline() {
     std::fs::remove_file(&path).ok();
 }
 
+/// FNV-1a-64 of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn generated_bytes_are_pinned() {
+    // The trip stream is one sequence per seed, however many cores route
+    // it: these are the files the repository benchmark pins as well.
+    for (trips, want) in [
+        ("2000", 0x15d0_f0bd_8472_88a5_u64),
+        ("10000", 0xe0c9_35ea_e5ea_21d2),
+    ] {
+        let path = temp_dataset(&format!("pinned-{trips}.uotsds"));
+        let out = uots()
+            .args([
+                "generate", "--preset", "small", "--trips", trips, "--seed", "11", "--out",
+            ])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let got = fnv1a(&std::fs::read(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(got, want, "--trips {trips}: {got:#018x} != {want:#018x}");
+    }
+}
+
 #[test]
 fn query_rejects_bad_flags() {
     let path = temp_dataset("badflags.uotsds");
