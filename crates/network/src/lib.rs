@@ -14,7 +14,8 @@
 //!   distances (brute-force oracle, baselines, generators);
 //! * [`expansion::NetworkExpansion`] — *resumable* Dijkstra, the primitive
 //!   behind the paper's concurrent multi-source expansion search;
-//! * [`astar::AStar`] — fast point-to-point routing for trip generation;
+//! * [`astar::AStar`] — landmark-pruned A*, point-to-point routing for trip
+//!   generation (the plain Euclidean A*'s route, bit for bit);
 //! * [`matrix::DistanceMatrix`] — Floyd–Warshall all-pairs oracle;
 //! * [`generators`] — deterministic synthetic city networks standing in for
 //!   the paper's Beijing road network;

@@ -309,7 +309,7 @@ impl<'a> TripGenerator<'a> {
     /// on this thread.
     pub fn generate_trip(&mut self, tags: &TagSampler) -> GeneratedTrip {
         let plan = self.plan(tags);
-        finish(self.net, &self.cfg, &mut self.astar, plan)
+        finish(&self.cfg, &mut self.astar, plan)
     }
 
     /// Generates the configured number of trips into a fresh store, the
@@ -318,14 +318,14 @@ impl<'a> TripGenerator<'a> {
     /// finished on every available core and pushed in order.
     pub fn generate(&mut self, tags: &TagSampler) -> TrajectoryStore {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut helpers: Vec<AStar<'a>> = (1..threads).map(|_| AStar::new(self.net)).collect();
+        let mut helpers: Vec<AStar<'a>> = (1..threads).map(|_| self.astar.clone()).collect();
         let mut store = TrajectoryStore::with_capacity(self.cfg.num_trips);
         let mut remaining = self.cfg.num_trips;
         while remaining > 0 {
             let window = remaining.min(WINDOW);
             remaining -= window;
             let plans: Vec<TripPlan> = (0..window).map(|_| self.plan(tags)).collect();
-            let finished = finish_window(self.net, &self.cfg, &mut self.astar, &mut helpers, plans);
+            let finished = finish_window(&self.cfg, &mut self.astar, &mut helpers, plans);
             for trajectory in finished {
                 store.push(trajectory);
             }
@@ -343,7 +343,6 @@ const BLOCK: usize = 32;
 /// helper searcher, which take blocks of [`BLOCK`] plans as they go free.
 /// Returns the trajectories in plan order.
 fn finish_window<'a>(
-    net: &'a RoadNetwork,
     cfg: &TripGeneratorConfig,
     astar: &mut AStar<'a>,
     helpers: &mut [AStar<'a>],
@@ -365,7 +364,7 @@ fn finish_window<'a>(
             };
             let trips: Vec<Trajectory> = block
                 .into_iter()
-                .map(|plan| finish(net, cfg, astar, plan).trajectory)
+                .map(|plan| finish(cfg, astar, plan).trajectory)
                 .collect();
             done.push((i, trips));
         }
@@ -398,15 +397,11 @@ fn finish_window<'a>(
 ///
 /// Panics if a deferred pair's route misses `min_trip_km`, which would
 /// mean the lower bound was unsound and the trip stream had changed.
-fn finish(
-    net: &RoadNetwork,
-    cfg: &TripGeneratorConfig,
-    astar: &mut AStar<'_>,
-    plan: TripPlan,
-) -> GeneratedTrip {
+fn finish(cfg: &TripGeneratorConfig, astar: &mut AStar<'_>, plan: TripPlan) -> GeneratedTrip {
     let Route {
         path: route,
         distance,
+        cumulative,
     } = match plan.leg {
         Leg::Routed(route) => route,
         Leg::Deferred(a, b) => {
@@ -429,30 +424,21 @@ fn finish(
         picks.push(route.len() - 1);
     }
 
-    // timestamps from the speed and cumulative route distance
+    // timestamps from the speed and the route's cumulative distance
     let duration_s = distance / plan.speed_kmh * 3_600.0;
     let mut start = plan.start;
     if start + duration_s > DAY_SECONDS {
         start = (DAY_SECONDS - duration_s).max(0.0);
     }
 
-    // cumulative distances along the route
-    let mut cum = Vec::with_capacity(route.len());
-    cum.push(0.0);
-    for w in route.windows(2) {
-        let weight = net
-            .neighbors(w[0])
-            .find(|(u, _)| *u == w[1])
-            .map(|(_, wt)| wt)
-            .expect("route vertices are adjacent");
-        cum.push(cum.last().unwrap() + weight);
-    }
-    let total = *cum.last().unwrap();
-
     let samples: Vec<Sample> = picks
         .iter()
         .map(|&i| {
-            let frac = if total > 0.0 { cum[i] / total } else { 0.0 };
+            let frac = if distance > 0.0 {
+                cumulative[i] / distance
+            } else {
+                0.0
+            };
             Sample {
                 node: route[i],
                 time: (start + frac * duration_s).min(DAY_SECONDS),
@@ -811,11 +797,46 @@ mod tests {
             for helpers in [0, 1, 3] {
                 let mut g = TripGenerator::new(&net, cfg.clone()).unwrap();
                 let plans = (0..cfg.num_trips).map(|_| g.plan(&tags)).collect();
-                let mut extra: Vec<AStar<'_>> = (0..helpers).map(|_| AStar::new(&net)).collect();
-                let got = finish_window(&net, &g.cfg, &mut g.astar, &mut extra, plans);
+                let mut extra: Vec<AStar<'_>> = (0..helpers).map(|_| g.astar.clone()).collect();
+                let got = finish_window(&g.cfg, &mut g.astar, &mut extra, plans);
                 assert_eq!(got, want, "{helpers} helper threads");
             }
         }
+    }
+
+    #[test]
+    fn timestamps_follow_the_lightest_of_parallel_edges() {
+        // a–m twice (2 km, then 1 km), m–c 1 km: the route is 2 km long
+        // and m lies halfway along it
+        let mut b = NetworkBuilder::new();
+        let a = b.add_node(Point::ORIGIN);
+        let m = b.add_node(Point::new(0.5, 0.0));
+        let c = b.add_node(Point::new(1.0, 0.0));
+        b.add_edge(a, m, Some(2.0)).unwrap();
+        b.add_edge(a, m, Some(1.0)).unwrap();
+        b.add_edge(m, c, Some(1.0)).unwrap();
+        let net = b.build().unwrap();
+        let cfg = TripGeneratorConfig {
+            sample_stride: 1,
+            ..Default::default()
+        };
+        let plan = TripPlan {
+            leg: Leg::Deferred(a, c),
+            speed_kmh: 30.0,
+            start: 3_600.0,
+            category: 0,
+            keywords: KeywordSet::from_ids([uots_text::KeywordId(1)]),
+        };
+        let trip = finish(&cfg, &mut AStar::new(&net), plan);
+        assert_eq!(trip.route, vec![a, m, c]);
+        let times: Vec<f64> = trip.trajectory.times().collect();
+        // 2 km at 30 km/h: 240 s
+        assert!((times[2] - times[0] - 240.0).abs() < 1e-9, "{times:?}");
+        assert_eq!(
+            times[1],
+            times[0] + 0.5 * (times[2] - times[0]),
+            "{times:?}"
+        );
     }
 
     #[test]
