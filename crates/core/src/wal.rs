@@ -21,14 +21,16 @@
 //! header   = magic "UOTSWAL1" (8 B) + u64 first_lsn
 //! record   = u32 payload_len + u32 crc + u64 lsn + payload
 //! payload  = u32 count + count × mutation
-//! mutation = 0x00 insert: u32 n, n × (u32 node, f64 time), u32 k, k × u32 kw
+//! mutation = 0x00 insert: trajectory
 //!          | 0x01 retire: u32 id
 //! ```
 //!
-//! All integers little-endian. The CRC32 (IEEE, reflected) covers the LSN
-//! bytes plus the payload, so neither can be silently damaged. LSNs are
-//! assigned per *batch*, start at 1, and are strictly sequential across
-//! segment boundaries — a gap or repeat is treated as corruption.
+//! `trajectory` is the layout of [`uots_trajectory::codec`], which the
+//! dataset file and the checkpoint share. All integers little-endian. The
+//! CRC32 (IEEE, reflected) covers the LSN bytes plus the payload, so
+//! neither can be silently damaged. LSNs are assigned per *batch*, start
+//! at 1, and are strictly sequential across segment boundaries — a gap or
+//! repeat is treated as corruption.
 //!
 //! Writers rotate to a fresh segment once the current one exceeds
 //! [`WalConfig::segment_bytes`]; completed segments are immutable, which
@@ -74,11 +76,10 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uots_network::NodeId;
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
 use uots_storage::{crc32, StdFs, StorageBackend, StorageFile};
-use uots_text::{KeywordId, KeywordSet};
-use uots_trajectory::{Sample, Trajectory, TrajectoryId};
+use uots_trajectory::codec::{decode_trajectory, encode_trajectory, DecodeError, IdRange, Reader};
+use uots_trajectory::TrajectoryId;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"UOTSWAL1";
 /// Segment header size: magic + first_lsn. A corruption offset below this
@@ -823,7 +824,7 @@ fn decode_record(buf: &[u8], expect_lsn: u64) -> Result<(Vec<Mutation>, usize), 
     if lsn != expect_lsn {
         return Err(format!("lsn {lsn} out of sequence, expected {expect_lsn}"));
     }
-    let mutations = decode_batch(&buf[16..total])?;
+    let mutations = decode_batch(&buf[16..total]).map_err(|e| e.to_string())?;
     Ok((mutations, total))
 }
 
@@ -834,15 +835,7 @@ fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
         match m {
             Mutation::Insert(t) => {
                 out.push(0x00);
-                out.extend_from_slice(&(t.samples().len() as u32).to_le_bytes());
-                for s in t.samples() {
-                    out.extend_from_slice(&s.node.0.to_le_bytes());
-                    out.extend_from_slice(&s.time.to_le_bytes());
-                }
-                out.extend_from_slice(&(t.keywords().len() as u32).to_le_bytes());
-                for k in t.keywords().iter() {
-                    out.extend_from_slice(&k.0.to_le_bytes());
-                }
+                encode_trajectory(t, &mut out);
             }
             Mutation::Retire(id) => {
                 out.push(0x01);
@@ -853,70 +846,36 @@ fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
     out
 }
 
-fn decode_batch(mut buf: &[u8]) -> Result<Vec<Mutation>, String> {
-    let count = take_u32(&mut buf)? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 16));
+fn decode_batch(buf: &[u8]) -> Result<Vec<Mutation>, DecodeError> {
+    let mut r = Reader::new(buf);
+    // the smallest mutation is a retire: its tag and a u32 id
+    let count = r.count(5, "batch count")?;
+    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let tag = take_u8(&mut buf)?;
-        match tag {
-            0x00 => {
-                let ns = take_u32(&mut buf)? as usize;
-                if buf.len() < ns * 12 {
-                    return Err("batch truncated in samples".into());
-                }
-                let mut samples = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    let node = NodeId(take_u32(&mut buf)?);
-                    let time = f64::from_le_bytes(take_array(&mut buf)?);
-                    samples.push(Sample { node, time });
-                }
-                let nk = take_u32(&mut buf)? as usize;
-                if buf.len() < nk * 4 {
-                    return Err("batch truncated in keywords".into());
-                }
-                let mut kws = Vec::with_capacity(nk);
-                for _ in 0..nk {
-                    kws.push(KeywordId(take_u32(&mut buf)?));
-                }
-                let t = Trajectory::new(samples, KeywordSet::from_ids(kws))
-                    .map_err(|e| format!("decoded trajectory invalid: {e}"))?;
-                out.push(Mutation::Insert(t));
+        match r.u8("mutation tag")? {
+            // the WAL does not know the network; recovery checks each
+            // insert against the one it replays onto
+            0x00 => out.push(Mutation::Insert(decode_trajectory(&mut r, IdRange::ANY)?)),
+            0x01 => out.push(Mutation::Retire(TrajectoryId(r.u32("retire id")?))),
+            tag => {
+                return Err(DecodeError::Invalid(format!(
+                    "unknown mutation tag {tag:#04x}"
+                )))
             }
-            0x01 => out.push(Mutation::Retire(TrajectoryId(take_u32(&mut buf)?))),
-            _ => return Err(format!("unknown mutation tag {tag:#04x}")),
         }
     }
-    if !buf.is_empty() {
-        return Err(format!("{} trailing bytes in batch payload", buf.len()));
-    }
+    r.end("the batch payload")?;
     Ok(out)
-}
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8, String> {
-    let (&b, rest) = buf.split_first().ok_or("batch truncated")?;
-    *buf = rest;
-    Ok(b)
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, String> {
-    Ok(u32::from_le_bytes(take_array(buf)?))
-}
-
-fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], String> {
-    if buf.len() < N {
-        return Err("batch truncated".into());
-    }
-    let (head, rest) = buf.split_at(N);
-    *buf = rest;
-    Ok(head.try_into().expect("split_at(N)"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
+    use uots_network::NodeId;
     use uots_storage::fault::{Fault, FaultConfig, FaultFs, OpKind, ScriptedFault};
-    use uots_trajectory::Sample;
+    use uots_text::{KeywordId, KeywordSet};
+    use uots_trajectory::{Sample, Trajectory};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -1009,6 +968,40 @@ mod tests {
         let r = replay(tmpdir("empty"), 0).unwrap();
         assert!(r.batches.is_empty());
         assert_eq!(r.next_lsn, 1);
+    }
+
+    /// A batch declaring `u32::MAX` mutations is refused by its count
+    /// before the mutation vector is sized by it, as is any payload whose
+    /// bytes do not decode exactly.
+    #[test]
+    fn batch_decode_is_bounded_and_exact() {
+        let mut huge = u32::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0x01, 0, 0, 0, 0]);
+        assert_eq!(
+            decode_batch(&huge).unwrap_err(),
+            DecodeError::Truncated("batch count")
+        );
+        for batch in batches() {
+            let bytes = encode_batch(&batch);
+            let back = decode_batch(&bytes).unwrap();
+            assert_eq!(back.len(), batch.len());
+            assert!(back.iter().zip(&batch).all(|(g, w)| mutations_eq(g, w)));
+            for cut in 0..bytes.len() {
+                assert!(decode_batch(&bytes[..cut]).is_err(), "cut at {cut}");
+            }
+            let mut tagged = bytes.clone();
+            tagged[4] = 0x02;
+            assert!(matches!(
+                decode_batch(&tagged),
+                Err(DecodeError::Invalid(_))
+            ));
+            let mut trailing = bytes;
+            trailing.push(0);
+            assert!(matches!(
+                decode_batch(&trailing),
+                Err(DecodeError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! reused across bench runs. Indexes are *not* stored: they are rebuilt on
 //! load (cheaper than their serialized size).
 //!
-//! Format `UOTSDS2` (current):
+//! Format `UOTSDS2`:
 //!
 //! ```text
 //! magic   8 B  "UOTSDS2\0"
@@ -17,28 +17,31 @@
 //! vocab   u32 len; len × (u16 len + utf8)
 //! vtab    u16 version; u32 byte_len; payload (versioned vocab table)
 //!           v1 payload: u32 count; count × u32 interned keyword id
-//! store   u32 count; per trajectory:
-//!           u32 samples; samples × (u32 node, f64 time);
-//!           u32 keywords; keywords × u32
+//! store   u32 count; count × trajectory
 //! ```
 //!
-//! The `vtab` section pins the word → dense-[`KeywordId`] interning the
-//! layout tables (`uots_core::KeywordBlocks`) are built over. It is
-//! length-framed, so readers skip payload versions they do not know.
-//! Legacy `UOTSDS1` payloads (identical but with no `vtab` section) still
-//! load: the interning is derived on load from vocabulary order, which is
-//! exactly what the v1 table records.
+//! A `trajectory` is the layout of [`uots_trajectory::codec`], which the
+//! WAL shares. Every section is read through that module's bounded
+//! [`Reader`], and a stored trajectory naming a vertex or keyword the
+//! file does not hold is refused as it is decoded.
+//!
+//! The `vtab` section pins the interning of words to dense
+//! [`KeywordId`](uots_text::KeywordId)s that the layout tables
+//! (`uots_core::KeywordBlocks`) are built over. It is length-framed, so
+//! readers skip payload versions they do not know.
 
 use crate::{Dataset, DatasetConfig};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::path::Path;
 use uots_index::GridIndex;
 use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
-use uots_storage::crc32;
-use uots_text::{KeywordId, KeywordSet, Vocabulary};
-use uots_trajectory::{LiveSet, Sample, TagModelConfig, TagSampler, Trajectory, TrajectoryStore};
+use uots_storage::{crc32, StorageBackend};
+use uots_text::Vocabulary;
+use uots_trajectory::codec::{
+    decode_trajectory, encode_trajectory, DecodeError, IdRange, Reader, MIN_TRAJECTORY_BYTES,
+};
+use uots_trajectory::{LiveSet, TagModelConfig, TagSampler, TrajectoryStore};
 
 const MAGIC: &[u8; 8] = b"UOTSDS2\0";
-const MAGIC_V1: &[u8; 8] = b"UOTSDS1\0";
 const CKPT_MAGIC: &[u8; 8] = b"UOTSCKP1";
 
 /// Version of the vocab-table (`vtab`) section written by [`save`].
@@ -61,7 +64,7 @@ pub enum PersistError {
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PersistError::BadMagic => write!(f, "not a UOTSDS1/UOTSDS2 payload"),
+            PersistError::BadMagic => write!(f, "not a UOTSDS2 payload"),
             PersistError::Truncated(what) => write!(f, "payload truncated in {what}"),
             PersistError::Invalid(m) => write!(f, "invalid payload: {m}"),
             PersistError::Io(e) => write!(f, "io error: {e}"),
@@ -77,168 +80,124 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-fn need(buf: &impl Buf, n: usize, what: &'static str) -> Result<(), PersistError> {
-    if buf.remaining() < n {
-        Err(PersistError::Truncated(what))
-    } else {
-        Ok(())
+impl From<DecodeError> for PersistError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated(what) => PersistError::Truncated(what),
+            DecodeError::Invalid(m) => PersistError::Invalid(m),
+        }
     }
 }
 
-/// Serializes a dataset to the current (`UOTSDS2`) binary format.
-pub fn save(ds: &Dataset, tag_cfg: &TagModelConfig, tag_seed: u64) -> Bytes {
-    save_impl(ds, tag_cfg, tag_seed, true)
-}
-
-/// Serializes a dataset to the legacy `UOTSDS1` format (no vocab-table
-/// section). Kept for backward-compatibility tests: [`load`] must keep
-/// accepting pre-vocab-table datasets indefinitely.
-pub fn save_legacy_v1(ds: &Dataset, tag_cfg: &TagModelConfig, tag_seed: u64) -> Bytes {
-    save_impl(ds, tag_cfg, tag_seed, false)
-}
-
-fn save_impl(ds: &Dataset, tag_cfg: &TagModelConfig, tag_seed: u64, v2: bool) -> Bytes {
-    let mut out = BytesMut::with_capacity(
+/// Serializes a dataset to the `UOTSDS2` binary format.
+pub fn save(ds: &Dataset, tag_cfg: &TagModelConfig, tag_seed: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
         64 + ds.network.num_nodes() * 16 + ds.network.num_edges() * 16 + ds.store.len() * 64,
     );
-    write_preamble(&mut out, ds, tag_cfg, tag_seed, v2);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(ds.name.len() as u32).to_le_bytes());
+    out.extend_from_slice(ds.name.as_bytes());
+
+    out.extend_from_slice(&tag_seed.to_le_bytes());
+    for n in [
+        tag_cfg.vocab_size,
+        tag_cfg.num_categories,
+        tag_cfg.keywords_per_category,
+    ] {
+        out.extend_from_slice(&(n as u32).to_le_bytes());
+    }
+    for x in [
+        tag_cfg.category_skew,
+        tag_cfg.keyword_skew,
+        tag_cfg.background_prob,
+    ] {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+
+    write_network(&mut out, &ds.network);
+    write_vocab(&mut out, &ds.vocab);
+    write_vocab_table(&mut out, &ds.vocab);
     write_store(&mut out, &ds.store);
-    out.freeze()
+    out
 }
 
-/// Everything before the store section: magic, name, tag config,
-/// network, vocabulary (and, for v2, the vocab table).
-fn write_preamble(
-    out: &mut BytesMut,
-    ds: &Dataset,
-    tag_cfg: &TagModelConfig,
-    tag_seed: u64,
-    v2: bool,
-) {
-    out.put_slice(if v2 { MAGIC } else { MAGIC_V1 });
-    out.put_u32_le(ds.name.len() as u32);
-    out.put_slice(ds.name.as_bytes());
-
-    out.put_u64_le(tag_seed);
-    out.put_u32_le(tag_cfg.vocab_size as u32);
-    out.put_u32_le(tag_cfg.num_categories as u32);
-    out.put_u32_le(tag_cfg.keywords_per_category as u32);
-    out.put_f64_le(tag_cfg.category_skew);
-    out.put_f64_le(tag_cfg.keyword_skew);
-    out.put_f64_le(tag_cfg.background_prob);
-
-    write_network(out, &ds.network);
-    write_vocab(out, &ds.vocab);
-    if v2 {
-        write_vocab_table(out, &ds.vocab);
-    }
-}
-
-fn write_network(out: &mut BytesMut, network: &RoadNetwork) {
-    out.put_u32_le(network.num_nodes() as u32);
+fn write_network(out: &mut Vec<u8>, network: &RoadNetwork) {
+    out.extend_from_slice(&(network.num_nodes() as u32).to_le_bytes());
     for p in network.points() {
-        out.put_f64_le(p.x);
-        out.put_f64_le(p.y);
+        out.extend_from_slice(&p.x.to_le_bytes());
+        out.extend_from_slice(&p.y.to_le_bytes());
     }
-    out.put_u32_le(network.num_edges() as u32);
+    out.extend_from_slice(&(network.num_edges() as u32).to_le_bytes());
     for e in network.edges() {
-        out.put_u32_le(e.a.0);
-        out.put_u32_le(e.b.0);
-        out.put_f64_le(e.weight);
+        out.extend_from_slice(&e.a.0.to_le_bytes());
+        out.extend_from_slice(&e.b.0.to_le_bytes());
+        out.extend_from_slice(&e.weight.to_le_bytes());
     }
 }
 
-fn write_vocab(out: &mut BytesMut, vocab: &Vocabulary) {
-    out.put_u32_le(vocab.len() as u32);
+fn write_vocab(out: &mut Vec<u8>, vocab: &Vocabulary) {
+    out.extend_from_slice(&(vocab.len() as u32).to_le_bytes());
     for (_, word) in vocab.iter() {
-        out.put_u16_le(word.len() as u16);
-        out.put_slice(word.as_bytes());
+        out.extend_from_slice(&(word.len() as u16).to_le_bytes());
+        out.extend_from_slice(word.as_bytes());
     }
 }
 
-fn write_vocab_table(out: &mut BytesMut, vocab: &Vocabulary) {
-    out.put_u16_le(VOCAB_TABLE_VERSION);
+fn write_vocab_table(out: &mut Vec<u8>, vocab: &Vocabulary) {
+    out.extend_from_slice(&VOCAB_TABLE_VERSION.to_le_bytes());
     let byte_len = 4 + 4 * vocab.len();
-    out.put_u32_le(byte_len as u32);
-    out.put_u32_le(vocab.len() as u32);
+    out.extend_from_slice(&(byte_len as u32).to_le_bytes());
+    out.extend_from_slice(&(vocab.len() as u32).to_le_bytes());
     for (id, _) in vocab.iter() {
-        out.put_u32_le(id.0);
+        out.extend_from_slice(&id.0.to_le_bytes());
     }
 }
 
-fn write_store(out: &mut BytesMut, store: &TrajectoryStore) {
-    out.put_u32_le(store.len() as u32);
+fn write_store(out: &mut Vec<u8>, store: &TrajectoryStore) {
+    out.extend_from_slice(&(store.len() as u32).to_le_bytes());
     for (_, t) in store.iter() {
-        write_trajectory(out, t);
+        encode_trajectory(t, out);
     }
 }
 
-fn write_trajectory(out: &mut BytesMut, t: &Trajectory) {
-    out.put_u32_le(t.len() as u32);
-    for s in t.samples() {
-        out.put_u32_le(s.node.0);
-        out.put_f64_le(s.time);
+/// Deserializes a `UOTSDS2` dataset and rebuilds every index.
+pub fn load(raw: &[u8]) -> Result<Dataset, PersistError> {
+    let mut r = Reader::new(raw);
+    if r.bytes(MAGIC.len(), "magic")? != MAGIC {
+        return Err(PersistError::BadMagic);
     }
-    out.put_u32_le(t.keywords().len() as u32);
-    for k in t.keywords().iter() {
-        out.put_u32_le(k.0);
-    }
-}
+    let name = read_string(&mut r, "name")?;
 
-/// Deserializes a dataset and rebuilds every index. Accepts the current
-/// `UOTSDS2` format and the legacy `UOTSDS1` (no vocab-table section;
-/// the interning is derived on load from vocabulary order).
-pub fn load(mut buf: &[u8]) -> Result<Dataset, PersistError> {
-    need(&buf, MAGIC.len(), "magic")?;
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    let has_vocab_table = match &magic {
-        m if m == MAGIC => true,
-        m if m == MAGIC_V1 => false,
-        _ => return Err(PersistError::BadMagic),
-    };
-
-    let name = read_string(&mut buf, "name")?;
-
-    need(&buf, 8 + 3 * 4 + 3 * 8, "tag config")?;
-    let tag_seed = buf.get_u64_le();
+    let tag_seed = r.u64("tag config")?;
     let tag_cfg = TagModelConfig {
-        vocab_size: buf.get_u32_le() as usize,
-        num_categories: buf.get_u32_le() as usize,
-        keywords_per_category: buf.get_u32_le() as usize,
-        category_skew: buf.get_f64_le(),
-        keyword_skew: buf.get_f64_le(),
-        background_prob: buf.get_f64_le(),
+        vocab_size: r.u32("tag config")? as usize,
+        num_categories: r.u32("tag config")? as usize,
+        keywords_per_category: r.u32("tag config")? as usize,
+        category_skew: r.f64("tag config")?,
+        keyword_skew: r.f64("tag config")?,
+        background_prob: r.f64("tag config")?,
     };
 
-    let network = read_network(&mut buf)?;
-    let vocab = read_vocab(&mut buf)?;
-    if has_vocab_table {
-        read_vocab_table(&mut buf, &vocab)?;
-    }
-    let store = read_store(&mut buf, &network, &vocab)?;
+    let network = read_network(&mut r)?;
+    let vocab = read_vocab(&mut r)?;
+    read_vocab_table(&mut r, &vocab)?;
+    let store = read_store(&mut r, &network, &vocab)?;
+    r.end("a complete payload")?;
 
-    // rebuild the deterministic tag sampler; its internally derived
-    // vocabulary must match the stored one
+    // the sampler is rebuilt from the stored config, so the config must
+    // be one it can be built from, and derive the stored vocabulary
+    if tag_cfg.vocab_size != vocab.len() {
+        return Err(PersistError::Invalid(format!(
+            "tag config vocabulary of {} words, stored vocabulary of {}",
+            tag_cfg.vocab_size,
+            vocab.len()
+        )));
+    }
+    tag_cfg
+        .check()
+        .map_err(|e| PersistError::Invalid(format!("tag config: {e}")))?;
     let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(tag_seed);
-    let (tags, regenerated_vocab) = TagSampler::synthetic(&tag_cfg, &mut rng);
-    if regenerated_vocab.len() != vocab.len() {
-        return Err(PersistError::Invalid(format!(
-            "tag sampler vocabulary mismatch: stored {}, regenerated {}",
-            vocab.len(),
-            regenerated_vocab.len()
-        )));
-    }
-
-    // checkpoints now gate recovery correctness, so a payload followed by
-    // anything — torn rewrite, concatenated file, junk — is corruption,
-    // not something to silently ignore
-    if buf.remaining() > 0 {
-        return Err(PersistError::Invalid(format!(
-            "{} trailing bytes after a complete payload",
-            buf.remaining()
-        )));
-    }
+    let (tags, _) = TagSampler::synthetic(&tag_cfg, &mut rng);
 
     let vertex_index = store.build_vertex_index(network.num_nodes());
     let keyword_index = store.build_keyword_index(vocab.len());
@@ -255,23 +214,20 @@ pub fn load(mut buf: &[u8]) -> Result<Dataset, PersistError> {
     })
 }
 
-fn read_string(buf: &mut &[u8], what: &'static str) -> Result<String, PersistError> {
-    need(buf, 4, what)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len, what)?;
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| PersistError::Invalid(format!("{what}: bad utf8")))
+fn read_string(r: &mut Reader<'_>, what: &'static str) -> Result<String, PersistError> {
+    let len = r.u32(what)? as usize;
+    let raw = r.bytes(len, what)?;
+    std::str::from_utf8(raw)
+        .map(str::to_owned)
+        .map_err(|_| PersistError::Invalid(format!("{what}: bad utf8")))
 }
 
-fn read_network(buf: &mut &[u8]) -> Result<RoadNetwork, PersistError> {
-    need(buf, 4, "node count")?;
-    let n = buf.get_u32_le() as usize;
-    need(buf, n * 16, "node coordinates")?;
+fn read_network(r: &mut Reader<'_>) -> Result<RoadNetwork, PersistError> {
+    let n = r.count(16, "node coordinates")?;
     let mut b = NetworkBuilder::with_capacity(n, n * 2);
     for _ in 0..n {
-        let x = buf.get_f64_le();
-        let y = buf.get_f64_le();
+        let x = r.f64("node coordinates")?;
+        let y = r.f64("node coordinates")?;
         // corrupted coordinate floats would poison every geometric
         // structure downstream; 1e7 km comfortably exceeds any planet
         if !x.is_finite() || !y.is_finite() || x.abs() > 1e7 || y.abs() > 1e7 {
@@ -281,13 +237,11 @@ fn read_network(buf: &mut &[u8]) -> Result<RoadNetwork, PersistError> {
         }
         b.add_node(Point::new(x, y));
     }
-    need(buf, 4, "edge count")?;
-    let m = buf.get_u32_le() as usize;
-    need(buf, m * 16, "edges")?;
+    let m = r.count(16, "edges")?;
     for _ in 0..m {
-        let a = NodeId(buf.get_u32_le());
-        let c = NodeId(buf.get_u32_le());
-        let w = buf.get_f64_le();
+        let a = NodeId(r.u32("edges")?);
+        let c = NodeId(r.u32("edges")?);
+        let w = r.f64("edges")?;
         b.add_edge(a, c, Some(w))
             .map_err(|e| PersistError::Invalid(format!("edge: {e}")))?;
     }
@@ -295,20 +249,16 @@ fn read_network(buf: &mut &[u8]) -> Result<RoadNetwork, PersistError> {
         .map_err(|e| PersistError::Invalid(format!("network: {e}")))
 }
 
-fn read_vocab(buf: &mut &[u8]) -> Result<Vocabulary, PersistError> {
-    need(buf, 4, "vocab size")?;
-    let n = buf.get_u32_le() as usize;
+fn read_vocab(r: &mut Reader<'_>) -> Result<Vocabulary, PersistError> {
+    // each word is at least its u16 length
+    let n = r.count(2, "vocab")?;
     let mut vocab = Vocabulary::new();
     for _ in 0..n {
-        need(buf, 2, "vocab word length")?;
-        let len = buf.get_u16_le() as usize;
-        need(buf, len, "vocab word")?;
-        let mut raw = vec![0u8; len];
-        buf.copy_to_slice(&mut raw);
-        let word =
-            String::from_utf8(raw).map_err(|_| PersistError::Invalid("vocab: bad utf8".into()))?;
+        let len = r.u16("vocab word length")? as usize;
+        let word = std::str::from_utf8(r.bytes(len, "vocab word")?)
+            .map_err(|_| PersistError::Invalid("vocab: bad utf8".into()))?;
         vocab
-            .intern(&word)
+            .intern(word)
             .ok_or_else(|| PersistError::Invalid("vocab: empty word".into()))?;
     }
     if vocab.len() != n {
@@ -323,26 +273,15 @@ fn read_vocab(buf: &mut &[u8]) -> Result<Vocabulary, PersistError> {
 /// versions must record exactly the interning [`read_vocab`] derives;
 /// unknown (newer) versions are skipped over their declared byte length,
 /// keeping old readers forward-compatible with extended tables.
-fn read_vocab_table(buf: &mut &[u8], vocab: &Vocabulary) -> Result<(), PersistError> {
-    need(buf, 6, "vocab table header")?;
-    let version = buf.get_u16_le();
-    let byte_len = buf.get_u32_le() as usize;
-    need(buf, byte_len, "vocab table payload")?;
+fn read_vocab_table(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<(), PersistError> {
+    let version = r.u16("vocab table header")?;
+    let byte_len = r.u32("vocab table header")? as usize;
+    let payload = r.bytes(byte_len, "vocab table payload")?;
     if version != VOCAB_TABLE_VERSION {
-        buf.advance(byte_len); // length-framed: skip an unknown version
-        return Ok(());
+        return Ok(()); // length-framed: skip an unknown version
     }
-    if byte_len < 4 {
-        return Err(PersistError::Invalid(format!(
-            "vocab table v1 payload of {byte_len} bytes cannot hold its count"
-        )));
-    }
-    let count = buf.get_u32_le() as usize;
-    if byte_len != 4 + 4 * count {
-        return Err(PersistError::Invalid(format!(
-            "vocab table v1 declares {byte_len} bytes but holds {count} entries"
-        )));
-    }
+    let mut table = Reader::new(payload);
+    let count = table.count(4, "vocab table payload")?;
     if count != vocab.len() {
         return Err(PersistError::Invalid(format!(
             "vocab table covers {count} words but the vocabulary holds {}",
@@ -350,7 +289,7 @@ fn read_vocab_table(buf: &mut &[u8], vocab: &Vocabulary) -> Result<(), PersistEr
         )));
     }
     for expect in 0..count {
-        let id = buf.get_u32_le();
+        let id = table.u32("vocab table payload")?;
         if id as usize != expect {
             return Err(PersistError::Invalid(format!(
                 "vocab table entry {expect} maps to interned id {id}; \
@@ -358,85 +297,45 @@ fn read_vocab_table(buf: &mut &[u8], vocab: &Vocabulary) -> Result<(), PersistEr
             )));
         }
     }
+    table.end("the vocab table v1 payload")?;
     Ok(())
 }
 
+/// Reads a store section, refusing any trajectory that names a vertex
+/// outside `network` or a keyword outside `vocab`.
 fn read_store(
-    buf: &mut &[u8],
+    r: &mut Reader<'_>,
     network: &RoadNetwork,
     vocab: &Vocabulary,
 ) -> Result<TrajectoryStore, PersistError> {
-    need(buf, 4, "trajectory count")?;
-    let count = buf.get_u32_le() as usize;
-    // every serialized trajectory occupies ≥ 20 bytes (two counters + one
-    // sample), so a count beyond that bound is corruption — reject before
-    // reserving capacity for it
-    if count > buf.remaining() / 20 {
-        return Err(PersistError::Invalid(format!(
-            "trajectory count {count} exceeds what the payload could hold"
-        )));
-    }
+    let range = IdRange {
+        nodes: network.num_nodes(),
+        keywords: vocab.len(),
+    };
+    let count = r.count(MIN_TRAJECTORY_BYTES, "trajectories")?;
     let mut store = TrajectoryStore::with_capacity(count);
     for _ in 0..count {
-        need(buf, 4, "sample count")?;
-        let ns = buf.get_u32_le() as usize;
-        need(buf, ns * 12, "samples")?;
-        let mut samples = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            let node = NodeId(buf.get_u32_le());
-            let time = buf.get_f64_le();
-            if !network.contains_node(node) {
-                return Err(PersistError::Invalid(format!(
-                    "trajectory references unknown vertex {node}"
-                )));
-            }
-            samples.push(Sample { node, time });
-        }
-        need(buf, 4, "keyword count")?;
-        let nk = buf.get_u32_le() as usize;
-        need(buf, nk * 4, "keywords")?;
-        let mut kws = Vec::with_capacity(nk);
-        for _ in 0..nk {
-            let k = KeywordId(buf.get_u32_le());
-            if k.index() >= vocab.len() {
-                return Err(PersistError::Invalid(format!(
-                    "trajectory references unknown keyword {k}"
-                )));
-            }
-            kws.push(k);
-        }
-        let t = Trajectory::new(samples, KeywordSet::from_ids(kws))
-            .map_err(|e| PersistError::Invalid(format!("trajectory: {e}")))?;
-        store.push(t);
+        store.push(decode_trajectory(r, range)?);
     }
     Ok(store)
 }
 
-/// Saves a dataset to `path`, atomically: written to a `.tmp` sibling,
-/// synced, renamed over the target, and the parent directory is synced so
-/// the rename itself is durable. A crash or storage fault mid-save never
-/// leaves a torn dataset under the final name.
+/// Saves a dataset to `path` through `backend`, atomically: written to a
+/// `.tmp` sibling, synced, renamed over the target, and the parent
+/// directory is synced so the rename itself is durable. A crash or
+/// storage fault mid-save never leaves a torn dataset under the final
+/// name.
 ///
 /// # Errors
 ///
 /// I/O errors only; serialization itself is infallible.
 pub fn save_file(
+    backend: &dyn StorageBackend,
     ds: &Dataset,
     cfg: &DatasetConfig,
-    path: impl AsRef<std::path::Path>,
+    path: &Path,
 ) -> Result<(), PersistError> {
-    save_file_with(&uots_storage::StdFs, ds, cfg, path.as_ref())
-}
-
-/// [`save_file`] through an explicit storage backend.
-pub fn save_file_with(
-    backend: &dyn uots_storage::StorageBackend,
-    ds: &Dataset,
-    cfg: &DatasetConfig,
-    path: &std::path::Path,
-) -> Result<(), PersistError> {
-    let bytes = save(ds, &cfg.tags, cfg.tag_seed);
-    uots_storage::write_atomic(backend, path, &bytes)?;
+    uots_storage::write_atomic(backend, path, &save(ds, &cfg.tags, cfg.tag_seed))?;
     Ok(())
 }
 
@@ -445,7 +344,7 @@ pub fn save_file_with(
 /// # Errors
 ///
 /// See [`PersistError`].
-pub fn load_file(path: impl AsRef<std::path::Path>) -> Result<Dataset, PersistError> {
+pub fn load_file(path: impl AsRef<Path>) -> Result<Dataset, PersistError> {
     let raw = std::fs::read(path)?;
     load(&raw)
 }
@@ -460,9 +359,9 @@ pub fn load_file(path: impl AsRef<std::path::Path>) -> Result<Dataset, PersistEr
 /// magic   8 B  "UOTSCKP1"
 /// epoch   u64  epoch counter at checkpoint time
 /// lsn     u64  WAL high-water mark: last batch LSN applied to this state
-/// network as in UOTSDS1
-/// vocab   as in UOTSDS1
-/// store   as in UOTSDS1 (the *master* store, retired slots included)
+/// network as in UOTSDS2
+/// vocab   as in UOTSDS2
+/// store   as in UOTSDS2 (the *master* store, retired slots included)
 /// live    u32 len; ⌈len/64⌉ × u64 mask words
 /// crc     u32  CRC32 (IEEE) of every preceding byte, magic included
 /// ```
@@ -484,23 +383,23 @@ pub struct Checkpoint {
 }
 
 /// Serializes a checkpoint (see [`Checkpoint`] for the format).
-pub fn save_checkpoint(ck: &Checkpoint) -> Bytes {
-    let mut out = BytesMut::with_capacity(
+pub fn save_checkpoint(ck: &Checkpoint) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
         64 + ck.network.num_nodes() * 16 + ck.network.num_edges() * 16 + ck.store.len() * 64,
     );
-    out.put_slice(CKPT_MAGIC);
-    out.put_u64_le(ck.epoch);
-    out.put_u64_le(ck.lsn);
+    out.extend_from_slice(CKPT_MAGIC);
+    out.extend_from_slice(&ck.epoch.to_le_bytes());
+    out.extend_from_slice(&ck.lsn.to_le_bytes());
     write_network(&mut out, &ck.network);
     write_vocab(&mut out, &ck.vocab);
     write_store(&mut out, &ck.store);
-    out.put_u32_le(ck.live.len() as u32);
+    out.extend_from_slice(&(ck.live.len() as u32).to_le_bytes());
     for &w in ck.live.words() {
-        out.put_u64_le(w);
+        out.extend_from_slice(&w.to_le_bytes());
     }
-    let crc = crc32(out.as_slice());
-    out.put_u32_le(crc);
-    out.freeze()
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Deserializes and fully validates a checkpoint. Any corruption — bad
@@ -522,32 +421,27 @@ pub fn load_checkpoint(raw: &[u8]) -> Result<Checkpoint, PersistError> {
             "checkpoint crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
         )));
     }
-    let mut buf = &body[CKPT_MAGIC.len()..];
-    need(&buf, 16, "checkpoint meta")?;
-    let epoch = buf.get_u64_le();
-    let lsn = buf.get_u64_le();
-    let network = read_network(&mut buf)?;
-    let vocab = read_vocab(&mut buf)?;
-    let store = read_store(&mut buf, &network, &vocab)?;
-    need(&buf, 4, "live mask length")?;
-    let live_len = buf.get_u32_le() as usize;
+    let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
+    let epoch = r.u64("checkpoint meta")?;
+    let lsn = r.u64("checkpoint meta")?;
+    let network = read_network(&mut r)?;
+    let vocab = read_vocab(&mut r)?;
+    let store = read_store(&mut r, &network, &vocab)?;
+    let live_len = r.u32("live mask length")? as usize;
     if live_len != store.len() {
         return Err(PersistError::Invalid(format!(
             "live mask covers {live_len} ids but the store holds {}",
             store.len()
         )));
     }
-    let words_needed = live_len.div_ceil(64);
-    need(&buf, words_needed * 8, "live mask words")?;
-    let words: Vec<u64> = (0..words_needed).map(|_| buf.get_u64_le()).collect();
+    let words = r
+        .bytes(live_len.div_ceil(64) * 8, "live mask words")?
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+        .collect();
     let live = LiveSet::from_words(live_len, words)
         .ok_or_else(|| PersistError::Invalid("live mask has ghost ids beyond its length".into()))?;
-    if buf.remaining() > 0 {
-        return Err(PersistError::Invalid(format!(
-            "{} trailing bytes after a complete checkpoint",
-            buf.remaining()
-        )));
-    }
+    r.end("a complete checkpoint")?;
     Ok(Checkpoint {
         network,
         vocab,
@@ -558,46 +452,33 @@ pub fn load_checkpoint(raw: &[u8]) -> Result<Checkpoint, PersistError> {
     })
 }
 
-/// Saves a checkpoint to `path`, atomically: written to a `.tmp` sibling,
-/// synced, renamed over the target, and the parent directory is synced —
-/// the directory fsync is what makes the *rename* durable, and its error
-/// is propagated like any other (a swallowed one would report a
-/// checkpoint as saved that a power loss could still roll back).
+/// Saves a checkpoint to `path` through `backend`, atomically: written to
+/// a `.tmp` sibling, synced, renamed over the target, and the parent
+/// directory is synced — the directory fsync is what makes the *rename*
+/// durable, and its error is propagated like any other (a swallowed one
+/// would report a checkpoint as saved that a power loss could still roll
+/// back).
 pub fn save_checkpoint_file(
+    backend: &dyn StorageBackend,
     ck: &Checkpoint,
-    path: impl AsRef<std::path::Path>,
+    path: &Path,
 ) -> Result<(), PersistError> {
-    save_checkpoint_file_with(&uots_storage::StdFs, ck, path.as_ref())
-}
-
-/// [`save_checkpoint_file`] through an explicit storage backend.
-pub fn save_checkpoint_file_with(
-    backend: &dyn uots_storage::StorageBackend,
-    ck: &Checkpoint,
-    path: &std::path::Path,
-) -> Result<(), PersistError> {
-    let bytes = save_checkpoint(ck);
-    uots_storage::write_atomic(backend, path, &bytes)?;
+    uots_storage::write_atomic(backend, path, &save_checkpoint(ck))?;
     Ok(())
 }
 
-/// Loads and validates a checkpoint from `path`.
-pub fn load_checkpoint_file(path: impl AsRef<std::path::Path>) -> Result<Checkpoint, PersistError> {
-    load_checkpoint_file_with(&uots_storage::StdFs, path.as_ref())
-}
-
-/// [`load_checkpoint_file`] through an explicit storage backend.
-pub fn load_checkpoint_file_with(
-    backend: &dyn uots_storage::StorageBackend,
-    path: &std::path::Path,
+/// Loads and validates a checkpoint from `path` through `backend`.
+pub fn load_checkpoint_file(
+    backend: &dyn StorageBackend,
+    path: &Path,
 ) -> Result<Checkpoint, PersistError> {
-    let raw = backend.read(path)?;
-    load_checkpoint(&raw)
+    load_checkpoint(&backend.read(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uots_storage::StdFs;
 
     fn dataset() -> (Dataset, DatasetConfig) {
         let cfg = DatasetConfig::small(30, 77);
@@ -661,7 +542,7 @@ mod tests {
     #[test]
     fn corrupted_references_are_rejected() {
         let (ds, cfg) = dataset();
-        let bytes = save(&ds, &cfg.tags, cfg.tag_seed).to_vec();
+        let bytes = save(&ds, &cfg.tags, cfg.tag_seed);
         // corrupt a trajectory's node id to u32::MAX: find the store section
         // heuristically by flipping bytes near the end and expecting either
         // Invalid or Truncated (never a panic, never silent acceptance of an
@@ -690,7 +571,7 @@ mod tests {
         let dir = std::env::temp_dir().join("uots_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("small.uotsds");
-        save_file(&ds, &cfg, &path).unwrap();
+        save_file(&StdFs, &ds, &cfg, &path).unwrap();
         let back = load_file(&path).unwrap();
         assert_eq!(ds.network, back.network);
         std::fs::remove_file(&path).ok();
@@ -704,7 +585,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.uotsds");
-        save_file(&ds, &cfg, &path).unwrap();
+        save_file(&StdFs, &ds, &cfg, &path).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         let fs = FaultFs::scripted(
             81,
@@ -715,7 +596,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            save_file_with(&*fs, &ds, &cfg, &path),
+            save_file(&*fs, &ds, &cfg, &path),
             Err(PersistError::Io(_))
         ));
         assert_eq!(
@@ -737,7 +618,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let (ds, cfg) = dataset();
-        let mut bytes = save(&ds, &cfg.tags, cfg.tag_seed).to_vec();
+        let mut bytes = save(&ds, &cfg.tags, cfg.tag_seed);
         assert!(load(&bytes).is_ok());
         for suffix in [&b"\x00"[..], b"junk", &[0xff; 64]] {
             let mut extended = bytes.clone();
@@ -755,47 +636,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_payload_still_loads_with_interning_on_load() {
-        let (ds, cfg) = dataset();
-        let v1 = save_legacy_v1(&ds, &cfg.tags, cfg.tag_seed);
-        assert_eq!(&v1[..8], MAGIC_V1);
-        let back = load(&v1).unwrap();
-        assert_eq!(ds.vocab.len(), back.vocab.len());
-        for (id, w) in ds.vocab.iter() {
-            assert_eq!(back.vocab.word(id), Some(w), "interned ids must agree");
-        }
-        for (a, b) in ds.store.iter().zip(back.store.iter()) {
-            assert_eq!(a.1, b.1);
-        }
-        // and the two formats decode to identical datasets
-        let v2_back = load(&save(&ds, &cfg.tags, cfg.tag_seed)).unwrap();
-        assert_eq!(v2_back.store.len(), back.store.len());
-        for (a, b) in v2_back.store.iter().zip(back.store.iter()) {
-            assert_eq!(a.1, b.1);
-        }
-    }
-
-    #[test]
     fn vocab_table_section_is_versioned_and_validated() {
         let (ds, cfg) = dataset();
-        let bytes = save(&ds, &cfg.tags, cfg.tag_seed).to_vec();
+        let bytes = save(&ds, &cfg.tags, cfg.tag_seed);
         assert_eq!(&bytes[..8], MAGIC);
-        // locate the vtab header: it follows the vocab section, whose end
-        // we can find by re-serializing the prefix up to it
-        let mut prefix = BytesMut::new();
-        prefix.put_slice(MAGIC);
-        prefix.put_u32_le(ds.name.len() as u32);
-        prefix.put_slice(ds.name.as_bytes());
-        prefix.put_u64_le(cfg.tag_seed);
-        prefix.put_u32_le(cfg.tags.vocab_size as u32);
-        prefix.put_u32_le(cfg.tags.num_categories as u32);
-        prefix.put_u32_le(cfg.tags.keywords_per_category as u32);
-        prefix.put_f64_le(cfg.tags.category_skew);
-        prefix.put_f64_le(cfg.tags.keyword_skew);
-        prefix.put_f64_le(cfg.tags.background_prob);
-        write_network(&mut prefix, &ds.network);
-        write_vocab(&mut prefix, &ds.vocab);
-        let vtab_at = prefix.len();
+        // locate the vtab header: the table and the store section follow
+        // it to the end of the payload
+        let mut tail = Vec::new();
+        write_vocab_table(&mut tail, &ds.vocab);
+        write_store(&mut tail, &ds.store);
+        let vtab_at = bytes.len() - tail.len();
         assert_eq!(
             u16::from_le_bytes([bytes[vtab_at], bytes[vtab_at + 1]]),
             VOCAB_TABLE_VERSION
@@ -814,6 +664,80 @@ mod tests {
         assert!(matches!(
             load(&bytes[..vtab_at + 3]),
             Err(PersistError::Truncated(_))
+        ));
+    }
+
+    /// Regression: `load` handed the stored tag config to
+    /// `TagSampler::synthetic` unchecked, so a hostile file panicked the
+    /// loader (zero sizes, a negative skew, a NaN probability) or held it
+    /// for over a minute (50M categories). Each is now refused before the
+    /// sampler is rebuilt.
+    #[test]
+    fn hostile_tag_configs_are_refused_before_the_sampler_is_built() {
+        let (ds, cfg) = dataset();
+        let bytes = save(&ds, &cfg.tags, cfg.tag_seed);
+        // vocab_size, num_categories, keywords_per_category (u32), then
+        // category_skew, keyword_skew, background_prob (f64)
+        let at = MAGIC.len() + 4 + ds.name.len() + 8;
+        let cases: [(&str, usize, Vec<u8>); 5] = [
+            ("vocab_size 0", at, 0u32.to_le_bytes().to_vec()),
+            ("num_categories 0", at + 4, 0u32.to_le_bytes().to_vec()),
+            (
+                "category_skew -1",
+                at + 12,
+                (-1.0f64).to_le_bytes().to_vec(),
+            ),
+            (
+                "background_prob NaN",
+                at + 28,
+                f64::NAN.to_le_bytes().to_vec(),
+            ),
+            (
+                "num_categories 50M",
+                at + 4,
+                50_000_000u32.to_le_bytes().to_vec(),
+            ),
+        ];
+        for (what, offset, field) in cases {
+            let mut hostile = bytes.clone();
+            hostile[offset..offset + field.len()].copy_from_slice(&field);
+            let started = std::time::Instant::now();
+            let r = load(&hostile).err();
+            assert!(matches!(r, Some(PersistError::Invalid(_))), "{what}: {r:?}");
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(1),
+                "{what}: refused only after {:?}",
+                started.elapsed()
+            );
+        }
+    }
+
+    /// A store declaring `u32::MAX` trajectories, or a checkpoint whose
+    /// live mask declares `u32::MAX` ids, is refused before anything is
+    /// sized by the count.
+    #[test]
+    fn huge_declared_counts_are_refused_before_allocation() {
+        let (ds, cfg) = dataset();
+        let mut bytes = save(&ds, &cfg.tags, cfg.tag_seed);
+        let mut store = Vec::new();
+        write_store(&mut store, &ds.store);
+        let at = bytes.len() - store.len();
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            load(&bytes),
+            Err(PersistError::Truncated("trajectories"))
+        ));
+
+        let ck = checkpoint();
+        let mut bytes = save_checkpoint(&ck);
+        let at = bytes.len() - 4 - ck.live.words().len() * 8 - 4;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            load_checkpoint(&bytes),
+            Err(PersistError::Invalid(m)) if m.contains("live mask covers 4294967295 ids")
         ));
     }
 
@@ -850,7 +774,7 @@ mod tests {
     #[test]
     fn checkpoint_detects_every_corruption_mode() {
         let ck = checkpoint();
-        let bytes = save_checkpoint(&ck).to_vec();
+        let bytes = save_checkpoint(&ck);
         // truncation at a spread of prefixes
         for cut in [0usize, 4, 11, 24, 100, bytes.len() / 2, bytes.len() - 1] {
             assert!(load_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -883,9 +807,9 @@ mod tests {
         let dir = std::env::temp_dir().join("uots_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ck.uotsck");
-        save_checkpoint_file(&ck, &path).unwrap();
+        save_checkpoint_file(&StdFs, &ck, &path).unwrap();
         assert!(!path.with_extension("tmp").exists(), "tmp must be renamed");
-        let back = load_checkpoint_file(&path).unwrap();
+        let back = load_checkpoint_file(&StdFs, &path).unwrap();
         assert_eq!(back.lsn, ck.lsn);
         std::fs::remove_file(&path).ok();
     }
@@ -899,7 +823,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ds.uots");
         // a good save first, so the fault case has something to protect
-        save_file(&ds, &cfg, &path).unwrap();
+        save_file(&StdFs, &ds, &cfg, &path).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         // now a save whose tmp-file write tears mid-way: the target file
         // must be untouched (the torn bytes only ever exist in the .tmp)
@@ -912,7 +836,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            save_file_with(&*fs, &ds, &cfg, &path),
+            save_file(&*fs, &ds, &cfg, &path),
             Err(PersistError::Io(_))
         ));
         assert_eq!(
@@ -932,7 +856,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            save_file_with(&*fs, &ds, &cfg, &path),
+            save_file(&*fs, &ds, &cfg, &path),
             Err(PersistError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -956,14 +880,14 @@ mod tests {
         );
         assert!(
             matches!(
-                save_checkpoint_file_with(&*fs, &ck, &path),
+                save_checkpoint_file(&*fs, &ck, &path),
                 Err(PersistError::Io(_))
             ),
             "directory-fsync failure decides rename durability; it must propagate"
         );
         // without faults the same backend path round-trips
-        save_checkpoint_file_with(&uots_storage::StdFs, &ck, &path).unwrap();
-        let back = load_checkpoint_file_with(&uots_storage::StdFs, &path).unwrap();
+        save_checkpoint_file(&StdFs, &ck, &path).unwrap();
+        let back = load_checkpoint_file(&StdFs, &path).unwrap();
         assert_eq!(back.lsn, ck.lsn);
         let _ = std::fs::remove_dir_all(&dir);
     }

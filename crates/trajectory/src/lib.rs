@@ -10,11 +10,15 @@
 //! * [`TripGenerator`] — hotspot-biased shortest-path trips standing in for
 //!   the paper's T-drive taxi data;
 //! * [`TagSampler`] — category-correlated, Zipf-skewed textual attributes;
-//! * [`mapmatch`] — simulated GPS emission and nearest-vertex map matching.
+//! * [`mapmatch`] — simulated GPS emission and nearest-vertex map matching;
+//! * [`codec`] — the binary layout of a trajectory, shared by the WAL, the
+//!   dataset file and the checkpoint, and the bounded reader they decode
+//!   with.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod codec;
 mod error;
 mod generator;
 mod live;

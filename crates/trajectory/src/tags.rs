@@ -27,6 +27,38 @@ pub struct TagModelConfig {
     pub background_prob: f64,
 }
 
+impl TagModelConfig {
+    /// Why [`TagSampler::synthetic`] cannot build a sampler from this
+    /// configuration: a category count or pool size outside
+    /// `1..=vocab_size`, a skew that is negative or not finite, or a
+    /// background probability outside `[0, 1]`. A stored configuration is
+    /// checked with this before the sampler is rebuilt from it.
+    pub fn check(&self) -> Result<(), String> {
+        let sizes = 1..=self.vocab_size;
+        if !sizes.contains(&self.num_categories) || !sizes.contains(&self.keywords_per_category) {
+            return Err(format!(
+                "{} categories of {} keywords each do not fit a vocabulary of {}",
+                self.num_categories, self.keywords_per_category, self.vocab_size
+            ));
+        }
+        for (name, skew) in [
+            ("category_skew", self.category_skew),
+            ("keyword_skew", self.keyword_skew),
+        ] {
+            if !(skew.is_finite() && skew >= 0.0) {
+                return Err(format!("{name} {skew} is not a finite exponent >= 0"));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.background_prob) {
+            return Err(format!(
+                "background_prob {} outside [0, 1]",
+                self.background_prob
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Default for TagModelConfig {
     fn default() -> Self {
         TagModelConfig {
@@ -59,18 +91,18 @@ impl TagSampler {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations (zero sizes, probabilities
-    /// outside `[0, 1]`).
+    /// Panics on a configuration [`TagModelConfig::check`] refuses.
     pub fn synthetic<R: Rng + ?Sized>(cfg: &TagModelConfig, rng: &mut R) -> (Self, Vocabulary) {
-        assert!(cfg.vocab_size > 0 && cfg.num_categories > 0 && cfg.keywords_per_category > 0);
-        assert!((0.0..=1.0).contains(&cfg.background_prob));
+        if let Err(e) = cfg.check() {
+            panic!("bad tag model config: {e}");
+        }
         let mut vocab = Vocabulary::new();
         for i in 0..cfg.vocab_size {
             vocab.intern(&format!("tag{i:03}")).expect("non-empty tag");
         }
         // category pools: contiguous-ish blocks with random extras, so pools
         // overlap partially (categories share generic tags)
-        let per = cfg.keywords_per_category.min(cfg.vocab_size);
+        let per = cfg.keywords_per_category;
         let categories = (0..cfg.num_categories)
             .map(|c| {
                 let base = (c * per / 2) % cfg.vocab_size;
@@ -213,6 +245,48 @@ mod tests {
                 s1.sample_tags(c1, 3, &mut r1),
                 s2.sample_tags(c2, 3, &mut r2)
             );
+        }
+    }
+
+    #[test]
+    fn check_refuses_what_synthetic_cannot_build() {
+        assert_eq!(TagModelConfig::default().check(), Ok(()));
+        let base = TagModelConfig::default;
+        for bad in [
+            TagModelConfig {
+                vocab_size: 0,
+                ..base()
+            },
+            TagModelConfig {
+                num_categories: 0,
+                ..base()
+            },
+            TagModelConfig {
+                num_categories: 401,
+                ..base()
+            },
+            TagModelConfig {
+                keywords_per_category: 401,
+                ..base()
+            },
+            TagModelConfig {
+                category_skew: -1.0,
+                ..base()
+            },
+            TagModelConfig {
+                keyword_skew: f64::INFINITY,
+                ..base()
+            },
+            TagModelConfig {
+                background_prob: f64::NAN,
+                ..base()
+            },
+            TagModelConfig {
+                background_prob: 1.5,
+                ..base()
+            },
+        ] {
+            assert!(bad.check().is_err(), "{bad:?}");
         }
     }
 

@@ -476,7 +476,7 @@ fn cmd_generate(args: &[String]) -> i32 {
         Ok(ds) => ds,
         Err(e) => return fail(e),
     };
-    if let Err(e) = persist::save_file(&ds, &cfg, out) {
+    if let Err(e) = persist::save_file(&StdFs, &ds, &cfg, out.as_ref()) {
         return fail(e);
     }
     println!(

@@ -69,7 +69,8 @@ use uots_datagen::Dataset;
 use uots_network::RoadNetwork;
 use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
-use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
+use uots_trajectory::codec::IdRange;
+use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
 
 /// Errors from the durable ingest path.
 #[derive(Debug)]
@@ -549,11 +550,13 @@ impl DurableIngest {
     /// once in the WAL such a record fails every later recovery, and
     /// applied it panics the manager.
     fn check_batch(&self, batch: &[Mutation]) -> Result<(), DurableError> {
+        let range = id_range(self.manager.network(), &self.vocab);
         let mut issued = self.manager.issued();
         for m in batch {
             match m {
                 Mutation::Insert(t) => {
-                    check_insert(self.manager.network(), self.vocab.len(), t)
+                    range
+                        .check(t)
                         .map_err(|e| DurableError::Inconsistent(format!("insert: {e}")))?;
                     issued += 1;
                 }
@@ -665,7 +668,7 @@ impl DurableIngest {
             epoch: snapshot.epoch(),
             lsn: high_water,
         };
-        persist::save_checkpoint_file_with(
+        persist::save_checkpoint_file(
             &*self.backend,
             &ck,
             &checkpoint_path(&self.dir, high_water),
@@ -706,26 +709,12 @@ impl DurableIngest {
     }
 }
 
-/// Why `t` cannot be stored over `network` with a `vocab_len`-keyword
-/// vocabulary: the vertex index and the keyword index are sized by those
-/// two and panic on an id past them — at the next publish, and for a
-/// logged insert again at every recovery.
-pub(crate) fn check_insert(
-    network: &RoadNetwork,
-    vocab_len: usize,
-    t: &Trajectory,
-) -> Result<(), String> {
-    if let Some(v) = t.nodes().find(|&v| !network.contains_node(v)) {
-        let n = network.num_nodes();
-        return Err(format!("vertex {} outside the network ({n} vertices)", v.0));
+/// The ids an insert over `network` and `vocab` may name.
+fn id_range(network: &RoadNetwork, vocab: &Vocabulary) -> IdRange {
+    IdRange {
+        nodes: network.num_nodes(),
+        keywords: vocab.len(),
     }
-    if let Some(k) = t.keywords().iter().find(|k| k.index() >= vocab_len) {
-        let k = k.0;
-        return Err(format!(
-            "keyword {k} outside the vocabulary ({vocab_len} keywords)"
-        ));
-    }
-    Ok(())
 }
 
 fn checkpoint_path(dir: &Path, lsn: u64) -> PathBuf {
@@ -801,7 +790,7 @@ impl RecoveryPlan {
         let mut rejected = Vec::new();
         let mut checkpoint = None;
         for path in list_checkpoints(backend, dir) {
-            match persist::load_checkpoint_file_with(backend, &path) {
+            match persist::load_checkpoint_file(backend, &path) {
                 Err(e) => rejected.push((path, e.to_string())),
                 Ok(ck) => match gap_after(ck.lsn) {
                     Some(first) => rejected.push((
@@ -987,11 +976,12 @@ pub fn recover(
     );
 
     let batches = tail.len() as u64;
+    let range = id_range(&network, &vocab);
     for (lsn, batch) in tail {
         for m in batch {
             match m {
                 Mutation::Insert(t) => {
-                    check_insert(&network, vocab.len(), &t).map_err(|e| {
+                    range.check(&t).map_err(|e| {
                         DurableError::Inconsistent(format!("wal lsn {lsn}: insert: {e}"))
                     })?;
                     // ids must stay dense/stable: an insert lands at the
@@ -1086,6 +1076,7 @@ mod tests {
     use uots_core::storage::fault::{Fault, FaultFs, OpKind, ScriptedFault};
     use uots_core::storage::StdFs;
     use uots_datagen::DatasetConfig;
+    use uots_trajectory::Trajectory;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

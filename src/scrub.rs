@@ -216,7 +216,7 @@ fn walk(
         {
             continue;
         }
-        match persist::load_checkpoint_file_with(backend, &path) {
+        match persist::load_checkpoint_file(backend, &path) {
             Ok(_) => {}
             Err(persist::PersistError::Io(e)) => return Err(e),
             Err(e) => invalid_checkpoints.push((path, e.to_string())),

@@ -105,9 +105,8 @@ use uots_obs::{
     AcceptLoop, Counter, HttpRequest, MetricsRegistry, ObsState, Response, Stopper, TailSampler,
 };
 use uots_text::{KeywordId, KeywordSet};
+use uots_trajectory::codec::IdRange;
 use uots_trajectory::{Trajectory, TrajectoryId};
-
-use crate::durable::check_insert;
 
 /// How the service admits, degrades and sheds work.
 #[derive(Debug, Clone)]
@@ -689,9 +688,12 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
 /// client-facing message.
 fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String> {
     let db = cut.shard(0).database();
-    let vocab = db.keyword_index.map_or(usize::MAX, |k| k.num_keys());
+    let range = IdRange {
+        nodes: db.network.num_nodes(),
+        keywords: db.keyword_index.map_or(usize::MAX, |k| k.num_keys()),
+    };
     inserts.iter().enumerate().find_map(|(i, t)| {
-        let refused = check_insert(db.network, vocab, t).err()?;
+        let refused = range.check(t).err()?;
         Some(format!("insert {i}: {refused}"))
     })
 }

@@ -876,7 +876,7 @@ fn status_fsck_and_recover_agree_on_a_gapped_log() {
             lsn: lsn as u64,
         };
         let file = wal_dir.join(format!("ckpt-{lsn:020}.uotsck"));
-        persist::save_checkpoint_file(&ck, file).unwrap();
+        persist::save_checkpoint_file(&uots::storage::StdFs, &ck, &file).unwrap();
     }
     assert_eq!(wal::prune_segments(&wal_dir, 6).unwrap(), 6);
     let victim = wal_dir.join(format!("ckpt-{:020}.uotsck", 6));

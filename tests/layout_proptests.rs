@@ -12,8 +12,7 @@
 //!   graphs where sources exhaust at different times;
 //! * the UOTSDS2 vocab-table section survives the same corruption model
 //!   `persist_proptests.rs` applies to the base format (truncation,
-//!   appended garbage), and legacy UOTSDS1 payloads still load via
-//!   interning-on-load.
+//!   appended garbage).
 
 use proptest::prelude::*;
 use uots::datagen::persist;
@@ -264,35 +263,8 @@ proptest! {
     ) {
         let cfg = DatasetConfig::small(5, seed % 100);
         let ds = Dataset::build(&cfg).expect("dataset builds");
-        let mut bytes = persist::save(&ds, &cfg.tags, cfg.tag_seed).to_vec();
+        let mut bytes = persist::save(&ds, &cfg.tags, cfg.tag_seed);
         bytes.extend_from_slice(&suffix);
         prop_assert!(persist::load(&bytes).is_err());
-    }
-
-    /// Satellite (d): pre-vocab-table (UOTSDS1) payloads still load, and
-    /// interning-on-load reconstructs a dataset that answers queries
-    /// identically to the v2 round trip.
-    #[test]
-    fn legacy_v1_payloads_load_identically(
-        trips in 1usize..20,
-        seed in any::<u64>(),
-    ) {
-        let cfg = DatasetConfig::small(trips, seed % 1000);
-        let ds = Dataset::build(&cfg).expect("dataset builds");
-        let v1 = persist::load(&persist::save_legacy_v1(&ds, &cfg.tags, cfg.tag_seed))
-            .expect("legacy payload loads");
-        let v2 = persist::load(&persist::save(&ds, &cfg.tags, cfg.tag_seed))
-            .expect("v2 payload loads");
-        prop_assert_eq!(&v1.network, &v2.network);
-        prop_assert_eq!(v1.vocab.len(), v2.vocab.len());
-        prop_assert_eq!(v1.store.len(), v2.store.len());
-        let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
-        let q = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).unwrap();
-        let ra = Expansion::default().run(&uots::db(&v1), &q).unwrap();
-        let rb = Expansion::default().run(&uots::db(&v2), &q).unwrap();
-        prop_assert_eq!(ra.ids(), rb.ids());
-        for (a, b) in ra.matches.iter().zip(rb.matches.iter()) {
-            prop_assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());
-        }
     }
 }

@@ -41,7 +41,7 @@ proptest! {
     ) {
         let cfg = DatasetConfig::small(5, seed % 100);
         let ds = Dataset::build(&cfg).expect("dataset builds");
-        let mut bytes = persist::save(&ds, &cfg.tags, cfg.tag_seed).to_vec();
+        let mut bytes = persist::save(&ds, &cfg.tags, cfg.tag_seed);
         for &pos in &flip_at {
             if pos < bytes.len() {
                 bytes[pos] = flip_to;
@@ -67,7 +67,7 @@ proptest! {
     ) {
         let cfg = DatasetConfig::small(4, seed % 100);
         let ds = Dataset::build(&cfg).expect("dataset builds");
-        let mut bytes = persist::save(&ds, &cfg.tags, cfg.tag_seed).to_vec();
+        let mut bytes = persist::save(&ds, &cfg.tags, cfg.tag_seed);
         prop_assert!(persist::load(&bytes).is_ok(), "sanity: untouched payload loads");
         bytes.extend_from_slice(&suffix);
         prop_assert!(
@@ -94,7 +94,7 @@ proptest! {
             epoch: 1,
             lsn: 7,
         };
-        let mut bytes = persist::save_checkpoint(&ck).to_vec();
+        let mut bytes = persist::save_checkpoint(&ck);
         prop_assert!(persist::load_checkpoint(&bytes).is_ok(), "sanity: untouched checkpoint loads");
         bytes.extend_from_slice(&suffix);
         prop_assert!(persist::load_checkpoint(&bytes).is_err());

@@ -1898,7 +1898,8 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     let root = scratch_dir("layout");
     std::fs::create_dir_all(&root).unwrap();
     let data = root.join("city.uotsds");
-    uots::datagen::persist::save_file(&ds, &cfg, &data).expect("save dataset");
+    uots::datagen::persist::save_file(&uots::storage::StdFs, &ds, &cfg, &data)
+        .expect("save dataset");
 
     // a flag start-up does not read is refused by name before anything is
     // created: a typo must not start a server nobody asked for
@@ -1988,7 +1989,8 @@ fn serve_status_reports_the_published_cut_and_unframed_ingests_publish_nothing()
     let root = scratch_dir("status");
     std::fs::create_dir_all(&root).unwrap();
     let data = root.join("city.uotsds");
-    uots::datagen::persist::save_file(&ds, &cfg, &data).expect("save dataset");
+    uots::datagen::persist::save_file(&uots::storage::StdFs, &ds, &cfg, &data)
+        .expect("save dataset");
     let body = r#"{"insert":[{"samples":[{"node":0,"time":30.0}],"keywords":[1]},{"samples":[{"node":1,"time":60.0}],"keywords":[2]}],"retire":[0]}"#;
     let live = ds.store.len() as u64;
     let status = |addr| {

@@ -494,7 +494,7 @@ fn checkpoints_shorten_replay_and_corrupt_ones_fall_back() {
             epoch: lsn, // one publish per batch in this script
             lsn,
         };
-        persist::save_checkpoint_file(&ck, wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
+        persist::save_checkpoint_file(&StdFs, &ck, &wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
             .expect("checkpoint saves");
     }
 
@@ -613,7 +613,7 @@ fn inspection_and_recovery_agree_on_next_lsn_past_a_lone_checkpoint() {
         epoch: 8,
         lsn: 8,
     };
-    persist::save_checkpoint_file(&ck, wal_dir.join(format!("ckpt-{:020}.uotsck", 8)))
+    persist::save_checkpoint_file(&StdFs, &ck, &wal_dir.join(format!("ckpt-{:020}.uotsck", 8)))
         .expect("checkpoint saves");
 
     let report = scrub::inspect(&StdFs, &wal_dir).expect("inspect");
@@ -652,7 +652,7 @@ fn recovery_reads_each_segment_once_and_checkpoints_until_one_is_taken() {
             epoch: lsn,
             lsn,
         };
-        persist::save_checkpoint_file(&ck, wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
+        persist::save_checkpoint_file(&StdFs, &ck, &wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
             .expect("checkpoint saves");
     }
     let reads_of = |fs: &CountingFs, ext: &str| -> Vec<usize> {
@@ -767,7 +767,7 @@ fn pruned_log(name: &str, seed: u64) -> (PathBuf, Dataset, Vec<Vec<Mutation>>) {
             epoch: lsn,
             lsn,
         };
-        persist::save_checkpoint_file(&ck, wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
+        persist::save_checkpoint_file(&StdFs, &ck, &wal_dir.join(format!("ckpt-{lsn:020}.uotsck")))
             .expect("checkpoint saves");
     }
     // prune against the newest checkpoint: segments for lsns 1..=6 go,
