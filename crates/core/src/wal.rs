@@ -78,7 +78,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
 use uots_storage::{crc32, StdFs, StorageBackend, StorageFile};
-use uots_trajectory::codec::{decode_trajectory, encode_trajectory, DecodeError, IdRange, Reader};
+use uots_trajectory::codec::{decode_trajectory, encode_trajectory, DecodeError, Reader};
 use uots_trajectory::TrajectoryId;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"UOTSWAL1";
@@ -87,9 +87,6 @@ const SEGMENT_MAGIC: &[u8; 8] = b"UOTSWAL1";
 /// unusable); at or past it, the damage is a torn record tail.
 pub const HEADER_LEN: u64 = 16;
 const RECORD_HEADER_LEN: usize = 16; // len + crc + lsn
-/// Upper bound on one record's payload; a decoded length beyond this is
-/// corruption, not a real batch — it must not drive allocation.
-const MAX_PAYLOAD: u32 = 1 << 30;
 
 /// When the log writer forces data to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,14 +364,15 @@ impl WalWriter {
         let started = Instant::now();
         self.heal()?;
         let lsn = self.next_lsn;
-        let payload = encode_batch(batch);
-        let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&lsn.to_le_bytes());
-        crc_input.extend_from_slice(&payload);
-        record.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-        record.extend_from_slice(&crc_input);
+        // the payload is encoded in place; its length and the crc of the
+        // lsn and payload then fill the first 8 bytes
+        let mut record = vec![0; 8];
+        record.extend_from_slice(&lsn.to_le_bytes());
+        encode_batch(batch, &mut record);
+        let payload_len = (record.len() - RECORD_HEADER_LEN) as u32;
+        let crc = crc32(&record[8..]);
+        record[..4].copy_from_slice(&payload_len.to_le_bytes());
+        record[4..8].copy_from_slice(&crc.to_le_bytes());
         if let Err(e) = self.file.write_all(&record) {
             // Torn write: a prefix of the record may be on disk, followed
             // by nothing — but the pages before it are intact. Seal at the
@@ -703,15 +701,14 @@ pub fn replay_with(
     let mut expect_lsn: Option<u64> = None;
     'segments: for seg in list_segments_with(backend, dir)? {
         let raw = backend.read(&seg)?;
-        if raw.len() < HEADER_LEN as usize || &raw[..8] != SEGMENT_MAGIC {
+        let Some(first_lsn) = first_lsn(&raw) else {
             corruption = Some(Corruption {
                 segment: seg,
                 offset: 0,
                 reason: "bad or truncated segment header".into(),
             });
             break 'segments;
-        }
-        let first_lsn = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
+        };
         // the first segment may start anywhere (older ones get pruned);
         // later ones must continue exactly where the previous left off
         if let Some(expected) = expect_lsn {
@@ -773,9 +770,8 @@ pub fn prune_segments_with(
     let segs = list_segments_with(backend, dir)?;
     let mut removed = 0;
     for pair in segs.windows(2) {
-        let next_first = match read_first_lsn(backend, &pair[1]) {
-            Some(l) => l,
-            None => break, // damaged header: leave everything for recovery to report
+        let Some(next_first) = backend.read(&pair[1]).ok().and_then(|raw| first_lsn(&raw)) else {
+            break; // damaged header: leave everything for recovery to report
         };
         if next_first != 0 && next_first - 1 <= upto_lsn {
             backend.remove_file(&pair[0])?;
@@ -787,12 +783,11 @@ pub fn prune_segments_with(
     Ok(removed)
 }
 
-fn read_first_lsn(backend: &dyn StorageBackend, seg: &Path) -> Option<u64> {
-    let raw = backend.read(seg).ok()?;
-    if raw.len() < HEADER_LEN as usize || &raw[..8] != SEGMENT_MAGIC {
-        return None;
-    }
-    Some(u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")))
+/// The first LSN a segment's header names; `None` if the header is
+/// damaged or truncated.
+fn first_lsn(segment: &[u8]) -> Option<u64> {
+    let (magic, lsn) = segment.get(..HEADER_LEN as usize)?.split_at(8);
+    (magic == SEGMENT_MAGIC).then(|| u64::from_le_bytes(lsn.try_into().expect("8 bytes")))
 }
 
 /// Decodes one record at the start of `buf`, expecting `expect_lsn`.
@@ -805,9 +800,6 @@ fn decode_record(buf: &[u8], expect_lsn: u64) -> Result<(Vec<Mutation>, usize), 
         ));
     }
     let payload_len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    if payload_len > MAX_PAYLOAD {
-        return Err(format!("implausible payload length {payload_len}"));
-    }
     let stored_crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
     let total = RECORD_HEADER_LEN + payload_len as usize;
     if buf.len() < total {
@@ -828,14 +820,13 @@ fn decode_record(buf: &[u8], expect_lsn: u64) -> Result<(Vec<Mutation>, usize), 
     Ok((mutations, total))
 }
 
-fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + batch.len() * 32);
+fn encode_batch(batch: &[Mutation], out: &mut Vec<u8>) {
     out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
     for m in batch {
         match m {
             Mutation::Insert(t) => {
                 out.push(0x00);
-                encode_trajectory(t, &mut out);
+                encode_trajectory(t, out);
             }
             Mutation::Retire(id) => {
                 out.push(0x01);
@@ -843,7 +834,6 @@ fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
             }
         }
     }
-    out
 }
 
 fn decode_batch(buf: &[u8]) -> Result<Vec<Mutation>, DecodeError> {
@@ -852,17 +842,18 @@ fn decode_batch(buf: &[u8]) -> Result<Vec<Mutation>, DecodeError> {
     let count = r.count(5, "batch count")?;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        match r.u8("mutation tag")? {
+        let tag = r.u8("mutation tag")?;
+        out.push(match tag {
             // the WAL does not know the network; recovery checks each
             // insert against the one it replays onto
-            0x00 => out.push(Mutation::Insert(decode_trajectory(&mut r, IdRange::ANY)?)),
-            0x01 => out.push(Mutation::Retire(TrajectoryId(r.u32("retire id")?))),
-            tag => {
+            0x00 => Mutation::Insert(decode_trajectory(&mut r, usize::MAX, usize::MAX)?),
+            0x01 => Mutation::Retire(TrajectoryId(r.u32("retire id")?)),
+            _ => {
                 return Err(DecodeError::Invalid(format!(
                     "unknown mutation tag {tag:#04x}"
                 )))
             }
-        }
+        });
     }
     r.end("the batch payload")?;
     Ok(out)
@@ -982,7 +973,8 @@ mod tests {
             DecodeError::Truncated("batch count")
         );
         for batch in batches() {
-            let bytes = encode_batch(&batch);
+            let mut bytes = Vec::new();
+            encode_batch(&batch, &mut bytes);
             let back = decode_batch(&bytes).unwrap();
             assert_eq!(back.len(), batch.len());
             assert!(back.iter().zip(&batch).all(|(g, w)| mutations_eq(g, w)));

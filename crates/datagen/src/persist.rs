@@ -37,7 +37,7 @@ use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
 use uots_storage::{crc32, StorageBackend};
 use uots_text::Vocabulary;
 use uots_trajectory::codec::{
-    decode_trajectory, encode_trajectory, DecodeError, IdRange, Reader, MIN_TRAJECTORY_BYTES,
+    decode_trajectory, encode_trajectory, DecodeError, Reader, MIN_TRAJECTORY_BYTES,
 };
 use uots_trajectory::{LiveSet, TagModelConfig, TagSampler, TrajectoryStore};
 
@@ -99,20 +99,12 @@ pub fn save(ds: &Dataset, tag_cfg: &TagModelConfig, tag_seed: u64) -> Vec<u8> {
     out.extend_from_slice(ds.name.as_bytes());
 
     out.extend_from_slice(&tag_seed.to_le_bytes());
-    for n in [
-        tag_cfg.vocab_size,
-        tag_cfg.num_categories,
-        tag_cfg.keywords_per_category,
-    ] {
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-    }
-    for x in [
-        tag_cfg.category_skew,
-        tag_cfg.keyword_skew,
-        tag_cfg.background_prob,
-    ] {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    out.extend_from_slice(&(tag_cfg.vocab_size as u32).to_le_bytes());
+    out.extend_from_slice(&(tag_cfg.num_categories as u32).to_le_bytes());
+    out.extend_from_slice(&(tag_cfg.keywords_per_category as u32).to_le_bytes());
+    out.extend_from_slice(&tag_cfg.category_skew.to_le_bytes());
+    out.extend_from_slice(&tag_cfg.keyword_skew.to_le_bytes());
+    out.extend_from_slice(&tag_cfg.background_prob.to_le_bytes());
 
     write_network(&mut out, &ds.network);
     write_vocab(&mut out, &ds.vocab);
@@ -184,18 +176,15 @@ pub fn load(raw: &[u8]) -> Result<Dataset, PersistError> {
     let store = read_store(&mut r, &network, &vocab)?;
     r.end("a complete payload")?;
 
-    // the sampler is rebuilt from the stored config, so the config must
-    // be one it can be built from, and derive the stored vocabulary
-    if tag_cfg.vocab_size != vocab.len() {
-        return Err(PersistError::Invalid(format!(
-            "tag config vocabulary of {} words, stored vocabulary of {}",
-            tag_cfg.vocab_size,
-            vocab.len()
-        )));
-    }
-    tag_cfg
-        .check()
-        .map_err(|e| PersistError::Invalid(format!("tag config: {e}")))?;
+    // the sampler is rebuilt from the stored config: it must be one a
+    // sampler can be built from, over the stored vocabulary
+    let (words, stored) = (tag_cfg.vocab_size, vocab.len());
+    let checked = if words == stored {
+        tag_cfg.check()
+    } else {
+        Err(format!("vocabulary of {words} words, {stored} stored"))
+    };
+    checked.map_err(|e| PersistError::Invalid(format!("tag config: {e}")))?;
     let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(tag_seed);
     let (tags, _) = TagSampler::synthetic(&tag_cfg, &mut rng);
 
@@ -269,10 +258,10 @@ fn read_vocab(r: &mut Reader<'_>) -> Result<Vocabulary, PersistError> {
     Ok(vocab)
 }
 
-/// Reads and validates the length-framed vocab-table section. Known
-/// versions must record exactly the interning [`read_vocab`] derives;
-/// unknown (newer) versions are skipped over their declared byte length,
-/// keeping old readers forward-compatible with extended tables.
+/// Reads the length-framed vocab-table section. A v1 table must be
+/// exactly the one [`write_vocab_table`] writes for `vocab`, the interning
+/// [`read_vocab`] derives; an unknown (newer) version is skipped over its
+/// declared byte length, keeping old readers forward-compatible.
 fn read_vocab_table(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<(), PersistError> {
     let version = r.u16("vocab table header")?;
     let byte_len = r.u32("vocab table header")? as usize;
@@ -280,24 +269,13 @@ fn read_vocab_table(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<(), Persis
     if version != VOCAB_TABLE_VERSION {
         return Ok(()); // length-framed: skip an unknown version
     }
-    let mut table = Reader::new(payload);
-    let count = table.count(4, "vocab table payload")?;
-    if count != vocab.len() {
-        return Err(PersistError::Invalid(format!(
-            "vocab table covers {count} words but the vocabulary holds {}",
-            vocab.len()
-        )));
+    let mut expect = Vec::new();
+    write_vocab_table(&mut expect, vocab);
+    if payload != &expect[6..] {
+        return Err(PersistError::Invalid(
+            "vocab table v1 does not record the vocabulary's interning order".into(),
+        ));
     }
-    for expect in 0..count {
-        let id = table.u32("vocab table payload")?;
-        if id as usize != expect {
-            return Err(PersistError::Invalid(format!(
-                "vocab table entry {expect} maps to interned id {id}; \
-                 the table must match vocabulary interning order"
-            )));
-        }
-    }
-    table.end("the vocab table v1 payload")?;
     Ok(())
 }
 
@@ -308,14 +286,10 @@ fn read_store(
     network: &RoadNetwork,
     vocab: &Vocabulary,
 ) -> Result<TrajectoryStore, PersistError> {
-    let range = IdRange {
-        nodes: network.num_nodes(),
-        keywords: vocab.len(),
-    };
     let count = r.count(MIN_TRAJECTORY_BYTES, "trajectories")?;
     let mut store = TrajectoryStore::with_capacity(count);
     for _ in 0..count {
-        store.push(decode_trajectory(r, range)?);
+        store.push(decode_trajectory(r, network.num_nodes(), vocab.len())?);
     }
     Ok(store)
 }
@@ -345,8 +319,7 @@ pub fn save_file(
 ///
 /// See [`PersistError`].
 pub fn load_file(path: impl AsRef<Path>) -> Result<Dataset, PersistError> {
-    let raw = std::fs::read(path)?;
-    load(&raw)
+    load(&std::fs::read(path)?)
 }
 
 /// A durable snapshot of the live-ingest state: the epoch master store

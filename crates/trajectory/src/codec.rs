@@ -1,19 +1,14 @@
-//! The one binary layout of a trajectory, and the bounded reader every
-//! persisted format decodes with.
-//!
-//! The WAL's insert mutation, the dataset file's store section and the
-//! checkpoint's store section all write a trajectory the same way (all
-//! integers little-endian):
+//! The one binary layout of a trajectory, which the WAL, the dataset file
+//! and the checkpoint share, and the bounded reader they decode with:
 //!
 //! ```text
 //! trajectory = u32 n; n × (u32 node, f64 time); u32 k; k × u32 keyword
 //! ```
 //!
-//! [`Reader::count`] refuses a declared count whose items cannot fit in
-//! the bytes that are left, before anything is sized by it: a hostile
-//! length can make a decode fail, never make it reserve memory.
-//! [`IdRange`] is the rule that a stored trajectory names only vertices
-//! of its network and keywords of its vocabulary.
+//! All integers are little-endian. [`Reader::count`] refuses a declared
+//! count whose items cannot fit in the bytes left, so a hostile length can
+//! fail a decode but never size an allocation. [`check_ids`] is the one
+//! rule for the vertex and keyword ids a stored trajectory may name.
 
 use crate::{Sample, Trajectory};
 use uots_network::NodeId;
@@ -21,8 +16,6 @@ use uots_text::{KeywordId, KeywordSet};
 
 /// Encoded bytes of one sample: u32 node + f64 time.
 const SAMPLE_BYTES: usize = 12;
-/// Encoded bytes of one keyword id.
-const KEYWORD_BYTES: usize = 4;
 /// The fewest bytes an encoded trajectory occupies: both counts and the
 /// one sample every trajectory has.
 pub const MIN_TRAJECTORY_BYTES: usize = 4 + SAMPLE_BYTES + 4;
@@ -46,11 +39,9 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
-impl std::error::Error for DecodeError {}
-
-/// A little-endian read cursor over a byte slice. Every read names the
-/// field it reads, and fails with [`DecodeError::Truncated`] of that name
-/// when the bytes are not there.
+/// A little-endian read cursor over a byte slice. Each read names its
+/// field, and fails with [`DecodeError::Truncated`] of that name, taking
+/// nothing, when the bytes are not there.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -60,11 +51,6 @@ impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf }
-    }
-
-    /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     /// The next `n` bytes.
@@ -86,33 +72,32 @@ impl<'a> Reader<'a> {
 
     /// One byte.
     pub fn u8(&mut self, what: &'static str) -> Result<u8, DecodeError> {
-        Ok(self.array::<1>(what)?[0])
+        self.array(what).map(u8::from_le_bytes)
     }
 
-    /// A little-endian `u16`.
+    /// A `u16`.
     pub fn u16(&mut self, what: &'static str) -> Result<u16, DecodeError> {
         self.array(what).map(u16::from_le_bytes)
     }
 
-    /// A little-endian `u32`.
+    /// A `u32`.
     pub fn u32(&mut self, what: &'static str) -> Result<u32, DecodeError> {
         self.array(what).map(u32::from_le_bytes)
     }
 
-    /// A little-endian `u64`.
+    /// A `u64`.
     pub fn u64(&mut self, what: &'static str) -> Result<u64, DecodeError> {
         self.array(what).map(u64::from_le_bytes)
     }
 
-    /// A little-endian `f64`.
+    /// An `f64`.
     pub fn f64(&mut self, what: &'static str) -> Result<f64, DecodeError> {
         self.array(what).map(f64::from_le_bytes)
     }
 
-    /// A `u32` count of items that each encode to at least
-    /// `min_item_bytes`. A count whose items cannot fit in the bytes left
-    /// is refused here, so a caller may size an allocation by what this
-    /// returns.
+    /// A `u32` count of items of at least `min_item_bytes` each, refused
+    /// unless that many fit in the bytes left: a caller may size an
+    /// allocation by it.
     pub fn count(
         &mut self,
         min_item_bytes: usize,
@@ -125,9 +110,9 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Succeeds only when every byte has been read: a payload followed by
-    /// anything (a torn rewrite, a concatenated file, junk) is not what
-    /// its writer produced.
+    /// Succeeds only when every byte was read: a payload followed by
+    /// anything (a torn rewrite, a concatenated file) is not what its
+    /// writer produced.
     pub fn end(&self, what: &'static str) -> Result<(), DecodeError> {
         match self.buf.len() {
             0 => Ok(()),
@@ -138,41 +123,23 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The ids a stored trajectory may name: a vertex below `nodes` and a
-/// keyword below `keywords`. The vertex and keyword indexes are sized by
-/// these two and panic on an id past them — at the next publish, and for
-/// a logged insert again at every recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdRange {
-    /// Vertices of the network.
-    pub nodes: usize,
-    /// Keywords of the vocabulary.
-    pub keywords: usize,
-}
-
-impl IdRange {
-    /// No limit: for a decoder that does not know the network, whose
-    /// caller checks each trajectory against the one it applies it to.
-    pub const ANY: IdRange = IdRange {
-        nodes: usize::MAX,
-        keywords: usize::MAX,
-    };
-
-    /// Why `t` does not fit this range, naming the first id past it and
-    /// the bound.
-    pub fn check(&self, t: &Trajectory) -> Result<(), String> {
-        let n = self.nodes;
-        if let Some(v) = t.nodes().find(|v| v.index() >= n) {
-            return Err(format!("vertex {} outside the network ({n} vertices)", v.0));
-        }
-        let k = self.keywords;
-        if let Some(kw) = t.keywords().iter().find(|kw| kw.index() >= k) {
-            return Err(format!(
-                "keyword {} outside the vocabulary ({k} keywords)",
-                kw.0
-            ));
-        }
-        Ok(())
+/// The one range rule: `t` may name only a vertex below `num_nodes` and a
+/// keyword below `vocab_len`, the sizes the vertex and keyword indexes are
+/// built with (an id past them panics the next publish, and for a logged
+/// insert every recovery). The error names the first id past its bound.
+pub fn check_ids(t: &Trajectory, num_nodes: usize, vocab_len: usize) -> Result<(), String> {
+    if let Some(v) = t.nodes().find(|v| v.index() >= num_nodes) {
+        return Err(format!(
+            "vertex {} outside the network ({num_nodes} vertices)",
+            v.0
+        ));
+    }
+    match t.keywords().iter().find(|k| k.index() >= vocab_len) {
+        Some(k) => Err(format!(
+            "keyword {} outside the vocabulary ({vocab_len} keywords)",
+            k.0
+        )),
+        None => Ok(()),
     }
 }
 
@@ -190,8 +157,12 @@ pub fn encode_trajectory(t: &Trajectory, out: &mut Vec<u8>) {
 }
 
 /// Reads one trajectory written by [`encode_trajectory`], validates it
-/// ([`Trajectory::new`]) and refuses an id outside `range`.
-pub fn decode_trajectory(r: &mut Reader<'_>, range: IdRange) -> Result<Trajectory, DecodeError> {
+/// ([`Trajectory::new`]) and applies [`check_ids`].
+pub fn decode_trajectory(
+    r: &mut Reader<'_>,
+    num_nodes: usize,
+    vocab_len: usize,
+) -> Result<Trajectory, DecodeError> {
     let n = r.count(SAMPLE_BYTES, "samples")?;
     let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
@@ -199,14 +170,14 @@ pub fn decode_trajectory(r: &mut Reader<'_>, range: IdRange) -> Result<Trajector
         let time = r.f64("samples")?;
         samples.push(Sample { node, time });
     }
-    let k = r.count(KEYWORD_BYTES, "keywords")?;
+    let k = r.count(4, "keywords")?;
     let mut keywords = Vec::with_capacity(k);
     for _ in 0..k {
         keywords.push(KeywordId(r.u32("keywords")?));
     }
     let t = Trajectory::new(samples, KeywordSet::from_ids(keywords))
         .map_err(|e| DecodeError::Invalid(format!("trajectory: {e}")))?;
-    range.check(&t).map_err(DecodeError::Invalid)?;
+    check_ids(&t, num_nodes, vocab_len).map_err(DecodeError::Invalid)?;
     Ok(t)
 }
 
@@ -214,6 +185,8 @@ pub fn decode_trajectory(r: &mut Reader<'_>, range: IdRange) -> Result<Trajector
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    const ANY: usize = usize::MAX;
 
     fn trip() -> Trajectory {
         let samples = [(3, 10.0), (7, 20.5), (2, 20.5)]
@@ -235,9 +208,9 @@ mod tests {
     fn round_trip_is_exact_and_reads_every_byte() {
         let t = trip();
         let bytes = encoded(&t);
-        assert_eq!(bytes.len(), 4 + 3 * SAMPLE_BYTES + 4 + 2 * KEYWORD_BYTES);
+        assert_eq!(bytes.len(), 4 + 3 * SAMPLE_BYTES + 4 + 2 * 4);
         let mut r = Reader::new(&bytes);
-        assert_eq!(decode_trajectory(&mut r, IdRange::ANY).unwrap(), t);
+        assert_eq!(decode_trajectory(&mut r, ANY, ANY).unwrap(), t);
         r.end("trajectory").unwrap();
     }
 
@@ -245,14 +218,8 @@ mod tests {
     fn every_truncation_is_an_error() {
         let bytes = encoded(&trip());
         for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            assert!(
-                matches!(
-                    decode_trajectory(&mut r, IdRange::ANY),
-                    Err(DecodeError::Truncated(_))
-                ),
-                "cut at {cut}"
-            );
+            let r = decode_trajectory(&mut Reader::new(&bytes[..cut]), ANY, ANY);
+            assert!(matches!(r, Err(DecodeError::Truncated(_))), "cut at {cut}");
         }
     }
 
@@ -264,15 +231,15 @@ mod tests {
         let mut samples = u32::MAX.to_le_bytes().to_vec();
         samples.extend_from_slice(&[0; 64]);
         assert_eq!(
-            decode_trajectory(&mut Reader::new(&samples), IdRange::ANY),
+            decode_trajectory(&mut Reader::new(&samples), ANY, ANY),
             Err(DecodeError::Truncated("samples"))
         );
 
         let mut keywords = encoded(&trip());
-        let at = keywords.len() - 2 * KEYWORD_BYTES - 4;
+        let at = keywords.len() - 2 * 4 - 4;
         keywords[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            decode_trajectory(&mut Reader::new(&keywords), IdRange::ANY),
+            decode_trajectory(&mut Reader::new(&keywords), ANY, ANY),
             Err(DecodeError::Truncated("keywords"))
         );
 
@@ -290,29 +257,20 @@ mod tests {
     fn ids_outside_the_range_are_refused_and_named() {
         let t = trip();
         let bytes = encoded(&t);
-        let fits = IdRange {
-            nodes: 8,
-            keywords: 10,
-        };
         assert_eq!(
-            decode_trajectory(&mut Reader::new(&bytes), fits),
+            decode_trajectory(&mut Reader::new(&bytes), 8, 10),
             Ok(t.clone())
         );
-        let vertex = IdRange { nodes: 7, ..fits };
         assert_eq!(
-            vertex.check(&t).unwrap_err(),
+            check_ids(&t, 7, 10).unwrap_err(),
             "vertex 7 outside the network (7 vertices)"
         );
         assert!(matches!(
-            decode_trajectory(&mut Reader::new(&bytes), vertex),
+            decode_trajectory(&mut Reader::new(&bytes), 7, 10),
             Err(DecodeError::Invalid(_))
         ));
-        let keyword = IdRange {
-            keywords: 9,
-            ..fits
-        };
         assert_eq!(
-            keyword.check(&t).unwrap_err(),
+            check_ids(&t, 8, 9).unwrap_err(),
             "keyword 9 outside the vocabulary (9 keywords)"
         );
     }
@@ -322,13 +280,13 @@ mod tests {
         // an empty trajectory and a decreasing timestamp
         let empty = [0u8; 8];
         assert!(matches!(
-            decode_trajectory(&mut Reader::new(&empty), IdRange::ANY),
+            decode_trajectory(&mut Reader::new(&empty), ANY, ANY),
             Err(DecodeError::Invalid(_))
         ));
         let mut bytes = encoded(&trip());
         bytes[4 + 4..4 + 12].copy_from_slice(&30.0f64.to_le_bytes());
         assert!(matches!(
-            decode_trajectory(&mut Reader::new(&bytes), IdRange::ANY),
+            decode_trajectory(&mut Reader::new(&bytes), ANY, ANY),
             Err(DecodeError::Invalid(_))
         ));
         let mut r = Reader::new(&[1, 2, 3]);
@@ -343,23 +301,23 @@ mod tests {
         /// trajectory re-encodes to exactly the bytes it was read from.
         #[test]
         fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
-            let mut r = Reader::new(&bytes);
-            if let Ok(t) = decode_trajectory(&mut r, IdRange::ANY) {
-                let used = bytes.len() - r.remaining();
-                prop_assert_eq!(encoded(&t), bytes[..used].to_vec());
+            if let Ok(t) = decode_trajectory(&mut Reader::new(&bytes), ANY, ANY) {
+                let again = encoded(&t);
+                prop_assert_eq!(&bytes[..again.len()], &again[..]);
             }
         }
 
-        /// Every read either takes exactly its width or fails and takes
-        /// nothing, whatever the bytes and the sequence of reads.
+        /// Every read takes exactly its width or fails and takes nothing,
+        /// whatever the bytes and the sequence of reads, and a count that
+        /// is granted fits in what is left.
         #[test]
         fn reader_reads_are_exact_or_fail(
             bytes in proptest::collection::vec(any::<u8>(), 0..64),
             ops in proptest::collection::vec(0u8..7, 0..24),
         ) {
             let mut r = Reader::new(&bytes);
+            let mut taken = 0;
             for op in ops {
-                let before = r.remaining();
                 let width = match op {
                     0 => r.u8("x").map(|_| 1),
                     1 => r.u16("x").map(|_| 2),
@@ -368,19 +326,19 @@ mod tests {
                     4 => r.f64("x").map(|_| 8),
                     5 => r.bytes(3, "x").map(<[u8]>::len),
                     _ => {
-                        // the count's own u32 is spent even when refused
-                        let n = r.count(2, "x");
-                        if let Ok(n) = n {
-                            prop_assert!(n * 2 <= r.remaining());
+                        // a count spends its own u32 even when refused
+                        let fits = bytes.len() - taken >= 4;
+                        if let Ok(n) = r.count(2, "x") {
+                            prop_assert!(r.clone().bytes(n * 2, "x").is_ok());
                         }
-                        continue;
+                        Ok(if fits { 4 } else { 0 })
                     }
                 };
-                match width {
-                    Ok(width) => prop_assert_eq!(before - r.remaining(), width),
-                    Err(_) => prop_assert_eq!(r.remaining(), before),
-                }
+                taken += width.unwrap_or(0);
             }
+            // exactly the untaken bytes are left
+            prop_assert!(r.bytes(bytes.len() - taken, "rest").is_ok());
+            prop_assert!(r.end("rest").is_ok());
         }
     }
 }

@@ -11,9 +11,7 @@
 //!   the paper's T-drive taxi data;
 //! * [`TagSampler`] — category-correlated, Zipf-skewed textual attributes;
 //! * [`mapmatch`] — simulated GPS emission and nearest-vertex map matching;
-//! * [`codec`] — the binary layout of a trajectory, shared by the WAL, the
-//!   dataset file and the checkpoint, and the bounded reader they decode
-//!   with.
+//! * [`codec`] — the one binary trajectory layout and its bounded reader.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -29,33 +29,22 @@ pub struct TagModelConfig {
 
 impl TagModelConfig {
     /// Why [`TagSampler::synthetic`] cannot build a sampler from this
-    /// configuration: a category count or pool size outside
-    /// `1..=vocab_size`, a skew that is negative or not finite, or a
-    /// background probability outside `[0, 1]`. A stored configuration is
-    /// checked with this before the sampler is rebuilt from it.
+    /// configuration, if it cannot. A stored configuration is checked with
+    /// this before a sampler is rebuilt from it.
     pub fn check(&self) -> Result<(), String> {
-        let sizes = 1..=self.vocab_size;
-        if !sizes.contains(&self.num_categories) || !sizes.contains(&self.keywords_per_category) {
-            return Err(format!(
-                "{} categories of {} keywords each do not fit a vocabulary of {}",
-                self.num_categories, self.keywords_per_category, self.vocab_size
-            ));
+        let v = self.vocab_size;
+        let sizes = [self.num_categories, self.keywords_per_category];
+        let skews = [self.category_skew, self.keyword_skew];
+        let p = self.background_prob;
+        if !sizes.iter().all(|n| (1..=v).contains(n)) {
+            Err(format!("category count and size {sizes:?} outside 1..={v}"))
+        } else if !skews.iter().all(|s| s.is_finite() && *s >= 0.0) {
+            Err(format!("skews {skews:?} are not finite exponents >= 0"))
+        } else if !(0.0..=1.0).contains(&p) {
+            Err(format!("background_prob {p} outside [0, 1]"))
+        } else {
+            Ok(())
         }
-        for (name, skew) in [
-            ("category_skew", self.category_skew),
-            ("keyword_skew", self.keyword_skew),
-        ] {
-            if !(skew.is_finite() && skew >= 0.0) {
-                return Err(format!("{name} {skew} is not a finite exponent >= 0"));
-            }
-        }
-        if !(0.0..=1.0).contains(&self.background_prob) {
-            return Err(format!(
-                "background_prob {} outside [0, 1]",
-                self.background_prob
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -69,7 +69,7 @@ use uots_datagen::Dataset;
 use uots_network::RoadNetwork;
 use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
-use uots_trajectory::codec::IdRange;
+use uots_trajectory::codec::check_ids;
 use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
 
 /// Errors from the durable ingest path.
@@ -550,13 +550,11 @@ impl DurableIngest {
     /// once in the WAL such a record fails every later recovery, and
     /// applied it panics the manager.
     fn check_batch(&self, batch: &[Mutation]) -> Result<(), DurableError> {
-        let range = id_range(self.manager.network(), &self.vocab);
         let mut issued = self.manager.issued();
         for m in batch {
             match m {
                 Mutation::Insert(t) => {
-                    range
-                        .check(t)
+                    check_ids(t, self.manager.network().num_nodes(), self.vocab.len())
                         .map_err(|e| DurableError::Inconsistent(format!("insert: {e}")))?;
                     issued += 1;
                 }
@@ -706,14 +704,6 @@ impl DurableIngest {
             ],
         );
         Ok(())
-    }
-}
-
-/// The ids an insert over `network` and `vocab` may name.
-fn id_range(network: &RoadNetwork, vocab: &Vocabulary) -> IdRange {
-    IdRange {
-        nodes: network.num_nodes(),
-        keywords: vocab.len(),
     }
 }
 
@@ -976,12 +966,11 @@ pub fn recover(
     );
 
     let batches = tail.len() as u64;
-    let range = id_range(&network, &vocab);
     for (lsn, batch) in tail {
         for m in batch {
             match m {
                 Mutation::Insert(t) => {
-                    range.check(&t).map_err(|e| {
+                    check_ids(&t, network.num_nodes(), vocab.len()).map_err(|e| {
                         DurableError::Inconsistent(format!("wal lsn {lsn}: insert: {e}"))
                     })?;
                     // ids must stay dense/stable: an insert lands at the

@@ -105,7 +105,7 @@ use uots_obs::{
     AcceptLoop, Counter, HttpRequest, MetricsRegistry, ObsState, Response, Stopper, TailSampler,
 };
 use uots_text::{KeywordId, KeywordSet};
-use uots_trajectory::codec::IdRange;
+use uots_trajectory::codec::check_ids;
 use uots_trajectory::{Trajectory, TrajectoryId};
 
 /// How the service admits, degrades and sheds work.
@@ -688,12 +688,9 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
 /// client-facing message.
 fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String> {
     let db = cut.shard(0).database();
-    let range = IdRange {
-        nodes: db.network.num_nodes(),
-        keywords: db.keyword_index.map_or(usize::MAX, |k| k.num_keys()),
-    };
+    let vocab = db.keyword_index.map_or(usize::MAX, |k| k.num_keys());
     inserts.iter().enumerate().find_map(|(i, t)| {
-        let refused = range.check(t).err()?;
+        let refused = check_ids(t, db.network.num_nodes(), vocab).err()?;
         Some(format!("insert {i}: {refused}"))
     })
 }
