@@ -801,7 +801,7 @@ fn decode_record(buf: &[u8], expect_lsn: u64) -> Result<(Vec<Mutation>, usize), 
     }
     let payload_len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
     let stored_crc = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let total = RECORD_HEADER_LEN + payload_len as usize;
+    let total = RECORD_HEADER_LEN.saturating_add(payload_len as usize);
     if buf.len() < total {
         return Err(format!("torn record: {} of {total} bytes", buf.len()));
     }
