@@ -240,41 +240,19 @@ mod tests {
     #[test]
     fn check_refuses_what_synthetic_cannot_build() {
         assert_eq!(TagModelConfig::default().check(), Ok(()));
-        let base = TagModelConfig::default;
-        for bad in [
-            TagModelConfig {
-                vocab_size: 0,
-                ..base()
-            },
-            TagModelConfig {
-                num_categories: 0,
-                ..base()
-            },
-            TagModelConfig {
-                num_categories: 401,
-                ..base()
-            },
-            TagModelConfig {
-                keywords_per_category: 401,
-                ..base()
-            },
-            TagModelConfig {
-                category_skew: -1.0,
-                ..base()
-            },
-            TagModelConfig {
-                keyword_skew: f64::INFINITY,
-                ..base()
-            },
-            TagModelConfig {
-                background_prob: f64::NAN,
-                ..base()
-            },
-            TagModelConfig {
-                background_prob: 1.5,
-                ..base()
-            },
-        ] {
+        let cases: [fn(&mut TagModelConfig); 8] = [
+            |c| c.vocab_size = 0,
+            |c| c.num_categories = 0,
+            |c| c.num_categories = 401,
+            |c| c.keywords_per_category = 401,
+            |c| c.category_skew = -1.0,
+            |c| c.keyword_skew = f64::INFINITY,
+            |c| c.background_prob = f64::NAN,
+            |c| c.background_prob = 1.5,
+        ];
+        for edit in cases {
+            let mut bad = TagModelConfig::default();
+            edit(&mut bad);
             assert!(bad.check().is_err(), "{bad:?}");
         }
     }
