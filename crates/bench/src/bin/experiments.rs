@@ -11,7 +11,7 @@
 //!
 //! * `t1` dataset statistics            * `f4` effect of k
 //! * `t2` pruning effectiveness         * `f5` effect of #keywords
-//! * `t2p` hot-path data layouts: legacy vs CSR/bitset, bit-identical top-k
+//! * `t2p` hot-path data layouts: legacy vs layout tables, bit-identical top-k
 //! * `f1` effect of #query locations    * `f6` effect of trajectory length
 //! * `f2` effect of λ                   * `f7` effect of thread count
 //! * `f3` effect of |P|                 * `f8` scheduler ablation
@@ -19,7 +19,6 @@
 //! *                                    * `f10` temporal channel cost
 //! * `j1` trajectory similarity self-join (extension)
 //! * `d1` anytime degradation curve: quality vs budget (extension)
-//! * `d2` shared distance cache: speedup and hit rate vs uncached (extension)
 //! * `d3` live ingest: epoch-swap throughput and query latency under churn
 //!   vs the frozen baseline (extension)
 //! * `d4` durability: ingest throughput vs WAL fsync policy, and recovery
@@ -32,11 +31,10 @@ use std::sync::Arc;
 use uots_bench::{algorithms, make_queries, measure, render_table, time, LatencyStats, Row, Scale};
 use uots_core::algorithms::{Algorithm, Expansion};
 use uots_core::{
-    parallel, Database, DistanceCache, EpochManager, ExecutionBudget, QueryOptions, RunControl,
-    Scheduler, SearchContext, UotsQuery, View, Weights, DEFAULT_CACHE_CAPACITY,
+    parallel, Database, EpochManager, ExecutionBudget, QueryOptions, RunControl, Scheduler,
+    UotsQuery, Weights,
 };
 use uots_datagen::{Dataset, DatasetConfig};
-use uots_obs::Recorder;
 
 struct Args {
     scale: Scale,
@@ -177,16 +175,15 @@ fn main() {
         all_rows.extend(rows);
     }
 
-    // ------- T2′: hot-path data layouts — legacy vs CSR/bitset (extension) -------
+    // ------- T2′: hot-path data layouts — legacy vs layout tables (extension) -------
     if wants(&args, "t2p") {
         use uots_core::LayoutTables;
         let queries = make_queries(&ds, args.queries, 4, 3, 0.5, 1, 0x12);
-        let (layout, build_wall) =
-            time(|| LayoutTables::build(&ds.network, &ds.store, ds.vocab.len()));
+        let (layout, build_wall) = time(|| LayoutTables::build(&ds.store, ds.vocab.len()));
         let db_layout = db.with_layout(&layout);
         let algo = Expansion::default();
 
-        // One uncached pass over the T2 defaults workload; returns the
+        // One pass over the T2 defaults workload; returns the
         // exact (id, similarity-bits) answers for the in-run identity
         // assert plus the numbers the rows need.
         let run_pass = |db: &Database| {
@@ -217,12 +214,12 @@ fn main() {
         // bit-identical similarities, top to bottom of the top-k.
         assert_eq!(
             legacy.0, layout_pass.0,
-            "CSR/bitset pass diverged from the legacy layout"
+            "layout pass diverged from the legacy layout"
         );
 
         let nq = queries.len().max(1) as f64;
         let mut rows = Vec::new();
-        for (mode, pass) in [("legacy", &legacy), ("csr/bitset", &layout_pass)] {
+        for (mode, pass) in [("legacy", &legacy), ("layout", &layout_pass)] {
             let (_, latencies, visited, candidates, wall) = pass;
             let mut row = Row {
                 experiment: "t2p".into(),
@@ -254,8 +251,8 @@ fn main() {
             )
         );
         println!(
-            "t2p summary: csr/bitset {:.2}× vs legacy (legacy {:.3} ms/query → \
-             csr/bitset {:.3} ms/query); layout tables built in {:.1} ms",
+            "t2p summary: layout {:.2}× vs legacy (legacy {:.3} ms/query → \
+             layout {:.3} ms/query); layout tables built in {:.1} ms",
             legacy.4.as_secs_f64() / layout_pass.4.as_secs_f64().max(1e-12),
             legacy.4.as_secs_f64() * 1_000.0 / nq,
             layout_pass.4.as_secs_f64() * 1_000.0 / nq,
@@ -643,7 +640,7 @@ fn main() {
             for (cut, cut_walls) in cuts.iter().zip(&mut walls) {
                 let (result, wall) = time(|| {
                     let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
-                    uots_join::ts_join_with(&cut.view(), &cfg, 2, budget, ctl, None)
+                    uots_join::ts_join_with(&cut.view(), &cfg, 2, budget, ctl)
                         .expect("view join runs")
                 });
                 assert_eq!(
@@ -747,122 +744,6 @@ fn main() {
                 "D1 — anytime degradation: result quality vs settle budget (extension)",
                 &rows
             )
-        );
-        all_rows.extend(rows);
-    }
-
-    // ------- D2: shared distance cache — speedup and hit rate (extension) -------
-    if wants(&args, "d2") {
-        let k = 5usize;
-        let queries = make_queries(&ds, args.queries, 4, 3, 0.5, k, 0xd2);
-        let algo = Expansion::default();
-        let cache = Arc::new(DistanceCache::new(DEFAULT_CACHE_CAPACITY));
-        let cached_ctx = SearchContext::with_cache(Arc::clone(&cache));
-
-        // One pass over the whole workload under `ctx`; returns the exact
-        // results (id + similarity bits) for the identity check, plus the
-        // numbers the row needs.
-        let run_pass = |ctx: &SearchContext| {
-            let mut latencies = LatencyStats::new();
-            let mut results: Vec<Vec<(u64, u64)>> = Vec::new();
-            let mut visited = 0usize;
-            let mut candidates = 0usize;
-            let start = std::time::Instant::now();
-            for q in &queries {
-                let q_start = std::time::Instant::now();
-                let r = algo
-                    .run_ctx(
-                        &View::one(db),
-                        q,
-                        &RunControl::unbounded(),
-                        &mut Recorder::disabled(),
-                        ctx,
-                    )
-                    .expect("d2 run");
-                latencies.record(q_start.elapsed());
-                results.push(
-                    r.matches
-                        .iter()
-                        .map(|m| (m.id.0 as u64, m.similarity.to_bits()))
-                        .collect(),
-                );
-                visited += r.metrics.visited_trajectories;
-                candidates += r.metrics.candidates;
-            }
-            (results, latencies, visited, candidates, start.elapsed())
-        };
-
-        let uncached = run_pass(&SearchContext::default());
-        let cold = run_pass(&cached_ctx);
-        let cold_stats = cache.stats();
-        let warm = run_pass(&cached_ctx);
-        let warm_stats = cache.stats();
-
-        // The cache must be invisible in the results — same trajectories,
-        // bit-identical similarities, cold or warm.
-        assert_eq!(uncached.0, cold.0, "cold cached pass diverged");
-        assert_eq!(uncached.0, warm.0, "warm cached pass diverged");
-
-        let rate = |hits: u64, misses: u64| {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            }
-        };
-        let cold_rate = rate(cold_stats.hits, cold_stats.misses);
-        let warm_rate = rate(
-            warm_stats.hits - cold_stats.hits,
-            warm_stats.misses - cold_stats.misses,
-        );
-
-        let nq = queries.len().max(1) as f64;
-        let mut rows = Vec::new();
-        for (mode, hit_rate, pass) in [
-            ("uncached", 0.0, &uncached),
-            ("cold-cache", cold_rate, &cold),
-            ("warm-cache", warm_rate, &warm),
-        ] {
-            let (_, latencies, visited, candidates, wall) = pass;
-            let mut row = Row {
-                experiment: "d2".into(),
-                dataset: ds.name.clone(),
-                algorithm: format!("expansion ({mode})"),
-                parameter: "hit-rate".into(),
-                value: hit_rate,
-                queries: queries.len(),
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / nq,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: *visited as f64 / nq,
-                candidates: *candidates as f64 / nq,
-                candidate_ratio: *candidates as f64 / (ds.store.len() as f64 * nq),
-                pruning_ratio: 1.0 - *candidates as f64 / (ds.store.len() as f64 * nq),
-                bound_gap: 0.0,
-                recall: 1.0, // asserted bit-identical to the uncached run
-            };
-            latencies.fill(&mut row);
-            rows.push(row);
-        }
-        print!(
-            "{}",
-            render_table(
-                "D2 — shared distance cache: identical results, less work (extension)",
-                &rows
-            )
-        );
-        println!(
-            "d2 summary: warm-pass speedup {:.2}× (uncached {:.3} ms/query → warm \
-             {:.3} ms/query), warm hit rate {:.1}%, {} inserts, {} evictions",
-            uncached.4.as_secs_f64() / warm.4.as_secs_f64().max(1e-12),
-            uncached.4.as_secs_f64() * 1_000.0 / nq,
-            warm.4.as_secs_f64() * 1_000.0 / nq,
-            warm_rate * 100.0,
-            warm_stats.inserts,
-            warm_stats.evictions,
         );
         all_rows.extend(rows);
     }
@@ -1131,6 +1012,9 @@ fn main() {
                     fsync: FsyncPolicy::Never,
                     ..WalConfig::default()
                 },
+                Arc::new(StdFs),
+                None,
+                None,
             )
             .expect("d4 wal opens");
             for batch in &batches[..len] {

@@ -2,28 +2,24 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::csr::MultiSourceExpansion;
 use crate::db::{PartCut, View};
-use crate::distcache::{CachedSource, SearchContext};
 use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, QueryResult, SearchMetrics, UotsQuery};
 use uots_network::dijkstra::shortest_path_tree;
+use uots_network::expansion::MultiSourceExpansion;
 use uots_obs::{Phase, Recorder};
 
 /// Computes one full shortest-path tree per query location, then evaluates
 /// the exact similarity of *every* trajectory. `O(m · |V| log |V| + m · Σ|τ|)`
 /// with zero pruning — the reference answer and the unoptimized baseline.
 ///
-/// With a [`SearchContext`] cache, the per-location trees are acquired by
-/// draining a [`CachedSource`] to exhaustion instead — cached prefixes are
-/// replayed, the full component is settled either way, and the drained
-/// (exhausted) prefixes are published back, making the brute force an
-/// ideal cache warmer. Distances and results are bit-identical to the
-/// tree path. Over a view of several parts the drain happens once and
-/// every part is evaluated from it, in part order; a part whose bound
-/// falls strictly below the k-th best is left unevaluated.
+/// With layout tables attached, the trees are one batched
+/// [`MultiSourceExpansion`] drain instead; distances and results are
+/// bit-identical to the tree path. Over a view of several parts the drain
+/// happens once and every part is evaluated from it, in part order; a part
+/// whose bound falls strictly below the k-th best is left unevaluated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BruteForce;
 
@@ -34,7 +30,6 @@ impl Algorithm for BruteForce {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
         view.validate(query)?;
         if ctl.is_cancelled() || ctl.deadline_passed() {
@@ -43,23 +38,20 @@ impl Algorithm for BruteForce {
         let start = std::time::Instant::now();
         let mut gate = Gate::new(&query.options().budget, ctl);
         let mut metrics = SearchMetrics::for_one_query();
-        let cached = ctx.cache().is_some();
         let network = view.network();
 
         rec.enter(Phase::NetworkExpansion);
         let mut trees = Vec::new();
-        let mut sources: Vec<CachedSource<'_>> = Vec::new();
         let mut multi: Option<MultiSourceExpansion<'_>> = None;
         let mut interrupted = false;
-        if let Some(layout) = view.parts()[0].db.layout.filter(|_| !cached) {
-            // CSR layout: one multi-source drain over a shared frontier.
+        if view.parts()[0].db.layout.is_some() {
+            // layout path: one multi-source drain over a shared frontier.
             // The gate is consulted per settle instead of per source; any
             // settle budget below the full drain interrupts either way
             // with the identical (empty, gap-1) best-effort result, and a
             // completed drain leaves the same total settle count the
             // per-tree path accumulates.
-            let srcs: Vec<u32> = query.locations().iter().map(|v| v.0).collect();
-            let mut ms = MultiSourceExpansion::new(&layout.csr, &srcs);
+            let mut ms = MultiSourceExpansion::new(network, query.locations());
             if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
                 interrupted = true;
             } else {
@@ -80,23 +72,9 @@ impl Algorithm for BruteForce {
                     interrupted = true;
                     break;
                 }
-                if cached {
-                    let mut src = CachedSource::start(network, v, ctx.cache());
-                    rec.enter(Phase::CacheReplay);
-                    while src.in_replay() {
-                        src.next_settled();
-                        metrics.settled_vertices += 1;
-                    }
-                    rec.enter(Phase::NetworkExpansion);
-                    while src.next_settled().is_some() {
-                        metrics.settled_vertices += 1;
-                    }
-                    sources.push(src);
-                } else {
-                    let t = shortest_path_tree(network, v);
-                    metrics.settled_vertices += t.reached_count();
-                    trees.push(t);
-                }
+                let t = shortest_path_tree(network, v);
+                metrics.settled_vertices += t.reached_count();
+                trees.push(t);
             }
         }
 
@@ -123,9 +101,7 @@ impl Algorithm for BruteForce {
                     metrics.heap_pushes += 1;
                     cut.walk(p);
                     let (id, tx) = (part.ids.global(local), textual.eval(local, traj));
-                    topk.offer(if cached {
-                        similarity::evaluate_with_sources_textual(&sources, query, id, traj, tx)
-                    } else if let Some(ms) = &multi {
+                    topk.offer(if let Some(ms) = &multi {
                         similarity::evaluate_with_multi(ms, query, id, traj, tx)
                     } else {
                         similarity::evaluate_with_trees_textual(&trees, query, id, traj, tx)
@@ -135,11 +111,6 @@ impl Algorithm for BruteForce {
             }
         }
         rec.leave();
-        // fully drained prefixes are ideal cache content, but an
-        // interrupted run publishes nothing (poison-on-cancel)
-        for src in sources {
-            src.settle(!interrupted);
-        }
         cut.report(view, topk.threshold());
         // conservative certificate: with no per-trajectory bounds, an
         // unevaluated trajectory could score up to 1 (gap 1.0 when nothing

@@ -3,8 +3,7 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::RunControl;
-use crate::distcache::SearchContext;
-use crate::engine::expansion_search_ctx;
+use crate::engine::expansion_search;
 use crate::scheduling::Scheduler;
 use crate::{CoreError, QueryResult, UotsQuery, View};
 use uots_obs::Recorder;
@@ -38,9 +37,8 @@ impl Algorithm for Expansion {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
-        expansion_search_ctx(view, query, self.scheduler, ctl, rec, ctx)
+        expansion_search(view, query, self.scheduler, ctl, rec)
     }
 
     fn name(&self) -> &'static str {

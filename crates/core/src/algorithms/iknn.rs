@@ -18,12 +18,12 @@
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
 use crate::db::{Part, PartCut, TimeChannel, View};
-use crate::distcache::{CachedSource, SearchContext};
 use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, QueryOptions, QueryResult, SearchMetrics, UotsQuery};
 use std::collections::HashMap;
+use uots_network::expansion::NetworkExpansion;
 use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
 
@@ -72,7 +72,7 @@ impl State {
 /// certificate: the best similarity any unfinalized trajectory could still
 /// achieve given the current radii (textual bounded trivially by 1).
 fn coarse_round_ub(
-    spatial: &[CachedSource<'_>],
+    spatial: &[NetworkExpansion<'_>],
     temporal: &[TimeChannel<'_>],
     states: &HashMap<TrajectoryId, State>,
     opts: &QueryOptions,
@@ -125,7 +125,6 @@ impl Algorithm for IknnBaseline {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
         view.validate(query)?;
         if ctl.is_cancelled() || ctl.deadline_passed() {
@@ -138,10 +137,10 @@ impl Algorithm for IknnBaseline {
         let mut metrics = SearchMetrics::for_one_query();
         let parts = view.parts();
 
-        let mut spatial: Vec<CachedSource<'_>> = query
+        let mut spatial: Vec<NetworkExpansion<'_>> = query
             .locations()
             .iter()
-            .map(|&v| CachedSource::start(view.network(), v, ctx.cache()))
+            .map(|&v| NetworkExpansion::from_source(view.network(), v))
             .collect();
         let mut temporal: Vec<TimeChannel<'_>> = if w.uses_temporal() {
             query
@@ -212,11 +211,7 @@ impl Algorithm for IknnBaseline {
             // one lockstep round over every source, each settle walking
             // the postings of every part not yet retired
             for (i, source) in spatial.iter_mut().enumerate() {
-                rec.enter(if source.in_replay() {
-                    Phase::CacheReplay
-                } else {
-                    Phase::NetworkExpansion
-                });
+                rec.enter(Phase::NetworkExpansion);
                 for _ in 0..per_round {
                     if gate.should_stop(
                         metrics.visited_trajectories,
@@ -278,7 +273,7 @@ impl Algorithm for IknnBaseline {
                 }
                 any_live |= !channel.is_exhausted();
             }
-            let frontier: usize = spatial.iter().map(CachedSource::frontier_len).sum();
+            let frontier: usize = spatial.iter().map(NetworkExpansion::frontier_len).sum();
             metrics.peak_frontier = metrics.peak_frontier.max(frontier);
 
             // settle exhausted sources' distances to exact ∞
@@ -395,14 +390,6 @@ impl Algorithm for IknnBaseline {
         }
 
         rec.leave();
-        // publish extended prefixes on clean completion only
-        for src in &mut spatial {
-            if interrupted {
-                src.poison();
-            } else {
-                src.publish();
-            }
-        }
         cut.report(view, topk.threshold());
         let completeness = if interrupted {
             // the round bound at the moment of interruption certifies every

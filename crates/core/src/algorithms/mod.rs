@@ -22,7 +22,6 @@ pub use iknn::IknnBaseline;
 pub use text_first::TextFirst;
 
 use crate::budget::RunControl;
-use crate::distcache::SearchContext;
 use crate::{CoreError, Database, QueryResult, UotsQuery, View};
 use uots_obs::Recorder;
 
@@ -42,18 +41,12 @@ use uots_obs::Recorder;
 /// nothing.
 pub trait Algorithm {
     /// Answers `query` over `view` — one run over all of its parts, in
-    /// the view's global ids — under explicit run control and a
-    /// [`SearchContext`] (an optional shared cross-query distance cache),
-    /// attributing phase time to `rec`. A run whose token is
+    /// the view's global ids — under explicit run control, attributing
+    /// phase time to `rec`. A run whose token is
     /// already cancelled (or whose deadline already passed) returns the
     /// empty best-effort answer with `bound_gap = 1.0`. The budget covers
     /// the run, not each part; the run records what it did with each part
     /// in the view ([`View::fates`]).
-    ///
-    /// The context only changes *work*, never *answers*: with any cache
-    /// state the result must be identical to a run under the empty context
-    /// (enforced by `tests/differential.rs`). A run that is interrupted
-    /// must not publish partial expansion state to the shared cache.
     ///
     /// Use one recorder per query: the implementation publishes
     /// `rec.phases_snapshot()` into the result's `metrics.phases`, so a
@@ -72,11 +65,9 @@ pub trait Algorithm {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError>;
 
-    /// [`Algorithm::run_ctx`] over the one-part view of `db` under the
-    /// empty context (no cache).
+    /// [`Algorithm::run_ctx`] over the one-part view of `db`.
     ///
     /// # Errors
     ///
@@ -88,11 +79,11 @@ pub trait Algorithm {
         ctl: &RunControl,
         rec: &mut Recorder,
     ) -> Result<QueryResult, CoreError> {
-        self.run_ctx(&View::one(*db), query, ctl, rec, &SearchContext::default())
+        self.run_ctx(&View::one(*db), query, ctl, rec)
     }
 
     /// Answers `query` over `db` with no external control (the query's own
-    /// budget, if any, still applies), no recorder and the empty context.
+    /// budget, if any, still applies) and no recorder.
     ///
     /// # Errors
     ///

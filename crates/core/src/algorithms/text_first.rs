@@ -19,14 +19,13 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::csr::MultiSourceExpansion;
 use crate::db::{PartCut, View};
-use crate::distcache::{CachedSource, SearchContext};
 use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, QueryResult, SearchMetrics, UotsQuery};
 use uots_network::dijkstra::shortest_path_tree;
+use uots_network::expansion::MultiSourceExpansion;
 use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
 
@@ -34,12 +33,11 @@ use uots_trajectory::TrajectoryId;
 /// [`Database::keyword_index`][crate::Database::keyword_index] on every
 /// part of the view.
 ///
-/// With a [`SearchContext`] cache the up-front per-location trees are
-/// acquired by draining [`CachedSource`]s to exhaustion (replaying cached
-/// prefixes) and the drained prefixes are published back on clean
-/// completion; distances and results are bit-identical either way. Over
-/// a view of several parts the drain happens once and the refine loop
-/// walks every part's trajectories in one bound order.
+/// With layout tables attached the up-front per-location trees are one
+/// batched [`MultiSourceExpansion`] drain; distances and results are
+/// bit-identical either way. Over a view of several parts the drain
+/// happens once and the refine loop walks every part's trajectories in one
+/// bound order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextFirst;
 
@@ -50,7 +48,6 @@ impl Algorithm for TextFirst {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
         view.validate(query)?;
         let keyword_indexes = view
@@ -156,16 +153,13 @@ impl Algorithm for TextFirst {
 
         // ---- refine: exact evaluation in bound order ----
         rec.enter(Phase::NetworkExpansion);
-        let cached = ctx.cache().is_some();
         let mut trees = Vec::new();
-        let mut sources: Vec<CachedSource<'_>> = Vec::new();
         let mut multi: Option<MultiSourceExpansion<'_>> = None;
         let mut interrupted = false;
-        if let Some(layout) = view.parts()[0].db.layout.filter(|_| !cached) {
-            // CSR layout: one shared-frontier drain (see brute_force for
+        if view.parts()[0].db.layout.is_some() {
+            // layout path: one shared-frontier drain (see brute_force for
             // why per-settle gating yields identical outputs)
-            let srcs: Vec<u32> = query.locations().iter().map(|v| v.0).collect();
-            let mut ms = MultiSourceExpansion::new(&layout.csr, &srcs);
+            let mut ms = MultiSourceExpansion::new(network, query.locations());
             if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
                 interrupted = true;
             } else {
@@ -184,23 +178,9 @@ impl Algorithm for TextFirst {
                     interrupted = true;
                     break;
                 }
-                if cached {
-                    let mut src = CachedSource::start(network, v, ctx.cache());
-                    rec.enter(Phase::CacheReplay);
-                    while src.in_replay() {
-                        src.next_settled();
-                        metrics.settled_vertices += 1;
-                    }
-                    rec.enter(Phase::NetworkExpansion);
-                    while src.next_settled().is_some() {
-                        metrics.settled_vertices += 1;
-                    }
-                    sources.push(src);
-                } else {
-                    let t = shortest_path_tree(network, v);
-                    metrics.settled_vertices += t.reached_count();
-                    trees.push(t);
-                }
+                let t = shortest_path_tree(network, v);
+                metrics.settled_vertices += t.reached_count();
+                trees.push(t);
             }
         }
 
@@ -232,9 +212,7 @@ impl Algorithm for TextFirst {
                 cut.walk(p);
                 let traj = view.parts()[p].db.store.get(local);
                 let tx = textual[p].eval(local, traj);
-                let m = if cached {
-                    similarity::evaluate_with_sources_textual(&sources, query, id, traj, tx)
-                } else if let Some(ms) = &multi {
+                let m = if let Some(ms) = &multi {
                     similarity::evaluate_with_multi(ms, query, id, traj, tx)
                 } else {
                     similarity::evaluate_with_trees_textual(&trees, query, id, traj, tx)
@@ -246,9 +224,6 @@ impl Algorithm for TextFirst {
             }
         }
         rec.leave();
-        for src in sources {
-            src.settle(!interrupted);
-        }
         cut.report(view, topk.threshold());
 
         let completeness = if interrupted {

@@ -4,11 +4,9 @@
 //! one road network, their trajectories numbered by one global id space —
 //! with the [`TimeChannel`] that reads a view's timestamp indexes as one.
 
-use crate::csr::CsrGraph;
 use crate::keywords::KeywordBlocks;
 use crate::{similarity, CoreError, UotsQuery};
 use std::cell::Cell;
-use std::sync::Arc;
 use uots_index::{
     KeywordInvertedIndex, TimeExpansion, TimeScanned, TimestampIndex, VertexInvertedIndex,
 };
@@ -22,33 +20,21 @@ use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
 ///
 /// With a layout attached the algorithms route textual similarity through
 /// the dense [`KeywordBlocks`] table (bitset popcounts / galloping) and
-/// full-drain spatial evaluation through [`CsrGraph`] multi-source
-/// expansion; results are bit-identical to the legacy per-candidate
-/// paths — the widened differential harness proves it per release.
+/// full-drain spatial evaluation through one
+/// [`MultiSourceExpansion`](uots_network::expansion::MultiSourceExpansion)
+/// over the road network; results are bit-identical to the legacy
+/// per-candidate paths — the differential harness proves it per release.
 #[derive(Debug, Clone)]
 pub struct LayoutTables {
     /// Dense per-trajectory keyword table.
     pub keywords: KeywordBlocks,
-    /// Flat CSR adjacency mirroring the road network. `Arc`'d so epoch
-    /// snapshots over the same immutable network can share one copy.
-    pub csr: Arc<CsrGraph>,
 }
 
 impl LayoutTables {
-    /// Builds both tables from scratch.
-    pub fn build(network: &RoadNetwork, store: &TrajectoryStore, vocab_len: usize) -> Self {
+    /// Builds the tables for `store`.
+    pub fn build(store: &TrajectoryStore, vocab_len: usize) -> Self {
         LayoutTables {
             keywords: KeywordBlocks::build(store, vocab_len),
-            csr: Arc::new(CsrGraph::from_network(network)),
-        }
-    }
-
-    /// Builds the keyword table for a new store revision while sharing an
-    /// existing CSR adjacency (the network is immutable across epochs).
-    pub fn build_shared(csr: Arc<CsrGraph>, store: &TrajectoryStore, vocab_len: usize) -> Self {
-        LayoutTables {
-            keywords: KeywordBlocks::build(store, vocab_len),
-            csr,
         }
     }
 }
@@ -76,8 +62,9 @@ pub struct Database<'a> {
     pub live: Option<&'a LiveSet>,
     /// Optional cache-friendly layouts ([`LayoutTables`]): when present,
     /// textual similarity runs on the dense keyword table and full-drain
-    /// spatial evaluation on the CSR adjacency, bit-identically to the
-    /// legacy paths. `None` selects the legacy layout.
+    /// spatial evaluation on one batched multi-source expansion,
+    /// bit-identically to the legacy paths. `None` selects the legacy
+    /// layout.
     pub layout: Option<&'a LayoutTables>,
 }
 
@@ -108,23 +95,18 @@ impl<'a> Database<'a> {
         }
     }
 
-    /// Attaches the cache-friendly layout tables (selects the CSR/bitset
-    /// hot paths).
+    /// Attaches the cache-friendly layout tables (selects the batched
+    /// drain and bitset hot paths).
     ///
     /// # Panics
     ///
-    /// Panics when the tables do not cover the store/network (they were
-    /// built for a different revision).
+    /// Panics when the tables do not cover the store (they were built for
+    /// a different revision).
     pub fn with_layout(mut self, layout: &'a LayoutTables) -> Self {
         assert_eq!(
             layout.keywords.rows(),
             self.store.len(),
             "keyword table does not cover the store"
-        );
-        assert_eq!(
-            layout.csr.num_nodes(),
-            self.network.num_nodes(),
-            "CSR adjacency does not match the network"
         );
         self.layout = Some(layout);
         self

@@ -68,7 +68,6 @@
 
 use crate::budget::{Completeness, Gate, RunControl};
 use crate::db::{IdMap, Part, PartCut, TimeChannel, View};
-use crate::distcache::{CachedSource, SearchContext};
 use crate::keywords::TextualEval;
 use crate::query::UotsQuery;
 use crate::result::{Match, QueryResult};
@@ -77,6 +76,7 @@ use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics};
 use std::collections::BinaryHeap;
+use uots_network::expansion::NetworkExpansion;
 use uots_network::TotalF64;
 use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
@@ -249,21 +249,15 @@ impl Ord for BoundEntry {
 /// `metrics.phases`). With [`Recorder::disabled`] each phase mark costs
 /// one branch.
 ///
-/// `ctx` carries an optional shared cross-query [`crate::DistanceCache`]:
-/// per-source expansion prefixes are replayed on a hit and published back
-/// on clean completion. The cached and uncached paths return identical
-/// results (see `tests/differential.rs`); only the work differs.
-///
 /// # Errors
 ///
 /// Propagates [`View::validate`] failures.
-pub(crate) fn expansion_search_ctx(
+pub(crate) fn expansion_search(
     view: &View<'_>,
     query: &UotsQuery,
     scheduler: Scheduler,
     ctl: &RunControl,
     rec: &mut Recorder,
-    ctx: &SearchContext,
 ) -> Result<QueryResult, CoreError> {
     view.validate(query)?;
     if ctl.is_cancelled() || ctl.deadline_passed() {
@@ -271,9 +265,8 @@ pub(crate) fn expansion_search_ctx(
     }
     let start = std::time::Instant::now();
     let mut gate = Gate::new(&query.options().budget, ctl);
-    let mut engine = Engine::new(view, query, scheduler, rec, ctx);
+    let mut engine = Engine::new(view, query, scheduler, rec);
     let interrupt = engine.run(&mut gate);
-    engine.settle_cache(interrupt.is_none());
     let mut result = engine.into_result(view, interrupt);
     rec.leave();
     result.metrics.phases = rec.phases_snapshot();
@@ -296,7 +289,7 @@ struct Engine<'a, 'q, 'r> {
     cut: PartCut,
     query: &'q UotsQuery,
     scheduler: Scheduler,
-    spatial: Vec<CachedSource<'a>>,
+    spatial: Vec<NetworkExpansion<'a>>,
     temporal: Vec<TimeChannel<'a>>,
     states: ScanTable,
     /// Slots touched and not yet seen done, in first-sighting order. A slot
@@ -365,13 +358,12 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         query: &'q UotsQuery,
         scheduler: Scheduler,
         rec: &'r mut Recorder,
-        ctx: &SearchContext,
     ) -> Self {
         let parts = view.parts();
-        let spatial: Vec<CachedSource<'a>> = query
+        let spatial: Vec<NetworkExpansion<'a>> = query
             .locations()
             .iter()
-            .map(|&v| CachedSource::start(view.network(), v, ctx.cache()))
+            .map(|&v| NetworkExpansion::from_source(view.network(), v))
             .collect();
         let temporal: Vec<TimeChannel<'a>> = if query.options().weights.uses_temporal() {
             query
@@ -447,7 +439,11 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             text_rank_usable,
             rec,
         };
-        engine.frontier = engine.spatial.iter().map(CachedSource::frontier_len).sum();
+        engine.frontier = engine
+            .spatial
+            .iter()
+            .map(NetworkExpansion::frontier_len)
+            .sum();
         for i in 0..engine.spatial.len() {
             engine.refresh_spatial_lb(i);
         }
@@ -587,8 +583,8 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
     /// Returns `Some(bound_gap)` when `gate` tripped first — the certified
     /// slack of the best-effort answer — and `None` for exact ends.
     fn run(&mut self, gate: &mut Gate) -> Option<f64> {
-        // a source can be born exhausted (a cached prefix resumed onto an
-        // empty frontier); after this, exhaustion only happens in `step`
+        // a source can be born exhausted (a time channel with nothing to
+        // deliver); after this, exhaustion only happens in `step`
         for s in 0..self.num_sources() {
             self.note_exhaustion(s);
         }
@@ -608,12 +604,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 self.exhausted_end = true;
                 break;
             };
-            let replaying = src < self.num_spatial() && self.spatial[src].in_replay();
-            self.rec.enter(if replaying {
-                Phase::CacheReplay
-            } else {
-                Phase::NetworkExpansion
-            });
+            self.rec.enter(Phase::NetworkExpansion);
             self.step(src);
             self.rec.enter(Phase::HeapMaintenance);
             // A source can exhaust without ever delivering a final `None`
@@ -820,17 +811,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             return;
         }
         self.after_update(slot, tid);
-    }
-
-    /// Ends every spatial source's run ([`CachedSource::settle`]): the
-    /// (possibly extended) prefixes are published to the shared cache on
-    /// clean completion and poisoned after an interruption — a
-    /// budget-tripped or cancelled run must never publish state a later
-    /// query would replay as finalized.
-    fn settle_cache(&mut self, clean: bool) {
-        for s in std::mem::take(&mut self.spatial) {
-            s.settle(clean);
-        }
     }
 
     /// Marks a trajectory whose upper bound fell **strictly** below the
@@ -1191,15 +1171,14 @@ mod tests {
     use uots_text::{KeywordId, KeywordSet};
     use uots_trajectory::{Sample, Trajectory, TrajectoryStore};
 
-    /// [`expansion_search_ctx`] unbounded, unrecorded, under the empty
-    /// context.
+    /// [`expansion_search`] unbounded and unrecorded.
     pub(super) fn search_plain(
         db: &Database<'_>,
         q: &UotsQuery,
         s: Scheduler,
     ) -> Result<QueryResult, CoreError> {
-        let (ctl, ctx) = (RunControl::unbounded(), SearchContext::new());
-        expansion_search_ctx(&View::one(*db), q, s, &ctl, &mut Recorder::disabled(), &ctx)
+        let ctl = RunControl::unbounded();
+        expansion_search(&View::one(*db), q, s, &ctl, &mut Recorder::disabled())
     }
 
     fn kws(ids: &[u32]) -> KeywordSet {
@@ -1506,13 +1485,12 @@ mod tests {
         let q = UotsQuery::new(vec![NodeId(0), NodeId(7)], kws(&[1, 2])).unwrap();
         let plain = search_plain(&db, &q, Scheduler::heuristic()).unwrap();
         let mut rec = Recorder::phases_only("engine-test");
-        let r = expansion_search_ctx(
+        let r = expansion_search(
             &View::one(db),
             &q,
             Scheduler::heuristic(),
             &RunControl::unbounded(),
             &mut rec,
-            &SearchContext::new(),
         )
         .unwrap();
         assert_eq!(r.ids(), plain.ids());

@@ -352,9 +352,8 @@ fn a_part_bounded_strictly_below_kth_is_retired() {
         let q = plateau_query(k);
         for s in SCHEDULERS {
             let want = search_plain(&whole, &q, s).unwrap();
-            let (ctl, ctx) = (RunControl::unbounded(), SearchContext::new());
-            let got =
-                expansion_search_ctx(&view, &q, s, &ctl, &mut Recorder::disabled(), &ctx).unwrap();
+            let ctl = RunControl::unbounded();
+            let got = expansion_search(&view, &q, s, &ctl, &mut Recorder::disabled()).unwrap();
             assert_eq!(bits(&got), bits(&want), "k={k} {s:?}");
             let fates = view.fates();
             assert!(fates[0].walked && !fates[0].retired, "k={k} {s:?}");

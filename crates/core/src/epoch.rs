@@ -18,17 +18,10 @@
 //!   from the previous snapshot plus the batch and swaps it in atomically
 //!   while in-flight readers keep their old `Arc`.
 //!
-//! ## Interaction with the distance cache
-//!
-//! The [`crate::DistanceCache`] of a [`crate::SearchContext`] memoizes Dijkstra
-//! prefixes keyed **only on the immutable road network** — no trajectory
-//! data enters a [`crate::SourcePrefix`]. Every snapshot of one manager
-//! shares the *same* `Arc<RoadNetwork>` (publish asserts pointer
-//! identity), so a warm cache provably survives epoch swaps; the
-//! differential suite exercises warm caches across publishes. All
-//! per-epoch derived state (the three indexes, the mask, the stats) lives
-//! *inside* the snapshot and drops with its last `Arc` — nothing epoch-
-//! tagged can leak into the cross-epoch cache.
+//! Every snapshot of one manager shares the *same* `Arc<RoadNetwork>`
+//! (publish asserts pointer identity). All per-epoch derived state (the
+//! three indexes, the mask, the stats) lives *inside* the snapshot and
+//! drops with its last `Arc`.
 //!
 //! ## Determinism contract
 //!
@@ -37,10 +30,9 @@
 //! mapped through the order-preserving compaction of
 //! [`LiveSet::compact`]) — the ingest/rebuild differential oracle in the
 //! test suite holds this over random interleavings of ingest, retire,
-//! publish and query, for all four algorithms, with and without a warm
-//! cache, including queries cancelled mid-stream.
+//! publish and query, for all four algorithms, including queries
+//! cancelled mid-stream.
 
-use crate::csr::CsrGraph;
 use crate::db::LayoutTables;
 use crate::Database;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -76,9 +68,8 @@ pub struct EpochSnapshot {
     vertex_index: VertexInvertedIndex<TrajectoryId>,
     keyword_index: KeywordInvertedIndex<TrajectoryId>,
     timestamp_index: TimestampIndex<TrajectoryId>,
-    /// Cache-friendly hot-path tables: the shared CSR adjacency (one per
-    /// manager — the network never changes across epochs) plus the dense
-    /// keyword table rebuilt over this epoch's store revision.
+    /// Cache-friendly hot-path tables: the dense keyword table rebuilt
+    /// over this epoch's store revision.
     layout: LayoutTables,
     stats: EpochStats,
 }
@@ -91,7 +82,6 @@ impl EpochSnapshot {
     fn build(
         epoch: u64,
         network: Arc<RoadNetwork>,
-        csr: Arc<CsrGraph>,
         vocab_len: usize,
         store: TrajectoryStore,
         live: LiveSet,
@@ -106,7 +96,7 @@ impl EpochSnapshot {
             ),
             Some(prev) => prev.indexes_plus(&store, &live),
         };
-        let layout = LayoutTables::build_shared(csr, &store, vocab_len);
+        let layout = LayoutTables::build(&store, vocab_len);
         let stats = EpochStats {
             epoch,
             live: live.num_live(),
@@ -187,8 +177,7 @@ impl EpochSnapshot {
     }
 
     /// The shared road network — identical (`Arc::ptr_eq`) across every
-    /// snapshot of one manager; the invariant that keeps the distance
-    /// cache valid across swaps.
+    /// snapshot of one manager.
     pub fn network(&self) -> &Arc<RoadNetwork> {
         &self.network
     }
@@ -220,8 +209,8 @@ impl EpochSnapshot {
             .with_layout(&self.layout)
     }
 
-    /// The snapshot's hot-path layout tables (shared CSR + dense keyword
-    /// table); exposed for benchmarks and layout-differential tests.
+    /// The snapshot's hot-path layout tables (the dense keyword table);
+    /// exposed for benchmarks and layout-differential tests.
     pub fn layout(&self) -> &LayoutTables {
         &self.layout
     }
@@ -302,9 +291,6 @@ pub struct EpochManager {
     current: RwLock<Arc<EpochSnapshot>>,
     writer: Mutex<WriterState>,
     network: Arc<RoadNetwork>,
-    /// CSR adjacency of `network`, built once and shared (`Arc`) by every
-    /// snapshot this manager publishes.
-    csr: Arc<CsrGraph>,
     vocab_len: usize,
     metrics: EpochMetrics,
     journal: EventJournal,
@@ -349,11 +335,9 @@ impl EpochManager {
             "liveness mask must cover the master store"
         );
         let metrics = EpochMetrics::register(&registry.cloned().unwrap_or_default());
-        let csr = Arc::new(CsrGraph::from_network(&network));
         let seed = EpochSnapshot::build(
             epoch,
             Arc::clone(&network),
-            Arc::clone(&csr),
             vocab_len,
             store.clone(),
             live.clone(),
@@ -372,7 +356,6 @@ impl EpochManager {
                 last_publish: Instant::now(),
             }),
             network,
-            csr,
             vocab_len,
             metrics,
             journal: journal.cloned().unwrap_or_default(),
@@ -390,7 +373,7 @@ impl EpochManager {
         self.snapshot().epoch
     }
 
-    /// The shared road network (the cache key space).
+    /// The shared road network.
     pub fn network(&self) -> &Arc<RoadNetwork> {
         &self.network
     }
@@ -480,7 +463,6 @@ impl EpochManager {
         let snapshot = Arc::new(EpochSnapshot::build(
             epoch,
             Arc::clone(&self.network),
-            Arc::clone(&self.csr),
             self.vocab_len,
             w.store.clone(),
             w.live.clone(),
@@ -493,7 +475,6 @@ impl EpochManager {
         w.last_publish = Instant::now();
         {
             let mut cur = self.current.write().unwrap_or_else(|e| e.into_inner());
-            // the invariant the distance cache's epoch survival rests on:
             // every snapshot serves the *same* road network object
             assert!(
                 Arc::ptr_eq(&cur.network, &snapshot.network),
@@ -534,10 +515,9 @@ impl EpochManager {
 mod tests {
     use super::*;
     use crate::algorithms::{Algorithm, BruteForce, Expansion};
-    use crate::{DistanceCache, RunControl, SearchContext, UotsQuery};
+    use crate::UotsQuery;
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NodeId;
-    use uots_obs::Recorder;
     use uots_text::KeywordSet;
     use uots_trajectory::Sample;
 
@@ -627,49 +607,6 @@ mod tests {
         assert!(Arc::ptr_eq(a.network(), b.network()));
         assert!(Arc::ptr_eq(b.network(), c.network()));
         assert!(Arc::ptr_eq(c.network(), mgr.network()));
-    }
-
-    #[test]
-    fn warm_cache_survives_epoch_swap() {
-        let mgr = manager();
-        let cache = Arc::new(DistanceCache::new(1 << 14));
-        let ctx = SearchContext::with_cache(Arc::clone(&cache));
-        let opts = crate::QueryOptions {
-            k: 4,
-            ..Default::default()
-        };
-        let q = UotsQuery::with_options(
-            vec![NodeId(0), NodeId(35)],
-            KeywordSet::empty(),
-            Vec::new(),
-            opts,
-        )
-        .unwrap();
-
-        let cached = |snap: &EpochSnapshot| {
-            let (ctl, mut rec) = (RunControl::unbounded(), Recorder::disabled());
-            Expansion::default()
-                .run_ctx(&crate::View::one(snap.database()), &q, &ctl, &mut rec, &ctx)
-                .unwrap()
-        };
-        let snap0 = mgr.snapshot();
-        let r0 = cached(&snap0);
-        assert!(cache.stats().inserts > 0, "first run warms the cache");
-
-        mgr.ingest(traj(&[20, 21], &[4]));
-        mgr.retire(TrajectoryId(1));
-        let snap1 = mgr.publish();
-        let hits_before = cache.stats().hits;
-        let r1 = cached(&snap1);
-        assert!(
-            cache.stats().hits > hits_before,
-            "the post-swap query must replay pre-swap prefixes"
-        );
-        // and the replayed result is exactly what a cold run produces
-        let cold = Expansion::default().run(&snap1.database(), &q).unwrap();
-        assert_eq!(r1.ids(), cold.ids());
-        // sanity: epochs really did differ
-        assert_ne!(r0.ids(), r1.ids());
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! All algorithms return identical rankings; the evaluation compares their
 //! cost ([`SearchMetrics`]). Batches of queries run in parallel via
-//! [`parallel::run_batch`] (or [`parallel::run_batch_ctx`] /
+//! [`parallel::run_batch`] (or [`parallel::run_batch_with`] /
 //! [`parallel::run_batch_cluster`] under explicit options).
 //!
 //! ## Anytime execution
@@ -56,9 +56,7 @@
 
 pub mod algorithms;
 pub mod budget;
-pub mod csr;
 mod db;
-pub mod distcache;
 mod engine;
 pub mod epoch;
 mod error;
@@ -81,16 +79,12 @@ pub mod wal;
 pub use uots_storage as storage;
 
 pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
-pub use csr::{CsrError, CsrGraph, MsSettled, MultiSourceExpansion};
 pub use db::{Database, IdMap, LayoutTables, Part, PartFate, TimeChannel, View};
-pub use distcache::{
-    CacheStats, CachedSource, DistanceCache, SearchContext, SourcePrefix, DEFAULT_CACHE_CAPACITY,
-};
 pub use epoch::{EpochManager, EpochSnapshot, EpochStats, Mutation};
 pub use error::CoreError;
 pub use keywords::{KeywordBlocks, PreparedQuery, TextualEval, MAX_BITSET_BITS};
 pub use metrics::SearchMetrics;
-pub use parallel::{BatchOptions, BatchPolicy};
+pub use parallel::{BatchOptions, BatchPolicy, SearchContext};
 pub use planner::{AlgorithmKind, PlanDecision, Planner, QueryStats};
 pub use query::{QueryOptions, UotsQuery, Weights, MAX_LOCATIONS};
 pub use result::{Match, QueryResult};

@@ -19,28 +19,18 @@
 //! auditable after a rerank. Reranking also re-certifies
 //! [`Completeness`]: the blend can surface trajectories the original
 //! top-k never reported, so an exact result generally becomes a certified
-//! best effort (see [`rerank_by_order_ctx`]).
+//! best effort (see [`rerank_by_order`]).
 
 use crate::budget::Completeness;
-use crate::distcache::{CachedSource, SearchContext};
 use crate::{Database, Match, QueryResult, UotsQuery};
 use std::collections::{HashMap, HashSet};
+use uots_network::expansion::NetworkExpansion;
 use uots_network::NodeId;
 
 /// For each query location, the index of the trajectory sample nearest to
 /// it (network distance), then the normalized longest-increasing-subsequence
-/// length of that index sequence.
-///
-/// Runs with the empty [`SearchContext`] — see
-/// [`order_consistency_ctx`] for the cache-aware variant the rerank uses.
-pub fn order_consistency(db: &Database<'_>, query: &UotsQuery, m: &Match) -> f64 {
-    order_consistency_ctx(db, query, m, &SearchContext::new())
-}
-
-/// [`order_consistency`] under a [`SearchContext`]: each per-location
-/// expansion replays a cached prefix when the context holds one, expands
-/// only as far as the trajectory's vertex set requires, and publishes the
-/// (possibly extended) prefix back for later queries.
+/// length of that index sequence. Each per-location expansion goes only as
+/// far as the trajectory's vertex set requires.
 ///
 /// The expansion bound is exact, not heuristic: Dijkstra settles in
 /// nondecreasing distance, so once every distinct trajectory vertex is
@@ -50,19 +40,14 @@ pub fn order_consistency(db: &Database<'_>, query: &UotsQuery, m: &Match) -> f64
 /// (Strictness matters: an unsettled vertex tying the minimum at an
 /// earlier sample index would change that index, so expansion continues
 /// through the whole tie plateau.) Scores are bit-identical to the
-/// unbounded full-tree computation; the differential suite asserts this.
-pub fn order_consistency_ctx(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    m: &Match,
-    ctx: &SearchContext,
-) -> f64 {
+/// unbounded full-tree computation (asserted by this module's tests).
+pub fn order_consistency(db: &Database<'_>, query: &UotsQuery, m: &Match) -> f64 {
     let traj = db.store.get(m.id);
     let verts: HashSet<NodeId> = traj.nodes().collect();
     let mut nearest_sample_indices = Vec::with_capacity(query.num_locations());
     for &o in query.locations() {
         let mut dist: HashMap<NodeId, f64> = HashMap::with_capacity(verts.len());
-        let mut src = CachedSource::start(db.network, o, ctx.cache());
+        let mut src = NetworkExpansion::from_source(db.network, o);
         let mut best_d = f64::INFINITY;
         while dist.len() < verts.len() && src.unsettled_lower_bound() <= best_d {
             let Some(s) = src.next_settled() else {
@@ -73,8 +58,6 @@ pub fn order_consistency_ctx(
                 best_d = best_d.min(s.dist);
             }
         }
-        // a cleanly bounded prefix is valid cache content
-        src.publish();
         // Vertices left unsettled by the bound have true distance strictly
         // above `best_d`; substituting ∞ cannot move the first index that
         // attains the minimum.
@@ -107,20 +90,6 @@ fn lis_length(xs: &[usize]) -> usize {
     tails.len()
 }
 
-/// [`rerank_by_order_ctx`] with the empty [`SearchContext`].
-///
-/// # Panics
-///
-/// Panics when `order_weight` is outside `[0, 1]`.
-pub fn rerank_by_order(
-    db: &Database<'_>,
-    query: &UotsQuery,
-    result: &mut QueryResult,
-    order_weight: f64,
-) {
-    rerank_by_order_ctx(db, query, result, order_weight, &SearchContext::new());
-}
-
 /// Re-ranks `result` in place, storing the blended score
 /// `(1 − order_weight) · similarity + order_weight · consistency` in each
 /// match's [`Match::order_blend`] and re-sorting by it. `similarity` and
@@ -138,12 +107,11 @@ pub fn rerank_by_order(
 /// # Panics
 ///
 /// Panics when `order_weight` is outside `[0, 1]`.
-pub fn rerank_by_order_ctx(
+pub fn rerank_by_order(
     db: &Database<'_>,
     query: &UotsQuery,
     result: &mut QueryResult,
     order_weight: f64,
-    ctx: &SearchContext,
 ) {
     assert!(
         (0.0..=1.0).contains(&order_weight),
@@ -157,7 +125,7 @@ pub fn rerank_by_order_ctx(
         .last()
         .map_or(f64::NEG_INFINITY, |m| m.similarity);
     for m in &mut result.matches {
-        let c = order_consistency_ctx(db, query, m, ctx);
+        let c = order_consistency(db, query, m);
         m.order_blend = Some((1.0 - order_weight) * m.similarity + order_weight * c);
     }
     result.matches.sort_by(Match::ranking_cmp);
@@ -180,8 +148,7 @@ pub fn rerank_by_order_ctx(
 mod tests {
     use super::*;
     use crate::SearchMetrics;
-    use crate::{DistanceCache, QueryOptions};
-    use std::sync::Arc;
+    use uots_network::dijkstra::shortest_path_tree;
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_text::KeywordSet;
     use uots_trajectory::{Sample, Trajectory, TrajectoryStore};
@@ -364,10 +331,11 @@ mod tests {
         assert_eq!(result.matches[0].id, fwd);
     }
 
-    /// The cached path must agree with the unbounded full-tree path to the
-    /// last bit — including on stores with unreachable vertices.
+    /// The bounded expansion must agree with the unbounded full-tree
+    /// computation to the last bit — including on stores with unreachable
+    /// vertices.
     #[test]
-    fn cached_consistency_is_bit_identical() {
+    fn bounded_consistency_matches_the_full_tree() {
         let net = grid_city(&GridCityConfig::tiny(8)).unwrap();
         let mut store = TrajectoryStore::new();
         let ids = [
@@ -378,18 +346,10 @@ mod tests {
         ];
         let vidx = store.build_vertex_index(net.num_nodes());
         let db = Database::new(&net, &store, &vidx);
-        let cache = Arc::new(DistanceCache::new(1 << 14));
-        let ctx = SearchContext::with_cache(Arc::clone(&cache));
         let queries = [
             UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap(),
             UotsQuery::new(vec![NodeId(7), NodeId(56)], KeywordSet::empty()).unwrap(),
-            UotsQuery::with_options(
-                vec![NodeId(5)],
-                KeywordSet::empty(),
-                vec![],
-                QueryOptions::default(),
-            )
-            .unwrap(),
+            UotsQuery::new(vec![NodeId(5)], KeywordSet::empty()).unwrap(),
         ];
         let mk = |id| Match {
             id,
@@ -399,20 +359,27 @@ mod tests {
             temporal: 0.0,
             order_blend: None,
         };
-        // two rounds so the second replays the prefixes the first published
-        for round in 0..2 {
-            for q in &queries {
-                for &id in &ids {
-                    let plain = order_consistency(&db, q, &mk(id));
-                    let cached = order_consistency_ctx(&db, q, &mk(id), &ctx);
-                    assert_eq!(
-                        plain.to_bits(),
-                        cached.to_bits(),
-                        "round {round}: cached consistency diverged for {id}"
-                    );
-                }
+        for q in &queries {
+            for &id in &ids {
+                // first sample index at the minimal full-tree distance
+                let nearest: Vec<usize> = (q.locations().iter())
+                    .map(|&o| {
+                        let tree = shortest_path_tree(&net, o);
+                        let d = |s: &Sample| tree.distance(s.node).unwrap_or(f64::INFINITY);
+                        let samples = store.get(id).samples();
+                        (0..samples.len()).fold(0, |best, i| {
+                            if d(&samples[i]) < d(&samples[best]) {
+                                i
+                            } else {
+                                best
+                            }
+                        })
+                    })
+                    .collect();
+                let full = lis_length(&nearest) as f64 / nearest.len() as f64;
+                let bounded = order_consistency(&db, q, &mk(id));
+                assert_eq!(bounded.to_bits(), full.to_bits(), "{id}");
             }
         }
-        assert!(cache.stats().hits > 0, "second round must replay prefixes");
     }
 }

@@ -7,7 +7,7 @@
 //! nothing to merge at all). This module fans a batch of queries over a
 //! rayon thread pool and preserves input order in the output.
 //!
-//! The hardened entry points are [`run_batch_ctx`] (over a [`Database`])
+//! The hardened entry points are [`run_batch_with`] (over a [`Database`])
 //! and [`run_batch_cluster`] (over a sharded cut); [`run_batch`] is the
 //! zero-configuration convenience over the former.
 //!
@@ -24,7 +24,6 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::{CancellationToken, RunControl};
-use crate::distcache::SearchContext;
 use crate::shard::{ClusterSnapshot, ShardedAnswer};
 use crate::{CoreError, Database, QueryResult, UotsQuery, View};
 use rayon::prelude::*;
@@ -43,7 +42,7 @@ pub enum BatchPolicy {
     Partial,
 }
 
-/// Knobs for [`run_batch_ctx`] and [`run_batch_cluster`].
+/// Knobs for [`run_batch_with`] and [`run_batch_cluster`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
     /// Failure handling across the batch.
@@ -97,19 +96,13 @@ fn isolated<T>(run: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreErro
         .unwrap_or_else(|payload| Err(CoreError::QueryPanicked(panic_message(payload))))
 }
 
-/// Runs `queries` over `db` with `algorithm` under the given batch options,
-/// a shared cancellation token and a shared [`SearchContext`], returning
-/// per-query outcomes in input order.
+/// Runs `queries` over `db` with `algorithm` under the given batch options
+/// and a shared cancellation token, returning per-query outcomes in input
+/// order.
 ///
 /// Cancelling `token` mid-batch makes in-flight and not-yet-started queries
 /// return empty best-effort results; it is cloned into every query's
 /// [`RunControl`] together with the batch deadline (if any).
-///
-/// Every query in the batch probes and feeds the *same* distance cache (if
-/// `ctx` carries one), so one query's settled frontiers become the next
-/// query's replayed prefix. Results are identical to the batch under the
-/// empty context (the cache trades work, never answers); only the
-/// per-query metrics and wall-clock change.
 ///
 /// # Errors
 ///
@@ -118,20 +111,49 @@ fn isolated<T>(run: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreErro
 /// [`BatchPolicy::FailFast`] — the first per-query error by input order.
 /// Under [`BatchPolicy::Partial`], per-query errors (including
 /// [`CoreError::QueryPanicked`]) stay in their slot of the inner `Vec`.
+pub fn run_batch_with<A: Algorithm + Sync>(
+    db: &Database<'_>,
+    algorithm: &A,
+    queries: &[UotsQuery],
+    opts: &BatchOptions,
+    token: &CancellationToken,
+) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
+    fan_out(queries, opts, token, |q, ctl| {
+        isolated(|| algorithm.run_ctx(&View::one(*db), q, ctl, &mut Recorder::disabled()))
+    })
+}
+
+/// The empty argument [`run_batch_ctx`] still takes. It carries nothing;
+/// it exists only so the repository benchmark's `layers.rs` builds
+/// unchanged.
+#[derive(Debug, Clone, Default)]
+pub struct SearchContext;
+
+impl SearchContext {
+    /// The empty context.
+    pub fn new() -> Self {
+        SearchContext
+    }
+}
+
+/// [`run_batch_with`] under its former name and parameter list, kept for
+/// the repository benchmark's `layers.rs`; `_ctx` is ignored.
+///
+/// # Errors
+///
+/// See [`run_batch_with`].
 pub fn run_batch_ctx<A: Algorithm + Sync>(
     db: &Database<'_>,
     algorithm: &A,
     queries: &[UotsQuery],
     opts: &BatchOptions,
     token: &CancellationToken,
-    ctx: &SearchContext,
+    _ctx: &SearchContext,
 ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-    fan_out(queries, opts, token, |q, ctl| {
-        isolated(|| algorithm.run_ctx(&View::one(*db), q, ctl, &mut Recorder::disabled(), ctx))
-    })
+    run_batch_with(db, algorithm, queries, opts, token)
 }
 
-/// [`run_batch_ctx`] over a sharded cut: each query is one
+/// [`run_batch_with`] over a sharded cut: each query is one
 /// [`ClusterSnapshot::search_ctx`] run over all of its shards on one
 /// thread, so the batch's parallelism comes from running whole queries on
 /// the pool — exactly as on a single store. Same admission bound, deadline, token,
@@ -139,17 +161,16 @@ pub fn run_batch_ctx<A: Algorithm + Sync>(
 ///
 /// # Errors
 ///
-/// See [`run_batch_ctx`].
+/// See [`run_batch_with`].
 pub fn run_batch_cluster<A: Algorithm + Sync>(
     cut: &ClusterSnapshot,
     algorithm: &A,
     queries: &[UotsQuery],
     opts: &BatchOptions,
     token: &CancellationToken,
-    ctx: &SearchContext,
 ) -> Result<Vec<Result<ShardedAnswer, CoreError>>, CoreError> {
     fan_out(queries, opts, token, |q, ctl| {
-        isolated(|| cut.search_ctx(algorithm, q, ctl, ctx))
+        isolated(|| cut.search_ctx(algorithm, q, ctl))
     })
 }
 
@@ -189,7 +210,7 @@ fn fan_out<T: Send>(
 
 /// Runs `queries` over `db` with `algorithm` on a dedicated pool of
 /// `threads` workers, returning per-query results in input order: the
-/// fail-fast, unbounded [`run_batch_ctx`] under the empty context.
+/// fail-fast, unbounded [`run_batch_with`].
 ///
 /// `threads = 1` degenerates to sequential execution (still through the
 /// pool, so scheduling overhead is measured honestly in the thread-scaling
@@ -206,13 +227,12 @@ pub fn run_batch<A: Algorithm + Sync>(
     queries: &[UotsQuery],
     threads: usize,
 ) -> Result<Vec<QueryResult>, CoreError> {
-    run_batch_ctx(
+    run_batch_with(
         db,
         algorithm,
         queries,
         &BatchOptions::fail_fast(threads),
         &CancellationToken::new(),
-        &SearchContext::default(),
     )?
     .into_iter()
     .collect()
@@ -292,13 +312,12 @@ mod tests {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
-        let out = run_batch_ctx(
+        let out = run_batch_with(
             &db,
             &algo,
             &queries,
             &BatchOptions::partial(1),
             &CancellationToken::new(),
-            &SearchContext::new(),
         )
         .unwrap();
         assert_eq!(out.len(), queries.len());
@@ -314,13 +333,12 @@ mod tests {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
-        let err = run_batch_ctx(
+        let err = run_batch_with(
             &db,
             &algo,
             &queries,
             &BatchOptions::fail_fast(1),
             &CancellationToken::new(),
-            &SearchContext::new(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::QueryPanicked(ref m) if m.contains("injected")));
@@ -334,13 +352,12 @@ mod tests {
             max_batch: Some(4),
             ..BatchOptions::partial(2)
         };
-        let err = run_batch_ctx(
+        let err = run_batch_with(
             &db,
             &Expansion::default(),
             &queries,
             &opts,
             &CancellationToken::new(),
-            &SearchContext::new(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -364,15 +381,8 @@ mod tests {
                 deadline: Some(Duration::from_millis(20)),
                 ..base
             };
-            let out = run_batch_ctx(
-                &db,
-                &algo,
-                &queries,
-                &opts,
-                &CancellationToken::new(),
-                &SearchContext::new(),
-            )
-            .unwrap();
+            let out =
+                run_batch_with(&db, &algo, &queries, &opts, &CancellationToken::new()).unwrap();
             let results: Vec<QueryResult> = out.into_iter().map(Result::unwrap).collect();
             assert_eq!(results.len(), queries.len());
             for r in &results {
@@ -380,38 +390,6 @@ mod tests {
             }
             let agg = SearchMetrics::aggregate(results.iter().map(|r| &r.metrics));
             assert_eq!(agg.interrupted, queries.len(), "{opts:?}");
-        }
-    }
-
-    #[test]
-    fn shared_cache_batches_return_identical_results() {
-        use crate::distcache::DistanceCache;
-        let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
-            .with_keyword_index(&ds.keyword_index);
-        let algo = Expansion::default();
-        let baseline = run_batch(&db, &algo, &queries, 2).unwrap();
-        for threads in [1, 4] {
-            let cache = Arc::new(DistanceCache::new(1 << 16));
-            let ctx = SearchContext::with_cache(Arc::clone(&cache));
-            let cached = run_batch_ctx(
-                &db,
-                &algo,
-                &queries,
-                &BatchOptions::fail_fast(threads),
-                &CancellationToken::new(),
-                &ctx,
-            )
-            .unwrap();
-            for (a, b) in baseline.iter().zip(cached.iter()) {
-                let b = b.as_ref().unwrap();
-                assert_eq!(a.ids(), b.ids(), "threads = {threads}");
-                for (ma, mb) in a.matches.iter().zip(b.matches.iter()) {
-                    assert_eq!(ma.similarity.to_bits(), mb.similarity.to_bits());
-                }
-            }
-            let stats = cache.stats();
-            assert!(stats.inserts > 0, "the batch must warm the cache");
         }
     }
 
@@ -424,15 +402,13 @@ mod tests {
             ds.vocab.len(),
         );
         let algo = Expansion::default();
-        let ctx = SearchContext::default();
         let batch = |snap: &EpochSnapshot| {
-            run_batch_ctx(
+            run_batch_with(
                 &snap.database(),
                 &algo,
                 &queries,
                 &BatchOptions::fail_fast(3),
                 &CancellationToken::new(),
-                &ctx,
             )
             .unwrap()
         };
@@ -466,13 +442,12 @@ mod tests {
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
         let token = CancellationToken::new();
         token.cancel();
-        let out = run_batch_ctx(
+        let out = run_batch_with(
             &db,
             &Expansion::default(),
             &queries,
             &BatchOptions::partial(2),
             &token,
-            &SearchContext::new(),
         )
         .unwrap();
         for r in &out {

@@ -21,7 +21,7 @@
 //! particular, *full-drain-shaped* queries — many sources and ubiquitous
 //! keywords, where per-trajectory bounds cannot prune — go to
 //! [`BruteForce`], whose evaluation rides the shared-frontier
-//! [`crate::MultiSourceExpansion`] when a layout is attached: one batched
+//! [`MultiSourceExpansion`](uots_network::expansion::MultiSourceExpansion) when a layout is attached: one batched
 //! Dijkstra instead of `m` scheduled single-source expansions.
 //!
 //! Over a [`View`] of several parts (a cluster cut) the statistics are
@@ -31,7 +31,7 @@
 //! query takes the unsharded route.
 //!
 //! [`Planner`] implements [`Algorithm`], so it drops into the batch
-//! executors ([`crate::parallel::run_batch_ctx`],
+//! executors ([`crate::parallel::run_batch_with`],
 //! [`crate::parallel::run_batch_cluster`]) unchanged; `--force-algorithm` style overrides are carried by
 //! [`Planner::forced`]. Result preservation is structural (any choice
 //! returns the same ranking) and additionally pinned bit-exactly by
@@ -39,7 +39,6 @@
 
 use crate::algorithms::{Algorithm, BruteForce, Expansion, IknnBaseline, TextFirst};
 use crate::budget::RunControl;
-use crate::distcache::SearchContext;
 use crate::{CoreError, Database, QueryResult, Scheduler, UotsQuery, View};
 use uots_obs::Recorder;
 
@@ -322,13 +321,9 @@ impl Algorithm for Planner {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
         let decision = self.decide_view(view, query);
-        decision
-            .kind
-            .instantiate()
-            .run_ctx(view, query, ctl, rec, ctx)
+        decision.kind.instantiate().run_ctx(view, query, ctl, rec)
     }
 
     fn name(&self) -> &'static str {

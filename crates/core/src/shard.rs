@@ -62,7 +62,6 @@
 use crate::algorithms::Algorithm;
 use crate::budget::RunControl;
 use crate::db::{part_upper_bound, IdMap, Part, View};
-use crate::distcache::SearchContext;
 use crate::epoch::{EpochManager, EpochSnapshot, Mutation};
 use crate::result::QueryResult;
 use crate::{CoreError, UotsQuery};
@@ -636,8 +635,8 @@ impl ClusterSnapshot {
         View::new(parts, self.id_bound)
     }
 
-    /// [`search_ctx`](Self::search_ctx) without external control:
-    /// unbounded run, empty context.
+    /// [`search_ctx`](Self::search_ctx) without external control: an
+    /// unbounded run.
     ///
     /// # Errors
     ///
@@ -647,20 +646,14 @@ impl ClusterSnapshot {
         algorithm: &A,
         query: &UotsQuery,
     ) -> Result<ShardedAnswer, CoreError> {
-        self.search_ctx(
-            algorithm,
-            query,
-            &RunControl::unbounded(),
-            &SearchContext::default(),
-        )
+        self.search_ctx(algorithm, query, &RunControl::unbounded())
     }
 
     /// Top-k over the cut: `algorithm` (typically a [`crate::Planner`],
     /// deciding once for the cut) runs **once** over the cut's
     /// [`view`](Self::view), every shard walked in lockstep off one
     /// expansion per query location (see the [module docs](self)). The
-    /// run is under `ctl` and the query's budget as a whole; `ctx`'s cache
-    /// is probed and published to once per query location.
+    /// run is under `ctl` and the query's budget as a whole.
     ///
     /// # Errors
     ///
@@ -670,10 +663,9 @@ impl ClusterSnapshot {
         algorithm: &A,
         query: &UotsQuery,
         ctl: &RunControl,
-        ctx: &SearchContext,
     ) -> Result<ShardedAnswer, CoreError> {
         let view = self.view();
-        let result = algorithm.run_ctx(&view, query, ctl, &mut Recorder::disabled(), ctx)?;
+        let result = algorithm.run_ctx(&view, query, ctl, &mut Recorder::disabled())?;
         self.metrics.queries.inc();
         self.metrics
             .settles_live
@@ -992,53 +984,6 @@ mod tests {
         assert_eq!((answer.shards_cut, answer.shards_cancelled), (3, 3));
         // only shard 0's sixteen trajectories were ever touched
         assert_eq!(answer.result.metrics.visited_trajectories, 16);
-    }
-
-    /// With a distance cache in the context, a 4-shard query probes and
-    /// publishes each query location once — not once per shard — whichever
-    /// route drains or expands it, and a repeat replays the published
-    /// prefixes.
-    #[test]
-    fn scattered_query_touches_the_cache_once_per_location() {
-        use crate::algorithms::{Expansion, TextFirst};
-        use crate::distcache::DistanceCache;
-        fn check<A: Algorithm + Sync>(cut: &ClusterSnapshot, q: &UotsQuery, algo: &A) {
-            let name = algo.name();
-            let want = cut.search(&BruteForce, q).unwrap().result.matches;
-            let cache = Arc::new(DistanceCache::new(1 << 16));
-            let ctx = SearchContext::with_cache(Arc::clone(&cache));
-            let ctl = RunControl::unbounded();
-            let cold = cut.search_ctx(algo, q, &ctl, &ctx).unwrap();
-            let stats = cache.stats();
-            assert_eq!(
-                (stats.misses, stats.hits, stats.inserts),
-                (3, 0, 3),
-                "{name}"
-            );
-            let warm = cut.search_ctx(algo, q, &ctl, &ctx).unwrap();
-            let stats = cache.stats();
-            assert_eq!((stats.misses, stats.hits), (3, 3), "{name}: one probe each");
-            assert_eq!(stats.poisoned, 0, "{name}");
-            assert_eq!(cold.result.matches, want, "{name}");
-            assert_eq!(warm.result.matches, want, "{name}");
-        }
-        let (net, store) = fixture(60);
-        let cluster = ShardedCluster::new(Arc::clone(&net), &store, 8, 4, Partitioner::Hash);
-        let cut = cluster.snapshot();
-        let q = UotsQuery::with_options(
-            vec![NodeId(3), NodeId(17), NodeId(40)],
-            KeywordSet::from_ids([KeywordId(2)]),
-            vec![],
-            QueryOptions {
-                weights: Weights::lambda(0.4).unwrap(),
-                k: 5,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        check(&cut, &q, &Expansion::default());
-        check(&cut, &q, &TextFirst);
-        check(&cut, &q, &BruteForce);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! This module computes the *exact* values (given exact distances); the
 //! engine's upper bounds live in [`crate::engine`].
 
-use crate::csr::MultiSourceExpansion;
-use crate::distcache::CachedSource;
 use crate::query::UotsQuery;
 use crate::result::Match;
 use uots_network::dijkstra::ShortestPathTree;
+use uots_network::expansion::MultiSourceExpansion;
 use uots_trajectory::{Trajectory, TrajectoryId};
 
 /// Mean exponential decay over per-place distances:
@@ -92,35 +91,17 @@ pub fn spatial_distances_from_trees(trees: &[ShortestPathTree], traj: &Trajector
         .collect()
 }
 
-/// Exact per-location network distances `d(o_i, τ)` read off **fully
-/// drained** [`CachedSource`]s (every vertex delivered, so
-/// `settled_distance` is exact for the whole component). Computes the same
-/// per-vertex distances and the same `min` fold as
-/// [`spatial_distances_from_trees`] — the two are bit-identical, which is
-/// what lets the cached brute-force/text-first paths stay differential-
-/// equal to the tree-based ones.
-pub fn spatial_distances_from_sources(sources: &[CachedSource<'_>], traj: &Trajectory) -> Vec<f64> {
-    sources
-        .iter()
-        .map(|src| {
-            traj.nodes()
-                .map(|v| src.settled_distance(v).unwrap_or(f64::INFINITY))
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
-
 /// Exact per-location network distances `d(o_i, τ)` read off a **fully
 /// drained** [`MultiSourceExpansion`] (source `i` = query location `i`).
 /// Same per-vertex lookups, same `min` fold order as
 /// [`spatial_distances_from_trees`] — bit-identical distances (the
 /// multi-source Dijkstra itself settles bit-identical values, see
-/// [`crate::csr`]).
+/// [`MultiSourceExpansion`]).
 pub fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajectory) -> Vec<f64> {
     (0..ms.num_sources())
         .map(|si| {
             traj.nodes()
-                .map(|v| ms.distance(si, v.0).unwrap_or(f64::INFINITY))
+                .map(|v| ms.distance(si, v).unwrap_or(f64::INFINITY))
                 .fold(f64::INFINITY, f64::min)
         })
         .collect()
@@ -162,30 +143,6 @@ pub fn evaluate_with_trees_textual(
 ) -> Match {
     debug_assert_eq!(trees.len(), query.num_locations());
     let sdists = spatial_distances_from_trees(trees, traj);
-    finish_match(&sdists, textual, query, id, traj)
-}
-
-/// [`evaluate_with_trees`] over fully drained [`CachedSource`]s instead of
-/// shortest-path trees; identical channel math, identical fold order.
-pub fn evaluate_with_sources(
-    sources: &[CachedSource<'_>],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-) -> Match {
-    evaluate_with_sources_textual(sources, query, id, traj, textual_component(query, traj))
-}
-
-/// [`evaluate_with_sources`] with a caller-supplied textual channel value.
-pub fn evaluate_with_sources_textual(
-    sources: &[CachedSource<'_>],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-    textual: f64,
-) -> Match {
-    debug_assert_eq!(sources.len(), query.num_locations());
-    let sdists = spatial_distances_from_sources(sources, traj);
     finish_match(&sdists, textual, query, id, traj)
 }
 

@@ -11,7 +11,6 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::{Gate, RunControl};
-use crate::distcache::SearchContext;
 use crate::{CoreError, QueryResult, UotsQuery, View};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -103,13 +102,12 @@ impl<A: Algorithm> Algorithm for FaultyAlgorithm<A> {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         if call == self.panic_on {
             panic!("{}", self.message);
         }
-        self.inner.run_ctx(view, query, ctl, rec, ctx)
+        self.inner.run_ctx(view, query, ctl, rec)
     }
 
     fn name(&self) -> &'static str {
@@ -140,7 +138,6 @@ impl<A: Algorithm> Algorithm for SlowAlgorithm<A> {
         query: &UotsQuery,
         ctl: &RunControl,
         rec: &mut Recorder,
-        ctx: &SearchContext,
     ) -> Result<QueryResult, CoreError> {
         let mut gate = Gate::new(&query.options().budget, ctl);
         let start = Instant::now();
@@ -150,7 +147,7 @@ impl<A: Algorithm> Algorithm for SlowAlgorithm<A> {
             }
             std::thread::sleep(Duration::from_micros(200));
         }
-        self.inner.run_ctx(view, query, ctl, rec, ctx)
+        self.inner.run_ctx(view, query, ctl, rec)
     }
 
     fn name(&self) -> &'static str {

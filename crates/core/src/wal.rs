@@ -77,7 +77,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
-use uots_storage::{crc32, StdFs, StorageBackend, StorageFile};
+use uots_storage::{crc32, StorageBackend, StorageFile};
 use uots_trajectory::codec::{decode_trajectory, encode_trajectory, DecodeError, Reader};
 use uots_trajectory::TrajectoryId;
 
@@ -265,18 +265,13 @@ struct SealPlan {
 }
 
 impl WalWriter {
-    /// Opens (creating if needed) the log directory for appending, on the
-    /// production [`StdFs`] backend with detached instruments.
-    pub fn open(dir: impl AsRef<Path>, config: WalConfig) -> Result<Self, WalError> {
-        Self::open_with_backend(dir, config, Arc::new(StdFs), None, None)
-    }
-
-    /// [`open`](Self::open) with every input: an explicit storage backend
-    /// (fault injection goes through here), the `registry` the
-    /// `uots_wal_*` series are registered in, and the `journal` rotation,
-    /// sealing, stray-segment removal and fsync failures are recorded in.
-    /// A `None` instrument is a detached one nothing reads.
-    pub fn open_with_backend(
+    /// Opens (creating if needed) the log directory for appending through
+    /// `backend` ([`StdFs`](uots_storage::StdFs) in production; fault
+    /// injection goes through here), with the `registry` the `uots_wal_*`
+    /// series are registered in and the `journal` rotation, sealing,
+    /// stray-segment removal and fsync failures are recorded in. A `None`
+    /// instrument is a detached one nothing reads.
+    pub fn open(
         dir: impl AsRef<Path>,
         config: WalConfig,
         backend: Arc<dyn StorageBackend>,
@@ -285,7 +280,7 @@ impl WalWriter {
     ) -> Result<Self, WalError> {
         let dir = dir.as_ref();
         backend.create_dir_all(dir)?;
-        let scan = replay_with(&*backend, dir, u64::MAX)?; // parse everything, keep nothing
+        let scan = replay(&*backend, dir, u64::MAX)?; // parse everything, keep nothing
         if let Some(c) = &scan.corruption {
             // Seal the durable prefix on disk: truncate the torn tail and
             // drop every later segment. Without this, records appended to
@@ -296,7 +291,7 @@ impl WalWriter {
             } else {
                 backend.remove_file(&c.segment)?;
             }
-            for seg in list_segments_with(&*backend, dir)? {
+            for seg in list_segments(&*backend, dir)? {
                 if seg > c.segment {
                     backend.remove_file(&seg)?;
                 }
@@ -625,16 +620,8 @@ fn new_segment(
     Ok((file, path))
 }
 
-/// Lists the segment files of `dir` in LSN order.
-pub fn list_segments(dir: &Path) -> Result<Vec<PathBuf>, WalError> {
-    list_segments_with(&StdFs, dir)
-}
-
-/// [`list_segments`] through an explicit backend.
-pub fn list_segments_with(
-    backend: &dyn StorageBackend,
-    dir: &Path,
-) -> Result<Vec<PathBuf>, WalError> {
+/// Lists the segment files of `dir` in LSN order, through `backend`.
+pub fn list_segments(backend: &dyn StorageBackend, dir: &Path) -> Result<Vec<PathBuf>, WalError> {
     let mut segs: Vec<PathBuf> = Vec::new();
     match backend.read_dir(dir) {
         Ok(entries) => {
@@ -677,20 +664,15 @@ pub struct WalReplay {
     pub corruption: Option<Corruption>,
 }
 
-/// Scans the log directory and returns every durable batch with LSN
-/// strictly greater than `after_lsn` (pass a checkpoint's high-water mark,
-/// or 0 for everything).
+/// Scans the log directory through `backend` and returns every durable
+/// batch with LSN strictly greater than `after_lsn` (pass a checkpoint's
+/// high-water mark, or 0 for everything).
 ///
 /// Corruption mid-log terminates the scan — later records, even if they
 /// checksum correctly, were written after something that never became
 /// durable and must not be applied (the log is only meaningful as a
 /// prefix). The cut point is reported in [`WalReplay::corruption`].
-pub fn replay(dir: impl AsRef<Path>, after_lsn: u64) -> Result<WalReplay, WalError> {
-    replay_with(&StdFs, dir.as_ref(), after_lsn)
-}
-
-/// [`replay`] through an explicit backend.
-pub fn replay_with(
+pub fn replay(
     backend: &dyn StorageBackend,
     dir: &Path,
     after_lsn: u64,
@@ -699,7 +681,7 @@ pub fn replay_with(
     let mut next_lsn: u64 = 1;
     let mut corruption = None;
     let mut expect_lsn: Option<u64> = None;
-    'segments: for seg in list_segments_with(backend, dir)? {
+    'segments: for seg in list_segments(backend, dir)? {
         let raw = backend.read(&seg)?;
         let Some(first_lsn) = first_lsn(&raw) else {
             corruption = Some(Corruption {
@@ -757,17 +739,13 @@ pub fn replay_with(
 /// segment may go once the *next* segment's first LSN shows every record
 /// in it is `<= upto_lsn`. The newest segment is always kept (it anchors
 /// `next_lsn` for future writers). Returns the number of segments removed.
-pub fn prune_segments(dir: impl AsRef<Path>, upto_lsn: u64) -> Result<usize, WalError> {
-    prune_segments_with(&StdFs, dir.as_ref(), upto_lsn)
-}
-
-/// [`prune_segments`] through an explicit backend.
-pub fn prune_segments_with(
+/// Files are read and removed through `backend`.
+pub fn prune_segments(
     backend: &dyn StorageBackend,
     dir: &Path,
     upto_lsn: u64,
 ) -> Result<usize, WalError> {
-    let segs = list_segments_with(backend, dir)?;
+    let segs = list_segments(backend, dir)?;
     let mut removed = 0;
     for pair in segs.windows(2) {
         let Some(next_first) = backend.read(&pair[1]).ok().and_then(|raw| first_lsn(&raw)) else {
@@ -865,6 +843,7 @@ mod tests {
     use std::fs;
     use uots_network::NodeId;
     use uots_storage::fault::{Fault, FaultConfig, FaultFs, OpKind, ScriptedFault};
+    use uots_storage::StdFs;
     use uots_text::{KeywordId, KeywordSet};
     use uots_trajectory::{Sample, Trajectory};
 
@@ -935,12 +914,13 @@ mod tests {
     #[test]
     fn append_replay_round_trip() {
         let dir = tmpdir("round_trip");
-        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut w =
+            WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         assert_eq!(w.next_lsn(), 1);
         for (i, b) in batches().iter().enumerate() {
             assert_eq!(w.append(b).unwrap(), i as u64 + 1);
         }
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none());
         assert_eq!(r.next_lsn, 4);
         assert_eq!(r.batches.len(), 3);
@@ -952,11 +932,11 @@ mod tests {
             }
         }
         // after_lsn filters the prefix out
-        let r = replay(&dir, 2).unwrap();
+        let r = replay(&StdFs, &dir, 2).unwrap();
         assert_eq!(r.batches.len(), 1);
         assert_eq!(r.batches[0].0, 3);
         // an empty directory replays to nothing
-        let r = replay(tmpdir("empty"), 0).unwrap();
+        let r = replay(&StdFs, &tmpdir("empty"), 0).unwrap();
         assert!(r.batches.is_empty());
         assert_eq!(r.next_lsn, 1);
     }
@@ -1000,14 +980,16 @@ mod tests {
     fn reopen_continues_the_lsn_sequence() {
         let dir = tmpdir("reopen");
         {
-            let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+            let mut w =
+                WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
             w.append(&batches()[0]).unwrap();
             w.append(&batches()[1]).unwrap();
         }
-        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut w =
+            WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         assert_eq!(w.next_lsn(), 3);
         w.append(&batches()[2]).unwrap();
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none());
         assert_eq!(r.batches.len(), 3);
         assert_eq!(r.next_lsn, 4);
@@ -1020,14 +1002,14 @@ mod tests {
             segment_bytes: 64, // rotate after every record
             fsync: FsyncPolicy::Never,
         };
-        let mut w = WalWriter::open(&dir, cfg).unwrap();
+        let mut w = WalWriter::open(&dir, cfg, Arc::new(StdFs), None, None).unwrap();
         for b in batches() {
             w.append(&b).unwrap();
         }
         drop(w);
-        let segs = list_segments(&dir).unwrap();
+        let segs = list_segments(&StdFs, &dir).unwrap();
         assert!(segs.len() >= 3, "expected rotation, got {segs:?}");
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none());
         assert_eq!(r.batches.len(), 3);
     }
@@ -1035,7 +1017,8 @@ mod tests {
     #[test]
     fn torn_tail_ends_the_durable_prefix() {
         let dir = tmpdir("torn");
-        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut w =
+            WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         let mut boundaries = vec![w.position().1];
         for b in batches() {
             w.append(&b).unwrap();
@@ -1049,14 +1032,14 @@ mod tests {
         for i in 1..boundaries.len() {
             for cut in [boundaries[i - 1] + 1, boundaries[i] - 1] {
                 fs::write(&seg, &raw[..cut as usize]).unwrap();
-                let r = replay(&dir, 0).unwrap();
+                let r = replay(&StdFs, &dir, 0).unwrap();
                 assert_eq!(r.batches.len(), i - 1, "cut at {cut}");
                 assert_eq!(r.next_lsn, i as u64, "cut at {cut}");
                 assert!(r.corruption.is_some(), "cut at {cut}");
             }
             // cutting exactly at a boundary keeps the full prefix, clean
             fs::write(&seg, &raw[..boundaries[i] as usize]).unwrap();
-            let r = replay(&dir, 0).unwrap();
+            let r = replay(&StdFs, &dir, 0).unwrap();
             assert_eq!(r.batches.len(), i);
             assert!(r.corruption.is_none());
         }
@@ -1066,7 +1049,8 @@ mod tests {
     #[test]
     fn bit_flips_are_caught_and_end_the_prefix() {
         let dir = tmpdir("flip");
-        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut w =
+            WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         let mut boundaries = vec![w.position().1];
         for b in batches() {
             w.append(&b).unwrap();
@@ -1081,7 +1065,7 @@ mod tests {
         let mut mutated = raw.clone();
         mutated[pos] ^= 0x08;
         fs::write(&seg, &mutated).unwrap();
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert_eq!(r.batches.len(), 1, "only the prefix before the flip");
         assert_eq!(r.next_lsn, 2);
         let c = r.corruption.expect("flip must be reported");
@@ -1091,7 +1075,7 @@ mod tests {
         let mut mutated = raw.clone();
         mutated[boundaries[0] as usize + 8] ^= 0x01;
         fs::write(&seg, &mutated).unwrap();
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.batches.is_empty());
         assert!(r.corruption.is_some());
     }
@@ -1099,7 +1083,8 @@ mod tests {
     #[test]
     fn reopen_after_torn_tail_truncates_and_continues() {
         let dir = tmpdir("reopen_torn");
-        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut w =
+            WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         let mut boundaries = vec![w.position().1];
         for b in batches() {
             w.append(&b).unwrap();
@@ -1112,11 +1097,12 @@ mod tests {
         fs::write(&seg, &raw[..boundaries[3] as usize - 3]).unwrap();
         // a new writer must seal the durable prefix (truncate the tear) and
         // continue at lsn 3; its appends must be reachable by replay
-        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut w =
+            WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         assert_eq!(w.next_lsn(), 3);
         assert_eq!(w.append(&batches()[2]).unwrap(), 3);
         drop(w);
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none(), "{:?}", r.corruption);
         assert_eq!(r.batches.len(), 3);
         assert_eq!(r.batches[2].0, 3);
@@ -1130,16 +1116,16 @@ mod tests {
             segment_bytes: 64,
             fsync: FsyncPolicy::Never,
         };
-        let mut w = WalWriter::open(&dir, cfg).unwrap();
+        let mut w = WalWriter::open(&dir, cfg, Arc::new(StdFs), None, None).unwrap();
         for b in batches() {
             w.append(&b).unwrap();
         }
         drop(w);
-        let segs = list_segments(&dir).unwrap();
+        let segs = list_segments(&StdFs, &dir).unwrap();
         let mut raw = fs::read(&segs[1]).unwrap();
         raw[0] ^= 0xff; // destroy the magic of the second segment
         fs::write(&segs[1], &raw).unwrap();
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert_eq!(r.batches.len(), 1, "only the first segment's record");
         assert!(r.corruption.is_some());
     }
@@ -1151,18 +1137,22 @@ mod tests {
             segment_bytes: 64,
             fsync: FsyncPolicy::Never,
         };
-        let mut w = WalWriter::open(&dir, cfg).unwrap();
+        let mut w = WalWriter::open(&dir, cfg, Arc::new(StdFs), None, None).unwrap();
         for b in batches() {
             w.append(&b).unwrap();
         }
         drop(w);
-        let before = list_segments(&dir).unwrap().len();
-        assert_eq!(prune_segments(&dir, 0).unwrap(), 0, "nothing checkpointed");
+        let before = list_segments(&StdFs, &dir).unwrap().len();
+        assert_eq!(
+            prune_segments(&StdFs, &dir, 0).unwrap(),
+            0,
+            "nothing checkpointed"
+        );
         // checkpoint at lsn 2: segments holding only lsns <= 2 may go
-        let removed = prune_segments(&dir, 2).unwrap();
+        let removed = prune_segments(&StdFs, &dir, 2).unwrap();
         assert!(removed >= 1, "expected pruning below lsn 2");
-        assert_eq!(list_segments(&dir).unwrap().len(), before - removed);
-        let r = replay(&dir, 2).unwrap();
+        assert_eq!(list_segments(&StdFs, &dir).unwrap().len(), before - removed);
+        let r = replay(&StdFs, &dir, 2).unwrap();
         assert!(r.corruption.is_none());
         assert_eq!(r.batches.len(), 1, "lsn 3 must survive pruning");
         assert_eq!(r.next_lsn, 4);
@@ -1181,8 +1171,7 @@ mod tests {
                 fault: Fault::FsyncLoss,
             }],
         );
-        let mut w =
-            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
+        let mut w = WalWriter::open(&dir, WalConfig::default(), fs, None, None).unwrap();
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         let err = w.append(&batches()[1]).unwrap_err();
         assert!(matches!(err, WalError::Io(_)), "{err}");
@@ -1196,10 +1185,10 @@ mod tests {
         assert_eq!(w.durable_lsn(), 2);
         drop(w);
         assert!(
-            list_segments(&dir).unwrap().len() >= 2,
+            list_segments(&StdFs, &dir).unwrap().len() >= 2,
             "sealing must have opened a fresh segment"
         );
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none(), "{:?}", r.corruption);
         assert_eq!(r.batches.len(), 2);
         for ((lsn, got), (i, want)) in r.batches.iter().zip(batches().iter().enumerate()) {
@@ -1243,7 +1232,7 @@ mod tests {
                 },
             ],
         );
-        let mut w = WalWriter::open_with_backend(&dir, cfg, fs, None, None).unwrap();
+        let mut w = WalWriter::open(&dir, cfg, fs, None, None).unwrap();
         // four appends of the large batch (its record tops segment_bytes,
         // so every append rotates); the rotation failure after lsn 2 must
         // stay invisible (the batch was already durable when it struck)
@@ -1257,13 +1246,13 @@ mod tests {
             !segment_path(&dir, 3).exists(),
             "partial rotation segment must have been removed"
         );
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none(), "{:?}", r.corruption);
         assert_eq!(r.batches.len(), 4);
         assert_eq!(r.next_lsn, 5);
         // and a reopen (the step that deletes segments behind corruption)
         // still sees every acked batch
-        let w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let w = WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         assert_eq!(w.next_lsn(), 5, "acked lsn 4 must survive reopen");
     }
 
@@ -1279,8 +1268,7 @@ mod tests {
                 fault: Fault::ShortWrite,
             }],
         );
-        let mut w =
-            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
+        let mut w = WalWriter::open(&dir, WalConfig::default(), fs, None, None).unwrap();
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         assert!(w.append(&batches()[1]).is_err());
         assert_eq!(w.next_lsn(), 2, "failed append must not consume the LSN");
@@ -1288,7 +1276,7 @@ mod tests {
         assert_eq!(w.append(&batches()[1]).unwrap(), 2);
         drop(w);
         // the partial record was cut; both batches replay cleanly
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none(), "{:?}", r.corruption);
         assert_eq!(r.batches.len(), 2);
         assert_eq!(r.next_lsn, 3);
@@ -1313,7 +1301,7 @@ mod tests {
                 fault: Fault::FsyncLoss,
             }],
         );
-        let mut w = WalWriter::open_with_backend(&dir, cfg, fs, None, None).unwrap();
+        let mut w = WalWriter::open(&dir, cfg, fs, None, None).unwrap();
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         assert_eq!(w.append(&batches()[1]).unwrap(), 2);
         assert_eq!(w.durable_lsn(), 0, "nothing synced yet");
@@ -1324,7 +1312,7 @@ mod tests {
         assert_eq!(w.append(&batches()[2]).unwrap(), 3);
         w.sync().unwrap();
         drop(w);
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none(), "{:?}", r.corruption);
         assert_eq!(r.batches.len(), 3);
         assert_eq!(r.next_lsn, 4);
@@ -1348,8 +1336,7 @@ mod tests {
                 },
             ],
         );
-        let mut w =
-            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
+        let mut w = WalWriter::open(&dir, WalConfig::default(), fs, None, None).unwrap();
         // both injected failures reject one call; immediate retry works
         let mut appended = 0u64;
         for b in batches() {
@@ -1366,7 +1353,7 @@ mod tests {
             }
         }
         drop(w);
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none(), "{:?}", r.corruption);
         assert_eq!(r.batches.len(), 3);
     }
@@ -1375,13 +1362,12 @@ mod tests {
     fn writer_under_quiet_fault_backend_matches_stdfs() {
         let dir = tmpdir("quiet_backend");
         let fs = FaultFs::random(FaultConfig::quiet(1));
-        let mut w =
-            WalWriter::open_with_backend(&dir, WalConfig::default(), fs, None, None).unwrap();
+        let mut w = WalWriter::open(&dir, WalConfig::default(), fs, None, None).unwrap();
         for b in batches() {
             w.append(&b).unwrap();
         }
         drop(w);
-        let r = replay(&dir, 0).unwrap();
+        let r = replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none());
         assert_eq!(r.batches.len(), 3);
     }

@@ -54,9 +54,8 @@ use serde::{Deserialize, Serialize};
 use similarity::Half;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uots_core::{Completeness, Database, DistanceCache, ExecutionBudget, Part, RunControl, View};
+use uots_core::{Completeness, Database, ExecutionBudget, Part, RunControl, View};
 use uots_index::{TimestampIndex, VertexInvertedIndex};
 use uots_network::dijkstra::shortest_path_tree;
 use uots_network::RoadNetwork;
@@ -271,7 +270,7 @@ fn validate<'t>(
     Ok(())
 }
 
-/// The two-phase trajectory similarity self-join, unbudgeted and uncached.
+/// The two-phase trajectory similarity self-join, unbudgeted.
 ///
 /// `threads` sizes the rayon pool for the search phase (`1` = sequential).
 /// [`ts_join_with`] over the store's one-part [`View`], unbudgeted; the
@@ -290,7 +289,7 @@ pub fn ts_join(
 ) -> Result<JoinResult, JoinError> {
     let db = Database::new(net, store, vertex_index).with_timestamp_index(timestamp_index);
     let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
-    ts_join_with(&View::one(db), cfg, threads, budget, ctl, None)
+    ts_join_with(&View::one(db), cfg, threads, budget, ctl)
 }
 
 /// The live trajectories of `parts` with their global ids, ascending when
@@ -310,8 +309,8 @@ fn live_probes<'a>(parts: &[Part<'a>]) -> Vec<(TrajectoryId, &'a Trajectory)> {
 }
 
 /// The two-phase trajectory similarity self-join over the live
-/// trajectories of `view`, under a budget, with an optional shared
-/// distance cache. Pairs are in the view's global ids.
+/// trajectories of `view`, under a budget. Pairs are in the view's global
+/// ids.
 ///
 /// Every part's live ids are validated and probed; a spatial settle walks
 /// every part's postings and a probe time's source is a
@@ -330,13 +329,6 @@ fn live_probes<'a>(parts: &[Part<'a>]) -> Vec<(TrajectoryId, &'a Trajectory)> {
 /// exceeds `θ` by at most `1 − θ`, hence
 /// `BestEffort { bound_gap: 1 − θ }` whenever any probe was skipped.
 ///
-/// With `cache`, one [`DistanceCache`] is shared across every search
-/// worker: each probe's spatial expansions replay cached prefixes and
-/// publish their own back, so trajectories sharing sample vertices (the
-/// common case — popular POIs) skip the shared head of each other's
-/// Dijkstra work. The pair set is **identical** to the uncached join; the
-/// cache trades settled-vertex work, never answers.
-///
 /// The outcome reaches a [`MetricsRegistry`] through
 /// [`record_join_metrics`].
 ///
@@ -351,7 +343,6 @@ pub fn ts_join_with(
     threads: usize,
     budget: &ExecutionBudget,
     ctl: &RunControl,
-    cache: Option<&Arc<DistanceCache>>,
 ) -> Result<JoinResult, JoinError> {
     // the workers share the parts: the view itself is not `Sync`
     let parts = view.parts();
@@ -380,7 +371,7 @@ pub fn ts_join_with(
         probes
             .par_chunks(chunk)
             .map(|probe_chunk| {
-                let mut worker = Worker::new(parts, cache.cloned());
+                let mut worker = Worker::new(parts);
                 let mut stats = SearchStats::default();
                 let mut out = Vec::with_capacity(probe_chunk.len());
                 for &(probe, traj) in probe_chunk {
@@ -742,7 +733,6 @@ mod tests {
             1,
             &budget,
             &RunControl::unbounded(),
-            None,
         )
         .unwrap();
         assert!(!r.completeness.is_exact(), "tiny budget must interrupt");
@@ -770,7 +760,6 @@ mod tests {
             2,
             &ExecutionBudget::UNLIMITED,
             &RunControl::with_token(token),
-            None,
         )
         .unwrap();
         assert!(r.pairs.is_empty());
@@ -826,41 +815,6 @@ mod tests {
         assert_eq!(phase_hist.count, 1);
         // and the whole export must be a valid Prometheus page
         uots_obs::validate_prometheus_text(&registry.render_prometheus()).unwrap();
-    }
-
-    #[test]
-    fn cached_join_matches_uncached_and_warms_across_runs() {
-        let ds = Dataset::build(&DatasetConfig::small(40, 26)).unwrap();
-        let tidx = ds.store.build_timestamp_index();
-        let cfg = JoinConfig {
-            theta: 0.6,
-            ..Default::default()
-        };
-        let plain = ts_join(&ds.network, &ds.store, &ds.vertex_index, &tidx, &cfg, 2).unwrap();
-        let cache = Arc::new(DistanceCache::new(1 << 16));
-        for round in 0..2 {
-            let cached = ts_join_with(
-                &view_of(&ds, &tidx),
-                &cfg,
-                2,
-                &ExecutionBudget::UNLIMITED,
-                &RunControl::unbounded(),
-                Some(&cache),
-            )
-            .unwrap();
-            assert_eq!(plain.pairs.len(), cached.pairs.len(), "round {round}");
-            for (a, b) in plain.pairs.iter().zip(cached.pairs.iter()) {
-                assert_eq!((a.a, a.b), (b.a, b.b), "round {round}");
-                assert_eq!(
-                    a.similarity.to_bits(),
-                    b.similarity.to_bits(),
-                    "round {round}: cached similarities must be bit-identical"
-                );
-            }
-        }
-        let stats = cache.stats();
-        assert!(stats.inserts > 0, "searches must publish prefixes");
-        assert!(stats.hits > 0, "the second run must hit the warm cache");
     }
 
     #[test]

@@ -34,8 +34,8 @@
 use crate::similarity::{distinct_nodes_weighted, distinct_times_weighted, Half};
 use crate::{JoinConfig, JoinScheduling};
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
-use uots_core::{CachedSource, DistanceCache, Part, TimeChannel};
+use uots_core::{Part, TimeChannel};
+use uots_network::expansion::NetworkExpansion;
 use uots_network::TotalF64;
 use uots_trajectory::{Trajectory, TrajectoryId};
 
@@ -86,23 +86,17 @@ impl Ord for BoundEntry {
     }
 }
 
-/// A reusable join-search worker bound to the parts of one view. With a
-/// shared [`DistanceCache`], each spatial source probes the cache for a
-/// settled prefix to replay before expanding live, and publishes its
-/// (possibly partial) prefix back after every search — probes sharing
-/// sample vertices then skip the shared head of each other's expansions.
+/// A reusable join-search worker bound to the parts of one view.
 pub(crate) struct Worker<'a> {
     parts: &'a [Part<'a>],
-    cache: Option<Arc<DistanceCache>>,
     /// Expansion scratch, grown on demand and restarted per search.
-    sources: Vec<CachedSource<'a>>,
+    sources: Vec<NetworkExpansion<'a>>,
 }
 
 impl<'a> Worker<'a> {
-    pub(crate) fn new(parts: &'a [Part<'a>], cache: Option<Arc<DistanceCache>>) -> Self {
+    pub(crate) fn new(parts: &'a [Part<'a>]) -> Self {
         Worker {
             parts,
-            cache,
             sources: Vec::new(),
         }
     }
@@ -129,16 +123,14 @@ impl<'a> Worker<'a> {
 
         let use_temporal = cfg.lambda < 1.0;
         let use_spatial = cfg.lambda > 0.0;
-        // spatial sources only when the spatial half matters — a cache
-        // probe for a source that will never step would skew hit rates
+        // spatial sources only when the spatial half matters
         if use_spatial {
             let net = self.parts[0].db.network;
             for (i, &v) in nodes.iter().enumerate() {
                 if let Some(src) = self.sources.get_mut(i) {
-                    src.restart(v);
+                    src.start(v);
                 } else {
-                    self.sources
-                        .push(CachedSource::start(net, v, self.cache.as_ref()));
+                    self.sources.push(NetworkExpansion::from_source(net, v));
                 }
             }
         }
@@ -159,7 +151,7 @@ impl<'a> Worker<'a> {
         debug_assert!(num_sources > 0);
 
         // distance lower bound of spatial source i for unscanned trajectories
-        let s_lb = |exp: &CachedSource<'_>| exp.unsettled_lower_bound();
+        let s_lb = |exp: &NetworkExpansion<'_>| exp.unsettled_lower_bound();
         let t_lb = TimeChannel::radius;
 
         macro_rules! ub_of {
@@ -276,9 +268,8 @@ impl<'a> Worker<'a> {
         // Exhaustion sweep: a source that can deliver no further vertex
         // makes every pending distance toward it exact ∞. Run on the
         // exhaustion *transition* (tracked in `swept`) rather than relying
-        // on a trailing `next_settled() == None` event — a resumed cached
-        // source carries no stale heap entries and can exhaust without one,
-        // and a fresh source can empty its heap on its very last settle.
+        // on a trailing `next_settled() == None` event — a source can empty
+        // its heap on its very last settle.
         let mut swept = vec![false; active_s];
         macro_rules! sweep_spatial {
             ($src:expr) => {{
@@ -309,7 +300,7 @@ impl<'a> Worker<'a> {
 
             // ---- pick a live source ----
             let live =
-                |s: usize, sources: &Vec<CachedSource<'a>>, temporal: &Vec<TimeChannel<'a>>| {
+                |s: usize, sources: &Vec<NetworkExpansion<'a>>, temporal: &Vec<TimeChannel<'a>>| {
                     if s < active_s {
                         !sources[s].is_exhausted()
                     } else {
@@ -497,16 +488,6 @@ impl<'a> Worker<'a> {
             }
             if !blocked {
                 break;
-            }
-        }
-
-        // Publish each source's (possibly partial) settled prefix: a join
-        // search always runs to its own termination (interruption is
-        // probe-granular, handled by the caller's gate), so every prefix
-        // here is a clean one.
-        if use_spatial {
-            for src in self.sources.iter_mut().take(ns) {
-                src.publish();
             }
         }
 

@@ -13,6 +13,14 @@ pub enum NetworkError {
     BadWeight(f64),
     /// A network must have at least one vertex.
     EmptyNetwork,
+    /// More vertices or adjacency entries (two per edge) than the `u32`
+    /// ids and row offsets of the CSR layout can address.
+    TooLarge {
+        /// Vertex count.
+        nodes: u64,
+        /// Adjacency entry count.
+        entries: u64,
+    },
     /// A generator configuration failed validation.
     BadGeneratorConfig(String),
     /// A textual edge-list could not be parsed.
@@ -31,6 +39,10 @@ impl std::fmt::Display for NetworkError {
             NetworkError::SelfLoop(v) => write!(f, "self-loop at {v}"),
             NetworkError::BadWeight(w) => write!(f, "bad edge weight {w}"),
             NetworkError::EmptyNetwork => write!(f, "network has no vertices"),
+            NetworkError::TooLarge { nodes, entries } => write!(
+                f,
+                "{nodes} vertices and {entries} adjacency entries exceed the u32 CSR layout"
+            ),
             NetworkError::BadGeneratorConfig(msg) => write!(f, "bad generator config: {msg}"),
             NetworkError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")

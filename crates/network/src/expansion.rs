@@ -20,6 +20,10 @@
 //! The struct owns epoch-stamped scratch buffers sized to the network so a
 //! single allocation can be reused across many queries (`restart`), which
 //! keeps the per-query cost allocation-free on the hot path.
+//!
+//! [`MultiSourceExpansion`] is the batched full drain: every query source
+//! at once over one shared frontier, walking the same CSR rows, with
+//! distances bit-identical to one single-source run per source.
 
 use crate::heap::{HeapEntry, TotalF64};
 use crate::{NodeId, RoadNetwork};
@@ -247,73 +251,156 @@ impl<'a> NetworkExpansion<'a> {
         let i = v.index();
         (self.is_current(v) && self.settled[i]).then(|| self.dist[i])
     }
+}
 
-    /// Snapshot of the live Dijkstra frontier: every reached-but-unsettled
-    /// vertex with its best tentative distance, deduplicated (the heap may
-    /// hold stale duplicates) and sorted by `(dist, node)` for determinism.
-    ///
-    /// Together with the settled set and the radius this is a complete,
-    /// consistent description of the expansion's progress: feeding it back
-    /// through [`resume`](Self::resume) continues the expansion with exactly
-    /// the distances a fresh run would produce.
-    pub fn frontier_snapshot(&self) -> Vec<(NodeId, f64)> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<(NodeId, f64)> = Vec::new();
-        for e in self.heap.iter() {
-            let v = e.node;
-            let i = v.index();
-            if self.is_current(v) && !self.settled[i] && seen.insert(v) {
-                out.push((v, self.dist[i]));
-            }
-        }
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
+/// A vertex settled by a [`MultiSourceExpansion`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MsSettled {
+    /// Index of the source (position in the `sources` slice) that
+    /// settled the vertex.
+    pub source: usize,
+    /// The settled vertex.
+    pub node: NodeId,
+    /// Exact network distance from `sources[source]`.
+    pub dist: f64,
+}
+
+/// Min-heap entry keyed `(dist, source, node)` — deterministic across
+/// runs; `BinaryHeap` is a max-heap so the ordering is reversed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MsEntry {
+    dist: TotalF64,
+    source: u32,
+    node: NodeId,
+}
+
+impl PartialOrd for MsEntry {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    /// (Re)starts the expansion from `source`, seeding it with a previously
-    /// recorded prefix instead of from scratch: `settled` vertices are
-    /// marked settled with their exact distances (they will **not** be
-    /// emitted by [`next_settled`](Self::next_settled) again), `frontier`
-    /// vertices become the pending heap, and `radius` restores the
-    /// last-settled distance. Reuses the scratch buffers like
-    /// [`start`](Self::start).
-    ///
-    /// The caller must pass a consistent prefix (as captured by
-    /// [`frontier_snapshot`](Self::frontier_snapshot) plus the settle
-    /// sequence): settled distances exact, frontier distances equal to the
-    /// best path through the settled set. Resuming then yields the same
-    /// settle distances a fresh run from `source` would.
+impl Ord for MsEntry {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .dist
+            .cmp(&self.dist)
+            .then_with(|| other.source.cmp(&self.source))
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+/// Batched Dijkstra from `m` sources over one shared frontier — the full
+/// drain of a brute-force or text-first query.
+///
+/// Distance and settled state are flat `m × n` rows (source-major), so
+/// the batch makes one pass over one heap instead of `m` passes. Each
+/// source's relaxations are exactly those of its own single-source run
+/// over the same [`RoadNetwork`] rows (per-source state is disjoint, only
+/// the frontier is shared), so every distance is bit-identical to
+/// [`crate::dijkstra::shortest_path_tree`] from that source, also when
+/// some sources exhaust early on a disconnected network.
+pub struct MultiSourceExpansion<'a> {
+    net: &'a RoadNetwork,
+    /// `m × n` tentative distances, source-major.
+    dist: Vec<f64>,
+    /// `m × n` settled flags, source-major.
+    settled: Vec<bool>,
+    heap: BinaryHeap<MsEntry>,
+    reached: Vec<usize>,
+}
+
+impl<'a> MultiSourceExpansion<'a> {
+    /// Starts a batched expansion from `sources`; a repeated source gets
+    /// its own row.
     ///
     /// # Panics
     ///
-    /// Panics if `source` is not a vertex of the network.
-    pub fn resume(&mut self, source: NodeId, settled: &[Settled], frontier: &[(NodeId, f64)]) {
-        assert!(self.net.contains_node(source), "source not in network");
-        self.source = source;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.heap.clear();
-        self.radius = settled.last().map_or(0.0, |s| s.dist);
-        self.settled_count = settled.len();
-        self.started = true;
-        for s in settled {
-            self.set_dist(s.node, s.dist);
-            self.settled[s.node.index()] = true;
-        }
-        for &(v, d) in frontier {
-            debug_assert!(
-                !(self.is_current(v) && self.settled[v.index()]),
-                "frontier vertex already settled"
-            );
-            self.set_dist(v, d);
-            self.heap.push(HeapEntry {
-                dist: TotalF64(d),
-                node: v,
+    /// Panics if a source is not a vertex of the network.
+    pub fn new(net: &'a RoadNetwork, sources: &[NodeId]) -> Self {
+        let n = net.num_nodes();
+        let m = sources.len();
+        let mut dist = vec![f64::INFINITY; m * n];
+        let mut heap = BinaryHeap::with_capacity(m);
+        for (si, &s) in sources.iter().enumerate() {
+            assert!(net.contains_node(s), "source {s} not in network");
+            dist[si * n + s.index()] = 0.0;
+            heap.push(MsEntry {
+                dist: TotalF64(0.0),
+                source: si as u32,
+                node: s,
             });
         }
+        MultiSourceExpansion {
+            net,
+            dist,
+            settled: vec![false; m * n],
+            heap,
+            reached: vec![0; m],
+        }
+    }
+
+    /// Starts and drains to exhaustion in one call.
+    pub fn run(net: &'a RoadNetwork, sources: &[NodeId]) -> Self {
+        let mut ms = Self::new(net, sources);
+        while ms.next_settled().is_some() {}
+        ms
+    }
+
+    /// Settles and returns the globally next-nearest `(source, vertex)`
+    /// pair, or `None` once every source is exhausted.
+    pub fn next_settled(&mut self) -> Option<MsSettled> {
+        let n = self.net.num_nodes();
+        while let Some(MsEntry { dist, source, node }) = self.heap.pop() {
+            let si = source as usize;
+            let row = si * n;
+            if self.settled[row + node.index()] {
+                continue; // stale heap entry
+            }
+            self.settled[row + node.index()] = true;
+            self.reached[si] += 1;
+            let d = dist.0;
+            for (u, w) in self.net.neighbors(node) {
+                let nd = d + w;
+                let slot = row + u.index();
+                if nd < self.dist[slot] && !self.settled[slot] {
+                    self.dist[slot] = nd;
+                    self.heap.push(MsEntry {
+                        dist: TotalF64(nd),
+                        source,
+                        node: u,
+                    });
+                }
+            }
+            return Some(MsSettled {
+                source: si,
+                node,
+                dist: d,
+            });
+        }
+        None
+    }
+
+    /// Number of sources in the batch.
+    #[inline]
+    pub fn num_sources(&self) -> usize {
+        self.reached.len()
+    }
+
+    /// Exact distance from source `si` to `v`, or `None` if the vertex
+    /// has not been settled (unreachable, once drained).
+    #[inline]
+    pub fn distance(&self, si: usize, v: NodeId) -> Option<f64> {
+        let slot = si * self.net.num_nodes() + v.index();
+        self.settled[slot].then(|| self.dist[slot])
+    }
+
+    /// Number of vertices source `si` has settled so far.
+    #[inline]
+    pub fn reached_count(&self, si: usize) -> usize {
+        self.reached[si]
     }
 }
 
@@ -448,99 +535,5 @@ mod tests {
         let net = line(3);
         let mut exp = NetworkExpansion::new(&net);
         exp.next_settled();
-    }
-
-    /// 4×4 grid via the builder so the frontier holds several entries.
-    fn grid4() -> RoadNetwork {
-        let mut b = NetworkBuilder::new();
-        let ids: Vec<NodeId> = (0..16)
-            .map(|i| b.add_node(Point::new((i % 4) as f64, (i / 4) as f64)))
-            .collect();
-        for r in 0..4 {
-            for c in 0..4 {
-                let i = r * 4 + c;
-                if c + 1 < 4 {
-                    b.add_edge(ids[i], ids[i + 1], None).unwrap();
-                }
-                if r + 1 < 4 {
-                    b.add_edge(ids[i], ids[i + 4], None).unwrap();
-                }
-            }
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn snapshot_resume_continues_identically() {
-        let net = grid4();
-        for cut in [0usize, 1, 3, 7, 12, 16] {
-            // reference run, recording everything
-            let mut reference = NetworkExpansion::from_source(&net, NodeId(0));
-            let full: Vec<Settled> = std::iter::from_fn(|| reference.next_settled()).collect();
-
-            // prefix run up to `cut`, snapshot, resume in a fresh expansion
-            let mut prefix = NetworkExpansion::from_source(&net, NodeId(0));
-            let mut head = Vec::new();
-            for _ in 0..cut {
-                head.push(prefix.next_settled().unwrap());
-            }
-            let frontier = prefix.frontier_snapshot();
-            let mut resumed = NetworkExpansion::new(&net);
-            resumed.resume(NodeId(0), &head, &frontier);
-            assert_eq!(resumed.settled_count(), cut);
-            assert_eq!(resumed.radius(), head.last().map_or(0.0, |s| s.dist));
-
-            let tail: Vec<Settled> = std::iter::from_fn(|| resumed.next_settled()).collect();
-            assert_eq!(head.len() + tail.len(), full.len(), "cut={cut}");
-            // distances must match the reference exactly; settle order of
-            // equal-distance vertices may differ, so compare sorted
-            let mut got: Vec<(u32, f64)> = head
-                .iter()
-                .chain(tail.iter())
-                .map(|s| (s.node.0, s.dist))
-                .collect();
-            let mut want: Vec<(u32, f64)> = full.iter().map(|s| (s.node.0, s.dist)).collect();
-            got.sort_by_key(|a| a.0);
-            want.sort_by_key(|a| a.0);
-            assert_eq!(got, want, "cut={cut}");
-            // settled vertices from the prefix are queryable but not re-emitted
-            for s in &head {
-                assert_eq!(resumed.settled_distance(s.node), Some(s.dist));
-                assert!(!tail.iter().any(|t| t.node == s.node));
-            }
-        }
-    }
-
-    #[test]
-    fn resume_from_exhausted_prefix_is_exhausted() {
-        let net = line(5);
-        let mut exp = NetworkExpansion::from_source(&net, NodeId(2));
-        let all: Vec<Settled> = std::iter::from_fn(|| exp.next_settled()).collect();
-        assert!(exp.frontier_snapshot().is_empty());
-
-        let mut resumed = NetworkExpansion::new(&net);
-        resumed.resume(NodeId(2), &all, &[]);
-        assert!(resumed.is_exhausted());
-        assert_eq!(resumed.next_settled(), None);
-        assert_eq!(resumed.unsettled_lower_bound(), f64::INFINITY);
-        assert_eq!(resumed.settled_distance(NodeId(0)), Some(2.0));
-    }
-
-    #[test]
-    fn snapshot_dedups_stale_heap_entries() {
-        let net = grid4();
-        let mut exp = NetworkExpansion::from_source(&net, NodeId(0));
-        for _ in 0..5 {
-            exp.next_settled();
-        }
-        let snap = exp.frontier_snapshot();
-        let mut nodes: Vec<u32> = snap.iter().map(|(v, _)| v.0).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        assert_eq!(nodes.len(), snap.len(), "no duplicate frontier vertices");
-        for (v, d) in &snap {
-            assert_eq!(exp.settled_distance(*v), None, "frontier is unsettled");
-            assert!(*d >= exp.radius() - 1e-12, "tentative >= radius");
-        }
     }
 }

@@ -154,13 +154,30 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// [`NetworkError::EmptyNetwork`] when no vertices were added.
+    /// [`NetworkError::EmptyNetwork`] when no vertices were added;
+    /// [`NetworkError::TooLarge`] when the vertex or adjacency entry count
+    /// exceeds `u32::MAX`, the extent of the `u32` CSR layout.
     pub fn build(self) -> Result<RoadNetwork, NetworkError> {
         if self.nodes.is_empty() {
             return Err(NetworkError::EmptyNetwork);
         }
+        check_extents(self.nodes.len() as u64, 2 * self.edges.len() as u64)?;
         Ok(RoadNetwork::from_parts(self.nodes, self.edges))
     }
+}
+
+/// Refuses a network whose `nodes` vertices or `entries` adjacency entries
+/// exceed `u32::MAX`: vertex ids, edge ids and row offsets are `u32`, and
+/// [`RoadNetwork::from_parts`] sums degrees into `u32` offsets, which
+/// would wrap silently and corrupt every row after the wrap. Separate from
+/// [`NetworkBuilder::build`] so the boundary is testable without
+/// allocating a 4-billion-entry network.
+fn check_extents(nodes: u64, entries: u64) -> Result<(), NetworkError> {
+    let max = u64::from(u32::MAX);
+    if nodes > max || entries > max {
+        return Err(NetworkError::TooLarge { nodes, entries });
+    }
+    Ok(())
 }
 
 /// An immutable spatial network with CSR adjacency.
@@ -430,6 +447,21 @@ mod tests {
             NetworkBuilder::new().build(),
             Err(NetworkError::EmptyNetwork)
         ));
+    }
+
+    /// The extent check refuses exactly the counts the `u32` layout cannot
+    /// hold, at the boundary, without allocating boundary-sized networks.
+    #[test]
+    fn extent_check_rejects_overflow_at_the_u32_boundary() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(check_extents(max, 0), Ok(()));
+        assert_eq!(check_extents(0, max), Ok(()));
+        assert_eq!(check_extents(max, max), Ok(()));
+        for (nodes, entries) in [(max + 1, 0), (0, max + 1)] {
+            let err = check_extents(nodes, entries).unwrap_err();
+            assert_eq!(err, NetworkError::TooLarge { nodes, entries });
+            assert!(err.to_string().contains(&(max + 1).to_string()));
+        }
     }
 
     #[test]

@@ -99,8 +99,8 @@ pub struct JournalEvent {
     pub unix_ms: u64,
     /// Event severity.
     pub severity: Severity,
-    /// Emitting subsystem (`"wal"`, `"durable"`, `"epoch"`,
-    /// `"distcache"`, `"scrub"`, ...).
+    /// Emitting subsystem (`"wal"`, `"durable"`, `"epoch"`, `"scrub"`,
+    /// ...).
     pub component: String,
     /// Event name within the component (`"fsync_failure"`,
     /// `"segment_sealed"`, `"degraded"`, ...).

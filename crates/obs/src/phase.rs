@@ -27,8 +27,10 @@ pub enum Phase {
     HeapMaintenance,
     /// One probe trajectory's candidate search inside the similarity join.
     JoinPair,
-    /// Replaying settled vertices out of the shared network-distance cache
-    /// instead of computing them — the cross-query memoization fast path.
+    /// Formerly the replay of a shared network-distance cache, which is
+    /// gone: nothing enters this phase. The variant stays so that readers
+    /// of the phase table (the repository benchmark's `layers.rs`) keep
+    /// building.
     CacheReplay,
 }
 

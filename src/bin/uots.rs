@@ -4,12 +4,11 @@
 //! uots generate      --preset small|brn|nrn --trips N --seed S --out data.uotsds
 //! uots stats         --data data.uotsds
 //! uots query         --data data.uotsds --at x,y --at x,y [--tags a,b] [--lambda L] [--k K]
-//!                    [--deadline-ms MS] [--max-visited N] [--cache-capacity N]
+//!                    [--deadline-ms MS] [--max-visited N]
 //!                    [--metrics-out FILE] [--trace FILE]
 //!                    [--obs-listen ADDR] [--obs-linger-ms MS]
 //! uots join          --data data.uotsds --theta T [--lambda L] [--threads N]
-//!                    [--deadline-ms MS] [--max-visited N] [--cache-capacity N]
-//!                    [--metrics-out FILE]
+//!                    [--deadline-ms MS] [--max-visited N] [--metrics-out FILE]
 //! uots ingest        --data data.uotsds --script mut.txt [--batch N] [--verify]
 //!                    [--wal-dir DIR] [--fsync batch|off|interval:MS]
 //!                    [--checkpoint-every N] [--metrics-out FILE]
@@ -73,8 +72,7 @@ use uots::prelude::*;
 use uots::scrub::{self, ScrubReport};
 use uots::storage::StdFs;
 use uots::{
-    DistanceCache, FsyncPolicy, MetricsRegistry, PhaseNanos, Recorder, RunControl, Sample,
-    SearchContext, Trajectory, WalConfig, DEFAULT_CACHE_CAPACITY,
+    FsyncPolicy, MetricsRegistry, PhaseNanos, Recorder, RunControl, Sample, Trajectory, WalConfig,
 };
 
 fn main() {
@@ -111,12 +109,10 @@ fn print_usage() {
          \x20 query    --data FILE --at x,y --at x,y ... [--tags a,b,c]\n\
          \x20          [--lambda L=0.5] [--k K=3]\n\
          \x20          [--deadline-ms MS] [--max-visited N]\n\
-         \x20          [--cache-capacity N]\n\
          \x20          [--metrics-out FILE] [--trace FILE]\n\
          \x20          [--obs-listen ADDR] [--obs-linger-ms MS]\n\
          \x20 join     --data FILE --theta T=0.8 [--lambda L=0.5] [--threads N=2]\n\
          \x20          [--deadline-ms MS] [--max-visited N] [--metrics-out FILE]\n\
-         \x20          [--cache-capacity N]\n\
          \x20 ingest   --data FILE --script FILE [--batch N] [--verify]\n\
          \x20          [--wal-dir DIR] [--fsync batch|off|interval:MS]\n\
          \x20          [--checkpoint-every N] [--metrics-out FILE]\n\
@@ -141,9 +137,6 @@ fn print_usage() {
          its --verify differentially checks the recovered snapshot.\n\
          --deadline-ms / --max-visited bound the work; when a bound trips,\n\
          the best results found so far are returned with a certified gap.\n\
-         network distances are memoized in a shared cache by default;\n\
-         --cache-capacity N sizes it (0 disables). results are identical\n\
-         either way.\n\
          --metrics-out writes a Prometheus text exposition, --trace a JSON\n\
          span timeline; check-metrics validates an exposition file.\n\
          --obs-listen ADDR serves live observability over HTTP while the\n\
@@ -170,8 +163,8 @@ const EXIT_CORRUPTION_FOUND: i32 = 4;
 const EXIT_UNRECOVERABLE: i32 = 5;
 
 // The flags each command reads, its shared helpers' included: `load`
-// reads --data, `parse_budget` the budget pair, `parse_cache`
-// --cache-capacity and `start_obs_plane` the --obs-* pair.
+// reads --data, `parse_budget` the budget pair and `start_obs_plane` the
+// --obs-* pair.
 const GENERATE_FLAGS: &[&str] = &["preset", "trips", "seed", "out"];
 const STATS_FLAGS: &[&str] = &["data"];
 const QUERY_FLAGS: &[&str] = &[
@@ -182,7 +175,6 @@ const QUERY_FLAGS: &[&str] = &[
     "k",
     "deadline-ms",
     "max-visited",
-    "cache-capacity",
     "metrics-out",
     "trace",
     "obs-listen",
@@ -195,7 +187,6 @@ const JOIN_FLAGS: &[&str] = &[
     "threads",
     "deadline-ms",
     "max-visited",
-    "cache-capacity",
     "metrics-out",
 ];
 const INGEST_FLAGS: &[&str] = &[
@@ -301,40 +292,6 @@ fn parse_budget(flags: &Flags) -> Result<ExecutionBudget, String> {
         budget = budget.with_max_visited(n);
     }
     Ok(budget)
-}
-
-/// Parses `--cache-capacity` into an optional shared distance cache (none
-/// at 0), wired to `registry` for hit/miss counters.
-fn parse_cache(
-    flags: &Flags,
-    registry: &MetricsRegistry,
-) -> Result<Option<Arc<DistanceCache>>, String> {
-    let capacity: usize = match flags.get("cache-capacity") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| "--cache-capacity must be an integer".to_string())?,
-        None => DEFAULT_CACHE_CAPACITY,
-    };
-    if capacity == 0 {
-        return Ok(None);
-    }
-    Ok(Some(Arc::new(DistanceCache::with_metrics(
-        capacity, registry,
-    ))))
-}
-
-/// One-line cache utilization report.
-fn report_cache(cache: &DistanceCache) {
-    let s = cache.stats();
-    println!(
-        "distance cache: {} hits / {} misses ({:.1}% hit rate), {} inserts, \
-         {} evictions",
-        s.hits,
-        s.misses,
-        s.hit_rate() * 100.0,
-        s.inserts,
-        s.evictions
-    );
 }
 
 /// Human-readable per-phase time table (skips phases that never ran).
@@ -595,14 +552,6 @@ fn cmd_query(args: &[String]) -> i32 {
         Ok(p) => p,
         Err(e) => return fail(e),
     };
-    let cache = match parse_cache(&flags, &registry) {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
-    let ctx = match &cache {
-        Some(c) => SearchContext::with_cache(Arc::clone(c)),
-        None => SearchContext::default(),
-    };
     // tracing subsumes phases-only; both are skipped entirely (one branch
     // per recorder call) when neither output was requested. The obs plane
     // forces tracing so its sampler can retain a full exemplar.
@@ -614,7 +563,7 @@ fn cmd_query(args: &[String]) -> i32 {
         Recorder::disabled()
     };
     let ctl = RunControl::unbounded();
-    let result = match Expansion::default().run_ctx(&View::one(db), &query, &ctl, &mut rec, &ctx) {
+    let result = match Expansion::default().run_ctx(&View::one(db), &query, &ctl, &mut rec) {
         Ok(r) => r,
         Err(e) => return fail(e),
     };
@@ -650,9 +599,6 @@ fn cmd_query(args: &[String]) -> i32 {
         result.metrics.runtime
     );
     report_completeness(&result.completeness);
-    if let Some(c) = &cache {
-        report_cache(c);
-    }
     let latency_us = u64::try_from(result.metrics.runtime.as_micros()).unwrap_or(u64::MAX);
     if let Some(report) = rec.finish() {
         report_phases(&report.phases);
@@ -768,10 +714,6 @@ fn cmd_join(args: &[String]) -> i32 {
     let tidx = ds.store.build_timestamp_index();
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let registry = MetricsRegistry::default();
-    let cache = match parse_cache(&flags, &registry) {
-        Ok(c) => c,
-        Err(e) => return fail(e),
-    };
     let db = Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(&tidx);
     let result = match ts_join_with(
         &View::one(db),
@@ -779,7 +721,6 @@ fn cmd_join(args: &[String]) -> i32 {
         threads,
         &budget,
         &RunControl::unbounded(),
-        cache.as_ref(),
     ) {
         Ok(r) => r,
         Err(e) => return fail(e),
@@ -799,9 +740,6 @@ fn cmd_join(args: &[String]) -> i32 {
         println!("  ... and {} more", result.pairs.len() - 20);
     }
     report_completeness(&result.completeness);
-    if let Some(c) = &cache {
-        report_cache(c);
-    }
     report_phases(&result.phases);
     if let Some(path) = metrics_out {
         if let Err(e) = write_metrics(&registry, &path) {

@@ -79,7 +79,7 @@ fn lineage_dir(root: &Path, num_shards: usize, shard: usize) -> PathBuf {
 /// else the number of `shard-<s>` directories, `None` when `root` holds
 /// neither (nothing to resume).
 pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
-    if !wal::list_segments(root)?.is_empty() || !list_checkpoints(&StdFs, root).is_empty() {
+    if !wal::list_segments(&StdFs, root)?.is_empty() || !list_checkpoints(&StdFs, root).is_empty() {
         return Ok(Some(1));
     }
     let Ok(entries) = std::fs::read_dir(root) else {

@@ -393,8 +393,7 @@ impl DurableIngest {
         retry: RetryPolicy,
         journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
-        let wal =
-            WalWriter::open_with_backend(dir, config, Arc::clone(&backend), registry, journal)?;
+        let wal = WalWriter::open(dir, config, Arc::clone(&backend), registry, journal)?;
         // refuse to reissue LSNs an existing checkpoint already covers —
         // replay would skip the duplicates, silently dropping new batches
         // at the next recovery (the writer continues at the log end the
@@ -678,7 +677,7 @@ impl DurableIngest {
         // harmless) log on disk, so it must not be reported as a failed
         // checkpoint — it gets its own accounting and the next successful
         // checkpoint retries the removal.
-        let pruned = match wal::prune_segments_with(&*self.backend, &self.dir, high_water) {
+        let pruned = match wal::prune_segments(&*self.backend, &self.dir, high_water) {
             Ok(n) => n as u64,
             Err(e) => {
                 self.prune_failures += 1;
@@ -764,7 +763,7 @@ impl RecoveryPlan {
     /// an error — recovery must survive exactly the failures it exists
     /// for.
     pub fn scan(backend: &dyn StorageBackend, dir: &Path) -> Result<Self, WalError> {
-        let log = wal::replay_with(backend, dir, 0)?;
+        let log = wal::replay(backend, dir, 0)?;
         // A state durable through `lsn` must be continued *exactly* at
         // lsn + 1: segments in between may have been pruned against a
         // newer checkpoint that is now unusable, and replaying a gapped
@@ -1103,7 +1102,7 @@ mod tests {
 
     /// Bytes in the WAL segments under `dir`.
     fn wal_bytes(dir: &Path) -> u64 {
-        let segments = wal::list_segments(dir).unwrap();
+        let segments = wal::list_segments(&StdFs, dir).unwrap();
         segments
             .iter()
             .map(|p| std::fs::metadata(p).unwrap().len())
@@ -1139,7 +1138,7 @@ mod tests {
         assert!(!ingest.is_degraded());
         assert!(matches!(ingest.status().state, IngestState::Healthy));
         // the log is complete and clean
-        let r = wal::replay(&dir, 0).unwrap();
+        let r = wal::replay(&StdFs, &dir, 0).unwrap();
         assert!(r.corruption.is_none());
         assert_eq!(r.batches.len(), 3);
     }
@@ -1190,7 +1189,7 @@ mod tests {
         let snap = ingest.publish().unwrap();
         assert_eq!(snap.store().len(), ds.store.len());
         // nothing unacked leaked into the log
-        let r = wal::replay(&dir, 0).unwrap();
+        let r = wal::replay(&StdFs, &dir, 0).unwrap();
         assert_eq!(r.batches.len(), 0, "no batch was ever acked");
     }
 
@@ -1421,7 +1420,8 @@ mod tests {
     fn replay_refuses_an_out_of_vocabulary_insert_with_a_typed_error() {
         let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
         let dir = tmpdir("bad_replay");
-        let mut log = wal::WalWriter::open(&dir, WalConfig::default()).unwrap();
+        let mut log =
+            wal::WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
         log.append(&[Mutation::Insert(donor(&ds, 0))]).unwrap();
         log.append(&[Mutation::Insert(probe(0, ds.vocab.len() as u32))])
             .unwrap();

@@ -62,11 +62,10 @@ pub use uots_trajectory as trajectory;
 
 pub use uots_core::wal::{FsyncPolicy, WalConfig, WalError, WalWriter};
 pub use uots_core::{
-    algorithms, epoch, order, parallel, similarity, BatchOptions, BatchPolicy, CacheStats,
-    CancellationToken, Completeness, CoreError, Database, DistanceCache, EpochManager,
-    EpochSnapshot, ExecutionBudget, LayoutTables, Match, Mutation, QueryOptions, QueryResult,
-    RunControl, Scheduler, SearchContext, SearchMetrics, TopK, UotsQuery, View, Weights,
-    DEFAULT_CACHE_CAPACITY,
+    algorithms, epoch, order, parallel, similarity, BatchOptions, BatchPolicy, CancellationToken,
+    Completeness, CoreError, Database, EpochManager, EpochSnapshot, ExecutionBudget, LayoutTables,
+    Match, Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext,
+    SearchMetrics, TopK, UotsQuery, View, Weights,
 };
 pub use uots_datagen::{workload, Dataset, DatasetConfig};
 pub use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};

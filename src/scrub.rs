@@ -225,7 +225,7 @@ fn walk(
 
     // -- WAL: the plan's scan found the first damage; what lies beyond
     //    it is unreachable
-    let all_segments = wal::list_segments_with(backend, dir).map_err(wal_io)?;
+    let all_segments = wal::list_segments(backend, dir).map_err(wal_io)?;
     let segments = all_segments.len();
     let mut unusable_segments: Vec<(PathBuf, String)> = Vec::new();
     let mut torn_tail = None;
@@ -435,7 +435,7 @@ mod tests {
     #[test]
     fn torn_tail_is_reported_but_never_moved() {
         let (dir, _ds) = seeded_dir("torn");
-        let segs = wal::list_segments(&dir).unwrap();
+        let segs = wal::list_segments(&StdFs, &dir).unwrap();
         let last = segs.last().unwrap().clone();
         let raw = std::fs::read(&last).unwrap();
         if raw.len() > wal::HEADER_LEN as usize + 4 {
@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn segments_behind_corruption_are_quarantined() {
         let (dir, _ds) = seeded_dir("behind");
-        let segs = wal::list_segments(&dir).unwrap();
+        let segs = wal::list_segments(&StdFs, &dir).unwrap();
         // force a multi-segment log: corrupt the header of the first
         // segment, leaving any later ones unreachable
         let mut raw = std::fs::read(&segs[0]).unwrap();

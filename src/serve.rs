@@ -96,8 +96,8 @@ use uots_core::parallel::{self, BatchOptions, BatchPolicy};
 use uots_core::planner::{AlgorithmKind, Planner};
 use uots_core::shard::{Cluster, ClusterSnapshot, CutReader, Shard};
 use uots_core::{
-    CancellationToken, CoreError, ExecutionBudget, Mutation, QueryOptions, RunControl,
-    SearchContext, UotsQuery, Weights,
+    CancellationToken, CoreError, ExecutionBudget, Mutation, QueryOptions, RunControl, UotsQuery,
+    Weights,
 };
 use uots_join::{ts_join_with, JoinConfig};
 use uots_network::NodeId;
@@ -217,7 +217,6 @@ struct Shared {
     /// What `/traces` keeps of the served queries.
     sampler: TailSampler,
     metrics: ServiceMetrics,
-    ctx: SearchContext,
     inflight: AtomicUsize,
     /// Queries in flight per tenant. An entry lives exactly as long as its
     /// count is non-zero, so the map is bounded by the requests in flight,
@@ -329,7 +328,6 @@ impl QueryService {
             cfg,
             sampler: obs.sampler().clone(),
             metrics: ServiceMetrics::new(obs.registry()),
-            ctx: SearchContext::new(),
             inflight: AtomicUsize::new(0),
             tenants: Mutex::new(HashMap::new()),
         });
@@ -552,7 +550,7 @@ fn handle_search(req: &HttpRequest, shared: &Shared, single: bool) -> Reply {
     // its shards on one thread, so the batch spreads over the batch
     // workers query by query.
     let cut = shared.cut.get();
-    let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token, &shared.ctx);
+    let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token);
     drop(guard);
     if let Ok(answers) = &outcome {
         // metadata only: what `/traces` keeps of a served query is its
@@ -658,7 +656,7 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
     // the join reads the cut in place, in global ids, at any shard count
     let threads = shared.cfg.batch_threads;
     let ctl = RunControl::unbounded();
-    let outcome = ts_join_with(&cut.view(), &cfg, threads, &budget, &ctl, None);
+    let outcome = ts_join_with(&cut.view(), &cfg, threads, &budget, &ctl);
     drop(guard);
 
     let join = outcome.map_err(bad_request)?;

@@ -11,16 +11,10 @@
 //! * **Pre-cancelled runs** — a token cancelled before the first expansion
 //!   step yields an empty best-effort result with `bound_gap = 1` for all
 //!   four algorithms, never an error.
-//! * **Poison-on-cancel** — an interrupted run never publishes its partial
-//!   expansion state to a shared [`DistanceCache`], and a cache warmed
-//!   before an interruption keeps serving bit-exact results after it.
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use uots::prelude::*;
-use uots::{
-    CancellationToken, DistanceCache, ExecutionBudget, Recorder, RunControl, SearchContext,
-};
+use uots::{CancellationToken, ExecutionBudget, Recorder, RunControl};
 
 const EPS: f64 = 1e-9;
 
@@ -170,101 +164,6 @@ fn pre_cancelled_token_yields_empty_best_effort_for_every_algorithm() {
             algo.name()
         );
         assert_eq!(r.metrics.interrupted, 1, "{}", algo.name());
-    }
-}
-
-#[test]
-fn interrupted_runs_poison_the_shared_cache_instead_of_publishing() {
-    let ds = Dataset::build(&DatasetConfig::small(25, 11)).unwrap();
-    let db = uots::db(&ds);
-    let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
-    let q = UotsQuery::with_options(
-        spec.locations.clone(),
-        spec.keywords.clone(),
-        vec![],
-        QueryOptions {
-            budget: ExecutionBudget::default().with_max_settled(2),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    for algo in algorithms() {
-        // a fresh cache per algorithm: any entry must come from *this* run
-        let cache = Arc::new(DistanceCache::new(1 << 16));
-        let ctx = SearchContext::with_cache(Arc::clone(&cache));
-        let r = algo
-            .run_ctx(
-                &View::one(db),
-                &q,
-                &RunControl::unbounded(),
-                &mut Recorder::disabled(),
-                &ctx,
-            )
-            .unwrap();
-        if r.completeness.is_exact() {
-            continue; // nothing was missed, so publishing is legitimate
-        }
-        let stats = cache.stats();
-        assert_eq!(
-            stats.inserts,
-            0,
-            "{}: an interrupted run must not publish",
-            algo.name()
-        );
-        assert!(cache.is_empty(), "{}: cache must stay empty", algo.name());
-        if r.metrics.settled_vertices > 0 {
-            assert!(
-                stats.poisoned >= 1,
-                "{}: fresh settles were discarded, the skip must be counted",
-                algo.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn warm_cache_survives_a_cancelled_run_bit_exactly() {
-    let ds = Dataset::build(&DatasetConfig::small(25, 13)).unwrap();
-    let db = uots::db(&ds);
-    let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
-    let q = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).unwrap();
-    let cache = Arc::new(DistanceCache::new(1 << 16));
-    let ctx = SearchContext::with_cache(Arc::clone(&cache));
-    let algo = Expansion::default();
-
-    let unbounded = || {
-        let (ctl, mut rec) = (RunControl::unbounded(), Recorder::disabled());
-        algo.run_ctx(&View::one(db), &q, &ctl, &mut rec, &ctx)
-            .unwrap()
-    };
-    let clean = unbounded();
-    let published = cache.stats().inserts;
-    assert!(published > 0, "clean completion must publish");
-
-    // a mid-run cancellation on the warm cache: replays, then poisons
-    let token = CancellationToken::new();
-    token.cancel();
-    let r = algo
-        .run_ctx(
-            &View::one(db),
-            &q,
-            &RunControl::with_token(token),
-            &mut Recorder::disabled(),
-            &ctx,
-        )
-        .unwrap();
-    assert!(!r.completeness.is_exact());
-    assert_eq!(
-        cache.stats().inserts,
-        published,
-        "a cancelled run must not publish"
-    );
-
-    // the warm entries still serve the exact answer, bit for bit
-    let again = unbounded();
-    assert_eq!(clean.ids(), again.ids());
-    for (a, b) in clean.matches.iter().zip(again.matches.iter()) {
-        assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());
     }
 }
 

@@ -324,7 +324,7 @@ fn run_seed(
     // batches. Without checkpoints the WAL is never pruned, so the log
     // itself must replay to the acked prefix, mutation-for-mutation.
     if checkpoint_every.is_none() {
-        let replayed = wal::replay(&dir, 0)
+        let replayed = wal::replay(&StdFs, &dir, 0)
             .map_err(|e| format!("seed {seed}: post-crash replay failed: {e}"))?;
         if replayed.batches.len() != m as usize {
             return Err(format!(

@@ -340,73 +340,9 @@ fn metrics_and_trace_outputs_are_valid() {
     std::fs::remove_file(&trace).ok();
 }
 
-/// `--cache-capacity 0` changes the work, never the output: the join goes
-/// through the same entry point and writes the same metric families either
-/// way, and a query ranks the same trips.
-#[test]
-fn cache_capacity_zero_changes_work_not_answers() {
-    let path = temp_dataset("nocache.uotsds");
-    generate(&path);
-    let run = |args: &[&str], extra: &[&str]| -> String {
-        let out = uots()
-            .args(args)
-            .args(extra)
-            .arg("--data")
-            .arg(&path)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let lines_with = |text: &str, needle: &str| -> Vec<String> {
-        let hits = text.lines().filter(|l| l.contains(needle));
-        hits.map(str::to_string).collect()
-    };
-
-    let mut pair_lines = Vec::new();
-    for (name, extra) in [
-        ("cached", &[][..]),
-        ("uncached", &["--cache-capacity", "0"][..]),
-    ] {
-        let prom = temp_dataset(&format!("nocache-{name}.prom"));
-        let prom_arg = prom.to_str().unwrap();
-        let text = run(
-            &["join", "--theta", "0.9", "--metrics-out", prom_arg],
-            extra,
-        );
-        assert_eq!(text.contains("distance cache:"), name == "cached", "{text}");
-        let prom_text = std::fs::read_to_string(&prom).unwrap();
-        for family in [
-            "uots_join_pairs_total",
-            "uots_join_latency_us",
-            "uots_join_phase_duration_ns",
-        ] {
-            assert!(prom_text.contains(family), "{name}: {family}\n{prom_text}");
-        }
-        pair_lines.push(lines_with(&text, " ↔ "));
-        std::fs::remove_file(&prom).ok();
-    }
-    assert!(!pair_lines[0].is_empty(), "θ = 0.9 joins some pairs");
-    assert_eq!(pair_lines[0], pair_lines[1]);
-
-    let query = ["query", "--at", "2.0,2.0", "--at", "5.0,3.0", "--k", "3"];
-    let cached = run(&query, &[]);
-    let uncached = run(&query, &["--cache-capacity", "0"]);
-    assert!(cached.contains("distance cache:"), "{cached}");
-    assert!(!uncached.contains("distance cache:"), "{uncached}");
-    assert!(cached.contains("  #1 "), "{cached}");
-    assert_eq!(lines_with(&cached, "  #"), lines_with(&uncached, "  #"));
-
-    std::fs::remove_file(&path).ok();
-}
-
 /// A flag the command does not read fails before any work — a typo such
 /// as `--tag` for `--tags` used to rank without keywords and exit 0 — and
-/// so does the deleted `--no-cache`.
+/// so do the deleted `--no-cache` and `--cache-capacity`.
 #[test]
 fn unknown_flags_are_refused_before_any_work() {
     let path = temp_dataset("unknownflags.uotsds");
@@ -427,6 +363,22 @@ fn unknown_flags_are_refused_before_any_work() {
             "no-cache",
         ),
         (vec!["join", "--data", data, "--no-cache"], "no-cache"),
+        (
+            vec![
+                "query",
+                "--data",
+                data,
+                "--at",
+                "2,2",
+                "--cache-capacity",
+                "0",
+            ],
+            "cache-capacity",
+        ),
+        (
+            vec!["join", "--data", data, "--cache-capacity", "0"],
+            "cache-capacity",
+        ),
         (vec!["join", "--data", data, "--tehta", "0.9"], "tehta"),
         (
             vec![
@@ -841,8 +793,10 @@ fn unrecoverable_directories_exit_5() {
 /// the base dataset would both need pruned lsns replayed.
 #[test]
 fn status_fsck_and_recover_agree_on_a_gapped_log() {
+    use std::sync::Arc;
     use uots::core::wal::{self, FsyncPolicy, WalConfig, WalWriter};
     use uots::datagen::persist::{self, Checkpoint};
+    use uots::storage::StdFs;
     use uots::{LiveSet, Mutation, Trajectory, TrajectoryId};
 
     let path = temp_dataset("gapped.uotsds");
@@ -854,7 +808,7 @@ fn status_fsck_and_recover_agree_on_a_gapped_log() {
         fsync: FsyncPolicy::Never,
         segment_bytes: 1,
     };
-    let mut writer = WalWriter::open(&wal_dir, config).unwrap();
+    let mut writer = WalWriter::open(&wal_dir, config, Arc::new(StdFs), None, None).unwrap();
     let donors: Vec<Trajectory> = (0..8)
         .map(|i| ds.store.get(TrajectoryId(i)).clone())
         .collect();
@@ -876,9 +830,9 @@ fn status_fsck_and_recover_agree_on_a_gapped_log() {
             lsn: lsn as u64,
         };
         let file = wal_dir.join(format!("ckpt-{lsn:020}.uotsck"));
-        persist::save_checkpoint_file(&uots::storage::StdFs, &ck, &file).unwrap();
+        persist::save_checkpoint_file(&StdFs, &ck, &file).unwrap();
     }
-    assert_eq!(wal::prune_segments(&wal_dir, 6).unwrap(), 6);
+    assert_eq!(wal::prune_segments(&StdFs, &wal_dir, 6).unwrap(), 6);
     let victim = wal_dir.join(format!("ckpt-{:020}.uotsck", 6));
     let mut raw = std::fs::read(&victim).unwrap();
     raw[40] ^= 0x04;

@@ -1,17 +1,15 @@
-//! Differential harness for the shared distance cache **and** the
-//! cache-friendly data layouts: over hundreds of randomized cases, every
-//! algorithm must return **bit-identical** results with and without the
-//! cache, on both the legacy (HashMap adjacency / `KeywordSet`
-//! intersection) and the CSR/bitset layouts — and all of them must equal
-//! the brute-force oracle.
+//! Differential harness for the data layouts: over hundreds of randomized
+//! cases, every algorithm must return **bit-identical** results on both
+//! the legacy (per-location shortest-path trees / `KeywordSet`
+//! intersection) and the layout paths (one batched multi-source drain /
+//! dense keyword bitsets) — and all of them must equal the brute-force
+//! oracle.
 //!
-//! The cache is a pure memo: replaying a cached expansion prefix yields
-//! exactly the settle sequence a fresh Dijkstra would produce (the heap
-//! order is total — distance, then node id — so ties cannot reorder).
-//! The layouts are pure re-encodings: CSR Dijkstra settles the same
-//! (distance, node) sequence and the bitset/galloping Jaccard routes the
-//! same integer counts through the same float arithmetic. These tests are
-//! the executable form of both claims, across:
+//! The layouts are pure re-encodings: the batched drain walks the same
+//! `RoadNetwork` rows as a single-source Dijkstra, so it settles the same
+//! distance bits, and the bitset/galloping Jaccard routes the same integer
+//! counts through the same float arithmetic. These tests are the
+//! executable form of both claims, across:
 //!
 //! * uniform random connected networks and trajectory stores;
 //! * `datagen::adversarial::hub_spike` — one vertex fans out to the whole
@@ -19,8 +17,6 @@
 //! * `datagen::adversarial::split_city` — disconnected islands, so
 //!   expansions exhaust and the infinite-distance sweep path runs;
 //! * engineered exact ties (duplicated trajectories) at every `k`;
-//! * small cache capacities, so eviction and admission rejection happen
-//!   *during* the differential run;
 //! * **sharded cuts**: every dataset is also partitioned across 1, 3 and 4
 //!   hash shards, and the one run over all shards must reproduce the
 //!   unsharded fingerprint bit-for-bit — Exact runs for all four
@@ -39,8 +35,8 @@ use uots::datagen::adversarial::{hub_spike, split_city};
 use uots::index::TimestampIndex;
 use uots::prelude::*;
 use uots::{
-    DistanceCache, EpochManager, EpochSnapshot, FsyncPolicy, KeywordSet, LayoutTables,
-    NetworkBuilder, QueryResult, Recorder, SearchContext, TrajectoryStore, UotsQuery, WalConfig,
+    EpochManager, EpochSnapshot, FsyncPolicy, KeywordSet, LayoutTables, NetworkBuilder,
+    QueryResult, Recorder, TrajectoryStore, UotsQuery, WalConfig,
 };
 use uots_core::algorithms::{BruteForce, Expansion, IknnBaseline, TextFirst};
 use uots_core::shard::{Cluster, Shard};
@@ -67,24 +63,7 @@ fn fingerprint(r: &QueryResult) -> Vec<(TrajectoryId, u64, u64, u64, u64)> {
 }
 
 /// The four algorithms under differential test (the brute force is the
-/// oracle and additionally tested against itself cached-vs-uncached).
-/// `algo` under `ctx`, unbounded and unrecorded.
-fn run_under(
-    algo: &(impl Algorithm + ?Sized),
-    db: &Database<'_>,
-    q: &UotsQuery,
-    ctx: &SearchContext,
-) -> QueryResult {
-    algo.run_ctx(
-        &View::one(*db),
-        q,
-        &RunControl::unbounded(),
-        &mut Recorder::disabled(),
-        ctx,
-    )
-    .expect("run under a context")
-}
-
+/// oracle).
 fn lineup() -> Vec<(&'static str, Box<dyn Algorithm>)> {
     vec![
         ("expansion", Box::new(Expansion::default())),
@@ -103,18 +82,13 @@ fn lineup() -> Vec<(&'static str, Box<dyn Algorithm>)> {
 }
 
 /// Runs one (database, query) case on **both data layouts**: the legacy
-/// oracle uncached sets the expected fingerprint, then the CSR/bitset
-/// oracle and every algorithm — uncached and under `ctx`, legacy and
-/// layout — must reproduce it bit-exactly. Both representations share
-/// `ctx`'s cache on purpose: prefixes recorded by one layout must replay
-/// bit-identically under the other (the cache stores (distance, node)
-/// settle sequences, which the layouts agree on by construction).
-/// Returns the number of differential comparisons performed.
+/// oracle sets the expected fingerprint, then the layout oracle and every
+/// algorithm, legacy and layout, must reproduce it bit-exactly. Returns
+/// the number of differential comparisons performed.
 fn check_case<'a>(
     db: &Database<'a>,
     layout: &'a LayoutTables,
     q: &UotsQuery,
-    ctx: &SearchContext,
     label: &str,
 ) -> usize {
     let want = fingerprint(&BruteForce.run(db, q).expect("oracle runs"));
@@ -129,27 +103,14 @@ fn check_case<'a>(
             );
             comparisons += 1;
         }
-        let oracle_cached = run_under(&BruteForce, &rdb, q, ctx);
-        assert_eq!(
-            want,
-            fingerprint(&oracle_cached),
-            "{label}: cached {rep} brute force diverged"
-        );
-        comparisons += 1;
         for (name, algo) in lineup() {
-            let uncached = algo.run(&rdb, q).expect("uncached run");
+            let got = algo.run(&rdb, q).expect("run");
             assert_eq!(
                 want,
-                fingerprint(&uncached),
-                "{label}: uncached {rep} {name} diverged from oracle"
+                fingerprint(&got),
+                "{label}: {rep} {name} diverged from oracle"
             );
-            let cached = run_under(algo.as_ref(), &rdb, q, ctx);
-            assert_eq!(
-                want,
-                fingerprint(&cached),
-                "{label}: cached {rep} {name} diverged from oracle"
-            );
-            comparisons += 2;
+            comparisons += 1;
         }
     }
     comparisons
@@ -282,13 +243,10 @@ fn assert_sharded<A: Algorithm + Sync>(
     algo: &A,
     name: &str,
     q: &UotsQuery,
-    ctx: &SearchContext,
     want: &[(TrajectoryId, u64, u64, u64, u64)],
     label: &str,
 ) {
-    let ans = cut
-        .search_ctx(algo, q, &RunControl::unbounded(), ctx)
-        .expect("sharded run");
+    let ans = cut.search(algo, q).expect("sharded run");
     assert_eq!(
         want,
         fingerprint(&ans.result).as_slice(),
@@ -299,26 +257,22 @@ fn assert_sharded<A: Algorithm + Sync>(
 
 /// Replays one (dataset, query) case through every sharded cut: the four
 /// algorithms plus the planner, each answer bit-equal to the unsharded
-/// oracle fingerprint. Cuts share `ctx`'s cache on purpose — prefixes
-/// recorded by the unsharded runs must replay bit-identically over a
-/// cut. Returns comparisons performed.
+/// oracle fingerprint. Returns comparisons performed.
 fn check_sharded_case(
     cuts: &[ClusterSnapshot],
     q: &UotsQuery,
-    ctx: &SearchContext,
     want: &[(TrajectoryId, u64, u64, u64, u64)],
     label: &str,
 ) -> usize {
     let mut comparisons = 0;
     for cut in cuts {
-        assert_sharded(cut, &BruteForce, "brute-force", q, ctx, want, label);
-        assert_sharded(cut, &Expansion::default(), "expansion", q, ctx, want, label);
+        assert_sharded(cut, &BruteForce, "brute-force", q, want, label);
+        assert_sharded(cut, &Expansion::default(), "expansion", q, want, label);
         assert_sharded(
             cut,
             &Expansion::new(Scheduler::RoundRobin),
             "expansion-rr",
             q,
-            ctx,
             want,
             label,
         );
@@ -329,12 +283,11 @@ fn check_sharded_case(
             },
             "iknn-baseline",
             q,
-            ctx,
             want,
             label,
         );
-        assert_sharded(cut, &TextFirst, "text-first", q, ctx, want, label);
-        assert_sharded(cut, &Planner::new(), "planner", q, ctx, want, label);
+        assert_sharded(cut, &TextFirst, "text-first", q, want, label);
+        assert_sharded(cut, &Planner::new(), "planner", q, want, label);
         comparisons += 6;
     }
     comparisons
@@ -407,15 +360,7 @@ fn random_query(rng: &mut StdRng, n: usize) -> UotsQuery {
     .expect("valid query")
 }
 
-/// A cache-bearing context for dataset `i`: capacities cycle through
-/// tiny (eviction-heavy), small and ample.
-fn context_for(i: usize) -> SearchContext {
-    let capacity = [64usize, 1 << 10, 1 << 16][i % 3];
-    SearchContext::with_cache(Arc::new(DistanceCache::new(capacity)))
-}
-
-/// Uniform random graphs and stores: the bulk of the case count. One
-/// shared cache per dataset, so later queries replay earlier prefixes.
+/// Uniform random graphs and stores: the bulk of the case count.
 #[test]
 fn differential_uniform_random() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0001);
@@ -430,18 +375,17 @@ fn differential_uniform_random() {
         let vidx = store.build_vertex_index(n);
         let kidx = store.build_keyword_index(12);
         let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
-        let layout = LayoutTables::build(&net, &store, 12);
-        let ctx = context_for(ds_i);
+        let layout = LayoutTables::build(&store, 12);
         let cuts = cuts_of(&net, &store, 12);
         for q_i in 0..10 {
             let q = random_query(&mut rng, n);
             let label = format!("uniform ds{ds_i} q{q_i}");
-            cases += check_case(&db, &layout, &q, &ctx, &label);
+            cases += check_case(&db, &layout, &q, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
-            cases += check_sharded_case(&cuts, &q, &ctx, &want, &label);
+            cases += check_sharded_case(&cuts, &q, &want, &label);
         }
     }
-    assert!(cases >= 31 * 120, "expected ≥31 comparisons × 120 cases");
+    assert!(cases >= 27 * 120, "expected ≥27 comparisons × 120 cases");
 }
 
 /// Hub-spike datasets: one vertex's posting list covers the whole store.
@@ -452,9 +396,8 @@ fn differential_hub_spike() {
         let ds = hub_spike(24, seed).expect("hub-spike builds");
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
             .with_keyword_index(&ds.keyword_index);
-        let layout = LayoutTables::build(&ds.network, &ds.store, 12);
+        let layout = LayoutTables::build(&ds.store, 12);
         let n = ds.network.num_nodes();
-        let ctx = context_for(ds_i);
         let cuts = cuts_of(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
             let mut q = random_query(&mut rng, n);
@@ -470,15 +413,15 @@ fn differential_hub_spike() {
                 .expect("hub query");
             }
             let label = format!("hub-spike ds{ds_i} q{q_i}");
-            check_case(&db, &layout, &q, &ctx, &label);
+            check_case(&db, &layout, &q, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
-            check_sharded_case(&cuts, &q, &ctx, &want, &label);
+            check_sharded_case(&cuts, &q, &want, &label);
         }
     }
 }
 
 /// Split-city datasets: expansions exhaust inside their island, so the
-/// unreachable-∞ sweep must behave identically cached and uncached.
+/// unreachable-∞ sweep must behave identically on both layouts.
 #[test]
 fn differential_split_city() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0003);
@@ -486,24 +429,22 @@ fn differential_split_city() {
         let ds = split_city(3, 9, seed).expect("split-city builds");
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
             .with_keyword_index(&ds.keyword_index);
-        let layout = LayoutTables::build(&ds.network, &ds.store, 12);
+        let layout = LayoutTables::build(&ds.store, 12);
         let n = ds.network.num_nodes();
-        let ctx = context_for(ds_i);
         let cuts = cuts_of(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
             let q = random_query(&mut rng, n);
             let label = format!("split-city ds{ds_i} q{q_i}");
-            check_case(&db, &layout, &q, &ctx, &label);
+            check_case(&db, &layout, &q, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
-            check_sharded_case(&cuts, &q, &ctx, &want, &label);
+            check_sharded_case(&cuts, &q, &want, &label);
         }
     }
 }
 
-/// Replaying the *same* query against a warm cache — the highest-hit-rate
-/// path — still changes nothing, run after run.
+/// Replaying the *same* queries round after round changes nothing.
 #[test]
-fn differential_warm_replay_is_stable() {
+fn differential_replay_is_stable() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0004);
     let n = 18;
     let (net, _) = random_network(&mut rng, n);
@@ -511,21 +452,17 @@ fn differential_warm_replay_is_stable() {
     let vidx = store.build_vertex_index(n);
     let kidx = store.build_keyword_index(12);
     let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
-    let layout = LayoutTables::build(&net, &store, 12);
-    let cache = Arc::new(DistanceCache::new(1 << 14));
-    let ctx = SearchContext::with_cache(Arc::clone(&cache));
+    let layout = LayoutTables::build(&store, 12);
     let queries: Vec<UotsQuery> = (0..5).map(|_| random_query(&mut rng, n)).collect();
     let cuts = cuts_of(&net, &store, 12);
     for round in 0..4 {
         for (q_i, q) in queries.iter().enumerate() {
-            let label = format!("warm round{round} q{q_i}");
-            check_case(&db, &layout, q, &ctx, &label);
+            let label = format!("replay round{round} q{q_i}");
+            check_case(&db, &layout, q, &label);
             let want = fingerprint(&BruteForce.run(&db, q).expect("oracle runs"));
-            check_sharded_case(&cuts, q, &ctx, &want, &label);
+            check_sharded_case(&cuts, q, &want, &label);
         }
     }
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "warm replay should hit: {stats:?}");
 }
 
 /// One random trajectory for the ingest path (same shape as
@@ -547,10 +484,10 @@ fn random_traj(rng: &mut StdRng, n: usize) -> Trajectory {
 
 /// The ingest/rebuild oracle for one published epoch and one query: every
 /// algorithm's answer on the **live** snapshot (retired trips masked, ids
-/// stable), with and without the cross-epoch cache, must map — through the
+/// stable) must map — through the
 /// order-preserving compaction — onto the bit-exact answer a from-scratch
 /// database over only the surviving trajectories gives.
-fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext, label: &str) {
+fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, label: &str) {
     let net = snapshot.network();
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(net.num_nodes());
@@ -568,7 +505,7 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext
             })
             .collect()
     };
-    // The snapshot attaches its CSR/bitset tables; stripping `layout` gives
+    // The snapshot attaches its layout tables; stripping `layout` gives
     // the legacy view of the *same* epoch — both must match the rebuild.
     let mut live_legacy = live_db;
     live_legacy.layout = None;
@@ -580,17 +517,11 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext
             "{label}: live {rep} brute force diverged"
         );
         for (name, algo) in lineup() {
-            let uncached = algo.run(&rdb, q).expect("live uncached run");
+            let got = algo.run(&rdb, q).expect("live run");
             assert_eq!(
                 want,
-                map_fp(&uncached),
+                map_fp(&got),
                 "{label}: live {rep} {name} diverged from rebuild"
-            );
-            let cached = run_under(algo.as_ref(), &rdb, q, ctx);
-            assert_eq!(
-                want,
-                map_fp(&cached),
-                "{label}: cached live {rep} {name} diverged from rebuild"
             );
         }
     }
@@ -599,9 +530,7 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, ctx: &SearchContext
 /// The keystone differential: random interleavings of ingest / retire /
 /// publish / query against an [`EpochManager`] answer exactly as a
 /// from-scratch rebuild of the surviving trajectories at every published
-/// epoch — for all four algorithms, with one distance cache kept warm
-/// **across** the epoch swaps (it is keyed on the road network, which the
-/// manager never replaces).
+/// epoch — for all four algorithms.
 #[test]
 fn differential_ingest_rebuild_oracle() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0005);
@@ -615,8 +544,6 @@ fn differential_ingest_rebuild_oracle() {
         // stream: hash partitioning issues the same sequential global ids
         let mut clusters = Coordinators::new(&net, &store, &format!("ingest-ds{ds_i}"));
         let mgr = EpochManager::new(Arc::clone(&net), store, 12);
-        let cache = Arc::new(DistanceCache::new([256usize, 1 << 14][ds_i % 2]));
-        let ctx = SearchContext::with_cache(Arc::clone(&cache));
         let mut next_id = mgr.snapshot().store().len();
         let mut live_estimate = next_id;
         for round in 0..6 {
@@ -648,7 +575,7 @@ fn differential_ingest_rebuild_oracle() {
             let cuts = clusters.publish_all();
             assert!(
                 Arc::ptr_eq(snapshot.network(), &net),
-                "publish must never replace the network (the cache key space)"
+                "publish must never replace the network"
             );
             assert_eq!(snapshot.live().num_live(), live_estimate);
             for cut in &cuts {
@@ -690,19 +617,14 @@ fn differential_ingest_rebuild_oracle() {
             for q_i in 0..4 {
                 let q = random_query(&mut rng, n);
                 let label = format!("ingest ds{ds_i} round{round} q{q_i}");
-                check_epoch_case(&snapshot, &q, &ctx, &label);
+                check_epoch_case(&snapshot, &q, &label);
                 // the sharded cuts answer in global ids — compare them
                 // straight against the live unsharded snapshot
                 let live_want =
                     fingerprint(&BruteForce.run(&live_db, &q).expect("live oracle runs"));
-                check_sharded_case(&cuts, &q, &ctx, &live_want, &label);
+                check_sharded_case(&cuts, &q, &live_want, &label);
             }
         }
-        let stats = cache.stats();
-        assert!(
-            stats.hits > 0,
-            "ds{ds_i}: the cache must survive epoch swaps and keep hitting: {stats:?}"
-        );
     }
 }
 
@@ -889,7 +811,7 @@ fn differential_sharded_cancellation_stays_cut_consistent() {
         token.cancel();
         let ctl = RunControl::with_token(token);
         let ans = cut
-            .search_ctx(&Expansion::default(), &q, &ctl, &SearchContext::default())
+            .search_ctx(&Expansion::default(), &q, &ctl)
             .expect("a cancelled cluster query still returns");
         assert!(
             !ans.result.completeness.is_exact(),

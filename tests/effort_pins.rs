@@ -188,7 +188,7 @@ fn join_over_a_two_shard_cut_is_pinned() {
         ..JoinConfig::default()
     };
     let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
-    let r = ts_join_with(&cut.view(), &cfg, 2, budget, ctl, None).unwrap();
+    let r = ts_join_with(&cut.view(), &cfg, 2, budget, ctl).unwrap();
     let mut h = Fnv::new();
     for p in &r.pairs {
         h.feed(&p.a.0.to_le_bytes());

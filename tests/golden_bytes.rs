@@ -5,8 +5,10 @@
 //! dropped — fails here before it reaches a file on disk.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use uots::core::wal::{WalConfig, WalWriter};
 use uots::datagen::persist::{self, Checkpoint};
+use uots::storage::StdFs;
 use uots::{Dataset, DatasetConfig, LiveSet, Mutation, TrajectoryId};
 
 /// FNV-1a-64 of `bytes`.
@@ -66,7 +68,7 @@ fn wal_segment_bytes_are_pinned() {
     let t0 = ds.store.get(TrajectoryId(0)).clone();
     let t1 = ds.store.get(TrajectoryId(1)).clone();
     let dir = tmpdir("wal");
-    let mut wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
+    let mut wal = WalWriter::open(&dir, WalConfig::default(), Arc::new(StdFs), None, None).unwrap();
     wal.append(&[
         Mutation::Insert(t0.clone()),
         Mutation::Insert(t1),

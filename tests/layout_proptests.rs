@@ -1,24 +1,23 @@
-//! Property tests for the cache-friendly data layouts (`core::csr`,
-//! `core::keywords`) and the versioned dataset codec:
+//! Property tests for the hot-path layouts (`core::keywords`, the batched
+//! multi-source expansion) and the versioned dataset codec:
 //!
 //! * bitset / galloping keyword intersections produce the **exact** counts
 //!   and bit-identical similarities of the legacy `KeywordSet` merge walk,
 //!   for vocabulary widths on both sides of the bitset threshold;
-//! * CSR construction round-trips arbitrary raw graphs — every edge
-//!   exactly once, weights preserved, isolated vertices kept — including
-//!   multi-edges and self-loops `NetworkBuilder` would reject;
-//! * one batched multi-source expansion settles bit-identical distances
-//!   to `m` independent single-source runs, including on disconnected
-//!   graphs where sources exhaust at different times;
+//! * one batched multi-source expansion settles, per source, exactly the
+//!   vertices and distance bits of an independent Dijkstra, including on
+//!   disconnected networks with parallel edges where sources exhaust at
+//!   different times;
 //! * the UOTSDS2 vocab-table section survives the same corruption model
 //!   `persist_proptests.rs` applies to the base format (truncation,
 //!   appended garbage).
 
 use proptest::prelude::*;
 use uots::datagen::persist;
+use uots::network::dijkstra::shortest_path_tree;
+use uots::network::expansion::MultiSourceExpansion;
 use uots::prelude::*;
-use uots::{KeywordId, TextSimilarity};
-use uots_core::csr::{CsrGraph, MultiSourceExpansion};
+use uots::{KeywordId, NetworkBuilder, TextSimilarity};
 use uots_core::keywords::{galloping_intersection_len, KeywordBlocks, MAX_BITSET_BITS};
 use uots_text::KeywordSet;
 
@@ -42,17 +41,6 @@ fn pick_vocab(band: usize, offset: usize) -> usize {
         1 => MAX_BITSET_BITS - 80 + offset % 160,
         _ => 2000 + offset % 2000,
     }
-}
-
-/// Normalizes an undirected edge to `(min, max, weight bits)` for exact
-/// multiset comparison.
-fn norm(edges: &[(u32, u32, f64)]) -> Vec<(u32, u32, u64)> {
-    let mut out: Vec<(u32, u32, u64)> = edges
-        .iter()
-        .map(|&(a, b, w)| (a.min(b), a.max(b), w.to_bits()))
-        .collect();
-    out.sort_unstable();
-    out
 }
 
 proptest! {
@@ -174,62 +162,36 @@ proptest! {
         );
     }
 
-    /// Satellite (b), spatial half: CSR round-trips arbitrary raw graphs.
-    /// Every input edge appears in `edge_list()` exactly once with its
-    /// weight bits intact; vertex count (hence isolated vertices) is
-    /// preserved; self-loops count once per row, other edges once per
-    /// endpoint row.
+    /// One shared-frontier batch over `m` sources settles, per source,
+    /// exactly the vertices and distance bits of an independent Dijkstra
+    /// from that source — on random (typically disconnected) networks with
+    /// parallel edges, with repeated sources allowed.
     #[test]
-    fn csr_round_trips_arbitrary_graphs(
-        n in 1usize..30,
-        raw_edges in proptest::collection::vec(
-            (any::<u32>(), any::<u32>(), 0.01f64..50.0), 0..60),
-    ) {
-        let edges: Vec<(u32, u32, f64)> = raw_edges
-            .iter()
-            .map(|&(a, b, w)| (a % n as u32, b % n as u32, w))
-            .collect();
-        let g = CsrGraph::from_edges(n, &edges);
-        prop_assert_eq!(g.num_nodes(), n);
-        prop_assert_eq!(norm(&g.edge_list()), norm(&edges));
-        let self_loops = edges.iter().filter(|&&(a, b, _)| a == b).count();
-        prop_assert_eq!(g.num_entries(), edges.len() * 2 - self_loops);
-        let degree_sum: usize = (0..n as u32).map(|v| g.degree(v)).sum();
-        prop_assert_eq!(degree_sum, g.num_entries());
-    }
-
-    /// Satellite (c): one shared-frontier batch over `m` sources settles
-    /// exactly the vertices, with exactly the distance bits, that `m`
-    /// independent single-source drains produce — on arbitrary (typically
-    /// disconnected) graphs, with duplicate sources allowed.
-    #[test]
-    fn multi_source_expansion_matches_independent_runs(
+    fn multi_source_expansion_matches_dijkstra(
         n in 1usize..30,
         raw_edges in proptest::collection::vec(
             (any::<u32>(), any::<u32>(), 0.01f64..50.0), 0..40),
         picks in proptest::collection::vec(any::<u32>(), 1..5),
     ) {
-        let edges: Vec<(u32, u32, f64)> = raw_edges
-            .iter()
-            .map(|&(a, b, w)| (a % n as u32, b % n as u32, w))
-            .collect();
-        let g = CsrGraph::from_edges(n, &edges);
-        let sources: Vec<u32> = picks.iter().map(|&p| p % n as u32).collect();
-        let batch = MultiSourceExpansion::run(&g, &sources);
-        prop_assert!(batch.is_exhausted());
+        let mut b = NetworkBuilder::new();
+        let ids: Vec<NodeId> = (0..n).map(|i| b.add_node(Point::new(i as f64, 0.0))).collect();
+        for &(x, y, w) in &raw_edges {
+            let (x, y) = (ids[x as usize % n], ids[y as usize % n]);
+            if x != y {
+                b.add_edge(x, y, Some(w)).unwrap();
+            }
+        }
+        let net = b.build().unwrap();
+        let sources: Vec<NodeId> = picks.iter().map(|&p| ids[p as usize % n]).collect();
+        let batch = MultiSourceExpansion::run(&net, &sources);
         for (si, &s) in sources.iter().enumerate() {
-            let solo = MultiSourceExpansion::run(&g, &[s]);
-            prop_assert_eq!(
-                batch.reached_count(si), solo.reached_count(0), "source {}", s
-            );
-            for v in 0..n as u32 {
-                match (batch.distance(si, v), solo.distance(0, v)) {
-                    (Some(x), Some(y)) => prop_assert_eq!(
-                        x.to_bits(), y.to_bits(), "distance drift at v{} from s{}", v, s
-                    ),
-                    (None, None) => {}
-                    other => panic!("settled mismatch at v{v} from s{s}: {other:?}"),
-                }
+            let tree = shortest_path_tree(&net, s);
+            prop_assert_eq!(batch.reached_count(si), tree.reached_count(), "source {}", s);
+            for &v in &ids {
+                let (got, want) = (batch.distance(si, v), tree.distance(v));
+                prop_assert_eq!(
+                    got.map(f64::to_bits), want.map(f64::to_bits), "{} from {}", v, s
+                );
             }
         }
     }

@@ -119,7 +119,7 @@ fn planner_routes_cover_every_branch_and_match_all_forced_algorithms() {
     let fx = fixture();
     let vertex_index = fx.store.build_vertex_index(fx.net.num_nodes());
     let keyword_index = fx.store.build_keyword_index(8);
-    let layout = LayoutTables::build(&fx.net, &fx.store, 8);
+    let layout = LayoutTables::build(&fx.store, 8);
     let db = Database::new(&fx.net, &fx.store, &vertex_index)
         .with_keyword_index(&keyword_index)
         .with_layout(&layout);

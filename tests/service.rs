@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
+use uots::storage::StdFs;
 
 use proptest::prelude::*;
 use serde::{Content, Serialize};
@@ -829,7 +830,7 @@ fn a_crash_keeps_all_or_none_of_each_shards_part_of_a_body() {
 
     let torn = scratch_dir("atomic-torn");
     acked(&torn);
-    let segments = wal::list_segments(&shard_dir(&torn, 1)).expect("list segments");
+    let segments = wal::list_segments(&StdFs, &shard_dir(&torn, 1)).expect("list segments");
     let tail = segments.last().expect("shard 1 has a segment");
     let len = std::fs::metadata(tail).unwrap().len();
     corrupt::truncate_file(tail, len - 7).unwrap();

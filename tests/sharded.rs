@@ -26,6 +26,7 @@ use uots::datagen::adversarial::{hub_spike, split_city};
 use uots::join::{ts_join, ts_join_brute, ts_join_with, JoinConfig, JoinPair};
 use uots::network::generators::{grid_city, GridCityConfig};
 use uots::prelude::*;
+use uots::storage::StdFs;
 use uots::{
     Dataset, DatasetConfig, EpochManager, KeywordSet, NetworkBuilder, QueryResult, Sample,
     TrajectoryStore, UotsQuery,
@@ -129,7 +130,7 @@ fn torn_shard_wal_recovers_durable_prefix_others_replay_fully() {
     // With 4 shards, shard 2 holds globals ≡ 2 (mod 4); its last acked
     // insert is global 70.
     let victim_dir = shard_dir(&root, 2);
-    let segments = wal::list_segments(&victim_dir).expect("list segments");
+    let segments = wal::list_segments(&StdFs, &victim_dir).expect("list segments");
     let tail = segments.last().expect("shard 2 has a segment");
     let len = std::fs::metadata(tail).unwrap().len();
     corrupt::truncate_file(tail, len - 7).unwrap();
@@ -601,7 +602,7 @@ fn assert_view_join_matches(cut: &ClusterSnapshot, label: &str) -> usize {
         };
         let label = format!("{label} λ={lambda}");
         let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
-        let got = ts_join_with(&cut.view(), &cfg, 2, budget, ctl, None).expect("view join");
+        let got = ts_join_with(&cut.view(), &cfg, 2, budget, ctl).expect("view join");
         assert!(got.completeness.is_exact(), "{label}");
         let brute = to_global(ts_join_brute(net, &store, &cfg).expect("oracle"));
         assert_eq!(join_rows(&got.pairs), join_rows(&brute), "{label}: oracle");
@@ -658,10 +659,10 @@ fn join_over_a_view_equals_the_oracle_at_every_shard_count() {
                 ..Default::default()
             };
             let ctl = &RunControl::unbounded();
-            let exact = ts_join_with(&cut.view(), &cfg, 1, &ExecutionBudget::UNLIMITED, ctl, None)
+            let exact = ts_join_with(&cut.view(), &cfg, 1, &ExecutionBudget::UNLIMITED, ctl)
                 .expect("exact join");
             let tiny = ExecutionBudget::default().with_max_visited(1);
-            let r = ts_join_with(&cut.view(), &cfg, 1, &tiny, ctl, None).expect("budgeted join");
+            let r = ts_join_with(&cut.view(), &cfg, 1, &tiny, ctl).expect("budgeted join");
             assert_eq!(
                 r.completeness,
                 Completeness::BestEffort {

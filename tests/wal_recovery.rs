@@ -281,6 +281,9 @@ fn crash_at_every_record_boundary_recovers_durable_prefix() {
             fsync: FsyncPolicy::Never,
             ..WalConfig::default()
         },
+        Arc::new(StdFs),
+        None,
+        None,
     )
     .expect("wal opens");
     let mut boundaries = vec![writer.position()];
@@ -348,6 +351,9 @@ fn bit_flips_cut_the_log_at_the_damaged_record() {
             fsync: FsyncPolicy::Never,
             ..WalConfig::default()
         },
+        Arc::new(StdFs),
+        None,
+        None,
     )
     .expect("wal opens");
     let mut boundaries = vec![writer.position()];
@@ -408,6 +414,9 @@ fn segment_rotation_crash_points_recover_cleanly() {
             segment_bytes: 1, // rotate after every batch
             fsync: FsyncPolicy::Never,
         },
+        Arc::new(StdFs),
+        None,
+        None,
     )
     .expect("wal opens");
     let mut boundaries = vec![writer.position()];
@@ -416,7 +425,7 @@ fn segment_rotation_crash_points_recover_cleanly() {
         boundaries.push(writer.position());
     }
     drop(writer);
-    let segments = wal::list_segments(&wal_dir).expect("list");
+    let segments = wal::list_segments(&StdFs, &wal_dir).expect("list");
     assert!(
         segments.len() >= batches.len(),
         "tiny segment_bytes must rotate per batch: {segments:?}"
@@ -476,6 +485,9 @@ fn checkpoints_shorten_replay_and_corrupt_ones_fall_back() {
             fsync: FsyncPolicy::Never,
             ..WalConfig::default()
         },
+        Arc::new(StdFs),
+        None,
+        None,
     )
     .expect("wal opens");
     for batch in &batches {
@@ -637,7 +649,8 @@ fn recovery_reads_each_segment_once_and_checkpoints_until_one_is_taken() {
         fsync: FsyncPolicy::Never,
         segment_bytes: 1,
     };
-    let mut writer = WalWriter::open(&wal_dir, config).expect("wal opens");
+    let mut writer =
+        WalWriter::open(&wal_dir, config, Arc::new(StdFs), None, None).expect("wal opens");
     for batch in &batches {
         writer.append(batch).expect("append");
     }
@@ -750,6 +763,9 @@ fn pruned_log(name: &str, seed: u64) -> (PathBuf, Dataset, Vec<Vec<Mutation>>) {
             fsync: FsyncPolicy::Never,
             segment_bytes: 1, // rotate after every batch: one LSN per segment
         },
+        Arc::new(StdFs),
+        None,
+        None,
     )
     .expect("wal opens");
     for batch in &batches {
@@ -772,7 +788,7 @@ fn pruned_log(name: &str, seed: u64) -> (PathBuf, Dataset, Vec<Vec<Mutation>>) {
     }
     // prune against the newest checkpoint: segments for lsns 1..=6 go,
     // the surviving tail starts at lsn 7
-    let pruned = wal::prune_segments(&wal_dir, 6).expect("prune");
+    let pruned = wal::prune_segments(&StdFs, &wal_dir, 6).expect("prune");
     assert_eq!(pruned, 6, "one segment per lsn");
     (wal_dir, ds, batches)
 }
