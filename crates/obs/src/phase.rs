@@ -27,10 +27,9 @@ pub enum Phase {
     HeapMaintenance,
     /// One probe trajectory's candidate search inside the similarity join.
     JoinPair,
-    /// Formerly the replay of a shared network-distance cache, which is
-    /// gone: nothing enters this phase. The variant stays so that readers
-    /// of the phase table (the repository benchmark's `layers.rs`) keep
-    /// building.
+    /// Nothing enters this phase (it timed the replay of a distance cache
+    /// that no longer exists); the variant stays because the repository
+    /// benchmark's `layers.rs` reads it.
     CacheReplay,
 }
 
