@@ -191,3 +191,53 @@ fn zero_wall_budget_interrupts_but_stays_sound() {
         assert!(r.is_ranked(), "{}", algo.name());
     }
 }
+
+/// A settle budget that cuts the full drain of `BruteForce` and
+/// `TextFirst` interrupts them alike over the dataset's own database and
+/// over a published snapshot's: same answers, same certificate, at every
+/// cut — before the drain, inside the first source, one settle into the
+/// last source, one settle short of the end and at the end. The
+/// snapshot side charges the budget per settle, so it never overruns it.
+#[test]
+fn drain_budget_cuts_agree_between_a_database_and_a_snapshot() {
+    let ds = Dataset::build(&DatasetConfig::small(30, 19)).unwrap();
+    let manager = uots::EpochManager::new(
+        std::sync::Arc::new(ds.network.clone()),
+        ds.store.clone(),
+        ds.vocab.len(),
+    );
+    let snapshot = manager.snapshot();
+    let (plain, served) = (uots::db(&ds), snapshot.database());
+    let specs = workload::generate(
+        &ds,
+        &workload::WorkloadConfig {
+            num_queries: 3,
+            seed: 0x5e,
+            ..Default::default()
+        },
+    );
+    for spec in &specs {
+        let q = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).unwrap();
+        let m = q.num_locations();
+        // N: the component size; the small preset is one component, so
+        // the whole drain settles m·N
+        let n = ds.network.num_nodes();
+        let full = BruteForce.run(&served, &q).unwrap();
+        assert_eq!(full.metrics.settled_vertices, m * n);
+        for max_settled in [0, n / 2, (m - 1) * n + 1, m * n - 1, m * n] {
+            let opts = QueryOptions {
+                budget: ExecutionBudget::default().with_max_settled(max_settled),
+                ..q.options().clone()
+            };
+            let bq = q.reoptioned(opts).unwrap();
+            for algo in [&BruteForce as &dyn Algorithm, &TextFirst] {
+                let a = algo.run(&plain, &bq).unwrap();
+                let b = algo.run(&served, &bq).unwrap();
+                let at = format!("{} at max_settled {max_settled}", algo.name());
+                assert_eq!(a.matches, b.matches, "{at}");
+                assert_eq!(a.completeness, b.completeness, "{at}");
+                assert!(b.metrics.settled_vertices <= max_settled, "{at}");
+            }
+        }
+    }
+}
