@@ -11,7 +11,6 @@
 //!
 //! * `t1` dataset statistics            * `f4` effect of k
 //! * `t2` pruning effectiveness         * `f5` effect of #keywords
-//! * `t2p` hot-path data layouts: legacy vs layout tables, bit-identical top-k
 //! * `f1` effect of #query locations    * `f6` effect of trajectory length
 //! * `f2` effect of λ                   * `f7` effect of thread count
 //! * `f3` effect of |P|                 * `f8` scheduler ablation
@@ -122,7 +121,8 @@ fn wants(args: &Args, id: &str) -> bool {
 }
 
 fn open<'a>(ds: &'a Dataset) -> Database<'a> {
-    Database::new(&ds.network, &ds.store, &ds.vertex_index).with_keyword_index(&ds.keyword_index)
+    Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
+        .with_keyword_index(&ds.keyword_index)
 }
 
 /// Rebuilds a dataset identical to `cfg` but with `n` trips. Because the
@@ -171,92 +171,6 @@ fn main() {
         print!(
             "{}",
             render_table("T2 — pruning effectiveness (defaults)", &rows)
-        );
-        all_rows.extend(rows);
-    }
-
-    // ------- T2′: hot-path data layouts — legacy vs layout tables (extension) -------
-    if wants(&args, "t2p") {
-        use uots_core::LayoutTables;
-        let queries = make_queries(&ds, args.queries, 4, 3, 0.5, 1, 0x12);
-        let (layout, build_wall) = time(|| LayoutTables::build(&ds.store, ds.vocab.len()));
-        let db_layout = db.with_layout(&layout);
-        let algo = Expansion::default();
-
-        // One pass over the T2 defaults workload; returns the
-        // exact (id, similarity-bits) answers for the in-run identity
-        // assert plus the numbers the rows need.
-        let run_pass = |db: &Database| {
-            let mut latencies = LatencyStats::new();
-            let mut results: Vec<Vec<(u64, u64)>> = Vec::new();
-            let mut visited = 0usize;
-            let mut candidates = 0usize;
-            let start = std::time::Instant::now();
-            for q in &queries {
-                let q_start = std::time::Instant::now();
-                let r = algo.run(db, q).expect("t2p run");
-                latencies.record(q_start.elapsed());
-                results.push(
-                    r.matches
-                        .iter()
-                        .map(|m| (m.id.0 as u64, m.similarity.to_bits()))
-                        .collect(),
-                );
-                visited += r.metrics.visited_trajectories;
-                candidates += r.metrics.candidates;
-            }
-            (results, latencies, visited, candidates, start.elapsed())
-        };
-
-        let legacy = run_pass(&db);
-        let layout_pass = run_pass(&db_layout);
-        // The layouts must be invisible in the answers: same trajectories,
-        // bit-identical similarities, top to bottom of the top-k.
-        assert_eq!(
-            legacy.0, layout_pass.0,
-            "layout pass diverged from the legacy layout"
-        );
-
-        let nq = queries.len().max(1) as f64;
-        let mut rows = Vec::new();
-        for (mode, pass) in [("legacy", &legacy), ("layout", &layout_pass)] {
-            let (_, latencies, visited, candidates, wall) = pass;
-            let mut row = Row {
-                experiment: "t2p".into(),
-                dataset: ds.name.clone(),
-                algorithm: format!("expansion ({mode})"),
-                parameter: "layout".into(),
-                value: 0.0,
-                queries: queries.len(),
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / nq,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: *visited as f64 / nq,
-                candidates: *candidates as f64 / nq,
-                candidate_ratio: *candidates as f64 / (ds.store.len() as f64 * nq),
-                pruning_ratio: 1.0 - *candidates as f64 / (ds.store.len() as f64 * nq),
-                bound_gap: 0.0,
-                recall: 1.0, // asserted bit-identical to the legacy pass
-            };
-            latencies.fill(&mut row);
-            rows.push(row);
-        }
-        print!(
-            "{}",
-            render_table(
-                "T2′ — hot-path data layouts: identical top-k, less time (extension)",
-                &rows
-            )
-        );
-        println!(
-            "t2p summary: layout {:.2}× vs legacy (legacy {:.3} ms/query → \
-             layout {:.3} ms/query); layout tables built in {:.1} ms",
-            legacy.4.as_secs_f64() / layout_pass.4.as_secs_f64().max(1e-12),
-            legacy.4.as_secs_f64() * 1_000.0 / nq,
-            layout_pass.4.as_secs_f64() * 1_000.0 / nq,
-            build_wall.as_secs_f64() * 1_000.0,
         );
         all_rows.extend(rows);
     }
@@ -829,8 +743,9 @@ fn main() {
             let (compacted, id_map) = snapshot.rebuild_compacted();
             let vidx = compacted.build_vertex_index(ds.network.num_nodes());
             let kidx = compacted.build_keyword_index(ds.vocab.len());
-            let oracle_db =
-                Database::new(snapshot.network(), &compacted, &vidx).with_keyword_index(&kidx);
+            let blocks = compacted.build_keyword_blocks();
+            let oracle_db = Database::new(snapshot.network(), &compacted, &vidx, &blocks)
+                .with_keyword_index(&kidx);
             for (q, served) in queries.iter().zip(&results).take(3) {
                 let oracle = algo.run(&oracle_db, q).expect("d3 oracle");
                 let mapped: Vec<(u64, u64)> = served

@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn tiny_pipeline_produces_rows() {
         let ds = Scale::Tiny.build(120);
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let queries = make_queries(&ds, 4, 3, 2, 0.5, 1, 9);
         assert_eq!(queries.len(), 4);
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn expansion_prunes_more_than_baselines_on_tiny() {
         let ds = Scale::Tiny.build(200);
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let queries = make_queries(&ds, 6, 4, 3, 0.5, 1, 11);
         let rows: Vec<Row> = algorithms(false)

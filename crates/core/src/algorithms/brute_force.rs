@@ -7,19 +7,17 @@ use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, QueryResult, SearchMetrics, UotsQuery};
-use uots_network::dijkstra::shortest_path_tree;
 use uots_network::expansion::MultiSourceExpansion;
+use uots_network::RoadNetwork;
 use uots_obs::{Phase, Recorder};
 
-/// Computes one full shortest-path tree per query location, then evaluates
-/// the exact similarity of *every* trajectory. `O(m · |V| log |V| + m · Σ|τ|)`
-/// with zero pruning — the reference answer and the unoptimized baseline.
-///
-/// With layout tables attached, the trees are one batched
-/// [`MultiSourceExpansion`] drain instead; distances and results are
-/// bit-identical to the tree path. Over a view of several parts the drain
-/// happens once and every part is evaluated from it, in part order; a part
-/// whose bound falls strictly below the k-th best is left unevaluated.
+/// Drains one batched [`MultiSourceExpansion`] from every query location
+/// over the whole network, then evaluates the exact similarity of *every*
+/// trajectory. `O(m · |V| log |V| + m · Σ|τ|)` with zero pruning — the
+/// reference answer and the unoptimized baseline. Over a view of several
+/// parts the drain happens once and every part is evaluated from it, in
+/// part order; a part whose bound falls strictly below the k-th best is
+/// left unevaluated.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BruteForce;
 
@@ -41,42 +39,7 @@ impl Algorithm for BruteForce {
         let network = view.network();
 
         rec.enter(Phase::NetworkExpansion);
-        let mut trees = Vec::new();
-        let mut multi: Option<MultiSourceExpansion<'_>> = None;
-        let mut interrupted = false;
-        if view.parts()[0].db.layout.is_some() {
-            // layout path: one multi-source drain over a shared frontier.
-            // The gate is consulted per settle instead of per source; any
-            // settle budget below the full drain interrupts either way
-            // with the identical (empty, gap-1) best-effort result, and a
-            // completed drain leaves the same total settle count the
-            // per-tree path accumulates.
-            let mut ms = MultiSourceExpansion::new(network, query.locations());
-            if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                interrupted = true;
-            } else {
-                while ms.next_settled().is_some() {
-                    metrics.settled_vertices += 1;
-                    if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                        interrupted = true;
-                        break;
-                    }
-                }
-            }
-            multi = Some(ms);
-        } else {
-            for &v in query.locations() {
-                // a tree settles its whole component at once, so count it
-                // against the budget before paying for the next one
-                if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                    interrupted = true;
-                    break;
-                }
-                let t = shortest_path_tree(network, v);
-                metrics.settled_vertices += t.reached_count();
-                trees.push(t);
-            }
-        }
+        let (ms, mut interrupted) = drain(network, query, &mut gate, &mut metrics);
 
         rec.enter(Phase::CandidateRefine);
         let mut topk = TopK::new(query.options().k);
@@ -86,7 +49,7 @@ impl Algorithm for BruteForce {
                 let textual = TextualEval::new(
                     query.options().text_measure,
                     query.keywords(),
-                    part.db.layout.map(|l| &l.keywords),
+                    part.db.keyword_blocks,
                 );
                 for (local, traj) in part.db.store.iter().filter(|(id, _)| part.db.is_live(*id)) {
                     if cut.is_retired(p) {
@@ -101,11 +64,7 @@ impl Algorithm for BruteForce {
                     metrics.heap_pushes += 1;
                     cut.walk(p);
                     let (id, tx) = (part.ids.global(local), textual.eval(local, traj));
-                    topk.offer(if let Some(ms) = &multi {
-                        similarity::evaluate_with_multi(ms, query, id, traj, tx)
-                    } else {
-                        similarity::evaluate_with_trees_textual(&trees, query, id, traj, tx)
-                    });
+                    topk.offer(similarity::evaluate_with_multi(&ms, query, id, traj, tx));
                     cut.retire_below(topk.threshold());
                 }
             }
@@ -135,6 +94,29 @@ impl Algorithm for BruteForce {
     fn name(&self) -> &'static str {
         "brute-force"
     }
+}
+
+/// Drains one [`MultiSourceExpansion`] from the query's locations, charging
+/// every settle to `metrics` and consulting `gate` before the first settle
+/// and after each one. Returns the expansion and whether the gate stopped
+/// it short of a full drain. [`TextFirst`](super::TextFirst) shares it.
+pub(super) fn drain<'n>(
+    network: &'n RoadNetwork,
+    query: &UotsQuery,
+    gate: &mut Gate,
+    metrics: &mut SearchMetrics,
+) -> (MultiSourceExpansion<'n>, bool) {
+    let mut ms = MultiSourceExpansion::new(network, query.locations());
+    if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
+        return (ms, true);
+    }
+    while ms.next_settled().is_some() {
+        metrics.settled_vertices += 1;
+        if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
+            return (ms, true);
+        }
+    }
+    (ms, false)
 }
 
 #[cfg(test)]
@@ -177,7 +159,8 @@ mod tests {
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
         let s = store();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let r = BruteForce.run(&db, &q).unwrap();
         assert_eq!(r.metrics.visited_trajectories, 3);
@@ -193,7 +176,8 @@ mod tests {
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
         let s = store();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(12)], KeywordSet::empty())
             .unwrap()
             .reoptioned(QueryOptions {
@@ -212,7 +196,8 @@ mod tests {
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
         let s = store();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(1000)], KeywordSet::empty()).unwrap();
         assert!(BruteForce.run(&db, &q).is_err());
     }

@@ -162,13 +162,7 @@ impl Algorithm for IknnBaseline {
 
         let textual_eval: Vec<TextualEval<'_>> = parts
             .iter()
-            .map(|p| {
-                TextualEval::new(
-                    opts.text_measure,
-                    query.keywords(),
-                    p.db.layout.map(|l| &l.keywords),
-                )
-            })
+            .map(|p| TextualEval::new(opts.text_measure, query.keywords(), p.db.keyword_blocks))
             .collect();
 
         // finalize helper as a closure would fight the borrow checker;
@@ -461,7 +455,8 @@ mod tests {
     fn agrees_with_brute_force() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         for round in [1usize, 8, 256] {
             let algo = IknnBaseline {
                 settles_per_round: round,
@@ -490,7 +485,8 @@ mod tests {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
         let tidx = s.build_timestamp_index();
-        let db = Database::new(&net, &s, &vidx).with_timestamp_index(&tidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb).with_timestamp_index(&tidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0)],
             kws(&[]),
@@ -512,7 +508,8 @@ mod tests {
         use crate::algorithms::Expansion;
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(1)], kws(&[1, 2])).unwrap();
         let iknn = IknnBaseline::default().run(&db, &q).unwrap();
         let exp = Expansion::default().run(&db, &q).unwrap();

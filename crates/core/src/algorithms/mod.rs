@@ -131,7 +131,7 @@ mod tests {
         for seed in 0..3u64 {
             let ds = Dataset::build(&DatasetConfig::small(60, seed)).unwrap();
             let tidx: TimestampIndex<TrajectoryId> = ds.store.build_timestamp_index();
-            let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+            let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
                 .with_keyword_index(&ds.keyword_index)
                 .with_timestamp_index(&tidx);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn expansion_prunes_relative_to_brute_force() {
         let ds = Dataset::build(&DatasetConfig::small(150, 11)).unwrap();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let specs = workload::generate(
             &ds,
@@ -224,7 +224,7 @@ mod tests {
     fn temporal_queries_agree_with_oracle() {
         let ds = Dataset::build(&DatasetConfig::small(50, 21)).unwrap();
         let tidx = ds.store.build_timestamp_index();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index)
             .with_timestamp_index(&tidx);
         let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];

@@ -13,19 +13,17 @@
 //! and verify exact spatial (and temporal) similarity in descending bound
 //! order, stopping once the k-th best exact similarity dominates the next
 //! bound. Exact spatial evaluation needs network distances, so the baseline
-//! pays for one full Dijkstra tree per query location up front — precisely
-//! the "costly to acquire network distances" weakness the paper attributes
-//! to baselines that are not driven by the spatial domain.
+//! pays for a full drain of the network from every query location up front
+//! — precisely the "costly to acquire network distances" weakness the paper
+//! attributes to baselines that are not driven by the spatial domain.
 
-use crate::algorithms::Algorithm;
+use crate::algorithms::{brute_force::drain, Algorithm};
 use crate::budget::{Completeness, Gate, RunControl};
 use crate::db::{PartCut, View};
 use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, QueryResult, SearchMetrics, UotsQuery};
-use uots_network::dijkstra::shortest_path_tree;
-use uots_network::expansion::MultiSourceExpansion;
 use uots_obs::{Phase, Recorder};
 use uots_trajectory::TrajectoryId;
 
@@ -33,11 +31,10 @@ use uots_trajectory::TrajectoryId;
 /// [`Database::keyword_index`][crate::Database::keyword_index] on every
 /// part of the view.
 ///
-/// With layout tables attached the up-front per-location trees are one
-/// batched [`MultiSourceExpansion`] drain; distances and results are
-/// bit-identical either way. Over a view of several parts the drain
-/// happens once and the refine loop walks every part's trajectories in one
-/// bound order.
+/// The up-front distances are one batched
+/// [`MultiSourceExpansion`](uots_network::expansion::MultiSourceExpansion)
+/// drain. Over a view of several parts the drain happens once and the
+/// refine loop walks every part's trajectories in one bound order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextFirst;
 
@@ -74,13 +71,7 @@ impl Algorithm for TextFirst {
         let textual: Vec<TextualEval<'_>> = view
             .parts()
             .iter()
-            .map(|p| {
-                TextualEval::new(
-                    opts.text_measure,
-                    query.keywords(),
-                    p.db.layout.map(|l| &l.keywords),
-                )
-            })
+            .map(|p| TextualEval::new(opts.text_measure, query.keywords(), p.db.keyword_blocks))
             .collect();
         // per part: (bound, local id), descending bound, ties by ascending
         // id — within a part local and global ids ascend together
@@ -153,36 +144,7 @@ impl Algorithm for TextFirst {
 
         // ---- refine: exact evaluation in bound order ----
         rec.enter(Phase::NetworkExpansion);
-        let mut trees = Vec::new();
-        let mut multi: Option<MultiSourceExpansion<'_>> = None;
-        let mut interrupted = false;
-        if view.parts()[0].db.layout.is_some() {
-            // layout path: one shared-frontier drain (see brute_force for
-            // why per-settle gating yields identical outputs)
-            let mut ms = MultiSourceExpansion::new(network, query.locations());
-            if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                interrupted = true;
-            } else {
-                while ms.next_settled().is_some() {
-                    metrics.settled_vertices += 1;
-                    if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                        interrupted = true;
-                        break;
-                    }
-                }
-            }
-            multi = Some(ms);
-        } else {
-            for &v in query.locations() {
-                if gate.should_stop(metrics.visited_trajectories, metrics.settled_vertices) {
-                    interrupted = true;
-                    break;
-                }
-                let t = shortest_path_tree(network, v);
-                metrics.settled_vertices += t.reached_count();
-                trees.push(t);
-            }
-        }
+        let (ms, mut interrupted) = drain(network, query, &mut gate, &mut metrics);
 
         rec.enter(Phase::CandidateRefine);
         let mut topk = TopK::new(opts.k);
@@ -212,11 +174,7 @@ impl Algorithm for TextFirst {
                 cut.walk(p);
                 let traj = view.parts()[p].db.store.get(local);
                 let tx = textual[p].eval(local, traj);
-                let m = if let Some(ms) = &multi {
-                    similarity::evaluate_with_multi(ms, query, id, traj, tx)
-                } else {
-                    similarity::evaluate_with_trees_textual(&trees, query, id, traj, tx)
-                };
+                let m = similarity::evaluate_with_multi(&ms, query, id, traj, tx);
                 debug_assert!(m.similarity <= ub + 1e-9, "bound must dominate exact");
                 metrics.heap_pushes += 1;
                 topk.offer(m);
@@ -294,17 +252,18 @@ mod tests {
         net: &'a uots_network::RoadNetwork,
         s: &'a TrajectoryStore,
         vidx: &'a uots_index::VertexInvertedIndex<TrajectoryId>,
+        blocks: &'a uots_index::KeywordBlocks,
         kidx: &'a uots_index::KeywordInvertedIndex<TrajectoryId>,
     ) -> Database<'a> {
-        Database::new(net, s, vidx).with_keyword_index(kidx)
+        Database::new(net, s, vidx, blocks).with_keyword_index(kidx)
     }
 
     #[test]
     fn matches_brute_force_across_lambdas() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let kidx = s.build_keyword_index(16);
-        let d = db(&net, &s, &vidx, &kidx);
+        let (blocks, kidx) = (s.build_keyword_blocks(), s.build_keyword_index(16));
+        let d = db(&net, &s, &vidx, &blocks, &kidx);
         for lambda in [0.0, 0.3, 0.5, 0.9, 1.0] {
             let q = UotsQuery::with_options(
                 vec![NodeId(0), NodeId(7)],
@@ -327,8 +286,8 @@ mod tests {
     fn empty_query_keywords_fall_back_to_full_textual_pass() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let kidx = s.build_keyword_index(16);
-        let d = db(&net, &s, &vidx, &kidx);
+        let (blocks, kidx) = (s.build_keyword_blocks(), s.build_keyword_index(16));
+        let d = db(&net, &s, &vidx, &blocks, &kidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0)],
             KeywordSet::empty(),
@@ -351,8 +310,8 @@ mod tests {
     fn textual_filter_skips_work_when_textual_dominates() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let kidx = s.build_keyword_index(16);
-        let d = db(&net, &s, &vidx, &kidx);
+        let (blocks, kidx) = (s.build_keyword_blocks(), s.build_keyword_index(16));
+        let d = db(&net, &s, &vidx, &blocks, &kidx);
         // pure textual query: only perfectly matching trajectories need exact
         // evaluation before the bound closes
         let q = UotsQuery::with_options(
@@ -379,7 +338,8 @@ mod tests {
     fn requires_keyword_index() {
         let (net, s) = fixture();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let d = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let d = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0)], kws(&[1])).unwrap();
         assert!(matches!(
             TextFirst.run(&d, &q),

@@ -4,43 +4,18 @@
 //! one road network, their trajectories numbered by one global id space —
 //! with the [`TimeChannel`] that reads a view's timestamp indexes as one.
 
-use crate::keywords::KeywordBlocks;
 use crate::{similarity, CoreError, UotsQuery};
 use std::cell::Cell;
 use uots_index::{
-    KeywordInvertedIndex, TimeExpansion, TimeScanned, TimestampIndex, VertexInvertedIndex,
+    KeywordBlocks, KeywordInvertedIndex, TimeExpansion, TimeScanned, TimestampIndex,
+    VertexInvertedIndex,
 };
 use uots_network::RoadNetwork;
 use uots_text::TextSimilarity;
 use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
 
-/// Cache-friendly data layouts for the two hot paths, built once per
-/// dataset (or per epoch snapshot) and attached to a [`Database`] via
-/// [`Database::with_layout`].
-///
-/// With a layout attached the algorithms route textual similarity through
-/// the dense [`KeywordBlocks`] table (bitset popcounts / galloping) and
-/// full-drain spatial evaluation through one
-/// [`MultiSourceExpansion`](uots_network::expansion::MultiSourceExpansion)
-/// over the road network; results are bit-identical to the legacy
-/// per-candidate paths — the differential harness proves it per release.
-#[derive(Debug, Clone)]
-pub struct LayoutTables {
-    /// Dense per-trajectory keyword table.
-    pub keywords: KeywordBlocks,
-}
-
-impl LayoutTables {
-    /// Builds the tables for `store`.
-    pub fn build(store: &TrajectoryStore, vocab_len: usize) -> Self {
-        LayoutTables {
-            keywords: KeywordBlocks::build(store, vocab_len),
-        }
-    }
-}
-
 /// Borrowed view of everything a UOTS algorithm needs: the network, the
-/// trajectories and the indexes. Construction is cheap (all references), so
+/// trajectories, their keyword table and the indexes. Construction is cheap (all references), so
 /// one database can serve many concurrent queries.
 #[derive(Clone, Copy)]
 pub struct Database<'a> {
@@ -51,6 +26,9 @@ pub struct Database<'a> {
     /// vertex → trajectories (required: the expansion search probes it on
     /// every settled vertex).
     pub vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+    /// The dense per-trajectory keyword table (required: every textual
+    /// term reads it).
+    pub keyword_blocks: &'a KeywordBlocks,
     /// keyword → trajectories (required by the textual-first baseline).
     pub keyword_index: Option<&'a KeywordInvertedIndex<TrajectoryId>>,
     /// sample-timestamp index (required by the temporal extension).
@@ -60,12 +38,6 @@ pub struct Database<'a> {
     /// are invisible to every algorithm. `None` means all ids are live —
     /// the frozen-dataset behavior.
     pub live: Option<&'a LiveSet>,
-    /// Optional cache-friendly layouts ([`LayoutTables`]): when present,
-    /// textual similarity runs on the dense keyword table and full-drain
-    /// spatial evaluation on one batched multi-source expansion,
-    /// bit-identically to the legacy paths. `None` selects the legacy
-    /// layout.
-    pub layout: Option<&'a LayoutTables>,
 }
 
 impl<'a> Database<'a> {
@@ -73,43 +45,34 @@ impl<'a> Database<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the vertex index does not cover the network.
+    /// Panics when the vertex index does not cover the network, or the
+    /// keyword table does not have one row per stored trajectory (it was
+    /// built for a different revision).
     pub fn new(
         network: &'a RoadNetwork,
         store: &'a TrajectoryStore,
         vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+        keyword_blocks: &'a KeywordBlocks,
     ) -> Self {
         assert_eq!(
             vertex_index.num_keys(),
             network.num_nodes(),
             "vertex index does not match the network"
         );
+        assert_eq!(
+            keyword_blocks.rows(),
+            store.len(),
+            "keyword table does not cover the store"
+        );
         Database {
             network,
             store,
             vertex_index,
+            keyword_blocks,
             keyword_index: None,
             timestamp_index: None,
             live: None,
-            layout: None,
         }
-    }
-
-    /// Attaches the cache-friendly layout tables (selects the batched
-    /// drain and bitset hot paths).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tables do not cover the store (they were built for
-    /// a different revision).
-    pub fn with_layout(mut self, layout: &'a LayoutTables) -> Self {
-        assert_eq!(
-            layout.keywords.rows(),
-            self.store.len(),
-            "keyword table does not cover the store"
-        );
-        self.layout = Some(layout);
-        self
     }
 
     /// Attaches the keyword inverted index (enables the textual-first
@@ -199,7 +162,7 @@ impl IdMap {
 /// the map of its local ids into the view's global ones.
 #[derive(Clone, Copy)]
 pub struct Part<'a> {
-    /// The part's store, indexes, live set and layout.
+    /// The part's store, keyword table, indexes and live set.
     pub db: Database<'a>,
     /// Local → global trajectory ids.
     pub ids: IdMap,
@@ -516,8 +479,11 @@ mod tests {
     #[test]
     fn validate_checks_locations() {
         let (net, store) = fixture();
-        let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let (vidx, kb) = (
+            store.build_vertex_index(net.num_nodes()),
+            store.build_keyword_blocks(),
+        );
+        let db = Database::new(&net, &store, &vidx, &kb);
         let ok = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         assert!(db.validate(&ok).is_ok());
         let bad = UotsQuery::new(vec![NodeId(99)], KeywordSet::empty()).unwrap();
@@ -530,8 +496,11 @@ mod tests {
     #[test]
     fn temporal_channel_requires_timestamp_index() {
         let (net, store) = fixture();
-        let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let (vidx, kb) = (
+            store.build_vertex_index(net.num_nodes()),
+            store.build_keyword_blocks(),
+        );
+        let db = Database::new(&net, &store, &vidx, &kb);
         let opts = crate::QueryOptions {
             weights: crate::Weights::new(1.0, 0.0, 1.0).unwrap(),
             ..Default::default()
@@ -550,6 +519,19 @@ mod tests {
     fn mismatched_vertex_index_panics() {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes() + 5);
-        let _ = Database::new(&net, &store, &vidx);
+        let _ = Database::new(&net, &store, &vidx, &store.build_keyword_blocks());
+    }
+
+    #[test]
+    #[should_panic(expected = "keyword table does not cover the store")]
+    fn a_keyword_table_of_another_revision_panics() {
+        let (net, store) = fixture();
+        let vidx = store.build_vertex_index(net.num_nodes());
+        let _ = Database::new(
+            &net,
+            &store,
+            &vidx,
+            &TrajectoryStore::new().build_keyword_blocks(),
+        );
     }
 }

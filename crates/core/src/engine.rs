@@ -312,9 +312,7 @@ struct Engine<'a, 'q, 'r> {
     s_lb_exp: Vec<f64>,
     t_lb: Vec<f64>,
     t_lb_exp: Vec<f64>,
-    /// Per part, the textual scorer: dense bitset/galloping path when the
-    /// part has a layout attached, legacy merge walk otherwise
-    /// (bit-identical).
+    /// Per part, the textual scorer over the part's keyword table.
     textual_eval: Vec<TextualEval<'a>>,
     top: TopK,
     bound_heap: BinaryHeap<BoundEntry>,
@@ -381,7 +379,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 TextualEval::new(
                     query.options().text_measure,
                     query.keywords(),
-                    p.db.layout.map(|l| &l.keywords),
+                    p.db.keyword_blocks,
                 )
             })
             .collect();
@@ -1219,7 +1217,8 @@ mod tests {
     ) -> QueryResult {
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
-        let db = Database::new(net, store, &vidx).with_timestamp_index(&tidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(net, store, &vidx, &kb).with_timestamp_index(&tidx);
         search_plain(&db, q, s).unwrap()
     }
 
@@ -1408,7 +1407,8 @@ mod tests {
             })
             .unwrap();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         let oracle =
             crate::algorithms::Algorithm::run(&crate::algorithms::BruteForce, &db, &q).unwrap();
         for s in [
@@ -1435,7 +1435,8 @@ mod tests {
         let (net, store) = exhaustion_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
-        let db = Database::new(&net, &store, &vidx).with_timestamp_index(&tidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb).with_timestamp_index(&tidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0), NodeId(2)],
             kws(&[2]),
@@ -1481,7 +1482,8 @@ mod tests {
         let (net, store) = fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let tidx = store.build_timestamp_index();
-        let db = Database::new(&net, &store, &vidx).with_timestamp_index(&tidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb).with_timestamp_index(&tidx);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(7)], kws(&[1, 2])).unwrap();
         let plain = search_plain(&db, &q, Scheduler::heuristic()).unwrap();
         let mut rec = Recorder::phases_only("engine-test");

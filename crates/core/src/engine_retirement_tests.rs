@@ -109,7 +109,8 @@ fn a_bound_equal_to_kth_is_not_retired_and_wins_the_id_tie_break() {
     for rotation in 0..RING.len() {
         let (net, store) = plateau(rotation);
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         for k in [1, 3, 16] {
             let q = plateau_query(k);
             let oracle = BruteForce.run(&db, &q).unwrap();
@@ -153,7 +154,8 @@ fn a_source_exhausting_over_retired_states_finalizes_only_the_live_ones() {
     store.push(traj(&[7], &[1, 2])); // B only, well tagged
     store.push(traj(&[4, 5], &[9])); // badly tagged, far
     let vidx = store.build_vertex_index(net.num_nodes());
-    let db = Database::new(&net, &store, &vidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb);
     let q = UotsQuery::with_options(
         vec![a[0], b0],
         kws(&[1, 2]),
@@ -214,7 +216,8 @@ fn later_postings_of_finished_trajectories_move_no_counter() {
     store.push(traj(&[5], &[1, 2])); // mid
     let vidx = store.build_vertex_index(net.num_nodes());
     let kidx = store.build_keyword_index(16);
-    let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
     let q = UotsQuery::with_options(
         vec![a[0], a[9]],
         kws(&[1, 2]),
@@ -264,7 +267,7 @@ proptest! {
         heuristic in any::<bool>(),
     ) {
         let ds = Dataset::build(&DatasetConfig::small(250, seed)).unwrap();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let spec = &workload::generate(&ds, &workload::WorkloadConfig {
             num_queries: 6,
@@ -332,14 +335,15 @@ fn a_part_bounded_strictly_below_kth_is_retired() {
     let n = net.num_nodes();
     let (va, vb) = (a.build_vertex_index(n), b.build_vertex_index(n));
     let (ka, kb) = (a.build_keyword_index(16), b.build_keyword_index(16));
+    let (ta, tb) = (a.build_keyword_blocks(), b.build_keyword_blocks());
     let view = View::new(
         vec![
             Part {
-                db: Database::new(&net, &a, &va).with_keyword_index(&ka),
+                db: Database::new(&net, &a, &va, &ta).with_keyword_index(&ka),
                 ids: a_ids,
             },
             Part {
-                db: Database::new(&net, &b, &vb).with_keyword_index(&kb),
+                db: Database::new(&net, &b, &vb, &tb).with_keyword_index(&kb),
                 ids: b_ids,
             },
         ],
@@ -347,7 +351,8 @@ fn a_part_bounded_strictly_below_kth_is_retired() {
     );
     let vidx = store.build_vertex_index(n);
     let kidx = store.build_keyword_index(16);
-    let whole = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+    let blocks = store.build_keyword_blocks();
+    let whole = Database::new(&net, &store, &vidx, &blocks).with_keyword_index(&kidx);
     for k in [1, 3, 16] {
         let q = plateau_query(k);
         for s in SCHEDULERS {

@@ -33,11 +33,10 @@
 //! publish and query, for all four algorithms, including queries
 //! cancelled mid-stream.
 
-use crate::db::LayoutTables;
 use crate::Database;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
-use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
+use uots_index::{KeywordBlocks, KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex};
 use uots_network::RoadNetwork;
 use uots_obs::{Counter, EventJournal, Gauge, Histogram, MetricsRegistry};
 use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
@@ -68,9 +67,8 @@ pub struct EpochSnapshot {
     vertex_index: VertexInvertedIndex<TrajectoryId>,
     keyword_index: KeywordInvertedIndex<TrajectoryId>,
     timestamp_index: TimestampIndex<TrajectoryId>,
-    /// Cache-friendly hot-path tables: the dense keyword table rebuilt
-    /// over this epoch's store revision.
-    layout: LayoutTables,
+    /// The dense keyword table, rebuilt over this epoch's store revision.
+    keyword_blocks: KeywordBlocks,
     stats: EpochStats,
 }
 
@@ -96,7 +94,7 @@ impl EpochSnapshot {
             ),
             Some(prev) => prev.indexes_plus(&store, &live),
         };
-        let layout = LayoutTables::build(&store, vocab_len);
+        let keyword_blocks = store.build_keyword_blocks();
         let stats = EpochStats {
             epoch,
             live: live.num_live(),
@@ -112,7 +110,7 @@ impl EpochSnapshot {
             vertex_index,
             keyword_index,
             timestamp_index,
-            layout,
+            keyword_blocks,
             stats,
         }
     }
@@ -202,17 +200,15 @@ impl EpochSnapshot {
     /// indexes cover exactly the live subset and the liveness mask guards
     /// the store sweeps.
     pub fn database(&self) -> Database<'_> {
-        Database::new(&self.network, &self.store, &self.vertex_index)
-            .with_keyword_index(&self.keyword_index)
-            .with_timestamp_index(&self.timestamp_index)
-            .with_live_set(&self.live)
-            .with_layout(&self.layout)
-    }
-
-    /// The snapshot's hot-path layout tables (the dense keyword table);
-    /// exposed for benchmarks and layout-differential tests.
-    pub fn layout(&self) -> &LayoutTables {
-        &self.layout
+        Database::new(
+            &self.network,
+            &self.store,
+            &self.vertex_index,
+            &self.keyword_blocks,
+        )
+        .with_keyword_index(&self.keyword_index)
+        .with_timestamp_index(&self.timestamp_index)
+        .with_live_set(&self.live)
     }
 
     /// Rebuilds a compacted dataset of the surviving trajectories from

@@ -1,367 +1,38 @@
-//! Interned keyword layout: fixed-width `u64` bitset blocks with a
-//! galloping sorted-id fallback.
-//!
-//! The textual hot path evaluates `TextSimilarity` between the query
-//! keyword set and thousands of per-trajectory sets. The legacy
-//! representation ([`KeywordSet`]) is a sorted `Vec<KeywordId>` per
-//! trajectory — correct, but every comparison is a pointer chase plus a
-//! merge walk. This module packs all per-trajectory sets into one dense
-//! table:
-//!
-//! * **Bitset mode** — when the vocabulary width fits
-//!   [`MAX_BITSET_BITS`] bits, each trajectory gets a fixed-width row of
-//!   `u64` words (the 399-word BRN vocabulary takes 7 words) stored
-//!   contiguously in one allocation. The intersection size is a handful
-//!   of `AND` + `popcount` instructions over cache-resident words.
-//! * **Galloping mode** — wider vocabularies fall back to a galloping
-//!   (exponential-probe) intersection over the sorted id slices, which
-//!   beats the linear merge when the two sets differ in size.
-//!
-//! Both modes produce the exact integer counts `(|A ∩ B|, |A|, |B|)` and
-//! route them through [`TextSimilarity::from_counts`], so the resulting
-//! floats are **bit-identical** to the legacy
-//! [`TextSimilarity::similarity`] merge-walk path — the property the
-//! widened differential harness (`tests/differential.rs`,
-//! `tests/layout_proptests.rs`) locks down.
+//! The per-query textual evaluator over a part's
+//! [`KeywordBlocks`](uots_index::KeywordBlocks) table.
 
-use uots_text::{KeywordId, KeywordSet, TextSimilarity};
-use uots_trajectory::{Trajectory, TrajectoryId, TrajectoryStore};
+use uots_index::{KeywordBlocks, PreparedQuery};
+use uots_text::{KeywordSet, TextSimilarity};
+use uots_trajectory::{Trajectory, TrajectoryId};
 
-/// Maximum vocabulary width (in bits) for which the bitset representation
-/// is used; wider vocabularies use the galloping sorted-id fallback.
-///
-/// 1024 bits = 16 × `u64` per trajectory row: beyond that the rows stop
-/// being reliably cache-resident and sparse sets waste bandwidth on zero
-/// words.
-pub const MAX_BITSET_BITS: usize = 1024;
-
-const WORD_BITS: usize = 64;
-
-/// Dense per-trajectory keyword table (see module docs).
-///
-/// Rows are indexed by [`TrajectoryId::index`]; build it over the same
-/// store the queries run against (retired/non-live rows are simply never
-/// consulted). The table is immutable — rebuild it per epoch snapshot.
-#[derive(Debug, Clone)]
-pub struct KeywordBlocks {
-    /// Words per row; `0` means galloping mode (no bit rows stored).
-    words: usize,
-    /// Bit capacity of a row (`words * 64` in bitset mode).
-    width: usize,
-    /// `words * rows` bit words, row-major.
-    bits: Vec<u64>,
-    /// Per-row set size (valid in both modes).
-    lens: Vec<u32>,
-}
-
-impl KeywordBlocks {
-    /// Builds the table over every trajectory in `store`.
-    ///
-    /// `vocab_len` is the nominal vocabulary size; the effective width is
-    /// widened to cover any keyword id actually present in the store, so
-    /// ad-hoc datasets whose tags exceed the declared vocabulary still
-    /// round-trip exactly.
-    pub fn build(store: &TrajectoryStore, vocab_len: usize) -> Self {
-        let sets: Vec<&KeywordSet> = store.iter().map(|(_, t)| t.keywords()).collect();
-        Self::from_sets(sets.iter().copied(), vocab_len)
-    }
-
-    /// Builds the table from an explicit sequence of keyword sets (row
-    /// `i` serves `TrajectoryId` index `i`). Primarily for tests that
-    /// need to straddle the width threshold without a full store.
-    pub fn from_sets<'a>(
-        sets: impl IntoIterator<Item = &'a KeywordSet> + Clone,
-        vocab_len: usize,
-    ) -> Self {
-        let mut width = vocab_len;
-        let mut rows = 0usize;
-        for set in sets.clone() {
-            rows += 1;
-            if let Some(&max) = set.ids().last() {
-                width = width.max(max.index() + 1);
-            }
-        }
-        if width > MAX_BITSET_BITS {
-            let lens = sets.into_iter().map(|s| s.len() as u32).collect();
-            return KeywordBlocks {
-                words: 0,
-                width,
-                bits: Vec::new(),
-                lens,
-            };
-        }
-        let words = width.div_ceil(WORD_BITS).max(1);
-        let mut bits = vec![0u64; words * rows];
-        let mut lens = Vec::with_capacity(rows);
-        for (row, set) in sets.into_iter().enumerate() {
-            lens.push(set.len() as u32);
-            let base = row * words;
-            for id in set.iter() {
-                let i = id.index();
-                bits[base + i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-            }
-        }
-        KeywordBlocks {
-            words,
-            width,
-            bits,
-            lens,
-        }
-    }
-
-    /// Whether the table uses the bitset representation (as opposed to
-    /// the galloping sorted-id fallback).
-    #[inline]
-    pub fn is_bitset(&self) -> bool {
-        self.words != 0
-    }
-
-    /// Effective vocabulary width in bits.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows in the table.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.lens.len()
-    }
-
-    /// Prepares the query-side representation once per query.
-    ///
-    /// Query ids beyond the table width (foreign keywords no stored
-    /// trajectory carries) cannot intersect any row; they are counted in
-    /// `|A|` but contribute no bits, which is exactly the legacy
-    /// behaviour of the merge walk.
-    pub fn prepare(&self, query: &KeywordSet) -> PreparedQuery {
-        let mut blocks = vec![0u64; self.words];
-        if self.is_bitset() {
-            for id in query.iter() {
-                let i = id.index();
-                if i < self.width {
-                    blocks[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-                }
-            }
-        }
-        PreparedQuery {
-            blocks,
-            ids: query.ids().to_vec(),
-            len: query.len(),
-        }
-    }
-
-    /// The exact counts `(|A ∩ B|, |A|, |B|)` between the prepared query
-    /// and row `tid`; `traj_keywords` backs the galloping fallback (and
-    /// must be the same set the row was built from).
-    #[inline]
-    pub fn counts(
-        &self,
-        q: &PreparedQuery,
-        tid: TrajectoryId,
-        traj_keywords: &KeywordSet,
-    ) -> (usize, usize, usize) {
-        let row = tid.index();
-        let b_len = self.lens[row] as usize;
-        debug_assert_eq!(b_len, traj_keywords.len());
-        let inter = if self.is_bitset() {
-            let base = row * self.words;
-            let mut acc = 0u32;
-            for (w, &qw) in self.bits[base..base + self.words].iter().zip(&q.blocks) {
-                acc += (w & qw).count_ones();
-            }
-            acc as usize
-        } else {
-            galloping_intersection_len(&q.ids, traj_keywords.ids())
-        };
-        (inter, q.len, b_len)
-    }
-
-    /// Textual similarity between the prepared query and row `tid`,
-    /// bit-identical to `measure.similarity(query, traj_keywords)`.
-    #[inline]
-    pub fn textual(
-        &self,
-        measure: TextSimilarity,
-        q: &PreparedQuery,
-        tid: TrajectoryId,
-        traj_keywords: &KeywordSet,
-    ) -> f64 {
-        let (inter, a_len, b_len) = self.counts(q, tid, traj_keywords);
-        measure.from_counts(inter, a_len, b_len)
-    }
-}
-
-/// Query-side keyword representation prepared once per query by
-/// [`KeywordBlocks::prepare`].
-#[derive(Debug, Clone)]
-pub struct PreparedQuery {
-    /// Fixed-width bit row (empty in galloping mode).
-    blocks: Vec<u64>,
-    /// Sorted query ids (backs the galloping fallback).
-    ids: Vec<KeywordId>,
-    /// Full query set size, including ids beyond the table width.
-    len: usize,
-}
-
-impl PreparedQuery {
-    /// Number of keywords in the query set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the query set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Intersection size of two sorted, deduplicated id slices via galloping
-/// (exponential-probe) search: the smaller slice drives, probing the
-/// larger one with doubling steps then a binary search within the
-/// bracket. Degrades to the merge walk's complexity for similar sizes
-/// and beats it when the sizes are skewed.
-pub fn galloping_intersection_len(a: &[KeywordId], b: &[KeywordId]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut lo = 0usize;
-    let mut count = 0usize;
-    for &id in small {
-        // gallop: find the bracket [lo + step/2, lo + step] containing id
-        let mut step = 1usize;
-        while lo + step < large.len() && large[lo + step] < id {
-            step <<= 1;
-        }
-        let hi = (lo + step + 1).min(large.len());
-        match large[lo..hi].binary_search(&id) {
-            Ok(i) => {
-                count += 1;
-                lo += i + 1;
-            }
-            Err(i) => lo += i,
-        }
-        if lo >= large.len() {
-            break;
-        }
-    }
-    count
-}
-
-/// Per-query textual evaluator: routes through the dense
-/// [`KeywordBlocks`] table when a layout is attached, and through the
-/// legacy [`KeywordSet`] merge walk otherwise. Both paths produce
-/// bit-identical floats.
+/// Per-query textual evaluator: the query prepared once against one
+/// part's keyword table, then one row read per trajectory. The floats are
+/// bit-identical to [`TextSimilarity::similarity`]'s merge walk.
 #[derive(Debug)]
-pub struct TextualEval<'a> {
+pub(crate) struct TextualEval<'a> {
     measure: TextSimilarity,
-    /// Owned copy of the (small) query set: keeps the evaluator's only
-    /// borrow on the table, so callers with differently-lived query and
-    /// database references can hold one evaluator.
-    query: KeywordSet,
-    layout: Option<(&'a KeywordBlocks, PreparedQuery)>,
+    blocks: &'a KeywordBlocks,
+    query: PreparedQuery,
 }
 
 impl<'a> TextualEval<'a> {
-    /// Builds the evaluator; `blocks` selects the dense path.
-    pub fn new(
+    /// Prepares `query` against `blocks`.
+    pub(crate) fn new(
         measure: TextSimilarity,
         query: &KeywordSet,
-        blocks: Option<&'a KeywordBlocks>,
+        blocks: &'a KeywordBlocks,
     ) -> Self {
-        let layout = blocks.map(|b| (b, b.prepare(query)));
         TextualEval {
             measure,
-            query: query.clone(),
-            layout,
+            blocks,
+            query: blocks.prepare(query),
         }
     }
 
     /// Textual similarity of trajectory `tid`/`traj` against the query.
     #[inline]
-    pub fn eval(&self, tid: TrajectoryId, traj: &Trajectory) -> f64 {
-        match &self.layout {
-            Some((blocks, q)) if tid.index() < blocks.rows() => {
-                blocks.textual(self.measure, q, tid, traj.keywords())
-            }
-            _ => self.measure.similarity(&self.query, traj.keywords()),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn set(ids: &[u32]) -> KeywordSet {
-        KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
-    }
-
-    const ALL: [TextSimilarity; 4] = [
-        TextSimilarity::Jaccard,
-        TextSimilarity::Dice,
-        TextSimilarity::Cosine,
-        TextSimilarity::Overlap,
-    ];
-
-    #[test]
-    fn bitset_mode_counts_match_merge_walk() {
-        let sets = [set(&[0, 3, 7]), set(&[]), set(&[3, 63, 64, 100]), set(&[5])];
-        let blocks = KeywordBlocks::from_sets(sets.iter(), 101);
-        assert!(blocks.is_bitset());
-        let query = set(&[3, 5, 64, 999]); // 999 beyond width: counted, never matches
-        let q = blocks.prepare(&query);
-        for (i, s) in sets.iter().enumerate() {
-            let tid = TrajectoryId(i as u32);
-            let (inter, a, b) = blocks.counts(&q, tid, s);
-            assert_eq!(inter, query.intersection_len(s), "row {i}");
-            assert_eq!(a, query.len());
-            assert_eq!(b, s.len());
-            for m in ALL {
-                assert_eq!(
-                    blocks.textual(m, &q, tid, s).to_bits(),
-                    m.similarity(&query, s).to_bits(),
-                    "{m:?} row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn galloping_mode_engages_past_width_threshold() {
-        let sets = [set(&[0, 2000]), set(&[1, 2, 3])];
-        let blocks = KeywordBlocks::from_sets(sets.iter(), 10);
-        assert!(!blocks.is_bitset());
-        assert_eq!(blocks.width(), 2001);
-        let query = set(&[1, 3, 2000]);
-        let q = blocks.prepare(&query);
-        for (i, s) in sets.iter().enumerate() {
-            let tid = TrajectoryId(i as u32);
-            let (inter, a, b) = blocks.counts(&q, tid, s);
-            assert_eq!(inter, query.intersection_len(s));
-            assert_eq!((a, b), (query.len(), s.len()));
-        }
-    }
-
-    #[test]
-    fn galloping_intersection_is_exact() {
-        let a = set(&[1, 5, 9, 100, 101, 102]);
-        let b = set(&[0, 5, 6, 7, 8, 9, 10, 50, 102, 500]);
-        assert_eq!(
-            galloping_intersection_len(a.ids(), b.ids()),
-            a.intersection_len(&b)
-        );
-        assert_eq!(galloping_intersection_len(&[], b.ids()), 0);
-        assert_eq!(galloping_intersection_len(a.ids(), &[]), 0);
-    }
-
-    #[test]
-    fn vocab_width_expands_to_cover_store_ids() {
-        let sets = [set(&[500])];
-        let blocks = KeywordBlocks::from_sets(sets.iter(), 10);
-        assert!(blocks.is_bitset());
-        assert_eq!(blocks.width(), 501);
-        let q = blocks.prepare(&set(&[500]));
-        assert_eq!(blocks.counts(&q, TrajectoryId(0), &sets[0]).0, 1);
+    pub(crate) fn eval(&self, tid: TrajectoryId, traj: &Trajectory) -> f64 {
+        self.blocks
+            .textual(self.measure, &self.query, tid.index(), traj.keywords())
     }
 }

@@ -18,7 +18,7 @@
 //! use uots_datagen::{workload, Dataset, DatasetConfig};
 //!
 //! let ds = Dataset::build(&DatasetConfig::small(50, 42)).unwrap();
-//! let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+//! let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
 //!     .with_keyword_index(&ds.keyword_index);
 //! let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
 //! let query = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).unwrap();
@@ -60,7 +60,7 @@ mod db;
 mod engine;
 pub mod epoch;
 mod error;
-pub mod keywords;
+mod keywords;
 mod metrics;
 pub mod order;
 pub mod parallel;
@@ -79,10 +79,9 @@ pub mod wal;
 pub use uots_storage as storage;
 
 pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
-pub use db::{Database, IdMap, LayoutTables, Part, PartFate, TimeChannel, View};
+pub use db::{Database, IdMap, Part, PartFate, TimeChannel, View};
 pub use epoch::{EpochManager, EpochSnapshot, EpochStats, Mutation};
 pub use error::CoreError;
-pub use keywords::{KeywordBlocks, PreparedQuery, TextualEval, MAX_BITSET_BITS};
 pub use metrics::SearchMetrics;
 pub use parallel::{BatchOptions, BatchPolicy, SearchContext};
 pub use planner::{AlgorithmKind, PlanDecision, Planner, QueryStats};

@@ -184,7 +184,8 @@ mod tests {
         let fwd = store.push(traj(&[0, 2, 4, 6])); // bottom row, left→right
         let rev = store.push(traj(&[6, 4, 2, 0]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         // places in left→right order
         let q = UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap();
         let mk = |id| Match {
@@ -218,7 +219,8 @@ mod tests {
         let a = store.push(traj(&[0, 1]));
         let b = store.push(traj(&[24, 23]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let mut result = QueryResult {
             matches: vec![
@@ -263,7 +265,8 @@ mod tests {
         // exact certificate cannot survive a weighted rerank
         store.push(traj(&[63]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap();
         let mk = |id, sim| Match {
             id,
@@ -311,7 +314,8 @@ mod tests {
         let fwd = store.push(traj(&[0, 2, 4, 6]));
         let rev = store.push(traj(&[6, 4, 2, 0]));
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap();
         let mk = |id, sim| Match {
             id,
@@ -345,7 +349,8 @@ mod tests {
             store.push(traj(&[63, 0, 63])),
         ];
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         let queries = [
             UotsQuery::new(vec![NodeId(0), NodeId(3), NodeId(6)], KeywordSet::empty()).unwrap(),
             UotsQuery::new(vec![NodeId(7), NodeId(56)], KeywordSet::empty()).unwrap(),

@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn parallel_results_match_sequential() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let algo = Expansion::default();
         let seq = run_batch(&db, &algo, &queries, 1).unwrap();
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn aggregation_sums_per_query_metrics() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = Expansion::default();
         let results = run_batch(&db, &algo, &queries, 2).unwrap();
         let agg = SearchMetrics::aggregate(results.iter().map(|r| &r.metrics));
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn errors_propagate() {
         let (ds, _) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let bad = UotsQuery::new(
             vec![uots_network::NodeId(1_000_000)],
             uots_text::KeywordSet::empty(),
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn partial_policy_isolates_a_panicking_query() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
         let out = run_batch_with(
             &db,
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn fail_fast_policy_surfaces_the_panic_as_an_error() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
         let err = run_batch_with(
             &db,
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn admission_bound_rejects_oversized_batches() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let opts = BatchOptions {
             max_batch: Some(4),
             ..BatchOptions::partial(2)
@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn batch_deadline_cancels_in_flight_queries() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = SlowAlgorithm::new(Expansion::default(), Duration::from_secs(3600));
         // a deadline is an interruption, not an error: FailFast has nothing
         // to fail on, and each slot's metrics record it
@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn shared_token_cancels_the_whole_batch() {
         let (ds, queries) = setup();
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index);
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let token = CancellationToken::new();
         token.cancel();
         let out = run_batch_with(

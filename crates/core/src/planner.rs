@@ -21,8 +21,8 @@
 //! particular, *full-drain-shaped* queries — many sources and ubiquitous
 //! keywords, where per-trajectory bounds cannot prune — go to
 //! [`BruteForce`], whose evaluation rides the shared-frontier
-//! [`MultiSourceExpansion`](uots_network::expansion::MultiSourceExpansion) when a layout is attached: one batched
-//! Dijkstra instead of `m` scheduled single-source expansions.
+//! [`MultiSourceExpansion`](uots_network::expansion::MultiSourceExpansion):
+//! one batched Dijkstra instead of `m` scheduled single-source expansions.
 //!
 //! Over a [`View`] of several parts (a cluster cut) the statistics are
 //! summed over the parts — live count, per-keyword document frequency,
@@ -46,8 +46,8 @@ use uots_obs::Recorder;
 /// the `--force-algorithm` input).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmKind {
-    /// The exact oracle; full-drain evaluation (multi-source batched
-    /// Dijkstra when a layout is attached).
+    /// The exact oracle; full-drain evaluation (one multi-source batched
+    /// Dijkstra).
     BruteForce,
     /// Textual filter-and-refine baseline (requires the keyword index).
     TextFirst,
@@ -412,7 +412,8 @@ mod tests {
         let (net, store) = controlled_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(2);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = crate::Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let (ubiq, rare) = (KeywordId(0), KeywordId(1));
         let planner = Planner::new();
 
@@ -479,7 +480,7 @@ mod tests {
     #[test]
     fn forced_kind_wins_over_every_rule() {
         let ds = dataset();
-        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let q = query(&ds, 1, &[], 0.5, 1);
         for kind in AlgorithmKind::ALL {
@@ -492,7 +493,7 @@ mod tests {
     #[test]
     fn tiny_datasets_go_to_the_oracle() {
         let ds = Dataset::build(&DatasetConfig::small(30, 5)).unwrap();
-        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = crate::Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(1)], KeywordSet::empty()).unwrap();
         let d = Planner::new().decide(&db, &q);
@@ -526,7 +527,8 @@ mod tests {
         // index built over a wider vocab than the store uses: keyword 2+
         // are interned but have no postings anywhere
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = crate::Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let planner = Planner::new();
         let q = |kws: Vec<KeywordId>| {
             UotsQuery::with_options(
@@ -568,7 +570,8 @@ mod tests {
     fn no_keyword_index_never_chooses_text_first() {
         let (net, store) = controlled_fixture();
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = crate::Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = crate::Database::new(&net, &store, &vidx, &kb);
         let q = UotsQuery::with_options(
             (0..4u32).map(NodeId).collect(),
             KeywordSet::from_ids([KeywordId(1)]),

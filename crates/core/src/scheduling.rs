@@ -205,7 +205,8 @@ mod tests {
             );
         }
         let vidx = store.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &store, &vidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0), NodeId(24)], KeywordSet::empty()).unwrap();
         let hostile = Scheduler::Heuristic { recompute_every: 0 };
         let r = Expansion::new(hostile)

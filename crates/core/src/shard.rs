@@ -758,7 +758,8 @@ mod tests {
         let (net, store) = fixture(60);
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = crate::Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let q = UotsQuery::with_options(
             vec![NodeId(3), NodeId(17)],
             KeywordSet::from_ids([KeywordId(2)]),
@@ -906,7 +907,8 @@ mod tests {
         let (net, store) = fixture(60);
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = crate::Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let opts = QueryOptions {
             weights: Weights::lambda(0.6).unwrap(),
             k: 10,
@@ -964,7 +966,8 @@ mod tests {
         }
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(8);
-        let db = crate::Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = crate::Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let q = UotsQuery::with_options(
             vec![NodeId(0)],
             KeywordSet::from_ids([KeywordId(6)]),

@@ -17,7 +17,6 @@
 
 use crate::query::UotsQuery;
 use crate::result::Match;
-use uots_network::dijkstra::ShortestPathTree;
 use uots_network::expansion::MultiSourceExpansion;
 use uots_trajectory::{Trajectory, TrajectoryId};
 
@@ -51,15 +50,6 @@ pub fn spatial_component(dists: &[f64], decay_km: f64) -> f64 {
     decay_mean(dists, decay_km)
 }
 
-/// Exact textual channel value for `query` against a trajectory's keywords.
-#[inline]
-pub fn textual_component(query: &UotsQuery, traj: &Trajectory) -> f64 {
-    query
-        .options()
-        .text_measure
-        .similarity(query.keywords(), traj.keywords())
-}
-
 /// Exact temporal channel value from per-preferred-time minimal gaps.
 /// Returns 0 when the query has no temporal preference.
 #[inline]
@@ -77,26 +67,10 @@ pub fn combine(query: &UotsQuery, spatial: f64, textual: f64, temporal: f64) -> 
     w.spatial * spatial + w.textual * textual + w.temporal * temporal
 }
 
-/// Exact per-location network distances `d(o_i, τ)` read off precomputed
-/// shortest-path trees (one tree per query location, in query-location
-/// order). Unreachable places yield `f64::INFINITY`.
-pub fn spatial_distances_from_trees(trees: &[ShortestPathTree], traj: &Trajectory) -> Vec<f64> {
-    trees
-        .iter()
-        .map(|tree| {
-            traj.nodes()
-                .map(|v| tree.distance(v).unwrap_or(f64::INFINITY))
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
-
 /// Exact per-location network distances `d(o_i, τ)` read off a **fully
-/// drained** [`MultiSourceExpansion`] (source `i` = query location `i`).
-/// Same per-vertex lookups, same `min` fold order as
-/// [`spatial_distances_from_trees`] — bit-identical distances (the
-/// multi-source Dijkstra itself settles bit-identical values, see
-/// [`MultiSourceExpansion`]).
+/// drained** [`MultiSourceExpansion`] (source `i` = query location `i`):
+/// the least distance over the trajectory's vertices, folded in sample
+/// order. Unreachable places yield `f64::INFINITY`.
 pub fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajectory) -> Vec<f64> {
     (0..ms.num_sources())
         .map(|si| {
@@ -119,36 +93,10 @@ pub fn temporal_gaps(times: &[f64], traj: &Trajectory) -> Vec<f64> {
         .collect()
 }
 
-/// Fully evaluates one trajectory against a query using precomputed
-/// shortest-path trees. This is the reference ("ground truth") evaluation
-/// every algorithm must agree with.
-pub fn evaluate_with_trees(
-    trees: &[ShortestPathTree],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-) -> Match {
-    evaluate_with_trees_textual(trees, query, id, traj, textual_component(query, traj))
-}
-
-/// [`evaluate_with_trees`] with the textual channel value supplied by the
-/// caller (the dense [`crate::keywords`] table computes it bit-identically
-/// to [`textual_component`]); spatial/temporal math is unchanged.
-pub fn evaluate_with_trees_textual(
-    trees: &[ShortestPathTree],
-    query: &UotsQuery,
-    id: TrajectoryId,
-    traj: &Trajectory,
-    textual: f64,
-) -> Match {
-    debug_assert_eq!(trees.len(), query.num_locations());
-    let sdists = spatial_distances_from_trees(trees, traj);
-    finish_match(&sdists, textual, query, id, traj)
-}
-
-/// [`evaluate_with_trees`] over a fully drained [`MultiSourceExpansion`]
-/// with a caller-supplied textual channel value; identical channel math,
-/// identical fold order.
+/// Fully evaluates one trajectory against a query from a fully drained
+/// [`MultiSourceExpansion`] and the trajectory's textual channel value
+/// (read off the keyword table by the caller). This is the reference
+/// ("ground truth") evaluation every algorithm must agree with.
 pub fn evaluate_with_multi(
     ms: &MultiSourceExpansion<'_>,
     query: &UotsQuery,
@@ -191,7 +139,6 @@ fn finish_match(
 mod tests {
     use super::*;
     use crate::query::{QueryOptions, Weights};
-    use uots_network::dijkstra::shortest_path_tree;
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NodeId;
     use uots_text::{KeywordId, KeywordSet};
@@ -216,6 +163,22 @@ mod tests {
         .unwrap()
     }
 
+    fn drained<'n>(
+        net: &'n uots_network::RoadNetwork,
+        sources: &[NodeId],
+    ) -> MultiSourceExpansion<'n> {
+        let mut ms = MultiSourceExpansion::new(net, sources);
+        while ms.next_settled().is_some() {}
+        ms
+    }
+
+    /// The textual channel by the merge walk, the table's reference.
+    fn textual(q: &UotsQuery, t: &Trajectory) -> f64 {
+        q.options()
+            .text_measure
+            .similarity(q.keywords(), t.keywords())
+    }
+
     #[test]
     fn decay_mean_known_values() {
         assert!((decay_mean(&[0.0], 1.0) - 1.0).abs() < 1e-12);
@@ -237,10 +200,7 @@ mod tests {
     fn evaluate_on_a_hand_checkable_grid() {
         // 5×5 unit lattice; trajectory along the bottom row
         let net = grid_city(&GridCityConfig::tiny(5)).unwrap();
-        let trees: Vec<_> = [NodeId(0), NodeId(12)]
-            .iter()
-            .map(|&v| shortest_path_tree(&net, v))
-            .collect();
+        let ms = drained(&net, &[NodeId(0), NodeId(12)]);
         let t = traj(&[0, 1, 2, 3, 4], 0.0, &[1, 2]);
         let q = UotsQuery::with_options(
             vec![NodeId(0), NodeId(12)],
@@ -252,7 +212,7 @@ mod tests {
             },
         )
         .unwrap();
-        let m = evaluate_with_trees(&trees, &q, TrajectoryId(0), &t);
+        let m = evaluate_with_multi(&ms, &q, TrajectoryId(0), &t, textual(&q, &t));
         // d(v0, τ) = 0; d(v12, τ) = 2 (v12 = (2,2), nearest sample v2 = (2,0))
         let expect_spatial = (1.0 + (-2.0f64).exp()) / 2.0;
         assert!((m.spatial - expect_spatial).abs() < 1e-12);
@@ -276,7 +236,7 @@ mod tests {
     #[test]
     fn lambda_extremes_isolate_channels() {
         let net = grid_city(&GridCityConfig::tiny(4)).unwrap();
-        let trees = vec![shortest_path_tree(&net, NodeId(0))];
+        let ms = drained(&net, &[NodeId(0)]);
         let t = traj(&[5], 0.0, &[7]);
 
         let spatial_only = UotsQuery::with_options(
@@ -289,7 +249,13 @@ mod tests {
             },
         )
         .unwrap();
-        let m = evaluate_with_trees(&trees, &spatial_only, TrajectoryId(0), &t);
+        let m = evaluate_with_multi(
+            &ms,
+            &spatial_only,
+            TrajectoryId(0),
+            &t,
+            textual(&spatial_only, &t),
+        );
         assert!((m.similarity - m.spatial).abs() < 1e-12);
 
         let textual_only = spatial_only
@@ -298,7 +264,13 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-        let m = evaluate_with_trees(&trees, &textual_only, TrajectoryId(0), &t);
+        let m = evaluate_with_multi(
+            &ms,
+            &textual_only,
+            TrajectoryId(0),
+            &t,
+            textual(&textual_only, &t),
+        );
         assert!((m.similarity - 1.0).abs() < 1e-12); // exact tag match
     }
 

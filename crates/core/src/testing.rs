@@ -186,7 +186,8 @@ mod tests {
     fn faulty_panics_only_on_the_configured_call() {
         let (net, s) = tiny();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let algo = FaultyAlgorithm::new(BruteForce, 1, "injected");
         assert!(algo.run(&db, &q).is_ok()); // call 0
@@ -202,7 +203,8 @@ mod tests {
     fn slow_algorithm_yields_best_effort_on_cancellation() {
         let (net, s) = tiny();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let algo = SlowAlgorithm::new(BruteForce, Duration::from_secs(3600));
         let token = CancellationToken::new();
@@ -249,7 +251,8 @@ mod tests {
     fn slow_algorithm_eventually_delegates() {
         let (net, s) = tiny();
         let vidx = s.build_vertex_index(net.num_nodes());
-        let db = Database::new(&net, &s, &vidx);
+        let kb = s.build_keyword_blocks();
+        let db = Database::new(&net, &s, &vidx, &kb);
         let q = UotsQuery::new(vec![NodeId(0)], KeywordSet::empty()).unwrap();
         let algo = SlowAlgorithm::new(BruteForce, Duration::from_millis(1));
         let r = algo.run(&db, &q).unwrap();

@@ -55,6 +55,7 @@ pub fn hub_spike(num_trips: usize, seed: u64) -> Result<Dataset, BuildError> {
 
     let vertex_index = store.build_vertex_index(base.network.num_nodes());
     let keyword_index = store.build_keyword_index(base.vocab.len());
+    let keyword_blocks = store.build_keyword_blocks();
     Ok(Dataset {
         name: cfg.name,
         network: base.network,
@@ -63,6 +64,7 @@ pub fn hub_spike(num_trips: usize, seed: u64) -> Result<Dataset, BuildError> {
         tags: base.tags,
         vertex_index,
         keyword_index,
+        keyword_blocks,
         grid: base.grid,
     })
 }
@@ -154,6 +156,7 @@ pub fn split_city(
 
     let vertex_index = store.build_vertex_index(network.num_nodes());
     let keyword_index = store.build_keyword_index(vocab.len());
+    let keyword_blocks = store.build_keyword_blocks();
     let grid = GridIndex::build(network.points(), 8);
     Ok(Dataset {
         name: format!("split-city ({components}×{trips_per_component} trips, seed {seed})"),
@@ -163,6 +166,7 @@ pub fn split_city(
         tags,
         vertex_index,
         keyword_index,
+        keyword_blocks,
         grid,
     })
 }

@@ -16,7 +16,7 @@ pub mod persist;
 pub mod workload;
 
 use serde::{Deserialize, Serialize};
-use uots_index::{GridIndex, KeywordInvertedIndex, VertexInvertedIndex};
+use uots_index::{GridIndex, KeywordBlocks, KeywordInvertedIndex, VertexInvertedIndex};
 use uots_network::generators::{grid_city, ring_radial, GridCityConfig, RingRadialConfig};
 use uots_network::{NodeId, Point, RoadNetwork};
 use uots_text::Vocabulary;
@@ -153,6 +153,8 @@ pub struct Dataset {
     pub vertex_index: VertexInvertedIndex<TrajectoryId>,
     /// keyword → trajectories index (textual baseline).
     pub keyword_index: KeywordInvertedIndex<TrajectoryId>,
+    /// The dense per-trajectory keyword table every textual term reads.
+    pub keyword_blocks: KeywordBlocks,
     /// Spatial grid over network vertices (query-point snapping).
     pub grid: GridIndex,
 }
@@ -181,6 +183,7 @@ impl Dataset {
         };
         let vertex_index = store.build_vertex_index(network.num_nodes());
         let keyword_index = store.build_keyword_index(vocab.len());
+        let keyword_blocks = store.build_keyword_blocks();
         let grid = GridIndex::build(network.points(), 8);
         Ok(Dataset {
             name: cfg.name.clone(),
@@ -190,6 +193,7 @@ impl Dataset {
             tags,
             vertex_index,
             keyword_index,
+            keyword_blocks,
             grid,
         })
     }

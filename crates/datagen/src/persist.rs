@@ -26,8 +26,9 @@
 //! file does not hold is refused as it is decoded.
 //!
 //! The `vtab` section pins the interning of words to dense
-//! [`KeywordId`](uots_text::KeywordId)s that the layout tables
-//! (`uots_core::KeywordBlocks`) are built over. It is length-framed, so
+//! [`KeywordId`](uots_text::KeywordId)s that the keyword table
+//! ([`KeywordBlocks`](uots_index::KeywordBlocks)) is built over; the table
+//! itself is never written, [`load`] rebuilds it. It is length-framed, so
 //! readers skip payload versions they do not know.
 
 use crate::{Dataset, DatasetConfig};
@@ -190,6 +191,7 @@ pub fn load(raw: &[u8]) -> Result<Dataset, PersistError> {
 
     let vertex_index = store.build_vertex_index(network.num_nodes());
     let keyword_index = store.build_keyword_index(vocab.len());
+    let keyword_blocks = store.build_keyword_blocks();
     let grid = GridIndex::build(network.points(), 8);
     Ok(Dataset {
         name,
@@ -199,6 +201,7 @@ pub fn load(raw: &[u8]) -> Result<Dataset, PersistError> {
         tags,
         vertex_index,
         keyword_index,
+        keyword_blocks,
         grid,
     })
 }

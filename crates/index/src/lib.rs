@@ -9,6 +9,9 @@
 //!   probes on every settled vertex and the [`KeywordInvertedIndex`]
 //!   driving the textual-first baseline; [`InvertedIndex::merged`] derives
 //!   a serving epoch's index from the previous one plus a batch;
+//! * [`KeywordBlocks`] — the dense per-trajectory keyword table every
+//!   query's textual term reads (bitset rows, galloping past
+//!   [`MAX_BITSET_BITS`]);
 //! * [`TimestampIndex`] / [`TimeExpansion`] — sorted-time expansion cursor
 //!   for the temporal extension, likewise merged per epoch.
 
@@ -17,8 +20,10 @@
 
 mod grid;
 mod inverted;
+mod keywords;
 mod timestamp;
 
 pub use grid::GridIndex;
 pub use inverted::{InvertedIndex, KeywordInvertedIndex, PostingKey, VertexInvertedIndex};
+pub use keywords::{galloping_intersection_len, KeywordBlocks, PreparedQuery, MAX_BITSET_BITS};
 pub use timestamp::{TimeExpansion, TimeScanned, TimestampIndex, DAY_SECONDS};

@@ -287,7 +287,8 @@ pub fn ts_join(
     cfg: &JoinConfig,
     threads: usize,
 ) -> Result<JoinResult, JoinError> {
-    let db = Database::new(net, store, vertex_index).with_timestamp_index(timestamp_index);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(net, store, vertex_index, &kb).with_timestamp_index(timestamp_index);
     let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
     ts_join_with(&View::one(db), cfg, threads, budget, ctl)
 }
@@ -555,7 +556,8 @@ mod tests {
 
     fn view_of<'a>(ds: &'a Dataset, tidx: &'a TimestampIndex<TrajectoryId>) -> View<'a> {
         View::one(
-            Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(tidx),
+            Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
+                .with_timestamp_index(tidx),
         )
     }
 

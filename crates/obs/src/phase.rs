@@ -13,7 +13,7 @@ use std::time::Duration;
 /// graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Incremental Dijkstra settles / full shortest-path trees / timestamp
+    /// Incremental Dijkstra settles / full multi-source drains / timestamp
     /// scans — acquiring network and temporal distances.
     NetworkExpansion,
     /// Keyword-index lookups, textual similarity scoring, and textual

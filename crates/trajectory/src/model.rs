@@ -9,7 +9,9 @@
 use crate::TrajectoryError;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::sync::Arc;
-use uots_index::{KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex, DAY_SECONDS};
+use uots_index::{
+    KeywordBlocks, KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex, DAY_SECONDS,
+};
 use uots_network::{NodeId, RoadNetwork};
 use uots_text::KeywordSet;
 
@@ -275,6 +277,13 @@ impl TrajectoryStore {
         )
     }
 
+    /// Builds the dense keyword table every query's textual term reads:
+    /// row `i` holds trajectory `i`'s keywords.
+    pub fn build_keyword_blocks(&self) -> KeywordBlocks {
+        let sets: Vec<&KeywordSet> = self.iter().map(|(_, t)| t.keywords()).collect();
+        KeywordBlocks::from_sets(sets.iter().copied())
+    }
+
     /// Builds the sample-timestamp index for the temporal extension.
     pub fn build_timestamp_index(&self) -> TimestampIndex<TrajectoryId> {
         TimestampIndex::build(
@@ -455,6 +464,18 @@ mod tests {
         assert_eq!(idx.values_at(KeywordId(1)), &[a]);
         assert_eq!(idx.values_at(KeywordId(2)), &[a, b]);
         assert_eq!(idx.values_at(KeywordId(0)), &[] as &[TrajectoryId]);
+    }
+
+    #[test]
+    fn keyword_blocks_hold_a_row_per_trajectory_as_wide_as_the_store() {
+        let mut s = TrajectoryStore::new();
+        let a = s.push(Trajectory::new(vec![sample(0, 0.0)], kws(&[1, 9])).unwrap());
+        let b = s.push(Trajectory::new(vec![sample(1, 0.0)], kws(&[])).unwrap());
+        let blocks = s.build_keyword_blocks();
+        assert_eq!((blocks.rows(), blocks.width()), (2, 10));
+        let q = blocks.prepare(&kws(&[9, 40]));
+        assert_eq!(blocks.counts(&q, a.index(), s.get(a).keywords()), (1, 2, 2));
+        assert_eq!(blocks.counts(&q, b.index(), s.get(b).keywords()), (0, 2, 0));
     }
 
     #[test]

@@ -69,7 +69,8 @@ fn main() {
     // 2. Index and query.
     let vidx = store.build_vertex_index(net.num_nodes());
     let kidx = store.build_keyword_index(vocab.len());
-    let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
 
     let places = vec![NodeId(0), NodeId(820), NodeId(1599)];
     let keywords = tags.sample_tags(0, 3, &mut rng);

@@ -714,7 +714,8 @@ fn cmd_join(args: &[String]) -> i32 {
     let tidx = ds.store.build_timestamp_index();
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let registry = MetricsRegistry::default();
-    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index).with_timestamp_index(&tidx);
+    let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
+        .with_timestamp_index(&tidx);
     let result = match ts_join_with(
         &View::one(db),
         &cfg,
@@ -762,7 +763,8 @@ fn verify_epoch(
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(net.num_nodes());
     let kidx = compacted.build_keyword_index(vocab_len);
-    let oracle_db = Database::new(net, &compacted, &vidx).with_keyword_index(&kidx);
+    let kb = compacted.build_keyword_blocks();
+    let oracle_db = Database::new(net, &compacted, &vidx, &kb).with_keyword_index(&kidx);
     let live_db = snapshot.database();
     for (qi, q) in probes.iter().enumerate() {
         let live = Expansion::default()

@@ -63,9 +63,9 @@ pub use uots_trajectory as trajectory;
 pub use uots_core::wal::{FsyncPolicy, WalConfig, WalError, WalWriter};
 pub use uots_core::{
     algorithms, epoch, order, parallel, similarity, BatchOptions, BatchPolicy, CancellationToken,
-    Completeness, CoreError, Database, EpochManager, EpochSnapshot, ExecutionBudget, LayoutTables,
-    Match, Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext,
-    SearchMetrics, TopK, UotsQuery, View, Weights,
+    Completeness, CoreError, Database, EpochManager, EpochSnapshot, ExecutionBudget, Match,
+    Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext, SearchMetrics, TopK,
+    UotsQuery, View, Weights,
 };
 pub use uots_datagen::{workload, Dataset, DatasetConfig};
 pub use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
@@ -73,11 +73,12 @@ pub use uots_obs::{MetricsRegistry, Phase, PhaseNanos, Recorder};
 pub use uots_text::{KeywordId, KeywordSet, TextSimilarity, Vocabulary};
 pub use uots_trajectory::{LiveSet, Sample, Trajectory, TrajectoryId, TrajectoryStore};
 
-/// Opens a [`Database`] over a built [`Dataset`], wiring up the keyword
-/// index (the timestamp index is built per dataset on demand; attach it with
+/// Opens a [`Database`] over a built [`Dataset`], wiring up its keyword
+/// table and keyword index (the timestamp index is built per dataset on demand; attach it with
 /// [`Database::with_timestamp_index`] for temporal queries).
 pub fn db(ds: &Dataset) -> Database<'_> {
-    Database::new(&ds.network, &ds.store, &ds.vertex_index).with_keyword_index(&ds.keyword_index)
+    Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
+        .with_keyword_index(&ds.keyword_index)
 }
 
 /// Commonly used items in one import.

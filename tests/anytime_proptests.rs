@@ -196,8 +196,8 @@ fn zero_wall_budget_interrupts_but_stays_sound() {
 /// `TextFirst` interrupts them alike over the dataset's own database and
 /// over a published snapshot's: same answers, same certificate, at every
 /// cut — before the drain, inside the first source, one settle into the
-/// last source, one settle short of the end and at the end. The
-/// snapshot side charges the budget per settle, so it never overruns it.
+/// last source, one settle short of the end and at the end. Both sides
+/// charge the budget per settle, so neither overruns it.
 #[test]
 fn drain_budget_cuts_agree_between_a_database_and_a_snapshot() {
     let ds = Dataset::build(&DatasetConfig::small(30, 19)).unwrap();
@@ -236,6 +236,7 @@ fn drain_budget_cuts_agree_between_a_database_and_a_snapshot() {
                 let at = format!("{} at max_settled {max_settled}", algo.name());
                 assert_eq!(a.matches, b.matches, "{at}");
                 assert_eq!(a.completeness, b.completeness, "{at}");
+                assert!(a.metrics.settled_vertices <= max_settled, "{at}");
                 assert!(b.metrics.settled_vertices <= max_settled, "{at}");
             }
         }

@@ -1,15 +1,6 @@
-//! Differential harness for the data layouts: over hundreds of randomized
-//! cases, every algorithm must return **bit-identical** results on both
-//! the legacy (per-location shortest-path trees / `KeywordSet`
-//! intersection) and the layout paths (one batched multi-source drain /
-//! dense keyword bitsets) — and all of them must equal the brute-force
-//! oracle.
-//!
-//! The layouts are pure re-encodings: the batched drain walks the same
-//! `RoadNetwork` rows as a single-source Dijkstra, so it settles the same
-//! distance bits, and the bitset/galloping Jaccard routes the same integer
-//! counts through the same float arithmetic. These tests are the
-//! executable form of both claims, across:
+//! Differential harness: over hundreds of randomized cases, every
+//! algorithm must return **bit-identical** results to the brute-force
+//! oracle, unsharded and over sharded cuts, across:
 //!
 //! * uniform random connected networks and trajectory stores;
 //! * `datagen::adversarial::hub_spike` — one vertex fans out to the whole
@@ -24,6 +15,10 @@
 //!   one shard (the plain engine), and deterministic replay on four. The
 //!   ingest replays drive the volatile and the durable coordinator alike.
 //!
+//! The oracle's own two ingredients are pinned against independent
+//! references in `tests/layout_proptests.rs`: the batched drain against
+//! single-source Dijkstra trees, the keyword table against the merge walk.
+//!
 //! Seeds are fixed: CI runs reproduce these exact cases.
 
 use rand::rngs::StdRng;
@@ -35,8 +30,8 @@ use uots::datagen::adversarial::{hub_spike, split_city};
 use uots::index::TimestampIndex;
 use uots::prelude::*;
 use uots::{
-    EpochManager, EpochSnapshot, FsyncPolicy, KeywordSet, LayoutTables, NetworkBuilder,
-    QueryResult, Recorder, TrajectoryStore, UotsQuery, WalConfig,
+    EpochManager, EpochSnapshot, FsyncPolicy, KeywordSet, NetworkBuilder, QueryResult, Recorder,
+    TrajectoryStore, UotsQuery, WalConfig,
 };
 use uots_core::algorithms::{BruteForce, Expansion, IknnBaseline, TextFirst};
 use uots_core::shard::{Cluster, Shard};
@@ -81,39 +76,25 @@ fn lineup() -> Vec<(&'static str, Box<dyn Algorithm>)> {
     ]
 }
 
-/// Runs one (database, query) case on **both data layouts**: the legacy
-/// oracle sets the expected fingerprint, then the layout oracle and every
-/// algorithm, legacy and layout, must reproduce it bit-exactly. Returns
-/// the number of differential comparisons performed.
-fn check_case<'a>(
-    db: &Database<'a>,
-    layout: &'a LayoutTables,
+/// Runs one (database, query) case: every algorithm must reproduce the
+/// oracle's fingerprint `want` bit-exactly. Returns the number of
+/// differential comparisons performed.
+fn check_case(
+    db: &Database<'_>,
     q: &UotsQuery,
+    want: &[(TrajectoryId, u64, u64, u64, u64)],
     label: &str,
 ) -> usize {
-    let want = fingerprint(&BruteForce.run(db, q).expect("oracle runs"));
-    let mut comparisons = 0;
-    for (rep, rdb) in [("legacy", *db), ("layout", db.with_layout(layout))] {
-        if rep == "layout" {
-            let oracle = BruteForce.run(&rdb, q).expect("layout oracle runs");
-            assert_eq!(
-                want,
-                fingerprint(&oracle),
-                "{label}: layout brute force diverged"
-            );
-            comparisons += 1;
-        }
-        for (name, algo) in lineup() {
-            let got = algo.run(&rdb, q).expect("run");
-            assert_eq!(
-                want,
-                fingerprint(&got),
-                "{label}: {rep} {name} diverged from oracle"
-            );
-            comparisons += 1;
-        }
+    let lineup = lineup();
+    for (name, algo) in &lineup {
+        let got = algo.run(db, q).expect("run");
+        assert_eq!(
+            want,
+            fingerprint(&got).as_slice(),
+            "{label}: {name} diverged from oracle"
+        );
     }
-    comparisons
+    lineup.len()
 }
 
 /// Hash shard counts every differential case replays through: one shard
@@ -374,18 +355,18 @@ fn differential_uniform_random() {
         let store = random_store(&mut rng, n, trips, dup);
         let vidx = store.build_vertex_index(n);
         let kidx = store.build_keyword_index(12);
-        let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
-        let layout = LayoutTables::build(&store, 12);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let cuts = cuts_of(&net, &store, 12);
         for q_i in 0..10 {
             let q = random_query(&mut rng, n);
             let label = format!("uniform ds{ds_i} q{q_i}");
-            cases += check_case(&db, &layout, &q, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
+            cases += check_case(&db, &q, &want, &label);
             cases += check_sharded_case(&cuts, &q, &want, &label);
         }
     }
-    assert!(cases >= 27 * 120, "expected ≥27 comparisons × 120 cases");
+    assert!(cases >= 22 * 120, "expected ≥22 comparisons × 120 cases");
 }
 
 /// Hub-spike datasets: one vertex's posting list covers the whole store.
@@ -394,9 +375,8 @@ fn differential_hub_spike() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0002);
     for (ds_i, seed) in [17u64, 29].into_iter().enumerate() {
         let ds = hub_spike(24, seed).expect("hub-spike builds");
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
-        let layout = LayoutTables::build(&ds.store, 12);
         let n = ds.network.num_nodes();
         let cuts = cuts_of(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
@@ -413,30 +393,29 @@ fn differential_hub_spike() {
                 .expect("hub query");
             }
             let label = format!("hub-spike ds{ds_i} q{q_i}");
-            check_case(&db, &layout, &q, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
+            check_case(&db, &q, &want, &label);
             check_sharded_case(&cuts, &q, &want, &label);
         }
     }
 }
 
 /// Split-city datasets: expansions exhaust inside their island, so the
-/// unreachable-∞ sweep must behave identically on both layouts.
+/// unreachable-∞ sweep runs.
 #[test]
 fn differential_split_city() {
     let mut rng = StdRng::seed_from_u64(0xd1ff_0003);
     for (ds_i, seed) in [41u64, 57].into_iter().enumerate() {
         let ds = split_city(3, 9, seed).expect("split-city builds");
-        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index)
+        let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
             .with_keyword_index(&ds.keyword_index);
-        let layout = LayoutTables::build(&ds.store, 12);
         let n = ds.network.num_nodes();
         let cuts = cuts_of(&ds.network, &ds.store, ds.vocab.len());
         for q_i in 0..20 {
             let q = random_query(&mut rng, n);
             let label = format!("split-city ds{ds_i} q{q_i}");
-            check_case(&db, &layout, &q, &label);
             let want = fingerprint(&BruteForce.run(&db, &q).expect("oracle runs"));
+            check_case(&db, &q, &want, &label);
             check_sharded_case(&cuts, &q, &want, &label);
         }
     }
@@ -451,15 +430,15 @@ fn differential_replay_is_stable() {
     let store = random_store(&mut rng, n, 14, 2);
     let vidx = store.build_vertex_index(n);
     let kidx = store.build_keyword_index(12);
-    let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
-    let layout = LayoutTables::build(&store, 12);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
     let queries: Vec<UotsQuery> = (0..5).map(|_| random_query(&mut rng, n)).collect();
     let cuts = cuts_of(&net, &store, 12);
     for round in 0..4 {
         for (q_i, q) in queries.iter().enumerate() {
             let label = format!("replay round{round} q{q_i}");
-            check_case(&db, &layout, q, &label);
             let want = fingerprint(&BruteForce.run(&db, q).expect("oracle runs"));
+            check_case(&db, q, &want, &label);
             check_sharded_case(&cuts, q, &want, &label);
         }
     }
@@ -492,7 +471,8 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, label: &str) {
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(net.num_nodes());
     let kidx = compacted.build_keyword_index(12);
-    let oracle_db = Database::new(net, &compacted, &vidx).with_keyword_index(&kidx);
+    let kb = compacted.build_keyword_blocks();
+    let oracle_db = Database::new(net, &compacted, &vidx, &kb).with_keyword_index(&kidx);
     let live_db = snapshot.database();
     let want = fingerprint(&BruteForce.run(&oracle_db, q).expect("rebuild oracle runs"));
     let map_fp = |r: &QueryResult| -> Vec<(TrajectoryId, u64, u64, u64, u64)> {
@@ -505,25 +485,19 @@ fn check_epoch_case(snapshot: &EpochSnapshot, q: &UotsQuery, label: &str) {
             })
             .collect()
     };
-    // The snapshot attaches its layout tables; stripping `layout` gives
-    // the legacy view of the *same* epoch — both must match the rebuild.
-    let mut live_legacy = live_db;
-    live_legacy.layout = None;
-    for (rep, rdb) in [("layout", live_db), ("legacy", live_legacy)] {
-        let oracle_live = BruteForce.run(&rdb, q).expect("live oracle runs");
+    let oracle_live = BruteForce.run(&live_db, q).expect("live oracle runs");
+    assert_eq!(
+        want,
+        map_fp(&oracle_live),
+        "{label}: live brute force diverged"
+    );
+    for (name, algo) in lineup() {
+        let got = algo.run(&live_db, q).expect("live run");
         assert_eq!(
             want,
-            map_fp(&oracle_live),
-            "{label}: live {rep} brute force diverged"
+            map_fp(&got),
+            "{label}: live {name} diverged from rebuild"
         );
-        for (name, algo) in lineup() {
-            let got = algo.run(&rdb, q).expect("live run");
-            assert_eq!(
-                want,
-                map_fp(&got),
-                "{label}: live {rep} {name} diverged from rebuild"
-            );
-        }
     }
 }
 
@@ -656,7 +630,8 @@ fn differential_ingest_interrupted_queries_match_rebuild() {
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(n);
     let kidx = compacted.build_keyword_index(12);
-    let oracle_db = Database::new(&net, &compacted, &vidx).with_keyword_index(&kidx);
+    let kb = compacted.build_keyword_blocks();
+    let oracle_db = Database::new(&net, &compacted, &vidx, &kb).with_keyword_index(&kidx);
     let live_db = snapshot.database();
     for q_i in 0..10 {
         let mut q = random_query(&mut rng, n);
@@ -665,17 +640,6 @@ fn differential_ingest_interrupted_queries_match_rebuild() {
         q = UotsQuery::with_options(q.locations().to_vec(), q.keywords().clone(), vec![], opts)
             .expect("budgeted query");
         let live = Expansion::default().run(&live_db, &q).expect("live run");
-        // the legacy view of the same snapshot must interrupt identically
-        let mut legacy_db = live_db;
-        legacy_db.layout = None;
-        let legacy = Expansion::default()
-            .run(&legacy_db, &q)
-            .expect("legacy run");
-        assert_eq!(
-            fingerprint(&live),
-            fingerprint(&legacy),
-            "q{q_i}: interrupted layouts diverged"
-        );
         let oracle = Expansion::default()
             .run(&oracle_db, &q)
             .expect("oracle run");

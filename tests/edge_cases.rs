@@ -35,7 +35,8 @@ fn run_all(
 ) -> Vec<(String, QueryResult)> {
     let vidx = store.build_vertex_index(net.num_nodes());
     let kidx = store.build_keyword_index(64);
-    let db = Database::new(net, store, &vidx).with_keyword_index(&kidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(net, store, &vidx, &kb).with_keyword_index(&kidx);
     let algos: Vec<Box<dyn Algorithm>> = vec![
         Box::new(BruteForce),
         Box::new(TextFirst),
@@ -168,7 +169,8 @@ fn duplicate_query_locations_collapse() {
     let q_clean = UotsQuery::new(vec![NodeId(2), NodeId(14)], kws(&[1])).unwrap();
     assert_eq!(q_dup.num_locations(), 2);
     let vidx = store.build_vertex_index(net.num_nodes());
-    let db = Database::new(&net, &store, &vidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb);
     let a = Expansion::default().run(&db, &q_dup).unwrap();
     let b = Expansion::default().run(&db, &q_clean).unwrap();
     assert_eq!(a.ids(), b.ids());
@@ -200,7 +202,8 @@ fn trajectories_spanning_midnight_boundaries() {
     store.push(traj(&[2, 3], 0.0, &[1]));
     let tidx = store.build_timestamp_index();
     let vidx = store.build_vertex_index(net.num_nodes());
-    let db = Database::new(&net, &store, &vidx).with_timestamp_index(&tidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb).with_timestamp_index(&tidx);
     let q = UotsQuery::with_options(
         vec![NodeId(0)],
         kws(&[]),
@@ -264,7 +267,8 @@ fn extreme_decay_scales_still_agree_with_oracle() {
         .unwrap();
         let vidx = store.build_vertex_index(net.num_nodes());
         let kidx = store.build_keyword_index(8);
-        let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
         let fast = Expansion::default().run(&db, &q).unwrap();
         let oracle = BruteForce.run(&db, &q).unwrap();
         assert_eq!(fast.ids(), oracle.ids(), "decay {decay_km}");

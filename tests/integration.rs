@@ -141,7 +141,7 @@ fn network_round_trips_through_edge_list_and_queries_still_work() {
     assert_eq!(ds.network, net2);
     // rebuild the database against the re-parsed network
     let vidx = ds.store.build_vertex_index(net2.num_nodes());
-    let db = Database::new(&net2, &ds.store, &vidx);
+    let db = Database::new(&net2, &ds.store, &vidx, &ds.keyword_blocks);
     let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
     let q = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).expect("valid");
     assert!(Expansion::default().run(&db, &q).is_ok());
@@ -186,7 +186,8 @@ fn gps_ingestion_pipeline_feeds_queries() {
     assert!(store.len() >= 15);
     let vidx = store.build_vertex_index(ds.network.num_nodes());
     let kidx = store.build_keyword_index(vocab.len());
-    let db = Database::new(&ds.network, &store, &vidx).with_keyword_index(&kidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&ds.network, &store, &vidx, &kb).with_keyword_index(&kidx);
     let mut rng2 = StdRng::seed_from_u64(11);
     let kws = tags.sample_tags(0, 2, &mut rng2);
     let q = UotsQuery::new(vec![NodeId(0), NodeId(400)], kws).expect("valid");

@@ -1,9 +1,11 @@
-//! Property tests for the hot-path layouts (`core::keywords`, the batched
-//! multi-source expansion) and the versioned dataset codec:
+//! Property tests for the two ingredients of every exact evaluation (the
+//! keyword table `uots_index::KeywordBlocks` and the batched multi-source
+//! expansion) and the versioned dataset codec:
 //!
 //! * bitset / galloping keyword intersections produce the **exact** counts
-//!   and bit-identical similarities of the legacy `KeywordSet` merge walk,
-//!   for vocabulary widths on both sides of the bitset threshold;
+//!   and bit-identical similarities of the `KeywordSet` merge walk, for
+//!   tables whose width the stored sets alone set, on both sides of the
+//!   bitset threshold;
 //! * one batched multi-source expansion settles, per source, exactly the
 //!   vertices and distance bits of an independent Dijkstra, including on
 //!   disconnected networks with parallel edges where sources exhaust at
@@ -18,7 +20,7 @@ use uots::network::dijkstra::shortest_path_tree;
 use uots::network::expansion::MultiSourceExpansion;
 use uots::prelude::*;
 use uots::{KeywordId, NetworkBuilder, TextSimilarity};
-use uots_core::keywords::{galloping_intersection_len, KeywordBlocks, MAX_BITSET_BITS};
+use uots_index::{galloping_intersection_len, KeywordBlocks, MAX_BITSET_BITS};
 use uots_text::KeywordSet;
 
 const MEASURES: [TextSimilarity; 4] = [
@@ -32,9 +34,9 @@ fn kw_set(ids: &[u32]) -> KeywordSet {
     KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
 }
 
-/// Picks a vocabulary width straddling [`MAX_BITSET_BITS`]: band 0 is
-/// firmly bitset, band 1 brackets the threshold from both sides, band 2
-/// is firmly galloping.
+/// Picks the id range the stored sets draw from, straddling
+/// [`MAX_BITSET_BITS`]: band 0 is firmly bitset, band 1 brackets the
+/// threshold from both sides, band 2 is firmly galloping.
 fn pick_vocab(band: usize, offset: usize) -> usize {
     match band % 3 {
         0 => 1 + offset % 64,
@@ -46,10 +48,11 @@ fn pick_vocab(band: usize, offset: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite (b), textual half: for every measure, both dense modes
-    /// reproduce the legacy merge walk bit-for-bit — exact counts in,
-    /// identical floats out. Query ids beyond the table width must be
-    /// counted in |A| without ever matching.
+    /// For every measure, both table modes reproduce the merge walk
+    /// bit-for-bit — exact counts in, identical floats out. The width is
+    /// taken from the stored sets alone; query ids above the widest stored
+    /// id are counted in |A| without ever matching, and an empty row and
+    /// an empty query count like any other set.
     #[test]
     fn dense_textual_matches_keywordset_oracle(
         band in 0usize..3,
@@ -57,41 +60,42 @@ proptest! {
         raw_sets in proptest::collection::vec(
             proptest::collection::vec(any::<u32>(), 0..24), 1..20),
         raw_query in proptest::collection::vec(any::<u32>(), 0..24),
+        foreign in 0u32..64,
     ) {
         let vocab = pick_vocab(band, offset);
-        // trajectory ids live inside the vocabulary; the query may carry a
-        // few foreign ids beyond it (the `+ 64` headroom)
-        let sets: Vec<KeywordSet> = raw_sets
+        let mut sets: Vec<KeywordSet> = raw_sets
             .iter()
             .map(|ids| kw_set(&ids.iter().map(|&i| i % vocab as u32).collect::<Vec<_>>()))
             .collect();
-        let query = kw_set(
-            &raw_query
-                .iter()
-                .map(|&i| i % (vocab as u32 + 64))
-                .collect::<Vec<_>>(),
-        );
-        let blocks = KeywordBlocks::from_sets(sets.iter(), vocab);
+        sets.push(KeywordSet::empty());
+        let blocks = KeywordBlocks::from_sets(sets.iter());
+        let widest = sets.iter().filter_map(|s| s.ids().last()).map(|k| k.index() + 1).max();
+        prop_assert_eq!(blocks.width(), widest.unwrap_or(0));
         prop_assert_eq!(blocks.is_bitset(), blocks.width() <= MAX_BITSET_BITS);
-        prop_assert!(blocks.width() >= vocab);
-        let q = blocks.prepare(&query);
-        for (i, s) in sets.iter().enumerate() {
-            let tid = TrajectoryId(i as u32);
-            let (inter, a_len, b_len) = blocks.counts(&q, tid, s);
-            prop_assert_eq!(inter, query.intersection_len(s), "row {}", i);
-            prop_assert_eq!((a_len, b_len), (query.len(), s.len()), "row {}", i);
-            for m in MEASURES {
-                prop_assert_eq!(
-                    blocks.textual(m, &q, tid, s).to_bits(),
-                    m.similarity(&query, s).to_bits(),
-                    "{:?} row {}", m, i
-                );
+        prop_assert_eq!(blocks.rows(), sets.len());
+        // the query may carry ids past the widest stored one, and always
+        // carries one
+        let mut qids: Vec<u32> = raw_query.iter().map(|&i| i % (vocab as u32 + 64)).collect();
+        qids.push(blocks.width() as u32 + foreign);
+        for query in [kw_set(&qids), KeywordSet::empty()] {
+            let q = blocks.prepare(&query);
+            for (i, s) in sets.iter().enumerate() {
+                let (inter, a_len, b_len) = blocks.counts(&q, i, s);
+                prop_assert_eq!(inter, query.intersection_len(s), "row {}", i);
+                prop_assert_eq!((a_len, b_len), (query.len(), s.len()), "row {}", i);
+                for m in MEASURES {
+                    prop_assert_eq!(
+                        blocks.textual(m, &q, i, s).to_bits(),
+                        m.similarity(&query, s).to_bits(),
+                        "{:?} row {}", m, i
+                    );
+                }
             }
         }
     }
 
     /// The bitset→galloping switchover at exactly [`MAX_BITSET_BITS`]
-    /// vocabulary bits: widths 1023 and 1024 must select the bitset
+    /// table bits: widths 1023 and 1024 must select the bitset
     /// (1024 bits = 16 whole words), width 1025 the galloping fallback,
     /// and all three must reproduce the `KeywordSet` oracle exactly —
     /// counts and similarity bits — with the boundary bit (`width − 1`)
@@ -124,7 +128,7 @@ proptest! {
         let mut qids: Vec<u32> = raw_query.iter().map(|&i| fold(i)).collect();
         qids.push(top);
         let query = kw_set(&qids);
-        let blocks = KeywordBlocks::from_sets(sets.iter(), width);
+        let blocks = KeywordBlocks::from_sets(sets.iter());
         prop_assert_eq!(blocks.width(), width);
         prop_assert_eq!(
             blocks.is_bitset(),
@@ -133,14 +137,13 @@ proptest! {
         );
         let q = blocks.prepare(&query);
         for (i, s) in sets.iter().enumerate() {
-            let tid = TrajectoryId(i as u32);
-            let (inter, a_len, b_len) = blocks.counts(&q, tid, s);
+            let (inter, a_len, b_len) = blocks.counts(&q, i, s);
             prop_assert_eq!(inter, query.intersection_len(s), "width {} row {}", width, i);
             prop_assert_eq!((a_len, b_len), (query.len(), s.len()));
             prop_assert!(inter >= 1, "boundary bit {} must intersect", top);
             for m in MEASURES {
                 prop_assert_eq!(
-                    blocks.textual(m, &q, tid, s).to_bits(),
+                    blocks.textual(m, &q, i, s).to_bits(),
                     m.similarity(&query, s).to_bits(),
                     "{:?} width {} row {}", m, width, i
                 );
@@ -196,7 +199,7 @@ proptest! {
         }
     }
 
-    /// Satellite (d): the v2 payload (with its vocab-table section) obeys
+    /// The v2 payload (with its vocab-table section) obeys
     /// the same corruption contract as the base format — any truncation
     /// is rejected without panicking.
     #[test]

@@ -9,14 +9,14 @@
 //! that harness proves the four algorithms agree with each other; this
 //! one proves the *dispatch layer* on top of them is invisible in the
 //! answers, and that the full-drain planner route (which sends high-m /
-//! low-selectivity queries to the multi-source shared-frontier drain via
-//! the layout-equipped oracle) is covered by real queries.
+//! low-selectivity queries to the multi-source shared-frontier drain of
+//! the brute-force oracle) is covered by real queries.
 
 use uots::core::planner::{AlgorithmKind, Planner};
 use uots::prelude::*;
 use uots::{
-    workload, Dataset, DatasetConfig, KeywordSet, LayoutTables, QueryOptions, QueryResult,
-    TrajectoryStore, UotsQuery,
+    workload, Dataset, DatasetConfig, KeywordSet, QueryOptions, QueryResult, TrajectoryStore,
+    UotsQuery,
 };
 use uots_core::algorithms::Algorithm;
 use uots_network::generators::{grid_city, GridCityConfig};
@@ -119,10 +119,9 @@ fn planner_routes_cover_every_branch_and_match_all_forced_algorithms() {
     let fx = fixture();
     let vertex_index = fx.store.build_vertex_index(fx.net.num_nodes());
     let keyword_index = fx.store.build_keyword_index(8);
-    let layout = LayoutTables::build(&fx.store, 8);
-    let db = Database::new(&fx.net, &fx.store, &vertex_index)
-        .with_keyword_index(&keyword_index)
-        .with_layout(&layout);
+    let kb = fx.store.build_keyword_blocks();
+    let db =
+        Database::new(&fx.net, &fx.store, &vertex_index, &kb).with_keyword_index(&keyword_index);
 
     let planner = Planner::new();
     let mut reasons = std::collections::BTreeSet::new();

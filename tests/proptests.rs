@@ -191,7 +191,8 @@ proptest! {
         };
         let vidx = store.build_vertex_index(n);
         let kidx = store.build_keyword_index(12);
-        let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+        let kb = store.build_keyword_blocks();
+        let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let locations: Vec<NodeId> = (0..m).map(|_| NodeId(rng.gen_range(0..n) as u32)).collect();

@@ -296,7 +296,8 @@ fn tie_plateau_at_the_k_boundary_survives_any_split() {
     .expect("valid query");
     let vidx = store.build_vertex_index(net.num_nodes());
     let kidx = store.build_keyword_index(4);
-    let db = Database::new(&net, &store, &vidx).with_keyword_index(&kidx);
+    let kb = store.build_keyword_blocks();
+    let db = Database::new(&net, &store, &vidx, &kb).with_keyword_index(&kidx);
     let oracle = BruteForce.run(&db, &q).expect("oracle");
     assert_eq!(
         oracle.ids(),

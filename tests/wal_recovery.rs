@@ -174,7 +174,8 @@ fn assert_matches_rebuild(
     let (compacted, id_map) = snapshot.rebuild_compacted();
     let vidx = compacted.build_vertex_index(net.num_nodes());
     let kidx = compacted.build_keyword_index(vocab_len);
-    let oracle_db = Database::new(net, &compacted, &vidx).with_keyword_index(&kidx);
+    let kb = compacted.build_keyword_blocks();
+    let oracle_db = Database::new(net, &compacted, &vidx, &kb).with_keyword_index(&kidx);
     let live_db = snapshot.database();
     for (q_i, q) in queries.iter().enumerate() {
         let want = fingerprint(&BruteForce.run(&oracle_db, q).expect("oracle runs"));
