@@ -74,8 +74,9 @@ pub use uots_text::{KeywordId, KeywordSet, TextSimilarity, Vocabulary};
 pub use uots_trajectory::{LiveSet, Sample, Trajectory, TrajectoryId, TrajectoryStore};
 
 /// Opens a [`Database`] over a built [`Dataset`], wiring up its keyword
-/// table and keyword index (the timestamp index is built per dataset on demand; attach it with
-/// [`Database::with_timestamp_index`] for temporal queries).
+/// table and keyword index (the timestamp index is built per dataset on
+/// demand; attach it with [`Database::with_timestamp_index`] for temporal
+/// queries).
 pub fn db(ds: &Dataset) -> Database<'_> {
     Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
         .with_keyword_index(&ds.keyword_index)
