@@ -1047,7 +1047,7 @@ fn main() {
         use std::time::Instant;
         use uots::cluster::ShardedDurable;
         use uots::core::wal::{FsyncPolicy, WalConfig};
-        use uots_core::planner::Planner;
+        use uots_core::planner::AlgorithmKind;
         use uots_core::shard::{Partitioner, ShardedCluster};
         use uots_core::Mutation;
         use uots_trajectory::TrajectoryId;
@@ -1166,7 +1166,6 @@ fn main() {
                 Partitioner::Hash,
             );
             let cut = cluster.snapshot();
-            let planner = Planner::new();
             let mut latencies = LatencyStats::new();
             let mut cuts = 0usize;
             let mut settled = 0usize;
@@ -1174,7 +1173,7 @@ fn main() {
             let start = Instant::now();
             for q in &d5_queries {
                 let t0 = Instant::now();
-                let ans = cut.search(&planner, q).expect("d5 search");
+                let ans = cut.search(&AlgorithmKind::Expansion, q).expect("d5 search");
                 latencies.record(t0.elapsed());
                 if std::env::var_os("UOTS_D5_DEBUG").is_some() {
                     let best = ans.result.matches.first();

@@ -84,7 +84,7 @@ pub use epoch::{EpochManager, EpochSnapshot, EpochStats, Mutation};
 pub use error::CoreError;
 pub use metrics::SearchMetrics;
 pub use parallel::{BatchOptions, BatchPolicy, SearchContext};
-pub use planner::{AlgorithmKind, PlanDecision, Planner, QueryStats};
+pub use planner::AlgorithmKind;
 pub use query::{QueryOptions, UotsQuery, Weights, MAX_LOCATIONS};
 pub use result::{Match, QueryResult};
 pub use scheduling::Scheduler;

@@ -4,8 +4,7 @@
 //! partitions the trajectory population across `N` independent shards,
 //! each an [`EpochManager`] — bare in the volatile [`ShardedCluster`], or
 //! behind its own WAL in the root crate's durable cluster. Each shard keeps
-//! its own epoch lineage, its own live-built indexes and its own planner
-//! statistics; the planner decides once per cut, from their sum.
+//! its own epoch lineage and its own live-built indexes.
 //!
 //! ## Partitioning
 //!
@@ -649,8 +648,8 @@ impl ClusterSnapshot {
         self.search_ctx(algorithm, query, &RunControl::unbounded())
     }
 
-    /// Top-k over the cut: `algorithm` (typically a [`crate::Planner`],
-    /// deciding once for the cut) runs **once** over the cut's
+    /// Top-k over the cut: `algorithm` (the service passes
+    /// [`crate::AlgorithmKind::Expansion`]) runs **once** over the cut's
     /// [`view`](Self::view), every shard walked in lockstep off one
     /// expansion per query location (see the [module docs](self)). The
     /// run is under `ctl` and the query's budget as a whole.
@@ -692,8 +691,7 @@ impl ClusterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::BruteForce;
-    use crate::planner::Planner;
+    use crate::algorithms::{BruteForce, Expansion};
     use crate::{QueryOptions, Weights};
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NodeId;
@@ -775,7 +773,10 @@ mod tests {
         for shards in [1, 3, 4] {
             let cluster =
                 ShardedCluster::new(Arc::clone(&net), &store, 8, shards, Partitioner::Hash);
-            let answer = cluster.snapshot().search(&Planner::new(), &q).unwrap();
+            let answer = cluster
+                .snapshot()
+                .search(&Expansion::default(), &q)
+                .unwrap();
             assert!(answer.result.completeness.is_exact());
             assert_eq!(answer.result.ids(), reference.ids(), "{shards} shard(s)");
             for (a, b) in answer.result.matches.iter().zip(reference.matches.iter()) {
@@ -826,7 +827,6 @@ mod tests {
     /// included.
     #[test]
     fn single_shard_cut_is_a_bitwise_passthrough() {
-        use crate::algorithms::Expansion;
         use crate::ExecutionBudget;
         let (net, store) = fixture(60);
         let cluster = ShardedCluster::new(net, &store, 8, 1, Partitioner::Hash);
@@ -860,7 +860,7 @@ mod tests {
     /// among equals — whichever shard holds which tied trajectory.
     #[test]
     fn merge_breaks_score_ties_by_ascending_global_id() {
-        use crate::algorithms::{Expansion, TextFirst};
+        use crate::algorithms::TextFirst;
         // id 9 carries both query keywords; every other trajectory is the
         // same trip with one of them, so eleven scores tie exactly for
         // the two slots behind it
@@ -888,7 +888,6 @@ mod tests {
                 cut.search(&BruteForce, &q),
                 cut.search(&Expansion::default(), &q),
                 cut.search(&TextFirst, &q),
-                cut.search(&Planner::new(), &q),
             ];
             for answer in runs {
                 let ids: Vec<u32> = answer.unwrap().result.ids().iter().map(|t| t.0).collect();
@@ -902,7 +901,6 @@ mod tests {
     /// similarity 0, so every trajectory left out scores at most the gap.
     #[test]
     fn merge_certifies_an_unfilled_answer_against_zero() {
-        use crate::algorithms::Expansion;
         use crate::ExecutionBudget;
         let (net, store) = fixture(60);
         let vidx = store.build_vertex_index(net.num_nodes());
@@ -1019,7 +1017,7 @@ mod tests {
         )
         .unwrap();
         let reference = BruteForce.run(&snap.database(), &q).unwrap();
-        let answer = cut.search(&Planner::new(), &q).unwrap();
+        let answer = cut.search(&Expansion::default(), &q).unwrap();
         assert_eq!(answer.result.ids(), reference.ids());
         for (a, b) in answer.result.matches.iter().zip(reference.matches.iter()) {
             assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());

@@ -6,7 +6,7 @@
 //! trajectories carry this keyword?" — that is the
 //! [`KeywordInvertedIndex`]. Both are one CSR structure, [`InvertedIndex`],
 //! generic over the key and over the posting value so the substrate stays
-//! independent of the trajectory crate (which instantiates
+//! independent of the trajectory crate (which fixes
 //! `V = TrajectoryId`).
 //!
 //! Postings are sorted and deduplicated, which makes merges and membership

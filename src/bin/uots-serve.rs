@@ -7,7 +7,6 @@
 //!            [--max-batch N] [--max-inflight N] [--tenant-inflight N]
 //!            [--degraded-deadline-ms MS] [--degraded-max-visited N]
 //!            [--degraded-max-settled N]
-//!            [--force-algorithm expansion|iknn-baseline|text-first|brute-force]
 //!            [--wal-dir DIR] [--fsync batch|off|interval:MS]
 //!            [--shards N]
 //! ```
@@ -62,15 +61,14 @@
 //! self-connect, the main thread joins them and exits 0 — CI asserts
 //! this, with a timeout.
 //!
-//! By default the per-query algorithm is chosen by the adaptive planner
-//! (`uots_core::planner`); `--force-algorithm` pins every query to one
-//! algorithm, the escape hatch when the planner misjudges a workload.
+//! Every query runs the paper's expansion search under the heuristic
+//! scheduler (`uots_core::planner::AlgorithmKind::Expansion`); a request
+//! names another algorithm with its `"algorithm"` field.
 
 use std::sync::Arc;
 
 use serde::Content;
 use uots::cluster::ShardedDurable;
-use uots::core::planner::AlgorithmKind;
 use uots::core::shard::{ClusterSnapshot, CutReader, ShardedCluster};
 use uots::datagen::persist;
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
@@ -79,7 +77,7 @@ use uots::{ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
 
 /// Every flag [`run`] reads; [`Flags::parse`] refuses the rest, so a typo
 /// cannot start the server in a configuration nobody asked for.
-const FLAGS: [&str; 14] = [
+const FLAGS: [&str; 13] = [
     "data",
     "listen",
     "http-threads",
@@ -90,7 +88,6 @@ const FLAGS: [&str; 14] = [
     "degraded-deadline-ms",
     "degraded-max-visited",
     "degraded-max-settled",
-    "force-algorithm",
     "wal-dir",
     "fsync",
     "shards",
@@ -183,12 +180,6 @@ fn run() -> Result<(), String> {
         .with_deadline_ms(parse_or(&flags, "degraded-deadline-ms", 50u64)?)
         .with_max_visited(parse_or(&flags, "degraded-max-visited", 512usize)?)
         .with_max_settled(parse_or(&flags, "degraded-max-settled", 20_000usize)?);
-    if let Some(name) = flags.get("force-algorithm") {
-        cfg.force = Some(
-            AlgorithmKind::parse(name)
-                .ok_or_else(|| format!("--force-algorithm: unknown algorithm `{name}`"))?,
-        );
-    }
 
     let registry = MetricsRegistry::new();
     let journal = EventJournal::default();
@@ -203,7 +194,6 @@ fn run() -> Result<(), String> {
     };
 
     let listen = flags.get("listen").unwrap_or("127.0.0.1:8080");
-    let forced = cfg.force;
     let shards: usize = parse_or(&flags, "shards", 1usize)?;
     if shards == 0 {
         return Err("--shards: must be at least 1".to_string());
@@ -256,11 +246,7 @@ fn run() -> Result<(), String> {
 
     println!("uots-serve: listening on http://{}", service.local_addr());
     println!(
-        "uots-serve: {trajectories} trajectories live, planner {}, {shards} shard(s)",
-        match forced {
-            Some(kind) => format!("forced to {kind}"),
-            None => "adaptive".to_string(),
-        }
+        "uots-serve: {trajectories} trajectories live, algorithm expansion, {shards} shard(s)"
     );
 
     service.join();

@@ -74,15 +74,14 @@
 //!
 //! ## Planning
 //!
-//! Each batch is executed by [`Planner`] — the adaptive per-query
-//! algorithm dispatch of [`uots_core::planner`] — unless the operator
-//! forced an algorithm (`--force-algorithm`, [`ServiceConfig::force`])
-//! or the request asked for one (`"algorithm": "expansion"`; the
-//! operator's force wins). The response's `planned` array reports, per
-//! query, `{"shards": [{algorithm, reason}, …]}` — the query's one
-//! decision for the cut (from statistics summed over its shards), listed
-//! once per shard and recomputed against the pinned cut, so clients can
-//! see *why* an algorithm ran.
+//! Every query runs [`AlgorithmKind::Expansion`] — the paper's expansion
+//! search under the heuristic scheduler — unless the request's
+//! `"algorithm"` field names another kind (`"algorithm": "brute-force"`);
+//! an unknown name is a `400` before admission. All four kinds return the
+//! same answers, so the field changes cost, never results. The response's
+//! `planned` array reports, per query, `{"shards": [{algorithm, reason},
+//! …]}`: the kind that ran over the cut, listed once per shard, with
+//! `reason` `"default"` or `"forced"` (the request named it).
 
 use std::collections::HashMap;
 use std::io;
@@ -93,7 +92,7 @@ use std::time::Duration;
 
 use serde::{Content, Serialize};
 use uots_core::parallel::{self, BatchOptions, BatchPolicy};
-use uots_core::planner::{AlgorithmKind, Planner};
+use uots_core::planner::AlgorithmKind;
 use uots_core::shard::{Cluster, ClusterSnapshot, CutReader, Shard};
 use uots_core::{
     CancellationToken, CoreError, ExecutionBudget, Mutation, QueryOptions, RunControl, UotsQuery,
@@ -134,9 +133,6 @@ pub struct ServiceConfig {
     /// The budget applied to degraded queries (tightened axis-wise
     /// against whatever the query asked for).
     pub degraded_budget: ExecutionBudget,
-    /// Operator-forced algorithm (`--force-algorithm`); overrides both
-    /// the planner and any per-request `"algorithm"` field.
-    pub force: Option<AlgorithmKind>,
 }
 
 impl Default for ServiceConfig {
@@ -151,7 +147,6 @@ impl Default for ServiceConfig {
                 .with_deadline_ms(50)
                 .with_max_visited(512)
                 .with_max_settled(20_000),
-            force: None,
         }
     }
 }
@@ -508,6 +503,13 @@ fn handle_search(req: &HttpRequest, shared: &Shared, single: bool) -> Reply {
         .enumerate()
         .map(|(i, qc)| parse_query(qc).map_err(|e| bad_request(format!("query {i}: {e}"))))
         .collect::<Result<Vec<_>, _>>()?;
+    let (algorithm, reason) = match field_str(&body, "algorithm") {
+        None => (AlgorithmKind::Expansion, "default"),
+        Some(name) => match AlgorithmKind::parse(name) {
+            Some(kind) => (kind, "forced"),
+            None => return Err(bad_request(format!("unknown algorithm `{name}`"))),
+        },
+    };
 
     let tenant = field_str(&body, "tenant").unwrap_or("default");
     let Ok((guard, degraded)) = shared.admit(tenant, queries.len()) else {
@@ -528,16 +530,6 @@ fn handle_search(req: &HttpRequest, shared: &Shared, single: bool) -> Reply {
         }
     }
 
-    // Request-level algorithm override; the operator's force wins.
-    let planner = match (shared.cfg.force, field_str(&body, "algorithm")) {
-        (Some(kind), _) => Planner::forced(kind),
-        (None, Some(name)) => match AlgorithmKind::parse(name) {
-            Some(kind) => Planner::forced(kind),
-            None => return Err(bad_request(format!("unknown algorithm `{name}`"))),
-        },
-        (None, None) => Planner::new(),
-    };
-
     let opts = BatchOptions {
         policy: BatchPolicy::Partial,
         deadline: None,
@@ -550,7 +542,7 @@ fn handle_search(req: &HttpRequest, shared: &Shared, single: bool) -> Reply {
     // its shards on one thread, so the batch spreads over the batch
     // workers query by query.
     let cut = shared.cut.get();
-    let outcome = parallel::run_batch_cluster(&cut, &planner, &queries, &opts, &token);
+    let outcome = parallel::run_batch_cluster(&cut, &algorithm, &queries, &opts, &token);
     drop(guard);
     if let Ok(answers) = &outcome {
         // metadata only: what `/traces` keeps of a served query is its
@@ -580,25 +572,19 @@ fn handle_search(req: &HttpRequest, shared: &Shared, single: bool) -> Reply {
         Err(e) => return Err(bad_request(e)),
     };
 
-    // Report the plan per query, recomputed against the pinned cut
-    // (decide() is deterministic and cheap): one decision for the whole
-    // cut, from statistics summed over its shards, listed once per shard.
-    let view = cut.view();
-    let planned: Vec<Content> = queries
-        .iter()
-        .map(|q| {
-            let d = planner.decide_view(&view, q);
-            let plan = Content::Map(vec![
-                (
-                    "algorithm".to_string(),
-                    Content::Str(d.kind.name().to_string()),
-                ),
-                ("reason".to_string(), Content::Str(d.reason.to_string())),
-            ]);
-            let shards = vec![plan; cut.num_shards()];
-            Content::Map(vec![("shards".to_string(), Content::Seq(shards))])
-        })
-        .collect();
+    // The kind that ran, listed once per shard of the cut.
+    let plan = Content::Map(vec![
+        (
+            "algorithm".to_string(),
+            Content::Str(algorithm.name().to_string()),
+        ),
+        ("reason".to_string(), Content::Str(reason.to_string())),
+    ]);
+    let shards = Content::Map(vec![(
+        "shards".to_string(),
+        Content::Seq(vec![plan; cut.num_shards()]),
+    )]);
+    let planned = vec![shards; queries.len()];
 
     let shards_cut: u64 = answers.iter().flatten().map(|a| a.shards_cut as u64).sum();
     let rendered: Vec<Content> = answers

@@ -1,18 +1,16 @@
-//! Differential proof that the adaptive planner never changes results:
-//! for every query shape the planner can route — single-source, rare-
-//! keyword text-dominated, full-drain (high m × ubiquitous keywords),
-//! and the default expansion path — the planner-selected algorithm must
-//! return results **bit-identical** to every forced algorithm and to the
-//! brute-force oracle.
+//! Differential proof that the algorithm dispatch never changes results:
+//! every [`AlgorithmKind`], run through its own `Algorithm` impl (the
+//! dispatch the service uses), returns answers **bit-identical** to the
+//! brute-force oracle — over a fixture with controlled keyword
+//! selectivity, on seven query shapes from single-source to full-drain
+//! (high m × ubiquitous keywords), and on a generated workload.
 //!
 //! This is the service-facing counterpart of `tests/differential.rs`:
-//! that harness proves the four algorithms agree with each other; this
-//! one proves the *dispatch layer* on top of them is invisible in the
-//! answers, and that the full-drain planner route (which sends high-m /
-//! low-selectivity queries to the multi-source shared-frontier drain of
-//! the brute-force oracle) is covered by real queries.
+//! that harness proves the algorithms agree with each other when
+//! constructed directly; this one proves the name → algorithm table the
+//! service dispatches through is invisible in the answers.
 
-use uots::core::planner::{AlgorithmKind, Planner};
+use uots::core::planner::AlgorithmKind;
 use uots::prelude::*;
 use uots::{
     workload, Dataset, DatasetConfig, KeywordSet, QueryOptions, QueryResult, TrajectoryStore,
@@ -42,8 +40,7 @@ fn fingerprint(r: &QueryResult) -> Vec<(TrajectoryId, u64, u64, u64, u64)> {
 
 /// A store with controlled selectivity over a grid city: keyword 0 tags
 /// every trajectory (selectivity 1.0 — ubiquitous), keyword 1 tags only
-/// trajectory 0 (rare), keywords 2..6 tag arithmetic subsets. Large
-/// enough (300 live) to clear the planner's tiny-dataset oracle rule.
+/// trajectory 0 (rare), keywords 2..6 tag arithmetic subsets; 300 live.
 struct Fixture {
     net: uots::RoadNetwork,
     store: TrajectoryStore,
@@ -78,7 +75,8 @@ fn fixture() -> Fixture {
     Fixture { net, store }
 }
 
-/// Query shapes spanning every planner branch. Returns (label, query).
+/// Query shapes spanning the selectivity, λ and m extremes. Returns
+/// (label, query).
 fn shaped_queries(net: &uots::RoadNetwork) -> Vec<(&'static str, UotsQuery)> {
     let n = net.num_nodes() as u32;
     let loc = |i: u32| NodeId(i % n);
@@ -97,76 +95,51 @@ fn shaped_queries(net: &uots::RoadNetwork) -> Vec<(&'static str, UotsQuery)> {
         .expect("valid query")
     };
     vec![
-        // m = 1 → single-source baseline route.
+        // one source: nothing to schedule
         ("single-source", q(locs(1), vec![2, 3], 0.5, 3)),
-        // rare keyword, text-dominated λ, one tree to drain (484 settles
-        // for 300 live) → text-first route.
+        // a rare keyword under a text-dominated λ, one and three sources
         ("rare-text", q(locs(1), vec![1], 0.1, 3)),
-        // same, but three trees: the drain gate sends it to expansion.
         ("rare-text-big-drain", q(locs(3), vec![1], 0.1, 3)),
-        // high m × ubiquitous keyword → the full-drain route
-        // (multi-source shared-frontier drain, satellite 3).
+        // many sources × a ubiquitous keyword: bounds prune nothing
         ("full-drain", q(locs(10), vec![0], 0.5, 5)),
         ("full-drain-k1", q(locs(12), vec![0, 2], 0.7, 1)),
-        // the default expansion path.
+        // moderate shapes
         ("default", q(locs(3), vec![2, 5], 0.5, 3)),
         ("lambda-1", q(locs(4), vec![3], 1.0, 4)),
     ]
 }
 
+/// Every kind against the oracle on one query; returns the comparisons.
+fn assert_every_kind_matches_brute_force(db: &Database<'_>, q: &UotsQuery, label: &str) -> usize {
+    let want = fingerprint(&BruteForce.run(db, q).expect("oracle run"));
+    assert!(!want.is_empty(), "{label}: no matches at all");
+    for kind in AlgorithmKind::ALL {
+        let got = kind.run(db, q).expect("dispatched run");
+        assert_eq!(
+            want,
+            fingerprint(&got),
+            "{label}: {kind} diverged from brute force"
+        );
+    }
+    AlgorithmKind::ALL.len()
+}
+
 #[test]
-fn planner_routes_cover_every_branch_and_match_all_forced_algorithms() {
+fn every_kind_matches_brute_force_on_shapes_and_a_workload() {
     let fx = fixture();
     let vertex_index = fx.store.build_vertex_index(fx.net.num_nodes());
     let keyword_index = fx.store.build_keyword_index(8);
     let kb = fx.store.build_keyword_blocks();
     let db =
         Database::new(&fx.net, &fx.store, &vertex_index, &kb).with_keyword_index(&keyword_index);
-
-    let planner = Planner::new();
-    let mut reasons = std::collections::BTreeSet::new();
+    let mut cases = 0;
     for (label, q) in shaped_queries(&fx.net) {
-        let decision = planner.decide(&db, &q);
-        reasons.insert(decision.reason);
-        // the drain gate is the only thing separating these two shapes
-        match label {
-            "rare-text" => assert_eq!(decision.kind, AlgorithmKind::TextFirst),
-            "rare-text-big-drain" => assert_eq!(decision.kind, AlgorithmKind::Expansion),
-            _ => {}
-        }
-        let planned = planner.run(&db, &q).expect("planner run");
-        let want = fingerprint(&planned);
-        assert!(!want.is_empty(), "{label}: no matches at all");
-        for kind in AlgorithmKind::ALL {
-            let forced = Planner::forced(kind).run(&db, &q).expect("forced run");
-            assert_eq!(
-                want,
-                fingerprint(&forced),
-                "{label}: planner ({}) vs forced {kind} diverged",
-                decision.kind
-            );
-        }
+        cases += assert_every_kind_matches_brute_force(&db, &q, label);
     }
-    // The workload above must actually exercise the routing table, not
-    // collapse into one branch.
-    for expect in [
-        "single-source",
-        "rare-keywords-text-dominated",
-        "full-drain-shape",
-        "default-expansion",
-    ] {
-        assert!(
-            reasons.contains(expect),
-            "no query hit the `{expect}` planner branch (hit: {reasons:?})"
-        );
-    }
-}
+    assert_eq!(cases, 7 * 4);
 
-#[test]
-fn planner_matches_forced_on_a_generated_workload() {
     let ds = Dataset::build(&DatasetConfig::small(220, 41)).expect("dataset");
     let db = uots::db(&ds);
-    let planner = Planner::new();
     let specs = workload::generate(
         &ds,
         &workload::WorkloadConfig {
@@ -174,7 +147,6 @@ fn planner_matches_forced_on_a_generated_workload() {
             ..Default::default()
         },
     );
-    let mut cases = 0;
     for (i, spec) in specs.into_iter().enumerate() {
         let q = UotsQuery::with_options(
             spec.locations,
@@ -186,16 +158,7 @@ fn planner_matches_forced_on_a_generated_workload() {
             },
         )
         .expect("valid query");
-        let want = fingerprint(&planner.run(&db, &q).expect("planner run"));
-        for kind in AlgorithmKind::ALL {
-            let forced = Planner::forced(kind).run(&db, &q).expect("forced run");
-            assert_eq!(
-                want,
-                fingerprint(&forced),
-                "q{i}: planner vs forced {kind} diverged"
-            );
-            cases += 1;
-        }
+        cases += assert_every_kind_matches_brute_force(&db, &q, &format!("q{i}"));
     }
-    assert_eq!(cases, 24 * 4);
+    assert_eq!(cases, (7 + 24) * 4);
 }

@@ -15,7 +15,7 @@ use uots::storage::StdFs;
 use proptest::prelude::*;
 use serde::{Content, Serialize};
 use uots::cluster::{shard_dir, ShardedDurable};
-use uots::core::planner::Planner;
+use uots::core::planner::AlgorithmKind;
 use uots::core::testing::corrupt;
 use uots::core::wal;
 use uots::obs::{EventJournal, MetricsRegistry, ObsState, TailSampler};
@@ -111,11 +111,11 @@ fn normalized(c: &Content) -> Content {
     }
 }
 
-/// The `matches` subtree of a direct engine run, as serialized `Content`
-/// — the bit-exact expectation for the HTTP answer.
+/// The `matches` subtree of a direct run of the served default, as
+/// serialized `Content` — the bit-exact expectation for the HTTP answer.
 fn direct_matches(ds: &Dataset, q: &UotsQuery) -> Content {
     let db = uots::db(ds);
-    let result = Planner::new().run(&db, q).expect("direct run");
+    let result = AlgorithmKind::Expansion.run(&db, q).expect("direct run");
     normalized(result.serialize().get("matches").expect("matches field"))
 }
 
@@ -203,6 +203,24 @@ fn concurrent_http_results_are_bit_identical_to_direct_engine_calls() {
     assert_eq!(as_u64(body.get("shards_cut")), Some(0));
 }
 
+/// Every `planned[i].shards[s]` entry of a reply, in order.
+fn plans(body: &Content) -> Vec<Content> {
+    let planned = body.get("planned").expect("planned").as_seq().unwrap();
+    planned
+        .iter()
+        .flat_map(|p| p.get("shards").expect("shards").as_seq().unwrap().to_vec())
+        .collect()
+}
+
+fn plan(algorithm: &str, reason: &str) -> Content {
+    Content::Map(vec![
+        ("algorithm".to_string(), Content::Str(algorithm.to_string())),
+        ("reason".to_string(), Content::Str(reason.to_string())),
+    ])
+}
+
+/// A body without `algorithm` runs the served default, expansion; one
+/// that names a kind runs that kind and gets the same answer.
 #[test]
 fn request_level_force_matches_the_planner_through_http() {
     let (service, ds) = start_service(120, 11, ServiceConfig::default());
@@ -212,9 +230,10 @@ fn request_level_force_matches_the_planner_through_http() {
         .next()
         .unwrap();
     let json = query_json(&spec.locations, spec.keywords.ids(), 0.5, 3);
-    let (code, planner_body) = post(addr, "/search", &format!(r#"{{"queries":[{json}]}}"#));
+    let (code, default_body) = post(addr, "/search", &format!(r#"{{"queries":[{json}]}}"#));
     assert_eq!(code, 200);
-    let want = planner_body.get("results").unwrap().as_seq().unwrap()[0]
+    assert_eq!(plans(&default_body), [plan("expansion", "default")]);
+    let want = default_body.get("results").unwrap().as_seq().unwrap()[0]
         .get("matches")
         .unwrap()
         .clone();
@@ -229,16 +248,55 @@ fn request_level_force_matches_the_planner_through_http() {
             .get("matches")
             .unwrap();
         assert_eq!(&want, got, "forced {algo} diverged over HTTP");
-        let planned = body.get("planned").unwrap().as_seq().unwrap();
-        let plan = &planned[0].get("shards").unwrap().as_seq().unwrap()[0];
-        assert_eq!(plan.get("algorithm"), Some(&Content::Str(algo.to_string())));
-        assert_eq!(
-            plan.get("reason"),
-            Some(&Content::Str("forced".to_string()))
-        );
+        assert_eq!(plans(&body), [plan(algo, "forced")]);
     }
-    let (code, body) = post(addr, "/search", r#"{"algorithm":"nope","queries":[{}]}"#);
+    let (code, body) = post(
+        addr,
+        "/search",
+        &format!(r#"{{"algorithm":"nope","queries":[{json}]}}"#),
+    );
     assert_eq!(code, 400, "{body:?}");
+    assert!(format!("{body:?}").contains("nope"), "{body:?}");
+}
+
+/// Regression: the `algorithm` field was parsed after admission, so a
+/// full service shed a body naming an unknown algorithm with 429 (and
+/// counted it shed), and a tenant over its soft ring counted it degraded.
+/// It is a 400 before admission: neither counter moves.
+#[test]
+fn an_unknown_algorithm_is_refused_before_admission() {
+    for (cfg, counter) in [
+        (
+            ServiceConfig {
+                max_inflight: 0,
+                ..ServiceConfig::default()
+            },
+            "uots_serve_shed_total",
+        ),
+        (
+            ServiceConfig {
+                tenant_inflight: 0,
+                ..ServiceConfig::default()
+            },
+            "uots_serve_degraded_total",
+        ),
+    ] {
+        let (service, ds) = start_service(40, 3, cfg);
+        let addr = service.local_addr();
+        let spec = workload::generate(&ds, &workload::WorkloadConfig::default())
+            .into_iter()
+            .next()
+            .unwrap();
+        let json = query_json(&spec.locations, spec.keywords.ids(), 0.5, 3);
+        let (code, body) = post(
+            addr,
+            "/search",
+            &format!(r#"{{"algorithm":"nope","queries":[{json}]}}"#),
+        );
+        assert_eq!(code, 400, "{counter}: {body:?}");
+        assert!(format!("{body:?}").contains("nope"), "{body:?}");
+        assert_eq!(counter_value(addr, counter), 0, "{counter}");
+    }
 }
 
 #[test]
@@ -1272,8 +1330,8 @@ fn sharded_service_answers_bit_identically_and_reports_shard_epochs() {
         let shards = planned[0].get("shards").expect("per-shard plans");
         let shards = shards.as_seq().unwrap();
         assert_eq!(shards.len(), 4, "one plan per shard");
-        // one decision for the cut, listed once per shard
-        assert!(shards.iter().all(|p| p == &shards[0]), "{shards:?}");
+        // the served default, listed once per shard
+        assert_eq!(plans(&body), vec![plan("expansion", "default"); 4]);
         // /topk must agree with /search
         let (code, body) = post(addr, "/topk", &json);
         assert_eq!(code, 200, "case {i}: {body:?}");

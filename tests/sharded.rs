@@ -32,7 +32,7 @@ use uots::{
     TrajectoryStore, UotsQuery,
 };
 use uots_core::algorithms::BruteForce;
-use uots_core::{ClusterSnapshot, Mutation, Partitioner, Planner, ShardedAnswer, ShardedCluster};
+use uots_core::{ClusterSnapshot, Mutation, Partitioner, ShardedAnswer, ShardedCluster};
 use uots_text::KeywordId;
 use uots_trajectory::Trajectory;
 
@@ -177,7 +177,6 @@ fn torn_shard_wal_recovers_durable_prefix_others_replay_fully() {
     let live_db = snapshot.database();
 
     let mut rng = StdRng::seed_from_u64(0x5a4d_0001);
-    let planner = Planner::new();
     for q_i in 0..10 {
         let q = random_query(&mut rng, ds.network.num_nodes(), ds.vocab.len());
         let want = fingerprint(&BruteForce.run(&live_db, &q).expect("unsharded oracle"));
@@ -187,11 +186,13 @@ fn torn_shard_wal_recovers_durable_prefix_others_replay_fully() {
             fingerprint(&brute.result),
             "q{q_i}: recovered cut (brute force) diverged"
         );
-        let planned = cut.search(&planner, &q).expect("sharded planner");
+        let expansion = cut
+            .search(&Expansion::default(), &q)
+            .expect("sharded expansion");
         assert_eq!(
             want,
-            fingerprint(&planned.result),
-            "q{q_i}: recovered cut (planner) diverged"
+            fingerprint(&expansion.result),
+            "q{q_i}: recovered cut (expansion) diverged"
         );
     }
 
@@ -313,7 +314,6 @@ fn tie_plateau_at_the_k_boundary_survives_any_split() {
         let runs = [
             ("brute-force", cut.search(&BruteForce, &q)),
             ("expansion", cut.search(&Expansion::default(), &q)),
-            ("planner", cut.search(&Planner::new(), &q)),
         ];
         for (name, answer) in runs {
             let answer = answer.expect("sharded run");
