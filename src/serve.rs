@@ -72,7 +72,7 @@
 //! frame (a bad or conflicting `Content-Length`, any `Transfer-Encoding`,
 //! a body shorter than declared) with `400`.
 //!
-//! ## Planning
+//! ## Algorithm
 //!
 //! Every query runs [`AlgorithmKind::Expansion`] — the paper's expansion
 //! search under the heuristic scheduler — unless the request's
