@@ -194,7 +194,6 @@ impl Algorithm for IknnBaseline {
                 spatial: spatial_sim,
                 textual,
                 temporal: temporal_sim,
-                order_blend: None,
             });
         }
 

@@ -891,7 +891,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             spatial,
             textual,
             temporal,
-            order_blend: None,
         });
         self.retire_parts();
     }
@@ -994,7 +993,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                 spatial: 0.0,
                 textual,
                 temporal,
-                order_blend: None,
             });
             self.retire_parts();
         }

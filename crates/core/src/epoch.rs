@@ -130,8 +130,8 @@ impl EpochSnapshot {
         KeywordInvertedIndex<TrajectoryId>,
         TimestampIndex<TrajectoryId>,
     ) {
-        // nothing revives a retired id, so the survivors of `self` are
-        // exactly its live ids that `live` still holds
+        // `LiveSet` has no way to revive a retired id, so the survivors of
+        // `self` are exactly its live ids that `live` still holds
         debug_assert!(live
             .iter_live()
             .take_while(|id| id.index() < self.store.len())

@@ -62,7 +62,6 @@ pub mod epoch;
 mod error;
 mod keywords;
 mod metrics;
-pub mod order;
 pub mod parallel;
 pub mod planner;
 mod query;

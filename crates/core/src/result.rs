@@ -18,30 +18,15 @@ pub struct Match {
     pub textual: f64,
     /// Temporal channel value `SimTm ∈ [0, 1]` (0 when the channel is off).
     pub temporal: f64,
-    /// Order-aware blended score set by
-    /// [`rerank_by_order`](crate::order::rerank_by_order); `None` until a
-    /// rerank runs. `similarity` always stays the pure channel combination
-    /// — reranking must never make the reported similarity disagree with
-    /// its components. Deserializing pre-rerank payloads without the field
-    /// yields `None` (missing fields take their `Default`).
-    pub order_blend: Option<f64>,
 }
 
 impl Match {
-    /// The score ranking is based on: the order-aware blend after a
-    /// rerank, the channel-combination similarity otherwise.
-    #[inline]
-    pub fn rank_score(&self) -> f64 {
-        self.order_blend.unwrap_or(self.similarity)
-    }
-
-    /// Total order used everywhere: higher [`rank_score`](Self::rank_score)
-    /// first, ties broken by ascending trajectory id (deterministic across
-    /// algorithms).
+    /// Total order used everywhere: higher `similarity` first, ties broken
+    /// by ascending trajectory id (deterministic across algorithms).
     pub fn ranking_cmp(&self, other: &Match) -> std::cmp::Ordering {
         other
-            .rank_score()
-            .total_cmp(&self.rank_score())
+            .similarity
+            .total_cmp(&self.similarity)
             .then_with(|| self.id.cmp(&other.id))
     }
 }
@@ -101,7 +86,6 @@ mod tests {
             spatial: sim,
             textual: 0.0,
             temporal: 0.0,
-            order_blend: None,
         }
     }
 

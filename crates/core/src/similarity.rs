@@ -131,7 +131,6 @@ fn finish_match(
         spatial,
         textual,
         temporal,
-        order_blend: None,
     }
 }
 

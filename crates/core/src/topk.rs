@@ -9,7 +9,7 @@
 //! ## The merge total order
 //!
 //! `ranking_cmp` is a *strict* total order over matches with distinct ids:
-//! higher [`Match::rank_score`] ranks first, and exact score ties resolve
+//! higher `similarity` ranks first, and exact score ties resolve
 //! by **ascending trajectory id**. Because the order is total and ids are
 //! unique, the set of `k` best matches of any multiset is unique and
 //! **independent of offer order** — offering the same matches to a `TopK`
@@ -124,7 +124,6 @@ mod tests {
             spatial: 0.0,
             textual: 0.0,
             temporal: 0.0,
-            order_blend: None,
         }
     }
 

@@ -538,4 +538,13 @@ mod tests {
     fn display_impls() {
         assert_eq!(NodeId(7).to_string(), "v7");
     }
+
+    #[test]
+    fn serde_json_round_trip() {
+        use crate::generators::{grid_city, GridCityConfig};
+        let net = grid_city(&GridCityConfig::tiny(4)).unwrap();
+        let json = serde_json::to_string(&net).unwrap();
+        let back: RoadNetwork = serde_json::from_str(&json).unwrap();
+        assert_eq!(net, back);
+    }
 }

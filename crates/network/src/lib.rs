@@ -1,8 +1,7 @@
 //! # uots-network
 //!
 //! Spatial (road) network substrate for the UOTS reproduction: graph model,
-//! shortest paths, incremental network expansion, synthetic generators and
-//! I/O.
+//! shortest paths, incremental network expansion and synthetic generators.
 //!
 //! The UOTS paper family models a spatial network as a connected, undirected,
 //! edge-weighted graph whose vertices carry planar geometry; trajectory
@@ -16,10 +15,8 @@
 //!   behind the paper's concurrent multi-source expansion search;
 //! * [`astar::AStar`] — landmark-pruned A*, point-to-point routing for trip
 //!   generation (the plain Euclidean A*'s route, bit for bit);
-//! * [`matrix::DistanceMatrix`] — Floyd–Warshall all-pairs oracle;
 //! * [`generators`] — deterministic synthetic city networks standing in for
-//!   the paper's Beijing road network;
-//! * [`io`] — edge-list text format plus serde support.
+//!   the paper's Beijing road network.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,8 +29,6 @@ pub mod generators;
 mod geometry;
 mod graph;
 mod heap;
-pub mod io;
-pub mod matrix;
 
 pub use error::NetworkError;
 pub use geometry::{BBox, Point};

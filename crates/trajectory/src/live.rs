@@ -99,23 +99,6 @@ impl LiveSet {
         was
     }
 
-    /// Marks `id` live again; returns whether it was dead.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` is not covered by the mask.
-    pub fn revive(&mut self, id: TrajectoryId) -> bool {
-        let i = id.index();
-        assert!(i < self.len, "revive of uncovered id {id}");
-        let mask = 1u64 << (i % 64);
-        let was = self.bits[i / 64] & mask == 0;
-        if was {
-            self.bits[i / 64] |= mask;
-            self.live += 1;
-        }
-        was
-    }
-
     /// Iterator over the live ids in ascending order.
     pub fn iter_live(&self) -> impl Iterator<Item = TrajectoryId> + '_ {
         (0..self.len)
@@ -197,9 +180,6 @@ mod tests {
         assert!(!l.retire(TrajectoryId(69)), "double retire is a no-op");
         assert!(!l.is_live(TrajectoryId(69)));
         assert_eq!(l.num_live(), 69);
-        assert!(l.revive(TrajectoryId(69)));
-        assert!(!l.revive(TrajectoryId(69)), "double revive is a no-op");
-        assert_eq!(l.num_live(), 70);
     }
 
     #[test]

@@ -71,8 +71,7 @@ fn main() {
         );
     }
 
-    // Order-aware re-ranking (extension): prefer trips that visit the
-    // intended places in the given order.
+    // The five best trips at the default weights.
     let query = UotsQuery::with_options(
         places,
         keywords,
@@ -83,8 +82,6 @@ fn main() {
         },
     )
     .expect("valid query");
-    let mut result = Expansion::default().run(&db, &query).expect("query runs");
-    println!("\ntop-5 before order-aware re-ranking: {:?}", result.ids());
-    uots::order::rerank_by_order(&db, &query, &mut result, 0.3);
-    println!("top-5 after  order-aware re-ranking: {:?}", result.ids());
+    let result = Expansion::default().run(&db, &query).expect("query runs");
+    println!("\ntop-5: {:?}", result.ids());
 }

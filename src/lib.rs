@@ -62,7 +62,7 @@ pub use uots_trajectory as trajectory;
 
 pub use uots_core::wal::{FsyncPolicy, WalConfig, WalError, WalWriter};
 pub use uots_core::{
-    algorithms, epoch, order, parallel, similarity, BatchOptions, BatchPolicy, CancellationToken,
+    algorithms, epoch, parallel, similarity, BatchOptions, BatchPolicy, CancellationToken,
     Completeness, CoreError, Database, EpochManager, EpochSnapshot, ExecutionBudget, Match,
     Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext, SearchMetrics, TopK,
     UotsQuery, View, Weights,

@@ -2,7 +2,7 @@
 //! through indexing to query answering, exercised through the public facade.
 
 use uots::prelude::*;
-use uots::{order, parallel, TrajectoryStore};
+use uots::{parallel, TrajectoryStore};
 
 fn build(trips: usize, seed: u64) -> Dataset {
     Dataset::build(&DatasetConfig::small(trips, seed)).expect("dataset builds")
@@ -106,45 +106,6 @@ fn batch_execution_is_deterministic_across_thread_counts() {
     for (a, b) in r1.iter().zip(r3.iter()) {
         assert_eq!(a.ids(), b.ids());
     }
-}
-
-#[test]
-fn order_reranking_preserves_the_match_set() {
-    let ds = build(80, 5);
-    let db = uots::db(&ds);
-    let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
-    let q = UotsQuery::with_options(
-        spec.locations.clone(),
-        spec.keywords.clone(),
-        vec![],
-        QueryOptions {
-            k: 5,
-            ..Default::default()
-        },
-    )
-    .expect("valid");
-    let mut r = Expansion::default().run(&db, &q).expect("runs");
-    let mut before: Vec<TrajectoryId> = r.ids();
-    before.sort_unstable();
-    order::rerank_by_order(&db, &q, &mut r, 0.4);
-    let mut after: Vec<TrajectoryId> = r.ids();
-    after.sort_unstable();
-    assert_eq!(before, after, "re-ranking must permute, not alter, the set");
-    assert!(r.is_ranked() || !r.matches.is_empty());
-}
-
-#[test]
-fn network_round_trips_through_edge_list_and_queries_still_work() {
-    let ds = build(30, 6);
-    let text = uots::network::io::to_edge_list(&ds.network);
-    let net2 = uots::network::io::parse_edge_list(&text).expect("parses");
-    assert_eq!(ds.network, net2);
-    // rebuild the database against the re-parsed network
-    let vidx = ds.store.build_vertex_index(net2.num_nodes());
-    let db = Database::new(&net2, &ds.store, &vidx, &ds.keyword_blocks);
-    let spec = &workload::generate(&ds, &workload::WorkloadConfig::default())[0];
-    let q = UotsQuery::new(spec.locations.clone(), spec.keywords.clone()).expect("valid");
-    assert!(Expansion::default().run(&db, &q).is_ok());
 }
 
 #[test]

@@ -1,21 +1,12 @@
-//! All-pairs shortest path distances via Floyd–Warshall.
-//!
-//! Two roles in this workspace:
-//!
-//! * **test oracle** — property tests compare Dijkstra / A* / expansion
-//!   results against this independent `O(|V|³)` implementation on small
-//!   random graphs;
-//! * **baseline acceleration** — the paper family pre-computes all-pair
-//!   network distances to accelerate baselines on small networks ("TF-A" in
-//!   the join paper); the `TextFirst` baseline can optionally be fed a
-//!   [`DistanceMatrix`] the same way.
+//! All-pairs shortest path distances via Floyd–Warshall: the property
+//! tests' independent `O(|V|³)` oracle for Dijkstra and the incremental
+//! expansion on small random graphs.
 
-use crate::{NodeId, RoadNetwork};
+use uots::network::{NodeId, RoadNetwork};
 
 /// A dense `|V| × |V|` matrix of shortest-path distances.
 ///
-/// Memory is `8·|V|²` bytes — only use for networks of up to a few thousand
-/// vertices (tests, small baselines).
+/// Memory is `8·|V|²` bytes — only use for small networks.
 #[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
@@ -65,16 +56,6 @@ impl DistanceMatrix {
         DistanceMatrix { n, dist }
     }
 
-    /// Number of vertices the matrix covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix is empty (zero vertices).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Shortest-path distance between `a` and `b`; `None` when disconnected.
     ///
     /// # Panics
@@ -100,10 +81,10 @@ impl DistanceMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::shortest_path_tree;
-    use crate::{NetworkBuilder, Point};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use uots::network::dijkstra::shortest_path_tree;
+    use uots::network::{NetworkBuilder, Point};
 
     fn random_graph(seed: u64, n: usize, extra_edges: usize) -> RoadNetwork {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -9,11 +9,13 @@
 //! * grid-index nearest-neighbour equals linear scan;
 //! * top-k equals sort-and-truncate.
 
+mod matrix;
+
+use matrix::DistanceMatrix;
 use proptest::prelude::*;
 use uots::core::TopK;
 use uots::index::GridIndex;
 use uots::network::expansion::NetworkExpansion;
-use uots::network::matrix::DistanceMatrix;
 use uots::network::{dijkstra, NetworkBuilder};
 use uots::prelude::*;
 use uots::text::{KeywordId, TextSimilarity};
@@ -134,7 +136,6 @@ proptest! {
                 spatial: s,
                 textual: 0.0,
                 temporal: 0.0,
-                order_blend: None,
             })
             .collect();
         for m in &all {
