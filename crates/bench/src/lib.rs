@@ -214,18 +214,13 @@ impl LatencyStats {
     }
 
     /// Quantile in milliseconds (`q ∈ [0, 1]`).
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
         self.hist.quantile(q) as f64 / 1_000.0
     }
 
     /// Largest recorded latency in milliseconds.
-    pub fn max_ms(&self) -> f64 {
+    pub(crate) fn max_ms(&self) -> f64 {
         self.hist.max() as f64 / 1_000.0
-    }
-
-    /// Number of recorded queries.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
     }
 
     /// Fills a row's percentile columns from this distribution.
@@ -423,7 +418,7 @@ mod tests {
             stats.record(Duration::from_micros(10_000));
         }
         stats.record(Duration::from_micros(100_000));
-        assert_eq!(stats.count(), 100);
+        assert_eq!(stats.hist.count(), 100);
         let close = |got: f64, want: f64| (got - want).abs() / want <= 0.125;
         assert!(
             close(stats.quantile_ms(0.5), 1.0),

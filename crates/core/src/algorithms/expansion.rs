@@ -24,10 +24,6 @@ impl Expansion {
         Expansion { scheduler }
     }
 
-    /// The configured scheduler.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
 }
 
 impl Algorithm for Expansion {
@@ -65,6 +61,6 @@ mod tests {
             Expansion::new(Scheduler::MinRadius).name(),
             "expansion-w/o-h(mr)"
         );
-        assert_eq!(Expansion::default().scheduler(), Scheduler::heuristic());
+        assert_eq!(Expansion::default().scheduler, Scheduler::heuristic());
     }
 }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// How many expansion steps pass between clock/token polls inside the hot
 /// loops. Counter limits (`max_visited`, `max_settled`) are checked on
 /// every step regardless — they are just integer compares.
-pub const CHECK_INTERVAL: usize = 64;
+pub(crate) const CHECK_INTERVAL: usize = 64;
 
 /// A cheap, shareable cancellation flag.
 ///
@@ -73,13 +73,6 @@ impl ExecutionBudget {
         max_settled: None,
     };
 
-    /// `true` when no axis is limited (the fast path skips gate checks'
-    /// bookkeeping entirely only through [`Gate`]'s sticky flag, but this
-    /// is useful for reporting).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_wall.is_none() && self.max_visited.is_none() && self.max_settled.is_none()
-    }
-
     /// Builder: wall-clock limit in milliseconds.
     #[must_use]
     pub fn with_deadline_ms(mut self, ms: u64) -> Self {
@@ -119,17 +112,6 @@ pub enum Completeness {
 }
 
 impl Completeness {
-    /// Collapses a computed gap: a gap of zero (or below, defensively) is
-    /// an exact answer.
-    pub fn from_gap(gap: f64) -> Self {
-        if gap <= 0.0 {
-            Completeness::Exact
-        } else {
-            Completeness::BestEffort {
-                bound_gap: gap.min(1.0),
-            }
-        }
-    }
 
     /// Whether the answer is certified exact.
     pub fn is_exact(&self) -> bool {
@@ -172,7 +154,7 @@ impl RunControl {
     /// Builder: adds an absolute deadline (kept if earlier than any
     /// already present).
     #[must_use]
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
+    pub(crate) fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(match self.deadline {
             Some(d) => d.min(deadline),
             None => deadline,
@@ -196,7 +178,7 @@ impl RunControl {
     }
 
     /// Whether the deadline (if any) has already passed.
-    pub fn deadline_passed(&self) -> bool {
+    pub(crate) fn deadline_passed(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
@@ -206,7 +188,7 @@ impl RunControl {
 /// Sticky: once tripped it stays tripped, so loops can keep calling
 /// [`should_stop`](Self::should_stop) without re-deriving the decision.
 #[derive(Debug)]
-pub struct Gate {
+pub(crate) struct Gate {
     token: CancellationToken,
     deadline: Option<Instant>,
     max_visited: usize,
@@ -220,7 +202,7 @@ pub struct Gate {
 impl Gate {
     /// Builds the gate from the query's budget and the run's control. The
     /// wall-clock budget starts counting now.
-    pub fn new(budget: &ExecutionBudget, ctl: &RunControl) -> Self {
+    pub(crate) fn new(budget: &ExecutionBudget, ctl: &RunControl) -> Self {
         let budget_deadline = budget.max_wall.map(|w| Instant::now() + w);
         let deadline = match (ctl.deadline, budget_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -239,16 +221,11 @@ impl Gate {
         }
     }
 
-    /// An always-open gate (for paths that opt out of interruption).
-    pub fn open() -> Self {
-        Gate::new(&ExecutionBudget::UNLIMITED, &RunControl::unbounded())
-    }
-
     /// The cheap per-step check. `visited`/`settled` are the run's current
     /// effort counters; counter limits compare on every call, the token
     /// and clock are polled every [`CHECK_INTERVAL`] calls.
     #[inline]
-    pub fn should_stop(&mut self, visited: usize, settled: usize) -> bool {
+    pub(crate) fn should_stop(&mut self, visited: usize, settled: usize) -> bool {
         if self.tripped {
             return true;
         }
@@ -264,10 +241,10 @@ impl Gate {
         false
     }
 
-    /// Forced token + clock poll, bypassing the step counter. Used at
-    /// phase boundaries (e.g. between Dijkstra trees) where steps are
-    /// coarse.
-    pub fn interrupted_now(&mut self) -> bool {
+    /// Forced token + clock poll, bypassing the step counter: the
+    /// fault-injection wrappers' stall loop.
+    #[cfg(test)]
+    pub(crate) fn interrupted_now(&mut self) -> bool {
         if self.tripped {
             return true;
         }
@@ -281,10 +258,6 @@ impl Gate {
         self.token.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Whether the gate has tripped (the run ended best-effort).
-    pub fn tripped(&self) -> bool {
-        self.tripped
-    }
 }
 
 #[cfg(test)]
@@ -305,12 +278,12 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited_and_gate_stays_open() {
         let b = ExecutionBudget::default();
-        assert!(b.is_unlimited());
+        assert_eq!(b, ExecutionBudget::UNLIMITED);
         let mut g = Gate::new(&b, &RunControl::unbounded());
         for step in 0..10_000 {
             assert!(!g.should_stop(step, step));
         }
-        assert!(!g.tripped());
+        assert!(!g.tripped);
     }
 
     #[test]
@@ -372,17 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn completeness_collapses_zero_gap_to_exact() {
-        assert!(Completeness::from_gap(0.0).is_exact());
-        assert!(Completeness::from_gap(-0.5).is_exact());
-        let be = Completeness::from_gap(0.25);
-        assert!(!be.is_exact());
-        assert!((be.bound_gap() - 0.25).abs() < 1e-12);
-        assert_eq!(Completeness::from_gap(7.0).bound_gap(), 1.0);
-        assert_eq!(Completeness::default(), Completeness::Exact);
-    }
-
-    #[test]
     fn budget_builders_compose() {
         let b = ExecutionBudget::default()
             .with_deadline_ms(100)
@@ -391,6 +353,6 @@ mod tests {
         assert_eq!(b.max_wall, Some(Duration::from_millis(100)));
         assert_eq!(b.max_visited, Some(7));
         assert_eq!(b.max_settled, Some(9));
-        assert!(!b.is_unlimited());
+        assert_ne!(b, ExecutionBudget::UNLIMITED);
     }
 }

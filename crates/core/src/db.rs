@@ -96,7 +96,7 @@ impl<'a> Database<'a> {
     /// # Panics
     ///
     /// Panics when the mask does not cover the store.
-    pub fn with_live_set(mut self, live: &'a LiveSet) -> Self {
+    pub(crate) fn with_live_set(mut self, live: &'a LiveSet) -> Self {
         assert_eq!(
             live.len(),
             self.store.len(),
@@ -112,12 +112,6 @@ impl<'a> Database<'a> {
         self.live.is_none_or(|l| l.is_live(id))
     }
 
-    /// Number of visible trajectories.
-    pub fn num_live(&self) -> usize {
-        self.live
-            .map_or(self.store.len(), uots_trajectory::LiveSet::num_live)
-    }
-
     /// Validates that `query` can run against this database.
     ///
     /// # Errors
@@ -125,7 +119,7 @@ impl<'a> Database<'a> {
     /// [`CoreError::UnknownLocation`] for a location outside the network;
     /// [`CoreError::MissingIndex`] when the temporal channel is requested
     /// without a timestamp index.
-    pub fn validate(&self, query: &UotsQuery) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self, query: &UotsQuery) -> Result<(), CoreError> {
         for &v in query.locations() {
             if !self.network.contains_node(v) {
                 return Err(CoreError::UnknownLocation(v));
@@ -172,7 +166,7 @@ pub struct Part<'a> {
 /// coordinator's effort counters
 /// ([`crate::ShardedAnswer::shards_cut`] / `shards_cancelled`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PartFate {
+pub(crate) struct PartFate {
     /// The run touched at least one of the part's trajectories.
     pub walked: bool,
     /// The part's upper bound ([`crate::shard_upper_bound`]) fell strictly below
@@ -211,7 +205,7 @@ impl<'a> View<'a> {
     /// # Panics
     ///
     /// Panics without parts, or when they are not over one network.
-    pub fn new(parts: Vec<Part<'a>>, id_bound: usize) -> Self {
+    pub(crate) fn new(parts: Vec<Part<'a>>, id_bound: usize) -> Self {
         assert!(!parts.is_empty(), "a view needs at least one part");
         let nodes = parts[0].db.network.num_nodes();
         assert!(
@@ -232,7 +226,7 @@ impl<'a> View<'a> {
     }
 
     /// The road network every part serves.
-    pub fn network(&self) -> &'a RoadNetwork {
+    pub(crate) fn network(&self) -> &'a RoadNetwork {
         self.parts[0].db.network
     }
 
@@ -241,22 +235,17 @@ impl<'a> View<'a> {
         self.id_bound
     }
 
-    /// Live trajectories across all parts.
-    pub fn num_live(&self) -> usize {
-        self.parts.iter().map(|p| p.db.num_live()).sum()
-    }
-
     /// Validates `query` against every part ([`Database::validate`]).
     ///
     /// # Errors
     ///
     /// The first part's rejection.
-    pub fn validate(&self, query: &UotsQuery) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self, query: &UotsQuery) -> Result<(), CoreError> {
         self.parts.iter().try_for_each(|p| p.db.validate(query))
     }
 
     /// What the last run over this view did with each part.
-    pub fn fates(&self) -> Vec<PartFate> {
+    pub(crate) fn fates(&self) -> Vec<PartFate> {
         self.fates.iter().map(Cell::get).collect()
     }
 }

@@ -364,11 +364,6 @@ impl EpochManager {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// The current epoch number.
-    pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
-    }
-
     /// The shared road network.
     pub fn network(&self) -> &Arc<RoadNetwork> {
         &self.network
@@ -387,7 +382,7 @@ impl EpochManager {
 
     /// Live ids, unpublished ingests and retires included (the published
     /// count is the snapshot's [`EpochStats::live`]).
-    pub fn num_live(&self) -> usize {
+    pub(crate) fn num_live(&self) -> usize {
         lock_ok(&self.writer).live.num_live()
     }
 

@@ -78,8 +78,8 @@ pub mod wal;
 pub use uots_storage as storage;
 
 pub use budget::{CancellationToken, Completeness, ExecutionBudget, RunControl};
-pub use db::{Database, IdMap, Part, PartFate, TimeChannel, View};
-pub use epoch::{EpochManager, EpochSnapshot, EpochStats, Mutation};
+pub use db::{Database, IdMap, Part, TimeChannel, View};
+pub use epoch::{EpochManager, EpochSnapshot, Mutation};
 pub use error::CoreError;
 pub use metrics::SearchMetrics;
 pub use parallel::{BatchOptions, BatchPolicy, SearchContext};
@@ -89,4 +89,4 @@ pub use result::{Match, QueryResult};
 pub use scheduling::Scheduler;
 pub use shard::{shard_upper_bound, ClusterSnapshot, Partitioner, ShardedAnswer, ShardedCluster};
 pub use topk::TopK;
-pub use wal::{FsyncPolicy, WalConfig, WalError, WalReplay, WalWriter};
+pub use wal::{FsyncPolicy, WalConfig, WalError, WalWriter};

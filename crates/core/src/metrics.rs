@@ -56,7 +56,7 @@ pub struct SearchMetrics {
 
 impl SearchMetrics {
     /// A zeroed record for one query.
-    pub fn for_one_query() -> Self {
+    pub(crate) fn for_one_query() -> Self {
         SearchMetrics {
             queries: 1,
             ..Default::default()
@@ -93,16 +93,6 @@ impl SearchMetrics {
             return 0.0;
         }
         self.visited_trajectories as f64 / self.queries as f64
-    }
-
-    /// Runtime averaged per query. Divides in `f64`, so aggregates of more
-    /// than `u32::MAX` queries do not truncate the divisor (the old
-    /// `runtime / queries as u32` silently wrapped there).
-    pub fn runtime_per_query(&self) -> Duration {
-        if self.queries == 0 {
-            return Duration::ZERO;
-        }
-        self.runtime.div_f64(self.queries as f64)
     }
 
     /// Accumulates another record into this one. Counters and durations
@@ -197,22 +187,8 @@ mod tests {
         assert_eq!(a.phases.nanos(Phase::CandidateRefine), 40);
         assert_eq!(a.runtime, Duration::from_millis(30));
         assert!((a.visited_per_query() - 20.0).abs() < 1e-12);
-        assert_eq!(a.runtime_per_query(), Duration::from_millis(15));
         // per-query candidate ratio: 10 candidates over 2 × 100
         assert!((a.candidate_ratio(100) - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn runtime_per_query_survives_huge_query_counts() {
-        // u32-truncating division would wrap `queries` to 0 here and panic
-        // (or return garbage); div_f64 must stay finite and sane
-        let m = SearchMetrics {
-            queries: u32::MAX as usize + 2,
-            runtime: Duration::from_secs(u32::MAX as u64 + 2),
-            ..Default::default()
-        };
-        let per = m.runtime_per_query();
-        assert!((per.as_secs_f64() - 1.0).abs() < 1e-6, "got {per:?}");
     }
 
     #[test]
@@ -220,6 +196,5 @@ mod tests {
         let agg = SearchMetrics::aggregate([]);
         assert_eq!(agg.queries, 0);
         assert_eq!(agg.visited_per_query(), 0.0);
-        assert_eq!(agg.runtime_per_query(), Duration::ZERO);
     }
 }

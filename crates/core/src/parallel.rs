@@ -61,7 +61,7 @@ pub struct BatchOptions {
 impl BatchOptions {
     /// Fail-fast execution on `threads` workers, no deadline, no admission
     /// bound — the behaviour of the plain [`run_batch`].
-    pub fn fail_fast(threads: usize) -> Self {
+    pub(crate) fn fail_fast(threads: usize) -> Self {
         BatchOptions {
             policy: BatchPolicy::FailFast,
             threads,
@@ -69,14 +69,6 @@ impl BatchOptions {
         }
     }
 
-    /// Partial execution on `threads` workers.
-    pub fn partial(threads: usize) -> Self {
-        BatchOptions {
-            policy: BatchPolicy::Partial,
-            threads,
-            ..Default::default()
-        }
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -111,7 +103,7 @@ fn isolated<T>(run: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreErro
 /// [`BatchPolicy::FailFast`] — the first per-query error by input order.
 /// Under [`BatchPolicy::Partial`], per-query errors (including
 /// [`CoreError::QueryPanicked`]) stay in their slot of the inner `Vec`.
-pub fn run_batch_with<A: Algorithm + Sync>(
+pub(crate) fn run_batch_with<A: Algorithm + Sync>(
     db: &Database<'_>,
     algorithm: &A,
     queries: &[UotsQuery],
@@ -243,10 +235,19 @@ mod tests {
     use super::*;
     use crate::algorithms::Expansion;
     use crate::epoch::{EpochManager, EpochSnapshot};
-    use crate::testing::{FaultyAlgorithm, SlowAlgorithm};
+    use crate::testing::wrappers::{FaultyAlgorithm, SlowAlgorithm};
     use crate::SearchMetrics;
     use std::sync::Arc;
     use uots_datagen::{workload, Dataset, DatasetConfig};
+
+    /// Partial execution on `threads` workers.
+    fn partial(threads: usize) -> BatchOptions {
+        BatchOptions {
+            policy: BatchPolicy::Partial,
+            threads,
+            ..Default::default()
+        }
+    }
 
     fn setup() -> (Dataset, Vec<UotsQuery>) {
         let ds = Dataset::build(&DatasetConfig::small(80, 31)).unwrap();
@@ -316,7 +317,7 @@ mod tests {
             &db,
             &algo,
             &queries,
-            &BatchOptions::partial(1),
+            &partial(1),
             &CancellationToken::new(),
         )
         .unwrap();
@@ -350,7 +351,7 @@ mod tests {
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let opts = BatchOptions {
             max_batch: Some(4),
-            ..BatchOptions::partial(2)
+            ..partial(2)
         };
         let err = run_batch_with(
             &db,
@@ -376,7 +377,7 @@ mod tests {
         let algo = SlowAlgorithm::new(Expansion::default(), Duration::from_secs(3600));
         // a deadline is an interruption, not an error: FailFast has nothing
         // to fail on, and each slot's metrics record it
-        for base in [BatchOptions::partial(2), BatchOptions::fail_fast(2)] {
+        for base in [partial(2), BatchOptions::fail_fast(2)] {
             let opts = BatchOptions {
                 deadline: Some(Duration::from_millis(20)),
                 ..base
@@ -446,7 +447,7 @@ mod tests {
             &db,
             &Expansion::default(),
             &queries,
-            &BatchOptions::partial(2),
+            &partial(2),
             &token,
         )
         .unwrap();

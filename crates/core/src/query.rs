@@ -79,7 +79,7 @@ impl Weights {
     }
 
     /// Whether the temporal channel is active.
-    pub fn uses_temporal(&self) -> bool {
+    pub(crate) fn uses_temporal(&self) -> bool {
         self.temporal > 0.0
     }
 }
@@ -252,7 +252,7 @@ impl UotsQuery {
 
     /// The preferred timestamps (empty unless the temporal channel is on).
     #[inline]
-    pub fn times(&self) -> &[f64] {
+    pub(crate) fn times(&self) -> &[f64] {
         &self.times
     }
 

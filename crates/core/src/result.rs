@@ -46,7 +46,7 @@ pub struct QueryResult {
 impl QueryResult {
     /// The uninformative answer of a run interrupted before any work: no
     /// matches, `bound_gap = 1.0` (nothing certified).
-    pub fn interrupted_empty() -> Self {
+    pub(crate) fn interrupted_empty() -> Self {
         let mut metrics = SearchMetrics::for_one_query();
         metrics.interrupted = 1;
         QueryResult {

@@ -87,7 +87,7 @@ impl Scheduler {
     /// The heuristic with an explicit sweep period, clamped to ≥ 1. Prefer
     /// this over building the variant directly — the field stays public
     /// for pattern matching, but a zero period is never meaningful.
-    pub fn heuristic_every(recompute_every: usize) -> Self {
+    pub(crate) fn heuristic_every(recompute_every: usize) -> Self {
         Scheduler::Heuristic {
             recompute_every: recompute_every.max(1),
         }
@@ -97,21 +97,13 @@ impl Scheduler {
     /// The engine normalizes schedulers on entry, so even a directly
     /// constructed `Heuristic { recompute_every: 0 }` cannot stall a
     /// label sweep.
-    pub fn normalized(self) -> Self {
+    pub(crate) fn normalized(self) -> Self {
         match self {
             Scheduler::Heuristic { recompute_every } => Scheduler::heuristic_every(recompute_every),
             other => other,
         }
     }
 
-    /// Short display name used in experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheduler::RoundRobin => "round-robin",
-            Scheduler::MinRadius => "min-radius",
-            Scheduler::Heuristic { .. } => "heuristic",
-        }
-    }
 }
 
 impl Default for Scheduler {
@@ -126,9 +118,6 @@ mod tests {
 
     #[test]
     fn names_and_default() {
-        assert_eq!(Scheduler::RoundRobin.name(), "round-robin");
-        assert_eq!(Scheduler::MinRadius.name(), "min-radius");
-        assert_eq!(Scheduler::heuristic().name(), "heuristic");
         assert!(matches!(
             Scheduler::default(),
             Scheduler::Heuristic {

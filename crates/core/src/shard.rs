@@ -388,12 +388,6 @@ impl<S: Shard> Cluster<S> {
         self.shards.iter().map(|s| s.manager().num_live()).sum()
     }
 
-    /// Routes `global` to its shard and local id; `None` for an id the
-    /// cluster has not issued.
-    pub fn locate(&self, global: TrajectoryId) -> Option<(usize, TrajectoryId)> {
-        locate_in(&self.issued(), global)
-    }
-
     /// The writable shard whose next insert receives the smallest unused
     /// global id, given each shard's issued count — the unsharded engine's
     /// sequential assignment while every shard is writable.
@@ -727,7 +721,7 @@ mod tests {
         let (net, store) = fixture(40);
         let cluster = ShardedCluster::new(net, &store, 8, 4, Partitioner::Hash);
         for g in 0..40u32 {
-            let (s, l) = cluster.locate(TrajectoryId(g)).expect("seeded id");
+            let (s, l) = locate_in(&cluster.issued(), TrajectoryId(g)).expect("seeded id");
             assert_eq!(s, (g % 4) as usize);
             assert_eq!(l, TrajectoryId(g / 4));
             let snap = cluster.snapshot();
@@ -745,7 +739,7 @@ mod tests {
         }
         // and they route back to consistent (shard, local) pairs
         for g in 13..22u32 {
-            let (s, l) = cluster.locate(TrajectoryId(g)).expect("ingested id");
+            let (s, l) = locate_in(&cluster.issued(), TrajectoryId(g)).expect("ingested id");
             assert_eq!(g % 4, s as u32);
             assert_eq!(g / 4, l.0);
         }

@@ -27,7 +27,7 @@ use uots_trajectory::{Trajectory, TrajectoryId};
 ///
 /// Panics (debug) when `dists` is empty or `decay` is non-positive.
 #[inline]
-pub fn decay_mean(dists: &[f64], decay: f64) -> f64 {
+pub(crate) fn decay_mean(dists: &[f64], decay: f64) -> f64 {
     debug_assert!(!dists.is_empty());
     debug_assert!(decay > 0.0);
     let sum: f64 = dists.iter().map(|&d| (-d / decay).exp()).sum();
@@ -37,7 +37,7 @@ pub fn decay_mean(dists: &[f64], decay: f64) -> f64 {
 /// [`decay_mean`] over terms `e^(−d_i / decay)` computed beforehand: the
 /// same sum in the same order, so the same bits.
 #[inline]
-pub fn mean_of_terms(terms: &[f64]) -> f64 {
+pub(crate) fn mean_of_terms(terms: &[f64]) -> f64 {
     debug_assert!(!terms.is_empty());
     let sum: f64 = terms.iter().sum();
     sum / terms.len() as f64
@@ -46,14 +46,14 @@ pub fn mean_of_terms(terms: &[f64]) -> f64 {
 /// Exact spatial channel value from per-location point-to-trajectory
 /// distances.
 #[inline]
-pub fn spatial_component(dists: &[f64], decay_km: f64) -> f64 {
+pub(crate) fn spatial_component(dists: &[f64], decay_km: f64) -> f64 {
     decay_mean(dists, decay_km)
 }
 
 /// Exact temporal channel value from per-preferred-time minimal gaps.
 /// Returns 0 when the query has no temporal preference.
 #[inline]
-pub fn temporal_component(dts: &[f64], decay_s: f64) -> f64 {
+pub(crate) fn temporal_component(dts: &[f64], decay_s: f64) -> f64 {
     if dts.is_empty() {
         return 0.0;
     }
@@ -62,7 +62,7 @@ pub fn temporal_component(dts: &[f64], decay_s: f64) -> f64 {
 
 /// Combines the channel values with the query's weights.
 #[inline]
-pub fn combine(query: &UotsQuery, spatial: f64, textual: f64, temporal: f64) -> f64 {
+pub(crate) fn combine(query: &UotsQuery, spatial: f64, textual: f64, temporal: f64) -> f64 {
     let w = query.options().weights;
     w.spatial * spatial + w.textual * textual + w.temporal * temporal
 }
@@ -71,7 +71,7 @@ pub fn combine(query: &UotsQuery, spatial: f64, textual: f64, temporal: f64) -> 
 /// drained** [`MultiSourceExpansion`] (source `i` = query location `i`):
 /// the least distance over the trajectory's vertices, folded in sample
 /// order. Unreachable places yield `f64::INFINITY`.
-pub fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajectory) -> Vec<f64> {
+pub(crate) fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajectory) -> Vec<f64> {
     (0..ms.num_sources())
         .map(|si| {
             traj.nodes()
@@ -82,7 +82,7 @@ pub fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajec
 }
 
 /// Exact per-preferred-time minimal gaps `min_i |t − t_i|`.
-pub fn temporal_gaps(times: &[f64], traj: &Trajectory) -> Vec<f64> {
+pub(crate) fn temporal_gaps(times: &[f64], traj: &Trajectory) -> Vec<f64> {
     times
         .iter()
         .map(|&t| {
@@ -97,7 +97,7 @@ pub fn temporal_gaps(times: &[f64], traj: &Trajectory) -> Vec<f64> {
 /// [`MultiSourceExpansion`] and the trajectory's textual channel value
 /// (read off the keyword table by the caller). This is the reference
 /// ("ground truth") evaluation every algorithm must agree with.
-pub fn evaluate_with_multi(
+pub(crate) fn evaluate_with_multi(
     ms: &MultiSourceExpansion<'_>,
     query: &UotsQuery,
     id: TrajectoryId,

@@ -1,20 +1,13 @@
-//! Fault-injection wrappers for robustness testing.
+//! Fault injection for robustness testing.
 //!
-//! These adapters wrap any [`Algorithm`] to simulate the two failure modes
-//! the batch executor must survive: a worker that **panics** mid-batch
-//! ([`FaultyAlgorithm`]) and a query that is **too slow** for its deadline
-//! but honors cooperative cancellation ([`SlowAlgorithm`]). The
-//! [`corrupt`] submodule injects the three on-disk failure modes the WAL
+//! The [`corrupt`] submodule injects the on-disk failure modes the WAL
 //! recovery path must survive: torn writes, truncated segments, and bit
-//! flips. They live in the library (not `#[cfg(test)]`) so integration
-//! tests, benches, and downstream crates can exercise the same faults.
-
-use crate::algorithms::Algorithm;
-use crate::budget::{Gate, RunControl};
-use crate::{CoreError, QueryResult, UotsQuery, View};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-use uots_obs::Recorder;
+//! flips. It lives in the library (not `#[cfg(test)]`) so integration
+//! tests exercise the same faults. The two algorithm wrappers, compiled
+//! for this crate's unit tests only, simulate the failure modes the batch
+//! executor must survive: a worker that **panics** mid-batch
+//! (`FaultyAlgorithm`) and a query that is **too slow** for its deadline
+//! but honors cooperative cancellation (`SlowAlgorithm`).
 
 /// On-disk corruption injectors mirroring how storage actually fails:
 /// torn writes (a crash mid-`write(2)` leaves a prefix), truncation (lost
@@ -58,106 +51,115 @@ pub mod corrupt {
         raw[i] ^= 1 << bit;
         fs::write(path, &raw)
     }
-
-    /// Appends `junk` to the end of `path` — trailing garbage after a
-    /// valid payload.
-    pub fn append_garbage(path: impl AsRef<Path>, junk: &[u8]) -> io::Result<()> {
-        use std::io::Write;
-        let mut f = fs::OpenOptions::new().append(true).open(path)?;
-        f.write_all(junk)
-    }
 }
 
-/// Wraps an algorithm and panics on the `panic_on`-th call (0-based),
-/// counted across threads; every other call delegates untouched. Use it to
-/// verify that one poisoned query cannot take down a batch.
-pub struct FaultyAlgorithm<A> {
-    inner: A,
-    panic_on: usize,
-    calls: AtomicUsize,
-    message: &'static str,
-}
+/// Algorithm wrappers for this crate's batch-executor tests.
+#[cfg(test)]
+pub(crate) mod wrappers {
+    use crate::algorithms::Algorithm;
+    use crate::budget::{Gate, RunControl};
+    use crate::{CoreError, QueryResult, UotsQuery, View};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+    use uots_obs::Recorder;
 
-impl<A> FaultyAlgorithm<A> {
-    /// Panics (with `message`) on call number `panic_on`, 0-based.
-    pub fn new(inner: A, panic_on: usize, message: &'static str) -> Self {
-        FaultyAlgorithm {
-            inner,
-            panic_on,
-            calls: AtomicUsize::new(0),
-            message,
-        }
+    /// Wraps an algorithm and panics on the `panic_on`-th call (0-based),
+    /// counted across threads; every other call delegates untouched. Use it to
+    /// verify that one poisoned query cannot take down a batch.
+    pub(crate) struct FaultyAlgorithm<A> {
+        inner: A,
+        panic_on: usize,
+        calls: AtomicUsize,
+        message: &'static str,
     }
 
-    /// Total calls observed so far.
-    pub fn calls(&self) -> usize {
-        self.calls.load(Ordering::Relaxed)
-    }
-}
-
-impl<A: Algorithm> Algorithm for FaultyAlgorithm<A> {
-    fn run_ctx(
-        &self,
-        view: &View<'_>,
-        query: &UotsQuery,
-        ctl: &RunControl,
-        rec: &mut Recorder,
-    ) -> Result<QueryResult, CoreError> {
-        let call = self.calls.fetch_add(1, Ordering::Relaxed);
-        if call == self.panic_on {
-            panic!("{}", self.message);
-        }
-        self.inner.run_ctx(view, query, ctl, rec)
-    }
-
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-}
-
-/// Wraps an algorithm and stalls for `delay` before delegating, polling the
-/// gate while stalling: a deadline or cancellation arriving during the
-/// stall yields the empty best-effort answer, exactly like a real query
-/// that could not finish in time.
-pub struct SlowAlgorithm<A> {
-    inner: A,
-    delay: Duration,
-}
-
-impl<A> SlowAlgorithm<A> {
-    /// Stalls `delay` per query before running `inner`.
-    pub fn new(inner: A, delay: Duration) -> Self {
-        SlowAlgorithm { inner, delay }
-    }
-}
-
-impl<A: Algorithm> Algorithm for SlowAlgorithm<A> {
-    fn run_ctx(
-        &self,
-        view: &View<'_>,
-        query: &UotsQuery,
-        ctl: &RunControl,
-        rec: &mut Recorder,
-    ) -> Result<QueryResult, CoreError> {
-        let mut gate = Gate::new(&query.options().budget, ctl);
-        let start = Instant::now();
-        while start.elapsed() < self.delay {
-            if gate.interrupted_now() {
-                return Ok(QueryResult::interrupted_empty());
+    impl<A> FaultyAlgorithm<A> {
+        /// Panics (with `message`) on call number `panic_on`, 0-based.
+        pub(crate) fn new(inner: A, panic_on: usize, message: &'static str) -> Self {
+            FaultyAlgorithm {
+                inner,
+                panic_on,
+                calls: AtomicUsize::new(0),
+                message,
             }
-            std::thread::sleep(Duration::from_micros(200));
         }
-        self.inner.run_ctx(view, query, ctl, rec)
+
+        /// Total calls observed so far.
+        pub(crate) fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "slow"
+    impl<A: Algorithm> Algorithm for FaultyAlgorithm<A> {
+        fn run_ctx(
+            &self,
+            view: &View<'_>,
+            query: &UotsQuery,
+            ctl: &RunControl,
+            rec: &mut Recorder,
+        ) -> Result<QueryResult, CoreError> {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            if call == self.panic_on {
+                panic!("{}", self.message);
+            }
+            self.inner.run_ctx(view, query, ctl, rec)
+        }
+
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+    }
+
+    /// Wraps an algorithm and stalls for `delay` before delegating, polling the
+    /// gate while stalling: a deadline or cancellation arriving during the
+    /// stall yields the empty best-effort answer, exactly like a real query
+    /// that could not finish in time.
+    pub(crate) struct SlowAlgorithm<A> {
+        inner: A,
+        delay: Duration,
+    }
+
+    impl<A> SlowAlgorithm<A> {
+        /// Stalls `delay` per query before running `inner`.
+        pub(crate) fn new(inner: A, delay: Duration) -> Self {
+            SlowAlgorithm { inner, delay }
+        }
+    }
+
+    impl<A: Algorithm> Algorithm for SlowAlgorithm<A> {
+        fn run_ctx(
+            &self,
+            view: &View<'_>,
+            query: &UotsQuery,
+            ctl: &RunControl,
+            rec: &mut Recorder,
+        ) -> Result<QueryResult, CoreError> {
+            let mut gate = Gate::new(&query.options().budget, ctl);
+            let start = Instant::now();
+            while start.elapsed() < self.delay {
+                if gate.interrupted_now() {
+                    return Ok(QueryResult::interrupted_empty());
+                }
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            self.inner.run_ctx(view, query, ctl, rec)
+        }
+
+        fn name(&self) -> &'static str {
+            "slow"
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::wrappers::{FaultyAlgorithm, SlowAlgorithm};
     use super::*;
+    use crate::algorithms::Algorithm;
+    use crate::budget::RunControl;
+    use crate::UotsQuery;
+    use std::time::Duration;
+    use uots_obs::Recorder;
     use crate::algorithms::BruteForce;
     use crate::budget::CancellationToken;
     use crate::Database;
@@ -240,10 +242,6 @@ mod tests {
         assert!(corrupt::flip_bit(&path, 10, 0).is_err(), "offset == len");
         assert!(corrupt::flip_bit(&path, 0, 8).is_err());
 
-        corrupt::append_garbage(&path, b"junk").unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw.len(), 14);
-        assert_eq!(&raw[10..], b"junk");
         std::fs::remove_dir_all(&dir).ok();
     }
 

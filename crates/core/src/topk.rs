@@ -83,20 +83,10 @@ impl TopK {
         }
     }
 
-    /// Number of matches currently held.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no match has been offered yet.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// The termination threshold: the k-th best similarity, or `-∞` while
     /// fewer than `k` matches are held. A search may stop once its global
     /// upper bound on unseen trajectories drops to (or below) this value.
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         if self.heap.len() < self.k {
             f64::NEG_INFINITY
         } else {

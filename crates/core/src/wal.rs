@@ -330,17 +330,6 @@ impl WalWriter {
         self.durable_next_lsn.saturating_sub(1)
     }
 
-    /// Whether a failed seal is still pending (the writer refuses appends
-    /// until the seal succeeds on retry).
-    pub fn pending_seal(&self) -> bool {
-        self.pending_seal.is_some()
-    }
-
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Current segment path and its length in bytes after the last append
     /// (record boundaries — the crash points the recovery tests cut at).
     pub fn position(&self) -> (PathBuf, u64) {
@@ -1179,7 +1168,7 @@ mod tests {
         assert_eq!(w.next_lsn(), 2);
         assert_eq!(w.durable_lsn(), 1);
         // the segment was sealed and a fresh one opened straight away
-        assert!(!w.pending_seal());
+        assert!(w.pending_seal.is_none());
         // the retry lands in the new segment under the same LSN
         assert_eq!(w.append(&batches()[1]).unwrap(), 2);
         assert_eq!(w.durable_lsn(), 2);
@@ -1272,7 +1261,7 @@ mod tests {
         assert_eq!(w.append(&batches()[0]).unwrap(), 1);
         assert!(w.append(&batches()[1]).is_err());
         assert_eq!(w.next_lsn(), 2, "failed append must not consume the LSN");
-        assert!(!w.pending_seal());
+        assert!(w.pending_seal.is_none());
         assert_eq!(w.append(&batches()[1]).unwrap(), 2);
         drop(w);
         // the partial record was cut; both batches replay cleanly
@@ -1307,7 +1296,7 @@ mod tests {
         assert_eq!(w.durable_lsn(), 0, "nothing synced yet");
         assert!(w.sync().is_err());
         // the seal re-wrote both acked records durably
-        assert!(!w.pending_seal());
+        assert!(w.pending_seal.is_none());
         assert_eq!(w.durable_lsn(), 2);
         assert_eq!(w.append(&batches()[2]).unwrap(), 3);
         w.sync().unwrap();

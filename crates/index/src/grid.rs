@@ -93,21 +93,6 @@ impl GridIndex {
         }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty (never: construction requires points).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Grid shape `(cols, rows)` — exposed for diagnostics and tests.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
     #[inline]
     fn cell_coords(&self, p: &Point) -> (isize, isize) {
         let cx = ((p.x - self.bbox.min.x) / self.cell_size).floor() as isize;
@@ -175,25 +160,6 @@ impl GridIndex {
         (best_i, best_d2.sqrt())
     }
 
-    /// Indices of all points within Euclidean distance `radius` of `q`,
-    /// in ascending index order.
-    pub fn within_radius(&self, q: &Point, radius: f64) -> Vec<usize> {
-        let r2 = radius * radius;
-        let (qcx, qcy) = self.cell_coords(q);
-        let span = (radius / self.cell_size).ceil() as isize + 1;
-        let mut out = Vec::new();
-        for cy in (qcy - span)..=(qcy + span) {
-            for cx in (qcx - span)..=(qcx + span) {
-                for &i in self.bucket(cx, cy) {
-                    if q.distance_sq(&self.points[i as usize]) <= r2 {
-                        out.push(i as usize);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -252,23 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn within_radius_matches_linear_scan() {
-        let pts = random_points(5, 300);
-        let grid = GridIndex::build(&pts, 6);
-        let q = Point::new(50.0, 30.0);
-        for radius in [0.5, 3.0, 10.0, 200.0] {
-            let got = grid.within_radius(&q, radius);
-            let expect: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| q.distance(p) <= radius)
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(got, expect, "radius {radius}");
-        }
-    }
-
-    #[test]
     fn single_point_and_degenerate_extents() {
         let grid = GridIndex::build(&[Point::new(3.0, 4.0)], 4);
         let (i, d) = grid.nearest(&Point::new(0.0, 0.0));
@@ -299,7 +248,6 @@ mod tests {
         let grid = GridIndex::build(&pts, 4);
         let (_, d) = grid.nearest(&Point::new(1.0, 1.0));
         assert!(d < 1e-12);
-        assert_eq!(grid.within_radius(&Point::new(1.0, 1.0), 0.1).len(), 20);
     }
 
     #[test]
@@ -320,7 +268,7 @@ mod tests {
             .map(|i| Point::new(i as f64 * 10_101.01, (i % 2) as f64))
             .collect();
         let grid = GridIndex::build(&pts, 1);
-        let (cols, rows) = grid.shape();
+        let (cols, rows) = (grid.cols, grid.rows);
         let bbox = BBox::of(pts.iter());
         assert!(
             cols as f64 * grid.cell_size >= bbox.width() - 1e-6,
@@ -407,6 +355,6 @@ mod tests {
         let back: GridIndex = serde_json::from_str(&json).unwrap();
         let q = Point::new(12.0, 34.0);
         assert_eq!(grid.nearest(&q).0, back.nearest(&q).0);
-        assert_eq!(grid.shape(), back.shape());
+        assert_eq!((grid.cols, grid.rows), (back.cols, back.rows));
     }
 }

@@ -185,17 +185,7 @@ pub struct PreparedQuery {
 }
 
 impl PreparedQuery {
-    /// Number of keywords in the query set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
 
-    /// Whether the query set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// Intersection size of two sorted, deduplicated id slices via galloping

@@ -96,7 +96,7 @@ impl<V: Copy> TimestampIndex<V> {
         self.times.len()
     }
 
-    /// Whether the index holds no samples.
+    /// Whether no sample is registered.
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
@@ -142,20 +142,6 @@ pub struct TimeExpansion<'a, V> {
 }
 
 impl<'a, V: Copy> TimeExpansion<'a, V> {
-    /// The expansion origin timestamp.
-    pub fn origin(&self) -> f64 {
-        self.t
-    }
-
-    /// `dt` of the most recently scanned sample: a lower bound on every
-    /// unscanned sample's `dt` (and `f64::INFINITY` once exhausted).
-    pub fn radius(&self) -> f64 {
-        if self.is_exhausted() {
-            f64::INFINITY
-        } else {
-            self.radius
-        }
-    }
 
     /// Whether all samples have been scanned.
     pub fn is_exhausted(&self) -> bool {
@@ -225,7 +211,6 @@ mod tests {
         // sample wins the tie)
         assert_eq!(&seen[..2], &[2, 3]);
         assert!(exp.is_exhausted());
-        assert_eq!(exp.radius(), f64::INFINITY);
     }
 
     #[test]
@@ -235,7 +220,7 @@ mod tests {
         for _ in 0..3 {
             exp.next_scanned();
         }
-        let r = exp.radius();
+        let r = exp.radius;
         // remaining: 0.0, 10_000, 86_400 — all with dt >= r
         for t in [0.0f64, 10_000.0, 86_400.0] {
             assert!((t - 7_250.0).abs() >= r);
@@ -264,7 +249,7 @@ mod tests {
     fn out_of_range_origin_is_clamped() {
         let idx = index();
         let exp = idx.expand_from(1e9);
-        assert_eq!(exp.origin(), DAY_SECONDS);
+        assert_eq!(exp.t, DAY_SECONDS);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use uots_trajectory::Trajectory;
 /// (already weighted by λ; summing the two directions yields the pair's
 /// similarity).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Half {
+pub(crate) struct Half {
     /// `λ · half_S / 2`.
     pub spatial: f64,
     /// `(1 − λ) · half_T / 2`.
@@ -36,7 +36,7 @@ pub struct Half {
 impl Half {
     /// The half's total contribution.
     #[inline]
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.spatial + self.temporal
     }
 }
@@ -49,7 +49,7 @@ impl Half {
 /// incrementally from its expansions. Both channels sum over distinct
 /// values with their sample-count weights, in the search's order, so the
 /// oracle's halves are bit-identical to the search's.
-pub fn exact_half(
+pub(crate) fn exact_half(
     cfg: &JoinConfig,
     trees: &[ShortestPathTree],
     weights: &[f64],
@@ -86,7 +86,7 @@ pub fn exact_half(
 /// (weights sum to 1). A trajectory revisiting a vertex contributes that
 /// vertex's decay once per visit in `half_S`; grouping by vertex keeps the
 /// expansion source count equal to the *distinct* vertex count.
-pub fn distinct_nodes_weighted(t: &Trajectory) -> (Vec<uots_network::NodeId>, Vec<f64>) {
+pub(crate) fn distinct_nodes_weighted(t: &Trajectory) -> (Vec<uots_network::NodeId>, Vec<f64>) {
     let mut pairs: Vec<(uots_network::NodeId, usize)> = Vec::new();
     for v in t.nodes() {
         match pairs.iter_mut().find(|(u, _)| *u == v) {
@@ -102,7 +102,7 @@ pub fn distinct_nodes_weighted(t: &Trajectory) -> (Vec<uots_network::NodeId>, Ve
 
 /// The distinct timestamps of a trajectory with sample-count weights
 /// (sum 1), for the temporal expansions.
-pub fn distinct_times_weighted(t: &Trajectory) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn distinct_times_weighted(t: &Trajectory) -> (Vec<f64>, Vec<f64>) {
     let mut pairs: Vec<(f64, usize)> = Vec::new();
     for ts in t.times() {
         match pairs.iter_mut().find(|(u, _)| *u == ts) {

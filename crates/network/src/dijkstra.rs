@@ -1,6 +1,5 @@
 //! Dijkstra's algorithm in several guises: full shortest-path trees,
-//! early-terminating point-to-point distances, many-target searches and
-//! radius-bounded trees.
+//! early-terminating point-to-point distances and radius-bounded trees.
 //!
 //! These are the exact-distance workhorses used by the brute-force oracle,
 //! the baselines and the data generators. The *incremental* expansion used
@@ -10,19 +9,14 @@ use crate::heap::{HeapEntry, TotalF64};
 use crate::{NodeId, RoadNetwork};
 use std::collections::BinaryHeap;
 
-/// A (possibly partial) shortest-path tree rooted at a source vertex.
+/// The distances of a (possibly partial) shortest-path tree rooted at a
+/// source vertex.
 #[derive(Debug, Clone)]
 pub struct ShortestPathTree {
-    source: NodeId,
     dist: Vec<f64>,
-    parent: Vec<Option<NodeId>>,
 }
 
 impl ShortestPathTree {
-    /// The root of the tree.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
 
     /// Network distance from the source to `v`, or `None` when `v` was not
     /// reached (disconnected, or outside the radius of a bounded search).
@@ -34,28 +28,8 @@ impl ShortestPathTree {
 
     /// Raw distance slice; unreachable vertices hold `f64::INFINITY`.
     #[inline]
-    pub fn distances(&self) -> &[f64] {
+    pub(crate) fn distances(&self) -> &[f64] {
         &self.dist
-    }
-
-    /// Predecessor of `v` on its shortest path from the source.
-    pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v.index()]
-    }
-
-    /// Reconstructs the shortest path from the source to `dst` (inclusive of
-    /// both endpoints), or `None` when `dst` was not reached.
-    pub fn path_to(&self, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(dst)?;
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(cur, self.source);
-        path.reverse();
-        Some(path)
     }
 
     /// Number of vertices reached (settled) by the search.
@@ -82,7 +56,7 @@ pub fn shortest_path_tree(net: &RoadNetwork, source: NodeId) -> ShortestPathTree
 /// # Panics
 ///
 /// Panics if `source` is not a vertex of `net`.
-pub fn bounded_shortest_path_tree(
+pub(crate) fn bounded_shortest_path_tree(
     net: &RoadNetwork,
     source: NodeId,
     radius: f64,
@@ -90,7 +64,6 @@ pub fn bounded_shortest_path_tree(
     assert!(net.contains_node(source), "source not in network");
     let n = net.num_nodes();
     let mut dist = vec![f64::INFINITY; n];
-    let mut parent = vec![None; n];
     let mut settled = vec![false; n];
     let mut heap = BinaryHeap::new();
     dist[source.index()] = 0.0;
@@ -111,7 +84,6 @@ pub fn bounded_shortest_path_tree(
             let nd = d + w;
             if nd < dist[u.index()] && nd <= radius {
                 dist[u.index()] = nd;
-                parent[u.index()] = Some(v);
                 heap.push(HeapEntry {
                     dist: TotalF64(nd),
                     node: u,
@@ -124,14 +96,9 @@ pub fn bounded_shortest_path_tree(
     for v in 0..n {
         if !settled[v] {
             dist[v] = f64::INFINITY;
-            parent[v] = None;
         }
     }
-    ShortestPathTree {
-        source,
-        dist,
-        parent,
-    }
+    ShortestPathTree { dist }
 }
 
 /// Network distance between `source` and `target`, terminating as soon as
@@ -180,71 +147,6 @@ pub fn distance(net: &RoadNetwork, source: NodeId, target: NodeId) -> Option<f64
     None
 }
 
-/// Network distances from `source` to each vertex in `targets`, terminating
-/// once all targets are settled. Entries are `None` for unreachable targets.
-///
-/// # Panics
-///
-/// Panics if `source` or any target is not in `net`.
-pub fn distances_to_many(
-    net: &RoadNetwork,
-    source: NodeId,
-    targets: &[NodeId],
-) -> Vec<Option<f64>> {
-    assert!(net.contains_node(source), "source not in network");
-    let n = net.num_nodes();
-    let mut remaining = 0usize;
-    let mut wanted = vec![false; n];
-    for &t in targets {
-        assert!(net.contains_node(t), "target not in network");
-        if !wanted[t.index()] {
-            wanted[t.index()] = true;
-            remaining += 1;
-        }
-    }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: TotalF64(0.0),
-        node: source,
-    });
-    while let Some(HeapEntry {
-        dist: TotalF64(d),
-        node: v,
-    }) = heap.pop()
-    {
-        if settled[v.index()] {
-            continue;
-        }
-        settled[v.index()] = true;
-        if wanted[v.index()] {
-            remaining -= 1;
-            if remaining == 0 {
-                break;
-            }
-        }
-        for (u, w) in net.neighbors(v) {
-            let nd = d + w;
-            if nd < dist[u.index()] {
-                dist[u.index()] = nd;
-                heap.push(HeapEntry {
-                    dist: TotalF64(nd),
-                    node: u,
-                });
-            }
-        }
-    }
-    targets
-        .iter()
-        .map(|t| {
-            let d = dist[t.index()];
-            (settled[t.index()] && d.is_finite()).then_some(d)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,19 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_paths_follow_parents() {
-        let net = small();
-        let t = shortest_path_tree(&net, NodeId(0));
-        assert_eq!(
-            t.path_to(NodeId(2)).unwrap(),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
-        assert_eq!(t.path_to(NodeId(0)).unwrap(), vec![NodeId(0)]);
-        assert_eq!(t.parent(NodeId(0)), None);
-        assert_eq!(t.parent(NodeId(2)), Some(NodeId(1)));
-    }
-
-    #[test]
     fn point_to_point_matches_tree() {
         let net = small();
         assert_eq!(distance(&net, NodeId(0), NodeId(2)), Some(2.0));
@@ -306,7 +195,6 @@ mod tests {
         assert_eq!(distance(&net, NodeId(0), NodeId(2)), None);
         let t = shortest_path_tree(&net, NodeId(0));
         assert_eq!(t.distance(NodeId(2)), None);
-        assert_eq!(t.path_to(NodeId(2)), None);
     }
 
     #[test]
@@ -327,22 +215,5 @@ mod tests {
         assert_eq!(t.distance(NodeId(1)), None);
         assert_eq!(t.distance(NodeId(2)), None);
         assert_eq!(t.reached_count(), 1);
-    }
-
-    #[test]
-    fn many_targets_with_duplicates_and_source() {
-        let net = small();
-        let ds = distances_to_many(
-            &net,
-            NodeId(0),
-            &[NodeId(2), NodeId(0), NodeId(2), NodeId(1)],
-        );
-        assert_eq!(ds, vec![Some(2.0), Some(0.0), Some(2.0), Some(1.0)]);
-    }
-
-    #[test]
-    fn many_targets_empty_list() {
-        let net = small();
-        assert!(distances_to_many(&net, NodeId(0), &[]).is_empty());
     }
 }

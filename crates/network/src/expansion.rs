@@ -57,7 +57,6 @@ pub struct Settled {
 /// ```
 pub struct NetworkExpansion<'a> {
     net: &'a RoadNetwork,
-    source: NodeId,
     /// Tentative distances; only meaningful where `stamp == epoch`.
     dist: Vec<f64>,
     /// Which vertices are settled; only meaningful where `stamp == epoch`.
@@ -67,7 +66,6 @@ pub struct NetworkExpansion<'a> {
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
     radius: f64,
-    settled_count: usize,
     started: bool,
 }
 
@@ -78,14 +76,12 @@ impl<'a> NetworkExpansion<'a> {
         let n = net.num_nodes();
         NetworkExpansion {
             net,
-            source: NodeId(0),
             dist: vec![f64::INFINITY; n],
             settled: vec![false; n],
             stamp: vec![0; n],
             epoch: 0,
             heap: BinaryHeap::new(),
             radius: 0.0,
-            settled_count: 0,
             started: false,
         }
     }
@@ -106,7 +102,6 @@ impl<'a> NetworkExpansion<'a> {
     /// Panics if `source` is not a vertex of the network.
     pub fn start(&mut self, source: NodeId) {
         assert!(self.net.contains_node(source), "source not in network");
-        self.source = source;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // extremely unlikely wrap-around: hard-reset the stamps
@@ -115,7 +110,6 @@ impl<'a> NetworkExpansion<'a> {
         }
         self.heap.clear();
         self.radius = 0.0;
-        self.settled_count = 0;
         self.started = true;
         self.set_dist(source, 0.0);
         self.heap.push(HeapEntry {
@@ -139,16 +133,6 @@ impl<'a> NetworkExpansion<'a> {
         self.dist[i] = d;
     }
 
-    /// The expansion source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`start`](Self::start) has not been called.
-    pub fn source(&self) -> NodeId {
-        assert!(self.started, "expansion not started");
-        self.source
-    }
-
     /// Settles and returns the next-nearest unsettled vertex, or `None` when
     /// every vertex reachable from the source has been settled.
     ///
@@ -168,7 +152,6 @@ impl<'a> NetworkExpansion<'a> {
             }
             debug_assert!(self.is_current(v));
             self.settled[i] = true;
-            self.settled_count += 1;
             debug_assert!(
                 d >= self.radius - 1e-12,
                 "settle order must be nondecreasing"
@@ -188,19 +171,6 @@ impl<'a> NetworkExpansion<'a> {
             return Some(Settled { node: v, dist: d });
         }
         None
-    }
-
-    /// Advances the expansion until its radius reaches at least `target`,
-    /// collecting settled vertices into `out`. Returns `false` when the
-    /// expansion exhausted the component first.
-    pub fn expand_to_radius(&mut self, target: f64, out: &mut Vec<Settled>) -> bool {
-        while self.radius < target {
-            match self.next_settled() {
-                Some(s) => out.push(s),
-                None => return false,
-            }
-        }
-        true
     }
 
     /// Distance of the most recently settled vertex: a valid lower bound on
@@ -230,12 +200,6 @@ impl<'a> NetworkExpansion<'a> {
         self.heap.is_empty()
     }
 
-    /// Number of vertices settled so far.
-    #[inline]
-    pub fn settled_count(&self) -> usize {
-        self.settled_count
-    }
-
     /// Current size of the Dijkstra frontier: pending heap entries,
     /// including stale duplicates awaiting lazy deletion. This is the
     /// expansion's live memory footprint beyond the O(|V|) scratch arrays,
@@ -245,12 +209,6 @@ impl<'a> NetworkExpansion<'a> {
         self.heap.len()
     }
 
-    /// Exact distance to `v` if it has been settled, `None` otherwise.
-    #[inline]
-    pub fn settled_distance(&self, v: NodeId) -> Option<f64> {
-        let i = v.index();
-        (self.is_current(v) && self.settled[i]).then(|| self.dist[i])
-    }
 }
 
 /// A vertex settled by a [`MultiSourceExpansion`].
@@ -442,10 +400,12 @@ mod tests {
         let net = line(10);
         let tree = shortest_path_tree(&net, NodeId(0));
         let mut exp = NetworkExpansion::from_source(&net, NodeId(0));
+        let mut settled = 0;
         while let Some(s) = exp.next_settled() {
             assert_eq!(tree.distance(s.node), Some(s.dist));
+            settled += 1;
         }
-        assert_eq!(exp.settled_count(), 10);
+        assert_eq!(settled, 10);
     }
 
     #[test]
@@ -453,12 +413,10 @@ mod tests {
         let net = line(10);
         let mut exp = NetworkExpansion::from_source(&net, NodeId(0));
         let tree = shortest_path_tree(&net, NodeId(0));
-        for _ in 0..5 {
-            exp.next_settled();
-        }
+        let settled: Vec<NodeId> = (0..5).map(|_| exp.next_settled().unwrap().node).collect();
         let r = exp.radius();
         for v in net.node_ids() {
-            if exp.settled_distance(v).is_none() {
+            if !settled.contains(&v) {
                 assert!(tree.distance(v).unwrap() >= r);
             }
         }
@@ -469,11 +427,13 @@ mod tests {
         let net = line(8);
         let mut exp = NetworkExpansion::new(&net);
         exp.start(NodeId(0));
-        while exp.next_settled().is_some() {}
-        assert_eq!(exp.settled_count(), 8);
+        let mut settled = 0;
+        while exp.next_settled().is_some() {
+            settled += 1;
+        }
+        assert_eq!(settled, 8);
 
         exp.start(NodeId(7));
-        assert_eq!(exp.settled_count(), 0);
         assert_eq!(exp.radius(), 0.0);
         let first = exp.next_settled().unwrap();
         assert_eq!(first.node, NodeId(7));
@@ -482,39 +442,11 @@ mod tests {
         assert_eq!(second.node, NodeId(6));
         assert_eq!(second.dist, 1.0);
         // distances from the previous run must not leak through
-        assert_eq!(exp.settled_distance(NodeId(0)), None);
-    }
-
-    #[test]
-    fn expand_to_radius_stops_at_target() {
-        let net = line(10);
-        let mut exp = NetworkExpansion::from_source(&net, NodeId(0));
-        let mut out = Vec::new();
-        let alive = exp.expand_to_radius(3.0, &mut out);
-        assert!(alive);
-        assert!(exp.radius() >= 3.0);
-        assert!(out.iter().any(|s| s.node == NodeId(3)));
-        assert!(out.iter().all(|s| s.dist <= 3.0));
-    }
-
-    #[test]
-    fn expand_to_radius_reports_exhaustion() {
-        let net = line(4);
-        let mut exp = NetworkExpansion::from_source(&net, NodeId(0));
-        let mut out = Vec::new();
-        let alive = exp.expand_to_radius(100.0, &mut out);
-        assert!(!alive);
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn settled_distance_visibility() {
-        let net = line(5);
-        let mut exp = NetworkExpansion::from_source(&net, NodeId(0));
-        assert_eq!(exp.settled_distance(NodeId(0)), None); // source not yet popped
-        exp.next_settled();
-        assert_eq!(exp.settled_distance(NodeId(0)), Some(0.0));
-        assert_eq!(exp.settled_distance(NodeId(4)), None);
+        let mut last = second;
+        while let Some(s) = exp.next_settled() {
+            last = s;
+        }
+        assert_eq!((last.node, last.dist), (NodeId(0), 7.0));
     }
 
     #[test]

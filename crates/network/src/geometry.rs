@@ -45,7 +45,7 @@ impl Point {
 
     /// Component-wise midpoint between `self` and `other`.
     #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
+    pub(crate) fn midpoint(&self, other: &Point) -> Point {
         Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
     }
 
@@ -89,20 +89,15 @@ impl BBox {
     }
 
     /// The empty bounding box: the identity of [`BBox::extend`].
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         BBox {
             min: Point::new(f64::INFINITY, f64::INFINITY),
             max: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
         }
     }
 
-    /// Returns true when no point has been added to the box.
-    pub fn is_empty(&self) -> bool {
-        self.min.x > self.max.x || self.min.y > self.max.y
-    }
-
     /// Grows the box (in place) so it contains `p`.
-    pub fn extend(&mut self, p: &Point) {
+    pub(crate) fn extend(&mut self, p: &Point) {
         self.min.x = self.min.x.min(p.x);
         self.min.y = self.min.y.min(p.y);
         self.max.x = self.max.x.max(p.x);
@@ -126,18 +121,6 @@ impl BBox {
     /// Height (y extent) of the box; zero when empty.
     pub fn height(&self) -> f64 {
         (self.max.y - self.min.y).max(0.0)
-    }
-
-    /// Whether `p` lies inside the box (inclusive boundaries).
-    pub fn contains(&self, p: &Point) -> bool {
-        p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Minimum Euclidean distance from `p` to the box (zero when inside).
-    pub fn distance_to(&self, p: &Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
     }
 
     /// Center of the box. Undefined (NaN components) for the empty box.
@@ -195,31 +178,13 @@ mod tests {
     #[test]
     fn bbox_empty_then_extend() {
         let mut b = BBox::empty();
-        assert!(b.is_empty());
+        assert!(b.min.x > b.max.x && b.min.y > b.max.y);
         b.extend(&Point::new(1.0, 2.0));
-        assert!(!b.is_empty());
         assert_eq!(b.min, Point::new(1.0, 2.0));
         assert_eq!(b.max, Point::new(1.0, 2.0));
         b.extend(&Point::new(-1.0, 5.0));
         assert_eq!(b.min, Point::new(-1.0, 2.0));
         assert_eq!(b.max, Point::new(1.0, 5.0));
-    }
-
-    #[test]
-    fn bbox_contains_boundary_points() {
-        let b = BBox::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        assert!(b.contains(&Point::new(0.0, 0.0)));
-        assert!(b.contains(&Point::new(2.0, 2.0)));
-        assert!(b.contains(&Point::new(1.0, 1.0)));
-        assert!(!b.contains(&Point::new(2.1, 1.0)));
-    }
-
-    #[test]
-    fn bbox_distance_inside_is_zero_outside_positive() {
-        let b = BBox::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        assert_eq!(b.distance_to(&Point::new(1.0, 1.0)), 0.0);
-        assert_eq!(b.distance_to(&Point::new(5.0, 2.0)), 3.0);
-        assert_eq!(b.distance_to(&Point::new(5.0, 6.0)), 5.0);
     }
 
     #[test]

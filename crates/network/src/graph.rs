@@ -44,11 +44,6 @@ impl std::fmt::Display for NodeId {
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
-    /// The dense index as a `usize`, for direct slice indexing.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
 }
 
 /// An undirected road segment between two vertices with a positive length.
@@ -108,11 +103,6 @@ impl NetworkBuilder {
     /// Number of vertices added so far.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Adds an undirected edge between `a` and `b`.
@@ -277,16 +267,6 @@ impl RoadNetwork {
         &self.nodes
     }
 
-    /// The edge with id `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` does not belong to this network.
-    #[inline]
-    pub fn edge(&self, e: EdgeId) -> &Edge {
-        &self.edges[e.index()]
-    }
-
     /// All edges, indexed by [`EdgeId`].
     #[inline]
     pub fn edges(&self) -> &[Edge] {
@@ -298,12 +278,6 @@ impl RoadNetwork {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Degree (number of incident road segments) of vertex `v`.
-    #[inline]
-    pub fn degree(&self, v: NodeId) -> usize {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
-    }
-
     /// Neighbours of `v` as `(neighbour, weight)` pairs, in insertion order.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
@@ -313,17 +287,6 @@ impl RoadNetwork {
             .iter()
             .copied()
             .zip(self.weights[lo..hi].iter().copied())
-    }
-
-    /// Neighbours of `v` as `(neighbour, weight, edge id)` triples.
-    #[inline]
-    pub fn neighbors_with_edges(
-        &self,
-        v: NodeId,
-    ) -> impl Iterator<Item = (NodeId, f64, EdgeId)> + '_ {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        (lo..hi).map(move |i| (self.targets[i], self.weights[i], self.edge_ids[i]))
     }
 
     /// Bounding box of all vertex locations.
@@ -375,20 +338,6 @@ impl RoadNetwork {
         count == self.nodes.len()
     }
 
-    /// Nearest vertex to `p` by linear scan. Intended for tests and tiny
-    /// networks; use `uots-index`'s grid for production snapping.
-    pub fn nearest_node_linear(&self, p: &Point) -> NodeId {
-        let mut best = NodeId(0);
-        let mut best_d = f64::INFINITY;
-        for (i, q) in self.nodes.iter().enumerate() {
-            let d = p.distance_sq(q);
-            if d < best_d {
-                best_d = d;
-                best = NodeId(i as u32);
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -409,9 +358,8 @@ mod tests {
     #[test]
     fn builder_defaults_weight_to_euclidean() {
         let net = triangle();
-        assert_eq!(net.edge(EdgeId(0)).weight, 3.0);
-        assert_eq!(net.edge(EdgeId(1)).weight, 5.0);
-        assert_eq!(net.edge(EdgeId(2)).weight, 4.0);
+        let weights: Vec<f64> = net.edges().iter().map(|e| e.weight).collect();
+        assert_eq!(weights, [3.0, 5.0, 4.0]);
     }
 
     #[test]
@@ -468,7 +416,7 @@ mod tests {
     fn csr_adjacency_is_symmetric() {
         let net = triangle();
         for v in net.node_ids() {
-            assert_eq!(net.degree(v), 2);
+            assert_eq!(net.neighbors(v).count(), 2);
             for (u, w) in net.neighbors(v) {
                 // the reverse half-edge exists with the same weight
                 assert!(net
@@ -476,17 +424,6 @@ mod tests {
                     .any(|(t, tw)| t == v && (tw - w).abs() < 1e-12));
             }
         }
-    }
-
-    #[test]
-    fn neighbors_with_edges_reports_edge_ids() {
-        let net = triangle();
-        let mut ids: Vec<u32> = net
-            .neighbors_with_edges(NodeId(0))
-            .map(|(_, _, e)| e.0)
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 2]);
     }
 
     #[test]
@@ -508,14 +445,6 @@ mod tests {
         b.add_node(Point::new(9.0, 9.0)); // isolated
         b.add_edge(v0, v1, None).unwrap();
         assert!(!b.build().unwrap().is_connected());
-    }
-
-    #[test]
-    fn nearest_node_linear_finds_closest() {
-        let net = triangle();
-        assert_eq!(net.nearest_node_linear(&Point::new(0.1, 0.1)), NodeId(0));
-        assert_eq!(net.nearest_node_linear(&Point::new(2.9, 0.2)), NodeId(1));
-        assert_eq!(net.nearest_node_linear(&Point::new(0.0, 3.9)), NodeId(2));
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram. Allocates its (fixed-size) bucket array.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogHistogram {
             counts: vec![0; NUM_BUCKETS],
             count: 0,
@@ -138,7 +138,7 @@ impl LogHistogram {
     }
 
     /// Records `n` observations of `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -155,12 +155,12 @@ impl LogHistogram {
     }
 
     /// Sum of all recorded values.
-    pub fn sum(&self) -> u128 {
+    pub(crate) fn sum(&self) -> u128 {
         self.sum
     }
 
     /// Exact smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -174,17 +174,12 @@ impl LogHistogram {
     }
 
     /// Arithmetic mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Value at quantile `q` (clamped to `[0, 1]`): the smallest bucket
@@ -215,16 +210,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Merges `other` into `self` (slot-wise; min/max/sum stay exact).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +300,7 @@ mod tests {
     #[test]
     fn empty_histogram_is_calm() {
         let h = LogHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         // the documented empty sentinel: 0 at EVERY quantile, including the
         // out-of-range values callers might clamp in
         for q in [-1.0, 0.0, 0.5, 0.9, 0.99, 1.0, 2.0] {
@@ -324,23 +309,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut c = LogHistogram::new();
-        for v in 1..=500u64 {
-            a.record(v * 3);
-            c.record(v * 3);
-        }
-        for v in 1..=500u64 {
-            b.record(v * 7 + 1);
-            c.record(v * 7 + 1);
-        }
-        a.merge(&b);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lowercase wire name (`"info"` / `"warn"` / `"error"`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warn => "warn",
@@ -49,7 +49,7 @@ impl Severity {
     }
 
     /// Parses the wire name back; inverse of [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Option<Severity> {
+    pub(crate) fn parse(s: &str) -> Option<Severity> {
         match s {
             "info" => Some(Severity::Info),
             "warn" => Some(Severity::Warn),
@@ -196,7 +196,7 @@ impl std::fmt::Debug for EventJournal {
 
 /// Default ring capacity: generous enough to hold the full causal chain
 /// of any single incident, small enough to be memory-irrelevant.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 impl Default for EventJournal {
     fn default() -> Self {
@@ -209,7 +209,7 @@ impl EventJournal {
     /// The ring grows with what is recorded, so a journal nothing reads —
     /// the detached default of every write-path constructor — costs nothing
     /// up front.
-    pub fn new(capacity: usize) -> EventJournal {
+    pub(crate) fn new(capacity: usize) -> EventJournal {
         let capacity = capacity.max(1);
         EventJournal {
             inner: Arc::new(Inner {
@@ -234,7 +234,7 @@ impl EventJournal {
     /// Records one event. `fields` are `(key, value)` detail pairs;
     /// values are plain strings (format numbers with `to_string()` — the
     /// journal favors greppability over typed payloads).
-    pub fn record(
+    pub(crate) fn record(
         &self,
         severity: Severity,
         component: &str,
@@ -288,35 +288,20 @@ impl EventJournal {
         ring.iter().skip(skip).cloned().collect()
     }
 
-    /// Events currently retained in the ring.
-    pub fn len(&self) -> usize {
-        self.lock_ring().len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total events ever recorded (including dropped ones).
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.inner.next_seq.load(Ordering::Relaxed)
     }
 
     /// Events evicted because the ring wrapped.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
     }
 
     /// Renders the most recent `n` events as JSON lines (one event per
     /// line, oldest first). Serialization happens on a snapshot, outside
     /// the ring lock.
-    pub fn export_jsonl(&self, n: usize) -> String {
+    pub(crate) fn export_jsonl(&self, n: usize) -> String {
         let events = self.recent(n);
         let mut out = String::new();
         for e in &events {
@@ -367,7 +352,7 @@ mod tests {
         for i in 0..10 {
             j.info("t", "e", &[("i", i.to_string())]);
         }
-        assert_eq!(j.len(), 4);
+        assert_eq!(j.recent(usize::MAX).len(), 4);
         assert_eq!(j.dropped(), 6);
         assert_eq!(j.recorded(), 10);
         let events = j.recent(100);
@@ -424,6 +409,6 @@ mod tests {
             }
         });
         assert_eq!(j.recorded(), 200);
-        assert_eq!(j.len() as u64 + j.dropped(), 200);
+        assert_eq!(j.recent(usize::MAX).len() as u64 + j.dropped(), 200);
     }
 }

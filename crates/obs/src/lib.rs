@@ -69,15 +69,12 @@ pub mod serve;
 mod trace;
 
 pub use hist::LogHistogram;
-pub use journal::{EventJournal, JournalEvent, Severity, DEFAULT_JOURNAL_CAPACITY};
-pub use phase::{Phase, PhaseNanos, NUM_PHASES};
+pub use journal::{EventJournal, JournalEvent};
+pub use phase::{Phase, PhaseNanos};
 pub use registry::{
     validate_prometheus_text, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram,
     HistogramSnapshot, LabelPair, MetricsRegistry, RegistrySnapshot, ValidationSummary,
 };
-pub use sampler::{
-    KeepReason, SamplerStats, TailSampler, TraceExemplar, DEFAULT_EXEMPLAR_CAPACITY,
-    DEFAULT_SLOW_QUANTILE,
-};
+pub use sampler::{TailSampler, DEFAULT_EXEMPLAR_CAPACITY, DEFAULT_SLOW_QUANTILE};
 pub use serve::{AcceptLoop, HttpRequest, ObsState, Response, Stopper, MAX_BODY_BYTES};
 pub use trace::{EventRecord, QueryTrace, Recorder, RecorderReport, SpanRecord};

@@ -34,7 +34,7 @@ pub enum Phase {
 }
 
 /// Number of phases (the length of [`Phase::ALL`]).
-pub const NUM_PHASES: usize = 6;
+const NUM_PHASES: usize = 6;
 
 impl Phase {
     /// Every phase, in stable order (the order of [`PhaseNanos`] slots).
@@ -61,7 +61,7 @@ impl Phase {
     }
 
     /// Inverse of [`Phase::as_str`].
-    pub fn parse(s: &str) -> Option<Phase> {
+    pub(crate) fn parse(s: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.as_str() == s)
     }
 
@@ -111,12 +111,6 @@ impl PhaseNanos {
         nanos: [0; NUM_PHASES],
     };
 
-    /// Builds a breakdown directly from per-slot nanoseconds (slot order is
-    /// [`Phase::ALL`]).
-    pub fn from_nanos(nanos: [u64; NUM_PHASES]) -> Self {
-        PhaseNanos { nanos }
-    }
-
     /// Adds `nanos` to `phase`'s slot (saturating).
     #[inline]
     pub fn add(&mut self, phase: Phase, nanos: u64) {
@@ -128,11 +122,6 @@ impl PhaseNanos {
     #[inline]
     pub fn nanos(&self, phase: Phase) -> u64 {
         self.nanos[phase.index()]
-    }
-
-    /// Duration attributed to `phase`.
-    pub fn duration(&self, phase: Phase) -> Duration {
-        Duration::from_nanos(self.nanos(phase))
     }
 
     /// Sum over all phases.
@@ -202,7 +191,7 @@ mod tests {
 
     #[test]
     fn saturating_never_wraps() {
-        let mut a = PhaseNanos::from_nanos([u64::MAX; NUM_PHASES]);
+        let mut a = PhaseNanos { nanos: [u64::MAX; NUM_PHASES] };
         a.add(Phase::CandidateRefine, 1);
         let b = a;
         a.merge(&b);

@@ -42,7 +42,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -60,24 +60,24 @@ impl Gauge {
 
     /// Adds `d` (may be negative).
     #[inline]
-    pub fn add(&self, d: i64) {
+    pub(crate) fn add(&self, d: i64) {
         self.0.fetch_add(d, Ordering::Relaxed);
     }
 
     /// Adds 1.
     #[inline]
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
     /// Subtracts 1.
     #[inline]
-    pub fn dec(&self) {
+    pub(crate) fn dec(&self) {
         self.add(-1);
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -92,13 +92,8 @@ impl Histogram {
         lock_ok(&self.0).record(v);
     }
 
-    /// Records `n` observations of `v`.
-    pub fn record_n(&self, v: u64, n: u64) {
-        lock_ok(&self.0).record_n(v, n);
-    }
-
     /// Copies the current state out.
-    pub fn snapshot(&self) -> LogHistogram {
+    pub(crate) fn snapshot(&self) -> LogHistogram {
         lock_ok(&self.0).clone()
     }
 }
@@ -211,7 +206,7 @@ impl MetricsRegistry {
     ///
     /// Panics on kind mismatch or invalid identifiers (see
     /// [`counter_with`](Self::counter_with)).
-    pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+    pub(crate) fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         match self.register(name, help, Kind::Histogram, labels, || {
             Metric::Histogram(Histogram::default())
         }) {

@@ -24,17 +24,14 @@
 //!
 //! A full [`QueryTrace`] exemplar requires the query to have *run* with a
 //! tracing [`Recorder`](crate::Recorder) — which costs span bookkeeping on
-//! every query, kept or not. The sampler therefore advertises, via
-//! [`TailSampler::trace_spans`], whether callers should run queries
-//! traced:
+//! every query, kept or not. So the caller chooses:
 //!
-//! * [`TailSampler::new`] — metadata-only: callers keep their recorder
-//!   disabled; exemplars carry latency/outcome/threshold but no spans.
+//! * metadata-only: callers keep their recorder disabled and pass no
+//!   trace; exemplars carry latency/outcome/threshold but no spans.
 //!   Per-query overhead is one histogram record plus a branch.
-//! * [`TailSampler::with_tracing`] — callers run each query with a
-//!   tracing recorder of the advertised span capacity and hand the trace
-//!   to [`observe`](TailSampler::observe); kept exemplars carry the full
-//!   timeline.
+//! * traced: callers run each query with a tracing recorder and hand the
+//!   trace to [`observe`](TailSampler::observe); kept exemplars carry the
+//!   full timeline.
 
 use crate::hist::LogHistogram;
 use crate::trace::QueryTrace;
@@ -57,7 +54,7 @@ pub enum KeepReason {
 
 impl KeepReason {
     /// Lowercase wire name (`"slow"` / `"best_effort"` / `"error"`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             KeepReason::Slow => "slow",
             KeepReason::BestEffort => "best_effort",
@@ -132,7 +129,7 @@ pub struct SamplerStats {
 
 impl SamplerStats {
     /// Total exemplars ever kept, across all reasons.
-    pub fn kept_total(&self) -> u64 {
+    pub(crate) fn kept_total(&self) -> u64 {
         self.kept_slow + self.kept_best_effort + self.kept_error
     }
 }
@@ -158,7 +155,6 @@ struct Inner {
     capacity: usize,
     quantile: f64,
     warmup: u64,
-    trace_spans: Option<usize>,
     latency: Mutex<LogHistogram>,
     exemplars: Mutex<VecDeque<TraceExemplar>>,
     next_seq: AtomicU64,
@@ -195,7 +191,7 @@ pub const DEFAULT_EXEMPLAR_CAPACITY: usize = 64;
 pub const DEFAULT_SLOW_QUANTILE: f64 = 0.99;
 /// Observations before the adaptive threshold is trusted; until then
 /// nothing is kept as "slow" (BestEffort/Error are always kept).
-pub const DEFAULT_WARMUP: u64 = 64;
+pub(crate) const DEFAULT_WARMUP: u64 = 64;
 
 impl Default for TailSampler {
     fn default() -> Self {
@@ -204,49 +200,21 @@ impl Default for TailSampler {
 }
 
 impl TailSampler {
-    /// Metadata-only sampler (no span timelines; callers keep recorders
-    /// disabled): keeps at most `capacity` exemplars, slow = running p99
-    /// after a [`DEFAULT_WARMUP`]-query warmup.
+    /// Keeps at most `capacity` exemplars, slow = running p99 after a
+    /// [`DEFAULT_WARMUP`]-query warmup.
     pub fn new(capacity: usize) -> TailSampler {
-        Self::build(capacity, DEFAULT_SLOW_QUANTILE, DEFAULT_WARMUP, None)
-    }
-
-    /// Full-trace sampler: callers should run each query with a tracing
-    /// recorder of `span_capacity` spans and pass the resulting
-    /// [`QueryTrace`] to [`observe`](Self::observe).
-    pub fn with_tracing(capacity: usize, span_capacity: usize) -> TailSampler {
-        Self::build(
-            capacity,
-            DEFAULT_SLOW_QUANTILE,
-            DEFAULT_WARMUP,
-            Some(span_capacity.max(1)),
-        )
+        Self::with_policy(capacity, DEFAULT_SLOW_QUANTILE, DEFAULT_WARMUP)
     }
 
     /// Fully explicit constructor: slow = running `quantile` after
     /// `warmup` observations.
-    pub fn with_policy(
-        capacity: usize,
-        quantile: f64,
-        warmup: u64,
-        trace_spans: Option<usize>,
-    ) -> TailSampler {
-        Self::build(capacity, quantile, warmup, trace_spans)
-    }
-
-    fn build(
-        capacity: usize,
-        quantile: f64,
-        warmup: u64,
-        trace_spans: Option<usize>,
-    ) -> TailSampler {
+    pub fn with_policy(capacity: usize, quantile: f64, warmup: u64) -> TailSampler {
         let capacity = capacity.max(1);
         TailSampler {
             inner: Arc::new(Inner {
                 capacity,
                 quantile: quantile.clamp(0.0, 1.0),
                 warmup,
-                trace_spans,
                 latency: Mutex::new(LogHistogram::new()),
                 exemplars: Mutex::new(VecDeque::with_capacity(capacity)),
                 next_seq: AtomicU64::new(0),
@@ -273,16 +241,10 @@ impl TailSampler {
         }
     }
 
-    /// Span capacity callers should trace queries with, or `None` for
-    /// metadata-only sampling (run queries with a disabled recorder).
-    pub fn trace_spans(&self) -> Option<usize> {
-        self.inner.trace_spans
-    }
-
     /// The current adaptive slow threshold in microseconds: the running
     /// `quantile` of every latency observed so far, or 0 while fewer than
     /// `warmup` observations exist (during warmup nothing is "slow").
-    pub fn threshold_us(&self) -> u64 {
+    pub(crate) fn threshold_us(&self) -> u64 {
         let hist = self.lock_latency();
         if hist.count() < self.inner.warmup {
             return 0;
@@ -297,7 +259,7 @@ impl TailSampler {
     /// ordinary.
     ///
     /// `trace` is attached to the kept exemplar if present; pass `None`
-    /// when running metadata-only (see [`trace_spans`](Self::trace_spans)).
+    /// when running metadata-only.
     pub fn observe(
         &self,
         query: &str,
@@ -356,12 +318,12 @@ impl TailSampler {
     }
 
     /// The currently retained exemplars, oldest first.
-    pub fn exemplars(&self) -> Vec<TraceExemplar> {
+    pub(crate) fn exemplars(&self) -> Vec<TraceExemplar> {
         self.lock_exemplars().iter().cloned().collect()
     }
 
     /// Point-in-time counters.
-    pub fn stats(&self) -> SamplerStats {
+    pub(crate) fn stats(&self) -> SamplerStats {
         SamplerStats {
             observed: self.inner.observed.load(Ordering::Relaxed),
             kept_slow: self.inner.kept_slow.load(Ordering::Relaxed),
@@ -374,7 +336,7 @@ impl TailSampler {
 
     /// Renders `{"stats": ..., "exemplars": [...]}` as JSON — the
     /// `/traces` endpoint payload.
-    pub fn export_json(&self) -> String {
+    pub(crate) fn export_json(&self) -> String {
         let doc = Content::Map(vec![
             ("stats".to_string(), self.stats().serialize()),
             (
@@ -490,8 +452,7 @@ mod tests {
 
     #[test]
     fn export_json_is_parseable_and_carries_traces() {
-        let s = TailSampler::with_tracing(4, 16);
-        assert_eq!(s.trace_spans(), Some(16));
+        let s = TailSampler::new(4);
         let mut rec = crate::Recorder::tracing("traced", 16);
         rec.enter(crate::Phase::NetworkExpansion);
         rec.leave();

@@ -171,7 +171,7 @@ pub struct Stopper {
 
 impl Stopper {
     /// `true` once [`stop`](Self::stop) ran.
-    pub fn is_stopped(&self) -> bool {
+    pub(crate) fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 
@@ -379,7 +379,7 @@ pub struct HttpRequest {
 
 impl HttpRequest {
     /// First value of query parameter `key` (`?key=value`), if present.
-    pub fn query_param(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, key: &str) -> Option<&str> {
         self.query.as_deref().and_then(|q| {
             q.split('&')
                 .find_map(|kv| kv.strip_prefix(key).and_then(|r| r.strip_prefix('=')))

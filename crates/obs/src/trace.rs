@@ -114,14 +114,6 @@ impl Recorder {
         }
     }
 
-    /// Whether this recorder observes anything at all. Callers may use this
-    /// to skip building expensive attributes, but plain `enter`/`leave`
-    /// calls are already near-free when disabled.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Marks the execution as being in `phase` from now on. Consecutive
     /// `enter` calls with the same phase coalesce into one span; a
     /// different phase closes the open span and opens a new one.
@@ -149,19 +141,6 @@ impl Recorder {
         };
         if a.current.is_some() {
             a.close_current(Instant::now());
-        }
-    }
-
-    /// Records an instant event (tracing mode only). `name` must be a
-    /// static string so the hot path stays allocation-free.
-    #[inline]
-    pub fn event(&mut self, name: &'static str) {
-        let Some(a) = self.active.as_deref_mut() else {
-            return;
-        };
-        let at_ns = a.rel_ns(Instant::now());
-        if let Some(t) = a.trace.as_mut() {
-            t.events.push(Ev { name, at_ns });
         }
     }
 
@@ -345,10 +324,6 @@ impl QueryTrace {
         Ok(())
     }
 
-    /// Sum of all phase-span durations (excludes the root).
-    pub fn phase_span_total_ns(&self) -> u64 {
-        self.spans[1..].iter().map(|s| s.end_ns - s.start_ns).sum()
-    }
 }
 
 #[cfg(test)]
@@ -365,9 +340,7 @@ mod tests {
     #[test]
     fn disabled_recorder_reports_nothing() {
         let mut r = Recorder::disabled();
-        assert!(!r.is_enabled());
         r.enter(Phase::NetworkExpansion);
-        r.event("never");
         r.leave();
         assert!(r.finish().is_none());
     }
@@ -410,11 +383,12 @@ mod tests {
         assert_eq!(trace.spans[3].name, "network_expansion");
         assert_eq!(trace.dropped_spans, 0);
         // phase time never exceeds the root span
-        assert!(trace.phase_span_total_ns() <= trace.total_ns);
+        let phase_span_total_ns: u64 = trace.spans[1..].iter().map(|s| s.end_ns - s.start_ns).sum();
+        assert!(phase_span_total_ns <= trace.total_ns);
         // breakdown matches the spans
         assert_eq!(
             rep.phases.nanos(Phase::NetworkExpansion) + rep.phases.nanos(Phase::HeapMaintenance),
-            trace.phase_span_total_ns()
+            phase_span_total_ns
         );
     }
 
@@ -435,18 +409,6 @@ mod tests {
         trace.validate().expect("dropped traces still validate");
         assert_eq!(trace.spans.len(), 1 + 4);
         assert_eq!(trace.dropped_spans, 6);
-    }
-
-    #[test]
-    fn events_are_timestamped_inside_the_root() {
-        let mut r = Recorder::tracing("q3", 8);
-        r.enter(Phase::TextFilter);
-        r.event("budget_check");
-        r.leave();
-        let trace = r.finish().unwrap().trace.unwrap();
-        assert_eq!(trace.events.len(), 1);
-        assert_eq!(trace.events[0].name, "budget_check");
-        trace.validate().unwrap();
     }
 
     #[test]

@@ -262,17 +262,6 @@ impl FaultFs {
         self.state.lock().unwrap().log.clone()
     }
 
-    /// The durable length tracked for `path` (bytes guaranteed on disk),
-    /// if the file was created through this backend.
-    pub fn durable_len(&self, path: impl AsRef<Path>) -> Option<u64> {
-        self.state
-            .lock()
-            .unwrap()
-            .durable
-            .get(path.as_ref())
-            .copied()
-    }
-
     /// Materializes a crash image: every file created through this
     /// backend keeps its durable prefix plus a seeded random cut of the
     /// unsynced tail (the bytes the page cache may or may not have
@@ -468,6 +457,11 @@ mod tests {
     use super::*;
     use crate::StdFs;
 
+    /// The durable length tracked for `path` (bytes guaranteed on disk).
+    fn durable_len(fs: &FaultFs, path: impl AsRef<Path>) -> Option<u64> {
+        fs.state.lock().unwrap().durable.get(path.as_ref()).copied()
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
             .join("uots_faultfs_tests")
@@ -488,7 +482,7 @@ mod tests {
         drop(f);
         assert_eq!(fs.read(&path).unwrap(), b"abc");
         assert_eq!(fs.injected_faults(), 0);
-        assert_eq!(fs.durable_len(&path), Some(3));
+        assert_eq!(durable_len(&fs, &path), Some(3));
     }
 
     #[test]
@@ -534,7 +528,7 @@ mod tests {
         f.write_all(b"volatile").unwrap();
         assert!(f.sync_data().is_err()); // sync #1 fails, pages dropped
         assert_eq!(std::fs::read(&path).unwrap(), b"durable");
-        assert_eq!(fs.durable_len(&path), Some(7));
+        assert_eq!(durable_len(&fs, &path), Some(7));
         // fsyncgate: a later sync succeeds, but the data is gone for good
         f.sync_data().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"durable");
@@ -599,8 +593,8 @@ mod tests {
         f.sync_all().unwrap();
         drop(f);
         fs.rename(&a, &b).unwrap();
-        assert_eq!(fs.durable_len(&a), None);
-        assert_eq!(fs.durable_len(&b), Some(2));
+        assert_eq!(durable_len(&fs, &a), None);
+        assert_eq!(durable_len(&fs, &b), Some(2));
         StdFs.sync_dir(&dir).unwrap();
     }
 

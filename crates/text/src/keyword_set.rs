@@ -46,12 +46,6 @@ impl KeywordSet {
         self.0.is_empty()
     }
 
-    /// Membership test (binary search).
-    #[inline]
-    pub fn contains(&self, id: KeywordId) -> bool {
-        self.0.binary_search(&id).is_ok()
-    }
-
     /// The ids in ascending order.
     #[inline]
     pub fn ids(&self) -> &[KeywordId] {
@@ -81,71 +75,6 @@ impl KeywordSet {
         count
     }
 
-    /// Size of the union with `other`.
-    #[inline]
-    pub fn union_len(&self, other: &KeywordSet) -> usize {
-        self.len() + other.len() - self.intersection_len(other)
-    }
-
-    /// The intersection as a new set.
-    pub fn intersection(&self, other: &KeywordSet) -> KeywordSet {
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut out = Vec::new();
-        let (a, b) = (&self.0, &other.0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        KeywordSet(out)
-    }
-
-    /// The union as a new set.
-    pub fn union(&self, other: &KeywordSet) -> KeywordSet {
-        let mut out = Vec::with_capacity(self.len() + other.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.0, &other.0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        KeywordSet(out)
-    }
-
-    /// Whether the sets share at least one keyword (early-exit merge walk).
-    pub fn intersects(&self, other: &KeywordSet) -> bool {
-        let (mut i, mut j) = (0usize, 0usize);
-        let (a, b) = (&self.0, &other.0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
 }
 
 impl FromIterator<KeywordId> for KeywordSet {
@@ -179,21 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn membership() {
-        let s = set(&[2, 4, 6]);
-        assert!(s.contains(KeywordId(4)));
-        assert!(!s.contains(KeywordId(5)));
-        assert!(!KeywordSet::empty().contains(KeywordId(0)));
-    }
-
-    #[test]
     fn intersection_and_union_sizes() {
         let a = set(&[1, 2, 3, 4]);
         let b = set(&[3, 4, 5]);
         assert_eq!(a.intersection_len(&b), 2);
-        assert_eq!(a.union_len(&b), 5);
-        assert_eq!(a.intersection(&b), set(&[3, 4]));
-        assert_eq!(a.union(&b), set(&[1, 2, 3, 4, 5]));
     }
 
     #[test]
@@ -201,18 +119,7 @@ mod tests {
         let a = set(&[1, 2]);
         let e = KeywordSet::empty();
         assert_eq!(a.intersection_len(&e), 0);
-        assert_eq!(a.union_len(&e), 2);
-        assert_eq!(e.union_len(&e), 0);
-        assert!(!a.intersects(&e));
-    }
-
-    #[test]
-    fn intersects_matches_intersection_len() {
-        let a = set(&[1, 9, 20]);
-        let b = set(&[2, 9]);
-        let c = set(&[3, 10]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
+        assert_eq!(e.intersection_len(&e), 0);
     }
 
     #[test]
@@ -231,8 +138,6 @@ mod tests {
             let ha: HashSet<u32> = xs.iter().copied().collect();
             let hb: HashSet<u32> = ys.iter().copied().collect();
             assert_eq!(a.intersection_len(&b), ha.intersection(&hb).count());
-            assert_eq!(a.union_len(&b), ha.union(&hb).count());
-            assert_eq!(a.intersects(&b), !ha.is_disjoint(&hb));
         }
     }
 

@@ -21,6 +21,6 @@ mod vocab;
 mod zipf;
 
 pub use keyword_set::KeywordSet;
-pub use similarity::{weighted_jaccard, IdfWeights, TextSimilarity};
+pub use similarity::TextSimilarity;
 pub use vocab::{KeywordId, Vocabulary};
 pub use zipf::Zipf;

@@ -32,10 +32,9 @@ impl std::fmt::Display for KeywordId {
 ///
 /// Keywords are normalized to lowercase with surrounding whitespace trimmed
 /// before interning, so `"Shopping "` and `"shopping"` share an id.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     words: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, KeywordId>,
 }
 
@@ -94,16 +93,6 @@ impl Vocabulary {
             .map(|(i, w)| (KeywordId(i as u32), w.as_str()))
     }
 
-    /// Rebuilds the lookup index; must be called after deserializing (the
-    /// map is skipped during serialization to halve the payload).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), KeywordId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -164,18 +153,5 @@ mod tests {
     fn foreign_id_lookup_is_none() {
         let v = Vocabulary::new();
         assert_eq!(v.word(KeywordId(5)), None);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut v = Vocabulary::new();
-        v.intern("park").unwrap();
-        v.intern("cafe").unwrap();
-        let json = serde_json::to_string(&v).unwrap();
-        let mut back: Vocabulary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.get("park"), None); // index skipped in serde
-        back.rebuild_index();
-        assert_eq!(back.get("park"), Some(KeywordId(0)));
-        assert_eq!(back.get("cafe"), Some(KeywordId(1)));
     }
 }

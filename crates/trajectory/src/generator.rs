@@ -9,8 +9,8 @@
 //!
 //! One seed gives one trip stream. [`TripGenerator::generate`] plans trips
 //! on one thread (every RNG draw, in stream order) and routes them on every
-//! core; its store equals a [`TripGenerator::generate_trip`] loop's, byte
-//! for byte, at any core count.
+//! core; its store equals that of planning and finishing one trip at a
+//! time, byte for byte, at any core count.
 
 use crate::tags::TagSampler;
 use crate::{Sample, Trajectory, TrajectoryError, TrajectoryStore};
@@ -105,23 +105,6 @@ impl TripGeneratorConfig {
         self
     }
 
-    /// Overrides the trip count, builder-style.
-    pub fn with_num_trips(mut self, n: usize) -> Self {
-        self.num_trips = n;
-        self
-    }
-}
-
-/// A generated trip together with its ground truth, for tests and the
-/// map-matching pipeline.
-#[derive(Debug, Clone)]
-pub struct GeneratedTrip {
-    /// The subsampled, timestamped, tagged trajectory.
-    pub trajectory: Trajectory,
-    /// The full vertex route the trip followed.
-    pub route: Vec<NodeId>,
-    /// The category the tags were drawn from.
-    pub category: usize,
 }
 
 /// Standard normal draw via Box–Muller.
@@ -170,7 +153,6 @@ struct TripPlan {
     speed_kmh: f64,
     /// Start time before the end-of-day clamp, which needs the distance.
     start: f64,
-    category: usize,
     keywords: KeywordSet,
 }
 
@@ -300,22 +282,14 @@ impl<'a> TripGenerator<'a> {
             leg,
             speed_kmh,
             start,
-            category,
             keywords,
         }
     }
 
-    /// Generates one trip (ground truth included): the next plan, finished
-    /// on this thread.
-    pub fn generate_trip(&mut self, tags: &TagSampler) -> GeneratedTrip {
-        let plan = self.plan(tags);
-        finish(&self.cfg, &mut self.astar, plan)
-    }
-
     /// Generates the configured number of trips into a fresh store, the
-    /// same trips [`generate_trip`](Self::generate_trip) yields one at a
-    /// time. Trips are planned here, 4096 at a time; each window is
-    /// finished on every available core and pushed in order.
+    /// same trips as planning and finishing them one at a time. Trips are
+    /// planned here, 4096 at a time; each window is finished on every
+    /// available core and pushed in order.
     pub fn generate(&mut self, tags: &TagSampler) -> TrajectoryStore {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut helpers: Vec<AStar<'a>> = (1..threads).map(|_| self.astar.clone()).collect();
@@ -364,7 +338,7 @@ fn finish_window<'a>(
             };
             let trips: Vec<Trajectory> = block
                 .into_iter()
-                .map(|plan| finish(cfg, astar, plan).trajectory)
+                .map(|plan| finish(cfg, astar, plan).0)
                 .collect();
             done.push((i, trips));
         }
@@ -390,14 +364,19 @@ fn finish_window<'a>(
 }
 
 /// Completes a plan: routes a deferred pair, subsamples the route, clamps
-/// the start into the day and timestamps the samples. A pure function of
+/// the start into the day and timestamps the samples. Returns the
+/// trajectory and the full vertex route it was sampled from. A pure function of
 /// the plan and the network, so any thread may run it.
 ///
 /// # Panics
 ///
 /// Panics if a deferred pair's route misses `min_trip_km`, which would
 /// mean the lower bound was unsound and the trip stream had changed.
-fn finish(cfg: &TripGeneratorConfig, astar: &mut AStar<'_>, plan: TripPlan) -> GeneratedTrip {
+fn finish(
+    cfg: &TripGeneratorConfig,
+    astar: &mut AStar<'_>,
+    plan: TripPlan,
+) -> (Trajectory, Vec<NodeId>) {
     let Route {
         path: route,
         distance,
@@ -448,11 +427,7 @@ fn finish(cfg: &TripGeneratorConfig, astar: &mut AStar<'_>, plan: TripPlan) -> G
 
     let trajectory =
         Trajectory::new(samples, plan.keywords).expect("generator output is valid by construction");
-    GeneratedTrip {
-        trajectory,
-        route,
-        category: plan.category,
-    }
+    (trajectory, route)
 }
 
 #[cfg(test)]
@@ -461,6 +436,20 @@ mod tests {
     use crate::tags::{TagModelConfig, TagSampler};
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NetworkBuilder;
+
+    /// Generates one trip (ground truth included): the next plan, finished
+    /// on this thread — the sequential reference `generate` must match.
+    fn generate_trip(g: &mut TripGenerator<'_>, tags: &TagSampler) -> GeneratedTrip {
+        let plan = g.plan(tags);
+        let (trajectory, route) = finish(&g.cfg, &mut g.astar, plan);
+        GeneratedTrip { trajectory, route }
+    }
+
+    /// A generated trip together with its ground truth.
+    struct GeneratedTrip {
+        trajectory: Trajectory,
+        route: Vec<NodeId>,
+    }
 
     fn setup() -> (RoadNetwork, TagSampler) {
         let net = grid_city(&GridCityConfig::new(25, 25).with_seed(3)).unwrap();
@@ -509,7 +498,7 @@ mod tests {
         let (net, tags) = setup();
         let mut g = TripGenerator::new(&net, TripGeneratorConfig::default()).unwrap();
         for _ in 0..10 {
-            let trip = g.generate_trip(&tags);
+            let trip = generate_trip(&mut g, &tags);
             for w in trip.route.windows(2) {
                 assert!(net.neighbors(w[0]).any(|(u, _)| u == w[1]));
             }
@@ -542,8 +531,8 @@ mod tests {
         .with_seed(5);
         let mut dense = TripGenerator::new(&net, dense_cfg).unwrap();
         let mut sparse = TripGenerator::new(&net, sparse_cfg).unwrap();
-        let dt = dense.generate_trip(&tags);
-        let st = sparse.generate_trip(&tags);
+        let dt = generate_trip(&mut dense, &tags);
+        let st = generate_trip(&mut sparse, &tags);
         // identical seeds ⇒ identical routes; sparse keeps fewer samples
         assert_eq!(dt.route, st.route);
         assert!(st.trajectory.len() < dt.trajectory.len());
@@ -561,7 +550,7 @@ mod tests {
             },
         )
         .unwrap();
-        let trip = g.generate_trip(&tags);
+        let trip = generate_trip(&mut g, &tags);
         let times: Vec<f64> = trip.trajectory.times().collect();
         for w in times.windows(2) {
             assert!(w[1] >= w[0]);
@@ -664,7 +653,7 @@ mod tests {
     ) -> Vec<Trajectory> {
         let mut g = TripGenerator::new(net, cfg.clone()).unwrap();
         (0..cfg.num_trips)
-            .map(|_| g.generate_trip(tags).trajectory)
+            .map(|_| generate_trip(&mut g, tags).trajectory)
             .collect()
     }
 
@@ -824,12 +813,11 @@ mod tests {
             leg: Leg::Deferred(a, c),
             speed_kmh: 30.0,
             start: 3_600.0,
-            category: 0,
             keywords: KeywordSet::from_ids([uots_text::KeywordId(1)]),
         };
-        let trip = finish(&cfg, &mut AStar::new(&net), plan);
-        assert_eq!(trip.route, vec![a, m, c]);
-        let times: Vec<f64> = trip.trajectory.times().collect();
+        let (trajectory, route) = finish(&cfg, &mut AStar::new(&net), plan);
+        assert_eq!(route, vec![a, m, c]);
+        let times: Vec<f64> = trajectory.times().collect();
         // 2 km at 30 km/h: 240 s
         assert!((times[2] - times[0] - 240.0).abs() < 1e-9, "{times:?}");
         assert_eq!(

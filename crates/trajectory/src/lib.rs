@@ -26,7 +26,7 @@ mod stats;
 mod tags;
 
 pub use error::TrajectoryError;
-pub use generator::{GeneratedTrip, TripGenerator, TripGeneratorConfig};
+pub use generator::{TripGenerator, TripGeneratorConfig};
 pub use live::LiveSet;
 pub use model::{Sample, Trajectory, TrajectoryId, TrajectoryStore};
 pub use stats::DatasetStats;

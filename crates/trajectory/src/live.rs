@@ -38,15 +38,6 @@ impl LiveSet {
         }
     }
 
-    /// A mask over `len` ids, none live.
-    pub fn none_live(len: usize) -> Self {
-        LiveSet {
-            bits: vec![0u64; len.div_ceil(64)],
-            len,
-            live: 0,
-        }
-    }
-
     /// Number of ids covered (== the store length it masks).
     pub fn len(&self) -> usize {
         self.len
@@ -184,7 +175,10 @@ mod tests {
 
     #[test]
     fn grow_covers_new_ids_live() {
-        let mut l = LiveSet::none_live(3);
+        let mut l = LiveSet::all_live(3);
+        for i in 0..3 {
+            l.retire(TrajectoryId(i));
+        }
         l.grow_to(66);
         assert_eq!(l.num_live(), 63);
         assert!(!l.is_live(TrajectoryId(0)));
@@ -247,7 +241,7 @@ mod tests {
         // all_live must not leave ghost bits in the tail word: a mask built
         // whole and one grown bit-by-bit are semantically equal and must be
         // representationally equal (derived Eq, persisted words)
-        let mut grown = LiveSet::none_live(0);
+        let mut grown = LiveSet::all_live(0);
         grown.grow_to(70);
         assert_eq!(LiveSet::all_live(70), grown);
         assert_eq!(LiveSet::all_live(70).words(), grown.words());

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use uots_index::{
     KeywordBlocks, KeywordInvertedIndex, TimestampIndex, VertexInvertedIndex, DAY_SECONDS,
 };
-use uots_network::{NodeId, RoadNetwork};
+use uots_network::NodeId;
 use uots_text::KeywordSet;
 
 /// Identifier of a trajectory within a [`TrajectoryStore`].
@@ -123,25 +123,11 @@ impl Trajectory {
     }
 
     /// Trip duration in seconds.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         let (a, b) = self.time_range();
         b - a
     }
 
-    /// Whether any sample visits `node`.
-    pub fn visits(&self, node: NodeId) -> bool {
-        self.samples.iter().any(|s| s.node == node)
-    }
-
-    /// Total network length travelled, assuming straight-line movement is a
-    /// lower bound. (Exact path length requires the route, which the store
-    /// does not retain; this is a diagnostic, not used by the algorithms.)
-    pub fn euclidean_span(&self, net: &RoadNetwork) -> f64 {
-        self.samples
-            .windows(2)
-            .map(|w| net.point(w[0].node).distance(&net.point(w[1].node)))
-            .sum()
-    }
 }
 
 // Hand-written so that no deserialization path can skip the validation of
@@ -233,18 +219,6 @@ impl TrajectoryStore {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Consumes the store, yielding the trajectories in id order (the
-    /// bulk-concatenation path of parallel dataset generation — moving
-    /// beats cloning at million-trajectory scale; only blocks a clone
-    /// still shares are copied).
-    pub fn into_trajectories(self) -> Vec<Trajectory> {
-        let mut out = Vec::with_capacity(self.len);
-        for block in self.blocks {
-            out.extend(Arc::unwrap_or_clone(block));
-        }
-        out
     }
 
     /// Iterator over `(id, trajectory)` pairs in id order.
@@ -389,8 +363,7 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.time_range(), (100.0, 200.0));
         assert_eq!(t.duration(), 100.0);
-        assert!(t.visits(NodeId(1)));
-        assert!(!t.visits(NodeId(9)));
+        assert!(t.samples().iter().any(|s| s.node == NodeId(1)));
         assert_eq!(t.keywords().len(), 2);
     }
 
@@ -550,7 +523,6 @@ mod tests {
     fn iteration_and_into_trajectories_keep_id_order() {
         let mut s = TrajectoryStore::new();
         push_all(&mut s, numbered(600, 0));
-        let shared = s.clone();
         let ids: Vec<u32> = s
             .iter()
             .map(|(id, t)| {
@@ -560,10 +532,6 @@ mod tests {
             .collect();
         assert_eq!(ids, (0..600).collect::<Vec<_>>());
         assert_eq!(s.iter().len(), 600);
-        let owned = s.into_trajectories();
-        let nodes: Vec<u32> = owned.iter().map(|t| t.samples()[0].node.0).collect();
-        assert_eq!(nodes, (0..600).collect::<Vec<_>>());
-        assert_eq!(shared.len(), 600, "a clone outlives the consumed store");
     }
 
     #[test]

@@ -64,7 +64,6 @@ impl Default for TagModelConfig {
 /// Samples keyword sets for generated trips.
 #[derive(Debug, Clone)]
 pub struct TagSampler {
-    vocab_len: usize,
     /// Per-category keyword pools (ids into the vocabulary).
     categories: Vec<Vec<KeywordId>>,
     category_dist: Zipf,
@@ -108,7 +107,6 @@ impl TagSampler {
             })
             .collect();
         let sampler = TagSampler {
-            vocab_len: cfg.vocab_size,
             categories,
             category_dist: Zipf::new(cfg.num_categories, cfg.category_skew),
             keyword_dist: Zipf::new(per, cfg.keyword_skew),
@@ -116,16 +114,6 @@ impl TagSampler {
             background_prob: cfg.background_prob,
         };
         (sampler, vocab)
-    }
-
-    /// Vocabulary size the sampler draws from.
-    pub fn vocab_len(&self) -> usize {
-        self.vocab_len
-    }
-
-    /// Number of categories.
-    pub fn num_categories(&self) -> usize {
-        self.categories.len()
     }
 
     /// Draws a category for a trip.
@@ -169,8 +157,7 @@ mod tests {
     fn vocabulary_matches_config() {
         let (s, v) = sampler(1);
         assert_eq!(v.len(), 400);
-        assert_eq!(s.vocab_len(), 400);
-        assert_eq!(s.num_categories(), 12);
+        assert_eq!(s.categories.len(), 12);
         assert_eq!(v.word(KeywordId(0)), Some("tag000"));
         assert_eq!(v.word(KeywordId(399)), Some("tag399"));
     }
@@ -213,11 +200,11 @@ mod tests {
     fn category_distribution_is_skewed() {
         let (s, _) = sampler(6);
         let mut rng = StdRng::seed_from_u64(7);
-        let mut counts = vec![0usize; s.num_categories()];
+        let mut counts = vec![0usize; s.categories.len()];
         for _ in 0..10_000 {
             counts[s.sample_category(&mut rng)] += 1;
         }
-        assert!(counts[0] > counts[s.num_categories() - 1]);
+        assert!(counts[0] > counts[s.categories.len() - 1]);
     }
 
     #[test]

@@ -359,12 +359,7 @@ fn start_obs_plane(flags: &Flags, registry: &MetricsRegistry) -> Result<Option<O
     let journal = EventJournal::default();
     // zero warmup: a CLI run may issue a single query, and an operator who
     // asked for the endpoint expects /traces to hold it
-    let sampler = TailSampler::with_policy(
-        DEFAULT_EXEMPLAR_CAPACITY,
-        DEFAULT_SLOW_QUANTILE,
-        0,
-        Some(4096),
-    );
+    let sampler = TailSampler::with_policy(DEFAULT_EXEMPLAR_CAPACITY, DEFAULT_SLOW_QUANTILE, 0);
     let status = Arc::new(Mutex::new("{}".to_string()));
     let status_read = Arc::clone(&status);
     let state = ObsState::new(
