@@ -8,7 +8,7 @@ use crate::scheduling::Scheduler;
 use crate::{CoreError, QueryResult, UotsQuery, View};
 use uots_obs::Recorder;
 
-/// The UOTS expansion search (see [`crate::engine`] for the machinery).
+/// The UOTS expansion search (see the crate-private `engine` module for the machinery).
 ///
 /// `Expansion::default()` uses the paper's heuristic scheduler; construct
 /// with [`Scheduler::RoundRobin`] or [`Scheduler::MinRadius`] for the
@@ -23,7 +23,6 @@ impl Expansion {
     pub fn new(scheduler: Scheduler) -> Self {
         Expansion { scheduler }
     }
-
 }
 
 impl Algorithm for Expansion {

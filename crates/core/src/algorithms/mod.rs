@@ -46,7 +46,7 @@ pub trait Algorithm {
     /// already cancelled (or whose deadline already passed) returns the
     /// empty best-effort answer with `bound_gap = 1.0`. The budget covers
     /// the run, not each part; the run records what it did with each part
-    /// in the view ([`View::fates`]).
+    /// in the view (`View::fates`).
     ///
     /// Use one recorder per query: the implementation publishes
     /// `rec.phases_snapshot()` into the result's `metrics.phases`, so a
@@ -56,7 +56,7 @@ pub trait Algorithm {
     ///
     /// # Errors
     ///
-    /// Validation errors from [`View::validate`] plus any
+    /// Validation errors from `View::validate` plus any
     /// algorithm-specific index requirements. Interruption is *not* an
     /// error.
     fn run_ctx(

@@ -12,7 +12,7 @@
 //! [`Completeness::Exact`], so callers can branch on one enum.
 //!
 //! The machinery is deliberately cheap: cancellation is one relaxed atomic
-//! load, deadlines call [`Instant::now`] only every [`CHECK_INTERVAL`]
+//! load, deadlines call [`Instant::now`] only every `CHECK_INTERVAL`
 //! expansion steps, and counter limits are plain integer compares.
 
 use serde::{Deserialize, Serialize};
@@ -112,7 +112,6 @@ pub enum Completeness {
 }
 
 impl Completeness {
-
     /// Whether the answer is certified exact.
     pub fn is_exact(&self) -> bool {
         matches!(self, Completeness::Exact)
@@ -129,7 +128,7 @@ impl Completeness {
 
 /// Out-of-band control for one run: a cancellation token plus an optional
 /// absolute deadline (e.g. the enclosing batch's). Combined with the
-/// query-carried [`ExecutionBudget`] inside [`Gate`]; the effective
+/// query-carried [`ExecutionBudget`] inside the run's gate; the effective
 /// deadline is the earlier of the two.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
@@ -257,7 +256,6 @@ impl Gate {
     fn poll(&self) -> bool {
         self.token.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
 }
 
 #[cfg(test)]

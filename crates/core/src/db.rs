@@ -273,7 +273,7 @@ impl<'a> TimeChannel<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when a part has no timestamp index ([`View::validate`]
+    /// Panics when a part has no timestamp index (`View::validate`
     /// rejects temporal queries over such views).
     pub fn new(parts: &[Part<'a>], t: f64) -> Self {
         let heads = parts

@@ -38,8 +38,8 @@
 //!
 //! All algorithms return identical rankings; the evaluation compares their
 //! cost ([`SearchMetrics`]). Batches of queries run in parallel via
-//! [`parallel::run_batch`] (or [`parallel::run_batch_with`] /
-//! [`parallel::run_batch_cluster`] under explicit options).
+//! [`parallel::run_batch`] (or [`parallel::run_batch_cluster`] under
+//! explicit options).
 //!
 //! ## Anytime execution
 //!

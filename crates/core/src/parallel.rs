@@ -7,7 +7,7 @@
 //! nothing to merge at all). This module fans a batch of queries over a
 //! rayon thread pool and preserves input order in the output.
 //!
-//! The hardened entry points are [`run_batch_with`] (over a [`Database`])
+//! The hardened entry points are `run_batch_with` (over a [`Database`])
 //! and [`run_batch_cluster`] (over a sharded cut); [`run_batch`] is the
 //! zero-configuration convenience over the former.
 //!
@@ -42,7 +42,7 @@ pub enum BatchPolicy {
     Partial,
 }
 
-/// Knobs for [`run_batch_with`] and [`run_batch_cluster`].
+/// Knobs for `run_batch_with` and [`run_batch_cluster`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchOptions {
     /// Failure handling across the batch.
@@ -68,7 +68,6 @@ impl BatchOptions {
             ..Default::default()
         }
     }
-
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -128,12 +127,12 @@ impl SearchContext {
     }
 }
 
-/// [`run_batch_with`] under its former name and parameter list, kept for
+/// `run_batch_with` under its former name and parameter list, kept for
 /// the repository benchmark's `layers.rs`; `_ctx` is ignored.
 ///
 /// # Errors
 ///
-/// See [`run_batch_with`].
+/// See `run_batch_with`.
 pub fn run_batch_ctx<A: Algorithm + Sync>(
     db: &Database<'_>,
     algorithm: &A,
@@ -145,7 +144,7 @@ pub fn run_batch_ctx<A: Algorithm + Sync>(
     run_batch_with(db, algorithm, queries, opts, token)
 }
 
-/// [`run_batch_with`] over a sharded cut: each query is one
+/// `run_batch_with` over a sharded cut: each query is one
 /// [`ClusterSnapshot::search_ctx`] run over all of its shards on one
 /// thread, so the batch's parallelism comes from running whole queries on
 /// the pool — exactly as on a single store. Same admission bound, deadline, token,
@@ -153,7 +152,7 @@ pub fn run_batch_ctx<A: Algorithm + Sync>(
 ///
 /// # Errors
 ///
-/// See [`run_batch_with`].
+/// See `run_batch_with`.
 pub fn run_batch_cluster<A: Algorithm + Sync>(
     cut: &ClusterSnapshot,
     algorithm: &A,
@@ -202,7 +201,7 @@ fn fan_out<T: Send>(
 
 /// Runs `queries` over `db` with `algorithm` on a dedicated pool of
 /// `threads` workers, returning per-query results in input order: the
-/// fail-fast, unbounded [`run_batch_with`].
+/// fail-fast, unbounded `run_batch_with`.
 ///
 /// `threads = 1` degenerates to sequential execution (still through the
 /// pool, so scheduling overhead is measured honestly in the thread-scaling
@@ -313,14 +312,8 @@ mod tests {
         let (ds, queries) = setup();
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let algo = FaultyAlgorithm::new(Expansion::default(), 0, "injected fault");
-        let out = run_batch_with(
-            &db,
-            &algo,
-            &queries,
-            &partial(1),
-            &CancellationToken::new(),
-        )
-        .unwrap();
+        let out =
+            run_batch_with(&db, &algo, &queries, &partial(1), &CancellationToken::new()).unwrap();
         assert_eq!(out.len(), queries.len());
         // threads=1 makes call order deterministic: exactly slot 0 panicked
         assert!(matches!(out[0], Err(CoreError::QueryPanicked(_))));
@@ -443,14 +436,8 @@ mod tests {
         let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks);
         let token = CancellationToken::new();
         token.cancel();
-        let out = run_batch_with(
-            &db,
-            &Expansion::default(),
-            &queries,
-            &partial(2),
-            &token,
-        )
-        .unwrap();
+        let out =
+            run_batch_with(&db, &Expansion::default(), &queries, &partial(2), &token).unwrap();
         for r in &out {
             let r = r.as_ref().unwrap();
             assert!(!r.completeness.is_exact());

@@ -9,8 +9,8 @@
 //! measurements that retired it.
 //!
 //! [`AlgorithmKind`] implements [`Algorithm`] with one `match`, so a kind
-//! drops into the batch executors ([`crate::parallel::run_batch_with`],
-//! [`crate::parallel::run_batch_cluster`]) and into
+//! drops into the batch executors
+//! ([`crate::parallel::run_batch_cluster`]) and into
 //! [`crate::ClusterSnapshot::search`] as it is.
 
 use crate::algorithms::{Algorithm, BruteForce, Expansion, IknnBaseline, TextFirst};

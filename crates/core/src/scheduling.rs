@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// Strategy for picking the next query source to advance.
 ///
 /// Deserialization clamps `Heuristic::recompute_every` to ≥ 1 (see
-/// [`Scheduler::normalized`]): a zero sweep period would mean "recompute
+/// `Scheduler::normalized`): a zero sweep period would mean "recompute
 /// labels after every −1 steps" and stall the label sweep arithmetic, so a
 /// hostile or hand-edited config cannot smuggle one in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -103,7 +103,6 @@ impl Scheduler {
             other => other,
         }
     }
-
 }
 
 impl Default for Scheduler {

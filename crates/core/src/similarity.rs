@@ -13,7 +13,7 @@
 //! special cases.
 //!
 //! This module computes the *exact* values (given exact distances); the
-//! engine's upper bounds live in [`crate::engine`].
+//! engine's upper bounds live in the crate-private `engine` module.
 
 use crate::query::UotsQuery;
 use crate::result::Match;
@@ -71,7 +71,10 @@ pub(crate) fn combine(query: &UotsQuery, spatial: f64, textual: f64, temporal: f
 /// drained** [`MultiSourceExpansion`] (source `i` = query location `i`):
 /// the least distance over the trajectory's vertices, folded in sample
 /// order. Unreachable places yield `f64::INFINITY`.
-pub(crate) fn spatial_distances_from_multi(ms: &MultiSourceExpansion<'_>, traj: &Trajectory) -> Vec<f64> {
+pub(crate) fn spatial_distances_from_multi(
+    ms: &MultiSourceExpansion<'_>,
+    traj: &Trajectory,
+) -> Vec<f64> {
     (0..ms.num_sources())
         .map(|si| {
             traj.nodes()

@@ -156,15 +156,15 @@ mod tests {
     use super::wrappers::{FaultyAlgorithm, SlowAlgorithm};
     use super::*;
     use crate::algorithms::Algorithm;
-    use crate::budget::RunControl;
-    use crate::UotsQuery;
-    use std::time::Duration;
-    use uots_obs::Recorder;
     use crate::algorithms::BruteForce;
     use crate::budget::CancellationToken;
+    use crate::budget::RunControl;
     use crate::Database;
+    use crate::UotsQuery;
+    use std::time::Duration;
     use uots_network::generators::{grid_city, GridCityConfig};
     use uots_network::NodeId;
+    use uots_obs::Recorder;
     use uots_text::KeywordSet;
     use uots_trajectory::{Sample, Trajectory, TrajectoryStore};
 

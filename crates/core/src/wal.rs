@@ -65,7 +65,7 @@
 //!   told `Ok` about silently vanishes from the log.
 //! * **Sealing itself can fail.** The seal plan is then retained and
 //!   retried at the start of the next `append`/`sync`; until it succeeds
-//!   every call fails fast. [`WalWriter::pending_seal`] exposes the state.
+//!   every call fails fast.
 //! * A torn write (partial record followed by an error) seals at the last
 //!   record boundary instead: the prefix pages are intact, and the
 //!   truncate-with-sync both cuts the garbage and makes the prefix

@@ -1,6 +1,6 @@
 //! Compact binary persistence for datasets.
 //!
-//! A built [`Dataset`](crate::Dataset) takes noticeable time to generate
+//! A built [`crate::Dataset`] takes noticeable time to generate
 //! (one A* route per trip) and serializes to very large JSON; this module
 //! provides a versioned little-endian binary format — roughly 10× smaller
 //! and much faster to load — so experiment datasets can be built once and

@@ -159,7 +159,6 @@ impl GridIndex {
         debug_assert!(best_i != usize::MAX);
         (best_i, best_d2.sqrt())
     }
-
 }
 
 #[cfg(test)]

@@ -184,9 +184,7 @@ pub struct PreparedQuery {
     len: usize,
 }
 
-impl PreparedQuery {
-
-}
+impl PreparedQuery {}
 
 /// Intersection size of two sorted, deduplicated id slices via galloping
 /// (exponential-probe) search: the smaller slice drives, probing the

@@ -128,7 +128,7 @@ pub struct TimeScanned<V> {
 
 /// Two-pointer outward walk over a [`TimestampIndex`].
 ///
-/// Yields samples in nondecreasing `dt`; [`TimeExpansion::radius`] is a
+/// Yields samples in nondecreasing `dt`, so the last scanned `dt` is a
 /// valid lower bound on the `dt` of every unscanned sample.
 #[derive(Debug)]
 pub struct TimeExpansion<'a, V> {
@@ -142,7 +142,6 @@ pub struct TimeExpansion<'a, V> {
 }
 
 impl<'a, V: Copy> TimeExpansion<'a, V> {
-
     /// Whether all samples have been scanned.
     pub fn is_exhausted(&self) -> bool {
         self.left < 0 && self.right >= self.index.times.len()

@@ -14,7 +14,7 @@
 //! ## Algorithm — two-phase divide and conquer
 //!
 //! 1. **Trajectory-search phase** (parallel over probes, rayon): for each
-//!    trajectory τ, a [`search`](crate::search) worker expands the network
+//!    trajectory τ, a `search` worker expands the network
 //!    from every distinct sample vertex of τ and the time axis from every
 //!    distinct timestamp, pruning with per-pair upper bounds (first half
 //!    exact or radius-bounded, second half bounded by the paper's Lemma-1

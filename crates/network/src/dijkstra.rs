@@ -17,7 +17,6 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
-
     /// Network distance from the source to `v`, or `None` when `v` was not
     /// reached (disconnected, or outside the radius of a bounded search).
     #[inline]

@@ -208,7 +208,6 @@ impl<'a> NetworkExpansion<'a> {
     pub fn frontier_len(&self) -> usize {
         self.heap.len()
     }
-
 }
 
 /// A vertex settled by a [`MultiSourceExpansion`].

@@ -43,8 +43,7 @@ impl std::fmt::Display for NodeId {
 )]
 pub struct EdgeId(pub u32);
 
-impl EdgeId {
-}
+impl EdgeId {}
 
 /// An undirected road segment between two vertices with a positive length.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -337,7 +336,6 @@ impl RoadNetwork {
         }
         count == self.nodes.len()
     }
-
 }
 
 #[cfg(test)]

@@ -190,7 +190,7 @@ impl LogHistogram {
     ///
     /// **Empty histograms return the sentinel 0** — quantiles of an empty
     /// distribution are undefined, and callers that need to distinguish
-    /// "never hit" from "observed 0" must check [`is_empty`](Self::is_empty)
+    /// "never hit" from "observed 0" must check [`count`](Self::count)
     /// (the registry exporters do: Prometheus text emits `NaN` quantile
     /// samples and the JSON snapshot emits `null`).
     pub fn quantile(&self, q: f64) -> u64 {
@@ -209,7 +209,6 @@ impl LogHistogram {
         }
         self.max
     }
-
 }
 
 #[cfg(test)]

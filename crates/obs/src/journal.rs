@@ -9,12 +9,12 @@
 //!
 //! The journal is a fixed-capacity ring: recording is O(1), never blocks
 //! on I/O, and when the ring wraps the oldest events are dropped and
-//! *counted* ([`EventJournal::dropped`]), so an operator reading the tail
+//! *counted* (`EventJournal::dropped`), so an operator reading the tail
 //! always knows whether history is missing. An [`EventJournal`] handle is
 //! an `Arc` around the ring — clone it freely into every subsystem; all
 //! clones feed the same ring.
 //!
-//! Export is JSON lines ([`EventJournal::export_jsonl`]): one event per
+//! Export is JSON lines (`EventJournal::export_jsonl`): one event per
 //! line, so `tail`/`grep`/`jq` work on a live capture, and the
 //! `/journal` endpoint of [`serve`](crate::serve) can stream the most
 //! recent `K` events without holding the ring locked during the write.
@@ -265,17 +265,17 @@ impl EventJournal {
         ring.push_back(event);
     }
 
-    /// [`record`](Self::record) at [`Severity::Info`].
+    /// Records at [`Severity::Info`].
     pub fn info(&self, component: &str, name: &str, fields: &[(&str, String)]) {
         self.record(Severity::Info, component, name, fields);
     }
 
-    /// [`record`](Self::record) at [`Severity::Warn`].
+    /// Records at [`Severity::Warn`].
     pub fn warn(&self, component: &str, name: &str, fields: &[(&str, String)]) {
         self.record(Severity::Warn, component, name, fields);
     }
 
-    /// [`record`](Self::record) at [`Severity::Error`].
+    /// Records at [`Severity::Error`].
     pub fn error(&self, component: &str, name: &str, fields: &[(&str, String)]) {
         self.record(Severity::Error, component, name, fields);
     }

@@ -191,7 +191,9 @@ mod tests {
 
     #[test]
     fn saturating_never_wraps() {
-        let mut a = PhaseNanos { nanos: [u64::MAX; NUM_PHASES] };
+        let mut a = PhaseNanos {
+            nanos: [u64::MAX; NUM_PHASES],
+        };
         a.add(Phase::CandidateRefine, 1);
         let b = a;
         a.merge(&b);

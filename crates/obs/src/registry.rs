@@ -142,8 +142,7 @@ struct Family {
     samples: Vec<Sample>,
 }
 
-/// A shared, clonable registry of metric families. See the
-/// [module docs](self).
+/// A shared, clonable registry of metric families.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<Mutex<Vec<Family>>>,
@@ -206,7 +205,12 @@ impl MetricsRegistry {
     ///
     /// Panics on kind mismatch or invalid identifiers (see
     /// [`counter_with`](Self::counter_with)).
-    pub(crate) fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+    pub(crate) fn histogram_with(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+    ) -> Histogram {
         match self.register(name, help, Kind::Histogram, labels, || {
             Metric::Histogram(Histogram::default())
         }) {

@@ -71,7 +71,7 @@ impl std::fmt::Display for KeepReason {
 
 /// One kept slow-query exemplar.
 #[derive(Debug, Clone)]
-pub struct TraceExemplar {
+pub(crate) struct TraceExemplar {
     /// Monotonic sequence number among kept exemplars.
     pub seq: u64,
     /// Wall-clock milliseconds since the Unix epoch at keep time.
@@ -112,7 +112,7 @@ impl Serialize for TraceExemplar {
 
 /// Point-in-time sampler counters ([`TailSampler::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SamplerStats {
+pub(crate) struct SamplerStats {
     /// Queries observed (kept or not).
     pub observed: u64,
     /// Exemplars kept because the query was slow.
@@ -201,7 +201,7 @@ impl Default for TailSampler {
 
 impl TailSampler {
     /// Keeps at most `capacity` exemplars, slow = running p99 after a
-    /// [`DEFAULT_WARMUP`]-query warmup.
+    /// 64-query warmup.
     pub fn new(capacity: usize) -> TailSampler {
         Self::with_policy(capacity, DEFAULT_SLOW_QUANTILE, DEFAULT_WARMUP)
     }

@@ -14,12 +14,12 @@
 //! |------|---------|--------|
 //! | `GET /metrics` | Prometheus text exposition 0.0.4 | [`MetricsRegistry::render_prometheus`] |
 //! | `GET /status`  | JSON health document | the embedder's status closure ([`ObsState::new`]) |
-//! | `GET /journal?n=K` | JSON lines, the `K` (default 128) most recent events | [`EventJournal::export_jsonl`] |
-//! | `GET /traces`  | `{"stats":…,"exemplars":[…]}` JSON | [`TailSampler::export_json`] |
+//! | `GET /journal?n=K` | JSON lines, the `K` (default 128) most recent events | `EventJournal::export_jsonl` |
+//! | `GET /traces`  | `{"stats":…,"exemplars":[…]}` JSON | `TailSampler::export_json` |
 //! | `GET /` | plain-text index of the above | — |
 //!
 //! Every `/metrics` response is re-validated with
-//! [`validate_prometheus_text`](crate::validate_prometheus_text) before it
+//! [`crate::validate_prometheus_text`] before it
 //! leaves the process; a registry that somehow renders an invalid
 //! exposition produces a 500, never a silently-malformed 200.
 //!

@@ -58,7 +58,7 @@ struct Active {
     trace: Option<TraceBuf>,
 }
 
-/// Per-query telemetry recorder. See the [module docs](self) for modes.
+/// Per-query telemetry recorder: disabled, phases-only or tracing.
 #[derive(Debug, Default)]
 pub struct Recorder {
     active: Option<Box<Active>>,
@@ -323,7 +323,6 @@ impl QueryTrace {
         }
         Ok(())
     }
-
 }
 
 #[cfg(test)]

@@ -74,7 +74,6 @@ impl KeywordSet {
         }
         count
     }
-
 }
 
 impl FromIterator<KeywordId> for KeywordSet {

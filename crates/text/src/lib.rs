@@ -9,7 +9,7 @@
 //! * [`KeywordSet`] — sorted, deduplicated keyword sets with merge-based set
 //!   algebra;
 //! * [`TextSimilarity`] — Jaccard (the paper's measure) plus Dice, cosine
-//!   and overlap alternatives, and [`weighted_jaccard`] with [`IdfWeights`];
+//!   and overlap alternatives;
 //! * [`Zipf`] — skewed rank sampling used by the tag generators.
 
 #![warn(missing_docs)]

@@ -92,7 +92,6 @@ impl Vocabulary {
             .enumerate()
             .map(|(i, w)| (KeywordId(i as u32), w.as_str()))
     }
-
 }
 
 #[cfg(test)]

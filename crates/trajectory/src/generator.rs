@@ -104,7 +104,6 @@ impl TripGeneratorConfig {
         self.seed = seed;
         self
     }
-
 }
 
 /// Standard normal draw via Box–Muller.

@@ -127,7 +127,6 @@ impl Trajectory {
         let (a, b) = self.time_range();
         b - a
     }
-
 }
 
 // Hand-written so that no deserialization path can skip the validation of

@@ -38,8 +38,8 @@
 //! ## Failing storage: retry, then degrade — never lie
 //!
 //! Every file operation goes through a
-//! [`StorageBackend`](uots_core::storage::StorageBackend), and WAL append
-//! failures are handled by class ([`ErrorClass`](uots_core::storage::ErrorClass)):
+//! [`uots_core::storage::StorageBackend`], and WAL append
+//! failures are handled by class ([`uots_core::storage::ErrorClass`]):
 //!
 //! * **Transient** errors (interrupt, timeout, ENOSPC an operator might
 //!   clear) are retried with bounded exponential backoff + jitter under a

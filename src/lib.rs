@@ -60,17 +60,16 @@ pub use uots_obs as obs;
 pub use uots_text as text;
 pub use uots_trajectory as trajectory;
 
-pub use uots_core::wal::{FsyncPolicy, WalConfig, WalError, WalWriter};
+pub use uots_core::wal::{FsyncPolicy, WalConfig};
 pub use uots_core::{
-    algorithms, epoch, parallel, similarity, BatchOptions, BatchPolicy, CancellationToken,
-    Completeness, CoreError, Database, EpochManager, EpochSnapshot, ExecutionBudget, Match,
-    Mutation, QueryOptions, QueryResult, RunControl, Scheduler, SearchContext, SearchMetrics, TopK,
-    UotsQuery, View, Weights,
+    algorithms, parallel, BatchOptions, BatchPolicy, CancellationToken, Completeness, Database,
+    EpochManager, EpochSnapshot, ExecutionBudget, Match, Mutation, QueryOptions, QueryResult,
+    RunControl, Scheduler, SearchContext, SearchMetrics, UotsQuery, View, Weights,
 };
 pub use uots_datagen::{workload, Dataset, DatasetConfig};
 pub use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
 pub use uots_obs::{MetricsRegistry, Phase, PhaseNanos, Recorder};
-pub use uots_text::{KeywordId, KeywordSet, TextSimilarity, Vocabulary};
+pub use uots_text::{KeywordId, KeywordSet, TextSimilarity};
 pub use uots_trajectory::{LiveSet, Sample, Trajectory, TrajectoryId, TrajectoryStore};
 
 /// Opens a [`Database`] over a built [`Dataset`], wiring up its keyword
