@@ -121,7 +121,7 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram. Allocates its (fixed-size) bucket array.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         LogHistogram {
             counts: vec![0; NUM_BUCKETS],
             count: 0,

@@ -53,7 +53,8 @@
 //! );
 //! let trace = report.trace.unwrap();
 //! trace.validate().unwrap();
-//! assert!(trace.phase_span_total_ns() <= trace.total_ns);
+//! let phase_ns: u64 = trace.spans[1..].iter().map(|s| s.end_ns - s.start_ns).sum();
+//! assert!(phase_ns <= trace.total_ns);
 //! uots_obs::validate_prometheus_text(&registry.render_prometheus()).unwrap();
 //! ```
 

@@ -13,7 +13,7 @@
 //!   [`PhaseNanos`] breakdown, no span records.
 //! * **tracing** ([`Recorder::tracing`]) — additionally keeps the last
 //!   `capacity` coalesced phase spans in a ring buffer (oldest dropped,
-//!   drop count reported) plus instant events, and renders a
+//!   drop count reported), and renders a
 //!   [`QueryTrace`] timeline at [`Recorder::finish`].
 //!
 //! The hot path stores only `Copy` segments (`Phase` + two offsets);
@@ -33,18 +33,10 @@ struct Seg {
     end_ns: u64,
 }
 
-/// Internal instant-event record (static name: no hot-path allocation).
-#[derive(Debug, Clone, Copy)]
-struct Ev {
-    name: &'static str,
-    at_ns: u64,
-}
-
 #[derive(Debug)]
 struct TraceBuf {
     capacity: usize,
     segs: VecDeque<Seg>,
-    events: Vec<Ev>,
     dropped: u64,
 }
 
@@ -107,7 +99,6 @@ impl Recorder {
                 trace: Some(TraceBuf {
                     capacity,
                     segs: VecDeque::with_capacity(capacity),
-                    events: Vec::new(),
                     dropped: 0,
                 }),
             })),
@@ -190,14 +181,7 @@ impl Recorder {
                 total_ns,
                 dropped_spans: buf.dropped,
                 spans,
-                events: buf
-                    .events
-                    .iter()
-                    .map(|e| EventRecord {
-                        name: e.name.to_owned(),
-                        at_ns: e.at_ns,
-                    })
-                    .collect(),
+                events: Vec::new(),
             }
         });
         Some(RecorderReport {
@@ -270,7 +254,8 @@ pub struct QueryTrace {
     pub dropped_spans: u64,
     /// Root span first, then phase spans in chronological order.
     pub spans: Vec<SpanRecord>,
-    /// Instant events in chronological order.
+    /// Instant events in chronological order. A [`Recorder`] records
+    /// none; the field keeps the trace format.
     pub events: Vec<EventRecord>,
 }
 
