@@ -9,7 +9,8 @@
 //! of preference keywords (plus, as extensions, preferred timestamps and
 //! top-k answer sizes); the engine returns the trajectories maximizing the
 //! linear combination of spatial, textual (and optionally temporal)
-//! similarity — see [`similarity`] for the exact model.
+//! similarity, weighted by [`Weights`] (the channel formulas are in the
+//! crate's private `similarity` module).
 //!
 //! ## Quick start
 //!
@@ -68,7 +69,7 @@ mod query;
 mod result;
 mod scheduling;
 pub mod shard;
-pub mod similarity;
+mod similarity;
 pub mod testing;
 mod topk;
 pub mod wal;

@@ -19,9 +19,9 @@
 //! ## One coordinator
 //!
 //! [`Cluster`] is the coordinator for every kind of shard unit ([`Shard`]):
-//! it alone routes ids, places inserts, splits a
-//! batch into per-shard sub-batches, publishes every shard in parallel and
-//! swaps the cut readers pin. A shard unit only applies what it is routed,
+//! it alone routes ids, places inserts, splits a batch into per-shard
+//! sub-batches, publishes every shard in parallel and swaps the cut
+//! readers pin. A shard unit only applies what it is routed,
 //! in local ids, and reports whether it still takes inserts.
 //!
 //! ## Lockstep: one run per query over every shard

@@ -184,8 +184,6 @@ pub struct PreparedQuery {
     len: usize,
 }
 
-impl PreparedQuery {}
-
 /// Intersection size of two sorted, deduplicated id slices via galloping
 /// (exponential-probe) search: the smaller slice drives, probing the
 /// larger one with doubling steps then a binary search within the

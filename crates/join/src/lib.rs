@@ -5,7 +5,8 @@
 //! implementation of the paper family's stated follow-on direction: given a
 //! set `P` of network-constrained, timestamped trajectories and a threshold
 //! `θ`, return every pair `(τ₁, τ₂)` whose symmetric spatiotemporal
-//! similarity (see [`similarity`]) reaches `θ`.
+//! similarity (defined in the crate's private `similarity` module) reaches
+//! `θ`.
 //!
 //! Applications (from the paper family): trajectory near-duplicate
 //! detection and data cleaning, ridesharing / carpooling partner
@@ -46,7 +47,7 @@
 #![warn(rust_2018_idioms)]
 
 mod search;
-pub mod similarity;
+mod similarity;
 
 use rayon::prelude::*;
 use search::{SearchStats, Worker};

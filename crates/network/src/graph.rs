@@ -43,8 +43,6 @@ impl std::fmt::Display for NodeId {
 )]
 pub struct EdgeId(pub u32);
 
-impl EdgeId {}
-
 /// An undirected road segment between two vertices with a positive length.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Edge {
@@ -185,8 +183,6 @@ pub struct RoadNetwork {
     targets: Vec<NodeId>,
     /// Weight of the half-edge at the same position in `targets`.
     weights: Vec<f64>,
-    /// Edge id of the half-edge at the same position in `targets`.
-    edge_ids: Vec<EdgeId>,
     bbox: BBox,
 }
 
@@ -205,19 +201,15 @@ impl RoadNetwork {
         let half = 2 * edges.len();
         let mut targets = vec![NodeId(0); half];
         let mut weights = vec![0.0f64; half];
-        let mut edge_ids = vec![EdgeId(0); half];
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for (i, e) in edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
+        for e in &edges {
             let ca = cursor[e.a.index()] as usize;
             targets[ca] = e.b;
             weights[ca] = e.weight;
-            edge_ids[ca] = id;
             cursor[e.a.index()] += 1;
             let cb = cursor[e.b.index()] as usize;
             targets[cb] = e.a;
             weights[cb] = e.weight;
-            edge_ids[cb] = id;
             cursor[e.b.index()] += 1;
         }
         let bbox = BBox::of(nodes.iter());
@@ -227,7 +219,6 @@ impl RoadNetwork {
             offsets,
             targets,
             weights,
-            edge_ids,
             bbox,
         }
     }

@@ -9,8 +9,8 @@
 //! the workspace reduces to primitives from this crate:
 //!
 //! * [`RoadNetwork`] — immutable CSR graph built via [`NetworkBuilder`];
-//! * [`dijkstra`] — exact shortest-path trees / point-to-point / many-target
-//!   distances (brute-force oracle, baselines, generators);
+//! * [`dijkstra`] — exact shortest-path trees and point-to-point distances
+//!   (brute-force oracle, baselines, generators);
 //! * [`expansion::NetworkExpansion`] — *resumable* Dijkstra, the primitive
 //!   behind the paper's concurrent multi-source expansion search;
 //! * [`astar::AStar`] — landmark-pruned A*, point-to-point routing for trip

@@ -3,8 +3,9 @@
 //! The UOTS textual similarity is the Jaccard coefficient between the query
 //! preference and the trajectory's textual attributes, which the linear
 //! combination in `uots-core` weighs against the spatial similarity. The
-//! alternative measures here (Dice, cosine, overlap) are provided for sensitivity analysis — they share the `[0, 1]` range and
-//! symmetry that the UOTS bounds require.
+//! alternative measures here (Dice, cosine, overlap) are provided for
+//! sensitivity analysis — they share the `[0, 1]` range and symmetry that
+//! the UOTS bounds require.
 
 use crate::KeywordSet;
 use serde::{Deserialize, Serialize};
@@ -48,9 +49,8 @@ impl TextSimilarity {
     /// alternative set representations (bitset blocks, galloping sorted-id
     /// intersections) only need to produce the three counts and route them
     /// here to obtain bit-identical floats — the union is reconstructed in
-    /// integer arithmetic as `|A| + |B| - |A ∩ B|`, exactly as
-    /// `KeywordSet::union_len` computes it. Empty-set conventions match
-    /// `similarity`.
+    /// integer arithmetic as `|A| + |B| - |A ∩ B|`. Empty-set conventions
+    /// match `similarity`.
     #[inline]
     pub fn from_counts(&self, inter: usize, a_len: usize, b_len: usize) -> f64 {
         if a_len == 0 && b_len == 0 {

@@ -364,8 +364,8 @@ fn finish_window<'a>(
 
 /// Completes a plan: routes a deferred pair, subsamples the route, clamps
 /// the start into the day and timestamps the samples. Returns the
-/// trajectory and the full vertex route it was sampled from. A pure function of
-/// the plan and the network, so any thread may run it.
+/// trajectory and the full vertex route it was sampled from. A pure
+/// function of the plan and the network, so any thread may run it.
 ///
 /// # Panics
 ///
