@@ -85,9 +85,8 @@ pub use error::CoreError;
 pub use metrics::SearchMetrics;
 pub use parallel::{BatchOptions, BatchPolicy, SearchContext};
 pub use planner::AlgorithmKind;
-pub use query::{QueryOptions, UotsQuery, Weights, MAX_LOCATIONS};
+pub use query::{QueryOptions, UotsQuery, Weights};
 pub use result::{Match, QueryResult};
 pub use scheduling::Scheduler;
-pub use shard::{shard_upper_bound, ClusterSnapshot, Partitioner, ShardedAnswer, ShardedCluster};
+pub use shard::{ClusterSnapshot, Partitioner, ShardedAnswer, ShardedCluster};
 pub use topk::TopK;
-pub use wal::{FsyncPolicy, WalConfig, WalError, WalWriter};

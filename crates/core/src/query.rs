@@ -12,7 +12,7 @@ use uots_network::NodeId;
 use uots_text::{KeywordSet, TextSimilarity};
 
 /// Maximum number of query locations (the per-source scan masks use `u64`).
-pub const MAX_LOCATIONS: usize = 64;
+pub(crate) const MAX_LOCATIONS: usize = 64;
 
 /// Relative weights of the similarity channels. Non-negative, summing to 1.
 ///
@@ -159,7 +159,7 @@ impl UotsQuery {
     /// # Errors
     ///
     /// [`CoreError::BadParameter`] when: no locations, more than
-    /// [`MAX_LOCATIONS`] distinct locations, `k == 0`, a non-positive decay
+    /// `MAX_LOCATIONS` (64) distinct locations, `k == 0`, a non-positive decay
     /// scale, temporal weight without timestamps (or vice versa), or an
     /// out-of-range timestamp.
     pub fn with_options(

@@ -77,5 +77,5 @@ pub use registry::{
     HistogramSnapshot, LabelPair, MetricsRegistry, RegistrySnapshot, ValidationSummary,
 };
 pub use sampler::{TailSampler, DEFAULT_EXEMPLAR_CAPACITY, DEFAULT_SLOW_QUANTILE};
-pub use serve::{AcceptLoop, HttpRequest, ObsState, Response, Stopper, MAX_BODY_BYTES};
+pub use serve::{AcceptLoop, HttpRequest, ObsState, Response, Stopper};
 pub use trace::{EventRecord, QueryTrace, Recorder, RecorderReport, SpanRecord};

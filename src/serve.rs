@@ -68,7 +68,7 @@
 //!
 //! The same rings govern `/join` (probe-level budget, subset-certified).
 //! Before any route runs, the router cuts oversized bodies off at
-//! [`uots_obs::MAX_BODY_BYTES`] with `413` and refuses a body it cannot
+//! [`uots_obs::serve::MAX_BODY_BYTES`] with `413` and refuses a body it cannot
 //! frame (a bad or conflicting `Content-Length`, any `Transfer-Encoding`,
 //! a body shorter than declared) with `400`.
 //!
