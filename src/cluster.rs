@@ -15,7 +15,7 @@
 //! checkpoints: `shard-0/ … shard-(N-1)/` under the cluster root at
 //! `N ≥ 2`, the root itself at `N = 1` (the flat layout an unsharded
 //! `--wal-dir` has always had; global id = local id).
-//! [`shards_on_disk`] reads the count back from the layout. The
+//! `shards_on_disk` reads the count back from the layout. The
 //! consequences, by design:
 //!
 //! * **Recovery parallelizes.** [`ShardedDurable::open`] recovers every
@@ -45,10 +45,8 @@ use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::durable::{
-    list_checkpoints, recover, DurableError, DurableIngest, DurableStatus, RecoveryReport,
-};
-use uots_core::shard::{partition, Cluster, ClusterSnapshot, Shard};
+use crate::durable::{list_checkpoints, recover, DurableError, DurableIngest, RecoveryReport};
+use uots_core::shard::{partition, Cluster, Shard};
 use uots_core::storage::{RetryPolicy, StdFs};
 use uots_core::wal::{self, WalConfig, WalError};
 use uots_core::{EpochManager, EpochSnapshot, Mutation};
@@ -78,7 +76,7 @@ fn lineage_dir(root: &Path, num_shards: usize, shard: usize) -> PathBuf {
 /// for the flat layout (WAL segments or checkpoints directly in `root`),
 /// else the number of `shard-<s>` directories, `None` when `root` holds
 /// neither (nothing to resume).
-pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
+pub(crate) fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
     if !wal::list_segments(&StdFs, root)?.is_empty() || !list_checkpoints(&StdFs, root).is_empty() {
         return Ok(Some(1));
     }
@@ -224,27 +222,6 @@ impl ShardedDurable {
         let fresh = lineage.seed(network, &base.store, &base.vocab, !flat)?;
         Ok((fresh, Vec::new()))
     }
-
-    /// Per-shard health summaries.
-    pub fn status(&self) -> Vec<DurableStatus> {
-        (0..self.num_shards())
-            .map(|s| self.shard(s).status())
-            .collect()
-    }
-
-    /// Indexes of shards currently degraded to read-only.
-    pub fn degraded_shards(&self) -> Vec<usize> {
-        (0..self.num_shards())
-            .filter(|&s| self.shard(s).is_degraded())
-            .collect()
-    }
-
-    /// Cuts a checkpoint on every shard unconditionally (publishing
-    /// pending mutations first), in parallel like
-    /// [`publish_all`](Cluster::publish_all). Propagates the first failure.
-    pub fn checkpoint_now(&mut self) -> Result<ClusterSnapshot, DurableError> {
-        self.0.publish_with(DurableIngest::checkpoint_now)
-    }
 }
 
 /// What every shard of one lineage is opened with.
@@ -365,7 +342,7 @@ impl<'a> Lineage<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uots_core::{Partitioner, ShardedCluster};
+    use uots_core::{ClusterSnapshot, Partitioner, ShardedCluster};
     use uots_datagen::{Dataset, DatasetConfig};
     use uots_trajectory::Trajectory;
 

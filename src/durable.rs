@@ -25,7 +25,7 @@
 //!    snapshot, stamped with the last LSN appended before the publish —
 //!    at that moment snapshot state ≡ durable state through that LSN.
 //! 3. **Recovery = checkpoint ⊕ WAL tail, decided once.**
-//!    [`RecoveryPlan::scan`] is the one decision: it scans the WAL once
+//!    `RecoveryPlan::scan` is the one decision: it scans the WAL once
 //!    and takes the newest checkpoint that loads *and* whose surviving
 //!    tail continues at its lsn + 1 (falling back to older ones, then to
 //!    the base dataset at LSN 0 unless the tail is gapped there too).
@@ -426,13 +426,8 @@ impl DurableIngest {
     }
 
     /// The underlying manager (snapshots, stats).
-    pub fn manager(&self) -> &EpochManager {
+    pub(crate) fn manager(&self) -> &EpochManager {
         &self.manager
-    }
-
-    /// The current serving snapshot.
-    pub fn snapshot(&self) -> Arc<EpochSnapshot> {
-        self.manager.snapshot()
     }
 
     /// LSN the next batch will receive.
@@ -711,7 +706,7 @@ fn checkpoint_path(dir: &Path, lsn: u64) -> PathBuf {
 }
 
 /// Lists checkpoint files in `dir`, newest (highest LSN) first.
-pub fn list_checkpoints(backend: &dyn StorageBackend, dir: &Path) -> Vec<PathBuf> {
+pub(crate) fn list_checkpoints(backend: &dyn StorageBackend, dir: &Path) -> Vec<PathBuf> {
     let mut out: Vec<PathBuf> = backend
         .read_dir(dir)
         .into_iter()
@@ -762,7 +757,7 @@ impl RecoveryPlan {
     /// The WAL scan's; a checkpoint that fails to load is rejected, not
     /// an error — recovery must survive exactly the failures it exists
     /// for.
-    pub fn scan(backend: &dyn StorageBackend, dir: &Path) -> Result<Self, WalError> {
+    pub(crate) fn scan(backend: &dyn StorageBackend, dir: &Path) -> Result<Self, WalError> {
         let log = wal::replay(backend, dir, 0)?;
         // A state durable through `lsn` must be continued *exactly* at
         // lsn + 1: segments in between may have been pruned against a

@@ -35,9 +35,9 @@ use uots_core::wal::{self, Corruption};
 use uots_datagen::persist;
 
 /// Name of the quarantine subdirectory.
-pub const QUARANTINE_DIR: &str = "quarantine";
+pub(crate) const QUARANTINE_DIR: &str = "quarantine";
 /// Name of the manifest file inside the quarantine directory.
-pub const QUARANTINE_MANIFEST: &str = "MANIFEST.txt";
+pub(crate) const QUARANTINE_MANIFEST: &str = "MANIFEST.txt";
 
 /// One file moved into quarantine.
 #[derive(Debug, Clone)]
