@@ -899,8 +899,8 @@ fn main() {
                 experiment: "d4".into(),
                 dataset: ds.name.clone(),
                 algorithm: format!("wal ingest (fsync={name})"),
-                parameter: "mutations/s".into(),
-                value: throughput,
+                parameter: "wal-batches".into(),
+                value: batches_total as f64,
                 queries: batches_total,
                 runtime_ms: wall.as_secs_f64() * 1_000.0 / batches_total as f64,
                 p50_ms: 0.0,
