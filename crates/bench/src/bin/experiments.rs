@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! experiments [--scale tiny|bench|brn|nrn] [--trips N] [--queries N]
-//!             [--only t1,t2,f1,...] [--json PATH]
+//!             [--only t1,t2,f1,...] [--bench-dir DIR]
 //! ```
 //!
 //! * `t1` dataset statistics            * `f4` effect of k
@@ -24,26 +24,50 @@
 //!   time vs WAL length, with and without checkpoints (extension)
 //! * `d5` sharding: lockstep ms/query and settles, shards cut by the global
 //!   threshold, and parallel recovery time vs shard count (extension)
+//!
+//! Every experiment but T1 prints a table and writes its rows, tagged
+//! with the dataset preset and seed, as `BENCH_<id>.json` into
+//! `--bench-dir` (default `.`). T2, F1–F6, F8 and F9 follow the paper's
+//! template — vary one parameter, hold the others at their defaults, run
+//! the line-up at every point — and are one table entry each
+//! ([`EXPERIMENTS`]); the rest are functions.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
-use uots_bench::{algorithms, make_queries, measure, render_table, time, LatencyStats, Row, Scale};
+use std::time::{Duration, Instant};
+use uots::cluster::ShardedDurable;
+use uots::core::wal::{FsyncPolicy, WalConfig, WalWriter};
+use uots::durable::{recover, RecoverySource};
+use uots::storage::StdFs;
+use uots_bench::{
+    algorithms, make_queries, measure, render_table, schedulers, time, LatencyStats, Row, Scale,
+};
 use uots_core::algorithms::{Algorithm, Expansion};
+use uots_core::planner::AlgorithmKind;
+use uots_core::shard::{ClusterSnapshot, Partitioner, ShardedCluster};
 use uots_core::{
-    parallel, Database, EpochManager, ExecutionBudget, QueryOptions, RunControl, Scheduler,
-    UotsQuery, Weights,
+    parallel, Database, EpochManager, ExecutionBudget, Mutation, QueryOptions, QueryResult,
+    RunControl, UotsQuery, Weights,
 };
 use uots_datagen::{Dataset, DatasetConfig};
+use uots_network::RoadNetwork;
+use uots_text::{KeywordId, KeywordSet};
+use uots_trajectory::TrajectoryId;
 
 struct Args {
     scale: Scale,
     trips: usize,
     queries: usize,
     only: Option<HashSet<String>>,
-    json: Option<String>,
-    /// Directory for the per-experiment `BENCH_<id>.json` row files
-    /// (`None` = suppressed via `--no-bench-json`).
-    bench_dir: Option<String>,
+    /// Directory for the per-experiment `BENCH_<id>.json` row files.
+    bench_dir: String,
+}
+
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 fn parse_args() -> Args {
@@ -51,105 +75,212 @@ fn parse_args() -> Args {
     let mut trips = None;
     let mut queries = 16usize;
     let mut only = None;
-    let mut json = None;
-    let mut bench_dir = Some(".".to_string());
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut bench_dir = ".".to_string();
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| fail(format!("`{flag}` needs a value")))
+        };
+        match flag.as_str() {
             "--scale" => {
-                i += 1;
-                scale = Scale::parse(&argv[i]).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{}`", argv[i]);
-                    std::process::exit(2);
-                });
+                let v = value();
+                scale = Scale::parse(&v).unwrap_or_else(|| fail(format!("unknown scale `{v}`")));
             }
-            "--trips" => {
-                i += 1;
-                trips = Some(argv[i].parse().expect("--trips N"));
-            }
-            "--queries" => {
-                i += 1;
-                queries = argv[i].parse().expect("--queries N");
-            }
-            "--only" => {
-                i += 1;
-                only = Some(argv[i].split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--json" => {
-                i += 1;
-                json = Some(argv[i].clone());
-            }
-            "--bench-dir" => {
-                i += 1;
-                bench_dir = Some(argv[i].clone());
-            }
-            "--no-bench-json" => {
-                bench_dir = None;
-            }
+            "--trips" => trips = Some(value().parse().expect("--trips N")),
+            "--queries" => queries = value().parse().expect("--queries N"),
+            "--only" => only = Some(value().split(',').map(|s| s.trim().to_string()).collect()),
+            "--bench-dir" => bench_dir = value(),
             "--help" | "-h" => {
                 println!(
                     "usage: experiments [--scale tiny|bench|brn|nrn] [--trips N] \
-                     [--queries N] [--only t1,f2,...] [--json PATH] \
-                     [--bench-dir DIR] [--no-bench-json]\n\
-                     every experiment also writes its rows as BENCH_<id>.json \
+                     [--queries N] [--only t1,f2,...] [--bench-dir DIR]\n\
+                     every experiment writes its rows as BENCH_<id>.json \
                      (preset, seed, percentiles, visited counts) into \
-                     --bench-dir (default .); --no-bench-json suppresses them"
+                     --bench-dir (default .)"
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag `{other}` (try --help)");
-                std::process::exit(2);
-            }
+            other => fail(format!("unknown flag `{other}` (try --help)")),
         }
-        i += 1;
     }
-    let trips = trips.unwrap_or_else(|| scale.default_trips());
     Args {
         scale,
-        trips,
+        trips: trips.unwrap_or_else(|| scale.default_trips()),
         queries,
         only,
-        json,
         bench_dir,
     }
 }
 
-fn wants(args: &Args, id: &str) -> bool {
-    args.only.as_ref().is_none_or(|s| s.contains(id))
-}
-
-fn open<'a>(ds: &'a Dataset) -> Database<'a> {
+fn open(ds: &Dataset) -> Database<'_> {
     Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
         .with_keyword_index(&ds.keyword_index)
 }
 
-/// Rebuilds a dataset identical to `cfg` but with `n` trips. Because the
-/// trip generator draws trips sequentially from one RNG stream, the smaller
-/// dataset is a prefix of the larger one — cardinality sweeps compare
-/// like-for-like data.
-fn with_trips(cfg: &DatasetConfig, n: usize) -> Dataset {
-    let mut cfg = cfg.clone();
-    cfg.trips.num_trips = n;
-    cfg.name = format!("{} @|P|={n}", cfg.name);
-    Dataset::build(&cfg).expect("sweep dataset builds")
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1_000.0
 }
+
+/// What every experiment reads: the flags and the main dataset.
+struct Ctx<'a> {
+    args: &'a Args,
+    /// The main dataset's configuration; an experiment that builds its
+    /// own data changes a field of it.
+    cfg: &'a DatasetConfig,
+    ds: &'a Dataset,
+}
+
+/// An experiment's rows, and the lines printed under its table.
+type Output = (Vec<Row>, Vec<String>);
+
+/// What one sweep varies. Every other parameter stays at its default:
+/// m = 4 locations, 3 keywords, λ = 0.5, k = 1, the main dataset and the
+/// paper's line-up ([`algorithms`]).
+#[derive(Clone, Copy)]
+enum Vary {
+    /// Nothing: the defaults once, with the brute-force oracle in the
+    /// line-up at the two small scales.
+    Nothing,
+    /// The number of query locations m.
+    Locations,
+    /// The preference parameter λ.
+    Lambda,
+    /// |P| as a fraction of `--trips`. The trip generator draws trips from
+    /// one RNG stream, so each dataset is a prefix of the main one; the
+    /// value is its trip count.
+    Trips,
+    /// The answer size k.
+    K,
+    /// The number of query keywords.
+    Keywords,
+    /// The trips' sample stride; the value is the dataset's average
+    /// trajectory length.
+    Stride,
+    /// The tag vocabulary size.
+    Vocab,
+    /// The expansion's scheduler, at m = 6, on one point.
+    Scheduler,
+}
+
+/// How an experiment runs.
+enum Run {
+    /// One sweep: the swept `parameter`'s name, the query `seed`, what
+    /// the sweep varies and its points.
+    Sweep {
+        parameter: &'static str,
+        seed: u64,
+        vary: Vary,
+        points: &'static [f64],
+    },
+    /// A hand-written experiment.
+    Custom(fn(&Ctx<'_>) -> Output),
+}
+
+const fn sweep(parameter: &'static str, seed: u64, vary: Vary, points: &'static [f64]) -> Run {
+    Run::Sweep {
+        parameter,
+        seed,
+        vary,
+        points,
+    }
+}
+
+/// Every experiment with rows, in run order: id, table title and run.
+const EXPERIMENTS: [(&str, &str, Run); 16] = [
+    (
+        "t2",
+        "T2 — pruning effectiveness (defaults)",
+        sweep("-", 0x12, Vary::Nothing, &[0.0]),
+    ),
+    (
+        "f1",
+        "F1 — effect of #query locations m",
+        sweep("m", 0xf1, Vary::Locations, &[2.0, 4.0, 6.0, 8.0, 10.0]),
+    ),
+    (
+        "f2",
+        "F2 — effect of preference parameter λ",
+        sweep("lambda", 0xf2, Vary::Lambda, &[0.1, 0.3, 0.5, 0.7, 0.9]),
+    ),
+    (
+        "f3",
+        "F3 — effect of trajectory cardinality |P|",
+        sweep("|P|", 0xf3, Vary::Trips, &[0.25, 0.5, 0.75, 1.0]),
+    ),
+    (
+        "f4",
+        "F4 — effect of answer size k (extension)",
+        sweep("k", 0xf4, Vary::K, &[1.0, 5.0, 10.0, 20.0, 50.0]),
+    ),
+    (
+        "f5",
+        "F5 — effect of #query keywords",
+        sweep("keywords", 0xf5, Vary::Keywords, &[1.0, 2.0, 4.0, 8.0]),
+    ),
+    (
+        "f6",
+        "F6 — effect of average trajectory length",
+        sweep("avg_len", 0xf6, Vary::Stride, &[8.0, 4.0, 2.0, 1.0]),
+    ),
+    (
+        "f7",
+        "F7 — effect of thread count (batch wall time)",
+        Run::Custom(f7),
+    ),
+    (
+        "f8",
+        "F8 — scheduling strategy ablation",
+        sweep("scheduler", 0xf8, Vary::Scheduler, &[0.0]),
+    ),
+    (
+        "f9",
+        "F9 — effect of vocabulary size",
+        sweep("vocab", 0xf9, Vary::Vocab, &[100.0, 200.0, 400.0, 800.0]),
+    ),
+    (
+        "f10",
+        "F10 — temporal channel (extension)",
+        Run::Custom(f10),
+    ),
+    (
+        "j1",
+        "J1 — trajectory similarity self-join (extension; runtime is the whole join)",
+        Run::Custom(j1),
+    ),
+    (
+        "d1",
+        "D1 — anytime degradation: result quality vs settle budget (extension)",
+        Run::Custom(d1),
+    ),
+    (
+        "d3",
+        "D3 — live ingest: query latency under epoch churn (extension)",
+        Run::Custom(d3),
+    ),
+    (
+        "d4",
+        "D4 — durability: WAL fsync cost and recovery time (extension)",
+        Run::Custom(d4),
+    ),
+    (
+        "d5",
+        "D5 — sharding: lockstep latency, threshold cuts, parallel recovery (extension)",
+        Run::Custom(d5),
+    ),
+];
 
 fn main() {
     let args = parse_args();
-    let mut all_rows: Vec<Row> = Vec::new();
     println!(
         "# UOTS experiments — scale {:?}, |P| = {}, {} queries/point",
         args.scale, args.trips, args.queries
     );
-
-    let base_cfg = args.scale.config(args.trips);
+    let cfg = args.scale.config(args.trips);
     let ds = args.scale.build(args.trips);
-    let db = open(&ds);
+    let wants = |id: &str| args.only.as_ref().is_none_or(|s| s.contains(id));
 
-    // ---------------- T1: dataset statistics ----------------
-    if wants(&args, "t1") {
+    if wants("t1") {
         println!("\n## T1 — dataset statistics ({})", ds.name);
         println!("{}", ds.stats());
         println!(
@@ -160,456 +291,287 @@ fn main() {
         );
     }
 
-    // ---------------- T2: pruning effectiveness ----------------
-    if wants(&args, "t2") {
-        let queries = make_queries(&ds, args.queries, 4, 3, 0.5, 1, 0x12);
-        let with_oracle = matches!(args.scale, Scale::Tiny | Scale::Bench);
-        let rows: Vec<Row> = algorithms(with_oracle)
-            .iter()
-            .map(|(n, a)| measure("t2", &ds, &db, n, a.as_ref(), &queries, "-", 0.0))
-            .collect();
-        print!(
-            "{}",
-            render_table("T2 — pruning effectiveness (defaults)", &rows)
-        );
-        all_rows.extend(rows);
-    }
-
-    // ---------------- F1: number of query locations ----------------
-    if wants(&args, "f1") {
-        let mut rows = Vec::new();
-        for m in [2usize, 4, 6, 8, 10] {
-            let queries = make_queries(&ds, args.queries, m, 3, 0.5, 1, 0xf1);
-            for (n, a) in algorithms(false) {
-                rows.push(measure(
-                    "f1",
-                    &ds,
-                    &db,
-                    &n,
-                    a.as_ref(),
-                    &queries,
-                    "m",
-                    m as f64,
-                ));
-            }
+    let ctx = Ctx {
+        args: &args,
+        cfg: &cfg,
+        ds: &ds,
+    };
+    let preset = format!("{:?}", args.scale).to_lowercase();
+    let mut written = Vec::new();
+    for (id, title, run) in &EXPERIMENTS {
+        if !wants(id) {
+            continue;
         }
-        print!(
-            "{}",
-            render_table("F1 — effect of #query locations m", &rows)
-        );
-        all_rows.extend(rows);
-    }
-
-    // ---------------- F2: preference parameter λ ----------------
-    if wants(&args, "f2") {
-        let mut rows = Vec::new();
-        for lambda in [0.1, 0.3, 0.5, 0.7, 0.9] {
-            let queries = make_queries(&ds, args.queries, 4, 3, lambda, 1, 0xf2);
-            for (n, a) in algorithms(false) {
-                rows.push(measure(
-                    "f2",
-                    &ds,
-                    &db,
-                    &n,
-                    a.as_ref(),
-                    &queries,
-                    "lambda",
-                    lambda,
-                ));
-            }
+        let (rows, notes) = match *run {
+            Run::Sweep {
+                parameter,
+                seed,
+                vary,
+                points,
+            } => (run_sweep(&ctx, id, parameter, seed, vary, points), vec![]),
+            Run::Custom(f) => f(&ctx),
+        };
+        print!("{}", render_table(title, &rows));
+        for note in notes {
+            println!("{note}");
         }
-        print!(
-            "{}",
-            render_table("F2 — effect of preference parameter λ", &rows)
-        );
-        all_rows.extend(rows);
-    }
-
-    // ---------------- F3: trajectory cardinality |P| ----------------
-    if wants(&args, "f3") {
-        let mut rows = Vec::new();
-        for frac in [0.25, 0.5, 0.75, 1.0] {
-            let n = ((args.trips as f64 * frac) as usize).max(10);
-            let sub = with_trips(&base_cfg, n);
-            let sub_db = open(&sub);
-            let queries = make_queries(&sub, args.queries, 4, 3, 0.5, 1, 0xf3);
-            for (name, a) in algorithms(false) {
-                rows.push(measure(
-                    "f3",
-                    &sub,
-                    &sub_db,
-                    &name,
-                    a.as_ref(),
-                    &queries,
-                    "|P|",
-                    n as f64,
-                ));
-            }
+        let dir = std::path::Path::new(&args.bench_dir);
+        match uots_bench::write_bench_json(dir, id, &preset, cfg.trips.seed, &rows) {
+            Ok(path) => written.push(path.display().to_string()),
+            Err(e) => eprintln!("warning: writing BENCH_{id}.json: {e}"),
         }
-        print!(
-            "{}",
-            render_table("F3 — effect of trajectory cardinality |P|", &rows)
-        );
-        all_rows.extend(rows);
     }
+    if !written.is_empty() {
+        println!("\nbench rows: {}", written.join(", "));
+    }
+}
 
-    // ---------------- F4: answer size k ----------------
-    if wants(&args, "f4") {
-        let mut rows = Vec::new();
-        for k in [1usize, 5, 10, 20, 50] {
-            let queries = make_queries(&ds, args.queries, 4, 3, 0.5, k, 0xf4);
-            for (n, a) in algorithms(false) {
-                rows.push(measure(
-                    "f4",
-                    &ds,
-                    &db,
-                    &n,
-                    a.as_ref(),
-                    &queries,
-                    "k",
-                    k as f64,
-                ));
+/// Runs one sweep: per point, the dataset and queries it asks for, then
+/// the line-up over them.
+fn run_sweep(
+    ctx: &Ctx<'_>,
+    id: &str,
+    parameter: &str,
+    seed: u64,
+    vary: Vary,
+    points: &[f64],
+) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for &x in points {
+        let n = x as usize;
+        // (m, #keywords, λ, k): the defaults, but for what the sweep varies
+        let (m, keywords, lambda, k) = match vary {
+            Vary::Locations => (n, 3, 0.5, 1),
+            Vary::Keywords => (4, n, 0.5, 1),
+            Vary::Lambda => (4, 3, x, 1),
+            Vary::K => (4, 3, 0.5, n),
+            Vary::Scheduler => (6, 3, 0.5, 1),
+            _ => (4, 3, 0.5, 1),
+        };
+        let mut cfg = ctx.cfg.clone();
+        let rebuild = match vary {
+            Vary::Trips => {
+                let n = ((ctx.args.trips as f64 * x) as usize).max(10);
+                cfg.trips.num_trips = n;
+                Some(format!("@|P|={n}"))
             }
-        }
-        print!(
-            "{}",
-            render_table("F4 — effect of answer size k (extension)", &rows)
-        );
-        all_rows.extend(rows);
-    }
-
-    // ---------------- F5: number of query keywords ----------------
-    if wants(&args, "f5") {
-        let mut rows = Vec::new();
-        for kw in [1usize, 2, 4, 8] {
-            let queries = make_queries(&ds, args.queries, 4, kw, 0.5, 1, 0xf5);
-            for (n, a) in algorithms(false) {
-                rows.push(measure(
-                    "f5",
-                    &ds,
-                    &db,
-                    &n,
-                    a.as_ref(),
-                    &queries,
-                    "keywords",
-                    kw as f64,
-                ));
+            Vary::Stride => {
+                cfg.trips.sample_stride = n;
+                Some(format!("@stride={n}"))
             }
-        }
-        print!("{}", render_table("F5 — effect of #query keywords", &rows));
-        all_rows.extend(rows);
-    }
-
-    // ---------------- F6: average trajectory length ----------------
-    if wants(&args, "f6") {
-        let mut rows = Vec::new();
-        for stride in [8usize, 4, 2, 1] {
-            let mut cfg = base_cfg.clone();
-            cfg.trips.sample_stride = stride;
-            cfg.name = format!("{} @stride={stride}", cfg.name);
-            let sub = Dataset::build(&cfg).expect("stride dataset builds");
-            let avg_len = sub.stats().avg_len;
-            let sub_db = open(&sub);
-            let queries = make_queries(&sub, args.queries, 4, 3, 0.5, 1, 0xf6);
-            for (name, a) in algorithms(false) {
-                rows.push(measure(
-                    "f6",
-                    &sub,
-                    &sub_db,
-                    &name,
-                    a.as_ref(),
-                    &queries,
-                    "avg_len",
-                    avg_len,
-                ));
+            Vary::Vocab => {
+                cfg.tags.vocab_size = n;
+                Some(format!("@vocab={n}"))
             }
+            _ => None,
+        };
+        let rebuilt = rebuild.map(|tag| {
+            cfg.name = format!("{} {tag}", cfg.name);
+            Dataset::build(&cfg).expect("sweep dataset builds")
+        });
+        let ds = rebuilt.as_ref().unwrap_or(ctx.ds);
+        let value = match vary {
+            Vary::Trips => ds.store.len() as f64,
+            Vary::Stride => ds.stats().avg_len,
+            _ => x,
+        };
+        let db = open(ds);
+        let queries = make_queries(ds, ctx.args.queries, m, keywords, lambda, k, seed);
+        let lineup = match vary {
+            Vary::Nothing => algorithms(matches!(ctx.args.scale, Scale::Tiny | Scale::Bench)),
+            Vary::Scheduler => schedulers(),
+            _ => algorithms(false),
+        };
+        for (name, algo) in lineup {
+            let row = Row::new(id, &ds.name, name, parameter, value, queries.len());
+            rows.push(measure(&db, algo.as_ref(), &queries, row));
         }
-        print!(
-            "{}",
-            render_table("F6 — effect of average trajectory length", &rows)
-        );
-        all_rows.extend(rows);
     }
+    rows
+}
 
-    // ---------------- F7: thread count ----------------
-    if wants(&args, "f7") {
-        let mut rows = Vec::new();
-        let queries = make_queries(&ds, args.queries.max(32), 4, 3, 0.5, 1, 0xf7);
-        for threads in [1usize, 2, 4, 8] {
+/// F7: one batch of expansion queries at 1, 2, 4 and 8 threads.
+fn f7(ctx: &Ctx<'_>) -> Output {
+    let (ds, db) = (ctx.ds, open(ctx.ds));
+    let queries = make_queries(ds, ctx.args.queries.max(32), 4, 3, 0.5, 1, 0xf7);
+    let nq = queries.len();
+    let rows = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|threads| {
             let algo = Expansion::default();
             let (results, wall) =
                 time(|| parallel::run_batch(&db, &algo, &queries, threads).expect("batch runs"));
-            let visited: usize = results.iter().map(|r| r.metrics.visited_trajectories).sum();
-            let candidates: usize = results.iter().map(|r| r.metrics.candidates).sum();
             // per-query latencies come from each result's own clock, so
             // the percentiles reflect in-worker time, not queueing
             let mut latencies = LatencyStats::new();
+            let (mut visited, mut candidates) = (0, 0);
             for r in &results {
                 latencies.record(r.metrics.runtime);
+                visited += r.metrics.visited_trajectories;
+                candidates += r.metrics.candidates;
             }
-            let mut row = Row {
-                experiment: "f7".into(),
-                dataset: ds.name.clone(),
-                algorithm: "expansion".into(),
-                parameter: "threads".into(),
-                value: threads as f64,
-                queries: queries.len(),
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / queries.len() as f64,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: visited as f64 / queries.len() as f64,
-                candidates: candidates as f64 / queries.len() as f64,
-                candidate_ratio: candidates as f64 / (ds.store.len() * queries.len()) as f64,
-                pruning_ratio: 1.0 - candidates as f64 / (ds.store.len() * queries.len()) as f64,
-                bound_gap: 0.0,
-                recall: 1.0,
-            };
-            latencies.fill(&mut row);
-            rows.push(row);
-        }
-        print!(
-            "{}",
-            render_table("F7 — effect of thread count (batch wall time)", &rows)
-        );
-        all_rows.extend(rows);
-    }
+            let row = Row::new("f7", &ds.name, "expansion", "threads", threads as f64, nq);
+            row.timed(wall, &latencies)
+                .with_counts(visited, candidates, ds.store.len())
+        })
+        .collect();
+    (rows, vec![])
+}
 
-    // ---------------- F8: scheduler ablation ----------------
-    if wants(&args, "f8") {
-        let mut rows = Vec::new();
-        let queries = make_queries(&ds, args.queries, 6, 3, 0.5, 1, 0xf8);
-        for (label, sched) in [
-            ("heuristic", Scheduler::heuristic()),
-            ("round-robin", Scheduler::RoundRobin),
-            ("min-radius", Scheduler::MinRadius),
-        ] {
-            let algo = Expansion::new(sched);
-            rows.push(measure(
-                "f8",
-                &ds,
-                &db,
-                label,
-                &algo,
-                &queries,
-                "scheduler",
-                0.0,
-            ));
-        }
-        print!(
-            "{}",
-            render_table("F8 — scheduling strategy ablation", &rows)
-        );
-        all_rows.extend(rows);
-    }
+/// F10: the expansion with and without a preferred time per query.
+fn f10(ctx: &Ctx<'_>) -> Output {
+    let ds = ctx.ds;
+    let tidx = ds.store.build_timestamp_index();
+    let db = open(ds).with_timestamp_index(&tidx);
+    let base = make_queries(ds, ctx.args.queries, 4, 3, 0.5, 1, 0xf10);
+    let temporal: Vec<UotsQuery> = base
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            UotsQuery::with_options(
+                q.locations().to_vec(),
+                q.keywords().clone(),
+                vec![(6.0 + (i as f64 % 12.0)) * 3_600.0],
+                QueryOptions {
+                    weights: Weights::new(0.4, 0.3, 0.3).expect("valid"),
+                    ..Default::default()
+                },
+            )
+            .expect("valid temporal query")
+        })
+        .collect();
+    let algo = Expansion::default();
+    let rows = [
+        ("spatial+textual", &base, 2.0),
+        ("spatial+textual+temporal", &temporal, 3.0),
+    ]
+    .into_iter()
+    .map(|(name, queries, channels)| {
+        let row = Row::new("f10", &ds.name, name, "channels", channels, queries.len());
+        measure(&db, &algo, queries, row)
+    })
+    .collect();
+    (rows, vec![])
+}
 
-    // ---------------- F9: vocabulary size ----------------
-    if wants(&args, "f9") {
-        let mut rows = Vec::new();
-        for vocab in [100usize, 200, 400, 800] {
-            let mut cfg = base_cfg.clone();
-            cfg.tags.vocab_size = vocab;
-            cfg.name = format!("{} @vocab={vocab}", cfg.name);
-            let sub = Dataset::build(&cfg).expect("vocab dataset builds");
-            let sub_db = open(&sub);
-            let queries = make_queries(&sub, args.queries, 4, 3, 0.5, 1, 0xf9);
-            for (name, a) in algorithms(false) {
-                rows.push(measure(
-                    "f9",
-                    &sub,
-                    &sub_db,
-                    &name,
-                    a.as_ref(),
-                    &queries,
-                    "vocab",
-                    vocab as f64,
-                ));
-            }
-        }
-        print!("{}", render_table("F9 — effect of vocabulary size", &rows));
-        all_rows.extend(rows);
-    }
-
-    // ---------------- F10: temporal channel ----------------
-    if wants(&args, "f10") {
-        let mut rows = Vec::new();
-        let tidx = ds.store.build_timestamp_index();
-        let tdb = db.with_timestamp_index(&tidx);
-        let base = make_queries(&ds, args.queries, 4, 3, 0.5, 1, 0xf10);
-        let temporal: Vec<UotsQuery> = base
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                UotsQuery::with_options(
-                    q.locations().to_vec(),
-                    q.keywords().clone(),
-                    vec![(6.0 + (i as f64 % 12.0)) * 3_600.0],
-                    QueryOptions {
-                        weights: Weights::new(0.4, 0.3, 0.3).expect("valid"),
-                        ..Default::default()
-                    },
-                )
-                .expect("valid temporal query")
-            })
-            .collect();
-        let algo = Expansion::default();
-        rows.push(measure(
-            "f10",
-            &ds,
-            &tdb,
-            "spatial+textual",
-            &algo,
-            &base,
-            "channels",
-            2.0,
-        ));
-        rows.push(measure(
-            "f10",
-            &ds,
-            &tdb,
-            "spatial+textual+temporal",
-            &algo,
-            &temporal,
-            "channels",
-            3.0,
-        ));
-        print!(
-            "{}",
-            render_table("F10 — temporal channel (extension)", &rows)
-        );
-        all_rows.extend(rows);
-    }
-
-    // ---------------- J1: trajectory similarity self-join (extension) ----
-    if wants(&args, "j1") {
-        let mut rows = Vec::new();
-        // the join touches every trajectory as a probe; keep it to a
-        // join-sized subset of the main dataset scale
-        let join_trips = (args.trips / 10).clamp(200, 2_000);
-        let jds = with_trips(&base_cfg, join_trips);
-        let tidx = jds.store.build_timestamp_index();
-        let mut pairs_at_08 = Vec::new();
-        for theta in [0.7f64, 0.8, 0.9] {
-            let cfg = uots_join::JoinConfig {
-                theta,
-                ..Default::default()
-            };
-            let (result, wall) = time(|| {
-                uots_join::ts_join(&jds.network, &jds.store, &jds.vertex_index, &tidx, &cfg, 2)
-                    .expect("join runs")
-            });
-            if theta == 0.8 {
-                pairs_at_08.clone_from(&result.pairs);
-            }
-            let n = jds.store.len();
-            rows.push(Row {
-                experiment: "j1".into(),
-                dataset: jds.name.clone(),
-                algorithm: format!("ts-join pairs={}", result.pairs.len()),
-                parameter: "theta".into(),
-                value: theta,
-                queries: n,
-                runtime_ms: wall.as_secs_f64() * 1_000.0,
-                // one join = one measurement: the distribution is a point
-                p50_ms: wall.as_secs_f64() * 1_000.0,
-                p95_ms: wall.as_secs_f64() * 1_000.0,
-                p99_ms: wall.as_secs_f64() * 1_000.0,
-                max_ms: wall.as_secs_f64() * 1_000.0,
-                visited: result.visited_trajectories as f64 / n as f64,
-                candidates: result.candidates as f64 / n as f64,
-                candidate_ratio: result.candidates as f64 / (n * n) as f64,
-                pruning_ratio: 1.0 - result.candidates as f64 / (n * n) as f64,
-                bound_gap: result.completeness.bound_gap(),
-                recall: 1.0,
-            });
-        }
-        // The θ = 0.8 join over the view of a 1-, 2- and 4-shard cut of the
-        // same trips: one read path at every shard count, so the pairs
-        // must be the unsharded join's. Runs alternate across shard counts
-        // so drift hits each alike; the line below gives each count's
-        // median and spread.
-        use uots_core::shard::{Partitioner, ShardedCluster};
+/// J1: the trajectory similarity self-join at θ = 0.7, 0.8 and 0.9, then
+/// the θ = 0.8 join over the view of a 1-, 2- and 4-shard cut.
+fn j1(ctx: &Ctx<'_>) -> Output {
+    // the join touches every trajectory as a probe; keep it to a
+    // join-sized prefix of the main trip stream
+    let join_trips = (ctx.args.trips / 10).clamp(200, 2_000);
+    let mut cfg = ctx.cfg.clone();
+    cfg.trips.num_trips = join_trips;
+    cfg.name = format!("{} @|P|={join_trips}", cfg.name);
+    let jds = Dataset::build(&cfg).expect("join dataset builds");
+    let tidx = jds.store.build_timestamp_index();
+    let n = jds.store.len();
+    let mut rows = Vec::new();
+    let mut pairs_at_08 = Vec::new();
+    for theta in [0.7f64, 0.8, 0.9] {
         let cfg = uots_join::JoinConfig {
-            theta: 0.8,
+            theta,
             ..Default::default()
         };
-        let network = Arc::new(jds.network.clone());
-        let shard_counts = [1usize, 2, 4];
-        let cuts: Vec<_> = shard_counts
-            .iter()
-            .map(|&n| {
-                let cluster = ShardedCluster::new(
-                    Arc::clone(&network),
-                    &jds.store,
-                    jds.vocab.len(),
-                    n,
-                    Partitioner::Hash,
-                );
-                cluster.snapshot()
-            })
-            .collect();
-        let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cuts.len()];
-        for _ in 0..5 {
-            for (cut, cut_walls) in cuts.iter().zip(&mut walls) {
-                let (result, wall) = time(|| {
-                    let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
-                    uots_join::ts_join_with(&cut.view(), &cfg, 2, budget, ctl)
-                        .expect("view join runs")
-                });
-                assert_eq!(
-                    result.pairs,
-                    pairs_at_08,
-                    "{} shards: the view join must answer the unsharded pairs",
-                    cut.num_shards()
-                );
-                cut_walls.push(wall.as_secs_f64() * 1_000.0);
-            }
+        let (result, wall) = time(|| {
+            uots_join::ts_join(&jds.network, &jds.store, &jds.vertex_index, &tidx, &cfg, 2)
+                .expect("join runs")
+        });
+        if theta == 0.8 {
+            pairs_at_08.clone_from(&result.pairs);
         }
-        let spread: Vec<String> = shard_counts
-            .iter()
-            .zip(&mut walls)
-            .map(|(n, w)| {
-                w.sort_by(f64::total_cmp);
-                format!("{n} shards={:.1} [{:.1}, {:.1}]", w[2], w[0], w[4])
-            })
-            .collect();
-        println!(
-            "j1 view join θ=0.8, ms median [min, max] of 5: {} ({} pairs at every count)",
-            spread.join(" "),
-            pairs_at_08.len()
+        let algorithm = format!("ts-join pairs={}", result.pairs.len());
+        // one join = one measurement: the distribution is a point
+        let wall = ms(wall);
+        rows.push(
+            Row {
+                runtime_ms: wall,
+                p50_ms: wall,
+                p95_ms: wall,
+                p99_ms: wall,
+                max_ms: wall,
+                bound_gap: result.completeness.bound_gap(),
+                ..Row::new("j1", &jds.name, algorithm, "theta", theta, n)
+            }
+            .with_counts(result.visited_trajectories, result.candidates, n),
         );
-        print!(
-            "{}",
-            render_table(
-                "J1 — trajectory similarity self-join (extension; runtime is the whole join)",
-                &rows
-            )
-        );
-        all_rows.extend(rows);
     }
+    // The view join has one read path at every shard count, so its pairs
+    // must be the unsharded join's. Runs alternate across shard counts so
+    // drift hits each alike; the note gives each count's median and spread.
+    let cfg = uots_join::JoinConfig {
+        theta: 0.8,
+        ..Default::default()
+    };
+    let network = Arc::new(jds.network.clone());
+    let shard_counts = [1usize, 2, 4];
+    let cuts = shard_counts.map(|shards| hash_cut(&jds, &network, shards));
+    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); cuts.len()];
+    for _ in 0..5 {
+        for (cut, cut_walls) in cuts.iter().zip(&mut walls) {
+            let (result, wall) = time(|| {
+                let (budget, ctl) = (&ExecutionBudget::UNLIMITED, &RunControl::unbounded());
+                uots_join::ts_join_with(&cut.view(), &cfg, 2, budget, ctl).expect("view join runs")
+            });
+            assert_eq!(
+                result.pairs,
+                pairs_at_08,
+                "{} shards: the view join must answer the unsharded pairs",
+                cut.num_shards()
+            );
+            cut_walls.push(ms(wall));
+        }
+    }
+    let spread: Vec<String> = shard_counts
+        .iter()
+        .zip(&mut walls)
+        .map(|(shards, w)| {
+            w.sort_by(f64::total_cmp);
+            format!("{shards} shards={:.1} [{:.1}, {:.1}]", w[2], w[0], w[4])
+        })
+        .collect();
+    let note = format!(
+        "j1 view join θ=0.8, ms median [min, max] of 5: {} ({} pairs at every count)",
+        spread.join(" "),
+        pairs_at_08.len()
+    );
+    (rows, vec![note])
+}
 
-    // ---------------- D1: anytime degradation curve (extension) ----------
-    if wants(&args, "d1") {
-        let mut rows = Vec::new();
-        let k = 5usize;
-        let queries = make_queries(&ds, args.queries, 4, 3, 0.5, k, 0xd1);
-        let algo = Expansion::default();
-        // unbudgeted reference runs: per-query settled work + the true top-k
-        let reference: Vec<(usize, Vec<_>)> = queries
-            .iter()
-            .map(|q| {
-                let r = algo.run(&db, q).expect("reference run");
-                (r.metrics.settled_vertices.max(1), r.ids())
-            })
-            .collect();
-        for frac in [0.05f64, 0.1, 0.25, 0.5, 1.0] {
-            let mut gap_sum = 0.0;
-            let mut recall_sum = 0.0;
-            let mut visited = 0usize;
-            let mut candidates = 0usize;
+/// The published cut of `ds`'s trips hash-partitioned over `shards`
+/// shards, on `network` (a clone of `ds.network`, shared by every cut).
+fn hash_cut(ds: &Dataset, network: &Arc<RoadNetwork>, shards: usize) -> ClusterSnapshot {
+    let cluster = ShardedCluster::new(
+        Arc::clone(network),
+        &ds.store,
+        ds.vocab.len(),
+        shards,
+        Partitioner::Hash,
+    );
+    cluster.snapshot()
+}
+
+/// D1: result quality under a settle budget, as a fraction of each
+/// query's unbudgeted settles.
+fn d1(ctx: &Ctx<'_>) -> Output {
+    let (ds, db) = (ctx.ds, open(ctx.ds));
+    let queries = make_queries(ds, ctx.args.queries, 4, 3, 0.5, 5, 0xd1);
+    let algo = Expansion::default();
+    // unbudgeted reference runs: per-query settled work + the true top-k
+    let reference: Vec<(usize, Vec<_>)> = queries
+        .iter()
+        .map(|q| {
+            let r = algo.run(&db, q).expect("reference run");
+            (r.metrics.settled_vertices.max(1), r.ids())
+        })
+        .collect();
+    let rows = [0.05f64, 0.1, 0.25, 0.5, 1.0]
+        .into_iter()
+        .map(|frac| {
+            let (mut gap_sum, mut recall_sum) = (0.0, 0.0);
+            let (mut visited, mut candidates) = (0, 0);
             let mut latencies = LatencyStats::new();
-            let start = std::time::Instant::now();
+            let start = Instant::now();
             for (q, (settled_full, oracle_ids)) in queries.iter().zip(&reference) {
                 let budget = ExecutionBudget::default()
                     .with_max_settled(((*settled_full as f64) * frac).ceil() as usize);
@@ -619,7 +581,7 @@ fn main() {
                         ..q.options().clone()
                     })
                     .expect("budgeted query");
-                let q_start = std::time::Instant::now();
+                let q_start = Instant::now();
                 let r = algo.run(&db, &bq).expect("budgeted run");
                 latencies.record(q_start.elapsed());
                 gap_sum += r.completeness.bound_gap();
@@ -628,743 +590,497 @@ fn main() {
                 visited += r.metrics.visited_trajectories;
                 candidates += r.metrics.candidates;
             }
-            let wall = start.elapsed();
             let nq = queries.len().max(1) as f64;
-            let mut row = Row {
-                experiment: "d1".into(),
-                dataset: ds.name.clone(),
-                algorithm: "expansion".into(),
-                parameter: "budget".into(),
-                value: frac,
-                queries: queries.len(),
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / nq,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: visited as f64 / nq,
-                candidates: candidates as f64 / nq,
-                candidate_ratio: candidates as f64 / (ds.store.len() as f64 * nq),
-                pruning_ratio: 1.0 - candidates as f64 / (ds.store.len() as f64 * nq),
+            Row {
                 bound_gap: gap_sum / nq,
                 recall: recall_sum / nq,
-            };
-            latencies.fill(&mut row);
-            rows.push(row);
+                ..Row::new("d1", &ds.name, "expansion", "budget", frac, queries.len())
+            }
+            .timed(start.elapsed(), &latencies)
+            .with_counts(visited, candidates, ds.store.len())
+        })
+        .collect();
+    (rows, vec![])
+}
+
+/// A result's ids and similarity bits, in rank order.
+fn fingerprint(r: &QueryResult) -> Vec<(TrajectoryId, u64)> {
+    r.matches
+        .iter()
+        .map(|m| (m.id, m.similarity.to_bits()))
+        .collect()
+}
+
+/// D3's query passes over one kind of snapshot, summed.
+#[derive(Default)]
+struct Pass {
+    latencies: LatencyStats,
+    queries: usize,
+    visited: usize,
+    wall: Duration,
+}
+
+/// D3: live ingest — query latency under epoch churn against the frozen
+/// seed snapshot, every epoch checked against a from-scratch rebuild.
+fn d3(ctx: &Ctx<'_>) -> Output {
+    let ds = ctx.ds;
+    let queries = make_queries(ds, ctx.args.queries, 4, 3, 0.5, 5, 0xd3);
+    let algo = Expansion::default();
+    let mgr = EpochManager::new(
+        Arc::new(ds.network.clone()),
+        ds.store.clone(),
+        ds.vocab.len(),
+    );
+
+    // one workload pass against a pinned snapshot, added to `pass`;
+    // returns per-query fingerprints for the identity checks
+    let run_pass = |snapshot: &uots_core::EpochSnapshot, pass: &mut Pass| {
+        let db = snapshot.database();
+        let start = Instant::now();
+        let mut results = Vec::new();
+        for q in &queries {
+            let q_start = Instant::now();
+            let r = algo.run(&db, q).expect("d3 run");
+            pass.latencies.record(q_start.elapsed());
+            results.push(fingerprint(&r));
+            pass.visited += r.metrics.visited_trajectories;
         }
-        print!(
-            "{}",
-            render_table(
-                "D1 — anytime degradation: result quality vs settle budget (extension)",
-                &rows
-            )
-        );
-        all_rows.extend(rows);
+        pass.queries += queries.len();
+        pass.wall += start.elapsed();
+        results
+    };
+
+    // frozen baseline: the seed snapshot, no churn
+    let mut frozen = Pass::default();
+    run_pass(&mgr.snapshot(), &mut frozen);
+
+    // churn: epochs of mixed ingest/retire, workload re-run per epoch
+    let epochs = 4usize;
+    let batch = (ctx.args.trips / 8).clamp(8, 256);
+    let mut rng = StdRng::seed_from_u64(0xd3c4);
+    let mut next_id = ds.store.len();
+    let mut live = next_id;
+    let mut mutations = 0u64;
+    let mut mutate_time = Duration::ZERO;
+    let mut churn = Pass::default();
+    for _ in 0..epochs {
+        let m_start = Instant::now();
+        for _ in 0..batch {
+            if live <= 2 || rng.gen_bool(0.7) {
+                // re-ingest a clone of a stored trip: realistic shape,
+                // no dependency on the generator's RNG stream
+                let src = TrajectoryId(rng.gen_range(0..ds.store.len()) as u32);
+                mgr.ingest(ds.store.get(src).clone());
+                next_id += 1;
+                live += 1;
+            } else if mgr.retire(TrajectoryId(rng.gen_range(0..next_id) as u32)) {
+                live -= 1;
+            }
+            mutations += 1;
+        }
+        let snapshot = mgr.publish();
+        mutate_time += m_start.elapsed();
+        assert_eq!(snapshot.live().num_live(), live);
+        let results = run_pass(&snapshot, &mut churn);
+
+        // in-run differential: the served epoch must answer exactly as
+        // a from-scratch rebuild of the surviving trajectories
+        let (compacted, id_map) = snapshot.rebuild_compacted();
+        let vidx = compacted.build_vertex_index(ds.network.num_nodes());
+        let kidx = compacted.build_keyword_index(ds.vocab.len());
+        let blocks = compacted.build_keyword_blocks();
+        let oracle_db =
+            Database::new(snapshot.network(), &compacted, &vidx, &blocks).with_keyword_index(&kidx);
+        for (q, served) in queries.iter().zip(&results).take(3) {
+            let oracle = algo.run(&oracle_db, q).expect("d3 oracle");
+            let mapped: Vec<_> = served
+                .iter()
+                .map(|&(id, bits)| (id_map[id.0 as usize].expect("served id is live"), bits))
+                .collect();
+            let epoch = snapshot.epoch();
+            assert_eq!(
+                mapped,
+                fingerprint(&oracle),
+                "epoch {epoch} diverged from rebuild"
+            );
+        }
     }
 
-    // ------- D3: live ingest — epoch swaps vs the frozen baseline -------
-    if wants(&args, "d3") {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use uots_trajectory::TrajectoryId;
+    let throughput = mutations as f64 / mutate_time.as_secs_f64().max(1e-12);
+    let note = format!(
+        "d3 summary: {mutations} mutations over {epochs} epochs at {throughput:.0} \
+         mutations/s (batch {batch}, publish included); query latency frozen \
+         {:.3} ms → under churn {:.3} ms; every epoch verified bit-identical \
+         to a from-scratch rebuild",
+        ms(frozen.wall) / frozen.queries as f64,
+        ms(churn.wall) / churn.queries as f64,
+    );
+    // recall stays 1: every epoch is asserted bit-identical to the rebuild
+    let rows = [
+        ("frozen", frozen, 0.0),
+        ("under-churn", churn, epochs as f64),
+    ]
+    .into_iter()
+    .map(|(mode, pass, value)| {
+        let algorithm = format!("expansion ({mode})");
+        Row {
+            visited: pass.visited as f64 / pass.queries.max(1) as f64,
+            ..Row::new("d3", &ds.name, algorithm, "epochs", value, pass.queries)
+        }
+        .timed(pass.wall, &pass.latencies)
+    })
+    .collect();
+    (rows, vec![note])
+}
 
-        let k = 5usize;
-        let queries = make_queries(&ds, args.queries, 4, 3, 0.5, k, 0xd3);
-        let algo = Expansion::default();
-        let mgr = EpochManager::new(
-            Arc::new(ds.network.clone()),
-            ds.store.clone(),
-            ds.vocab.len(),
-        );
-        let nq = queries.len().max(1) as f64;
+fn unsynced_wal() -> WalConfig {
+    WalConfig {
+        fsync: FsyncPolicy::Never,
+        ..WalConfig::default()
+    }
+}
 
-        // one workload pass against a pinned snapshot; records latencies into
-        // the caller's accumulator, returns per-query fingerprints for the
-        // identity checks plus visited count and wall time
-        let run_pass = |snapshot: &uots_core::EpochSnapshot, latencies: &mut LatencyStats| {
-            let db = snapshot.database();
-            let mut results: Vec<Vec<(u64, u64)>> = Vec::new();
-            let mut visited = 0usize;
-            let start = std::time::Instant::now();
-            for q in &queries {
-                let q_start = std::time::Instant::now();
-                let r = algo.run(&db, q).expect("d3 run");
-                latencies.record(q_start.elapsed());
-                results.push(
-                    r.matches
-                        .iter()
-                        .map(|m| (m.id.0 as u64, m.similarity.to_bits()))
-                        .collect(),
-                );
-                visited += r.metrics.visited_trajectories;
-            }
-            (results, visited, start.elapsed())
-        };
+/// D4: durability — ingest cost per WAL fsync policy, and recovery time
+/// against WAL length with and without checkpoints.
+fn d4(ctx: &Ctx<'_>) -> Output {
+    let ds = ctx.ds;
+    let root = std::env::temp_dir().join(format!("uots_d4_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
 
-        // frozen baseline: the seed snapshot, no churn
-        let mut frozen_latencies = LatencyStats::new();
-        let (_, frozen_visited, frozen_wall) = run_pass(&mgr.snapshot(), &mut frozen_latencies);
-
-        // churn: epochs of mixed ingest/retire, workload re-run per epoch
-        let epochs = 4usize;
-        let batch = (args.trips / 8).clamp(8, 256);
-        let mut rng = StdRng::seed_from_u64(0xd3c4);
+    // one scripted mutation stream, identical across every policy run
+    let batches_total = 256usize;
+    let batch_size = 8usize;
+    let batches: Vec<Vec<Mutation>> = {
+        let mut rng = StdRng::seed_from_u64(0xd4);
         let mut next_id = ds.store.len();
-        let mut live = next_id;
-        let mut mutations = 0u64;
-        let mut mutate_time = std::time::Duration::ZERO;
-        let mut churn_latencies = LatencyStats::new();
-        let mut churn_visited = 0usize;
-        let mut churn_wall = std::time::Duration::ZERO;
-        for _ in 0..epochs {
-            let m_start = std::time::Instant::now();
-            for _ in 0..batch {
-                if live <= 2 || rng.gen_bool(0.7) {
-                    // re-ingest a clone of a stored trip: realistic shape,
-                    // no dependency on the generator's RNG stream
-                    let src = TrajectoryId(rng.gen_range(0..ds.store.len()) as u32);
-                    mgr.ingest(ds.store.get(src).clone());
-                    next_id += 1;
-                    live += 1;
-                } else if mgr.retire(TrajectoryId(rng.gen_range(0..next_id) as u32)) {
-                    live -= 1;
-                }
-                mutations += 1;
-            }
-            let snapshot = mgr.publish();
-            mutate_time += m_start.elapsed();
-            assert_eq!(snapshot.live().num_live(), live);
-            let (results, visited, wall) = run_pass(&snapshot, &mut churn_latencies);
-            churn_visited += visited;
-            churn_wall += wall;
-
-            // in-run differential: the served epoch must answer exactly as
-            // a from-scratch rebuild of the surviving trajectories
-            let (compacted, id_map) = snapshot.rebuild_compacted();
-            let vidx = compacted.build_vertex_index(ds.network.num_nodes());
-            let kidx = compacted.build_keyword_index(ds.vocab.len());
-            let blocks = compacted.build_keyword_blocks();
-            let oracle_db = Database::new(snapshot.network(), &compacted, &vidx, &blocks)
-                .with_keyword_index(&kidx);
-            for (q, served) in queries.iter().zip(&results).take(3) {
-                let oracle = algo.run(&oracle_db, q).expect("d3 oracle");
-                let mapped: Vec<(u64, u64)> = served
-                    .iter()
-                    .map(|&(id, bits)| {
-                        let new = id_map[id as usize].expect("served id is live");
-                        (new.0 as u64, bits)
+        (0..batches_total)
+            .map(|_| {
+                (0..batch_size)
+                    .map(|_| {
+                        if rng.gen_bool(0.7) {
+                            let src = TrajectoryId(rng.gen_range(0..ds.store.len()) as u32);
+                            next_id += 1;
+                            Mutation::Insert(ds.store.get(src).clone())
+                        } else {
+                            Mutation::Retire(TrajectoryId(rng.gen_range(0..next_id) as u32))
+                        }
                     })
-                    .collect();
-                let want: Vec<(u64, u64)> = oracle
-                    .matches
-                    .iter()
-                    .map(|m| (m.id.0 as u64, m.similarity.to_bits()))
-                    .collect();
-                assert_eq!(
-                    mapped,
-                    want,
-                    "epoch {} diverged from rebuild",
-                    snapshot.epoch()
-                );
-            }
-        }
+                    .collect()
+            })
+            .collect()
+    };
+    let mutations_total = (batches_total * batch_size) as f64;
+    // every D4 row is a point on the WAL's length in batches
+    let row = |algorithm: &str, batches: usize, queries: usize| {
+        Row::new(
+            "d4",
+            &ds.name,
+            algorithm,
+            "wal-batches",
+            batches as f64,
+            queries,
+        )
+    };
 
-        let throughput = mutations as f64 / mutate_time.as_secs_f64().max(1e-12);
-        let churn_nq = (nq * epochs as f64).max(1.0);
-        let mut rows = Vec::new();
-        for (mode, latencies, visited, wall, per_q, value) in [
-            (
-                "frozen",
-                &frozen_latencies,
-                frozen_visited as f64 / nq,
-                frozen_wall,
-                nq,
-                0.0,
-            ),
-            (
-                "under-churn",
-                &churn_latencies,
-                churn_visited as f64 / churn_nq,
-                churn_wall,
-                churn_nq,
-                epochs as f64,
-            ),
-        ] {
-            let mut row = Row {
-                experiment: "d3".into(),
-                dataset: ds.name.clone(),
-                algorithm: format!("expansion ({mode})"),
-                parameter: "epochs".into(),
-                value,
-                queries: per_q as usize,
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / per_q,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited,
-                candidates: 0.0,
-                candidate_ratio: 0.0,
-                pruning_ratio: 0.0,
-                bound_gap: 0.0,
-                recall: 1.0, // asserted bit-identical to the rebuild oracle
-            };
-            latencies.fill(&mut row);
-            rows.push(row);
-        }
-        print!(
-            "{}",
-            render_table(
-                "D3 — live ingest: query latency under epoch churn (extension)",
-                &rows
-            )
-        );
-        println!(
-            "d3 summary: {mutations} mutations over {epochs} epochs at {throughput:.0} \
-             mutations/s (batch {batch}, publish included); query latency frozen \
-             {:.3} ms → under churn {:.3} ms; every epoch verified bit-identical \
-             to a from-scratch rebuild",
-            frozen_wall.as_secs_f64() * 1_000.0 / nq,
-            churn_wall.as_secs_f64() * 1_000.0 / churn_nq,
-        );
-        all_rows.extend(rows);
-    }
-
-    // ------- D4: durability — fsync policy cost and recovery time -------
-    if wants(&args, "d4") {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use std::time::{Duration, Instant};
-        use uots::cluster::ShardedDurable;
-        use uots::core::wal::{FsyncPolicy, WalConfig, WalWriter};
-        use uots::durable::{recover, RecoverySource};
-        use uots::storage::StdFs;
-        use uots_core::Mutation;
-        use uots_trajectory::TrajectoryId;
-
-        let root = std::env::temp_dir().join(format!("uots_d4_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-
-        // one scripted mutation stream, identical across every policy run
-        let batches_total = 256usize;
-        let batch_size = 8usize;
-        let batches: Vec<Vec<Mutation>> = {
-            let mut rng = StdRng::seed_from_u64(0xd4);
-            let mut next_id = ds.store.len();
-            (0..batches_total)
-                .map(|_| {
-                    (0..batch_size)
-                        .map(|_| {
-                            if rng.gen_bool(0.7) {
-                                let src = TrajectoryId(rng.gen_range(0..ds.store.len()) as u32);
-                                next_id += 1;
-                                Mutation::Insert(ds.store.get(src).clone())
-                            } else {
-                                Mutation::Retire(TrajectoryId(rng.gen_range(0..next_id) as u32))
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let mutations_total = (batches_total * batch_size) as f64;
-
-        let mut rows = Vec::new();
-        let mut summary_tp = Vec::new();
-        for (name, policy) in [
-            ("batch", FsyncPolicy::EveryBatch),
-            (
-                "interval:5",
-                FsyncPolicy::Interval(Duration::from_millis(5)),
-            ),
-            ("off", FsyncPolicy::Never),
-        ] {
-            let dir = root.join(format!("fsync-{}", name.replace(':', "_")));
-            std::fs::create_dir_all(&dir).expect("d4 dir");
-            let config = WalConfig {
-                fsync: policy,
-                ..WalConfig::default()
-            };
-            let (mut ingest, _) =
-                ShardedDurable::open_or_create(&ds, &dir, 1, config, None, None, None)
-                    .expect("d4 wal opens");
-            let start = Instant::now();
-            for batch in &batches {
-                ingest.apply(batch.clone()).expect("d4 apply");
-            }
-            let wall = start.elapsed();
-            let throughput = mutations_total / wall.as_secs_f64().max(1e-12);
-            summary_tp.push((name, throughput));
-            rows.push(Row {
-                experiment: "d4".into(),
-                dataset: ds.name.clone(),
-                algorithm: format!("wal ingest (fsync={name})"),
-                parameter: "wal-batches".into(),
-                value: batches_total as f64,
-                queries: batches_total,
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / batches_total as f64,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: mutations_total,
-                candidates: 0.0,
-                candidate_ratio: 0.0,
-                pruning_ratio: 0.0,
-                bound_gap: 0.0,
-                recall: 1.0,
-            });
-        }
-
-        // recovery time vs WAL length (no checkpoint: full replay + rebuild)
-        let mut recovery_summary = Vec::new();
-        for len in [batches_total / 4, batches_total / 2, batches_total] {
-            let dir = root.join(format!("recover-{len}"));
-            std::fs::create_dir_all(&dir).expect("d4 dir");
-            let mut writer = WalWriter::open(
-                &dir,
-                WalConfig {
-                    fsync: FsyncPolicy::Never,
-                    ..WalConfig::default()
-                },
-                Arc::new(StdFs),
-                None,
-                None,
-            )
-            .expect("d4 wal opens");
-            for batch in &batches[..len] {
-                writer.append(batch).expect("d4 append");
-            }
-            drop(writer);
-            let start = Instant::now();
-            let recovered = recover(&StdFs, &dir, Some(&ds), None, None).expect("d4 recovery");
-            let wall = start.elapsed();
-            assert_eq!(recovered.report.replayed_batches as usize, len);
-            recovery_summary.push((len, wall));
-            rows.push(Row {
-                experiment: "d4".into(),
-                dataset: ds.name.clone(),
-                algorithm: "recover (wal only)".into(),
-                parameter: "wal-batches".into(),
-                value: len as f64,
-                queries: 1,
-                runtime_ms: wall.as_secs_f64() * 1_000.0,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: recovered.report.replayed_mutations as f64,
-                candidates: 0.0,
-                candidate_ratio: 0.0,
-                pruning_ratio: 0.0,
-                bound_gap: 0.0,
-                recall: 1.0,
-            });
-        }
-
-        // checkpoints collapse replay: same full log, checkpoint cadence on
-        let dir = root.join("recover-checkpointed");
+    let mut rows = Vec::new();
+    let mut throughputs = Vec::new();
+    for (name, policy) in [
+        ("batch", FsyncPolicy::EveryBatch),
+        (
+            "interval:5",
+            FsyncPolicy::Interval(Duration::from_millis(5)),
+        ),
+        ("off", FsyncPolicy::Never),
+    ] {
+        let dir = root.join(format!("fsync-{}", name.replace(':', "_")));
         std::fs::create_dir_all(&dir).expect("d4 dir");
         let config = WalConfig {
-            fsync: FsyncPolicy::Never,
+            fsync: policy,
             ..WalConfig::default()
         };
-        let (mut ingest, _) =
-            ShardedDurable::open_or_create(&ds, &dir, 1, config, Some(64), None, None)
-                .expect("d4 wal opens");
-        for (i, batch) in batches.iter().enumerate() {
-            ingest.apply(batch.clone()).expect("d4 apply");
-            if (i + 1) % 64 == 0 {
-                ingest.publish_all().expect("d4 publish");
-            }
-        }
-        drop(ingest);
+        let (mut ingest, _) = ShardedDurable::open_or_create(ds, &dir, 1, config, None, None, None)
+            .expect("d4 wal opens");
         let start = Instant::now();
-        let recovered = recover(&StdFs, &dir, Some(&ds), None, None).expect("d4 recovery");
-        let ckpt_wall = start.elapsed();
-        assert!(matches!(
-            recovered.report.source,
-            RecoverySource::Checkpoint(_)
-        ));
-        let ckpt_replayed = recovered.report.replayed_batches;
+        for batch in &batches {
+            ingest.apply(batch.clone()).expect("d4 apply");
+        }
+        let wall = start.elapsed();
+        let throughput = mutations_total / wall.as_secs_f64().max(1e-12);
+        throughputs.push(format!("{name} {throughput:.0}/s"));
+        let algorithm = format!("wal ingest (fsync={name})");
         rows.push(Row {
-            experiment: "d4".into(),
-            dataset: ds.name.clone(),
-            algorithm: "recover (checkpoint+tail)".into(),
-            parameter: "wal-batches".into(),
-            value: batches_total as f64,
-            queries: 1,
-            runtime_ms: ckpt_wall.as_secs_f64() * 1_000.0,
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            max_ms: 0.0,
-            visited: recovered.report.replayed_mutations as f64,
-            candidates: 0.0,
-            candidate_ratio: 0.0,
-            pruning_ratio: 0.0,
-            bound_gap: 0.0,
-            recall: 1.0,
+            runtime_ms: ms(wall) / batches_total as f64,
+            visited: mutations_total,
+            ..row(&algorithm, batches_total, batches_total)
         });
-
-        print!(
-            "{}",
-            render_table(
-                "D4 — durability: WAL fsync cost and recovery time (extension)",
-                &rows
-            )
-        );
-        let fmt_tp = |tps: &[(&str, f64)]| {
-            tps.iter()
-                .map(|(n, t)| format!("{n} {t:.0}/s"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let fmt_rec = |recs: &[(usize, Duration)]| {
-            recs.iter()
-                .map(|(l, w)| format!("{l} batches {:.0} ms", w.as_secs_f64() * 1_000.0))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        println!(
-            "d4 summary: ingest throughput by fsync policy — {}; recovery (full \
-             replay) — {}; with checkpoints every 64 batches the same {}-batch log \
-             recovers in {:.0} ms replaying only {} batches",
-            fmt_tp(&summary_tp),
-            fmt_rec(&recovery_summary),
-            batches_total,
-            ckpt_wall.as_secs_f64() * 1_000.0,
-            ckpt_replayed,
-        );
-        let _ = std::fs::remove_dir_all(&root);
-        all_rows.extend(rows);
     }
 
-    // ------- D5: sharding — lockstep latency and recovery vs N -------
-    if wants(&args, "d5") {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        use std::time::Instant;
-        use uots::cluster::ShardedDurable;
-        use uots::core::wal::{FsyncPolicy, WalConfig};
-        use uots_core::planner::AlgorithmKind;
-        use uots_core::shard::{Partitioner, ShardedCluster};
-        use uots_core::Mutation;
-        use uots_trajectory::TrajectoryId;
+    // recovery time vs WAL length (no checkpoint: full replay + rebuild)
+    let mut recoveries = Vec::new();
+    for len in [batches_total / 4, batches_total / 2, batches_total] {
+        let dir = root.join(format!("recover-{len}"));
+        std::fs::create_dir_all(&dir).expect("d4 dir");
+        let mut writer = WalWriter::open(&dir, unsynced_wal(), Arc::new(StdFs), None, None)
+            .expect("d4 wal opens");
+        for batch in &batches[..len] {
+            writer.append(batch).expect("d4 append");
+        }
+        drop(writer);
+        let start = Instant::now();
+        let recovered = recover(&StdFs, &dir, Some(ds), None, None).expect("d4 recovery");
+        let wall = start.elapsed();
+        assert_eq!(recovered.report.replayed_batches as usize, len);
+        recoveries.push(format!("{len} batches {:.0} ms", ms(wall)));
+        rows.push(Row {
+            runtime_ms: ms(wall),
+            visited: recovered.report.replayed_mutations as f64,
+            ..row("recover (wal only)", len, 1)
+        });
+    }
 
-        // The sharded tier targets million-trajectory stores
-        // (`--trips 1000000` is the headline point; smaller trips give
-        // the same curve shapes at smoke scale). `Dataset::build` routes
-        // the trips on every core, so the dataset is the one trip stream
-        // every other experiment uses at this seed.
-        // The vocabulary scales with |P| (min 1 keyword per 50 trips):
-        // with the preset's fixed vocabulary, a million-trip store gives
-        // every keyword hundreds of holders on every shard — every
-        // per-shard textual bound is trivial and no query is selective.
-        // Real tag vocabularies grow with the corpus; the Zipf tail of
-        // the scaled vocabulary keeps genuinely rare keywords in play.
-        let d5_cfg = {
-            let mut c = base_cfg.clone();
-            c.name = format!("{} [scaled-vocab]", c.name);
-            c.tags.vocab_size = c.tags.vocab_size.max(args.trips / 50);
-            c
-        };
-        let build_start = Instant::now();
-        let d5_ds = Dataset::build(&d5_cfg).expect("d5 dataset builds");
-        eprintln!(
-            "[bench] d5 built {} trajectories in {:?}",
-            d5_ds.store.len(),
-            build_start.elapsed()
-        );
+    // checkpoints collapse replay: same full log, checkpoint cadence on
+    let dir = root.join("recover-checkpointed");
+    std::fs::create_dir_all(&dir).expect("d4 dir");
+    let (mut ingest, _) =
+        ShardedDurable::open_or_create(ds, &dir, 1, unsynced_wal(), Some(64), None, None)
+            .expect("d4 wal opens");
+    for (i, batch) in batches.iter().enumerate() {
+        ingest.apply(batch.clone()).expect("d4 apply");
+        if (i + 1) % 64 == 0 {
+            ingest.publish_all().expect("d4 publish");
+        }
+    }
+    drop(ingest);
+    let start = Instant::now();
+    let recovered = recover(&StdFs, &dir, Some(ds), None, None).expect("d4 recovery");
+    let ckpt_wall = start.elapsed();
+    assert!(matches!(
+        recovered.report.source,
+        RecoverySource::Checkpoint(_)
+    ));
+    rows.push(Row {
+        runtime_ms: ms(ckpt_wall),
+        visited: recovered.report.replayed_mutations as f64,
+        ..row("recover (checkpoint+tail)", batches_total, 1)
+    });
+    let _ = std::fs::remove_dir_all(&root);
 
-        // Selective "needle" queries, built so that part retirement
-        // *provably* cuts shards: each query pairs a rare keyword `a`
-        // (2 ≤ df ≤ 8) with a common co-keyword `b` from a holder
-        // trajectory carrying ≤ 3 tags, λ = 0.1, k = 1, locations on the
-        // holder. The holder's score is ≥ λ + (1−λ)·2/3 ≈ 0.7 (both
-        // keywords, jaccard ≥ 2/3, on-route locations), while a shard
-        // holding only `b` bounds at λ + (1−λ)/2 = 0.55 — strictly below
-        // the k-th score once the holder is found, so the query stops
-        // walking it. Those `b`-only shards are the ones whose textual
-        // entries would otherwise hold the termination bound up.
-        let d5_queries: Vec<UotsQuery> = {
-            let df = |k: uots_text::KeywordId| d5_ds.keyword_index.values_at(k).len();
-            let rare: Vec<uots_text::KeywordId> = (0..d5_ds.vocab.len() as u32)
-                .map(uots_text::KeywordId)
-                .filter(|&k| (2..=8).contains(&df(k)))
-                .collect();
-            assert!(
-                !rare.is_empty(),
-                "d5 needs at least one rare keyword in the dataset"
-            );
-            // common enough that b-only shards have real work to skip
-            let common_floor = (d5_ds.store.len() / 1000).max(16);
-            let mut needles: Vec<(uots_text::KeywordId, uots_text::KeywordId, TrajectoryId)> =
-                Vec::new();
-            'outer: for &a in &rare {
-                for &h in d5_ds.keyword_index.values_at(a) {
-                    let tags = d5_ds.store.get(h).keywords().clone();
-                    if tags.len() > 3 {
-                        continue;
-                    }
-                    let b = tags.iter().filter(|&k| k != a).max_by_key(|&k| df(k));
-                    if let Some(b) = b {
-                        if df(b) >= common_floor {
-                            needles.push((a, b, h));
-                            if needles.len() >= args.queries.max(1) {
-                                break 'outer;
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            eprintln!(
-                "[bench] d5 needles: {} rare+common pairs ({} rare keywords scanned)",
-                needles.len(),
-                rare.len()
-            );
-            (0..args.queries.max(1))
-                .map(|i| {
-                    // fall back to single-keyword needles when the corpus
-                    // offers too few rare+common pairs (smoke scales)
-                    let (kws, holder) = if needles.is_empty() {
-                        let a = rare[i % rare.len()];
-                        (vec![a], d5_ds.keyword_index.values_at(a)[0])
-                    } else {
-                        let (a, b, h) = needles[i % needles.len()];
-                        (vec![a, b], h)
-                    };
-                    let t = d5_ds.store.get(holder);
-                    let mut locations: Vec<_> = t.nodes().take(2).collect();
-                    locations.dedup();
-                    UotsQuery::with_options(
-                        locations,
-                        uots_text::KeywordSet::from_ids(kws),
-                        vec![],
-                        QueryOptions {
-                            weights: Weights::lambda(0.1).expect("valid lambda"),
-                            k: 1,
-                            ..Default::default()
-                        },
-                    )
-                    .expect("valid d5 query")
-                })
-                .collect()
-        };
-        let shard_counts = [1usize, 2, 4, 8];
-        let network = Arc::new(d5_ds.network.clone());
+    let note = format!(
+        "d4 summary: ingest throughput by fsync policy — {}; recovery (full \
+         replay) — {}; with checkpoints every 64 batches the same {}-batch log \
+         recovers in {:.0} ms replaying only {} batches",
+        throughputs.join(", "),
+        recoveries.join(", "),
+        batches_total,
+        ms(ckpt_wall),
+        recovered.report.replayed_batches,
+    );
+    (rows, vec![note])
+}
 
-        let mut rows = Vec::new();
-        let mut search_summary = Vec::new();
-        for &n in &shard_counts {
-            let cluster = ShardedCluster::new(
-                Arc::clone(&network),
-                &d5_ds.store,
-                d5_ds.vocab.len(),
-                n,
-                Partitioner::Hash,
-            );
-            let cut = cluster.snapshot();
-            let mut latencies = LatencyStats::new();
-            let mut cuts = 0usize;
-            let mut settled = 0usize;
-            let mut visited = 0.0f64;
-            let start = Instant::now();
-            for q in &d5_queries {
-                let t0 = Instant::now();
-                let ans = cut.search(&AlgorithmKind::Expansion, q).expect("d5 search");
-                latencies.record(t0.elapsed());
-                if std::env::var_os("UOTS_D5_DEBUG").is_some() {
-                    let best = ans.result.matches.first();
-                    eprintln!(
-                        "[d5-debug] n={n} best={:?} cancelled={} cut={}",
-                        best.map(|m| (m.id, m.similarity, m.spatial, m.textual)),
-                        ans.shards_cancelled,
-                        ans.shards_cut
-                    );
-                }
-                cuts += ans.shards_cut;
-                settled += ans.result.metrics.settled_vertices;
-                visited += ans.result.metrics.visited_trajectories as f64;
-            }
-            let wall = start.elapsed();
-            let nq = d5_queries.len().max(1) as f64;
-            search_summary.push((n, wall.as_secs_f64() * 1_000.0 / nq, cuts, settled));
-            let mut row = Row {
-                experiment: "d5".into(),
-                dataset: d5_ds.name.clone(),
-                algorithm: format!("lockstep ({n} shards)"),
-                parameter: "shards".into(),
-                value: n as f64,
-                queries: d5_queries.len(),
-                runtime_ms: wall.as_secs_f64() * 1_000.0 / nq,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: 0.0,
-                visited: visited / nq,
+/// D5: sharding — lockstep latency, settles and threshold cuts, and
+/// parallel recovery time, at 1, 2, 4 and 8 shards.
+fn d5(ctx: &Ctx<'_>) -> Output {
+    // The sharded tier targets million-trajectory stores
+    // (`--trips 1000000` is the headline point; smaller trips give
+    // the same curve shapes at smoke scale). `Dataset::build` routes
+    // the trips on every core, so the dataset is the one trip stream
+    // every other experiment uses at this seed.
+    // The vocabulary scales with |P| (min 1 keyword per 50 trips):
+    // with the preset's fixed vocabulary, a million-trip store gives
+    // every keyword hundreds of holders on every shard — every
+    // per-shard textual bound is trivial and no query is selective.
+    // Real tag vocabularies grow with the corpus; the Zipf tail of
+    // the scaled vocabulary keeps genuinely rare keywords in play.
+    let mut cfg = ctx.cfg.clone();
+    cfg.name = format!("{} [scaled-vocab]", cfg.name);
+    cfg.tags.vocab_size = cfg.tags.vocab_size.max(ctx.args.trips / 50);
+    let build_start = Instant::now();
+    let ds = Dataset::build(&cfg).expect("d5 dataset builds");
+    eprintln!(
+        "[bench] d5 built {} trajectories in {:?}",
+        ds.store.len(),
+        build_start.elapsed()
+    );
+    let queries = needle_queries(&ds, ctx.args.queries.max(1));
+    let nq = queries.len() as f64;
+    let shard_counts = [1usize, 2, 4, 8];
+    let network = Arc::new(ds.network.clone());
+
+    let mut rows = Vec::new();
+    let mut searches = Vec::new();
+    let mut settled_by_count = Vec::new();
+    let mut total_cuts = 0;
+    for &n in &shard_counts {
+        let cut = hash_cut(&ds, &network, n);
+        let mut latencies = LatencyStats::new();
+        let (mut cuts, mut settled, mut visited) = (0, 0, 0);
+        let start = Instant::now();
+        for q in &queries {
+            let t0 = Instant::now();
+            let ans = cut.search(&AlgorithmKind::Expansion, q).expect("d5 search");
+            latencies.record(t0.elapsed());
+            cuts += ans.shards_cut;
+            settled += ans.result.metrics.settled_vertices;
+            visited += ans.result.metrics.visited_trajectories;
+        }
+        let wall = start.elapsed();
+        total_cuts += cuts;
+        searches.push(format!(
+            "{n} shards {:.2} ms/query, {:.0} settles/query ({cuts} cuts)",
+            ms(wall) / nq,
+            settled as f64 / nq
+        ));
+        settled_by_count.push(format!("{n} shards={settled}"));
+        let algorithm = format!("lockstep ({n} shards)");
+        rows.push(
+            Row {
+                visited: visited as f64 / nq,
                 // shards cut by the global threshold, mean per query
                 candidates: cuts as f64 / nq,
-                candidate_ratio: 0.0,
                 pruning_ratio: cuts as f64 / (n.max(2) as f64 - 1.0) / nq,
-                bound_gap: 0.0,
-                recall: 1.0,
+                ..Row::new("d5", &ds.name, algorithm, "shards", n as f64, queries.len())
+            }
+            .timed(wall, &latencies),
+        );
+    }
+
+    // Recovery: every shard recovers its own WAL + checkpoint lineage
+    // in parallel, so wall-clock recovery is the per-shard maximum
+    // and falls as the store spreads across more shards.
+    let root = std::env::temp_dir().join(format!("uots_d5_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let batches: Vec<Vec<Mutation>> = {
+        let mut rng = StdRng::seed_from_u64(0xd5);
+        (0..64usize)
+            .map(|_| {
+                (0..8usize)
+                    .map(|_| {
+                        let src = TrajectoryId(rng.gen_range(0..ds.store.len()) as u32);
+                        Mutation::Insert(ds.store.get(src).clone())
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let mut recoveries = Vec::new();
+    for &n in &shard_counts {
+        let dir = root.join(format!("shards-{n}"));
+        let mut cluster = ShardedDurable::create(
+            Arc::clone(&network),
+            &ds.store,
+            &ds.vocab,
+            &dir,
+            n,
+            unsynced_wal(),
+            None,
+            None,
+        )
+        .expect("d5 cluster creates");
+        for batch in &batches {
+            cluster.apply(batch.clone()).expect("d5 apply");
+        }
+        drop(cluster);
+        let start = Instant::now();
+        let (_cluster, reports) =
+            ShardedDurable::open(&dir, n, unsynced_wal(), None, None).expect("d5 recovery");
+        let wall = start.elapsed();
+        let replayed: u64 = reports.iter().map(|r| r.replayed_batches).sum();
+        recoveries.push(format!("{n} shards {:.0} ms", ms(wall)));
+        let algorithm = format!("recovery ({n} shards)");
+        rows.push(Row {
+            runtime_ms: ms(wall),
+            max_ms: reports
+                .iter()
+                .map(|r| r.micros as f64 / 1_000.0)
+                .fold(0.0, f64::max),
+            visited: replayed as f64,
+            ..Row::new("d5", &ds.name, algorithm, "shards", n as f64, 1)
+        });
+    }
+    let _ = std::fs::remove_dir_all(&root);
+
+    let summary = format!(
+        "d5 summary: {}; shards cut by the global threshold across the sweep: \
+         {total_cuts}; recovery — {}",
+        searches.join(", "),
+        recoveries.join(", "),
+    );
+    // the sweep's exact settle counts: one expansion per query location,
+    // whatever the shard count (CI compares them)
+    let settled = format!("d5 settled: {}", settled_by_count.join(" "));
+    (rows, vec![summary, settled])
+}
+
+/// D5's selective "needle" queries, built so that part retirement
+/// *provably* cuts shards: each pairs a rare keyword `a` (2 ≤ df ≤ 8)
+/// with a common co-keyword `b` from a holder trajectory carrying ≤ 3
+/// tags, λ = 0.1, k = 1, locations on the holder. The holder's score is
+/// ≥ λ + (1−λ)·2/3 ≈ 0.7 (both keywords, jaccard ≥ 2/3, on-route
+/// locations), while a shard holding only `b` bounds at λ + (1−λ)/2 =
+/// 0.55 — strictly below the k-th score once the holder is found, so the
+/// query stops walking it. Those `b`-only shards are the ones whose
+/// textual entries would otherwise hold the termination bound up.
+fn needle_queries(ds: &Dataset, count: usize) -> Vec<UotsQuery> {
+    let df = |k: KeywordId| ds.keyword_index.values_at(k).len();
+    let rare: Vec<KeywordId> = (0..ds.vocab.len() as u32)
+        .map(KeywordId)
+        .filter(|&k| (2..=8).contains(&df(k)))
+        .collect();
+    assert!(
+        !rare.is_empty(),
+        "d5 needs at least one rare keyword in the dataset"
+    );
+    // common enough that b-only shards have real work to skip
+    let common_floor = (ds.store.len() / 1000).max(16);
+    let mut needles: Vec<(KeywordId, KeywordId, TrajectoryId)> = Vec::new();
+    'outer: for &a in &rare {
+        for &h in ds.keyword_index.values_at(a) {
+            let tags = ds.store.get(h).keywords().clone();
+            if tags.len() > 3 {
+                continue;
+            }
+            let b = tags.iter().filter(|&k| k != a).max_by_key(|&k| df(k));
+            if let Some(b) = b {
+                if df(b) >= common_floor {
+                    needles.push((a, b, h));
+                    if needles.len() >= count {
+                        break 'outer;
+                    }
+                    break;
+                }
+            }
+        }
+    }
+    eprintln!(
+        "[bench] d5 needles: {} rare+common pairs ({} rare keywords scanned)",
+        needles.len(),
+        rare.len()
+    );
+    (0..count)
+        .map(|i| {
+            // fall back to single-keyword needles when the corpus
+            // offers too few rare+common pairs (smoke scales)
+            let (kws, holder) = if needles.is_empty() {
+                let a = rare[i % rare.len()];
+                (vec![a], ds.keyword_index.values_at(a)[0])
+            } else {
+                let (a, b, h) = needles[i % needles.len()];
+                (vec![a, b], h)
             };
-            latencies.fill(&mut row);
-            rows.push(row);
-        }
-
-        // Recovery: every shard recovers its own WAL + checkpoint lineage
-        // in parallel, so wall-clock recovery is the per-shard maximum
-        // and falls as the store spreads across more shards.
-        let root = std::env::temp_dir().join(format!("uots_d5_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let batches: Vec<Vec<Mutation>> = {
-            let mut rng = StdRng::seed_from_u64(0xd5);
-            (0..64usize)
-                .map(|_| {
-                    (0..8usize)
-                        .map(|_| {
-                            let src = TrajectoryId(rng.gen_range(0..d5_ds.store.len()) as u32);
-                            Mutation::Insert(d5_ds.store.get(src).clone())
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        let mut recovery_summary = Vec::new();
-        for &n in &shard_counts {
-            let dir = root.join(format!("shards-{n}"));
-            let mut cluster = ShardedDurable::create(
-                Arc::clone(&network),
-                &d5_ds.store,
-                &d5_ds.vocab,
-                &dir,
-                n,
-                WalConfig {
-                    fsync: FsyncPolicy::Never,
-                    ..WalConfig::default()
+            let mut locations: Vec<_> = ds.store.get(holder).nodes().take(2).collect();
+            locations.dedup();
+            UotsQuery::with_options(
+                locations,
+                KeywordSet::from_ids(kws),
+                vec![],
+                QueryOptions {
+                    weights: Weights::lambda(0.1).expect("valid lambda"),
+                    k: 1,
+                    ..Default::default()
                 },
-                None,
-                None,
             )
-            .expect("d5 cluster creates");
-            for batch in &batches {
-                cluster.apply(batch.clone()).expect("d5 apply");
-            }
-            drop(cluster);
-            let start = Instant::now();
-            let (_cluster, reports) = ShardedDurable::open(
-                &dir,
-                n,
-                WalConfig {
-                    fsync: FsyncPolicy::Never,
-                    ..WalConfig::default()
-                },
-                None,
-                None,
-            )
-            .expect("d5 recovery");
-            let wall = start.elapsed();
-            let replayed: u64 = reports.iter().map(|r| r.replayed_batches).sum();
-            recovery_summary.push((n, wall));
-            rows.push(Row {
-                experiment: "d5".into(),
-                dataset: d5_ds.name.clone(),
-                algorithm: format!("recovery ({n} shards)"),
-                parameter: "shards".into(),
-                value: n as f64,
-                queries: 1,
-                runtime_ms: wall.as_secs_f64() * 1_000.0,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                max_ms: reports
-                    .iter()
-                    .map(|r| r.micros as f64 / 1_000.0)
-                    .fold(0.0, f64::max),
-                visited: replayed as f64,
-                candidates: 0.0,
-                candidate_ratio: 0.0,
-                pruning_ratio: 0.0,
-                bound_gap: 0.0,
-                recall: 1.0,
-            });
-        }
-        let _ = std::fs::remove_dir_all(&root);
-
-        print!(
-            "{}",
-            render_table(
-                "D5 — sharding: lockstep latency, threshold cuts, parallel \
-                 recovery (extension)",
-                &rows
-            )
-        );
-        let total_cuts: usize = search_summary.iter().map(|(_, _, c, _)| c).sum();
-        println!(
-            "d5 summary: {}; shards cut by the global threshold across the sweep: \
-             {total_cuts}; recovery — {}",
-            search_summary
-                .iter()
-                .map(|(n, ms, c, s)| {
-                    let per_query = *s as f64 / d5_queries.len().max(1) as f64;
-                    format!("{n} shards {ms:.2} ms/query, {per_query:.0} settles/query ({c} cuts)")
-                })
-                .collect::<Vec<_>>()
-                .join(", "),
-            recovery_summary
-                .iter()
-                .map(|(n, w)| format!("{n} shards {:.0} ms", w.as_secs_f64() * 1_000.0))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        // the sweep's exact settle counts: one expansion per query
-        // location, whatever the shard count (CI compares them)
-        println!(
-            "d5 settled: {}",
-            search_summary
-                .iter()
-                .map(|(n, _, _, s)| format!("{n} shards={s}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        all_rows.extend(rows);
-    }
-
-    // machine-readable perf trajectory: one BENCH_<id>.json per experiment,
-    // every row tagged with the dataset preset and seed
-    if let Some(dir) = &args.bench_dir {
-        let dir = std::path::Path::new(dir);
-        let preset = format!("{:?}", args.scale).to_lowercase();
-        let seed = base_cfg.trips.seed;
-        let mut ids: Vec<&str> = Vec::new();
-        for r in &all_rows {
-            if !ids.contains(&r.experiment.as_str()) {
-                ids.push(&r.experiment);
-            }
-        }
-        let mut written = Vec::new();
-        for id in ids {
-            let rows: Vec<Row> = all_rows
-                .iter()
-                .filter(|r| r.experiment == id)
-                .cloned()
-                .collect();
-            match uots_bench::write_bench_json(dir, id, &preset, seed, &rows) {
-                Ok(path) => written.push(path.display().to_string()),
-                Err(e) => eprintln!("warning: writing BENCH_{id}.json: {e}"),
-            }
-        }
-        if !written.is_empty() {
-            println!("\nbench rows: {}", written.join(", "));
-        }
-    }
-
-    if let Some(path) = &args.json {
-        let json = serde_json::to_string_pretty(&all_rows).expect("rows serialize");
-        std::fs::write(path, json).expect("write json");
-        println!("\nwrote {} rows to {path}", all_rows.len());
-    }
+            .expect("valid d5 query")
+        })
+        .collect()
 }

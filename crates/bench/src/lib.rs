@@ -1,9 +1,8 @@
 //! # uots-bench
 //!
-//! Shared harness for the evaluation suite: dataset construction at
-//! experiment scales, workload materialization, measurement rows and table
-//! rendering. Both the Criterion benches (`benches/`) and the
-//! paper-style `experiments` binary build on this crate.
+//! Shared harness for the paper-style `experiments` binary: dataset
+//! construction at experiment scales, workload materialization,
+//! measurement rows and table rendering.
 //!
 //! The experiment inventory (T1–T2, F1–F10) is defined in `DESIGN.md`;
 //! `EXPERIMENTS.md` records measured outcomes.
@@ -89,28 +88,35 @@ impl Scale {
     }
 }
 
+/// An algorithm line-up: each algorithm under its row name.
+pub type Lineup = Vec<(&'static str, Box<dyn Algorithm + Sync>)>;
+
+fn expansion(scheduler: Scheduler) -> Box<dyn Algorithm + Sync> {
+    Box::new(Expansion::new(scheduler))
+}
+
 /// The algorithm line-up of the evaluation. `with_oracle` additionally
 /// includes the brute force (expensive at large scales).
-pub fn algorithms(with_oracle: bool) -> Vec<(String, Box<dyn Algorithm + Sync>)> {
-    let mut v: Vec<(String, Box<dyn Algorithm + Sync>)> = vec![
-        (
-            "expansion".to_string(),
-            Box::new(Expansion::new(Scheduler::heuristic())),
-        ),
-        (
-            "expansion-w/o-h".to_string(),
-            Box::new(Expansion::new(Scheduler::RoundRobin)),
-        ),
-        (
-            "iknn-baseline".to_string(),
-            Box::new(IknnBaseline::default()),
-        ),
-        ("text-first".to_string(), Box::new(TextFirst)),
+pub fn algorithms(with_oracle: bool) -> Lineup {
+    let mut v: Lineup = vec![
+        ("expansion", expansion(Scheduler::heuristic())),
+        ("expansion-w/o-h", expansion(Scheduler::RoundRobin)),
+        ("iknn-baseline", Box::new(IknnBaseline::default())),
+        ("text-first", Box::new(TextFirst)),
     ];
     if with_oracle {
-        v.push(("brute-force".to_string(), Box::new(BruteForce)));
+        v.push(("brute-force", Box::new(BruteForce)));
     }
     v
+}
+
+/// The scheduler ablation's line-up: the expansion under each scheduler.
+pub fn schedulers() -> Lineup {
+    vec![
+        ("heuristic", expansion(Scheduler::heuristic())),
+        ("round-robin", expansion(Scheduler::RoundRobin)),
+        ("min-radius", expansion(Scheduler::MinRadius)),
+    ]
 }
 
 /// Materializes a query workload with the given shape.
@@ -156,7 +162,7 @@ pub fn make_queries(
 }
 
 /// One measured data point: algorithm × parameter value.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Row {
     /// Experiment id (`f1`, `t2`, …).
     pub experiment: String,
@@ -194,6 +200,58 @@ pub struct Row {
     pub recall: f64,
 }
 
+impl Row {
+    /// The row of `algorithm` at `parameter = value` over `queries`
+    /// queries. Every measured column starts at 0 and `recall` at 1, an
+    /// exact run's.
+    pub fn new(
+        experiment: &str,
+        dataset: &str,
+        algorithm: impl Into<String>,
+        parameter: &str,
+        value: f64,
+        queries: usize,
+    ) -> Row {
+        Row {
+            experiment: experiment.to_string(),
+            dataset: dataset.to_string(),
+            algorithm: algorithm.into(),
+            parameter: parameter.to_string(),
+            value,
+            queries,
+            recall: 1.0,
+            ..Row::default()
+        }
+    }
+
+    /// Sets the mean runtime from the batch's `wall` time and the
+    /// percentile columns from its per-query `latencies`.
+    pub fn timed(self, wall: Duration, latencies: &LatencyStats) -> Row {
+        Row {
+            runtime_ms: wall.as_secs_f64() * 1_000.0 / self.queries.max(1) as f64,
+            p50_ms: latencies.quantile_ms(0.5),
+            p95_ms: latencies.quantile_ms(0.95),
+            p99_ms: latencies.quantile_ms(0.99),
+            max_ms: latencies.max_ms(),
+            ..self
+        }
+    }
+
+    /// Sets the effort columns from `visited` and `candidates` summed over
+    /// the row's queries, each of which ranks `population` trajectories.
+    pub fn with_counts(self, visited: usize, candidates: usize, population: usize) -> Row {
+        let queries = self.queries.max(1) as f64;
+        let candidate_ratio = candidates as f64 / (population as f64 * queries);
+        Row {
+            visited: visited as f64 / queries,
+            candidates: candidates as f64 / queries,
+            candidate_ratio,
+            pruning_ratio: 1.0 - candidate_ratio,
+            ..self
+        }
+    }
+}
+
 /// Per-query latency distribution, microsecond-bucketed. Wraps
 /// [`LogHistogram`] so experiment code reports percentiles, not just means.
 #[derive(Debug, Clone, Default)]
@@ -214,38 +272,21 @@ impl LatencyStats {
     }
 
     /// Quantile in milliseconds (`q ∈ [0, 1]`).
-    pub(crate) fn quantile_ms(&self, q: f64) -> f64 {
+    fn quantile_ms(&self, q: f64) -> f64 {
         self.hist.quantile(q) as f64 / 1_000.0
     }
 
     /// Largest recorded latency in milliseconds.
-    pub(crate) fn max_ms(&self) -> f64 {
+    fn max_ms(&self) -> f64 {
         self.hist.max() as f64 / 1_000.0
-    }
-
-    /// Fills a row's percentile columns from this distribution.
-    pub fn fill(&self, row: &mut Row) {
-        row.p50_ms = self.quantile_ms(0.5);
-        row.p95_ms = self.quantile_ms(0.95);
-        row.p99_ms = self.quantile_ms(0.99);
-        row.max_ms = self.max_ms();
     }
 }
 
-/// Runs `algo` over every query sequentially and aggregates a [`Row`],
-/// recording each query's wall time so the row carries percentile
-/// latencies alongside the mean.
-#[allow(clippy::too_many_arguments)]
-pub fn measure(
-    experiment: &str,
-    ds: &Dataset,
-    db: &Database<'_>,
-    algo_name: &str,
-    algo: &dyn Algorithm,
-    queries: &[UotsQuery],
-    parameter: &str,
-    value: f64,
-) -> Row {
+/// Runs `algo` over every query in turn and fills `row`'s measured
+/// columns, recording each query's wall time so the row carries
+/// percentile latencies alongside the mean. `row.queries` is
+/// `queries.len()`.
+pub fn measure(db: &Database<'_>, algo: &dyn Algorithm, queries: &[UotsQuery], row: Row) -> Row {
     let start = Instant::now();
     let mut agg = SearchMetrics::default();
     let mut gap_sum = 0.0;
@@ -257,29 +298,10 @@ pub fn measure(
         gap_sum += r.completeness.bound_gap();
         agg.merge(&r.metrics);
     }
-    let wall = start.elapsed();
-    let nq = queries.len().max(1);
-    let mut row = Row {
-        experiment: experiment.to_string(),
-        dataset: ds.name.clone(),
-        algorithm: algo_name.to_string(),
-        parameter: parameter.to_string(),
-        value,
-        queries: queries.len(),
-        runtime_ms: wall.as_secs_f64() * 1_000.0 / nq as f64,
-        p50_ms: 0.0,
-        p95_ms: 0.0,
-        p99_ms: 0.0,
-        max_ms: 0.0,
-        visited: agg.visited_per_query(),
-        candidates: agg.candidates as f64 / nq as f64,
-        candidate_ratio: agg.candidate_ratio(ds.store.len()),
-        pruning_ratio: agg.pruning_ratio(ds.store.len()),
-        bound_gap: gap_sum / nq as f64,
-        recall: 1.0, // exact runs recover the true top-k by construction
-    };
-    latencies.fill(&mut row);
-    row
+    let bound_gap = gap_sum / queries.len().max(1) as f64;
+    Row { bound_gap, ..row }
+        .timed(start.elapsed(), &latencies)
+        .with_counts(agg.visited_trajectories, agg.candidates, db.store.len())
 }
 
 /// Renders rows as an aligned text table grouped by parameter value.
@@ -392,7 +414,8 @@ mod tests {
         let queries = make_queries(&ds, 4, 3, 2, 0.5, 1, 9);
         assert_eq!(queries.len(), 4);
         for (name, algo) in algorithms(true) {
-            let row = measure("t0", &ds, &db, &name, algo.as_ref(), &queries, "m", 3.0);
+            let row = Row::new("t0", &ds.name, name, "m", 3.0, queries.len());
+            let row = measure(&db, algo.as_ref(), &queries, row);
             assert_eq!(row.queries, 4);
             assert!(row.runtime_ms >= 0.0);
             assert!(row.visited > 0.0);
@@ -446,7 +469,10 @@ mod tests {
         let queries = make_queries(&ds, 6, 4, 3, 0.5, 1, 11);
         let rows: Vec<Row> = algorithms(false)
             .iter()
-            .map(|(n, a)| measure("t2", &ds, &db, n, a.as_ref(), &queries, "-", 0.0))
+            .map(|(n, a)| {
+                let row = Row::new("t2", &ds.name, *n, "-", 0.0, queries.len());
+                measure(&db, a.as_ref(), &queries, row)
+            })
             .collect();
         let expansion = rows.iter().find(|r| r.algorithm == "expansion").unwrap();
         let iknn = rows
@@ -464,12 +490,6 @@ mod tests {
     #[test]
     fn table_rendering_is_stable() {
         let row = Row {
-            experiment: "f1".into(),
-            dataset: "d".into(),
-            algorithm: "expansion".into(),
-            parameter: "m".into(),
-            value: 4.0,
-            queries: 8,
             runtime_ms: 1.25,
             p50_ms: 1.1,
             p95_ms: 2.4,
@@ -479,8 +499,7 @@ mod tests {
             candidates: 3.0,
             candidate_ratio: 0.1,
             pruning_ratio: 0.9,
-            bound_gap: 0.0,
-            recall: 1.0,
+            ..Row::new("f1", "d", "expansion", "m", 4.0, 8)
         };
         let t = render_table("demo", &[row]);
         assert!(t.contains("## demo"));
