@@ -12,7 +12,7 @@ use uots_network::astar::AStar;
 use uots_network::expansion::NetworkExpansion;
 use uots_network::generators::{grid_city, GridCityConfig};
 use uots_network::{dijkstra, NodeId, Point};
-use uots_text::{KeywordId, KeywordSet, TextSimilarity};
+use uots_text::{jaccard, KeywordId, KeywordSet};
 
 fn bench(c: &mut Criterion) {
     let net = grid_city(&GridCityConfig::new(100, 100).with_seed(3)).expect("network builds");
@@ -72,7 +72,7 @@ fn bench(c: &mut Criterion) {
     let a: KeywordSet = (0..6).map(|i| KeywordId(i * 3)).collect();
     let bset: KeywordSet = (0..6).map(|i| KeywordId(i * 2)).collect();
     group.bench_function("jaccard_6x6", |b| {
-        b.iter(|| criterion::black_box(TextSimilarity::Jaccard.similarity(&a, &bset)))
+        b.iter(|| criterion::black_box(jaccard(&a, &bset)))
     });
 
     group.finish();

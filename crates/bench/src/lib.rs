@@ -25,7 +25,7 @@ use uots_obs::LogHistogram;
 pub enum Scale {
     /// 30×30 city — CI smoke runs.
     Tiny,
-    /// 60×60 city — Criterion benches on a laptop.
+    /// 60×60 city — the default, laptop-sized.
     Bench,
     /// ≈28k-vertex BRN-like city — the headline experiments.
     Brn,

@@ -46,11 +46,7 @@ impl Algorithm for BruteForce {
         let mut cut = PartCut::new(view, query);
         if !interrupted {
             'parts: for (p, part) in view.parts().iter().enumerate() {
-                let textual = TextualEval::new(
-                    query.options().text_measure,
-                    query.keywords(),
-                    part.db.keyword_blocks,
-                );
+                let textual = TextualEval::new(query.keywords(), part.db.keyword_blocks);
                 for (local, traj) in part.db.store.iter().filter(|(id, _)| part.db.is_live(*id)) {
                     if cut.is_retired(p) {
                         break;

@@ -162,7 +162,7 @@ impl Algorithm for IknnBaseline {
 
         let textual_eval: Vec<TextualEval<'_>> = parts
             .iter()
-            .map(|p| TextualEval::new(opts.text_measure, query.keywords(), p.db.keyword_blocks))
+            .map(|p| TextualEval::new(query.keywords(), p.db.keyword_blocks))
             .collect();
 
         // finalize helper as a closure would fight the borrow checker;

@@ -71,7 +71,7 @@ impl Algorithm for TextFirst {
         let textual: Vec<TextualEval<'_>> = view
             .parts()
             .iter()
-            .map(|p| TextualEval::new(opts.text_measure, query.keywords(), p.db.keyword_blocks))
+            .map(|p| TextualEval::new(query.keywords(), p.db.keyword_blocks))
             .collect();
         // per part: (bound, local id), descending bound, ties by ascending
         // id — within a part local and global ids ascend together

@@ -11,7 +11,6 @@ use uots_index::{
     VertexInvertedIndex,
 };
 use uots_network::RoadNetwork;
-use uots_text::TextSimilarity;
 use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
 
 /// Borrowed view of everything a UOTS algorithm needs: the network, the
@@ -338,11 +337,11 @@ impl<'a> TimeChannel<'a> {
 /// The sound similarity upper bound of every live trajectory of `db`:
 /// `w_s·1 + w_tx·SimT_ub + w_tm·1`.
 ///
-/// For the Jaccard measure with a non-empty query keyword set,
+/// With a non-empty query keyword set and a keyword index,
 /// `SimT_ub = |{q ∈ Q : df(q) > 0}| / |Q|`: a live trajectory can only
-/// intersect `Q` on keywords that have at least one posting, and
-/// `|Q ∪ T| ≥ |Q|`. Every other configuration (other measures, empty `Q`,
-/// no keyword index) falls back to the trivial bound `1.0`. Spatial and
+/// intersect `Q` on keywords that have at least one posting, and the
+/// Jaccard union is `|Q ∪ T| ≥ |Q|`. An empty `Q` or a part without a
+/// keyword index falls back to the trivial bound `1.0`. Spatial and
 /// temporal channels are bounded trivially — network distances carry no
 /// part-local structure that would be sound to exploit.
 ///
@@ -350,9 +349,8 @@ impl<'a> TimeChannel<'a> {
 /// order, and each dominates its exact counterpart; rounding is monotone,
 /// so no trajectory's similarity exceeds the bound by even an ulp.
 pub(crate) fn part_upper_bound(db: &Database<'_>, query: &UotsQuery) -> f64 {
-    let jaccard = matches!(query.options().text_measure, TextSimilarity::Jaccard);
     let text_ub = match db.keyword_index {
-        Some(idx) if jaccard && !query.keywords().is_empty() => {
+        Some(idx) if !query.keywords().is_empty() => {
             let present = query
                 .keywords()
                 .iter()

@@ -375,13 +375,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let num_sources = spatial.len() + temporal.len();
         let textual_eval: Vec<TextualEval<'a>> = parts
             .iter()
-            .map(|p| {
-                TextualEval::new(
-                    query.options().text_measure,
-                    query.keywords(),
-                    p.db.keyword_blocks,
-                )
-            })
+            .map(|p| TextualEval::new(query.keywords(), p.db.keyword_blocks))
             .collect();
         rec.enter(Phase::TextFilter);
         let text_rank_usable =
@@ -407,10 +401,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             parts,
             cut: PartCut::new(view, query),
             query,
-            // enforce scheduler invariants (e.g. sweep period ≥ 1) once on
-            // entry; serde-built schedulers are already clamped, this
-            // catches directly constructed ones
-            scheduler: scheduler.normalized(),
+            scheduler,
             spatial,
             temporal,
             states: ScanTable::new(view.id_bound(), m, qt),
@@ -1061,6 +1052,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
                     .total_cmp(&self.normalized_radius(b))
             })?,
             Scheduler::Heuristic { recompute_every } => {
+                // a zero sweep period acts as 1 (the variant's field is public)
                 if self.steps_since_sweep >= recompute_every.max(1) {
                     self.sweep_labels();
                     self.steps_since_sweep = 0;

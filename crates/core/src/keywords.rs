@@ -2,28 +2,22 @@
 //! [`KeywordBlocks`](uots_index::KeywordBlocks) table.
 
 use uots_index::{KeywordBlocks, PreparedQuery};
-use uots_text::{KeywordSet, TextSimilarity};
+use uots_text::KeywordSet;
 use uots_trajectory::{Trajectory, TrajectoryId};
 
 /// Per-query textual evaluator: the query prepared once against one
 /// part's keyword table, then one row read per trajectory. The floats are
-/// bit-identical to [`TextSimilarity::similarity`]'s merge walk.
+/// bit-identical to [`uots_text::jaccard`]'s merge walk.
 #[derive(Debug)]
 pub(crate) struct TextualEval<'a> {
-    measure: TextSimilarity,
     blocks: &'a KeywordBlocks,
     query: PreparedQuery,
 }
 
 impl<'a> TextualEval<'a> {
     /// Prepares `query` against `blocks`.
-    pub(crate) fn new(
-        measure: TextSimilarity,
-        query: &KeywordSet,
-        blocks: &'a KeywordBlocks,
-    ) -> Self {
+    pub(crate) fn new(query: &KeywordSet, blocks: &'a KeywordBlocks) -> Self {
         TextualEval {
-            measure,
             blocks,
             query: blocks.prepare(query),
         }
@@ -33,6 +27,6 @@ impl<'a> TextualEval<'a> {
     #[inline]
     pub(crate) fn eval(&self, tid: TrajectoryId, traj: &Trajectory) -> f64 {
         self.blocks
-            .textual(self.measure, &self.query, tid.index(), traj.keywords())
+            .textual(&self.query, tid.index(), traj.keywords())
     }
 }

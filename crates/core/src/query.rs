@@ -3,13 +3,13 @@
 //! A query consists of a set of intended places (network vertices), a set of
 //! preference keywords, an optional set of preferred timestamps (temporal
 //! extension), and the combination options: channel weights, the decay
-//! scales, the answer size `k` and the textual measure.
+//! scales and the answer size `k`. The textual similarity is Jaccard.
 
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use uots_index::DAY_SECONDS;
 use uots_network::NodeId;
-use uots_text::{KeywordSet, TextSimilarity};
+use uots_text::KeywordSet;
 
 /// Maximum number of query locations (the per-source scan masks use `u64`).
 pub(crate) const MAX_LOCATIONS: usize = 64;
@@ -113,8 +113,6 @@ pub struct QueryOptions {
     pub decay_km: f64,
     /// Temporal decay scale in seconds (extension channel).
     pub decay_s: f64,
-    /// Textual similarity measure (Jaccard in the paper).
-    pub text_measure: TextSimilarity,
 }
 
 impl Default for QueryOptions {
@@ -125,7 +123,6 @@ impl Default for QueryOptions {
             budget: crate::budget::ExecutionBudget::UNLIMITED,
             decay_km: 1.0,
             decay_s: 1_800.0,
-            text_measure: TextSimilarity::Jaccard,
         }
     }
 }

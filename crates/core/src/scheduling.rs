@@ -18,15 +18,8 @@
 //! [`Scheduler::RoundRobin`] and [`Scheduler::MinRadius`] are the ablation
 //! strategies ("w/o-h" in the evaluation).
 
-use serde::{Deserialize, Serialize};
-
 /// Strategy for picking the next query source to advance.
-///
-/// Deserialization clamps `Heuristic::recompute_every` to ≥ 1 (see
-/// `Scheduler::normalized`): a zero sweep period would mean "recompute
-/// labels after every −1 steps" and stall the label sweep arithmetic, so a
-/// hostile or hand-edited config cannot smuggle one in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// Cycle through the live sources in order. The classic IKNN-style
     /// round-robin; the "w/o heuristic" ablation.
@@ -41,39 +34,9 @@ pub enum Scheduler {
     /// matches the paper's "search the top-ranked query source until a new
     /// query source takes its place".
     Heuristic {
-        /// Steps between label sweeps (≥ 1).
+        /// Steps between label sweeps; the engine reads 0 as 1.
         recompute_every: usize,
     },
-}
-
-/// Untrusted mirror of [`Scheduler`] that serde deserializes into; the
-/// `From` conversion is where the ≥ 1 clamp happens.
-#[derive(Deserialize)]
-enum SchedulerWire {
-    RoundRobin,
-    MinRadius,
-    Heuristic { recompute_every: usize },
-}
-
-impl From<SchedulerWire> for Scheduler {
-    fn from(w: SchedulerWire) -> Self {
-        match w {
-            SchedulerWire::RoundRobin => Scheduler::RoundRobin,
-            SchedulerWire::MinRadius => Scheduler::MinRadius,
-            SchedulerWire::Heuristic { recompute_every } => {
-                Scheduler::heuristic_every(recompute_every)
-            }
-        }
-    }
-}
-
-// Hand-written (instead of `#[serde(from = "SchedulerWire")]`) so the
-// validating `From` conversion provably runs on every deserialization
-// path.
-impl serde::Deserialize for Scheduler {
-    fn deserialize(content: &serde::Content) -> Result<Self, serde::DeError> {
-        SchedulerWire::deserialize(content).map(Scheduler::from)
-    }
 }
 
 impl Scheduler {
@@ -81,26 +44,6 @@ impl Scheduler {
     pub fn heuristic() -> Self {
         Scheduler::Heuristic {
             recompute_every: 128,
-        }
-    }
-
-    /// The heuristic with an explicit sweep period, clamped to ≥ 1. Prefer
-    /// this over building the variant directly — the field stays public
-    /// for pattern matching, but a zero period is never meaningful.
-    pub(crate) fn heuristic_every(recompute_every: usize) -> Self {
-        Scheduler::Heuristic {
-            recompute_every: recompute_every.max(1),
-        }
-    }
-
-    /// A copy with every invariant enforced (`recompute_every ≥ 1`).
-    /// The engine normalizes schedulers on entry, so even a directly
-    /// constructed `Heuristic { recompute_every: 0 }` cannot stall a
-    /// label sweep.
-    pub(crate) fn normalized(self) -> Self {
-        match self {
-            Scheduler::Heuristic { recompute_every } => Scheduler::heuristic_every(recompute_every),
-            other => other,
         }
     }
 }
@@ -125,50 +68,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn serde_round_trip() {
-        for s in [
-            Scheduler::RoundRobin,
-            Scheduler::MinRadius,
-            Scheduler::heuristic(),
-        ] {
-            let json = serde_json::to_string(&s).unwrap();
-            let back: Scheduler = serde_json::from_str(&json).unwrap();
-            assert_eq!(s, back);
-        }
-    }
-
-    /// Regression: a hostile JSON config carrying `recompute_every: 0`
-    /// must not reach the engine's sweep arithmetic un-clamped.
-    #[test]
-    fn hostile_zero_period_is_clamped_everywhere() {
-        let hostile: Scheduler = serde_json::from_str(r#"{"Heuristic":{"recompute_every":0}}"#)
-            .expect("shape is valid, value is hostile");
-        assert_eq!(
-            hostile,
-            Scheduler::Heuristic { recompute_every: 1 },
-            "deserialization must clamp the sweep period"
-        );
-        assert_eq!(
-            Scheduler::heuristic_every(0),
-            Scheduler::Heuristic { recompute_every: 1 }
-        );
-        // a directly constructed zero still normalizes away
-        let direct = Scheduler::Heuristic { recompute_every: 0 };
-        assert_eq!(
-            direct.normalized(),
-            Scheduler::Heuristic { recompute_every: 1 }
-        );
-        // sane values pass through untouched
-        assert_eq!(
-            Scheduler::heuristic_every(7),
-            Scheduler::Heuristic { recompute_every: 7 }
-        );
-        assert_eq!(Scheduler::RoundRobin.normalized(), Scheduler::RoundRobin);
-    }
-
-    /// A zero-period scheduler smuggled past the constructors must still
-    /// terminate a real search (the engine normalizes on entry).
+    /// A zero sweep period must still terminate a real search.
     #[test]
     fn zero_period_scheduler_still_terminates_searches() {
         use crate::algorithms::{Algorithm, Expansion};

@@ -39,10 +39,11 @@
 //! A part is **retired** — its postings no longer walked — once its upper
 //! bound ([`shard_upper_bound`]) falls strictly below the running k-th
 //! score. The bound is the only sound one available without touching
-//! trajectory data: `w_s·1 + w_tx·SimT_ub + w_tm·1`, where for Jaccard
+//! trajectory data: `w_s·1 + w_tx·SimT_ub + w_tm·1`, where
 //! `SimT_ub = |{q ∈ Q : df_shard(q) > 0}| / |Q|` (a trajectory of the
-//! shard can only intersect `Q` on keywords with local postings, and
-//! `|Q ∪ T| ≥ |Q|`). Non-Jaccard measures fall back to the trivial `1.0`.
+//! shard can only intersect `Q` on keywords with local postings, and the
+//! Jaccard union is `|Q ∪ T| ≥ |Q|`); an empty `Q` bounds at the trivial
+//! `1.0`.
 //!
 //! ## Exactness and determinism
 //!

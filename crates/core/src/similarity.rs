@@ -3,7 +3,7 @@
 //! ```text
 //! d(o, τ)     = min_{p ∈ τ} sd(o, p)                      (network distance)
 //! Sim_S(q, τ) = (1/m) Σ_{o ∈ O} e^(−d(o,τ) / decay_km)
-//! Sim_T(q, τ) = Jaccard(ψ_q, ψ_τ)                          (configurable)
+//! Sim_T(q, τ) = Jaccard(ψ_q, ψ_τ)
 //! Sim_Tm(q,τ) = (1/|times|) Σ_t e^(−min_i |t − t_i| / decay_s)
 //! Sim(q, τ)   = w_s·Sim_S + w_tx·Sim_T + w_tm·Sim_Tm
 //! ```
@@ -176,9 +176,7 @@ mod tests {
 
     /// The textual channel by the merge walk, the table's reference.
     fn textual(q: &UotsQuery, t: &Trajectory) -> f64 {
-        q.options()
-            .text_measure
-            .similarity(q.keywords(), t.keywords())
+        uots_text::jaccard(q.keywords(), t.keywords())
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The keyword table every query's textual term reads: fixed-width `u64`
 //! bitset rows with a galloping sorted-id fallback.
 //!
-//! The textual hot path evaluates a `TextSimilarity` between the query
-//! keyword set and thousands of per-trajectory sets. A [`KeywordSet`] is a
+//! The textual hot path evaluates the Jaccard similarity between the
+//! query keyword set and thousands of per-trajectory sets. A [`KeywordSet`] is a
 //! sorted `Vec<KeywordId>` per trajectory — correct, but every comparison
 //! is a pointer chase plus a merge walk. [`KeywordBlocks`] packs all the
 //! sets into one dense table:
@@ -16,11 +16,11 @@
 //!   beats the linear merge when the two sets differ in size.
 //!
 //! Both modes produce the exact integer counts `(|A ∩ B|, |A|, |B|)` and
-//! route them through [`TextSimilarity::from_counts`], so the floats are
-//! bit-identical to [`TextSimilarity::similarity`]'s merge walk, which
+//! route them through [`jaccard_from_counts`], so the floats are
+//! bit-identical to [`jaccard`](uots_text::jaccard)'s merge walk, which
 //! stays as the reference the property tests compare against.
 
-use uots_text::{KeywordId, KeywordSet, TextSimilarity};
+use uots_text::{jaccard_from_counts, KeywordId, KeywordSet};
 
 /// Widest table (in bits) that uses the bitset representation; wider ones
 /// use the galloping sorted-id fallback.
@@ -158,17 +158,11 @@ impl KeywordBlocks {
     }
 
     /// Textual similarity between the prepared query and row `row`,
-    /// bit-identical to `measure.similarity(query, row_keywords)`.
+    /// bit-identical to `jaccard(query, row_keywords)`.
     #[inline]
-    pub fn textual(
-        &self,
-        measure: TextSimilarity,
-        q: &PreparedQuery,
-        row: usize,
-        row_keywords: &KeywordSet,
-    ) -> f64 {
+    pub fn textual(&self, q: &PreparedQuery, row: usize, row_keywords: &KeywordSet) -> f64 {
         let (inter, a_len, b_len) = self.counts(q, row, row_keywords);
-        measure.from_counts(inter, a_len, b_len)
+        jaccard_from_counts(inter, a_len, b_len)
     }
 }
 
@@ -222,13 +216,6 @@ mod tests {
         KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
     }
 
-    const ALL: [TextSimilarity; 4] = [
-        TextSimilarity::Jaccard,
-        TextSimilarity::Dice,
-        TextSimilarity::Cosine,
-        TextSimilarity::Overlap,
-    ];
-
     #[test]
     fn bitset_mode_counts_match_merge_walk() {
         let sets = [set(&[0, 3, 7]), set(&[]), set(&[3, 63, 64, 100]), set(&[5])];
@@ -242,13 +229,11 @@ mod tests {
             assert_eq!(inter, query.intersection_len(s), "row {i}");
             assert_eq!(a, query.len());
             assert_eq!(b, s.len());
-            for m in ALL {
-                assert_eq!(
-                    blocks.textual(m, &q, i, s).to_bits(),
-                    m.similarity(&query, s).to_bits(),
-                    "{m:?} row {i}"
-                );
-            }
+            assert_eq!(
+                blocks.textual(&q, i, s).to_bits(),
+                uots_text::jaccard(&query, s).to_bits(),
+                "row {i}"
+            );
         }
     }
 
@@ -300,8 +285,8 @@ mod tests {
         let q = blocks.prepare(&query);
         assert_eq!(blocks.counts(&q, 1, &sets[1]), (0, 1, 0));
         assert_eq!(
-            blocks.textual(TextSimilarity::Jaccard, &q, 0, &sets[0]),
-            TextSimilarity::Jaccard.similarity(&query, &sets[0])
+            blocks.textual(&q, 0, &sets[0]),
+            uots_text::jaccard(&query, &sets[0])
         );
     }
 }

@@ -75,8 +75,6 @@ pub struct JoinConfig {
     pub decay_km: f64,
     /// Temporal decay scale, seconds.
     pub decay_s: f64,
-    /// Source scheduling within one trajectory search.
-    pub scheduling: JoinScheduling,
     /// Upper limit on distinct sample vertices per trajectory (each one is
     /// a concurrent expansion with network-sized scratch). Trajectories
     /// exceeding it are rejected with [`JoinError::TooManySources`].
@@ -90,19 +88,9 @@ impl Default for JoinConfig {
             lambda: 0.5,
             decay_km: 1.0,
             decay_s: 1_800.0,
-            scheduling: JoinScheduling::RoundRobin,
             max_sources: 128,
         }
     }
-}
-
-/// Expansion-source scheduling inside one trajectory search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JoinScheduling {
-    /// Cycle through live sources (default).
-    RoundRobin,
-    /// Advance the source with the smallest normalized radius.
-    MinRadius,
 }
 
 /// One qualifying pair, `a < b`.
@@ -643,30 +631,6 @@ mod tests {
         assert!(high.pairs.len() <= low.pairs.len());
         // higher threshold prunes harder
         assert!(high.visited_trajectories <= low.visited_trajectories);
-    }
-
-    #[test]
-    fn min_radius_scheduling_agrees() {
-        let ds = Dataset::build(&DatasetConfig::small(40, 16)).unwrap();
-        let rr = join_all(
-            &ds,
-            &JoinConfig {
-                theta: 0.6,
-                scheduling: JoinScheduling::RoundRobin,
-                ..Default::default()
-            },
-            1,
-        );
-        let mr = join_all(
-            &ds,
-            &JoinConfig {
-                theta: 0.6,
-                scheduling: JoinScheduling::MinRadius,
-                ..Default::default()
-            },
-            1,
-        );
-        assert_eq!(rr.pairs, mr.pairs);
     }
 
     #[test]

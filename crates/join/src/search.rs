@@ -32,7 +32,7 @@
 //! allocations after warm-up.
 
 use crate::similarity::{distinct_nodes_weighted, distinct_times_weighted, Half};
-use crate::{JoinConfig, JoinScheduling};
+use crate::JoinConfig;
 use std::collections::{BinaryHeap, HashMap};
 use uots_core::{Part, TimeChannel};
 use uots_network::expansion::NetworkExpansion;
@@ -298,47 +298,21 @@ impl<'a> Worker<'a> {
                 }
             }
 
-            // ---- pick a live source ----
-            let live =
-                |s: usize, sources: &Vec<NetworkExpansion<'a>>, temporal: &Vec<TimeChannel<'a>>| {
-                    if s < active_s {
-                        !sources[s].is_exhausted()
-                    } else {
-                        !temporal[s - active_s].is_exhausted()
-                    }
-                };
-            let src = match cfg.scheduling {
-                JoinScheduling::RoundRobin => {
-                    let mut found = None;
-                    for off in 0..num_sources {
-                        let s = (rr + off) % num_sources;
-                        if live(s, &self.sources, &temporal) {
-                            found = Some(s);
-                            rr = s + 1;
-                            break;
-                        }
-                    }
-                    found
+            // ---- pick the next live source, round-robin ----
+            let live = |s: usize| {
+                if s < active_s {
+                    !self.sources[s].is_exhausted()
+                } else {
+                    !temporal[s - active_s].is_exhausted()
                 }
-                JoinScheduling::MinRadius => (0..num_sources)
-                    .filter(|&s| live(s, &self.sources, &temporal))
-                    .min_by(|&a, &b| {
-                        let ra = if a < active_s {
-                            self.sources[a].radius() / cfg.decay_km
-                        } else {
-                            temporal[a - active_s].radius() / cfg.decay_s
-                        };
-                        let rb = if b < active_s {
-                            self.sources[b].radius() / cfg.decay_km
-                        } else {
-                            temporal[b - active_s].radius() / cfg.decay_s
-                        };
-                        ra.total_cmp(&rb)
-                    }),
             };
-            let Some(src) = src else {
+            let next = (0..num_sources)
+                .map(|off| (rr + off) % num_sources)
+                .find(|&s| live(s));
+            let Some(src) = next else {
                 break; // everything exhausted: all reachable pairs finalized
             };
+            rr = src + 1;
 
             // ---- one scan step ----
             if src < active_s {

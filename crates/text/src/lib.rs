@@ -8,8 +8,8 @@
 //! * [`Vocabulary`] / [`KeywordId`] — keyword interning;
 //! * [`KeywordSet`] — sorted, deduplicated keyword sets with merge-based set
 //!   algebra;
-//! * [`TextSimilarity`] — Jaccard (the paper's measure) plus Dice, cosine
-//!   and overlap alternatives;
+//! * [`jaccard`] — the paper's textual similarity, and
+//!   [`jaccard_from_counts`], its arithmetic over precomputed counts;
 //! * [`Zipf`] — skewed rank sampling used by the tag generators.
 
 #![warn(missing_docs)]
@@ -21,6 +21,6 @@ mod vocab;
 mod zipf;
 
 pub use keyword_set::KeywordSet;
-pub use similarity::TextSimilarity;
+pub use similarity::{jaccard, jaccard_from_counts};
 pub use vocab::{KeywordId, Vocabulary};
 pub use zipf::Zipf;

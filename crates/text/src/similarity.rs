@@ -1,72 +1,38 @@
-//! Textual similarity measures between keyword sets.
+//! Textual similarity between keyword sets.
 //!
 //! The UOTS textual similarity is the Jaccard coefficient between the query
 //! preference and the trajectory's textual attributes, which the linear
-//! combination in `uots-core` weighs against the spatial similarity. The
-//! alternative measures here (Dice, cosine, overlap) are provided for
-//! sensitivity analysis — they share the `[0, 1]` range and symmetry that
-//! the UOTS bounds require.
+//! combination in `uots-core` weighs against the spatial similarity. It is
+//! symmetric and maps into `[0, 1]`, as the UOTS bounds require.
 
 use crate::KeywordSet;
-use serde::{Deserialize, Serialize};
 
-/// The textual similarity measure to use. All variants are symmetric and map
-/// into `[0, 1]`, with `1` exactly when both sets are equal and non-empty
-/// (except `Overlap`, which is also `1` for subset relations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TextSimilarity {
-    /// `|A ∩ B| / |A ∪ B|` — the UOTS paper's measure (default).
-    #[default]
-    Jaccard,
-    /// `2|A ∩ B| / (|A| + |B|)`.
-    Dice,
-    /// `|A ∩ B| / sqrt(|A| · |B|)` — set cosine.
-    Cosine,
-    /// `|A ∩ B| / min(|A|, |B|)`.
-    Overlap,
+/// Jaccard similarity `|A ∩ B| / |A ∪ B|` between two keyword sets.
+///
+/// Conventions for empty sets: two empty sets are fully similar (`1`);
+/// one empty and one non-empty set are dissimilar (`0`). A query with no
+/// keywords therefore matches untagged trajectories, which composes
+/// correctly with the λ-combination (λ = 1 disables the channel anyway).
+pub fn jaccard(a: &KeywordSet, b: &KeywordSet) -> f64 {
+    jaccard_from_counts(a.intersection_len(b), a.len(), b.len())
 }
 
-impl TextSimilarity {
-    /// Similarity between two keyword sets.
-    ///
-    /// Conventions for empty sets: two empty sets are fully similar (`1`);
-    /// one empty and one non-empty set are dissimilar (`0`). A query with no
-    /// keywords therefore matches untagged trajectories, which composes
-    /// correctly with the λ-combination (λ = 1 disables the channel anyway).
-    pub fn similarity(&self, a: &KeywordSet, b: &KeywordSet) -> f64 {
-        if a.is_empty() && b.is_empty() {
-            return 1.0;
-        }
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        self.from_counts(a.intersection_len(b), a.len(), b.len())
+/// Jaccard similarity from precomputed counts `(|A ∩ B|, |A|, |B|)`.
+///
+/// This is the arithmetic core of [`jaccard`]: alternative set
+/// representations (bitset blocks, galloping sorted-id intersections) only
+/// need to produce the three counts and route them here to obtain
+/// bit-identical floats — the union is reconstructed in integer arithmetic
+/// as `|A| + |B| - |A ∩ B|`. Empty-set conventions match `jaccard`.
+#[inline]
+pub fn jaccard_from_counts(inter: usize, a_len: usize, b_len: usize) -> f64 {
+    if a_len == 0 && b_len == 0 {
+        return 1.0;
     }
-
-    /// Similarity from precomputed counts `(|A ∩ B|, |A|, |B|)`.
-    ///
-    /// This is the arithmetic core of [`similarity`](Self::similarity):
-    /// alternative set representations (bitset blocks, galloping sorted-id
-    /// intersections) only need to produce the three counts and route them
-    /// here to obtain bit-identical floats — the union is reconstructed in
-    /// integer arithmetic as `|A| + |B| - |A ∩ B|`. Empty-set conventions
-    /// match `similarity`.
-    #[inline]
-    pub fn from_counts(&self, inter: usize, a_len: usize, b_len: usize) -> f64 {
-        if a_len == 0 && b_len == 0 {
-            return 1.0;
-        }
-        if a_len == 0 || b_len == 0 {
-            return 0.0;
-        }
-        let inter_f = inter as f64;
-        match self {
-            TextSimilarity::Jaccard => inter_f / (a_len + b_len - inter) as f64,
-            TextSimilarity::Dice => 2.0 * inter_f / (a_len + b_len) as f64,
-            TextSimilarity::Cosine => inter_f / ((a_len * b_len) as f64).sqrt(),
-            TextSimilarity::Overlap => inter_f / a_len.min(b_len) as f64,
-        }
+    if a_len == 0 || b_len == 0 {
+        return 0.0;
     }
+    inter as f64 / (a_len + b_len - inter) as f64
 }
 
 #[cfg(test)]
@@ -78,44 +44,28 @@ mod tests {
         KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
     }
 
-    const ALL: [TextSimilarity; 4] = [
-        TextSimilarity::Jaccard,
-        TextSimilarity::Dice,
-        TextSimilarity::Cosine,
-        TextSimilarity::Overlap,
-    ];
-
     #[test]
     fn identical_sets_have_similarity_one() {
         let a = set(&[1, 2, 3]);
-        for m in ALL {
-            assert_eq!(m.similarity(&a, &a), 1.0, "{m:?}");
-        }
+        assert_eq!(jaccard(&a, &a), 1.0);
     }
 
     #[test]
     fn disjoint_sets_have_similarity_zero() {
-        let a = set(&[1, 2]);
-        let b = set(&[3, 4]);
-        for m in ALL {
-            assert_eq!(m.similarity(&a, &b), 0.0, "{m:?}");
-        }
+        assert_eq!(jaccard(&set(&[1, 2]), &set(&[3, 4])), 0.0);
     }
 
     #[test]
-    fn all_measures_are_symmetric_and_bounded() {
+    fn jaccard_is_symmetric_and_bounded() {
         let cases = [
             (set(&[1, 2, 3]), set(&[2, 3, 4, 5])),
             (set(&[1]), set(&[1, 2, 3, 4])),
             (set(&[9, 10]), set(&[10])),
         ];
         for (a, b) in &cases {
-            for m in ALL {
-                let ab = m.similarity(a, b);
-                let ba = m.similarity(b, a);
-                assert_eq!(ab, ba, "{m:?} not symmetric");
-                assert!((0.0..=1.0).contains(&ab), "{m:?} out of range: {ab}");
-            }
+            let ab = jaccard(a, b);
+            assert_eq!(ab, jaccard(b, a), "not symmetric");
+            assert!((0.0..=1.0).contains(&ab), "out of range: {ab}");
         }
     }
 
@@ -123,29 +73,23 @@ mod tests {
     fn jaccard_known_values() {
         let a = set(&[1, 2, 3]);
         let b = set(&[2, 3, 4]);
-        assert!((TextSimilarity::Jaccard.similarity(&a, &b) - 0.5).abs() < 1e-12);
-        assert!((TextSimilarity::Dice.similarity(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((TextSimilarity::Cosine.similarity(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((TextSimilarity::Overlap.similarity(&a, &b) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((jaccard(&a, &b) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_set_conventions() {
         let e = KeywordSet::empty();
         let a = set(&[1]);
-        for m in ALL {
-            assert_eq!(m.similarity(&e, &e), 1.0);
-            assert_eq!(m.similarity(&e, &a), 0.0);
-            assert_eq!(m.similarity(&a, &e), 0.0);
-        }
+        assert_eq!(jaccard(&e, &e), 1.0);
+        assert_eq!(jaccard(&e, &a), 0.0);
+        assert_eq!(jaccard(&a, &e), 0.0);
     }
 
     #[test]
-    fn overlap_is_one_for_subsets() {
+    fn a_proper_subset_scores_below_one() {
         let a = set(&[1, 2]);
         let b = set(&[1, 2, 3, 4]);
-        assert_eq!(TextSimilarity::Overlap.similarity(&a, &b), 1.0);
-        assert!(TextSimilarity::Jaccard.similarity(&a, &b) < 1.0);
+        assert_eq!(jaccard(&a, &b), 0.5);
     }
 
     #[test]
@@ -159,14 +103,12 @@ mod tests {
             (set(&[0, 5, 9, 13]), set(&[5, 13])),
         ];
         for (a, b) in &cases {
-            for m in ALL {
-                let via_counts = m.from_counts(a.intersection_len(b), a.len(), b.len());
-                assert_eq!(
-                    m.similarity(a, b).to_bits(),
-                    via_counts.to_bits(),
-                    "{m:?} on {a:?} vs {b:?}"
-                );
-            }
+            let via_counts = jaccard_from_counts(a.intersection_len(b), a.len(), b.len());
+            assert_eq!(
+                jaccard(a, b).to_bits(),
+                via_counts.to_bits(),
+                "{a:?} vs {b:?}"
+            );
         }
     }
 }

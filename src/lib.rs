@@ -69,7 +69,7 @@ pub use uots_core::{
 pub use uots_datagen::{workload, Dataset, DatasetConfig};
 pub use uots_network::{NetworkBuilder, NodeId, Point, RoadNetwork};
 pub use uots_obs::{MetricsRegistry, Phase, PhaseNanos, Recorder};
-pub use uots_text::{KeywordId, KeywordSet, TextSimilarity};
+pub use uots_text::{KeywordId, KeywordSet};
 pub use uots_trajectory::{LiveSet, Sample, Trajectory, TrajectoryId, TrajectoryStore};
 
 /// Opens a [`Database`] over a built [`Dataset`], wiring up its keyword

@@ -3,7 +3,7 @@
 //! exactly the brute-force pair set with matching similarities.
 
 use proptest::prelude::*;
-use uots::join::{ts_join, ts_join_brute, JoinConfig, JoinScheduling};
+use uots::join::{ts_join, ts_join_brute, JoinConfig};
 use uots::network::NetworkBuilder;
 use uots::trajectory::{Sample, Trajectory};
 use uots::{KeywordSet, NodeId, Point, RoadNetwork, TrajectoryStore};
@@ -61,7 +61,6 @@ proptest! {
         count in 2usize..18,
         theta in 0.3f64..0.95,
         lambda in 0.0f64..=1.0,
-        min_radius in any::<bool>(),
     ) {
         let net = graph(seed, n_nodes);
         let st = store(seed ^ 1, n_nodes, count);
@@ -70,11 +69,6 @@ proptest! {
         let cfg = JoinConfig {
             theta,
             lambda,
-            scheduling: if min_radius {
-                JoinScheduling::MinRadius
-            } else {
-                JoinScheduling::RoundRobin
-            },
             ..Default::default()
         };
         let fast = ts_join(&net, &st, &vidx, &tidx, &cfg, 1).expect("join runs");

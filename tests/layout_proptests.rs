@@ -19,16 +19,9 @@ use uots::datagen::persist;
 use uots::network::dijkstra::shortest_path_tree;
 use uots::network::expansion::MultiSourceExpansion;
 use uots::prelude::*;
-use uots::{KeywordId, NetworkBuilder, TextSimilarity};
+use uots::{KeywordId, NetworkBuilder};
 use uots_index::{galloping_intersection_len, KeywordBlocks, MAX_BITSET_BITS};
-use uots_text::KeywordSet;
-
-const MEASURES: [TextSimilarity; 4] = [
-    TextSimilarity::Jaccard,
-    TextSimilarity::Dice,
-    TextSimilarity::Cosine,
-    TextSimilarity::Overlap,
-];
+use uots_text::{jaccard, KeywordSet};
 
 fn kw_set(ids: &[u32]) -> KeywordSet {
     KeywordSet::from_ids(ids.iter().map(|&i| KeywordId(i)))
@@ -48,7 +41,7 @@ fn pick_vocab(band: usize, offset: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For every measure, both table modes reproduce the merge walk
+    /// Both table modes reproduce the merge walk
     /// bit-for-bit — exact counts in, identical floats out. The width is
     /// taken from the stored sets alone; query ids above the widest stored
     /// id are counted in |A| without ever matching, and an empty row and
@@ -83,13 +76,11 @@ proptest! {
                 let (inter, a_len, b_len) = blocks.counts(&q, i, s);
                 prop_assert_eq!(inter, query.intersection_len(s), "row {}", i);
                 prop_assert_eq!((a_len, b_len), (query.len(), s.len()), "row {}", i);
-                for m in MEASURES {
-                    prop_assert_eq!(
-                        blocks.textual(m, &q, i, s).to_bits(),
-                        m.similarity(&query, s).to_bits(),
-                        "{:?} row {}", m, i
-                    );
-                }
+                prop_assert_eq!(
+                    blocks.textual(&q, i, s).to_bits(),
+                    jaccard(&query, s).to_bits(),
+                    "row {}", i
+                );
             }
         }
     }
@@ -141,13 +132,11 @@ proptest! {
             prop_assert_eq!(inter, query.intersection_len(s), "width {} row {}", width, i);
             prop_assert_eq!((a_len, b_len), (query.len(), s.len()));
             prop_assert!(inter >= 1, "boundary bit {} must intersect", top);
-            for m in MEASURES {
-                prop_assert_eq!(
-                    blocks.textual(m, &q, i, s).to_bits(),
-                    m.similarity(&query, s).to_bits(),
-                    "{:?} width {} row {}", m, width, i
-                );
-            }
+            prop_assert_eq!(
+                blocks.textual(&q, i, s).to_bits(),
+                jaccard(&query, s).to_bits(),
+                "width {} row {}", width, i
+            );
         }
     }
 

@@ -18,7 +18,7 @@ use uots::index::GridIndex;
 use uots::network::expansion::NetworkExpansion;
 use uots::network::{dijkstra, NetworkBuilder};
 use uots::prelude::*;
-use uots::text::{KeywordId, TextSimilarity};
+use uots::text::{jaccard, KeywordId};
 use uots::trajectory::{Sample, Trajectory};
 use uots::{RoadNetwork, TrajectoryStore};
 
@@ -98,10 +98,10 @@ proptest! {
     ) {
         let a = KeywordSet::from_ids(xs.into_iter().map(KeywordId));
         let b = KeywordSet::from_ids(ys.into_iter().map(KeywordId));
-        let ab = TextSimilarity::Jaccard.similarity(&a, &b);
+        let ab = jaccard(&a, &b);
         prop_assert!((0.0..=1.0).contains(&ab));
-        prop_assert_eq!(ab, TextSimilarity::Jaccard.similarity(&b, &a));
-        prop_assert_eq!(TextSimilarity::Jaccard.similarity(&a, &a), 1.0);
+        prop_assert_eq!(ab, jaccard(&b, &a));
+        prop_assert_eq!(jaccard(&a, &a), 1.0);
     }
 
     #[test]
