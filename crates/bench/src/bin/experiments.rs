@@ -9,13 +9,10 @@
 //!             [--only t1,t2,f1,...] [--bench-dir DIR]
 //! ```
 //!
-//! * `t1` dataset statistics            * `f4` effect of k
-//! * `t2` pruning effectiveness         * `f5` effect of #keywords
-//! * `f1` effect of #query locations    * `f6` effect of trajectory length
-//! * `f2` effect of λ                   * `f7` effect of thread count
-//! * `f3` effect of |P|                 * `f8` scheduler ablation
-//! *                                    * `f9` effect of vocabulary size
-//! *                                    * `f10` temporal channel cost
+//! * `t1` dataset statistics, `t2` pruning effectiveness
+//! * `f1`–`f6`: effect of #query locations, λ, |P|, k, #keywords and
+//!   trajectory length; `f7` thread count; `f8` scheduler ablation;
+//!   `f9` vocabulary size; `f10` temporal channel cost
 //! * `j1` trajectory similarity self-join (extension)
 //! * `d1` anytime degradation curve: quality vs budget (extension)
 //! * `d3` live ingest: epoch-swap throughput and query latency under churn
@@ -163,27 +160,29 @@ enum Vary {
     Scheduler,
 }
 
+/// One sweep: the swept parameter's name, the query seed, what the sweep
+/// varies and its points.
+struct Sweep {
+    parameter: &'static str,
+    seed: u64,
+    vary: Vary,
+    points: &'static [f64],
+}
+
 /// How an experiment runs.
 enum Run {
-    /// One sweep: the swept `parameter`'s name, the query `seed`, what
-    /// the sweep varies and its points.
-    Sweep {
-        parameter: &'static str,
-        seed: u64,
-        vary: Vary,
-        points: &'static [f64],
-    },
+    Sweep(Sweep),
     /// A hand-written experiment.
     Custom(fn(&Ctx<'_>) -> Output),
 }
 
 const fn sweep(parameter: &'static str, seed: u64, vary: Vary, points: &'static [f64]) -> Run {
-    Run::Sweep {
+    Run::Sweep(Sweep {
         parameter,
         seed,
         vary,
         points,
-    }
+    })
 }
 
 /// Every experiment with rows, in run order: id, table title and run.
@@ -302,13 +301,8 @@ fn main() {
         if !wants(id) {
             continue;
         }
-        let (rows, notes) = match *run {
-            Run::Sweep {
-                parameter,
-                seed,
-                vary,
-                points,
-            } => (run_sweep(&ctx, id, parameter, seed, vary, points), vec![]),
+        let (rows, notes) = match run {
+            Run::Sweep(sweep) => (run_sweep(&ctx, id, sweep), vec![]),
             Run::Custom(f) => f(&ctx),
         };
         print!("{}", render_table(title, &rows));
@@ -328,16 +322,10 @@ fn main() {
 
 /// Runs one sweep: per point, the dataset and queries it asks for, then
 /// the line-up over them.
-fn run_sweep(
-    ctx: &Ctx<'_>,
-    id: &str,
-    parameter: &str,
-    seed: u64,
-    vary: Vary,
-    points: &[f64],
-) -> Vec<Row> {
+fn run_sweep(ctx: &Ctx<'_>, id: &str, sweep: &Sweep) -> Vec<Row> {
+    let vary = sweep.vary;
     let mut rows = Vec::new();
-    for &x in points {
+    for &x in sweep.points {
         let n = x as usize;
         // (m, #keywords, λ, k): the defaults, but for what the sweep varies
         let (m, keywords, lambda, k) = match vary {
@@ -376,14 +364,14 @@ fn run_sweep(
             _ => x,
         };
         let db = open(ds);
-        let queries = make_queries(ds, ctx.args.queries, m, keywords, lambda, k, seed);
+        let queries = make_queries(ds, ctx.args.queries, m, keywords, lambda, k, sweep.seed);
         let lineup = match vary {
             Vary::Nothing => algorithms(matches!(ctx.args.scale, Scale::Tiny | Scale::Bench)),
             Vary::Scheduler => schedulers(),
             _ => algorithms(false),
         };
         for (name, algo) in lineup {
-            let row = Row::new(id, &ds.name, name, parameter, value, queries.len());
+            let row = Row::new(id, &ds.name, name, sweep.parameter, value, queries.len());
             rows.push(measure(&db, algo.as_ref(), &queries, row));
         }
     }

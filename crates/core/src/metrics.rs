@@ -82,11 +82,6 @@ impl SearchMetrics {
         self.candidates as f64 / (total_trajectories * self.queries) as f64
     }
 
-    /// Pruning ratio: `1 − candidate ratio`.
-    pub fn pruning_ratio(&self, total_trajectories: usize) -> f64 {
-        1.0 - self.candidate_ratio(total_trajectories)
-    }
-
     /// Visited-trajectory count averaged per query.
     pub fn visited_per_query(&self) -> f64 {
         if self.queries == 0 {
@@ -135,7 +130,6 @@ mod tests {
             ..Default::default()
         };
         assert!((m.candidate_ratio(100) - 0.25).abs() < 1e-12);
-        assert!((m.pruning_ratio(100) - 0.75).abs() < 1e-12);
         assert_eq!(m.candidate_ratio(0), 0.0);
     }
 
