@@ -24,10 +24,10 @@
 //!
 //! Every experiment but T1 prints a table and writes its rows, tagged
 //! with the dataset preset and seed, as `BENCH_<id>.json` into
-//! `--bench-dir` (default `.`). T2, F1–F6, F8 and F9 follow the paper's
-//! template — vary one parameter, hold the others at their defaults, run
-//! the line-up at every point — and are one table entry each
-//! ([`EXPERIMENTS`]); the rest are functions.
+//! `--bench-dir` (default `.`). Each is one entry of [`EXPERIMENTS`]:
+//! T2, F1–F6, F8 and F9 are sweeps of the paper's template — vary one
+//! parameter, hold the others at their defaults, run the line-up at every
+//! point — and the rest are functions.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
