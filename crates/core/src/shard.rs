@@ -717,6 +717,35 @@ mod tests {
         (net, store)
     }
 
+    /// Shard `s` of an `N`-way partition holds exactly the global ids
+    /// `≡ s (mod N)`, in order, at local id `g / N`, each equal to the
+    /// input's trajectory.
+    #[test]
+    fn partition_places_every_trajectory_at_its_hash_slot() {
+        use uots_datagen::{Dataset, DatasetConfig};
+        let ds = Dataset::build(&DatasetConfig::small(75, 9)).unwrap();
+        for n in 1..=4 {
+            let parts = partition(&ds.store, n);
+            assert_eq!(parts.len(), n);
+            for (s, part) in parts.iter().enumerate() {
+                let expected: Vec<_> = ds
+                    .store
+                    .iter()
+                    .filter(|(g, _)| g.index() % n == s)
+                    .collect();
+                assert_eq!(part.len(), expected.len(), "shard {s} of {n}");
+                for ((l, t), (g, want)) in part.iter().zip(expected) {
+                    assert_eq!(
+                        l.index(),
+                        g.index() / n,
+                        "shard {s} of {n}: local id of {g}"
+                    );
+                    assert_eq!(t, want, "shard {s} of {n}: trajectory {g}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn hash_bijection_round_trips() {
         let (net, store) = fixture(40);
