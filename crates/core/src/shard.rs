@@ -266,14 +266,22 @@ pub type ShardedCluster = Cluster<EpochManager>;
 /// Splits `store` across `num_shards` hash shards: trajectory `g` goes to
 /// shard `g % N`, where it receives local id `g / N`.
 ///
+/// One shard is `store` itself. At `N ≥ 2` every trajectory moves into its
+/// shard; only a block that a clone of `store` still shares is copied
+/// ([`TrajectoryStore::into_trajectories`]), so a caller that keeps its
+/// store passes a clone and pays one copy, and one that does not pays none.
+///
 /// # Panics
 ///
 /// Panics when `num_shards == 0`.
-pub fn partition(store: &TrajectoryStore, num_shards: usize) -> Vec<TrajectoryStore> {
+pub fn partition(store: TrajectoryStore, num_shards: usize) -> Vec<TrajectoryStore> {
     assert!(num_shards >= 1, "a cluster needs at least one shard");
+    if num_shards == 1 {
+        return vec![store];
+    }
     let mut parts: Vec<TrajectoryStore> = (0..num_shards).map(|_| TrajectoryStore::new()).collect();
-    for (global, t) in store.iter() {
-        parts[global.index() % num_shards].push(t.clone());
+    for (global, t) in store.into_trajectories().enumerate() {
+        parts[global % num_shards].push(t);
     }
     parts
 }
@@ -294,7 +302,7 @@ impl Cluster<EpochManager> {
         num_shards: usize,
         _: Partitioner,
     ) -> Self {
-        Self::with_metrics(network, store, vocab_len, num_shards, None, None)
+        Self::with_metrics(network, store.clone(), vocab_len, num_shards, None, None)
     }
 
     /// [`new`](Self::new) with every input: the `registry` that takes the
@@ -302,14 +310,15 @@ impl Cluster<EpochManager> {
     /// `uots_epoch_*` series — one family shared by all shards, as the
     /// durable cluster's shards share theirs — and the `journal` every
     /// shard's manager records its swaps in. A `None` instrument is one
-    /// detached instrument shared by all shards.
+    /// detached instrument shared by all shards. The shards take `store`'s
+    /// trajectories over rather than copy them (see [`partition`]).
     ///
     /// # Panics
     ///
     /// Panics when `num_shards == 0`.
     pub fn with_metrics(
         network: Arc<RoadNetwork>,
-        store: &TrajectoryStore,
+        store: TrajectoryStore,
         vocab_len: usize,
         num_shards: usize,
         registry: Option<&MetricsRegistry>,
@@ -725,7 +734,7 @@ mod tests {
         use uots_datagen::{Dataset, DatasetConfig};
         let ds = Dataset::build(&DatasetConfig::small(75, 9)).unwrap();
         for n in 1..=4 {
-            let parts = partition(&ds.store, n);
+            let parts = partition(ds.store.clone(), n);
             assert_eq!(parts.len(), n);
             for (s, part) in parts.iter().enumerate() {
                 let expected: Vec<_> = ds
@@ -742,6 +751,51 @@ mod tests {
                     );
                     assert_eq!(t, want, "shard {s} of {n}: trajectory {g}");
                 }
+            }
+        }
+    }
+
+    /// Where each trajectory's samples live, in id order.
+    fn sample_ptrs(store: &TrajectoryStore) -> Vec<*const uots_trajectory::Sample> {
+        store.iter().map(|(_, t)| t.samples().as_ptr()).collect()
+    }
+
+    #[test]
+    fn one_shard_is_the_input_store() {
+        let (_, store) = fixture(300);
+        let before = sample_ptrs(&store);
+        let parts = partition(store, 1);
+        assert_eq!(sample_ptrs(&parts[0]), before);
+    }
+
+    #[test]
+    fn an_unshared_store_is_moved_into_its_shards() {
+        let (_, store) = fixture(600); // three blocks, the last one partly filled
+        let before = sample_ptrs(&store);
+        let parts = partition(store, 4);
+        for (s, part) in parts.iter().enumerate() {
+            for (l, ptr) in sample_ptrs(part).into_iter().enumerate() {
+                assert_eq!(ptr, before[l * 4 + s], "shard {s}, local id {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_store_is_copied_and_its_clone_left_alone() {
+        let (_, store) = fixture(600);
+        let before = sample_ptrs(&store);
+        let kept = store.clone();
+        let parts = partition(store, 4);
+        assert_eq!(
+            sample_ptrs(&kept),
+            before,
+            "the clone keeps its trajectories"
+        );
+        for (s, part) in parts.iter().enumerate() {
+            for (l, t) in part.iter() {
+                let g = TrajectoryId((l.index() * 4 + s) as u32);
+                assert_ne!(t.samples().as_ptr(), before[g.index()], "shard {s}: {g}");
+                assert_eq!(t, kept.get(g), "shard {s}: {g}");
             }
         }
     }

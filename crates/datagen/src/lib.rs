@@ -207,6 +207,13 @@ impl Dataset {
     pub fn stats(&self) -> DatasetStats {
         DatasetStats::compute(&self.store)
     }
+
+    /// The network, trajectories and vocabulary by value — what a serving
+    /// cluster keeps of a loaded dataset. The indexes, the tag sampler and
+    /// the grid are freed here: a cluster builds its own indexes per epoch.
+    pub fn into_parts(self) -> (RoadNetwork, TrajectoryStore, Vocabulary) {
+        (self.network, self.store, self.vocab)
+    }
 }
 
 /// Errors from [`Dataset::build`].

@@ -17,9 +17,14 @@
 //!   by the expansion realizes the exact point-to-trajectory distance, and
 //!   until then the radius lower-bounds it.
 //!
-//! The struct owns epoch-stamped scratch buffers sized to the network so a
-//! single allocation can be reused across many queries (`restart`), which
-//! keeps the per-query cost allocation-free on the hot path.
+//! The struct owns three epoch-stamped scratch arrays sized to the network
+//! (13 bytes per vertex, ≈ 0.37 MB on a 28k-vertex city).
+//! [`NetworkExpansion::start`] re-aims an expansion at a new source in O(1)
+//! without touching them; the similarity join keeps its expansions from
+//! probe to probe and re-aims them that way. The query engine and the IKNN
+//! baseline do not: they build each source's expansion with
+//! [`NetworkExpansion::from_source`], so every query allocates and fills
+//! the three arrays once per query location.
 //!
 //! [`MultiSourceExpansion`] is the batched full drain: every query source
 //! at once over one shared frontier, walking the same CSR rows, with

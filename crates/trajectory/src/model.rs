@@ -230,6 +230,15 @@ impl TrajectoryStore {
         (0..self.len as u32).map(TrajectoryId)
     }
 
+    /// The trajectories in id order, by value. A block no clone shares
+    /// is moved out, samples and all, and freed once drained; a block a
+    /// clone still shares is copied, and the clone keeps its own.
+    pub fn into_trajectories(self) -> impl Iterator<Item = Trajectory> {
+        self.blocks
+            .into_iter()
+            .flat_map(|block| Arc::try_unwrap(block).unwrap_or_else(|shared| (*shared).clone()))
+    }
+
     /// Builds the vertex → trajectory inverted index the expansion search
     /// probes (each trajectory registered once per *distinct* vertex).
     pub fn build_vertex_index(&self, num_vertices: usize) -> VertexInvertedIndex<TrajectoryId> {

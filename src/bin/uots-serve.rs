@@ -216,6 +216,9 @@ fn run() -> Result<(), String> {
                 Some(&journal),
             )
             .map_err(|e| format!("--wal-dir {dir}, --shards is {shards}: {e}"))?;
+            // every shard now holds what it serves; a one-shard lineage
+            // needed the dataset only as the recovery base of its open
+            drop(ds);
             if let Some(slowest) = reports.iter().map(|r| r.micros).max() {
                 if shards == 1 {
                     let batches = reports[0].replayed_batches;
@@ -230,10 +233,13 @@ fn run() -> Result<(), String> {
             QueryService::start(listen, cluster.into(), obs, cfg)
         }
         None => {
+            // the cluster takes the network and trajectories over; the
+            // rest of the dataset is freed before the server starts
+            let (network, store, vocab) = ds.into_parts();
             let cluster = ShardedCluster::with_metrics(
-                Arc::new(ds.network.clone()),
-                &ds.store,
-                ds.vocab.len(),
+                Arc::new(network),
+                store,
+                vocab.len(),
                 shards,
                 Some(&registry),
                 Some(&journal),

@@ -71,6 +71,7 @@ use uots::obs::{
 use uots::prelude::*;
 use uots::scrub::{self, ScrubReport};
 use uots::storage::StdFs;
+use uots::text::Vocabulary;
 use uots::{
     FsyncPolicy, MetricsRegistry, PhaseNanos, Recorder, RunControl, Sample, Trajectory, WalConfig,
 };
@@ -794,10 +795,10 @@ fn verify_epoch(
     Ok(())
 }
 
-/// What one `uots ingest` run replays and how: the script, the dataset
-/// its vertices and tags resolve against, and the publish cadence.
+/// What one `uots ingest` run replays and how: the script, the network
+/// size its vertices are checked against, and the publish cadence.
 struct IngestRun<'a> {
-    ds: &'a Dataset,
+    num_nodes: usize,
     script_path: &'a str,
     script: &'a str,
     batch: usize,
@@ -808,15 +809,16 @@ struct IngestRun<'a> {
 
 impl IngestRun<'_> {
     /// Replays the script against `cluster` — a one-shard volatile or
-    /// durable [`Cluster`], the coordinator `uots-serve` drives — keeping
-    /// the obs plane's `/status` at `status(cluster)` after every publish.
+    /// durable [`Cluster`], the coordinator `uots-serve` drives — with its
+    /// tags resolved in `vocab`, keeping the obs plane's `/status` at
+    /// `status(cluster)` after every publish.
     fn run<S: Shard>(
         &self,
         cluster: &mut Cluster<S>,
+        vocab: &Vocabulary,
         status: impl Fn(&Cluster<S>) -> String,
     ) -> Result<(), String> {
-        let (ds, script_path) = (self.ds, self.script_path);
-        let num_nodes = ds.network.num_nodes();
+        let (num_nodes, script_path) = (self.num_nodes, self.script_path);
         let err = |e: S::Error| e.to_string();
         if let Some(p) = self.plane {
             p.set_status(status(cluster));
@@ -837,7 +839,7 @@ impl IngestRun<'_> {
                 st.epoch, st.live, st.total, st.postings, st.mutations
             );
             if self.verify {
-                verify_epoch(snap, ds.vocab.len(), &self.probes)?;
+                verify_epoch(snap, vocab.len(), &self.probes)?;
                 println!(
                     "  verified against from-scratch rebuild ({} probes)",
                     self.probes.len()
@@ -874,7 +876,7 @@ impl IngestRun<'_> {
                 let mut tags = Vec::new();
                 if let Some(t) = tags_part {
                     for tag in t.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                        match ds.vocab.get(tag) {
+                        match vocab.get(tag) {
                             Some(id) => tags.push(id),
                             None => {
                                 eprintln!("warning: tag `{tag}` not in the vocabulary; ignored")
@@ -980,7 +982,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
         })
         .collect();
     let run = IngestRun {
-        ds: &ds,
+        num_nodes: ds.network.num_nodes(),
         script_path,
         script: &script,
         batch,
@@ -1022,6 +1024,8 @@ fn cmd_ingest(args: &[String]) -> i32 {
                 Ok(opened) => opened,
                 Err(e) => return fail(format!("opening wal in {dir}: {e}")),
             };
+            // the shard holds what it serves; the run needs the tags only
+            let (_, _, vocab) = ds.into_parts();
             println!(
                 "durable ingest: wal in {dir} (fsync {fsync}, checkpoint every {})",
                 checkpoint_every.map_or("never".to_string(), |n| format!("{n} batches")),
@@ -1037,7 +1041,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
             let status = |c: &Cluster<DurableIngest>| {
                 serde_json::to_string(&c.shard(0).status()).unwrap_or_else(|_| "{}".to_string())
             };
-            if let Err(e) = run.run(&mut cluster, status) {
+            if let Err(e) = run.run(&mut cluster, &vocab, status) {
                 return fail(e);
             }
             let log = cluster.shard(0);
@@ -1049,10 +1053,13 @@ fn cmd_ingest(args: &[String]) -> i32 {
             status(&cluster)
         }
         None => {
+            // one copy, as in `uots-serve`: the cluster takes the network
+            // and trajectories over
+            let (network, store, vocab) = ds.into_parts();
             let mut cluster = ShardedCluster::with_metrics(
-                Arc::new(ds.network.clone()),
-                &ds.store,
-                ds.vocab.len(),
+                Arc::new(network),
+                store,
+                vocab.len(),
                 1,
                 Some(&registry),
                 journal,
@@ -1069,7 +1076,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
                     m.pending()
                 )
             };
-            if let Err(e) = run.run(&mut cluster, status) {
+            if let Err(e) = run.run(&mut cluster, &vocab, status) {
                 return fail(e);
             }
             status(&cluster)

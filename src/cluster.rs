@@ -264,7 +264,10 @@ impl<'a> Lineage<'a> {
     ) -> Result<ShardedDurable, DurableError> {
         let (reg, jrn) = (Some(&self.registry), Some(&self.journal));
         let mut shards = Vec::with_capacity(self.num_shards);
-        for (s, part) in partition(store, self.num_shards).into_iter().enumerate() {
+        for (s, part) in partition(store.clone(), self.num_shards)
+            .into_iter()
+            .enumerate()
+        {
             let dir = lineage_dir(self.root, self.num_shards, s);
             std::fs::create_dir_all(&dir).map_err(|e| DurableError::Wal(WalError::Io(e)))?;
             let mut ingest = DurableIngest::create(

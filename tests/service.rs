@@ -1277,7 +1277,7 @@ fn start_cluster_service(
     let journal = EventJournal::default();
     let cluster = ShardedCluster::with_metrics(
         Arc::new(ds.network.clone()),
-        &ds.store,
+        ds.store.clone(),
         ds.vocab.len(),
         shards,
         Some(&registry),
@@ -2113,6 +2113,114 @@ fn serve_status_reports_the_published_cut_and_unframed_ingests_publish_nothing()
             }
             drop(server);
         }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+// ---------- the `uots-serve` binary: a volatile start-up ----------
+
+/// A volatile `uots-serve` moves the loaded dataset's network and
+/// trajectories into its cluster instead of copying them; in-process
+/// services are handed clones, so only the binary takes that path. At one
+/// shard and at four, fixed `/topk` bodies answer what `BruteForce`
+/// answers over the dataset, before and after one `/ingest` that inserts,
+/// retires and publishes.
+#[test]
+fn volatile_servers_answer_the_oracle_over_the_moved_dataset() {
+    let cfg = DatasetConfig::small(150, 29);
+    let ds = Dataset::build(&cfg).expect("dataset");
+    let root = scratch_dir("moved");
+    std::fs::create_dir_all(&root).unwrap();
+    let data = root.join("city.uotsds");
+    uots::datagen::persist::save_file(&StdFs, &ds, &cfg, &data).expect("save dataset");
+
+    let specs = workload::generate(
+        &ds,
+        &workload::WorkloadConfig {
+            num_queries: 6,
+            ..Default::default()
+        },
+    );
+    let (marker, node, t) = marker_trajectory(&ds);
+    let mut shapes: Vec<(Vec<NodeId>, Vec<KeywordId>)> = specs
+        .into_iter()
+        .map(|s| (s.locations, s.keywords.ids().to_vec()))
+        .collect();
+    shapes.push((vec![node], vec![marker]));
+    let cases: Vec<(String, UotsQuery)> = shapes
+        .into_iter()
+        .enumerate()
+        .map(|(i, (locations, keywords))| {
+            let (lambda, k) = ([0.2, 0.5, 0.8][i % 3], 1 + i % 5);
+            let json = query_json(&locations, &keywords, lambda, k);
+            let q = UotsQuery::with_options(
+                locations,
+                KeywordSet::from_ids(keywords),
+                Vec::new(),
+                QueryOptions {
+                    weights: uots::Weights::lambda(lambda).unwrap(),
+                    k,
+                    ..QueryOptions::default()
+                },
+            )
+            .unwrap();
+            (json, q)
+        })
+        .collect();
+
+    // the oracle: the dataset as loaded, then with the body applied
+    let body = serde_json::to_string(&Content::Map(vec![
+        ("insert".to_string(), Content::Seq(vec![t.clone()])),
+        ("retire".to_string(), Content::Seq(vec![Content::U64(0)])),
+    ]))
+    .unwrap();
+    let oracle = uots::core::EpochManager::new(
+        Arc::new(ds.network.clone()),
+        ds.store.clone(),
+        ds.vocab.len(),
+    );
+    let answers = |snap: &uots::core::EpochSnapshot| -> Vec<Content> {
+        let db = snap.database();
+        let run = |q: &UotsQuery| BruteForce.run(&db, q).expect("oracle run").serialize();
+        let matches = |q| normalized(run(q).get("matches").expect("matches field"));
+        cases.iter().map(|(_, q)| matches(q)).collect()
+    };
+    let before = answers(&oracle.snapshot());
+    let t = <Trajectory as serde::Deserialize>::deserialize(&t).expect("round-trips");
+    let inserted = oracle.ingest(t);
+    assert!(oracle.retire(TrajectoryId(0)));
+    let after = answers(&oracle.publish());
+    assert_ne!(before.last(), after.last(), "the insert wins its own query");
+
+    let topk = |addr: SocketAddr, want: &[Content], what: &str| {
+        for (i, ((json, _), want)) in cases.iter().zip(want).enumerate() {
+            let (code, reply) = post(addr, "/topk", json);
+            assert_eq!(code, 200, "{what}, case {i}: {reply:?}");
+            let got = reply.get("result").and_then(|r| r.get("matches"));
+            assert_eq!(got, Some(want), "{what}, case {i}: {json}");
+        }
+    };
+    for shards in [1usize, 4] {
+        let (server, addr) = spawn_serve(&data, None, Some(shards));
+        topk(addr, &before, &format!("{shards} shard(s), as loaded"));
+        let (code, reply) = post(addr, "/ingest", &body);
+        assert_eq!(code, 200, "{shards} shard(s): {reply:?}");
+        let ids = reply
+            .get("inserted")
+            .and_then(Content::as_seq)
+            .expect("inserted");
+        assert_eq!(
+            ids,
+            [Content::I64(i64::from(inserted.0))],
+            "{shards} shard(s)"
+        );
+        assert_eq!(as_u64(reply.get("retired")), Some(1), "{shards} shard(s)");
+        topk(
+            addr,
+            &after,
+            &format!("{shards} shard(s), after the ingest"),
+        );
+        drop(server);
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
