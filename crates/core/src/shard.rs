@@ -267,9 +267,9 @@ pub type ShardedCluster = Cluster<EpochManager>;
 /// shard `g % N`, where it receives local id `g / N`.
 ///
 /// One shard is `store` itself. At `N ≥ 2` every trajectory moves into its
-/// shard; only a block that a clone of `store` still shares is copied
-/// ([`TrajectoryStore::into_trajectories`]), so a caller that keeps its
-/// store passes a clone and pays one copy, and one that does not pays none.
+/// shard, and only a block that a clone of `store` still shares is copied
+/// ([`TrajectoryStore::into_trajectories`]): a caller that keeps its store
+/// passes a clone and pays one copy of it, one that does not pays none.
 ///
 /// # Panics
 ///
