@@ -786,8 +786,9 @@ fn d4(ctx: &Ctx<'_>) -> Output {
             fsync: policy,
             ..WalConfig::default()
         };
-        let (mut ingest, _) = ShardedDurable::open_or_create(ds, &dir, 1, config, None, None, None)
-            .expect("d4 wal opens");
+        let (mut ingest, _) =
+            ShardedDurable::open_or_create(ds.clone(), &dir, 1, config, None, None, None)
+                .expect("d4 wal opens");
         let start = Instant::now();
         for batch in &batches {
             ingest.apply(batch.clone()).expect("d4 apply");
@@ -830,7 +831,7 @@ fn d4(ctx: &Ctx<'_>) -> Output {
     let dir = root.join("recover-checkpointed");
     std::fs::create_dir_all(&dir).expect("d4 dir");
     let (mut ingest, _) =
-        ShardedDurable::open_or_create(ds, &dir, 1, unsynced_wal(), Some(64), None, None)
+        ShardedDurable::open_or_create(ds.clone(), &dir, 1, unsynced_wal(), Some(64), None, None)
             .expect("d4 wal opens");
     for (i, batch) in batches.iter().enumerate() {
         ingest.apply(batch.clone()).expect("d4 apply");

@@ -202,7 +202,7 @@ impl Algorithm for IknnBaseline {
             let mut any_live = false;
 
             // one lockstep round over every source, each settle walking
-            // the postings of every part not yet retired
+            // the view's postings of the parts not yet retired
             for (i, source) in spatial.iter_mut().enumerate() {
                 rec.enter(Phase::NetworkExpansion);
                 for _ in 0..per_round {
@@ -217,20 +217,19 @@ impl Algorithm for IknnBaseline {
                         break;
                     };
                     metrics.settled_vertices += 1;
-                    for (p, part) in parts.iter().enumerate() {
+                    for &tid in view.vertex_index().values_at(settled.node) {
+                        let (p, local) = view.locate(tid);
                         if cut.is_retired(p) {
                             continue;
                         }
-                        for &local in part.db.vertex_index.values_at(settled.node) {
-                            let st = states.entry(part.ids.global(local)).or_insert_with(|| {
-                                metrics.visited_trajectories += 1;
-                                cut.walk(p);
-                                State::new(m, qt, p, local)
-                            });
-                            if !st.done && st.sdists[i].is_nan() {
-                                st.sdists[i] = settled.dist;
-                                st.s_remaining -= 1;
-                            }
+                        let st = states.entry(tid).or_insert_with(|| {
+                            metrics.visited_trajectories += 1;
+                            cut.walk(p);
+                            State::new(m, qt, p, local)
+                        });
+                        if !st.done && st.sdists[i].is_nan() {
+                            st.sdists[i] = settled.dist;
+                            st.s_remaining -= 1;
                         }
                     }
                 }

@@ -1,8 +1,9 @@
 //! The read-only handles the algorithms run against: a [`Database`] over
 //! one store and its indexes, and the [`View`] every algorithm takes — one
 //! or more such databases (**parts**, the shards of a cluster cut) sharing
-//! one road network, their trajectories numbered by one global id space —
-//! with the [`TimeChannel`] that reads a view's timestamp indexes as one.
+//! one road network and one vertex index, their trajectories numbered by
+//! one global id space — with the [`TimeChannel`] that reads a view's
+//! timestamp indexes as one.
 
 use crate::{similarity, CoreError, UotsQuery};
 use std::cell::Cell;
@@ -22,9 +23,11 @@ pub struct Database<'a> {
     pub network: &'a RoadNetwork,
     /// The trajectories.
     pub store: &'a TrajectoryStore,
-    /// vertex → trajectories (required: the expansion search probes it on
-    /// every settled vertex).
-    pub vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+    /// vertex → trajectories: what the expansion search probes on every
+    /// settled vertex. Always present on a database [`Database::new`]
+    /// builds; `None` only on a shard of a multi-shard cut, whose postings
+    /// are in the cut's one index ([`crate::ClusterSnapshot::vertex_index`]).
+    pub vertex_index: Option<&'a VertexInvertedIndex<TrajectoryId>>,
     /// The dense per-trajectory keyword table (required: every textual
     /// term reads it).
     pub keyword_blocks: &'a KeywordBlocks,
@@ -58,6 +61,24 @@ impl<'a> Database<'a> {
             network.num_nodes(),
             "vertex index does not match the network"
         );
+        Database {
+            vertex_index: Some(vertex_index),
+            ..Database::unindexed(network, store, keyword_blocks)
+        }
+    }
+
+    /// [`new`](Self::new) without a vertex index: a shard of a multi-shard
+    /// cut.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the keyword table does not have one row per stored
+    /// trajectory.
+    pub(crate) fn unindexed(
+        network: &'a RoadNetwork,
+        store: &'a TrajectoryStore,
+        keyword_blocks: &'a KeywordBlocks,
+    ) -> Self {
         assert_eq!(
             keyword_blocks.rows(),
             store.len(),
@@ -66,7 +87,7 @@ impl<'a> Database<'a> {
         Database {
             network,
             store,
-            vertex_index,
+            vertex_index: None,
             keyword_blocks,
             keyword_index: None,
             timestamp_index: None,
@@ -133,7 +154,7 @@ impl<'a> Database<'a> {
 
 /// How one part's local trajectory ids map into its [`View`]'s global
 /// ids: `global = local · stride + offset` — hash partitioning over
-/// `stride` shards, this part being shard `offset`. `(1, 0)` is the
+/// `stride` parts, this part being part `offset`. `(1, 0)` is the
 /// identity of a lone database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdMap {
@@ -176,44 +197,73 @@ pub(crate) struct PartFate {
 
 /// The read view every [`crate::algorithms::Algorithm`] runs over: one or
 /// more **parts** sharing one road network, whose trajectories are
-/// numbered by one global id space. A plain database is the one-part view
-/// [`View::one`] (the identity map); a cluster cut is the view over all
-/// its shards ([`crate::ClusterSnapshot::view`]). An algorithm runs
-/// **once** over the whole view: one expansion per query location, one
-/// collector keyed by global id, one budget.
+/// numbered by one global id space — part `p` of `N` holds the global ids
+/// `g ≡ p (mod N)` at local id `g / N` — and one vertex index in global
+/// ids over every part's live trajectories. A plain database is the
+/// one-part view [`View::one`] (the identity map, its own vertex index);
+/// a cluster cut is the view over all its shards
+/// ([`crate::ClusterSnapshot::view`]). An algorithm runs **once** over the
+/// whole view: one expansion per query location, one posting list per
+/// settled vertex, one collector keyed by global id, one budget.
 pub struct View<'a> {
     parts: Vec<Part<'a>>,
+    vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
     id_bound: usize,
     fates: Vec<Cell<PartFate>>,
 }
 
 impl<'a> View<'a> {
     /// The one-part view of `db`: global ids are its own.
-    pub fn one(db: Database<'a>) -> Self {
-        let id_bound = db.store.len();
-        let ids = IdMap {
-            stride: 1,
-            offset: 0,
-        };
-        View::new(vec![Part { db, ids }], id_bound)
-    }
-
-    /// The view over `parts`, every global id of which is below
-    /// `id_bound` (it sizes the per-trajectory tables, so keep it tight).
     ///
     /// # Panics
     ///
-    /// Panics without parts, or when they are not over one network.
-    pub(crate) fn new(parts: Vec<Part<'a>>, id_bound: usize) -> Self {
-        assert!(!parts.is_empty(), "a view needs at least one part");
-        let nodes = parts[0].db.network.num_nodes();
+    /// Panics when `db` has no vertex index (a shard of a multi-shard cut:
+    /// search its cut instead).
+    pub fn one(db: Database<'a>) -> Self {
+        let vertex_index = db
+            .vertex_index
+            .expect("a shard of a multi-shard cut is searched through its cut");
+        let id_bound = db.store.len();
+        View::new(vec![db], vertex_index, id_bound)
+    }
+
+    /// The view over the hash parts `dbs` — global id `g` on part
+    /// `g % N` at local id `g / N` — whose live trajectories `vertex_index`
+    /// lists in global ids, every one of which is below `id_bound` (it
+    /// sizes the per-trajectory tables, so keep it tight).
+    ///
+    /// # Panics
+    ///
+    /// Panics without parts, or when they and the index are not over one
+    /// network.
+    pub(crate) fn new(
+        dbs: Vec<Database<'a>>,
+        vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+        id_bound: usize,
+    ) -> Self {
+        assert!(!dbs.is_empty(), "a view needs at least one part");
+        let nodes = dbs[0].network.num_nodes();
         assert!(
-            parts.iter().all(|p| p.db.network.num_nodes() == nodes),
+            dbs.iter().all(|db| db.network.num_nodes() == nodes),
             "the parts of a view share one road network"
         );
+        assert_eq!(
+            vertex_index.num_keys(),
+            nodes,
+            "vertex index does not match the network"
+        );
+        let stride = dbs.len() as u32;
+        let parts: Vec<Part<'a>> = (0..stride)
+            .zip(dbs)
+            .map(|(offset, db)| Part {
+                db,
+                ids: IdMap { stride, offset },
+            })
+            .collect();
         let fates = parts.iter().map(|_| Cell::default()).collect();
         View {
             parts,
+            vertex_index,
             id_bound,
             fates,
         }
@@ -222,6 +272,18 @@ impl<'a> View<'a> {
     /// The parts, in order.
     pub fn parts(&self) -> &[Part<'a>] {
         &self.parts
+    }
+
+    /// vertex → the global ids of every part's live trajectories through
+    /// it, ascending.
+    pub fn vertex_index(&self) -> &'a VertexInvertedIndex<TrajectoryId> {
+        self.vertex_index
+    }
+
+    /// The part holding global id `g` and its local id there.
+    #[inline]
+    pub fn locate(&self, g: TrajectoryId) -> (usize, TrajectoryId) {
+        locate(self.parts.len(), g)
     }
 
     /// The road network every part serves.
@@ -334,8 +396,18 @@ impl<'a> TimeChannel<'a> {
     }
 }
 
-/// The sound similarity upper bound of every live trajectory of `db`:
-/// `w_s·1 + w_tx·SimT_ub + w_tm·1`.
+/// The part of `num_parts` hash parts holding global id `g`, and its local
+/// id there. One part is the identity, without a division.
+#[inline]
+pub(crate) fn locate(num_parts: usize, g: TrajectoryId) -> (usize, TrajectoryId) {
+    match num_parts as u32 {
+        1 => (0, g),
+        n => ((g.0 % n) as usize, TrajectoryId(g.0 / n)),
+    }
+}
+
+/// The sound similarity upper bound of every live trajectory of a part
+/// whose keyword index is `keyword_index`: `w_s·1 + w_tx·SimT_ub + w_tm·1`.
 ///
 /// With a non-empty query keyword set and a keyword index,
 /// `SimT_ub = |{q ∈ Q : df(q) > 0}| / |Q|`: a live trajectory can only
@@ -348,8 +420,11 @@ impl<'a> TimeChannel<'a> {
 /// The terms are combined in [`similarity::combine`]'s own operation
 /// order, and each dominates its exact counterpart; rounding is monotone,
 /// so no trajectory's similarity exceeds the bound by even an ulp.
-pub(crate) fn part_upper_bound(db: &Database<'_>, query: &UotsQuery) -> f64 {
-    let text_ub = match db.keyword_index {
+pub(crate) fn part_upper_bound(
+    keyword_index: Option<&KeywordInvertedIndex<TrajectoryId>>,
+    query: &UotsQuery,
+) -> f64 {
+    let text_ub = match keyword_index {
         Some(idx) if !query.keywords().is_empty() => {
             let present = query
                 .keywords()
@@ -382,7 +457,7 @@ impl PartCut {
             [_] => vec![f64::INFINITY],
             parts => parts
                 .iter()
-                .map(|p| part_upper_bound(&p.db, query))
+                .map(|p| part_upper_bound(p.db.keyword_index, query))
                 .collect(),
         };
         PartCut {

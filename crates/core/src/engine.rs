@@ -52,22 +52,23 @@
 //! ## Several parts, one engine
 //!
 //! The engine runs over a [`View`]: one or more parts (the shards of a
-//! cluster cut) sharing the road network. Everything above is keyed by
-//! **global** trajectory id — one scan table, one collector, one bound
-//! heap, one scheduler, one termination test. At each settled vertex the
-//! engine walks the postings of every live part, in part order, mapping
-//! each local id to its global one as it reads it; a query time's temporal
-//! source merges the parts' timestamp expansions by gap ([`TimeChannel`]).
-//! A part whose upper bound falls strictly below the k-th score is
-//! **retired** ([`crate::db::PartCut`]): its postings are no longer walked
-//! and its entries no longer hold up the textual bound of unseen
-//! trajectories. Its trajectories already touched need no test of their
+//! cluster cut) sharing the road network and one vertex index in global
+//! ids. Everything above is keyed by **global** trajectory id — one scan
+//! table, one collector, one bound heap, one scheduler, one termination
+//! test. At each settled vertex the engine walks the view's one posting
+//! list, in ascending global id — the unsharded engine's order — and
+//! locates a posting's part and local id only once it passes the `heard`
+//! test; a query time's temporal source merges the parts' timestamp
+//! expansions by gap ([`TimeChannel`]). A part whose upper bound falls
+//! strictly below the k-th score is **retired** ([`crate::db::PartCut`]):
+//! its postings are skipped and its entries no longer hold up the textual
+//! bound of unseen trajectories. Its trajectories already touched need no test of their
 //! own: each one's bound is at most the part's, so the per-trajectory
 //! retirement above drops it at its next update. A one-part view is the
 //! plain single-store engine.
 
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::db::{IdMap, Part, PartCut, TimeChannel, View};
+use crate::db::{locate, Part, PartCut, TimeChannel, View};
 use crate::keywords::TextualEval;
 use crate::query::UotsQuery;
 use crate::result::{Match, QueryResult};
@@ -76,6 +77,7 @@ use crate::similarity;
 use crate::topk::TopK;
 use crate::{CoreError, SearchMetrics};
 use std::collections::BinaryHeap;
+use uots_index::VertexInvertedIndex;
 use uots_network::expansion::NetworkExpansion;
 use uots_network::TotalF64;
 use uots_obs::{Phase, Recorder};
@@ -285,6 +287,8 @@ thread_local! {
 
 struct Engine<'a, 'q, 'r> {
     parts: &'q [Part<'a>],
+    /// The view's vertex index, in global ids.
+    vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
     /// Which parts are retired, and which were walked.
     cut: PartCut,
     query: &'q UotsQuery,
@@ -399,6 +403,7 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
         let (m, qt) = (spatial.len(), temporal.len());
         let mut engine = Engine {
             parts,
+            vertex_index: view.vertex_index(),
             cut: PartCut::new(view, query),
             query,
             scheduler,
@@ -652,15 +657,21 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             self.refresh_spatial_lb(src);
             if let Some(settled) = settled {
                 self.metrics.settled_vertices += 1;
-                // the part slice and the posting slices borrow the view,
-                // not `self`, so no copy is needed on this hot path
-                let parts = self.parts;
-                for (p, part) in parts.iter().enumerate() {
+                // the posting slice borrows the view, not `self`, so no
+                // copy is needed on this hot path
+                let postings: &'a [TrajectoryId] = self.vertex_index.values_at(settled.node);
+                for &tid in postings {
+                    // a no-op inside `record_spatial` too (a done slot, or
+                    // a farther revisit), so skipping here moves no answer
+                    // and no counter
+                    if self.is_heard(src, tid) {
+                        continue;
+                    }
+                    let (p, local) = locate(self.parts.len(), tid);
                     if self.cut.is_retired(p) {
                         continue;
                     }
-                    let locals: &'a [TrajectoryId] = part.db.vertex_index.values_at(settled.node);
-                    self.walk_postings(p, part.ids, locals, src, settled.dist);
+                    self.record_spatial(tid, p, local, src, settled.dist);
                 }
             }
         } else {
@@ -676,30 +687,6 @@ impl<'a, 'q, 'r> Engine<'a, 'q, 'r> {
             }
         }
         self.metrics.peak_frontier = self.metrics.peak_frontier.max(self.frontier);
-    }
-
-    /// Walks the postings `locals` of part `p`, whose local ids `ids`
-    /// maps to global ones, at a vertex settled by spatial source `i` at
-    /// distance `dist`.
-    #[inline]
-    fn walk_postings(
-        &mut self,
-        p: usize,
-        ids: IdMap,
-        locals: &[TrajectoryId],
-        i: usize,
-        dist: f64,
-    ) {
-        for &local in locals {
-            let tid = ids.global(local);
-            // a no-op inside `record_spatial` too (a done slot, or a
-            // farther revisit), so skipping here moves no answer and no
-            // counter
-            if self.is_heard(i, tid) {
-                continue;
-            }
-            self.record_spatial(tid, p, local, i, dist);
-        }
     }
 
     /// Appends a fresh scan-state row for `tid` — local id `local` of part

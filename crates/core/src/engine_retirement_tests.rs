@@ -310,49 +310,50 @@ proptest! {
     }
 }
 
-/// The plateau split into two parts by stride-1 id maps: the sixteen
-/// plateau trajectories (ids 0..16, offset 0) and the four badly tagged
-/// neighbours of the corner (16..20, offset 16). The second part holds no
-/// query keyword, so its bound is λ — strictly below the plateau: once the
-/// top-k fills it is retired, while the plateau part never is, and the
-/// answer is the unsplit engine's whichever part the expansion reached
-/// first.
+/// The plateau split into two hash parts: the sixteen plateau
+/// trajectories on part 0 (global ids 0, 2, …, 30) and the four badly
+/// tagged neighbours of the corner on part 1 (ids 1, 3, 5, 7; the odd ids
+/// above are retired fillers). The second part holds no query keyword, so
+/// its bound is λ — strictly below the plateau: once the top-k fills it is
+/// retired, while the plateau part never is, and the answer is the
+/// unsplit engine's whichever part the expansion reached first.
 #[test]
 fn a_part_bounded_strictly_below_kth_is_retired() {
-    let (net, store) = plateau(3);
-    let split = |ids: std::ops::Range<u32>| {
-        let mut part = TrajectoryStore::new();
-        for g in ids.clone() {
-            part.push(store.get(TrajectoryId(g)).clone());
-        }
-        let map = IdMap {
-            stride: 1,
-            offset: ids.start,
+    let (net, plateau) = plateau(3);
+    let (mut a, mut b) = (TrajectoryStore::new(), TrajectoryStore::new());
+    let mut store = TrajectoryStore::new();
+    let mut live = uots_trajectory::LiveSet::all_live(32);
+    for g in 0..32u32 {
+        let t = match (g % 2, g / 2) {
+            (0, l) => plateau.get(TrajectoryId(l)).clone(),
+            (_, l) if l < 4 => plateau.get(TrajectoryId(16 + l)).clone(),
+            _ => {
+                live.retire(TrajectoryId(g));
+                traj(&[80], &[])
+            }
         };
-        (part, map)
-    };
-    let ((a, a_ids), (b, b_ids)) = (split(0..16), split(16..20));
+        if live.is_live(TrajectoryId(g)) {
+            [&mut a, &mut b][g as usize % 2].push(t.clone());
+        }
+        store.push(t);
+    }
     let n = net.num_nodes();
-    let (va, vb) = (a.build_vertex_index(n), b.build_vertex_index(n));
+    let global = store.build_vertex_index_live(n, &live);
     let (ka, kb) = (a.build_keyword_index(16), b.build_keyword_index(16));
     let (ta, tb) = (a.build_keyword_blocks(), b.build_keyword_blocks());
     let view = View::new(
         vec![
-            Part {
-                db: Database::new(&net, &a, &va, &ta).with_keyword_index(&ka),
-                ids: a_ids,
-            },
-            Part {
-                db: Database::new(&net, &b, &vb, &tb).with_keyword_index(&kb),
-                ids: b_ids,
-            },
+            Database::unindexed(&net, &a, &ta).with_keyword_index(&ka),
+            Database::unindexed(&net, &b, &tb).with_keyword_index(&kb),
         ],
+        &global,
         store.len(),
     );
-    let vidx = store.build_vertex_index(n);
-    let kidx = store.build_keyword_index(16);
+    let kidx = store.build_keyword_index_live(16, &live);
     let blocks = store.build_keyword_blocks();
-    let whole = Database::new(&net, &store, &vidx, &blocks).with_keyword_index(&kidx);
+    let whole = Database::new(&net, &store, &global, &blocks)
+        .with_keyword_index(&kidx)
+        .with_live_set(&live);
     for k in [1, 3, 16] {
         let q = plateau_query(k);
         for s in SCHEDULERS {

@@ -10,8 +10,10 @@
 //! * [`EpochSnapshot`] — one immutable serving generation: the (append-
 //!   only, stably-numbered) [`TrajectoryStore`], a [`LiveSet`] masking
 //!   retired trips, and all three inverted indexes built over the live
-//!   subset. Queries borrow a [`Database`] from a snapshot `Arc` and are
-//!   untouched by later swaps.
+//!   subset (a shard of a multi-shard cut leaves the vertex index to its
+//!   coordinator, which keeps one for the whole cut — see
+//!   [`crate::shard`]). Queries borrow a [`Database`] from a snapshot `Arc`
+//!   and are untouched by later swaps.
 //! * [`EpochManager`] — the single-writer ingest path. Mutations batch
 //!   into the master store and liveness mask alone;
 //!   [`EpochManager::publish`] derives every index of the next snapshot
@@ -50,7 +52,8 @@ pub struct EpochStats {
     pub live: usize,
     /// Total trajectories in the master store (live + retired).
     pub total: usize,
-    /// Vertex-index postings over the live subset.
+    /// Vertex-index postings over the live subset; 0 for a shard of a
+    /// multi-shard cut, whose postings are in the cut's one index.
     pub postings: usize,
     /// Mutations (inserts + retires) batched into this epoch's publish.
     pub mutations: u64,
@@ -64,7 +67,9 @@ pub struct EpochSnapshot {
     network: Arc<RoadNetwork>,
     store: TrajectoryStore,
     live: LiveSet,
-    vertex_index: VertexInvertedIndex<TrajectoryId>,
+    /// `None` for a shard of a multi-shard cut (see
+    /// [`EpochManager::from_parts`]).
+    vertex_index: Option<VertexInvertedIndex<TrajectoryId>>,
     keyword_index: KeywordInvertedIndex<TrajectoryId>,
     timestamp_index: TimestampIndex<TrajectoryId>,
     /// The dense keyword table, rebuilt over this epoch's store revision.
@@ -73,9 +78,10 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    /// The snapshot serving the live ids of `store`. Without `prev` every
-    /// index is built from scratch; with it, each is `prev`'s plus the
-    /// batch since ([`indexes_plus`](Self::indexes_plus)).
+    /// The snapshot serving the live ids of `store`, with a vertex index
+    /// when `vertex_index`. Without `prev` every index is built from
+    /// scratch; with it, each is `prev`'s plus the batch since
+    /// ([`indexes_plus`](Self::indexes_plus)).
     #[allow(clippy::too_many_arguments)]
     fn build(
         epoch: u64,
@@ -83,12 +89,13 @@ impl EpochSnapshot {
         vocab_len: usize,
         store: TrajectoryStore,
         live: LiveSet,
+        vertex_index: bool,
         prev: Option<&EpochSnapshot>,
         mutations: u64,
     ) -> Self {
         let (vertex_index, keyword_index, timestamp_index) = match prev {
             None => (
-                store.build_vertex_index_live(network.num_nodes(), &live),
+                vertex_index.then(|| store.build_vertex_index_live(network.num_nodes(), &live)),
                 store.build_keyword_index_live(vocab_len, &live),
                 store.build_timestamp_index_live(&live),
             ),
@@ -99,7 +106,7 @@ impl EpochSnapshot {
             epoch,
             live: live.num_live(),
             total: store.len(),
-            postings: vertex_index.num_postings(),
+            postings: vertex_index.as_ref().map_or(0, |v| v.num_postings()),
             mutations,
         };
         EpochSnapshot {
@@ -115,21 +122,15 @@ impl EpochSnapshot {
         }
     }
 
-    /// This snapshot's three indexes with the batch applied that took its
-    /// `(store, live)` to the given ones: the ids it serves and `live` has
-    /// retired since leave every list, and the ids issued since that are
-    /// still live join them (one inserted and retired in the batch does
-    /// neither). Each result equals the full build over `live`, because
-    /// every issued id is above every id this snapshot holds.
-    fn indexes_plus(
+    /// The batch that took this snapshot's `(store, live)` to the given
+    /// ones: the ids it serves that `live` has retired since, and the ids
+    /// issued since that are still live (one inserted and retired in the
+    /// batch is in neither), both ascending.
+    pub(crate) fn batch_to(
         &self,
         store: &TrajectoryStore,
         live: &LiveSet,
-    ) -> (
-        VertexInvertedIndex<TrajectoryId>,
-        KeywordInvertedIndex<TrajectoryId>,
-        TimestampIndex<TrajectoryId>,
-    ) {
+    ) -> (Vec<TrajectoryId>, Vec<TrajectoryId>) {
         // `LiveSet` has no way to revive a retired id, so the survivors of
         // `self` are exactly its live ids that `live` still holds
         debug_assert!(live
@@ -144,10 +145,28 @@ impl EpochSnapshot {
                 gone &= gone - 1;
             }
         }
-        let added: Vec<TrajectoryId> = (self.store.len()..store.len())
+        let added = (self.store.len()..store.len())
             .map(|i| TrajectoryId(i as u32))
             .filter(|&id| live.is_live(id))
             .collect();
+        (retired, added)
+    }
+
+    /// This snapshot's indexes with the batch applied that took its
+    /// `(store, live)` to the given ones ([`batch_to`](Self::batch_to)):
+    /// the retired ids leave every list and the added ones join them. Each
+    /// result equals the full build over `live`, because every issued id
+    /// is above every id this snapshot holds.
+    fn indexes_plus(
+        &self,
+        store: &TrajectoryStore,
+        live: &LiveSet,
+    ) -> (
+        Option<VertexInvertedIndex<TrajectoryId>>,
+        KeywordInvertedIndex<TrajectoryId>,
+        TimestampIndex<TrajectoryId>,
+    ) {
+        let (retired, added) = self.batch_to(store, live);
         let nodes = |ids: &[TrajectoryId]| {
             ids.iter()
                 .flat_map(|&id| store.get(id).nodes().map(move |v| (v, id)))
@@ -162,7 +181,7 @@ impl EpochSnapshot {
             .iter()
             .flat_map(|&id| store.get(id).times().map(move |t| (t, id)));
         (
-            self.vertex_index.merged(nodes(&retired), nodes(&added)),
+            (self.vertex_index.as_ref()).map(|v| v.merged(nodes(&retired), nodes(&added))),
             self.keyword_index
                 .merged(keywords(&retired), keywords(&added)),
             self.timestamp_index.merged(|id| live.is_live(id), times),
@@ -196,16 +215,32 @@ impl EpochSnapshot {
         self.stats
     }
 
-    /// A query-ready [`Database`] borrowing this snapshot: all three
-    /// indexes cover exactly the live subset and the liveness mask guards
-    /// the store sweeps.
+    /// The vertex index over the live subset; `None` for a shard of a
+    /// multi-shard cut, whose postings are in the cut's one index
+    /// ([`crate::ClusterSnapshot::vertex_index`]).
+    pub fn vertex_index(&self) -> Option<&VertexInvertedIndex<TrajectoryId>> {
+        self.vertex_index.as_ref()
+    }
+
+    /// The keyword index over the live subset.
+    pub(crate) fn keyword_index(&self) -> &KeywordInvertedIndex<TrajectoryId> {
+        &self.keyword_index
+    }
+
+    /// Number of keywords the snapshot's vocabulary holds.
+    pub fn vocab_len(&self) -> usize {
+        self.keyword_index.num_keys()
+    }
+
+    /// A query-ready [`Database`] borrowing this snapshot: all its indexes
+    /// cover exactly the live subset and the liveness mask guards the
+    /// store sweeps. A shard of a multi-shard cut lends no vertex index:
+    /// search such a shard through its cut.
     pub fn database(&self) -> Database<'_> {
-        Database::new(
-            &self.network,
-            &self.store,
-            &self.vertex_index,
-            &self.keyword_blocks,
-        )
+        Database {
+            vertex_index: self.vertex_index.as_ref(),
+            ..Database::unindexed(&self.network, &self.store, &self.keyword_blocks)
+        }
         .with_keyword_index(&self.keyword_index)
         .with_timestamp_index(&self.timestamp_index)
         .with_live_set(&self.live)
@@ -288,6 +323,8 @@ pub struct EpochManager {
     writer: Mutex<WriterState>,
     network: Arc<RoadNetwork>,
     vocab_len: usize,
+    /// Whether the snapshots carry a vertex index.
+    vertex_index: bool,
     metrics: EpochMetrics,
     journal: EventJournal,
 }
@@ -302,12 +339,14 @@ impl EpochManager {
     /// in [`TrajectoryStore::build_keyword_index`]).
     pub fn new(network: Arc<RoadNetwork>, store: TrajectoryStore, vocab_len: usize) -> Self {
         let live = LiveSet::all_live(store.len());
-        Self::from_parts(network, store, live, vocab_len, 0, None, None)
+        Self::from_parts(network, store, live, vocab_len, 0, true, None, None)
     }
 
     /// Seeds a manager with every input: a master store with its liveness
     /// mask (retired slots preserved so ids stay stable), the epoch number
-    /// to start from, the `registry` the `uots_epoch_*` series (epoch
+    /// to start from, whether its snapshots build a `vertex_index` (not for
+    /// a shard of a multi-shard cut: its coordinator keeps the cut's one
+    /// index, see [`crate::shard`]), the `registry` the `uots_epoch_*` series (epoch
     /// counter, live/pending gauges, ingest throughput, swap latency
     /// histogram) are registered in, and the `journal` every snapshot swap
     /// is recorded in. A `None` instrument is a detached one nothing reads.
@@ -316,12 +355,14 @@ impl EpochManager {
     /// replay reconstruct `(store, live)`, and the first snapshot must
     /// serve exactly the durable state. Its indexes are built from scratch
     /// over the live trajectories — retired ones stay invisible.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         network: Arc<RoadNetwork>,
         store: TrajectoryStore,
         live: LiveSet,
         vocab_len: usize,
         epoch: u64,
+        vertex_index: bool,
         registry: Option<&MetricsRegistry>,
         journal: Option<&EventJournal>,
     ) -> Self {
@@ -337,6 +378,7 @@ impl EpochManager {
             vocab_len,
             store.clone(),
             live.clone(),
+            vertex_index,
             None,
             0,
         );
@@ -353,6 +395,7 @@ impl EpochManager {
             }),
             network,
             vocab_len,
+            vertex_index,
             metrics,
             journal: journal.cloned().unwrap_or_default(),
         }
@@ -457,6 +500,7 @@ impl EpochManager {
             self.vocab_len,
             w.store.clone(),
             w.live.clone(),
+            self.vertex_index,
             Some(&prev),
             w.pending,
         ));
@@ -624,7 +668,7 @@ mod tests {
         let mut store = TrajectoryStore::new();
         store.push(traj(&[0, 1], &[1]));
         let live = LiveSet::all_live(store.len());
-        let mgr = EpochManager::from_parts(net, store, live, 4, 0, Some(&registry), None);
+        let mgr = EpochManager::from_parts(net, store, live, 4, 0, true, Some(&registry), None);
         mgr.ingest(traj(&[2, 3], &[2]));
         mgr.ingest(traj(&[4], &[]));
         mgr.retire(TrajectoryId(0));
@@ -656,6 +700,7 @@ mod tests {
             snap.live().clone(),
             8,
             snap.epoch(),
+            true,
             None,
             None,
         );

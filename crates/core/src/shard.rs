@@ -4,7 +4,8 @@
 //! partitions the trajectory population across `N` independent shards,
 //! each an [`EpochManager`] — bare in the volatile [`ShardedCluster`], or
 //! behind its own WAL in the root crate's durable cluster. Each shard keeps
-//! its own epoch lineage and its own live-built indexes.
+//! its own epoch lineage and its own live-built keyword and timestamp
+//! indexes; the vertex index is the cut's (see below).
 //!
 //! ## Partitioning
 //!
@@ -24,15 +25,27 @@
 //! readers pin. A shard unit only applies what it is routed,
 //! in local ids, and reports whether it still takes inserts.
 //!
-//! ## Lockstep: one run per query over every shard
+//! ## One vertex index per cut
+//!
+//! Every cut carries exactly one vertex index, in global ids
+//! ([`ClusterSnapshot::vertex_index`]). At one shard it is the shard's
+//! own. At `N ≥ 2` the shards build none (their managers are seeded
+//! without, [`EpochManager::from_parts`]): the coordinator builds the
+//! cut's from scratch when it is constructed — fresh or recovered — and
+//! derives each published cut's from the last one's with the batch since
+//! ([`uots_index::InvertedIndex::merged`]), the retired ids taken out and
+//! the live inserts put in.
+//!
+//! ## One run per query over every shard
 //!
 //! [`ClusterSnapshot::search_ctx`] runs the chosen algorithm **once** per
 //! query over the cut's [`View`]: every shard is one *part* of it, with
-//! its own store, indexes and live set, and a local → global id map.
-//! Every shard serves the same road network, so the run expands once per
-//! query location and, at each settled vertex, walks the postings of
-//! every part — one scan table, one collector, one bound heap, one
-//! scheduler and one termination test, all keyed by global id
+//! its own store, keyword table, keyword and timestamp indexes and live
+//! set. Every shard serves the same road network, so the run expands once
+//! per query location and, at each settled vertex, walks the one posting
+//! list of the cut's vertex index, in ascending global id — one scan
+//! table, one collector, one bound heap, one scheduler and one
+//! termination test, all keyed by global id
 //! ([`crate::algorithms::Expansion`]). The query's budget covers the run,
 //! not each part.
 //!
@@ -54,18 +67,21 @@
 //! part whose bound *equals* the k-th stays walked. Exact answers are
 //! therefore bit-identical to the unsharded engine at any shard count; a
 //! one-shard cut is the unsharded engine itself (one part, identity map),
-//! interrupted runs and their certificates included. The run is
+//! interrupted runs and their certificates included. The walk visits
+//! postings in the unsharded engine's order, so a run that retires no
+//! shard does the unsharded run's work, counter for counter. The run is
 //! sequential, so the effort counters ([`ShardedAnswer::shards_cut`] /
 //! [`ShardedAnswer::shards_cancelled`]) and every count-budgeted answer
 //! are functions of the query and the cut alone.
 
 use crate::algorithms::Algorithm;
 use crate::budget::RunControl;
-use crate::db::{part_upper_bound, IdMap, Part, View};
+use crate::db::{part_upper_bound, IdMap, View};
 use crate::epoch::{EpochManager, EpochSnapshot, Mutation};
 use crate::result::QueryResult;
 use crate::{CoreError, UotsQuery};
 use std::sync::{Arc, PoisonError, RwLock};
+use uots_index::VertexInvertedIndex;
 use uots_network::RoadNetwork;
 use uots_obs::{Counter, EventJournal, Gauge, MetricsRegistry, Recorder};
 use uots_trajectory::{LiveSet, Trajectory, TrajectoryId, TrajectoryStore};
@@ -331,7 +347,8 @@ impl Cluster<EpochManager> {
             .into_iter()
             .map(|s| {
                 let live = LiveSet::all_live(s.len());
-                EpochManager::from_parts(Arc::clone(&network), s, live, vocab_len, 0, r, j)
+                let own = num_shards == 1;
+                EpochManager::from_parts(Arc::clone(&network), s, live, vocab_len, 0, own, r, j)
             })
             .collect();
         Self::over(shards, &registry)
@@ -343,15 +360,23 @@ impl<S: Shard> Cluster<S> {
     /// `≡ s (mod N)` at local id `g / N`. Searches of its cuts count into
     /// the `uots_cluster_*` series it registers in `registry` (per-shard
     /// live gauges labeled `shard="<s>"`, query outcome counters); the cut
-    /// readers pin starts at the shards' current snapshots.
+    /// readers pin starts at the shards' current snapshots, and at `N ≥ 2`
+    /// with the cut's vertex index built from scratch over them.
     ///
     /// # Panics
     ///
-    /// Panics on an empty shard vector.
+    /// Panics on an empty shard vector, or when the shards' snapshots do
+    /// not leave the vertex index to the cut exactly when `N ≥ 2` (see
+    /// [`EpochManager::from_parts`]).
     pub fn over(shards: Vec<S>, registry: &MetricsRegistry) -> Self {
         assert!(!shards.is_empty(), "a cluster needs at least one shard");
+        let alone = shards.len() == 1;
+        assert!(
+            (shards.iter()).all(|s| s.manager().snapshot().vertex_index().is_some() == alone),
+            "one shard keeps its vertex index, a shard of several leaves it to the cut"
+        );
         let metrics = Arc::new(ClusterMetrics::register(registry, shards.len()));
-        let cut = CutCell::new(ClusterSnapshot::current(&shards, &metrics));
+        let cut = CutCell::new(ClusterSnapshot::current(&shards, None, &metrics));
         Cluster {
             shards,
             cut,
@@ -501,8 +526,9 @@ impl<S: Shard> Cluster<S> {
 
     /// Runs `publish` on every shard in parallel (index building is
     /// per-shard independent), then points the cut readers pin at what the
-    /// shards actually published — all of it at once, not shard by shard
-    /// — and returns that cut.
+    /// shards actually published — all of it at once, not shard by shard,
+    /// with the cut's vertex index carried over from the last cut's — and
+    /// returns that cut.
     ///
     /// # Errors
     ///
@@ -526,11 +552,41 @@ impl<S: Shard> Cluster<S> {
             }));
             outcomes
         });
-        let cut = ClusterSnapshot::current(&self.shards, &self.metrics);
+        let cut = ClusterSnapshot::current(&self.shards, Some(&self.cut.0.get()), &self.metrics);
         self.cut.set(cut.clone());
         outcomes.into_iter().try_for_each(|o| o.map(drop))?;
         Ok(cut)
     }
+}
+
+/// The vertex registrations `(v, g)` of shard `s`'s trajectories `locals`
+/// in `snap`, in global ids `g = l·N + s`.
+fn registrations(
+    snap: &EpochSnapshot,
+    n: usize,
+    s: usize,
+    locals: Vec<TrajectoryId>,
+) -> impl Iterator<Item = (uots_network::NodeId, TrajectoryId)> + '_ {
+    let ids = IdMap {
+        stride: n as u32,
+        offset: s as u32,
+    };
+    locals.into_iter().flat_map(move |l| {
+        let g = ids.global(l);
+        snap.store().get(l).nodes().map(move |v| (v, g))
+    })
+}
+
+/// The vertex index of `shards`' live trajectories in global ids, built
+/// from scratch.
+fn cut_vertex_index(shards: &[Arc<EpochSnapshot>]) -> VertexInvertedIndex<TrajectoryId> {
+    let num_nodes = shards[0].network().num_nodes();
+    let n = shards.len();
+    VertexInvertedIndex::build(
+        num_nodes,
+        (shards.iter().enumerate())
+            .flat_map(|(s, snap)| registrations(snap, n, s, snap.live().iter_live().collect())),
+    )
 }
 
 /// `global`'s shard and local id under `g = l·N + s`, given each shard's
@@ -546,7 +602,7 @@ fn locate_in(issued: &[u32], global: TrajectoryId) -> Option<(usize, TrajectoryI
 /// [module docs](self)). A query retires the shard once this falls
 /// strictly below its k-th score.
 pub fn shard_upper_bound(snap: &EpochSnapshot, query: &UotsQuery) -> f64 {
-    part_upper_bound(&snap.database(), query)
+    part_upper_bound(Some(snap.keyword_index()), query)
 }
 
 /// A coordinated answer: the result of the query's one run over the cut
@@ -564,11 +620,15 @@ pub struct ShardedAnswer {
 }
 
 /// One consistent cut across every shard: per-shard [`EpochSnapshot`]s,
-/// shard `s` holding the global ids `≡ s (mod N)`. Cheap to clone-share;
-/// queries against it are untouched by later publishes.
+/// shard `s` holding the global ids `≡ s (mod N)`, and the cut's one
+/// vertex index. Cheap to clone-share; queries against it are untouched
+/// by later publishes.
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
     shards: Vec<Arc<EpochSnapshot>>,
+    /// The vertex index of every shard's live trajectories, in global ids,
+    /// at `N ≥ 2`; a one-shard cut reads its shard's own.
+    vertex_index: Option<Arc<VertexInvertedIndex<TrajectoryId>>>,
     /// One past the largest global id of the cut.
     id_bound: usize,
     metrics: Arc<ClusterMetrics>,
@@ -576,18 +636,62 @@ pub struct ClusterSnapshot {
 
 impl ClusterSnapshot {
     /// The cut of `shards`' current snapshots, whose live counts it
-    /// publishes to the per-shard gauges.
-    fn current<S: Shard>(shards: &[S], metrics: &Arc<ClusterMetrics>) -> Self {
+    /// publishes to the per-shard gauges. At `N ≥ 2` its vertex index is
+    /// `prev`'s plus the batch since, or built from scratch without `prev`.
+    fn current<S: Shard>(
+        shards: &[S],
+        prev: Option<&ClusterSnapshot>,
+        metrics: &Arc<ClusterMetrics>,
+    ) -> Self {
         let shards: Vec<Arc<EpochSnapshot>> =
             shards.iter().map(|s| s.manager().snapshot()).collect();
         for (snap, series) in shards.iter().zip(&metrics.shards) {
             series.live.set(snap.stats().live as i64);
         }
+        let vertex_index = match prev {
+            _ if shards.len() == 1 => None,
+            None => Some(Arc::new(cut_vertex_index(&shards))),
+            Some(prev) => Some(prev.vertex_index_to(&shards)),
+        };
         let longest = shards.iter().map(|s| s.store().len()).max().unwrap_or(0);
         ClusterSnapshot {
             id_bound: longest * shards.len(),
             shards,
+            vertex_index,
             metrics: Arc::clone(metrics),
+        }
+    }
+
+    /// This cut's vertex index with the batches applied that took its
+    /// shards to `shards` ([`EpochSnapshot::batch_to`]), in global ids;
+    /// this cut's own `Arc` when no shard moved.
+    fn vertex_index_to(
+        &self,
+        shards: &[Arc<EpochSnapshot>],
+    ) -> Arc<VertexInvertedIndex<TrajectoryId>> {
+        let prev = self.vertex_index.as_ref().expect("a cut of several shards");
+        let n = shards.len();
+        let (mut retired, mut added) = (Vec::new(), Vec::new());
+        for (s, (was, now)) in self.shards.iter().zip(shards).enumerate() {
+            if Arc::ptr_eq(was, now) {
+                continue;
+            }
+            let (gone, fresh) = was.batch_to(now.store(), now.live());
+            retired.extend(registrations(now, n, s, gone));
+            added.extend(registrations(now, n, s, fresh));
+        }
+        if retired.is_empty() && added.is_empty() {
+            return Arc::clone(prev);
+        }
+        Arc::new(prev.merged(retired, added))
+    }
+
+    /// The cut's vertex index: every shard's live trajectories, in global
+    /// ids — what a search walks once per settled vertex.
+    pub fn vertex_index(&self) -> &VertexInvertedIndex<TrajectoryId> {
+        match &self.vertex_index {
+            Some(cut) => cut,
+            None => (self.shards[0].vertex_index()).expect("a lone shard keeps its vertex index"),
         }
     }
 
@@ -624,18 +728,11 @@ impl ClusterSnapshot {
         self.ids(shard).global(local)
     }
 
-    /// The read view over the cut: one part per shard, in global ids.
+    /// The read view over the cut: one part per shard and the cut's
+    /// vertex index, in global ids.
     pub fn view(&self) -> View<'_> {
-        let parts = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, snap)| Part {
-                db: snap.database(),
-                ids: self.ids(s),
-            })
-            .collect();
-        View::new(parts, self.id_bound)
+        let parts = self.shards.iter().map(|snap| snap.database()).collect();
+        View::new(parts, self.vertex_index(), self.id_bound)
     }
 
     /// [`search_ctx`](Self::search_ctx) without external control: an

@@ -137,7 +137,9 @@ impl DatasetConfig {
 }
 
 /// A fully built dataset: network, trajectories, vocabulary and all
-/// query-time indexes.
+/// query-time indexes. A clone copies the network and every index but
+/// shares the trajectories' blocks ([`TrajectoryStore`]).
+#[derive(Clone)]
 pub struct Dataset {
     /// Dataset name (from the configuration).
     pub name: String,

@@ -88,13 +88,15 @@ impl<K: PostingKey, V: Copy + Ord> InvertedIndex<K, V> {
 
     /// This index with the `removed` registrations taken out and the
     /// `added` ones put in: each key's list minus its removed values,
-    /// followed by its added values, sorted and deduplicated. A removal
-    /// this index does not hold is ignored.
+    /// merged with its added values, sorted and deduplicated. A removal
+    /// this index does not hold is ignored. The result equals
+    /// [`build`](Self::build) over the survivors, and a key the batch does
+    /// not touch costs one slice copy.
     ///
-    /// Every added value must be above every value its key keeps (fresh
-    /// ids, as a serving epoch issues them; checked in debug builds). Then
-    /// the result equals [`build`](Self::build) over the survivors, and a
-    /// key the batch does not touch costs one slice copy.
+    /// Added values above every value their key keeps (fresh ids, as a
+    /// serving epoch issues them) are appended; one below a kept value (an
+    /// id a cluster issues into a gap an unwritable shard left) is merged
+    /// into place.
     ///
     /// # Panics
     ///
@@ -130,14 +132,16 @@ impl<K: PostingKey, V: Copy + Ord> InvertedIndex<K, V> {
             }
             let fresh = run(&added[a..], i);
             a += fresh.len();
-            debug_assert!(
-                postings[lo..]
-                    .last()
-                    .zip(fresh.first())
-                    .is_none_or(|(&old, &(_, new))| old < new),
-                "an added value must be above every kept one"
-            );
-            postings.extend(fresh.iter().map(|p| p.1));
+            let above = postings[lo..]
+                .last()
+                .zip(fresh.first())
+                .is_none_or(|(&old, &(_, new))| old < new);
+            if above {
+                postings.extend(fresh.iter().map(|p| p.1));
+            } else {
+                let survivors = postings.split_off(lo);
+                merge_into(&mut postings, &survivors, fresh.iter().map(|p| p.1));
+            }
             starts.push(postings.len() as u32);
         }
         InvertedIndex {
@@ -226,6 +230,20 @@ fn sorted_pairs<K: PostingKey, V: Ord>(regs: impl IntoIterator<Item = (K, V)>) -
     pairs.sort_unstable();
     pairs.dedup();
     pairs
+}
+
+/// Appends the ascending union of `kept` and the ascending `fresh` to
+/// `out`, each value once.
+fn merge_into<V: Copy + Ord>(out: &mut Vec<V>, kept: &[V], fresh: impl Iterator<Item = V>) {
+    let mut kept = kept.iter().copied().peekable();
+    for v in fresh {
+        while let Some(k) = kept.next_if(|&k| k < v) {
+            out.push(k);
+        }
+        kept.next_if_eq(&v);
+        out.push(v);
+    }
+    out.extend(kept);
 }
 
 /// The leading pairs of `pairs` whose key is `i`.
@@ -349,6 +367,27 @@ mod tests {
             [(KeywordId(0), 3u32), (KeywordId(2), 7), (KeywordId(3), 8)],
         );
         assert_eq!(merged, direct);
+    }
+
+    #[test]
+    fn merged_places_an_added_value_below_a_kept_one() {
+        let base =
+            VertexInvertedIndex::build(2, [(NodeId(0), 2u32), (NodeId(0), 9), (NodeId(1), 4)]);
+        let next = base.merged(
+            [(NodeId(0), 9)],
+            [(NodeId(0), 5), (NodeId(0), 1), (NodeId(1), 7)],
+        );
+        let direct = VertexInvertedIndex::build(
+            2,
+            [
+                (NodeId(0), 1u32),
+                (NodeId(0), 2),
+                (NodeId(0), 5),
+                (NodeId(1), 4),
+                (NodeId(1), 7),
+            ],
+        );
+        assert_eq!(next, direct);
     }
 
     #[test]

@@ -303,12 +303,12 @@ fn live_probes<'a>(parts: &[Part<'a>]) -> Vec<(TrajectoryId, &'a Trajectory)> {
 /// ids.
 ///
 /// Every part's live ids are validated and probed; a spatial settle walks
-/// every part's postings and a probe time's source is a
+/// the view's one posting list and a probe time's source is a
 /// [`TimeChannel`](uots_core::TimeChannel) over all parts, as in the
-/// engine. Each part's indexes must cover exactly its live ids (an epoch
-/// snapshot's do), so a retired trajectory is neither a probe nor a
-/// partner, and a cluster cut answers the pairs of one store holding its
-/// live trajectories.
+/// engine. The view's indexes must cover exactly its live ids (an epoch
+/// snapshot's and a cluster cut's do), so a retired trajectory is neither
+/// a probe nor a partner, and a cluster cut answers the pairs of one store
+/// holding its live trajectories.
 ///
 /// The gate is consulted before each probe (one probe = one trajectory's
 /// candidate search): on cancellation, deadline expiry, or an exhausted
@@ -334,8 +334,9 @@ pub fn ts_join_with(
     budget: &ExecutionBudget,
     ctl: &RunControl,
 ) -> Result<JoinResult, JoinError> {
-    // the workers share the parts: the view itself is not `Sync`
-    let parts = view.parts();
+    // the workers share the parts and the vertex index: the view itself is
+    // not `Sync`
+    let (parts, vertex_index) = (view.parts(), view.vertex_index());
     let probes = live_probes(parts);
     validate(cfg, probes.iter().copied())?;
     if parts.iter().any(|p| p.db.timestamp_index.is_none()) {
@@ -361,7 +362,7 @@ pub fn ts_join_with(
         probes
             .par_chunks(chunk)
             .map(|probe_chunk| {
-                let mut worker = Worker::new(parts);
+                let mut worker = Worker::new(parts, vertex_index);
                 let mut stats = SearchStats::default();
                 let mut out = Vec::with_capacity(probe_chunk.len());
                 for &(probe, traj) in probe_chunk {

@@ -24,8 +24,9 @@
 //! qualifying pair.
 //!
 //! The worker reads the parts of a view as the engine does, in global
-//! ids: a settle walks every part's postings, and a probe time's source
-//! is a [`TimeChannel`] merging the parts' timestamp expansions by gap.
+//! ids: a settle walks the view's one posting list, and a probe time's
+//! source is a [`TimeChannel`] merging the parts' timestamp expansions by
+//! gap.
 //!
 //! Workers own their expansion scratch and are reused across probe
 //! trajectories, so a full join performs no per-search network-sized
@@ -35,6 +36,7 @@ use crate::similarity::{distinct_nodes_weighted, distinct_times_weighted, Half};
 use crate::JoinConfig;
 use std::collections::{BinaryHeap, HashMap};
 use uots_core::{Part, TimeChannel};
+use uots_index::VertexInvertedIndex;
 use uots_network::expansion::NetworkExpansion;
 use uots_network::TotalF64;
 use uots_trajectory::{Trajectory, TrajectoryId};
@@ -86,17 +88,23 @@ impl Ord for BoundEntry {
     }
 }
 
-/// A reusable join-search worker bound to the parts of one view.
+/// A reusable join-search worker bound to the parts of one view and its
+/// vertex index.
 pub(crate) struct Worker<'a> {
     parts: &'a [Part<'a>],
+    vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
     /// Expansion scratch, grown on demand and restarted per search.
     sources: Vec<NetworkExpansion<'a>>,
 }
 
 impl<'a> Worker<'a> {
-    pub(crate) fn new(parts: &'a [Part<'a>]) -> Self {
+    pub(crate) fn new(
+        parts: &'a [Part<'a>],
+        vertex_index: &'a VertexInvertedIndex<TrajectoryId>,
+    ) -> Self {
         Worker {
             parts,
+            vertex_index,
             sources: Vec::new(),
         }
     }
@@ -319,13 +327,7 @@ impl<'a> Worker<'a> {
                 match self.sources[src].next_settled() {
                     Some(settled) => {
                         stats.settled_vertices += 1;
-                        // every part's postings, in global ids
-                        let parts = self.parts;
-                        let tids = parts.iter().flat_map(|part| {
-                            let locals = part.db.vertex_index.values_at(settled.node);
-                            locals.iter().map(|&local| part.ids.global(local))
-                        });
-                        for tid in tids {
+                        for &tid in self.vertex_index.values_at(settled.node) {
                             if tid == probe {
                                 continue;
                             }

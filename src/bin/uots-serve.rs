@@ -206,8 +206,11 @@ fn run() -> Result<(), String> {
                 fsync,
                 ..WalConfig::default()
             };
+            // the lineage takes the dataset over: a fresh one moves its
+            // network and trajectories into the shards, a resumed one
+            // keeps it only as the recovery base of a one-shard open
             let (cluster, reports) = ShardedDurable::open_or_create(
-                &ds,
+                ds,
                 dir,
                 shards,
                 config,
@@ -216,9 +219,6 @@ fn run() -> Result<(), String> {
                 Some(&journal),
             )
             .map_err(|e| format!("--wal-dir {dir}, --shards is {shards}: {e}"))?;
-            // every shard now holds what it serves; a one-shard lineage
-            // needed the dataset only as the recovery base of its open
-            drop(ds);
             if let Some(slowest) = reports.iter().map(|r| r.micros).max() {
                 if shards == 1 {
                     let batches = reports[0].replayed_batches;

@@ -1010,9 +1010,11 @@ fn cmd_ingest(args: &[String]) -> i32 {
                 ..WalConfig::default()
             };
             // resume or create, like the server: a second run on one
-            // directory continues its lineage instead of logging over it
+            // directory continues its lineage instead of logging over it.
+            // The shard takes the dataset over; the run needs the tags only
+            let vocab = ds.vocab.clone();
             let opened = ShardedDurable::open_or_create(
-                &ds,
+                ds,
                 dir,
                 1,
                 config,
@@ -1024,8 +1026,6 @@ fn cmd_ingest(args: &[String]) -> i32 {
                 Ok(opened) => opened,
                 Err(e) => return fail(format!("opening wal in {dir}: {e}")),
             };
-            // the shard holds what it serves; the run needs the tags only
-            let (_, _, vocab) = ds.into_parts();
             println!(
                 "durable ingest: wal in {dir} (fsync {fsync}, checkpoint every {})",
                 checkpoint_every.map_or("never".to_string(), |n| format!("{n} batches")),

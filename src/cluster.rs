@@ -39,13 +39,20 @@
 //! [`open_or_create`](ShardedDurable::open_or_create) — what `uots-serve`
 //! and `uots ingest` call — does the same at `N ≥ 2`; at `N = 1` it skips
 //! the seed checkpoint and keeps the base dataset as the lineage's
-//! recovery base.
+//! recovery base. It takes the dataset by value: a fresh lineage moves
+//! the network and trajectories into its shards, and a resumed one at
+//! `N ≥ 2` drops the dataset before it recovers.
+//!
+//! At `N ≥ 2` every shard's manager is seeded without a vertex index:
+//! the coordinator keeps the cut's one ([`uots_core::shard`]).
 
 use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::durable::{list_checkpoints, recover, DurableError, DurableIngest, RecoveryReport};
+use crate::durable::{
+    list_checkpoints, recover_shard, DurableError, DurableIngest, RecoveryReport,
+};
 use uots_core::shard::{partition, Cluster, Shard};
 use uots_core::storage::{RetryPolicy, StdFs};
 use uots_core::wal::{self, WalConfig, WalError};
@@ -54,7 +61,7 @@ use uots_datagen::Dataset;
 use uots_network::RoadNetwork;
 use uots_obs::{EventJournal, MetricsRegistry};
 use uots_text::Vocabulary;
-use uots_trajectory::{TrajectoryId, TrajectoryStore};
+use uots_trajectory::{LiveSet, TrajectoryId, TrajectoryStore};
 
 /// The shard directory for shard `s` under the root of a lineage of two
 /// shards or more.
@@ -160,7 +167,7 @@ impl ShardedDurable {
     ) -> Result<Self, DurableError> {
         let root = root.as_ref();
         let lineage = Lineage::new(root, num_shards, config, checkpoint_every, registry, None);
-        lineage.seed(network, store, vocab, true)
+        lineage.seed(network, store.clone(), vocab, true)
     }
 
     /// Recovers every shard under `root` **in parallel** and resumes
@@ -187,7 +194,8 @@ impl ShardedDurable {
 
     /// Opens the `shards`-shard cluster under `root` for a server seeded
     /// from `base` — resumed when the directory holds a lineage (returning
-    /// one recovery report per shard), created otherwise (no reports) —
+    /// one recovery report per shard), created otherwise (no reports), the
+    /// dataset's network and trajectories moved into the shards —
     /// with every shard, its recovery included, reporting to `registry`
     /// and `journal` (`None`: detached). At one shard the lineage is flat,
     /// is not seeded with a checkpoint and recovers with `base` as its
@@ -197,7 +205,7 @@ impl ShardedDurable {
     /// ids `g = l·N + s` only mean anything under the `N` they were issued
     /// with.
     pub fn open_or_create(
-        base: &Dataset,
+        base: Dataset,
         root: impl AsRef<Path>,
         shards: usize,
         config: WalConfig,
@@ -216,10 +224,10 @@ impl ShardedDurable {
         let lineage = Lineage::new(root, shards, config, checkpoint_every, registry, journal);
         let flat = shards == 1;
         if on_disk.is_some() {
-            return lineage.resume(flat.then_some(base));
+            return lineage.resume(flat.then_some(&base));
         }
-        let network = Arc::new(base.network.clone());
-        let fresh = lineage.seed(network, &base.store, &base.vocab, !flat)?;
+        let (network, store, vocab) = base.into_parts();
+        let fresh = lineage.seed(Arc::new(network), store, &vocab, !flat)?;
         Ok((fresh, Vec::new()))
     }
 }
@@ -253,27 +261,30 @@ impl<'a> Lineage<'a> {
         }
     }
 
-    /// Starts a log per shard over its hash partition of `store`, each
-    /// seeded with a checkpoint of it when `self_contained`.
+    /// Starts a log per shard over its hash partition of `store` (moved
+    /// into the shards, see [`partition`]), each seeded with a checkpoint
+    /// of it when `self_contained`.
     fn seed(
         self,
         network: Arc<RoadNetwork>,
-        store: &TrajectoryStore,
+        store: TrajectoryStore,
         vocab: &Vocabulary,
         self_contained: bool,
     ) -> Result<ShardedDurable, DurableError> {
         let (reg, jrn) = (Some(&self.registry), Some(&self.journal));
+        let own_index = self.num_shards == 1;
         let mut shards = Vec::with_capacity(self.num_shards);
-        for (s, part) in partition(store.clone(), self.num_shards)
-            .into_iter()
-            .enumerate()
-        {
+        for (s, part) in partition(store, self.num_shards).into_iter().enumerate() {
             let dir = lineage_dir(self.root, self.num_shards, s);
             std::fs::create_dir_all(&dir).map_err(|e| DurableError::Wal(WalError::Io(e)))?;
-            let mut ingest = DurableIngest::create(
-                Arc::clone(&network),
-                part,
+            let live = LiveSet::all_live(part.len());
+            let network = Arc::clone(&network);
+            let manager =
+                EpochManager::from_parts(network, part, live, vocab.len(), 0, own_index, reg, jrn);
+            let mut ingest = DurableIngest::over_log(
+                manager,
                 vocab.clone(),
+                0,
                 &dir,
                 self.config,
                 self.checkpoint_every,
@@ -304,7 +315,8 @@ impl<'a> Lineage<'a> {
                     .map(|s| {
                         let dir = lineage_dir(this.root, this.num_shards, s);
                         scope.spawn(move || {
-                            let rec = recover(&StdFs, &dir, base, reg, jrn)?;
+                            let own_index = this.num_shards == 1;
+                            let rec = recover_shard(&StdFs, &dir, base, own_index, reg, jrn)?;
                             let report = rec.report.clone();
                             let ingest = DurableIngest::resume(
                                 rec,

@@ -326,8 +326,16 @@ impl DurableIngest {
         journal: Option<&EventJournal>,
     ) -> Result<Self, DurableError> {
         let live = LiveSet::all_live(store.len());
-        let manager =
-            EpochManager::from_parts(network, store, live, vocab.len(), 0, registry, journal);
+        let manager = EpochManager::from_parts(
+            network,
+            store,
+            live,
+            vocab.len(),
+            0,
+            true,
+            registry,
+            journal,
+        );
         let dir = dir.as_ref();
         Self::over_log(
             manager,
@@ -381,7 +389,7 @@ impl DurableIngest {
     /// Opens the WAL writer in `dir` behind `manager`, whose state is
     /// durable through `checkpoint_lsn` (0: the base state).
     #[allow(clippy::too_many_arguments)]
-    fn over_log(
+    pub(crate) fn over_log(
         manager: EpochManager,
         vocab: Vocabulary,
         checkpoint_lsn: u64,
@@ -873,6 +881,20 @@ pub fn recover(
     registry: Option<&MetricsRegistry>,
     journal: Option<&EventJournal>,
 ) -> Result<Recovered, DurableError> {
+    recover_shard(backend, dir, base, true, registry, journal)
+}
+
+/// [`recover`], the manager's snapshots building a vertex index when
+/// `vertex_index` (not for a shard of a multi-shard cut, see
+/// [`EpochManager::from_parts`]).
+pub(crate) fn recover_shard(
+    backend: &dyn StorageBackend,
+    dir: &Path,
+    base: Option<&Dataset>,
+    vertex_index: bool,
+    registry: Option<&MetricsRegistry>,
+    journal: Option<&EventJournal>,
+) -> Result<Recovered, DurableError> {
     let r = registry.cloned().unwrap_or_default();
     let j = journal.cloned().unwrap_or_default();
     let started = Instant::now();
@@ -991,6 +1013,7 @@ pub fn recover(
         live,
         vocab_len,
         epoch,
+        vertex_index,
         Some(&r),
         Some(&j),
     );

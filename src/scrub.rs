@@ -366,9 +366,16 @@ mod tests {
     fn seeded_dir(name: &str) -> (PathBuf, Dataset) {
         let ds = Dataset::build(&DatasetConfig::small(16, 5)).unwrap();
         let dir = tmpdir(name);
-        let (mut ingest, _) =
-            ShardedDurable::open_or_create(&ds, &dir, 1, WalConfig::default(), Some(2), None, None)
-                .unwrap();
+        let (mut ingest, _) = ShardedDurable::open_or_create(
+            ds.clone(),
+            &dir,
+            1,
+            WalConfig::default(),
+            Some(2),
+            None,
+            None,
+        )
+        .unwrap();
         let donor: Vec<Trajectory> = (0..6u32).map(|i| ds.store.get(TrajId(i)).clone()).collect();
         for (i, t) in donor.into_iter().enumerate() {
             ingest.apply(vec![Mutation::Insert(t)]).unwrap();

@@ -671,10 +671,10 @@ fn handle_join(req: &HttpRequest, shared: &Shared) -> Reply {
 /// network / vocabulary (every shard serves the same ones), as a
 /// client-facing message.
 fn out_of_range(inserts: &[Trajectory], cut: &ClusterSnapshot) -> Option<String> {
-    let db = cut.shard(0).database();
-    let vocab = db.keyword_index.map_or(usize::MAX, |k| k.num_keys());
+    let shard = cut.shard(0);
+    let (nodes, vocab) = (shard.network().num_nodes(), shard.vocab_len());
     inserts.iter().enumerate().find_map(|(i, t)| {
-        let refused = check_ids(t, db.network.num_nodes(), vocab).err()?;
+        let refused = check_ids(t, nodes, vocab).err()?;
         Some(format!("insert {i}: {refused}"))
     })
 }

@@ -560,7 +560,7 @@ fn differential_ingest_rebuild_oracle() {
             let (store, live) = (snapshot.store(), snapshot.live());
             assert_eq!(
                 live_db.vertex_index,
-                &store.build_vertex_index_live(net.num_nodes(), live),
+                Some(&store.build_vertex_index_live(net.num_nodes(), live)),
                 "ds{ds_i} round{round}: published vertex index"
             );
             assert_eq!(

@@ -500,7 +500,7 @@ fn start_durable_service(
     let registry = MetricsRegistry::new();
     let journal = EventJournal::default();
     let (cluster, recovery) = ShardedDurable::open_or_create(
-        ds,
+        ds.clone(),
         dir,
         shards,
         WalConfig::default(),
@@ -1978,9 +1978,16 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     let flat = root.join("flat");
     let (marker, node, t) = marker_trajectory(&ds);
     let acked = {
-        let (mut durable, recovery) =
-            ShardedDurable::open_or_create(&ds, &flat, 1, WalConfig::default(), None, None, None)
-                .expect("create");
+        let (mut durable, recovery) = ShardedDurable::open_or_create(
+            ds.clone(),
+            &flat,
+            1,
+            WalConfig::default(),
+            None,
+            None,
+            None,
+        )
+        .expect("create");
         assert!(recovery.is_empty());
         let t = <Trajectory as serde::Deserialize>::deserialize(&t).expect("round-trips");
         let id = durable.ingest(t).expect("ingest");

@@ -393,10 +393,26 @@ fn effort_counters_are_deterministic() {
     assert!(cut > 0, "the pool never retired a shard");
 }
 
+/// Every effort counter of a run's metrics (all but its timings).
+fn counters(m: &uots::core::SearchMetrics) -> [usize; 9] {
+    [
+        m.queries,
+        m.visited_trajectories,
+        m.settled_vertices,
+        m.scanned_timestamps,
+        m.candidates,
+        m.retired,
+        m.interrupted,
+        m.heap_pushes,
+        m.peak_frontier,
+    ]
+}
+
 /// Checks a sharded answer's effort against the unsharded run of the same
-/// query: with no part retired the lockstep is the unsharded engine step
-/// for step — the same settles and visits, and a count budget trips at
-/// the same step with the same answer. A retired part only saves work:
+/// query: with no part retired the sharded run walks the cut's one
+/// posting list in the unsharded order, so it is the unsharded engine step
+/// for step — every effort counter equal, and a count budget trips at the
+/// same step with the same answer. A retired part only saves work:
 /// between two runs that end by their termination test the sharded one
 /// settles and visits no more. (Under a visit budget a retired part can
 /// make it settle more: it walks fewer postings per settle, so the budget
@@ -405,11 +421,7 @@ fn assert_lockstep_effort(sharded: &ShardedAnswer, unsharded: &QueryResult, labe
     let (s, u) = (&sharded.result.metrics, &unsharded.metrics);
     let exact = sharded.result.completeness.is_exact();
     if sharded.shards_cut == 0 {
-        assert_eq!(s.settled_vertices, u.settled_vertices, "{label}: settles");
-        assert_eq!(
-            s.visited_trajectories, u.visited_trajectories,
-            "{label}: visits"
-        );
+        assert_eq!(counters(s), counters(u), "{label}: effort counters");
         assert_eq!(
             exact,
             unsharded.completeness.is_exact(),
