@@ -1,4 +1,4 @@
-//! Sharded trajectory store with a lockstep top-k over every shard.
+//! Sharded trajectory store with one top-k run over every shard.
 //!
 //! ROADMAP item 2: horizontal scale past one store. A [`Cluster`]
 //! partitions the trajectory population across `N` independent shards,
@@ -264,7 +264,7 @@ impl CutCell {
 }
 
 /// `N` hash-partitioned shards behind one global-id coordinator. See the
-/// [module docs](self) for the partitioning and the lockstep.
+/// [module docs](self) for the partitioning and the one run per query.
 ///
 /// Single-writer: the writers take `&mut self`. Readers do not need the
 /// writer: [`cut`](Self::cut) hands out a [`CutReader`] on the last
@@ -751,9 +751,10 @@ impl ClusterSnapshot {
 
     /// Top-k over the cut: `algorithm` (the service passes
     /// [`crate::AlgorithmKind::Expansion`]) runs **once** over the cut's
-    /// [`view`](Self::view), every shard walked in lockstep off one
-    /// expansion per query location (see the [module docs](self)). The
-    /// run is under `ctl` and the query's budget as a whole.
+    /// [`view`](Self::view): one expansion per query location, the cut's
+    /// one posting list walked per settled vertex (see the
+    /// [module docs](self)). The run is under `ctl` and the query's
+    /// budget as a whole.
     ///
     /// # Errors
     ///

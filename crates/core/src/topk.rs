@@ -16,8 +16,8 @@
 //! in any permutation, or partitioned across several collectors whose
 //! outputs are re-offered to a final one, yields bit-identical results.
 //! A sharded query ([`crate::shard`]) relies on it: its one run offers
-//! every part's matches, in global ids, in whatever order the lockstep
-//! walk reaches them, and still answers bit-identically to the
+//! every part's matches, in global ids, in whatever order its walk
+//! reaches them, and still answers bit-identically to the
 //! single-store engine even when scores collide at the k boundary.
 
 use crate::result::Match;

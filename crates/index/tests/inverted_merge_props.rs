@@ -4,7 +4,8 @@
 //! the previous one: take out the registrations of the ids retired since,
 //! append those of the batch's live inserts. That is only sound if the
 //! result is exactly the index a full build over the live ids would give,
-//! for either key type.
+//! for either key type — also when an insert's id falls below kept ones,
+//! as a cluster's cut index sees after a restart.
 
 use proptest::prelude::*;
 use uots_index::{InvertedIndex, PostingKey};
@@ -93,8 +94,48 @@ fn chain<K: PostingKey + PartialEq + std::fmt::Debug>(
     }
 }
 
+/// One publish whose inserts take ids between the kept ones, as a
+/// cluster issues them into the gap a shard that refused inserts left:
+/// old trip `i` has id `2i`, new trip `j` id `2j + 1`.
+fn interleaved<K: PostingKey + PartialEq + std::fmt::Debug>(
+    key: fn(u32) -> K,
+    num_keys: u32,
+    old: &[Vec<u32>],
+    new: &[Vec<u32>],
+    retired: &[bool],
+) {
+    let n = num_keys as usize;
+    let regs = |trips: &[Vec<u32>], id: &dyn Fn(usize) -> u32, pick: &dyn Fn(usize) -> bool| {
+        let mut out = Vec::new();
+        for (i, keys) in trips.iter().enumerate().filter(|&(i, _)| pick(i)) {
+            out.extend(keys.iter().map(|&k| (key(k % num_keys), id(i))));
+        }
+        out
+    };
+    let (even, odd) = (|i: usize| 2 * i as u32, |j: usize| 2 * j as u32 + 1);
+    let base = InvertedIndex::build(n, regs(old, &even, &|_| true));
+    let merged = base.merged(
+        regs(old, &even, &|i| retired[i]),
+        regs(new, &odd, &|_| true),
+    );
+    let mut survivors = regs(old, &even, &|i| !retired[i]);
+    survivors.extend(regs(new, &odd, &|_| true));
+    assert_eq!(merged, InvertedIndex::build(n, survivors));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn added_ids_below_kept_ones_are_merged_into_place(
+        num_keys in 1u32..10,
+        old in proptest::collection::vec(proptest::collection::vec(0u32..10, 1..5), 0..8),
+        new in proptest::collection::vec(proptest::collection::vec(0u32..10, 1..5), 0..8),
+        retired in proptest::collection::vec(any::<bool>(), 8),
+    ) {
+        interleaved(NodeId, num_keys, &old, &new, &retired);
+        interleaved(KeywordId, num_keys, &old, &new, &retired);
+    }
 
     #[test]
     fn merged_equals_build_over_the_survivors(

@@ -18,13 +18,15 @@
 //!   until then the radius lower-bounds it.
 //!
 //! The struct owns three epoch-stamped scratch arrays sized to the network
-//! (13 bytes per vertex, ≈ 0.37 MB on a 28k-vertex city).
-//! [`NetworkExpansion::start`] re-aims an expansion at a new source in O(1)
-//! without touching them; the similarity join keeps its expansions from
-//! probe to probe and re-aims them that way. The query engine and the IKNN
-//! baseline do not: they build each source's expansion with
-//! [`NetworkExpansion::from_source`], so every query allocates and fills
-//! the three arrays once per query location.
+//! (13 bytes per vertex, ≈ 0.37 MB on a 28k-vertex city). The stamps mask
+//! every entry the current expansion has not written, so the arrays are
+//! allocated zeroed and never filled. [`NetworkExpansion::start`] re-aims
+//! an expansion at a new source in O(1) without touching them; the
+//! similarity join keeps its expansions from probe to probe and re-aims
+//! them that way. The query engine and the IKNN baseline do not: they
+//! build each source's expansion with [`NetworkExpansion::from_source`],
+//! so every query allocates the three arrays, zeroed, once per query
+//! location.
 //!
 //! [`MultiSourceExpansion`] is the batched full drain: every query source
 //! at once over one shared frontier, walking the same CSR rows, with
@@ -62,7 +64,8 @@ pub struct Settled {
 /// ```
 pub struct NetworkExpansion<'a> {
     net: &'a RoadNetwork,
-    /// Tentative distances; only meaningful where `stamp == epoch`.
+    /// Tentative distances; only meaningful where `stamp == epoch`, so an
+    /// unwritten entry is never read and the array starts zeroed.
     dist: Vec<f64>,
     /// Which vertices are settled; only meaningful where `stamp == epoch`.
     settled: Vec<bool>,
@@ -81,7 +84,7 @@ impl<'a> NetworkExpansion<'a> {
         let n = net.num_nodes();
         NetworkExpansion {
             net,
-            dist: vec![f64::INFINITY; n],
+            dist: vec![0.0; n],
             settled: vec![false; n],
             stamp: vec![0; n],
             epoch: 0,

@@ -21,9 +21,9 @@
 //! Every server is a cluster of `--shards N` hash shards, `N = 1` by
 //! default (`uots_core::shard`): a search is one engine run over every
 //! shard of the pinned cut on the request's own thread — one network
-//! expansion per query location, each settled vertex's postings walked
-//! shard by shard in lockstep, one top-k in global ids — and a shard whose
-//! upper bound falls strictly below the running k-th score stops being
+//! expansion per query location, one walk of the cut's one vertex index
+//! per settled vertex, one top-k in global ids — and a shard whose upper
+//! bound falls strictly below the running k-th score stops being
 //! walked. With one shard that run is exactly the unsharded search.
 //! `/ingest` applies its body as one batch, split into one sub-batch per
 //! shard it touches; responses carry the per-shard `epochs` at every `N`.

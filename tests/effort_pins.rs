@@ -1,9 +1,10 @@
 //! Answer and effort pins for every algorithm over the three read paths:
 //! a plain [`Database`] over the dataset's own indexes, an epoch
 //! snapshot's database (indexes the epoch built over its live set, plus
-//! the liveness mask) and a 2-shard cluster cut (every shard walked in
-//! lockstep). All three run the one evaluation: the keyword bit table and
-//! the batched multi-source drain.
+//! the liveness mask) and a 2-shard cluster cut (one run over both shards,
+//! walking the cut's one vertex index). All three run the one
+//! evaluation: the keyword bit table and the batched multi-source drain,
+//! and all three do the same work.
 //!
 //! Each row pins an FNV-1a-64 of the `(id, similarity bits)` lists of a
 //! fixed 12-query workload plus the summed effort counters. A refactor of

@@ -32,9 +32,11 @@ use uots::{
     TrajectoryStore, UotsQuery,
 };
 use uots_core::algorithms::BruteForce;
+use uots_core::shard::{Cluster, RouteError, Shard};
 use uots_core::{ClusterSnapshot, Mutation, Partitioner, ShardedAnswer, ShardedCluster};
+use uots_index::VertexInvertedIndex;
 use uots_text::KeywordId;
-use uots_trajectory::Trajectory;
+use uots_trajectory::{LiveSet, Trajectory};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -768,5 +770,262 @@ proptest! {
         // the one run against the unsharded one, for what it did
         let unsharded = algo.run(&uots::db(&ds), &q).unwrap();
         assert_lockstep_effort(&answer, &unsharded, &format!("seed {seed}, {shards} shards"));
+    }
+}
+
+/// A volatile shard that can refuse inserts, as a degraded durable shard
+/// does: the coordinator routes them around it, so its residue class of
+/// global ids stops growing and leaves a gap.
+struct Refusing {
+    manager: EpochManager,
+    writable: bool,
+}
+
+impl Shard for Refusing {
+    type Error = RouteError;
+
+    fn manager(&self) -> &EpochManager {
+        &self.manager
+    }
+
+    fn writable(&self) -> bool {
+        self.writable
+    }
+
+    fn apply(&mut self, batch: Vec<Mutation>) -> Result<Vec<TrajectoryId>, RouteError> {
+        Ok(self.manager.apply(batch))
+    }
+
+    fn publish(&mut self) -> Result<Arc<uots_core::EpochSnapshot>, RouteError> {
+        Ok(self.manager.publish())
+    }
+}
+
+/// `N` volatile shards reseeded from `snapshots` — the state a restart
+/// recovers — shard `degraded` refusing inserts.
+fn refusing_cluster(
+    net: &Arc<uots::RoadNetwork>,
+    snapshots: Vec<(TrajectoryStore, LiveSet)>,
+    vocab_len: usize,
+    degraded: Option<usize>,
+) -> Cluster<Refusing> {
+    let own = snapshots.len() == 1;
+    let shards = (snapshots.into_iter().enumerate())
+        .map(|(s, (store, live))| Refusing {
+            manager: EpochManager::from_parts(
+                Arc::clone(net),
+                store,
+                live,
+                vocab_len,
+                0,
+                own,
+                None,
+                None,
+            ),
+            writable: degraded != Some(s),
+        })
+        .collect();
+    Cluster::over(shards, &uots::MetricsRegistry::new())
+}
+
+/// The cut's shards as `(store, live)` pairs, as a restart recovers them.
+fn recovered_state(cut: &ClusterSnapshot) -> Vec<(TrajectoryStore, LiveSet)> {
+    (0..cut.num_shards())
+        .map(|s| (cut.shard(s).store().clone(), cut.shard(s).live().clone()))
+        .collect()
+}
+
+/// The vertex index of the cut's live trajectories rebuilt over one
+/// unpartitioned store at their global ids — a hole a refusing shard left
+/// holds a retired placeholder — for comparison with the cut's own.
+fn rebuilt_vertex_index(cut: &ClusterSnapshot) -> VertexInvertedIndex<TrajectoryId> {
+    let n = cut.num_shards();
+    let rows = (0..n)
+        .map(|s| cut.shard(s).store().len())
+        .max()
+        .unwrap_or(0);
+    let (mut store, mut live) = (TrajectoryStore::new(), LiveSet::all_live(rows * n));
+    for g in 0..rows * n {
+        let (s, l) = (g % n, TrajectoryId((g / n) as u32));
+        let shard = cut.shard(s);
+        if l.index() < shard.store().len() {
+            store.push(shard.store().get(l).clone());
+            if !shard.live().is_live(l) {
+                live.retire(TrajectoryId(g as u32));
+            }
+        } else {
+            store.push(cut.shard(0).store().get(TrajectoryId(0)).clone());
+            live.retire(TrajectoryId(g as u32));
+        }
+    }
+    store.build_vertex_index_live(cut.shard(0).network().num_nodes(), &live)
+}
+
+/// The one vertex index per cut: the cut's own, and none per shard at
+/// `N ≥ 2` (a lone shard's is the cut's).
+fn assert_one_vertex_index(cut: &ClusterSnapshot, label: &str) {
+    assert_eq!(
+        cut.vertex_index(),
+        &rebuilt_vertex_index(cut),
+        "{label}: the cut's vertex index is not the rebuild's"
+    );
+    for s in 0..cut.num_shards() {
+        let own = cut.shard(s).vertex_index().is_some();
+        assert_eq!(own, cut.num_shards() == 1, "{label}: shard {s}'s own index");
+    }
+}
+
+/// One step of a random write script.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Insert a copy of donor trajectory `i`.
+    Insert(usize),
+    /// Retire the `i`-th issued id (modulo the ids issued so far).
+    Retire(usize),
+    /// Retire the batch's own `i`-th insert (modulo its inserts; none yet:
+    /// nothing).
+    RetireOwn(usize),
+    /// Apply the batch built so far and publish every shard.
+    Publish,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    (0u8..7, 0usize..1000).prop_map(|(kind, i)| match kind {
+        0..=2 => Step::Insert(i % 40),
+        3 | 4 => Step::Retire(i),
+        5 => Step::RetireOwn(i),
+        _ => Step::Publish,
+    })
+}
+
+/// Runs `steps` against `cluster`, checking the cut after every publish.
+/// A batch's own inserts get the ids the coordinator's rule issues: the
+/// writable shard with the smallest unused global id.
+fn run_script<S: Shard>(cluster: &mut Cluster<S>, ds: &Dataset, steps: &[Step], label: &str)
+where
+    S::Error: std::fmt::Debug,
+{
+    let n = cluster.num_shards();
+    let issued =
+        |c: &Cluster<S>| -> Vec<usize> { (0..n).map(|s| c.shard(s).manager().issued()).collect() };
+    let mut batch: Vec<Mutation> = Vec::new();
+    let mut own: Vec<TrajectoryId> = Vec::new();
+    let mut counts = issued(cluster);
+    for (i, step) in steps.iter().chain([&Step::Publish]).enumerate() {
+        match *step {
+            Step::Insert(d) => {
+                let s = (0..n)
+                    .filter(|&s| cluster.shard(s).writable())
+                    .min_by_key(|&s| counts[s] * n + s)
+                    .expect("a writable shard");
+                own.push(TrajectoryId((counts[s] * n + s) as u32));
+                counts[s] += 1;
+                batch.push(Mutation::Insert(donor(ds, d)));
+            }
+            Step::Retire(r) => {
+                let ids: Vec<usize> = (0..n)
+                    .flat_map(|s| (0..counts[s]).map(move |l| l * n + s))
+                    .collect();
+                if !ids.is_empty() {
+                    batch.push(Mutation::Retire(TrajectoryId(ids[r % ids.len()] as u32)));
+                }
+            }
+            Step::RetireOwn(r) => {
+                if !own.is_empty() {
+                    batch.push(Mutation::Retire(own[r % own.len()]));
+                }
+            }
+            Step::Publish => {
+                let inserts = batch.iter().filter(|m| matches!(m, Mutation::Insert(_)));
+                let want = own.len();
+                assert_eq!(inserts.count(), want);
+                let got = cluster.apply(std::mem::take(&mut batch)).expect("apply");
+                assert_eq!(
+                    got,
+                    std::mem::take(&mut own),
+                    "{label} step {i}: issued ids"
+                );
+                let cut = cluster.publish_all().expect("publish");
+                assert_one_vertex_index(&cut, &format!("{label} step {i}"));
+                counts = issued(cluster);
+            }
+        }
+    }
+}
+
+fn script_dataset() -> &'static Dataset {
+    static DS: std::sync::OnceLock<Dataset> = std::sync::OnceLock::new();
+    DS.get_or_init(|| Dataset::build(&DatasetConfig::small(30, 23)).unwrap())
+}
+
+#[test]
+fn a_cut_of_several_shards_holds_one_vertex_index() {
+    let ds = script_dataset();
+    let net = Arc::new(ds.network.clone());
+    for n in 1..=4 {
+        let cut = ShardedCluster::new(
+            Arc::clone(&net),
+            &ds.store,
+            ds.vocab.len(),
+            n,
+            Partitioner::Hash,
+        )
+        .snapshot();
+        assert_one_vertex_index(&cut, &format!("{n} shard(s)"));
+        assert!(std::ptr::eq(cut.view().vertex_index(), cut.vertex_index()));
+        if n == 1 {
+            let own = cut.shard(0).vertex_index().expect("a lone shard's index");
+            assert!(std::ptr::eq(cut.vertex_index(), own), "one shard: no copy");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// After any script of batches and publishes — batches that retire
+    /// their own inserts, one shard refusing inserts, a restart that lets
+    /// it take them again and fill its gap below the highest id — the
+    /// cut's one vertex index equals a rebuild over the unpartitioned
+    /// live store, volatile and durable alike.
+    #[test]
+    fn the_cut_vertex_index_is_the_rebuild(
+        shards in 1usize..=4,
+        degraded in 0usize..5,
+        durable in any::<bool>(),
+        before in proptest::collection::vec(step(), 0..24),
+        after in proptest::collection::vec(step(), 0..24),
+    ) {
+        let ds = script_dataset();
+        let net = Arc::new(ds.network.clone());
+        // 4: no shard refuses inserts
+        let degraded = (degraded < shards && shards > 1).then_some(degraded);
+        let label = format!("{shards} shards, degraded {degraded:?}, durable {durable}");
+        if durable {
+            let dir = tmpdir(&format!("cut-index-{shards}"));
+            let config = WalConfig::default();
+            let mut cluster = ShardedDurable::create(
+                Arc::clone(&net), &ds.store, &ds.vocab, &dir, shards, config, None, None,
+            ).expect("create");
+            assert_one_vertex_index(&cluster.snapshot(), &label);
+            run_script(&mut cluster, ds, &before, &label);
+            drop(cluster);
+            let (mut cluster, _) =
+                ShardedDurable::open(&dir, shards, config, None, None).expect("recover");
+            assert_one_vertex_index(&cluster.snapshot(), &format!("{label}, recovered"));
+            run_script(&mut cluster, ds, &after, &format!("{label}, recovered"));
+            std::fs::remove_dir_all(&dir).ok();
+        } else {
+            let seeded = ShardedCluster::new(
+                Arc::clone(&net), &ds.store, ds.vocab.len(), shards, Partitioner::Hash,
+            );
+            let state = recovered_state(&seeded.snapshot());
+            let mut cluster = refusing_cluster(&net, state, ds.vocab.len(), degraded);
+            run_script(&mut cluster, ds, &before, &label);
+            let state = recovered_state(&cluster.snapshot());
+            let mut cluster = refusing_cluster(&net, state, ds.vocab.len(), None);
+            assert_one_vertex_index(&cluster.snapshot(), &format!("{label}, restarted"));
+            run_script(&mut cluster, ds, &after, &format!("{label}, restarted"));
+        }
     }
 }
