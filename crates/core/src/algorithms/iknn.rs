@@ -17,7 +17,7 @@
 
 use crate::algorithms::Algorithm;
 use crate::budget::{Completeness, Gate, RunControl};
-use crate::db::{Part, PartCut, TimeChannel, View};
+use crate::db::{locate, Part, PartCut, TimeChannel, View};
 use crate::keywords::TextualEval;
 use crate::similarity;
 use crate::topk::TopK;
@@ -218,7 +218,7 @@ impl Algorithm for IknnBaseline {
                     };
                     metrics.settled_vertices += 1;
                     for &tid in view.vertex_index().values_at(settled.node) {
-                        let (p, local) = view.locate(tid);
+                        let (p, local) = locate(parts.len(), tid);
                         if cut.is_retired(p) {
                             continue;
                         }

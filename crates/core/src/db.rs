@@ -280,12 +280,6 @@ impl<'a> View<'a> {
         self.vertex_index
     }
 
-    /// The part holding global id `g` and its local id there.
-    #[inline]
-    pub fn locate(&self, g: TrajectoryId) -> (usize, TrajectoryId) {
-        locate(self.parts.len(), g)
-    }
-
     /// The road network every part serves.
     pub(crate) fn network(&self) -> &'a RoadNetwork {
         self.parts[0].db.network

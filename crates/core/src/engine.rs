@@ -62,10 +62,10 @@
 //! expansions by gap ([`TimeChannel`]). A part whose upper bound falls
 //! strictly below the k-th score is **retired** ([`crate::db::PartCut`]):
 //! its postings are skipped and its entries no longer hold up the textual
-//! bound of unseen trajectories. Its trajectories already touched need no test of their
-//! own: each one's bound is at most the part's, so the per-trajectory
-//! retirement above drops it at its next update. A one-part view is the
-//! plain single-store engine.
+//! bound of unseen trajectories. Its trajectories already touched need no
+//! test of their own: each one's bound is at most the part's, so the
+//! per-trajectory retirement above drops it at its next update. A
+//! one-part view is the plain single-store engine.
 
 use crate::budget::{Completeness, Gate, RunControl};
 use crate::db::{locate, Part, PartCut, TimeChannel, View};
