@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 use uots_core::algorithms::{Algorithm, BruteForce, Expansion, IknnBaseline, TextFirst};
 use uots_core::{Database, QueryOptions, Scheduler, SearchMetrics, UotsQuery, Weights};
 use uots_datagen::workload::{self, WorkloadConfig};
-use uots_datagen::NetworkPreset;
 use uots_datagen::{Dataset, DatasetConfig};
 use uots_network::generators::GridCityConfig;
 use uots_obs::LogHistogram;
@@ -64,7 +63,7 @@ impl Scale {
                 grid.seed = 0xbe6c;
                 let mut cfg = DatasetConfig::small(trips, 0xbe6c);
                 cfg.name = format!("bench 60×60 ({trips} trips)");
-                cfg.network = NetworkPreset::GridCity(grid);
+                cfg.network = grid;
                 cfg.trips.min_trip_km = 2.0;
                 cfg
             }

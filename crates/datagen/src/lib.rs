@@ -15,9 +15,8 @@ pub mod adversarial;
 pub mod persist;
 pub mod workload;
 
-use serde::{Deserialize, Serialize};
 use uots_index::{GridIndex, KeywordBlocks, KeywordInvertedIndex, VertexInvertedIndex};
-use uots_network::generators::{grid_city, ring_radial, GridCityConfig, RingRadialConfig};
+use uots_network::generators::{grid_city, GridCityConfig};
 use uots_network::{NodeId, Point, RoadNetwork};
 use uots_text::Vocabulary;
 use uots_trajectory::{
@@ -25,24 +24,14 @@ use uots_trajectory::{
     TripGenerator, TripGeneratorConfig,
 };
 
-/// Which synthetic network family to generate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum NetworkPreset {
-    /// Jittered-lattice city, see
-    /// [`uots_network::generators::grid_city`].
-    GridCity(GridCityConfig),
-    /// Ring-radial city, see
-    /// [`uots_network::generators::ring_radial`].
-    RingRadial(RingRadialConfig),
-}
-
 /// Full dataset configuration: network + trips + tags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Human-readable dataset name (used in experiment output).
     pub name: String,
-    /// Network generator choice.
-    pub network: NetworkPreset,
+    /// The jittered-lattice city network, see
+    /// [`uots_network::generators::grid_city`].
+    pub network: GridCityConfig,
     /// Trip generator settings.
     pub trips: TripGeneratorConfig,
     /// Tag model settings.
@@ -60,7 +49,7 @@ impl DatasetConfig {
         grid.seed = 0xbe11;
         DatasetConfig {
             name: format!("BRN-like ({num_trips} trips)"),
-            network: NetworkPreset::GridCity(grid),
+            network: grid,
             trips: TripGeneratorConfig {
                 num_trips,
                 hotspots: 24,
@@ -81,7 +70,7 @@ impl DatasetConfig {
         grid.diagonal_prob = 0.08;
         DatasetConfig {
             name: format!("NRN-like ({num_trips} trips)"),
-            network: NetworkPreset::GridCity(grid),
+            network: grid,
             trips: TripGeneratorConfig {
                 num_trips,
                 hotspots: 40,
@@ -105,7 +94,7 @@ impl DatasetConfig {
         grid.seed = seed;
         DatasetConfig {
             name: format!("small ({num_trips} trips, seed {seed})"),
-            network: NetworkPreset::GridCity(grid),
+            network: grid,
             trips: TripGeneratorConfig {
                 num_trips,
                 hotspots: 5,
@@ -128,10 +117,7 @@ impl DatasetConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.trips.seed = seed ^ 0xaaaa;
         self.tag_seed = seed ^ 0xbbbb;
-        match &mut self.network {
-            NetworkPreset::GridCity(c) => c.seed = seed ^ 0xcccc,
-            NetworkPreset::RingRadial(c) => c.seed = seed ^ 0xcccc,
-        }
+        self.network.seed = seed ^ 0xcccc;
         self
     }
 }
@@ -172,10 +158,7 @@ impl Dataset {
     ///
     /// Propagates generator configuration errors.
     pub fn build(cfg: &DatasetConfig) -> Result<Self, BuildError> {
-        let network = match &cfg.network {
-            NetworkPreset::GridCity(c) => grid_city(c).map_err(BuildError::Network)?,
-            NetworkPreset::RingRadial(c) => ring_radial(c).map_err(BuildError::Network)?,
-        };
+        let network = grid_city(&cfg.network).map_err(BuildError::Network)?;
         let mut tag_rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(cfg.tag_seed);
         let (tags, vocab) = TagSampler::synthetic(&cfg.tags, &mut tag_rng);
         let store = {
@@ -301,21 +284,11 @@ mod tests {
     #[test]
     fn brn_and_nrn_presets_match_paper_scale() {
         // don't build (expensive); just check the configured shapes
-        let cfg = DatasetConfig::brn_like(1000);
-        match &cfg.network {
-            NetworkPreset::GridCity(g) => {
-                let n = g.nx * g.ny;
-                assert!((27_000..30_000).contains(&n), "vertices {n}");
-            }
-            _ => panic!("expected grid city"),
-        }
-        let cfg = DatasetConfig::nrn_like(1000);
-        match &cfg.network {
-            NetworkPreset::GridCity(g) => {
-                let n = g.nx * g.ny;
-                assert!((93_000..98_000).contains(&n), "vertices {n}");
-            }
-            _ => panic!("expected grid city"),
-        }
+        let g = DatasetConfig::brn_like(1000).network;
+        let n = g.nx * g.ny;
+        assert!((27_000..30_000).contains(&n), "vertices {n}");
+        let g = DatasetConfig::nrn_like(1000).network;
+        let n = g.nx * g.ny;
+        assert!((93_000..98_000).contains(&n), "vertices {n}");
     }
 }

@@ -6,13 +6,9 @@
 //! connectivity, mildly irregular block structure — at any target size, from
 //! a single seed.
 //!
-//! Two families are provided:
-//!
-//! * [`grid_city`] — a jittered lattice with random block removals and
-//!   optional diagonal shortcuts; resembles a planned city core (and, at
-//!   ~28k vertices, the Beijing network's scale).
-//! * [`ring_radial`] — concentric ring roads connected by radial spokes;
-//!   resembles a European ring-road city.
+//! [`grid_city`] is a jittered lattice with random block removals and
+//! optional diagonal shortcuts; it resembles a planned city core (and, at
+//! ~28k vertices, the Beijing network's scale).
 //!
 //! Connectivity is guaranteed by protecting a random spanning tree from
 //! removal.
@@ -241,110 +237,9 @@ pub fn grid_city(cfg: &GridCityConfig) -> Result<RoadNetwork, NetworkError> {
     Ok(net)
 }
 
-/// Configuration of the [`ring_radial`] generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RingRadialConfig {
-    /// Number of concentric rings (≥ 1).
-    pub rings: usize,
-    /// Number of radial spokes (≥ 3).
-    pub spokes: usize,
-    /// Radial distance between consecutive rings, kilometres.
-    pub ring_gap_km: f64,
-    /// Probability of removing a non-tree segment (connectivity preserved).
-    pub removal_prob: f64,
-    /// Weight roughness, as in [`GridCityConfig::roughness`].
-    pub roughness: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Generates a ring-radial city: a centre vertex, `rings` concentric rings
-/// of `spokes` vertices each, ring segments between angular neighbours and
-/// radial segments between consecutive rings. Always connected;
-/// `num_nodes() == rings * spokes + 1`.
-pub fn ring_radial(cfg: &RingRadialConfig) -> Result<RoadNetwork, NetworkError> {
-    if cfg.rings < 1 || cfg.spokes < 3 {
-        return Err(NetworkError::BadGeneratorConfig(
-            "ring_radial requires rings >= 1 and spokes >= 3".into(),
-        ));
-    }
-    if cfg.ring_gap_km <= 0.0
-        || cfg.ring_gap_km.is_nan()
-        || !(0.0..1.0).contains(&cfg.removal_prob)
-        || cfg.roughness < 0.0
-    {
-        return Err(NetworkError::BadGeneratorConfig(
-            "ring_gap_km must be positive, removal_prob in [0,1), roughness >= 0".into(),
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n = cfg.rings * cfg.spokes + 1;
-    let mut b = NetworkBuilder::with_capacity(n, 2 * n);
-    let mut pts = Vec::with_capacity(n);
-
-    let center = b.add_node(Point::ORIGIN);
-    pts.push(Point::ORIGIN);
-    let id = |ring: usize, spoke: usize| NodeId((1 + ring * cfg.spokes + spoke) as u32);
-    for ring in 0..cfg.rings {
-        let r = (ring + 1) as f64 * cfg.ring_gap_km;
-        for spoke in 0..cfg.spokes {
-            let theta = spoke as f64 / cfg.spokes as f64 * std::f64::consts::TAU;
-            let p = Point::new(r * theta.cos(), r * theta.sin());
-            pts.push(p);
-            b.add_node(p);
-        }
-    }
-
-    let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
-    for spoke in 0..cfg.spokes {
-        candidates.push((center, id(0, spoke)));
-        for ring in 0..cfg.rings {
-            let next_spoke = (spoke + 1) % cfg.spokes;
-            candidates.push((id(ring, spoke), id(ring, next_spoke)));
-            if ring + 1 < cfg.rings {
-                candidates.push((id(ring, spoke), id(ring + 1, spoke)));
-            }
-        }
-    }
-
-    let mut shuffled = candidates.clone();
-    shuffled.shuffle(&mut rng);
-    let mut uf = UnionFind::new(n);
-    let mut tree = std::collections::HashSet::with_capacity(n);
-    for &(a, c) in &shuffled {
-        if uf.union(a.0, c.0) {
-            tree.insert((a, c));
-        }
-    }
-
-    for &(a, c) in &candidates {
-        let keep = tree.contains(&(a, c)) || rng.gen::<f64>() >= cfg.removal_prob;
-        if keep {
-            let base = pts[a.index()].distance(&pts[c.index()]);
-            let w = base * (1.0 + rng.gen::<f64>() * cfg.roughness);
-            b.add_edge(a, c, Some(w))?;
-        }
-    }
-
-    let net = b.build()?;
-    debug_assert!(net.is_connected());
-    Ok(net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ring_radial_config(rings: usize, spokes: usize) -> RingRadialConfig {
-        RingRadialConfig {
-            rings,
-            spokes,
-            ring_gap_km: 0.5,
-            removal_prob: 0.08,
-            roughness: 0.1,
-            seed: 0x0051_0e00,
-        }
-    }
 
     #[test]
     fn tiny_grid_is_exact_lattice() {
@@ -410,23 +305,6 @@ mod tests {
             assert!(e.weight >= straight - 1e-12);
             assert!(e.weight <= straight * (1.0 + cfg.roughness) + 1e-12);
         }
-    }
-
-    #[test]
-    fn ring_radial_shape() {
-        let net = ring_radial(&ring_radial_config(3, 8)).unwrap();
-        assert_eq!(net.num_nodes(), 25);
-        assert!(net.is_connected());
-        // the centre touches at least one spoke
-        assert!(net.neighbors(NodeId(0)).count() >= 1);
-    }
-
-    #[test]
-    fn ring_radial_is_deterministic_and_validated() {
-        let cfg = ring_radial_config(2, 6);
-        assert_eq!(ring_radial(&cfg).unwrap(), ring_radial(&cfg).unwrap());
-        assert!(ring_radial(&ring_radial_config(0, 6)).is_err());
-        assert!(ring_radial(&ring_radial_config(2, 2)).is_err());
     }
 
     #[test]

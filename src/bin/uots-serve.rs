@@ -3,10 +3,6 @@
 //! ```text
 //! uots-serve --data data.uotsds [--listen 127.0.0.1:8080]
 //!            [--http-threads N (default: one per core, at least 2)]
-//!            [--batch-threads N]
-//!            [--max-batch N] [--max-inflight N] [--tenant-inflight N]
-//!            [--degraded-deadline-ms MS] [--degraded-max-visited N]
-//!            [--degraded-max-settled N]
 //!            [--wal-dir DIR] [--fsync batch|off|interval:MS]
 //!            [--shards N]
 //! ```
@@ -16,7 +12,9 @@
 //! observability surface (`GET /metrics`, `/status`, `/journal`,
 //! `/traces`) on one port. `/status` reports the published cut: live
 //! `trajectories` over all shards, `shards` and per-shard `epochs`. A
-//! flag not listed above is refused, naming it.
+//! flag not listed above is refused, naming it. Admission and degradation
+//! run at [`ServiceConfig::default`]'s settings; in-process callers of
+//! [`QueryService::start`] set the other fields.
 //!
 //! Every server is a cluster of `--shards N` hash shards, `N = 1` by
 //! default (`uots_core::shard`): a search is one engine run over every
@@ -31,9 +29,10 @@
 //! With `--wal-dir`, `/ingest` goes through the durable WAL-backed path,
 //! created fresh or resumed by what the directory holds. One shard keeps
 //! its WAL segments and checkpoints directly in `DIR` (the layout of
-//! `uots ingest | recover | scrub --wal-dir`; the dataset stays the
-//! recovery base); `N ≥ 2` shards each own a self-contained lineage under
-//! `DIR/shard-<s>/`, recovered in parallel. A directory written with
+//! `uots ingest --wal-dir`; the dataset stays the recovery base); `N ≥ 2`
+//! shards each own a self-contained lineage under `DIR/shard-<s>/`,
+//! recovered in parallel. `uots recover | status | fsck` read one lineage
+//! directory: `DIR` at one shard, one `DIR/shard-<s>` at `N ≥ 2`. A directory written with
 //! another shard count is refused: the global ids `g = l·N + s` only mean
 //! anything under the `N` they were issued with.
 //!
@@ -65,83 +64,29 @@
 //! scheduler (`uots_core::planner::AlgorithmKind::Expansion`); a request
 //! names another algorithm with its `"algorithm"` field.
 
+mod flags;
+
 use std::sync::Arc;
 
+use flags::Flags;
 use serde::Content;
 use uots::cluster::ShardedDurable;
 use uots::core::shard::{ClusterSnapshot, CutReader, ShardedCluster};
 use uots::datagen::persist;
 use uots::obs::{EventJournal, ObsState, TailSampler, DEFAULT_EXEMPLAR_CAPACITY};
 use uots::serve::{QueryService, ServiceConfig};
-use uots::{ExecutionBudget, FsyncPolicy, MetricsRegistry, WalConfig};
+use uots::{FsyncPolicy, MetricsRegistry, WalConfig};
 
 /// Every flag [`run`] reads; [`Flags::parse`] refuses the rest, so a typo
 /// cannot start the server in a configuration nobody asked for.
-const FLAGS: [&str; 13] = [
+const FLAGS: &[&str] = &[
     "data",
     "listen",
     "http-threads",
-    "batch-threads",
-    "max-batch",
-    "max-inflight",
-    "tenant-inflight",
-    "degraded-deadline-ms",
-    "degraded-max-visited",
-    "degraded-max-settled",
     "wal-dir",
     "fsync",
     "shards",
 ];
-
-struct Flags {
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got `{}`", args[i]))?;
-            if !FLAGS.contains(&key) {
-                return Err(format!("unknown flag --{key}"));
-            }
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    pairs.push((key.to_string(), v.clone()));
-                    i += 2;
-                }
-                _ => {
-                    pairs.push((key.to_string(), "true".to_string()));
-                    i += 1;
-                }
-            }
-        }
-        Ok(Flags { pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        debug_assert!(FLAGS.contains(&key), "--{key} is missing from FLAGS");
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing --{key}"))
-    }
-}
-
-fn parse_or<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{key}: bad value `{v}`")),
-    }
-}
 
 /// The `/status` document of the cut `cut`: the dataset served, the live
 /// trajectories over all shards, the shard count and the per-shard epochs.
@@ -163,23 +108,15 @@ fn status_json(dataset: &str, cut: &ClusterSnapshot) -> String {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = Flags::parse(&args)?;
+    let flags = Flags::parse(&args, FLAGS)?;
     let path = flags.require("data")?;
     let ds = persist::load_file(path).map_err(|e| format!("loading {path}: {e}"))?;
 
     let defaults = ServiceConfig::default();
-    let mut cfg = ServiceConfig {
-        http_threads: parse_or(&flags, "http-threads", defaults.http_threads)?,
-        batch_threads: parse_or(&flags, "batch-threads", 0)?,
-        max_batch: parse_or(&flags, "max-batch", 1024)?,
-        max_inflight: parse_or(&flags, "max-inflight", 4096)?,
-        tenant_inflight: parse_or(&flags, "tenant-inflight", 64)?,
+    let cfg = ServiceConfig {
+        http_threads: flags.parse_or("http-threads", defaults.http_threads)?,
         ..defaults
     };
-    cfg.degraded_budget = ExecutionBudget::default()
-        .with_deadline_ms(parse_or(&flags, "degraded-deadline-ms", 50u64)?)
-        .with_max_visited(parse_or(&flags, "degraded-max-visited", 512usize)?)
-        .with_max_settled(parse_or(&flags, "degraded-max-settled", 20_000usize)?);
 
     let registry = MetricsRegistry::new();
     let journal = EventJournal::default();
@@ -194,7 +131,7 @@ fn run() -> Result<(), String> {
     };
 
     let listen = flags.get("listen").unwrap_or("127.0.0.1:8080");
-    let shards: usize = parse_or(&flags, "shards", 1usize)?;
+    let shards: usize = flags.parse_or("shards", 1)?;
     if shards == 0 {
         return Err("--shards: must be at least 1".to_string());
     }

@@ -13,10 +13,10 @@
 //!                    [--wal-dir DIR] [--fsync batch|off|interval:MS]
 //!                    [--checkpoint-every N] [--metrics-out FILE]
 //!                    [--obs-listen ADDR] [--obs-linger-ms MS]
-//! uots recover       --wal-dir DIR [--data data.uotsds] [--verify]
+//! uots recover       --wal-dir DIR|DIR/shard-<s> [--data data.uotsds] [--verify]
 //!                    [--metrics-out FILE] [--obs-listen ADDR] [--obs-linger-ms MS]
-//! uots status        --wal-dir DIR [--json]
-//! uots fsck          --wal-dir DIR [--data data.uotsds] [--json]
+//! uots status        --wal-dir DIR|DIR/shard-<s> [--json]
+//! uots fsck          --wal-dir DIR|DIR/shard-<s> [--data data.uotsds] [--json]
 //! uots check-metrics --file export.prom
 //! ```
 //!
@@ -43,6 +43,14 @@
 //! `status` and `fsck` report the [`RecoveryPlan`](uots::durable::RecoveryPlan)
 //! that `recover` carries out, so all three agree on what recovery does.
 //!
+//! Each of the three takes one lineage directory as `--wal-dir`: `DIR` of
+//! a one-shard lineage (what `ingest --wal-dir` writes), or `DIR/shard-<s>`
+//! of a lineage of `N ≥ 2` shards (what `uots-serve --shards N --wal-dir
+//! DIR` writes). They read it through the layout reader the constructors
+//! use, [`shards_on_disk`], and refuse the root of a sharded lineage,
+//! naming `DIR/shard-0 … DIR/shard-(N-1)`, and a path that does not exist
+//! (exit 1, before any work).
+//!
 //! ## Exit codes
 //!
 //! The durability commands (`recover`, `status`, `fsck`) report what they
@@ -58,8 +66,12 @@
 //! | 4 | corruption found (`status` reports it; `fsck` also quarantined it) but the directory still recovers |
 //! | 5 | unrecoverable: no usable checkpoint, and no base dataset or a WAL tail that does not continue it — whether or not any file is damaged |
 
+mod flags;
+
+use flags::Flags;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
-use uots::cluster::ShardedDurable;
+use uots::cluster::{shard_dir, shards_on_disk, ShardedDurable};
 use uots::core::shard::{Cluster, Shard, ShardedCluster};
 use uots::datagen::persist;
 use uots::durable::{recover, DurableError, DurableIngest, RecoverySource};
@@ -79,24 +91,23 @@ use uots::{
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
-        Some("join") => cmd_join(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
-        Some("recover") => cmd_recover(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("fsck") => cmd_fsck(&args[1..]),
-        Some("check-metrics") => cmd_check_metrics(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             0
         }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n");
-            print_usage();
-            2
-        }
+        Some(name) => match COMMANDS.iter().find(|(command, ..)| *command == name) {
+            Some((_, accepted, run)) => Flags::parse(&args[1..], accepted)
+                .and_then(|flags| run(&flags))
+                .unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    EXIT_ERROR
+                }),
+            None => {
+                eprintln!("unknown command `{name}`\n");
+                print_usage();
+                2
+            }
+        },
     };
     std::process::exit(code);
 }
@@ -163,119 +174,88 @@ const EXIT_RECOVERED_WITH_FALLBACK: i32 = 3;
 const EXIT_CORRUPTION_FOUND: i32 = 4;
 const EXIT_UNRECOVERABLE: i32 = 5;
 
-// The flags each command reads, its shared helpers' included: `load`
-// reads --data, `parse_budget` the budget pair and `start_obs_plane` the
-// --obs-* pair.
-const GENERATE_FLAGS: &[&str] = &["preset", "trips", "seed", "out"];
-const STATS_FLAGS: &[&str] = &["data"];
-const QUERY_FLAGS: &[&str] = &[
-    "data",
-    "at",
-    "tags",
-    "lambda",
-    "k",
-    "deadline-ms",
-    "max-visited",
-    "metrics-out",
-    "trace",
-    "obs-listen",
-    "obs-linger-ms",
+/// What a command returns: its exit code, or the one-line error `main`
+/// prints before it exits 1.
+type CmdResult = Result<i32, String>;
+
+/// A command: its name, the flags it reads (its shared helpers' included:
+/// `load` reads --data, `parse_budget` the budget pair and
+/// `start_obs_plane` the --obs-* pair) and what runs it.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Flags) -> CmdResult,
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        &["preset", "trips", "seed", "out"],
+        cmd_generate,
+    ),
+    ("stats", &["data"], cmd_stats),
+    (
+        "query",
+        &[
+            "data",
+            "at",
+            "tags",
+            "lambda",
+            "k",
+            "deadline-ms",
+            "max-visited",
+            "metrics-out",
+            "trace",
+            "obs-listen",
+            "obs-linger-ms",
+        ],
+        cmd_query,
+    ),
+    (
+        "join",
+        &[
+            "data",
+            "theta",
+            "lambda",
+            "threads",
+            "deadline-ms",
+            "max-visited",
+            "metrics-out",
+        ],
+        cmd_join,
+    ),
+    (
+        "ingest",
+        &[
+            "data",
+            "script",
+            "batch",
+            "verify",
+            "wal-dir",
+            "fsync",
+            "checkpoint-every",
+            "metrics-out",
+            "obs-listen",
+            "obs-linger-ms",
+        ],
+        cmd_ingest,
+    ),
+    (
+        "recover",
+        &[
+            "wal-dir",
+            "data",
+            "verify",
+            "metrics-out",
+            "obs-listen",
+            "obs-linger-ms",
+        ],
+        cmd_recover,
+    ),
+    ("status", &["wal-dir", "json"], cmd_status),
+    ("fsck", &["wal-dir", "data", "json"], cmd_fsck),
+    ("check-metrics", &["file"], cmd_check_metrics),
 ];
-const JOIN_FLAGS: &[&str] = &[
-    "data",
-    "theta",
-    "lambda",
-    "threads",
-    "deadline-ms",
-    "max-visited",
-    "metrics-out",
-];
-const INGEST_FLAGS: &[&str] = &[
-    "data",
-    "script",
-    "batch",
-    "verify",
-    "wal-dir",
-    "fsync",
-    "checkpoint-every",
-    "metrics-out",
-    "obs-listen",
-    "obs-linger-ms",
-];
-const RECOVER_FLAGS: &[&str] = &[
-    "wal-dir",
-    "data",
-    "verify",
-    "metrics-out",
-    "obs-listen",
-    "obs-linger-ms",
-];
-const STATUS_FLAGS: &[&str] = &["wal-dir", "json"];
-const FSCK_FLAGS: &[&str] = &["wal-dir", "data", "json"];
-const CHECK_METRICS_FLAGS: &[&str] = &["file"];
-
-/// Tiny flag parser: `--name value` pairs, `--at` repeatable. A flag
-/// followed by another `--flag` (or by nothing) is a boolean switch and
-/// parses as `true` — e.g. `--verify`. A flag outside the command's list
-/// is refused, so a typo cannot run the command in a configuration nobody
-/// asked for.
-struct Flags {
-    accepted: &'static [&'static str],
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String], accepted: &'static [&'static str]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got `{}`", args[i]))?;
-            if !accepted.contains(&key) {
-                return Err(format!("unknown flag --{key}"));
-            }
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    pairs.push((key.to_string(), v.clone()));
-                    i += 2;
-                }
-                _ => {
-                    pairs.push((key.to_string(), "true".to_string()));
-                    i += 1;
-                }
-            }
-        }
-        Ok(Flags { accepted, pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        debug_assert!(self.accepted.contains(&key), "--{key} is not in the list");
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_all(&self, key: &str) -> Vec<&str> {
-        debug_assert!(self.accepted.contains(&key), "--{key} is not in the list");
-        self.pairs
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing --{key}"))
-    }
-}
-
-fn fail(msg: impl std::fmt::Display) -> i32 {
-    eprintln!("error: {msg}");
-    EXIT_ERROR
-}
 
 /// Parses the shared `--deadline-ms` / `--max-visited` budget flags.
 fn parse_budget(flags: &Flags) -> Result<ExecutionBudget, String> {
@@ -400,44 +380,30 @@ fn report_completeness(c: &Completeness) {
     }
 }
 
-fn cmd_generate(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, GENERATE_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+fn cmd_generate(flags: &Flags) -> CmdResult {
     let preset = flags.get("preset").unwrap_or("small");
-    let trips: usize = match flags.get("trips").unwrap_or("1000").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--trips must be an integer"),
-    };
-    let seed: u64 = match flags.get("seed").unwrap_or("42").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--seed must be an integer"),
-    };
-    let out = match flags.require("out") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
+    let trips: usize = flags
+        .parse_or("trips", 1000)
+        .map_err(|_| "--trips must be an integer")?;
+    let seed: u64 = flags
+        .parse_or("seed", 42)
+        .map_err(|_| "--seed must be an integer")?;
+    let out = flags.require("out")?;
     let cfg = match preset {
         "small" => DatasetConfig::small(trips, seed),
         "brn" => DatasetConfig::brn_like(trips).with_seed(seed),
         "nrn" => DatasetConfig::nrn_like(trips).with_seed(seed),
-        other => return fail(format!("unknown preset `{other}`")),
+        other => return Err(format!("unknown preset `{other}`")),
     };
     eprintln!("building {} ...", cfg.name);
-    let ds = match Dataset::build(&cfg) {
-        Ok(ds) => ds,
-        Err(e) => return fail(e),
-    };
-    if let Err(e) = persist::save_file(&StdFs, &ds, &cfg, out.as_ref()) {
-        return fail(e);
-    }
+    let ds = Dataset::build(&cfg).map_err(|e| e.to_string())?;
+    persist::save_file(&StdFs, &ds, &cfg, out.as_ref()).map_err(|e| e.to_string())?;
     println!(
         "wrote {out}: {} vertices, {} trips",
         ds.network.num_nodes(),
         ds.store.len()
     );
-    0
+    Ok(0)
 }
 
 fn load(flags: &Flags) -> Result<Dataset, String> {
@@ -445,15 +411,8 @@ fn load(flags: &Flags) -> Result<Dataset, String> {
     persist::load_file(path).map_err(|e| format!("loading {path}: {e}"))
 }
 
-fn cmd_stats(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, STATS_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let ds = match load(&flags) {
-        Ok(ds) => ds,
-        Err(e) => return fail(e),
-    };
+fn cmd_stats(flags: &Flags) -> CmdResult {
+    let ds = load(flags)?;
     println!("dataset: {}", ds.name);
     println!("{}", ds.stats());
     println!(
@@ -475,29 +434,22 @@ fn cmd_stats(args: &[String]) -> i32 {
         .gauge("uots_dataset_trajectories", "Stored trajectory count")
         .set(i64::try_from(ds.store.len()).unwrap_or(i64::MAX));
     println!("registry snapshot: {}", registry.render_json());
-    0
+    Ok(0)
 }
 
-fn cmd_query(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, QUERY_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let ds = match load(&flags) {
-        Ok(ds) => ds,
-        Err(e) => return fail(e),
-    };
+fn cmd_query(flags: &Flags) -> CmdResult {
+    let ds = load(flags)?;
     let ats = flags.get_all("at");
     if ats.is_empty() {
-        return fail("need at least one --at x,y place");
+        return Err("need at least one --at x,y place".into());
     }
     let mut places = Vec::new();
     for at in ats {
         let Some((x, y)) = at.split_once(',') else {
-            return fail(format!("--at expects `x,y`, got `{at}`"));
+            return Err(format!("--at expects `x,y`, got `{at}`"));
         };
         let (Ok(x), Ok(y)) = (x.trim().parse::<f64>(), y.trim().parse::<f64>()) else {
-            return fail(format!("--at coordinates must be numbers, got `{at}`"));
+            return Err(format!("--at coordinates must be numbers, got `{at}`"));
         };
         places.push(ds.snap(&Point::new(x, y)));
     }
@@ -510,23 +462,15 @@ fn cmd_query(args: &[String]) -> i32 {
             }
         }
     }
-    let lambda: f64 = match flags.get("lambda").unwrap_or("0.5").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--lambda must be a number"),
-    };
-    let k: usize = match flags.get("k").unwrap_or("3").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--k must be an integer"),
-    };
-    let weights = match Weights::lambda(lambda) {
-        Ok(w) => w,
-        Err(e) => return fail(e),
-    };
-    let budget = match parse_budget(&flags) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
-    let query = match UotsQuery::with_options(
+    let lambda: f64 = flags
+        .parse_or("lambda", 0.5)
+        .map_err(|_| "--lambda must be a number")?;
+    let k: usize = flags
+        .parse_or("k", 3)
+        .map_err(|_| "--k must be an integer")?;
+    let weights = Weights::lambda(lambda).map_err(|e| e.to_string())?;
+    let budget = parse_budget(flags)?;
+    let query = UotsQuery::with_options(
         places,
         KeywordSet::from_ids(keywords),
         vec![],
@@ -536,18 +480,13 @@ fn cmd_query(args: &[String]) -> i32 {
             budget,
             ..Default::default()
         },
-    ) {
-        Ok(q) => q,
-        Err(e) => return fail(e),
-    };
+    )
+    .map_err(|e| e.to_string())?;
     let db = uots::db(&ds);
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let trace_out = flags.get("trace").map(str::to_string);
     let registry = MetricsRegistry::default();
-    let plane = match start_obs_plane(&flags, &registry) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
+    let plane = start_obs_plane(flags, &registry)?;
     // tracing subsumes phases-only; both are skipped entirely (one branch
     // per recorder call) when neither output was requested. The obs plane
     // forces tracing so its sampler can retain a full exemplar.
@@ -559,10 +498,9 @@ fn cmd_query(args: &[String]) -> i32 {
         Recorder::disabled()
     };
     let ctl = RunControl::unbounded();
-    let result = match Expansion::default().run_ctx(&View::one(db), &query, &ctl, &mut rec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    let result = Expansion::default()
+        .run_ctx(&View::one(db), &query, &ctl, &mut rec)
+        .map_err(|e| e.to_string())?;
     println!("top {} trips:", result.matches.len());
     for (rank, m) in result.matches.iter().enumerate() {
         let t = ds.store.get(m.id);
@@ -650,78 +588,57 @@ fn cmd_query(args: &[String]) -> i32 {
                 .add(result.metrics.heap_pushes as u64);
         }
         if let Some(path) = metrics_out {
-            if let Err(e) = write_metrics(&registry, &path) {
-                return fail(e);
-            }
+            write_metrics(&registry, &path)?;
         }
         if let Some(path) = trace_out {
             let trace = report
                 .trace
                 .expect("tracing recorder always yields a trace");
-            if let Err(e) = trace.validate() {
-                return fail(format!("internal: invalid trace: {e}"));
-            }
-            let json = match serde_json::to_string_pretty(&trace) {
-                Ok(j) => j,
-                Err(e) => return fail(format!("serializing trace: {e}")),
-            };
-            if let Err(e) = std::fs::write(&path, json) {
-                return fail(format!("writing {path}: {e}"));
-            }
+            trace
+                .validate()
+                .map_err(|e| format!("internal: invalid trace: {e}"))?;
+            let json = serde_json::to_string_pretty(&trace)
+                .map_err(|e| format!("serializing trace: {e}"))?;
+            std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote query trace to {path}");
         }
     }
     if let Some(p) = plane {
         p.finish();
     }
-    0
+    Ok(0)
 }
 
-fn cmd_join(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, JOIN_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let ds = match load(&flags) {
-        Ok(ds) => ds,
-        Err(e) => return fail(e),
-    };
-    let theta: f64 = match flags.get("theta").unwrap_or("0.8").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--theta must be a number"),
-    };
-    let lambda: f64 = match flags.get("lambda").unwrap_or("0.5").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--lambda must be a number"),
-    };
-    let threads: usize = match flags.get("threads").unwrap_or("2").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--threads must be an integer"),
-    };
+fn cmd_join(flags: &Flags) -> CmdResult {
+    let ds = load(flags)?;
+    let theta: f64 = flags
+        .parse_or("theta", 0.8)
+        .map_err(|_| "--theta must be a number")?;
+    let lambda: f64 = flags
+        .parse_or("lambda", 0.5)
+        .map_err(|_| "--lambda must be a number")?;
+    let threads: usize = flags
+        .parse_or("threads", 2)
+        .map_err(|_| "--threads must be an integer")?;
     let cfg = JoinConfig {
         theta,
         lambda,
         ..Default::default()
     };
-    let budget = match parse_budget(&flags) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
+    let budget = parse_budget(flags)?;
     let tidx = ds.store.build_timestamp_index();
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let registry = MetricsRegistry::default();
     let db = Database::new(&ds.network, &ds.store, &ds.vertex_index, &ds.keyword_blocks)
         .with_timestamp_index(&tidx);
-    let result = match ts_join_with(
+    let result = ts_join_with(
         &View::one(db),
         &cfg,
         threads,
         &budget,
         &RunControl::unbounded(),
-    ) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
+    )
+    .map_err(|e| e.to_string())?;
     if metrics_out.is_some() {
         record_join_metrics(&registry, &result);
     }
@@ -739,11 +656,30 @@ fn cmd_join(args: &[String]) -> i32 {
     report_completeness(&result.completeness);
     report_phases(&result.phases);
     if let Some(path) = metrics_out {
-        if let Err(e) = write_metrics(&registry, &path) {
-            return fail(e);
-        }
+        write_metrics(&registry, &path)?;
     }
-    0
+    Ok(0)
+}
+
+/// The three `k = 5` probe queries `--verify` checks an epoch with: the
+/// first specs of the default workload over `ds`.
+fn probes(ds: &Dataset) -> Vec<UotsQuery> {
+    workload::generate(ds, &workload::WorkloadConfig::default())
+        .into_iter()
+        .take(3)
+        .map(|s| {
+            UotsQuery::with_options(
+                s.locations,
+                s.keywords,
+                vec![],
+                QueryOptions {
+                    k: 5,
+                    ..Default::default()
+                },
+            )
+            .expect("workload specs are valid queries")
+        })
+        .collect()
 }
 
 /// Differentially checks one published epoch: every probe query must answer
@@ -802,8 +738,8 @@ struct IngestRun<'a> {
     script_path: &'a str,
     script: &'a str,
     batch: usize,
-    verify: bool,
-    probes: Vec<UotsQuery>,
+    /// The probes every published epoch is verified with (`--verify`).
+    probes: Option<Vec<UotsQuery>>,
     plane: Option<&'a ObsPlane>,
 }
 
@@ -838,11 +774,11 @@ impl IngestRun<'_> {
                 "epoch {}: {} live / {} total, {} postings, {} mutations folded in",
                 st.epoch, st.live, st.total, st.postings, st.mutations
             );
-            if self.verify {
-                verify_epoch(snap, vocab.len(), &self.probes)?;
+            if let Some(probes) = &self.probes {
+                verify_epoch(snap, vocab.len(), probes)?;
                 println!(
                     "  verified against from-scratch rebuild ({} probes)",
-                    self.probes.len()
+                    probes.len()
                 );
             }
             if let Some(p) = self.plane {
@@ -937,71 +873,36 @@ impl IngestRun<'_> {
     }
 }
 
-fn cmd_ingest(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, INGEST_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let ds = match load(&flags) {
-        Ok(ds) => ds,
-        Err(e) => return fail(e),
-    };
-    let script_path = match flags.require("script") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let script = match std::fs::read_to_string(script_path) {
-        Ok(t) => t,
-        Err(e) => return fail(format!("reading {script_path}: {e}")),
-    };
-    let batch: usize = match flags.get("batch").unwrap_or("0").parse() {
-        Ok(v) => v,
-        Err(_) => return fail("--batch must be an integer"),
-    };
+fn cmd_ingest(flags: &Flags) -> CmdResult {
+    let ds = load(flags)?;
+    let script_path = flags.require("script")?;
+    let script =
+        std::fs::read_to_string(script_path).map_err(|e| format!("reading {script_path}: {e}"))?;
+    let batch: usize = flags
+        .parse_or("batch", 0)
+        .map_err(|_| "--batch must be an integer")?;
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let registry = MetricsRegistry::default();
-    let plane = match start_obs_plane(&flags, &registry) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
+    let plane = start_obs_plane(flags, &registry)?;
     let journal = plane.as_ref().map(|p| &p.journal);
-    let probes: Vec<UotsQuery> = workload::generate(&ds, &workload::WorkloadConfig::default())
-        .into_iter()
-        .take(3)
-        .map(|s| {
-            UotsQuery::with_options(
-                s.locations,
-                s.keywords,
-                vec![],
-                QueryOptions {
-                    k: 5,
-                    ..Default::default()
-                },
-            )
-            .expect("workload specs are valid queries")
-        })
-        .collect();
     let run = IngestRun {
         num_nodes: ds.network.num_nodes(),
         script_path,
         script: &script,
         batch,
-        verify: flags.get("verify").is_some(),
-        probes,
+        probes: flags.get("verify").is_some().then(|| probes(&ds)),
         plane: plane.as_ref(),
     };
 
     // the `/status` document a run ends with
     let last_status = match flags.get("wal-dir") {
         Some(dir) => {
-            let fsync = match FsyncPolicy::parse(flags.get("fsync").unwrap_or("batch")) {
-                Ok(p) => p,
-                Err(e) => return fail(format!("--fsync: {e}")),
-            };
+            let fsync = FsyncPolicy::parse(flags.get("fsync").unwrap_or("batch"))
+                .map_err(|e| format!("--fsync: {e}"))?;
             let checkpoint_every = match flags.get("checkpoint-every") {
                 Some(v) => match v.parse::<u64>() {
                     Ok(n) if n > 0 => Some(n),
-                    _ => return fail("--checkpoint-every must be a positive integer"),
+                    _ => return Err("--checkpoint-every must be a positive integer".into()),
                 },
                 None => None,
             };
@@ -1022,10 +923,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
                 Some(&registry),
                 journal,
             );
-            let (durable, recovery) = match opened {
-                Ok(opened) => opened,
-                Err(e) => return fail(format!("opening wal in {dir}: {e}")),
-            };
+            let (durable, recovery) = opened.map_err(|e| format!("opening wal in {dir}: {e}"))?;
             println!(
                 "durable ingest: wal in {dir} (fsync {fsync}, checkpoint every {})",
                 checkpoint_every.map_or("never".to_string(), |n| format!("{n} batches")),
@@ -1041,9 +939,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
             let status = |c: &Cluster<DurableIngest>| {
                 serde_json::to_string(&c.shard(0).status()).unwrap_or_else(|_| "{}".to_string())
             };
-            if let Err(e) = run.run(&mut cluster, &vocab, status) {
-                return fail(e);
-            }
+            run.run(&mut cluster, &vocab, status)?;
             let log = cluster.shard(0);
             println!(
                 "wal durable through lsn {} (last checkpoint at lsn {})",
@@ -1076,51 +972,52 @@ fn cmd_ingest(args: &[String]) -> i32 {
                     m.pending()
                 )
             };
-            if let Err(e) = run.run(&mut cluster, &vocab, status) {
-                return fail(e);
-            }
+            run.run(&mut cluster, &vocab, status)?;
             status(&cluster)
         }
     };
     if let Some(path) = metrics_out {
-        if let Err(e) = write_metrics(&registry, &path) {
-            return fail(e);
-        }
+        write_metrics(&registry, &path)?;
     }
     if let Some(p) = plane {
         p.set_status(last_status);
         p.finish();
     }
-    0
+    Ok(0)
 }
 
-fn cmd_recover(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, RECOVER_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let dir = match flags.require("wal-dir") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let base = match flags.get("data") {
-        Some(path) => match persist::load_file(path) {
-            Ok(ds) => Some(ds),
-            Err(e) => return fail(format!("loading {path}: {e}")),
-        },
-        None => None,
-    };
+/// The one lineage directory `recover`, `status` and `fsck` read: the
+/// `--wal-dir` as given, read through the layout reader that opens a
+/// lineage for `uots-serve` and `ingest`. A path that does not exist is
+/// refused, and so is the root of a lineage of two shards or more, since
+/// each of its `shard-<s>` directories is a lineage of its own.
+fn lineage_dir(flags: &Flags) -> Result<&str, String> {
+    let dir = flags.require("wal-dir")?;
+    let root = Path::new(dir);
+    std::fs::metadata(root).map_err(|e| format!("--wal-dir {dir}: {e}"))?;
+    if let Some(n @ 2..) = shards_on_disk(root).map_err(|e| format!("reading {dir}: {e}"))? {
+        let shards: Vec<String> = (0..n)
+            .map(|s| shard_dir(root, s).display().to_string())
+            .collect();
+        return Err(format!(
+            "{dir} holds a lineage of {n} shards; give --wal-dir one shard directory: {}",
+            shards.join(", ")
+        ));
+    }
+    Ok(dir)
+}
+
+fn cmd_recover(flags: &Flags) -> CmdResult {
+    let dir = lineage_dir(flags)?;
+    let base = flags.get("data").map(|_| load(flags)).transpose()?;
     let verify = flags.get("verify").is_some();
     let metrics_out = flags.get("metrics-out").map(str::to_string);
     let registry = MetricsRegistry::default();
-    let plane = match start_obs_plane(&flags, &registry) {
-        Ok(p) => p,
-        Err(e) => return fail(e),
-    };
+    let plane = start_obs_plane(flags, &registry)?;
 
     let recovered = match recover(
         &StdFs,
-        std::path::Path::new(dir),
+        Path::new(dir),
         base.as_ref(),
         Some(&registry),
         plane.as_ref().map(|p| &p.journal),
@@ -1132,9 +1029,9 @@ fn cmd_recover(args: &[String]) -> i32 {
         // operational hiccup a retry might clear.
         Err(e @ DurableError::Inconsistent(_)) => {
             eprintln!("error: recovering from {dir}: {e}");
-            return EXIT_UNRECOVERABLE;
+            return Ok(EXIT_UNRECOVERABLE);
         }
-        Err(e) => return fail(format!("recovering from {dir}: {e}")),
+        Err(e) => return Err(format!("recovering from {dir}: {e}")),
     };
     let report = &recovered.report;
     match &report.source {
@@ -1170,41 +1067,18 @@ fn cmd_recover(args: &[String]) -> i32 {
         st.epoch, st.live, st.total
     );
     if verify {
-        let probe_source = match &base {
-            Some(ds) => ds,
-            None => {
-                return fail("--verify needs --data to derive probe queries");
-            }
+        let Some(ds) = &base else {
+            return Err("--verify needs --data to derive probe queries".into());
         };
-        let probes: Vec<UotsQuery> =
-            workload::generate(probe_source, &workload::WorkloadConfig::default())
-                .into_iter()
-                .take(3)
-                .map(|s| {
-                    UotsQuery::with_options(
-                        s.locations,
-                        s.keywords,
-                        vec![],
-                        QueryOptions {
-                            k: 5,
-                            ..Default::default()
-                        },
-                    )
-                    .expect("workload specs are valid queries")
-                })
-                .collect();
-        if let Err(e) = verify_epoch(&snap, recovered.vocab.len(), &probes) {
-            return fail(e);
-        }
+        let probes = probes(ds);
+        verify_epoch(&snap, recovered.vocab.len(), &probes)?;
         println!(
             "verified against from-scratch rebuild ({} probes)",
             probes.len()
         );
     }
     if let Some(path) = metrics_out {
-        if let Err(e) = write_metrics(&registry, &path) {
-            return fail(e);
-        }
+        write_metrics(&registry, &path)?;
     }
     let code = if !report.rejected_checkpoints.is_empty() || report.wal_corruption.is_some() {
         EXIT_RECOVERED_WITH_FALLBACK
@@ -1230,7 +1104,7 @@ fn cmd_recover(args: &[String]) -> i32 {
         ));
         p.finish();
     }
-    code
+    Ok(code)
 }
 
 /// Exit code a `status`/`fsck` report implies — shared by the human and
@@ -1308,27 +1182,16 @@ fn report_scrub(r: &ScrubReport, has_base: bool) -> i32 {
 
 /// Prints a `status`/`fsck` report as one pretty-printed JSON object and
 /// returns the same exit code the human rendering would.
-fn report_scrub_json(r: &ScrubReport, has_base: bool) -> i32 {
-    match serde_json::to_string_pretty(r) {
-        Ok(json) => println!("{json}"),
-        Err(e) => return fail(format!("serializing report: {e}")),
-    }
-    scrub_exit_code(r, has_base)
+fn report_scrub_json(r: &ScrubReport, has_base: bool) -> CmdResult {
+    let json = serde_json::to_string_pretty(r).map_err(|e| format!("serializing report: {e}"))?;
+    println!("{json}");
+    Ok(scrub_exit_code(r, has_base))
 }
 
-fn cmd_status(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, STATUS_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let dir = match flags.require("wal-dir") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let report = match scrub::inspect(&StdFs, std::path::Path::new(dir)) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("inspecting {dir}: {e}")),
-    };
+fn cmd_status(flags: &Flags) -> CmdResult {
+    let dir = lineage_dir(flags)?;
+    let report =
+        scrub::inspect(&StdFs, Path::new(dir)).map_err(|e| format!("inspecting {dir}: {e}"))?;
     // status cannot know whether the operator holds the base dataset;
     // assume they might, so a checkpoint-less-but-intact dir reports 4
     // rather than 5
@@ -1336,31 +1199,20 @@ fn cmd_status(args: &[String]) -> i32 {
         return report_scrub_json(&report, true);
     }
     println!("status of {dir} (read-only):");
-    report_scrub(&report, true)
+    Ok(report_scrub(&report, true))
 }
 
-fn cmd_fsck(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, FSCK_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let dir = match flags.require("wal-dir") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
+fn cmd_fsck(flags: &Flags) -> CmdResult {
+    let dir = lineage_dir(flags)?;
     // --data proves the operator can supply the base dataset, which decides
     // corruption-found (4) vs unrecoverable (5) when no checkpoint survives
-    let has_base = match flags.get("data") {
-        Some(path) => match persist::load_file(path) {
-            Ok(_) => true,
-            Err(e) => return fail(format!("loading {path}: {e}")),
-        },
-        None => false,
-    };
-    let report = match scrub::scrub(&StdFs, std::path::Path::new(dir)) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("scrubbing {dir}: {e}")),
-    };
+    let has_base = flags
+        .get("data")
+        .map(|_| load(flags))
+        .transpose()?
+        .is_some();
+    let report =
+        scrub::scrub(&StdFs, Path::new(dir)).map_err(|e| format!("scrubbing {dir}: {e}"))?;
     if flags.get("json").is_some() {
         // the JSON report already carries the quarantine list
         return report_scrub_json(&report, has_base);
@@ -1374,30 +1226,16 @@ fn cmd_fsck(args: &[String]) -> i32 {
             dir
         );
     }
-    code
+    Ok(code)
 }
 
-fn cmd_check_metrics(args: &[String]) -> i32 {
-    let flags = match Flags::parse(args, CHECK_METRICS_FLAGS) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
-    let path = match flags.require("file") {
-        Ok(v) => v,
-        Err(e) => return fail(e),
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(format!("reading {path}: {e}")),
-    };
-    match validate_prometheus_text(&text) {
-        Ok(summary) => {
-            println!(
-                "{path}: OK — {} metric families, {} samples",
-                summary.families, summary.samples
-            );
-            0
-        }
-        Err(e) => fail(format!("{path}: {e}")),
-    }
+fn cmd_check_metrics(flags: &Flags) -> CmdResult {
+    let path = flags.require("file")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let summary = validate_prometheus_text(&text).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "{path}: OK — {} metric families, {} samples",
+        summary.families, summary.samples
+    );
+    Ok(0)
 }

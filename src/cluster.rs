@@ -15,7 +15,8 @@
 //! checkpoints: `shard-0/ … shard-(N-1)/` under the cluster root at
 //! `N ≥ 2`, the root itself at `N = 1` (the flat layout an unsharded
 //! `--wal-dir` has always had; global id = local id).
-//! `shards_on_disk` reads the count back from the layout. The
+//! [`shards_on_disk`] reads the count back from the layout, for the
+//! constructors and for the `uots` durability commands. The
 //! consequences, by design:
 //!
 //! * **Recovery parallelizes.** [`ShardedDurable::open`] recovers every
@@ -83,7 +84,7 @@ fn lineage_dir(root: &Path, num_shards: usize, shard: usize) -> PathBuf {
 /// for the flat layout (WAL segments or checkpoints directly in `root`),
 /// else the number of `shard-<s>` directories, `None` when `root` holds
 /// neither (nothing to resume).
-pub(crate) fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
+pub fn shards_on_disk(root: &Path) -> Result<Option<usize>, DurableError> {
     if !wal::list_segments(&StdFs, root)?.is_empty() || !list_checkpoints(&StdFs, root).is_empty() {
         return Ok(Some(1));
     }

@@ -868,3 +868,96 @@ fn status_fsck_and_recover_agree_on_a_gapped_log() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&wal_dir).ok();
 }
+
+/// `recover`, `status` and `fsck` read one lineage directory. The root of
+/// a lineage of two shards or more is refused, naming its shard
+/// directories, and so is a path that does not exist: both used to pass
+/// as a clean, empty directory, and `recover --data` as the base dataset,
+/// without reading any shard.
+#[test]
+fn durability_commands_refuse_a_sharded_root_and_a_missing_path() {
+    use std::sync::Arc;
+    use uots::cluster::ShardedDurable;
+    use uots::datagen::persist;
+    use uots::WalConfig;
+
+    let path = temp_dataset("sharded_root.uotsds");
+    generate(&path);
+    let ds = persist::load_file(&path).unwrap();
+    let root = temp_dataset("sharded_root.wal");
+    std::fs::remove_dir_all(&root).ok();
+    ShardedDurable::create(
+        Arc::new(ds.network.clone()),
+        &ds.store,
+        &ds.vocab,
+        &root,
+        2,
+        WalConfig::default(),
+        None,
+        None,
+    )
+    .expect("create a 2-shard lineage");
+    let shards = [root.join("shard-0"), root.join("shard-1")];
+    let quarantines = || {
+        [&root, &shards[0], &shards[1]]
+            .iter()
+            .any(|d| d.join("quarantine").exists())
+    };
+
+    let data = path.to_str().unwrap();
+    for (command, extra) in [
+        ("status", &[][..]),
+        ("fsck", &[]),
+        ("recover", &[]),
+        ("recover", &["--data", data]),
+    ] {
+        let out = uots()
+            .args([command, "--wal-dir"])
+            .arg(&root)
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} {extra:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        for shard in &shards {
+            let shard = shard.to_str().unwrap();
+            assert!(stderr.contains(shard), "{command} names {shard}: {stderr}");
+        }
+        assert!(
+            out.stdout.is_empty(),
+            "{command}: no work before the refusal"
+        );
+        assert!(!quarantines(), "{command} moved nothing");
+    }
+
+    // a shard directory is a lineage of its own and reads as before
+    let out = uots()
+        .args(["status", "--wal-dir"])
+        .arg(&shards[0])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    let missing = temp_dataset("sharded_root.missing");
+    std::fs::remove_dir_all(&missing).ok();
+    for command in ["status", "fsck"] {
+        let out = uots()
+            .args([command, "--wal-dir"])
+            .arg(&missing)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains(missing.to_str().unwrap()), "{stderr}");
+        assert!(!missing.exists(), "{command} created nothing");
+    }
+
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -1963,7 +1963,12 @@ fn wal_dir_layout_decides_resume_and_a_mismatched_shard_count_is_refused() {
     // a flag start-up does not read is refused by name before anything is
     // created: a typo must not start a server nobody asked for
     let unread = root.join("unread");
-    for (flag, value) in [("--partitioner", "grid:8"), ("--shard", "4")] {
+    for (flag, value) in [
+        ("--partitioner", "grid:8"),
+        ("--shard", "4"),
+        ("--max-inflight", "8"),
+        ("--batch-threads", "2"),
+    ] {
         let out = serve_command(&data, Some(&unread), None)
             .args([flag, value])
             .output()
